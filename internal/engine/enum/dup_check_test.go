@@ -31,10 +31,10 @@ func TestPartialFlushDupCheck(t *testing.T) {
 	want := oracle.Eval(d, q)
 
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 64)
-	var got match.Set
-	c.SetStream(func(m match.Match) bool {
-		got = append(got, match.Clone(m))
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 64)
+	var got [][]match.Cell
+	c.SetStream(func(m []match.Cell) bool {
+		got = append(got, cloneRow(m))
 		return true
 	}, 0, nil)
 
@@ -65,9 +65,9 @@ func TestPartialFlushDupCheck(t *testing.T) {
 	seen := map[string]int{}
 	for _, m := range got {
 		var key strings.Builder
-		for _, id := range m {
+		for _, cell := range m {
 			key.WriteByte(':')
-			key.WriteRune(rune(d.Node(id).Start + 64))
+			key.WriteRune(rune(cell.Start + 64))
 		}
 		seen[key.String()]++
 	}

@@ -20,14 +20,14 @@ import (
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
-	"viewjoin/internal/xmltree"
 )
 
 // Label re-exports the region label triple used across engines.
 type Label = store.Label
 
 // Collector accumulates per-query-node candidates in document order and
-// flushes completed windows into matches.
+// flushes completed windows into result rows, each written once from the
+// bound candidates' labels (engine.Rows).
 //
 // In the memory-based approach (§IV "Variations") the window lives in
 // memory until flushed; PeakEntries tracks the largest window, the F_max of
@@ -35,11 +35,10 @@ type Label = store.Label
 // spooled to scratch pages when collected and read back at flush time,
 // charging page writes and reads; resident memory then stays O(|Q|·depth).
 type Collector struct {
-	d   *xmltree.Document
 	q   *tpq.Pattern
 	io  *counters.IO
 	tr  obs.Tracer // nil when tracing is off
-	out match.Set
+	out engine.Rows
 
 	cands       [][]Label // per query node, current window, doc order
 	windowStart int32
@@ -75,7 +74,7 @@ type Collector struct {
 	// strictly greater than this start tuple, document order); emitted
 	// counts deliveries; stopped latches once the quota is met or the sink
 	// declines, turning every later Add/Flush into a no-op.
-	emit    func(match.Match) bool
+	emit    func(row []match.Cell) bool
 	first   int
 	after   []int32
 	emitted int
@@ -105,7 +104,6 @@ type Collector struct {
 	okLevels  [][]levelGroup // pc-children only: surviving starts per level
 	needLevel []bool         // query node is a pc-child: level grouping required
 	cur       []Label
-	m         match.Match
 }
 
 // levelGroup holds the surviving candidate starts at one level. Windows
@@ -130,29 +128,20 @@ const LabelBytes = 16
 // the previous attempt, so filter work stays amortized against growth.
 const partialTrigger = 64
 
-// NewCollector returns a Collector for query q over document d, accounting
-// into io and tracing into tr (nil disables tracing). When diskBased is
-// set, windows are spooled through scratch pages of the given pageSize (0
-// means store.DefaultPageSize).
-func NewCollector(d *xmltree.Document, q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool, pageSize int) *Collector {
-	if pageSize == 0 {
-		pageSize = store.DefaultPageSize
-	}
+// NewCollector returns a Collector for query q, accounting into io and
+// tracing into tr (nil disables tracing). When diskBased is set, windows
+// are spooled through scratch pages of the given pageSize (0 means
+// store.DefaultPageSize).
+func NewCollector(q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool, pageSize int) *Collector {
 	n := q.Size()
 	c := &Collector{
-		d:         d,
 		q:         q,
-		io:        io,
-		tr:        tr,
 		cands:     make([][]Label, n),
-		diskBased: diskBased,
-		pageSize:  pageSize,
 		ok:        make([][]bool, n),
 		okStarts:  make([][]int32, n),
 		okLevels:  make([][]levelGroup, n),
 		needLevel: make([]bool, n),
 		cur:       make([]Label, n),
-		m:         make(match.Match, n),
 	}
 	for qi := 1; qi < n; qi++ {
 		if q.Nodes[qi].Axis == tpq.Child {
@@ -169,22 +158,22 @@ func NewCollector(d *xmltree.Document, q *tpq.Pattern, io *counters.IO, tr obs.T
 		c.spine = append(c.spine, qi)
 	}
 	c.full = make([][]Label, n)
-	c.nextPartial = partialTrigger
+	c.Reset(io, tr, diskBased, pageSize)
 	return c
 }
 
 // Reset readies the collector for a fresh run over the same document and
 // query: the accounting, tracer and output options are rebound, collected
-// state is cleared, and every scratch slice keeps its capacity. The
-// previously returned match.Set is not touched (Result hands ownership to
-// the caller). PreFlush is preserved.
+// state is cleared, and every scratch slice keeps its capacity. Rows a
+// previous Result returned are not touched: their chunks belong to that
+// caller, and this run writes fresh ones. PreFlush is preserved.
 func (c *Collector) Reset(io *counters.IO, tr obs.Tracer, diskBased bool, pageSize int) {
 	if pageSize == 0 {
 		pageSize = store.DefaultPageSize
 	}
 	c.io, c.tr, c.diskBased, c.pageSize = io, tr, diskBased, pageSize
 	c.ic = nil
-	c.out = nil
+	c.out = engine.NewRows(c.q, 0)
 	c.emit, c.first, c.after = nil, 0, nil
 	c.emitted, c.stopped = 0, false
 	for qi := range c.cands {
@@ -277,14 +266,19 @@ func (c *Collector) SetInterrupt(ic *engine.Interrupter) {
 }
 
 // SetStream configures streaming delivery and early termination for the
-// run (all cleared by Reset): emit, when non-nil, receives every match as
-// it is produced — the slice is scratch reused for the next match, so
-// sinks copy what they keep; returning false stops the run. first > 0
-// bounds the matches produced (counted after the cursor filter). after,
-// when non-nil, must hold one start label per query node: only matches
-// strictly greater than it in document order are delivered.
-func (c *Collector) SetStream(emit func(match.Match) bool, first int, after []int32) {
+// run (all cleared by Reset): emit, when non-nil, receives every row as it
+// is produced — a staged slot overwritten by the next match, so sinks copy
+// what they keep; returning false stops the run. first > 0 bounds the
+// matches produced (counted after the cursor filter) and sizes the first
+// result chunk. after, when non-nil, must hold one start label per query
+// node: only matches strictly greater than it in document order are
+// delivered.
+func (c *Collector) SetStream(emit func(row []match.Cell) bool, first int, after []int32) {
 	c.emit, c.first, c.after = emit, first, after
+	if emit != nil {
+		first = 1 // a streamed run only ever holds the staged row
+	}
+	c.out = engine.NewRows(c.q, first)
 }
 
 // Emitted returns the number of matches delivered so far (streamed or
@@ -493,14 +487,14 @@ func (c *Collector) discardWindow() {
 	c.open = false
 }
 
-// Result flushes any open window and returns the collected matches (empty
-// in streaming mode — the sink received them). The Matches counter is the
+// Result flushes any open window and hands over the collected rows (none in
+// streaming mode — the sink received them). The Matches counter is the
 // number of matches delivered, which for a bounded run is the bounded
 // count, not the query's full cardinality.
-func (c *Collector) Result() match.Set {
+func (c *Collector) Result() [][]match.Cell {
 	c.Flush()
 	c.io.C.Matches = int64(c.emitted)
-	return c.out
+	return c.out.Take()
 }
 
 // PeakEntries returns the size (in entries) of the largest window held in
@@ -605,8 +599,8 @@ func (c *Collector) enumerate() {
 	//
 	// Order invariant: windows close in ascending root-start order, the
 	// root loop walks cands[0] ascending, and rec extends the tuple in
-	// pattern pre-order over start-sorted lists — so matches are produced
-	// exactly in match.Less (document) order, which is what makes streamed
+	// pattern pre-order over start-sorted lists — so rows are produced
+	// exactly in match.RowLess (document) order, which is what makes streamed
 	// LIMIT/OFFSET and the cursor filter exact without any buffering.
 	var rec func(qi int) bool
 	rec = func(qi int) bool {
@@ -617,20 +611,15 @@ func (c *Collector) enumerate() {
 			if c.flushedBound > c.windowStart && c.tupleBefore(c.flushedBound) {
 				return true // already emitted by an earlier partial flush
 			}
-			if c.after != nil && !c.tupleAfterCursor() {
+			if c.after != nil && !engine.AfterCursor(c.cur, c.after) {
 				return true // at or before the resumption cursor: skip
 			}
-			for k := range c.cur {
-				c.m[k] = c.d.FindByStart(c.cur[k].Start)
-			}
 			c.io.MarkFirstMatch()
-			if c.emit != nil {
-				if !c.emit(c.m) {
-					c.stop()
-					return false
-				}
-			} else {
-				c.out = append(c.out, match.Clone(c.m))
+			if c.emit == nil {
+				c.out.Append(c.cur)
+			} else if !c.emit(c.out.Stage(c.cur)) {
+				c.stop()
+				return false
 			}
 			c.emitted++
 			if c.first > 0 && c.emitted >= c.first {
@@ -690,18 +679,6 @@ func (c *Collector) tupleBefore(b int32) bool {
 		}
 	}
 	return true
-}
-
-// tupleAfterCursor reports whether the current tuple's start labels are
-// lexicographically greater than the resumption cursor — i.e. the match
-// falls strictly after the page the cursor closed.
-func (c *Collector) tupleAfterCursor() bool {
-	for k := range c.cur {
-		if s := c.cur[k].Start; s != c.after[k] {
-			return s > c.after[k]
-		}
-	}
-	return false // exactly the cursor match: already delivered
 }
 
 // levelStarts returns the surviving starts recorded for a level.

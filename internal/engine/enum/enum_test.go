@@ -8,9 +8,14 @@ import (
 	"viewjoin/internal/engine"
 	"viewjoin/internal/match"
 	"viewjoin/internal/oracle"
+	"viewjoin/internal/testutil"
 	"viewjoin/internal/tpq"
 	"viewjoin/internal/xmltree"
 )
+
+// cloneRow copies a streamed row: emit hands sinks a staged slot the next
+// match overwrites.
+func cloneRow(row []match.Cell) []match.Cell { return append([]match.Cell(nil), row...) }
 
 func doc(t testing.TB, src string) *xmltree.Document {
 	t.Helper()
@@ -37,12 +42,12 @@ func feed(d *xmltree.Document, q *tpq.Pattern, c *Collector) {
 	}
 }
 
-func run(t *testing.T, src, query string, diskBased bool) (match.Set, counters.Counters) {
+func run(t *testing.T, src, query string, diskBased bool) ([][]match.Cell, counters.Counters) {
 	t.Helper()
 	d := doc(t, src)
 	q := tpq.MustParse(query)
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, diskBased, 64)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, diskBased, 64)
 	feed(d, q, c)
 	return c.Result(), cnt
 }
@@ -62,7 +67,7 @@ func TestEnumerationMatchesOracle(t *testing.T) {
 		q := tpq.MustParse(tc.q)
 		want := oracle.Eval(d, q)
 		got, _ := run(t, tc.src, tc.q, false)
-		if !got.SameAs(want) {
+		if !testutil.RowsToSet(t, d, got).SameAs(want) {
 			t.Errorf("%s over %s: got %d, want %d", tc.q, tc.src, len(got), len(want))
 		}
 	}
@@ -82,7 +87,7 @@ func TestPendingBuffer(t *testing.T) {
 	d := doc(t, `<r><a><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 64)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 64)
 
 	nodes := d.Nodes()
 	var as, bs []Label
@@ -110,7 +115,7 @@ func TestPendingDropsUncoverable(t *testing.T) {
 	d := doc(t, `<r><b/><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 64)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 64)
 	nodes := d.Nodes()
 	// First b precedes every a: buffered then dropped at window open.
 	for i := range nodes {
@@ -149,7 +154,7 @@ func TestPeakEntries(t *testing.T) {
 	d := doc(t, `<r><a><b/><b/><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	feed(d, q, c)
 	c.Result()
 	// Largest window: first a + its three b's = 4 entries.
@@ -165,7 +170,7 @@ func TestPreFlushHook(t *testing.T) {
 	d := doc(t, `<r><a><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	var regions [][2]int32
 	c.PreFlush = func(lo, hi int32) { regions = append(regions, [2]int32{lo, hi}) }
 	feed(d, q, c)
@@ -184,7 +189,7 @@ func TestDuplicateAddsCollapsed(t *testing.T) {
 	d := doc(t, `<r><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	feed(d, q, c)
 	feed(d, q, c) // offer everything twice
 	got := c.Result()
@@ -225,18 +230,18 @@ func candidates(d *xmltree.Document, q *tpq.Pattern) (qis []int, labels []Label)
 
 // streamCollector builds a collector wired the way the engines wire it for
 // a streaming run: an interrupter bound, emit copying rows into got.
-func streamCollector(t *testing.T, d *xmltree.Document, q *tpq.Pattern, first int, after []int32, accept func(int) bool) (*Collector, *engine.Interrupter, *match.Set) {
+func streamCollector(t *testing.T, d *xmltree.Document, q *tpq.Pattern, first int, after []int32, accept func(int) bool) (*Collector, *engine.Interrupter, *[][]match.Cell) {
 	t.Helper()
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
-	got := &match.Set{}
-	c.SetStream(func(m match.Match) bool {
+	got := &[][]match.Cell{}
+	c.SetStream(func(m []match.Cell) bool {
 		if accept != nil && !accept(len(*got)) {
 			return false
 		}
-		*got = append(*got, match.Clone(m))
+		*got = append(*got, cloneRow(m))
 		return true
 	}, first, after)
 	return c, &ic, got
@@ -270,7 +275,7 @@ func TestStreamingPartialFlushOrder(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var fcnt counters.Counters
-	fullC := NewCollector(d, q, counters.NewIO(&fcnt, 0), nil, false, 0)
+	fullC := NewCollector(q, counters.NewIO(&fcnt, 0), nil, false, 0)
 	feed(d, q, fullC)
 	want := fullC.Result()
 	if len(want) != 50 {
@@ -289,7 +294,7 @@ func TestStreamingPartialFlushOrder(t *testing.T) {
 		t.Fatalf("streamed %d matches, want %d", len(*got), len(want))
 	}
 	for i := range want {
-		if !match.Less((*got)[i], want[i]) && !match.Less(want[i], (*got)[i]) {
+		if !match.RowLess((*got)[i], want[i]) && !match.RowLess(want[i], (*got)[i]) {
 			continue
 		}
 		t.Fatalf("match %d out of order or wrong: streamed run must reproduce document order", i)
@@ -363,7 +368,7 @@ func TestAccumulateFirstK(t *testing.T) {
 	want, _ := run(t, src, "//site//a//b", false)
 
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
 	c.SetStream(nil, 4, nil)
@@ -374,7 +379,7 @@ func TestAccumulateFirstK(t *testing.T) {
 		t.Fatalf("accumulated %d matches, want 4", len(got))
 	}
 	for i := range got {
-		if match.Less(got[i], want[i]) || match.Less(want[i], got[i]) {
+		if match.RowLess(got[i], want[i]) || match.RowLess(want[i], got[i]) {
 			t.Fatalf("match %d is not the i-th match of the full run", i)
 		}
 	}
@@ -392,7 +397,7 @@ func TestAfterCursorSkipsWholeWindow(t *testing.T) {
 		}
 	}
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	c.SetStream(nil, 0, []int32{a2, 0})
 	feed(d, q, c)
 	got := c.Result()
@@ -424,7 +429,7 @@ func TestAfterCursorResumesMidWindow(t *testing.T) {
 		{[]int32{aStart, bStarts[1]}, 0},
 	} {
 		var cnt counters.Counters
-		c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+		c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 		c.SetStream(nil, 0, tc.after)
 		feed(d, q, c)
 		if got := c.Result(); len(got) != tc.want {
@@ -438,7 +443,7 @@ func TestResetReusesCollector(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	c.SetStream(nil, 3, nil)
 	feed(d, q, c)
 	if got := c.Result(); len(got) != 3 {
@@ -462,7 +467,7 @@ func TestAdvanceNoopPaths(t *testing.T) {
 	// Accumulating run (no emit, no quota): Advance must do nothing.
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	feed(d, q, c)
 	c.Advance(1 << 30)
 	if got := c.Result(); len(got) != 1 {
@@ -471,7 +476,7 @@ func TestAdvanceNoopPaths(t *testing.T) {
 	// Single-node query: the spine is empty, so partial flushing is off
 	// even under a quota.
 	q1 := tpq.MustParse("//a")
-	c1 := NewCollector(d, q1, counters.NewIO(&cnt, 0), nil, false, 0)
+	c1 := NewCollector(q1, counters.NewIO(&cnt, 0), nil, false, 0)
 	c1.SetStream(nil, 1, nil)
 	feed(d, q1, c1)
 	c1.Advance(1 << 30)
@@ -501,7 +506,7 @@ func TestPartialFlushNestedRootWaits(t *testing.T) {
 	if midRun != 0 {
 		t.Fatalf("emitted %d matches before the window closed despite a nested root", midRun)
 	}
-	if !(*got).SameAs(want) {
+	if !testutil.RowsToSet(t, d, *got).SameAs(want) {
 		t.Fatalf("streamed %d matches, oracle %d", len(*got), len(want))
 	}
 }
@@ -536,11 +541,11 @@ func TestPartialFlushDiskSpool(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, true, 16)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, true, 16)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
-	var got match.Set
-	c.SetStream(func(m match.Match) bool { got = append(got, match.Clone(m)); return true }, 0, nil)
+	var got [][]match.Cell
+	c.SetStream(func(m []match.Cell) bool { got = append(got, cloneRow(m)); return true }, 0, nil)
 	qis, labels := candidates(d, q)
 	feedStream(c, &ic, qis, labels)
 	c.Result()
@@ -588,7 +593,7 @@ func TestChildAxisLevels(t *testing.T) {
 		q := tpq.MustParse(tc.q)
 		want := oracle.Eval(d, q)
 		got, _ := run(t, tc.src, tc.q, false)
-		if !got.SameAs(want) {
+		if !testutil.RowsToSet(t, d, got).SameAs(want) {
 			t.Errorf("%s over %s: got %d, want %d", tc.q, tc.src, len(got), len(want))
 		}
 	}
@@ -610,7 +615,7 @@ func TestUnsortedAddsNormalized(t *testing.T) {
 		}
 	}
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	c.Add(0, as[0])
 	c.Add(1, bs[1]) // out of order
 	c.Add(1, bs[0])
@@ -637,10 +642,9 @@ func TestSearchStartsAbove(t *testing.T) {
 }
 
 func TestFlushWithoutWindowIsNoop(t *testing.T) {
-	d := doc(t, `<r/>`)
 	q := tpq.MustParse("//a")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	c.Flush()
 	if got := c.Result(); len(got) != 0 {
 		t.Fatalf("expected no matches")

@@ -23,7 +23,6 @@ import (
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
-	"viewjoin/internal/xmltree"
 )
 
 // partial is an intermediate tuple: bindings for a subset of the query's
@@ -67,7 +66,6 @@ func (a *labelArena) row() []store.Label {
 // so a Prepared is safe for concurrent Run calls; repeated runs amortize
 // the tuple scans that dominate InterJoin's per-call setup.
 type Prepared struct {
-	d       *xmltree.Document
 	q       *tpq.Pattern
 	order   []int
 	streams []*stream
@@ -85,7 +83,7 @@ type scratch struct {
 // as a stream. viewPos[i] lists, for view i, the query position of each of
 // its nodes (in view node order). Views must be path views and q a path
 // query. The scans charge io — prepare-time cost, paid once per plan.
-func Prepare(d *xmltree.Document, q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
+func Prepare(q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
 	io *counters.IO, tr obs.Tracer) (*Prepared, error) {
 	if !q.IsPath() {
 		return nil, fmt.Errorf("interjoin: %s is not a path query", q)
@@ -135,7 +133,7 @@ func Prepare(d *xmltree.Document, q *tpq.Pattern, stores []*store.ViewStore, vie
 			st.tuples = append(st.tuples, p)
 		}
 	}
-	return &Prepared{d: d, q: q, order: order, streams: streams}, nil
+	return &Prepared{q: q, order: order, streams: streams}, nil
 }
 
 // Footprint estimates the plan-resident bytes of the materialized view
@@ -158,7 +156,7 @@ func (p *Prepared) Footprint() int64 {
 // Run executes the prepared join sequence once. Per-run costs are the
 // binary joins and the final verification; the view scans were charged at
 // Prepare time.
-func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, error) {
+func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, error) {
 	sc, _ := p.pool.Get().(*scratch)
 	if sc == nil {
 		sc = &scratch{}
@@ -183,7 +181,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, error) 
 	// Final verification: pc-edges and the root axis. Ad-edges between
 	// adjacent positions were verified during the joins (cross-view) or are
 	// implied by the view matches (intra-view).
-	var out match.Set
+	out := engine.NewRows(q, opts.First)
 	for i := range acc.tuples {
 		if err := sc.ic.Check(); err != nil {
 			if err == engine.ErrStop {
@@ -208,22 +206,17 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, error) 
 		if !ok {
 			continue
 		}
-		if opts.After != nil && !afterCursor(t.labels, opts.After) {
+		if opts.After != nil && !engine.AfterCursor(t.labels, opts.After) {
 			continue
 		}
-		m := make(match.Match, n)
-		for pos := 0; pos < n; pos++ {
-			m[pos] = p.d.FindByStart(t.labels[pos].Start)
-		}
-		out = append(out, m)
+		out.Append(t.labels)
 		// Bounded accumulation under a first-k quota: InterJoin's tuples are
 		// ordered by the first position only, so the scan cannot stop early;
-		// keep only the first smallest matches seen so far instead, bounding
+		// keep only the first smallest rows seen so far instead, bounding
 		// peak result memory to O(first). The slack (4x + 64) amortizes the
 		// sorts.
-		if opts.First > 0 && len(out) >= 4*opts.First+64 {
-			out.Sort()
-			out = out[:opts.First]
+		if opts.First > 0 && out.Len() >= 4*opts.First+64 {
+			out.Shrink(opts.First)
 		}
 	}
 	if err := sc.ic.Err(); err != nil && err != engine.ErrStop {
@@ -234,28 +227,14 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, error) 
 	// Join construction orders tuples by the accumulated stream's first
 	// position only; canonicalize to full lexicographic document order so
 	// sequential and partitioned runs are byte-comparable.
-	out.Sort()
-	if opts.First > 0 && len(out) > opts.First {
-		out = out[:opts.First]
-	}
-	io.C.Matches = int64(len(out))
-	if len(out) > 0 {
+	rows := out.Sorted(opts.First)
+	io.C.Matches = int64(len(rows))
+	if len(rows) > 0 {
 		// InterJoin cannot stream: time-to-first-match is the full
 		// join+sort, stamped here so the metric reflects that honestly.
 		io.MarkFirstMatch()
 	}
-	return out, nil
-}
-
-// afterCursor reports whether the start-label tuple in labels is strictly
-// greater than the cursor tuple (lexicographic, i.e. document order).
-func afterCursor(labels []store.Label, after []int32) bool {
-	for k := range after {
-		if s := labels[k].Start; s != after[k] {
-			return s > after[k]
-		}
-	}
-	return false
+	return rows, nil
 }
 
 // restrictStreams returns per-run copies of the prepared streams holding
@@ -334,9 +313,9 @@ func (p *Prepared) WeightIn(lo, hi int32) int64 {
 // Eval evaluates the path query q over the tuple stores of the covering
 // path views (one-shot Prepare + Run; the scans and joins charge the same
 // io, so counters match the historical single-call behaviour).
-func Eval(d *xmltree.Document, q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
-	io *counters.IO, opts engine.Options) (match.Set, error) {
-	p, err := Prepare(d, q, stores, viewPos, io, opts.Tracer)
+func Eval(q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
+	io *counters.IO, opts engine.Options) ([][]match.Cell, error) {
+	p, err := Prepare(q, stores, viewPos, io, opts.Tracer)
 	if err != nil {
 		return nil, err
 	}

@@ -29,11 +29,11 @@ func evalWith(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Patte
 		viewPos[i] = m
 	}
 	var c counters.Counters
-	got, err := Eval(d, q, stores, viewPos, counters.NewIO(&c, 0), engine.Options{})
+	got, err := Eval(q, stores, viewPos, counters.NewIO(&c, 0), engine.Options{})
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	return got, c
+	return testutil.RowsToSet(t, d, got), c
 }
 
 func mustDoc(t testing.TB, src string) *xmltree.Document {
@@ -102,16 +102,16 @@ func TestErrors(t *testing.T) {
 	d := mustDoc(t, `<r><a/></r>`)
 	var c counters.Counters
 	io := counters.NewIO(&c, 0)
-	if _, err := Eval(d, tpq.MustParse("//a[//b]//c"), nil, nil, io, engine.Options{}); err == nil {
+	if _, err := Eval(tpq.MustParse("//a[//b]//c"), nil, nil, io, engine.Options{}); err == nil {
 		t.Errorf("twig query: expected error")
 	}
-	if _, err := Eval(d, tpq.MustParse("//a"), nil, nil, io, engine.Options{}); err == nil {
+	if _, err := Eval(tpq.MustParse("//a"), nil, nil, io, engine.Options{}); err == nil {
 		t.Errorf("no views: expected error")
 	}
 	// Element-scheme store where a tuple store is required.
 	q := tpq.MustParse("//a")
 	es := store.MustBuild(views.MustMaterialize(d, q), store.Element, 0)
-	if _, err := Eval(d, q, []*store.ViewStore{es}, [][]int{{0}}, io, engine.Options{}); err == nil {
+	if _, err := Eval(q, []*store.ViewStore{es}, [][]int{{0}}, io, engine.Options{}); err == nil {
 		t.Errorf("element store: expected error")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
-	"viewjoin/internal/xmltree"
 )
 
 // frame is one stack element: a region label plus the index of the top of
@@ -37,7 +36,6 @@ type frame struct {
 // linked stacks, the expansion buffer). Immutable after construction and
 // safe for concurrent Run calls.
 type Prepared struct {
-	d     *xmltree.Document
 	q     *tpq.Pattern
 	lists []*store.ListFile
 	pool  sync.Pool // *scratch
@@ -54,7 +52,7 @@ type scratch struct {
 	// first/after mirror Options.First/Options.After. PathStack emits
 	// leaf-major (out of document order), so a first-k bound cannot stop the
 	// scan early; instead the accumulator keeps only the first smallest
-	// matches seen so far (periodic sort+truncate), bounding peak result
+	// rows seen so far (periodic Rows.Shrink), bounding peak result
 	// memory to O(first) while still scanning every candidate.
 	first int
 	after []int32
@@ -72,16 +70,16 @@ func (p *Prepared) Footprint() int64 { return int64(len(p.lists)) * 8 }
 
 // Prepare binds the path query q over the given lists for repeated runs.
 // It returns an error if q is not a path query.
-func Prepare(d *xmltree.Document, q *tpq.Pattern, lists []*store.ListFile) (*Prepared, error) {
+func Prepare(q *tpq.Pattern, lists []*store.ListFile) (*Prepared, error) {
 	if !q.IsPath() {
 		return nil, fmt.Errorf("pathstack: %s is not a path query", q)
 	}
-	return &Prepared{d: d, q: q, lists: lists}, nil
+	return &Prepared{q: q, lists: lists}, nil
 }
 
 // Run executes the prepared plan once, drawing scratch from the pool and
 // resetting it in place.
-func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, error) {
+func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, error) {
 	sc, _ := p.pool.Get().(*scratch)
 	n := p.q.Size()
 	if sc == nil {
@@ -109,30 +107,26 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, error) 
 		p.pool.Put(sc)
 		return nil, err
 	}
-	first := sc.first
 	p.pool.Put(sc) // sc must not be touched past this point
 	// The linked stacks emit leaf-major (ancestor combinations enumerated
 	// newest-first); canonicalize to the lexicographic document order the
 	// other engines produce so sequential and partitioned runs are
 	// byte-comparable.
-	out.Sort()
-	if first > 0 && len(out) > first {
-		out = out[:first]
-	}
-	io.C.Matches = int64(len(out))
-	if len(out) > 0 {
+	rows := out.Sorted(opts.First)
+	io.C.Matches = int64(len(rows))
+	if len(rows) > 0 {
 		// PathStack cannot stream: time-to-first-match is the full
 		// scan+sort, stamped here so the metric reflects that honestly.
 		io.MarkFirstMatch()
 	}
-	return out, nil
+	return rows, nil
 }
 
 // Eval evaluates the path query q over the per-query-node lists using
 // PathStack and returns all tree pattern instances (one-shot Prepare +
 // Run). It returns an error if q is not a path query.
-func Eval(d *xmltree.Document, q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) (match.Set, error) {
-	p, err := Prepare(d, q, lists)
+func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) ([][]match.Cell, error) {
+	p, err := Prepare(q, lists)
 	if err != nil {
 		return nil, err
 	}
@@ -140,11 +134,11 @@ func Eval(d *xmltree.Document, q *tpq.Pattern, lists []*store.ListFile, io *coun
 }
 
 // eval is the PathStack main loop over one run's scratch.
-func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) match.Set {
-	d, q := p.d, p.q
+func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) engine.Rows {
+	q := p.q
 	n := q.Size()
 	cur, stacks, buf := sc.cur, sc.stacks, sc.buf
-	var out match.Set
+	out := engine.NewRows(q, sc.first)
 
 	for {
 		if sc.ic.Check() != nil {
@@ -196,18 +190,17 @@ func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) match.Set {
 			tr.Event(obs.EvStackPush, qmin, 1)
 		}
 		if pushed && qmin == n-1 {
-			expand(d, q, stacks, n-1, len(stacks[n-1])-1, buf, io, sc, &out)
+			expand(q, stacks, n-1, len(stacks[n-1])-1, buf, io, sc, &out)
 			stacks[n-1] = stacks[n-1][:len(stacks[n-1])-1]
 			if tr != nil {
 				tr.Event(obs.EvStackPop, n-1, 1)
 			}
 			// Bounded accumulation under a first-k quota: once the buffer
 			// grows well past the quota, keep only the first smallest
-			// matches. The slack (4x + 64) amortizes the sorts to O(log)
-			// per appended match.
-			if sc.first > 0 && len(out) >= 4*sc.first+64 {
-				out.Sort()
-				out = out[:sc.first]
+			// rows. The slack (4x + 64) amortizes the sorts to O(log) per
+			// appended row.
+			if sc.first > 0 && out.Len() >= 4*sc.first+64 {
+				out.Shrink(sc.first)
 			}
 		}
 		cur[qmin].Next()
@@ -215,36 +208,21 @@ func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) match.Set {
 	return out
 }
 
-// afterCursor reports whether the start-label tuple in buf is strictly
-// greater than the cursor tuple (lexicographic, i.e. document order).
-func afterCursor(buf []store.Label, after []int32) bool {
-	for k := range buf {
-		if s := buf[k].Start; s != after[k] {
-			return s > after[k]
-		}
-	}
-	return false
-}
-
 // expand emits every root-to-leaf combination closed by the frame at
 // position fi of stack qi: the element pairs with every frame of the parent
 // stack up to its recorded parentTop, subject to the pc-level checks that
 // the stacks alone do not enforce.
-func expand(d *xmltree.Document, q *tpq.Pattern, stacks [][]frame, qi, fi int,
-	buf []store.Label, io *counters.IO, sc *scratch, out *match.Set) {
+func expand(q *tpq.Pattern, stacks [][]frame, qi, fi int,
+	buf []store.Label, io *counters.IO, sc *scratch, out *engine.Rows) {
 	buf[qi] = stacks[qi][fi].l
 	if qi == 0 {
 		if sc.ic.Check() != nil {
 			return
 		}
-		if sc.after != nil && !afterCursor(buf, sc.after) {
+		if sc.after != nil && !engine.AfterCursor(buf, sc.after) {
 			return
 		}
-		m := make(match.Match, len(buf))
-		for k := range buf {
-			m[k] = d.FindByStart(buf[k].Start)
-		}
-		*out = append(*out, m)
+		out.Append(buf)
 		return
 	}
 	for pi := stacks[qi][fi].parentTop; pi >= 0; pi-- {
@@ -255,6 +233,6 @@ func expand(d *xmltree.Document, q *tpq.Pattern, stacks [][]frame, qi, fi int,
 		if q.Nodes[qi].Axis == tpq.Child && stacks[qi-1][pi].l.Level != buf[qi].Level-1 {
 			continue
 		}
-		expand(d, q, stacks, qi-1, pi, buf, io, sc, out)
+		expand(q, stacks, qi-1, pi, buf, io, sc, out)
 	}
 }

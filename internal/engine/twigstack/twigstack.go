@@ -25,7 +25,6 @@ import (
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
-	"viewjoin/internal/xmltree"
 )
 
 const inf = int32(math.MaxInt32)
@@ -41,7 +40,6 @@ type Stats struct {
 // open-region stacks, collector buffers). Immutable after construction and
 // safe for concurrent Run calls.
 type Prepared struct {
-	d     *xmltree.Document
 	q     *tpq.Pattern
 	lists []*store.ListFile
 	pool  sync.Pool // *evaluator
@@ -63,8 +61,8 @@ type evaluator struct {
 }
 
 // Prepare binds q's evaluation over the given lists for repeated runs.
-func Prepare(d *xmltree.Document, q *tpq.Pattern, lists []*store.ListFile) *Prepared {
-	return &Prepared{d: d, q: q, lists: lists}
+func Prepare(q *tpq.Pattern, lists []*store.ListFile) *Prepared {
+	return &Prepared{q: q, lists: lists}
 }
 
 // Lists returns the per-query-node list files the plan is bound to, for
@@ -80,7 +78,7 @@ func (p *Prepared) Footprint() int64 { return int64(len(p.lists)) * 8 }
 // Run executes the prepared plan once, drawing evaluator scratch from the
 // pool and resetting it in place. The only error condition is a trip of
 // opts.Interrupt (cooperative cancellation).
-func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, Stats, error) {
+func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, Stats, error) {
 	e, _ := p.pool.Get().(*evaluator)
 	if e == nil {
 		n := p.q.Size()
@@ -88,7 +86,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, Stats, 
 			p:      p,
 			curBuf: make([]store.ListCursor, n),
 			cur:    make([]*store.ListCursor, n),
-			col:    enum.NewCollector(p.d, p.q, nil, nil, false, 0),
+			col:    enum.NewCollector(p.q, nil, nil, false, 0),
 			open:   make([][]enum.Label, n),
 		}
 	}
@@ -120,8 +118,8 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, Stats, 
 
 // Eval evaluates q over the per-query-node lists using TwigStack and
 // returns all tree pattern instances (one-shot Prepare + Run).
-func Eval(d *xmltree.Document, q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) (match.Set, Stats, error) {
-	return Prepare(d, q, lists).Run(io, opts)
+func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) ([][]match.Cell, Stats, error) {
+	return Prepare(q, lists).Run(io, opts)
 }
 
 // start returns the current start label of qi's cursor, or +inf when the

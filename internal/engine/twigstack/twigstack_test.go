@@ -35,11 +35,11 @@ func evalWith(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Patte
 	}
 	var c counters.Counters
 	io := counters.NewIO(&c, 0)
-	got, st, err := Eval(d, q, lists, io, opts)
+	got, st, err := Eval(q, lists, io, opts)
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", q, err)
 	}
-	return got, st, c
+	return testutil.RowsToSet(t, d, got), st, c
 }
 
 func mustDoc(t testing.TB, src string) *xmltree.Document {

@@ -26,7 +26,7 @@ func measure(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Patter
 		stores[i] = store.MustBuild(views.MustMaterialize(d, vp), store.Linked, 0)
 		totalL += stores[i].TotalEntries()
 	}
-	ms, _, err := Eval(d, v, stores, counters.NewIO(&c, 0), engine.Options{})
+	ms, _, err := Eval(v, stores, counters.NewIO(&c, 0), engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

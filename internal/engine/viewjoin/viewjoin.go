@@ -48,7 +48,6 @@ import (
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/vsq"
-	"viewjoin/internal/xmltree"
 )
 
 // Stats reports run statistics beyond the shared counters.
@@ -67,7 +66,6 @@ type Stats struct {
 // for cursor movement and enumeration only — the costs the paper's §V
 // model charges — not for setup.
 type Prepared struct {
-	d     *xmltree.Document
 	v     *vsq.VSQ
 	lists []*store.ListFile
 
@@ -140,8 +138,8 @@ type evaluator struct {
 
 // Prepare compiles the view-segmented query against the element-family
 // stores of its views: lists are bound and the inverse view maps computed
-// once, ready for any number of Run calls over document d.
-func Prepare(d *xmltree.Document, v *vsq.VSQ, stores []*store.ViewStore, tr obs.Tracer) (*Prepared, error) {
+// once, ready for any number of Run calls.
+func Prepare(v *vsq.VSQ, stores []*store.ViewStore, tr obs.Tracer) (*Prepared, error) {
 	if tr != nil {
 		tr.BeginPhase(obs.PhaseBind)
 	}
@@ -154,7 +152,6 @@ func Prepare(d *xmltree.Document, v *vsq.VSQ, stores []*store.ViewStore, tr obs.
 	}
 	n := v.Query.Size()
 	p := &Prepared{
-		d:               d,
 		v:               v,
 		lists:           lists,
 		viewParentQ:     make([]int, n),
@@ -191,7 +188,7 @@ func (p *Prepared) Footprint() int64 {
 // Run executes the prepared plan once: evaluator scratch state (cursors,
 // region logs, collector buffers, extension state) comes from the pool and
 // is reset in place, so a warm Run allocates only for the output.
-func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, Stats, error) {
+func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, Stats, error) {
 	e, _ := p.pool.Get().(*evaluator)
 	if e == nil {
 		e = newEvaluator(p)
@@ -215,9 +212,9 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, Stats, 
 // Eval evaluates the view-segmented query's underlying query over the
 // element-family stores of its views and returns all tree pattern
 // instances of the original query (one-shot Prepare + Run).
-func Eval(d *xmltree.Document, v *vsq.VSQ, stores []*store.ViewStore, io *counters.IO,
-	opts engine.Options) (match.Set, Stats, error) {
-	p, err := Prepare(d, v, stores, opts.Tracer)
+func Eval(v *vsq.VSQ, stores []*store.ViewStore, io *counters.IO,
+	opts engine.Options) ([][]match.Cell, Stats, error) {
+	p, err := Prepare(v, stores, opts.Tracer)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -232,7 +229,7 @@ func newEvaluator(p *Prepared) *evaluator {
 		p:       p,
 		curBuf:  make([]store.ListCursor, n),
 		cur:     make([]*store.ListCursor, n),
-		col:     enum.NewCollector(p.d, p.v.Query, nil, nil, false, 0),
+		col:     enum.NewCollector(p.v.Query, nil, nil, false, 0),
 		open:    make([]regionLog, n),
 		extBuf:  make([]store.ListCursor, n),
 		extCur:  make([]*store.ListCursor, n),

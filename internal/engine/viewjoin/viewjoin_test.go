@@ -29,11 +29,11 @@ func evalWith(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Patte
 		stores[i] = store.MustBuild(views.MustMaterialize(d, vp), kind, 256)
 	}
 	var c counters.Counters
-	got, st, err := Eval(d, v, stores, counters.NewIO(&c, 0), opts)
+	got, st, err := Eval(v, stores, counters.NewIO(&c, 0), opts)
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	return got, st, c
+	return testutil.RowsToSet(t, d, got), st, c
 }
 
 func mustDoc(t testing.TB, src string) *xmltree.Document {
@@ -226,7 +226,7 @@ func TestErrors(t *testing.T) {
 	var c counters.Counters
 	// Tuple store where an element-family store is required.
 	ts := store.MustBuild(views.MustMaterialize(d, q), store.Tuple, 0)
-	if _, _, err := Eval(d, v, []*store.ViewStore{ts}, counters.NewIO(&c, 0), engine.Options{}); err == nil {
+	if _, _, err := Eval(v, []*store.ViewStore{ts}, counters.NewIO(&c, 0), engine.Options{}); err == nil {
 		t.Errorf("tuple store: expected error")
 	}
 }

@@ -105,7 +105,7 @@ func ablationThreshold(cfg Config) error {
 			bytes += st.SizeBytes()
 		}
 		var c counters.Counters
-		_, _, err := vjengine.Eval(doc, v, stores, counters.NewIO(&c, cfg.BufferPoolPages), engine.Options{})
+		_, _, err := vjengine.Eval(v, stores, counters.NewIO(&c, cfg.BufferPoolPages), engine.Options{})
 		if err != nil {
 			return err
 		}

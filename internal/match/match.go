@@ -1,16 +1,60 @@
-// Package match defines the common result representation shared by every
-// TPQ evaluation engine in this repository.
+// Package match defines the common result representations of this
+// repository.
 //
 // Per the paper's query model (§II), every node of a TPQ is an output node,
 // so the answer to a query Q is the set of tree pattern instances: one data
-// node per query node for each embedding of Q into the document.
+// node per query node for each embedding of Q into the document. The
+// evaluation engines produce label-native rows of Cells, written straight
+// from the region labels their stores hold; the oracle and the tuple-scheme
+// view content keep node-id Matches.
 package match
 
 import (
+	"fmt"
 	"sort"
 
 	"viewjoin/internal/xmltree"
 )
+
+// Cell is one binding of a result row: the element's tag and region label.
+type Cell struct {
+	Tag   string
+	Start int32
+	End   int32
+	Level int32
+}
+
+// RowLess orders result rows lexicographically by start label, i.e. by
+// document order of the bound nodes, query node by query node — the same
+// order Less gives the corresponding node-id matches.
+func RowLess(a, b []Cell) bool {
+	for i := range a {
+		if a[i].Start != b[i].Start {
+			return a[i].Start < b[i].Start
+		}
+	}
+	return false
+}
+
+// FromRows resolves label-native rows of a width-column result over d back
+// to node-id matches.
+func FromRows(d *xmltree.Document, rows [][]Cell, width int) (Set, error) {
+	ms := make(Set, len(rows))
+	ids := make(Match, len(rows)*width)
+	for i, row := range rows {
+		if len(row) != width {
+			return nil, fmt.Errorf("result row %d binds %d nodes for a %d-node query", i, len(row), width)
+		}
+		m := ids[i*width : (i+1)*width : (i+1)*width]
+		for j, c := range row {
+			if m[j] = d.FindByStart(c.Start); m[j] == xmltree.NoNode {
+				return nil, fmt.Errorf("result row %d references start %d not in this document", i, c.Start)
+			}
+		}
+		ms[i] = m
+	}
+	return ms, nil
+}
 
 // Match is one tree pattern instance: Match[i] is the data node matched by
 // query node i (indices follow tpq.Pattern node order).

@@ -200,13 +200,17 @@ func TestResidencyPlanInvalidation(t *testing.T) {
 // TestResidencyConcurrentChurn exercises the tiering lock under -race:
 // many goroutines querying across two tenants with a cap that forces
 // continuous promote/demote churn. Every request must succeed with the
-// correct result; the final accounting must balance.
+// correct result; the final accounting must balance. The admission queue
+// holds every client, so which of them find the four workers busy — a
+// matter of core count and scheduling — decides who waits, never who is
+// shed.
 func TestResidencyConcurrentChurn(t *testing.T) {
 	d := viewjoin.GenerateXMark(0.05)
 	paths := saveTestViews(t, d, testViews, viewjoin.SchemeLEp)
 	_, maxFP := viewFootprints(t, d, paths)
 
-	s := New(Config{MaxResidentBytes: maxFP, Workers: 4})
+	const workers, rounds = 8, 20
+	s := New(Config{MaxResidentBytes: maxFP, Workers: 4, QueueDepth: workers})
 	for _, tn := range []string{"alpha", "beta"} {
 		if err := s.AddTenantDocument(tn, "xmark", d); err != nil {
 			t.Fatal(err)
@@ -227,7 +231,6 @@ func TestResidencyConcurrentChurn(t *testing.T) {
 		want[q] = len(res.Matches)
 	}
 
-	const workers, rounds = 8, 20
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*rounds)
 	for w := 0; w < workers; w++ {
@@ -259,6 +262,9 @@ func TestResidencyConcurrentChurn(t *testing.T) {
 	}
 
 	m := getMetrics(t, ts)
+	if m.Requests.Shed != 0 || m.Requests.Total != workers*rounds {
+		t.Errorf("requests: %d total, %d shed; want %d served, none shed", m.Requests.Total, m.Requests.Shed, workers*rounds)
+	}
 	r := m.Residency
 	if r.ResidentBytes > r.CapBytes {
 		t.Errorf("resident_bytes %d exceeds cap %d", r.ResidentBytes, r.CapBytes)

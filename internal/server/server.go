@@ -261,34 +261,6 @@ type queryRequest struct {
 	Parallel int    `json:"parallel,omitempty"` // range partitions; clamped to the server's MaxParallel; <=1: sequential
 }
 
-// queryResponse is the body of a successful POST /query.
-type queryResponse struct {
-	Schema     string       `json:"schema"`
-	Document   string       `json:"document"`
-	Query      string       `json:"query"`
-	Engine     string       `json:"engine"`
-	Views      []string     `json:"views"`
-	Cache      string       `json:"cache"` // "hit" or "miss"
-	MatchCount int          `json:"match_count"`
-	Matches    [][]nodeJSON `json:"matches,omitempty"`
-	// Cursor, present when a limited page filled completely, resumes the
-	// enumeration strictly after this page's last row: pass it back in the
-	// next request's cursor field. Absent on the last page. The value is
-	// opaque (the document position of the last emitted match), so
-	// resumption seeks rather than re-enumerates.
-	Cursor     string      `json:"cursor,omitempty"`
-	Stats      statsJSON   `json:"stats"`
-	DurationUS int64       `json:"duration_us"`
-	Trace      *obs.Report `json:"trace,omitempty"`
-}
-
-type nodeJSON struct {
-	Tag   string `json:"tag"`
-	Start int32  `json:"start"`
-	End   int32  `json:"end"`
-	Level int32  `json:"level"`
-}
-
 type statsJSON struct {
 	ElementsScanned int64 `json:"elements_scanned"`
 	Comparisons     int64 `json:"comparisons"`
@@ -583,13 +555,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		<-s.testEvalGate
 	}
 
-	// The per-request parallelism ask, clamped to the server cap. k <= 1
-	// keeps the sequential path; RunParallel degrades to it anyway when the
+	// The per-request parallelism ask, clamped to the server cap; 1 is the
+	// sequential path, which a partitioned run degrades to anyway when the
 	// plan yields no cuts, so the clamp only bounds worst-case goroutines.
-	k := req.Parallel
-	if k > s.cfg.MaxParallel {
-		k = s.cfg.MaxParallel
-	}
+	k := max(1, min(req.Parallel, s.cfg.MaxParallel))
 
 	// A positive limit or a cursor makes this a paged run: the bound and
 	// resumption point are pushed into the engine instead of trimming a
@@ -605,37 +574,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 			return
 		}
 	}
-	paged := req.Limit > 0 || after != nil
 	// With the flight recorder enabled, every request runs under its own
-	// obs.Recorder via RunTraced — the cached plan stays shared and
-	// untraced, only this execution is observed. The threshold is applied
-	// after the run (a query is only known to be slow once it finished),
-	// so the recorder must always be on to have the trace when it matters.
-	var rec *obs.Recorder
+	// obs.Recorder — the cached plan stays shared and untraced, only this
+	// execution is observed. The threshold is applied after the run (a
+	// query is only known to be slow once it finished), so the recorder
+	// must always be on to have the trace when it matters.
+	var tr obs.Tracer
 	if traced || s.slowlog != nil {
-		rec = obs.NewRecorder()
-	}
-	runPlan := func(p *viewjoin.PreparedQuery) (*viewjoin.Result, error) {
-		if paged {
-			kk := k
-			if kk <= 1 {
-				// Cached plans are prepared with nil options; pin the
-				// sequential path explicitly rather than inheriting.
-				kk = 1
-			}
-			so := &viewjoin.StreamOptions{Limit: req.Limit, After: after, Parallelism: kk}
-			if rec != nil {
-				return p.RunPageTraced(ctx, so, rec)
-			}
-			return p.RunPage(ctx, so)
-		}
-		if rec != nil {
-			return p.RunTraced(ctx, k, rec)
-		}
-		if k > 1 {
-			return p.RunParallel(ctx, k)
-		}
-		return p.RunContext(ctx)
+		tr = obs.NewRecorder()
 	}
 
 	var ent *planEntry // nil on the traced cache-bypass path
@@ -674,7 +620,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		writeError(w, http.StatusGone, "cursor", err, false)
 		return
 	}
-	res, err := runPlan(plan)
+	// Every plan is prepared with nil options, so the paged entry point
+	// covers every request shape: no limit and no cursor is the full run.
+	res, err := plan.RunPageTraced(ctx, &viewjoin.StreamOptions{Limit: req.Limit, After: after, Parallelism: k}, tr)
 	if err != nil {
 		s.fail(w, &req, canon, ent, cacheState, started, err)
 		return
@@ -688,15 +636,19 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		ent.agg.AddRun(cs, res.Stats.Duration)
 	}
 	resp := queryResponse{
-		Schema:     ResponseSchema,
-		Document:   req.Document,
-		Query:      q.String(),
-		Engine:     eng.String(),
-		Views:      canon,
-		Cache:      cacheState,
-		MatchCount: len(res.Matches),
-		Stats:      statsOf(res.Stats),
-		DurationUS: res.Stats.Duration.Microseconds(),
+		responseHead: responseHead{
+			Schema:     ResponseSchema,
+			Document:   req.Document,
+			Query:      q.String(),
+			Engine:     eng.String(),
+			Views:      canon,
+			Cache:      cacheState,
+			MatchCount: len(res.Matches),
+		},
+		responseTail: responseTail{
+			Stats:      statsOf(res.Stats),
+			DurationUS: res.Stats.Duration.Microseconds(),
+		},
 	}
 	if traced {
 		// Only the explicit /debug/trace surface embeds the report; the
@@ -723,29 +675,17 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		})
 	}
 	if req.Limit > 0 {
-		// The paged run already bounded the result to the page; the
-		// truncation guard is belt-and-braces.
-		n := len(res.Matches)
-		if n > req.Limit {
-			n = req.Limit
-		}
-		resp.Matches = make([][]nodeJSON, n)
-		for i := 0; i < n; i++ {
-			row := make([]nodeJSON, len(res.Matches[i]))
-			for j, nd := range res.Matches[i] {
-				row[j] = nodeJSON{Tag: nd.Tag, Start: nd.Start, End: nd.End, Level: nd.Level}
-			}
-			resp.Matches[i] = row
-		}
-		// A completely filled page may have more matches after it; hand
-		// back the resumption cursor. A short page is the last one.
-		if n == req.Limit && n > 0 {
+		// The paged run already bounded the result to the page, so its
+		// rows go to the wire as they are. A completely filled page may
+		// have more matches after it; hand back the resumption cursor. A
+		// short page is the last one.
+		resp.Matches = res.Matches
+		if n := len(res.Matches); n == req.Limit {
 			resp.Cursor = encodeCursor(plan.Epoch(), res.Matches[n-1])
 		}
 	}
 	s.logAccess(&req, http.StatusOK, "", len(res.Matches), cacheState, res.Stats.Partitions, "ok", time.Since(started), nil)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	resp.write(w)
 }
 
 // statusClientClosedRequest is the nginx-convention status for a request

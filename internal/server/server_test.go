@@ -694,7 +694,7 @@ func TestPaginationCursorRoundTrip(t *testing.T) {
 	}
 
 	const pageSize = 7
-	var pages [][]nodeJSON
+	var pages [][]viewjoin.Node
 	cursor := ""
 	for i := 0; ; i++ {
 		if i > len(full.Matches) {

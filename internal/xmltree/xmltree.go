@@ -66,12 +66,10 @@ type Document struct {
 	nameIDs map[string]TypeID
 	nodes   []Node
 
-	// Lazily built indexes, guarded for concurrent readers: a Document is
+	// Lazily built index, guarded for concurrent readers: a Document is
 	// immutable after construction and safe for parallel query evaluation.
-	typeOnce  sync.Once
-	byType    [][]NodeID // type -> nodes of that type in doc order
-	startOnce sync.Once
-	byStart   []NodeID // start label -> node id (NoNode for end tags)
+	typeOnce sync.Once
+	byType   [][]NodeID // type -> nodes of that type in doc order
 }
 
 // NumNodes returns the number of element nodes in the document.
@@ -162,28 +160,15 @@ func (d *Document) SubtreeSize(id NodeID) int {
 	return int(d.nextAfterSubtree(id) - id)
 }
 
-// FindByStart returns the node id whose Start label equals start, or NoNode.
-// A lazily built direct-lookup table makes this O(1): it sits on the hot
-// output path of every evaluation engine (one lookup per bound node per
-// emitted match).
+// FindByStart returns the node id whose Start label equals start, or NoNode:
+// a binary search over the start-ordered nodes. It serves update targeting
+// and result re-materialization; no evaluation engine resolves node ids.
 func (d *Document) FindByStart(start int32) NodeID {
-	d.startOnce.Do(d.buildStartIndex)
-	if start < 0 || int(start) >= len(d.byStart) {
+	i := sort.Search(len(d.nodes), func(k int) bool { return d.nodes[k].Start >= start })
+	if i == len(d.nodes) || d.nodes[i].Start != start {
 		return NoNode
 	}
-	return d.byStart[start]
-}
-
-func (d *Document) buildStartIndex() {
-	maxStart := d.nodes[len(d.nodes)-1].Start
-	idx := make([]NodeID, maxStart+1)
-	for i := range idx {
-		idx[i] = NoNode
-	}
-	for i := range d.nodes {
-		idx[d.nodes[i].Start] = NodeID(i)
-	}
-	d.byStart = idx
+	return NodeID(i)
 }
 
 // Validate checks the structural invariants of the document: nodes sorted by

@@ -7,12 +7,12 @@ import (
 )
 
 // noopTraceAllocCeiling pins the allocation cost of an untraced Evaluate on
-// the standard workload below. The pre-observability baseline measured 771
-// allocations per evaluation; the ceiling leaves a small slack for runtime
+// the standard workload below: Prepare's plan and scratch plus a Run's
+// handful (measured: 193). The ceiling leaves a small slack for runtime
 // noise (map growth timing) while still failing loudly if tracing ever
 // allocates on the disabled path (per-event allocations would add
 // thousands).
-const noopTraceAllocCeiling = 800
+const noopTraceAllocCeiling = 220
 
 func noopWorkload(t testing.TB) (*Document, *Query, []*MaterializedView) {
 	t.Helper()

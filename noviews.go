@@ -8,7 +8,6 @@ import (
 	"viewjoin/internal/engine"
 	"viewjoin/internal/engine/pathstack"
 	"viewjoin/internal/engine/twigstack"
-	"viewjoin/internal/match"
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
@@ -77,15 +76,15 @@ func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) 
 	}
 
 	start := time.Now()
-	var ms match.Set
+	var rows [][]Node
 	if tr != nil {
 		tr.BeginPhase(obs.PhaseEvaluate)
 	}
 	switch eng {
 	case EngineTwigStack:
-		ms, _, err = twigstack.Eval(t, q.p, lists, io, eopts)
+		rows, _, err = twigstack.Eval(q.p, lists, io, eopts)
 	case EnginePathStack:
-		ms, err = pathstack.Eval(t, q.p, lists, io, eopts)
+		rows, err = pathstack.Eval(q.p, lists, io, eopts)
 	default:
 		err = fmt.Errorf("viewjoin: engine %v requires materialized views; use TS or PS without views", eng)
 	}
@@ -98,7 +97,7 @@ func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) 
 	dur := time.Since(start)
 
 	res := &Result{
-		Matches: make([][]Node, len(ms)),
+		Matches: rows,
 		Stats: Stats{
 			ElementsScanned: c.ElementsScanned,
 			Comparisons:     c.Comparisons,
@@ -107,20 +106,6 @@ func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) 
 			PagesWritten:    c.PagesWritten,
 			Duration:        dur,
 		},
-	}
-	if tr != nil {
-		tr.BeginPhase(obs.PhaseOutput)
-	}
-	for i, m := range ms {
-		row := make([]Node, len(m))
-		for j, id := range m {
-			n := t.Node(id)
-			row[j] = Node{Tag: t.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
-		}
-		res.Matches[i] = row
-	}
-	if tr != nil {
-		tr.EndPhase(obs.PhaseOutput)
 	}
 	if rec, ok := tr.(*obs.Recorder); ok {
 		res.Trace = rec.Report(c, time.Since(start))

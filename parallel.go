@@ -233,12 +233,16 @@ func (p *PreparedQuery) spineOrdered() bool {
 // uninterruptible. Safe for concurrent use under the same conditions as
 // Run (prepare-time Tracer must be nil for concurrent calls).
 func (p *PreparedQuery) RunParallel(ctx context.Context, k int) (*Result, error) {
+	if k <= 0 {
+		k = runtime.GOMAXPROCS(0)
+	}
 	return p.runParallel(ctx, k, p.limits(), time.Now(), false, p.opts.Tracer)
 }
 
-// jobOut is one partition's outcome, written only by its worker.
+// jobOut is one job's outcome — a partition's, or a sequential run's single
+// whole-document job — written only by its worker.
 type jobOut struct {
-	ms      match.Set
+	rows    [][]Node
 	c       counters.Counters
 	peak    int64
 	dur     time.Duration
@@ -290,7 +294,8 @@ func (qs *quotaState) complete(i, count int) {
 	}
 }
 
-// runParallel plans and executes a partitioned run. Partitions run with
+// runParallel plans and executes a run across up to k partitions; k <= 1, or
+// a plan that admits no cut, runs sequentially. Partitions run with
 // nil tracers (Tracer implementations are not concurrency-safe); the
 // orchestrator instead emits one EvPartition event per job carrying its
 // wall time, so traced runs still expose the partition-span distribution.
@@ -302,19 +307,13 @@ func (qs *quotaState) complete(i, count int) {
 // each already in document order — are combined by a k-way document-order
 // merge and the page sliced from the merged prefix.
 func (p *PreparedQuery) runParallel(ctx context.Context, k int, lim limits, start time.Time, includePrep bool, tr obs.Tracer) (*Result, error) {
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
 	jobs := p.planPartitions(k)
 	if len(jobs) <= 1 {
 		return p.run(ctx, lim, nil, start, includePrep, tr)
 	}
-	var interrupt func() error
-	if ctx != nil {
-		interrupt = contextInterrupt(ctx, p.eng, p.q.String())
-		if err := interrupt(); err != nil {
-			return nil, err
-		}
+	interrupt, err := p.interruptFor(ctx)
+	if err != nil {
+		return nil, err
 	}
 	var qs *quotaState
 	if lim.first() > 0 && p.spineOrdered() {
@@ -359,9 +358,9 @@ func (p *PreparedQuery) runParallel(ctx context.Context, k int, lim limits, star
 						return nil
 					}
 				}
-				outs[i] = p.runJob(&jobs[i], jobInterrupt, lim, nil)
+				outs[i] = p.runJob(&jobs[i], jobInterrupt, lim, nil, nil)
 				if qs != nil {
-					qs.complete(i, len(outs[i].ms))
+					qs.complete(i, len(outs[i].rows))
 				}
 			}
 		}()
@@ -375,85 +374,59 @@ func (p *PreparedQuery) runParallel(ctx context.Context, k int, lim limits, star
 		}
 		tr.EndPhase(obs.PhaseEvaluate)
 	}
-	var c counters.Counters
-	if includePrep {
-		c.Add(p.prepC)
-	}
-	var (
-		peak       int64
-		firstMatch time.Time
-		executed   int
-	)
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, outs[i].err
-		}
-		if outs[i].skipped {
-			continue
-		}
-		executed++
-		c.Add(outs[i].c)
-		if outs[i].peak > peak {
-			peak = outs[i].peak
-		}
-		if t := outs[i].first; !t.IsZero() && (firstMatch.IsZero() || t.Before(firstMatch)) {
-			firstMatch = t
-		}
-	}
-	// Jobs bound disjoint anchor ranges but spine bindings above them are
-	// not chunk-ordered; each job's output is itself in document order, so
-	// a k-way merge restores the canonical lexicographic order every
-	// sequential engine emits.
-	ms := mergeJobMatches(outs)
-	return p.buildResult(lim.slice(ms), c, peak, executed, start, firstMatch, tr), nil
+	return p.buildResult(outs, lim, includePrep, start, tr)
 }
 
-// mergeJobMatches k-way merges the per-job outputs — each already sorted
-// in document order — into one document-ordered set.
-func mergeJobMatches(outs []jobOut) match.Set {
-	total := 0
-	live := 0
+// mergeJobRows k-way merges the per-job outputs — each already sorted in
+// document order — into one document-ordered header slice over the jobs'
+// chunks (no cell is copied). Jobs bound disjoint anchor ranges but spine
+// bindings above them are not chunk-ordered, so concatenation would not
+// restore the canonical lexicographic order every sequential engine emits.
+func mergeJobRows(outs []jobOut) [][]Node {
+	var rows [][]Node
+	total, live := 0, 0
 	for i := range outs {
-		if len(outs[i].ms) > 0 {
-			total += len(outs[i].ms)
-			live++
+		if n := len(outs[i].rows); n > 0 {
+			rows, total, live = outs[i].rows, total+n, live+1
 		}
 	}
-	if live == 1 {
-		for i := range outs {
-			if len(outs[i].ms) > 0 {
-				return outs[i].ms
-			}
-		}
+	if live <= 1 {
+		return rows // at most one job produced rows: nothing to interleave
 	}
-	ms := make(match.Set, 0, total)
+	rows = make([][]Node, 0, total)
 	pos := make([]int, len(outs))
-	for len(ms) < total {
+	for len(rows) < total {
 		best := -1
 		for i := range outs {
-			if pos[i] >= len(outs[i].ms) {
+			if pos[i] >= len(outs[i].rows) {
 				continue
 			}
-			if best < 0 || match.Less(outs[i].ms[pos[i]], outs[best].ms[pos[best]]) {
+			if best < 0 || match.RowLess(outs[i].rows[pos[i]], outs[best].rows[pos[best]]) {
 				best = i
 			}
 		}
-		ms = append(ms, outs[best].ms[pos[best]])
+		rows = append(rows, outs[best].rows[pos[best]])
 		pos[best]++
 	}
-	return ms
+	return rows
 }
 
-// runJob executes one partition with its own counters and its own buffer
-// pool of the configured size (pools simulate per-cursor-set caching and
-// cannot be shared across goroutines). A non-nil emit streams the job's
-// matches instead of accumulating them (ViewJoin/TwigStack only).
-func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, emit func(match.Match) bool) jobOut {
+// runJob executes the plan once over restriction r (nil: the whole
+// document) with its own counters and its own buffer pool of the configured
+// size (pools simulate per-cursor-set caching and cannot be shared across
+// goroutines). A non-nil emit streams the job's rows instead of
+// accumulating them (ViewJoin/TwigStack only). tr must be nil for jobs that
+// run concurrently (Tracer implementations are not concurrency-safe).
+func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, emit func(row []Node) bool, tr obs.Tracer) jobOut {
 	t0 := time.Now()
 	var out jobOut
 	io := counters.NewIO(&out.c, p.opts.BufferPoolPages)
 	io.SetStall(p.opts.IOLatency)
+	if tr != nil {
+		io.Page = pageHook(tr)
+	}
 	eopts := engine.Options{
+		Tracer:         tr,
 		DiskBased:      p.opts.DiskBased,
 		PageSize:       p.opts.PageSize,
 		UnguardedJumps: p.opts.UnguardedJumps,
@@ -470,16 +443,16 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 	switch p.eng {
 	case EngineViewJoin:
 		var st vjengine.Stats
-		out.ms, st, out.err = p.vj.Run(io, eopts)
+		out.rows, st, out.err = p.vj.Run(io, eopts)
 		out.peak = int64(st.PeakWindowEntries) * 16
 	case EngineTwigStack:
 		var st twigstack.Stats
-		out.ms, st, out.err = p.ts.Run(io, eopts)
+		out.rows, st, out.err = p.ts.Run(io, eopts)
 		out.peak = int64(st.PeakWindowEntries) * 16
 	case EnginePathStack:
-		out.ms, out.err = p.ps.Run(io, eopts)
+		out.rows, out.err = p.ps.Run(io, eopts)
 	case EngineInterJoin:
-		out.ms, out.err = p.ij.Run(io, eopts)
+		out.rows, out.err = p.ij.Run(io, eopts)
 	}
 	io.DrainStall()
 	out.dur = time.Since(t0)
@@ -488,8 +461,9 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 }
 
 // runParallelStream executes a bounded partitioned run delivering rows to
-// yield incrementally: each job streams its matches into a per-job channel
-// and the consumer drains the channels in job index order, which under
+// yield incrementally: each job streams its rows — kept in chunks of its
+// own, so the channel carries row headers — into a per-job channel and the
+// consumer drains the channels in job index order, which under
 // spineOrdered is document order across jobs — so the first row is
 // available as soon as job 0's engine emits it, while the other
 // partitions are still scanning. Channel buffers hold the full per-job
@@ -502,20 +476,17 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 // Callers guarantee: len(jobs) > 1, lim.first() > 0, p.spineOrdered(),
 // and a streaming engine (ViewJoin or TwigStack).
 func (p *PreparedQuery) runParallelStream(ctx context.Context, jobs []engine.Restriction, lim limits, start time.Time, yield func(row []Node) bool) (*Result, error) {
-	var interrupt func() error
-	if ctx != nil {
-		interrupt = contextInterrupt(ctx, p.eng, p.q.String())
-		if err := interrupt(); err != nil {
-			return nil, err
-		}
+	interrupt, err := p.interruptFor(ctx)
+	if err != nil {
+		return nil, err
 	}
 	qs := newQuotaState(lim.first(), len(jobs))
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	chans := make([]chan match.Match, len(jobs))
+	chans := make([]chan []Node, len(jobs))
 	for i := range chans {
-		chans[i] = make(chan match.Match, lim.first())
+		chans[i] = make(chan []Node, lim.first())
 	}
 	outs := make([]jobOut, len(jobs))
 	var wg sync.WaitGroup
@@ -543,35 +514,25 @@ func (p *PreparedQuery) runParallelStream(ctx context.Context, jobs []engine.Res
 				}
 				return nil
 			}
-			emitted := 0
-			outs[i] = p.runJob(&jobs[i], jobInterrupt, lim, func(m match.Match) bool {
-				chans[i] <- match.Clone(m)
-				emitted++
+			kept := engine.NewRows(p.q.p, lim.first())
+			outs[i] = p.runJob(&jobs[i], jobInterrupt, lim, func(row []Node) bool {
+				chans[i] <- kept.AppendRow(row)
 				return true
-			})
-			qs.complete(i, emitted)
+			}, nil)
+			qs.complete(i, kept.Len())
 		}(i)
 	}
 
 	skip := lim.offset
 	delivered := 0
-	var firstYield time.Time
-	row := make([]Node, p.q.p.Size())
 	for i := range chans {
-		for m := range chans[i] {
+		for row := range chans[i] {
 			if lim.limit > 0 && delivered >= lim.limit {
 				continue // page done: drain the bounded remainder
 			}
 			if skip > 0 {
 				skip--
 				continue
-			}
-			for j, id := range m {
-				n := p.tree.Node(id)
-				row[j] = Node{Tag: p.tree.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
-			}
-			if firstYield.IsZero() {
-				firstYield = time.Now()
 			}
 			delivered++
 			if !yield(row) || (lim.limit > 0 && delivered >= lim.limit) {
@@ -581,21 +542,5 @@ func (p *PreparedQuery) runParallelStream(ctx context.Context, jobs []engine.Res
 	}
 	wg.Wait()
 
-	var c counters.Counters
-	var peak int64
-	executed := 0
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, outs[i].err
-		}
-		if outs[i].skipped {
-			continue
-		}
-		executed++
-		c.Add(outs[i].c)
-		if outs[i].peak > peak {
-			peak = outs[i].peak
-		}
-	}
-	return p.buildResult(nil, c, peak, executed, start, firstYield, nil), nil
+	return p.buildResult(outs, limits{}, false, start, nil)
 }

@@ -14,12 +14,10 @@ import (
 	"viewjoin/internal/engine/pathstack"
 	"viewjoin/internal/engine/twigstack"
 	vjengine "viewjoin/internal/engine/viewjoin"
-	"viewjoin/internal/match"
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
 	"viewjoin/internal/vsq"
-	"viewjoin/internal/xmltree"
 )
 
 // PreparedQuery is a query compiled once against a document, a view set
@@ -32,7 +30,9 @@ import (
 //
 // Run draws evaluator scratch state (cursors, region logs, window buffers,
 // join scratch) from an internal sync.Pool and resets it in place instead
-// of reallocating, so a warm Run allocates only for its output.
+// of reallocating, so a warm Run allocates only for its output: row chunks
+// that double up to 64 KiB and one header slice, never one allocation per
+// match (see Result.Matches).
 //
 // A PreparedQuery is immutable after Prepare and safe for concurrent Run
 // calls provided the captured EvalOptions.Tracer is nil (tracers are not
@@ -41,11 +41,10 @@ import (
 // single execution instead, so concurrent traced runs of one shared plan
 // are safe as long as each call brings its own tracer.
 type PreparedQuery struct {
-	d *Document
-	// tree is the document snapshot the plan was compiled against; runs
-	// read it (not the document head), so a plan stays self-consistent
-	// across concurrent updates — it just answers at its own epoch.
-	tree  *xmltree.Document
+	// epoch is the document epoch of the snapshot the plan was compiled
+	// against. Runs read only the views' stores bound at that epoch, so a
+	// plan stays self-consistent across concurrent updates — it just
+	// answers at its own epoch.
 	epoch uint64
 	q     *Query
 	eng   Engine
@@ -111,7 +110,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 		patterns[i] = mv.pattern
 		stores[i] = st.store
 	}
-	p := &PreparedQuery{d: d, tree: snap.tree, epoch: snap.epoch, q: q, eng: eng, opts: *opts, patterns: patterns, stores: stores}
+	p := &PreparedQuery{epoch: snap.epoch, q: q, eng: eng, opts: *opts, patterns: patterns, stores: stores}
 	tr := opts.Tracer
 	switch eng {
 	case EngineViewJoin:
@@ -120,7 +119,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 			return nil, err
 		}
 		p.v = v
-		p.vj, err = vjengine.Prepare(snap.tree, v, stores, tr)
+		p.vj, err = vjengine.Prepare(v, stores, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -138,8 +137,8 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 			return nil, err
 		}
 		if eng == EngineTwigStack {
-			p.ts = twigstack.Prepare(snap.tree, q.p, lists)
-		} else if p.ps, err = pathstack.Prepare(snap.tree, q.p, lists); err != nil {
+			p.ts = twigstack.Prepare(q.p, lists)
+		} else if p.ps, err = pathstack.Prepare(q.p, lists); err != nil {
 			return nil, err
 		}
 		if tr != nil {
@@ -167,7 +166,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 		if tr != nil {
 			io.Page = pageHook(tr)
 		}
-		ij, err := interjoin.Prepare(snap.tree, q.p, stores, viewPos, io, tr)
+		ij, err := interjoin.Prepare(q.p, stores, viewPos, io, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -240,7 +239,7 @@ func (l limits) first() int {
 
 // slice reduces an engine's (already bounded, cursor-filtered) document-
 // order output to the requested page.
-func (l limits) slice(ms match.Set) match.Set {
+func (l limits) slice(ms [][]Node) [][]Node {
 	if l.offset > 0 {
 		if l.offset >= len(ms) {
 			ms = ms[:0]
@@ -335,10 +334,7 @@ func (p *PreparedQuery) RunPage(ctx context.Context, so *StreamOptions) (*Result
 // every call brings its own tracer. A nil tr runs untraced.
 func (p *PreparedQuery) RunPageTraced(ctx context.Context, so *StreamOptions, tr obs.Tracer) (*Result, error) {
 	lim, k := p.streamLimits(so)
-	if k > 1 {
-		return p.runParallel(ctx, k, lim, time.Now(), false, tr)
-	}
-	return p.run(ctx, lim, nil, time.Now(), false, tr)
+	return p.runParallel(ctx, k, lim, time.Now(), false, tr)
 }
 
 // RunStream executes the prepared plan once, delivering each match of the
@@ -370,13 +366,7 @@ func (p *PreparedQuery) RunStream(ctx context.Context, so *StreamOptions, yield 
 		// materialize-and-replay path below still applies the page bound.
 	}
 	if k > 1 || !streamEng {
-		var res *Result
-		var err error
-		if k > 1 {
-			res, err = p.runParallel(ctx, k, lim, time.Now(), false, p.opts.Tracer)
-		} else {
-			res, err = p.run(ctx, lim, nil, time.Now(), false, p.opts.Tracer)
-		}
+		res, err := p.runParallel(ctx, k, lim, time.Now(), false, p.opts.Tracer)
 		if err != nil {
 			return nil, err
 		}
@@ -388,20 +378,15 @@ func (p *PreparedQuery) RunStream(ctx context.Context, so *StreamOptions, yield 
 		res.Matches = nil
 		return res, nil
 	}
-	// True streaming: the collector hands each match to emit in document
+	// True streaming: the collector hands each row to emit in document
 	// order; skip the offset prefix here (it still counts against the
 	// engine quota, which is offset+limit) and stop the run when yield
 	// declines.
 	skip := lim.offset
-	row := make([]Node, p.q.p.Size())
-	emit := func(m match.Match) bool {
+	emit := func(row []Node) bool {
 		if skip > 0 {
 			skip--
 			return true
-		}
-		for j, id := range m {
-			n := p.tree.Node(id)
-			row[j] = Node{Tag: p.tree.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
 		}
 		return yield(row)
 	}
@@ -418,10 +403,7 @@ func (p *PreparedQuery) RunStream(ctx context.Context, so *StreamOptions, yield 
 // cached (untraced) plans. A nil tr runs untraced, identically to
 // RunContext/RunParallel.
 func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr obs.Tracer) (*Result, error) {
-	if k > 1 {
-		return p.runParallel(ctx, k, p.limits(), time.Now(), false, tr)
-	}
-	return p.run(ctx, p.limits(), nil, time.Now(), false, tr)
+	return p.runParallel(ctx, k, p.limits(), time.Now(), false, tr)
 }
 
 // pageHook adapts buffer-pool lookups into tracer page events.
@@ -453,88 +435,87 @@ func (p *PreparedQuery) lazyPlan() *obs.Plan {
 	return p.plan
 }
 
-// run executes the prepared plan, timing from start (which a one-shot
-// Evaluate sets before preparation so Duration keeps covering the whole
-// call). includePrep folds preparation-time counters into the Stats. A
-// non-nil ctx installs a cooperative interrupt hook in the engine options;
-// the hook wraps the context error in a *CanceledError so callers see
-// which query and engine were aborted. tr observes this execution only —
-// the Run/RunContext entry points pass the prepare-time Tracer, RunTraced
+// interruptFor builds the cooperative interrupt hook the engines poll for
+// ctx (nil runs uninterruptible); the hook wraps the context error in a
+// *CanceledError so callers see which query and engine were aborted. It is
+// polled once here so an already-expired deadline aborts before any engine
+// work, independent of the engines' check strides.
+func (p *PreparedQuery) interruptFor(ctx context.Context) (func() error, error) {
+	if ctx == nil {
+		return nil, nil
+	}
+	interrupt := contextInterrupt(ctx, p.eng, p.q.String())
+	return interrupt, interrupt()
+}
+
+// run executes the prepared plan sequentially — one job over the whole
+// document — timing from start (which a one-shot Evaluate sets before
+// preparation so Duration keeps covering the whole call). includePrep folds
+// preparation-time counters into the Stats. tr observes this execution only
+// — the Run/RunContext entry points pass the prepare-time Tracer, RunTraced
 // a per-call one.
-func (p *PreparedQuery) run(ctx context.Context, lim limits, emit func(match.Match) bool,
+func (p *PreparedQuery) run(ctx context.Context, lim limits, emit func(row []Node) bool,
 	start time.Time, includePrep bool, tr obs.Tracer) (*Result, error) {
-	var interrupt func() error
-	if ctx != nil {
-		interrupt = contextInterrupt(ctx, p.eng, p.q.String())
-		// Check upfront so an already-expired deadline aborts before any
-		// engine work, independent of the engines' check strides.
-		if err := interrupt(); err != nil {
-			return nil, err
-		}
+	interrupt, err := p.interruptFor(ctx)
+	if err != nil {
+		return nil, err
 	}
-	var c counters.Counters
-	if includePrep {
-		c.Add(p.prepC)
-	}
-	io := counters.NewIO(&c, p.opts.BufferPoolPages)
-	io.SetStall(p.opts.IOLatency)
 	if tr != nil {
-		io.Page = pageHook(tr)
 		if pl := p.lazyPlan(); pl != nil {
 			tr.Plan(pl)
 		}
 		tr.BeginPhase(obs.PhaseEvaluate)
 	}
-	eopts := engine.Options{
-		Tracer:         tr,
-		DiskBased:      p.opts.DiskBased,
-		PageSize:       p.opts.PageSize,
-		UnguardedJumps: p.opts.UnguardedJumps,
-		Interrupt:      interrupt,
-		Emit:           emit,
-		First:          lim.first(),
-		After:          lim.after,
-	}
-	var (
-		ms      match.Set
-		peak    int64
-		evalErr error
-	)
-	switch p.eng {
-	case EngineViewJoin:
-		var st vjengine.Stats
-		ms, st, evalErr = p.vj.Run(io, eopts)
-		peak = int64(st.PeakWindowEntries) * 16
-	case EngineTwigStack:
-		var st twigstack.Stats
-		ms, st, evalErr = p.ts.Run(io, eopts)
-		peak = int64(st.PeakWindowEntries) * 16
-	case EnginePathStack:
-		ms, evalErr = p.ps.Run(io, eopts)
-	case EngineInterJoin:
-		ms, evalErr = p.ij.Run(io, eopts)
-	}
-	io.DrainStall()
+	out := p.runJob(nil, interrupt, lim, emit, tr)
 	if tr != nil {
 		tr.EndPhase(obs.PhaseEvaluate)
 	}
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return p.buildResult(lim.slice(ms), c, peak, 1, start, io.FirstMatchTime(), tr), nil
+	return p.buildResult([]jobOut{out}, lim, includePrep, start, tr)
 }
 
-// buildResult renders an engine's match set into the public Result,
-// stamping the run's counters into Stats and resolving node bindings
-// (shared by the sequential and partitioned paths).
-func (p *PreparedQuery) buildResult(ms match.Set, c counters.Counters, peak int64, partitions int,
-	start time.Time, firstMatch time.Time, tr obs.Tracer) *Result {
-	var firstNanos int64
+// buildResult assembles the public Result of a run from its jobs' outcomes
+// (one for a sequential run): counters summed, PeakMemoryBytes the largest
+// single job's peak, first match the earliest, and Matches the jobs' rows —
+// already label-native and in document order — merged and cut to the page.
+// That assembly is all the output phase still does: the rows themselves
+// were written during enumeration.
+func (p *PreparedQuery) buildResult(outs []jobOut, lim limits, includePrep bool, start time.Time, tr obs.Tracer) (*Result, error) {
+	var (
+		c          counters.Counters
+		peak       int64
+		executed   int
+		firstNanos int64
+		firstMatch time.Time
+	)
+	if includePrep {
+		c.Add(p.prepC)
+	}
+	for i := range outs {
+		if outs[i].err != nil {
+			return nil, outs[i].err
+		}
+		if outs[i].skipped {
+			continue
+		}
+		executed++
+		c.Add(outs[i].c)
+		peak = max(peak, outs[i].peak)
+		if t := outs[i].first; !t.IsZero() && (firstMatch.IsZero() || t.Before(firstMatch)) {
+			firstMatch = t
+		}
+	}
 	if !firstMatch.IsZero() {
 		firstNanos = firstMatch.Sub(start).Nanoseconds()
 	}
+	if tr != nil {
+		tr.BeginPhase(obs.PhaseOutput)
+	}
+	rows := lim.slice(mergeJobRows(outs))
+	if tr != nil {
+		tr.EndPhase(obs.PhaseOutput)
+	}
 	res := &Result{
-		Matches: make([][]Node, len(ms)),
+		Matches: rows,
 		Stats: Stats{
 			ElementsScanned: c.ElementsScanned,
 			Comparisons:     c.Comparisons,
@@ -547,28 +528,14 @@ func (p *PreparedQuery) buildResult(ms match.Set, c counters.Counters, peak int6
 			PeakMemoryBytes: peak,
 			Duration:        time.Since(start),
 			FirstMatchNanos: firstNanos,
-			Partitions:      partitions,
+			Partitions:      executed,
 		},
-	}
-	if tr != nil {
-		tr.BeginPhase(obs.PhaseOutput)
-	}
-	for i, m := range ms {
-		row := make([]Node, len(m))
-		for j, id := range m {
-			n := p.tree.Node(id)
-			row[j] = Node{Tag: p.tree.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
-		}
-		res.Matches[i] = row
-	}
-	if tr != nil {
-		tr.EndPhase(obs.PhaseOutput)
 	}
 	if rec, ok := tr.(*obs.Recorder); ok {
 		res.Trace = rec.Report(c, time.Since(start))
 		res.Trace.FirstMatchNanos = firstNanos
 	}
-	return res
+	return res, nil
 }
 
 // BatchResult is the outcome of one query in an EvaluateBatch call.

@@ -217,12 +217,13 @@ func TestEvaluateBatch(t *testing.T) {
 }
 
 // preparedRunAllocCeiling pins the allocation cost of a warm
-// PreparedQuery.Run on the standard workload: output rows plus a handful of
-// fixed-size wrappers (measured baseline: 595, almost entirely the Matches
-// rows). It must stay strictly below the one-shot Evaluate ceiling
-// (noopTraceAllocCeiling) — the pooled path exists to shed the per-call
-// plan and scratch allocations.
-const preparedRunAllocCeiling = 620
+// PreparedQuery.Run on the standard workload (289 matches): the Result, the
+// interrupt and counter wrappers, five geometric row chunks, the chunk
+// list's doublings and the header slice (measured: 17). It must stay
+// strictly below the
+// one-shot Evaluate ceiling (noopTraceAllocCeiling) — the pooled path
+// exists to shed the per-call plan and scratch allocations.
+const preparedRunAllocCeiling = 24
 
 // TestPreparedRunAllocations asserts the pooled Run path allocates strictly
 // less than one-shot Evaluate and stays under its own pinned ceiling.
@@ -254,6 +255,123 @@ func TestPreparedRunAllocations(t *testing.T) {
 	}
 	if runAllocs > preparedRunAllocCeiling {
 		t.Errorf("prepared Run allocates %.0f times, ceiling %d", runAllocs, preparedRunAllocCeiling)
+	}
+}
+
+// largeResultAllocCeiling bounds a warm Run returning thousands of rows, on
+// every engine: a handful of fixed wrappers, the row chunks (doubling up to
+// 64 KiB, then one per 64 KiB of rows), the chunk list's doublings and the
+// one header slice — and, for InterJoin, its intermediate streams' arenas.
+// Measured on XMark 1.5: VJ/TS 40 at 8726 matches, PS 35 and IJ 71 at 5425;
+// a per-match allocation would show as thousands.
+const largeResultAllocCeiling = 96
+
+// TestRunAllocationsDoNotGrowWithMatches runs each engine over a small and
+// a 30x larger XMark document and checks that the allocation count follows
+// the chunk geometry, not the match count.
+func TestRunAllocationsDoNotGrowWithMatches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is slow")
+	}
+	if raceEnabled {
+		t.Skip("race-detector instrumentation changes allocation counts")
+	}
+	small, large := GenerateXMark(0.05), GenerateXMark(1.5)
+	for _, c := range preparedCases() {
+		measure := func(d *Document) (matches int, allocs float64) {
+			q, mv := materializeCase(t, d, c)
+			p, err := Prepare(d, q, mv, c.eng, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs = testing.AllocsPerRun(5, func() {
+				res, err := p.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				matches = len(res.Matches)
+			})
+			return matches, allocs
+		}
+		fewMatches, fewAllocs := measure(small)
+		manyMatches, manyAllocs := measure(large)
+		if manyMatches < 4000 || manyMatches < 10*fewMatches {
+			t.Fatalf("%s: %d and %d matches do not separate the two sizes", c.name, fewMatches, manyMatches)
+		}
+		if manyAllocs > largeResultAllocCeiling {
+			t.Errorf("%s: %d matches cost %.0f allocations, ceiling %d", c.name, manyMatches, manyAllocs, largeResultAllocCeiling)
+		}
+		if grown := manyAllocs - fewAllocs; grown > float64(manyMatches-fewMatches)/100 {
+			t.Errorf("%s: %d -> %d matches grew allocations %.0f -> %.0f: more than one per hundred rows",
+				c.name, fewMatches, manyMatches, fewAllocs, manyAllocs)
+		}
+	}
+}
+
+// TestResultRowsDoNotAlias pins the ownership contract of Result.Matches:
+// neighbouring rows share a chunk of cells, yet appending to a row or
+// mutating it never changes another row (rows are capacity-capped), and a
+// second Run of the same plan writes fresh chunks instead of recycling the
+// first Result's — on every engine, sequentially, paged and partitioned.
+func TestResultRowsDoNotAlias(t *testing.T) {
+	d := GenerateXMark(0.05)
+	for _, c := range preparedCases() {
+		q, mv := materializeCase(t, d, c)
+		p, err := Prepare(d, q, mv, c.eng, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, mode := range []struct {
+			name string
+			run  func() (*Result, error)
+		}{
+			{"Run", p.Run},
+			{"RunPage", func() (*Result, error) { return p.RunPage(nil, &StreamOptions{Limit: 20, Offset: 3}) }},
+			{"RunParallel", func() (*Result, error) { return p.RunParallel(nil, 4) }},
+		} {
+			res, err := mode.run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, mode.name, err)
+			}
+			if len(res.Matches) < 2 {
+				t.Fatalf("%s %s: %d rows cannot show aliasing", c.name, mode.name, len(res.Matches))
+			}
+			want := make([][]Node, len(res.Matches))
+			for i, row := range res.Matches {
+				want[i] = append([]Node(nil), row...)
+			}
+			for i := 0; i < len(res.Matches); i += 2 {
+				row := res.Matches[i]
+				if cap(row) != len(row) {
+					t.Fatalf("%s %s: row %d has len %d, cap %d: an append would overwrite its neighbour",
+						c.name, mode.name, i, len(row), cap(row))
+				}
+				grown := append(row, Node{Tag: "appended", Start: -1})
+				grown[0].Tag = "grown"
+				for k := range row {
+					row[k].Start = -7
+				}
+			}
+			again, err := mode.run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, mode.name, err)
+			}
+			for i := range want {
+				if i%2 == 1 {
+					for k := range want[i] {
+						if res.Matches[i][k] != want[i][k] {
+							t.Fatalf("%s %s: row %d changed when its neighbours were mutated", c.name, mode.name, i)
+						}
+					}
+				}
+				for k := range want[i] {
+					if again.Matches[i][k] != want[i][k] {
+						t.Fatalf("%s %s: a second run returned row %d = %v, want %v (chunks recycled?)",
+							c.name, mode.name, i, again.Matches[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -18,21 +18,9 @@ import (
 // match set); passing a partial result materializes only that subset.
 func (d *Document) MaterializeResult(q *Query, res *Result, scheme StorageScheme, opts *MaterializeOptions) (*MaterializedView, error) {
 	snap := d.snap()
-	ms := make(match.Set, len(res.Matches))
-	for i, row := range res.Matches {
-		if len(row) != q.p.Size() {
-			return nil, fmt.Errorf("viewjoin: result row %d binds %d nodes for a %d-node query",
-				i, len(row), q.p.Size())
-		}
-		m := make(match.Match, len(row))
-		for j, n := range row {
-			id := snap.tree.FindByStart(n.Start)
-			if id < 0 {
-				return nil, fmt.Errorf("viewjoin: result row %d references start %d not in this document", i, n.Start)
-			}
-			m[j] = id
-		}
-		ms[i] = m
+	ms, err := match.FromRows(snap.tree, res.Matches, q.p.Size())
+	if err != nil {
+		return nil, fmt.Errorf("viewjoin: %w", err)
 	}
 	mat, err := views.FromMatches(snap.tree, q.p, ms)
 	if err != nil {

@@ -6,7 +6,14 @@
 #
 # Runs, in order:
 #   1. gofmt: no file may need reformatting
-#   2. tier-1 verify: go build, go vet, go test, go test -race (ROADMAP.md)
+#   2. tier-1 verify: go build, go vet, go test, go test -race (ROADMAP.md),
+#      then both test runs again under GOMAXPROCS=1 and =2, so a test that
+#      depends on how many goroutines really run at once cannot pass on a
+#      many-core builder and fail on a small runner
+#   2b. benchmark module: go vet and go test inside benchmark/ (a nested
+#      module root `go test ./...` does not reach), then a one-round
+#      --quick run of every BENCHMARK.json workload with its verify step,
+#      so API drift against the benchmark fails here
 #   3. store coverage floor: the storage layer is the persistence trust
 #      boundary; its statement coverage must stay >= VJCI_STORE_COV (85%)
 #   3b. engine coverage floor: the evaluation engines (internal/engine/...)
@@ -26,8 +33,8 @@
 #      absent — hermetic runners don't fetch tools)
 #   5. fuzz smoke: 10s each of FuzzParse (internal/tpq),
 #      FuzzReadViewStore (internal/store), FuzzEvaluateDifferential
-#      (root), and FuzzUpdateDifferential (root), seeded from the
-#      committed corpora
+#      (root), FuzzUpdateDifferential (root), seeded from the committed
+#      corpora, and FuzzQueryResponseEncoding (internal/server)
 #   5b. vjload smoke: a 1s in-process open-loop run at low QPS; the load
 #      path must produce a well-formed viewjoin/load/v1 manifest
 #   5c. vjload density smoke: a 1s multi-tenant run under a tight
@@ -78,6 +85,20 @@ echo "== tier-1: test"
 go test ./...
 echo "== tier-1: test -race"
 go test -race ./...
+for procs in 1 2; do
+	echo "== tier-1: test, test -race (GOMAXPROCS=$procs)"
+	GOMAXPROCS=$procs go test -count=1 ./...
+	GOMAXPROCS=$procs go test -count=1 -race ./...
+done
+
+echo "== benchmark module: vet, test"
+(cd benchmark && go vet ./... && go test ./...)
+# The workloads BENCHMARK.json declares. --seconds 0 is one round: the
+# --quick document is too small for update-mixed to delete from for longer.
+for w in xmark-full nasa-selective serve-page serve-full update-mixed; do
+	echo "== benchmark smoke: $w"
+	sh benchmark/run.sh --quick --workload "$w" --seed 1 --seconds 0 --trace 0 >/dev/null
+done
 
 echo "== store coverage floor (>= ${store_cov}%)"
 cov="$(go test -count=1 -cover ./internal/store | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"
@@ -157,6 +178,8 @@ echo "== fuzz smoke: FuzzEvaluateDifferential ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzEvaluateDifferential$' -fuzztime "$fuzztime" .
 echo "== fuzz smoke: FuzzUpdateDifferential ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzUpdateDifferential$' -fuzztime "$fuzztime" .
+echo "== fuzz smoke: FuzzQueryResponseEncoding ($fuzztime)"
+go test -run '^$' -fuzz '^FuzzQueryResponseEncoding$' -fuzztime "$fuzztime" ./internal/server
 
 echo "== vjload smoke: 1s in-process open-loop run"
 loadtmp="$(mktemp -t vjci-load-XXXXXX.json)"

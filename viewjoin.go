@@ -37,6 +37,7 @@ import (
 
 	"viewjoin/internal/dataset/nasa"
 	"viewjoin/internal/dataset/xmark"
+	"viewjoin/internal/match"
 	"viewjoin/internal/obs"
 	"viewjoin/internal/oracle"
 	"viewjoin/internal/store"
@@ -123,13 +124,10 @@ func (d *Document) NumNodes() int { return d.tree().NumNodes() }
 // WriteXML serializes the current snapshot's element structure as XML.
 func (d *Document) WriteXML(w io.Writer) error { return xmltree.Write(w, d.tree()) }
 
-// Node describes one element node in a result.
-type Node struct {
-	Tag   string
-	Start int32
-	End   int32
-	Level int32
-}
+// Node describes one element node in a result: its tag and region label
+// (Tag string; Start, End, Level int32). It is the cell type the engines
+// write result rows in, so a Result is handed over without conversion.
+type Node = match.Cell
 
 // Query is a parsed tree pattern query.
 type Query struct {
@@ -508,7 +506,12 @@ type Stats struct {
 // binding per query node (every query node is an output node, §II).
 type Result struct {
 	// Matches holds one row per embedding; row[i] binds query node i (in
-	// Query.Labels order).
+	// Query.Labels order). The rows are windows over chunks of cells the
+	// run allocated for this Result alone — nothing pooled, nothing shared
+	// with another Result — and neighbouring rows share a chunk: each row
+	// is capacity-capped, so appending to one reallocates it instead of
+	// overwriting the next, and mutating a row's cells changes that row
+	// only. Holding any row keeps its whole chunk (at most 64 KiB) alive.
 	Matches [][]Node
 	Stats   Stats
 	// Trace is the full observability report of the run: plan, per-phase
@@ -532,10 +535,7 @@ func Evaluate(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opt
 	if err != nil {
 		return nil, err
 	}
-	if k := p.parallelism(); k > 1 {
-		return p.runParallel(p.opts.Context, k, p.limits(), start, true, p.opts.Tracer)
-	}
-	return p.run(p.opts.Context, p.limits(), nil, start, true, p.opts.Tracer)
+	return p.runParallel(p.opts.Context, p.parallelism(), p.limits(), start, true, p.opts.Tracer)
 }
 
 // CanceledError reports an evaluation aborted by its context (cancellation
