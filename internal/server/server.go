@@ -117,10 +117,13 @@ type docEntry struct {
 	views map[string]*viewEntry
 	order []string // registration order, for /documents listings
 	// wmu serializes the document's write path: one /update at a time per
-	// document applies the update, maintains every view, and invalidates
-	// the document's cached plans as a single transition. Reads never take
-	// it — they run against immutable snapshots.
+	// document derives the successor tree and every view's successor.
+	// Reads never take it — they run against immutable snapshots.
 	wmu sync.Mutex
+	// pub makes an update's publication atomic to plan building: the
+	// commit holds it for the pointer swaps and the plan invalidation, a
+	// cache miss holds it shared from Prepare to the cache insert.
+	pub sync.RWMutex
 }
 
 // Server is the shared state of the daemon. All fields are safe for
@@ -155,8 +158,10 @@ type Server struct {
 	updates           atomic.Int64 // document updates applied via /update
 	maintains         atomic.Int64 // view maintenance operations performed
 	fastPaths         atomic.Int64 // maintains that took the pure label-splice fast path
-	compactions       atomic.Int64 // maintains that flattened an overlay delta chain
 	planInvalidations atomic.Int64 // cached plans dropped by updates
+	applyUS           atomic.Int64 // summed time deriving successor trees
+	maintainUS        atomic.Int64 // summed time deriving successor view stores
+	recomputed        atomic.Int64 // summed list records recomputed by maintenance
 
 	start   time.Time // serving start, for uptime reporting
 	slowlog *slowlog  // nil when Config.SlowlogSize is 0
@@ -172,6 +177,9 @@ type Server struct {
 	// receive. Tests use the pair to hold a worker busy deterministically.
 	testEvalGate    chan struct{}
 	testEvalStarted func()
+	// testFailMaintain, when non-nil, is asked before each view's
+	// derivation in /update; a non-nil error fails the transaction there.
+	testFailMaintain func(view string) error
 }
 
 // New builds a Server with the given configuration.
@@ -467,29 +475,17 @@ func (s *Server) plan(req *queryRequest, e *docEntry, q *viewjoin.Query, eng vie
 	if ent := s.cache.get(key); ent != nil {
 		return ent, true, nil
 	}
-	p, err := s.prepareRetry(e.doc, q, mviews, eng)
+	// Prepare and insert under the document's publication lock: an update
+	// commits either before the Prepare (which then binds the new epoch) or
+	// after the insert (which its invalidation then drops).
+	e.pub.RLock()
+	defer e.pub.RUnlock()
+	p, err := viewjoin.Prepare(e.doc, q, mviews, eng, nil)
 	if err != nil {
 		return nil, false, err
 	}
 	s.prepares.Add(1)
 	return s.cache.put(key, p), false, nil
-}
-
-// prepareRetry is Prepare with a short retry on *EpochMismatchError: a
-// concurrent /update advances the document and then maintains each view in
-// turn, so a Prepare landing inside that window can observe a view one
-// epoch behind the document. The window is the update transaction itself —
-// a few maintenance calls — so a brief retry rides it out; a view that is
-// genuinely stale (maintenance failed) still surfaces the mismatch.
-func (s *Server) prepareRetry(d *viewjoin.Document, q *viewjoin.Query, mviews []*viewjoin.MaterializedView, eng viewjoin.Engine) (*viewjoin.PreparedQuery, error) {
-	var em *viewjoin.EpochMismatchError
-	for attempt := 0; ; attempt++ {
-		p, err := viewjoin.Prepare(d, q, mviews, eng, nil)
-		if err == nil || attempt >= 5 || !errors.As(err, &em) {
-			return p, err
-		}
-		time.Sleep(time.Millisecond << attempt)
-	}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -588,7 +584,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 	var plan *viewjoin.PreparedQuery
 	cacheState := "bypass"
 	if traced {
-		plan, err = s.prepareRetry(e.doc, q, mviews, eng)
+		e.pub.RLock() // an update publishes document and views as one
+		plan, err = viewjoin.Prepare(e.doc, q, mviews, eng, nil)
+		e.pub.RUnlock()
 		if err != nil {
 			s.fail(w, &req, canon, nil, cacheState, started, err)
 			return
@@ -781,6 +779,11 @@ type accessLine struct {
 	Partitions int      `json:"partitions,omitempty"`
 	DurationUS int64    `json:"duration_us"`
 	Error      string   `json:"error,omitempty"`
+	// /update lines only: the operation and the transaction's two layers.
+	Op                string `json:"op,omitempty"`
+	ApplyUS           int64  `json:"apply_us,omitempty"`
+	MaintainUS        int64  `json:"maintain_us,omitempty"`
+	RecomputedEntries int    `json:"recomputed_entries,omitempty"`
 }
 
 func (s *Server) logAccess(req *queryRequest, status int, stage string, matches int, cache string,
@@ -789,8 +792,6 @@ func (s *Server) logAccess(req *queryRequest, status int, stage string, matches 
 		return
 	}
 	line := accessLine{
-		Schema:     AccessSchema,
-		Time:       time.Now().UTC().Format(time.RFC3339Nano),
 		Document:   req.Document,
 		Query:      req.Query,
 		Engine:     req.Engine,
@@ -801,11 +802,21 @@ func (s *Server) logAccess(req *queryRequest, status int, stage string, matches 
 		Outcome:    outcome,
 		Matches:    matches,
 		Partitions: partitions,
-		DurationUS: d.Microseconds(),
 	}
 	if err != nil {
 		line.Error = err.Error()
 	}
+	s.logLine(line, d)
+}
+
+// logLine stamps and writes one access record.
+func (s *Server) logLine(line accessLine, d time.Duration) {
+	if s.cfg.AccessLog == nil {
+		return
+	}
+	line.Schema = AccessSchema
+	line.Time = time.Now().UTC().Format(time.RFC3339Nano)
+	line.DurationUS = d.Microseconds()
 	buf, merr := json.Marshal(line)
 	if merr != nil {
 		return
@@ -851,14 +862,18 @@ type requestMetrics struct {
 }
 
 // updateMetrics is the write-path block of GET /metrics: updates applied,
-// view maintenance operations, and how often maintenance took the
-// fast path (pure label splice) or triggered an overlay compaction.
+// view maintenance operations, how often maintenance took the fast path
+// (pure label splice), and the transactions' two layers summed — time
+// deriving trees, time deriving view stores — with the list records the
+// latter recomputed.
 type updateMetrics struct {
 	Total             int64 `json:"total"`
 	Maintains         int64 `json:"maintains"`
 	FastPath          int64 `json:"fast_path"`
-	Compactions       int64 `json:"compactions"`
 	PlanInvalidations int64 `json:"plan_invalidations"`
+	ApplyUS           int64 `json:"apply_us"`
+	MaintainUS        int64 `json:"maintain_us"`
+	RecomputedEntries int64 `json:"recomputed_entries"`
 }
 
 // histJSON summarizes a latency histogram as quantile estimates rather
@@ -952,8 +967,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Total:             s.updates.Load(),
 			Maintains:         s.maintains.Load(),
 			FastPath:          s.fastPaths.Load(),
-			Compactions:       s.compactions.Load(),
 			PlanInvalidations: s.planInvalidations.Load(),
+			ApplyUS:           s.applyUS.Load(),
+			MaintainUS:        s.maintainUS.Load(),
+			RecomputedEntries: s.recomputed.Load(),
 		},
 		Residency: s.residencySnapshot(),
 		LatencyUS: make(map[string]histJSON),

@@ -13,10 +13,13 @@ import (
 
 // This file is the server's write path: POST /update applies one subtree
 // update to a registered document and incrementally maintains every one of
-// its views, as a single serialized transaction per document. Reads never
-// wait on it — queries run against immutable snapshots, and a plan
-// prepared before the update keeps answering consistently at its own
-// epoch until the cache invalidation forces a re-prepare.
+// its views, as a single prepare-then-commit transaction per document: the
+// successor tree and every view's successor store are derived first, off
+// the immutable published snapshots, and only when all of them exist are
+// document, views and plan invalidation published together. A derivation
+// that fails leaves the old epoch fully served. Queries never wait on the
+// derivation — they run against immutable snapshots, and a plan prepared
+// before the update keeps answering consistently at its own epoch.
 
 // updateRequest is the body of POST /update.
 type updateRequest struct {
@@ -38,11 +41,10 @@ type updateRequest struct {
 
 // maintainJSON is one view's maintenance outcome in an update response.
 type maintainJSON struct {
-	View        string `json:"view"`
-	FastPath    bool   `json:"fast_path"`
-	SharedPages int    `json:"shared_pages"`
-	TotalPages  int    `json:"total_pages"`
-	Compacted   bool   `json:"compacted"`
+	View              string `json:"view"`
+	FastPath          bool   `json:"fast_path"`
+	RecomputedEntries int    `json:"recomputed_entries"`
+	TotalPages        int    `json:"total_pages"`
 }
 
 // updateResponse is the body of a successful POST /update.
@@ -60,8 +62,14 @@ type updateResponse struct {
 	Views []maintainJSON `json:"views"`
 	// PlansInvalidated counts the cached plans dropped because they bound
 	// the document's pre-update snapshot.
-	PlansInvalidated int   `json:"plans_invalidated"`
-	DurationUS       int64 `json:"duration_us"`
+	PlansInvalidated int `json:"plans_invalidated"`
+	// ApplyUS and MaintainUS split the transaction into its two layers:
+	// deriving the successor tree, and deriving every view's successor
+	// store. RecomputedEntries sums the views' recomputed list records.
+	ApplyUS           int64 `json:"apply_us"`
+	MaintainUS        int64 `json:"maintain_us"`
+	RecomputedEntries int   `json:"recomputed_entries"`
+	DurationUS        int64 `json:"duration_us"`
 }
 
 // parseUpdateOp resolves the request spelling of an update operation.
@@ -79,9 +87,7 @@ func parseUpdateOp(s string) (viewjoin.UpdateOp, error) {
 
 // handleUpdate serves POST /update. Updates share the worker pool with
 // queries (an update is a bounded unit of CPU like any evaluation), and
-// each document's updates are serialized on its write mutex: apply,
-// maintain every view, refresh the registry's listings, and invalidate
-// the document's cached plans as one transition.
+// each document's updates are serialized on its write mutex.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "request", errors.New("POST required"), false)
@@ -90,9 +96,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	started := time.Now()
 	var req updateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	line := accessLine{Outcome: "error"}
+	fail := func(status int, stage string, err error) {
 		s.failures.Add(1)
-		writeError(w, http.StatusBadRequest, "request", err, false)
+		writeError(w, status, stage, err, false)
+		line.Document, line.Op, line.Status, line.Stage, line.Error = req.Document, req.Op, status, stage, err.Error()
+		s.logLine(line, time.Since(started))
+	}
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+		fail(http.StatusBadRequest, "request", err)
 		return
 	}
 
@@ -103,119 +115,128 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	t := s.tenants[req.Tenant]
-	if t == nil {
-		s.failures.Add(1)
-		writeError(w, http.StatusNotFound, "resolve",
-			fmt.Errorf("unknown document %q%s", req.Document, forTenant(req.Tenant)), false)
-		return
+	var e *docEntry
+	if t := s.tenants[req.Tenant]; t != nil {
+		e = t.docs[req.Document]
 	}
-	e, ok := t.docs[req.Document]
-	if !ok {
-		s.failures.Add(1)
-		writeError(w, http.StatusNotFound, "resolve",
-			fmt.Errorf("unknown document %q%s", req.Document, forTenant(req.Tenant)), false)
+	if e == nil {
+		fail(http.StatusNotFound, "resolve", fmt.Errorf("unknown document %q%s", req.Document, forTenant(req.Tenant)))
 		return
 	}
 	op, err := parseUpdateOp(req.Op)
 	if err != nil {
-		s.failures.Add(1)
-		writeError(w, http.StatusBadRequest, "parse", err, false)
+		fail(http.StatusBadRequest, "parse", err)
 		return
 	}
 	u := viewjoin.Update{Op: op, TargetStart: req.Target}
 	if op != viewjoin.DeleteSubtree {
 		if req.Fragment == "" {
-			s.failures.Add(1)
-			writeError(w, http.StatusBadRequest, "parse", fmt.Errorf("op %s needs a fragment", op), false)
+			fail(http.StatusBadRequest, "parse", fmt.Errorf("op %s needs a fragment", op))
 			return
 		}
-		frag, err := viewjoin.ParseDocumentString(req.Fragment)
-		if err != nil {
-			s.failures.Add(1)
-			writeError(w, http.StatusBadRequest, "parse", fmt.Errorf("fragment: %w", err), false)
+		if u.Fragment, err = viewjoin.ParseDocumentString(req.Fragment); err != nil {
+			fail(http.StatusBadRequest, "parse", fmt.Errorf("fragment: %w", err))
 			return
 		}
-		u.Fragment = frag
 	}
 
-	// One update transaction per document at a time: the epoch transition,
-	// the maintenance of every view, and the plan invalidation appear
-	// atomic to the serving path (a Prepare racing the window retries on
-	// the epoch mismatch).
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
 
-	// Every view must be maintainable before anything mutates: file-backed
-	// views alias their container image (resident buffer or mapping) and
-	// cannot be spliced in place. Updating under them would strand every
-	// tier at the old epoch with no way back.
+	// Every view must be maintainable: file-backed views alias their
+	// container image (resident buffer or mapping) and cannot be derived
+	// from.
 	for _, vn := range e.order {
 		if !e.views[vn].pinned {
-			s.failures.Add(1)
-			err := fmt.Errorf("view %s is file-backed and cannot be maintained; updates need in-memory views", vn)
-			writeError(w, http.StatusConflict, "maintain", err, false)
+			fail(http.StatusConflict, "maintain",
+				fmt.Errorf("view %s is file-backed and cannot be maintained; updates need in-memory views", vn))
 			return
 		}
 	}
 
-	au, err := e.doc.Apply(u)
+	// Prepare: derive the successor tree and every view's successor store.
+	// Nothing is published yet, so any failure here just returns.
+	t0 := time.Now()
+	staged, err := e.doc.Stage(u)
 	if err != nil {
-		s.failures.Add(1)
-		writeError(w, http.StatusUnprocessableEntity, "apply", err, false)
+		fail(http.StatusUnprocessableEntity, "apply", err)
+		return
+	}
+	line.ApplyUS = time.Since(t0).Microseconds()
+	t0 = time.Now()
+	reports := make([]maintainJSON, 0, len(e.order))
+	fastPaths := 0
+	for _, vn := range e.order {
+		var rep viewjoin.MaintainReport
+		if s.testFailMaintain != nil {
+			err = s.testFailMaintain(vn)
+		}
+		if err == nil {
+			rep, err = staged.Maintain(e.views[vn].warm)
+		}
+		if err != nil {
+			fail(http.StatusInternalServerError, "maintain", fmt.Errorf("view %s: %w", vn, err))
+			return
+		}
+		if rep.FastPath {
+			fastPaths++
+		}
+		line.RecomputedEntries += rep.RecomputedEntries
+		reports = append(reports, maintainJSON{
+			View: vn, FastPath: rep.FastPath,
+			RecomputedEntries: rep.RecomputedEntries, TotalPages: rep.TotalPages,
+		})
+	}
+	line.MaintainUS = time.Since(t0).Microseconds()
+
+	// Commit: publish the document snapshot and every view, refresh the
+	// registry's listing fields (footprint, entry count), and drop the
+	// document's cached plans — they bind the pre-update snapshot — under
+	// the publication lock, so no Prepare sees half of the transition and
+	// no plan of the old epoch enters the cache behind the invalidation.
+	e.pub.Lock()
+	au, err := staged.Commit()
+	invalidated := 0
+	if err == nil {
+		s.res.mu.Lock()
+		for _, vn := range e.order {
+			ve := e.views[vn]
+			ve.footprint = ve.warm.FootprintBytes()
+			ve.entries = ve.warm.NumEntries()
+		}
+		s.res.mu.Unlock()
+		invalidated = s.cache.invalidateDoc(req.Tenant, req.Document)
+	}
+	e.pub.Unlock()
+	if err != nil {
+		// Only a writer outside the server (a direct Document.Apply) can
+		// have moved the document under the write mutex.
+		fail(http.StatusConflict, "commit", err)
 		return
 	}
 	s.updates.Add(1)
-
-	reports := make([]maintainJSON, 0, len(e.order))
-	for _, vn := range e.order {
-		ve := e.views[vn]
-		rep, err := ve.warm.Maintain(au)
-		if err != nil {
-			// The document has advanced; this view (and any after it) has
-			// not. Future Prepares over it fail with the epoch mismatch
-			// until an operator reloads it — surface the stuck state.
-			s.failures.Add(1)
-			writeError(w, http.StatusInternalServerError, "maintain",
-				fmt.Errorf("view %s: %w", vn, err), false)
-			return
-		}
-		s.maintains.Add(1)
-		if rep.FastPath {
-			s.fastPaths.Add(1)
-		}
-		if rep.Compacted {
-			s.compactions.Add(1)
-		}
-		reports = append(reports, maintainJSON{
-			View: vn, FastPath: rep.FastPath,
-			SharedPages: rep.SharedPages, TotalPages: rep.TotalPages,
-			Compacted: rep.Compacted,
-		})
-	}
-
-	// Refresh the registry's listing fields (footprint, entry count) to
-	// the maintained stores, then drop every cached plan of the document:
-	// they bind the pre-update snapshot and must re-prepare.
-	s.res.mu.Lock()
-	for _, vn := range e.order {
-		ve := e.views[vn]
-		ve.footprint = ve.warm.FootprintBytes()
-		ve.entries = ve.warm.NumEntries()
-	}
-	s.res.mu.Unlock()
-	invalidated := s.cache.invalidateDoc(req.Tenant, req.Document)
+	s.maintains.Add(int64(len(reports)))
+	s.fastPaths.Add(int64(fastPaths))
 	s.planInvalidations.Add(int64(invalidated))
+	s.applyUS.Add(line.ApplyUS)
+	s.maintainUS.Add(line.MaintainUS)
+	s.recomputed.Add(int64(line.RecomputedEntries))
 
+	line.Document, line.Op, line.Status, line.Outcome = req.Document, req.Op, http.StatusOK, "ok"
+	total := time.Since(started)
+	s.logLine(line, total)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(updateResponse{
-		Schema:           ResponseSchema,
-		Document:         req.Document,
-		Op:               op.String(),
-		Epoch:            au.Epoch(),
-		Nodes:            e.doc.NumNodes(),
-		Views:            reports,
-		PlansInvalidated: invalidated,
-		DurationUS:       time.Since(started).Microseconds(),
+		Schema:            ResponseSchema,
+		Document:          req.Document,
+		Op:                op.String(),
+		Epoch:             au.Epoch(),
+		Nodes:             e.doc.NumNodes(),
+		Views:             reports,
+		PlansInvalidated:  invalidated,
+		ApplyUS:           line.ApplyUS,
+		MaintainUS:        line.MaintainUS,
+		RecomputedEntries: line.RecomputedEntries,
+		DurationUS:        total.Microseconds(),
 	})
 }

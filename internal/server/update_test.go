@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"viewjoin"
@@ -333,4 +337,193 @@ func TestUpdateInvalidatesPlans(t *testing.T) {
 	if qr.Cache != "miss" {
 		t.Fatalf("post-update query cache = %q, want miss (plan must re-prepare)", qr.Cache)
 	}
+}
+
+// TestUpdateFaultInjection fails the derivation of the k-th view, for each
+// k, and holds POST /update to its prepare-then-commit contract: the
+// request answers 500 and everything it could have touched — document
+// epoch, view epochs and bytes, a cursor in flight, the cached plan — is
+// that of before the request. The next update, unobstructed, goes through.
+func TestUpdateFaultInjection(t *testing.T) {
+	viewBytes := func(mviews []*viewjoin.MaterializedView) [][]byte {
+		var out [][]byte
+		for _, mv := range mviews {
+			var buf bytes.Buffer
+			if _, err := mv.SaveView(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, buf.Bytes())
+		}
+		return out
+	}
+	for k := 0; k < 2; k++ {
+		s := New(Config{})
+		d := viewjoin.GenerateXMark(0.05)
+		if err := s.AddDocument("xmark", d); err != nil {
+			t.Fatal(err)
+		}
+		views, err := viewjoin.ParseViews(testViews)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mviews, err := d.MaterializeViews(views, viewjoin.SchemeLEp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mv := range mviews {
+			if err := s.AddView("xmark", mv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := httptest.NewServer(s.Handler())
+
+		var page, next queryResponse
+		if st := post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery, Limit: 2}, &page); st != http.StatusOK || page.Cursor == "" {
+			t.Fatalf("k=%d: first page: status %d, cursor %q", k, st, page.Cursor)
+		}
+		if st := post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery, Limit: 2, Cursor: page.Cursor}, &next); st != http.StatusOK {
+			t.Fatalf("k=%d: second page: status %d", k, st)
+		}
+		before := viewBytes(mviews)
+		target := page.Matches[0][len(page.Matches[0])-1].Start
+
+		seen := 0
+		s.testFailMaintain = func(view string) error {
+			if seen++; seen == k+1 {
+				return errors.New("injected derivation failure")
+			}
+			return nil
+		}
+		update := updateRequest{
+			Document: "xmark", Op: "insert-before", Target: target,
+			Fragment: "<item><name/><description><keyword/></description></item>",
+		}
+		var er errorResponse
+		if st := post(t, ts, "/update", update, &er); st != http.StatusInternalServerError || er.Stage != "maintain" {
+			t.Fatalf("k=%d: failed update: status %d stage %q (%s)", k, st, er.Stage, er.Error)
+		}
+
+		if d.Epoch() != 0 {
+			t.Errorf("k=%d: document advanced to epoch %d", k, d.Epoch())
+		}
+		for i, mv := range mviews {
+			if mv.Epoch() != 0 {
+				t.Errorf("k=%d: view %d advanced to epoch %d", k, i, mv.Epoch())
+			}
+		}
+		for i, b := range viewBytes(mviews) {
+			if !bytes.Equal(b, before[i]) {
+				t.Errorf("k=%d: view %d bytes changed", k, i)
+			}
+		}
+		var again queryResponse
+		if st := post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery, Limit: 2, Cursor: page.Cursor}, &again); st != http.StatusOK {
+			t.Fatalf("k=%d: cursor after the failed update: status %d, want it still valid", k, st)
+		}
+		if again.Cache != "hit" {
+			t.Errorf("k=%d: cached plan was dropped by a failed update (cache %q)", k, again.Cache)
+		}
+		if fmt.Sprint(again.Matches) != fmt.Sprint(next.Matches) {
+			t.Errorf("k=%d: the cursor's next page changed across the failed update", k)
+		}
+		if m := getMetrics(t, ts); m.Updates.Total != 0 || m.Updates.Maintains != 0 || m.Updates.PlanInvalidations != 0 {
+			t.Errorf("k=%d: failed update counted: %+v", k, m.Updates)
+		}
+
+		s.testFailMaintain = nil
+		var ur updateResponse
+		if st := post(t, ts, "/update", update, &ur); st != http.StatusOK || ur.Epoch != 1 {
+			t.Fatalf("k=%d: update after the failed one: status %d epoch %d", k, st, ur.Epoch)
+		}
+		ts.Close()
+	}
+}
+
+// TestUpdateStageTimings checks that the update's two layers and its
+// recomputed-record count are reported consistently on the response, on
+// /metrics and in the access log.
+func TestUpdateStageTimings(t *testing.T) {
+	var log bytes.Buffer
+	s, _ := updateTestServer(t, Config{AccessLog: &log})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	target := anyTarget(t, ts)
+	log.Reset()
+	var ur updateResponse
+	if st := post(t, ts, "/update", updateRequest{
+		Document: "xmark", Op: "insert-before", Target: target,
+		Fragment: "<item><name/><description><keyword/><keyword/></description></item>",
+	}, &ur); st != http.StatusOK {
+		t.Fatalf("/update: status %d", st)
+	}
+	sum := 0
+	for _, v := range ur.Views {
+		sum += v.RecomputedEntries
+	}
+	// <item>, <name> in one view, two <keyword> (and <description>) in the
+	// other, plus the chain and boundary records: a handful, not the lists.
+	if ur.RecomputedEntries != sum || sum < 5 || sum > 40 {
+		t.Errorf("recomputed_entries = %d, views sum to %d, want a handful", ur.RecomputedEntries, sum)
+	}
+	if ur.ApplyUS <= 0 || ur.MaintainUS < 0 || ur.ApplyUS+ur.MaintainUS > ur.DurationUS {
+		t.Errorf("apply_us %d + maintain_us %d do not fit duration_us %d", ur.ApplyUS, ur.MaintainUS, ur.DurationUS)
+	}
+	m := getMetrics(t, ts).Updates
+	if m.ApplyUS != ur.ApplyUS || m.MaintainUS != ur.MaintainUS || m.RecomputedEntries != int64(sum) {
+		t.Errorf("metrics %+v disagree with the response (%d, %d, %d)", m, ur.ApplyUS, ur.MaintainUS, sum)
+	}
+	var line accessLine
+	if err := json.Unmarshal(bytes.TrimSpace(log.Bytes()), &line); err != nil {
+		t.Fatalf("access log %q: %v", log.String(), err)
+	}
+	if line.Op != "insert-before" || line.Status != http.StatusOK || line.Outcome != "ok" ||
+		line.ApplyUS != ur.ApplyUS || line.MaintainUS != ur.MaintainUS || line.RecomputedEntries != sum {
+		t.Errorf("access line %+v disagrees with the response", line)
+	}
+}
+
+// TestUpdateAtomicToQueries races queries against a stream of updates.
+// Every update invalidates the cached plan, so readers keep re-preparing
+// while the writer publishes; with document, views and invalidation
+// published under one lock no Prepare can see a view one epoch away from
+// the document, so no request may fail — there is no retry to hide it.
+func TestUpdateAtomicToQueries(t *testing.T) {
+	s, _ := updateTestServer(t, Config{Workers: 4, QueueDepth: 16})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			path := []string{"/query", "/debug/trace"}[r%2] // cached and cache-bypassing prepares
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var er errorResponse
+				if st := post(t, ts, path, queryRequest{Document: "xmark", Query: testQuery, Limit: 5}, &er); st != http.StatusOK {
+					t.Errorf("%s during updates: status %d (%s)", path, st, er.Error)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 40; i++ {
+		req := updateRequest{Document: "xmark", Op: "insert-before", Target: anyTarget(t, ts),
+			Fragment: "<item><name/><description><keyword/></description></item>"}
+		if i%3 == 2 {
+			req = updateRequest{Document: "xmark", Op: "delete-subtree", Target: req.Target}
+		}
+		if st := post(t, ts, "/update", req, nil); st != http.StatusOK {
+			t.Fatalf("update %d: status %d", i, st)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

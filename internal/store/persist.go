@@ -86,8 +86,8 @@ func (s *ViewStore) WriteTo(w io.Writer) (int64, error) {
 		_, cw.err = cw.Write(make([]byte, pad))
 	}
 	for _, seg := range segments {
-		for p := 0; p < seg.pages() && cw.err == nil; p++ {
-			_, cw.err = cw.Write(seg.pageBytes(p))
+		if cw.err == nil {
+			_, cw.err = cw.Write(seg.data)
 		}
 	}
 	if cw.err == nil {

@@ -161,19 +161,8 @@ type Cursor interface {
 // that cannot fit a whole record is zero padding. The buffer length is a
 // whole number of pages, so the segment can be persisted verbatim and
 // adopted back by slicing.
-//
-// A segment has two physical forms. The flat form stores all pages
-// contiguously in data — what Build allocates and what persistence adopts.
-// The copy-on-write form (pageTab non-nil, data nil) stores one slice per
-// page: pages untouched by an update alias the base segment's pages, and
-// only modified pages are private rebuilt copies. Both forms present the
-// same record space; readers never see the difference beyond one branch in
-// rec. Compaction flattens a COW segment back to the flat form, and the
-// page bytes are maintained identical to a from-scratch build, so the
-// flattened container is byte-identical to a fresh one.
 type segment struct {
 	data     []byte
-	pageTab  [][]byte // COW form: page i is pageTab[i]; nil for flat form
 	pageSize int
 	recSize  int
 	perPage  int
@@ -218,12 +207,9 @@ func segBytes(entries, recSize, pageSize int) int64 {
 	return pages * int64(pageSize)
 }
 
-func (s *segment) present() bool { return s.data != nil || s.pageTab != nil }
+func (s *segment) present() bool { return s.data != nil }
 
 func (s *segment) pages() int {
-	if s.pageTab != nil {
-		return len(s.pageTab)
-	}
 	if s.pageSize == 0 {
 		return 0
 	}
@@ -233,39 +219,13 @@ func (s *segment) pages() int {
 // page returns the page number record i lives on.
 func (s *segment) page(i int32) int32 { return i / int32(s.perPage) }
 
+// offset returns the byte offset of record i.
+func (s *segment) offset(i int) int { return (i/s.perPage)*s.pageSize + (i%s.perPage)*s.recSize }
+
 // rec returns the record bytes of record i.
 func (s *segment) rec(i int32) []byte {
-	p := int(i) / s.perPage
-	off := (int(i) % s.perPage) * s.recSize
-	if s.pageTab != nil {
-		return s.pageTab[p][off : off+s.recSize]
-	}
-	off += p * s.pageSize
+	off := s.offset(int(i))
 	return s.data[off : off+s.recSize]
-}
-
-// pageBytes returns the raw bytes of page p.
-func (s *segment) pageBytes(p int) []byte {
-	if s.pageTab != nil {
-		return s.pageTab[p]
-	}
-	return s.data[p*s.pageSize : (p+1)*s.pageSize]
-}
-
-// flatten returns the segment in flat form; a flat segment is returned
-// as-is (its buffer is immutable and safely shared).
-func (s *segment) flatten() segment {
-	if s.pageTab == nil {
-		return *s
-	}
-	out := *s
-	out.pageTab = nil
-	out.data = make([]byte, len(s.pageTab)*s.pageSize)
-	for p, page := range s.pageTab {
-		copy(out.data[p*s.pageSize:], page)
-	}
-	out.token = tokenSeq.Add(1)
-	return out
 }
 
 // ViewStore is one materialized view laid out in flat paged segments in a
@@ -433,12 +393,7 @@ func (l *ListFile) PageOf(p Pointer) int32 { return l.labels.page(int32(p)) }
 // model: it is a planning accessor (partition weighing, doc-root probes),
 // not an evaluation read. i must be in [0, Entries()).
 func (l *ListFile) LabelAt(i int) Label {
-	rec := l.labels.rec(int32(i))
-	return Label{
-		Start: int32(binary.LittleEndian.Uint32(rec[0:])),
-		End:   int32(binary.LittleEndian.Uint32(rec[4:])),
-		Level: int32(binary.LittleEndian.Uint32(rec[8:])),
-	}
+	return getLabel(l.labels.rec(int32(i)))
 }
 
 // SeekStart returns the offset of the first record whose start label is
@@ -512,25 +467,12 @@ func buildListFiles(m *views.Materialized, kind Kind, pageSize int) ([]*ListFile
 		}
 		lf.labels = newSegment(len(list), labelBytes, pageSize)
 		for i := range list {
-			rec := lf.labels.rec(int32(i))
-			binary.LittleEndian.PutUint32(rec[0:], uint32(list[i].Start))
-			binary.LittleEndian.PutUint32(rec[4:], uint32(list[i].End))
-			binary.LittleEndian.PutUint32(rec[8:], uint32(list[i].Level))
+			putLabel(lf.labels.rec(int32(i)), Label{Start: list[i].Start, End: list[i].End, Level: list[i].Level})
 		}
-		if kind != Element {
-			lf.fillPtrSeg(segFollowing, len(list), func(i int) int32 {
-				return reduce(kind, list[i].Following, int32(i))
-			})
-			lf.fillPtrSeg(segDescendant, len(list), func(i int) int32 {
-				return reduce(kind, list[i].Descendant, int32(i))
-			})
-			for ci := 0; ci < childCount; ci++ {
-				ci := ci
-				lf.fillPtrSeg(segChild0+ci, len(list), func(i int) int32 {
-					return list[i].Children[ci]
-				})
-			}
+		for i := range list {
+			lf.setPointers(i, list[i].Following, list[i].Descendant, list[i].Children)
 		}
+		lf.seal()
 		files[q] = lf
 	}
 	return files, nil
@@ -546,25 +488,56 @@ func reduce(kind Kind, pos, i int32) int32 {
 	return pos
 }
 
-// fillPtrSeg materializes one pointer class as a flat int32 segment. A
-// class with no non-null pointer occupies no segment.
-func (l *ListFile) fillPtrSeg(class, entries int, val func(i int) int32) {
-	present := false
-	for i := 0; i < entries; i++ {
-		if val(i) != views.NoPointer {
-			present = true
-			break
-		}
-	}
-	if !present {
+// setPointers stores the pointers of record i: the positions the views
+// layer computes (views.NoPointer for none, one child position per pattern
+// child), reduced per the list's scheme. The element scheme stores none,
+// and a pointer class gets its segment with its first non-null pointer.
+// Build and the Splicer both write pointers through here.
+func (l *ListFile) setPointers(i int, following, descendant int32, children []int32) {
+	if l.kind == Element {
 		return
 	}
-	l.ptrs[class] = newSegment(entries, ptrBytes, l.pageSize)
-	for i := 0; i < entries; i++ {
-		v := val(i)
-		binary.LittleEndian.PutUint32(l.ptrs[class].rec(int32(i)), uint32(v))
-		if v != views.NoPointer {
-			l.pointers++
+	// Every pointer segment of a list has the same geometry, so record i
+	// sits at one offset in all of them.
+	perPage := l.pageSize / ptrBytes
+	off := (i/perPage)*l.pageSize + (i%perPage)*ptrBytes
+	l.setPointer(segFollowing, off, reduce(l.kind, following, int32(i)))
+	l.setPointer(segDescendant, off, reduce(l.kind, descendant, int32(i)))
+	for ci, c := range children {
+		l.setPointer(segChild0+ci, off, c)
+	}
+}
+
+func (l *ListFile) setPointer(class, off int, v int32) {
+	seg := &l.ptrs[class]
+	if !seg.present() {
+		if v == views.NoPointer {
+			return
 		}
+		*seg = newSegment(l.entries, ptrBytes, l.pageSize)
+		fillNil(seg, 0, l.entries)
+	}
+	binary.LittleEndian.PutUint32(seg.data[off:], uint32(v))
+}
+
+// seal finishes a list whose pointers are all set: the header counts the
+// non-null ones, and a pointer class left without any owns no segment.
+func (l *ListFile) seal() {
+	l.pointers = 0
+	for class := range l.ptrs {
+		seg := &l.ptrs[class]
+		if !seg.present() {
+			continue
+		}
+		n := 0
+		for it, i := seg.iter(0), 0; i < l.entries; i++ {
+			if int32(binary.LittleEndian.Uint32(it.next())) != views.NoPointer {
+				n++
+			}
+		}
+		if n == 0 {
+			*seg = segment{}
+		}
+		l.pointers += n
 	}
 }

@@ -61,9 +61,7 @@ func buildTupleFile(m *views.Materialized, pageSize int) (*TupleFile, error) {
 		rec := f.seg.rec(int32(i))
 		for j, id := range mt {
 			n := m.Doc.Node(id)
-			binary.LittleEndian.PutUint32(rec[j*labelBytes:], uint32(n.Start))
-			binary.LittleEndian.PutUint32(rec[j*labelBytes+4:], uint32(n.End))
-			binary.LittleEndian.PutUint32(rec[j*labelBytes+8:], uint32(n.Level))
+			putLabel(rec[j*labelBytes:], Label{Start: n.Start, End: n.End, Level: n.Level})
 		}
 	}
 	return f, nil
@@ -75,13 +73,22 @@ type TupleItem struct {
 	Labels []Label
 }
 
-// Label is a region label triple.
-type Label struct {
-	Start, End, Level int32
+// Label is a region label triple, stored as three little-endian int32s.
+type Label = views.Label
+
+func getLabel(rec []byte) Label {
+	return Label{
+		Start: int32(binary.LittleEndian.Uint32(rec[0:])),
+		End:   int32(binary.LittleEndian.Uint32(rec[4:])),
+		Level: int32(binary.LittleEndian.Uint32(rec[8:])),
+	}
 }
 
-// Contains reports whether m is strictly inside l.
-func (l Label) Contains(m Label) bool { return l.Start < m.Start && m.End < l.End }
+func putLabel(rec []byte, l Label) {
+	binary.LittleEndian.PutUint32(rec[0:], uint32(l.Start))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(l.End))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(l.Level))
+}
 
 // TupleCursor is a forward cursor over a TupleFile.
 type TupleCursor struct {
@@ -166,11 +173,7 @@ func (c *TupleCursor) load(i int) {
 	}
 	rec := c.f.seg.rec(int32(i))
 	for j := 0; j < c.f.arity; j++ {
-		c.item.Labels[j] = Label{
-			Start: int32(binary.LittleEndian.Uint32(rec[j*labelBytes:])),
-			End:   int32(binary.LittleEndian.Uint32(rec[j*labelBytes+4:])),
-			Level: int32(binary.LittleEndian.Uint32(rec[j*labelBytes+8:])),
-		}
+		c.item.Labels[j] = getLabel(rec[j*labelBytes:])
 	}
 	c.idx, c.valid = i, true
 }

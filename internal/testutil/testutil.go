@@ -15,6 +15,9 @@ import (
 // Labels is the default element vocabulary used by random documents.
 var Labels = []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 
+// RootLabel is the label of every random document's root.
+const RootLabel = "root"
+
 // ByteSource is a rand.Source64 that replays a fixed byte string, letting
 // fuzz targets drive the package's random generators directly from fuzzer
 // input: every generated document/query/view partition is a deterministic
@@ -100,7 +103,7 @@ func RandomDocShaped(rng *rand.Rand, shape DocShape, labels []string) *xmltree.D
 	shape = shape.withDefaults()
 	b := xmltree.NewBuilder()
 	budget := 1 + rng.Intn(shape.MaxNodes)
-	b.Begin("root")
+	b.Begin(RootLabel)
 	var rec func(depth int)
 	rec = func(depth int) {
 		fanout := 0
@@ -182,7 +185,11 @@ func RandomUpdate(rng *rand.Rand, d *xmltree.Document, labels []string) xmltree.
 
 // RandomPattern builds a random TPQ of up to maxNodes nodes with unique
 // labels drawn from labels (Labels when nil). All axes are chosen at random;
-// the root axis is Descendant, matching the paper's queries.
+// the root axis is Descendant, matching the paper's queries, except that
+// about one pattern in len(labels) is anchored at the document root: its
+// root node becomes "/root", the label every random document's root
+// carries. Put RootLabel in a document's or fragment's vocabulary to nest
+// that label below the root.
 func RandomPattern(rng *rand.Rand, maxNodes int, labels []string) *tpq.Pattern {
 	if labels == nil {
 		labels = Labels
@@ -191,7 +198,12 @@ func RandomPattern(rng *rand.Rand, maxNodes int, labels []string) *tpq.Pattern {
 		maxNodes = len(labels)
 	}
 	n := 1 + rng.Intn(maxNodes)
-	perm := rng.Perm(len(labels))[:n]
+	perm := rng.Perm(len(labels))
+	// The coin for anchoring is an unused part of the permutation — does it
+	// leave the last label in place — not a further draw: the rng stream, and
+	// with it what a committed fuzz corpus input decodes to, stays what it
+	// was for every input whose coin comes up tails.
+	anchored := n < len(perm) && perm[len(perm)-1] == len(perm)-1
 	p := &tpq.Pattern{}
 	for i := 0; i < n; i++ {
 		node := tpq.Node{Label: labels[perm[i]], Axis: tpq.Descendant, Parent: -1}
@@ -205,6 +217,9 @@ func RandomPattern(rng *rand.Rand, maxNodes int, labels []string) *tpq.Pattern {
 			continue
 		}
 		p.Nodes = append(p.Nodes, node)
+	}
+	if anchored {
+		p.Nodes[0].Label, p.Nodes[0].Axis = RootLabel, tpq.Child
 	}
 	return p
 }

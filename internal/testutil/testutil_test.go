@@ -30,6 +30,25 @@ func TestRandomPatternValid(t *testing.T) {
 	}
 }
 
+// TestRandomPatternAnchors holds the generator to emitting both root axes,
+// with an anchored root always labelled like the random documents' roots.
+func TestRandomPatternAnchors(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	anchored := 0
+	for i := 0; i < 400; i++ {
+		p := RandomPattern(rng, 4, nil)
+		if (p.Nodes[0].Axis == tpq.Child) != (p.Nodes[0].Label == RootLabel) {
+			t.Fatalf("pattern %s: a child-axis root must be /%s and nothing else", p, RootLabel)
+		}
+		if p.Nodes[0].Axis == tpq.Child {
+			anchored++
+		}
+	}
+	if anchored < 20 || anchored > 100 {
+		t.Errorf("%d of 400 patterns anchored, want about one in %d", anchored, len(Labels))
+	}
+}
+
 func TestRandomViewPartitionValid(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -12,6 +12,7 @@ package views
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"viewjoin/internal/match"
@@ -63,23 +64,7 @@ func Materialize(d *xmltree.Document, v *tpq.Pattern) (*Materialized, error) {
 	if err := v.Validate(); err != nil {
 		return nil, fmt.Errorf("views: %w", err)
 	}
-	return FromSolutionLists(d, v, solutionLists(d, v)), nil
-}
-
-// SolutionLists computes, for each view node q, the data nodes of q's type
-// that participate in at least one match of v, in document order — the raw
-// node-id form of the materialized lists. The incremental maintenance layer
-// uses it to diff a view's membership after a document update without
-// paying for pointer construction on lists that did not change.
-func SolutionLists(d *xmltree.Document, v *tpq.Pattern) [][]xmltree.NodeID {
-	return solutionLists(d, v)
-}
-
-// FromSolutionLists builds a Materialized view from precomputed solution
-// lists, running the exact same entry construction and pointer fills as
-// Materialize — so a maintained view rebuilt from diffed lists is
-// byte-identical to one materialized from scratch.
-func FromSolutionLists(d *xmltree.Document, v *tpq.Pattern, sol [][]xmltree.NodeID) *Materialized {
+	sol := SolutionLists(d, v, Region{Hi: xmltree.NodeID(d.NumNodes())})
 	m := &Materialized{View: v, Doc: d, Lists: make([][]Entry, v.Size())}
 	for q := range sol {
 		list := make([]Entry, len(sol[q]))
@@ -105,7 +90,7 @@ func FromSolutionLists(d *xmltree.Document, v *tpq.Pattern, sol [][]xmltree.Node
 	m.fillDescendantPointers()
 	m.fillFollowingPointers()
 	m.fillChildPointers()
-	return m
+	return m, nil
 }
 
 // MustMaterialize is Materialize but panics on error.
@@ -204,131 +189,162 @@ func (m *Materialized) enumerateMatches() match.Set {
 	return out
 }
 
-// solutionLists computes, for each view node q, the data nodes of q's type
-// that participate in at least one match of v — in document order. It runs
-// a downward qualification pass (post-order) followed by an upward
-// qualification pass (pre-order); both are linear-ish via sorted lists.
-func solutionLists(d *xmltree.Document, v *tpq.Pattern) [][]xmltree.NodeID {
-	down := make([][]xmltree.NodeID, v.Size())
+// Region scopes SolutionLists to one subtree of the document: the nodes
+// [Lo, Hi) in document order (a subtree's nodes are contiguous), plus what
+// the derivation needs to know about the nodes above it. Every ancestor of
+// a region node that lies outside the region is an ancestor of the region
+// root, so the upward context is one flag pair per view node. The zero
+// context with [0, NumNodes) is the whole document.
+type Region struct {
+	Lo, Hi xmltree.NodeID
+	// Above[q] reports that some ancestor of the region root is in view node
+	// q's solution list; Parent[q] that the root's parent is. nil = none.
+	Above, Parent []bool
+}
 
-	// Downward pass: down[q] = nodes of q's type whose subtree matches the
-	// subtree of q. Process in post-order (children before parents); node
-	// indices are pre-order so a reverse index sweep works.
-	for q := v.Size() - 1; q >= 0; q-- {
-		t := d.TypeByName(v.Nodes[q].Label)
-		if t == xmltree.NoType {
-			return make([][]xmltree.NodeID, v.Size())
+// scanDown yields the region's nodes of a view type, last first, by walking
+// the node array — the right cost for a region: no index to build.
+func scanDown(nodes []xmltree.Node, qOf []int, r Region) func() xmltree.NodeID {
+	id := r.Hi
+	return func() xmltree.NodeID {
+		for id--; id >= r.Lo; id-- {
+			if qOf[nodes[id].Type] >= 0 {
+				return id
+			}
 		}
-		cands := d.NodesOfType(t)
-		if q == 0 && v.Nodes[0].Axis == tpq.Child {
-			// "/a" root: only the document root can match.
-			if len(cands) > 0 && cands[0] == d.Root() {
-				cands = cands[:1]
+		return xmltree.NoNode
+	}
+}
+
+// mergeDown yields the same for the whole document by merging the type
+// index's lists from their ends: it visits only the candidates, and the
+// index is built once per document however many views are materialized.
+func mergeDown(d *xmltree.Document, typeOf []xmltree.TypeID) func() xmltree.NodeID {
+	lists := make([][]xmltree.NodeID, len(typeOf))
+	for q, t := range typeOf {
+		lists[q] = d.NodesOfType(t)
+	}
+	return func() xmltree.NodeID {
+		last := -1
+		for q, l := range lists {
+			if len(l) > 0 && (last < 0 || l[len(l)-1] > lists[last][len(lists[last])-1]) {
+				last = q
+			}
+		}
+		if last < 0 {
+			return xmltree.NoNode
+		}
+		l := lists[last]
+		lists[last] = l[:len(l)-1]
+		return l[len(l)-1]
+	}
+}
+
+// SolutionLists computes, for each view node q, the region's data nodes of
+// q's type that participate in at least one match of v, in document order.
+// It is the one membership routine of the system: Materialize runs it over
+// the whole document, incremental maintenance over the subtree a document
+// update can have changed. A downward qualification pass (does the node's
+// subtree match q's subtree — decided inside the region, since a subtree
+// never leaves it) runs over the region's nodes in reverse document order;
+// an upward pass (is there a qualifying chain of ancestors up to the view
+// root) then filters each list against its parent's, seeded by the context.
+func SolutionLists(d *xmltree.Document, v *tpq.Pattern, r Region) [][]xmltree.NodeID {
+	nq := v.Size()
+	nodes := d.Nodes()
+	typeOf, qOf := typeIndex(d, v)
+
+	// Downward pass. Descendants follow their ancestors in document order,
+	// so a reverse sweep sees every subtree before its root. nearest[c] is
+	// the most recently qualified c-node: the one with the smallest id, so
+	// the only candidate for "first c-descendant" of the node at hand.
+	// awaiting[c] stacks the parents of qualified pc-children c that the
+	// sweep has not reached yet; they are nested, deepest on top.
+	down := make([][]xmltree.NodeID, nq)
+	nearest := make([]xmltree.NodeID, nq)
+	for q := range nearest {
+		nearest[q] = xmltree.NoNode
+	}
+	awaiting := make([][]xmltree.NodeID, nq)
+	next := scanDown(nodes, qOf, r)
+	if r.Lo == 0 && int(r.Hi) == len(nodes) {
+		next = mergeDown(d, typeOf)
+	}
+	for id := next(); id != xmltree.NoNode; id = next() {
+		n := &nodes[id]
+		q := qOf[n.Type]
+		// A "/a" root matches the document root only. A rejected candidate
+		// still runs the loop below: it must take itself off awaiting[].
+		ok := q > 0 || v.Nodes[0].Axis == tpq.Descendant || id == d.Root()
+		for _, c := range v.Nodes[q].Children {
+			if v.Nodes[c].Axis == tpq.Descendant {
+				ok = ok && nearest[c] != xmltree.NoNode && nodes[nearest[c]].Start < n.End
+			} else if w := awaiting[c]; len(w) > 0 && w[len(w)-1] == id {
+				awaiting[c] = w[:len(w)-1]
 			} else {
-				cands = nil
+				ok = false
 			}
 		}
-		keep := cands
-		for ci, c := range v.Nodes[q].Children {
-			_ = ci
-			keep = filterHavingPartnerBelow(d, keep, down[c], v.Nodes[c].Axis)
-			if len(keep) == 0 {
-				break
-			}
+		if !ok {
+			continue
 		}
-		down[q] = keep
-		if len(keep) == 0 && q > 0 {
-			// Some branch is empty: the whole view has no matches.
-			return make([][]xmltree.NodeID, v.Size())
+		down[q] = append(down[q], id)
+		nearest[q] = id
+		if q > 0 && v.Nodes[q].Axis == tpq.Child && n.Parent >= r.Lo &&
+			nodes[n.Parent].Type == typeOf[v.Nodes[q].Parent] {
+			if w := awaiting[q]; len(w) == 0 || w[len(w)-1] != n.Parent {
+				awaiting[q] = append(w, n.Parent)
+			}
 		}
 	}
-	if len(down[0]) == 0 {
-		return make([][]xmltree.NodeID, v.Size())
+	for _, l := range down {
+		for i, j := 0, len(l)-1; i < j; i, j = i+1, j-1 {
+			l[i], l[j] = l[j], l[i]
+		}
 	}
 
-	// Upward pass: sol[q] = down[q] nodes that have a qualifying chain of
-	// ancestors up to the view root.
-	sol := make([][]xmltree.NodeID, v.Size())
-	sol[0] = down[0]
-	for q := 1; q < v.Size(); q++ {
+	// Upward pass, view nodes in pre-order so a parent's list is final
+	// before its children filter against it. member marks the region nodes
+	// kept so far; a node's type names the only list it can be in. Only
+	// pc-edges look a parent up in it.
+	var member []bool
+	if slices.ContainsFunc(v.Nodes[1:], func(n tpq.Node) bool { return n.Axis == tpq.Child }) {
+		member = make([]bool, r.Hi-r.Lo)
+	}
+	sol := down
+	for q := range sol {
 		p := v.Nodes[q].Parent
-		sol[q] = filterHavingPartnerAbove(d, down[q], sol[p], v.Nodes[q].Axis)
+		keep := sol[q][:0]
+		switch {
+		case p < 0 || (v.Nodes[q].Axis == tpq.Descendant && r.Above != nil && r.Above[p]):
+			keep = sol[q]
+		case v.Nodes[q].Axis == tpq.Descendant:
+			// Regions nest, so a p-node that starts before n contains it
+			// exactly when it ends after n starts.
+			pi, open := 0, int32(-1)
+			for _, id := range sol[q] {
+				for ; pi < len(sol[p]) && sol[p][pi] < id; pi++ {
+					open = max(open, nodes[sol[p][pi]].End)
+				}
+				if open > nodes[id].Start {
+					keep = append(keep, id)
+				}
+			}
+		default:
+			for _, id := range sol[q] {
+				par := nodes[id].Parent
+				if par >= r.Lo && member[par-r.Lo] && nodes[par].Type == typeOf[p] ||
+					par < r.Lo && r.Parent != nil && r.Parent[p] {
+					keep = append(keep, id)
+				}
+			}
+		}
+		sol[q] = keep
+		if member != nil {
+			for _, id := range keep {
+				member[id-r.Lo] = true
+			}
+		}
 	}
 	return sol
-}
-
-// filterHavingPartnerBelow keeps the nodes of cands that have at least one
-// node of partners strictly below them (Descendant axis) or as a direct
-// child (Child axis). Both inputs are in document order.
-func filterHavingPartnerBelow(d *xmltree.Document, cands, partners []xmltree.NodeID, axis tpq.Axis) []xmltree.NodeID {
-	if len(cands) == 0 || len(partners) == 0 {
-		return nil
-	}
-	var out []xmltree.NodeID
-	switch axis {
-	case tpq.Descendant:
-		for _, n := range cands {
-			nn := d.Node(n)
-			// First partner starting after n starts; it is a descendant iff
-			// it starts before n ends (regions are properly nested).
-			i := sort.Search(len(partners), func(k int) bool { return d.Node(partners[k]).Start > nn.Start })
-			if i < len(partners) && d.Node(partners[i]).Start < nn.End {
-				out = append(out, n)
-			}
-		}
-	case tpq.Child:
-		hasChild := make(map[xmltree.NodeID]bool, len(partners))
-		for _, m := range partners {
-			hasChild[d.Node(m).Parent] = true
-		}
-		for _, n := range cands {
-			if hasChild[n] {
-				out = append(out, n)
-			}
-		}
-	}
-	return out
-}
-
-// filterHavingPartnerAbove keeps the nodes of cands that have an ancestor
-// (Descendant axis) or parent (Child axis) among partners. Both inputs are
-// in document order.
-func filterHavingPartnerAbove(d *xmltree.Document, cands, partners []xmltree.NodeID, axis tpq.Axis) []xmltree.NodeID {
-	if len(cands) == 0 || len(partners) == 0 {
-		return nil
-	}
-	var out []xmltree.NodeID
-	switch axis {
-	case tpq.Descendant:
-		// Merge in document order keeping a stack of open partner regions.
-		var stack []xmltree.NodeID
-		pi := 0
-		for _, n := range cands {
-			nn := d.Node(n)
-			for pi < len(partners) && d.Node(partners[pi]).Start < nn.Start {
-				for len(stack) > 0 && d.Node(stack[len(stack)-1]).End < d.Node(partners[pi]).Start {
-					stack = stack[:len(stack)-1]
-				}
-				stack = append(stack, partners[pi])
-				pi++
-			}
-			for len(stack) > 0 && d.Node(stack[len(stack)-1]).End < nn.Start {
-				stack = stack[:len(stack)-1]
-			}
-			if len(stack) > 0 && d.Node(stack[len(stack)-1]).IsAncestorOf(nn) {
-				out = append(out, n)
-			}
-		}
-	case tpq.Child:
-		inPartners := make(map[xmltree.NodeID]bool, len(partners))
-		for _, m := range partners {
-			inPartners[m] = true
-		}
-		for _, n := range cands {
-			if inPartners[d.Node(n).Parent] {
-				out = append(out, n)
-			}
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package views
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +232,40 @@ func TestSolutionListsMatchOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChildAxisRootWithNestedSameLabel pins "/a/b" over documents that nest
+// a-nodes: only the document root can match "/a", and the a-nodes the
+// downward sweep rejects on the way up must not disturb its pc-parent
+// bookkeeping for the root.
+func TestChildAxisRootWithNestedSameLabel(t *testing.T) {
+	d, err := xmltree.ParseString("<a><a><b/></a><b/></a>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := MustMaterialize(d, tpq.MustParse("/a/b"))
+	if got := m.ListSizes(); got[0] != 1 || got[1] != 1 || m.Lists[0][0].Node != d.Root() {
+		t.Fatalf("/a/b over nested a: list sizes %v, want [1 1] with the document root in L_a", got)
+	}
+	// Randomized, against the oracle: patterns anchored at "/root" over
+	// documents that nest the root's label.
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := testutil.RandomDocShaped(rng, testutil.DocShape{MaxNodes: 40, MaxDepth: 3 + rng.Intn(6)},
+			[]string{testutil.RootLabel, "a", "b"})
+		v := testutil.RandomPattern(rng, 3, []string{"a", "b", "c"})
+		v.Nodes[0].Label, v.Nodes[0].Axis = testutil.RootLabel, tpq.Child
+		want := oracle.SolutionNodes(d, v)
+		for q, l := range MustMaterialize(d, v).Lists {
+			got := make([]xmltree.NodeID, len(l))
+			for i := range l {
+				got[i] = l[i].Node
+			}
+			if !slices.Equal(got, want[q]) {
+				t.Fatalf("seed %d view %s list %d: got %v, oracle %v", seed, v, q, got, want[q])
+			}
+		}
 	}
 }
 

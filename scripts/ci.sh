@@ -14,7 +14,8 @@
 #      module root `go test ./...` does not reach), then a one-round
 #      --quick run of every BENCHMARK.json workload with its verify step,
 #      so API drift against the benchmark fails here
-#   3. store coverage floor: the storage layer is the persistence trust
+#   3. coverage floors, one shell function (coverage_floor) called per
+#      package set. store: the storage layer is the persistence trust
 #      boundary; its statement coverage must stay >= VJCI_STORE_COV (85%)
 #   3b. engine coverage floor: the evaluation engines (internal/engine/...)
 #      carry the partition-correctness burden; their aggregate statement
@@ -100,68 +101,29 @@ for w in xmark-full nasa-selective serve-page serve-full update-mixed; do
 	sh benchmark/run.sh --quick --workload "$w" --seed 1 --seconds 0 --trace 0 >/dev/null
 done
 
-echo "== store coverage floor (>= ${store_cov}%)"
-cov="$(go test -count=1 -cover ./internal/store | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"
-if [ -z "$cov" ]; then
-	echo "store coverage: could not parse coverage output" >&2
-	exit 1
-fi
-if ! awk -v c="$cov" -v floor="$store_cov" 'BEGIN { exit !(c+0 >= floor+0) }'; then
-	echo "store coverage ${cov}% is below the ${store_cov}% floor" >&2
-	exit 1
-fi
-echo "store coverage: ${cov}%"
-
-echo "== engine coverage floor (>= ${engine_cov}%)"
-engprof="$(mktemp -t vjci-engcov-XXXXXX.out)"
-go test -count=1 -coverprofile "$engprof" ./internal/engine/... >/dev/null
-ecov="$(go tool cover -func "$engprof" | awk '/^total:/ { sub(/%/, "", $3); print $3 }')"
-rm -f "$engprof"
-if [ -z "$ecov" ]; then
-	echo "engine coverage: could not parse coverage output" >&2
-	exit 1
-fi
-if ! awk -v c="$ecov" -v floor="$engine_cov" 'BEGIN { exit !(c+0 >= floor+0) }'; then
-	echo "engine coverage ${ecov}% is below the ${engine_cov}% floor" >&2
-	exit 1
-fi
-echo "engine coverage: ${ecov}%"
-
-echo "== server coverage floor (>= ${server_cov}%)"
-scov="$(go test -count=1 -cover ./internal/server | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"
-if [ -z "$scov" ]; then
-	echo "server coverage: could not parse coverage output" >&2
-	exit 1
-fi
-if ! awk -v c="$scov" -v floor="$server_cov" 'BEGIN { exit !(c+0 >= floor+0) }'; then
-	echo "server coverage ${scov}% is below the ${server_cov}% floor" >&2
-	exit 1
-fi
-echo "server coverage: ${scov}%"
-
-echo "== enum coverage floor (>= ${enum_cov}%)"
-ncov="$(go test -count=1 -cover ./internal/engine/enum | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"
-if [ -z "$ncov" ]; then
-	echo "enum coverage: could not parse coverage output" >&2
-	exit 1
-fi
-if ! awk -v c="$ncov" -v floor="$enum_cov" 'BEGIN { exit !(c+0 >= floor+0) }'; then
-	echo "enum coverage ${ncov}% is below the ${enum_cov}% floor" >&2
-	exit 1
-fi
-echo "enum coverage: ${ncov}%"
-
-echo "== maintain coverage floor (>= ${maintain_cov}%)"
-mcov="$(go test -count=1 -cover ./internal/maintain | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"
-if [ -z "$mcov" ]; then
-	echo "maintain coverage: could not parse coverage output" >&2
-	exit 1
-fi
-if ! awk -v c="$mcov" -v floor="$maintain_cov" 'BEGIN { exit !(c+0 >= floor+0) }'; then
-	echo "maintain coverage ${mcov}% is below the ${maintain_cov}% floor" >&2
-	exit 1
-fi
-echo "maintain coverage: ${mcov}%"
+# coverage_floor PATTERN FLOOR LABEL: the aggregate statement coverage of
+# the packages matching PATTERN must be at least FLOOR percent.
+coverage_floor() {
+	echo "== $3 coverage floor (>= $2%)"
+	prof="$(mktemp -t vjci-cov-XXXXXX.out)"
+	go test -count=1 -coverprofile "$prof" "$1" >/dev/null
+	cov="$(go tool cover -func "$prof" | awk '/^total:/ { sub(/%/, "", $3); print $3 }')"
+	rm -f "$prof"
+	if [ -z "$cov" ]; then
+		echo "$3 coverage: could not parse coverage output" >&2
+		exit 1
+	fi
+	if ! awk -v c="$cov" -v floor="$2" 'BEGIN { exit !(c+0 >= floor+0) }'; then
+		echo "$3 coverage ${cov}% is below the $2% floor" >&2
+		exit 1
+	fi
+	echo "$3 coverage: ${cov}%"
+}
+coverage_floor ./internal/store "$store_cov" store
+coverage_floor ./internal/engine/... "$engine_cov" engine
+coverage_floor ./internal/server "$server_cov" server
+coverage_floor ./internal/engine/enum "$enum_cov" enum
+coverage_floor ./internal/maintain "$maintain_cov" maintain
 
 if command -v govulncheck >/dev/null 2>&1; then
 	echo "== govulncheck"

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"viewjoin/internal/maintain"
-	"viewjoin/internal/store"
 	"viewjoin/internal/xmltree"
 )
 
@@ -93,6 +92,87 @@ func (e *EpochMismatchError) Error() string {
 func (d *Document) Apply(u Update) (*AppliedUpdate, error) {
 	d.w.Lock()
 	defer d.w.Unlock()
+	s, err := d.Stage(u)
+	if err != nil {
+		return nil, err
+	}
+	return s.commit()
+}
+
+// MaintainReport describes how a view was maintained.
+type MaintainReport struct {
+	// FastPath reports that the update touched no node of any view-label
+	// type, so membership and all pointers were provably unchanged and the
+	// lists were only relabelled.
+	FastPath bool
+	// RecomputedEntries counts the list records derived from the updated
+	// document rather than carried over from the old store: the measure of
+	// how local the maintenance was.
+	RecomputedEntries int
+	// TotalPages is the maintained store's page count.
+	TotalPages int
+}
+
+// derive computes the view's successor store under u without publishing
+// it. The view must be at u's predecessor snapshot.
+func (v *MaterializedView) derive(u *AppliedUpdate) (*viewState, MaintainReport, error) {
+	if u == nil || u.doc == nil {
+		return nil, MaintainReport{}, fmt.Errorf("viewjoin: Maintain needs an AppliedUpdate from Document.Apply")
+	}
+	if v.doc != u.doc {
+		return nil, MaintainReport{}, fmt.Errorf("viewjoin: view %s belongs to a different document", v.pattern)
+	}
+	if v.backend != nil {
+		return nil, MaintainReport{}, fmt.Errorf("viewjoin: view %s is backend-loaded and cannot be maintained; reload it at the new epoch", v.pattern)
+	}
+	st := v.st()
+	if st.tree != u.au.Old {
+		return nil, MaintainReport{}, &EpochMismatchError{ViewEpoch: st.epoch, DocEpoch: u.epoch - 1, View: v.pattern.String()}
+	}
+	next, rep, err := maintain.View(st.store, u.au)
+	if err != nil {
+		return nil, MaintainReport{}, err
+	}
+	return &viewState{tree: u.au.New, epoch: u.epoch, store: next},
+		MaintainReport{FastPath: rep.FastPath, RecomputedEntries: rep.RecomputedEntries, TotalPages: next.NumPages()}, nil
+}
+
+// Maintain repairs the view in place of re-materializing it, making it
+// reflect the document snapshot u produced. The view must be at u's
+// predecessor epoch (apply updates and maintain in order; otherwise
+// *EpochMismatchError). The successor is a fresh store derived from the
+// published one, which is left untouched: concurrent readers and prepared
+// queries at the old epoch stay consistent.
+//
+// Views loaded through a storage backend (OpenView, LoadViewBytes,
+// LoadViewMmap) cannot be maintained: their pages alias the backend's
+// container image, whose lifetime Release controls. Reload them from a
+// store saved at the new epoch instead.
+func (v *MaterializedView) Maintain(u *AppliedUpdate) (MaintainReport, error) {
+	v.doc.w.Lock()
+	defer v.doc.w.Unlock()
+	next, rep, err := v.derive(u)
+	if err == nil {
+		v.state.Store(next)
+	}
+	return rep, err
+}
+
+// StagedUpdate is a document update derived but not yet published: the
+// successor tree, and the successor store of every view maintained through
+// it. Nothing is visible to readers until Commit, which publishes the
+// document snapshot and all staged views together — so a derivation that
+// fails part-way leaves the old epoch fully served. Apply followed by
+// Maintain publishes step by step instead.
+type StagedUpdate struct {
+	u     *AppliedUpdate
+	views []*MaterializedView
+	next  []*viewState
+}
+
+// Stage derives u against the document's current snapshot without
+// installing it.
+func (d *Document) Stage(u Update) (*StagedUpdate, error) {
 	snap := d.snap()
 	var op xmltree.UpdateOp
 	switch u.Op {
@@ -117,67 +197,43 @@ func (d *Document) Apply(u Update) (*AppliedUpdate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("viewjoin: apply %v: %w", u.Op, err)
 	}
-	next := &docSnap{tree: au.New, epoch: snap.epoch + 1}
-	d.cur.Store(next)
-	return &AppliedUpdate{au: au, epoch: next.epoch, doc: d}, nil
+	return &StagedUpdate{u: &AppliedUpdate{au: au, epoch: snap.epoch + 1, doc: d}}, nil
 }
 
-// MaintainReport describes how a view was maintained.
-type MaintainReport struct {
-	// FastPath reports the pure label-splice path: the update touched no
-	// node of any view-label type, so membership and all pointers were
-	// provably unchanged and only label pages were rewritten.
-	FastPath bool
-	// SharedPages of TotalPages in the maintained store are shared with the
-	// predecessor by identity — the copy-on-write win over re-materializing.
-	SharedPages, TotalPages int
-	// Compacted reports that the maintenance tripped the overlay's
-	// compaction policy and flattened the delta chain into a clean
-	// container.
-	Compacted bool
-}
-
-// Maintain repairs the view in place of re-materializing it, making it
-// reflect the document snapshot u produced. The view must be at u's
-// predecessor epoch (apply updates and maintain in order; otherwise
-// *EpochMismatchError). The previously published store is untouched, so
-// concurrent readers and prepared queries at the old epoch stay
-// consistent; the maintained store shares every unmodified page with it
-// copy-on-write.
-//
-// Views loaded through a storage backend (OpenView, LoadViewBytes,
-// LoadViewMmap) cannot be maintained: their pages alias the backend's
-// container image, whose lifetime Release controls. Reload them from a
-// store saved at the new epoch instead.
-func (v *MaterializedView) Maintain(u *AppliedUpdate) (MaintainReport, error) {
-	if u == nil || u.doc == nil {
-		return MaintainReport{}, fmt.Errorf("viewjoin: Maintain needs an AppliedUpdate from Document.Apply")
-	}
-	if v.doc != u.doc {
-		return MaintainReport{}, fmt.Errorf("viewjoin: view %s belongs to a different document", v.pattern)
-	}
-	if v.backend != nil {
-		return MaintainReport{}, fmt.Errorf("viewjoin: view %s is backend-loaded and cannot be maintained; reload it at the new epoch", v.pattern)
-	}
-	d := v.doc
-	d.w.Lock()
-	defer d.w.Unlock()
-	st := v.st()
-	if st.tree != u.au.Old {
-		return MaintainReport{}, &EpochMismatchError{ViewEpoch: st.epoch, DocEpoch: u.epoch - 1, View: v.pattern.String()}
-	}
-	next, rep, err := maintain.View(st.store, u.au)
+// Maintain derives v's successor under the staged update and holds it for
+// Commit. It fails like MaterializedView.Maintain, publishing nothing.
+func (s *StagedUpdate) Maintain(v *MaterializedView) (MaintainReport, error) {
+	next, rep, err := v.derive(s.u)
 	if err != nil {
 		return MaintainReport{}, err
 	}
-	v.overlay.Install(next, store.Delta{
-		Epoch: u.epoch, Pivot: u.au.Pivot, Shift: u.au.Delta, Rebuilt: !rep.FastPath,
-	})
-	out := MaintainReport{FastPath: rep.FastPath, SharedPages: rep.SharedPages, TotalPages: rep.TotalPages}
-	if v.overlay.ShouldCompact() {
-		next = v.overlay.Compact()
-		out.Compacted = true
+	s.views, s.next = append(s.views, v), append(s.next, next)
+	return rep, nil
+}
+
+// Commit publishes the staged snapshot and every staged view. It fails,
+// publishing nothing, if the document or a view (*EpochMismatchError) has
+// moved since Stage.
+func (s *StagedUpdate) Commit() (*AppliedUpdate, error) {
+	s.u.doc.w.Lock()
+	defer s.u.doc.w.Unlock()
+	return s.commit()
+}
+
+// commit is Commit under the document's writer lock.
+func (s *StagedUpdate) commit() (*AppliedUpdate, error) {
+	d, old := s.u.doc, s.u.au.Old
+	if snap := d.snap(); snap.tree != old {
+		return nil, fmt.Errorf("viewjoin: update staged at epoch %d, document has moved to epoch %d", s.u.epoch-1, snap.epoch)
 	}
-	v.state.Store(&viewState{tree: u.au.New, epoch: u.epoch, store: next})
-	return out, nil
+	for _, v := range s.views {
+		if st := v.st(); st.tree != old {
+			return nil, &EpochMismatchError{ViewEpoch: st.epoch, DocEpoch: s.u.epoch - 1, View: v.pattern.String()}
+		}
+	}
+	d.cur.Store(&docSnap{tree: s.u.au.New, epoch: s.u.epoch})
+	for i, v := range s.views {
+		v.state.Store(s.next[i])
+	}
+	return s.u, nil
 }

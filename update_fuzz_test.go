@@ -14,8 +14,8 @@ import (
 // randomPublicUpdate draws a random subtree update against d's current
 // snapshot, lifted to the public Update shape (target addressed by start
 // label, fragment as its own Document). Fragments draw from the view
-// alphabet or the foreign alphabet, so the sequence exercises both the
-// splice-and-repair path and the pure label-splice fast path.
+// alphabet or the foreign alphabet, so the sequence exercises both
+// membership-changing regions and the pure label-shift fast path.
 func randomPublicUpdate(rng *rand.Rand, d *Document) Update {
 	labels := testutil.Labels
 	if rng.Intn(3) == 0 {
@@ -86,10 +86,13 @@ func requireStoreEquality(t *testing.T, label string, maintained []*Materialized
 //     oracle over the updated document, sequentially, range-partitioned
 //     (K ∈ {2, 4}), and through the bounded RunPage/RunStream arms.
 //
-// Any divergence is a bug in the maintenance splice, the copy-on-write
-// overlay, or an engine's handling of a maintained store. The corpus under
+// Any divergence is a bug in the region-local maintenance or an engine's
+// handling of a maintained store. The corpus under
 // testdata/fuzz/FuzzUpdateDifferential pins generator inputs derived from
-// the §VI workload alongside previously interesting findings.
+// the §VI workload alongside previously interesting findings, and one
+// input per turn of the region logic (region-*: the region widening to a
+// chain node on insert and on delete, the left spine of a spanning group,
+// pointer classes appearing and disappearing, a list emptied).
 func FuzzUpdateDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("xmark-q14-insert"))

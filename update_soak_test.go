@@ -364,3 +364,94 @@ func TestMaintainErrors(t *testing.T) {
 		t.Fatalf("view epoch = %d, want 2", mv[0].Epoch())
 	}
 }
+
+// TestStagedUpdate pins the prepare-then-commit path: nothing a staged
+// update derives is visible before Commit, Commit publishes document and
+// views together, and a staged update that can no longer apply — or is
+// simply dropped — leaves everything as it was.
+func TestStagedUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	doc := newDocument(testutil.RandomDoc(rng, 80, nil))
+	views, err := ParseViews("//a//b; //c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := doc.MaterializeViews(views, SchemeLEp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag, err := ParseDocumentString("<a><b/><c/></a>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := Update{Op: AppendChild, TargetStart: doc.tree().Node(0).Start, Fragment: frag}
+	q := MustParseQuery("//a[//c]//b")
+	before := EvaluateDirect(doc, q)
+
+	// Dropped after a partial derivation: nothing moved.
+	s, err := doc.Stage(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Maintain(mv[0]); err != nil {
+		t.Fatal(err)
+	}
+	other := newDocument(testutil.RandomDoc(rng, 20, nil))
+	omv, err := other.MaterializeViews(views, SchemeLEp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Maintain(omv[1]); err == nil {
+		t.Fatal("staging a different document's view succeeded")
+	}
+	if doc.Epoch() != 0 || mv[0].Epoch() != 0 || mv[1].Epoch() != 0 {
+		t.Fatalf("an uncommitted update is visible: epochs %d/%d/%d", doc.Epoch(), mv[0].Epoch(), mv[1].Epoch())
+	}
+	res, err := Evaluate(doc, q, mv, EngineViewJoin, nil)
+	if err != nil || !sameMatches(res, before) {
+		t.Fatalf("evaluation changed under an uncommitted update: %v", err)
+	}
+
+	// Committed: document and views move together, onto the oracle's bytes.
+	s, err = doc.Stage(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range mv {
+		if _, err := s.Maintain(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	au, err := s.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if au.Epoch() != 1 || doc.Epoch() != 1 || mv[0].Epoch() != 1 || mv[1].Epoch() != 1 {
+		t.Fatalf("after commit: epochs %d/%d/%d/%d, want all 1", au.Epoch(), doc.Epoch(), mv[0].Epoch(), mv[1].Epoch())
+	}
+	requireStoreEquality(t, "staged commit", mv, doc, views, SchemeLEp)
+	if _, err := s.Commit(); err == nil {
+		t.Fatal("committing the same staged update twice succeeded")
+	}
+
+	// Overtaken: another writer moved the document after Stage.
+	s, err = doc.Stage(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Maintain(mv[0]); err != nil {
+		t.Fatal(err)
+	}
+	au2, err := doc.Apply(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err == nil {
+		t.Fatal("committing over a moved document succeeded")
+	}
+	if mv[0].Epoch() != 1 {
+		t.Fatalf("a refused commit moved the view to epoch %d", mv[0].Epoch())
+	}
+	maintainAll(t, "catch up", mv, au2)
+	requireStoreEquality(t, "after refused commit", mv, doc, views, SchemeLEp)
+}

@@ -221,19 +221,15 @@ func (s StorageScheme) kind() store.Kind {
 
 // MaterializedView is one view materialized over a document and laid out
 // on the simulated paged store. Like its Document, a view is a handle over
-// an immutable state chain: Maintain installs a successor store (sharing
-// unmodified pages copy-on-write) without touching the published one, so
-// concurrent readers and prepared queries keep a consistent snapshot.
+// an immutable state chain: Maintain installs a freshly derived successor
+// store without touching the published one, so concurrent readers and
+// prepared queries keep a consistent snapshot.
 type MaterializedView struct {
 	doc     *Document
 	pattern *tpq.Pattern
 	// backend owns the container image loaded views slice from (nil for
 	// views materialized in memory); Release unwinds it.
 	backend store.Backend
-	// overlay tracks the copy-on-write store chain for maintenance; it is
-	// writer-owned and mutated only under doc.w. nil for backend-loaded
-	// views (which cannot be maintained — see Maintain).
-	overlay *store.Overlay
 	state   atomic.Pointer[viewState]
 }
 
@@ -254,9 +250,6 @@ func (v *MaterializedView) st() *viewState { return v.state.Load() }
 func newView(doc *Document, snap *docSnap, pattern *tpq.Pattern, mat *views.Materialized,
 	st *store.ViewStore, be store.Backend) *MaterializedView {
 	v := &MaterializedView{doc: doc, pattern: pattern, backend: be}
-	if be == nil {
-		v.overlay = store.NewOverlay(st)
-	}
 	v.state.Store(&viewState{tree: snap.tree, epoch: snap.epoch, mat: mat, store: st})
 	return v
 }
