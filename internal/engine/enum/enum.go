@@ -12,7 +12,9 @@
 package enum
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"viewjoin/internal/counters"
 	"viewjoin/internal/engine"
@@ -26,8 +28,8 @@ import (
 type Label = store.Label
 
 // Collector accumulates per-query-node candidates in document order and
-// flushes completed windows into result rows, each written once from the
-// bound candidates' labels (engine.Rows).
+// flushes completed windows into result rows, each one copy of the template
+// row the enumeration keeps (engine.Rows).
 //
 // In the memory-based approach (§IV "Variations") the window lives in
 // memory until flushed; PeakEntries tracks the largest window, the F_max of
@@ -98,20 +100,34 @@ type Collector struct {
 	full         [][]Label
 	flushedBound int32
 
-	// Reusable per-window scratch (allocated once, reused across windows).
-	ok        [][]bool
-	okStarts  [][]int32
-	okLevels  [][]levelGroup // pc-children only: surviving starts per level
-	needLevel []bool         // query node is a pc-child: level grouping required
-	cur       []Label
+	// disorder is set by append when a candidate arrives out of document
+	// order (pending drains, PreFlush extensions); normalize has work to do
+	// only then.
+	disorder bool
+
+	// Enumeration scratch, allocated by NewCollector and grown in place, so
+	// neither a window nor a run on a warm plan allocates any. ok[qi][j] is
+	// the filter's verdict on candidate j of node qi; lo[qc][j] is the offset in cands[qc] of the
+	// first candidate starting after candidate j of qc's parent; stack is
+	// the merge's chain of open parent candidates; at[qi] is the candidate
+	// index node qi is bound to and row the tuple it spells out — tags
+	// written once, one cell rewritten per binding change. recheck says
+	// whether this enumeration's rows must pass the flushedBound and after
+	// tests at all.
+	ok      [][]bool
+	lo      [][]int32
+	stack   []openCand
+	at      []int32
+	row     []match.Cell
+	recheck bool
 }
 
-// levelGroup holds the surviving candidate starts at one level. Windows
-// rarely span more than a couple of levels per node, so a small slice
-// outperforms a map.
-type levelGroup struct {
-	level  int32
-	starts []int32
+// openCand is one entry of the structural merge's stack: a parent candidate
+// whose region is still open, and whether a matching child has been seen
+// inside it.
+type openCand struct {
+	j, end, level int32
+	has           bool
 }
 
 type pendingCand struct {
@@ -135,18 +151,15 @@ const partialTrigger = 64
 func NewCollector(q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool, pageSize int) *Collector {
 	n := q.Size()
 	c := &Collector{
-		q:         q,
-		cands:     make([][]Label, n),
-		ok:        make([][]bool, n),
-		okStarts:  make([][]int32, n),
-		okLevels:  make([][]levelGroup, n),
-		needLevel: make([]bool, n),
-		cur:       make([]Label, n),
+		q:     q,
+		cands: make([][]Label, n),
+		ok:    make([][]bool, n),
+		lo:    make([][]int32, n),
+		at:    make([]int32, n),
+		row:   make([]match.Cell, n),
 	}
-	for qi := 1; qi < n; qi++ {
-		if q.Nodes[qi].Axis == tpq.Child {
-			c.needLevel[qi] = true
-		}
+	for qi := range q.Nodes {
+		c.row[qi].Tag = q.Nodes[qi].Label
 	}
 	// The spine is the maximal single-child chain from the root: node 1..a
 	// where a is the first node with zero or several children. When it is
@@ -186,14 +199,7 @@ func (c *Collector) Reset(io *counters.IO, tr obs.Tracer, diskBased bool, pageSi
 	c.spoolIn = 0
 	c.nextPartial = partialTrigger
 	c.flushedBound = 0
-	for qi := range c.okStarts {
-		c.okStarts[qi] = c.okStarts[qi][:0]
-	}
-	for qi := range c.okLevels {
-		for g := range c.okLevels[qi] {
-			c.okLevels[qi][g].starts = c.okLevels[qi][g].starts[:0]
-		}
-	}
+	c.disorder = false
 }
 
 // Add offers a candidate for query node qi. Candidates for the query root
@@ -246,8 +252,13 @@ func (c *Collector) openWindow(rootLabel Label) {
 func (c *Collector) append(qi int, l Label) {
 	// Engines may offer the same candidate more than once (e.g. cached
 	// solution nodes); collapse consecutive duplicates.
-	if s := c.cands[qi]; len(s) > 0 && s[len(s)-1].Start == l.Start {
-		return
+	if s := c.cands[qi]; len(s) > 0 {
+		switch last := s[len(s)-1].Start; {
+		case l.Start == last:
+			return
+		case l.Start < last:
+			c.disorder = true
+		}
 	}
 	c.cands[qi] = append(c.cands[qi], l)
 	c.entries++
@@ -485,6 +496,7 @@ func (c *Collector) discardWindow() {
 	c.entries = 0
 	c.spoolIn = 0
 	c.open = false
+	c.disorder = false
 }
 
 // Result flushes any open window and hands over the collected rows (none in
@@ -507,212 +519,223 @@ func (c *Collector) PeakEntries() int { return c.peakEntries }
 func (c *Collector) MemoryBytes() int64 { return int64(c.peakEntries) * LabelBytes }
 
 // normalize restores per-list document order and uniqueness. Candidate
-// lists are normally produced in document order, but pending drains and
-// PreFlush extensions may interleave; the binary searches in enumerate
-// require sorted, duplicate-free lists.
+// lists are normally produced in document order, and append, which also
+// collapses consecutive duplicates, notes when one is not (pending drains
+// and PreFlush extensions may interleave); the merges in enumerate require
+// sorted, duplicate-free lists.
 func (c *Collector) normalize() {
-	for qi := range c.cands {
-		list := c.cands[qi]
-		sorted := true
-		for i := 1; i < len(list); i++ {
-			if list[i].Start < list[i-1].Start {
-				sorted = false
-				break
-			}
+	if !c.disorder {
+		return
+	}
+	c.disorder = false
+	byStart := func(a, b Label) int { return cmp.Compare(a.Start, b.Start) }
+	for qi, list := range c.cands {
+		if !slices.IsSortedFunc(list, byStart) {
+			slices.SortFunc(list, byStart)
+			c.cands[qi] = slices.CompactFunc(list, func(a, b Label) bool { return a.Start == b.Start })
 		}
-		if !sorted {
-			sort.Slice(list, func(i, j int) bool { return list[i].Start < list[j].Start })
-		}
-		out := list[:0]
-		for i := range list {
-			if len(out) == 0 || out[len(out)-1].Start != list[i].Start {
-				out = append(out, list[i])
-			}
-		}
-		c.cands[qi] = out
 	}
 }
 
-// enumerate emits every embedding of q within the current window.
+// enumerate emits every embedding of q within the current window, in time
+// linear in the window plus the candidates the walk visits: a bottom-up
+// filter of one structural merge per query edge, then a top-down walk that
+// copies one row per match out of the template.
 func (c *Collector) enumerate() {
-	n := c.q.Size()
 	c.normalize()
-
-	// Bottom-up filter: ok[qi][j] reports whether candidate j of query node
-	// qi has a full subtree match below it within the window. okStarts[qi]
-	// holds the surviving candidates' starts (ad-edge existence checks);
-	// okLevels[qi] groups them by level (pc-edges only).
-	for qi := n - 1; qi >= 0; qi-- {
-		list := c.cands[qi]
-		if cap(c.ok[qi]) < len(list) {
-			c.ok[qi] = make([]bool, len(list))
-		}
-		c.ok[qi] = c.ok[qi][:len(list)]
-		starts := c.okStarts[qi][:0]
-		groups := c.okLevels[qi]
-		for g := range groups {
-			groups[g].starts = groups[g].starts[:0]
-		}
-		for j := range list {
-			if c.ic != nil && c.ic.Check() != nil {
-				return
-			}
-			cand := list[j]
-			good := true
-			if qi == 0 && c.q.Nodes[0].Axis == tpq.Child && cand.Level != 0 {
-				good = false // "/a" binds only the document root
-			}
-			for _, qc := range c.q.Nodes[qi].Children {
-				if !good {
-					break
-				}
-				c.io.C.Comparisons++
-				switch c.q.Nodes[qc].Axis {
-				case tpq.Descendant:
-					good = hasInRange(c.okStarts[qc], cand.Start, cand.End)
-				case tpq.Child:
-					good = hasInRange(levelStarts(c.okLevels[qc], cand.Level+1), cand.Start, cand.End)
-				}
-			}
-			c.ok[qi][j] = good
-			if good {
-				starts = append(starts, cand.Start)
-				if c.needLevel[qi] {
-					groups = addToLevel(groups, cand.Level, cand.Start)
-				}
-			}
-		}
-		c.okStarts[qi] = starts
-		c.okLevels[qi] = groups
+	c.recheck = c.flushedBound > c.windowStart || c.after != nil
+	if c.filter() {
+		c.walk()
 	}
+}
 
-	if len(c.okStarts[0]) == 0 {
-		return
-	}
-
-	// Top-down enumeration in pattern pre-order. The recursion polls the
-	// cancellation checker per emitted tuple: a window whose cross product
-	// explodes must still honour the request deadline (the §IV space
-	// analysis bounds the window, not its enumeration). rec returns false
-	// to unwind the whole enumeration — cancellation, quota met, or the
-	// sink declining more matches.
-	//
-	// Order invariant: windows close in ascending root-start order, the
-	// root loop walks cands[0] ascending, and rec extends the tuple in
-	// pattern pre-order over start-sorted lists — so rows are produced
-	// exactly in match.RowLess (document) order, which is what makes streamed
-	// LIMIT/OFFSET and the cursor filter exact without any buffering.
-	var rec func(qi int) bool
-	rec = func(qi int) bool {
-		if qi == n {
-			if c.ic != nil && c.ic.Check() != nil {
-				return false
-			}
-			if c.flushedBound > c.windowStart && c.tupleBefore(c.flushedBound) {
-				return true // already emitted by an earlier partial flush
-			}
-			if c.after != nil && !engine.AfterCursor(c.cur, c.after) {
-				return true // at or before the resumption cursor: skip
-			}
-			c.io.MarkFirstMatch()
-			if c.emit == nil {
-				c.out.Append(c.cur)
-			} else if !c.emit(c.out.Stage(c.cur)) {
-				c.stop()
-				return false
-			}
-			c.emitted++
-			if c.first > 0 && c.emitted >= c.first {
-				c.stop()
-				return false
-			}
-			return true
-		}
-		parent := c.cur[c.q.Nodes[qi].Parent]
+// filter computes ok[qi][j] — candidate j of query node qi has a full
+// subtree match below it within the window — bottom-up, so that a node's
+// verdicts are final before its parent's edge consults them. It returns
+// false when the run was interrupted.
+func (c *Collector) filter() bool {
+	for qi := len(c.cands) - 1; qi >= 0; qi-- {
 		list := c.cands[qi]
-		lo := searchStartsAbove(list, parent.Start)
-		for j := lo; j < len(list) && list[j].Start < parent.End; j++ {
-			if c.interrupted() {
+		ok := slices.Grow(c.ok[qi][:0], len(list))[:len(list)]
+		docRoot := qi == 0 && c.q.Nodes[0].Axis == tpq.Child // "/a" binds only the document root
+		for j := range ok {
+			ok[j] = !docRoot || list[j].Level == 0
+		}
+		c.ok[qi] = ok
+		for _, qc := range c.q.Nodes[qi].Children {
+			if !c.merge(qi, qc) {
 				return false
 			}
-			c.io.C.Comparisons++
-			if !c.ok[qi][j] {
+		}
+	}
+	return true
+}
+
+// merge is the stack-tree structural join of one query edge (q, qc): a
+// single document-order pass over both candidate lists with a stack of the
+// q-candidates whose regions are open. The stack is a chain of nested
+// regions, so a qc-candidate lies inside every entry: for an ad-edge it
+// marks the top, and a marked entry passes its mark to the entry below when
+// it pops, which reaches the whole chain without scanning it; for a
+// pc-edge the parent can only be the innermost open region, so the top is
+// marked iff it sits one level above the child. A q-candidate popped
+// unmarked has no surviving qc-candidate below it and loses its ok bit. The
+// same pass records lo[qc][j], where the walk starts under parent j. It
+// returns false when the run was interrupted.
+func (c *Collector) merge(q, qc int) bool {
+	ps, cs := c.cands[q], c.cands[qc]
+	okP, okC := c.ok[q], c.ok[qc]
+	lo := slices.Grow(c.lo[qc][:0], len(ps))[:len(ps)]
+	c.lo[qc] = lo
+	ad := c.q.Nodes[qc].Axis == tpq.Descendant
+	st := c.stack[:0]
+	c.io.C.Comparisons += int64(len(ps))
+	k := 0
+	for j := 0; j <= len(ps); j++ {
+		// The children starting no later than the next parent come first: a
+		// candidate of both lists (same-tag edges) is not its own descendant.
+		next := int32(math.MaxInt32)
+		if j < len(ps) {
+			next = ps[j].Start
+		}
+		for ; k < len(cs) && cs[k].Start <= next; k++ {
+			if !okC[k] {
 				continue
 			}
-			if c.q.Nodes[qi].Axis == tpq.Child && list[j].Level != parent.Level+1 {
-				continue
-			}
-			c.cur[qi] = list[j]
-			if !rec(qi + 1) {
-				return false
+			st = popClosed(st, okP, ad, cs[k].Start)
+			if n := len(st); n > 0 && (ad || st[n-1].level+1 == cs[k].Level) {
+				st[n-1].has = true
 			}
 		}
-		return true
+		if j == len(ps) {
+			break
+		}
+		if c.ic != nil && c.ic.Check() != nil {
+			return false
+		}
+		lo[j] = int32(k)
+		st = popClosed(st, okP, ad, next)
+		st = append(st, openCand{j: int32(j), end: ps[j].End, level: ps[j].Level})
 	}
+	c.stack = popClosed(st, okP, ad, math.MaxInt32)
+	return true
+}
+
+// popClosed pops the entries of st whose regions end at or before pos. An
+// entry popped unmarked clears its candidate's ok bit; on an ad-edge a
+// marked one hands its mark to the entry below.
+func popClosed(st []openCand, ok []bool, ad bool, pos int32) []openCand {
+	for n := len(st); n > 0 && st[n-1].end <= pos; n-- {
+		if !st[n-1].has {
+			ok[st[n-1].j] = false
+		} else if ad && n > 1 {
+			st[n-2].has = true
+		}
+		st = st[:n-1]
+	}
+	return st
+}
+
+// walk enumerates the window's matches top-down in pattern pre-order.
+//
+// Order invariant: windows close in ascending root-start order, the root
+// loop walks cands[0] ascending, and descend extends the tuple in pattern
+// pre-order over start-sorted lists — so rows are produced exactly in
+// match.RowLess (document) order, which is what makes streamed LIMIT/OFFSET
+// and the cursor filter exact without any buffering.
+func (c *Collector) walk() {
 	for j, cand := range c.cands[0] {
 		if !c.ok[0][j] {
 			continue
 		}
-		if c.interrupted() {
-			return
-		}
 		if c.after != nil && cand.Start < c.after[0] {
 			continue // every tuple rooted here precedes the cursor
 		}
-		c.cur[0] = cand
-		if !rec(1) {
+		c.bind(0, j, cand)
+		if !c.descend(1) {
 			return
 		}
 	}
 }
 
-// tupleBefore reports whether every binding of the current tuple starts
-// before b. Such a tuple was fully enumerable at the partial flush whose
-// bound was b — every binding was present (Advance guarantees future adds
-// start at or after the frontier, and b never exceeds it) and its ok bits
-// held (each node's subtree requirement is witnessed by the tuple's own
-// child bindings, all before b) — so it was emitted then.
-func (c *Collector) tupleBefore(b int32) bool {
-	for k := range c.cur {
-		if c.cur[k].Start >= b {
+// bind makes candidate j of query node qi the node's current binding.
+func (c *Collector) bind(qi, j int, l Label) {
+	c.at[qi] = int32(j)
+	cell := &c.row[qi]
+	cell.Start, cell.End, cell.Level = l.Start, l.End, l.Level
+}
+
+// descend binds query nodes qi.. in turn to every consistent combination
+// of surviving candidates under the bindings of nodes 0..qi-1 and emits a
+// row per combination. It returns false to unwind the whole enumeration —
+// cancellation, quota met, or the sink declining more matches.
+func (c *Collector) descend(qi int) bool {
+	if qi == len(c.row) {
+		return c.emitRow()
+	}
+	p, pc := c.q.Nodes[qi].Parent, c.q.Nodes[qi].Axis == tpq.Child
+	end, level := c.row[p].End, c.row[p].Level+1
+	list, ok := c.cands[qi], c.ok[qi]
+	first := int(c.lo[qi][c.at[p]])
+	k, more := first, true
+	for ; more && k < len(list) && list[k].Start < end; k++ {
+		if ok[k] && (!pc || list[k].Level == level) {
+			c.bind(qi, k, list[k])
+			more = c.descend(qi + 1)
+		}
+	}
+	c.io.C.Comparisons += int64(k - first) // one per candidate visited
+	return more
+}
+
+// emitRow delivers the template row as one match, unless a filter of this
+// run says it was delivered before. It polls the cancellation checker: a
+// window whose cross product explodes must still honour the request
+// deadline (the §IV space analysis bounds the window, not its enumeration).
+func (c *Collector) emitRow() bool {
+	if c.ic != nil && c.ic.Check() != nil {
+		return false
+	}
+	if c.recheck {
+		if c.flushedBound > c.windowStart && c.rowBefore(c.flushedBound) {
+			return true // already emitted by an earlier partial flush
+		}
+		if c.after != nil && !engine.RowAfterCursor(c.row, c.after) {
+			return true // at or before the resumption cursor: skip
+		}
+	}
+	c.io.MarkFirstMatch()
+	if c.emit == nil {
+		c.out.AppendRow(c.row)
+	} else if !c.emit(c.out.Stage(c.row)) {
+		c.stop()
+		return false
+	}
+	c.emitted++
+	if c.first > 0 && c.emitted >= c.first {
+		c.stop()
+		return false
+	}
+	return true
+}
+
+// rowBefore reports whether every binding of the current row starts before
+// b. Such a tuple was fully enumerable at the partial flush whose bound was
+// b — every binding was present (Advance guarantees future adds start at or
+// after the frontier, and b never exceeds it) and its ok bits held (each
+// node's subtree requirement is witnessed by the tuple's own child
+// bindings, all before b) — so it was emitted then.
+func (c *Collector) rowBefore(b int32) bool {
+	for k := range c.row {
+		if c.row[k].Start >= b {
 			return false
 		}
 	}
 	return true
 }
 
-// levelStarts returns the surviving starts recorded for a level.
-func levelStarts(groups []levelGroup, level int32) []int32 {
-	for g := range groups {
-		if groups[g].level == level {
-			return groups[g].starts
-		}
-	}
-	return nil
-}
-
-// addToLevel appends a start to its level group, creating the group on
-// first use (empty groups left over from earlier windows are reused).
-func addToLevel(groups []levelGroup, level, start int32) []levelGroup {
-	for g := range groups {
-		if groups[g].level == level {
-			groups[g].starts = append(groups[g].starts, start)
-			return groups
-		}
-	}
-	// Reuse an emptied slot with a different level if available.
-	for g := range groups {
-		if len(groups[g].starts) == 0 {
-			groups[g].level = level
-			groups[g].starts = append(groups[g].starts, start)
-			return groups
-		}
-	}
-	return append(groups, levelGroup{level: level, starts: []int32{start}})
-}
-
 // searchStartsAbove returns the index of the first candidate with
-// Start > s (hand-rolled binary search on the hot enumeration path).
+// Start > s: where partialFlush cuts each list at its bound.
 func searchStartsAbove(list []Label, s int32) int {
 	lo, hi := 0, len(list)
 	for lo < hi {
@@ -724,19 +747,4 @@ func searchStartsAbove(list []Label, s int32) int {
 		}
 	}
 	return lo
-}
-
-// hasInRange reports whether the sorted slice holds a value in the open
-// interval (lo, hi).
-func hasInRange(sorted []int32, lo, hi int32) bool {
-	a, b := 0, len(sorted)
-	for a < b {
-		mid := int(uint(a+b) >> 1)
-		if sorted[mid] <= lo {
-			a = mid + 1
-		} else {
-			b = mid
-		}
-	}
-	return a < len(sorted) && sorted[a] < hi
 }

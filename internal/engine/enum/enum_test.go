@@ -581,8 +581,8 @@ func TestPartialFlushPreFlushExtension(t *testing.T) {
 }
 
 func TestChildAxisLevels(t *testing.T) {
-	// pc-edges exercise the per-level index, including group reuse across
-	// windows whose candidates sit at different levels.
+	// pc-edges: only a candidate one level above the child may take its
+	// mark, across windows whose candidates sit at different levels.
 	cases := []struct{ src, q string }{
 		{`<r><a><b/><a><b/></a></a></r>`, "//a/b"},
 		{`<r><a><b/></a><x><a><b/></a></x></r>`, "//a/b"},

@@ -18,8 +18,9 @@ const (
 	maxChunkCells  = 2048 // 64 KiB of cells
 )
 
-// Rows accumulates the result rows of one run. Every row is written once,
-// from the region labels the engine holds and the query's tags, into chunks
+// Rows accumulates the result rows of one run. Every row is written once —
+// copied from the enumeration stage's template row, or spelled out from the
+// region labels a stack engine holds and the query's tags — into chunks
 // allocated fresh for the run and never copied or reused; a row never spans
 // two chunks. The header slice the caller finally owns is built once, at
 // its exact size, on hand-over (Take, Sorted). Only the Rows value itself
@@ -60,27 +61,26 @@ func (r *Rows) commit(row []match.Cell) []match.Cell {
 	return row
 }
 
-// Stage writes one row — labels[i] binds query node i — into the next free
-// slot without keeping it: the next Stage or Append overwrites it. Streaming
-// sinks receive staged rows.
-func (r *Rows) Stage(labels []store.Label) []match.Cell {
+// Append writes one row — labels[i] binds query node i — and keeps it.
+func (r *Rows) Append(labels []store.Label) {
 	row := r.slot()
 	for k, l := range labels {
 		row[k] = match.Cell{Tag: r.nodes[k].Label, Start: l.Start, End: l.End, Level: l.Level}
 	}
-	return row
+	r.commit(row)
 }
 
-// Append writes one row and keeps it.
-func (r *Rows) Append(labels []store.Label) { r.commit(r.Stage(labels)) }
-
-// AppendRow keeps a copy of row (a staged row a sink wants to retain) and
-// returns the copy.
-func (r *Rows) AppendRow(row []match.Cell) []match.Cell {
+// Stage copies row into the next free slot without keeping it: the next
+// Stage or append overwrites it. Streaming sinks receive staged rows.
+func (r *Rows) Stage(row []match.Cell) []match.Cell {
 	dst := r.slot()
 	copy(dst, row)
-	return r.commit(dst)
+	return dst
 }
+
+// AppendRow keeps a copy of row (the enumeration's template, or a staged
+// row a sink wants to retain) and returns the copy.
+func (r *Rows) AppendRow(row []match.Cell) []match.Cell { return r.commit(r.Stage(row)) }
 
 // Len returns the number of rows kept.
 func (r *Rows) Len() int { return r.n }
@@ -136,4 +136,14 @@ func AfterCursor(labels []store.Label, after []int32) bool {
 		}
 	}
 	return false // exactly the cursor row: already delivered
+}
+
+// RowAfterCursor is AfterCursor for a row already spelled out in cells.
+func RowAfterCursor(row []match.Cell, after []int32) bool {
+	for k := range after {
+		if s := row[k].Start; s != after[k] {
+			return s > after[k]
+		}
+	}
+	return false
 }

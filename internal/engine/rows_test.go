@@ -18,6 +18,15 @@ func labelsAt(start int32, width int) []store.Label {
 	return ls
 }
 
+// cellsAt is labelsAt as the row an enumeration template would hold.
+func cellsAt(start int32, width int) []match.Cell {
+	row := make([]match.Cell, width)
+	for k, l := range labelsAt(start, width) {
+		row[k] = match.Cell{Tag: "t", Start: l.Start, End: l.End, Level: l.Level}
+	}
+	return row
+}
+
 // chunkRows lists how many rows each chunk r has opened can hold.
 func chunkRows(r *Rows) []int {
 	var sizes []int
@@ -101,8 +110,8 @@ func TestRowsQuotaSizesFirstChunk(t *testing.T) {
 func TestRowsStageIsOverwritten(t *testing.T) {
 	q := tpq.MustParse("//a//b")
 	r := NewRows(q, 0)
-	first := r.Stage(labelsAt(1, 2))
-	second := r.Stage(labelsAt(7, 2))
+	first := r.Stage(cellsAt(1, 2))
+	second := r.Stage(cellsAt(7, 2))
 	if &first[0] != &second[0] || first[0].Start != 7 {
 		t.Fatal("a staged row must be overwritten by the next Stage")
 	}
@@ -110,7 +119,7 @@ func TestRowsStageIsOverwritten(t *testing.T) {
 		t.Fatalf("staging kept %d rows", r.Len())
 	}
 	kept := r.AppendRow(second)
-	r.Stage(labelsAt(9, 2))
+	r.Stage(cellsAt(9, 2))
 	if kept[0].Start != 7 || r.Len() != 1 {
 		t.Fatal("a row kept with AppendRow must survive later staging")
 	}

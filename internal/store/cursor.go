@@ -59,11 +59,6 @@ func (l *ListFile) OpenTraced(io *counters.IO, tr obs.Tracer, node int) *ListCur
 	return c
 }
 
-// OpenCursor implements Source.
-func (l *ListFile) OpenCursor(io *counters.IO, tr obs.Tracer, node int) Cursor {
-	return l.OpenTraced(io, tr, node)
-}
-
 // Valid reports whether the cursor is positioned on a record.
 func (c *ListCursor) Valid() bool { return c.valid }
 

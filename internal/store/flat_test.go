@@ -139,22 +139,6 @@ func TestCursorResetAndCloneAllKinds(t *testing.T) {
 			t.Errorf("%v: Reset after empty list did not recover", kind)
 		}
 	}
-
-	// Tuple scheme: SeekIndex at page boundaries.
-	s := MustBuild(m, Tuple, 64) // 24-byte records: 2 per page
-	var c counters.Counters
-	cur := s.Tuples.Open(counters.NewIO(&c, 0))
-	perPage := s.Tuples.seg.perPage
-	for _, at := range []int{0, perPage - 1, perPage, s.Tuples.Entries() - 1} {
-		cur.SeekIndex(at)
-		if !cur.Valid() || cur.Ordinal() != at {
-			t.Fatalf("tuple SeekIndex(%d): valid=%v ordinal=%d", at, cur.Valid(), cur.Ordinal())
-		}
-	}
-	cur.SeekIndex(s.Tuples.Entries())
-	if cur.Valid() {
-		t.Errorf("tuple SeekIndex past end must invalidate")
-	}
 }
 
 // TestScanTouchesEveryPageOnce pins the real-page-boundary property of the
@@ -198,15 +182,13 @@ func TestScanTouchesEveryPageOnce(t *testing.T) {
 	}
 }
 
-// TestSourcesUniformAccess drives all four kinds through the Source and
-// Cursor interfaces only.
+// TestSourcesUniformAccess reads all four kinds' sizes through the Source
+// interface only.
 func TestSourcesUniformAccess(t *testing.T) {
 	d := wideDoc(t, 5)
 	m := views.MustMaterialize(d, tpq.MustParse("//a//b"))
 	for _, kind := range []Kind{Tuple, Element, Linked, LinkedPartial} {
 		s := MustBuild(m, kind, 128)
-		var c counters.Counters
-		io := counters.NewIO(&c, 0)
 		total := 0
 		for _, src := range s.Sources() {
 			if src.Kind() != kind {
@@ -218,18 +200,7 @@ func TestSourcesUniformAccess(t *testing.T) {
 			if src.PayloadBytes() > src.SizeBytes() {
 				t.Errorf("%v: payload exceeds size", kind)
 			}
-			n, last := 0, -1
-			for cur := src.OpenCursor(io, nil, -1); cur.Valid(); cur.Next() {
-				if cur.Ordinal() != last+1 {
-					t.Fatalf("%v: ordinal %d after %d", kind, cur.Ordinal(), last)
-				}
-				last = cur.Ordinal()
-				n++
-			}
-			if n != src.Entries() {
-				t.Errorf("%v: cursor saw %d records, source has %d", kind, n, src.Entries())
-			}
-			total += n
+			total += src.Entries()
 		}
 		if total != s.TotalEntries() {
 			t.Errorf("%v: sources sum to %d entries, store says %d", kind, total, s.TotalEntries())

@@ -19,10 +19,10 @@
 // them verbatim and LoadView slices them out of one buffer, so the disk
 // bytes are the runtime representation (zero-copy, mmap-ready).
 //
-// All reads go through cursors that account elements scanned and real page
-// boundaries of the flat segments into counters.Counters. The uniform face
-// of both file types is the Source interface; the uniform reader is the
-// Cursor interface.
+// All reads go through cursors (*ListCursor, *TupleCursor) that account
+// elements scanned and real page boundaries of the flat segments into
+// counters.Counters. The uniform face of both file types, for size
+// accounting and persistence, is the Source interface.
 package store
 
 import (
@@ -30,8 +30,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"viewjoin/internal/counters"
-	"viewjoin/internal/obs"
 	"viewjoin/internal/tpq"
 	"viewjoin/internal/views"
 )
@@ -63,18 +61,6 @@ func (k Kind) String() string {
 		return "LEp"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// Policy returns the pointer policy that produces this scheme's content.
-func (k Kind) Policy() views.PointerPolicy {
-	switch k {
-	case Linked:
-		return views.FullPointers
-	case LinkedPartial:
-		return views.PartialPointers
-	default:
-		return views.NoPointers
 	}
 }
 
@@ -117,7 +103,7 @@ var tokenSeq atomic.Uintptr
 // records. Both physical file types implement it: *ListFile (the
 // element-family schemes E/LE/LEp) and *TupleFile (the tuple scheme T).
 // Generic layers — persistence, size accounting, plan rendering — operate
-// on Sources; the engines use the concrete types for typed record access.
+// on Sources; the engines open the concrete types' typed cursors.
 type Source interface {
 	// Kind returns the storage scheme the file belongs to.
 	Kind() Kind
@@ -130,29 +116,10 @@ type Source interface {
 	SizeBytes() int64
 	// PayloadBytes returns the record bytes excluding page padding.
 	PayloadBytes() int64
-	// OpenCursor returns a Cursor on the first record, accounting into io
-	// and (optionally) emitting per-record events attributed to the given
-	// query node through tr. A nil tracer disables events.
-	OpenCursor(io *counters.IO, tr obs.Tracer, node int) Cursor
 
 	// segs returns the file's present segments in persistence order; it is
 	// unexported so only this package's paged files can be Sources.
 	segs() []*segment
-}
-
-// Cursor is the uniform forward reader over a Source: every record decode
-// charges one element scanned and page touches on the real page boundaries
-// of the flat segments. Concrete cursors (*ListCursor, *TupleCursor) add
-// typed record access and pointer/index seeks.
-type Cursor interface {
-	// Valid reports whether the cursor is positioned on a record.
-	Valid() bool
-	// Next advances to the next record in file order; the cursor becomes
-	// invalid at the end.
-	Next()
-	// Ordinal returns the current record's offset in the file. It must
-	// only be called when Valid.
-	Ordinal() int
 }
 
 // segment is one page-aligned flat buffer of fixed-width records. Records

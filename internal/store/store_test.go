@@ -164,15 +164,6 @@ func TestTupleFile(t *testing.T) {
 	if n != 7 {
 		t.Errorf("cursor visited %d tuples, want 7", n)
 	}
-	// SeekIndex for backtracking.
-	cur.SeekIndex(3)
-	if !cur.Valid() || cur.Index() != 3 {
-		t.Errorf("SeekIndex(3) failed")
-	}
-	cur.SeekIndex(99)
-	if cur.Valid() {
-		t.Errorf("SeekIndex past end should invalidate")
-	}
 }
 
 func TestEmptyView(t *testing.T) {
@@ -243,13 +234,9 @@ func TestIOAccounting(t *testing.T) {
 	}
 }
 
-func TestKindStringsAndPolicies(t *testing.T) {
+func TestKindStrings(t *testing.T) {
 	if Tuple.String() != "T" || Element.String() != "E" || Linked.String() != "LE" || LinkedPartial.String() != "LEp" {
 		t.Errorf("kind names wrong")
-	}
-	if Linked.Policy() != views.FullPointers || LinkedPartial.Policy() != views.PartialPointers ||
-		Element.Policy() != views.NoPointers {
-		t.Errorf("kind policies wrong")
 	}
 }
 
@@ -265,13 +252,17 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		pageSize := 64 + rng.Intn(3)*64
-		for _, kind := range []Kind{Element, Linked, LinkedPartial} {
+		for _, scheme := range []struct {
+			kind   Kind
+			policy views.PointerPolicy
+		}{{Element, views.NoPointers}, {Linked, views.FullPointers}, {LinkedPartial, views.PartialPointers}} {
+			kind, policy := scheme.kind, scheme.policy
 			s, err := Build(m, kind, pageSize)
 			if err != nil {
 				t.Logf("Build(%v): %v", kind, err)
 				return false
 			}
-			mm := m.ApplyPolicy(kind.Policy())
+			mm := m.ApplyPolicy(policy)
 			var c counters.Counters
 			io := counters.NewIO(&c, 0)
 			for q, l := range s.Lists {

@@ -120,11 +120,6 @@ func (f *TupleFile) OpenTraced(io *counters.IO, tr obs.Tracer, node int) *TupleC
 	return c
 }
 
-// OpenCursor implements Source.
-func (f *TupleFile) OpenCursor(io *counters.IO, tr obs.Tracer, node int) Cursor {
-	return f.OpenTraced(io, tr, node)
-}
-
 // Valid reports whether the cursor is positioned on a tuple.
 func (c *TupleCursor) Valid() bool { return c.valid }
 
@@ -133,9 +128,6 @@ func (c *TupleCursor) Item() *TupleItem { return &c.item }
 
 // Index returns the current tuple's ordinal position.
 func (c *TupleCursor) Index() int { return c.idx }
-
-// Ordinal returns the current tuple's ordinal position (Cursor interface).
-func (c *TupleCursor) Ordinal() int { return c.idx }
 
 // Next advances to the next tuple.
 func (c *TupleCursor) Next() {
@@ -150,16 +142,6 @@ func (c *TupleCursor) Next() {
 		return
 	}
 	c.load(c.idx + 1)
-}
-
-// SeekIndex positions the cursor at tuple i (used by InterJoin's
-// backtracking merge). Seeking past the end invalidates the cursor.
-func (c *TupleCursor) SeekIndex(i int) {
-	if i < 0 || i >= c.f.entries {
-		c.valid = false
-		return
-	}
-	c.load(i)
 }
 
 func (c *TupleCursor) load(i int) {

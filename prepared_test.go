@@ -305,7 +305,39 @@ func TestRunAllocationsDoNotGrowWithMatches(t *testing.T) {
 			t.Errorf("%s: %d -> %d matches grew allocations %.0f -> %.0f: more than one per hundred rows",
 				c.name, fewMatches, manyMatches, fewAllocs, manyAllocs)
 		}
+		// The window-collector engines hold their enumeration scratch on
+		// the pooled plan state: once a run has grown it, a run allocates
+		// its result and a fixed remainder that does not know how large the
+		// window was (the Result, the interrupt and counter wrappers).
+		if c.eng == EngineViewJoin || c.eng == EngineTwigStack {
+			width := MustParseQuery(c.query).NumNodes()
+			few, many := fewAllocs-resultAllocs(fewMatches, width), manyAllocs-resultAllocs(manyMatches, width)
+			if few != many || many > warmRunFixedAllocs {
+				t.Errorf("%s: beside its result a warm run allocated %.0f times at %d matches and %.0f at %d, want %d at both: enumeration scratch is being allocated per run",
+					c.name, few, fewMatches, many, manyMatches, warmRunFixedAllocs)
+			}
+		}
 	}
+}
+
+// warmRunFixedAllocs is what a warm VJ or TS run allocates beside its
+// result (measured: exactly this).
+const warmRunFixedAllocs = 7
+
+// resultAllocs is what handing over a result of the given shape allocates:
+// its chunks (engine.Rows: 16 rows doubling up to 2048 cells), the chunk
+// list as append grows it, and the header slice.
+func resultAllocs(rows, width int) float64 {
+	chunks := 0
+	for next := 16; rows > 0; next *= 2 {
+		rows -= min(next, 2048/width)
+		chunks++
+	}
+	list := 0
+	for c := 1; c < 2*chunks; c *= 2 {
+		list++
+	}
+	return float64(chunks + list + 1)
 }
 
 // TestResultRowsDoNotAlias pins the ownership contract of Result.Matches:

@@ -34,8 +34,9 @@
 #      absent — hermetic runners don't fetch tools)
 #   5. fuzz smoke: 10s each of FuzzParse (internal/tpq),
 #      FuzzReadViewStore (internal/store), FuzzEvaluateDifferential
-#      (root), FuzzUpdateDifferential (root), seeded from the committed
-#      corpora, and FuzzQueryResponseEncoding (internal/server)
+#      (root), FuzzUpdateDifferential (root), FuzzEnumerateWindow
+#      (internal/engine/enum), seeded from the committed corpora, and
+#      FuzzQueryResponseEncoding (internal/server)
 #   5b. vjload smoke: a 1s in-process open-loop run at low QPS; the load
 #      path must produce a well-formed viewjoin/load/v1 manifest
 #   5c. vjload density smoke: a 1s multi-tenant run under a tight
@@ -140,6 +141,8 @@ echo "== fuzz smoke: FuzzEvaluateDifferential ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzEvaluateDifferential$' -fuzztime "$fuzztime" .
 echo "== fuzz smoke: FuzzUpdateDifferential ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzUpdateDifferential$' -fuzztime "$fuzztime" .
+echo "== fuzz smoke: FuzzEnumerateWindow ($fuzztime)"
+go test -run '^$' -fuzz '^FuzzEnumerateWindow$' -fuzztime "$fuzztime" ./internal/engine/enum
 echo "== fuzz smoke: FuzzQueryResponseEncoding ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzQueryResponseEncoding$' -fuzztime "$fuzztime" ./internal/server
 
