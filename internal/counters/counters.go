@@ -61,17 +61,23 @@ func (c *Counters) String() string {
 }
 
 // IO simulates a buffer pool in front of the paged store: page touches that
-// hit the pool are free, misses count as PagesRead. The pool uses LRU
-// replacement over (file, page) keys.
+// hit the pool are free, misses count as PagesRead. Replacement is exact
+// LRU over (file, page) keys at a constant cost per touch: resident pages
+// sit in slots threaded by a recency list and are found through a map.
 type IO struct {
 	C *Counters
-	// Page, when non-nil, observes every pool lookup; miss reports whether
-	// the touch was charged as a read. The observability layer uses it to
-	// stream page hit/miss events without this package depending on it.
-	Page func(miss bool)
+	// Page, when non-nil, observes every pool lookup: the page touched and
+	// whether the touch was charged as a read. The observability layer uses
+	// it to stream page hit/miss events without this package depending on
+	// it.
+	Page func(file uintptr, page int32, miss bool)
 	cap  int
-	seq  int64
-	last map[pageKey]int64 // key -> last-use sequence
+	// slots[0] is the recency list's sentinel (next: most recently used,
+	// prev: least); resident pages occupy slots[1:], and index maps a page
+	// to its slot. Both grow with the pages actually resident, not with
+	// cap, and keep their storage across Reset.
+	slots []slot
+	index map[pageKey]int32
 	// stall is the simulated device latency charged per pool miss; debt
 	// accumulates unslept latency (see SetStall).
 	stall time.Duration
@@ -86,6 +92,11 @@ type pageKey struct {
 	page int32
 }
 
+type slot struct {
+	key        pageKey
+	prev, next int32
+}
+
 // DefaultPoolPages is the buffer pool capacity used when 0 is passed to
 // NewIO: 64 pages (256 KiB at the default 4 KiB page size), small enough
 // that scans of large views actually incur misses.
@@ -95,62 +106,75 @@ const DefaultPoolPages = 64
 // (DefaultPoolPages if poolPages is 0). A negative poolPages disables
 // caching entirely: every touch is a miss.
 func NewIO(c *Counters, poolPages int) *IO {
+	io := &IO{}
+	io.Reset(c, poolPages)
+	return io
+}
+
+// Reset empties the pool and rebinds the IO to account into c with a pool
+// of poolPages pages, as NewIO would, keeping the pool's storage: a plan
+// that runs many times resets one IO per run instead of allocating one.
+func (io *IO) Reset(c *Counters, poolPages int) {
 	if poolPages == 0 {
 		poolPages = DefaultPoolPages
 	}
-	io := &IO{C: c, cap: poolPages}
-	if poolPages > 0 {
-		io.last = make(map[pageKey]int64, poolPages*2)
-	}
-	return io
+	clear(io.index)
+	*io = IO{C: c, cap: poolPages, slots: io.slots[:0], index: io.index}
 }
 
 // Touch records an access to the given page of the given file (identified
 // by any stable pointer-sized token). It returns true when the access was a
 // pool miss.
 func (io *IO) Touch(file uintptr, page int32) bool {
-	io.seq++
-	if io.cap < 0 {
+	miss := io.cap < 0 || io.lookup(pageKey{file, page})
+	if miss {
 		io.C.PagesRead++
-		if io.Page != nil {
-			io.Page(true)
-		}
-		io.stallMiss()
-		return true
-	}
-	k := pageKey{file, page}
-	if _, ok := io.last[k]; ok {
-		io.last[k] = io.seq
+	} else {
 		io.C.PageHits++
-		if io.Page != nil {
-			io.Page(false)
-		}
-		return false
 	}
-	io.C.PagesRead++
-	if len(io.last) >= io.cap {
-		io.evict()
-	}
-	io.last[k] = io.seq
 	if io.Page != nil {
-		io.Page(true)
+		io.Page(file, page, miss)
 	}
-	io.stallMiss()
-	return true
+	if miss {
+		io.stallMiss()
+	}
+	return miss
 }
 
-// evict removes the least recently used entry. Linear scan over the pool is
-// fine: pools are tens of entries.
-func (io *IO) evict() {
-	var victim pageKey
-	best := int64(1<<62 - 1)
-	for k, s := range io.last {
-		if s < best {
-			best = s
-			victim = k
+// lookup makes the page the most recently used one and reports whether it
+// had to be brought in, in place of the least recently used page when the
+// pool is full.
+func (io *IO) lookup(k pageKey) (miss bool) {
+	if len(io.slots) == 0 {
+		if io.index == nil {
+			n := min(io.cap, DefaultPoolPages)
+			io.slots, io.index = make([]slot, 0, 1+n), make(map[pageKey]int32, n)
 		}
+		io.slots = append(io.slots, slot{})
 	}
-	delete(io.last, victim)
+	i, hit := io.index[k]
+	switch {
+	case hit:
+		s := &io.slots[i]
+		io.slots[s.prev].next, io.slots[s.next].prev = s.next, s.prev
+	case len(io.slots) > io.cap:
+		// Recycle the least recently used slot.
+		i = io.slots[0].prev
+		s := &io.slots[i]
+		io.slots[s.prev].next, io.slots[0].prev = 0, s.prev
+		delete(io.index, s.key)
+	default:
+		i = int32(len(io.slots))
+		io.slots = append(io.slots, slot{})
+	}
+	if !hit {
+		io.index[k] = i
+	}
+	head, s := &io.slots[0], &io.slots[i]
+	*s = slot{key: k, prev: 0, next: head.next}
+	io.slots[head.next].prev = i
+	head.next = i
+	return !hit
 }
 
 // Write records n pages written (disk-based output approach).
@@ -193,14 +217,8 @@ func (io *IO) stallMiss() {
 		return
 	}
 	io.debt += io.stall
-	if io.debt < stallQuantum {
-		return
-	}
-	t0 := time.Now()
-	time.Sleep(io.debt)
-	io.debt -= time.Since(t0)
-	if io.debt < 0 {
-		io.debt = 0
+	if io.debt >= stallQuantum {
+		io.DrainStall()
 	}
 }
 

@@ -1,6 +1,8 @@
 package counters
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -116,7 +118,7 @@ func TestIONegativePoolEveryTouchMisses(t *testing.T) {
 	var c Counters
 	io := NewIO(&c, -1)
 	misses := 0
-	io.Page = func(miss bool) {
+	io.Page = func(_ uintptr, _ int32, miss bool) {
 		if !miss {
 			t.Errorf("uncached IO reported a pool hit")
 		}
@@ -138,7 +140,7 @@ func TestIOPageHookSequence(t *testing.T) {
 	var c Counters
 	io := NewIO(&c, 1)
 	var got []bool
-	io.Page = func(miss bool) { got = append(got, miss) }
+	io.Page = func(_ uintptr, _ int32, miss bool) { got = append(got, miss) }
 	io.Touch(1, 0) // miss
 	io.Touch(1, 0) // hit
 	io.Touch(1, 1) // miss, evicts page 0
@@ -170,5 +172,80 @@ func TestIOLRUOrder(t *testing.T) {
 	}
 	if !io.Touch(1, 1) {
 		t.Errorf("page 1 must have been evicted")
+	}
+}
+
+// scanPool is the pool IO had before its recency list: a map from page to
+// last-use sequence number, and a scan of the whole map for the smallest
+// one on every eviction. It is the reference IO's pool must match touch
+// for touch.
+type scanPool struct {
+	cap  int
+	seq  int64
+	last map[[2]uint64]int64
+}
+
+func (p *scanPool) touch(file uintptr, page int32) (miss bool) {
+	p.seq++
+	if p.cap < 0 {
+		return true
+	}
+	k := [2]uint64{uint64(file), uint64(uint32(page))}
+	if _, ok := p.last[k]; ok {
+		p.last[k] = p.seq
+		return false
+	}
+	if len(p.last) >= p.cap {
+		var victim [2]uint64
+		best := int64(math.MaxInt64)
+		for k, s := range p.last {
+			if s < best {
+				best, victim = s, k
+			}
+		}
+		delete(p.last, victim)
+	}
+	p.last[k] = p.seq
+	return true
+}
+
+// TestLRUMatchesReferenceScan drives IO and the reference pool with the
+// same random touch sequences — pool sizes from none to a thousand pages,
+// one to five files, page ranges around the pool size so that hits,
+// misses and evictions all occur — and compares every touch's outcome, the
+// Page hook's view of it and the counters, step by step. A second pass
+// over each IO after Reset checks that a reused pool starts empty.
+func TestLRUMatchesReferenceScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, poolPages := range []int{-1, 1, 2, 64, 1000} {
+		for files := 1; files <= 5; files++ {
+			var c Counters
+			io := NewIO(&c, poolPages)
+			for pass := 0; pass < 2; pass++ {
+				ref := &scanPool{cap: poolPages, last: map[[2]uint64]int64{}}
+				var want Counters
+				var hooked []bool
+				io.Page = func(_ uintptr, _ int32, miss bool) { hooked = append(hooked, miss) }
+				pages := max(2, poolPages) * (1 + rng.Intn(3)) / files
+				for step := 0; step < 6000; step++ {
+					file, page := uintptr(1+rng.Intn(files)), int32(rng.Intn(pages+1))
+					if rng.Intn(4) == 0 {
+						page = int32(rng.Intn(4)) // a hot set
+					}
+					miss := ref.touch(file, page)
+					if miss {
+						want.PagesRead++
+					} else {
+						want.PageHits++
+					}
+					if got := io.Touch(file, page); got != miss || len(hooked) != step+1 || hooked[step] != miss || c != want {
+						t.Fatalf("pool %d, %d files, pass %d, step %d: touch (%d,%d) miss=%v hook=%v counters %+v, reference miss=%v counters %+v",
+							poolPages, files, pass, step, file, page, got, hooked[len(hooked)-1:], c, miss, want)
+					}
+				}
+				c = Counters{}
+				io.Reset(&c, poolPages)
+			}
+		}
 	}
 }

@@ -252,7 +252,8 @@ func (c *Collector) openWindow(rootLabel Label) {
 func (c *Collector) append(qi int, l Label) {
 	// Engines may offer the same candidate more than once (e.g. cached
 	// solution nodes); collapse consecutive duplicates.
-	if s := c.cands[qi]; len(s) > 0 {
+	s := c.cands[qi]
+	if len(s) > 0 {
 		switch last := s[len(s)-1].Start; {
 		case l.Start == last:
 			return
@@ -260,7 +261,13 @@ func (c *Collector) append(qi int, l Label) {
 			c.disorder = true
 		}
 	}
-	c.cands[qi] = append(c.cands[qi], l)
+	if len(s) == cap(s) {
+		// Double. A pooled collector that a collection has dropped regrows
+		// every list from nothing, and append's quarter steps would copy a
+		// document-spanning window five times over on the way.
+		s = slices.Grow(s, max(len(s), 64))
+	}
+	c.cands[qi] = append(s, l)
 	c.entries++
 	if c.diskBased {
 		c.spoolIn += LabelBytes

@@ -210,7 +210,7 @@ func TestResetCursorAndCountInSpan(t *testing.T) {
 	ResetCursor(&cur, l, io, nil, 0, r)
 	var seen []int32
 	for cur.Valid() {
-		seen = append(seen, cur.Item().Start)
+		seen = append(seen, cur.Start())
 		cur.Next()
 	}
 	if len(seen) != 2 || seen[0] != starts[1] || seen[1] != starts[2] {

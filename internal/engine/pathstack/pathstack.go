@@ -44,8 +44,7 @@ type Prepared struct {
 // scratch is the per-run state of one PathStack execution, reset in place
 // between runs.
 type scratch struct {
-	curBuf []store.ListCursor
-	cur    []*store.ListCursor
+	cur    []store.ListCursor
 	stacks [][]frame
 	buf    []store.Label
 	ic     engine.Interrupter
@@ -84,8 +83,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, er
 	n := p.q.Size()
 	if sc == nil {
 		sc = &scratch{
-			curBuf: make([]store.ListCursor, n),
-			cur:    make([]*store.ListCursor, n),
+			cur:    make([]store.ListCursor, n),
 			stacks: make([][]frame, n),
 			buf:    make([]store.Label, n),
 		}
@@ -94,13 +92,12 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, er
 	sc.ic = engine.NewInterrupter(opts.Interrupt)
 	sc.first, sc.after = opts.First, opts.After
 	for i, l := range p.lists {
-		engine.ResetCursor(&sc.curBuf[i], l, io, tr, i, opts.Restrict)
-		sc.cur[i] = &sc.curBuf[i]
+		engine.ResetCursor(&sc.cur[i], l, io, tr, i, opts.Restrict)
 	}
 	for i := range sc.stacks {
 		sc.stacks[i] = sc.stacks[i][:0]
 	}
-	out := p.eval(sc, io, tr)
+	out := p.eval(sc, io.C, tr)
 	// ErrStop is a quota-driven stop requested by the interrupt hook (the
 	// parallel cutoff), not a failure: the bounded output is the answer.
 	if err := sc.ic.Err(); err != nil && err != engine.ErrStop {
@@ -134,7 +131,7 @@ func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.
 }
 
 // eval is the PathStack main loop over one run's scratch.
-func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) engine.Rows {
+func (p *Prepared) eval(sc *scratch, c *counters.Counters, tr obs.Tracer) engine.Rows {
 	q := p.q
 	n := q.Size()
 	cur, stacks, buf := sc.cur, sc.stacks, sc.buf
@@ -152,16 +149,15 @@ func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) engine.Rows
 			if !cur[i].Valid() {
 				continue
 			}
-			if qmin == -1 || cur[i].Item().Start < cur[qmin].Item().Start {
+			if qmin == -1 || cur[i].Start() < cur[qmin].Start() {
 				qmin = i
 			}
-			io.C.Comparisons++
+			c.Comparisons++
 		}
 		if qmin == -1 {
 			break
 		}
-		it := cur[qmin].Item()
-		l := store.Label{Start: it.Start, End: it.End, Level: it.Level}
+		l := cur[qmin].Label()
 
 		// Pop every stack entry that ended before this element starts.
 		for i := 0; i < n; i++ {
@@ -169,7 +165,7 @@ func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) engine.Rows
 			for len(stacks[i]) > 0 && stacks[i][len(stacks[i])-1].l.End < l.Start {
 				stacks[i] = stacks[i][:len(stacks[i])-1]
 				popped++
-				io.C.Comparisons++
+				c.Comparisons++
 			}
 			if popped > 0 && tr != nil {
 				tr.Event(obs.EvStackPop, i, int64(popped))
@@ -190,7 +186,7 @@ func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) engine.Rows
 			tr.Event(obs.EvStackPush, qmin, 1)
 		}
 		if pushed && qmin == n-1 {
-			expand(q, stacks, n-1, len(stacks[n-1])-1, buf, io, sc, &out)
+			expand(q, stacks, n-1, len(stacks[n-1])-1, buf, c, sc, &out)
 			stacks[n-1] = stacks[n-1][:len(stacks[n-1])-1]
 			if tr != nil {
 				tr.Event(obs.EvStackPop, n-1, 1)
@@ -213,7 +209,7 @@ func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) engine.Rows
 // stack up to its recorded parentTop, subject to the pc-level checks that
 // the stacks alone do not enforce.
 func expand(q *tpq.Pattern, stacks [][]frame, qi, fi int,
-	buf []store.Label, io *counters.IO, sc *scratch, out *engine.Rows) {
+	buf []store.Label, c *counters.Counters, sc *scratch, out *engine.Rows) {
 	buf[qi] = stacks[qi][fi].l
 	if qi == 0 {
 		if sc.ic.Check() != nil {
@@ -229,10 +225,10 @@ func expand(q *tpq.Pattern, stacks [][]frame, qi, fi int,
 		if sc.ic.Err() != nil {
 			return
 		}
-		io.C.Comparisons++
+		c.Comparisons++
 		if q.Nodes[qi].Axis == tpq.Child && stacks[qi-1][pi].l.Level != buf[qi].Level-1 {
 			continue
 		}
-		expand(q, stacks, qi-1, pi, buf, io, sc, out)
+		expand(q, stacks, qi-1, pi, buf, c, sc, out)
 	}
 }

@@ -46,14 +46,13 @@ type Prepared struct {
 }
 
 type evaluator struct {
-	p      *Prepared
-	curBuf []store.ListCursor
-	cur    []*store.ListCursor
-	io     *counters.IO
-	tr     obs.Tracer
-	col    *enum.Collector
-	open   [][]enum.Label // per query node: stack of accepted open regions
-	ic     engine.Interrupter
+	p    *Prepared
+	cur  []store.ListCursor // exhausted streams read as +inf sentinels
+	c    *counters.Counters
+	tr   obs.Tracer
+	col  *enum.Collector
+	open [][]enum.Label // per query node: stack of accepted open regions
+	ic   engine.Interrupter
 
 	// streaming gates the per-iteration frontier scan feeding the
 	// collector's partial flushes; plain accumulating runs skip it.
@@ -83,22 +82,20 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, St
 	if e == nil {
 		n := p.q.Size()
 		e = &evaluator{
-			p:      p,
-			curBuf: make([]store.ListCursor, n),
-			cur:    make([]*store.ListCursor, n),
-			col:    enum.NewCollector(p.q, nil, nil, false, 0),
-			open:   make([][]enum.Label, n),
+			p:    p,
+			cur:  make([]store.ListCursor, n),
+			col:  enum.NewCollector(p.q, nil, nil, false, 0),
+			open: make([][]enum.Label, n),
 		}
 	}
-	e.io, e.tr = io, opts.Tracer
+	e.c, e.tr = io.C, opts.Tracer
 	e.ic = engine.NewInterrupter(opts.Interrupt)
 	e.col.Reset(io, opts.Tracer, opts.DiskBased, opts.PageSize)
 	e.col.SetInterrupt(&e.ic)
 	e.col.SetStream(opts.Emit, opts.First, opts.After)
 	e.streaming = opts.Emit != nil || opts.First > 0
 	for qi := range p.lists {
-		engine.ResetCursor(&e.curBuf[qi], p.lists[qi], io, opts.Tracer, qi, opts.Restrict)
-		e.cur[qi] = &e.curBuf[qi]
+		engine.ResetCursor(&e.cur[qi], p.lists[qi], io, opts.Tracer, qi, opts.Restrict)
 	}
 	for qi := range e.open {
 		e.open[qi] = e.open[qi][:0]
@@ -122,23 +119,6 @@ func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.
 	return Prepare(q, lists).Run(io, opts)
 }
 
-// start returns the current start label of qi's cursor, or +inf when the
-// stream is exhausted.
-func (e *evaluator) start(qi int) int32 {
-	if !e.cur[qi].Valid() {
-		return inf
-	}
-	return e.cur[qi].Item().Start
-}
-
-// end returns the current end label of qi's cursor, or +inf when exhausted.
-func (e *evaluator) end(qi int) int32 {
-	if !e.cur[qi].Valid() {
-		return inf
-	}
-	return e.cur[qi].Item().End
-}
-
 func (e *evaluator) run() {
 	for {
 		if e.ic.Check() != nil {
@@ -148,8 +128,7 @@ func (e *evaluator) run() {
 		if !e.cur[qact].Valid() {
 			break
 		}
-		it := e.cur[qact].Item()
-		l := enum.Label{Start: it.Start, End: it.End, Level: it.Level}
+		l := e.cur[qact].Label()
 		if e.accept(qact, l) {
 			e.push(qact, l)
 			e.col.Add(qact, l)
@@ -160,9 +139,7 @@ func (e *evaluator) run() {
 			// sound frontier: every future Add starts at or after it.
 			f := inf
 			for qi := range e.cur {
-				if s := e.start(qi); s < f {
-					f = s
-				}
+				f = min(f, e.cur[qi].Start())
 			}
 			if f < inf {
 				e.col.Advance(f)
@@ -184,7 +161,7 @@ func (e *evaluator) accept(qi int, l enum.Label) bool {
 	for len(s) > 0 && s[len(s)-1].End < l.Start {
 		s = s[:len(s)-1]
 		popped++
-		e.io.C.Comparisons++
+		e.c.Comparisons++
 	}
 	e.open[p] = s
 	if popped > 0 && e.tr != nil {
@@ -193,7 +170,7 @@ func (e *evaluator) accept(qi int, l enum.Label) bool {
 	if len(s) == 0 {
 		return false
 	}
-	e.io.C.Comparisons++
+	e.c.Comparisons++
 	return s[len(s)-1].Start < l.Start && l.End < s[len(s)-1].End
 }
 
@@ -233,23 +210,24 @@ func (e *evaluator) getNext(qi int) int {
 		// An exhausted deep return means that subtree is fully drained; the
 		// remaining children (and qi itself) may still have useful entries,
 		// so fold it into the min/max bookkeeping instead of propagating.
-		if qmin == -1 || e.start(qc) < e.start(qmin) {
+		if qmin == -1 || e.cur[qc].Start() < e.cur[qmin].Start() {
 			qmin = qc
 		}
-		if qmax == -1 || e.start(qc) > e.start(qmax) {
+		if qmax == -1 || e.cur[qc].Start() > e.cur[qmax].Start() {
 			qmax = qc
 		}
 	}
 	// Skip qi-nodes that cannot contain all child candidates.
-	for e.cur[qi].Valid() && e.end(qi) < e.start(qmax) {
+	cur, maxStart := &e.cur[qi], e.cur[qmax].Start()
+	for cur.End() < maxStart {
 		if e.ic.Check() != nil {
 			return qi
 		}
-		e.io.C.Comparisons++
-		e.cur[qi].Next()
+		e.c.Comparisons++
+		cur.Next()
 	}
-	e.io.C.Comparisons++
-	if e.start(qi) < e.start(qmin) {
+	e.c.Comparisons++
+	if cur.Start() < e.cur[qmin].Start() {
 		return qi
 	}
 	return qmin

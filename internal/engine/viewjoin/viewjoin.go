@@ -39,6 +39,7 @@ package viewjoin
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"viewjoin/internal/counters"
@@ -86,16 +87,34 @@ type Prepared struct {
 	pool sync.Pool // *evaluator
 }
 
+// segStep is one segment as getNext visits it.
+type segStep struct {
+	nodes  []int // the segment's query nodes
+	root   int   // its root, whose cursor is aligned against parent's
+	parent int   // the root's parent in Q', in the segment above
+	up     int   // that segment's index in steps; -1 for the root segment
+	// The frontier the child segments have handed up so far in the current
+	// getNext call: a query node and the start its cursor stands on; none
+	// (-1, +inf) between calls.
+	best      int
+	bestStart int32
+}
+
 type evaluator struct {
 	p  *Prepared
 	io *counters.IO
-	tr obs.Tracer // nil when tracing is off
+	c  *counters.Counters // io.C
+	tr obs.Tracer         // nil when tracing is off
 
-	// curBuf backs cur so per-run cursor state is reset in place instead of
-	// reallocated; cur[qi] is nil for removed nodes.
-	curBuf []store.ListCursor
-	cur    []*store.ListCursor
-	col    *enum.Collector
+	// cur[qi] is qi's list cursor, reset in place per run. A node removed
+	// from Q' holds an exhausted one: no merge step picks it, and as a view
+	// parent it has no child pointer to jump through.
+	cur []store.ListCursor
+	col *enum.Collector
+	// steps lists the segments children first, each child subtree in its
+	// parent's child order and the root segment last: the order in which a
+	// recursion over segments finishes them, which getNext walks as a loop.
+	steps []segStep
 
 	// open[qi] logs the accepted regions of qi in the current window, in
 	// ascending start order (each node's admissions follow its own cursor),
@@ -105,17 +124,17 @@ type evaluator struct {
 	// the out-of-document-order admissions that bulk segment adds produce.
 	open []regionLog
 
-	// Window-extension state: extCur are lazy persistent cursors (backed by
-	// extBuf) for removed nodes; extJump holds, per removed node, the child
-	// pointer captured from the first in-window candidate of its view
-	// parent.
-	extBuf  []store.ListCursor
-	extCur  []*store.ListCursor
+	// Window-extension state: ext[x] is removed node x's cursor, opened by
+	// the first window that extends to it (extOpen) and kept across windows;
+	// extJump holds, per removed node, the smallest child pointer captured
+	// from the in-window candidates of its view parent, nil for none.
+	ext     []store.ListCursor
+	extOpen []bool
 	extJump []store.Pointer
-	hasJump []bool
 
-	winOpen bool
-	winEnd  int32
+	// winEnd is where the current window of query-root regions ends, -1
+	// before the first one opens.
+	winEnd int32
 
 	// ic is the run's cooperative cancellation checker, polled from the
 	// main loop and shared with the collector's enumeration stage.
@@ -227,25 +246,41 @@ func newEvaluator(p *Prepared) *evaluator {
 	n := p.v.Query.Size()
 	e := &evaluator{
 		p:       p,
-		curBuf:  make([]store.ListCursor, n),
-		cur:     make([]*store.ListCursor, n),
+		cur:     make([]store.ListCursor, n),
 		col:     enum.NewCollector(p.v.Query, nil, nil, false, 0),
 		open:    make([]regionLog, n),
-		extBuf:  make([]store.ListCursor, n),
-		extCur:  make([]*store.ListCursor, n),
+		ext:     make([]store.ListCursor, n),
+		extOpen: make([]bool, n),
 		extJump: make([]store.Pointer, n),
-		hasJump: make([]bool, n),
 	}
 	if len(p.removedNodes) > 0 {
 		e.col.PreFlush = e.extendWindow
 	}
+	e.addSteps(p.v.RootSegment(), -1)
 	return e
+}
+
+// addSteps appends segment b's subtree to e.steps, children first; parent
+// is b's root's parent in Q'.
+func (e *evaluator) addSteps(b *vsq.Segment, parent int) {
+	first := len(e.steps)
+	for _, id := range b.Children {
+		bs := e.p.v.Segments[id]
+		e.addSteps(bs, e.p.v.PrimeParent[bs.Root])
+	}
+	at := len(e.steps)
+	e.steps = append(e.steps, segStep{nodes: b.Nodes, root: b.Root, parent: parent, up: -1, best: -1, bestStart: maxInt32})
+	for k := first; k < at; k++ {
+		if e.steps[k].up == -1 { // a child's step: deeper ones already point up
+			e.steps[k].up = at
+		}
+	}
 }
 
 // reset rebinds the per-run accounting and options and clears every piece
 // of scratch state, keeping capacity.
 func (e *evaluator) reset(io *counters.IO, opts engine.Options) {
-	e.io, e.tr = io, opts.Tracer
+	e.io, e.c, e.tr = io, io.C, opts.Tracer
 	e.unguarded = opts.UnguardedJumps
 	e.restrict = opts.Restrict
 	e.ic = engine.NewInterrupter(opts.Interrupt)
@@ -253,15 +288,17 @@ func (e *evaluator) reset(io *counters.IO, opts engine.Options) {
 	e.col.SetInterrupt(&e.ic)
 	e.col.SetStream(opts.Emit, opts.First, opts.After)
 	e.streaming = opts.Emit != nil || opts.First > 0
-	e.winOpen, e.winEnd = false, 0
+	e.winEnd = -1
 	for _, qi := range e.p.primeNodes {
-		engine.ResetCursor(&e.curBuf[qi], e.p.lists[qi], io, opts.Tracer, qi, opts.Restrict)
-		e.cur[qi] = &e.curBuf[qi]
+		engine.ResetCursor(&e.cur[qi], e.p.lists[qi], io, opts.Tracer, qi, opts.Restrict)
+	}
+	for _, x := range e.p.removedNodes {
+		e.cur[x].ResetRange(e.p.lists[x], io, nil, x, 0, 0)
 	}
 	for i := range e.open {
-		e.open[i].reset()
-		e.extCur[i] = nil
-		e.hasJump[i] = false
+		e.open[i] = e.open[i][:0]
+		e.extOpen[i] = false
+		e.extJump[i] = store.NilPointer
 	}
 }
 
@@ -300,20 +337,15 @@ func (p *Prepared) buildViewMaps() {
 	}
 }
 
-func (e *evaluator) valid(qi int) bool { return e.cur[qi] != nil && e.cur[qi].Valid() }
-
-func (e *evaluator) start(qi int) int32 { return e.cur[qi].Item().Start }
-
 // run is the paper's Algorithm 1 main loop: pull the next solution node in
 // document order from the root segment, add it (and its segment's aligned
 // members) to the window DAG, and let the collector flush windows.
 func (e *evaluator) run() {
-	root := e.p.v.RootSegment()
 	for {
 		if e.ic.Check() != nil {
 			return
 		}
-		qi := e.getNext(root)
+		qi := e.getNext()
 		if qi == -1 {
 			break
 		}
@@ -324,7 +356,7 @@ func (e *evaluator) run() {
 			// segment members, which copy current cursor items — starts at or
 			// after it. (Extension candidates are pulled synchronously inside
 			// the flush via PreFlush, so they never violate the bound.)
-			e.col.Advance(e.start(qi))
+			e.col.Advance(e.cur[qi].Start())
 		}
 		e.process(qi)
 	}
@@ -334,34 +366,35 @@ func (e *evaluator) run() {
 // cursor. Segment roots are checked against their inter-view parent's open
 // regions; members are trusted (their joins are precomputed in the view).
 func (e *evaluator) process(qi int) {
-	it := e.cur[qi].Item()
-	l := enum.Label{Start: it.Start, End: it.End, Level: it.Level}
+	cur := &e.cur[qi]
+	l := cur.Label()
 	accepted := true
 	if qi != 0 && e.p.isSegRoot[qi] {
-		e.io.C.Comparisons++
-		accepted = e.openContains(e.p.v.PrimeParent[qi], l.Start)
+		e.c.Comparisons++
+		accepted = e.open[e.p.v.PrimeParent[qi]].coversRange(l.Start, l.Start+1)
 	}
 	if accepted {
-		e.admit(qi, l, it)
+		e.admit(qi, cur)
 		if e.p.isSegRoot[qi] {
 			e.bulkAddMembers(qi, l)
 		}
 	}
-	e.cur[qi].Next()
+	cur.Next()
 }
 
 // admit pushes an accepted candidate: window bookkeeping for the query
 // root, open-region stacks, the collector, and extension-jump capture.
-func (e *evaluator) admit(qi int, l enum.Label, it *store.Item) {
+func (e *evaluator) admit(qi int, cur *store.ListCursor) {
+	l := cur.Label()
 	if qi == 0 {
-		if !e.winOpen || l.Start > e.winEnd {
-			e.winOpen, e.winEnd = true, l.End
-			for i := range e.hasJump {
-				e.hasJump[i] = false
-				if e.tr != nil && len(e.open[i].starts) > 0 {
-					e.tr.Event(obs.EvStackPop, i, int64(len(e.open[i].starts)))
+		if l.Start > e.winEnd {
+			e.winEnd = l.End
+			for i := range e.extJump {
+				e.extJump[i] = store.NilPointer
+				if e.tr != nil && len(e.open[i]) > 0 {
+					e.tr.Event(obs.EvStackPop, i, int64(len(e.open[i])))
 				}
-				e.open[i].reset()
+				e.open[i] = e.open[i][:0]
 			}
 		}
 	}
@@ -370,7 +403,7 @@ func (e *evaluator) admit(qi int, l enum.Label, it *store.Item) {
 		e.tr.Event(obs.EvStackPush, qi, 1)
 	}
 	e.col.Add(qi, l)
-	e.captureExtJumps(qi, it, l)
+	e.captureExtJumps(qi, cur)
 }
 
 // captureExtJumps records, per window, the minimal child pointer from qi's
@@ -379,19 +412,19 @@ func (e *evaluator) admit(qi int, l enum.Label, it *store.Item) {
 // entry (a single parent's pointer is not: with pc-edges, a nested parent's
 // child can precede the first parent's first child). Pointers are record
 // offsets, so their order coincides with list order within one file and
-// the minimum is computable without dereferencing.
-func (e *evaluator) captureExtJumps(qi int, it *store.Item, l enum.Label) {
-	if len(e.p.removedChildren[qi]) == 0 || !e.winOpen || l.Start > e.winEnd {
+// the minimum is computable without dereferencing. cur is qi's cursor, on
+// the candidate.
+func (e *evaluator) captureExtJumps(qi int, cur *store.ListCursor) {
+	if len(e.p.removedChildren[qi]) == 0 || cur.Start() > e.winEnd {
 		return
 	}
 	for _, x := range e.p.removedChildren[qi] {
-		ptr := it.Children[e.p.viewChildSlot[x]]
+		ptr := cur.Child(e.p.viewChildSlot[x])
 		if ptr.IsNil() {
 			continue // E scheme: no pointers; extension scans sequentially
 		}
-		if !e.hasJump[x] || ptr < e.extJump[x] {
+		if e.extJump[x].IsNil() || ptr < e.extJump[x] {
 			e.extJump[x] = ptr
-			e.hasJump[x] = true
 		}
 	}
 }
@@ -403,59 +436,56 @@ func (e *evaluator) captureExtJumps(qi int, it *store.Item, l enum.Label) {
 func (e *evaluator) bulkAddMembers(rootQ int, rootL enum.Label) {
 	seg := e.p.v.Segments[e.p.v.SegOf[rootQ]]
 	for _, m := range seg.Nodes {
-		if m == rootQ || !e.valid(m) {
+		if m == rootQ {
 			continue
 		}
-		it := e.cur[m].Item()
-		if it.Start > rootL.Start && it.Start < rootL.End {
-			l := enum.Label{Start: it.Start, End: it.End, Level: it.Level}
-			e.admit(m, l, it)
-			e.cur[m].Next()
+		// An exhausted member starts at +inf, outside every region.
+		cur := &e.cur[m]
+		if s := cur.Start(); s > rootL.Start && s < rootL.End {
+			e.admit(m, cur)
+			cur.Next()
 		}
 	}
-}
-
-// openContains reports whether any accepted region of qi in the current
-// window contains position s.
-func (e *evaluator) openContains(qi int, s int32) bool {
-	return e.open[qi].covers(s)
 }
 
 // getNext is the paper's Function 3 lifted to this implementation: it
-// recurses over segments, aligns each child segment root against its
-// inter-view parent (skipping provably useless entries on both sides via
-// pointers), and returns the frontier node — the valid cursor with the
-// smallest start among the segment's members and its child segments'
-// results — or -1 when the subtree is drained.
-func (e *evaluator) getNext(b *vsq.Segment) int {
-	best := -1
-	bestStart := int32(0)
-	for _, bsID := range b.Children {
-		bs := e.p.v.Segments[bsID]
-		r := e.getNext(bs)
-		e.align(bs.Root)
-		if r != bs.Root && r != -1 && e.valid(r) {
-			if best == -1 || e.start(r) < bestStart {
-				best, bestStart = r, e.start(r)
+// visits the segments bottom-up, aligns each child segment root against
+// its inter-view parent (skipping provably useless entries on both sides
+// via pointers), and returns the frontier node — the valid cursor with the
+// smallest start among the root segment's members and what its child
+// segments handed up, each the frontier of its own subtree — or -1 when
+// everything is drained. Exhausted cursors start at +inf, so the minimum
+// passes over them unasked. Ties go to the child segments, in order, then
+// to the segment's own nodes in pre-order.
+func (e *evaluator) getNext() int {
+	for i := range e.steps {
+		st := &e.steps[i]
+		best, bestStart := st.best, st.bestStart
+		st.best, st.bestStart = -1, maxInt32
+		for _, qi := range st.nodes {
+			if s := e.cur[qi].Start(); s < bestStart {
+				best, bestStart = qi, s
 			}
-			continue
 		}
-		// The alignment may have moved the root's cursor; use its current
-		// position.
-		if e.valid(bs.Root) {
-			if best == -1 || e.start(bs.Root) < bestStart {
-				best, bestStart = bs.Root, e.start(bs.Root)
-			}
+		if st.up < 0 {
+			return best
+		}
+		// A root whose head starts inside its parent's head has nothing to
+		// skip on either side, which align would find out one call later.
+		if rs, cp := e.cur[st.root].Start(), &e.cur[st.parent]; rs < cp.Start() || rs > cp.End() || rs == maxInt32 {
+			e.align(st.root, st.parent)
+		}
+		// The alignment may have moved the root's cursor, or exhausted the
+		// frontier's: hand up the root's current position unless a deeper
+		// frontier stands.
+		if best == -1 || !e.cur[best].Valid() {
+			best = st.root
+		}
+		if up, s := &e.steps[st.up], e.cur[best].Start(); s < up.bestStart {
+			up.best, up.bestStart = best, s
 		}
 	}
-	for _, qi := range b.Nodes {
-		if e.valid(qi) {
-			if best == -1 || e.start(qi) < bestStart {
-				best, bestStart = qi, e.start(qi)
-			}
-		}
-	}
-	return best
+	return -1
 }
 
 // align applies the paper's skipping rules across the inter-view edge into
@@ -468,24 +498,21 @@ func (e *evaluator) getNext(b *vsq.Segment) int {
 //     remaining rs candidate: advance p, jumping through following pointers
 //     where safe, and reposition p's segment members through child pointers
 //     (Function 4, advancePointers).
-func (e *evaluator) align(rs int) {
-	p := e.p.v.PrimeParent[rs]
-	if p == -1 {
-		return
-	}
+func (e *evaluator) align(rs, p int) {
 	for {
 		if e.ic.Check() != nil {
 			return
 		}
-		if !e.valid(rs) {
+		rsStart := e.cur[rs].Start()
+		if rsStart == maxInt32 {
 			// No further rs candidates: remaining p entries can only start
 			// after every collected rs candidate, so they are useless too.
 			e.advancePointers(p, maxInt32)
 			return
 		}
-		rsStart := e.start(rs)
-		if e.valid(p) && rsStart < e.start(p) && !e.openContains(p, rsStart) {
-			e.io.C.Comparisons++
+		cp := &e.cur[p]
+		if cp.Valid() && rsStart < cp.Start() && !e.open[p].coversRange(rsStart, rsStart+1) {
+			e.c.Comparisons++
 			// rs's current entry is a non-solution. Where rs's view parent's
 			// cursor is already ahead, its child pointer skips the whole run
 			// of dead entries at once (the paper's advantage (2), §III-B);
@@ -495,8 +522,8 @@ func (e *evaluator) align(rs int) {
 			}
 			continue
 		}
-		if e.valid(p) && e.cur[p].Item().End < rsStart {
-			e.io.C.Comparisons++
+		if cp.End() < rsStart { // never an exhausted p: it ends at +inf
+			e.c.Comparisons++
 			e.advancePointers(p, rsStart)
 			continue
 		}
@@ -511,37 +538,37 @@ func (e *evaluator) align(rs int) {
 // parent still covers the skipped range.
 func (e *evaluator) jumpViaViewParent(m int) bool {
 	vp := e.p.viewParentQ[m]
-	if vp == -1 || e.cur[vp] == nil || !e.valid(vp) {
+	if vp == -1 || !e.cur[vp].Valid() {
 		return false
 	}
-	mStart := e.start(m)
-	vpStart := e.start(vp)
+	mStart := e.cur[m].Start()
+	vpStart := e.cur[vp].Start()
 	if mStart >= vpStart {
 		return false
 	}
-	if e.openCovers(vp, mStart, vpStart) {
-		e.io.C.JumpsRefused++
+	if e.open[vp].coversRange(mStart, vpStart) {
+		e.c.JumpsRefused++
 		if e.tr != nil {
 			e.tr.Event(obs.EvJumpRefused, m, 1)
 		}
 		return false
 	}
-	ptr := e.cur[vp].Item().Children[e.p.viewChildSlot[m]]
+	ptr := e.cur[vp].Child(e.p.viewChildSlot[m])
 	if ptr.IsNil() {
 		return false
 	}
 	from := e.cur[m].Position()
-	probe := *e.cur[m]
+	probe := e.cur[m]
 	probe.Seek(ptr)
-	if probe.Valid() && probe.Item().Start <= mStart {
-		e.io.C.JumpsRefused++
+	if probe.Start() <= mStart {
+		e.c.JumpsRefused++
 		if e.tr != nil {
 			e.tr.Event(obs.EvJumpRefused, m, 1)
 		}
 		return false // stale/backward pointer: fall back to sequential
 	}
-	*e.cur[m] = probe
-	e.io.C.JumpsTaken++
+	e.cur[m] = probe
+	e.c.JumpsTaken++
 	if e.tr != nil {
 		l := e.p.lists[m]
 		e.tr.Event(obs.EvJumpTaken, m, int64(l.PageOf(ptr)-l.PageOf(from)))
@@ -556,36 +583,36 @@ const maxInt32 = int32(1<<31 - 1)
 // provably safe, then repositions p's in-segment descendants.
 func (e *evaluator) advancePointers(p int, target int32) {
 	moved := false
-	for e.valid(p) && e.cur[p].Item().End < target {
+	cur := &e.cur[p]
+	for cur.End() < target { // an exhausted cursor ends at +inf
 		if e.ic.Check() != nil {
 			return
 		}
-		e.io.C.Comparisons++
-		it := e.cur[p].Item()
+		e.c.Comparisons++
 		jumped := false
-		if !it.Following.IsNil() {
-			from := e.cur[p].Position()
-			probe := *e.cur[p] // stack copy: probing must not disturb the cursor
-			probe.Seek(it.Following)
+		if following := cur.Following(); !following.IsNil() {
+			from := cur.Position()
+			probe := *cur // stack copy: probing must not disturb the cursor
+			probe.Seek(following)
 			safe := e.unguarded || !e.p.lists[p].Scoped() || target == maxInt32 ||
-				(probe.Valid() && probe.Item().Start <= target)
+				(probe.Valid() && probe.Start() <= target)
 			if safe {
-				*e.cur[p] = probe
+				*cur = probe
 				jumped = true
-				e.io.C.JumpsTaken++
+				e.c.JumpsTaken++
 				if e.tr != nil {
 					l := e.p.lists[p]
-					e.tr.Event(obs.EvJumpTaken, p, int64(l.PageOf(it.Following)-l.PageOf(from)))
+					e.tr.Event(obs.EvJumpTaken, p, int64(l.PageOf(following)-l.PageOf(from)))
 				}
 			} else {
-				e.io.C.JumpsRefused++
+				e.c.JumpsRefused++
 				if e.tr != nil {
 					e.tr.Event(obs.EvJumpRefused, p, 1)
 				}
 			}
 		}
 		if !jumped {
-			e.cur[p].Next()
+			cur.Next()
 		}
 		moved = true
 	}
@@ -605,98 +632,83 @@ func (e *evaluator) advancePointers(p int, target int32) {
 // Falls back to sequential advance when no pointer is materialized (E
 // scheme, or LEp gaps).
 func (e *evaluator) repositionMembers(p int) {
-	if !e.valid(p) {
+	if !e.cur[p].Valid() {
 		return
 	}
-	pStart := e.start(p)
-	pIt := e.cur[p].Item()
+	pStart := e.cur[p].Start()
 	for _, m := range e.p.primeNodes {
-		if e.p.viewParentQ[m] != p || !e.valid(m) {
+		if e.p.viewParentQ[m] != p {
 			continue
 		}
-		if e.start(m) >= pStart {
+		// An exhausted member starts at +inf: nothing left to reposition.
+		cm := &e.cur[m]
+		if cm.Start() >= pStart {
 			continue
 		}
-		if e.openCovers(p, e.start(m), pStart) {
+		if e.open[p].coversRange(cm.Start(), pStart) {
 			continue
 		}
-		if ptr := pIt.Children[e.p.viewChildSlot[m]]; !ptr.IsNil() {
-			from := e.cur[m].Position()
-			probe := *e.cur[m]
+		if ptr := e.cur[p].Child(e.p.viewChildSlot[m]); !ptr.IsNil() {
+			from := cm.Position()
+			probe := *cm
 			probe.Seek(ptr)
 			// Forward jumps only; a stale pointer behind the cursor would
-			// rewind and re-add entries.
-			if !probe.Valid() || probe.Item().Start > e.start(m) {
-				*e.cur[m] = probe
-				e.io.C.JumpsTaken++
+			// rewind and re-add entries. (An exhausted probe is past it.)
+			if probe.Start() > cm.Start() {
+				*cm = probe
+				e.c.JumpsTaken++
 				if e.tr != nil {
 					l := e.p.lists[m]
 					e.tr.Event(obs.EvJumpTaken, m, int64(l.PageOf(ptr)-l.PageOf(from)))
 				}
 			} else {
-				e.io.C.JumpsRefused++
+				e.c.JumpsRefused++
 				if e.tr != nil {
 					e.tr.Event(obs.EvJumpRefused, m, 1)
 				}
 			}
 		} else {
-			for e.valid(m) && e.start(m) < pStart && !e.openCovers(p, e.start(m), pStart) {
-				e.io.C.Comparisons++
-				e.cur[m].Next()
+			for cm.Start() < pStart && !e.open[p].coversRange(cm.Start(), pStart) {
+				e.c.Comparisons++
+				cm.Next()
 			}
 		}
 		e.repositionMembers(m)
 	}
 }
 
-// openCovers reports whether any accepted region of qi covers any position
-// in [s, hi): if so, entries at s may still pair with an accepted ancestor
-// and must not be skipped.
-func (e *evaluator) openCovers(qi int, s, hi int32) bool {
-	return e.open[qi].coversRange(s, hi)
-}
-
 // regionLog records the regions accepted for one query node within the
-// current window: starts ascending, maxEnd[i] the running maximum of the
-// end labels of entries 0..i. With properly nested regions, "some entry
-// with Start < s has End > s" is exactly "some accepted region contains s".
-type regionLog struct {
-	starts []int32
-	maxEnd []int32
-}
+// current window: starts ascending, each with the running maximum of the
+// end labels up to it. With properly nested regions, "some entry with
+// Start < s has End > s" is exactly "some accepted region contains s".
+type regionLog []struct{ start, maxEnd int32 }
 
 func (r *regionLog) add(l enum.Label) {
+	log := *r
 	m := l.End
-	if n := len(r.maxEnd); n > 0 && r.maxEnd[n-1] > m {
-		m = r.maxEnd[n-1]
+	if n := len(log); n > 0 && log[n-1].maxEnd > m {
+		m = log[n-1].maxEnd
 	}
-	r.starts = append(r.starts, l.Start)
-	r.maxEnd = append(r.maxEnd, m)
-}
-
-func (r *regionLog) reset() {
-	r.starts = r.starts[:0]
-	r.maxEnd = r.maxEnd[:0]
-}
-
-// covers reports whether some recorded region contains position s.
-func (r *regionLog) covers(s int32) bool {
-	return r.coversRange(s, s+1)
+	if len(log) == cap(log) {
+		log = slices.Grow(log, max(len(log), 64)) // double, as the collector's lists do
+	}
+	*r = append(log, struct{ start, maxEnd int32 }{l.Start, m})
 }
 
 // coversRange reports whether some recorded region overlaps (s, ...) while
-// starting before hi, i.e. covers a position in [s, hi).
-func (r *regionLog) coversRange(s, hi int32) bool {
-	lo, up := 0, len(r.starts)
+// starting before hi, i.e. covers a position in [s, hi): if so, entries at
+// s may still pair with an accepted ancestor and must not be skipped.
+func (r regionLog) coversRange(s, hi int32) bool {
+	lo, up := 0, len(r)
 	for lo < up {
 		mid := int(uint(lo+up) >> 1)
-		if r.starts[mid] < hi {
+		if r[mid].start < hi {
 			lo = mid + 1
 		} else {
 			up = mid
 		}
 	}
-	return lo > 0 && r.maxEnd[lo-1] > s
+	return lo > 0 && r[lo-1].maxEnd > s
 }
 
 // extendWindow is the collector's PreFlush hook: the paper's second step,
@@ -706,32 +718,31 @@ func (r *regionLog) coversRange(s, hi int32) bool {
 // window) and scanned sequentially to the window's end.
 func (e *evaluator) extendWindow(lo, hi int32) {
 	for _, x := range e.p.removedNodes {
-		if e.extCur[x] == nil {
-			engine.ResetCursor(&e.extBuf[x], e.p.lists[x], e.io, e.tr, x, e.restrict)
-			e.extCur[x] = &e.extBuf[x]
+		cx := &e.ext[x]
+		if !e.extOpen[x] {
+			engine.ResetCursor(cx, e.p.lists[x], e.io, e.tr, x, e.restrict)
+			e.extOpen[x] = true
 		}
-		cx := e.extCur[x]
-		if e.hasJump[x] && !e.extJump[x].IsNil() {
+		if !e.extJump[x].IsNil() {
 			from := cx.Position()
 			probe := *cx
 			probe.Seek(e.extJump[x])
-			if probe.Valid() && (!cx.Valid() || probe.Item().Start >= cx.Item().Start) {
+			if probe.Valid() && (!cx.Valid() || probe.Start() >= cx.Start()) {
 				*cx = probe
-				e.io.C.JumpsTaken++
+				e.c.JumpsTaken++
 				if e.tr != nil {
 					l := e.p.lists[x]
 					e.tr.Event(obs.EvJumpTaken, x, int64(l.PageOf(e.extJump[x])-l.PageOf(from)))
 				}
 			}
 		}
-		for cx.Valid() && cx.Item().Start < lo {
-			e.io.C.Comparisons++
+		for cx.Start() < lo { // lo, hi <= +inf, where an exhausted cursor starts
+			e.c.Comparisons++
 			cx.Next()
 		}
-		for ; cx.Valid() && cx.Item().Start < hi; cx.Next() {
-			it := cx.Item()
-			e.col.Add(x, enum.Label{Start: it.Start, End: it.End, Level: it.Level})
-			e.captureExtJumps(x, it, enum.Label{Start: it.Start, End: it.End})
+		for ; cx.Start() < hi; cx.Next() {
+			e.col.Add(x, cx.Label())
+			e.captureExtJumps(x, cx)
 		}
 	}
 }

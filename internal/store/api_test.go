@@ -9,7 +9,7 @@ import (
 	"viewjoin/internal/xmltree"
 )
 
-func TestCursorPositionAndClone(t *testing.T) {
+func TestCursorPositionAndCopy(t *testing.T) {
 	d, err := xmltree.ParseString(`<r><a><b/></a><a><b/><b/></a></r>`)
 	if err != nil {
 		t.Fatal(err)
@@ -22,16 +22,16 @@ func TestCursorPositionAndClone(t *testing.T) {
 	cur := s.Lists[1].Open(io)
 	cur.Next()
 	pos := cur.Position()
-	want := cur.Item().Start
+	want := cur.Start()
 
-	cl := cur.Clone()
+	cl := *cur
 	cl.Next()
-	if cur.Item().Start != want {
-		t.Errorf("Clone advanced the original cursor")
+	if cur.Start() != want {
+		t.Errorf("advancing a copy advanced the original cursor")
 	}
 	probe := s.Lists[1].Open(io)
 	probe.Seek(pos)
-	if !probe.Valid() || probe.Item().Start != want {
+	if !probe.Valid() || probe.Start() != want {
 		t.Errorf("Seek(Position()) did not return to the record")
 	}
 	// Seeking nil invalidates.

@@ -29,7 +29,7 @@ func BenchmarkCursorScan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, l := range s.Lists {
 					for cur := l.Open(io); cur.Valid(); cur.Next() {
-						n += int(cur.Item().Start & 1)
+						n += int(cur.Start() & 1)
 					}
 				}
 			}
@@ -49,7 +49,7 @@ func BenchmarkCursorSeek(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		probe := s.Lists[1].Open(io)
 		for cur := s.Lists[0].Open(io); cur.Valid(); cur.Next() {
-			if p := cur.Item().Children[0]; !p.IsNil() {
+			if p := cur.Child(0); !p.IsNil() {
 				probe.Seek(p)
 			}
 		}

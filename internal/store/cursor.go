@@ -2,30 +2,24 @@ package store
 
 import (
 	"encoding/binary"
+	"math"
 
 	"viewjoin/internal/counters"
 	"viewjoin/internal/obs"
-	"viewjoin/internal/views"
 )
 
-// Item is one decoded record: a region label plus whatever pointers the
-// record materializes. Absent pointers are NilPointer; for the Element
-// scheme every pointer is absent.
-type Item struct {
-	Start, End, Level int32
-	Following         Pointer
-	Descendant        Pointer
-	Children          [MaxChildren]Pointer
-}
-
 // ListCursor is a forward cursor over a ListFile with random access via
-// stored pointers. Every record decode is charged as one element scanned,
-// and page accesses are charged through the IO buffer pool on the real
-// page boundaries of each flat segment — the labels segment and every
-// materialized pointer segment are touched per record, like the paper's
-// cost model charges a scan over a linked-element file. ListCursor is a
-// plain value: copying it yields an independent cursor at the same
-// position (the engines' probe idiom).
+// stored pointers. Every record it lands on is charged as one element
+// scanned, and page accesses are charged through the IO buffer pool on the
+// real page boundaries of each flat segment — the labels segment and every
+// materialized pointer segment, like the paper's cost model charges a scan
+// over a linked-element file. The region label is decoded on landing;
+// pointers are read where an engine asks for one. ListCursor is a plain
+// value: copying it yields an independent cursor at the same position (the
+// engines' probe idiom).
+//
+// An exhausted cursor reads Start() == End() == math.MaxInt32, so merge
+// loops compare labels without asking Valid first.
 type ListCursor struct {
 	f    *ListFile
 	io   *counters.IO
@@ -37,49 +31,92 @@ type ListCursor struct {
 	// partitioned evaluation. Next stops at hi; Seek treats hi as the end
 	// of the list and clamps targets below lo up to lo.
 	lo, hi int32
-	// last page charged to the pool per segment (labels, then pointer
-	// classes), -1 initially.
-	lastPage [1 + numPtrSegs]int32
-	item     Item
-	valid    bool
+	// The label of record idx; Start == End == math.MaxInt32 is the
+	// exhausted state, in which idx stays on the record landed on last.
+	label Label
+	// The pages last charged to the pool, as windows of record offsets: one
+	// for the labels segment, one for the pointer segments, which share a
+	// geometry and so change page together.
+	labels, ptrs pageWindow
 }
 
-// Open returns a cursor positioned at the first record (invalid for an
+// pageWindow is the run of records [lo, lo+n) stored on one page, whose
+// first record sits at byte offset base of its segment. A record inside
+// the window is addressed without dividing by the page geometry, and its
+// page is already charged.
+type pageWindow struct {
+	lo, n int32
+	base  int
+}
+
+// slide moves the window to the page of record i, with perPage records to
+// a page of pageSize bytes, and returns the page number.
+func (w *pageWindow) slide(i int32, perPage, pageSize int) int32 {
+	pg := i / int32(perPage)
+	*w = pageWindow{lo: pg * int32(perPage), n: int32(perPage), base: int(pg) * pageSize}
+	return pg
+}
+
+// Open returns a cursor positioned at the first record (exhausted for an
 // empty list).
 func (l *ListFile) Open(io *counters.IO) *ListCursor {
-	return l.OpenTraced(io, nil, -1)
-}
-
-// OpenTraced is Open with an optional tracer: every record decode emits an
-// EvScan and every sequential advance an EvCursorAdvance attributed to the
-// given query node. A nil tracer is exactly Open.
-func (l *ListFile) OpenTraced(io *counters.IO, tr obs.Tracer, node int) *ListCursor {
 	c := &ListCursor{}
-	c.Reset(l, io, tr, node)
+	c.Reset(l, io, nil, -1)
 	return c
 }
 
 // Valid reports whether the cursor is positioned on a record.
-func (c *ListCursor) Valid() bool { return c.valid }
+func (c *ListCursor) Valid() bool { return c.label.Start != math.MaxInt32 }
 
-// Item returns the current record. It must only be called when Valid.
-func (c *ListCursor) Item() *Item { return &c.item }
+// Start returns the current record's start label, math.MaxInt32 when the
+// cursor is exhausted.
+func (c *ListCursor) Start() int32 { return c.label.Start }
 
-// Ordinal returns the current record's offset in the list. It must only be
-// called when Valid.
-func (c *ListCursor) Ordinal() int { return int(c.idx) }
+// End returns the current record's end label, math.MaxInt32 when the
+// cursor is exhausted.
+func (c *ListCursor) End() int32 { return c.label.End }
+
+// Label returns the current record's region label. It must only be called
+// when Valid.
+func (c *ListCursor) Label() Label { return c.label }
+
+// Position returns the pointer addressing the current record — its offset
+// in the list — or the one landed on last when the cursor is exhausted.
+func (c *ListCursor) Position() Pointer { return Pointer(c.idx) }
+
+// Following returns the current record's following pointer, NilPointer
+// when none is materialized. Like Descendant and Child it reads the one
+// pointer from its segment — the segment's page was charged when the
+// cursor landed — and must only be called when Valid.
+func (c *ListCursor) Following() Pointer { return c.pointer(segFollowing) }
+
+// Descendant returns the current record's descendant pointer.
+func (c *ListCursor) Descendant() Pointer { return c.pointer(segDescendant) }
+
+// Child returns the current record's child pointer for the given child
+// slot of the view node.
+func (c *ListCursor) Child(slot int) Pointer { return c.pointer(segChild0 + slot) }
+
+func (c *ListCursor) pointer(class int) Pointer {
+	seg := &c.f.ptrs[class]
+	if !seg.present() {
+		return NilPointer
+	}
+	off := c.ptrs.base + int(c.idx-c.ptrs.lo)*ptrBytes
+	return Pointer(binary.LittleEndian.Uint32(seg.data[off:]))
+}
 
 // Next advances to the next record in list order; the cursor becomes
-// invalid at the end of the list.
+// exhausted at the end of the list.
 func (c *ListCursor) Next() {
-	if !c.valid {
+	if !c.Valid() {
 		return
 	}
 	if c.tr != nil {
 		c.tr.Event(obs.EvCursorAdvance, int(c.node), 1)
 	}
 	if c.idx+1 >= c.hi {
-		c.valid = false
+		c.exhaust()
 		return
 	}
 	c.load(c.idx + 1)
@@ -96,31 +133,14 @@ func (c *ListCursor) Reset(l *ListFile, io *counters.IO, tr obs.Tracer, node int
 // ResetRange is Reset restricted to the record offsets [lo, hi): the
 // cursor starts at lo, Next exhausts at hi, and Seek clamps targets below
 // lo up to lo while treating targets at or beyond hi as past-the-end.
-// Bounds are clipped to the list; an empty window yields an invalid
+// Bounds are clipped to the list; an empty window yields an exhausted
 // cursor. This is how partitioned evaluation gives each worker a
 // start-range slice of every list without copying any pages.
 func (c *ListCursor) ResetRange(l *ListFile, io *counters.IO, tr obs.Tracer, node, lo, hi int) {
-	c.f, c.io, c.tr, c.node = l, io, tr, int32(node)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > l.entries {
-		hi = l.entries
-	}
-	c.lo, c.hi = int32(lo), int32(hi)
-	c.idx = c.lo
-	for i := range c.lastPage {
-		c.lastPage[i] = -1
-	}
-	// Clear the whole record once so child slots beyond the new file's
-	// childCount never leak stale pointers from a previous binding (load
-	// only rewrites the slots the file materializes).
-	c.item = Item{Following: NilPointer, Descendant: NilPointer}
-	for i := range c.item.Children {
-		c.item.Children[i] = NilPointer
-	}
-	if c.lo >= c.hi {
-		c.valid = false
+	lo, hi = max(lo, 0), min(hi, l.entries)
+	*c = ListCursor{f: l, io: io, tr: tr, node: int32(node), idx: int32(lo), lo: int32(lo), hi: int32(hi)}
+	if lo >= hi {
+		c.exhaust()
 		return
 	}
 	c.load(c.lo)
@@ -128,74 +148,47 @@ func (c *ListCursor) ResetRange(l *ListFile, io *counters.IO, tr obs.Tracer, nod
 
 // Seek positions the cursor at the record addressed by the pointer and
 // charges one pointer dereference. Seeking a nil pointer or one at or
-// beyond the cursor's upper bound invalidates the cursor; a pointer below
+// beyond the cursor's upper bound exhausts the cursor; a pointer below
 // the lower bound clamps to the first in-range record (the nearest one the
 // window admits — safe because every jump site refuses to move a cursor
 // backwards, so a clamped target is never followed past live state).
 func (c *ListCursor) Seek(p Pointer) {
 	c.io.C.PointerDerefs++
-	if p.IsNil() || int32(p) >= c.hi {
-		c.valid = false
+	i := max(int32(p), c.lo)
+	if p.IsNil() || i >= c.hi {
+		c.exhaust()
 		return
 	}
-	if int32(p) < c.lo {
-		c.load(c.lo)
-		return
-	}
-	c.load(int32(p))
+	c.load(i)
 }
 
-// Position returns the pointer addressing the current record.
-func (c *ListCursor) Position() Pointer { return Pointer(c.idx) }
+func (c *ListCursor) exhaust() { c.label.Start, c.label.End = math.MaxInt32, math.MaxInt32 }
 
-// Clone returns an independent cursor at the same position, sharing the
-// same IO accounting.
-func (c *ListCursor) Clone() *ListCursor {
-	cc := *c
-	return &cc
-}
-
-// load decodes the record at offset i, touching the page of every present
-// segment: the record's fields are striped across the labels segment and
-// the materialized pointer segments, so a scan pays each segment's pages —
-// this is what makes a linked-element file cost more pages to scan than an
-// element file of the same list, as in §V.
+// load lands on record i < hi: it charges the labels page, the scanned
+// element, then the page of every present pointer segment (following,
+// descendant, child slots ascending) — the record's fields are striped
+// across the segments, so a scan pays each segment's pages, which is what
+// makes a linked-element file cost more pages to scan than an element file
+// of the same list, as in §V. A page is charged when the cursor leaves the
+// window of the page charged last, so a run of records on one page touches
+// the pool once.
 func (c *ListCursor) load(i int32) {
 	f := c.f
-	if pg := f.labels.page(i); c.lastPage[0] != pg {
-		c.io.Touch(f.labels.token, pg)
-		c.lastPage[0] = pg
+	if uint32(i-c.labels.lo) >= uint32(c.labels.n) {
+		c.io.Touch(f.labels.token, c.labels.slide(i, f.labels.perPage, f.pageSize))
 	}
 	c.io.C.ElementsScanned++
 	if c.tr != nil {
 		c.tr.Event(obs.EvScan, int(c.node), 1)
 	}
-	rec := f.labels.rec(i)
-	c.item.Start = int32(binary.LittleEndian.Uint32(rec[0:]))
-	c.item.End = int32(binary.LittleEndian.Uint32(rec[4:]))
-	c.item.Level = int32(binary.LittleEndian.Uint32(rec[8:]))
-	c.item.Following = c.loadPtr(segFollowing, i)
-	c.item.Descendant = c.loadPtr(segDescendant, i)
-	for ci := 0; ci < f.childCount; ci++ {
-		c.item.Children[ci] = c.loadPtr(segChild0+ci, i)
+	c.label = getLabel(f.labels.data[c.labels.base+int(i-c.labels.lo)*labelBytes:])
+	if uint32(i-c.ptrs.lo) >= uint32(c.ptrs.n) {
+		pg := c.ptrs.slide(i, f.pageSize/ptrBytes, f.pageSize)
+		for s := range f.ptrs {
+			if f.ptrs[s].present() {
+				c.io.Touch(f.ptrs[s].token, pg)
+			}
+		}
 	}
-	c.idx, c.valid = i, true
-}
-
-// loadPtr reads pointer class s of record i, charging the segment page on
-// boundary crossings. An absent class reads as NilPointer for free.
-func (c *ListCursor) loadPtr(s int, i int32) Pointer {
-	seg := &c.f.ptrs[s]
-	if !seg.present() {
-		return NilPointer
-	}
-	if pg := seg.page(i); c.lastPage[1+s] != pg {
-		c.io.Touch(seg.token, pg)
-		c.lastPage[1+s] = pg
-	}
-	v := int32(binary.LittleEndian.Uint32(seg.rec(i)))
-	if v == views.NoPointer {
-		return NilPointer
-	}
-	return Pointer(v)
+	c.idx = i
 }

@@ -55,11 +55,11 @@ func TestCursorSeekPageBoundaries(t *testing.T) {
 			{"last record of list", l.Entries() - 1},
 		} {
 			cur.Seek(Pointer(tc.at))
-			if !cur.Valid() || cur.Ordinal() != tc.at {
-				t.Fatalf("%v: seek %s (%d): valid=%v ordinal=%d", kind, tc.name, tc.at, cur.Valid(), cur.Ordinal())
+			if !cur.Valid() || int(cur.Position()) != tc.at {
+				t.Fatalf("%v: seek %s (%d): valid=%v ordinal=%d", kind, tc.name, tc.at, cur.Valid(), int(cur.Position()))
 			}
 			want := m.Lists[1][tc.at]
-			if it := cur.Item(); it.Start != want.Start || it.End != want.End || it.Level != want.Level {
+			if cur.Label() != (Label{Start: want.Start, End: want.End, Level: want.Level}) {
 				t.Errorf("%v: seek %s: wrong record", kind, tc.name)
 			}
 			if got := l.PageOf(cur.Position()); got != int32(tc.at/perPage) {
@@ -83,10 +83,10 @@ func TestCursorSeekPageBoundaries(t *testing.T) {
 	}
 }
 
-// TestCursorResetAndCloneAllKinds exercises the prepared-plan reuse path:
+// TestCursorResetAndCopyAllKinds exercises the prepared-plan reuse path:
 // a cursor drained on one list is Reset onto another and must replay it
-// exactly; clones at page boundaries are independent.
-func TestCursorResetAndCloneAllKinds(t *testing.T) {
+// exactly; copies at page boundaries are independent.
+func TestCursorResetAndCopyAllKinds(t *testing.T) {
 	d := wideDoc(t, 25)
 	m := views.MustMaterialize(d, tpq.MustParse("//a//b"))
 	empty := views.MustMaterialize(d, tpq.MustParse("//b//a"))
@@ -106,19 +106,19 @@ func TestCursorResetAndCloneAllKinds(t *testing.T) {
 		fresh := s.Lists[1].Open(io)
 		n := 0
 		for fresh.Valid() {
-			if !cur.Valid() || *cur.Item() != *fresh.Item() || cur.Ordinal() != fresh.Ordinal() {
+			if !cur.Valid() || current(cur) != current(fresh) || int(cur.Position()) != int(fresh.Position()) {
 				t.Fatalf("%v: Reset cursor diverged at record %d", kind, n)
 			}
-			// Clone at the page boundary records: advancing the clone must not
+			// Copy at the page boundary records: advancing the copy must not
 			// move the original.
 			if n == s.Lists[1].labels.perPage {
-				cl := cur.Clone()
+				cl := *cur
 				cl.Next()
-				if cl.Ordinal() == cur.Ordinal() {
-					t.Fatalf("%v: clone did not advance independently", kind)
+				if int(cl.Position()) == int(cur.Position()) {
+					t.Fatalf("%v: copy did not advance independently", kind)
 				}
-				if !cur.Valid() || cur.Ordinal() != n {
-					t.Fatalf("%v: advancing clone moved original", kind)
+				if !cur.Valid() || int(cur.Position()) != n {
+					t.Fatalf("%v: advancing copy moved original", kind)
 				}
 			}
 			cur.Next()
@@ -135,7 +135,7 @@ func TestCursorResetAndCloneAllKinds(t *testing.T) {
 			t.Errorf("%v: Reset onto empty list must be invalid", kind)
 		}
 		cur.Reset(s.Lists[0], io, nil, 0)
-		if !cur.Valid() || cur.Ordinal() != 0 {
+		if !cur.Valid() || int(cur.Position()) != 0 {
 			t.Errorf("%v: Reset after empty list did not recover", kind)
 		}
 	}

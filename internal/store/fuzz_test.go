@@ -98,7 +98,7 @@ func FuzzReadViewStore(f *testing.F) {
 			probe := l.Open(io)
 			n := 0
 			for cur := l.Open(io); cur.Valid(); cur.Next() {
-				it := cur.Item()
+				it := current(cur)
 				if !it.Following.IsNil() {
 					probe.Seek(it.Following)
 					if !probe.Valid() {

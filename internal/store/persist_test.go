@@ -91,15 +91,8 @@ func sameContent(a, b *ViewStore) bool {
 			if ca.Valid() != cb.Valid() {
 				return false
 			}
-			x, y := ca.Item(), cb.Item()
-			if x.Start != y.Start || x.End != y.End || x.Level != y.Level ||
-				x.Following != y.Following || x.Descendant != y.Descendant {
+			if current(ca) != current(cb) {
 				return false
-			}
-			for ci := 0; ci < a.Lists[q].childCount; ci++ {
-				if x.Children[ci] != y.Children[ci] {
-					return false
-				}
 			}
 			ca.Next()
 			cb.Next()

@@ -75,7 +75,7 @@ func TestResetRangeWindows(t *testing.T) {
 			cur.ResetRange(l, io, nil, 0, tc.lo, tc.hi)
 			var got []int32
 			for cur.Valid() {
-				got = append(got, cur.Item().Start)
+				got = append(got, cur.Start())
 				cur.Next()
 			}
 			if len(got) != len(tc.want) {
@@ -103,13 +103,13 @@ func TestSeekClampsToWindow(t *testing.T) {
 
 	// A pointer below the window clamps to the window's first record.
 	cur.Seek(Pointer(0))
-	if !cur.Valid() || cur.Ordinal() != 1 {
-		t.Fatalf("Seek below window: ordinal %d valid=%v, want clamp to 1", cur.Ordinal(), cur.Valid())
+	if !cur.Valid() || int(cur.Position()) != 1 {
+		t.Fatalf("Seek below window: ordinal %d valid=%v, want clamp to 1", int(cur.Position()), cur.Valid())
 	}
 	// A pointer inside the window lands exactly.
 	cur.Seek(Pointer(n - 2))
-	if !cur.Valid() || cur.Ordinal() != n-2 {
-		t.Fatalf("Seek inside window: ordinal %d valid=%v, want %d", cur.Ordinal(), cur.Valid(), n-2)
+	if !cur.Valid() || int(cur.Position()) != n-2 {
+		t.Fatalf("Seek inside window: ordinal %d valid=%v, want %d", int(cur.Position()), cur.Valid(), n-2)
 	}
 	// A pointer at or past the window's end invalidates, as does nil.
 	cur.Seek(Pointer(n - 1))

@@ -32,13 +32,13 @@ func fig1Doc(t testing.TB) *xmltree.Document {
 }
 
 // readAll decodes a whole list through a cursor.
-func readAll(t *testing.T, l *ListFile) []Item {
+func readAll(t *testing.T, l *ListFile) []record {
 	t.Helper()
 	var c counters.Counters
 	cur := l.Open(counters.NewIO(&c, 0))
-	var out []Item
+	var out []record
 	for cur.Valid() {
-		out = append(out, *cur.Item())
+		out = append(out, current(cur))
 		cur.Next()
 	}
 	if len(out) != l.Entries() {
@@ -102,15 +102,15 @@ func TestPointerSeek(t *testing.T) {
 			src := m.Lists[q][i]
 			if src.Following != views.NoPointer {
 				probe := l.Open(io)
-				probe.Seek(cur.Item().Following)
+				probe.Seek(cur.Following())
 				if !probe.Valid() {
 					t.Fatalf("list %d entry %d: following seek invalid", q, i)
 				}
-				if probe.Item().Start != m.Lists[q][src.Following].Start {
+				if probe.Start() != m.Lists[q][src.Following].Start {
 					t.Errorf("list %d entry %d: following landed on start %d, want %d",
-						q, i, probe.Item().Start, m.Lists[q][src.Following].Start)
+						q, i, probe.Start(), m.Lists[q][src.Following].Start)
 				}
-			} else if !cur.Item().Following.IsNil() {
+			} else if !cur.Following().IsNil() {
 				t.Errorf("list %d entry %d: unexpected following pointer", q, i)
 			}
 			for ci := range m.View.Nodes[q].Children {
@@ -119,9 +119,9 @@ func TestPointerSeek(t *testing.T) {
 					continue
 				}
 				probe := s.Lists[cidx].Open(io)
-				probe.Seek(cur.Item().Children[ci])
+				probe.Seek(cur.Child(ci))
 				want := m.Lists[cidx][src.Children[ci]].Start
-				if !probe.Valid() || probe.Item().Start != want {
+				if !probe.Valid() || probe.Start() != want {
 					t.Errorf("list %d entry %d child %d: seek mismatch", q, i, ci)
 				}
 			}
@@ -273,7 +273,7 @@ func TestRoundTripProperty(t *testing.T) {
 						return false
 					}
 					e := &mm.Lists[q][i]
-					it := cur.Item()
+					it := current(cur)
 					if it.Start != e.Start || it.End != e.End || it.Level != e.Level {
 						t.Logf("%v list %d entry %d: label mismatch", kind, q, i)
 						return false

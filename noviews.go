@@ -58,13 +58,7 @@ func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) 
 	var c counters.Counters
 	io := counters.NewIO(&c, opts.BufferPoolPages)
 	if tr != nil {
-		io.Page = func(miss bool) {
-			if miss {
-				tr.Event(obs.EvPageMiss, -1, 1)
-			} else {
-				tr.Event(obs.EvPageHit, -1, 1)
-			}
-		}
+		io.Page = pageHook(tr)
 		tr.Plan(rawStreamPlan(q.p, eng, lists))
 	}
 	eopts := engine.Options{Tracer: tr, DiskBased: opts.DiskBased, PageSize: opts.PageSize}

@@ -411,6 +411,14 @@ func mergeJobRows(outs []jobOut) [][]Node {
 	return rows
 }
 
+// jobIO is one job's cost accounting: its counters and the simulated buffer
+// pool charging them. The plan recycles them through ioPool, so a run
+// resets a pool instead of allocating one.
+type jobIO struct {
+	io counters.IO
+	c  counters.Counters
+}
+
 // runJob executes the plan once over restriction r (nil: the whole
 // document) with its own counters and its own buffer pool of the configured
 // size (pools simulate per-cursor-set caching and cannot be shared across
@@ -420,7 +428,13 @@ func mergeJobRows(outs []jobOut) [][]Node {
 func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, emit func(row []Node) bool, tr obs.Tracer) jobOut {
 	t0 := time.Now()
 	var out jobOut
-	io := counters.NewIO(&out.c, p.opts.BufferPoolPages)
+	acct, _ := p.ioPool.Get().(*jobIO)
+	if acct == nil {
+		acct = new(jobIO)
+	}
+	acct.c = counters.Counters{}
+	io := &acct.io
+	io.Reset(&acct.c, p.opts.BufferPoolPages)
 	io.SetStall(p.opts.IOLatency)
 	if tr != nil {
 		io.Page = pageHook(tr)
@@ -457,6 +471,9 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 	io.DrainStall()
 	out.dur = time.Since(t0)
 	out.first = io.FirstMatchTime()
+	out.c = acct.c
+	io.Page = nil // the hook holds the run's tracer
+	p.ioPool.Put(acct)
 	return out
 }
 

@@ -75,6 +75,8 @@ type PreparedQuery struct {
 	ps *pathstack.Prepared
 	ij *interjoin.Prepared
 
+	ioPool sync.Pool // *jobIO
+
 	// Partition-planning cache: the job list for a given parallelism and
 	// the spine-order property depend only on the immutable plan, so they
 	// are computed once and shared across runs — a serving plan pays the
@@ -407,8 +409,8 @@ func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr obs.Tracer) (*R
 }
 
 // pageHook adapts buffer-pool lookups into tracer page events.
-func pageHook(tr obs.Tracer) func(miss bool) {
-	return func(miss bool) {
+func pageHook(tr obs.Tracer) func(file uintptr, page int32, miss bool) {
+	return func(_ uintptr, _ int32, miss bool) {
 		if miss {
 			tr.Event(obs.EvPageMiss, -1, 1)
 		} else {

@@ -33,10 +33,10 @@
 #   4. govulncheck, when the tool is installed (skipped, not failed, when
 #      absent — hermetic runners don't fetch tools)
 #   5. fuzz smoke: 10s each of FuzzParse (internal/tpq),
-#      FuzzReadViewStore (internal/store), FuzzEvaluateDifferential
-#      (root), FuzzUpdateDifferential (root), FuzzEnumerateWindow
-#      (internal/engine/enum), seeded from the committed corpora, and
-#      FuzzQueryResponseEncoding (internal/server)
+#      FuzzReadViewStore and FuzzCursorOps (internal/store),
+#      FuzzEvaluateDifferential (root), FuzzUpdateDifferential (root),
+#      FuzzEnumerateWindow (internal/engine/enum), seeded from the
+#      committed corpora, and FuzzQueryResponseEncoding (internal/server)
 #   5b. vjload smoke: a 1s in-process open-loop run at low QPS; the load
 #      path must produce a well-formed viewjoin/load/v1 manifest
 #   5c. vjload density smoke: a 1s multi-tenant run under a tight
@@ -137,6 +137,8 @@ echo "== fuzz smoke: FuzzParse ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$fuzztime" ./internal/tpq
 echo "== fuzz smoke: FuzzReadViewStore ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzReadViewStore$' -fuzztime "$fuzztime" ./internal/store
+echo "== fuzz smoke: FuzzCursorOps ($fuzztime)"
+go test -run '^$' -fuzz '^FuzzCursorOps$' -fuzztime "$fuzztime" ./internal/store
 echo "== fuzz smoke: FuzzEvaluateDifferential ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzEvaluateDifferential$' -fuzztime "$fuzztime" .
 echo "== fuzz smoke: FuzzUpdateDifferential ($fuzztime)"
