@@ -70,13 +70,13 @@ func TestRunContextAlreadyCanceled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := p.RunContext(canceled)
+			res, err := p.RunWith(canceled, nil)
 			if res != nil {
 				t.Fatalf("aborted run returned a result with %d matches", len(res.Matches))
 			}
 			checkCanceled(t, err, c.eng, q, context.Canceled)
 			// The plan must stay fully usable after an aborted run.
-			again, err := p.RunContext(context.Background())
+			again, err := p.RunWith(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestRunContextMidRun(t *testing.T) {
 			// fuel=2: survive the upfront check and the first engine poll,
 			// then trip on the second.
 			ctx := &countdownCtx{fuel: 2}
-			res, err := p.RunContext(ctx)
+			res, err := p.RunWith(ctx, nil)
 			if res != nil {
 				t.Fatalf("aborted run returned a result with %d matches", len(res.Matches))
 			}
@@ -126,7 +126,7 @@ func TestRunContextMidRun(t *testing.T) {
 }
 
 // TestEvaluateContextOption verifies the one-shot path: EvalOptions.Context
-// bounds Evaluate exactly as RunContext bounds a prepared run.
+// bounds Evaluate exactly as the RunWith context bounds a prepared run.
 func TestEvaluateContextOption(t *testing.T) {
 	d := GenerateXMark(0.05)
 	canceled, cancel := context.WithCancel(context.Background())
@@ -202,7 +202,7 @@ func TestRunContextStarvedTimer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := p.RunContext(ctx)
+			res, err := p.RunWith(ctx, nil)
 			if res != nil {
 				t.Fatalf("aborted run returned a result with %d matches", len(res.Matches))
 			}

@@ -106,22 +106,41 @@ func goldenRows(t *testing.T) []goldenRow {
 					if mode == "whole" {
 						res, err = p.Run()
 					} else {
-						res, err = p.RunParallel(context.Background(), 3)
+						res, err = p.RunWith(context.Background(), &viewjoin.RunOptions{Parallelism: 3})
 					}
 					if err != nil {
 						t.Fatalf("%s %s %s %s: %v", wq.name, c.name, pool.name, mode, err)
 					}
-					s := res.Stats
-					rows = append(rows, goldenRow{
-						Key:     wq.name + "/" + c.name + "/" + pool.name + "/" + mode,
-						Scanned: s.ElementsScanned, Comparisons: s.Comparisons, Derefs: s.PointerDerefs,
-						PagesRead: s.PagesRead, PageHits: s.PageHits, PagesWritten: s.PagesWritten,
-						JumpsTaken: s.JumpsTaken, JumpsRefused: s.JumpsRefused,
-						Matches: len(res.Matches),
-					})
+					rows = append(rows, goldenRowOf(wq.name+"/"+c.name+"/"+pool.name+"/"+mode, res))
 				}
 			}
 		}
+	}
+	return rows
+}
+
+// goldenRowOf is the row a materialized run's Result pins under key.
+func goldenRowOf(key string, res *viewjoin.Result) goldenRow {
+	s := res.Stats
+	return goldenRow{
+		Key:     key,
+		Scanned: s.ElementsScanned, Comparisons: s.Comparisons, Derefs: s.PointerDerefs,
+		PagesRead: s.PagesRead, PageHits: s.PageHits, PagesWritten: s.PagesWritten,
+		JumpsTaken: s.JumpsTaken, JumpsRefused: s.JumpsRefused,
+		Matches: len(res.Matches),
+	}
+}
+
+// readGolden loads the committed golden rows.
+func readGolden(t *testing.T) []goldenRow {
+	t.Helper()
+	data, err := os.ReadFile(countersGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []goldenRow
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatalf("%s: %v", countersGoldenPath, err)
 	}
 	return rows
 }
@@ -157,14 +176,7 @@ func TestCountersGolden(t *testing.T) {
 		t.Logf("wrote %d rows to %s", len(rows), countersGoldenPath)
 		return
 	}
-	data, err := os.ReadFile(countersGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []goldenRow
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", countersGoldenPath, err)
-	}
+	want := readGolden(t)
 	if len(want) != len(rows) {
 		t.Fatalf("%d rows evaluated, %d in %s", len(rows), len(want), countersGoldenPath)
 	}

@@ -1,0 +1,329 @@
+package viewjoin
+
+import (
+	"context"
+	"runtime"
+	"time"
+
+	"viewjoin/internal/counters"
+	"viewjoin/internal/engine"
+	"viewjoin/internal/obs"
+)
+
+// This file is the executor: the one path every public entry point — Run,
+// RunTraced, RunWith, Evaluate, EvaluateWithoutViews, EvaluateBatch — takes
+// through a prepared plan. A run is four steps: resolve the options, plan
+// the partitions (none: one whole-document job, run inline), run every job
+// through runJob with rows going into the Result or to a sink in document
+// order, and assemble the Stats once.
+
+// limits is the pagination state of one execution: the public
+// Limit/Offset/After knobs normalized for the engine layer.
+type limits struct {
+	limit  int
+	offset int
+	after  []int32
+}
+
+// first is the engine-level output quota: the run may stop after
+// offset+limit matches (counted after the cursor filter), because the
+// requested page is fully determined by that prefix. 0 (no limit) leaves
+// the run unbounded — an offset alone must still enumerate everything
+// after the skipped prefix.
+func (l limits) first() int {
+	if l.limit <= 0 {
+		return 0
+	}
+	return l.offset + l.limit
+}
+
+// slice reduces an engine's (already bounded, cursor-filtered) document-
+// order output to the requested page.
+func (l limits) slice(ms [][]Node) [][]Node {
+	if l.offset > 0 {
+		if l.offset >= len(ms) {
+			ms = ms[:0]
+		} else {
+			ms = ms[l.offset:]
+		}
+	}
+	if l.limit > 0 && len(ms) > l.limit {
+		ms = ms[:l.limit]
+	}
+	return ms
+}
+
+// request is one execution's options, resolved.
+type request struct {
+	ctx   context.Context // nil runs uninterruptible
+	lim   limits
+	k     int        // partitions asked for; <= 1 is sequential
+	tr    obs.Tracer // observes this execution only
+	yield func(row []Node) bool
+	// start is where Duration and FirstMatchNanos count from; includePrep
+	// folds the preparation-time counters into the Stats. A one-shot
+	// Evaluate sets both so its Stats keep covering the whole call.
+	start       time.Time
+	includePrep bool
+}
+
+// resolve applies RunOptions' rule: the one place per-call options meet the
+// prepare-time ones.
+func (p *PreparedQuery) resolve(ctx context.Context, ro *RunOptions) request {
+	r := request{
+		ctx:   ctx,
+		lim:   limits{limit: p.opts.Limit, offset: p.opts.Offset},
+		k:     p.opts.Parallelism,
+		tr:    p.opts.Tracer,
+		start: time.Now(),
+	}
+	if ro != nil {
+		r.lim = limits{limit: ro.Limit, offset: ro.Offset, after: ro.After}
+		r.yield = ro.Yield
+		if ro.Parallelism != 0 {
+			r.k = ro.Parallelism
+		}
+		if ro.Tracer != nil {
+			r.tr = ro.Tracer
+		}
+	}
+	if r.k < 0 {
+		r.k = runtime.GOMAXPROCS(0)
+	}
+	return r
+}
+
+// execute runs the plan once for r. Jobs run with their rows accumulating
+// into the Result, except when r.yield can be fed in document order while
+// the engines are still scanning: a window-collector engine (ViewJoin,
+// TwigStack) running as one job, or as a bounded partitioned run whose
+// match order across jobs follows job index (spineOrdered). Every other
+// yield run takes the one fallback — assemble replays the finished page.
+//
+// Partitions run untraced (Tracer implementations are not concurrency-
+// safe); the executor instead emits one EvPartition event per executed job
+// carrying its wall time, so traced runs still expose the partition-span
+// distribution.
+func (p *PreparedQuery) execute(r request) (*Result, error) {
+	interrupt, err := p.interruptFor(r.ctx)
+	if err != nil {
+		return nil, err
+	}
+	jobs := p.planPartitions(r.k)
+	sink := r.yield // nil unless the run streams
+	if sink != nil && ((p.eng != EngineViewJoin && p.eng != EngineTwigStack) ||
+		(len(jobs) > 0 && (r.lim.first() == 0 || !p.spineOrdered()))) {
+		sink = nil
+	}
+	if r.tr != nil {
+		r.tr.Plan(p.tracePlan())
+		r.tr.BeginPhase(obs.PhaseEvaluate)
+	}
+	var one [1]jobOut
+	outs := one[:]
+	if len(jobs) == 0 {
+		if sink != nil { // guarded: the wrapper's counter would cost every run an allocation
+			sink = skipFirst(r.lim.offset, sink)
+		}
+		one[0] = p.runJob(nil, interrupt, r.lim, sink, r.tr)
+	} else {
+		outs = p.runPartitions(jobs, interrupt, r.lim, sink)
+		if r.tr != nil {
+			for i := range outs {
+				if !outs[i].skipped {
+					r.tr.Event(obs.EvPartition, -1, int64(outs[i].dur))
+				}
+			}
+		}
+	}
+	if r.tr != nil {
+		r.tr.EndPhase(obs.PhaseEvaluate)
+	}
+	return p.assemble(outs, &r, sink != nil)
+}
+
+// skipFirst wraps a sequential streamed run's sink to drop the offset
+// prefix (which still counts against the engine quota, offset+limit).
+func skipFirst(skip int, yield func(row []Node) bool) func(row []Node) bool {
+	if skip <= 0 {
+		return yield
+	}
+	return func(row []Node) bool {
+		if skip > 0 {
+			skip--
+			return true
+		}
+		return yield(row)
+	}
+}
+
+// tracePlan returns the obs.Plan for tracer delivery, built on first use
+// and shared by concurrent traced runs.
+func (p *PreparedQuery) tracePlan() *obs.Plan {
+	p.descOnce.Do(func() { p.desc = p.describe() })
+	return p.desc
+}
+
+// interruptFor builds the cooperative interrupt hook the engines poll for
+// ctx (nil runs uninterruptible); the hook wraps the context error in a
+// *CanceledError so callers see which query and engine were aborted. It is
+// polled once here so an already-expired deadline aborts before any engine
+// work, independent of the engines' check strides.
+func (p *PreparedQuery) interruptFor(ctx context.Context) (func() error, error) {
+	if ctx == nil {
+		return nil, nil
+	}
+	interrupt := contextInterrupt(ctx, p.eng, p.q.String())
+	return interrupt, interrupt()
+}
+
+// pageHook adapts buffer-pool lookups into tracer page events.
+func pageHook(tr obs.Tracer) func(file uintptr, page int32, miss bool) {
+	return func(_ uintptr, _ int32, miss bool) {
+		if miss {
+			tr.Event(obs.EvPageMiss, -1, 1)
+		} else {
+			tr.Event(obs.EvPageHit, -1, 1)
+		}
+	}
+}
+
+// jobOut is one job's outcome — a partition's, or a sequential run's single
+// whole-document job — written only by its worker.
+type jobOut struct {
+	rows    [][]Node
+	c       counters.Counters
+	peak    int64
+	dur     time.Duration
+	first   time.Time
+	skipped bool
+	err     error
+}
+
+// jobIO is one job's cost accounting: its counters and the simulated buffer
+// pool charging them. The plan recycles them through ioPool, so a run
+// resets a pool instead of allocating one.
+type jobIO struct {
+	io counters.IO
+	c  counters.Counters
+}
+
+// runJob executes the plan once over restriction r (nil: the whole
+// document) with its own counters and its own buffer pool of the configured
+// size (pools simulate per-cursor-set caching and cannot be shared across
+// goroutines). A non-nil emit streams the job's rows instead of
+// accumulating them (ViewJoin/TwigStack only). tr must be nil for jobs that
+// run concurrently (Tracer implementations are not concurrency-safe).
+func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, emit func(row []Node) bool, tr obs.Tracer) jobOut {
+	t0 := time.Now()
+	var out jobOut
+	acct, _ := p.ioPool.Get().(*jobIO)
+	if acct == nil {
+		acct = new(jobIO)
+	}
+	acct.c = counters.Counters{}
+	io := &acct.io
+	io.Reset(&acct.c, p.opts.BufferPoolPages)
+	io.SetStall(p.opts.IOLatency)
+	if tr != nil {
+		io.Page = pageHook(tr)
+	}
+	out.rows, out.peak, out.err = p.plan.Run(io, engine.Options{
+		Tracer:         tr,
+		DiskBased:      p.opts.DiskBased,
+		PageSize:       p.opts.PageSize,
+		UnguardedJumps: p.opts.UnguardedJumps,
+		Interrupt:      interrupt,
+		Restrict:       r,
+		// The shared quota doubles as the per-job bound: any match in the
+		// global first offset+limit is in its own partition's first
+		// offset+limit, so each job may stop (or cap its accumulation)
+		// there.
+		First: lim.first(),
+		After: lim.after,
+		Emit:  emit,
+	})
+	io.DrainStall()
+	out.dur = time.Since(t0)
+	out.first = io.FirstMatchTime()
+	out.c = acct.c
+	io.Page = nil // the hook holds the run's tracer
+	p.ioPool.Put(acct)
+	return out
+}
+
+// assemble builds the public Result of a run from its jobs' outcomes (one
+// for a sequential run): counters summed, PeakMemoryBytes the largest
+// single job's peak, first match the earliest, and Matches the jobs' rows —
+// already label-native and in document order — merged and cut to the page.
+// That assembly is all the output phase still does: the rows themselves
+// were written during enumeration. A yield run that could not stream
+// (streamed false) has its page replayed here, after the Stats are taken.
+func (p *PreparedQuery) assemble(outs []jobOut, r *request, streamed bool) (*Result, error) {
+	var (
+		c          counters.Counters
+		peak       int64
+		executed   int
+		firstNanos int64
+		firstMatch time.Time
+	)
+	if r.includePrep {
+		c.Add(p.prepC)
+	}
+	for i := range outs {
+		if outs[i].err != nil {
+			return nil, outs[i].err
+		}
+		if outs[i].skipped {
+			continue
+		}
+		executed++
+		c.Add(outs[i].c)
+		peak = max(peak, outs[i].peak)
+		if t := outs[i].first; !t.IsZero() && (firstMatch.IsZero() || t.Before(firstMatch)) {
+			firstMatch = t
+		}
+	}
+	if !firstMatch.IsZero() {
+		firstNanos = firstMatch.Sub(r.start).Nanoseconds()
+	}
+	if r.tr != nil {
+		r.tr.BeginPhase(obs.PhaseOutput)
+	}
+	rows := r.lim.slice(mergeJobRows(outs))
+	if r.tr != nil {
+		r.tr.EndPhase(obs.PhaseOutput)
+	}
+	res := &Result{
+		Matches: rows,
+		Stats: Stats{
+			ElementsScanned: c.ElementsScanned,
+			Comparisons:     c.Comparisons,
+			PointerDerefs:   c.PointerDerefs,
+			PagesRead:       c.PagesRead,
+			PagesWritten:    c.PagesWritten,
+			PageHits:        c.PageHits,
+			JumpsTaken:      c.JumpsTaken,
+			JumpsRefused:    c.JumpsRefused,
+			PeakMemoryBytes: peak,
+			Duration:        time.Since(r.start),
+			FirstMatchNanos: firstNanos,
+			Partitions:      executed,
+		},
+	}
+	if rec, ok := r.tr.(*obs.Recorder); ok {
+		res.Trace = rec.Report(c, time.Since(r.start))
+		res.Trace.FirstMatchNanos = firstNanos
+	}
+	if r.yield != nil {
+		res.Matches = nil
+		if !streamed {
+			for _, row := range rows {
+				if !r.yield(row) {
+					break
+				}
+			}
+		}
+	}
+	return res, nil
+}

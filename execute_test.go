@@ -1,0 +1,269 @@
+package viewjoin_test
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"viewjoin"
+	"viewjoin/internal/obs"
+	"viewjoin/internal/workload"
+)
+
+// executorCells are the plans the executor table runs: one catalogue twig
+// and one catalogue path query, under every engine, at the scale
+// testdata/counters_golden.json was generated at.
+func executorCells(t *testing.T) []executorCell {
+	t.Helper()
+	byName := map[string]workload.Query{}
+	for _, wq := range workload.All() {
+		byName[wq.Name] = wq
+	}
+	doc := viewjoin.GenerateXMark(0.25)
+	var cells []executorCell
+	for _, c := range []struct {
+		query, combo string
+		engine       viewjoin.Engine
+		scheme       viewjoin.StorageScheme
+	}{
+		{"Q14", "VJ+LEp", viewjoin.EngineViewJoin, viewjoin.SchemeLEp},
+		{"Q14", "TS+E", viewjoin.EngineTwigStack, viewjoin.SchemeElement},
+		{"Q2", "PS+E", viewjoin.EnginePathStack, viewjoin.SchemeElement},
+		{"Q2", "IJ+T", viewjoin.EngineInterJoin, viewjoin.SchemeTuple},
+	} {
+		wq := byName[c.query]
+		q := viewjoin.MustParseQuery(wq.Pattern.String())
+		vs := make([]*viewjoin.Query, len(wq.Views))
+		for i, p := range wq.Views {
+			vs[i] = viewjoin.MustParseQuery(p.String())
+		}
+		mv, err := doc.MaterializeViews(vs, c.scheme)
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.query, c.combo, err)
+		}
+		p, err := viewjoin.Prepare(doc, q, mv, c.engine, nil)
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.query, c.combo, err)
+		}
+		cells = append(cells, executorCell{
+			key:    c.query + "/" + c.combo,
+			plan:   p,
+			oracle: viewjoin.EvaluateDirect(doc, q).Matches,
+		})
+	}
+	return cells
+}
+
+type executorCell struct {
+	key    string // the golden file's "query/combo" prefix
+	plan   *viewjoin.PreparedQuery
+	oracle [][]viewjoin.Node
+}
+
+// TestExecutorEquivalence is the one equivalence table of the executor:
+// every engine × {sequential, Parallelism 3} × {full, limit, limit+offset,
+// after-cursor} × {materialized, yield} returns exactly the oracle's rows
+// (or the slice of them the options select); the full materialized runs
+// additionally reproduce the golden file's deterministic counters, since
+// they are the very runs it pins.
+func TestExecutorEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("evaluates catalogue queries at benchmark scale")
+	}
+	golden := map[string]goldenRow{}
+	for _, r := range readGolden(t) {
+		golden[r.Key] = r
+	}
+
+	for _, c := range executorCells(t) {
+		n := len(c.oracle)
+		if n < 40 {
+			t.Fatalf("%s: %d matches cannot exercise the page shapes", c.key, n)
+		}
+		cursor := make([]int32, len(c.oracle[n/2]))
+		for i, b := range c.oracle[n/2] {
+			cursor[i] = b.Start
+		}
+		shapes := []struct {
+			name string
+			ro   viewjoin.RunOptions
+			want [][]viewjoin.Node
+		}{
+			{"full", viewjoin.RunOptions{}, c.oracle},
+			{"limit", viewjoin.RunOptions{Limit: 7}, c.oracle[:7]},
+			{"limit+offset", viewjoin.RunOptions{Limit: 7, Offset: 5}, c.oracle[5:12]},
+			{"after", viewjoin.RunOptions{Limit: 7, After: cursor}, c.oracle[n/2+1 : n/2+8]},
+		}
+		for _, par := range []struct {
+			name string
+			k    int
+		}{{"whole", 1}, {"parallel=3", 3}} {
+			for _, sh := range shapes {
+				for _, yield := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/%s/yield=%v", c.key, par.name, sh.name, yield)
+					ro := sh.ro
+					ro.Parallelism = par.k
+					var got [][]viewjoin.Node
+					if yield {
+						ro.Yield = func(row []viewjoin.Node) bool {
+							got = append(got, append([]viewjoin.Node(nil), row...))
+							return true
+						}
+					}
+					res, err := c.plan.RunWith(context.Background(), &ro)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if yield && len(res.Matches) != 0 {
+						t.Errorf("%s: a yield run also returned %d rows in the Result", name, len(res.Matches))
+					}
+					if !yield {
+						got = res.Matches
+					}
+					if !sameRows(got, sh.want) {
+						t.Errorf("%s: %d rows, want %d — diverged from the oracle", name, len(got), len(sh.want))
+					}
+					want, pinned := golden[c.key+"/pool=default/"+par.name]
+					if pinned && sh.name == "full" && !yield {
+						if have := goldenRowOf(want.Key, res); have != want {
+							t.Errorf("%s:\n got  %+v\n want %+v", name, have, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameRows(got, want [][]viewjoin.Node) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			return false
+		}
+		for k := range want[i] {
+			if got[i][k] != want[i][k] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestExecutorYieldDeclines stops a run from its sink: on every engine,
+// sequentially and partitioned, bounded and not, a Yield returning false
+// ends the run with a nil error and is not called again.
+func TestExecutorYieldDeclines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("evaluates catalogue queries at benchmark scale")
+	}
+	for _, c := range executorCells(t) {
+		for _, k := range []int{1, 3} {
+			for _, limit := range []int{0, 50} {
+				calls := 0
+				res, err := c.plan.RunWith(context.Background(), &viewjoin.RunOptions{
+					Limit: limit, Parallelism: k,
+					Yield: func([]viewjoin.Node) bool {
+						calls++
+						return calls < 3
+					},
+				})
+				if err != nil || res == nil {
+					t.Fatalf("%s k=%d limit=%d: declined run returned (%v, %v), want a Result and a nil error", c.key, k, limit, res, err)
+				}
+				if calls != 3 {
+					t.Errorf("%s k=%d limit=%d: Yield called %d times, want 3 (it returned false on the third)", c.key, k, limit, calls)
+				}
+			}
+		}
+	}
+}
+
+// TestExecutorTracesStreamedPartitions pins that the one shape that used to
+// run untraceable is observed like the others: a traced bounded partitioned
+// streamed run reports one partition event per executed job.
+func TestExecutorTracesStreamedPartitions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("evaluates catalogue queries at benchmark scale")
+	}
+	for _, c := range executorCells(t)[:2] { // the streaming engines
+		rows := 0
+		res, err := c.plan.RunWith(context.Background(), &viewjoin.RunOptions{
+			Limit: 10, Parallelism: 3, Tracer: obs.NewRecorder(),
+			Yield: func([]viewjoin.Node) bool { rows++; return true },
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.key, err)
+		}
+		if rows != 10 {
+			t.Errorf("%s: %d rows yielded, want 10", c.key, rows)
+		}
+		if res.Trace == nil {
+			t.Fatalf("%s: a Recorder run returned no trace report", c.key)
+		}
+		var events int64
+		for _, b := range res.Trace.PartitionNanos {
+			events += b.Count
+		}
+		if res.Stats.Partitions < 1 || events != int64(res.Stats.Partitions) {
+			t.Errorf("%s: %d partition events for %d executed partitions", c.key, events, res.Stats.Partitions)
+		}
+	}
+}
+
+// TestRunAppliesPrepareTimeParallelism pins that the options captured at
+// Prepare reach every entry point: a plan prepared with Parallelism 3 runs
+// partitioned from plain Run(), with the rows and the summed counters of
+// the sequential plan.
+func TestRunAppliesPrepareTimeParallelism(t *testing.T) {
+	doc := viewjoin.GenerateXMark(0.05)
+	q := viewjoin.MustParseQuery("//site//item[//description//keyword]/name")
+	vs, err := viewjoin.ParseViews("//site//item//name; //description//keyword")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := doc.MaterializeViews(vs, viewjoin.SchemeLEp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts *viewjoin.EvalOptions) *viewjoin.Result {
+		t.Helper()
+		p, err := viewjoin.Prepare(doc, q, mv, viewjoin.EngineViewJoin, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seq, par := run(nil), run(&viewjoin.EvalOptions{Parallelism: 3})
+	if seq.Stats.Partitions != 1 {
+		t.Errorf("sequential plan ran %d partitions, want 1", seq.Stats.Partitions)
+	}
+	if par.Stats.Partitions <= 1 {
+		t.Errorf("plan prepared with Parallelism 3 ran %d partitions from Run(), want > 1", par.Stats.Partitions)
+	}
+	if !sameRows(par.Matches, seq.Matches) {
+		t.Errorf("partitioned Run() returned %d rows, sequential %d — diverged", len(par.Matches), len(seq.Matches))
+	}
+	// A partitioned run's summed counters are not the whole-document run's;
+	// they are those of the same three-way run asked for per call on the
+	// sequential plan.
+	p, err := viewjoin.Prepare(doc, q, mv, viewjoin.EngineViewJoin, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := p.RunWith(context.Background(), &viewjoin.RunOptions{Parallelism: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := par.Stats, explicit.Stats
+	a.Duration, a.FirstMatchNanos, b.Duration, b.FirstMatchNanos = 0, 0, 0, 0
+	if a != b {
+		t.Errorf("prepare-time Parallelism 3:\n got  %+v\n want %+v (RunOptions.Parallelism 3)", a, b)
+	}
+}

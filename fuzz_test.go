@@ -72,7 +72,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 					if err != nil {
 						t.Fatalf("partition %d %v+%v: prepare: %v", pi, eng, scheme, err)
 					}
-					pres, err := p.RunParallel(context.Background(), k)
+					pres, err := p.RunWith(context.Background(), &RunOptions{Parallelism: k})
 					if err != nil {
 						t.Fatalf("partition %d %v+%v k=%d: %v", pi, eng, scheme, k, err)
 					}
@@ -104,7 +104,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 				if err != nil {
 					t.Fatalf("partition %d IJ: prepare: %v", pi, err)
 				}
-				pres, err := p.RunParallel(context.Background(), k)
+				pres, err := p.RunWith(context.Background(), &RunOptions{Parallelism: k})
 				if err != nil {
 					t.Fatalf("partition %d IJ k=%d: %v", pi, k, err)
 				}
@@ -144,25 +144,26 @@ func checkPages(t *testing.T, label string, p *PreparedQuery, res *Result, lim, 
 		}
 	}
 	for _, par := range ks {
-		so := &StreamOptions{Limit: lim, Offset: off, Parallelism: par}
-		pg, err := p.RunPage(context.Background(), so)
+		ro := RunOptions{Limit: lim, Offset: off, Parallelism: par}
+		pg, err := p.RunWith(context.Background(), &ro)
 		if err != nil {
-			t.Fatalf("%s par=%d: RunPage: %v", label, par, err)
+			t.Fatalf("%s par=%d: paged run: %v", label, par, err)
 		}
 		if !samePage(pg.Matches, want) {
-			t.Fatalf("%s par=%d: RunPage [%d:+%d] diverged from oracle slice (%d vs %d rows)",
+			t.Fatalf("%s par=%d: page [%d:+%d] diverged from oracle slice (%d vs %d rows)",
 				label, par, off, lim, len(pg.Matches), len(want))
 		}
 		var rows [][]Node
-		if _, err := p.RunStream(context.Background(), so, func(row []Node) bool {
+		ro.Yield = func(row []Node) bool {
 			// The yield row is scratch reused between calls; keep a copy.
 			rows = append(rows, append([]Node(nil), row...))
 			return true
-		}); err != nil {
-			t.Fatalf("%s par=%d: RunStream: %v", label, par, err)
+		}
+		if _, err := p.RunWith(context.Background(), &ro); err != nil {
+			t.Fatalf("%s par=%d: yield run: %v", label, par, err)
 		}
 		if !samePage(rows, want) {
-			t.Fatalf("%s par=%d: RunStream [%d:+%d] diverged from oracle slice (%d vs %d rows)",
+			t.Fatalf("%s par=%d: yielded [%d:+%d] diverged from oracle slice (%d vs %d rows)",
 				label, par, off, lim, len(rows), len(want))
 		}
 	}

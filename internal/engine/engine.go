@@ -133,11 +133,6 @@ func (ic *Interrupter) Stop() {
 	}
 }
 
-// Active reports whether a hook is installed, i.e. whether Check can ever
-// return non-nil. Engines use it to skip wiring the interrupter into
-// sub-components entirely on uninterruptible runs.
-func (ic *Interrupter) Active() bool { return ic != nil && ic.f != nil }
-
 // BindLists maps each query node to the list file that holds its
 // candidates: the list of its covering view's node, found through the
 // view-segmented query's ownership maps. The stores must be the element-

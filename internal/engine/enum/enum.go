@@ -89,7 +89,9 @@ type Collector struct {
 	// element covering the whole document — can stream finished sub-regions
 	// out before the window closes (see Advance). nextPartial is the
 	// entry-count trigger for the next partial-flush attempt, grown
-	// geometrically so filter work stays amortized against window growth.
+	// geometrically so filter work stays amortized against window growth,
+	// and math.MaxInt — never — for a run that neither streams nor is bounded
+	// or a query without a spine: the trigger is Advance's only gate.
 	// full is swap scratch for enumerating truncated candidate lists.
 	// flushedBound is the bound of the window's latest partial flush: every
 	// tuple whose bindings all start before it has already been emitted, so
@@ -197,7 +199,7 @@ func (c *Collector) Reset(io *counters.IO, tr obs.Tracer, diskBased bool, pageSi
 	c.windowStart, c.windowEnd = 0, 0
 	c.entries, c.peakEntries = 0, 0
 	c.spoolIn = 0
-	c.nextPartial = partialTrigger
+	c.nextPartial = math.MaxInt
 	c.flushedBound = 0
 	c.disorder = false
 }
@@ -293,6 +295,10 @@ func (c *Collector) SetInterrupt(ic *engine.Interrupter) {
 // delivered.
 func (c *Collector) SetStream(emit func(row []match.Cell) bool, first int, after []int32) {
 	c.emit, c.first, c.after = emit, first, after
+	c.nextPartial = math.MaxInt
+	if (emit != nil || first > 0) && len(c.spine) > 0 {
+		c.nextPartial = partialTrigger
+	}
 	if emit != nil {
 		first = 1 // a streamed run only ever holds the staged row
 	}
@@ -369,14 +375,20 @@ func (c *Collector) Flush() {
 // the frontier has passed are final, so they are emitted (tripping the
 // quota and stopping the scan) and their candidates discarded, keeping
 // the window bounded by the open regions instead of the full document.
+// An accumulating full run never attempts one (see nextPartial), so its
+// counters and PeakEntries are those of a run that never calls Advance.
 func (c *Collector) Advance(frontier int32) {
-	if c.emit == nil && c.first <= 0 {
-		return // accumulating full run: keep the historical path untouched
+	if c.Due() {
+		c.advance(frontier)
 	}
-	if !c.open || c.interrupted() || len(c.spine) == 0 {
-		return
-	}
-	if c.entries < c.nextPartial {
+}
+
+// Due reports whether the next Advance would attempt a partial flush, for
+// an engine whose frontier costs a scan to compute.
+func (c *Collector) Due() bool { return c.entries >= c.nextPartial }
+
+func (c *Collector) advance(frontier int32) {
+	if !c.open || c.interrupted() {
 		return
 	}
 	c.partialFlush(frontier)

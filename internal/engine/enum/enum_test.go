@@ -361,7 +361,7 @@ func TestStreamingSinkDeclineStops(t *testing.T) {
 }
 
 func TestAccumulateFirstK(t *testing.T) {
-	// first > 0 with no sink: bounded accumulation (the RunPage path).
+	// first > 0 with no sink: bounded accumulation (a materialized page).
 	src := streamDoc(10)
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")

@@ -140,11 +140,11 @@ func Prepare(q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
 // streams. Unlike the list-file engines, InterJoin copies every view tuple
 // into prepared streams at Prepare time, so its cached plans carry real
 // weight: one fixed-width label row (12 bytes per query position) plus a
-// slice header per tuple.
+// slice header per tuple, beside each stream's position map.
 func (p *Prepared) Footprint() int64 {
 	var f int64
 	for _, s := range p.streams {
-		f += int64(len(s.positions)) * 8
+		f += 24 + int64(len(s.positions))*8
 		if len(s.tuples) > 0 {
 			per := int64(24 + 12*len(s.tuples[0].labels))
 			f += int64(len(s.tuples)) * per
@@ -155,8 +155,9 @@ func (p *Prepared) Footprint() int64 {
 
 // Run executes the prepared join sequence once. Per-run costs are the
 // binary joins and the final verification; the view scans were charged at
-// Prepare time.
-func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, error) {
+// Prepare time. The peak-bytes result is always 0: InterJoin does not track
+// its intermediate state.
+func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, int64, error) {
 	sc, _ := p.pool.Get().(*scratch)
 	if sc == nil {
 		sc = &scratch{}
@@ -173,7 +174,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, er
 		// to verification: the joined prefix yields the bounded answer.
 		if err := sc.ic.Err(); err != nil && err != engine.ErrStop {
 			p.pool.Put(sc)
-			return nil, err
+			return nil, 0, err
 		}
 		acc = binaryJoin(q, acc, streams[oi], io, sc)
 	}
@@ -188,7 +189,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, er
 				break
 			}
 			p.pool.Put(sc)
-			return nil, err
+			return nil, 0, err
 		}
 		t := &acc.tuples[i]
 		ok := true
@@ -221,7 +222,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, er
 	}
 	if err := sc.ic.Err(); err != nil && err != engine.ErrStop {
 		p.pool.Put(sc)
-		return nil, err
+		return nil, 0, err
 	}
 	p.pool.Put(sc)
 	// Join construction orders tuples by the accumulated stream's first
@@ -234,7 +235,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, er
 		// join+sort, stamped here so the metric reflects that honestly.
 		io.MarkFirstMatch()
 	}
-	return rows, nil
+	return rows, 0, nil
 }
 
 // restrictStreams returns per-run copies of the prepared streams holding
@@ -319,7 +320,8 @@ func Eval(q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
 	if err != nil {
 		return nil, err
 	}
-	return p.Run(io, opts)
+	rows, _, err := p.Run(io, opts)
+	return rows, err
 }
 
 // binaryJoin joins the accumulated stream a (covering the topmost

@@ -80,6 +80,41 @@ func CountInSpan(l *store.ListFile, sp Span) int {
 	return l.SeekStart(sp.Hi) - l.SeekStart(sp.Lo)
 }
 
+// Lists is the per-query-node list binding of a list-file engine's plan
+// (ViewJoin, TwigStack, PathStack), embedded there so the plan answers the
+// partition planner's two questions: node qi's candidates are the records
+// of its list, and a start range weighs the payload bytes of every list's
+// slice — the quantity the page-cost model charges for scanning it.
+type Lists []*store.ListFile
+
+// AnchorSpans returns the document regions of query node qi's candidates.
+func (ls Lists) AnchorSpans(qi int) []Span {
+	if qi >= len(ls) || ls[qi] == nil {
+		return nil
+	}
+	l := ls[qi]
+	out := make([]Span, l.Entries())
+	for i := range out {
+		lb := l.LabelAt(i)
+		out[i] = Span{Lo: lb.Start, Hi: lb.End}
+	}
+	return out
+}
+
+// WeightIn estimates the bytes a run restricted to starts in [lo, hi)
+// scans.
+func (ls Lists) WeightIn(lo, hi int32) int64 {
+	var w int64
+	for _, l := range ls {
+		if l == nil || l.Entries() == 0 {
+			continue
+		}
+		rec := l.PayloadBytes() / int64(l.Entries())
+		w += int64(CountInSpan(l, Span{Lo: lo, Hi: hi})) * rec
+	}
+	return w
+}
+
 // MergeSpans sorts the given candidate regions by start and merges every
 // overlapping or nested pair, yielding the disjoint ascending "blobs" a
 // partition planner may cut between: a document subtree from one blob

@@ -36,9 +36,9 @@ type frame struct {
 // linked stacks, the expansion buffer). Immutable after construction and
 // safe for concurrent Run calls.
 type Prepared struct {
-	q     *tpq.Pattern
-	lists []*store.ListFile
-	pool  sync.Pool // *scratch
+	engine.Lists // per query node; also answers the partition planner
+	q            *tpq.Pattern
+	pool         sync.Pool // *scratch
 }
 
 // scratch is the per-run state of one PathStack execution, reset in place
@@ -57,15 +57,11 @@ type scratch struct {
 	after []int32
 }
 
-// Lists returns the per-query-node list files the plan is bound to, for
-// partition planning.
-func (p *Prepared) Lists() []*store.ListFile { return p.lists }
-
 // Footprint estimates the plan-resident bytes beyond the shared document
 // and view stores: PathStack binds references to existing list files, so
 // a cached plan carries only those bindings. Pooled run scratch is
 // excluded.
-func (p *Prepared) Footprint() int64 { return int64(len(p.lists)) * 8 }
+func (p *Prepared) Footprint() int64 { return int64(len(p.Lists)) * 8 }
 
 // Prepare binds the path query q over the given lists for repeated runs.
 // It returns an error if q is not a path query.
@@ -73,12 +69,13 @@ func Prepare(q *tpq.Pattern, lists []*store.ListFile) (*Prepared, error) {
 	if !q.IsPath() {
 		return nil, fmt.Errorf("pathstack: %s is not a path query", q)
 	}
-	return &Prepared{q: q, lists: lists}, nil
+	return &Prepared{q: q, Lists: lists}, nil
 }
 
 // Run executes the prepared plan once, drawing scratch from the pool and
-// resetting it in place.
-func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, error) {
+// resetting it in place. The peak-bytes result is always 0: PathStack does
+// not track its intermediate state.
+func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, int64, error) {
 	sc, _ := p.pool.Get().(*scratch)
 	n := p.q.Size()
 	if sc == nil {
@@ -91,7 +88,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, er
 	tr := opts.Tracer
 	sc.ic = engine.NewInterrupter(opts.Interrupt)
 	sc.first, sc.after = opts.First, opts.After
-	for i, l := range p.lists {
+	for i, l := range p.Lists {
 		engine.ResetCursor(&sc.cur[i], l, io, tr, i, opts.Restrict)
 	}
 	for i := range sc.stacks {
@@ -102,7 +99,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, er
 	// parallel cutoff), not a failure: the bounded output is the answer.
 	if err := sc.ic.Err(); err != nil && err != engine.ErrStop {
 		p.pool.Put(sc)
-		return nil, err
+		return nil, 0, err
 	}
 	p.pool.Put(sc) // sc must not be touched past this point
 	// The linked stacks emit leaf-major (ancestor combinations enumerated
@@ -116,7 +113,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, er
 		// scan+sort, stamped here so the metric reflects that honestly.
 		io.MarkFirstMatch()
 	}
-	return rows, nil
+	return rows, 0, nil
 }
 
 // Eval evaluates the path query q over the per-query-node lists using
@@ -127,7 +124,8 @@ func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.
 	if err != nil {
 		return nil, err
 	}
-	return p.Run(io, opts)
+	rows, _, err := p.Run(io, opts)
+	return rows, err
 }
 
 // eval is the PathStack main loop over one run's scratch.

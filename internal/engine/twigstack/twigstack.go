@@ -29,20 +29,14 @@ import (
 
 const inf = int32(math.MaxInt32)
 
-// Stats reports run statistics beyond the shared counters.
-type Stats struct {
-	// PeakWindowEntries is |F_max| in entries (memory-based approach).
-	PeakWindowEntries int
-}
-
 // Prepared is the compile-once part of a TwigStack evaluation: the bound
 // per-query-node lists plus a pool of reusable evaluator scratch (cursors,
 // open-region stacks, collector buffers). Immutable after construction and
 // safe for concurrent Run calls.
 type Prepared struct {
-	q     *tpq.Pattern
-	lists []*store.ListFile
-	pool  sync.Pool // *evaluator
+	engine.Lists // per query node; also answers the partition planner
+	q            *tpq.Pattern
+	pool         sync.Pool // *evaluator
 }
 
 type evaluator struct {
@@ -53,31 +47,24 @@ type evaluator struct {
 	col  *enum.Collector
 	open [][]enum.Label // per query node: stack of accepted open regions
 	ic   engine.Interrupter
-
-	// streaming gates the per-iteration frontier scan feeding the
-	// collector's partial flushes; plain accumulating runs skip it.
-	streaming bool
 }
 
 // Prepare binds q's evaluation over the given lists for repeated runs.
 func Prepare(q *tpq.Pattern, lists []*store.ListFile) *Prepared {
-	return &Prepared{q: q, lists: lists}
+	return &Prepared{q: q, Lists: lists}
 }
-
-// Lists returns the per-query-node list files the plan is bound to, for
-// partition planning.
-func (p *Prepared) Lists() []*store.ListFile { return p.lists }
 
 // Footprint estimates the plan-resident bytes beyond the shared document
 // and view stores: TwigStack binds references to existing list files, so
 // a cached plan carries only those bindings. Pooled evaluator scratch is
 // per-run, recycled state and is excluded.
-func (p *Prepared) Footprint() int64 { return int64(len(p.lists)) * 8 }
+func (p *Prepared) Footprint() int64 { return int64(len(p.Lists)) * 8 }
 
 // Run executes the prepared plan once, drawing evaluator scratch from the
-// pool and resetting it in place. The only error condition is a trip of
+// pool and resetting it in place, and returns the rows and the peak bytes
+// of window state held (|F_max|). The only error condition is a trip of
 // opts.Interrupt (cooperative cancellation).
-func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, Stats, error) {
+func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, int64, error) {
 	e, _ := p.pool.Get().(*evaluator)
 	if e == nil {
 		n := p.q.Size()
@@ -93,9 +80,8 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, St
 	e.col.Reset(io, opts.Tracer, opts.DiskBased, opts.PageSize)
 	e.col.SetInterrupt(&e.ic)
 	e.col.SetStream(opts.Emit, opts.First, opts.After)
-	e.streaming = opts.Emit != nil || opts.First > 0
-	for qi := range p.lists {
-		engine.ResetCursor(&e.cur[qi], p.lists[qi], io, opts.Tracer, qi, opts.Restrict)
+	for qi, l := range p.Lists {
+		engine.ResetCursor(&e.cur[qi], l, io, opts.Tracer, qi, opts.Restrict)
 	}
 	for qi := range e.open {
 		e.open[qi] = e.open[qi][:0]
@@ -103,19 +89,18 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, St
 	e.run()
 	if err := e.ic.Err(); err != nil && err != engine.ErrStop {
 		p.pool.Put(e)
-		return nil, Stats{}, err
+		return nil, 0, err
 	}
 	// ErrStop is the collector's output quota tripping, not a failure: the
 	// bounded output collected so far is the answer.
-	out := e.col.Result()
-	st := Stats{PeakWindowEntries: e.col.PeakEntries()}
+	out, peak := e.col.Result(), e.col.MemoryBytes()
 	p.pool.Put(e)
-	return out, st, nil
+	return out, peak, nil
 }
 
 // Eval evaluates q over the per-query-node lists using TwigStack and
 // returns all tree pattern instances (one-shot Prepare + Run).
-func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) ([][]match.Cell, Stats, error) {
+func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) ([][]match.Cell, int64, error) {
 	return Prepare(q, lists).Run(io, opts)
 }
 
@@ -134,7 +119,7 @@ func (e *evaluator) run() {
 			e.col.Add(qact, l)
 		}
 		e.cur[qact].Next()
-		if e.streaming {
+		if e.col.Due() {
 			// Cursors only move forward, so the smallest current start is a
 			// sound frontier: every future Add starts at or after it.
 			f := inf

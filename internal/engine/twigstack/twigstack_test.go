@@ -19,7 +19,7 @@ import (
 
 // evalWith materializes the view set in the given scheme and runs TwigStack.
 func evalWith(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Pattern,
-	kind store.Kind, opts engine.Options) (match.Set, Stats, counters.Counters) {
+	kind store.Kind, opts engine.Options) (match.Set, int64, counters.Counters) {
 	t.Helper()
 	v, err := vsq.Build(q, vs)
 	if err != nil {

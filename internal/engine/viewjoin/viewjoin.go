@@ -51,14 +51,6 @@ import (
 	"viewjoin/internal/vsq"
 )
 
-// Stats reports run statistics beyond the shared counters.
-type Stats struct {
-	// PeakWindowEntries is |F_max| in entries (memory-based approach).
-	PeakWindowEntries int
-	// Segments is the number of segments in the view-segmented query.
-	Segments int
-}
-
 // Prepared is the compile-once part of a ViewJoin evaluation: the bound
 // lists, the inverse view maps, and a pool of reusable evaluator scratch
 // state. A Prepared is immutable after construction and safe for
@@ -67,8 +59,8 @@ type Stats struct {
 // for cursor movement and enumeration only — the costs the paper's §V
 // model charges — not for setup.
 type Prepared struct {
-	v     *vsq.VSQ
-	lists []*store.ListFile
+	engine.Lists // per query node; also answers the partition planner
+	v            *vsq.VSQ
 
 	// viewParentQ[qi] is the query node of qi's parent within its view, or
 	// -1 when qi is a view root; viewChildSlot[qi] is qi's child-pointer
@@ -149,10 +141,6 @@ type evaluator struct {
 	// kept so the lazily-opened extension cursors bind to the same list
 	// slice as the prime cursors.
 	restrict *engine.Restriction
-
-	// streaming gates the per-iteration frontier hand-off feeding the
-	// collector's partial flushes; plain accumulating runs skip it.
-	streaming bool
 }
 
 // Prepare compiles the view-segmented query against the element-family
@@ -172,7 +160,7 @@ func Prepare(v *vsq.VSQ, stores []*store.ViewStore, tr obs.Tracer) (*Prepared, e
 	n := v.Query.Size()
 	p := &Prepared{
 		v:               v,
-		lists:           lists,
+		Lists:           lists,
 		viewParentQ:     make([]int, n),
 		viewChildSlot:   make([]int, n),
 		removedChildren: make([][]int, n),
@@ -187,10 +175,6 @@ func Prepare(v *vsq.VSQ, stores []*store.ViewStore, tr obs.Tracer) (*Prepared, e
 	return p, nil
 }
 
-// Lists returns the per-query-node list files the plan is bound to, for
-// partition planning.
-func (p *Prepared) Lists() []*store.ListFile { return p.lists }
-
 // Footprint estimates the plan-resident bytes beyond the shared document
 // and view stores: the per-query-node segmentation tables built at
 // Prepare time plus the list bindings. Pooled evaluator scratch is per-run,
@@ -201,13 +185,14 @@ func (p *Prepared) Footprint() int64 {
 	for _, rc := range p.removedChildren {
 		f += 24 + int64(len(rc))*8
 	}
-	return f + int64(len(p.lists))*8
+	return f + int64(len(p.Lists))*8
 }
 
 // Run executes the prepared plan once: evaluator scratch state (cursors,
 // region logs, collector buffers, extension state) comes from the pool and
-// is reset in place, so a warm Run allocates only for the output.
-func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, Stats, error) {
+// is reset in place, so a warm Run allocates only for the output. Beside
+// the rows it returns the peak bytes of window state held (|F_max|).
+func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, int64, error) {
 	e, _ := p.pool.Get().(*evaluator)
 	if e == nil {
 		e = newEvaluator(p)
@@ -218,24 +203,23 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, St
 		// Interrupted: abandon the partial output. The evaluator still goes
 		// back to the pool — reset clears every piece of scratch on reuse.
 		p.pool.Put(e)
-		return nil, Stats{}, err
+		return nil, 0, err
 	}
 	// ErrStop is the collector's output quota tripping, not a failure: the
 	// bounded output collected so far is the answer.
-	out := e.col.Result()
-	st := Stats{PeakWindowEntries: e.col.PeakEntries(), Segments: len(p.v.Segments)}
+	out, peak := e.col.Result(), e.col.MemoryBytes()
 	p.pool.Put(e)
-	return out, st, nil
+	return out, peak, nil
 }
 
 // Eval evaluates the view-segmented query's underlying query over the
 // element-family stores of its views and returns all tree pattern
 // instances of the original query (one-shot Prepare + Run).
 func Eval(v *vsq.VSQ, stores []*store.ViewStore, io *counters.IO,
-	opts engine.Options) ([][]match.Cell, Stats, error) {
+	opts engine.Options) ([][]match.Cell, int64, error) {
 	p, err := Prepare(v, stores, opts.Tracer)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, 0, err
 	}
 	return p.Run(io, opts)
 }
@@ -287,13 +271,12 @@ func (e *evaluator) reset(io *counters.IO, opts engine.Options) {
 	e.col.Reset(io, opts.Tracer, opts.DiskBased, opts.PageSize)
 	e.col.SetInterrupt(&e.ic)
 	e.col.SetStream(opts.Emit, opts.First, opts.After)
-	e.streaming = opts.Emit != nil || opts.First > 0
 	e.winEnd = -1
 	for _, qi := range e.p.primeNodes {
-		engine.ResetCursor(&e.cur[qi], e.p.lists[qi], io, opts.Tracer, qi, opts.Restrict)
+		engine.ResetCursor(&e.cur[qi], e.p.Lists[qi], io, opts.Tracer, qi, opts.Restrict)
 	}
 	for _, x := range e.p.removedNodes {
-		e.cur[x].ResetRange(e.p.lists[x], io, nil, x, 0, 0)
+		e.cur[x].ResetRange(e.p.Lists[x], io, nil, x, 0, 0)
 	}
 	for i := range e.open {
 		e.open[i] = e.open[i][:0]
@@ -349,15 +332,13 @@ func (e *evaluator) run() {
 		if qi == -1 {
 			break
 		}
-		if e.streaming {
-			// getNext returns the minimum-start valid cursor and cursors only
-			// move forward, so its start is a sound frontier for the
-			// collector's partial flushes: every future add — including bulk
-			// segment members, which copy current cursor items — starts at or
-			// after it. (Extension candidates are pulled synchronously inside
-			// the flush via PreFlush, so they never violate the bound.)
-			e.col.Advance(e.cur[qi].Start())
-		}
+		// getNext returns the minimum-start valid cursor and cursors only
+		// move forward, so its start is a sound frontier for the collector's
+		// partial flushes: every future add — including bulk segment members,
+		// which copy current cursor items — starts at or after it. (Extension
+		// candidates are pulled synchronously inside the flush via PreFlush,
+		// so they never violate the bound.)
+		e.col.Advance(e.cur[qi].Start())
 		e.process(qi)
 	}
 }
@@ -570,7 +551,7 @@ func (e *evaluator) jumpViaViewParent(m int) bool {
 	e.cur[m] = probe
 	e.c.JumpsTaken++
 	if e.tr != nil {
-		l := e.p.lists[m]
+		l := e.p.Lists[m]
 		e.tr.Event(obs.EvJumpTaken, m, int64(l.PageOf(ptr)-l.PageOf(from)))
 	}
 	return true
@@ -594,14 +575,14 @@ func (e *evaluator) advancePointers(p int, target int32) {
 			from := cur.Position()
 			probe := *cur // stack copy: probing must not disturb the cursor
 			probe.Seek(following)
-			safe := e.unguarded || !e.p.lists[p].Scoped() || target == maxInt32 ||
+			safe := e.unguarded || !e.p.Lists[p].Scoped() || target == maxInt32 ||
 				(probe.Valid() && probe.Start() <= target)
 			if safe {
 				*cur = probe
 				jumped = true
 				e.c.JumpsTaken++
 				if e.tr != nil {
-					l := e.p.lists[p]
+					l := e.p.Lists[p]
 					e.tr.Event(obs.EvJumpTaken, p, int64(l.PageOf(following)-l.PageOf(from)))
 				}
 			} else {
@@ -658,7 +639,7 @@ func (e *evaluator) repositionMembers(p int) {
 				*cm = probe
 				e.c.JumpsTaken++
 				if e.tr != nil {
-					l := e.p.lists[m]
+					l := e.p.Lists[m]
 					e.tr.Event(obs.EvJumpTaken, m, int64(l.PageOf(ptr)-l.PageOf(from)))
 				}
 			} else {
@@ -720,7 +701,7 @@ func (e *evaluator) extendWindow(lo, hi int32) {
 	for _, x := range e.p.removedNodes {
 		cx := &e.ext[x]
 		if !e.extOpen[x] {
-			engine.ResetCursor(cx, e.p.lists[x], e.io, e.tr, x, e.restrict)
+			engine.ResetCursor(cx, e.p.Lists[x], e.io, e.tr, x, e.restrict)
 			e.extOpen[x] = true
 		}
 		if !e.extJump[x].IsNil() {
@@ -731,7 +712,7 @@ func (e *evaluator) extendWindow(lo, hi int32) {
 				*cx = probe
 				e.c.JumpsTaken++
 				if e.tr != nil {
-					l := e.p.lists[x]
+					l := e.p.Lists[x]
 					e.tr.Event(obs.EvJumpTaken, x, int64(l.PageOf(e.extJump[x])-l.PageOf(from)))
 				}
 			}

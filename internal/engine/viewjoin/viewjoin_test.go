@@ -18,7 +18,7 @@ import (
 )
 
 func evalWith(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Pattern,
-	kind store.Kind, opts engine.Options) (match.Set, Stats, counters.Counters) {
+	kind store.Kind, opts engine.Options) (set match.Set, segments int, c counters.Counters) {
 	t.Helper()
 	v, err := vsq.Build(q, vs)
 	if err != nil {
@@ -28,12 +28,11 @@ func evalWith(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Patte
 	for i, vp := range vs {
 		stores[i] = store.MustBuild(views.MustMaterialize(d, vp), kind, 256)
 	}
-	var c counters.Counters
-	got, st, err := Eval(v, stores, counters.NewIO(&c, 0), opts)
+	got, _, err := Eval(v, stores, counters.NewIO(&c, 0), opts)
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	return testutil.RowsToSet(t, d, got), st, c
+	return testutil.RowsToSet(t, d, got), len(v.Segments), c
 }
 
 func mustDoc(t testing.TB, src string) *xmltree.Document {
@@ -90,12 +89,12 @@ func TestPaperExample(t *testing.T) {
 		t.Fatalf("bad fixture: no matches")
 	}
 	for _, kind := range allKinds {
-		got, st, _ := evalWith(t, d, q, vs, kind, engine.Options{})
+		got, segments, _ := evalWith(t, d, q, vs, kind, engine.Options{})
 		if !got.SameAs(want) {
 			t.Errorf("%v: got %d matches, want %d", kind, len(got), len(want))
 		}
-		if st.Segments != 4 {
-			t.Errorf("segments = %d, want 4", st.Segments)
+		if segments != 4 {
+			t.Errorf("segments = %d, want 4", segments)
 		}
 	}
 }
@@ -107,12 +106,12 @@ func TestWholeQueryViewUsesExtension(t *testing.T) {
 	q := tpq.MustParse("//a[//b]//c")
 	want := oracle.Eval(d, q)
 	for _, kind := range allKinds {
-		got, st, _ := evalWith(t, d, q, testutil.WholeQueryView(q), kind, engine.Options{})
+		got, segments, _ := evalWith(t, d, q, testutil.WholeQueryView(q), kind, engine.Options{})
 		if !got.SameAs(want) {
 			t.Errorf("%v: got %d matches, want %d", kind, len(got), len(want))
 		}
-		if st.Segments != 1 {
-			t.Errorf("segments = %d, want 1", st.Segments)
+		if segments != 1 {
+			t.Errorf("segments = %d, want 1", segments)
 		}
 	}
 }

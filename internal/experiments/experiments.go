@@ -169,7 +169,7 @@ func All() []Experiment {
 		{"noviews", "Views vs raw element streams — the [22] comparison the paper builds on", NoViews},
 		{"prepared", "Prepared plans — repeated-query serving: one-shot vs Run vs EvaluateBatch", Prepared},
 		{"coldload", "View cold-start — zero-copy LoadView vs re-materialization, time and allocs", ColdLoad},
-		{"shards", "Range-partitioned parallel evaluation — RunParallel k=1 vs k=N under I/O stalls", Shards},
+		{"shards", "Range-partitioned parallel evaluation — Parallelism 1 vs N under I/O stalls", Shards},
 		{"firstk", "First-k pushdown — streamed pages vs full materialization, time-to-first-match", Firstk},
 		{"density", "Serving density — multi-tenant fleet under a resident-bytes cap, warm/cold tiering vs fully resident", Density},
 		{"updates", "Incremental view maintenance — Maintain vs re-materialize across update rates, byte-identity asserted", Updates},

@@ -25,7 +25,7 @@ var firstkPages = []int{0, 1000, 20, 1}
 //
 //   - wall: time for the call to return its (page of the) result;
 //   - ttfm: client-observed time-to-first-match — for streamed pages the
-//     moment RunStream yields the first row, for the materialized baseline
+//     moment the Yield sink receives the first row, for the materialized baseline
 //     the full wall time, since no match is visible before the whole
 //     result set returns;
 //   - peakEnt: the largest enumeration-window entry count held in memory,
@@ -119,16 +119,16 @@ func Firstk(cfg Config) error {
 // runPaged measures one (page bound, parallelism) arm: one warm-up, then
 // cfg.Repeats timed runs averaged, wall clock only (the per-miss stall is
 // real elapsed time, as in runSharded). k == 0 is the materialized
-// baseline via RunPage, whose time-to-first-match is the call's wall time;
-// k > 0 streams via RunStream and takes the first yield as first match.
+// baseline, whose time-to-first-match is the call's wall time; k > 0 runs
+// with a Yield sink and takes its first call as first match.
 func runPaged(cfg Config, p *viewjoin.PreparedQuery, k, K int) (measurement, time.Duration, error) {
 	var m measurement
 	ctx := context.Background()
-	so := &viewjoin.StreamOptions{Limit: k, Parallelism: max(K, 1)}
+	ro := viewjoin.RunOptions{Limit: k, Parallelism: max(K, 1)}
 
 	one := func() (*viewjoin.Result, time.Duration, int, error) {
 		if k == 0 {
-			res, err := p.RunPage(ctx, so)
+			res, err := p.RunWith(ctx, &ro)
 			if err != nil {
 				return nil, 0, 0, err
 			}
@@ -137,13 +137,14 @@ func runPaged(cfg Config, p *viewjoin.PreparedQuery, k, K int) (measurement, tim
 		var first time.Duration
 		rows := 0
 		t0 := time.Now()
-		res, err := p.RunStream(ctx, so, func([]viewjoin.Node) bool {
+		ro.Yield = func([]viewjoin.Node) bool {
 			if rows == 0 {
 				first = time.Since(t0)
 			}
 			rows++
 			return true
-		})
+		}
+		res, err := p.RunWith(ctx, &ro)
 		if err != nil {
 			return nil, 0, 0, err
 		}

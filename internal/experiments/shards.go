@@ -22,7 +22,7 @@ const (
 	shardPageSize  = 1024
 )
 
-// Shards measures range-partitioned parallel evaluation (RunParallel) on
+// Shards measures range-partitioned parallel evaluation (RunOptions.Parallelism) on
 // the largest XMark twig queries: for TwigStack+E and ViewJoin+LEp it
 // compares sequential evaluation (k=1) against cfg.Shards partitions,
 // reporting wall time, speedup, and the partition counts actually planned.
@@ -108,7 +108,7 @@ func Shards(cfg Config) error {
 	return nil
 }
 
-// runSharded measures RunParallel at partition target k: one warm-up, then
+// runSharded measures a run at partition target k: one warm-up, then
 // cfg.Repeats timed runs averaged. Unlike the model-based experiments the
 // reported time is pure wall clock — the per-miss stall is already real
 // elapsed time, so no arithmetic I/O term is added. It also returns the
@@ -116,13 +116,13 @@ func Shards(cfg Config) error {
 func runSharded(cfg Config, p *viewjoin.PreparedQuery, k int) (measurement, int, error) {
 	var m measurement
 	ctx := context.Background()
-	if _, err := p.RunParallel(ctx, k); err != nil {
+	if _, err := p.RunWith(ctx, &viewjoin.RunOptions{Parallelism: k}); err != nil {
 		return m, 0, err
 	}
 	var total time.Duration
 	parts := 0
 	for i := 0; i < cfg.Repeats; i++ {
-		res, err := p.RunParallel(ctx, k)
+		res, err := p.RunWith(ctx, &viewjoin.RunOptions{Parallelism: k})
 		if err != nil {
 			return m, 0, err
 		}

@@ -8,7 +8,7 @@
 // construction, list binding, InterJoin's view scans) is paid at Prepare
 // time and amortized across requests through the plan cache, while each
 // request pays only the per-execution costs (cursor movement, structural
-// joins, enumeration) via PreparedQuery.RunContext on pooled scratch.
+// joins, enumeration) via PreparedQuery.RunWith on pooled scratch.
 package server
 
 import (
@@ -56,7 +56,7 @@ type Config struct {
 	// timeout_ms. Default 10s.
 	DefaultTimeout time.Duration
 	// MaxParallel caps the per-request "parallel" knob: a request may ask
-	// for up to this many range partitions (PreparedQuery.RunParallel);
+	// for up to this many range partitions (RunOptions.Parallelism);
 	// higher asks are clamped silently. The default 1 disables parallel
 	// evaluation — each request then costs exactly one worker's CPU, which
 	// is what the Workers bound assumes.
@@ -258,7 +258,7 @@ type queryRequest struct {
 	TimeoutMS int64    `json:"timeout_ms,omitempty"` // 0: server default
 	// Limit bounds the match rows returned; 0 runs the full query and
 	// returns the count only. A positive limit is pushed into the engine
-	// (PreparedQuery.RunPage): the run stops once the page is determined,
+	// (RunOptions.Limit): the run stops once the page is determined,
 	// and match_count reports the page's row count, not the full result
 	// cardinality.
 	Limit int `json:"limit"`
@@ -318,7 +318,7 @@ func encodeCursor(epoch uint64, row []viewjoin.Node) string {
 }
 
 // decodeCursor parses a request cursor into the epoch it was issued at and
-// the per-query-node start labels RunPage seeks past; n is the query's
+// the per-query-node start labels RunOptions.After seeks past; n is the query's
 // node count.
 func decodeCursor(s string, n int) (uint64, []int32, error) {
 	buf, err := base64.RawURLEncoding.DecodeString(s)
@@ -409,30 +409,55 @@ func (s *Server) admit() (release func(), status int, stage string, err error) {
 	}, 0, "", nil
 }
 
+// resolved is what a request names, looked up: the document entry, the
+// parsed query, the engine, and the named views both as canonical pattern
+// strings (sorted, the plan-cache key) and acquired from the residency
+// manager.
+type resolved struct {
+	doc    *docEntry
+	query  *viewjoin.Query
+	engine viewjoin.Engine
+	canon  []string
+	mviews []*viewjoin.MaterializedView
+}
+
+// failure is how a request ended short of a result: the HTTP status, the
+// stage that failed, and the access-log outcome.
+type failure struct {
+	status  int
+	stage   string
+	outcome string
+	timeout bool
+	err     error
+}
+
+// failed is a failure with the plain "error" outcome.
+func failed(status int, stage string, err error) *failure {
+	return &failure{status: status, stage: stage, outcome: "error", err: err}
+}
+
 // resolve looks up the document in the request's tenant registry, parses
 // the query, resolves the view names (all registered views when none are
 // named) and the engine, and acquires the tier-appropriate copy of each
 // view from the residency manager.
-func (s *Server) resolve(req *queryRequest) (*docEntry, *viewjoin.Query, viewjoin.Engine, []string, []*viewjoin.MaterializedView, int, string, error) {
-	t := s.tenants[req.Tenant]
-	if t == nil {
-		return nil, nil, 0, nil, nil, http.StatusNotFound, "resolve",
-			fmt.Errorf("unknown document %q%s", req.Document, forTenant(req.Tenant))
+func (s *Server) resolve(req *queryRequest) (resolved, *failure) {
+	var e *docEntry
+	if t := s.tenants[req.Tenant]; t != nil {
+		e = t.docs[req.Document]
 	}
-	e, ok := t.docs[req.Document]
-	if !ok {
-		return nil, nil, 0, nil, nil, http.StatusNotFound, "resolve",
-			fmt.Errorf("unknown document %q%s", req.Document, forTenant(req.Tenant))
+	if e == nil {
+		return resolved{}, failed(http.StatusNotFound, "resolve",
+			fmt.Errorf("unknown document %q%s", req.Document, forTenant(req.Tenant)))
 	}
 	q, err := viewjoin.ParseQuery(req.Query)
 	if err != nil {
-		return nil, nil, 0, nil, nil, http.StatusBadRequest, "parse", err
+		return resolved{}, failed(http.StatusBadRequest, "parse", err)
 	}
 	eng := viewjoin.EngineViewJoin
 	if req.Engine != "" {
 		eng, err = ParseEngine(req.Engine)
 		if err != nil {
-			return nil, nil, 0, nil, nil, http.StatusBadRequest, "parse", err
+			return resolved{}, failed(http.StatusBadRequest, "parse", err)
 		}
 	}
 	names := req.Views
@@ -445,24 +470,23 @@ func (s *Server) resolve(req *queryRequest) (*docEntry, *viewjoin.Query, viewjoi
 		// Accept any spelling that parses to a registered pattern.
 		vq, err := viewjoin.ParseQuery(n)
 		if err != nil {
-			return nil, nil, 0, nil, nil, http.StatusBadRequest, "parse", fmt.Errorf("view %q: %w", n, err)
+			return resolved{}, failed(http.StatusBadRequest, "parse", fmt.Errorf("view %q: %w", n, err))
 		}
 		key := vq.String()
 		ve, ok := e.views[key]
 		if !ok {
-			return nil, nil, 0, nil, nil, http.StatusNotFound, "resolve",
-				fmt.Errorf("view %s not registered for document %q", key, req.Document)
+			return resolved{}, failed(http.StatusNotFound, "resolve",
+				fmt.Errorf("view %s not registered for document %q", key, req.Document))
 		}
 		mv, err := s.acquire(ve)
 		if err != nil {
-			return nil, nil, 0, nil, nil, http.StatusInternalServerError, "load",
-				fmt.Errorf("view %s: %w", key, err)
+			return resolved{}, failed(http.StatusInternalServerError, "load", fmt.Errorf("view %s: %w", key, err))
 		}
 		canon = append(canon, key)
 		mviews = append(mviews, mv)
 	}
 	sort.Strings(canon)
-	return e, q, eng, canon, mviews, 0, "", nil
+	return resolved{doc: e, query: q, engine: eng, canon: canon, mviews: mviews}, nil
 }
 
 // plan returns a cache entry (plan plus its per-plan aggregate) for the
@@ -470,17 +494,17 @@ func (s *Server) resolve(req *queryRequest) (*docEntry, *viewjoin.Query, viewjoi
 // this was a cache hit. Plans are always prepared with nil options (no
 // tracer), which is what makes them shareable across concurrent requests;
 // per-request tracing attaches via RunTraced instead.
-func (s *Server) plan(req *queryRequest, e *docEntry, q *viewjoin.Query, eng viewjoin.Engine, canon []string, mviews []*viewjoin.MaterializedView) (*planEntry, bool, error) {
-	key := planKey{tenant: req.Tenant, doc: req.Document, query: q.String(), engine: eng, views: strings.Join(canon, ";")}
+func (s *Server) plan(req *queryRequest, rv *resolved) (*planEntry, bool, error) {
+	key := planKey{tenant: req.Tenant, doc: req.Document, query: rv.query.String(), engine: rv.engine, views: strings.Join(rv.canon, ";")}
 	if ent := s.cache.get(key); ent != nil {
 		return ent, true, nil
 	}
 	// Prepare and insert under the document's publication lock: an update
 	// commits either before the Prepare (which then binds the new epoch) or
 	// after the insert (which its invalidation then drops).
-	e.pub.RLock()
-	defer e.pub.RUnlock()
-	p, err := viewjoin.Prepare(e.doc, q, mviews, eng, nil)
+	rv.doc.pub.RLock()
+	defer rv.doc.pub.RUnlock()
+	p, err := viewjoin.Prepare(rv.doc.doc, rv.query, rv.mviews, rv.engine, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -509,8 +533,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 	started := time.Now()
 	var req queryRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		s.failures.Add(1)
-		writeError(w, http.StatusBadRequest, "request", err, false)
+		s.reject(w, nil, started, "", failed(http.StatusBadRequest, "request", err))
 		return
 	}
 
@@ -520,19 +543,17 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		if status == http.StatusServiceUnavailable {
 			outcome = "drain"
 		}
-		s.logAccess(&req, status, stage, 0, "", 0, outcome, time.Since(started), err)
-		writeError(w, status, stage, err, false)
+		s.reject(w, &req, started, "", &failure{status: status, stage: stage, outcome: outcome, err: err})
 		return
 	}
 	defer release()
 
-	e, q, eng, canon, mviews, status, stage, err := s.resolve(&req)
-	if err != nil {
-		s.failures.Add(1)
-		s.logAccess(&req, status, stage, 0, "", 0, "error", time.Since(started), err)
-		writeError(w, status, stage, err, false)
+	rv, f := s.resolve(&req)
+	if f != nil {
+		s.reject(w, &req, started, "", f)
 		return
 	}
+	q, eng, canon := rv.query, rv.engine, rv.canon
 
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -564,9 +585,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 	if req.Cursor != "" {
 		cursorEpoch, after, err = decodeCursor(req.Cursor, q.NumNodes())
 		if err != nil {
-			s.failures.Add(1)
-			s.logAccess(&req, http.StatusBadRequest, "parse", 0, "", 0, "error", time.Since(started), err)
-			writeError(w, http.StatusBadRequest, "parse", err, false)
+			s.reject(w, &req, started, "", failed(http.StatusBadRequest, "parse", err))
 			return
 		}
 	}
@@ -582,45 +601,42 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 
 	var ent *planEntry // nil on the traced cache-bypass path
 	var plan *viewjoin.PreparedQuery
-	cacheState := "bypass"
+	cacheState := ""
 	if traced {
-		e.pub.RLock() // an update publishes document and views as one
-		plan, err = viewjoin.Prepare(e.doc, q, mviews, eng, nil)
-		e.pub.RUnlock()
-		if err != nil {
-			s.fail(w, &req, canon, nil, cacheState, started, err)
-			return
+		cacheState = "bypass"
+		rv.doc.pub.RLock() // an update publishes document and views as one
+		plan, err = viewjoin.Prepare(rv.doc.doc, q, rv.mviews, eng, nil)
+		rv.doc.pub.RUnlock()
+		if err == nil {
+			s.prepares.Add(1)
 		}
-		s.prepares.Add(1)
 	} else {
 		var hit bool
-		ent, hit, err = s.plan(&req, e, q, eng, canon, mviews)
-		if err != nil {
-			s.failures.Add(1)
-			s.logAccess(&req, http.StatusUnprocessableEntity, "prepare", 0, "", 0, "error", time.Since(started), err)
-			writeError(w, http.StatusUnprocessableEntity, "prepare", err, false)
-			return
+		ent, hit, err = s.plan(&req, &rv)
+		if err == nil {
+			cacheState = "miss"
+			if hit {
+				cacheState = "hit"
+			}
+			plan = ent.plan
 		}
-		cacheState = "miss"
-		if hit {
-			cacheState = "hit"
-		}
-		plan = ent.plan
+	}
+	if err != nil {
+		s.reject(w, &req, started, cacheState, failed(http.StatusUnprocessableEntity, "prepare", err))
+		return
 	}
 	// A cursor resumes by document position, which an update renumbers:
 	// a cursor from another epoch is permanently unusable (410), the
 	// client restarts its pagination.
 	if req.Cursor != "" && cursorEpoch != plan.Epoch() {
-		s.failures.Add(1)
 		err = fmt.Errorf("cursor issued at document epoch %d, plan is at epoch %d; restart pagination",
 			cursorEpoch, plan.Epoch())
-		s.logAccess(&req, http.StatusGone, "cursor", 0, cacheState, 0, "stale", time.Since(started), err)
-		writeError(w, http.StatusGone, "cursor", err, false)
+		s.reject(w, &req, started, cacheState, &failure{status: http.StatusGone, stage: "cursor", outcome: "stale", err: err})
 		return
 	}
-	// Every plan is prepared with nil options, so the paged entry point
+	// Every plan is prepared with nil options, so the one entry point
 	// covers every request shape: no limit and no cursor is the full run.
-	res, err := plan.RunPageTraced(ctx, &viewjoin.StreamOptions{Limit: req.Limit, After: after, Parallelism: k}, tr)
+	res, err := plan.RunWith(ctx, &viewjoin.RunOptions{Limit: req.Limit, After: after, Parallelism: k, Tracer: tr})
 	if err != nil {
 		s.fail(w, &req, canon, ent, cacheState, started, err)
 		return
@@ -699,23 +715,14 @@ const statusClientClosedRequest = 499
 // and wall time are exactly what a slow-query post-mortem needs.
 func (s *Server) fail(w http.ResponseWriter, req *queryRequest, canon []string, ent *planEntry,
 	cacheState string, started time.Time, err error) {
-	status := http.StatusUnprocessableEntity
-	outcome := "error"
-	timeout := false
+	f := failure{status: http.StatusUnprocessableEntity, stage: "evaluate", outcome: "error", err: err}
 	var ce *viewjoin.CanceledError
 	if errors.As(err, &ce) {
 		if errors.Is(err, context.Canceled) {
-			s.canceled.Add(1)
-			status = statusClientClosedRequest
-			outcome = "canceled"
+			f.status, f.outcome = statusClientClosedRequest, "canceled"
 		} else {
-			s.timeouts.Add(1)
-			status = http.StatusGatewayTimeout
-			outcome = "timeout"
-			timeout = true
+			f.status, f.outcome, f.timeout = http.StatusGatewayTimeout, "timeout", true
 		}
-	} else {
-		s.failures.Add(1)
 	}
 	if ent != nil {
 		ent.agg.AddError()
@@ -727,15 +734,35 @@ func (s *Server) fail(w http.ResponseWriter, req *queryRequest, canon []string, 
 			Query:    req.Query,
 			Engine:   req.Engine,
 			Views:    canon,
-			Status:   status,
-			Outcome:  outcome,
+			Status:   f.status,
+			Outcome:  f.outcome,
 			Cache:    cacheState,
 			WallUS:   time.Since(started).Microseconds(),
 			Error:    err.Error(),
 		})
 	}
-	s.logAccess(req, status, "evaluate", 0, cacheState, 0, outcome, time.Since(started), err)
-	writeError(w, status, "evaluate", err, timeout)
+	s.reject(w, req, started, cacheState, &f)
+}
+
+// reject ends a request without a result, the one way every failure exit
+// does: the counter its outcome belongs to is bumped (admission control has
+// already counted what it shed), the access line written (req is nil for a
+// body that never decoded — there is no request to log) and the error body
+// sent.
+func (s *Server) reject(w http.ResponseWriter, req *queryRequest, started time.Time, cacheState string, f *failure) {
+	switch f.outcome {
+	case "timeout":
+		s.timeouts.Add(1)
+	case "canceled":
+		s.canceled.Add(1)
+	case "shed", "drain":
+	default:
+		s.failures.Add(1)
+	}
+	if req != nil {
+		s.logAccess(req, f.status, f.stage, 0, cacheState, 0, f.outcome, time.Since(started), f.err)
+	}
+	writeError(w, f.status, f.stage, f.err, f.timeout)
 }
 
 // observeLatency records one run duration in the per-engine histogram

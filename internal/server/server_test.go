@@ -181,20 +181,19 @@ func TestQueryCacheHitAllocations(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	s := newTestServer(t, Config{})
-	e := s.tenants[""].docs["xmark"]
 	req := &queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}
 	q, err := viewjoin.ParseQuery(testQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, eng, canon, mviews, _, _, rerr := s.resolve(req)
-	if rerr != nil {
-		t.Fatal(rerr)
+	rv, f := s.resolve(req)
+	if f != nil {
+		t.Fatal(f.err)
 	}
-	if _, hit, err := s.plan(req, e, q, eng, canon, mviews); err != nil || hit {
+	if _, hit, err := s.plan(req, &rv); err != nil || hit {
 		t.Fatalf("warmup plan: hit=%v err=%v", hit, err)
 	}
-	key := planKey{doc: "xmark", query: q.String(), engine: eng, views: strings.Join(canon, ";")}
+	key := planKey{doc: "xmark", query: q.String(), engine: rv.engine, views: strings.Join(rv.canon, ";")}
 	allocs := testing.AllocsPerRun(100, func() {
 		if p := s.cache.get(key); p == nil {
 			t.Fatal("cache lost the plan")
@@ -464,7 +463,8 @@ func TestDebugTrace(t *testing.T) {
 
 // TestQueryErrors pins the structured-error statuses: unknown document
 // (404), bad query (400), unknown view (404), unknown engine (400), and
-// an engine/scheme mismatch at prepare time (422).
+// an engine/scheme mismatch at prepare time (422, stage "prepare" on the
+// traced surface too).
 func TestQueryErrors(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -472,20 +472,22 @@ func TestQueryErrors(t *testing.T) {
 
 	cases := []struct {
 		name   string
+		path   string
 		req    queryRequest
 		status int
 		stage  string
 	}{
-		{"unknown document", queryRequest{Document: "nope", Query: testQuery}, http.StatusNotFound, "resolve"},
-		{"bad query", queryRequest{Document: "xmark", Query: "//a["}, http.StatusBadRequest, "parse"},
-		{"unknown view", queryRequest{Document: "xmark", Query: testQuery, Views: []string{"//nosuch//view"}}, http.StatusNotFound, "resolve"},
-		{"bad engine", queryRequest{Document: "xmark", Query: testQuery, Engine: "XX"}, http.StatusBadRequest, "parse"},
-		{"engine mismatch", queryRequest{Document: "xmark", Query: testQuery, Engine: "IJ"}, http.StatusUnprocessableEntity, "prepare"},
+		{"unknown document", "/query", queryRequest{Document: "nope", Query: testQuery}, http.StatusNotFound, "resolve"},
+		{"bad query", "/query", queryRequest{Document: "xmark", Query: "//a["}, http.StatusBadRequest, "parse"},
+		{"unknown view", "/query", queryRequest{Document: "xmark", Query: testQuery, Views: []string{"//nosuch//view"}}, http.StatusNotFound, "resolve"},
+		{"bad engine", "/query", queryRequest{Document: "xmark", Query: testQuery, Engine: "XX"}, http.StatusBadRequest, "parse"},
+		{"engine mismatch", "/query", queryRequest{Document: "xmark", Query: testQuery, Engine: "IJ"}, http.StatusUnprocessableEntity, "prepare"},
+		{"engine mismatch, traced", "/debug/trace", queryRequest{Document: "xmark", Query: testQuery, Engine: "IJ"}, http.StatusUnprocessableEntity, "prepare"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var er errorResponse
-			if st := post(t, ts, "/query", c.req, &er); st != c.status {
+			if st := post(t, ts, c.path, c.req, &er); st != c.status {
 				t.Fatalf("status %d, want %d (body %+v)", st, c.status, er)
 			}
 			if er.Stage != c.stage {

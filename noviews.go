@@ -2,10 +2,7 @@ package viewjoin
 
 import (
 	"fmt"
-	"time"
 
-	"viewjoin/internal/counters"
-	"viewjoin/internal/engine"
 	"viewjoin/internal/engine/pathstack"
 	"viewjoin/internal/engine/twigstack"
 	"viewjoin/internal/obs"
@@ -43,68 +40,35 @@ func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) 
 	if opts == nil {
 		opts = &EvalOptions{}
 	}
-	t := d.tree()
+	snap := d.snap()
 	tr := opts.Tracer
 	if tr != nil {
 		tr.BeginPhase(obs.PhaseBind)
 	}
-	lists, err := rawStreams(t, q)
+	lists, err := rawStreams(snap.tree, q)
 	if tr != nil {
 		tr.EndPhase(obs.PhaseBind)
 	}
 	if err != nil {
 		return nil, err
 	}
-	var c counters.Counters
-	io := counters.NewIO(&c, opts.BufferPoolPages)
-	if tr != nil {
-		io.Page = pageHook(tr)
-		tr.Plan(rawStreamPlan(q.p, eng, lists))
-	}
-	eopts := engine.Options{Tracer: tr, DiskBased: opts.DiskBased, PageSize: opts.PageSize}
-	if ctx := opts.Context; ctx != nil {
-		eopts.Interrupt = contextInterrupt(ctx, eng, q.String())
-		if err := eopts.Interrupt(); err != nil {
-			return nil, err
-		}
-	}
-
-	start := time.Now()
-	var rows [][]Node
-	if tr != nil {
-		tr.BeginPhase(obs.PhaseEvaluate)
-	}
+	// A plan over the raw streams is a prepared query like any other; its
+	// one run takes every option in opts, and Stats.Duration covers the
+	// evaluation alone, as Evaluate's does not cover materializing views.
+	p := &PreparedQuery{epoch: snap.epoch, q: q, eng: eng, opts: *opts}
 	switch eng {
 	case EngineTwigStack:
-		rows, _, err = twigstack.Eval(q.p, lists, io, eopts)
+		p.plan = twigstack.Prepare(q.p, lists)
 	case EnginePathStack:
-		rows, err = pathstack.Eval(q.p, lists, io, eopts)
+		p.plan, err = pathstack.Prepare(q.p, lists)
 	default:
 		err = fmt.Errorf("viewjoin: engine %v requires materialized views; use TS or PS without views", eng)
-	}
-	if tr != nil {
-		tr.EndPhase(obs.PhaseEvaluate)
 	}
 	if err != nil {
 		return nil, err
 	}
-	dur := time.Since(start)
-
-	res := &Result{
-		Matches: rows,
-		Stats: Stats{
-			ElementsScanned: c.ElementsScanned,
-			Comparisons:     c.Comparisons,
-			PointerDerefs:   c.PointerDerefs,
-			PagesRead:       c.PagesRead,
-			PagesWritten:    c.PagesWritten,
-			Duration:        dur,
-		},
-	}
-	if rec, ok := tr.(*obs.Recorder); ok {
-		res.Trace = rec.Report(c, time.Since(start))
-	}
-	return res, nil
+	p.describe = func() *obs.Plan { return rawStreamPlan(q.p, eng, lists) }
+	return p.Run()
 }
 
 // rawStreamPlan describes the no-view setting: every query node reads the

@@ -19,6 +19,18 @@ func TestEvaluateWithoutViewsBasic(t *testing.T) {
 		if !sameMatches(res, want) {
 			t.Errorf("%s: got %d matches, want %d", qs, len(res.Matches), len(want.Matches))
 		}
+		// The no-view run is an executor run like any other: full Stats,
+		// and the page options honoured.
+		if st := res.Stats; st.Partitions != 1 || st.PageHits+st.PagesRead == 0 {
+			t.Errorf("%s: Stats %+v, want Partitions 1 and some page traffic", qs, st)
+		}
+		page, err := EvaluateWithoutViews(d, q, EngineTwigStack, &EvalOptions{Limit: 3})
+		if err != nil {
+			t.Fatalf("%s limit 3: %v", qs, err)
+		}
+		if first := want.Matches[:min(3, len(want.Matches))]; !samePage(page.Matches, first) {
+			t.Errorf("%s limit 3: got %d rows, want the first %d of EvaluateDirect", qs, len(page.Matches), len(first))
+		}
 		if q.IsPath() {
 			res, err = EvaluateWithoutViews(d, q, EnginePathStack, nil)
 			if err != nil {

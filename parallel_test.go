@@ -60,7 +60,7 @@ func prepareSingletons(t *testing.T, d *Document, queryStr string, scheme Storag
 	return p, q
 }
 
-// runBoth runs the prepared plan sequentially and with RunParallel(k),
+// runBoth runs the prepared plan sequentially and with Parallelism k,
 // requiring byte-identical results, and returns the partition count the
 // parallel run reported.
 func runBoth(t *testing.T, p *PreparedQuery, k int) int {
@@ -69,12 +69,12 @@ func runBoth(t *testing.T, p *PreparedQuery, k int) int {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	par, err := p.RunParallel(context.Background(), k)
+	par, err := p.RunWith(context.Background(), &RunOptions{Parallelism: k})
 	if err != nil {
-		t.Fatalf("RunParallel(k=%d): %v", k, err)
+		t.Fatalf("Parallelism %d: %v", k, err)
 	}
 	if !identicalMatches(par, seq) {
-		t.Fatalf("RunParallel(k=%d) diverged: %d matches vs %d sequential",
+		t.Fatalf("Parallelism %d diverged: %d matches vs %d sequential",
 			k, len(par.Matches), len(seq.Matches))
 	}
 	return par.Stats.Partitions

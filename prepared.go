@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"viewjoin/internal/counters"
 	"viewjoin/internal/engine"
@@ -50,30 +49,24 @@ type PreparedQuery struct {
 	eng   Engine
 	opts  EvalOptions
 
-	// plan is the obs.Plan delivered to tracers. Prepare builds it eagerly
-	// when it was given a tracer; otherwise planOnce builds it on the first
-	// traced run (RunTraced on a plan prepared untraced, e.g. out of a
-	// serving cache), keeping the untraced hot path allocation-free.
-	plan     *obs.Plan
-	planOnce sync.Once
+	// plan is the engine's compiled form of the query; the executor knows
+	// the four engines only through it.
+	plan   enginePlan
+	nviews int // views the plan reads, for footprint accounting
 
-	// Plan inputs retained for the lazy obs.Plan build and for footprint
-	// accounting; all are immutable after Prepare.
-	patterns []*tpq.Pattern
-	stores   []*store.ViewStore
-	v        *vsq.VSQ // VJ/TS/PS only
-	viewPos  [][]int  // IJ only
+	// describe builds the obs.Plan delivered to tracers. It is pure (it only
+	// walks the plan inputs it closes over, all immutable after Prepare), so
+	// the first traced run builds desc under descOnce and concurrent traced
+	// runs share it; the untraced hot path never pays for it.
+	describe func() *obs.Plan
+	desc     *obs.Plan
+	descOnce sync.Once
 
 	// prepC holds the costs charged during preparation (InterJoin's view
 	// stream scans); the one-shot Evaluate folds them into its Stats to
 	// keep historical counter totals, while Run reports per-execution
 	// costs only — that amortization is the point of preparing.
 	prepC counters.Counters
-
-	vj *vjengine.Prepared
-	ts *twigstack.Prepared
-	ps *pathstack.Prepared
-	ij *interjoin.Prepared
 
 	ioPool sync.Pool // *jobIO
 
@@ -84,6 +77,20 @@ type PreparedQuery struct {
 	partMu    sync.Mutex
 	partPlans map[int][]engine.Restriction
 	spineOrd  int8 // 0 unknown, 1 ordered, -1 not
+}
+
+// enginePlan is what the executor needs from an engine's prepared plan: to
+// run it once over the whole document or one partition of it (rows in
+// document order, the peak bytes of intermediate state held, 0 when the
+// engine does not track it), its resident size for cache accounting, and
+// the partition planner's two inputs — the document regions of a query
+// node's candidates, to place cuts that no match can straddle, and an
+// estimated weight of a start range, to balance chunks.
+type enginePlan interface {
+	Run(io *counters.IO, opts engine.Options) (rows [][]Node, peakBytes int64, err error)
+	Footprint() int64
+	AnchorSpans(qi int) []engine.Span
+	WeightIn(lo, hi int32) int64
 }
 
 // Prepare compiles q over the materialized views for the chosen engine.
@@ -112,40 +119,18 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 		patterns[i] = mv.pattern
 		stores[i] = st.store
 	}
-	p := &PreparedQuery{epoch: snap.epoch, q: q, eng: eng, opts: *opts, patterns: patterns, stores: stores}
+	p := &PreparedQuery{epoch: snap.epoch, q: q, eng: eng, opts: *opts, nviews: len(mviews)}
 	tr := opts.Tracer
 	switch eng {
-	case EngineViewJoin:
+	case EngineViewJoin, EngineTwigStack, EnginePathStack:
 		v, err := buildVSQ(q, patterns, tr)
 		if err != nil {
 			return nil, err
 		}
-		p.v = v
-		p.vj, err = vjengine.Prepare(v, stores, tr)
-		if err != nil {
+		if p.plan, err = listPlan(eng, v, stores, tr); err != nil {
 			return nil, err
 		}
-		if tr != nil {
-			p.plan = tracePlan(q.p, patterns, stores, eng, v)
-		}
-	case EngineTwigStack, EnginePathStack:
-		v, err := buildVSQ(q, patterns, tr)
-		if err != nil {
-			return nil, err
-		}
-		p.v = v
-		lists, err := bindLists(v, stores, tr)
-		if err != nil {
-			return nil, err
-		}
-		if eng == EngineTwigStack {
-			p.ts = twigstack.Prepare(q.p, lists)
-		} else if p.ps, err = pathstack.Prepare(q.p, lists); err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			p.plan = tracePlan(q.p, patterns, stores, eng, v)
-		}
+		p.describe = func() *obs.Plan { return tracePlan(q.p, patterns, stores, eng, v) }
 	case EngineInterJoin:
 		if tr != nil {
 			tr.BeginPhase(obs.PhaseSegment)
@@ -172,15 +157,28 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 		if err != nil {
 			return nil, err
 		}
-		p.ij = ij
-		p.viewPos = viewPos
-		if tr != nil {
-			p.plan = interJoinPlan(q.p, patterns, stores, viewPos)
-		}
+		p.plan = ij
+		p.describe = func() *obs.Plan { return interJoinPlan(q.p, patterns, stores, viewPos) }
 	default:
 		return nil, fmt.Errorf("viewjoin: unknown engine %v", eng)
 	}
 	return p, nil
+}
+
+// listPlan prepares one of the three engines that read the views' element
+// lists through the view-segmented query.
+func listPlan(eng Engine, v *vsq.VSQ, stores []*store.ViewStore, tr obs.Tracer) (enginePlan, error) {
+	if eng == EngineViewJoin {
+		return vjengine.Prepare(v, stores, tr)
+	}
+	lists, err := bindLists(v, stores, tr)
+	if err != nil {
+		return nil, err
+	}
+	if eng == EngineTwigStack {
+		return twigstack.Prepare(v.Query, lists), nil
+	}
+	return pathstack.Prepare(v.Query, lists)
 }
 
 // Query returns the prepared query.
@@ -200,91 +198,24 @@ func (p *PreparedQuery) Epoch() uint64 { return p.epoch }
 // plus the retained plan inputs. It is an arithmetic estimate for cache
 // accounting, not a precise heap measurement.
 func (p *PreparedQuery) FootprintBytes() int64 {
-	var f int64
-	switch p.eng {
-	case EngineViewJoin:
-		f = p.vj.Footprint()
-	case EngineTwigStack:
-		f = p.ts.Footprint()
-	case EnginePathStack:
-		f = p.ps.Footprint()
-	case EngineInterJoin:
-		f = p.ij.Footprint()
-		for _, m := range p.viewPos {
-			f += 24 + int64(len(m))*8
-		}
-	}
-	// Retained plan-input references and the PreparedQuery shell itself.
-	f += int64(len(p.patterns)+len(p.stores))*8 + 256
-	return f
+	// The engine plan, one pattern and one store reference per view for the
+	// plan description, and the PreparedQuery shell itself.
+	return p.plan.Footprint() + int64(p.nviews)*16 + 256
 }
 
-// limits is the resolved pagination state of one execution: the public
-// Limit/Offset/After knobs normalized for the engine layer.
-type limits struct {
-	limit  int
-	offset int
-	after  []int32
-}
-
-// first is the engine-level output quota: the run may stop after
-// offset+limit matches (counted after the cursor filter), because the
-// requested page is fully determined by that prefix. 0 (no limit) leaves
-// the run unbounded — an offset alone must still enumerate everything
-// after the skipped prefix.
-func (l limits) first() int {
-	if l.limit <= 0 {
-		return 0
-	}
-	return l.offset + l.limit
-}
-
-// slice reduces an engine's (already bounded, cursor-filtered) document-
-// order output to the requested page.
-func (l limits) slice(ms [][]Node) [][]Node {
-	if l.offset > 0 {
-		if l.offset >= len(ms) {
-			ms = ms[:0]
-		} else {
-			ms = ms[l.offset:]
-		}
-	}
-	if l.limit > 0 && len(ms) > l.limit {
-		ms = ms[:l.limit]
-	}
-	return ms
-}
-
-// limits resolves the prepare-time Limit/Offset options.
-func (p *PreparedQuery) limits() limits {
-	return limits{limit: p.opts.Limit, offset: p.opts.Offset}
-}
-
-// Run executes the prepared plan once and returns a fresh Result. Stats
-// cover this execution only — preparation costs (for InterJoin, the view
-// stream scans) were paid at Prepare time and are not re-charged; see
-// Evaluate for the historical one-shot accounting. A context captured in
-// the prepare-time EvalOptions bounds the run; RunContext supplies a
-// per-request context instead.
-func (p *PreparedQuery) Run() (*Result, error) {
-	return p.run(p.opts.Context, p.limits(), nil, time.Now(), false, p.opts.Tracer)
-}
-
-// RunContext is Run bounded by ctx: cancellation or deadline expiry aborts
-// the engine at its next cooperative checkpoint and returns a
-// *CanceledError (no partial results, and the pooled evaluator scratch is
-// recycled normally). ctx overrides any context captured at Prepare time;
-// a nil ctx runs uninterruptible. This is the serving entry point: one
-// immutable PreparedQuery, many concurrent requests, each with its own
-// deadline.
-func (p *PreparedQuery) RunContext(ctx context.Context) (*Result, error) {
-	return p.run(ctx, p.limits(), nil, time.Now(), false, p.opts.Tracer)
-}
-
-// StreamOptions selects a page of the result for RunPage and RunStream,
-// overriding any prepare-time Limit/Offset for that one execution.
-type StreamOptions struct {
-	// Limit bounds the page to Limit matches; 0 means unbounded.
+// RunOptions selects what one execution of a prepared plan returns and how
+// it is delivered. It is resolved against the options captured at Prepare
+// time by one rule, stated here once: a nil *RunOptions takes everything —
+// Limit, Offset, Parallelism, Tracer — from Prepare; a non-nil one takes
+// Limit, Offset and After exactly as given (zero means unbounded, no skip,
+// no cursor), while a zero Parallelism and a nil Tracer inherit the
+// prepare-time values. The context is always the call's own.
+type RunOptions struct {
+	// Limit bounds the page to Limit matches; 0 means unbounded. The bound
+	// is pushed into the engines (see EvalOptions.Limit), so peak result
+	// memory is O(Limit + open enumeration windows) rather than O(total
+	// matches), and the streaming engines stop scanning as soon as the page
+	// is determined.
 	Limit int
 	// Offset skips the first Offset matches in document order (after the
 	// After cursor filter, when both are set).
@@ -296,248 +227,72 @@ type StreamOptions struct {
 	// whole enumeration windows ending before the cursor are skipped
 	// without being re-enumerated.
 	After []int32
-	// Parallelism requests a range-partitioned parallel run, as
-	// EvalOptions.Parallelism; 0 inherits the prepare-time setting.
+	// Parallelism requests a range-partitioned run across up to that many
+	// partitions, as EvalOptions.Parallelism: 1 is sequential, negative
+	// means GOMAXPROCS, 0 inherits the prepare-time setting. The Result is
+	// byte-identical to the sequential one (see Stats for how partitions
+	// fold into it); a plan that admits no cut runs as one job.
 	Parallelism int
+	// Tracer observes this single execution. Because it travels with the
+	// call rather than the plan, concurrent runs of one shared plan may
+	// each bring their own. nil inherits the prepare-time Tracer.
+	Tracer obs.Tracer
+	// Yield, when non-nil, receives each match of the selected page in
+	// document order instead of the Result, whose Matches then stays empty
+	// (Stats are reported as usual). The row slice is reused between calls
+	// — Yield must copy any bindings it keeps. Returning false stops the
+	// run early: the engines unwind at their next checkpoint and the call
+	// still returns a nil error.
+	//
+	// The streaming engines (ViewJoin, TwigStack) deliver incrementally, so
+	// the first row arrives while the scan is still in flight (see
+	// Stats.FirstMatchNanos): always when the run is one job, and under a
+	// partitioned bounded run when match order across partitions follows
+	// partition order — partition 0's rows are yielded while later
+	// partitions are still scanning. Every other shape (PathStack and
+	// InterJoin, which sort before output; partitionings that interleave
+	// across partitions; unbounded partitioned runs) cannot deliver before
+	// ordering is established: the page is evaluated first and then
+	// replayed through Yield.
+	Yield func(row []Node) bool
 }
 
-// streamLimits resolves per-call stream options against the prepare-time
-// defaults.
-func (p *PreparedQuery) streamLimits(so *StreamOptions) (limits, int) {
-	if so == nil {
-		return p.limits(), p.parallelism()
-	}
-	lim := limits{limit: so.Limit, offset: so.Offset, after: so.After}
-	k := so.Parallelism
-	if k == 0 {
-		k = p.opts.Parallelism
-	}
-	if k < 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	return lim, k
-}
-
-// RunPage executes the prepared plan once and returns the page of the
-// result selected by so: the first so.Limit matches in document order
-// after skipping so.Offset of them, resuming strictly after the so.After
-// cursor when set. The page bound is pushed into the engines (see
-// EvalOptions.Limit), so peak result memory is O(Limit + open enumeration
-// windows) rather than O(total matches), and the streaming engines stop
-// scanning as soon as the page is determined. ctx bounds the run as in
-// RunContext. Safe for concurrent use under the same conditions as Run.
-func (p *PreparedQuery) RunPage(ctx context.Context, so *StreamOptions) (*Result, error) {
-	return p.RunPageTraced(ctx, so, p.opts.Tracer)
-}
-
-// RunPageTraced is RunPage with tr observing this single execution,
-// overriding any prepare-time Tracer — the paged analogue of RunTraced,
-// and like it safe for concurrent calls on one shared plan as long as
-// every call brings its own tracer. A nil tr runs untraced.
-func (p *PreparedQuery) RunPageTraced(ctx context.Context, so *StreamOptions, tr obs.Tracer) (*Result, error) {
-	lim, k := p.streamLimits(so)
-	return p.runParallel(ctx, k, lim, time.Now(), false, tr)
-}
-
-// RunStream executes the prepared plan once, delivering each match of the
-// selected page to yield as it is produced instead of materializing the
-// result. The row slice is reused between calls — yield must copy any
-// bindings it keeps. Returning false from yield stops the run early (the
-// engines unwind at their next checkpoint and the call still returns a
-// nil error). The returned Result carries Stats only; Matches is empty.
+// Run executes the prepared plan once under the options captured at
+// Prepare time — Context, Limit/Offset, Parallelism, Tracer — and returns a
+// fresh Result. Stats cover this execution only: preparation costs (for
+// InterJoin, the view stream scans) were paid at Prepare time and are not
+// re-charged; see Evaluate for the historical one-shot accounting.
 //
-// The streaming engines (ViewJoin, TwigStack) deliver incrementally in
-// document order, so the first row arrives while the scan is still in
-// flight (see Stats.FirstMatchNanos) — sequentially, and also under a
-// partitioned bounded run when cross-job order follows job index
-// (spineOrdered): partition workers then stream into a document-order
-// merge that yields job 0's rows while later partitions are still
-// scanning. The sort-before-output engines (PathStack, InterJoin) and
-// the remaining partitioned shapes cannot deliver before ordering is
-// established; they evaluate the bounded page first and then replay it
-// through yield.
-func (p *PreparedQuery) RunStream(ctx context.Context, so *StreamOptions, yield func(row []Node) bool) (*Result, error) {
-	lim, k := p.streamLimits(so)
-	streamEng := p.eng == EngineViewJoin || p.eng == EngineTwigStack
-	if k > 1 && streamEng && lim.first() > 0 {
-		start := time.Now() // planning is part of the run, as in runParallel
-		if jobs := p.planPartitions(k); len(jobs) > 1 && p.spineOrdered() {
-			return p.runParallelStream(ctx, jobs, lim, start, yield)
-		}
-		// Unpartitionable or unordered across jobs: the parallel
-		// materialize-and-replay path below still applies the page bound.
-	}
-	if k > 1 || !streamEng {
-		res, err := p.runParallel(ctx, k, lim, time.Now(), false, p.opts.Tracer)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range res.Matches {
-			if !yield(row) {
-				break
-			}
-		}
-		res.Matches = nil
-		return res, nil
-	}
-	// True streaming: the collector hands each row to emit in document
-	// order; skip the offset prefix here (it still counts against the
-	// engine quota, which is offset+limit) and stop the run when yield
-	// declines.
-	skip := lim.offset
-	emit := func(row []Node) bool {
-		if skip > 0 {
-			skip--
-			return true
-		}
-		return yield(row)
-	}
-	return p.run(ctx, lim, emit, time.Now(), false, p.opts.Tracer)
+// Pinned: the signature is part of what benchmark/ calls and must not
+// change outside a [benchmark] PR.
+func (p *PreparedQuery) Run() (*Result, error) {
+	return p.execute(p.resolve(p.opts.Context, nil))
 }
 
 // RunTraced executes the prepared plan once with tr observing this single
-// execution, overriding any prepare-time Tracer. k > 1 requests a
-// range-partitioned parallel run across up to k workers (as RunParallel);
-// k <= 1 keeps the sequential path. Because the tracer travels with the
-// call rather than the plan, concurrent RunTraced calls on one shared
-// PreparedQuery are safe provided every call supplies its own tracer —
-// this is how a serving layer records full traces of requests running
-// cached (untraced) plans. A nil tr runs untraced, identically to
-// RunContext/RunParallel.
+// execution in place of any prepare-time Tracer (nil runs untraced) and k
+// in place of the prepare-time Parallelism (k <= 1 is sequential). It is
+// RunWith with both always overriding instead of inheriting.
+//
+// Pinned: the signature is part of what benchmark/ calls and must not
+// change outside a [benchmark] PR.
 func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr obs.Tracer) (*Result, error) {
-	return p.runParallel(ctx, k, p.limits(), time.Now(), false, tr)
+	r := p.resolve(ctx, nil)
+	r.k, r.tr = k, tr
+	return p.execute(r)
 }
 
-// pageHook adapts buffer-pool lookups into tracer page events.
-func pageHook(tr obs.Tracer) func(file uintptr, page int32, miss bool) {
-	return func(_ uintptr, _ int32, miss bool) {
-		if miss {
-			tr.Event(obs.EvPageMiss, -1, 1)
-		} else {
-			tr.Event(obs.EvPageHit, -1, 1)
-		}
-	}
-}
-
-// lazyPlan returns the obs.Plan for tracer delivery, building it on first
-// use when Prepare ran untraced. The build is pure (it only walks the
-// retained patterns, stores and segmentation), so sync.Once makes the
-// result safe to share across concurrent traced runs.
-func (p *PreparedQuery) lazyPlan() *obs.Plan {
-	p.planOnce.Do(func() {
-		if p.plan != nil {
-			return // built eagerly by a traced Prepare
-		}
-		if p.eng == EngineInterJoin {
-			p.plan = interJoinPlan(p.q.p, p.patterns, p.stores, p.viewPos)
-		} else {
-			p.plan = tracePlan(p.q.p, p.patterns, p.stores, p.eng, p.v)
-		}
-	})
-	return p.plan
-}
-
-// interruptFor builds the cooperative interrupt hook the engines poll for
-// ctx (nil runs uninterruptible); the hook wraps the context error in a
-// *CanceledError so callers see which query and engine were aborted. It is
-// polled once here so an already-expired deadline aborts before any engine
-// work, independent of the engines' check strides.
-func (p *PreparedQuery) interruptFor(ctx context.Context) (func() error, error) {
-	if ctx == nil {
-		return nil, nil
-	}
-	interrupt := contextInterrupt(ctx, p.eng, p.q.String())
-	return interrupt, interrupt()
-}
-
-// run executes the prepared plan sequentially — one job over the whole
-// document — timing from start (which a one-shot Evaluate sets before
-// preparation so Duration keeps covering the whole call). includePrep folds
-// preparation-time counters into the Stats. tr observes this execution only
-// — the Run/RunContext entry points pass the prepare-time Tracer, RunTraced
-// a per-call one.
-func (p *PreparedQuery) run(ctx context.Context, lim limits, emit func(row []Node) bool,
-	start time.Time, includePrep bool, tr obs.Tracer) (*Result, error) {
-	interrupt, err := p.interruptFor(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		if pl := p.lazyPlan(); pl != nil {
-			tr.Plan(pl)
-		}
-		tr.BeginPhase(obs.PhaseEvaluate)
-	}
-	out := p.runJob(nil, interrupt, lim, emit, tr)
-	if tr != nil {
-		tr.EndPhase(obs.PhaseEvaluate)
-	}
-	return p.buildResult([]jobOut{out}, lim, includePrep, start, tr)
-}
-
-// buildResult assembles the public Result of a run from its jobs' outcomes
-// (one for a sequential run): counters summed, PeakMemoryBytes the largest
-// single job's peak, first match the earliest, and Matches the jobs' rows —
-// already label-native and in document order — merged and cut to the page.
-// That assembly is all the output phase still does: the rows themselves
-// were written during enumeration.
-func (p *PreparedQuery) buildResult(outs []jobOut, lim limits, includePrep bool, start time.Time, tr obs.Tracer) (*Result, error) {
-	var (
-		c          counters.Counters
-		peak       int64
-		executed   int
-		firstNanos int64
-		firstMatch time.Time
-	)
-	if includePrep {
-		c.Add(p.prepC)
-	}
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, outs[i].err
-		}
-		if outs[i].skipped {
-			continue
-		}
-		executed++
-		c.Add(outs[i].c)
-		peak = max(peak, outs[i].peak)
-		if t := outs[i].first; !t.IsZero() && (firstMatch.IsZero() || t.Before(firstMatch)) {
-			firstMatch = t
-		}
-	}
-	if !firstMatch.IsZero() {
-		firstNanos = firstMatch.Sub(start).Nanoseconds()
-	}
-	if tr != nil {
-		tr.BeginPhase(obs.PhaseOutput)
-	}
-	rows := lim.slice(mergeJobRows(outs))
-	if tr != nil {
-		tr.EndPhase(obs.PhaseOutput)
-	}
-	res := &Result{
-		Matches: rows,
-		Stats: Stats{
-			ElementsScanned: c.ElementsScanned,
-			Comparisons:     c.Comparisons,
-			PointerDerefs:   c.PointerDerefs,
-			PagesRead:       c.PagesRead,
-			PagesWritten:    c.PagesWritten,
-			PageHits:        c.PageHits,
-			JumpsTaken:      c.JumpsTaken,
-			JumpsRefused:    c.JumpsRefused,
-			PeakMemoryBytes: peak,
-			Duration:        time.Since(start),
-			FirstMatchNanos: firstNanos,
-			Partitions:      executed,
-		},
-	}
-	if rec, ok := tr.(*obs.Recorder); ok {
-		res.Trace = rec.Report(c, time.Since(start))
-		res.Trace.FirstMatchNanos = firstNanos
-	}
-	return res, nil
+// RunWith executes the prepared plan once bounded by ctx and shaped by ro
+// (see RunOptions for how ro combines with the prepare-time options).
+// Cancellation or deadline expiry aborts the engine at its next cooperative
+// checkpoint and returns a *CanceledError — no partial results, and the
+// pooled evaluator scratch is recycled normally; a nil ctx runs
+// uninterruptible. This is the serving entry point: one immutable
+// PreparedQuery, many concurrent requests, each with its own deadline,
+// page, parallelism, tracer and sink. Safe for concurrent use provided no
+// two concurrent runs share a Tracer.
+func (p *PreparedQuery) RunWith(ctx context.Context, ro *RunOptions) (*Result, error) {
+	return p.execute(p.resolve(ctx, ro))
 }
 
 // BatchResult is the outcome of one query in an EvaluateBatch call.
@@ -553,40 +308,20 @@ type BatchResult struct {
 // calls are safe as long as every query was prepared with a nil Tracer.
 func EvaluateBatch(queries []*PreparedQuery, parallel int) []BatchResult {
 	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(queries) {
-		parallel = len(queries)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				r, err := queries[i].Run()
-				out[i] = BatchResult{Result: r, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(len(queries), parallel, func(i int) {
+		out[i].Result, out[i].Err = queries[i].Run()
+	})
 	return out
 }
 
-// parallelFor runs work(0..n-1) across a worker pool bounded by GOMAXPROCS
-// (sequentially for n <= 1). Workers pull indices from a shared counter,
-// so output determinism is the caller's: write only to slot i.
-func parallelFor(n int, work func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
+// parallelFor runs work(0..n-1) across at most workers goroutines (<= 0
+// means GOMAXPROCS), inline when one suffices. Workers pull indices from a
+// shared counter, so output determinism is the caller's: write only to
+// slot i.
+func parallelFor(n, workers int, work func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}

@@ -369,8 +369,8 @@ func TestResultRowsDoNotAlias(t *testing.T) {
 			run  func() (*Result, error)
 		}{
 			{"Run", p.Run},
-			{"RunPage", func() (*Result, error) { return p.RunPage(nil, &StreamOptions{Limit: 20, Offset: 3}) }},
-			{"RunParallel", func() (*Result, error) { return p.RunParallel(nil, 4) }},
+			{"paged", func() (*Result, error) { return p.RunWith(nil, &RunOptions{Limit: 20, Offset: 3}) }},
+			{"partitioned", func() (*Result, error) { return p.RunWith(nil, &RunOptions{Parallelism: 4}) }},
 		} {
 			res, err := mode.run()
 			if err != nil {

@@ -2,13 +2,12 @@
 # bench.sh — snapshot the full experimental evaluation into a JSON manifest.
 #
 # Usage:
-#   scripts/bench.sh              # writes BENCH_1.json in the repo root
 #   scripts/bench.sh out.json     # writes to the given file
 #
 # The manifest (schema viewjoin/bench/v1) records the git SHA, toolchain,
 # effective config, per-experiment wall times, and one Row per measurement,
-# so successive PRs can diff counters and timings against the committed
-# baseline. Counters are deterministic; times are not — compare shapes.
+# so a PR can diff counters and timings against the committed baseline,
+# BENCH_7.json. Counters are deterministic; times are not — compare shapes.
 #
 # A serving-latency manifest (schema viewjoin/load/v1, from cmd/vjload
 # driving the full vjserve handler stack in-process) is written alongside
@@ -16,7 +15,11 @@
 # diff with scripts/benchcmp.sh, which detects the schema.
 set -eu
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_1.json}"
+if [ $# -ne 1 ]; then
+	echo "usage: scripts/bench.sh out.json" >&2
+	exit 2
+fi
+out="$1"
 # Smoke-run the Go benchmarks first (a single iteration each) so a broken
 # benchmark fails here, cheaply, instead of poisoning a long timing run.
 # VJBENCH_SKIP_SMOKE=1 skips it.

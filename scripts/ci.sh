@@ -42,14 +42,6 @@
 #   5c. vjload density smoke: a 1s multi-tenant run under a tight
 #      -max-resident-bytes cap; the warm/cold tiering must serve every
 #      request without errors
-#   6. bench gate: a fresh manifest via scripts/bench.sh compared against
-#      the committed BENCH_7.json baseline with scripts/benchcmp.sh
-#      (>10% wall-time or allocs regression fails; VJCI_SKIP_BENCH=1 skips
-#      the gate on machines where timings are meaningless, e.g. shared
-#      runners). The serving-latency manifest bench.sh writes alongside is
-#      gated against BENCH_7.load.json with a wider threshold
-#      (VJBENCHCMP_LOAD_THRESHOLD, default 0.50) — cross-machine latency
-#      quantiles are far noisier than single-process wall times.
 #
 # Environment:
 #   VJCI_FUZZTIME        per-target fuzz budget (default 10s)
@@ -58,9 +50,6 @@
 #   VJCI_SERVER_COV      minimum internal/server coverage %% (default 80)
 #   VJCI_ENUM_COV        minimum internal/engine/enum coverage %% (default 85)
 #   VJCI_MAINTAIN_COV    minimum internal/maintain coverage %% (default 85)
-#   VJCI_SKIP_BENCH=1    skip the bench and load regression gates
-#   VJBENCHCMP_THRESHOLD regression threshold for the bench gate (default 0.10)
-#   VJBENCHCMP_LOAD_THRESHOLD  threshold for the load gate (default 0.50)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -175,18 +164,5 @@ if ! grep -q '"errors": 0' "$denstmp"; then
 	exit 1
 fi
 rm -f "$denstmp"
-
-if [ -n "${VJCI_SKIP_BENCH:-}" ]; then
-	echo "== bench gate: skipped (VJCI_SKIP_BENCH)"
-else
-	echo "== bench gate: fresh manifest vs BENCH_7.json"
-	tmp="$(mktemp -t vjci-bench-XXXXXX.json)"
-	trap 'rm -f "$tmp" "${tmp%.json}.load.json"' EXIT
-	VJBENCH_SKIP_SMOKE=1 scripts/bench.sh "$tmp"
-	scripts/benchcmp.sh BENCH_7.json "$tmp"
-	echo "== load gate: fresh serving-latency manifest vs BENCH_7.load.json"
-	VJBENCHCMP_THRESHOLD="${VJBENCHCMP_LOAD_THRESHOLD:-0.50}" \
-		scripts/benchcmp.sh BENCH_7.load.json "${tmp%.json}.load.json"
-fi
 
 echo "== ci: OK"

@@ -29,22 +29,22 @@ func soakKs() []int {
 func checkParallelEquivalence(t *testing.T, label string, p *PreparedQuery, seq *Result) {
 	t.Helper()
 	for _, k := range soakKs() {
-		par, err := p.RunParallel(context.Background(), k)
+		par, err := p.RunWith(context.Background(), &RunOptions{Parallelism: k})
 		if err != nil {
-			t.Fatalf("%s: RunParallel(K=%d): %v", label, k, err)
+			t.Fatalf("%s: Parallelism %d: %v", label, k, err)
 		}
 		if !identicalMatches(par, seq) {
-			t.Fatalf("%s: RunParallel(K=%d) diverges from Run: %d vs %d matches",
+			t.Fatalf("%s: Parallelism %d diverges from Run: %d vs %d matches",
 				label, k, len(par.Matches), len(seq.Matches))
 		}
 		if par.Stats.Partitions < 1 {
-			t.Fatalf("%s: RunParallel(K=%d) reported %d partitions", label, k, par.Stats.Partitions)
+			t.Fatalf("%s: Parallelism %d reported %d partitions", label, k, par.Stats.Partitions)
 		}
 	}
 }
 
-// checkPagedEquivalence asserts the bounded entry points (RunPage and
-// RunStream, sequential and partitioned) reproduce document-order slices
+// checkPagedEquivalence asserts bounded runs (materialized and yielded,
+// sequential and partitioned) reproduce document-order slices
 // of the sequential result under every K in the soak grid: a leading
 // page, an interior page, and a page straddling the end of the result.
 func checkPagedEquivalence(t *testing.T, label string, p *PreparedQuery, seq *Result) {
@@ -79,7 +79,7 @@ func soakCases() []soakCase {
 
 // TestParallelWorkloadEquivalence is the workload half of the metamorphic
 // soak: every §VI benchmark query on xmark and nasa, on all four engines,
-// must produce byte-identical results from RunParallel and sequential Run
+// must produce byte-identical results from partitioned and sequential runs
 // for K ∈ {1, 2, 3, NumCPU} — and the sequential result must agree with
 // the brute-force oracle, anchoring both sides of the equivalence.
 func TestParallelWorkloadEquivalence(t *testing.T) {

@@ -84,7 +84,7 @@ func requireStoreEquality(t *testing.T, label string, maintained []*Materialized
 //     materialized from the updated document (the §IV splice invariant),
 //   - every applicable engine to agree exactly with the brute-force
 //     oracle over the updated document, sequentially, range-partitioned
-//     (K ∈ {2, 4}), and through the bounded RunPage/RunStream arms.
+//     (K ∈ {2, 4}), and through the bounded materialized and yielded arms.
 //
 // Any divergence is a bug in the region-local maintenance or an engine's
 // handling of a maintained store. The corpus under
@@ -159,7 +159,7 @@ func FuzzUpdateDifferential(f *testing.F) {
 					t.Fatalf("%s: %d matches, oracle %d", label, len(res.Matches), len(want.Matches))
 				}
 				for _, k := range []int{2, 4} {
-					pres, err := p.RunParallel(context.Background(), k)
+					pres, err := p.RunWith(context.Background(), &RunOptions{Parallelism: k})
 					if err != nil {
 						t.Fatalf("%s k=%d: %v", label, k, err)
 					}

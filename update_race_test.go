@@ -66,7 +66,7 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 					t.Errorf("reader run: %v", err)
 					return
 				}
-				par, err := p.RunParallel(context.Background(), 3)
+				par, err := p.RunWith(context.Background(), &RunOptions{Parallelism: 3})
 				if err != nil {
 					t.Errorf("reader parallel: %v", err)
 					return
@@ -77,10 +77,10 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 					return
 				}
 				streamed := 0
-				if _, err := p.RunStream(context.Background(), &StreamOptions{}, func([]Node) bool {
+				if _, err := p.RunWith(context.Background(), &RunOptions{Yield: func([]Node) bool {
 					streamed++
 					return true
-				}); err != nil {
+				}}); err != nil {
 					t.Errorf("reader stream: %v", err)
 					return
 				}

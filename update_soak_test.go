@@ -248,7 +248,7 @@ func TestPaginationAcrossEpoch(t *testing.T) {
 		t.Skipf("document too small for pagination: %d matches", len(full.Matches))
 	}
 
-	page1, err := p0.RunPage(context.Background(), &StreamOptions{Limit: 2})
+	page1, err := p0.RunWith(context.Background(), &RunOptions{Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestPaginationAcrossEpoch(t *testing.T) {
 	maintainAll(t, "pagination", mv, au)
 
 	// Resuming on the pre-update plan stays consistent with its snapshot.
-	page2, err := p0.RunPage(context.Background(), &StreamOptions{Limit: 2, After: cursor})
+	page2, err := p0.RunWith(context.Background(), &RunOptions{Limit: 2, After: cursor})
 	if err != nil {
 		t.Fatalf("resume on pinned plan: %v", err)
 	}

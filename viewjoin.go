@@ -293,7 +293,7 @@ func (d *Document) MaterializeViews(views []*Query, scheme StorageScheme) ([]*Ma
 	snap := d.snap()
 	out := make([]*MaterializedView, len(views))
 	errs := make([]error, len(views))
-	parallelFor(len(views), func(i int) {
+	parallelFor(len(views), 0, func(i int) {
 		mv, err := d.materializeViewAt(snap, views[i], scheme, nil)
 		if err != nil {
 			errs[i] = fmt.Errorf("view %s: %w", views[i], err)
@@ -406,7 +406,7 @@ type EvalOptions struct {
 	// call returns a *CanceledError wrapping the context's error. No partial
 	// results are returned. nil keeps evaluation uninterruptible at zero
 	// hot-path cost. For a PreparedQuery shared across requests, prefer
-	// PreparedQuery.RunContext over capturing a per-request context here.
+	// PreparedQuery.RunWith over capturing a per-request context here.
 	Context context.Context
 	// DiskBased selects the disk-based output approach (§IV): intermediate
 	// solutions are spooled through scratch pages, trading I/O for memory.
@@ -427,9 +427,8 @@ type EvalOptions struct {
 	// document is split into up to Parallelism chunks at top-level subtree
 	// boundaries and evaluated by a bounded worker group, with outputs
 	// merged in document order — identical to the sequential result. 0 and
-	// 1 evaluate sequentially; negative means GOMAXPROCS. See
-	// PreparedQuery.RunParallel for the partitioning rules and their
-	// effect on Stats.
+	// 1 evaluate sequentially; negative means GOMAXPROCS. See Stats for
+	// how partitions fold into it.
 	Parallelism int
 	// IOLatency, when positive, charges every simulated buffer-pool page
 	// miss as real wall time: the evaluating goroutine stalls for this
@@ -449,7 +448,7 @@ type EvalOptions struct {
 	Limit int
 	// Offset skips the first Offset matches (applied before Limit, as in
 	// SQL LIMIT/OFFSET). Prefer cursor-based pagination
-	// (PreparedQuery.RunPage with StreamOptions.After) for deep paging:
+	// (PreparedQuery.RunWith with RunOptions.After) for deep paging:
 	// an offset still enumerates the skipped prefix, a cursor seeks past
 	// it.
 	Offset int
@@ -528,7 +527,9 @@ func Evaluate(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opt
 	if err != nil {
 		return nil, err
 	}
-	return p.runParallel(p.opts.Context, p.parallelism(), p.limits(), start, true, p.opts.Tracer)
+	r := p.resolve(p.opts.Context, nil)
+	r.start, r.includePrep = start, true
+	return p.execute(r)
 }
 
 // CanceledError reports an evaluation aborted by its context (cancellation
