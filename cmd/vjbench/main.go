@@ -8,7 +8,6 @@
 //	vjbench -exp all                 # run the whole evaluation
 //	vjbench -exp fig5a               # one experiment (see -list)
 //	vjbench -exp fig7 -xmark-scale 2 # bigger documents
-//	vjbench -json out.json           # also write a machine-readable manifest
 //	vjbench -list                    # list experiment names
 //
 // Profiling:
@@ -19,70 +18,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"viewjoin/internal/experiments"
 )
-
-// manifestSchema identifies the JSON layout written by -json. Bump only on
-// incompatible changes; consumers (scripts/bench.sh, BENCH_*.json diffs)
-// key on it.
-const manifestSchema = "viewjoin/bench/v1"
-
-// manifest is the -json run report: enough provenance to compare two runs
-// (git SHA, toolchain, config) plus every measurement the experiments
-// emitted and the wall time each experiment took.
-type manifest struct {
-	Schema      string            `json:"schema"`
-	GitSHA      string            `json:"gitSHA"`
-	GoVersion   string            `json:"goVersion"`
-	GOOS        string            `json:"goos"`
-	GOARCH      string            `json:"goarch"`
-	StartedAt   string            `json:"startedAt"`
-	Config      manifestConfig    `json:"config"`
-	Experiments []experimentEntry `json:"experiments"`
-	Rows        []experiments.Row `json:"rows"`
-}
-
-type manifestConfig struct {
-	XMarkScale      float64 `json:"xmarkScale"`
-	NasaDatasets    int     `json:"nasaDatasets"`
-	Repeats         int     `json:"repeats"`
-	BufferPoolPages int     `json:"bufferPoolPages"`
-	IOCostPerPage   string  `json:"ioCostPerPage"`
-	Parallel        int     `json:"parallel"`
-	Shards          int     `json:"shards"`
-}
-
-type experimentEntry struct {
-	Name      string `json:"name"`
-	Title     string `json:"title"`
-	WallNanos int64  `json:"wallNanos"`
-	// Allocs is the number of heap allocations the experiment performed
-	// (runtime mallocs delta across the run). vjbenchcmp gates on it
-	// alongside wall time; absent/zero in pre-v1-allocs manifests.
-	Allocs uint64 `json:"allocs,omitempty"`
-}
-
-// gitSHA resolves the commit the binary is benchmarking, or "unknown"
-// outside a git checkout.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
 
 func main() {
 	var (
@@ -93,9 +39,7 @@ func main() {
 		repeats  = flag.Int("repeats", 0, "timed runs per measurement (default 5)")
 		pool     = flag.Int("pool", 0, "buffer pool pages (default 64)")
 		ioCost   = flag.Duration("io-cost", 0, "simulated cost per page miss (default 3µs)")
-		parallel = flag.Int("parallel", 0, "batch-evaluation workers in the prepared experiment (default GOMAXPROCS)")
 		shards   = flag.Int("shards", 0, "intra-query partitions in the shards experiment (default 4)")
-		jsonOut  = flag.String("json", "", "write a machine-readable run manifest to this file")
 		pprofSrv = flag.String("pprof", "", "serve net/http/pprof on this address while running (e.g. localhost:6060)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -136,23 +80,8 @@ func main() {
 		Repeats:         *repeats,
 		BufferPoolPages: *pool,
 		IOCostPerPage:   *ioCost,
-		Parallel:        *parallel,
 		Shards:          *shards,
 		Out:             os.Stdout,
-	}
-
-	var m *manifest
-	if *jsonOut != "" {
-		m = &manifest{
-			Schema:    manifestSchema,
-			GitSHA:    gitSHA(),
-			GoVersion: runtime.Version(),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			StartedAt: time.Now().UTC().Format(time.RFC3339),
-			Rows:      []experiments.Row{},
-		}
-		cfg.Emit = func(r experiments.Row) { m.Rows = append(m.Rows, r) }
 	}
 
 	// fail finishes profiles before exiting so a crashed run still leaves
@@ -167,21 +96,11 @@ func main() {
 
 	run := func(e experiments.Experiment) {
 		fmt.Printf("=== %s: %s\n", e.Name, e.Title)
-		var msBefore, msAfter runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
 		start := time.Now()
 		if err := e.Run(cfg); err != nil {
 			fail(1, "vjbench: %s: %v\n", e.Name, err)
 		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&msAfter)
-		if m != nil {
-			m.Experiments = append(m.Experiments, experimentEntry{
-				Name: e.Name, Title: e.Title, WallNanos: int64(wall),
-				Allocs: msAfter.Mallocs - msBefore.Mallocs,
-			})
-		}
-		fmt.Printf("=== %s done in %v\n\n", e.Name, wall.Round(time.Millisecond))
+		fmt.Printf("=== %s done in %v\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *exp == "all" {
@@ -196,50 +115,6 @@ func main() {
 		run(e)
 	}
 
-	if m != nil {
-		// Record the effective (defaulted) configuration, not the zeroes
-		// the flags left behind.
-		eff := cfg
-		if eff.XMarkScale <= 0 {
-			eff.XMarkScale = 1.0
-		}
-		if eff.NasaDatasets <= 0 {
-			eff.NasaDatasets = 4000
-		}
-		if eff.Repeats <= 0 {
-			eff.Repeats = 5
-		}
-		if eff.IOCostPerPage <= 0 {
-			eff.IOCostPerPage = 3 * time.Microsecond
-		}
-		if eff.BufferPoolPages == 0 {
-			eff.BufferPoolPages = 64
-		}
-		if eff.Parallel <= 0 {
-			eff.Parallel = runtime.GOMAXPROCS(0)
-		}
-		if eff.Shards <= 0 {
-			eff.Shards = 4
-		}
-		m.Config = manifestConfig{
-			XMarkScale:      eff.XMarkScale,
-			NasaDatasets:    eff.NasaDatasets,
-			Repeats:         eff.Repeats,
-			BufferPoolPages: eff.BufferPoolPages,
-			IOCostPerPage:   eff.IOCostPerPage.String(),
-			Parallel:        eff.Parallel,
-			Shards:          eff.Shards,
-		}
-		buf, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			fail(1, "vjbench: encoding manifest: %v\n", err)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*jsonOut, buf, 0o644); err != nil {
-			fail(1, "vjbench: %v\n", err)
-		}
-		fmt.Fprintf(os.Stderr, "vjbench: wrote %s (%d rows)\n", *jsonOut, len(m.Rows))
-	}
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
 		if err != nil {

@@ -32,7 +32,7 @@
 //
 // The -json manifest (schema viewjoin/load/v1) reports offered and
 // achieved QPS, outcome counts, and latency quantiles (p50/p95/p99/p999)
-// overall and per query class; cmd/vjbenchcmp diffs two such manifests.
+// overall and per query class.
 package main
 
 import (

@@ -19,8 +19,9 @@
 //
 // Endpoints:
 //
-//	POST /query          {"document","query","engine","views","timeout_ms","limit","parallel"}
-//	POST /debug/trace    same body; returns the viewjoin/trace/v1 report inline
+//	POST /query          {"tenant","document","query","engine","views","timeout_ms","limit","cursor","parallel"}
+//	POST /update         {"tenant","document","op","target","fragment"}; maintains every view, bumps the epoch
+//	POST /debug/trace    same body as /query; returns the viewjoin/trace/v1 report inline
 //	GET  /debug/slowlog  flight recorder: N slowest + N most recent requests with full traces
 //	GET  /debug/plans    per-plan aggregates of every cached plan (viewjoin/plans/v1)
 //	GET  /metrics        plan-cache and request counters, latency quantiles, per-plan table

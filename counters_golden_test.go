@@ -35,22 +35,35 @@ type goldenRow struct {
 }
 
 // goldenRows evaluates every catalogue query of internal/workload — the 22
-// named queries and the eight Table III interleaving cases — under each
-// engine/scheme pair at XMark 0.25 / Nasa 1000, with the default pool and
-// with caching off, whole-document and as a three-way partitioned run.
+// named queries and the eight Table III interleaving cases — at XMark 0.25
+// / Nasa 1000. The grid is every engine/scheme pair of the paper's Fig 5
+// under the default pool and with caching off, whole-document and as a
+// three-way partitioned run; its IJ+T rows are Run's per-execution costs,
+// the tuple streams having been scanned once at Prepare. After the grid,
+// each query gets the single-dimension variants, all under the default
+// pool and whole-document:
+//
+//	IJ+T/…/whole+prepare    the one-shot Evaluate, preparation scans folded
+//	                        in — the figure the paper's IJ bars correspond to
+//	VJ+LE, TS+E/…/disk      EvalOptions.DiskBased (Table V)
+//	VJ+LE/…/unguarded       EvalOptions.UnguardedJumps, Nasa only: XMark's
+//	                        element types nest, where the paper-literal jump
+//	                        is unsound
+//	TS, PS/…/raw            EvaluateWithoutViews, once per named query
 func goldenRows(t *testing.T) []goldenRow {
 	t.Helper()
 	type query struct {
 		name    string
 		pattern *tpq.Pattern
 		views   []*tpq.Pattern
+		named   bool
 	}
 	var queries []query
 	for _, wq := range workload.All() {
-		queries = append(queries, query{wq.Name, wq.Pattern, wq.Views})
+		queries = append(queries, query{wq.Name, wq.Pattern, wq.Views, true})
 	}
 	for _, c := range workload.TableIII() {
-		queries = append(queries, query{c.Name, c.Query, c.Views})
+		queries = append(queries, query{c.Name, c.Query, c.Views, false})
 	}
 	sort.Slice(queries, func(i, j int) bool { return queries[i].name < queries[j].name })
 
@@ -66,6 +79,8 @@ func goldenRows(t *testing.T) []goldenRow {
 		{"TS+E", viewjoin.EngineTwigStack, viewjoin.SchemeElement, false},
 		{"TS+LEp", viewjoin.EngineTwigStack, viewjoin.SchemeLEp, false},
 		{"PS+E", viewjoin.EnginePathStack, viewjoin.SchemeElement, true},
+		{"TS+LE", viewjoin.EngineTwigStack, viewjoin.SchemeLE, false},
+		{"IJ+T", viewjoin.EngineInterJoin, viewjoin.SchemeTuple, true},
 	}
 	xmark, nasa := viewjoin.GenerateXMark(0.25), viewjoin.GenerateNasa(1000)
 
@@ -76,47 +91,75 @@ func goldenRows(t *testing.T) []goldenRow {
 			doc = xmark
 		}
 		q := viewjoin.MustParseQuery(wq.pattern.String())
-		vs := make([]*viewjoin.Query, len(wq.views))
-		for i, p := range wq.views {
-			vs[i] = viewjoin.MustParseQuery(p.String())
-		}
+		vs := viewQueries(wq.views)
 		mats := map[viewjoin.StorageScheme][]*viewjoin.MaterializedView{}
+		views := func(s viewjoin.StorageScheme) []*viewjoin.MaterializedView {
+			if mats[s] == nil {
+				mv, err := doc.MaterializeViews(vs, s)
+				if err != nil {
+					t.Fatalf("%s %s: %v", wq.name, s, err)
+				}
+				mats[s] = mv
+			}
+			return mats[s]
+		}
+		add := func(key string, res *viewjoin.Result, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			rows = append(rows, goldenRowOf(key, res))
+		}
 		for _, c := range combos {
 			if c.pathOnly && !q.IsPath() {
 				continue
-			}
-			mv := mats[c.scheme]
-			if mv == nil {
-				var err error
-				if mv, err = doc.MaterializeViews(vs, c.scheme); err != nil {
-					t.Fatalf("%s %s: %v", wq.name, c.name, err)
-				}
-				mats[c.scheme] = mv
 			}
 			for _, pool := range []struct {
 				name  string
 				pages int
 			}{{"pool=default", 0}, {"pool=off", -1}} {
-				p, err := viewjoin.Prepare(doc, q, mv, c.engine, &viewjoin.EvalOptions{BufferPoolPages: pool.pages})
+				key := wq.name + "/" + c.name + "/" + pool.name
+				p, err := viewjoin.Prepare(doc, q, views(c.scheme), c.engine, &viewjoin.EvalOptions{BufferPoolPages: pool.pages})
 				if err != nil {
-					t.Fatalf("%s %s: %v", wq.name, c.name, err)
+					t.Fatalf("%s: %v", key, err)
 				}
-				for _, mode := range []string{"whole", "parallel=3"} {
-					var res *viewjoin.Result
-					if mode == "whole" {
-						res, err = p.Run()
-					} else {
-						res, err = p.RunWith(context.Background(), &viewjoin.RunOptions{Parallelism: 3})
-					}
-					if err != nil {
-						t.Fatalf("%s %s %s %s: %v", wq.name, c.name, pool.name, mode, err)
-					}
-					rows = append(rows, goldenRowOf(wq.name+"/"+c.name+"/"+pool.name+"/"+mode, res))
-				}
+				res, err := p.Run()
+				add(key+"/whole", res, err)
+				res, err = p.RunWith(context.Background(), &viewjoin.RunOptions{Parallelism: 3})
+				add(key+"/parallel=3", res, err)
+			}
+		}
+
+		evaluate := func(key string, e viewjoin.Engine, s viewjoin.StorageScheme, opts *viewjoin.EvalOptions) {
+			res, err := viewjoin.Evaluate(doc, q, views(s), e, opts)
+			add(wq.name+"/"+key, res, err)
+		}
+		if q.IsPath() {
+			evaluate("IJ+T/pool=default/whole+prepare", viewjoin.EngineInterJoin, viewjoin.SchemeTuple, nil)
+		}
+		evaluate("VJ+LE/pool=default/disk", viewjoin.EngineViewJoin, viewjoin.SchemeLE, &viewjoin.EvalOptions{DiskBased: true})
+		evaluate("TS+E/pool=default/disk", viewjoin.EngineTwigStack, viewjoin.SchemeElement, &viewjoin.EvalOptions{DiskBased: true})
+		if doc == nasa {
+			evaluate("VJ+LE/pool=default/unguarded", viewjoin.EngineViewJoin, viewjoin.SchemeLE, &viewjoin.EvalOptions{UnguardedJumps: true})
+		}
+		if wq.named {
+			res, err := viewjoin.EvaluateWithoutViews(doc, q, viewjoin.EngineTwigStack, nil)
+			add(wq.name+"/TS/pool=default/raw", res, err)
+			if q.IsPath() {
+				res, err = viewjoin.EvaluateWithoutViews(doc, q, viewjoin.EnginePathStack, nil)
+				add(wq.name+"/PS/pool=default/raw", res, err)
 			}
 		}
 	}
 	return rows
+}
+
+// viewQueries lifts a catalogue entry's view patterns to the public type.
+func viewQueries(views []*tpq.Pattern) []*viewjoin.Query {
+	vs := make([]*viewjoin.Query, len(views))
+	for i, p := range views {
+		vs[i] = viewjoin.MustParseQuery(p.String())
+	}
+	return vs
 }
 
 // goldenRowOf is the row a materialized run's Result pins under key.

@@ -64,12 +64,6 @@ func ablationGuards(cfg Config) error {
 			return fmt.Errorf("ablation: %s: unguarded run lost matches (%d vs %d) — dataset unexpectedly nests",
 				query.Name, unguarded.Matches, guarded.Matches)
 		}
-		rg := rowFor("ablation", "nasa", query.Name, c.String(), guarded)
-		rg.Variant = "guarded"
-		cfg.emit(rg)
-		ru := rowFor("ablation", "nasa", query.Name, c.String(), unguarded)
-		ru.Variant = "unguarded"
-		cfg.emit(ru)
 		fmt.Fprintf(w, "%-6s %12s %12s %10d %10d %10d\n", query.Name,
 			fmtDur(guarded.Time), fmtDur(unguarded.Time),
 			guarded.Stats.ElementsScanned, unguarded.Stats.ElementsScanned, guarded.Matches)
@@ -117,18 +111,6 @@ func ablationThreshold(cfg Config) error {
 		} else if k == 1<<20 {
 			label = "inf(~E)"
 		}
-		cfg.emit(Row{
-			Experiment: "ablation",
-			Dataset:    "nasa",
-			Query:      query.Name,
-			Combo:      "VJ+LE",
-			Variant:    "threshold",
-			Series:     "k=" + label,
-			Scanned:    c.ElementsScanned,
-			Derefs:     c.PointerDerefs,
-			SizeBytes:  bytes,
-			Pointers:   ptrs,
-		})
 		fmt.Fprintf(w, "%-6s %12d %12d %12d %12d\n", label, ptrs, bytes, c.ElementsScanned, c.PointerDerefs)
 	}
 	fmt.Fprintln(w, "note: on non-recursive data every skippable following pointer is distance 1,")
@@ -176,16 +158,6 @@ func ablationPool(cfg Config) error {
 		for _, mv := range mviews {
 			records += int64(mv.NumEntries()) * 12
 		}
-		cfg.emit(Row{
-			Experiment: "ablation",
-			Dataset:    "xmark",
-			Query:      query.Name,
-			Combo:      "TS+E",
-			Variant:    "pagesize",
-			Series:     fmt.Sprintf("page=%d", pageSize),
-			PagesRead:  res.Stats.PagesRead,
-			SizeBytes:  bytes,
-		})
 		fmt.Fprintf(w, "%-8d %12d %12d %11.1f%%\n", pageSize, bytes, res.Stats.PagesRead,
 			100*float64(bytes-records)/float64(bytes))
 	}

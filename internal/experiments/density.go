@@ -190,18 +190,6 @@ func Density(cfg Config) error {
 		n := time.Duration(2 * rounds)
 		fmt.Fprintf(w, "%-8s %10s %12s %12s %10d\n", tenants[i].name,
 			fmtMB(tenants[i].bytes), fmtDur(cappedTime[i]/n), fmtDur(residentTime[i]/n), matches[i])
-		cfg.emit(Row{
-			Experiment: "density", Dataset: fmt.Sprintf("nasa-%s", tenants[i].name),
-			Query: "Nd", Combo: "VJ+LE", Variant: "capped",
-			TimeNanos: int64(cappedTime[i] / n), Matches: matches[i],
-			SizeBytes: tenants[i].bytes,
-		})
-		cfg.emit(Row{
-			Experiment: "density", Dataset: fmt.Sprintf("nasa-%s", tenants[i].name),
-			Query: "Nd", Combo: "VJ+LE", Variant: "resident",
-			TimeNanos: int64(residentTime[i] / n), Matches: matches[i],
-			SizeBytes: tenants[i].bytes,
-		})
 	}
 
 	// The capped server must actually have tiered: cold serves, promotions

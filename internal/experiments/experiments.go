@@ -25,7 +25,7 @@ type Config struct {
 	// Nasa analog, ~110k elements).
 	NasaDatasets int
 	// Repeats is the number of timed runs averaged per measurement; the
-	// paper used five (default 3).
+	// paper used five (default 5).
 	Repeats int
 	// BufferPoolPages is the simulated buffer pool size (default 64).
 	BufferPoolPages int
@@ -36,90 +36,9 @@ type Config struct {
 	IOCostPerPage time.Duration
 	// Out receives the experiment's table; defaults to io.Discard.
 	Out io.Writer
-	// Parallel bounds the worker pool of the prepared experiment's batch
-	// variant (vjbench -parallel); 0 means GOMAXPROCS.
-	Parallel int
 	// Shards is the intra-query partition count the shards experiment
 	// compares against sequential evaluation (vjbench -shards; default 4).
 	Shards int
-	// Emit, when non-nil, receives one structured Row per measurement the
-	// experiment prints, so a machine-readable manifest can be produced
-	// alongside the text tables (vjbench -json).
-	Emit func(Row)
-}
-
-// Row is one measurement in machine-readable form: the cell of a table or
-// the point of a figure, identified by experiment/query/combo and carrying
-// the deterministic counters next to the (noisy) times. Fields that do not
-// apply to a given experiment are zero.
-type Row struct {
-	// Experiment is the experiment name ("fig5a", "table4", ...).
-	Experiment string `json:"experiment"`
-	// Dataset names the document ("xmark", "nasa"), with the size suffix
-	// the experiment used (e.g. "xmark-x3" in scalability sweeps).
-	Dataset string `json:"dataset,omitempty"`
-	// Query is the workload query name (Q1, N3, Np, ...).
-	Query string `json:"query,omitempty"`
-	// Combo is the engine+scheme label ("VJ+LEp", "IJ+T", ...).
-	Combo string `json:"combo,omitempty"`
-	// Variant distinguishes sub-cases of one combo ("disk", "raw",
-	// "unguarded", "cost-based", ...).
-	Variant string `json:"variant,omitempty"`
-	// Series is the x-coordinate in sweeps ("x3", "k=1", "page=512", ...).
-	Series string `json:"series,omitempty"`
-
-	TimeNanos int64 `json:"timeNanos,omitempty"`
-	IONanos   int64 `json:"ioNanos,omitempty"`
-	Matches   int   `json:"matches,omitempty"`
-
-	Scanned      int64 `json:"scanned,omitempty"`
-	Comparisons  int64 `json:"comparisons,omitempty"`
-	Derefs       int64 `json:"derefs,omitempty"`
-	PagesRead    int64 `json:"pagesRead,omitempty"`
-	PagesWritten int64 `json:"pagesWritten,omitempty"`
-	PeakMemBytes int64 `json:"peakMemBytes,omitempty"`
-
-	// SizeBytes / Pointers describe materialized views (storage rows).
-	SizeBytes int64 `json:"sizeBytes,omitempty"`
-	Pointers  int   `json:"pointers,omitempty"`
-
-	// Allocs is the average heap allocation count of the measured
-	// operation (cold-start rows).
-	Allocs uint64 `json:"allocs,omitempty"`
-
-	// FirstMatchNanos is the client-observed time-to-first-match: how long
-	// after the call started the first match row became available to the
-	// caller (firstk rows; equals TimeNanos for fully materialized runs).
-	FirstMatchNanos int64 `json:"firstMatchNanos,omitempty"`
-	// PeakEntries is the largest enumeration-window entry count held in
-	// memory during the run (firstk rows; streaming engines only).
-	PeakEntries int64 `json:"peakEntries,omitempty"`
-}
-
-// emit sends one row to the manifest sink, if one is installed.
-func (c Config) emit(r Row) {
-	if c.Emit != nil {
-		c.Emit(r)
-	}
-}
-
-// rowFor fills the measured fields of a Row from one measurement.
-func rowFor(exp, dataset, query, comboLabel string, m measurement) Row {
-	return Row{
-		Experiment:   exp,
-		Dataset:      dataset,
-		Query:        query,
-		Combo:        comboLabel,
-		TimeNanos:    int64(m.Time),
-		IONanos:      int64(m.IOTime),
-		Matches:      m.Matches,
-		Scanned:      m.Stats.ElementsScanned,
-		Comparisons:  m.Stats.Comparisons,
-		Derefs:       m.Stats.PointerDerefs,
-		PagesRead:    m.Stats.PagesRead,
-		PagesWritten: m.Stats.PagesWritten,
-		PeakMemBytes: m.Stats.PeakMemoryBytes,
-	}
 }
 
 func (c Config) withDefaults() Config {
@@ -167,12 +86,8 @@ func All() []Experiment {
 		{"table5", "Table V — memory-based vs disk-based output approaches", Table5},
 		{"ablation", "Reproduction ablations — jump guards, LEp threshold, page size", Ablation},
 		{"noviews", "Views vs raw element streams — the [22] comparison the paper builds on", NoViews},
-		{"prepared", "Prepared plans — repeated-query serving: one-shot vs Run vs EvaluateBatch", Prepared},
-		{"coldload", "View cold-start — zero-copy LoadView vs re-materialization, time and allocs", ColdLoad},
 		{"shards", "Range-partitioned parallel evaluation — Parallelism 1 vs N under I/O stalls", Shards},
-		{"firstk", "First-k pushdown — streamed pages vs full materialization, time-to-first-match", Firstk},
 		{"density", "Serving density — multi-tenant fleet under a resident-bytes cap, warm/cold tiering vs fully resident", Density},
-		{"updates", "Incremental view maintenance — Maintain vs re-materialize across update rates, byte-identity asserted", Updates},
 	}
 }
 
@@ -299,9 +214,8 @@ func schemesFor(combos []combo) []viewjoin.StorageScheme {
 
 // comboTable runs a set of queries against a set of combos and prints the
 // per-query total processing time (the paper's Fig 5/6 bar charts as
-// rows), plus a correctness cross-check against the direct evaluator. exp
-// and dataset label the emitted manifest rows.
-func comboTable(cfg Config, exp, dataset string, d *viewjoin.Document, queries []workload.Query, combos []combo) error {
+// rows), plus a cross-check that every combo finds the same matches.
+func comboTable(cfg Config, d *viewjoin.Document, queries []workload.Query, combos []combo) error {
 	w := cfg.Out
 	fmt.Fprintf(w, "%-6s", "query")
 	for _, c := range combos {
@@ -330,7 +244,6 @@ func comboTable(cfg Config, exp, dataset string, d *viewjoin.Document, queries [
 				return fmt.Errorf("%s: %s returned %d matches, others %d — engines disagree",
 					query.Name, c, m.Matches, matches)
 			}
-			cfg.emit(rowFor(exp, dataset, query.Name, c.String(), m))
 			fmt.Fprintf(w, " %12s", fmtDur(m.Time))
 		}
 		fmt.Fprintf(w, " %10d\n", matches)

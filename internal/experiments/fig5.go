@@ -13,7 +13,7 @@ func Fig5a(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "Fig 5(a): path queries on XMark — total processing time")
 	d := viewjoin.GenerateXMark(cfg.XMarkScale)
-	return comboTable(cfg, "fig5a", "xmark", d, workload.XMarkPath(), sevenCombos())
+	return comboTable(cfg, d, workload.XMarkPath(), sevenCombos())
 }
 
 // Fig5b reproduces Fig. 5(b): the four Nasa path queries across all seven
@@ -22,7 +22,7 @@ func Fig5b(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "Fig 5(b): path queries on Nasa — total processing time")
 	d := viewjoin.GenerateNasa(cfg.NasaDatasets)
-	return comboTable(cfg, "fig5b", "nasa", d, workload.NasaPath(), sevenCombos())
+	return comboTable(cfg, d, workload.NasaPath(), sevenCombos())
 }
 
 // Fig5c reproduces Fig. 5(c): the eight XMark twig queries across the six
@@ -31,7 +31,7 @@ func Fig5c(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "Fig 5(c): twig queries on XMark — total processing time")
 	d := viewjoin.GenerateXMark(cfg.XMarkScale)
-	return comboTable(cfg, "fig5c", "xmark", d, workload.XMarkTwig(), sixCombos())
+	return comboTable(cfg, d, workload.XMarkTwig(), sixCombos())
 }
 
 // Fig5d reproduces Fig. 5(d): the four Nasa twig queries across the six
@@ -40,7 +40,7 @@ func Fig5d(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "Fig 5(d): twig queries on Nasa — total processing time")
 	d := viewjoin.GenerateNasa(cfg.NasaDatasets)
-	return comboTable(cfg, "fig5d", "nasa", d, workload.NasaTwig(), sixCombos())
+	return comboTable(cfg, d, workload.NasaTwig(), sixCombos())
 }
 
 // Motivation reproduces the experiment behind the paper's motivation (§I)
@@ -59,12 +59,11 @@ func Motivation(cfg Config) error {
 
 	type job struct {
 		doc     *viewjoin.Document
-		dataset string
 		queries []workload.Query
 	}
 	xm := viewjoin.GenerateXMark(cfg.XMarkScale)
 	ns := viewjoin.GenerateNasa(cfg.NasaDatasets)
-	for _, j := range []job{{xm, "xmark", workload.XMarkPath()}, {ns, "nasa", workload.NasaPath()}} {
+	for _, j := range []job{{xm, workload.XMarkPath()}, {ns, workload.NasaPath()}} {
 		for _, query := range j.queries {
 			mats, err := materializeAll(j.doc, query, []viewjoin.StorageScheme{
 				viewjoin.SchemeTuple, viewjoin.SchemeElement,
@@ -93,8 +92,6 @@ func Motivation(cfg Config) error {
 			for _, mv := range mats[viewjoin.SchemeTuple] {
 				tupleLabels += mv.NumEntries() * mv.Pattern().NumNodes()
 			}
-			cfg.emit(rowFor("motivation", j.dataset, query.Name, "IJ+T", ij))
-			cfg.emit(rowFor("motivation", j.dataset, query.Name, "PS+E", ps))
 			workIJ := ij.Stats.ElementsScanned + ij.Stats.Comparisons
 			workPS := ps.Stats.ElementsScanned + ps.Stats.Comparisons
 			fmt.Fprintf(w, "%-6s %12s %12s %8.2fx %12d %12d %9.2fx %14d\n",

@@ -21,7 +21,7 @@ func Fig6a(cfg Config) error {
 		{viewjoin.EngineViewJoin, viewjoin.SchemeLE},
 		{viewjoin.EngineViewJoin, viewjoin.SchemeLEp},
 	}
-	return interleavingTable(cfg, "fig6a", "PV", combos)
+	return interleavingTable(cfg, "PV", combos)
 }
 
 // Fig6b reproduces Fig. 6(b): the twig query Nt with view sets TV1..TV4
@@ -35,10 +35,10 @@ func Fig6b(cfg Config) error {
 		{viewjoin.EngineViewJoin, viewjoin.SchemeLE},
 		{viewjoin.EngineViewJoin, viewjoin.SchemeLEp},
 	}
-	return interleavingTable(cfg, "fig6b", "TV", combos)
+	return interleavingTable(cfg, "TV", combos)
 }
 
-func interleavingTable(cfg Config, exp, prefix string, combos []combo) error {
+func interleavingTable(cfg Config, prefix string, combos []combo) error {
 	w := cfg.Out
 	d := viewjoin.GenerateNasa(cfg.NasaDatasets)
 	fmt.Fprintf(w, "%-5s %6s", "views", "#Cond")
@@ -71,9 +71,6 @@ func interleavingTable(cfg Config, exp, prefix string, combos []combo) error {
 			} else if m.Matches != matches {
 				return fmt.Errorf("%s: %s returned %d matches, others %d", row.Name, c, m.Matches, matches)
 			}
-			r := rowFor(exp, "nasa", wq.Name, c.String(), m)
-			r.Series = fmt.Sprintf("cond=%d", row.Cond)
-			cfg.emit(r)
 			fmt.Fprintf(w, " %12s", fmtDur(m.Time))
 		}
 		fmt.Fprintln(w)

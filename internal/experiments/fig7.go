@@ -44,9 +44,6 @@ func Fig7(cfg Config) error {
 			if err != nil {
 				return fmt.Errorf("%s x%d: %w", name, mult, err)
 			}
-			r := rowFor("fig7", fmt.Sprintf("xmark-x%d", mult), name, "VJ+LE", m)
-			r.Series = fmt.Sprintf("x%d", mult)
-			cfg.emit(r)
 			fmt.Fprintf(w, "%-6s %-6dx %10d %12s %12s %12d %10d\n",
 				name, mult, d.NumNodes(),
 				fmtMB(m.Stats.PeakMemoryBytes), fmtDur(m.Time), m.Stats.PagesRead, m.Matches)

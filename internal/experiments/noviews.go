@@ -27,10 +27,9 @@ func NoViews(cfg Config) error {
 		"query", "IJ+T views", "PS raw", "TS raw", "IJ/PSraw", "scan views", "scan raw")
 	type job struct {
 		doc     *viewjoin.Document
-		dataset string
 		queries []workload.Query
 	}
-	for _, j := range []job{{xm, "xmark", workload.XMarkPath()}, {ns, "nasa", workload.NasaPath()}} {
+	for _, j := range []job{{xm, workload.XMarkPath()}, {ns, workload.NasaPath()}} {
 		for _, query := range j.queries {
 			q, err := viewjoin.ParseQuery(query.Pattern.String())
 			if err != nil {
@@ -57,13 +56,6 @@ func NoViews(cfg Config) error {
 				return fmt.Errorf("noviews: %s: engines disagree (%d / %d / %d)",
 					query.Name, ij.Matches, psRaw.Matches, tsRaw.Matches)
 			}
-			cfg.emit(rowFor("noviews", j.dataset, query.Name, "IJ+T", ij))
-			rp := rowFor("noviews", j.dataset, query.Name, "PS", psRaw)
-			rp.Variant = "raw"
-			cfg.emit(rp)
-			rt := rowFor("noviews", j.dataset, query.Name, "TS", tsRaw)
-			rt.Variant = "raw"
-			cfg.emit(rt)
 			fmt.Fprintf(w, "%-6s %12s %12s %12s %8.2fx %12d %12d\n",
 				query.Name, fmtDur(ij.Time), fmtDur(psRaw.Time), fmtDur(tsRaw.Time),
 				float64(psRaw.Time)/float64(ij.Time),
@@ -74,7 +66,7 @@ func NoViews(cfg Config) error {
 	fmt.Fprintln(w, "\nTwigStack with element-scheme views vs raw streams (twig queries)")
 	fmt.Fprintf(w, "%-6s %12s %12s %9s %12s %12s\n",
 		"query", "TS+E views", "TS raw", "raw/views", "scan views", "scan raw")
-	for _, j := range []job{{xm, "xmark", workload.XMarkTwig()}, {ns, "nasa", workload.NasaTwig()}} {
+	for _, j := range []job{{xm, workload.XMarkTwig()}, {ns, workload.NasaTwig()}} {
 		for _, query := range j.queries {
 			q, err := viewjoin.ParseQuery(query.Pattern.String())
 			if err != nil {
@@ -96,10 +88,6 @@ func NoViews(cfg Config) error {
 			if ts.Matches != raw.Matches {
 				return fmt.Errorf("noviews: %s: with/without views disagree", query.Name)
 			}
-			cfg.emit(rowFor("noviews", j.dataset, query.Name, "TS+E", ts))
-			rr := rowFor("noviews", j.dataset, query.Name, "TS", raw)
-			rr.Variant = "raw"
-			cfg.emit(rr)
 			fmt.Fprintf(w, "%-6s %12s %12s %8.2fx %12d %12d\n",
 				query.Name, fmtDur(ts.Time), fmtDur(raw.Time),
 				float64(raw.Time)/float64(ts.Time),

@@ -41,7 +41,7 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("expected error for unknown experiment")
 	}
-	if len(All()) != 19 {
-		t.Fatalf("experiments = %d, want 19", len(All()))
+	if len(All()) != 15 {
+		t.Fatalf("experiments = %d, want 15", len(All()))
 	}
 }

@@ -80,21 +80,6 @@ func Shards(cfg Config) error {
 				if k > 1 {
 					parts = np
 				}
-				cfg.emit(Row{
-					Experiment:   "shards",
-					Dataset:      "xmark",
-					Query:        query.Name,
-					Combo:        c.String(),
-					Series:       fmt.Sprintf("k=%d", k),
-					TimeNanos:    int64(m.Time),
-					Matches:      m.Matches,
-					Scanned:      m.Stats.ElementsScanned,
-					Comparisons:  m.Stats.Comparisons,
-					Derefs:       m.Stats.PointerDerefs,
-					PagesRead:    m.Stats.PagesRead,
-					PagesWritten: m.Stats.PagesWritten,
-					PeakMemBytes: m.Stats.PeakMemoryBytes,
-				})
 			}
 			if ms[0].Matches != ms[1].Matches {
 				return fmt.Errorf("%s %s: k=1 found %d matches, k=%d found %d",

@@ -70,12 +70,6 @@ func Table2(cfg Config) error {
 	if mCost.Matches != mSize.Matches {
 		return fmt.Errorf("table2: selections disagree: %d vs %d matches", mCost.Matches, mSize.Matches)
 	}
-	rCost := rowFor("table2", "nasa", "Nt", "VJ+LE", mCost)
-	rCost.Variant = "cost-based"
-	cfg.emit(rCost)
-	rSize := rowFor("table2", "nasa", "Nt", "VJ+LE", mSize)
-	rSize.Variant = "size-based"
-	cfg.emit(rSize)
 	fmt.Fprintf(w, "VJ+LE with cost-based set: %s; with size-based set: %s (gain %.2fx; paper: 1.93x)\n",
 		fmtDur(mCost.Time), fmtDur(mSize.Time), float64(mSize.Time)/float64(mCost.Time))
 	return nil
@@ -112,14 +106,6 @@ func Table4(cfg Config) error {
 			}
 			sizes[s] = mv.SizeBytes()
 			ptrs[s] = mv.NumPointers()
-			cfg.emit(Row{
-				Experiment: "table4",
-				Dataset:    "xmark-x7",
-				Query:      fmt.Sprintf("v%d", i+1),
-				Combo:      s.String(),
-				SizeBytes:  mv.SizeBytes(),
-				Pointers:   mv.NumPointers(),
-			})
 		}
 		fmt.Fprintf(w, "v%-5d %-24s %10s %10s %10s %10s %12d %12d\n",
 			i+1, vp,
@@ -145,10 +131,9 @@ func Table5(cfg Config) error {
 	ns := viewjoin.GenerateNasa(cfg.NasaDatasets)
 	type job struct {
 		doc     *viewjoin.Document
-		dataset string
 		queries []workload.Query
 	}
-	for _, j := range []job{{xm, "xmark", workload.XMarkTwig()}, {ns, "nasa", workload.NasaTwig()}} {
+	for _, j := range []job{{xm, workload.XMarkTwig()}, {ns, workload.NasaTwig()}} {
 		for _, query := range j.queries {
 			mats, err := materializeAll(j.doc, query, []viewjoin.StorageScheme{
 				viewjoin.SchemeElement, viewjoin.SchemeLE,
@@ -181,9 +166,6 @@ func Table5(cfg Config) error {
 				} else if m.Matches != matches {
 					return fmt.Errorf("%s: variants disagree on matches", query.Name)
 				}
-				r := rowFor("table5", j.dataset, query.Name, variant.c.String(), m)
-				r.Variant = variant.label
-				cfg.emit(r)
 				cells = append(cells, fmt.Sprintf("%s(%d)", fmtDur(m.Time), m.Stats.PagesWritten))
 			}
 			fmt.Fprintf(w, "%-6s %14s %14s %14s %14s\n", query.Name, cells[0], cells[1], cells[2], cells[3])

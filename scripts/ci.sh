@@ -14,6 +14,9 @@
 #      module root `go test ./...` does not reach), then a one-round
 #      --quick run of every BENCHMARK.json workload with its verify step,
 #      so API drift against the benchmark fails here
+#   2c. Go benchmark smoke: every Benchmark* function once (-benchtime=1x),
+#      so a benchmark that no longer builds or runs fails here, not in the
+#      middle of somebody's measurement
 #   3. coverage floors, one shell function (coverage_floor) called per
 #      package set. store: the storage layer is the persistence trust
 #      boundary; its statement coverage must stay >= VJCI_STORE_COV (85%)
@@ -90,6 +93,9 @@ for w in xmark-full nasa-selective serve-page serve-full update-mixed; do
 	echo "== benchmark smoke: $w"
 	sh benchmark/run.sh --quick --workload "$w" --seed 1 --seconds 0 --trace 0 >/dev/null
 done
+
+echo "== go benchmark smoke: every Benchmark* once"
+go test -run '^$' -bench . -benchtime=1x ./... >/dev/null
 
 # coverage_floor PATTERN FLOOR LABEL: the aggregate statement coverage of
 # the packages matching PATTERN must be at least FLOOR percent.
