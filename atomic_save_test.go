@@ -54,8 +54,10 @@ func TestSaveViewFileAtomic(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("directory holds %d entries after one save, want 1", len(entries))
 	}
-	if _, err := doc.OpenView(path); err != nil {
+	if v, err := doc.LoadViewMmap(path); err != nil {
 		t.Fatalf("saved container does not load: %v", err)
+	} else {
+		v.Release()
 	}
 
 	// A failing save (unwritable destination directory) leaves nothing.
@@ -81,7 +83,7 @@ func TestSaveViewFileAtomic(t *testing.T) {
 					return
 				default:
 				}
-				v, err := doc.OpenView(path)
+				v, err := doc.LoadViewMmap(path)
 				if err != nil {
 					t.Errorf("reader during overwrites: %v", err)
 					return
@@ -97,4 +99,58 @@ func TestSaveViewFileAtomic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSaveViewFileOverMappedView: replacing a container by rename leaves a
+// view that has the old file mapped reading the old inode — saving a
+// different view over the path changes nothing a live plan sees. (Writing
+// the path in place would truncate the file under the mapping.)
+func TestSaveViewFileOverMappedView(t *testing.T) {
+	d := GenerateNasa(120)
+	q := MustParseQuery("//field//footnote//para")
+	want := EvaluateDirect(d, q)
+	paths := saveViewFiles(t, d, "//field//para; //footnote", SchemeLEp)
+	mapped := make([]*MaterializedView, len(paths))
+	for i, p := range paths {
+		mv, err := d.LoadViewMmap(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mv.Release()
+		mapped[i] = mv
+	}
+	plan, err := Prepare(d, q, mapped, EngineViewJoin, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	other, err := d.MaterializeView(MustParseQuery("//dataset"), SchemeElement, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		if _, err := other.SaveViewFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res, err := plan.Run()
+	if err != nil {
+		t.Fatalf("run over the mapped first views: %v", err)
+	}
+	if !identicalMatches(res, want) {
+		t.Fatal("prepared plan over the mapped views differs from direct after the files were replaced")
+	}
+	if res, err = Evaluate(d, q, mapped, EngineTwigStack, nil); err != nil || !identicalMatches(res, want) {
+		t.Fatalf("fresh evaluation over the mapped views after the files were replaced: %v", err)
+	}
+	// The path now names the other view.
+	now, err := d.LoadViewMmap(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer now.Release()
+	if got := now.Pattern().String(); got != "//dataset" {
+		t.Errorf("path holds view %s after the save, want //dataset", got)
+	}
 }

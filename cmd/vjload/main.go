@@ -26,9 +26,7 @@
 // Without -target, vjload builds an in-process server from -xmark/-views
 // and drives its HTTP handler directly — no sockets, same serving stack —
 // which is what scripts/ci.sh uses for its smoke run. -tenants N
-// replicates the document and views across tenants t0..tN-1, and
-// -max-resident-bytes caps the warm tier so the run exercises the
-// server's mmap-cold serving and promotion/demotion churn.
+// replicates the document and views across tenants t0..tN-1.
 //
 // The -json manifest (schema viewjoin/load/v1) reports offered and
 // achieved QPS, outcome counts, and latency quantiles (p50/p95/p99/p999)
@@ -46,7 +44,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,11 +70,8 @@ type loadConfig struct {
 	TimeoutMS   int64    `json:"timeoutMS"`
 	MaxInflight int      `json:"maxInflight"`
 	Seed        int64    `json:"seed"`
-	// Tenants and MaxResidentBytes record the multi-tenant shape of the
-	// run: how many tenant registries the load spread over, and the warm-
-	// tier cap of the in-process server (0 when unbounded or external).
-	Tenants          int   `json:"tenants,omitempty"`
-	MaxResidentBytes int64 `json:"maxResidentBytes,omitempty"`
+	// Tenants records how many tenant registries the load spread over.
+	Tenants int `json:"tenants,omitempty"`
 }
 
 // histSummary is one latency distribution in the manifest: counts plus the
@@ -178,7 +172,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 4, "in-process: server worker bound")
 		queue     = fs.Int("queue", 16, "in-process: server queue depth")
 		tenants   = fs.Int("tenants", 1, "tenant registries to spread the load over (in-process: the document is replicated as t0..tN-1)")
-		maxRes    = fs.Int64("max-resident-bytes", 0, "in-process: warm-tier cap; views beyond it are served mmap-cold (0: unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -218,7 +211,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		cfgTarget = "inprocess"
-		handler, err := inprocessHandler(*xmark, *viewsStr, *schemeStr, *docName, *workers, *queue, *tenants, *maxRes)
+		handler, err := inprocessHandler(*xmark, *viewsStr, *schemeStr, *docName, *workers, *queue, *tenants)
 		if err != nil {
 			fmt.Fprintf(stderr, "vjload: %v\n", err)
 			return 1
@@ -291,9 +284,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *tenants > 1 {
 		m.Config.Tenants = *tenants
-	}
-	if cfgTarget == "inprocess" {
-		m.Config.MaxResidentBytes = *maxRes
 	}
 	m.ByQuery = renameClasses(m.ByQuery, specs)
 	m.ByQueryFirstMatch = renameClasses(m.ByQueryFirstMatch, specs)
@@ -492,11 +482,8 @@ func parseMix(s string) []mixClass {
 // inprocessHandler builds a full vjserve serving stack (document, views,
 // plan cache, admission control) and returns its HTTP handler. With
 // tenants > 1 the document and views are replicated across tenant
-// registries t0..tN-1; with a resident-bytes cap the views are spilled to
-// container files first so the residency manager can tier them (warm
-// heap loads vs cold mmap serving) instead of pinning everything.
-func inprocessHandler(xmark float64, viewsStr, schemeStr, docName string, workers, queue,
-	tenants int, maxResidentBytes int64) (http.Handler, error) {
+// registries t0..tN-1.
+func inprocessHandler(xmark float64, viewsStr, schemeStr, docName string, workers, queue, tenants int) (http.Handler, error) {
 	doc := viewjoin.GenerateXMark(xmark)
 	views, err := viewjoin.ParseViews(viewsStr)
 	if err != nil {
@@ -510,28 +497,7 @@ func inprocessHandler(xmark float64, viewsStr, schemeStr, docName string, worker
 	if err != nil {
 		return nil, err
 	}
-	var paths []string
-	if maxResidentBytes > 0 {
-		dir, err := os.MkdirTemp("", "vjload-views-")
-		if err != nil {
-			return nil, err
-		}
-		for i, mv := range mviews {
-			p := filepath.Join(dir, fmt.Sprintf("view-%d.vjview", i))
-			f, err := os.Create(p)
-			if err == nil {
-				_, err = mv.SaveView(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				return nil, fmt.Errorf("spill %s: %w", p, err)
-			}
-			paths = append(paths, p)
-		}
-	}
-	srv := server.New(server.Config{Workers: workers, QueueDepth: queue, MaxResidentBytes: maxResidentBytes})
+	srv := server.New(server.Config{Workers: workers, QueueDepth: queue})
 	tenantNames := []string{""}
 	if tenants > 1 {
 		tenantNames = make([]string, tenants)
@@ -542,14 +508,6 @@ func inprocessHandler(xmark float64, viewsStr, schemeStr, docName string, worker
 	for _, tn := range tenantNames {
 		if err := srv.AddTenantDocument(tn, docName, doc); err != nil {
 			return nil, err
-		}
-		if paths != nil {
-			for _, p := range paths {
-				if err := srv.AddTenantViewFile(tn, docName, p); err != nil {
-					return nil, err
-				}
-			}
-			continue
 		}
 		for _, mv := range mviews {
 			if err := srv.AddTenantView(tn, docName, mv); err != nil {

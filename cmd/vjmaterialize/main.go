@@ -8,8 +8,11 @@
 //	vjmaterialize -views '//field//para; //footnote' -scheme LEp -out views/ nasa.xml
 //	vjmaterialize -views '//site//item' -scheme LE -out views/ -xmark 1.0
 //
-// Each view is written to <out>/<n>.vjview; vjquery reloads them with
-// -load '<out>/*.vjview' against the same document.
+// Each view is written to <out>/<n>.vjview; vjquery and vjserve reload
+// them with -load '<out>/*.vjview' against the same document. A file is
+// replaced by rename, never rewritten in place, so re-running over the
+// same -out directory is safe beside a vjserve that has the old files
+// mapped: it keeps serving the old views until it is restarted.
 package main
 
 import (
@@ -55,14 +58,7 @@ func main() {
 			fail("materialize %s: %v", v, err)
 		}
 		path := filepath.Join(*outDir, fmt.Sprintf("%02d.vjview", i))
-		f, err := os.Create(path)
-		if err != nil {
-			fail("%v", err)
-		}
-		n, err := mv.SaveView(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		n, err := mv.SaveViewFile(path)
 		if err != nil {
 			fail("save %s: %v", path, err)
 		}

@@ -7,15 +7,12 @@
 //	vjserve -addr :8080 -xmark 0.5 -views '//site//item//name; //description//keyword'
 //	vjserve -addr :8080 -doc doc.xml -load 'views/*.vjview'
 //	vjserve -addr :8080 -nasa 500 -views '//field//para; //footnote' -scheme LEp -json
-//	vjserve -addr :8080 -doc doc.xml -load 'views/*.vjview' -max-resident-bytes 33554432
 //
-// -max-resident-bytes caps the warm (heap-resident) tier of file-backed
-// views: views beyond the cap are served cold through read-only memory
-// mappings (-mmap=false falls back to heap reads) and earn residency by
-// access frequency, demoting least-recently-used warm views. With the cap
-// set, -views spills its materialized views to container files first so
-// they are residency-managed too. -tenant registers the document under a
-// named tenant registry; requests address it with a "tenant" body field.
+// -views materializes its views in memory (the only kind /update
+// maintains); -load maps each saved view file read-only and serves it from
+// the mapping, so the files' pages are shared through the page cache with
+// every other process serving them. -tenant registers the document under
+// a named tenant registry; requests address it with a "tenant" body field.
 //
 // Endpoints:
 //
@@ -86,8 +83,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		jsonLog   = fs.Bool("json", false, "write one viewjoin/access/v1 JSON line per request to stdout")
 		slowSize  = fs.Int("slowlog-size", 8, "slow-query flight recorder depth (N slowest + N most recent, with full traces); 0 disables")
 		slowMS    = fs.Int64("slowlog-ms", 100, "wall-time threshold for the slow set, in milliseconds (0: every request eligible)")
-		maxRes    = fs.Int64("max-resident-bytes", 0, "cap on heap-resident view bytes; views beyond it are served mmap-cold (0: unbounded)")
-		useMmap   = fs.Bool("mmap", true, "serve cold-tier views through read-only memory mappings (false: heap reads)")
 		tenantStr = fs.String("tenant", "", "tenant registry the document is registered under (requests address it via the 'tenant' field)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -107,8 +102,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		MaxParallel:      *maxPar,
 		SlowlogSize:      *slowSize,
 		SlowlogThreshold: time.Duration(*slowMS) * time.Millisecond,
-		MaxResidentBytes: *maxRes,
-		DisableMmap:      !*useMmap,
 	}
 	if *jsonLog {
 		cfg.AccessLog = stdout
@@ -130,8 +123,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		}
 		sort.Strings(paths)
 		for _, p := range paths {
-			// File registration puts the view under residency management:
-			// warm while -max-resident-bytes allows, mmap-cold beyond it.
 			if err := srv.AddTenantViewFile(*tenantStr, *docName, p); err != nil {
 				return fail(stderr, "load", err, exitOther)
 			}
@@ -150,37 +141,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		if err != nil {
 			return fail(stderr, "materialize", err, exitOther)
 		}
-		// With a resident-bytes cap, materialized views are spilled to
-		// container files so the residency manager can demote and reload
-		// them; uncapped, they are registered in memory (pinned resident).
-		var spillDir string
-		if *maxRes > 0 {
-			spillDir, err = os.MkdirTemp("", "vjserve-views-")
-			if err != nil {
-				return fail(stderr, "materialize", err, exitOther)
-			}
-			defer os.RemoveAll(spillDir)
-		}
-		for i, mv := range mviews {
-			if spillDir == "" {
-				if err := srv.AddTenantView(*tenantStr, *docName, mv); err != nil {
-					return fail(stderr, "setup", err, exitOther)
-				}
-				nviews++
-				continue
-			}
-			p := filepath.Join(spillDir, fmt.Sprintf("view-%d.vjview", i))
-			f, err := os.Create(p)
-			if err == nil {
-				_, err = mv.SaveView(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				return fail(stderr, "materialize", fmt.Errorf("spill %s: %w", p, err), exitOther)
-			}
-			if err := srv.AddTenantViewFile(*tenantStr, *docName, p); err != nil {
+		for _, mv := range mviews {
+			if err := srv.AddTenantView(*tenantStr, *docName, mv); err != nil {
 				return fail(stderr, "setup", err, exitOther)
 			}
 			nviews++
@@ -210,8 +172,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 
 	// Graceful drain: stop accepting connections, reject new queries, wait
-	// for in-flight evaluations, release view backends (heap buffers and
-	// mmap mappings — safe only now, with no reader left), then close.
+	// for in-flight evaluations, unmap the view files (safe only now, with
+	// no reader left), then close.
 	fmt.Fprintln(stderr, "vjserve: draining")
 	if err := srv.Close(); err != nil {
 		return fail(stderr, "shutdown", err, exitOther)

@@ -110,7 +110,7 @@ func TestGrandCrossCheck(t *testing.T) {
 	}
 }
 
-// roundTripViews pushes every view through SaveView → LoadView and returns
+// roundTripViews pushes every view through SaveView → LoadViewBytes and returns
 // the reloaded set, failing the test on any serialization error.
 func roundTripViews(t *testing.T, d *Document, mv []*MaterializedView) []*MaterializedView {
 	t.Helper()
@@ -124,9 +124,9 @@ func roundTripViews(t *testing.T, d *Document, mv []*MaterializedView) []*Materi
 		if n != int64(buf.Len()) {
 			t.Fatalf("SaveView(%s) reported %d bytes, wrote %d", v.Pattern(), n, buf.Len())
 		}
-		lv, err := d.LoadView(&buf)
+		lv, err := d.LoadViewBytes(buf.Bytes())
 		if err != nil {
-			t.Fatalf("LoadView(%s): %v", v.Pattern(), err)
+			t.Fatalf("LoadViewBytes(%s): %v", v.Pattern(), err)
 		}
 		out[i] = lv
 	}
@@ -135,7 +135,7 @@ func roundTripViews(t *testing.T, d *Document, mv []*MaterializedView) []*Materi
 
 // TestPersistenceRoundTripCrossCheck is the persistence equivalence
 // property: for every engine and its scheme, evaluating over views that
-// went through a SaveView → LoadView round trip must be byte-identical —
+// went through a SaveView → LoadViewBytes round trip must be byte-identical —
 // matches and deterministic counters both — to evaluating over the
 // in-memory originals. It also pins the structured failure modes: a
 // truncated stream is an ErrViewTruncated at every cut point, and a view
@@ -193,9 +193,9 @@ func TestPersistenceRoundTripCrossCheck(t *testing.T) {
 		// header, the store header, and mid-payload truncation.
 		cuts := []int{0, 1, 7, 8, 9, len(full) / 2, len(full) - 1}
 		for _, cut := range cuts {
-			_, err := d.LoadView(bytes.NewReader(full[:cut]))
+			_, err := d.LoadViewBytes(full[:cut])
 			if err == nil {
-				t.Fatalf("LoadView accepted a stream truncated to %d/%d bytes", cut, len(full))
+				t.Fatalf("LoadViewBytes accepted an image truncated to %d/%d bytes", cut, len(full))
 			}
 			if !errors.Is(err, ErrViewTruncated) {
 				t.Errorf("cut at %d: error %v does not match ErrViewTruncated", cut, err)
@@ -217,10 +217,10 @@ func TestPersistenceRoundTripCrossCheck(t *testing.T) {
 		if _, err := mv[0].SaveView(&buf); err != nil {
 			t.Fatal(err)
 		}
-		_, err = d.LoadView(&buf)
+		_, err = d.LoadViewBytes(buf.Bytes())
 		var dm *DocMismatchError
 		if !errors.As(err, &dm) {
-			t.Fatalf("LoadView into the wrong document: error %v (%T), want *DocMismatchError", err, err)
+			t.Fatalf("LoadViewBytes into the wrong document: error %v (%T), want *DocMismatchError", err, err)
 		}
 		if dm.Want != treeFingerprint(d.tree()) || dm.Saved != treeFingerprint(other.tree()) {
 			t.Errorf("DocMismatchError fingerprints %x/%x, want %x/%x",

@@ -2,7 +2,9 @@ package viewjoin
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"viewjoin/internal/counters"
@@ -104,7 +106,10 @@ func (p *PreparedQuery) resolve(ctx context.Context, ro *RunOptions) request {
 // safe); the executor instead emits one EvPartition event per executed job
 // carrying its wall time, so traced runs still expose the partition-span
 // distribution.
-func (p *PreparedQuery) execute(r request) (*Result, error) {
+func (p *PreparedQuery) execute(r request) (res *Result, err error) {
+	if p.mapped { // partition planning reads the lists too
+		defer catchViewFault(debug.SetPanicOnFault(true), &err)
+	}
 	interrupt, err := p.interruptFor(r.ctx)
 	if err != nil {
 		return nil, err
@@ -177,6 +182,36 @@ func (p *PreparedQuery) interruptFor(ctx context.Context) (func() error, error) 
 	return interrupt, interrupt()
 }
 
+// ViewFaultError reports that reading a memory-mapped view (LoadViewMmap)
+// faulted: its file was truncated or became unreadable under the live
+// mapping. The run or Prepare that hit it is lost; the process, and every
+// plan over other views, is not.
+type ViewFaultError struct {
+	Addr uintptr // the faulting address
+}
+
+func (e *ViewFaultError) Error() string {
+	return fmt.Sprintf("viewjoin: fault reading a mapped view at %#x: its file was truncated or is unreadable", e.Addr)
+}
+
+// catchViewFault is deferred around every read a plan over mapped views
+// does, as `defer catchViewFault(debug.SetPanicOnFault(true), &err)`: it
+// restores the goroutine's setting and recovers exactly the fault panic (a
+// runtime.Error carrying the address) into *err; anything else re-panics.
+func catchViewFault(restore bool, err *error) {
+	debug.SetPanicOnFault(restore)
+	switch r := recover().(type) {
+	case nil:
+	case interface {
+		runtime.Error
+		Addr() uintptr
+	}:
+		*err = &ViewFaultError{Addr: r.Addr()}
+	default:
+		panic(r)
+	}
+}
+
 // pageHook adapts buffer-pool lookups into tracer page events.
 func pageHook(tr obs.Tracer) func(file uintptr, page int32, miss bool) {
 	return func(_ uintptr, _ int32, miss bool) {
@@ -213,10 +248,14 @@ type jobIO struct {
 // size (pools simulate per-cursor-set caching and cannot be shared across
 // goroutines). A non-nil emit streams the job's rows instead of
 // accumulating them (ViewJoin/TwigStack only). tr must be nil for jobs that
-// run concurrently (Tracer implementations are not concurrency-safe).
-func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, emit func(row []Node) bool, tr obs.Tracer) jobOut {
+// run concurrently (Tracer implementations are not concurrency-safe). A
+// plan over mapped views runs with faults turned into out.err: fault
+// handling is per goroutine, and this is where every job's goroutine is.
+func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, emit func(row []Node) bool, tr obs.Tracer) (out jobOut) {
+	if p.mapped {
+		defer catchViewFault(debug.SetPanicOnFault(true), &out.err)
+	}
 	t0 := time.Now()
-	var out jobOut
 	acct, _ := p.ioPool.Get().(*jobIO)
 	if acct == nil {
 		acct = new(jobIO)

@@ -87,7 +87,6 @@ func All() []Experiment {
 		{"ablation", "Reproduction ablations — jump guards, LEp threshold, page size", Ablation},
 		{"noviews", "Views vs raw element streams — the [22] comparison the paper builds on", NoViews},
 		{"shards", "Range-partitioned parallel evaluation — Parallelism 1 vs N under I/O stalls", Shards},
-		{"density", "Serving density — multi-tenant fleet under a resident-bytes cap, warm/cold tiering vs fully resident", Density},
 	}
 }
 

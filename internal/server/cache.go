@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 
 	"viewjoin"
@@ -97,32 +96,6 @@ func (c *planCache) put(k planKey, p *viewjoin.PreparedQuery) *planEntry {
 	return e
 }
 
-// invalidate removes every cached plan of (tenant, doc) whose view set
-// includes the named view, returning how many entries were dropped. The
-// residency manager calls it on tier changes: a plan prepared against the
-// demoted (or promoted) copy of a view still produces identical results —
-// the old copy's segments stay readable until no reference remains — but
-// future requests must re-prepare against the view's current tier so the
-// registry's accounting matches what plans actually hold onto.
-func (c *planCache) invalidate(tenant, doc, view string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*planEntry)
-		if e.key.tenant == tenant && e.key.doc == doc && joinedViewsContain(e.key.views, view) {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			c.footprint -= e.footprint
-			c.evictions++
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
 // invalidateDoc removes every cached plan of (tenant, doc), whatever view
 // set it binds, returning how many entries were dropped. The update path
 // calls it after maintaining a document's views: every plan over the old
@@ -145,22 +118,6 @@ func (c *planCache) invalidateDoc(tenant, doc string) int {
 		el = next
 	}
 	return n
-}
-
-// joinedViewsContain reports whether the ";"-joined canonical view-name
-// set includes name as one of its components.
-func joinedViewsContain(joined, name string) bool {
-	for len(joined) > 0 {
-		i := strings.IndexByte(joined, ';')
-		if i < 0 {
-			return joined == name
-		}
-		if joined[:i] == name {
-			return true
-		}
-		joined = joined[i+1:]
-	}
-	return false
 }
 
 // stats snapshots the cache counters, current size, and the summed

@@ -1,40 +1,23 @@
 package server
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"viewjoin"
-	"viewjoin/internal/store"
 )
 
-// This file is the server's storage-residency layer: per-tenant view
-// registries with LRU admission keyed by page footprint. Every file-backed
-// view lives in one of two tiers —
-//
-//	warm: a resident load (heap pages), bound into plans at full speed;
-//	cold: an mmap-backed load (address space + page cache), costing no
-//	      heap, paying kernel faults on first touch of each page.
-//
-// The -max-resident-bytes cap bounds the warm tier. Registration admits a
-// view warm while it fits; once the cap is reached new views start cold
-// and earn promotion by access frequency, demoting the least recently used
-// warm views to make room. Views registered from memory (AddView /
-// AddTenantView) are pinned: always warm, never demoted, outside the cap's
-// accounting — the cap governs what the server loaded from files and can
-// therefore reload.
-//
-// Tier changes never invalidate in-flight work. A demoted warm copy is
-// unreferenced by the registry but its heap pages survive until the last
-// plan or run holding them drops away (GC); a cold mapping, once opened,
-// stays open until Server.Close — munmap under a live reader is the one
-// way a mapping can fault, so mappings unwind only after Drain, when no
-// reader can remain. What a tier change does invalidate is cached plans
-// over the view (planCache.invalidate), so future requests bind the
-// current copy.
+// This file is the server's registry: per-tenant documents and their
+// views. A view is registered either from memory (AddView / AddTenantView)
+// or from a saved container file (AddViewFile / AddTenantViewFile). A file
+// is validated against its document and mapped read-only once, at
+// registration, and served from that mapping until Server.Close: the
+// kernel's page cache — shared by every tenant and every process mapping
+// the same file — is the only tier there is. Mappings unwind only after
+// Drain, when no reader can remain; munmap under a live reader is a fault.
+// Files are never updated in place (vjmaterialize replaces them by
+// rename), and only in-memory views are maintained by /update.
 
 // tenant is one isolated registry of documents and views. The zero-named
 // tenant ("") is the default registry that the non-tenant API surface
@@ -44,63 +27,19 @@ type tenant struct {
 	docs map[string]*docEntry
 }
 
-// viewEntry is one registered view of one tenant's document, tracking its
-// tier. Immutable identity fields are set at registration; the tier state
-// (warm, cold, freq, elem) is guarded by the residency manager's mutex
-// for managed entries, and never changes for pinned ones.
+// viewEntry is one registered view of one tenant's document, immutable
+// after registration (an /update publishes through the view handle).
 type viewEntry struct {
-	tenant string
-	doc    string
-	name   string // canonical pattern rendering
-	docRef *viewjoin.Document
-
-	path      string // container file; "" for pinned in-memory views
-	pinned    bool   // registered from memory: always warm, never demoted
-	footprint int64  // page-granular size, the unit the cap is charged in
-	scheme    string // captured at registration so listings don't need an open copy
-	entries   int
-
-	warm *viewjoin.MaterializedView // resident copy; nil while cold
-	cold *viewjoin.MaterializedView // mmap-backed copy; opened lazily, stays open
-	freq int64                      // accesses, drives promotion
-	elem *list.Element              // position in the warm LRU; nil while cold
+	mv   *viewjoin.MaterializedView
+	path string // container file; "" for in-memory views
 }
 
-// residency is the global warm-tier manager: the LRU of warm file-backed
-// views, the byte accounting against the cap, and the tiering counters
-// /metrics reports. One lock covers all tier state; the only slow
-// operation performed under it is the resident load of a promotion, which
-// is deliberate — a promotion is rare and must be atomic against
-// concurrent demotions of the room it just made.
-//
-// Lock order: residency.mu before planCache.mu (invalidate is called with
-// the residency lock held; the serving path takes the cache lock alone).
-type residency struct {
-	mu           sync.Mutex
-	cap          int64 // warm-tier byte cap; 0 = unbounded (everything warm)
-	disableMmap  bool  // cold loads fall back to resident reads
-	promoteAfter int64 // accesses before a cold view is considered for promotion
-
-	ll            *list.List // warm entries, front = most recently used
-	managed       int        // file-backed views registered (warm + cold)
-	residentBytes int64      // warm-tier bytes (managed entries only)
-	coldBytes     int64      // footprint of views with an open cold copy
-
-	promotions int64
-	demotions  int64
-	planEvicts int64 // plan-cache entries invalidated by tier changes
-	warmHits   int64
-	coldHits   int64
-	coldOpens  int64
-}
-
-func newResidency(cfg Config) *residency {
-	return &residency{
-		cap:          cfg.MaxResidentBytes,
-		disableMmap:  cfg.DisableMmap,
-		promoteAfter: int64(cfg.PromoteAfter),
-		ll:           list.New(),
+// tier names where a view's pages live, for listings.
+func (ve *viewEntry) tier() string {
+	if ve.path != "" {
+		return "file"
 	}
+	return "memory"
 }
 
 // AddTenantDocument registers a document under a tenant's registry,
@@ -123,71 +62,44 @@ func (s *Server) AddTenantDocument(tenantName, name string, d *viewjoin.Document
 }
 
 // AddTenantView registers an in-memory materialized view under a tenant's
-// document. Such views are pinned: always warm, exempt from the
-// resident-bytes cap (there is no file to reload them from). Not safe to
-// call once serving has started.
+// document. Not safe to call once serving has started.
 func (s *Server) AddTenantView(tenantName, docName string, mv *viewjoin.MaterializedView) error {
 	e, err := s.tenantDoc(tenantName, docName)
 	if err != nil {
 		return err
 	}
-	name := mv.Pattern().String()
-	if _, ok := e.views[name]; ok {
-		return fmt.Errorf("server: view %s already registered for document %q%s", name, docName, forTenant(tenantName))
-	}
-	e.views[name] = &viewEntry{
-		tenant: tenantName, doc: docName, name: name, docRef: e.doc,
-		pinned: true, footprint: mv.FootprintBytes(),
-		scheme: mv.Scheme().String(), entries: mv.NumEntries(),
-		warm: mv,
-	}
-	e.order = append(e.order, name)
-	s.pinnedViews++
-	return nil
+	return e.addView(mv, "", docName, tenantName)
 }
 
 // AddTenantViewFile registers a saved view container file under a
-// tenant's document, placing it under residency management: the file is
-// loaded once (resident) to validate it against the document and measure
-// its footprint, then admitted warm while the resident-bytes cap allows
-// and registered cold otherwise. Cold views are opened lazily — the first
-// request that needs one maps it. Not safe to call once serving has
-// started.
+// tenant's document: the file is validated against the document and
+// mapped (viewjoin's LoadViewMmap), and stays mapped until Close. Not safe
+// to call once serving has started.
 func (s *Server) AddTenantViewFile(tenantName, docName, path string) error {
 	e, err := s.tenantDoc(tenantName, docName)
 	if err != nil {
 		return err
 	}
-	mv, err := e.doc.OpenView(path)
+	mv, err := e.doc.LoadViewMmap(path)
 	if err != nil {
 		return fmt.Errorf("server: view file %s: %w", path, err)
 	}
+	if err := e.addView(mv, path, docName, tenantName); err != nil {
+		mv.Release()
+		return err
+	}
+	return nil
+}
+
+// addView enters a view under its canonical pattern; the names are for the
+// duplicate error.
+func (e *docEntry) addView(mv *viewjoin.MaterializedView, path, docName, tenantName string) error {
 	name := mv.Pattern().String()
 	if _, ok := e.views[name]; ok {
-		mv.Release()
 		return fmt.Errorf("server: view %s already registered for document %q%s", name, docName, forTenant(tenantName))
 	}
-	ve := &viewEntry{
-		tenant: tenantName, doc: docName, name: name, docRef: e.doc,
-		path: path, footprint: mv.FootprintBytes(),
-		scheme: mv.Scheme().String(), entries: mv.NumEntries(),
-	}
-	e.views[name] = ve
+	e.views[name] = &viewEntry{mv: mv, path: path}
 	e.order = append(e.order, name)
-
-	r := s.res
-	r.mu.Lock()
-	r.managed++
-	if r.cap <= 0 || r.residentBytes+ve.footprint <= r.cap {
-		ve.warm = mv
-		ve.elem = r.ll.PushFront(ve)
-		r.residentBytes += ve.footprint
-	} else {
-		// Over cap: drop the validation copy and start cold. The resident
-		// buffer is heap, so Release is a reference drop, not an unmap.
-		mv.Release()
-	}
-	r.mu.Unlock()
 	return nil
 }
 
@@ -211,211 +123,70 @@ func forTenant(name string) string {
 	return fmt.Sprintf(" (tenant %q)", name)
 }
 
-// acquire returns the view copy a request should evaluate over, running
-// the tiering policy: warm views are touched in the LRU; cold views count
-// an access and are promoted once their frequency reaches the threshold
-// and the cap can accommodate them (demoting LRU-tail warm views to make
-// room), otherwise served through their mapping, opening it on first use.
-func (s *Server) acquire(ve *viewEntry) (*viewjoin.MaterializedView, error) {
-	if ve.pinned {
-		return ve.warm, nil
-	}
-	r := s.res
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ve.freq++
-	if ve.warm != nil {
-		r.ll.MoveToFront(ve.elem)
-		r.warmHits++
-		return ve.warm, nil
-	}
-	if ve.freq >= r.promoteAfter && (r.cap <= 0 || ve.footprint <= r.cap) {
-		if mv, err := r.promoteLocked(s, ve); err == nil && mv != nil {
-			return mv, nil
-		}
-		// A failed promotion (unreclaimable room, or a load error on a file
-		// that has since vanished) falls through to the cold path.
-	}
-	r.coldHits++
-	if ve.cold == nil {
-		mv, err := openCold(ve, r.disableMmap)
-		if err != nil {
-			return nil, err
-		}
-		ve.cold = mv
-		r.coldBytes += ve.footprint
-		r.coldOpens++
-	}
-	return ve.cold, nil
-}
-
-// promoteLocked loads a resident copy of ve and admits it to the warm
-// tier, demoting least-recently-used warm views until it fits. Returns
-// (nil, nil) when the cap cannot yield enough room. Caller holds r.mu.
-func (r *residency) promoteLocked(s *Server, ve *viewEntry) (*viewjoin.MaterializedView, error) {
-	if r.cap > 0 {
-		reclaimable := r.cap - r.residentBytes
-		for el := r.ll.Back(); el != nil && reclaimable < ve.footprint; el = el.Prev() {
-			reclaimable += el.Value.(*viewEntry).footprint
-		}
-		if reclaimable < ve.footprint {
-			return nil, nil
-		}
-	}
-	mv, err := ve.docRef.OpenView(ve.path)
-	if err != nil {
-		return nil, err
-	}
-	for r.cap > 0 && r.residentBytes+ve.footprint > r.cap {
-		r.demoteLocked(s, r.ll.Back().Value.(*viewEntry))
-	}
-	ve.warm = mv
-	ve.elem = r.ll.PushFront(ve)
-	r.residentBytes += ve.footprint
-	r.promotions++
-	// The promoted copy supersedes the cold one for planning; the mapping
-	// stays open (in-flight plans may still read it) but future plans must
-	// bind the warm copy.
-	r.planEvicts += int64(s.cache.invalidate(ve.tenant, ve.doc, ve.name))
-	return mv, nil
-}
-
-// demoteLocked moves a warm view to the cold tier: the registry drops its
-// resident copy (heap pages survive until in-flight readers finish) and
-// cached plans over it are invalidated. Caller holds r.mu.
-func (r *residency) demoteLocked(s *Server, ve *viewEntry) {
-	r.ll.Remove(ve.elem)
-	ve.elem = nil
-	w := ve.warm
-	ve.warm = nil
-	r.residentBytes -= ve.footprint
-	w.Release()
-	r.demotions++
-	r.planEvicts += int64(s.cache.invalidate(ve.tenant, ve.doc, ve.name))
-}
-
-// openCold opens the cold-tier copy of a view: a read-only mapping, or a
-// resident read when mmap is disabled or unsupported on the platform (the
-// fallback costs heap the cap does not see, but keeps the server serving).
-func openCold(ve *viewEntry, disableMmap bool) (*viewjoin.MaterializedView, error) {
-	if !disableMmap {
-		mv, err := ve.docRef.LoadViewMmap(ve.path)
-		if err == nil || !errors.Is(err, store.ErrMmapUnsupported) {
-			return mv, err
-		}
-	}
-	return ve.docRef.OpenView(ve.path)
-}
-
-// Close releases every storage backend the registry holds — warm buffers
-// and cold mappings — after draining, so no in-flight evaluation can
-// touch an unmapped page. It is the shutdown path of cmd/vjserve.
-func (s *Server) Close() error {
-	s.Drain()
-	r := s.res
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var first error
-	for _, t := range s.tenants {
-		for _, e := range t.docs {
-			for _, ve := range e.views {
-				for _, mv := range []*viewjoin.MaterializedView{ve.warm, ve.cold} {
-					if mv == nil {
-						continue
-					}
-					if err := mv.Release(); err != nil && first == nil {
-						first = err
-					}
-				}
-				ve.warm, ve.cold, ve.elem = nil, nil, nil
-			}
-		}
-	}
-	r.ll.Init()
-	r.residentBytes, r.coldBytes = 0, 0
-	return first
-}
-
-// residencyMetrics is the tiering block of GET /metrics and
-// GET /debug/plans: gauges for the current tier occupancy and counters
-// for every tier transition since start.
-type residencyMetrics struct {
-	CapBytes      int64 `json:"cap_bytes"` // 0 = unbounded
-	ResidentBytes int64 `json:"resident_bytes"`
-	ColdBytes     int64 `json:"cold_bytes"`
-	WarmViews     int   `json:"warm_views"`
-	ColdViews     int   `json:"cold_views"`
-	PinnedViews   int   `json:"pinned_views"`
-	Tenants       int   `json:"tenants"`
-	Promotions    int64 `json:"promotions"`
-	Demotions     int64 `json:"demotions"`
-	PlanEvictions int64 `json:"plan_evictions"` // cached plans invalidated by tier changes
-	WarmHits      int64 `json:"warm_hits"`
-	ColdHits      int64 `json:"cold_hits"`
-	ColdOpens     int64 `json:"cold_opens"`
-}
-
-func (s *Server) residencySnapshot() residencyMetrics {
-	r := s.res
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	warm := r.ll.Len()
-	return residencyMetrics{
-		CapBytes:      r.cap,
-		ResidentBytes: r.residentBytes,
-		ColdBytes:     r.coldBytes,
-		WarmViews:     warm,
-		ColdViews:     r.managed - warm,
-		PinnedViews:   s.pinnedViews,
-		Tenants:       len(s.tenants),
-		Promotions:    r.promotions,
-		Demotions:     r.demotions,
-		PlanEvictions: r.planEvicts,
-		WarmHits:      r.warmHits,
-		ColdHits:      r.coldHits,
-		ColdOpens:     r.coldOpens,
-	}
-}
-
-// viewResidencyRow is one view's tier state in GET /debug/plans.
-type viewResidencyRow struct {
-	Tenant         string `json:"tenant,omitempty"`
-	Document       string `json:"document"`
-	View           string `json:"view"`
-	Tier           string `json:"tier"` // pinned, warm, cold, unloaded
-	FootprintBytes int64  `json:"footprint_bytes"`
-	Accesses       int64  `json:"accesses"`
-}
-
-// viewRows snapshots every registered view's tier, tenants and documents
-// in sorted order, registration order within a document.
-func (s *Server) viewRows() []viewResidencyRow {
-	r := s.res
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var rows []viewResidencyRow
+// eachView visits every registered view: tenants and documents in sorted
+// order, registration order within a document.
+func (s *Server) eachView(f func(tenant, doc, view string, ve *viewEntry)) {
 	for _, tn := range sortedKeys(s.tenants) {
 		t := s.tenants[tn]
 		for _, dn := range sortedKeys(t.docs) {
 			e := t.docs[dn]
 			for _, vn := range e.order {
-				ve := e.views[vn]
-				tier := "cold"
-				switch {
-				case ve.pinned:
-					tier = "pinned"
-				case ve.warm != nil:
-					tier = "warm"
-				case ve.cold == nil:
-					tier = "unloaded" // cold, mapping not opened yet
-				}
-				rows = append(rows, viewResidencyRow{
-					Tenant: ve.tenant, Document: ve.doc, View: ve.name,
-					Tier: tier, FootprintBytes: ve.footprint, Accesses: ve.freq,
-				})
+				f(tn, dn, vn, e.views[vn])
 			}
 		}
 	}
+}
+
+// Close unmaps every view file, after draining, so no in-flight evaluation
+// can touch an unmapped page. It is the shutdown path of cmd/vjserve, and
+// idempotent.
+func (s *Server) Close() error {
+	s.Drain()
+	var first error
+	s.eachView(func(_, _, _ string, ve *viewEntry) {
+		if err := ve.mv.Release(); err != nil && first == nil {
+			first = err
+		}
+	})
+	return first
+}
+
+// viewMetrics is the registry block of GET /metrics: how many views are
+// served from files and from memory, and the files' summed size.
+type viewMetrics struct {
+	FileViews   int   `json:"file_views"`
+	FileBytes   int64 `json:"file_bytes"`
+	MemoryViews int   `json:"memory_views"`
+	Tenants     int   `json:"tenants"`
+}
+
+func (s *Server) viewSnapshot() viewMetrics {
+	m := viewMetrics{Tenants: len(s.tenants)}
+	s.eachView(func(_, _, _ string, ve *viewEntry) {
+		if ve.path == "" {
+			m.MemoryViews++
+			return
+		}
+		m.FileViews++
+		m.FileBytes += ve.mv.SizeBytes()
+	})
+	return m
+}
+
+// viewRow is one registered view in GET /debug/plans.
+type viewRow struct {
+	Tenant    string `json:"tenant,omitempty"`
+	Document  string `json:"document"`
+	View      string `json:"view"`
+	Tier      string `json:"tier"` // memory, file
+	SizeBytes int64  `json:"size_bytes"`
+}
+
+func (s *Server) viewRows() []viewRow {
+	var rows []viewRow
+	s.eachView(func(tn, dn, vn string, ve *viewEntry) {
+		rows = append(rows, viewRow{Tenant: tn, Document: dn, View: vn, Tier: ve.tier(), SizeBytes: ve.mv.SizeBytes()})
+	})
 	return rows
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -29,12 +28,8 @@ func saveTestViews(t testing.TB, d *viewjoin.Document, viewsStr string, scheme v
 	dir := t.TempDir()
 	paths := make([]string, len(mviews))
 	for i, mv := range mviews {
-		var buf bytes.Buffer
-		if _, err := mv.SaveView(&buf); err != nil {
-			t.Fatal(err)
-		}
 		paths[i] = filepath.Join(dir, fmt.Sprintf("view-%d.vjst", i))
-		if err := os.WriteFile(paths[i], buf.Bytes(), 0o644); err != nil {
+		if _, err := mv.SaveViewFile(paths[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,7 +37,7 @@ func saveTestViews(t testing.TB, d *viewjoin.Document, viewsStr string, scheme v
 }
 
 // newFileBackedServer builds a server whose views are all registered from
-// files (residency-managed) for the default tenant's "xmark" document.
+// files for the default tenant's "xmark" document.
 func newFileBackedServer(t testing.TB, cfg Config, paths []string) *Server {
 	t.Helper()
 	s := New(cfg)
@@ -57,223 +52,144 @@ func newFileBackedServer(t testing.TB, cfg Config, paths []string) *Server {
 	return s
 }
 
-// viewFootprints reports the total and maximum page footprint of the
-// saved view files as the server accounts them.
-func viewFootprints(t testing.TB, d *viewjoin.Document, paths []string) (total, max int64) {
-	t.Helper()
-	for _, p := range paths {
-		mv, err := d.OpenView(p)
+// wirePage is what of a /query response is a function of the request and
+// the data alone: the rows as they were on the wire, their count, the
+// resumption cursor and the deterministic counters.
+type wirePage struct {
+	MatchCount int             `json:"match_count"`
+	Matches    json.RawMessage `json:"matches"`
+	Cursor     string          `json:"cursor"`
+	Stats      struct {
+		ElementsScanned int64 `json:"elements_scanned"`
+		Comparisons     int64 `json:"comparisons"`
+		PointerDerefs   int64 `json:"pointer_derefs"`
+		PagesRead       int64 `json:"pages_read"`
+		Partitions      int   `json:"partitions"`
+	} `json:"stats"`
+}
+
+func (a wirePage) equal(b wirePage) bool {
+	return a.MatchCount == b.MatchCount && bytes.Equal(a.Matches, b.Matches) &&
+		a.Cursor == b.Cursor && a.Stats == b.Stats
+}
+
+// TestFileBackedByteIdentical is the acceptance criterion of serving views
+// from their mappings: a server whose views were registered from files —
+// three tenants sharing the same files — must answer byte-identically to
+// a server holding the same views in memory, for every engine and scheme
+// the catalogue pairs allow, whether the result is fetched whole or paged
+// through cursors. Where a view's pages live is a cost decision, never a
+// result decision.
+func TestFileBackedByteIdentical(t *testing.T) {
+	d := viewjoin.GenerateXMark(0.05)
+	tenants := []string{"t0", "t1", "t2"}
+	// One path and one twig query of the catalogue (Q6, Q14) with their
+	// covering views; one document name per scheme, since a document holds
+	// each view pattern once.
+	const viewSet = "//site/regions; //item; //site//item//name; //description//keyword"
+	queries := []struct {
+		query string
+		views []string
+		path  bool
+	}{
+		{"//site/regions//item", []string{"//site/regions", "//item"}, true},
+		{testQuery, []string{"//site//item//name", "//description//keyword"}, false},
+	}
+	schemes := []viewjoin.StorageScheme{viewjoin.SchemeElement, viewjoin.SchemeLE, viewjoin.SchemeLEp, viewjoin.SchemeTuple}
+
+	mem, file := New(Config{}), New(Config{})
+	defer mem.Close()
+	defer file.Close()
+	for _, scheme := range schemes {
+		views, err := viewjoin.ParseViews(viewSet)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := mv.FootprintBytes()
-		total += fp
-		if fp > max {
-			max = fp
-		}
-		mv.Release()
-	}
-	return total, max
-}
-
-// TestResidencyCappedByteIdentical is the acceptance criterion of the
-// tiering layer: a server whose resident-bytes cap is far below the total
-// view footprint — so some views are served cold through mappings, with
-// promotions and demotions happening mid-sequence — must return responses
-// byte-identical to a fully resident server, for the same request
-// sequence. Residency is a cost decision, never a result decision.
-func TestResidencyCappedByteIdentical(t *testing.T) {
-	d := viewjoin.GenerateXMark(0.05)
-	paths := saveTestViews(t, d, testViews, viewjoin.SchemeLEp)
-	_, maxFP := viewFootprints(t, d, paths)
-
-	warm := newFileBackedServer(t, Config{}, paths)
-	capped := newFileBackedServer(t, Config{MaxResidentBytes: maxFP}, paths)
-	defer warm.Close()
-	defer capped.Close()
-	tsWarm := httptest.NewServer(warm.Handler())
-	tsCapped := httptest.NewServer(capped.Handler())
-	defer tsWarm.Close()
-	defer tsCapped.Close()
-
-	// The sequence alternates between the two single-view queries (each
-	// answerable from one view, forcing per-view acquire churn) and the
-	// combined query, several rounds so cold views cross the promotion
-	// threshold and evict each other.
-	type step struct {
-		query string
-		views []string
-	}
-	seq := []step{
-		{"//site//item//name", []string{"//site//item//name"}},
-		{"//description//keyword", []string{"//description//keyword"}},
-		{testQuery, nil},
-		{"//description//keyword", []string{"//description//keyword"}},
-		{"//site//item//name", []string{"//site//item//name"}},
-		{"//site//item//name", []string{"//site//item//name"}},
-		{"//description//keyword", []string{"//description//keyword"}},
-		{testQuery, nil},
-	}
-	for i, st := range seq {
-		req := queryRequest{Document: "xmark", Query: st.query, Views: st.views, Limit: 100000}
-		var a, b queryResponse
-		if code := post(t, tsWarm, "/query", req, &a); code != http.StatusOK {
-			t.Fatalf("step %d: warm status %d", i, code)
-		}
-		if code := post(t, tsCapped, "/query", req, &b); code != http.StatusOK {
-			t.Fatalf("step %d: capped status %d", i, code)
-		}
-		ja, _ := json.Marshal(a.Matches)
-		jb, _ := json.Marshal(b.Matches)
-		if a.MatchCount != b.MatchCount || !bytes.Equal(ja, jb) {
-			t.Fatalf("step %d (%s): capped server diverged: %d vs %d matches",
-				i, st.query, a.MatchCount, b.MatchCount)
-		}
-	}
-
-	m := getMetrics(t, tsCapped)
-	r := m.Residency
-	if r.CapBytes != maxFP {
-		t.Errorf("cap_bytes = %d, want %d", r.CapBytes, maxFP)
-	}
-	if r.ResidentBytes > r.CapBytes {
-		t.Errorf("resident_bytes %d exceeds cap %d", r.ResidentBytes, r.CapBytes)
-	}
-	if r.ColdHits == 0 {
-		t.Error("capped run recorded no cold hits")
-	}
-	if r.Promotions == 0 || r.Demotions == 0 {
-		t.Errorf("capped run recorded %d promotions, %d demotions; want both > 0", r.Promotions, r.Demotions)
-	}
-	if r.PlanEvictions == 0 {
-		t.Error("tier changes invalidated no cached plans")
-	}
-	mw := getMetrics(t, tsWarm).Residency
-	if mw.ColdHits != 0 || mw.Demotions != 0 || mw.WarmViews != len(paths) {
-		t.Errorf("uncapped server tiered anyway: %+v", mw)
-	}
-}
-
-// TestResidencyPlanInvalidation pins the demotion -> plan-cache contract:
-// demoting a view drops every cached plan over it, so the next request
-// for that plan is a miss that re-prepares against the view's current
-// tier.
-func TestResidencyPlanInvalidation(t *testing.T) {
-	d := viewjoin.GenerateXMark(0.05)
-	paths := saveTestViews(t, d, testViews, viewjoin.SchemeLEp)
-	_, maxFP := viewFootprints(t, d, paths)
-	s := newFileBackedServer(t, Config{MaxResidentBytes: maxFP}, paths)
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	reqA := queryRequest{Document: "xmark", Query: "//site//item//name", Views: []string{"//site//item//name"}}
-	reqB := queryRequest{Document: "xmark", Query: "//description//keyword", Views: []string{"//description//keyword"}}
-
-	// Warm A's plan (registration admitted the first view warm), then hit it.
-	var resp queryResponse
-	post(t, ts, "/query", reqA, &resp)
-	post(t, ts, "/query", reqA, &resp)
-	if resp.Cache != "hit" {
-		t.Fatalf("second A request: cache %q, want hit", resp.Cache)
-	}
-	// Drive B past the promotion threshold; with cap == max footprint its
-	// promotion must demote A, invalidating A's cached plan.
-	post(t, ts, "/query", reqB, &resp)
-	post(t, ts, "/query", reqB, &resp)
-	m := getMetrics(t, ts)
-	if m.Residency.Demotions == 0 {
-		t.Fatalf("promotion of B did not demote A: %+v", m.Residency)
-	}
-	if m.Residency.PlanEvictions == 0 {
-		t.Fatal("demotion invalidated no cached plans")
-	}
-	post(t, ts, "/query", reqA, &resp)
-	if resp.Cache != "miss" {
-		t.Errorf("A after demotion: cache %q, want miss (plan invalidated)", resp.Cache)
-	}
-	if resp.MatchCount == 0 {
-		t.Error("A after demotion returned no matches")
-	}
-}
-
-// TestResidencyConcurrentChurn exercises the tiering lock under -race:
-// many goroutines querying across two tenants with a cap that forces
-// continuous promote/demote churn. Every request must succeed with the
-// correct result; the final accounting must balance. The admission queue
-// holds every client, so which of them find the four workers busy — a
-// matter of core count and scheduling — decides who waits, never who is
-// shed.
-func TestResidencyConcurrentChurn(t *testing.T) {
-	d := viewjoin.GenerateXMark(0.05)
-	paths := saveTestViews(t, d, testViews, viewjoin.SchemeLEp)
-	_, maxFP := viewFootprints(t, d, paths)
-
-	const workers, rounds = 8, 20
-	s := New(Config{MaxResidentBytes: maxFP, Workers: 4, QueueDepth: workers})
-	for _, tn := range []string{"alpha", "beta"} {
-		if err := s.AddTenantDocument(tn, "xmark", d); err != nil {
+		mviews, err := d.MaterializeViews(views, scheme)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range paths {
-			if err := s.AddTenantViewFile(tn, "xmark", p); err != nil {
-				t.Fatal(err)
+		paths := saveTestViews(t, d, viewSet, scheme)
+		for _, tn := range tenants {
+			for _, s := range []*Server{mem, file} {
+				if err := s.AddTenantDocument(tn, scheme.String(), d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range mviews {
+				if err := mem.AddTenantView(tn, scheme.String(), mviews[i]); err != nil {
+					t.Fatal(err)
+				}
+				if err := file.AddTenantViewFile(tn, scheme.String(), paths[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	tsMem := httptest.NewServer(mem.Handler())
+	tsFile := httptest.NewServer(file.Handler())
+	defer tsMem.Close()
+	defer tsFile.Close()
 
-	want := map[string]int{}
-	for _, q := range []string{"//site//item//name", "//description//keyword"} {
-		res := viewjoin.EvaluateDirect(d, viewjoin.MustParseQuery(q))
-		want[q] = len(res.Matches)
+	both := func(label string, req queryRequest) wirePage {
+		t.Helper()
+		var a, b wirePage
+		if code := post(t, tsMem, "/query", req, &a); code != http.StatusOK {
+			t.Fatalf("%s: in-memory server status %d", label, code)
+		}
+		if code := post(t, tsFile, "/query", req, &b); code != http.StatusOK {
+			t.Fatalf("%s: file-backed server status %d", label, code)
+		}
+		if !a.equal(b) {
+			t.Fatalf("%s: file-backed server diverged: %d vs %d matches, cursors %q vs %q, stats %+v vs %+v",
+				label, a.MatchCount, b.MatchCount, a.Cursor, b.Cursor, a.Stats, b.Stats)
+		}
+		return a
 	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, workers*rounds)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			tenants := []string{"alpha", "beta"}
-			queries := []string{"//site//item//name", "//description//keyword"}
-			for i := 0; i < rounds; i++ {
-				tn := tenants[(w+i)%2]
-				q := queries[(w+i/2)%2]
-				req := queryRequest{Tenant: tn, Document: "xmark", Query: q, Views: []string{q}}
-				var resp queryResponse
-				if code := post(t, ts, "/query", req, &resp); code != http.StatusOK {
-					errs <- fmt.Errorf("worker %d round %d: status %d", w, i, code)
-					return
-				}
-				if resp.MatchCount != want[q] {
-					errs <- fmt.Errorf("worker %d round %d: %d matches, want %d", w, i, resp.MatchCount, want[q])
-					return
+	for _, scheme := range schemes {
+		for _, q := range queries {
+			engines := []string{"VJ", "TS"}
+			if q.path {
+				engines = append(engines, "PS")
+			}
+			if scheme == viewjoin.SchemeTuple {
+				if engines = []string{"IJ"}; !q.path {
+					continue
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+			want := len(viewjoin.EvaluateDirect(d, viewjoin.MustParseQuery(q.query)).Matches)
+			for _, eng := range engines {
+				for _, tn := range tenants {
+					label := fmt.Sprintf("%s+%v %s tenant %s", eng, scheme, q.query, tn)
+					req := queryRequest{Tenant: tn, Document: scheme.String(), Query: q.query, Views: q.views, Engine: eng, Limit: 1 << 20}
+					full := both(label, req)
+					if full.MatchCount != want {
+						t.Fatalf("%s: %d matches, want %d", label, full.MatchCount, want)
+					}
+					req.Limit = want/3 + 1
+					paged := 0
+					for page := 0; ; page++ {
+						pg := both(fmt.Sprintf("%s page %d", label, page), req)
+						paged += pg.MatchCount
+						if req.Cursor = pg.Cursor; pg.Cursor == "" {
+							break
+						}
+					}
+					if paged != want {
+						t.Fatalf("%s: pages hold %d matches, want %d", label, paged, want)
+					}
+				}
+			}
+		}
 	}
 
-	m := getMetrics(t, ts)
-	if m.Requests.Shed != 0 || m.Requests.Total != workers*rounds {
-		t.Errorf("requests: %d total, %d shed; want %d served, none shed", m.Requests.Total, m.Requests.Shed, workers*rounds)
+	vm := getMetrics(t, tsFile).Views
+	nviews := len(tenants) * len(schemes) * 4
+	if vm.FileViews != nviews || vm.MemoryViews != 0 || vm.FileBytes == 0 || vm.Tenants != len(tenants) {
+		t.Errorf("file-backed server's view gauges: %+v, want %d file views", vm, nviews)
 	}
-	r := m.Residency
-	if r.ResidentBytes > r.CapBytes {
-		t.Errorf("resident_bytes %d exceeds cap %d", r.ResidentBytes, r.CapBytes)
-	}
-	if r.WarmHits+r.ColdHits == 0 {
-		t.Error("no view accesses recorded")
-	}
-	if r.Tenants != 2 {
-		t.Errorf("tenants = %d, want 2", r.Tenants)
+	if vm = getMetrics(t, tsMem).Views; vm.MemoryViews != nviews || vm.FileViews != 0 || vm.FileBytes != 0 {
+		t.Errorf("in-memory server's view gauges: %+v, want %d memory views", vm, nviews)
 	}
 }
 
@@ -333,47 +249,73 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestResidencyColdOpensOnce: a view pinned to the cold tier (footprint
-// above the cap) opens its mapping exactly once no matter how many
-// requests read through it — the mapping is shared, not per-request.
-func TestResidencyColdOpensOnce(t *testing.T) {
+// TestFileMappedOnceAtRegistration: a view file is mapped when it is
+// registered, and that one mapping serves every request — eight concurrent
+// first requests find it in place and leave it in place (-race watches the
+// registry they share). /documents and /debug/plans report the tier.
+func TestFileMappedOnceAtRegistration(t *testing.T) {
 	d := viewjoin.GenerateXMark(0.05)
 	paths := saveTestViews(t, d, testViews, viewjoin.SchemeLEp)
-	// A cap of one byte keeps every view cold forever (nothing fits), so
-	// every request is a cold hit through the one shared mapping.
-	s := newFileBackedServer(t, Config{MaxResidentBytes: 1}, paths)
+	s := newFileBackedServer(t, Config{Workers: 4, QueueDepth: 8}, paths)
 	defer s.Close()
+	registered := map[string]*viewjoin.MaterializedView{}
+	for name, ve := range s.tenants[""].docs["xmark"].views {
+		if ve.mv == nil || ve.path == "" {
+			t.Fatalf("view %s not mapped at registration: %+v", name, ve)
+		}
+		registered[name] = ve.mv
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	req := queryRequest{Document: "xmark", Query: "//site//item//name", Views: []string{"//site//item//name"}}
-	for i := 0; i < 5; i++ {
-		var resp queryResponse
-		if code := post(t, ts, "/query", req, &resp); code != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, code)
+	want := len(viewjoin.EvaluateDirect(d, viewjoin.MustParseQuery(testQuery)).Matches)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var resp queryResponse
+			if code := post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery}, &resp); code != http.StatusOK || resp.MatchCount != want {
+				t.Errorf("first request: status %d, %d matches (want %d)", code, resp.MatchCount, want)
+			}
+		}()
+	}
+	wg.Wait()
+	for name, ve := range s.tenants[""].docs["xmark"].views {
+		if ve.mv != registered[name] {
+			t.Errorf("view %s was reloaded after registration", name)
 		}
 	}
-	r := getMetrics(t, ts).Residency
-	if r.ColdOpens != 1 {
-		t.Errorf("cold_opens = %d, want 1 (shared mapping)", r.ColdOpens)
+	if vm := getMetrics(t, ts).Views; vm.FileViews != len(paths) || vm.MemoryViews != 0 {
+		t.Errorf("view gauges: %+v, want %d file views", vm, len(paths))
 	}
-	if r.ColdHits != 5 {
-		t.Errorf("cold_hits = %d, want 5", r.ColdHits)
+	for _, row := range getPlans(t, ts).Views {
+		if row.Tier != "file" || row.SizeBytes == 0 {
+			t.Errorf("/debug/plans view row: %+v, want tier file", row)
+		}
 	}
-	if r.Promotions != 0 || r.WarmViews != 0 {
-		t.Errorf("over-cap view was promoted: %+v", r)
+	resp, err := http.Get(ts.URL + "/documents")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.ResidentBytes != 0 {
-		t.Errorf("resident_bytes = %d, want 0", r.ResidentBytes)
+	defer resp.Body.Close()
+	var docs []documentInfo
+	if err := json.NewDecoder(resp.Body).Decode(&docs); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range docs[0].Views {
+		if v.Tier != "file" || v.Scheme != "LEp" || v.Entries == 0 {
+			t.Errorf("/documents view: %+v, want tier file", v)
+		}
 	}
 }
 
-// TestServerCloseIdempotent: Close after serving releases all backends
+// TestServerCloseIdempotent: Close after serving unmaps every view file
 // without error, and a second Close is a no-op.
 func TestServerCloseIdempotent(t *testing.T) {
 	d := viewjoin.GenerateXMark(0.05)
 	paths := saveTestViews(t, d, testViews, viewjoin.SchemeLEp)
-	s := newFileBackedServer(t, Config{MaxResidentBytes: 1}, paths)
+	s := newFileBackedServer(t, Config{}, paths)
 	ts := httptest.NewServer(s.Handler())
 	var resp queryResponse
 	post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery}, &resp)

@@ -42,7 +42,8 @@ const (
 )
 
 // Config tunes a Server. The zero value is usable: every field has a
-// serving-appropriate default.
+// serving-appropriate default. Nothing here decides how views are held:
+// in-memory views live on the heap, view files are mapped (registry.go).
 type Config struct {
 	// CacheSize bounds the plan cache (prepared plans, LRU). Default 128.
 	CacheSize int
@@ -74,21 +75,6 @@ type Config struct {
 	// time (admission to response) meets it; the recent ring receives every
 	// request regardless. 0 makes every request eligible.
 	SlowlogThreshold time.Duration
-	// MaxResidentBytes caps the warm (heap-resident) tier of file-backed
-	// views: registration and promotion admit views warm only while their
-	// summed page footprint fits, demoting least-recently-used views to the
-	// cold (mmap-backed) tier to make room. 0 (the default) is unbounded —
-	// every view is served resident. In-memory views (AddView) are pinned
-	// and outside the cap.
-	MaxResidentBytes int64
-	// DisableMmap makes cold-tier loads fall back to resident reads
-	// instead of mappings (heap the cap does not account for). The default
-	// false serves cold views through read-only mappings.
-	DisableMmap bool
-	// PromoteAfter is how many accesses a cold view needs before it is
-	// considered for promotion to the warm tier. Default 2: a one-off
-	// access stays cold, a repeat customer earns residency.
-	PromoteAfter int
 }
 
 func (c Config) withDefaults() Config {
@@ -103,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxParallel <= 0 {
 		c.MaxParallel = 1
-	}
-	if c.PromoteAfter <= 0 {
-		c.PromoteAfter = 2
 	}
 	return c
 }
@@ -136,9 +119,6 @@ type Server struct {
 	cfg     Config
 	tenants map[string]*tenant // tenant name -> registry; "" is the default tenant
 	cache   *planCache
-
-	res         *residency // warm/cold tiering of file-backed views
-	pinnedViews int        // in-memory views, outside residency management
 
 	sem    chan struct{} // worker slots
 	queued atomic.Int64  // admitted requests waiting for a slot
@@ -189,7 +169,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		tenants: make(map[string]*tenant),
 		cache:   newPlanCache(cfg.CacheSize),
-		res:     newResidency(cfg),
 		sem:     make(chan struct{}, cfg.Workers),
 		latency: make(map[string]*obs.Histogram),
 		start:   time.Now(),
@@ -208,16 +187,15 @@ func (s *Server) AddDocument(name string, d *viewjoin.Document) error {
 
 // AddView registers an in-memory materialized view under a default-tenant
 // document. The view is addressable in requests by the canonical
-// rendering of its pattern (e.g. "//site//item//name") and is pinned
-// resident (see AddTenantView). Not safe to call once serving has
-// started.
+// rendering of its pattern (e.g. "//site//item//name"). Not safe to call
+// once serving has started.
 func (s *Server) AddView(docName string, mv *viewjoin.MaterializedView) error {
 	return s.AddTenantView("", docName, mv)
 }
 
 // AddViewFile registers a saved view container file under a
-// default-tenant document, residency-managed (see AddTenantViewFile).
-// Not safe to call once serving has started.
+// default-tenant document, served from its mapping (see
+// AddTenantViewFile). Not safe to call once serving has started.
 func (s *Server) AddViewFile(docName, path string) error {
 	return s.AddTenantViewFile("", docName, path)
 }
@@ -411,8 +389,7 @@ func (s *Server) admit() (release func(), status int, stage string, err error) {
 
 // resolved is what a request names, looked up: the document entry, the
 // parsed query, the engine, and the named views both as canonical pattern
-// strings (sorted, the plan-cache key) and acquired from the residency
-// manager.
+// strings (sorted, the plan-cache key) and as the registered views.
 type resolved struct {
 	doc    *docEntry
 	query  *viewjoin.Query
@@ -436,10 +413,30 @@ func failed(status int, stage string, err error) *failure {
 	return &failure{status: status, stage: stage, outcome: "error", err: err}
 }
 
+// planFailure maps an error of the plan — from Prepare (stage "prepare")
+// or from a run (stage "evaluate") — to its HTTP shape: a fault under a
+// view file's mapping is 500 at stage "load"; a *CanceledError from a
+// deadline is 504 with partial=false and timeout=true, one from a client
+// disconnect is 499 with outcome "canceled"; anything else is a 422 at the
+// given stage.
+func planFailure(stage string, err error) *failure {
+	f := failed(http.StatusUnprocessableEntity, stage, err)
+	var vf *viewjoin.ViewFaultError
+	var ce *viewjoin.CanceledError
+	switch {
+	case errors.As(err, &vf):
+		f.status, f.stage = http.StatusInternalServerError, "load"
+	case errors.As(err, &ce) && errors.Is(err, context.Canceled):
+		f.status, f.outcome = statusClientClosedRequest, "canceled"
+	case errors.As(err, &ce):
+		f.status, f.outcome, f.timeout = http.StatusGatewayTimeout, "timeout", true
+	}
+	return f
+}
+
 // resolve looks up the document in the request's tenant registry, parses
-// the query, resolves the view names (all registered views when none are
-// named) and the engine, and acquires the tier-appropriate copy of each
-// view from the residency manager.
+// the query, and resolves the view names (all registered views when none
+// are named) and the engine.
 func (s *Server) resolve(req *queryRequest) (resolved, *failure) {
 	var e *docEntry
 	if t := s.tenants[req.Tenant]; t != nil {
@@ -478,12 +475,8 @@ func (s *Server) resolve(req *queryRequest) (resolved, *failure) {
 			return resolved{}, failed(http.StatusNotFound, "resolve",
 				fmt.Errorf("view %s not registered for document %q", key, req.Document))
 		}
-		mv, err := s.acquire(ve)
-		if err != nil {
-			return resolved{}, failed(http.StatusInternalServerError, "load", fmt.Errorf("view %s: %w", key, err))
-		}
 		canon = append(canon, key)
-		mviews = append(mviews, mv)
+		mviews = append(mviews, ve.mv)
 	}
 	sort.Strings(canon)
 	return resolved{doc: e, query: q, engine: eng, canon: canon, mviews: mviews}, nil
@@ -493,7 +486,7 @@ func (s *Server) resolve(req *queryRequest) (resolved, *failure) {
 // request, preparing and inserting on a miss. The bool reports whether
 // this was a cache hit. Plans are always prepared with nil options (no
 // tracer), which is what makes them shareable across concurrent requests;
-// per-request tracing attaches via RunTraced instead.
+// per-request tracing attaches through RunOptions.Tracer instead.
 func (s *Server) plan(req *queryRequest, rv *resolved) (*planEntry, bool, error) {
 	key := planKey{tenant: req.Tenant, doc: req.Document, query: rv.query.String(), engine: rv.engine, views: strings.Join(rv.canon, ";")}
 	if ent := s.cache.get(key); ent != nil {
@@ -516,10 +509,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.serveQuery(w, r, false)
 }
 
-// handleTrace is POST /query with tracing: it bypasses the plan cache
-// (tracers are not concurrency-safe, so traced plans are never shared),
-// prepares fresh with an obs.Recorder, and embeds the viewjoin/trace/v1
-// report in the response and the access log line.
+// handleTrace is POST /query with tracing: the same cached plan, run under
+// this request's own obs.Recorder, with the viewjoin/trace/v1 report of
+// the run embedded in the response.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.serveQuery(w, r, true)
 }
@@ -599,31 +591,15 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		tr = obs.NewRecorder()
 	}
 
-	var ent *planEntry // nil on the traced cache-bypass path
-	var plan *viewjoin.PreparedQuery
-	cacheState := ""
-	if traced {
-		cacheState = "bypass"
-		rv.doc.pub.RLock() // an update publishes document and views as one
-		plan, err = viewjoin.Prepare(rv.doc.doc, q, rv.mviews, eng, nil)
-		rv.doc.pub.RUnlock()
-		if err == nil {
-			s.prepares.Add(1)
-		}
-	} else {
-		var hit bool
-		ent, hit, err = s.plan(&req, &rv)
-		if err == nil {
-			cacheState = "miss"
-			if hit {
-				cacheState = "hit"
-			}
-			plan = ent.plan
-		}
-	}
+	ent, hit, err := s.plan(&req, &rv)
 	if err != nil {
-		s.reject(w, &req, started, cacheState, failed(http.StatusUnprocessableEntity, "prepare", err))
+		s.reject(w, &req, started, "", planFailure("prepare", err))
 		return
+	}
+	plan := ent.plan
+	cacheState := "miss"
+	if hit {
+		cacheState = "hit"
 	}
 	// A cursor resumes by document position, which an update renumbers:
 	// a cursor from another epoch is permanently unusable (410), the
@@ -644,11 +620,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 
 	s.observeLatency(eng, res.Stats.Duration)
 	s.observePartitions(res.Stats.Partitions)
-	if ent != nil {
-		cs := countersOf(res.Stats)
-		cs.Matches = int64(len(res.Matches))
-		ent.agg.AddRun(cs, res.Stats.Duration)
-	}
+	cs := countersOf(res.Stats)
+	cs.Matches = int64(len(res.Matches))
+	ent.agg.AddRun(cs, res.Stats.Duration)
 	resp := queryResponse{
 		responseHead: responseHead{
 			Schema:     ResponseSchema,
@@ -706,27 +680,15 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 // aborted by its client; Go's net/http has no name for it.
 const statusClientClosedRequest = 499
 
-// fail maps an evaluation error to its HTTP shape: a *CanceledError from a
-// deadline is 504 with partial=false and timeout=true, one from a client
-// disconnect is 499 with outcome "canceled"; anything else is a 422
-// evaluate error. The failure is folded into the plan's aggregate (ent may
-// be nil on the cache-bypass path) and, when the flight recorder is on,
-// retained there — an aborted run has no trace, but the request identity
-// and wall time are exactly what a slow-query post-mortem needs.
+// fail ends a request whose run failed (planFailure has the statuses). The
+// failure is folded into the plan's aggregate and, when the flight
+// recorder is on, retained there — an aborted run has no trace, but the
+// request identity and wall time are exactly what a slow-query post-mortem
+// needs.
 func (s *Server) fail(w http.ResponseWriter, req *queryRequest, canon []string, ent *planEntry,
 	cacheState string, started time.Time, err error) {
-	f := failure{status: http.StatusUnprocessableEntity, stage: "evaluate", outcome: "error", err: err}
-	var ce *viewjoin.CanceledError
-	if errors.As(err, &ce) {
-		if errors.Is(err, context.Canceled) {
-			f.status, f.outcome = statusClientClosedRequest, "canceled"
-		} else {
-			f.status, f.outcome, f.timeout = http.StatusGatewayTimeout, "timeout", true
-		}
-	}
-	if ent != nil {
-		ent.agg.AddError()
-	}
+	f := planFailure("evaluate", err)
+	ent.agg.AddError()
 	if s.slowlog != nil {
 		s.slowlog.observe(slowlogEntry{
 			Time:     time.Now().UTC().Format(time.RFC3339Nano),
@@ -741,7 +703,7 @@ func (s *Server) fail(w http.ResponseWriter, req *queryRequest, canon []string, 
 			Error:    err.Error(),
 		})
 	}
-	s.reject(w, req, started, cacheState, &f)
+	s.reject(w, req, started, cacheState, f)
 }
 
 // reject ends a request without a result, the one way every failure exit
@@ -859,8 +821,8 @@ type metricsResponse struct {
 	UptimeMS   int64               `json:"uptime_ms"`
 	PlanCache  planCacheMetrics    `json:"plan_cache"`
 	Requests   requestMetrics      `json:"requests"`
-	Updates    updateMetrics       `json:"updates"`   // write path (/update + maintenance)
-	Residency  residencyMetrics    `json:"residency"` // warm/cold view tiering
+	Updates    updateMetrics       `json:"updates"` // write path (/update + maintenance)
+	Views      viewMetrics         `json:"views"`   // registered views, from files and from memory
 	LatencyUS  map[string]histJSON `json:"latency_us"`
 	Partitions histJSON            `json:"partitions"` // partitions per successful run
 	Plans      []planMetrics       `json:"plans"`      // one row per resident cache entry, MRU first
@@ -999,7 +961,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			MaintainUS:        s.maintainUS.Load(),
 			RecomputedEntries: s.recomputed.Load(),
 		},
-		Residency: s.residencySnapshot(),
+		Views:     s.viewSnapshot(),
 		LatencyUS: make(map[string]histJSON),
 		Plans:     s.planRows(),
 		Documents: s.numDocuments(),
@@ -1025,13 +987,12 @@ func (s *Server) numDocuments() int {
 
 // plansResponse is the body of GET /debug/plans: the per-plan table with
 // the full summed counter record per plan, beyond the compact ratios the
-// /metrics table carries, plus the residency state of every registered
-// view (which tier each one sits in, and the tiering counters).
+// /metrics table carries, plus every registered view with where its pages
+// live.
 type plansResponse struct {
-	Schema    string             `json:"schema"`
-	Plans     []planDetail       `json:"plans"`
-	Residency residencyMetrics   `json:"residency"`
-	Views     []viewResidencyRow `json:"views"`
+	Schema string       `json:"schema"`
+	Plans  []planDetail `json:"plans"`
+	Views  []viewRow    `json:"views"`
 }
 
 type planDetail struct {
@@ -1056,10 +1017,9 @@ type planCountersJSON struct {
 func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 	ents := s.cache.entries()
 	resp := plansResponse{
-		Schema:    PlansSchema,
-		Plans:     make([]planDetail, 0, len(ents)),
-		Residency: s.residencySnapshot(),
-		Views:     s.viewRows(),
+		Schema: PlansSchema,
+		Plans:  make([]planDetail, 0, len(ents)),
+		Views:  s.viewRows(),
 	}
 	for _, ent := range ents {
 		snap := ent.agg.Snapshot()
@@ -1134,12 +1094,11 @@ type viewInfo struct {
 	Scheme    string `json:"scheme"`
 	Entries   int    `json:"entries"`
 	SizeBytes int64  `json:"size_bytes"`
-	Tier      string `json:"tier"` // pinned, warm, cold, unloaded
+	Tier      string `json:"tier"` // memory, file
 }
 
 func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
-	s.res.mu.Lock()
-	var out []documentInfo
+	out := []documentInfo{}
 	for _, tn := range sortedKeys(s.tenants) {
 		t := s.tenants[tn]
 		for _, n := range sortedKeys(t.docs) {
@@ -1147,29 +1106,16 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 			di := documentInfo{Tenant: tn, Name: n, Nodes: e.doc.NumNodes(), Epoch: e.doc.Epoch()}
 			for _, vn := range e.order {
 				ve := e.views[vn]
-				tier := "cold"
-				switch {
-				case ve.pinned:
-					tier = "pinned"
-				case ve.warm != nil:
-					tier = "warm"
-				case ve.cold == nil:
-					tier = "unloaded"
-				}
 				di.Views = append(di.Views, viewInfo{
 					Pattern:   vn,
-					Scheme:    ve.scheme,
-					Entries:   ve.entries,
-					SizeBytes: ve.footprint,
-					Tier:      tier,
+					Scheme:    ve.mv.Scheme().String(),
+					Entries:   ve.mv.NumEntries(),
+					SizeBytes: ve.mv.SizeBytes(),
+					Tier:      ve.tier(),
 				})
 			}
 			out = append(out, di)
 		}
-	}
-	s.res.mu.Unlock()
-	if out == nil {
-		out = []documentInfo{}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)

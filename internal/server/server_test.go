@@ -432,32 +432,40 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestDebugTrace pins the tracing endpoint: it bypasses the plan cache,
-// and the response embeds a full viewjoin/trace/v1 report.
+// TestDebugTrace pins the tracing endpoint: it runs the same cached plan
+// /query does (miss, then hit) under a per-request recorder, and the
+// response embeds a full viewjoin/trace/v1 report each time.
 func TestDebugTrace(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	for i, wantCache := range []string{"miss", "hit"} {
+		var r queryResponse
+		if st := post(t, ts, "/debug/trace", queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}, &r); st != http.StatusOK {
+			t.Fatalf("trace request %d: status %d", i, st)
+		}
+		if r.Cache != wantCache {
+			t.Errorf("trace request %d: cache=%q, want %s", i, r.Cache, wantCache)
+		}
+		if r.Trace == nil {
+			t.Fatalf("trace request %d: no embedded report", i)
+		}
+		if r.Trace.Schema != "viewjoin/trace/v1" {
+			t.Errorf("trace schema %q, want viewjoin/trace/v1", r.Trace.Schema)
+		}
+		if len(r.Trace.Phases) == 0 {
+			t.Error("trace report has no phases")
+		}
+	}
+	// The plan a trace prepared is the plan /query hits.
 	var r queryResponse
-	if st := post(t, ts, "/debug/trace", queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}, &r); st != http.StatusOK {
-		t.Fatalf("trace request: status %d", st)
+	post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}, &r)
+	if r.Cache != "hit" || r.Trace != nil {
+		t.Errorf("/query after traces: cache=%q trace=%v, want a hit without a report", r.Cache, r.Trace != nil)
 	}
-	if r.Cache != "bypass" {
-		t.Errorf("trace cache=%q, want bypass", r.Cache)
-	}
-	if r.Trace == nil {
-		t.Fatal("trace response has no embedded report")
-	}
-	if r.Trace.Schema != "viewjoin/trace/v1" {
-		t.Errorf("trace schema %q, want viewjoin/trace/v1", r.Trace.Schema)
-	}
-	if len(r.Trace.Phases) == 0 {
-		t.Error("trace report has no phases")
-	}
-	m := getMetrics(t, ts)
-	if m.PlanCache.Size != 0 {
-		t.Errorf("trace request populated the plan cache (size %d)", m.PlanCache.Size)
+	if m := getMetrics(t, ts); m.PlanCache.Prepares != 1 || m.PlanCache.Size != 1 {
+		t.Errorf("prepares=%d size=%d after three requests for one plan, want 1 and 1", m.PlanCache.Prepares, m.PlanCache.Size)
 	}
 }
 

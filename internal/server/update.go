@@ -144,10 +144,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	defer e.wmu.Unlock()
 
 	// Every view must be maintainable: file-backed views alias their
-	// container image (resident buffer or mapping) and cannot be derived
-	// from.
+	// mapping and cannot be derived from.
 	for _, vn := range e.order {
-		if !e.views[vn].pinned {
+		if e.views[vn].path != "" {
 			fail(http.StatusConflict, "maintain",
 				fmt.Errorf("view %s is file-backed and cannot be maintained; updates need in-memory views", vn))
 			return
@@ -172,7 +171,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			err = s.testFailMaintain(vn)
 		}
 		if err == nil {
-			rep, err = staged.Maintain(e.views[vn].warm)
+			rep, err = staged.Maintain(e.views[vn].mv)
 		}
 		if err != nil {
 			fail(http.StatusInternalServerError, "maintain", fmt.Errorf("view %s: %w", vn, err))
@@ -189,8 +188,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	line.MaintainUS = time.Since(t0).Microseconds()
 
-	// Commit: publish the document snapshot and every view, refresh the
-	// registry's listing fields (footprint, entry count), and drop the
+	// Commit: publish the document snapshot and every view, and drop the
 	// document's cached plans — they bind the pre-update snapshot — under
 	// the publication lock, so no Prepare sees half of the transition and
 	// no plan of the old epoch enters the cache behind the invalidation.
@@ -198,13 +196,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	au, err := staged.Commit()
 	invalidated := 0
 	if err == nil {
-		s.res.mu.Lock()
-		for _, vn := range e.order {
-			ve := e.views[vn]
-			ve.footprint = ve.warm.FootprintBytes()
-			ve.entries = ve.warm.NumEntries()
-		}
-		s.res.mu.Unlock()
 		invalidated = s.cache.invalidateDoc(req.Tenant, req.Document)
 	}
 	e.pub.Unlock()

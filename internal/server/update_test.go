@@ -196,9 +196,8 @@ func TestUpdateStaleCursor(t *testing.T) {
 }
 
 // TestUpdateFileBackedConflict pins the 409 guard: a document serving any
-// file-backed (residency-managed) view rejects updates before mutating
-// anything — container-backed views alias their file image and cannot be
-// maintained in place.
+// file-backed view rejects updates before mutating anything — such views
+// alias their file's mapping and cannot be maintained in place.
 func TestUpdateFileBackedConflict(t *testing.T) {
 	s := New(Config{})
 	d := viewjoin.GenerateXMark(0.05)
@@ -499,7 +498,7 @@ func TestUpdateAtomicToQueries(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			path := []string{"/query", "/debug/trace"}[r%2] // cached and cache-bypassing prepares
+			path := []string{"/query", "/debug/trace"}[r%2] // plain and traced runs of the cached plan
 			for {
 				select {
 				case <-stop:

@@ -1,96 +1,29 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"os"
 )
 
-// Backend owns the byte image a loaded ViewStore's segments are sliced
-// from, splitting storage *residency* from storage *access*: the same
-// zero-copy loader (ReadViewStoreBytes) runs over either backend, so how
-// the bytes are held — heap-resident or memory-mapped — is invisible to
-// evaluation and decided by whoever admits the view into memory.
+// Mapping holds a container file's bytes read-only for as long as a store
+// sliced from them (ReadViewStoreBytes) may be read. The platform decides
+// how: on unix the file is mapped shared (mmap_unix.go) and costs address
+// space and page-cache pages, not heap; elsewhere it is read into the
+// heap (mmap_other.go). Evaluation sees the same zero-copy segments
+// either way. The descriptor is not retained.
 //
-// Two implementations exist:
-//
-//   - ResidentBackend: the whole container file read into the heap
-//     (today's LoadViewBytes path, made releasable).
-//   - MmapBackend: the container file mapped read-only; the page-padded
-//     segments are sliced straight out of the mapping, so cold views cost
-//     address space and page-cache pages, not heap.
-//
-// A Backend must stay open for as long as any store sliced from its bytes
-// may be read; Close unwinds the backing resources deterministically
-// (munmap for mappings, dropping the buffer for resident images). Reading
-// a store after its backend closed is undefined for mappings (the pages
-// are gone), so owners close only once no reader can remain.
-type Backend interface {
-	// Bytes returns the backing image. The slice is valid until Close.
-	Bytes() []byte
-	// Resident reports whether the image occupies heap memory (true) or a
-	// file mapping (false) — the distinction residency accounting charges.
-	Resident() bool
-	// Close releases the backing resources. It is idempotent.
-	Close() error
-}
-
-// ErrMmapUnsupported reports that this platform has no mmap support
-// compiled in; callers fall back to a resident load.
-var ErrMmapUnsupported = errors.New("store: mmap not supported on this platform")
-
-// ResidentBackend holds a container image fully in the heap. Its Close
-// drops the reference so the allocator can reclaim the buffer once no
-// store slices remain reachable.
-type ResidentBackend struct {
+// A file that is already short or corrupt when it is opened surfaces as a
+// load error from the usual header validation — the loader bounds every
+// read by the image's length. A file truncated *afterwards*, under its
+// live mapping, faults on the next page touched; the public package turns
+// that fault into a ViewFaultError.
+type Mapping struct {
 	data []byte
 }
 
-// NewResidentBackend wraps an in-memory container image (e.g. from
-// os.ReadFile) as a Backend. The caller must not mutate data afterwards.
-func NewResidentBackend(data []byte) *ResidentBackend {
-	return &ResidentBackend{data: data}
-}
-
-// OpenResident reads the container file at path fully into the heap.
-func OpenResident(path string) (*ResidentBackend, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: open resident: %w", err)
-	}
-	return &ResidentBackend{data: data}, nil
-}
-
-// Bytes returns the heap image.
-func (b *ResidentBackend) Bytes() []byte { return b.data }
-
-// Resident reports true: the image is heap memory.
-func (b *ResidentBackend) Resident() bool { return true }
-
-// Close drops the buffer reference. Stores sliced from it remain readable
-// while they hold their own sub-slices (the garbage collector keeps the
-// underlying array alive), so a resident Close is accounting, not
-// invalidation.
-func (b *ResidentBackend) Close() error {
-	b.data = nil
-	return nil
-}
-
-// MmapBackend is a read-only memory mapping of a container file. The
-// mapping is established by OpenMmap and survives until Close; the file
-// descriptor is not retained. A truncated or corrupt file surfaces as a
-// load error from the usual header validation — the loader bounds every
-// read by the mapped length, so a short mapping can never fault.
-type MmapBackend struct {
-	data   []byte
-	mapped bool // false once closed, or for empty files (nothing mapped)
-}
-
-// OpenMmap maps the container file at path read-only. On platforms
-// without mmap support it returns ErrMmapUnsupported (callers fall back
-// to OpenResident). An empty file yields an open backend with no bytes —
-// the loader then reports truncation, same as the resident path.
-func OpenMmap(path string) (*MmapBackend, error) {
+// OpenMmap opens the container file at path. An empty file yields an open
+// Mapping with no bytes — the loader then reports truncation.
+func OpenMmap(path string) (*Mapping, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: open mmap: %w", err)
@@ -102,7 +35,7 @@ func OpenMmap(path string) (*MmapBackend, error) {
 	}
 	size := fi.Size()
 	if size == 0 {
-		return &MmapBackend{}, nil
+		return &Mapping{}, nil
 	}
 	if size != int64(int(size)) {
 		return nil, fmt.Errorf("store: open mmap: %s: file too large to map", path)
@@ -111,26 +44,21 @@ func OpenMmap(path string) (*MmapBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: mmap %s: %w", path, err)
 	}
-	return &MmapBackend{data: data, mapped: true}, nil
+	return &Mapping{data: data}, nil
 }
 
-// Bytes returns the mapped image (nil after Close, or for empty files).
-func (b *MmapBackend) Bytes() []byte { return b.data }
+// Bytes returns the image (nil after Close, or for empty files).
+func (m *Mapping) Bytes() []byte { return m.data }
 
-// Resident reports false: the image lives in the page cache, not the heap.
-func (b *MmapBackend) Resident() bool { return false }
-
-// Close unmaps the file. Unlike the resident backend this *does*
-// invalidate outstanding store slices — the pages are returned to the
-// kernel — so the owner must ensure no reader remains.
-func (b *MmapBackend) Close() error {
-	if !b.mapped {
-		b.data = nil
+// Close gives the bytes back — to the kernel, for a real mapping, which
+// invalidates every store sliced from them: the owner must ensure no
+// reader remains. It is idempotent, and a no-op on a nil Mapping.
+func (m *Mapping) Close() error {
+	if m == nil || m.data == nil {
 		return nil
 	}
-	data := b.data
-	b.data = nil
-	b.mapped = false
+	data := m.data
+	m.data = nil
 	if err := munmapFile(data); err != nil {
 		return fmt.Errorf("store: munmap: %w", err)
 	}

@@ -32,34 +32,23 @@ func backendImage(t *testing.T) (*ViewStore, []byte, string) {
 	return s, buf.Bytes(), path
 }
 
-// TestBackendsLoadIdentically: the same container file loaded through the
-// resident backend and through the mapping must produce stores with
-// identical content — residency is invisible to access.
+// TestBackendsLoadIdentically: the same container image adopted from the
+// heap and from the file's mapping must produce stores with identical
+// content — how the bytes are held is invisible to access.
 func TestBackendsLoadIdentically(t *testing.T) {
-	orig, _, path := backendImage(t)
+	orig, img, path := backendImage(t)
 
-	rb, err := OpenResident(path)
+	fromHeap, err := ReadViewStoreBytes(img)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("heap load: %v", err)
 	}
-	if !rb.Resident() {
-		t.Error("OpenResident: Resident() = false")
-	}
-	fromHeap, err := ReadViewStoreBytes(rb.Bytes())
-	if err != nil {
-		t.Fatalf("resident load: %v", err)
-	}
-
 	mb, err := OpenMmap(path)
-	if errors.Is(err, ErrMmapUnsupported) {
-		t.Skip("mmap unsupported on this platform")
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mb.Close()
-	if mb.Resident() {
-		t.Error("OpenMmap: Resident() = true")
+	if !bytes.Equal(mb.Bytes(), img) {
+		t.Error("mapping's bytes differ from the file's")
 	}
 	fromMap, err := ReadViewStoreBytes(mb.Bytes())
 	if err != nil {
@@ -68,13 +57,7 @@ func TestBackendsLoadIdentically(t *testing.T) {
 
 	if !sameContent(orig, fromHeap) || !sameContent(orig, fromMap) ||
 		!sameContent(fromHeap, fromMap) {
-		t.Error("backend loads disagree on content")
-	}
-	if err := rb.Close(); err != nil {
-		t.Errorf("resident close: %v", err)
-	}
-	if rb.Bytes() != nil {
-		t.Error("resident backend still exposes bytes after Close")
+		t.Error("heap and mapped loads disagree on content")
 	}
 }
 
@@ -93,9 +76,6 @@ func TestMmapTruncatedSurfacesCleanly(t *testing.T) {
 			t.Fatal(err)
 		}
 		mb, err := OpenMmap(path)
-		if errors.Is(err, ErrMmapUnsupported) {
-			t.Skip("mmap unsupported on this platform")
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,9 +104,6 @@ func TestMmapEmptyAndMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	mb, err := OpenMmap(empty)
-	if errors.Is(err, ErrMmapUnsupported) {
-		t.Skip("mmap unsupported on this platform")
-	}
 	if err != nil {
 		t.Fatalf("empty file: %v", err)
 	}
@@ -142,9 +119,6 @@ func TestMmapEmptyAndMissing(t *testing.T) {
 	if _, err := OpenMmap(filepath.Join(dir, "missing.vjst")); err == nil {
 		t.Error("missing file opened successfully")
 	}
-	if _, err := OpenResident(filepath.Join(dir, "missing.vjst")); err == nil {
-		t.Error("missing file opened successfully (resident)")
-	}
 }
 
 // TestMmapCloseIdempotent: Close must be safe to call twice and must
@@ -152,9 +126,6 @@ func TestMmapEmptyAndMissing(t *testing.T) {
 func TestMmapCloseIdempotent(t *testing.T) {
 	_, _, path := backendImage(t)
 	mb, err := OpenMmap(path)
-	if errors.Is(err, ErrMmapUnsupported) {
-		t.Skip("mmap unsupported on this platform")
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +157,6 @@ func TestOpenMmapAllocs(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenMmap(path); errors.Is(err, ErrMmapUnsupported) {
-		t.Skip("mmap unsupported on this platform")
-	}
-
 	pages := s.NumPages()
 	allocs := testing.AllocsPerRun(20, func() {
 		mb, err := OpenMmap(path)

@@ -96,25 +96,13 @@ func (s *ViewStore) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, cw.err
 }
 
-// ReadViewStore deserializes a store written by WriteTo. It reads the
-// stream fully and then adopts the buffer via ReadViewStoreBytes; callers
-// that already hold the file bytes should call ReadViewStoreBytes directly
-// to skip the copy.
-func ReadViewStore(r io.Reader) (*ViewStore, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("store: read: %w", err)
-	}
-	return ReadViewStoreBytes(data)
-}
-
-// ReadViewStoreBytes deserializes a store from an in-memory (or memory-
-// mapped) file image without copying or decoding records: after header
-// validation, each flat segment is a slice of data, shared immutably. The
-// caller must not mutate data afterwards. Pointer segments are verified to
-// address only records inside their target lists, so following a pointer
-// from a corrupted or hostile file can never read out of bounds at
-// evaluation time.
+// ReadViewStoreBytes deserializes a store written by WriteTo from an
+// in-memory (or memory-mapped) file image without copying or decoding
+// records: after header validation, each flat segment is a slice of data,
+// shared immutably. The caller must not mutate data afterwards. Pointer
+// segments are verified to address only records inside their target
+// lists, so following a pointer from a corrupted or hostile file can
+// never read out of bounds at evaluation time.
 func ReadViewStoreBytes(data []byte) (*ViewStore, error) {
 	rd := &sliceReader{data: data}
 

@@ -39,9 +39,9 @@ func TestPersistRoundTrip(t *testing.T) {
 				t.Logf("WriteTo returned %d, wrote %d", n, buf.Len())
 				return false
 			}
-			got, err := ReadViewStore(&buf)
+			got, err := ReadViewStoreBytes(buf.Bytes())
 			if err != nil {
-				t.Logf("ReadViewStore(%v): %v", kind, err)
+				t.Logf("ReadViewStoreBytes(%v): %v", kind, err)
 				return false
 			}
 			if got.Kind != orig.Kind || got.PageSize != orig.PageSize ||
@@ -121,7 +121,7 @@ func TestPersistRejectsCorruption(t *testing.T) {
 		{"truncated", func(b []byte) []byte { return append([]byte(nil), b[:len(b)/2]...) }},
 		{"empty", func(b []byte) []byte { return nil }},
 	} {
-		if _, err := ReadViewStore(bytes.NewReader(tc.mutate(good))); err == nil {
+		if _, err := ReadViewStoreBytes(tc.mutate(good)); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
@@ -147,7 +147,7 @@ func TestPersistRejectsWildPointers(t *testing.T) {
 	for off := len(good) - 1; off > len(good)-600 && off > 0; off -= 7 {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0xFF
-		st, err := ReadViewStore(bytes.NewReader(bad))
+		st, err := ReadViewStoreBytes(bad)
 		if err != nil {
 			rejected++
 			continue

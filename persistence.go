@@ -14,28 +14,28 @@ import (
 
 // ErrViewTruncated reports that a saved-view stream ended before the
 // serialized content it promised — a partial write, a truncated file, or a
-// stream cut mid-transfer. LoadView errors match it with errors.Is.
+// stream cut mid-transfer. Load errors match it with errors.Is.
 var ErrViewTruncated = errors.New("viewjoin: saved view is truncated")
 
 // DocMismatchError reports that a saved view was materialized from a
 // different document than the one it is being loaded into: the view's
 // pointers and region labels are only meaningful for its own document.
-// LoadView errors match it with errors.As.
+// Load errors match it with errors.As.
 type DocMismatchError struct {
 	// Saved and Want are the structural fingerprints of the view's original
-	// document and of the document passed to LoadView.
+	// document and of the document it is being loaded into.
 	Saved, Want uint64
 }
 
 func (e *DocMismatchError) Error() string {
-	return fmt.Sprintf("viewjoin: view was saved against a different document (fingerprint %x != %x)",
-		e.Saved, e.Want)
+	return fmt.Sprintf("viewjoin: view was saved against a different document (fingerprint %x != %x)", e.Saved, e.Want)
 }
 
 // SaveView serializes a materialized view (scheme, pattern, and paged
-// content) so it can be reloaded later with LoadView instead of being
-// re-materialized. The document itself is not embedded; a small
-// fingerprint is written so LoadView can reject a mismatched document.
+// content) so it can be reloaded later with LoadViewBytes or LoadViewMmap
+// instead of being re-materialized. The document itself is not embedded;
+// a small fingerprint is written so loading can reject a mismatched
+// document.
 func (v *MaterializedView) SaveView(w io.Writer) (int64, error) {
 	s := v.st()
 	var hdr [8]byte
@@ -51,14 +51,17 @@ func (v *MaterializedView) SaveView(w io.Writer) (int64, error) {
 // serialized to a temporary file in the same directory, synced, and
 // renamed over path only once complete. A crash or write error never
 // leaves a truncated container at path — readers see either the old file
-// or the new one.
+// or the new one, and a process that has the old file mapped keeps reading
+// the old inode.
 func (v *MaterializedView) SaveViewFile(path string) (int64, error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return 0, err
 	}
-	tmp := f.Name()
 	n, err := v.SaveView(f)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp's 0600 is for secrets; a view file is served by others
+	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -66,95 +69,66 @@ func (v *MaterializedView) SaveViewFile(path string) (int64, error) {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(f.Name(), path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		os.Remove(f.Name())
 		return 0, err
 	}
 	return n, nil
 }
 
-// LoadView reloads a view saved with SaveView, binding it to d. It fails
-// when the view was saved against a different document (fingerprint
-// mismatch): pointers and region labels are only meaningful for the
-// document the view was materialized from.
+// LoadViewBytes reloads a view saved with SaveView from a file image the
+// caller already holds, binding it to d. It fails with *DocMismatchError
+// when the view was saved against a different document: pointers and
+// region labels are only meaningful for the document the view was
+// materialized from.
 //
-// Loaded views evaluate exactly like freshly materialized ones; only
+// The load is zero-copy: the returned view's paged segments are slices of
+// data, adopted without decoding or copying records, so the caller must
+// not mutate data afterwards. Loaded views evaluate exactly like freshly
+// materialized ones and can be served concurrently (the segments are
+// immutable and every reader carries its own cursor state); only
 // MaterializeResult-style raw access to the in-memory materialization is
 // unavailable (ListSizes and the selection API still work, computed from
-// the on-disk lists).
-func (d *Document) LoadView(r io.Reader) (*MaterializedView, error) {
-	snap := d.snap()
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, loadErr(err)
-	}
-	want := treeFingerprint(snap.tree)
-	if got := binary.LittleEndian.Uint64(hdr[:]); got != want {
-		return nil, &DocMismatchError{Saved: got, Want: want}
-	}
-	st, err := store.ReadViewStore(r)
-	if err != nil {
-		return nil, loadErr(err)
-	}
-	return newView(d, snap, st.View, nil, st, nil), nil
-}
-
-// LoadViewBytes is LoadView over an in-memory file image, and is the
-// zero-copy path: the returned view's paged segments are slices of data,
-// adopted without decoding or copying records. The caller must not mutate
-// data after a successful load (reading a whole file with os.ReadFile, or
-// memory-mapping it read-only, both satisfy this). Views loaded this way
-// can be served concurrently: the segments are immutable and every reader
-// carries its own cursor state.
+// the stored lists), and they cannot be maintained (see Maintain).
 func (d *Document) LoadViewBytes(data []byte) (*MaterializedView, error) {
-	return d.loadViewBackend(store.NewResidentBackend(data))
+	return d.loadViewImage(data, nil)
 }
 
-// OpenView loads a saved view file through the resident storage backend:
-// the whole container is read into the heap and sliced zero-copy, exactly
-// like LoadViewBytes over os.ReadFile, but the returned view carries its
-// Backend so Release can drop the buffer deterministically.
-func (d *Document) OpenView(path string) (*MaterializedView, error) {
-	be, err := store.OpenResident(path)
-	if err != nil {
-		return nil, loadErr(err)
-	}
-	return d.loadViewBackend(be)
-}
-
-// LoadViewMmap memory-maps a saved view file read-only and slices the
-// page-padded segments straight out of the mapping: the view costs
-// address space and page-cache pages, not heap, which is what lets a
-// process hold orders of magnitude more cold views than RAM-resident
-// loading allows. Validation is identical to LoadViewBytes (header
-// checks, pointer bounds, fingerprint), so a truncated or corrupt file
-// surfaces as ErrViewTruncated or a validation error — never a fault.
+// LoadViewMmap is LoadViewBytes over a saved view file, held the way the
+// platform holds files best: on unix the file is mapped read-only and the
+// page-padded segments are sliced straight out of the mapping, so the
+// view costs address space and page-cache pages — shared with every other
+// process and tenant mapping the same file — not heap; elsewhere the file
+// is read into the heap. Validation is identical to LoadViewBytes (header
+// checks, pointer bounds, fingerprint), so a file that is truncated or
+// corrupt when it is loaded surfaces as ErrViewTruncated or a validation
+// error — never a fault.
 //
-// The mapping stays open until Release is called on the returned view;
+// The file stays mapped until Release is called on the returned view;
 // after Release the view must not be read (the pages are returned to the
-// kernel). On platforms without mmap support the error matches
-// store.ErrMmapUnsupported via errors.Is, and callers fall back to
-// OpenView.
+// kernel). The file must not be truncated or rewritten in place while it
+// is mapped — replace it by rename, as SaveViewFile does. A run or
+// Prepare that does touch a page the file no longer backs fails with
+// *ViewFaultError instead of killing the process.
 func (d *Document) LoadViewMmap(path string) (*MaterializedView, error) {
-	be, err := store.OpenMmap(path)
+	file, err := store.OpenMmap(path)
 	if err != nil {
 		return nil, loadErr(err)
 	}
-	mv, err := d.loadViewBackend(be)
+	mv, err := d.loadViewImage(file.Bytes(), file)
 	if err != nil {
-		be.Close()
+		file.Close()
 		return nil, err
 	}
 	return mv, nil
 }
 
-// loadViewBackend validates and adopts a backend's container image. On
-// success the view owns the backend; on failure the caller does.
-func (d *Document) loadViewBackend(be store.Backend) (*MaterializedView, error) {
+// loadViewImage validates and adopts a container image; file is the
+// mapping that owns it, nil for bytes the caller owns.
+func (d *Document) loadViewImage(data []byte, file *store.Mapping) (*MaterializedView, error) {
 	snap := d.snap()
-	data := be.Bytes()
 	if len(data) < 8 {
 		return nil, loadErr(fmt.Errorf("reading fingerprint: %w", io.ErrUnexpectedEOF))
 	}
@@ -166,37 +140,21 @@ func (d *Document) loadViewBackend(be store.Backend) (*MaterializedView, error) 
 	if err != nil {
 		return nil, loadErr(err)
 	}
-	return newView(d, snap, st.View, nil, st, be), nil
+	mv := newView(d, snap, st.View, nil, st)
+	mv.loaded, mv.file = true, file
+	return mv, nil
 }
 
-// Resident reports whether the view's paged segments occupy heap memory.
-// Materialized views and views loaded via LoadView/LoadViewBytes/OpenView
-// are resident; LoadViewMmap views are not — their segments live in the
-// file mapping. Residency is invisible to evaluation (same cursors, same
-// results); it only decides what the view costs in RAM.
-func (v *MaterializedView) Resident() bool {
-	return v.backend == nil || v.backend.Resident()
-}
+// Release unmaps a LoadViewMmap view's file; for every other view it is a
+// no-op. After it no evaluation may touch the view — callers (like
+// vjserve's registry) release only once no in-flight reader can remain.
+// Release is idempotent.
+func (v *MaterializedView) Release() error { return v.file.Close() }
 
-// Release unwinds the view's storage backend: munmap for mmap-backed
-// views, dropping the buffer reference for resident loads, a no-op for
-// views materialized in memory. After releasing an mmap-backed view no
-// evaluation may touch it — callers (like vjserve's residency manager)
-// release only once no in-flight reader can remain. Release is
-// idempotent.
-func (v *MaterializedView) Release() error {
-	if v.backend == nil {
-		return nil
-	}
-	return v.backend.Close()
-}
+// FootprintBytes is SizeBytes under the name benchmark/ reads it by.
+func (v *MaterializedView) FootprintBytes() int64 { return v.SizeBytes() }
 
-// FootprintBytes returns the page-granular size of the view's paged
-// segments — the unit vjserve's residency accounting charges a view at,
-// whether those pages are heap (resident tier) or mapped (cold tier).
-func (v *MaterializedView) FootprintBytes() int64 { return v.st().store.SizeBytes() }
-
-// loadErr wraps a low-level read error for LoadView, folding the two EOF
+// loadErr wraps a low-level read error for the loaders, folding the two EOF
 // flavors into ErrViewTruncated: io.EOF from a header read and
 // io.ErrUnexpectedEOF from a partial body both mean the stream ended
 // before the content the format promised.

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"viewjoin/internal/store"
 )
 
 // saveViewFiles materializes the view set in the given scheme and saves
@@ -38,54 +36,45 @@ func saveViewFiles(t *testing.T, d *Document, viewsStr string, scheme StorageSch
 	return paths
 }
 
-// TestOpenViewAndLoadViewMmap: both file-backed loaders must evaluate
-// byte-identically to the in-memory path, report their residency
-// truthfully, and release cleanly.
+// TestOpenViewAndLoadViewMmap: a saved file loaded through LoadViewMmap
+// and its bytes loaded through LoadViewBytes must both evaluate
+// byte-identically to the in-memory path, agree on their size, and release
+// cleanly. (The name predates the removal of the OpenView loader.)
 func TestOpenViewAndLoadViewMmap(t *testing.T) {
 	d := GenerateNasa(120)
 	q := MustParseQuery("//field//footnote//para")
 	want := EvaluateDirect(d, q)
 	paths := saveViewFiles(t, d, "//field//para; //footnote", SchemeLEp)
 
-	load := func(open func(string) (*MaterializedView, error)) []*MaterializedView {
-		t.Helper()
-		out := make([]*MaterializedView, len(paths))
-		for i, p := range paths {
-			mv, err := open(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = mv
+	fromBytes := make([]*MaterializedView, len(paths))
+	mapped := make([]*MaterializedView, len(paths))
+	for i, p := range paths {
+		img, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
-	}
-
-	resident := load(d.OpenView)
-	mapped := load(d.LoadViewMmap)
-	for i := range resident {
-		if !resident[i].Resident() {
-			t.Error("OpenView: Resident() = false")
+		if fromBytes[i], err = d.LoadViewBytes(img); err != nil {
+			t.Fatal(err)
 		}
-		if mapped[i].Resident() {
-			t.Error("LoadViewMmap: Resident() = true")
+		if mapped[i], err = d.LoadViewMmap(p); err != nil {
+			t.Fatal(err)
 		}
-		if resident[i].FootprintBytes() != mapped[i].FootprintBytes() ||
-			resident[i].FootprintBytes() != resident[i].SizeBytes() {
-			t.Error("footprints disagree across backends")
+		if fromBytes[i].SizeBytes() != mapped[i].SizeBytes() {
+			t.Error("sizes disagree between the image and the mapping")
 		}
 	}
 
-	for name, mvs := range map[string][]*MaterializedView{"resident": resident, "mmap": mapped} {
+	for name, mvs := range map[string][]*MaterializedView{"bytes": fromBytes, "mmap": mapped} {
 		res, err := Evaluate(d, q, mvs, EngineViewJoin, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !sameMatches(res, want) {
+		if !identicalMatches(res, want) {
 			t.Fatalf("%s: evaluation differs from direct", name)
 		}
 	}
 
-	for _, mvs := range [][]*MaterializedView{resident, mapped} {
+	for _, mvs := range [][]*MaterializedView{fromBytes, mapped} {
 		for _, mv := range mvs {
 			if err := mv.Release(); err != nil {
 				t.Errorf("release: %v", err)
@@ -100,7 +89,7 @@ func TestOpenViewAndLoadViewMmap(t *testing.T) {
 // TestLoadViewMmapErrors: the structured persistence errors survive the
 // mmap path — truncation folds into ErrViewTruncated, foreign documents
 // into DocMismatchError, and a failed load leaves no open mapping behind
-// (the error path closes the backend).
+// (the error path closes it).
 func TestLoadViewMmapErrors(t *testing.T) {
 	d := GenerateNasa(120)
 	paths := saveViewFiles(t, d, "//footnote", SchemeLE)
@@ -157,9 +146,6 @@ func TestLoadViewMmapAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	mv, err := d.LoadViewMmap(path)
-	if errors.Is(err, store.ErrMmapUnsupported) {
-		t.Skip("mmap unsupported on this platform")
-	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,9 @@ func TestSaveLoadViewRoundTrip(t *testing.T) {
 			if n != int64(buf.Len()) {
 				t.Fatalf("SaveView returned %d, wrote %d", n, buf.Len())
 			}
-			loaded[i], err = d.LoadView(&buf)
+			loaded[i], err = d.LoadViewBytes(buf.Bytes())
 			if err != nil {
-				t.Fatalf("%v: LoadView: %v", scheme, err)
+				t.Fatalf("%v: LoadViewBytes: %v", scheme, err)
 			}
 			if loaded[i].Scheme() != scheme || loaded[i].NumEntries() != v.NumEntries() ||
 				loaded[i].NumPointers() != v.NumPointers() {
@@ -53,49 +53,31 @@ func TestSaveLoadViewRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadViewBytesZeroCopy: the zero-copy loader is behaviorally
-// identical to LoadView — same evaluation results, same structured errors
-// (ErrViewTruncated for every truncation point, DocMismatchError for a
-// foreign document).
+// TestLoadViewBytesZeroCopy: loading adopts the image instead of decoding
+// it — in every scheme the allocation count is O(lists), far below one per
+// page, however many pages the image holds.
 func TestLoadViewBytesZeroCopy(t *testing.T) {
-	d := GenerateNasa(120)
-	q := MustParseQuery("//field//footnote//para")
-	vs, err := ParseViews("//field//para; //footnote")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := EvaluateDirect(d, q)
-
+	const pageSize = 256
+	d := GenerateNasa(600)
 	for _, scheme := range []StorageScheme{SchemeElement, SchemeLE, SchemeLEp, SchemeTuple} {
-		mv, err := d.MaterializeViews(vs, scheme)
+		v, err := d.MaterializeView(MustParseQuery("//field//para"), scheme,
+			&MaterializeOptions{PageSize: pageSize})
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded := make([]*MaterializedView, len(mv))
-		for i, v := range mv {
-			var buf bytes.Buffer
-			if _, err := v.SaveView(&buf); err != nil {
+		var buf bytes.Buffer
+		if _, err := v.SaveView(&buf); err != nil {
+			t.Fatal(err)
+		}
+		pages := int(v.SizeBytes() / pageSize)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := d.LoadViewBytes(buf.Bytes()); err != nil {
 				t.Fatal(err)
 			}
-			loaded[i], err = d.LoadViewBytes(buf.Bytes())
-			if err != nil {
-				t.Fatalf("%v: LoadViewBytes: %v", scheme, err)
-			}
-			if loaded[i].Scheme() != scheme || loaded[i].NumEntries() != v.NumEntries() ||
-				loaded[i].NumPointers() != v.NumPointers() {
-				t.Fatalf("%v: loaded view metadata differs", scheme)
-			}
-		}
-		eng := EngineViewJoin
-		if scheme == SchemeTuple {
-			eng = EngineInterJoin
-		}
-		res, err := Evaluate(d, q, loaded, eng, nil)
-		if err != nil {
-			t.Fatalf("%v: evaluate over byte-loaded views: %v", scheme, err)
-		}
-		if !sameMatches(res, want) {
-			t.Fatalf("%v: byte-loaded views give %d matches, want %d", scheme, len(res.Matches), len(want.Matches))
+		})
+		t.Logf("%v: load of %d-page view: %.0f allocs", scheme, pages, allocs)
+		if int(allocs)*5 > pages || int(allocs) > 64 {
+			t.Errorf("%v: load allocated %.0f times for %d pages; want O(lists)", scheme, allocs, pages)
 		}
 	}
 }
@@ -135,17 +117,17 @@ func TestLoadViewRejectsWrongDocument(t *testing.T) {
 	if _, err := v.SaveView(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d2.LoadView(&buf); err == nil {
+	if _, err := d2.LoadViewBytes(buf.Bytes()); err == nil {
 		t.Fatal("loading against a different document must fail")
 	}
 }
 
 func TestLoadViewRejectsGarbage(t *testing.T) {
 	d := GenerateNasa(50)
-	if _, err := d.LoadView(bytes.NewReader([]byte("short"))); err == nil {
+	if _, err := d.LoadViewBytes([]byte("short")); err == nil {
 		t.Fatal("expected error for truncated input")
 	}
-	if _, err := d.LoadView(bytes.NewReader(make([]byte, 64))); err == nil {
+	if _, err := d.LoadViewBytes(make([]byte, 64)); err == nil {
 		t.Fatal("expected error for garbage input")
 	}
 }
@@ -160,7 +142,7 @@ func TestLoadedViewListSizesAndSelection(t *testing.T) {
 	if _, err := v.SaveView(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := d.LoadView(&buf)
+	loaded, err := d.LoadViewBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

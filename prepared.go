@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -52,7 +53,8 @@ type PreparedQuery struct {
 	// plan is the engine's compiled form of the query; the executor knows
 	// the four engines only through it.
 	plan   enginePlan
-	nviews int // views the plan reads, for footprint accounting
+	nviews int  // views the plan reads, for footprint accounting
+	mapped bool // some view is a LoadViewMmap view: reads are guarded (catchViewFault)
 
 	// describe builds the obs.Plan delivered to tracers. It is pure (it only
 	// walks the plan inputs it closes over, all immutable after Prepare), so
@@ -101,13 +103,14 @@ type enginePlan interface {
 // to reflect exactly that snapshot: a view left behind by an Apply the
 // caller did not Maintain it through fails with *EpochMismatchError
 // (retryable after maintaining or re-materializing the view).
-func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts *EvalOptions) (*PreparedQuery, error) {
+func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts *EvalOptions) (_ *PreparedQuery, err error) {
 	if opts == nil {
 		opts = &EvalOptions{}
 	}
 	snap := d.snap()
 	patterns := make([]*tpq.Pattern, len(mviews))
 	stores := make([]*store.ViewStore, len(mviews))
+	mapped := false
 	for i, mv := range mviews {
 		if mv.doc != d {
 			return nil, fmt.Errorf("viewjoin: view %s materialized over a different document", mv.pattern)
@@ -118,8 +121,12 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 		}
 		patterns[i] = mv.pattern
 		stores[i] = st.store
+		mapped = mapped || mv.file != nil
 	}
-	p := &PreparedQuery{epoch: snap.epoch, q: q, eng: eng, opts: *opts, nviews: len(mviews)}
+	if mapped { // binding lists and InterJoin's stream scans read view pages
+		defer catchViewFault(debug.SetPanicOnFault(true), &err)
+	}
+	p := &PreparedQuery{epoch: snap.epoch, q: q, eng: eng, opts: *opts, nviews: len(mviews), mapped: mapped}
 	tr := opts.Tracer
 	switch eng {
 	case EngineViewJoin, EngineTwigStack, EnginePathStack:

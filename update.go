@@ -122,8 +122,8 @@ func (v *MaterializedView) derive(u *AppliedUpdate) (*viewState, MaintainReport,
 	if v.doc != u.doc {
 		return nil, MaintainReport{}, fmt.Errorf("viewjoin: view %s belongs to a different document", v.pattern)
 	}
-	if v.backend != nil {
-		return nil, MaintainReport{}, fmt.Errorf("viewjoin: view %s is backend-loaded and cannot be maintained; reload it at the new epoch", v.pattern)
+	if v.loaded {
+		return nil, MaintainReport{}, fmt.Errorf("viewjoin: view %s was loaded from a saved image and cannot be maintained; reload it at the new epoch", v.pattern)
 	}
 	st := v.st()
 	if st.tree != u.au.Old {
@@ -144,10 +144,9 @@ func (v *MaterializedView) derive(u *AppliedUpdate) (*viewState, MaintainReport,
 // published one, which is left untouched: concurrent readers and prepared
 // queries at the old epoch stay consistent.
 //
-// Views loaded through a storage backend (OpenView, LoadViewBytes,
-// LoadViewMmap) cannot be maintained: their pages alias the backend's
-// container image, whose lifetime Release controls. Reload them from a
-// store saved at the new epoch instead.
+// Loaded views (LoadViewBytes, LoadViewMmap) cannot be maintained: their
+// pages alias a container image whose lifetime the caller or Release
+// controls. Reload them from a store saved at the new epoch instead.
 func (v *MaterializedView) Maintain(u *AppliedUpdate) (MaintainReport, error) {
 	v.doc.w.Lock()
 	defer v.doc.w.Unlock()

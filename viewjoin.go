@@ -227,10 +227,13 @@ func (s StorageScheme) kind() store.Kind {
 type MaterializedView struct {
 	doc     *Document
 	pattern *tpq.Pattern
-	// backend owns the container image loaded views slice from (nil for
-	// views materialized in memory); Release unwinds it.
-	backend store.Backend
-	state   atomic.Pointer[viewState]
+	// loaded marks a view whose pages alias a container image (the caller's
+	// bytes or a file's mapping) instead of being derived in memory; file
+	// is that mapping for LoadViewMmap views, nil otherwise — Release
+	// unwinds it, and plans over it guard their reads against faults.
+	loaded bool
+	file   *store.Mapping
+	state  atomic.Pointer[viewState]
 }
 
 // viewState is one immutable published state of a view: the store, the
@@ -239,7 +242,7 @@ type MaterializedView struct {
 type viewState struct {
 	tree  *xmltree.Document
 	epoch uint64
-	mat   *views.Materialized // nil after LoadView or Maintain
+	mat   *views.Materialized // nil for loaded and for maintained views
 	store *store.ViewStore
 }
 
@@ -248,8 +251,8 @@ func (v *MaterializedView) st() *viewState { return v.state.Load() }
 
 // newView publishes a view's initial state over one document snapshot.
 func newView(doc *Document, snap *docSnap, pattern *tpq.Pattern, mat *views.Materialized,
-	st *store.ViewStore, be store.Backend) *MaterializedView {
-	v := &MaterializedView{doc: doc, pattern: pattern, backend: be}
+	st *store.ViewStore) *MaterializedView {
+	v := &MaterializedView{doc: doc, pattern: pattern}
 	v.state.Store(&viewState{tree: snap.tree, epoch: snap.epoch, mat: mat, store: st})
 	return v
 }
@@ -281,7 +284,7 @@ func (d *Document) materializeViewAt(snap *docSnap, view *Query, scheme StorageS
 	if err != nil {
 		return nil, err
 	}
-	return newView(d, snap, view.p, mat, st, nil), nil
+	return newView(d, snap, view.p, mat, st), nil
 }
 
 // MaterializeViews materializes a whole view set in one scheme. The views
