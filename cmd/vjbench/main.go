@@ -37,9 +37,7 @@ func main() {
 		scale    = flag.Float64("xmark-scale", 0, "XMark scale factor (default 1.0 = 100MB analog)")
 		datasets = flag.Int("nasa-datasets", 0, "Nasa dataset count (default 4000 = 23MB analog)")
 		repeats  = flag.Int("repeats", 0, "timed runs per measurement (default 5)")
-		pool     = flag.Int("pool", 0, "buffer pool pages (default 64)")
 		ioCost   = flag.Duration("io-cost", 0, "simulated cost per page miss (default 3µs)")
-		shards   = flag.Int("shards", 0, "intra-query partitions in the shards experiment (default 4)")
 		pprofSrv = flag.String("pprof", "", "serve net/http/pprof on this address while running (e.g. localhost:6060)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -75,13 +73,11 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		XMarkScale:      *scale,
-		NasaDatasets:    *datasets,
-		Repeats:         *repeats,
-		BufferPoolPages: *pool,
-		IOCostPerPage:   *ioCost,
-		Shards:          *shards,
-		Out:             os.Stdout,
+		XMarkScale:    *scale,
+		NasaDatasets:  *datasets,
+		Repeats:       *repeats,
+		IOCostPerPage: *ioCost,
+		Out:           os.Stdout,
 	}
 
 	// fail finishes profiles before exiting so a crashed run still leaves

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"viewjoin"
@@ -18,9 +20,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/counters_golden.
 const countersGoldenPath = "testdata/counters_golden.json"
 
 // goldenRow is the deterministic cost of one catalogue query under one
-// engine, scheme, pool size and partitioning. Nothing in it depends on the
-// machine, so the file pins the cost model across rewrites of the code
-// that implements it.
+// engine, scheme and run shape. Nothing in it depends on the machine, so
+// the file pins the cost model across rewrites of the code that implements
+// it.
 type goldenRow struct {
 	Key          string `json:"key"`
 	Scanned      int64  `json:"scanned"`
@@ -36,20 +38,19 @@ type goldenRow struct {
 
 // goldenRows evaluates every catalogue query of internal/workload — the 22
 // named queries and the eight Table III interleaving cases — at XMark 0.25
-// / Nasa 1000. The grid is every engine/scheme pair of the paper's Fig 5
-// under the default pool and with caching off, whole-document and as a
-// three-way partitioned run; its IJ+T rows are Run's per-execution costs,
-// the tuple streams having been scanned once at Prepare. After the grid,
-// each query gets the single-dimension variants, all under the default
-// pool and whole-document:
+// / Nasa 1000. The grid is every engine/scheme pair of the paper's Fig 5,
+// whole-document and as a three-way partitioned run; its IJ+T rows are
+// Run's per-execution costs, the tuple streams having been scanned once at
+// Prepare. After the grid, each query gets the single-dimension variants,
+// all whole-document (TestGoldenDimensionsAreLive holds each of them to
+// moving some counter on some query):
 //
-//	IJ+T/…/whole+prepare    the one-shot Evaluate, preparation scans folded
-//	                        in — the figure the paper's IJ bars correspond to
-//	VJ+LE, TS+E/…/disk      EvalOptions.DiskBased (Table V)
-//	VJ+LE/…/unguarded       EvalOptions.UnguardedJumps, Nasa only: XMark's
-//	                        element types nest, where the paper-literal jump
-//	                        is unsound
-//	TS, PS/…/raw            EvaluateWithoutViews, once per named query
+//	IJ+T/whole+prepare    the one-shot Evaluate, preparation scans folded
+//	                      in — the figure the paper's IJ bars correspond to
+//	VJ+LE, TS+E/disk      EvalOptions.DiskBased (Table V)
+//	VJ+LEp/streamed       RunOptions.Yield taking every match: the one shape
+//	                      in this file whose page touches hit the pool
+//	TS, PS/raw            EvaluateWithoutViews, once per named query
 func goldenRows(t *testing.T) []goldenRow {
 	t.Helper()
 	type query struct {
@@ -113,20 +114,15 @@ func goldenRows(t *testing.T) []goldenRow {
 			if c.pathOnly && !q.IsPath() {
 				continue
 			}
-			for _, pool := range []struct {
-				name  string
-				pages int
-			}{{"pool=default", 0}, {"pool=off", -1}} {
-				key := wq.name + "/" + c.name + "/" + pool.name
-				p, err := viewjoin.Prepare(doc, q, views(c.scheme), c.engine, &viewjoin.EvalOptions{BufferPoolPages: pool.pages})
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				res, err := p.Run()
-				add(key+"/whole", res, err)
-				res, err = p.RunWith(context.Background(), &viewjoin.RunOptions{Parallelism: 3})
-				add(key+"/parallel=3", res, err)
+			key := wq.name + "/" + c.name
+			p, err := viewjoin.Prepare(doc, q, views(c.scheme), c.engine, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
 			}
+			res, err := p.Run()
+			add(key+"/whole", res, err)
+			res, err = p.RunWith(context.Background(), &viewjoin.RunOptions{Parallelism: 3})
+			add(key+"/parallel=3", res, err)
 		}
 
 		evaluate := func(key string, e viewjoin.Engine, s viewjoin.StorageScheme, opts *viewjoin.EvalOptions) {
@@ -134,19 +130,27 @@ func goldenRows(t *testing.T) []goldenRow {
 			add(wq.name+"/"+key, res, err)
 		}
 		if q.IsPath() {
-			evaluate("IJ+T/pool=default/whole+prepare", viewjoin.EngineInterJoin, viewjoin.SchemeTuple, nil)
+			evaluate("IJ+T/whole+prepare", viewjoin.EngineInterJoin, viewjoin.SchemeTuple, nil)
 		}
-		evaluate("VJ+LE/pool=default/disk", viewjoin.EngineViewJoin, viewjoin.SchemeLE, &viewjoin.EvalOptions{DiskBased: true})
-		evaluate("TS+E/pool=default/disk", viewjoin.EngineTwigStack, viewjoin.SchemeElement, &viewjoin.EvalOptions{DiskBased: true})
-		if doc == nasa {
-			evaluate("VJ+LE/pool=default/unguarded", viewjoin.EngineViewJoin, viewjoin.SchemeLE, &viewjoin.EvalOptions{UnguardedJumps: true})
+		evaluate("VJ+LE/disk", viewjoin.EngineViewJoin, viewjoin.SchemeLE, &viewjoin.EvalOptions{DiskBased: true})
+		evaluate("TS+E/disk", viewjoin.EngineTwigStack, viewjoin.SchemeElement, &viewjoin.EvalOptions{DiskBased: true})
+		p, err := viewjoin.Prepare(doc, q, views(viewjoin.SchemeLEp), viewjoin.EngineViewJoin, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", wq.name, err)
 		}
+		yielded := 0
+		res, err := p.RunWith(context.Background(), &viewjoin.RunOptions{Yield: func([]viewjoin.Node) bool {
+			yielded++
+			return true
+		}})
+		add(wq.name+"/VJ+LEp/streamed", res, err)
+		rows[len(rows)-1].Matches = yielded // a yielded run's Result carries no rows
 		if wq.named {
 			res, err := viewjoin.EvaluateWithoutViews(doc, q, viewjoin.EngineTwigStack, nil)
-			add(wq.name+"/TS/pool=default/raw", res, err)
+			add(wq.name+"/TS/raw", res, err)
 			if q.IsPath() {
 				res, err = viewjoin.EvaluateWithoutViews(doc, q, viewjoin.EnginePathStack, nil)
-				add(wq.name+"/PS/pool=default/raw", res, err)
+				add(wq.name+"/PS/raw", res, err)
 			}
 		}
 	}
@@ -226,6 +230,51 @@ func TestCountersGolden(t *testing.T) {
 	for i, r := range rows {
 		if r != want[i] {
 			t.Errorf("%s:\n got  %+v\n want %+v", r.Key, r, want[i])
+		}
+	}
+}
+
+// TestGoldenDimensionsAreLive holds every dimension of the golden file to
+// deciding something: a key is query/combo/value..., the file's first row
+// names the default value of each position, and every other value must, on
+// at least one query, move some counter against the row that differs from
+// it only by carrying the default there (a raw-stream row is held against
+// its engine's E-scheme row). A value whose rows are all copies doubles
+// what the file costs to keep and pins nothing.
+func TestGoldenDimensionsAreLive(t *testing.T) {
+	rows := readGolden(t)
+	byKey := map[string]goldenRow{}
+	for _, r := range rows {
+		byKey[r.Key] = r
+	}
+	defaults := strings.Split(rows[0].Key, "/")[2:]
+	live := map[[2]string]bool{} // by value and the default it stands in for
+	for _, r := range rows {
+		segs := strings.Split(r.Key, "/")
+		for i, v := range segs[2:] {
+			if v == defaults[i] {
+				continue
+			}
+			base := slices.Clone(segs)
+			base[2+i] = defaults[i]
+			if v == "raw" {
+				base[1] += "+E"
+			}
+			b, ok := byKey[strings.Join(base, "/")]
+			if !ok {
+				t.Fatalf("%s: no row %s to hold it against", r.Key, strings.Join(base, "/"))
+			}
+			b.Key = r.Key
+			k := [2]string{v, defaults[i]}
+			live[k] = live[k] || b != r
+		}
+	}
+	if len(live) == 0 {
+		t.Fatalf("%s has no dimension beside %v", countersGoldenPath, defaults)
+	}
+	for k, ok := range live {
+		if !ok {
+			t.Errorf("every %q row equals its %q row counter for counter: the dimension is inert", k[0], k[1])
 		}
 	}
 }

@@ -244,13 +244,13 @@ type jobIO struct {
 }
 
 // runJob executes the plan once over restriction r (nil: the whole
-// document) with its own counters and its own buffer pool of the configured
-// size (pools simulate per-cursor-set caching and cannot be shared across
-// goroutines). A non-nil emit streams the job's rows instead of
-// accumulating them (ViewJoin/TwigStack only). tr must be nil for jobs that
-// run concurrently (Tracer implementations are not concurrency-safe). A
-// plan over mapped views runs with faults turned into out.err: fault
-// handling is per goroutine, and this is where every job's goroutine is.
+// document) with its own counters and its own buffer pool (pools simulate
+// per-cursor-set caching and cannot be shared across goroutines). A non-nil
+// emit streams the job's rows instead of accumulating them
+// (ViewJoin/TwigStack only). tr must be nil for jobs that run concurrently
+// (Tracer implementations are not concurrency-safe). A plan over mapped
+// views runs with faults turned into out.err: fault handling is per
+// goroutine, and this is where every job's goroutine is.
 func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, emit func(row []Node) bool, tr obs.Tracer) (out jobOut) {
 	if p.mapped {
 		defer catchViewFault(debug.SetPanicOnFault(true), &out.err)
@@ -262,18 +262,15 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 	}
 	acct.c = counters.Counters{}
 	io := &acct.io
-	io.Reset(&acct.c, p.opts.BufferPoolPages)
-	io.SetStall(p.opts.IOLatency)
+	io.Reset(&acct.c, 0)
 	if tr != nil {
 		io.Page = pageHook(tr)
 	}
 	out.rows, out.peak, out.err = p.plan.Run(io, engine.Options{
-		Tracer:         tr,
-		DiskBased:      p.opts.DiskBased,
-		PageSize:       p.opts.PageSize,
-		UnguardedJumps: p.opts.UnguardedJumps,
-		Interrupt:      interrupt,
-		Restrict:       r,
+		Tracer:    tr,
+		DiskBased: p.opts.DiskBased,
+		Interrupt: interrupt,
+		Restrict:  r,
 		// The shared quota doubles as the per-job bound: any match in the
 		// global first offset+limit is in its own partition's first
 		// offset+limit, so each job may stop (or cap its accumulation)
@@ -282,7 +279,6 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 		After: lim.after,
 		Emit:  emit,
 	})
-	io.DrainStall()
 	out.dur = time.Since(t0)
 	out.first = io.FirstMatchTime()
 	out.c = acct.c

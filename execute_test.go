@@ -123,8 +123,11 @@ func TestExecutorEquivalence(t *testing.T) {
 					if !sameRows(got, sh.want) {
 						t.Errorf("%s: %d rows, want %d — diverged from the oracle", name, len(got), len(sh.want))
 					}
-					want, pinned := golden[c.key+"/pool=default/"+par.name]
-					if pinned && sh.name == "full" && !yield {
+					if sh.name == "full" && !yield {
+						want, pinned := golden[c.key+"/"+par.name]
+						if !pinned {
+							t.Fatalf("%s: no row %s/%s in %s", name, c.key, par.name, countersGoldenPath)
+						}
 						if have := goldenRowOf(want.Key, res); have != want {
 							t.Errorf("%s:\n got  %+v\n want %+v", name, have, want)
 						}

@@ -78,10 +78,6 @@ type IO struct {
 	// cap, and keep their storage across Reset.
 	slots []slot
 	index map[pageKey]int32
-	// stall is the simulated device latency charged per pool miss; debt
-	// accumulates unslept latency (see SetStall).
-	stall time.Duration
-	debt  time.Duration
 	// firstMatch is the wall time of the run's first delivered match
 	// (zero until MarkFirstMatch).
 	firstMatch time.Time
@@ -97,14 +93,16 @@ type slot struct {
 	prev, next int32
 }
 
-// DefaultPoolPages is the buffer pool capacity used when 0 is passed to
-// NewIO: 64 pages (256 KiB at the default 4 KiB page size), small enough
-// that scans of large views actually incur misses.
+// DefaultPoolPages is the buffer pool capacity every evaluation runs with,
+// a constant of the cost model: 64 pages (256 KiB at the default 4 KiB page
+// size), small enough that scans of large views actually incur misses.
 const DefaultPoolPages = 64
 
 // NewIO returns an IO accounting into c with a pool of poolPages pages
-// (DefaultPoolPages if poolPages is 0). A negative poolPages disables
-// caching entirely: every touch is a miss.
+// (DefaultPoolPages if poolPages is 0). Evaluation always passes 0; other
+// capacities are for measuring: small ones exercise replacement in tests,
+// and a negative one disables caching entirely — every touch is a miss,
+// which is how a scan's raw touch count is read.
 func NewIO(c *Counters, poolPages int) *IO {
 	io := &IO{}
 	io.Reset(c, poolPages)
@@ -134,9 +132,6 @@ func (io *IO) Touch(file uintptr, page int32) bool {
 	}
 	if io.Page != nil {
 		io.Page(file, page, miss)
-	}
-	if miss {
-		io.stallMiss()
 	}
 	return miss
 }
@@ -193,46 +188,3 @@ func (io *IO) MarkFirstMatch() {
 // FirstMatchTime returns the time stamped by MarkFirstMatch; zero when the
 // run delivered no match.
 func (io *IO) FirstMatchTime() time.Time { return io.firstMatch }
-
-// stallQuantum batches simulated miss latencies into sleeps long enough to
-// be above the platform timer floor; the self-correcting debt accounting
-// in stallMiss keeps the total stall accurate regardless of how coarse
-// individual sleeps turn out to be.
-const stallQuantum = time.Millisecond
-
-// SetStall makes every subsequent pool miss cost d of real wall time on
-// the calling goroutine, turning the arithmetic I/O cost model into an
-// actual stall. Latency is accrued as debt and paid in sleeps of at least
-// stallQuantum, with the measured sleep duration subtracted from the debt,
-// so the total time slept tracks misses x d even when the platform timer
-// floor is far coarser than d. Blocked goroutines release the processor,
-// which is exactly what lets partitioned evaluation overlap its simulated
-// device waits. d <= 0 disables stalling (the default).
-func (io *IO) SetStall(d time.Duration) { io.stall = d }
-
-// stallMiss accrues one miss of latency and sleeps when enough debt has
-// built up.
-func (io *IO) stallMiss() {
-	if io.stall <= 0 {
-		return
-	}
-	io.debt += io.stall
-	if io.debt >= stallQuantum {
-		io.DrainStall()
-	}
-}
-
-// DrainStall pays any remaining sub-quantum latency debt. Runs that stall
-// call it once at the end so short evaluations are not systematically
-// under-charged.
-func (io *IO) DrainStall() {
-	if io.stall <= 0 || io.debt <= 0 {
-		return
-	}
-	t0 := time.Now()
-	time.Sleep(io.debt)
-	io.debt -= time.Since(t0)
-	if io.debt < 0 {
-		io.debt = 0
-	}
-}

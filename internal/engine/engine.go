@@ -34,13 +34,6 @@ type Options struct {
 	// PageSize is the scratch page size for the disk-based approach; 0
 	// means store.DefaultPageSize.
 	PageSize int
-	// UnguardedJumps makes ViewJoin follow scoped following pointers
-	// unconditionally, as the paper's Function 4 prescribes, instead of
-	// applying this reproduction's safe-jump probe rule (see
-	// engine/viewjoin). Unsound when the queried element types nest
-	// recursively; provided for the ablation experiment, which runs on
-	// data without such nesting.
-	UnguardedJumps bool
 	// Interrupt, when non-nil, is polled cooperatively from the engine main
 	// loops and the window enumeration stage; a non-nil return aborts the
 	// run with that error. The public API binds it to a context's deadline

@@ -90,16 +90,3 @@ func TestLeadingSkipWithOpenAncestors(t *testing.T) {
 		}
 	}
 }
-
-// TestUnguardedJumpsOnFlatData: with no recursive nesting the ablation
-// mode must agree with the guarded engine.
-func TestUnguardedJumpsOnFlatData(t *testing.T) {
-	d := skewDoc(t, 40, 6, 8)
-	q := tpq.MustParse("//field//footnote//para")
-	vs := tpq.MustParseAll("//field//para; //footnote")
-	want := oracle.Eval(d, q)
-	got, _, _ := evalWith(t, d, q, vs, store.Linked, engine.Options{UnguardedJumps: true})
-	if !got.SameAs(want) {
-		t.Fatalf("unguarded mode lost matches on flat data: %d vs %d", len(got), len(want))
-	}
-}

@@ -132,11 +132,6 @@ type evaluator struct {
 	// main loop and shared with the collector's enumeration stage.
 	ic engine.Interrupter
 
-	// unguarded disables the safe-jump probe rule on scoped following
-	// pointers (ablation mode: the paper's Function 4 jumps them
-	// unconditionally; see package docs).
-	unguarded bool
-
 	// restrict is the run's partition restriction (nil = whole document);
 	// kept so the lazily-opened extension cursors bind to the same list
 	// slice as the prime cursors.
@@ -265,7 +260,6 @@ func (e *evaluator) addSteps(b *vsq.Segment, parent int) {
 // of scratch state, keeping capacity.
 func (e *evaluator) reset(io *counters.IO, opts engine.Options) {
 	e.io, e.c, e.tr = io, io.C, opts.Tracer
-	e.unguarded = opts.UnguardedJumps
 	e.restrict = opts.Restrict
 	e.ic = engine.NewInterrupter(opts.Interrupt)
 	e.col.Reset(io, opts.Tracer, opts.DiskBased, opts.PageSize)
@@ -575,7 +569,7 @@ func (e *evaluator) advancePointers(p int, target int32) {
 			from := cur.Position()
 			probe := *cur // stack copy: probing must not disturb the cursor
 			probe.Seek(following)
-			safe := e.unguarded || !e.p.Lists[p].Scoped() || target == maxInt32 ||
+			safe := !e.p.Lists[p].Scoped() || target == maxInt32 ||
 				(probe.Valid() && probe.Start() <= target)
 			if safe {
 				*cur = probe

@@ -117,8 +117,10 @@ func TestWholeQueryViewUsesExtension(t *testing.T) {
 }
 
 func TestNestedSameTypeRoots(t *testing.T) {
-	// Nested a-elements with interleaved views: the case where the paper's
-	// unguarded pointer jumps would lose matches.
+	// Nested a-elements with interleaved views: the shape the jump guards
+	// exist for (package doc, "Deviations") — a following pointer scoped to
+	// an outer a lands past an inner a that still holds matches, and a child
+	// pointer would reposition a member an open outer a still covers.
 	d := mustDoc(t, `<a><b/><a><c/><a><b/><c/></a><b/></a><c/></a>`)
 	q := tpq.MustParse("//a[//b]//c")
 	want := oracle.Eval(d, q)

@@ -16,64 +16,22 @@ import (
 
 // Ablation runs the reproduction's design-choice studies (DESIGN.md §3):
 //
-//  1. Jump guards: ViewJoin with this reproduction's safe-jump probe rule
-//     on scoped following pointers versus the paper's unconditional jumps,
-//     on the Nasa queries (whose element types do not nest, so both are
-//     correct there). The claim under test: the guard costs essentially
-//     nothing where the paper's pseudocode is sound.
-//  2. LEp threshold: the §III-C heuristic materializes following pointers
+//  1. LEp threshold: the §III-C heuristic materializes following pointers
 //     whose target is more than k = 1 entries away; sweeping k shows the
 //     pointer-count/skipping trade-off.
-//  3. Buffer pool: page misses for a fixed scan as the pool grows.
+//  2. Page size: storage footprint, padding and pages read by one fixed
+//     query as the views' page size grows.
 func Ablation(cfg Config) error {
 	cfg = cfg.withDefaults()
-	if err := ablationGuards(cfg); err != nil {
-		return err
-	}
 	if err := ablationThreshold(cfg); err != nil {
 		return err
 	}
-	return ablationPool(cfg)
-}
-
-func ablationGuards(cfg Config) error {
-	w := cfg.Out
-	fmt.Fprintln(w, "Ablation 1: ViewJoin jump guards (guarded vs paper-literal unguarded), Nasa, VJ+LE")
-	fmt.Fprintf(w, "%-6s %12s %12s %10s %10s %10s\n", "query", "guarded", "unguarded", "scan(g)", "scan(u)", "matches")
-	d := viewjoin.GenerateNasa(cfg.NasaDatasets)
-	for _, query := range append(workload.NasaPath(), workload.NasaTwig()...) {
-		mats, err := materializeAll(d, query, []viewjoin.StorageScheme{viewjoin.SchemeLE})
-		if err != nil {
-			return err
-		}
-		q, err := viewjoin.ParseQuery(query.Pattern.String())
-		if err != nil {
-			return err
-		}
-		c := combo{viewjoin.EngineViewJoin, viewjoin.SchemeLE}
-		guarded, err := run(cfg, d, q, mats[viewjoin.SchemeLE], c, false)
-		if err != nil {
-			return err
-		}
-		unguarded, err := runWith(cfg, d, q, mats[viewjoin.SchemeLE], c,
-			&viewjoin.EvalOptions{BufferPoolPages: cfg.BufferPoolPages, UnguardedJumps: true})
-		if err != nil {
-			return err
-		}
-		if unguarded.Matches != guarded.Matches {
-			return fmt.Errorf("ablation: %s: unguarded run lost matches (%d vs %d) — dataset unexpectedly nests",
-				query.Name, unguarded.Matches, guarded.Matches)
-		}
-		fmt.Fprintf(w, "%-6s %12s %12s %10d %10d %10d\n", query.Name,
-			fmtDur(guarded.Time), fmtDur(unguarded.Time),
-			guarded.Stats.ElementsScanned, unguarded.Stats.ElementsScanned, guarded.Matches)
-	}
-	return nil
+	return ablationPageSize(cfg)
 }
 
 func ablationThreshold(cfg Config) error {
 	w := cfg.Out
-	fmt.Fprintln(w, "\nAblation 2: LEp following-pointer distance threshold (k=1 is the paper's rule), N1, VJ")
+	fmt.Fprintln(w, "Ablation 1: LEp following-pointer distance threshold (k=1 is the paper's rule), N1, VJ")
 	fmt.Fprintf(w, "%-6s %12s %12s %12s %12s\n", "k", "pointers", "bytes", "scan", "derefs")
 	doc := nasa.Generate(nasa.Config{Datasets: cfg.NasaDatasets})
 	query := workload.NasaPath()[0] // N1
@@ -99,7 +57,7 @@ func ablationThreshold(cfg Config) error {
 			bytes += st.SizeBytes()
 		}
 		var c counters.Counters
-		_, _, err := vjengine.Eval(v, stores, counters.NewIO(&c, cfg.BufferPoolPages), engine.Options{})
+		_, _, err := vjengine.Eval(v, stores, counters.NewIO(&c, 0), engine.Options{})
 		if err != nil {
 			return err
 		}
@@ -120,9 +78,9 @@ func ablationThreshold(cfg Config) error {
 	return nil
 }
 
-func ablationPool(cfg Config) error {
+func ablationPageSize(cfg Config) error {
 	w := cfg.Out
-	fmt.Fprintln(w, "\nAblation 3: page size vs storage footprint and page I/O, Q14 views on XMark, TS+E")
+	fmt.Fprintln(w, "\nAblation 2: page size vs storage footprint and page I/O, Q14 views on XMark, TS+E")
 	fmt.Fprintf(w, "%-8s %12s %12s %12s\n", "page", "view bytes", "pages read", "padding")
 	d := viewjoin.GenerateXMark(cfg.XMarkScale)
 	query := workload.All()["Q14"]
@@ -148,8 +106,7 @@ func ablationPool(cfg Config) error {
 			mviews = append(mviews, mv)
 			bytes += mv.SizeBytes()
 		}
-		res, err := viewjoin.Evaluate(d, q, mviews, viewjoin.EngineTwigStack,
-			&viewjoin.EvalOptions{BufferPoolPages: cfg.BufferPoolPages})
+		res, err := viewjoin.Evaluate(d, q, mviews, viewjoin.EngineTwigStack, nil)
 		if err != nil {
 			return err
 		}

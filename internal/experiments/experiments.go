@@ -27,8 +27,6 @@ type Config struct {
 	// Repeats is the number of timed runs averaged per measurement; the
 	// paper used five (default 5).
 	Repeats int
-	// BufferPoolPages is the simulated buffer pool size (default 64).
-	BufferPoolPages int
 	// IOCostPerPage is the simulated cost of one buffer-pool page miss,
 	// folded into reported total times the way the paper reports
 	// I/O + CPU (default 3µs, which puts I/O under ~20%% of total for the
@@ -36,9 +34,6 @@ type Config struct {
 	IOCostPerPage time.Duration
 	// Out receives the experiment's table; defaults to io.Discard.
 	Out io.Writer
-	// Shards is the intra-query partition count the shards experiment
-	// compares against sequential evaluation (vjbench -shards; default 4).
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -53,9 +48,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IOCostPerPage <= 0 {
 		c.IOCostPerPage = 3 * time.Microsecond
-	}
-	if c.Shards <= 0 {
-		c.Shards = 4
 	}
 	if c.Out == nil {
 		c.Out = io.Discard
@@ -84,9 +76,8 @@ func All() []Experiment {
 		{"table4", "Table IV — size and #pointers of views across schemes", Table4},
 		{"fig7", "Fig 7 — scalability of ViewJoin on growing XMark documents", Fig7},
 		{"table5", "Table V — memory-based vs disk-based output approaches", Table5},
-		{"ablation", "Reproduction ablations — jump guards, LEp threshold, page size", Ablation},
+		{"ablation", "Reproduction ablations — LEp threshold, page size", Ablation},
 		{"noviews", "Views vs raw element streams — the [22] comparison the paper builds on", NoViews},
-		{"shards", "Range-partitioned parallel evaluation — Parallelism 1 vs N under I/O stalls", Shards},
 	}
 }
 
@@ -141,19 +132,11 @@ type measurement struct {
 	Matches int
 }
 
-// run evaluates one combo, averaging wall time over cfg.Repeats runs.
+// run evaluates one combo, averaging wall time over cfg.Repeats runs after
+// one warm-up.
 func run(cfg Config, d *viewjoin.Document, q *viewjoin.Query, mviews []*viewjoin.MaterializedView,
 	c combo, diskBased bool) (measurement, error) {
-	return runWith(cfg, d, q, mviews, c, &viewjoin.EvalOptions{
-		DiskBased:       diskBased,
-		BufferPoolPages: cfg.BufferPoolPages,
-	})
-}
-
-// runWith evaluates one combo under explicit options, averaging wall time
-// over cfg.Repeats runs after one warm-up.
-func runWith(cfg Config, d *viewjoin.Document, q *viewjoin.Query, mviews []*viewjoin.MaterializedView,
-	c combo, opts *viewjoin.EvalOptions) (measurement, error) {
+	opts := &viewjoin.EvalOptions{DiskBased: diskBased}
 	var m measurement
 	var total time.Duration
 	// One untimed warm-up run stabilizes cache and allocator state, then

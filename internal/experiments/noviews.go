@@ -100,14 +100,13 @@ func NoViews(cfg Config) error {
 // runRaw measures EvaluateWithoutViews the same way run measures the
 // view-based engines (warm-up, averaged repeats, simulated I/O).
 func runRaw(cfg Config, d *viewjoin.Document, q *viewjoin.Query, eng viewjoin.Engine) (measurement, error) {
-	opts := &viewjoin.EvalOptions{BufferPoolPages: cfg.BufferPoolPages}
 	var m measurement
-	if _, err := viewjoin.EvaluateWithoutViews(d, q, eng, opts); err != nil {
+	if _, err := viewjoin.EvaluateWithoutViews(d, q, eng, nil); err != nil {
 		return m, err
 	}
 	var total int64
 	for i := 0; i < cfg.Repeats; i++ {
-		res, err := viewjoin.EvaluateWithoutViews(d, q, eng, opts)
+		res, err := viewjoin.EvaluateWithoutViews(d, q, eng, nil)
 		if err != nil {
 			return m, err
 		}

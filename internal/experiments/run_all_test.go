@@ -41,7 +41,7 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("expected error for unknown experiment")
 	}
-	if len(All()) != 14 {
-		t.Fatalf("experiments = %d, want 14", len(All()))
+	if len(All()) != 13 {
+		t.Fatalf("experiments = %d, want 13", len(All()))
 	}
 }

@@ -31,8 +31,8 @@ func TestPaperClaims(t *testing.T) {
 	}
 
 	// Every claim is a relation between one entry's rows; at resolves a row
-	// of the entry under test by the rest of its key, whole by its combo
-	// under the default pool, unpartitioned — the configuration the paper ran.
+	// of the entry under test by the rest of its key, whole by its combo,
+	// unpartitioned — the configuration the paper ran.
 	type lookup func(rest string) goldenRow
 	vjSchemes := []string{"VJ+E", "VJ+LE", "VJ+LEp"}
 	claims := []struct {
@@ -77,14 +77,9 @@ func TestPaperClaims(t *testing.T) {
 			return whole("TS+E").PagesRead < whole("TS+LEp").PagesRead &&
 				whole("TS+LEp").PagesRead <= whole("TS+LE").PagesRead
 		}},
-		{"ablation: on data that does not nest the jump guard changes no counter", "N1 N2 N3 N4 N5 N6 N7 N8 PV1 PV2 PV3 PV4 TV1 TV2 TV3 TV4", func(at, whole lookup) bool {
-			g, u := whole("VJ+LE"), at("VJ+LE/pool=default/unguarded")
-			u.Key = g.Key
-			return g == u
-		}},
 		{"Table V: disk-based output scans, compares and matches as memory-based does", "", func(at, whole lookup) bool {
 			for _, c := range []string{"TS+E", "VJ+LE"} {
-				m, d := whole(c), at(c+"/pool=default/disk")
+				m, d := whole(c), at(c+"/disk")
 				if m.Scanned != d.Scanned || m.Comparisons != d.Comparisons || m.Matches != d.Matches {
 					return false
 				}
@@ -93,12 +88,21 @@ func TestPaperClaims(t *testing.T) {
 		}},
 		{"Table V: memory-based writes no page; disk-based reads back exactly what it wrote", "", func(at, whole lookup) bool {
 			for _, c := range []string{"TS+E", "VJ+LE"} {
-				m, d := whole(c), at(c+"/pool=default/disk")
+				m, d := whole(c), at(c+"/disk")
 				if m.PagesWritten != 0 || d.PagesWritten <= 0 || d.PagesRead != m.PagesRead+d.PagesWritten {
 					return false
 				}
 			}
 			return true
+		}},
+		// The buffer pool's one observable job: a yielded run flushes partial
+		// windows and re-lands on pages it has left, and the pool absorbs
+		// every one of those touches.
+		{"streaming: a yielded run reads exactly the pages the whole run reads", "", func(at, whole lookup) bool {
+			return at("VJ+LEp/streamed").PagesRead == whole("VJ+LEp").PagesRead
+		}},
+		{"streaming: the re-landings of a yielded run hit the pool", "Q1 Q4 Q8 Q10 Q13 Q14 Q19", func(at, _ lookup) bool {
+			return at("VJ+LEp/streamed").PageHits > 0
 		}},
 	}
 	for _, c := range claims {
@@ -113,22 +117,26 @@ func TestPaperClaims(t *testing.T) {
 				}
 				return r
 			}
-			whole := func(combo string) goldenRow { return at(combo + "/pool=default/whole") }
+			whole := func(combo string) goldenRow { return at(combo + "/whole") }
 			if !c.holds(at, whole) {
 				t.Errorf("%s: fails on %s", c.name, q)
 			}
 		}
 	}
 
-	// Every engine, scheme, pool, partitioning and variant finds the same
-	// matches, and views never cost more than the raw streams they replace.
+	// Every engine, scheme, partitioning and variant finds the same matches,
+	// only a streamed run ever re-touches a page, and views never cost more
+	// than the raw streams they replace.
 	for key, r := range rows {
 		q, _, _ := strings.Cut(key, "/")
-		ts := rows[q+"/TS+E/pool=default/whole"]
+		ts := rows[q+"/TS+E/whole"]
 		if r.Matches != ts.Matches {
 			t.Errorf("%s: %d matches, TS+E found %d", key, r.Matches, ts.Matches)
 		}
-		if strings.HasSuffix(key, "/TS/pool=default/raw") &&
+		if !strings.HasSuffix(key, "/streamed") && r.PageHits != 0 {
+			t.Errorf("%s: %d page hits in a run that is not streamed", key, r.PageHits)
+		}
+		if strings.HasSuffix(key, "/TS/raw") &&
 			(ts.Scanned > r.Scanned || ts.Comparisons > r.Comparisons || ts.PagesRead > r.PagesRead) {
 			t.Errorf("%s: TS over E views costs more than TS over the raw streams", q)
 		}
@@ -137,8 +145,8 @@ func TestPaperClaims(t *testing.T) {
 	// Fig 6: only the endpoints of the interleaving trend hold in counters
 	// (PV3 > PV2 and TV3 > TV2; tabled in EXPERIMENTS.md).
 	for _, p := range []string{"PV", "TV"} {
-		hi := rows[p+"1/VJ+LEp/pool=default/whole"].Comparisons
-		lo := rows[p+"4/VJ+LEp/pool=default/whole"].Comparisons
+		hi := rows[p+"1/VJ+LEp/whole"].Comparisons
+		lo := rows[p+"4/VJ+LEp/whole"].Comparisons
 		if lo >= hi {
 			t.Errorf("Fig 6: comparisons(VJ+LEp) %s4 = %d, not below %s1 = %d", p, lo, p, hi)
 		}

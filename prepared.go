@@ -156,7 +156,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 		if tr != nil {
 			tr.EndPhase(obs.PhaseSegment)
 		}
-		io := counters.NewIO(&p.prepC, opts.BufferPoolPages)
+		io := counters.NewIO(&p.prepC, 0)
 		if tr != nil {
 			io.Page = pageHook(tr)
 		}

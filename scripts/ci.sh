@@ -6,6 +6,8 @@
 #
 # Runs, in order:
 #   1. gofmt: no file may need reformatting
+#   1b. docs budget: DESIGN.md + EXPERIMENTS.md together stay <= 110 KB
+#      (one current table per claim; history is in git log)
 #   2. tier-1 verify: go build, go vet, go test, go test -race (ROADMAP.md),
 #      then both test runs again under GOMAXPROCS=1 and =2, so a test that
 #      depends on how many goroutines really run at once cannot pass on a
@@ -70,6 +72,13 @@ unformatted="$(gofmt -l . 2>/dev/null || true)"
 if [ -n "$unformatted" ]; then
 	echo "gofmt: the following files need reformatting:" >&2
 	echo "$unformatted" >&2
+	exit 1
+fi
+
+echo "== docs budget: DESIGN.md + EXPERIMENTS.md <= 110 KB"
+docs_bytes="$(cat DESIGN.md EXPERIMENTS.md | wc -c)"
+if [ "$docs_bytes" -gt 110000 ]; then
+	echo "DESIGN.md + EXPERIMENTS.md are $docs_bytes bytes, over the 110000 budget" >&2
 	exit 1
 fi
 

@@ -414,18 +414,6 @@ type EvalOptions struct {
 	// DiskBased selects the disk-based output approach (§IV): intermediate
 	// solutions are spooled through scratch pages, trading I/O for memory.
 	DiskBased bool
-	// PageSize is the scratch page size; 0 means 4096.
-	PageSize int
-	// BufferPoolPages is the simulated buffer pool capacity in pages; 0
-	// means 64, negative disables caching.
-	BufferPoolPages int
-	// UnguardedJumps makes ViewJoin follow scoped following pointers
-	// unconditionally, as the paper's pseudocode prescribes, instead of
-	// applying this reproduction's safe-jump probe rule. Results can be
-	// incomplete when the queried element types nest recursively; intended
-	// for ablation studies on data without such nesting (the benchmark
-	// datasets qualify).
-	UnguardedJumps bool
 	// Parallelism requests range-partitioned parallel evaluation: the
 	// document is split into up to Parallelism chunks at top-level subtree
 	// boundaries and evaluated by a bounded worker group, with outputs
@@ -433,14 +421,6 @@ type EvalOptions struct {
 	// 1 evaluate sequentially; negative means GOMAXPROCS. See Stats for
 	// how partitions fold into it.
 	Parallelism int
-	// IOLatency, when positive, charges every simulated buffer-pool page
-	// miss as real wall time: the evaluating goroutine stalls for this
-	// long per miss (batched above the platform timer floor, with the
-	// total kept accurate). Sequential runs pay the stalls serially;
-	// partitioned runs overlap them across workers, exactly as concurrent
-	// range reads overlap on a real device. Zero (the default) keeps the
-	// historical arithmetic-only cost model.
-	IOLatency time.Duration
 	// Limit, when > 0, bounds the result to the first Limit matches in
 	// document order. The bound is pushed into the engines: the streaming
 	// engines (ViewJoin, TwigStack) stop scanning once Offset+Limit matches

@@ -173,7 +173,7 @@ func TestStatsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(d, q, mv, EngineViewJoin, &EvalOptions{BufferPoolPages: 8})
+	res, err := Evaluate(d, q, mv, EngineViewJoin, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
