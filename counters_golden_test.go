@@ -48,8 +48,10 @@ type goldenRow struct {
 //	IJ+T/whole+prepare    the one-shot Evaluate, preparation scans folded
 //	                      in — the figure the paper's IJ bars correspond to
 //	VJ+LE, TS+E/disk      EvalOptions.DiskBased (Table V)
-//	VJ+LEp/streamed       RunOptions.Yield taking every match: the one shape
-//	                      in this file whose page touches hit the pool
+//	VJ+LEp/paged          RunOptions.Limit no query reaches (1<<30): a bounded
+//	                      run flushes finished sub-regions early, as every
+//	                      /query page does — the one shape in this file
+//	                      whose page touches hit the pool
 //	TS, PS/raw            EvaluateWithoutViews, once per named query
 func goldenRows(t *testing.T) []goldenRow {
 	t.Helper()
@@ -138,13 +140,8 @@ func goldenRows(t *testing.T) []goldenRow {
 		if err != nil {
 			t.Fatalf("%s: %v", wq.name, err)
 		}
-		yielded := 0
-		res, err := p.RunWith(context.Background(), &viewjoin.RunOptions{Yield: func([]viewjoin.Node) bool {
-			yielded++
-			return true
-		}})
-		add(wq.name+"/VJ+LEp/streamed", res, err)
-		rows[len(rows)-1].Matches = yielded // a yielded run's Result carries no rows
+		res, err := p.RunWith(context.Background(), &viewjoin.RunOptions{Limit: 1 << 30})
+		add(wq.name+"/VJ+LEp/paged", res, err)
 		if wq.named {
 			res, err := viewjoin.EvaluateWithoutViews(doc, q, viewjoin.EngineTwigStack, nil)
 			add(wq.name+"/TS/raw", res, err)

@@ -3,6 +3,7 @@ package viewjoin
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -13,11 +14,10 @@ import (
 )
 
 // This file is the executor: the one path every public entry point — Run,
-// RunTraced, RunWith, Evaluate, EvaluateWithoutViews, EvaluateBatch — takes
-// through a prepared plan. A run is four steps: resolve the options, plan
-// the partitions (none: one whole-document job, run inline), run every job
-// through runJob with rows going into the Result or to a sink in document
-// order, and assemble the Stats once.
+// RunTraced, RunWith, Evaluate, EvaluateWithoutViews — takes through a
+// prepared plan. A run is four steps: resolve the options, plan the
+// partitions (none: one whole-document job, run inline), run every job
+// through runJob, and assemble the Result and its Stats once.
 
 // limits is the pagination state of one execution: the public
 // Limit/Offset/After knobs normalized for the engine layer.
@@ -31,12 +31,19 @@ type limits struct {
 // offset+limit matches (counted after the cursor filter), because the
 // requested page is fully determined by that prefix. 0 (no limit) leaves
 // the run unbounded — an offset alone must still enumerate everything
-// after the skipped prefix.
+// after the skipped prefix. A quota no page can reach — the sum overflows,
+// or exceeds what int32 labels can number — is no quota either: the
+// sort-before-output engines size their shrink threshold from it, and slice
+// cuts the page regardless.
 func (l limits) first() int {
 	if l.limit <= 0 {
 		return 0
 	}
-	return l.offset + l.limit
+	quota := l.offset + l.limit
+	if quota < l.limit || quota > math.MaxInt32 {
+		return 0
+	}
+	return quota
 }
 
 // slice reduces an engine's (already bounded, cursor-filtered) document-
@@ -57,11 +64,10 @@ func (l limits) slice(ms [][]Node) [][]Node {
 
 // request is one execution's options, resolved.
 type request struct {
-	ctx   context.Context // nil runs uninterruptible
-	lim   limits
-	k     int        // partitions asked for; <= 1 is sequential
-	tr    obs.Tracer // observes this execution only
-	yield func(row []Node) bool
+	ctx context.Context // nil runs uninterruptible
+	lim limits
+	k   int        // partitions asked for; <= 1 is sequential
+	tr  obs.Tracer // observes this execution only
 	// start is where Duration and FirstMatchNanos count from; includePrep
 	// folds the preparation-time counters into the Stats. A one-shot
 	// Evaluate sets both so its Stats keep covering the whole call.
@@ -81,7 +87,6 @@ func (p *PreparedQuery) resolve(ctx context.Context, ro *RunOptions) request {
 	}
 	if ro != nil {
 		r.lim = limits{limit: ro.Limit, offset: ro.Offset, after: ro.After}
-		r.yield = ro.Yield
 		if ro.Parallelism != 0 {
 			r.k = ro.Parallelism
 		}
@@ -95,12 +100,8 @@ func (p *PreparedQuery) resolve(ctx context.Context, ro *RunOptions) request {
 	return r
 }
 
-// execute runs the plan once for r. Jobs run with their rows accumulating
-// into the Result, except when r.yield can be fed in document order while
-// the engines are still scanning: a window-collector engine (ViewJoin,
-// TwigStack) running as one job, or as a bounded partitioned run whose
-// match order across jobs follows job index (spineOrdered). Every other
-// yield run takes the one fallback — assemble replays the finished page.
+// execute runs the plan once for r: every job's rows accumulate in its
+// outcome and assemble merges them into the Result.
 //
 // Partitions run untraced (Tracer implementations are not concurrency-
 // safe); the executor instead emits one EvPartition event per executed job
@@ -115,11 +116,6 @@ func (p *PreparedQuery) execute(r request) (res *Result, err error) {
 		return nil, err
 	}
 	jobs := p.planPartitions(r.k)
-	sink := r.yield // nil unless the run streams
-	if sink != nil && ((p.eng != EngineViewJoin && p.eng != EngineTwigStack) ||
-		(len(jobs) > 0 && (r.lim.first() == 0 || !p.spineOrdered()))) {
-		sink = nil
-	}
 	if r.tr != nil {
 		r.tr.Plan(p.tracePlan())
 		r.tr.BeginPhase(obs.PhaseEvaluate)
@@ -127,12 +123,9 @@ func (p *PreparedQuery) execute(r request) (res *Result, err error) {
 	var one [1]jobOut
 	outs := one[:]
 	if len(jobs) == 0 {
-		if sink != nil { // guarded: the wrapper's counter would cost every run an allocation
-			sink = skipFirst(r.lim.offset, sink)
-		}
-		one[0] = p.runJob(nil, interrupt, r.lim, sink, r.tr)
+		one[0] = p.runJob(nil, interrupt, r.lim, r.tr)
 	} else {
-		outs = p.runPartitions(jobs, interrupt, r.lim, sink)
+		outs = p.runPartitions(jobs, interrupt, r.lim)
 		if r.tr != nil {
 			for i := range outs {
 				if !outs[i].skipped {
@@ -144,22 +137,7 @@ func (p *PreparedQuery) execute(r request) (res *Result, err error) {
 	if r.tr != nil {
 		r.tr.EndPhase(obs.PhaseEvaluate)
 	}
-	return p.assemble(outs, &r, sink != nil)
-}
-
-// skipFirst wraps a sequential streamed run's sink to drop the offset
-// prefix (which still counts against the engine quota, offset+limit).
-func skipFirst(skip int, yield func(row []Node) bool) func(row []Node) bool {
-	if skip <= 0 {
-		return yield
-	}
-	return func(row []Node) bool {
-		if skip > 0 {
-			skip--
-			return true
-		}
-		return yield(row)
-	}
+	return p.assemble(outs, &r)
 }
 
 // tracePlan returns the obs.Plan for tracer delivery, built on first use
@@ -245,13 +223,12 @@ type jobIO struct {
 
 // runJob executes the plan once over restriction r (nil: the whole
 // document) with its own counters and its own buffer pool (pools simulate
-// per-cursor-set caching and cannot be shared across goroutines). A non-nil
-// emit streams the job's rows instead of accumulating them
-// (ViewJoin/TwigStack only). tr must be nil for jobs that run concurrently
-// (Tracer implementations are not concurrency-safe). A plan over mapped
-// views runs with faults turned into out.err: fault handling is per
-// goroutine, and this is where every job's goroutine is.
-func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, emit func(row []Node) bool, tr obs.Tracer) (out jobOut) {
+// per-cursor-set caching and cannot be shared across goroutines). tr must
+// be nil for jobs that run concurrently (Tracer implementations are not
+// concurrency-safe). A plan over mapped views runs with faults turned into
+// out.err: fault handling is per goroutine, and this is where every job's
+// goroutine is.
+func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, tr obs.Tracer) (out jobOut) {
 	if p.mapped {
 		defer catchViewFault(debug.SetPanicOnFault(true), &out.err)
 	}
@@ -277,7 +254,6 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 		// there.
 		First: lim.first(),
 		After: lim.after,
-		Emit:  emit,
 	})
 	out.dur = time.Since(t0)
 	out.first = io.FirstMatchTime()
@@ -292,9 +268,8 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 // single job's peak, first match the earliest, and Matches the jobs' rows —
 // already label-native and in document order — merged and cut to the page.
 // That assembly is all the output phase still does: the rows themselves
-// were written during enumeration. A yield run that could not stream
-// (streamed false) has its page replayed here, after the Stats are taken.
-func (p *PreparedQuery) assemble(outs []jobOut, r *request, streamed bool) (*Result, error) {
+// were written during enumeration.
+func (p *PreparedQuery) assemble(outs []jobOut, r *request) (*Result, error) {
 	var (
 		c          counters.Counters
 		peak       int64
@@ -349,16 +324,6 @@ func (p *PreparedQuery) assemble(outs []jobOut, r *request, streamed bool) (*Res
 	if rec, ok := r.tr.(*obs.Recorder); ok {
 		res.Trace = rec.Report(c, time.Since(r.start))
 		res.Trace.FirstMatchNanos = firstNanos
-	}
-	if r.yield != nil {
-		res.Matches = nil
-		if !streamed {
-			for _, row := range rows {
-				if !r.yield(row) {
-					break
-				}
-			}
-		}
 	}
 	return res, nil
 }

@@ -62,10 +62,9 @@ type executorCell struct {
 
 // TestExecutorEquivalence is the one equivalence table of the executor:
 // every engine × {sequential, Parallelism 3} × {full, limit, limit+offset,
-// after-cursor} × {materialized, yield} returns exactly the oracle's rows
-// (or the slice of them the options select); the full materialized runs
-// additionally reproduce the golden file's deterministic counters, since
-// they are the very runs it pins.
+// after-cursor} returns exactly the oracle's rows (or the slice of them the
+// options select); the full runs additionally reproduce the golden file's
+// deterministic counters, since they are the very runs it pins.
 func TestExecutorEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("evaluates catalogue queries at benchmark scale")
@@ -99,38 +98,23 @@ func TestExecutorEquivalence(t *testing.T) {
 			k    int
 		}{{"whole", 1}, {"parallel=3", 3}} {
 			for _, sh := range shapes {
-				for _, yield := range []bool{false, true} {
-					name := fmt.Sprintf("%s/%s/%s/yield=%v", c.key, par.name, sh.name, yield)
-					ro := sh.ro
-					ro.Parallelism = par.k
-					var got [][]viewjoin.Node
-					if yield {
-						ro.Yield = func(row []viewjoin.Node) bool {
-							got = append(got, append([]viewjoin.Node(nil), row...))
-							return true
-						}
+				name := fmt.Sprintf("%s/%s/%s", c.key, par.name, sh.name)
+				ro := sh.ro
+				ro.Parallelism = par.k
+				res, err := c.plan.RunWith(context.Background(), &ro)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !sameRows(res.Matches, sh.want) {
+					t.Errorf("%s: %d rows, want %d — diverged from the oracle", name, len(res.Matches), len(sh.want))
+				}
+				if sh.name == "full" {
+					want, pinned := golden[c.key+"/"+par.name]
+					if !pinned {
+						t.Fatalf("%s: no row %s/%s in %s", name, c.key, par.name, countersGoldenPath)
 					}
-					res, err := c.plan.RunWith(context.Background(), &ro)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if yield && len(res.Matches) != 0 {
-						t.Errorf("%s: a yield run also returned %d rows in the Result", name, len(res.Matches))
-					}
-					if !yield {
-						got = res.Matches
-					}
-					if !sameRows(got, sh.want) {
-						t.Errorf("%s: %d rows, want %d — diverged from the oracle", name, len(got), len(sh.want))
-					}
-					if sh.name == "full" && !yield {
-						want, pinned := golden[c.key+"/"+par.name]
-						if !pinned {
-							t.Fatalf("%s: no row %s/%s in %s", name, c.key, par.name, countersGoldenPath)
-						}
-						if have := goldenRowOf(want.Key, res); have != want {
-							t.Errorf("%s:\n got  %+v\n want %+v", name, have, want)
-						}
+					if have := goldenRowOf(want.Key, res); have != want {
+						t.Errorf("%s:\n got  %+v\n want %+v", name, have, want)
 					}
 				}
 			}
@@ -155,53 +139,22 @@ func sameRows(got, want [][]viewjoin.Node) bool {
 	return true
 }
 
-// TestExecutorYieldDeclines stops a run from its sink: on every engine,
-// sequentially and partitioned, bounded and not, a Yield returning false
-// ends the run with a nil error and is not called again.
-func TestExecutorYieldDeclines(t *testing.T) {
-	if testing.Short() {
-		t.Skip("evaluates catalogue queries at benchmark scale")
-	}
-	for _, c := range executorCells(t) {
-		for _, k := range []int{1, 3} {
-			for _, limit := range []int{0, 50} {
-				calls := 0
-				res, err := c.plan.RunWith(context.Background(), &viewjoin.RunOptions{
-					Limit: limit, Parallelism: k,
-					Yield: func([]viewjoin.Node) bool {
-						calls++
-						return calls < 3
-					},
-				})
-				if err != nil || res == nil {
-					t.Fatalf("%s k=%d limit=%d: declined run returned (%v, %v), want a Result and a nil error", c.key, k, limit, res, err)
-				}
-				if calls != 3 {
-					t.Errorf("%s k=%d limit=%d: Yield called %d times, want 3 (it returned false on the third)", c.key, k, limit, calls)
-				}
-			}
-		}
-	}
-}
-
-// TestExecutorTracesStreamedPartitions pins that the one shape that used to
-// run untraceable is observed like the others: a traced bounded partitioned
-// streamed run reports one partition event per executed job.
+// TestExecutorTracesStreamedPartitions pins that partition jobs, which run
+// untraced, are still observed: a traced bounded partitioned run reports
+// one partition event per executed job.
 func TestExecutorTracesStreamedPartitions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("evaluates catalogue queries at benchmark scale")
 	}
-	for _, c := range executorCells(t)[:2] { // the streaming engines
-		rows := 0
+	for _, c := range executorCells(t)[:2] { // the engines that stop at the quota
 		res, err := c.plan.RunWith(context.Background(), &viewjoin.RunOptions{
 			Limit: 10, Parallelism: 3, Tracer: obs.NewRecorder(),
-			Yield: func([]viewjoin.Node) bool { rows++; return true },
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", c.key, err)
 		}
-		if rows != 10 {
-			t.Errorf("%s: %d rows yielded, want 10", c.key, rows)
+		if len(res.Matches) != 10 {
+			t.Errorf("%s: %d rows, want 10", c.key, len(res.Matches))
 		}
 		if res.Trace == nil {
 			t.Fatalf("%s: a Recorder run returned no trace report", c.key)

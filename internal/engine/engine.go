@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 
-	"viewjoin/internal/match"
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/vsq"
@@ -46,14 +45,6 @@ type Options struct {
 	// node 0, Body for the rest). Partitioned evaluation runs one
 	// restricted job per document chunk; nil keeps the whole document.
 	Restrict *Restriction
-	// Emit, when non-nil, streams each result row to the sink as it is
-	// produced instead of accumulating it into the returned rows; returning
-	// false stops the run early (ErrStop). The row is a staged slot (see
-	// Rows.Stage) overwritten by the next match — sinks must copy what they
-	// keep. Only the window-collector engines (ViewJoin, TwigStack) deliver
-	// incrementally and in document order; PathStack and InterJoin sort
-	// before output, so their callers replay the finished result instead.
-	Emit func(row []match.Cell) bool
 	// First, when > 0, bounds the number of matches produced (quota =
 	// offset + limit, counted after the After filter): once reached, the
 	// enumeration stage stops the run via ErrStop and the engine returns

@@ -5,15 +5,15 @@ import (
 	"testing"
 
 	"viewjoin/internal/counters"
-	"viewjoin/internal/match"
 	"viewjoin/internal/oracle"
 	"viewjoin/internal/tpq"
 	"viewjoin/internal/xmltree"
 )
 
 // TestPartialFlushDupCheck simulates an engine feeding candidates in
-// document order with Advance(frontier) between adds, streaming enabled,
-// and checks the streamed output against the oracle for duplicates.
+// document order with Advance(frontier) between adds under a quota (so
+// partial flushes fire), and checks the output against the oracle for
+// duplicates.
 func TestPartialFlushDupCheck(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<r><s><a><b>")
@@ -32,11 +32,7 @@ func TestPartialFlushDupCheck(t *testing.T) {
 
 	var cnt counters.Counters
 	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 64)
-	var got [][]match.Cell
-	c.SetStream(func(m []match.Cell) bool {
-		got = append(got, cloneRow(m))
-		return true
-	}, 0, nil)
+	c.SetStream(unreached, nil)
 
 	// Gather all candidates in document order.
 	type cand struct {
@@ -59,9 +55,9 @@ func TestPartialFlushDupCheck(t *testing.T) {
 			c.Advance(cands[i+1].l.Start)
 		}
 	}
-	c.Result()
+	got := c.Result()
 
-	t.Logf("streamed %d matches, oracle %d", len(got), len(want))
+	t.Logf("kept %d matches, oracle %d", len(got), len(want))
 	seen := map[string]int{}
 	for _, m := range got {
 		var key strings.Builder
@@ -78,9 +74,9 @@ func TestPartialFlushDupCheck(t *testing.T) {
 		}
 	}
 	if dups > 0 {
-		t.Fatalf("duplicate matches streamed: %d (streamed %d, oracle %d)", dups, len(got), len(want))
+		t.Fatalf("duplicate matches kept: %d (kept %d, oracle %d)", dups, len(got), len(want))
 	}
 	if len(got) != len(want) {
-		t.Fatalf("streamed %d, oracle %d", len(got), len(want))
+		t.Fatalf("kept %d, oracle %d", len(got), len(want))
 	}
 }

@@ -70,13 +70,11 @@ type Collector struct {
 	// no-ops and the partial output is abandoned by the engine.
 	ic *engine.Interrupter
 
-	// Streaming state (SetStream): emit delivers matches to a sink as
-	// windows close instead of accumulating them; first bounds the total
-	// matches produced; after is the resumption cursor (emit only matches
-	// strictly greater than this start tuple, document order); emitted
-	// counts deliveries; stopped latches once the quota is met or the sink
-	// declines, turning every later Add/Flush into a no-op.
-	emit    func(row []match.Cell) bool
+	// Output bounds (SetStream): first bounds the total matches produced;
+	// after is the resumption cursor (only matches strictly greater than this
+	// start tuple, document order, are kept); emitted counts the rows kept;
+	// stopped latches once the quota is met, turning every later Add/Flush
+	// into a no-op.
 	first   int
 	after   []int32
 	emitted int
@@ -86,12 +84,12 @@ type Collector struct {
 	// the query root (pattern pre-order indices 1..a, where a is the first
 	// node with zero or several children); when it is non-empty, a
 	// document-spanning window — every §VI query is rooted at //site, one
-	// element covering the whole document — can stream finished sub-regions
-	// out before the window closes (see Advance). nextPartial is the
+	// element covering the whole document — can enumerate finished
+	// sub-regions before the window closes (see Advance). nextPartial is the
 	// entry-count trigger for the next partial-flush attempt, grown
 	// geometrically so filter work stays amortized against window growth,
-	// and math.MaxInt — never — for a run that neither streams nor is bounded
-	// or a query without a spine: the trigger is Advance's only gate.
+	// and math.MaxInt — never — for an unbounded run or a query without a
+	// spine: the trigger is Advance's only gate.
 	// full is swap scratch for enumerating truncated candidate lists.
 	// flushedBound is the bound of the window's latest partial flush: every
 	// tuple whose bindings all start before it has already been emitted, so
@@ -189,7 +187,7 @@ func (c *Collector) Reset(io *counters.IO, tr obs.Tracer, diskBased bool, pageSi
 	c.io, c.tr, c.diskBased, c.pageSize = io, tr, diskBased, pageSize
 	c.ic = nil
 	c.out = engine.NewRows(c.q, 0)
-	c.emit, c.first, c.after = nil, 0, nil
+	c.first, c.after = 0, nil
 	c.emitted, c.stopped = 0, false
 	for qi := range c.cands {
 		c.cands[qi] = c.cands[qi][:0]
@@ -285,33 +283,27 @@ func (c *Collector) SetInterrupt(ic *engine.Interrupter) {
 	c.ic = ic
 }
 
-// SetStream configures streaming delivery and early termination for the
-// run (all cleared by Reset): emit, when non-nil, receives every row as it
-// is produced — a staged slot overwritten by the next match, so sinks copy
-// what they keep; returning false stops the run. first > 0 bounds the
-// matches produced (counted after the cursor filter) and sizes the first
-// result chunk. after, when non-nil, must hold one start label per query
-// node: only matches strictly greater than it in document order are
-// delivered.
-func (c *Collector) SetStream(emit func(row []match.Cell) bool, first int, after []int32) {
-	c.emit, c.first, c.after = emit, first, after
+// SetStream configures early termination and resumption for the run (both
+// cleared by Reset). first > 0 bounds the matches produced (counted after
+// the cursor filter), sizes the first result chunk and arms partial
+// flushing. after, when non-nil, must hold one start label per query node:
+// only matches strictly greater than it in document order are kept.
+func (c *Collector) SetStream(first int, after []int32) {
+	c.first, c.after = first, after
 	c.nextPartial = math.MaxInt
-	if (emit != nil || first > 0) && len(c.spine) > 0 {
+	if first > 0 && len(c.spine) > 0 {
 		c.nextPartial = partialTrigger
-	}
-	if emit != nil {
-		first = 1 // a streamed run only ever holds the staged row
 	}
 	c.out = engine.NewRows(c.q, first)
 }
 
-// Emitted returns the number of matches delivered so far (streamed or
-// accumulated, after the cursor filter).
+// Emitted returns the number of matches kept so far (after the cursor
+// filter).
 func (c *Collector) Emitted() int { return c.emitted }
 
-// interrupted reports whether the run has stopped — quota met, sink
-// declined, or the bound checker tripped (no poll — the engine loops do
-// the polling between windows).
+// interrupted reports whether the run has stopped — quota met or the bound
+// checker tripped (no poll — the engine loops do the polling between
+// windows).
 func (c *Collector) interrupted() bool {
 	return c.stopped || (c.ic != nil && c.ic.Err() != nil)
 }
@@ -367,10 +359,10 @@ func (c *Collector) Flush() {
 // candidate as a document-order minimum over forward-only cursors, so the
 // bound is sound: any region ending before the frontier is finished.
 //
-// In a bounded or sink-driven run this may partially flush the open
-// window. The §VI queries are all rooted at //site — one element spanning
-// the whole document — so the collector's only window closes at end of
-// scan and plain window streaming would deliver nothing early. Partial
+// In a bounded run this may partially flush the open window. The §VI
+// queries are all rooted at //site — one element spanning the whole
+// document — so the collector's only window closes at end of scan and
+// window-at-a-time output would produce nothing early. Partial
 // flushing restores the first-k payoff: matches confined to sub-regions
 // the frontier has passed are final, so they are emitted (tripping the
 // quota and stopping the scan) and their candidates discarded, keeping
@@ -518,10 +510,9 @@ func (c *Collector) discardWindow() {
 	c.disorder = false
 }
 
-// Result flushes any open window and hands over the collected rows (none in
-// streaming mode — the sink received them). The Matches counter is the
-// number of matches delivered, which for a bounded run is the bounded
-// count, not the query's full cardinality.
+// Result flushes any open window and hands over the collected rows. The
+// Matches counter is the number of matches kept, which for a bounded run is
+// the bounded count, not the query's full cardinality.
 func (c *Collector) Result() [][]match.Cell {
 	c.Flush()
 	c.io.C.Matches = int64(c.emitted)
@@ -660,8 +651,8 @@ func popClosed(st []openCand, ok []bool, ad bool, pos int32) []openCand {
 // Order invariant: windows close in ascending root-start order, the root
 // loop walks cands[0] ascending, and descend extends the tuple in pattern
 // pre-order over start-sorted lists — so rows are produced exactly in
-// match.RowLess (document) order, which is what makes streamed LIMIT/OFFSET
-// and the cursor filter exact without any buffering.
+// match.RowLess (document) order, which is what makes LIMIT/OFFSET and the
+// cursor filter exact without any buffering.
 func (c *Collector) walk() {
 	for j, cand := range c.cands[0] {
 		if !c.ok[0][j] {
@@ -687,7 +678,7 @@ func (c *Collector) bind(qi, j int, l Label) {
 // descend binds query nodes qi.. in turn to every consistent combination
 // of surviving candidates under the bindings of nodes 0..qi-1 and emits a
 // row per combination. It returns false to unwind the whole enumeration —
-// cancellation, quota met, or the sink declining more matches.
+// cancellation or quota met.
 func (c *Collector) descend(qi int) bool {
 	if qi == len(c.row) {
 		return c.emitRow()
@@ -724,12 +715,7 @@ func (c *Collector) emitRow() bool {
 		}
 	}
 	c.io.MarkFirstMatch()
-	if c.emit == nil {
-		c.out.AppendRow(c.row)
-	} else if !c.emit(c.out.Stage(c.row)) {
-		c.stop()
-		return false
-	}
+	c.out.AppendRow(c.row)
 	c.emitted++
 	if c.first > 0 && c.emitted >= c.first {
 		c.stop()

@@ -13,10 +13,6 @@ import (
 	"viewjoin/internal/xmltree"
 )
 
-// cloneRow copies a streamed row: emit hands sinks a staged slot the next
-// match overwrites.
-func cloneRow(row []match.Cell) []match.Cell { return append([]match.Cell(nil), row...) }
-
 func doc(t testing.TB, src string) *xmltree.Document {
 	t.Helper()
 	d, err := xmltree.ParseString(src)
@@ -228,27 +224,24 @@ func candidates(d *xmltree.Document, q *tpq.Pattern) (qis []int, labels []Label)
 	return qis, labels
 }
 
-// streamCollector builds a collector wired the way the engines wire it for
-// a streaming run: an interrupter bound, emit copying rows into got.
-func streamCollector(t *testing.T, d *xmltree.Document, q *tpq.Pattern, first int, after []int32, accept func(int) bool) (*Collector, *engine.Interrupter, *[][]match.Cell) {
+// unreached is a quota no test document fills: it arms partial flushing,
+// as every bounded run does, without ever stopping the run.
+const unreached = 1 << 30
+
+// boundedCollector builds a collector wired the way the engines wire it for
+// a bounded run: an interrupter bound and a quota of first matches.
+func boundedCollector(t *testing.T, q *tpq.Pattern, first int, after []int32) (*Collector, *engine.Interrupter) {
 	t.Helper()
 	var cnt counters.Counters
 	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
-	got := &[][]match.Cell{}
-	c.SetStream(func(m []match.Cell) bool {
-		if accept != nil && !accept(len(*got)) {
-			return false
-		}
-		*got = append(*got, cloneRow(m))
-		return true
-	}, first, after)
-	return c, &ic, got
+	c.SetStream(first, after)
+	return c, &ic
 }
 
-// feedStream replays the candidate stream through Add+Advance the way a
-// streaming engine does, passing the next candidate's start as the frontier
+// feedStream replays the candidate stream through Add+Advance the way an
+// engine does, passing the next candidate's start as the frontier
 // (the document-order minimum of the remaining cursors). It stops early
 // when the collector trips the interrupter, as the engine loops do, and
 // reports how many matches had been emitted before the final candidate.
@@ -282,28 +275,28 @@ func TestStreamingPartialFlushOrder(t *testing.T) {
 		t.Fatalf("setup: full run found %d matches, want 50", len(want))
 	}
 
-	c, ic, got := streamCollector(t, d, q, 0, nil, nil)
+	c, ic := boundedCollector(t, q, unreached, nil)
 	qis, labels := candidates(d, q)
 	midRun := feedStream(c, ic, qis, labels)
-	c.Result()
+	got := c.Result()
 
 	if midRun == 0 {
 		t.Fatal("no matches emitted before the window closed: partial flush never fired")
 	}
-	if len(*got) != len(want) {
-		t.Fatalf("streamed %d matches, want %d", len(*got), len(want))
+	if len(got) != len(want) {
+		t.Fatalf("bounded run kept %d matches, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !match.RowLess((*got)[i], want[i]) && !match.RowLess(want[i], (*got)[i]) {
+		if !match.RowLess(got[i], want[i]) && !match.RowLess(want[i], got[i]) {
 			continue
 		}
-		t.Fatalf("match %d out of order or wrong: streamed run must reproduce document order", i)
+		t.Fatalf("match %d out of order or wrong: partial flushes must reproduce document order", i)
 	}
 	// The partial flushes must have discarded closed subtrees: the resident
 	// window stays well below the full candidate count (root + open region),
 	// which is the O(limit + open windows) memory claim.
 	if c.PeakEntries() >= fullC.PeakEntries() {
-		t.Fatalf("streaming peak %d entries is no better than accumulating peak %d",
+		t.Fatalf("partially flushed peak %d entries is no better than the whole window's %d",
 			c.PeakEntries(), fullC.PeakEntries())
 	}
 }
@@ -313,7 +306,7 @@ func TestStreamingQuotaStops(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 
-	c, ic, got := streamCollector(t, d, q, 5, nil, nil)
+	c, ic := boundedCollector(t, q, 5, nil)
 	qis, labels := candidates(d, q)
 	fed := 0
 	for i := range qis {
@@ -328,9 +321,9 @@ func TestStreamingQuotaStops(t *testing.T) {
 		c.Advance(frontier)
 		fed++
 	}
-	c.Result()
-	if c.Emitted() != 5 || len(*got) != 5 {
-		t.Fatalf("emitted %d (sink saw %d), want exactly the quota of 5", c.Emitted(), len(*got))
+	got := c.Result()
+	if c.Emitted() != 5 || len(got) != 5 {
+		t.Fatalf("emitted %d (Result holds %d), want exactly the quota of 5", c.Emitted(), len(got))
 	}
 	if err := ic.Err(); err != engine.ErrStop {
 		t.Fatalf("interrupter error = %v, want ErrStop", err)
@@ -340,40 +333,16 @@ func TestStreamingQuotaStops(t *testing.T) {
 	}
 }
 
-func TestStreamingSinkDeclineStops(t *testing.T) {
-	src := streamDoc(50)
-	d := doc(t, src)
-	q := tpq.MustParse("//site//a//b")
-
-	c, ic, got := streamCollector(t, d, q, 0, nil, func(n int) bool { return n < 3 })
-	qis, labels := candidates(d, q)
-	feedStream(c, ic, qis, labels)
-	c.Result()
-	if len(*got) != 3 {
-		t.Fatalf("sink accepted %d matches, want 3", len(*got))
-	}
-	if c.Emitted() != 3 {
-		t.Fatalf("Emitted() = %d, want 3 (declined match must not count)", c.Emitted())
-	}
-	if err := ic.Err(); err != engine.ErrStop {
-		t.Fatalf("interrupter error = %v, want ErrStop", err)
-	}
-}
-
 func TestAccumulateFirstK(t *testing.T) {
-	// first > 0 with no sink: bounded accumulation (a materialized page).
+	// first > 0: bounded accumulation (a page).
 	src := streamDoc(10)
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	want, _ := run(t, src, "//site//a//b", false)
 
-	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
-	ic := engine.NewInterrupter(nil)
-	c.SetInterrupt(&ic)
-	c.SetStream(nil, 4, nil)
+	c, ic := boundedCollector(t, q, 4, nil)
 	qis, labels := candidates(d, q)
-	feedStream(c, &ic, qis, labels)
+	feedStream(c, ic, qis, labels)
 	got := c.Result()
 	if len(got) != 4 {
 		t.Fatalf("accumulated %d matches, want 4", len(got))
@@ -398,7 +367,7 @@ func TestAfterCursorSkipsWholeWindow(t *testing.T) {
 	}
 	var cnt counters.Counters
 	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
-	c.SetStream(nil, 0, []int32{a2, 0})
+	c.SetStream(0, []int32{a2, 0})
 	feed(d, q, c)
 	got := c.Result()
 	if len(got) != 1 {
@@ -430,7 +399,7 @@ func TestAfterCursorResumesMidWindow(t *testing.T) {
 	} {
 		var cnt counters.Counters
 		c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
-		c.SetStream(nil, 0, tc.after)
+		c.SetStream(0, tc.after)
 		feed(d, q, c)
 		if got := c.Result(); len(got) != tc.want {
 			t.Fatalf("after=%v: matches = %d, want %d", tc.after, len(got), tc.want)
@@ -444,7 +413,7 @@ func TestResetReusesCollector(t *testing.T) {
 	q := tpq.MustParse("//site//a//b")
 	var cnt counters.Counters
 	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
-	c.SetStream(nil, 3, nil)
+	c.SetStream(3, nil)
 	feed(d, q, c)
 	if got := c.Result(); len(got) != 3 {
 		t.Fatalf("first run: %d matches, want 3", len(got))
@@ -464,7 +433,7 @@ func TestResetReusesCollector(t *testing.T) {
 
 func TestAdvanceNoopPaths(t *testing.T) {
 	d := doc(t, `<r><a><b/></a></r>`)
-	// Accumulating run (no emit, no quota): Advance must do nothing.
+	// Unbounded run (no quota): Advance must do nothing.
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
 	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
@@ -477,7 +446,7 @@ func TestAdvanceNoopPaths(t *testing.T) {
 	// even under a quota.
 	q1 := tpq.MustParse("//a")
 	c1 := NewCollector(q1, counters.NewIO(&cnt, 0), nil, false, 0)
-	c1.SetStream(nil, 1, nil)
+	c1.SetStream(1, nil)
 	feed(d, q1, c1)
 	c1.Advance(1 << 30)
 	if got := c1.Result(); len(got) != 1 {
@@ -499,15 +468,15 @@ func TestPartialFlushNestedRootWaits(t *testing.T) {
 	q := tpq.MustParse("//site//a//b")
 	want := oracle.Eval(d, q)
 
-	c, ic, got := streamCollector(t, d, q, 0, nil, nil)
+	c, ic := boundedCollector(t, q, unreached, nil)
 	qis, labels := candidates(d, q)
 	midRun := feedStream(c, ic, qis, labels)
-	c.Result()
+	got := c.Result()
 	if midRun != 0 {
 		t.Fatalf("emitted %d matches before the window closed despite a nested root", midRun)
 	}
-	if !testutil.RowsToSet(t, d, *got).SameAs(want) {
-		t.Fatalf("streamed %d matches, oracle %d", len(*got), len(want))
+	if !testutil.RowsToSet(t, d, got).SameAs(want) {
+		t.Fatalf("bounded run kept %d matches, oracle %d", len(got), len(want))
 	}
 }
 
@@ -519,20 +488,18 @@ func TestPartialFlushRespectsCursor(t *testing.T) {
 
 	// Cursor past the whole document: nothing is ever emitted, partially or
 	// at the final flush.
-	c, ic, got := streamCollector(t, d, q, 0, []int32{1 << 30, 0, 0}, nil)
+	c, ic := boundedCollector(t, q, unreached, []int32{1 << 30, 0, 0})
 	feedStream(c, ic, qis, labels)
-	c.Result()
-	if len(*got) != 0 {
-		t.Fatalf("cursor past EOF: emitted %d matches, want 0", len(*got))
+	if got := c.Result(); len(got) != 0 {
+		t.Fatalf("cursor past EOF: emitted %d matches, want 0", len(got))
 	}
 
 	// Cursor after the only root candidate's start: partial flushing defers,
 	// and the final enumeration's cursor filter drops every tuple.
-	c2, ic2, got2 := streamCollector(t, d, q, 0, []int32{labels[0].Start + 1, 0, 0}, nil)
+	c2, ic2 := boundedCollector(t, q, unreached, []int32{labels[0].Start + 1, 0, 0})
 	feedStream(c2, ic2, qis, labels)
-	c2.Result()
-	if len(*got2) != 0 {
-		t.Fatalf("cursor past root start: emitted %d matches, want 0", len(*got2))
+	if got := c2.Result(); len(got) != 0 {
+		t.Fatalf("cursor past root start: emitted %d matches, want 0", len(got))
 	}
 }
 
@@ -544,13 +511,11 @@ func TestPartialFlushDiskSpool(t *testing.T) {
 	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, true, 16)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
-	var got [][]match.Cell
-	c.SetStream(func(m []match.Cell) bool { got = append(got, cloneRow(m)); return true }, 0, nil)
+	c.SetStream(unreached, nil)
 	qis, labels := candidates(d, q)
-	feedStream(c, &ic, qis, labels)
-	c.Result()
-	if len(got) != 60 {
-		t.Fatalf("streamed %d matches, want 60", len(got))
+	midRun := feedStream(c, &ic, qis, labels)
+	if got := c.Result(); midRun == 0 || len(got) != 60 {
+		t.Fatalf("%d matches (%d before the window closed), want 60 with a partial flush", len(got), midRun)
 	}
 	if cnt.PagesWritten == 0 || cnt.PagesRead == 0 {
 		t.Fatalf("disk-based partial flush did no spool I/O (wrote %d, read %d)", cnt.PagesWritten, cnt.PagesRead)
@@ -561,14 +526,13 @@ func TestPartialFlushPreFlushExtension(t *testing.T) {
 	src := streamDoc(50)
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
-	c, ic, got := streamCollector(t, d, q, 0, nil, nil)
+	c, ic := boundedCollector(t, q, unreached, nil)
 	var regions [][2]int32
 	c.PreFlush = func(lo, hi int32) { regions = append(regions, [2]int32{lo, hi}) }
 	qis, labels := candidates(d, q)
 	feedStream(c, ic, qis, labels)
-	c.Result()
-	if len(*got) != 50 {
-		t.Fatalf("streamed %d matches, want 50", len(*got))
+	if got := c.Result(); len(got) != 50 {
+		t.Fatalf("bounded run kept %d matches, want 50", len(got))
 	}
 	if len(regions) < 2 {
 		t.Fatalf("PreFlush ran %d times, want at least one partial and one final flush", len(regions))

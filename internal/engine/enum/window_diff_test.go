@@ -99,7 +99,6 @@ func hostileStream(rng *rand.Rand, qis []int, labels []Label, withheld []bool) [
 
 // replayOpts selects an arm of the differential.
 type replayOpts struct {
-	stream  bool    // deliver through an emit sink instead of accumulating
 	advance bool    // call Advance at random points, with the true frontier
 	first   int     // output quota
 	after   []int32 // resumption cursor
@@ -113,12 +112,7 @@ func replay(rng *rand.Rand, q *tpq.Pattern, stream []cand, held [][]Label, o rep
 	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
-	var streamed [][]match.Cell
-	var emit func([]match.Cell) bool
-	if o.stream {
-		emit = func(row []match.Cell) bool { streamed = append(streamed, cloneRow(row)); return true }
-	}
-	c.SetStream(emit, o.first, o.after)
+	c.SetStream(o.first, o.after)
 	next := make([]int, len(held))
 	c.PreFlush = func(lo, hi int32) {
 		for x, list := range held {
@@ -146,14 +140,7 @@ func replay(rng *rand.Rand, q *tpq.Pattern, stream []cand, held [][]Label, o rep
 			c.Advance(frontier[i+1])
 		}
 	}
-	rows := c.Result()
-	if o.stream {
-		if len(rows) != 0 {
-			panic("a streamed run also accumulated rows")
-		}
-		return streamed
-	}
-	return rows
+	return c.Result()
 }
 
 // checkWindowDifferential runs every arm over one (document, pattern) pair
@@ -187,21 +174,20 @@ func checkWindowDifferential(t *testing.T, rng *rand.Rand, d *xmltree.Document, 
 		}
 	}
 	same("full run", replay(rng, q, stream, held, replayOpts{}), want)
-	same("streamed, Advance at random frontiers", replay(rng, q, stream, held, replayOpts{stream: true, advance: true}), want)
-	same("accumulated, Advance without a quota", replay(rng, q, stream, held, replayOpts{advance: true}), want)
+	same("unreached quota, Advance at random frontiers", replay(rng, q, stream, held, replayOpts{first: unreached, advance: true}), want)
+	same("Advance without a quota", replay(rng, q, stream, held, replayOpts{advance: true}), want)
 	if len(want) == 0 {
 		return
 	}
 	k := 1 + rng.Intn(len(want))
 	same("First quota", replay(rng, q, stream, held, replayOpts{first: k, advance: true}), want[:k])
-	same("First quota, streamed", replay(rng, q, stream, held, replayOpts{first: k, stream: true, advance: true}), want[:k])
 	r := rng.Intn(len(want))
 	after := make([]int32, q.Size())
 	for i, id := range want[r] {
 		after[i] = d.Node(id).Start
 	}
 	same("After cursor", replay(rng, q, stream, held, replayOpts{after: after}), want[r+1:])
-	same("After cursor, streamed with Advance", replay(rng, q, stream, held, replayOpts{after: after, stream: true, advance: true}), want[r+1:])
+	same("After cursor, unreached quota with Advance", replay(rng, q, stream, held, replayOpts{after: after, first: unreached, advance: true}), want[r+1:])
 	rest := want[r+1:]
 	if len(rest) > 0 {
 		k = 1 + rng.Intn(len(rest))

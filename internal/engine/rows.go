@@ -55,10 +55,9 @@ func (r *Rows) slot() []match.Cell {
 	return r.free[:w:w]
 }
 
-func (r *Rows) commit(row []match.Cell) []match.Cell {
+func (r *Rows) commit(row []match.Cell) {
 	r.free = r.free[len(row):]
 	r.n++
-	return row
 }
 
 // Append writes one row — labels[i] binds query node i — and keeps it.
@@ -70,17 +69,12 @@ func (r *Rows) Append(labels []store.Label) {
 	r.commit(row)
 }
 
-// Stage copies row into the next free slot without keeping it: the next
-// Stage or append overwrites it. Streaming sinks receive staged rows.
-func (r *Rows) Stage(row []match.Cell) []match.Cell {
+// AppendRow keeps a copy of row (the enumeration's template).
+func (r *Rows) AppendRow(row []match.Cell) {
 	dst := r.slot()
 	copy(dst, row)
-	return dst
+	r.commit(dst)
 }
-
-// AppendRow keeps a copy of row (the enumeration's template, or a staged
-// row a sink wants to retain) and returns the copy.
-func (r *Rows) AppendRow(row []match.Cell) []match.Cell { return r.commit(r.Stage(row)) }
 
 // Len returns the number of rows kept.
 func (r *Rows) Len() int { return r.n }

@@ -79,7 +79,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	e.ic = engine.NewInterrupter(opts.Interrupt)
 	e.col.Reset(io, opts.Tracer, opts.DiskBased, opts.PageSize)
 	e.col.SetInterrupt(&e.ic)
-	e.col.SetStream(opts.Emit, opts.First, opts.After)
+	e.col.SetStream(opts.First, opts.After)
 	for qi, l := range p.Lists {
 		engine.ResetCursor(&e.cur[qi], l, io, opts.Tracer, qi, opts.Restrict)
 	}

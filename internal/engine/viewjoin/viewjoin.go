@@ -264,7 +264,7 @@ func (e *evaluator) reset(io *counters.IO, opts engine.Options) {
 	e.ic = engine.NewInterrupter(opts.Interrupt)
 	e.col.Reset(io, opts.Tracer, opts.DiskBased, opts.PageSize)
 	e.col.SetInterrupt(&e.ic)
-	e.col.SetStream(opts.Emit, opts.First, opts.After)
+	e.col.SetStream(opts.First, opts.After)
 	e.winEnd = -1
 	for _, qi := range e.p.primeNodes {
 		engine.ResetCursor(&e.cur[qi], e.p.Lists[qi], io, opts.Tracer, qi, opts.Restrict)

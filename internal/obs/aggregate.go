@@ -7,11 +7,10 @@ import (
 	"viewjoin/internal/counters"
 )
 
-// Aggregate folds per-run observations — full Metrics snapshots from
-// traced runs, or bare counters.Counters plus a duration from untraced
-// serving runs — into running totals: run and error counts, summed
-// deterministic counters, and a mergeable latency histogram (microseconds)
-// that yields p50/p95/p99/p999 via Histogram.Quantile.
+// Aggregate folds per-run observations — a run's counters.Counters plus its
+// duration, both read off Result.Stats — into running totals: run and error
+// counts, summed deterministic counters, and a latency histogram
+// (microseconds) that yields p50/p95/p99/p999 via Histogram.Quantile.
 //
 // This is the per-plan feedback record the serving layer keys off every
 // plan-cache entry: observed page hit/miss ratio, jump-refused rate and
@@ -20,36 +19,21 @@ import (
 // an Aggregate is safe for concurrent use: many requests running the same
 // cached plan fold their outcomes into one Aggregate.
 type Aggregate struct {
-	mu             sync.Mutex
-	runs           int64
-	errors         int64
-	c              counters.Counters
-	latencyUS      Histogram
-	jumpSkipPages  Histogram
-	partitionNanos Histogram
+	mu        sync.Mutex
+	runs      int64
+	errors    int64
+	c         counters.Counters
+	latencyUS Histogram
 }
 
 // AddRun folds one completed run: its deterministic counters and wall
-// duration. This is the untraced serving path — everything here comes from
-// Result.Stats, so it costs nothing on the evaluation hot path.
+// duration. Everything here comes from Result.Stats, so it costs nothing on
+// the evaluation hot path.
 func (a *Aggregate) AddRun(c counters.Counters, d time.Duration) {
 	a.mu.Lock()
 	a.runs++
 	a.c.Add(c)
 	a.latencyUS.Add(d.Microseconds())
-	a.mu.Unlock()
-}
-
-// AddMetrics folds one traced run's full Metrics snapshot: counters and
-// duration as AddRun, plus the jump-skip and partition-span distributions
-// that only a tracer observes.
-func (a *Aggregate) AddMetrics(m *Metrics) {
-	a.mu.Lock()
-	a.runs++
-	a.c.Add(m.Counters)
-	a.latencyUS.Add(m.Duration.Microseconds())
-	a.jumpSkipPages.Merge(&m.JumpSkipPages)
-	a.partitionNanos.Merge(&m.PartitionNanos)
 	a.mu.Unlock()
 }
 
@@ -62,29 +46,14 @@ func (a *Aggregate) AddError() {
 	a.mu.Unlock()
 }
 
-// Merge folds o's totals into a (e.g. combining per-shard aggregates).
-func (a *Aggregate) Merge(o *Aggregate) {
-	s := o.Snapshot()
-	a.mu.Lock()
-	a.runs += s.Runs
-	a.errors += s.Errors
-	a.c.Add(s.Counters)
-	a.latencyUS.Merge(&s.LatencyUS)
-	a.jumpSkipPages.Merge(&s.JumpSkipPages)
-	a.partitionNanos.Merge(&s.PartitionNanos)
-	a.mu.Unlock()
-}
-
 // Snapshot returns a consistent copy of the running totals.
 func (a *Aggregate) Snapshot() AggregateSnapshot {
 	a.mu.Lock()
 	s := AggregateSnapshot{
-		Runs:           a.runs,
-		Errors:         a.errors,
-		Counters:       a.c,
-		LatencyUS:      a.latencyUS,
-		JumpSkipPages:  a.jumpSkipPages,
-		PartitionNanos: a.partitionNanos,
+		Runs:      a.runs,
+		Errors:    a.errors,
+		Counters:  a.c,
+		LatencyUS: a.latencyUS,
 	}
 	a.mu.Unlock()
 	return s
@@ -93,11 +62,9 @@ func (a *Aggregate) Snapshot() AggregateSnapshot {
 // AggregateSnapshot is a point-in-time copy of an Aggregate, safe to read
 // without synchronization.
 type AggregateSnapshot struct {
-	Runs, Errors   int64
-	Counters       counters.Counters
-	LatencyUS      Histogram
-	JumpSkipPages  Histogram
-	PartitionNanos Histogram
+	Runs, Errors int64
+	Counters     counters.Counters
+	LatencyUS    Histogram
 }
 
 // PageHitRatio is the fraction of buffer-pool touches served without a

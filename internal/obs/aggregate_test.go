@@ -143,38 +143,6 @@ func TestAggregateFold(t *testing.T) {
 	}
 }
 
-func TestAggregateAddMetrics(t *testing.T) {
-	rec := NewRecorder()
-	rec.Event(EvJumpTaken, 0, 12)
-	rec.Event(EvPartition, -1, int64(2*time.Millisecond))
-	m := rec.Metrics(counters.Counters{ElementsScanned: 7}, 250*time.Microsecond)
-
-	var a Aggregate
-	a.AddMetrics(&m)
-	s := a.Snapshot()
-	if s.Runs != 1 || s.Counters.ElementsScanned != 7 {
-		t.Fatalf("snapshot after AddMetrics: %+v", s)
-	}
-	if s.JumpSkipPages.N != 1 || s.JumpSkipPages.Sum != 12 {
-		t.Errorf("jump skip histogram not folded: %+v", s.JumpSkipPages)
-	}
-	if s.PartitionNanos.N != 1 {
-		t.Errorf("partition histogram not folded: %+v", s.PartitionNanos)
-	}
-}
-
-func TestAggregateMerge(t *testing.T) {
-	var a, b Aggregate
-	a.AddRun(counters.Counters{Matches: 1}, 10*time.Microsecond)
-	b.AddRun(counters.Counters{Matches: 2}, 20*time.Microsecond)
-	b.AddError()
-	a.Merge(&b)
-	s := a.Snapshot()
-	if s.Runs != 2 || s.Errors != 1 || s.Counters.Matches != 3 || s.LatencyUS.N != 2 {
-		t.Fatalf("merged snapshot: %+v", s)
-	}
-}
-
 // TestAggregateConcurrent exercises the mutex under -race: many goroutines
 // folding runs and reading snapshots of one shared Aggregate.
 func TestAggregateConcurrent(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -743,6 +744,31 @@ func TestPaginationCursorRoundTrip(t *testing.T) {
 		if fmt.Sprint(pages[i]) != fmt.Sprint(full.Matches[i]) {
 			t.Fatalf("row %d differs: paged %v, full %v", i, pages[i], full.Matches[i])
 		}
+	}
+}
+
+// TestHugeLimitAnswersInFull: a limit no page can reach is no limit. On
+// PathStack, which shrinks its accumulation against the quota, such a
+// request used to pin its worker until the deadline.
+func TestHugeLimitAnswersInFull(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req := map[string]any{
+		"document": "xmark", "query": "//site//item//name", "views": []string{"//site//item//name"},
+		"engine": "PS", "limit": 1 << 20,
+	}
+	var want, got queryResponse
+	if st := post(t, ts, "/query", req, &want); st != http.StatusOK || len(want.Matches) == 0 {
+		t.Fatalf("reference page: status %d, %d rows", st, len(want.Matches))
+	}
+	req["limit"] = int64(math.MaxInt64)
+	if st := post(t, ts, "/query", req, &got); st != http.StatusOK {
+		t.Fatalf("limit MaxInt64: status %d", st)
+	}
+	if got.Cursor != "" || fmt.Sprint(got.Matches) != fmt.Sprint(want.Matches) {
+		t.Fatalf("limit MaxInt64: %d rows, cursor %q; want the full result's %d rows and no cursor",
+			len(got.Matches), got.Cursor, len(want.Matches))
 	}
 }
 

@@ -108,7 +108,7 @@ func (p *PreparedQuery) computePartitions(k int) []engine.Restriction {
 // with job index. A root anchor is ordered trivially. With several
 // candidates at a spine level the cross-job comparison can invert (a
 // later chunk's match may bind an earlier-starting spine ancestor), so
-// neither the shared quota cutoff nor streamed merging is sound.
+// the shared quota cutoff is not sound.
 func (p *PreparedQuery) spineOrdered() bool {
 	p.partMu.Lock()
 	cached := p.spineOrd
@@ -189,33 +189,10 @@ func (qs *quotaState) complete(i, count int) {
 // its own first-k bound, and when cross-job order follows job index
 // (spineOrdered) a quotaState additionally stops scanning partitions that
 // can no longer contribute to the page (see quotaState).
-//
-// A nil yield accumulates each job's rows in its outcome. With a yield —
-// which the caller passes only for a bounded, spineOrdered run of a
-// streaming engine — each job instead streams its rows, kept in chunks of
-// its own so the channel carries row headers, into a per-job channel, and
-// this goroutine drains the channels in job index order, which is document
-// order across jobs: the first row is delivered as soon as job 0's engine
-// emits it, while the other partitions are still scanning. Channel buffers
-// hold the full per-job quota (every job emits at most lim.first()
-// matches), so workers never block on a slow consumer and an early stop
-// needs no drain protocol; the consumer latches halted — observed at the
-// engines' next interrupt poll — once the page is delivered or yield
-// declines.
-func (p *PreparedQuery) runPartitions(jobs []engine.Restriction, interrupt func() error, lim limits, yield func(row []Node) bool) []jobOut {
+func (p *PreparedQuery) runPartitions(jobs []engine.Restriction, interrupt func() error, lim limits) []jobOut {
 	var qs *quotaState
 	if lim.first() > 0 && p.spineOrdered() {
 		qs = newQuotaState(lim.first(), len(jobs))
-	}
-	var (
-		halted atomic.Bool
-		chans  []chan []Node
-	)
-	if yield != nil {
-		chans = make([]chan []Node, len(jobs))
-		for i := range chans {
-			chans[i] = make(chan []Node, lim.first())
-		}
 	}
 	outs := make([]jobOut, len(jobs))
 	var wg sync.WaitGroup
@@ -223,18 +200,6 @@ func (p *PreparedQuery) runPartitions(jobs []engine.Restriction, interrupt func(
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var (
-				emit func(row []Node) bool
-				kept engine.Rows // a streamed job's rows; its outcome has none
-			)
-			if chans != nil {
-				defer close(chans[i])
-				kept = engine.NewRows(p.q.p, lim.first())
-				emit = func(row []Node) bool {
-					chans[i] <- kept.AppendRow(row)
-					return true
-				}
-			}
 			jobInterrupt := interrupt
 			if qs != nil {
 				if int64(i) >= qs.cutoff.Load() {
@@ -243,7 +208,7 @@ func (p *PreparedQuery) runPartitions(jobs []engine.Restriction, interrupt func(
 					return
 				}
 				jobInterrupt = func() error {
-					if int64(i) >= qs.cutoff.Load() || halted.Load() {
+					if int64(i) >= qs.cutoff.Load() {
 						return engine.ErrStop
 					}
 					if interrupt != nil {
@@ -252,30 +217,11 @@ func (p *PreparedQuery) runPartitions(jobs []engine.Restriction, interrupt func(
 					return nil
 				}
 			}
-			outs[i] = p.runJob(&jobs[i], jobInterrupt, lim, emit, nil)
+			outs[i] = p.runJob(&jobs[i], jobInterrupt, lim, nil)
 			if qs != nil {
-				qs.complete(i, len(outs[i].rows)+kept.Len())
+				qs.complete(i, len(outs[i].rows))
 			}
 		}(i)
-	}
-	skip, left := lim.offset, lim.limit
-	for i := range chans {
-		for row := range chans[i] {
-			switch {
-			case left == 0:
-				// Page delivered or yield declined: drain the bounded rest.
-			case skip > 0:
-				skip--
-			default:
-				left--
-				if !yield(row) {
-					left = 0
-				}
-				if left == 0 {
-					halted.Store(true)
-				}
-			}
-		}
 	}
 	wg.Wait()
 	return outs

@@ -210,13 +210,13 @@ func (p *PreparedQuery) FootprintBytes() int64 {
 	return p.plan.Footprint() + int64(p.nviews)*16 + 256
 }
 
-// RunOptions selects what one execution of a prepared plan returns and how
-// it is delivered. It is resolved against the options captured at Prepare
-// time by one rule, stated here once: a nil *RunOptions takes everything —
-// Limit, Offset, Parallelism, Tracer — from Prepare; a non-nil one takes
-// Limit, Offset and After exactly as given (zero means unbounded, no skip,
-// no cursor), while a zero Parallelism and a nil Tracer inherit the
-// prepare-time values. The context is always the call's own.
+// RunOptions selects what one execution of a prepared plan returns. It is
+// resolved against the options captured at Prepare time by one rule, stated
+// here once: a nil *RunOptions takes everything — Limit, Offset,
+// Parallelism, Tracer — from Prepare; a non-nil one takes Limit, Offset and
+// After exactly as given (zero means unbounded, no skip, no cursor), while a
+// zero Parallelism and a nil Tracer inherit the prepare-time values. The
+// context is always the call's own.
 type RunOptions struct {
 	// Limit bounds the page to Limit matches; 0 means unbounded. The bound
 	// is pushed into the engines (see EvalOptions.Limit), so peak result
@@ -244,24 +244,6 @@ type RunOptions struct {
 	// call rather than the plan, concurrent runs of one shared plan may
 	// each bring their own. nil inherits the prepare-time Tracer.
 	Tracer obs.Tracer
-	// Yield, when non-nil, receives each match of the selected page in
-	// document order instead of the Result, whose Matches then stays empty
-	// (Stats are reported as usual). The row slice is reused between calls
-	// — Yield must copy any bindings it keeps. Returning false stops the
-	// run early: the engines unwind at their next checkpoint and the call
-	// still returns a nil error.
-	//
-	// The streaming engines (ViewJoin, TwigStack) deliver incrementally, so
-	// the first row arrives while the scan is still in flight (see
-	// Stats.FirstMatchNanos): always when the run is one job, and under a
-	// partitioned bounded run when match order across partitions follows
-	// partition order — partition 0's rows are yielded while later
-	// partitions are still scanning. Every other shape (PathStack and
-	// InterJoin, which sort before output; partitionings that interleave
-	// across partitions; unbounded partitioned runs) cannot deliver before
-	// ordering is established: the page is evaluated first and then
-	// replayed through Yield.
-	Yield func(row []Node) bool
 }
 
 // Run executes the prepared plan once under the options captured at
@@ -296,29 +278,10 @@ func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr obs.Tracer) (*R
 // pooled evaluator scratch is recycled normally; a nil ctx runs
 // uninterruptible. This is the serving entry point: one immutable
 // PreparedQuery, many concurrent requests, each with its own deadline,
-// page, parallelism, tracer and sink. Safe for concurrent use provided no
-// two concurrent runs share a Tracer.
+// page, parallelism and tracer. Safe for concurrent use provided no two
+// concurrent runs share a Tracer.
 func (p *PreparedQuery) RunWith(ctx context.Context, ro *RunOptions) (*Result, error) {
 	return p.execute(p.resolve(ctx, ro))
-}
-
-// BatchResult is the outcome of one query in an EvaluateBatch call.
-type BatchResult struct {
-	Result *Result
-	Err    error
-}
-
-// EvaluateBatch executes prepared queries across a bounded worker pool and
-// returns the per-query outcomes in input order. parallel bounds the
-// number of concurrent executions; <= 0 uses GOMAXPROCS. The same
-// PreparedQuery may appear (or be run) multiple times — concurrent Run
-// calls are safe as long as every query was prepared with a nil Tracer.
-func EvaluateBatch(queries []*PreparedQuery, parallel int) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	parallelFor(len(queries), parallel, func(i int) {
-		out[i].Result, out[i].Err = queries[i].Run()
-	})
-	return out
 }
 
 // parallelFor runs work(0..n-1) across at most workers goroutines (<= 0

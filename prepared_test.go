@@ -1,6 +1,7 @@
 package viewjoin
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -168,53 +169,47 @@ func TestPreparedReuseConcurrent(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatch fans a mixed bag of prepared plans (all four engines,
-// several repetitions each) through the worker pool and checks every slot
-// against its query's one-shot result — order preserved, no cross-talk.
-func TestEvaluateBatch(t *testing.T) {
-	d := GenerateXMark(0.05)
-	cases := preparedCases()
-	prepared := make([]*PreparedQuery, len(cases))
-	oneshot := make([]*Result, len(cases))
-	for i, c := range cases {
+// TestHugeLimitIsNoQuota pins that a limit no page can reach runs like no
+// limit at all. PathStack and InterJoin shrink their accumulation — sort and
+// re-copy everything kept — whenever it passes a multiple of the quota, and
+// that multiple used to overflow for Limit >= 1<<62, so every leaf push
+// shrank. Allocations stand in for wall time: every spurious shrink
+// allocates, so the bounded run must stay within a constant of the
+// unbounded one instead of growing with the match count.
+func TestHugeLimitIsNoQuota(t *testing.T) {
+	d := GenerateXMark(0.25)
+	for _, c := range preparedCases() {
 		q, mv := materializeCase(t, d, c)
-		one, err := Evaluate(d, q, mv, c.eng, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		p, err := Prepare(d, q, mv, c.eng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prepared[i], oneshot[i] = p, one
-	}
-	// Interleave the plans so concurrent slots run different engines.
-	const rounds = 8
-	var batch []*PreparedQuery
-	var want []*Result
-	for r := 0; r < rounds; r++ {
-		for i := range prepared {
-			batch = append(batch, prepared[i])
-			want = append(want, oneshot[i])
+		full, err := p.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, parallel := range []int{0, 1, 4} {
-		out := EvaluateBatch(batch, parallel)
-		if len(out) != len(batch) {
-			t.Fatalf("parallel=%d: %d results for %d queries", parallel, len(out), len(batch))
+		allocs := func(limit int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := p.RunWith(context.Background(), &RunOptions{Limit: limit}); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		for i, br := range out {
-			if br.Err != nil {
-				t.Fatalf("parallel=%d slot %d: %v", parallel, i, br.Err)
+		for _, limit := range []int{1 << 62, math.MaxInt} {
+			res, err := p.RunWith(context.Background(), &RunOptions{Limit: limit})
+			if err != nil {
+				t.Fatalf("%s limit=%d: %v", c.name, limit, err)
 			}
-			if !identicalMatches(br.Result, want[i]) {
-				t.Fatalf("parallel=%d slot %d (%s): %d matches, want %d",
-					parallel, i, cases[i%len(cases)].name, len(br.Result.Matches), len(want[i].Matches))
+			if !identicalMatches(res, full) {
+				t.Errorf("%s limit=%d: %d rows, want the unbounded run's %d", c.name, limit, len(res.Matches), len(full.Matches))
+			}
+			if raceEnabled {
+				continue // race-detector instrumentation changes allocation counts
+			}
+			if got, unbounded := allocs(limit), allocs(0); got > unbounded+8 {
+				t.Errorf("%s limit=%d: %.0f allocations a run over %d rows, %.0f unbounded", c.name, limit, got, len(full.Matches), unbounded)
 			}
 		}
-	}
-	if out := EvaluateBatch(nil, 4); len(out) != 0 {
-		t.Fatalf("empty batch returned %d results", len(out))
 	}
 }
 
@@ -469,29 +464,6 @@ func BenchmarkPreparedRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Run(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEvaluateBatch measures batched fan-out of one prepared plan
-// across GOMAXPROCS workers, 16 executions per batch.
-func BenchmarkEvaluateBatch(b *testing.B) {
-	d, q, mv := noopWorkload(b)
-	p, err := Prepare(d, q, mv, EngineViewJoin, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := make([]*PreparedQuery, 16)
-	for i := range batch {
-		batch[i] = p
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, br := range EvaluateBatch(batch, 0) {
-			if br.Err != nil {
-				b.Fatal(br.Err)
-			}
 		}
 	}
 }

@@ -23,20 +23,20 @@
 #      middle of somebody's measurement
 #   3. coverage floors, one shell function (coverage_floor) called per
 #      package set. store: the storage layer is the persistence trust
-#      boundary; its statement coverage must stay >= VJCI_STORE_COV (85%)
+#      boundary; its statement coverage must stay >= 85%
 #   3b. engine coverage floor: the evaluation engines (internal/engine/...)
 #      carry the partition-correctness burden; their aggregate statement
-#      coverage must stay >= VJCI_ENGINE_COV (80%)
+#      coverage must stay >= 80%
 #   3c. server coverage floor: the serving layer owns admission, outcome
 #      accounting and the flight recorder; its statement coverage must
-#      stay >= VJCI_SERVER_COV (80%)
+#      stay >= 80%
 #   3d. enum coverage floor: the shared enumeration stage owns the
-#      streaming/partial-flush ordering proofs; internal/engine/enum
-#      statement coverage must stay >= VJCI_ENUM_COV (85%)
+#      partial-flush ordering proofs; internal/engine/enum statement
+#      coverage must stay >= 85%
 #   3e. maintain coverage floor: the incremental maintenance layer is what
 #      keeps materialized views byte-identical to re-materialization under
 #      document updates; internal/maintain statement coverage must stay
-#      >= VJCI_MAINTAIN_COV (85%)
+#      >= 85%
 #   4. govulncheck, when the tool is installed (skipped, not failed, when
 #      absent — hermetic runners don't fetch tools)
 #   5. fuzz smoke: 10s each of FuzzParse (internal/tpq),
@@ -52,20 +52,10 @@
 #
 # Environment:
 #   VJCI_FUZZTIME        per-target fuzz budget (default 10s)
-#   VJCI_STORE_COV       minimum internal/store coverage %% (default 85)
-#   VJCI_ENGINE_COV      minimum internal/engine/... coverage %% (default 80)
-#   VJCI_SERVER_COV      minimum internal/server coverage %% (default 80)
-#   VJCI_ENUM_COV        minimum internal/engine/enum coverage %% (default 85)
-#   VJCI_MAINTAIN_COV    minimum internal/maintain coverage %% (default 85)
 set -eu
 cd "$(dirname "$0")/.."
 
 fuzztime="${VJCI_FUZZTIME:-10s}"
-store_cov="${VJCI_STORE_COV:-85}"
-engine_cov="${VJCI_ENGINE_COV:-80}"
-server_cov="${VJCI_SERVER_COV:-80}"
-enum_cov="${VJCI_ENUM_COV:-85}"
-maintain_cov="${VJCI_MAINTAIN_COV:-85}"
 
 echo "== gofmt"
 unformatted="$(gofmt -l . 2>/dev/null || true)"
@@ -128,11 +118,11 @@ coverage_floor() {
 	fi
 	echo "$3 coverage: ${cov}%"
 }
-coverage_floor ./internal/store "$store_cov" store
-coverage_floor ./internal/engine/... "$engine_cov" engine
-coverage_floor ./internal/server "$server_cov" server
-coverage_floor ./internal/engine/enum "$enum_cov" enum
-coverage_floor ./internal/maintain "$maintain_cov" maintain
+coverage_floor ./internal/store 85 store
+coverage_floor ./internal/engine/... 80 engine
+coverage_floor ./internal/server 80 server
+coverage_floor ./internal/engine/enum 85 enum
+coverage_floor ./internal/maintain 85 maintain
 
 if command -v govulncheck >/dev/null 2>&1; then
 	echo "== govulncheck"

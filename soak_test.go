@@ -43,10 +43,10 @@ func checkParallelEquivalence(t *testing.T, label string, p *PreparedQuery, seq 
 	}
 }
 
-// checkPagedEquivalence asserts bounded runs (materialized and yielded,
-// sequential and partitioned) reproduce document-order slices
-// of the sequential result under every K in the soak grid: a leading
-// page, an interior page, and a page straddling the end of the result.
+// checkPagedEquivalence asserts bounded runs (sequential and partitioned)
+// reproduce document-order slices of the sequential result under every K in
+// the soak grid: a leading page, an interior page, and a page straddling the
+// end of the result.
 func checkPagedEquivalence(t *testing.T, label string, p *PreparedQuery, seq *Result) {
 	t.Helper()
 	n := len(seq.Matches)

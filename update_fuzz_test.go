@@ -84,7 +84,7 @@ func requireStoreEquality(t *testing.T, label string, maintained []*Materialized
 //     materialized from the updated document (the §IV splice invariant),
 //   - every applicable engine to agree exactly with the brute-force
 //     oracle over the updated document, sequentially, range-partitioned
-//     (K ∈ {2, 4}), and through the bounded materialized and yielded arms.
+//     (K ∈ {2, 4}), and through bounded pages.
 //
 // Any divergence is a bug in the region-local maintenance or an engine's
 // handling of a maintained store. The corpus under

@@ -13,7 +13,7 @@ import (
 
 // TestConcurrentReadersDuringUpdates races every read entry point against
 // the write path under the race detector: reader goroutines continuously
-// Prepare and run (sequential, range-partitioned, streamed) while a writer
+// Prepare and run (sequential, range-partitioned, bounded) while a writer
 // applies a long update sequence with incremental maintenance, every
 // successor a fresh store published under the readers. The invariants:
 //
@@ -76,16 +76,15 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 						len(par.Matches), len(seq.Matches))
 					return
 				}
-				streamed := 0
-				if _, err := p.RunWith(context.Background(), &RunOptions{Yield: func([]Node) bool {
-					streamed++
-					return true
-				}}); err != nil {
-					t.Errorf("reader stream: %v", err)
+				// A limit nothing reaches: the run flushes partial windows, as
+				// a page does, and still returns every row.
+				paged, err := p.RunWith(context.Background(), &RunOptions{Limit: 1 << 30})
+				if err != nil {
+					t.Errorf("reader bounded: %v", err)
 					return
 				}
-				if streamed != len(seq.Matches) {
-					t.Errorf("stream yielded %d rows, sequential has %d", streamed, len(seq.Matches))
+				if !identicalMatches(paged, seq) {
+					t.Errorf("bounded run returned %d rows, sequential has %d", len(paged.Matches), len(seq.Matches))
 					return
 				}
 				runs.Add(1)
