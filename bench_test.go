@@ -13,6 +13,8 @@ package viewjoin_test
 // accounting folded in.
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -389,4 +391,39 @@ func BenchmarkNoViews(b *testing.B) {
 	b.Run("VJ-views", func(b *testing.B) {
 		runFigure(b, queries, benchCombo{"VJ+LEp", viewjoin.EngineViewJoin, viewjoin.SchemeLEp}, nil)
 	})
+}
+
+// BenchmarkDeepPage: one cursor page (a single row, so that Q4's 400 rows
+// hold 200 of them) of a prepared VJ+LEp plan, at the start of the result
+// and 200 pages in. A cursor run seeks to its page, so the two cost the
+// same; "scanned" is the page's ElementsScanned.
+func BenchmarkDeepPage(b *testing.B) {
+	benchSetup(b)
+	for _, name := range []string{"Q14", "Q4"} {
+		p, err := viewjoin.Prepare(benchXMark, benchQuery[name], benchMats[name][viewjoin.SchemeLEp], viewjoin.EngineViewJoin, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		full, err := p.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, page := range []int{1, 200} {
+			ro := &viewjoin.RunOptions{Limit: 1}
+			if page > 1 {
+				ro.After = cursorOf(full.Matches[page-2])
+			}
+			b.Run(fmt.Sprintf("%s/page=%d", name, page), func(b *testing.B) {
+				var scanned int64
+				for i := 0; i < b.N; i++ {
+					res, err := p.RunWith(context.Background(), ro)
+					if err != nil || len(res.Matches) != 1 || res.Matches[0][0] != full.Matches[page-1][0] {
+						b.Fatalf("page %d: %v, %d rows", page, err, len(res.Matches))
+					}
+					scanned = res.Stats.ElementsScanned
+				}
+				b.ReportMetric(float64(scanned), "scanned")
+			})
+		}
+	}
 }

@@ -115,6 +115,9 @@ func (p *PreparedQuery) execute(r request) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
+	if n := len(p.q.p.Nodes); r.lim.after != nil && len(r.lim.after) != n {
+		return nil, fmt.Errorf("viewjoin: cursor holds %d start labels, %s has %d nodes", len(r.lim.after), p.q, n)
+	}
 	jobs := p.planPartitions(r.k)
 	if r.tr != nil {
 		r.tr.Plan(p.tracePlan())
@@ -214,11 +217,13 @@ type jobOut struct {
 }
 
 // jobIO is one job's cost accounting: its counters and the simulated buffer
-// pool charging them. The plan recycles them through ioPool, so a run
-// resets a pool instead of allocating one.
+// pool charging them, and the restriction of a job that resumes after a
+// cursor. The plan recycles them through ioPool, so a run resets a pool
+// instead of allocating one.
 type jobIO struct {
-	io counters.IO
-	c  counters.Counters
+	io     counters.IO
+	c      counters.Counters
+	resume engine.Restriction
 }
 
 // runJob executes the plan once over restriction r (nil: the whole
@@ -228,6 +233,15 @@ type jobIO struct {
 // concurrency-safe). A plan over mapped views runs with faults turned into
 // out.err: fault handling is per goroutine, and this is where every job's
 // goroutine is.
+//
+// A cursor (lim.after) makes the job a partition that starts at the cursor.
+// Let b be how far row a agrees with the plan's resume prefix: no match
+// after a binds level b, or anything below it, before a[b] (resumePrefix),
+// so the job's body — the whole document's, or its chunk's — is cut to start
+// there and the engines seek every list to it exactly as they bind a
+// partition's window (SeekStart, charging nothing). A chunk that ends before
+// the cursor holds no such match and is skipped. The engines' row filter
+// (Options.After) still decides inside the region.
 func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, tr obs.Tracer) (out jobOut) {
 	if p.mapped {
 		defer catchViewFault(debug.SetPanicOnFault(true), &out.err)
@@ -236,6 +250,22 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 	acct, _ := p.ioPool.Get().(*jobIO)
 	if acct == nil {
 		acct = new(jobIO)
+	}
+	if lim.after != nil {
+		b := 0
+		for b < len(p.resume) && lim.after[b] == p.resume[b] {
+			b++
+		}
+		acct.resume = engine.Restriction{Spine: b, Body: engine.Span{Lo: lim.after[b], Hi: math.MaxInt32}}
+		if r != nil { // a planned chunk: its per-run copy, cut at the cursor
+			acct.resume = *r
+			acct.resume.Body.Lo = max(r.Body.Lo, lim.after[b])
+		}
+		if r = &acct.resume; r.Body.Empty() {
+			p.ioPool.Put(acct)
+			out.skipped = true
+			return out
+		}
 	}
 	acct.c = counters.Counters{}
 	io := &acct.io

@@ -31,27 +31,33 @@ func executorCells(t *testing.T) []executorCell {
 		{"Q2", "PS+E", viewjoin.EnginePathStack, viewjoin.SchemeElement},
 		{"Q2", "IJ+T", viewjoin.EngineInterJoin, viewjoin.SchemeTuple},
 	} {
-		wq := byName[c.query]
-		q := viewjoin.MustParseQuery(wq.Pattern.String())
-		vs := make([]*viewjoin.Query, len(wq.Views))
-		for i, p := range wq.Views {
-			vs[i] = viewjoin.MustParseQuery(p.String())
-		}
-		mv, err := doc.MaterializeViews(vs, c.scheme)
-		if err != nil {
-			t.Fatalf("%s %s: %v", c.query, c.combo, err)
-		}
-		p, err := viewjoin.Prepare(doc, q, mv, c.engine, nil)
-		if err != nil {
-			t.Fatalf("%s %s: %v", c.query, c.combo, err)
-		}
+		p := prepareCatalogue(t, doc, byName[c.query], c.engine, c.scheme)
 		cells = append(cells, executorCell{
 			key:    c.query + "/" + c.combo,
 			plan:   p,
-			oracle: viewjoin.EvaluateDirect(doc, q).Matches,
+			oracle: viewjoin.EvaluateDirect(doc, p.Query()).Matches,
 		})
 	}
 	return cells
+}
+
+// prepareCatalogue materializes a catalogue query's views over doc in the
+// scheme and prepares the query on the engine.
+func prepareCatalogue(t *testing.T, doc *viewjoin.Document, wq workload.Query, eng viewjoin.Engine, scheme viewjoin.StorageScheme) *viewjoin.PreparedQuery {
+	t.Helper()
+	vs := make([]*viewjoin.Query, len(wq.Views))
+	for i, p := range wq.Views {
+		vs[i] = viewjoin.MustParseQuery(p.String())
+	}
+	mv, err := doc.MaterializeViews(vs, scheme)
+	if err != nil {
+		t.Fatalf("%s %v+%v: %v", wq.Name, eng, scheme, err)
+	}
+	p, err := viewjoin.Prepare(doc, viewjoin.MustParseQuery(wq.Pattern.String()), mv, eng, nil)
+	if err != nil {
+		t.Fatalf("%s %v+%v: %v", wq.Name, eng, scheme, err)
+	}
+	return p
 }
 
 type executorCell struct {
@@ -79,10 +85,7 @@ func TestExecutorEquivalence(t *testing.T) {
 		if n < 40 {
 			t.Fatalf("%s: %d matches cannot exercise the page shapes", c.key, n)
 		}
-		cursor := make([]int32, len(c.oracle[n/2]))
-		for i, b := range c.oracle[n/2] {
-			cursor[i] = b.Start
-		}
+		cursor := cursorOf(c.oracle[n/2])
 		shapes := []struct {
 			name string
 			ro   viewjoin.RunOptions

@@ -43,6 +43,19 @@ func FuzzEvaluateDifferential(f *testing.F) {
 		// the same corpus-stability reason.
 		pageLim := 1 + rng.Intn(4)
 		pageOff := rng.Intn(3)
+		// Cursors for the resume arm, drawn last for the same reason: a row
+		// of the oracle result, and that row with one label moved by one —
+		// a position between rows, which no genuine cursor names.
+		var cursors [][]int32
+		if n := len(want.Matches); n > 0 {
+			row := want.Matches[rng.Intn(n)]
+			at, moved := make([]int32, len(row)), make([]int32, len(row))
+			for i, b := range row {
+				at[i], moved[i] = b.Start, b.Start
+			}
+			moved[rng.Intn(len(row))] += int32(2*rng.Intn(2) - 1)
+			cursors = [][]int32{at, moved}
+		}
 		for pi, part := range partitions {
 			views := make([]*Query, len(part))
 			for i, vp := range part {
@@ -84,7 +97,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 					// [offset:offset+limit] exactly, sequentially and
 					// partitioned.
 					checkPages(t, fmt.Sprintf("partition %d %v+%v", pi, eng, scheme),
-						p, res, pageLim, pageOff, []int{1, k})
+						p, res, pageLim, pageOff, cursors, []int{1, k})
 				}
 			}
 			if q.IsPath() {
@@ -112,7 +125,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 					t.Fatalf("partition %d IJ k=%d: parallel diverged from sequential (%d vs %d matches, q=%s)",
 						pi, k, len(pres.Matches), len(res.Matches), q)
 				}
-				checkPages(t, fmt.Sprintf("partition %d IJ", pi), p, res, pageLim, pageOff, []int{1, k})
+				checkPages(t, fmt.Sprintf("partition %d IJ", pi), p, res, pageLim, pageOff, cursors, []int{1, k})
 			}
 		}
 
@@ -130,8 +143,10 @@ func FuzzEvaluateDifferential(f *testing.F) {
 
 // checkPages asserts that a bounded run — sequential and range-partitioned
 // — reproduces exactly the document-order slice [off:off+lim] of the full
-// sequential result res (itself already oracle-checked by the caller).
-func checkPages(t *testing.T, label string, p *PreparedQuery, res *Result, lim, off int, ks []int) {
+// sequential result res (itself already oracle-checked by the caller), and
+// that a run resumed after each cursor returns exactly the first lim rows of
+// res that order after it.
+func checkPages(t *testing.T, label string, p *PreparedQuery, res *Result, lim, off int, cursors [][]int32, ks []int) {
 	t.Helper()
 	want := res.Matches
 	if off >= len(want) {
@@ -152,7 +167,34 @@ func checkPages(t *testing.T, label string, p *PreparedQuery, res *Result, lim, 
 			t.Fatalf("%s par=%d: page [%d:+%d] diverged from oracle slice (%d vs %d rows)",
 				label, par, off, lim, len(pg.Matches), len(want))
 		}
+		for _, cur := range cursors {
+			var rest [][]Node
+			for _, row := range res.Matches {
+				if len(rest) < lim && rowAfter(row, cur) {
+					rest = append(rest, row)
+				}
+			}
+			pg, err := p.RunWith(context.Background(), &RunOptions{Limit: lim, After: cur, Parallelism: par})
+			if err != nil {
+				t.Fatalf("%s par=%d after %v: %v", label, par, cur, err)
+			}
+			if !samePage(pg.Matches, rest) {
+				t.Fatalf("%s par=%d: %d rows after cursor %v, the oracle has %d (q=%s)",
+					label, par, len(pg.Matches), cur, len(rest), p.q)
+			}
+		}
 	}
+}
+
+// rowAfter reports whether row orders strictly after the cursor: start
+// labels compared lexicographically, RunOptions.After's contract.
+func rowAfter(row []Node, cur []int32) bool {
+	for i, n := range row {
+		if n.Start != cur[i] {
+			return n.Start > cur[i]
+		}
+	}
+	return false
 }
 
 // samePage is identicalMatches over bare row slices.

@@ -52,9 +52,10 @@ type Options struct {
 	First int
 	// After, when non-nil, restricts output to matches strictly greater
 	// than this start-label tuple (one start per query node, compared
-	// lexicographically — i.e. document order). Cursor-based pagination
-	// resumes here so a follow-up page seeks instead of re-enumerating.
-	// Honoured by the window-collector engines only.
+	// lexicographically — i.e. document order). It is a row filter, applied
+	// by every engine where it emits; the seek that makes a follow-up page
+	// cost what it returns is the Restrict the executor pairs it with,
+	// whose body starts at the cursor.
 	After []int32
 }
 

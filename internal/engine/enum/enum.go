@@ -287,7 +287,10 @@ func (c *Collector) SetInterrupt(ic *engine.Interrupter) {
 // cleared by Reset). first > 0 bounds the matches produced (counted after
 // the cursor filter), sizes the first result chunk and arms partial
 // flushing. after, when non-nil, must hold one start label per query node:
-// only matches strictly greater than it in document order are kept.
+// only matches strictly greater than it in document order are kept. It is a
+// row filter and nothing else: what keeps the windows before the cursor from
+// being collected at all is the restriction the executor runs a cursor job
+// under, which starts every list at the cursor.
 func (c *Collector) SetStream(first int, after []int32) {
 	c.first, c.after = first, after
 	c.nextPartial = math.MaxInt
@@ -323,13 +326,6 @@ func (c *Collector) stop() {
 // matches would be discarded with the rest of the output anyway).
 func (c *Collector) Flush() {
 	if !c.open || c.interrupted() {
-		return
-	}
-	if c.after != nil && c.windowEnd < c.after[0] {
-		// Every match in this window is rooted at or before windowEnd,
-		// which precedes the cursor's root start: resumption seeks past the
-		// whole window without enumerating (or spooling) it.
-		c.discardWindow()
 		return
 	}
 	if c.PreFlush != nil {
@@ -397,18 +393,12 @@ func (c *Collector) advance(frontier int32) {
 // are then discarded: containers reaching past it are kept, since they
 // may still combine with future candidates.
 func (c *Collector) partialFlush(frontier int32) {
-	if c.after != nil && c.windowEnd < c.after[0] {
-		return // whole window precedes the cursor; Flush will discard it
-	}
 	c.normalize()
 	if len(c.cands[0]) != 1 {
 		// A nested root candidate orders all its tuples after the outer
 		// root's still-growing ones; emitting anything now could
 		// interleave, so wait for the window to close.
 		return
-	}
-	if c.after != nil && c.cands[0][0].Start < c.after[0] {
-		return // every tuple rooted here precedes the cursor
 	}
 	bound := c.partialBound(frontier)
 	if c.PreFlush != nil && bound > c.windowStart {
@@ -657,9 +647,6 @@ func (c *Collector) walk() {
 	for j, cand := range c.cands[0] {
 		if !c.ok[0][j] {
 			continue
-		}
-		if c.after != nil && cand.Start < c.after[0] {
-			continue // every tuple rooted here precedes the cursor
 		}
 		c.bind(0, j, cand)
 		if !c.descend(1) {

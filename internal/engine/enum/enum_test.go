@@ -355,8 +355,9 @@ func TestAccumulateFirstK(t *testing.T) {
 }
 
 func TestAfterCursorSkipsWholeWindow(t *testing.T) {
-	// Two disjoint a-windows; a cursor rooted at the second a must discard
-	// the first window without enumerating it.
+	// Two disjoint a-windows; a cursor rooted at the second a filters out
+	// the first window's row (an executor run would not have collected that
+	// window at all: its restriction starts the lists at the cursor).
 	d := doc(t, `<r><a><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var a2 int32

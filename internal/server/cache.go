@@ -22,6 +22,22 @@ type planKey struct {
 	views  string
 }
 
+// rawKey is a request exactly as it was spelled: the same plan as some
+// planKey, found without parsing the query or the view names. nviews makes
+// the ";"-joined view texts unambiguous — no spelling that parses holds a
+// ";", and only requests that resolved are ever indexed. A request naming
+// no views has no rawKey: what it means changes with AddView.
+type rawKey struct {
+	tenant, doc, query, engine string
+	nviews                     int
+	views                      string
+}
+
+// maxSpellings and maxSpellingBytes bound what the raw index holds per plan,
+// so a client respelling or padding one query forever grows nothing: a
+// spelling past either takes the parsing path every time.
+const maxSpellings, maxSpellingBytes = 8, 4 << 10
+
 // planCache is a bounded LRU of prepared plans. PreparedQuery values are
 // immutable and safe for concurrent Run (they are always prepared with a
 // nil tracer here), so a cached plan can be handed to any number of
@@ -38,26 +54,66 @@ type planCache struct {
 	cap   int
 	ll    *list.List // front = most recently used; values are *planEntry
 	items map[planKey]*list.Element
+	raw   map[rawKey]*planEntry // spellings of resident plans; dropped with them
 
 	hits, misses, evictions int64
 	footprint               int64 // summed FootprintBytes of resident plans
 }
 
-// planEntry is one cached plan. All fields are set before the entry is
-// published and immutable afterwards; agg is internally synchronized.
+// planEntry is one cached plan. All fields but spellings (guarded by the
+// cache's lock) are set before the entry is published and immutable
+// afterwards; agg is internally synchronized.
 type planEntry struct {
 	key       planKey
+	canon     []string // the view names of key.views, as responses list them
 	plan      *viewjoin.PreparedQuery
 	agg       *obs.Aggregate
 	footprint int64
+	spellings []rawKey // its keys in planCache.raw
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, ll: list.New(), items: make(map[planKey]*list.Element)}
+	return &planCache{cap: capacity, ll: list.New(), items: make(map[planKey]*list.Element), raw: make(map[rawKey]*planEntry)}
 }
 
-// get returns the cached entry for k, promoting it to most recently used.
-func (c *planCache) get(k planKey) *planEntry {
+// spelled is get for a request spelled rk: a hit, counted and promoted like
+// any other, when a request so spelled resolved to a still-resident plan;
+// otherwise nil and nothing counted — the caller parses and asks get.
+func (c *planCache) spelled(rk rawKey) *planEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.raw[rk]
+	if e != nil {
+		c.hits++
+		c.ll.MoveToFront(c.items[e.key])
+	}
+	return e
+}
+
+// link indexes spelling rk (nviews 0: none) to resident entry e, under c.mu.
+func (c *planCache) link(rk rawKey, e *planEntry) {
+	if rk.nviews == 0 || c.raw[rk] != nil || len(e.spellings) == maxSpellings ||
+		len(rk.query)+len(rk.views) > maxSpellingBytes {
+		return
+	}
+	c.raw[rk] = e
+	e.spellings = append(e.spellings, rk)
+}
+
+// drop removes el's entry and every spelling indexed to it.
+func (c *planCache) drop(el *list.Element) {
+	e := c.ll.Remove(el).(*planEntry)
+	delete(c.items, e.key)
+	for _, rk := range e.spellings {
+		delete(c.raw, rk)
+	}
+	c.footprint -= e.footprint
+	c.evictions++
+}
+
+// get returns the cached entry for k, promoting it to most recently used
+// and indexing the spelling rk that led to it.
+func (c *planCache) get(k planKey, rk rawKey) *planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
@@ -67,7 +123,9 @@ func (c *planCache) get(k planKey) *planEntry {
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*planEntry)
+	e := el.Value.(*planEntry)
+	c.link(rk, e)
+	return e
 }
 
 // put inserts a freshly prepared plan, evicting the least recently used
@@ -75,23 +133,19 @@ func (c *planCache) get(k planKey) *planEntry {
 // put of the same key (two requests racing through the same miss) keeps
 // the existing entry, so the racing losers fold their run outcomes into
 // the winner's aggregate.
-func (c *planCache) put(k planKey, p *viewjoin.PreparedQuery) *planEntry {
+func (c *planCache) put(k planKey, rk rawKey, canon []string, p *viewjoin.PreparedQuery) *planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
 		c.ll.MoveToFront(el)
 		return el.Value.(*planEntry)
 	}
-	e := &planEntry{key: k, plan: p, agg: &obs.Aggregate{}, footprint: p.FootprintBytes()}
+	e := &planEntry{key: k, canon: canon, plan: p, agg: &obs.Aggregate{}, footprint: p.FootprintBytes()}
 	c.items[k] = c.ll.PushFront(e)
+	c.link(rk, e)
 	c.footprint += e.footprint
 	for c.ll.Len() > c.cap {
-		el := c.ll.Back()
-		c.ll.Remove(el)
-		evicted := el.Value.(*planEntry)
-		delete(c.items, evicted.key)
-		c.footprint -= evicted.footprint
-		c.evictions++
+		c.drop(c.ll.Back())
 	}
 	return e
 }
@@ -107,12 +161,8 @@ func (c *planCache) invalidateDoc(tenant, doc string) int {
 	n := 0
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
-		e := el.Value.(*planEntry)
-		if e.key.tenant == tenant && e.key.doc == doc {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			c.footprint -= e.footprint
-			c.evictions++
+		if k := el.Value.(*planEntry).key; k.tenant == tenant && k.doc == doc {
+			c.drop(el)
 			n++
 		}
 		el = next

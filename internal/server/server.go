@@ -241,8 +241,9 @@ type queryRequest struct {
 	// cardinality.
 	Limit int `json:"limit"`
 	// Cursor resumes a paginated result: the opaque cursor returned by a
-	// previous limited response. The run seeks past everything at or
-	// before the cursor position instead of re-enumerating it.
+	// previous limited response. The run starts at the cursor position
+	// (RunOptions.After: every list is opened there by binary search), so
+	// a page costs what it returns however deep it is.
 	Cursor   string `json:"cursor,omitempty"`
 	Parallel int    `json:"parallel,omitempty"` // range partitions; clamped to the server's MaxParallel; <=1: sequential
 }
@@ -389,13 +390,17 @@ func (s *Server) admit() (release func(), status int, stage string, err error) {
 
 // resolved is what a request names, looked up: the document entry, the
 // parsed query, the engine, and the named views both as canonical pattern
-// strings (sorted, the plan-cache key) and as the registered views.
+// strings (sorted, the plan-cache key) and as the registered views — or,
+// for a spelling the plan cache has indexed, the entry it resolved to
+// before, with query, engine and canon read off it and nothing parsed.
 type resolved struct {
 	doc    *docEntry
 	query  *viewjoin.Query
 	engine viewjoin.Engine
 	canon  []string
 	mviews []*viewjoin.MaterializedView
+	raw    rawKey     // the request as spelled
+	ent    *planEntry // the plan raw is indexed to (already counted a hit), nil when it is not
 }
 
 // failure is how a request ended short of a result: the HTTP status, the
@@ -436,7 +441,8 @@ func planFailure(stage string, err error) *failure {
 
 // resolve looks up the document in the request's tenant registry, parses
 // the query, and resolves the view names (all registered views when none
-// are named) and the engine.
+// are named) and the engine. A request that names its views and is spelled
+// as one that resolved before skips all of that.
 func (s *Server) resolve(req *queryRequest) (resolved, *failure) {
 	var e *docEntry
 	if t := s.tenants[req.Tenant]; t != nil {
@@ -445,6 +451,11 @@ func (s *Server) resolve(req *queryRequest) (resolved, *failure) {
 	if e == nil {
 		return resolved{}, failed(http.StatusNotFound, "resolve",
 			fmt.Errorf("unknown document %q%s", req.Document, forTenant(req.Tenant)))
+	}
+	raw := rawKey{tenant: req.Tenant, doc: req.Document, query: req.Query, engine: req.Engine,
+		nviews: len(req.Views), views: strings.Join(req.Views, ";")}
+	if ent := s.cache.spelled(raw); ent != nil {
+		return resolved{doc: e, query: ent.plan.Query(), engine: ent.plan.Engine(), canon: ent.canon, ent: ent}, nil
 	}
 	q, err := viewjoin.ParseQuery(req.Query)
 	if err != nil {
@@ -479,7 +490,7 @@ func (s *Server) resolve(req *queryRequest) (resolved, *failure) {
 		mviews = append(mviews, ve.mv)
 	}
 	sort.Strings(canon)
-	return resolved{doc: e, query: q, engine: eng, canon: canon, mviews: mviews}, nil
+	return resolved{doc: e, query: q, engine: eng, canon: canon, mviews: mviews, raw: raw}, nil
 }
 
 // plan returns a cache entry (plan plus its per-plan aggregate) for the
@@ -488,8 +499,11 @@ func (s *Server) resolve(req *queryRequest) (resolved, *failure) {
 // tracer), which is what makes them shareable across concurrent requests;
 // per-request tracing attaches through RunOptions.Tracer instead.
 func (s *Server) plan(req *queryRequest, rv *resolved) (*planEntry, bool, error) {
+	if rv.ent != nil {
+		return rv.ent, true, nil
+	}
 	key := planKey{tenant: req.Tenant, doc: req.Document, query: rv.query.String(), engine: rv.engine, views: strings.Join(rv.canon, ";")}
-	if ent := s.cache.get(key); ent != nil {
+	if ent := s.cache.get(key, rv.raw); ent != nil {
 		return ent, true, nil
 	}
 	// Prepare and insert under the document's publication lock: an update
@@ -502,7 +516,7 @@ func (s *Server) plan(req *queryRequest, rv *resolved) (*planEntry, bool, error)
 		return nil, false, err
 	}
 	s.prepares.Add(1)
-	return s.cache.put(key, p), false, nil
+	return s.cache.put(key, rv.raw, rv.canon, p), false, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

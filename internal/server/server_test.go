@@ -196,7 +196,7 @@ func TestQueryCacheHitAllocations(t *testing.T) {
 	}
 	key := planKey{doc: "xmark", query: q.String(), engine: rv.engine, views: strings.Join(rv.canon, ";")}
 	allocs := testing.AllocsPerRun(100, func() {
-		if p := s.cache.get(key); p == nil {
+		if p := s.cache.get(key, rawKey{}); p == nil {
 			t.Fatal("cache lost the plan")
 		}
 	})
@@ -744,6 +744,51 @@ func TestPaginationCursorRoundTrip(t *testing.T) {
 		if fmt.Sprint(pages[i]) != fmt.Sprint(full.Matches[i]) {
 			t.Fatalf("row %d differs: paged %v, full %v", i, pages[i], full.Matches[i])
 		}
+	}
+}
+
+// TestDeepCursorWalk follows the cursor through 200 pages, each run resumed
+// by seeking to its page: the pages reassemble the first rows of the full
+// result, and a "parallel": 3 walk — every page a partitioned run cut at the
+// cursor — returns the sequential walk's pages.
+func TestDeepCursorWalk(t *testing.T) {
+	s := newTestServer(t, Config{MaxParallel: 3})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const pageSize, pages = 1, 200
+	views := strings.Split(testViews, "; ")
+	var full queryResponse
+	if st := post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery, Views: views, Limit: 1 << 20}, &full); st != http.StatusOK {
+		t.Fatalf("full run status %d", st)
+	}
+	if len(full.Matches) < pageSize*pages {
+		t.Fatalf("%d rows cannot fill %d pages of %d", len(full.Matches), pages, pageSize)
+	}
+	walk := func(parallel int) (rows [][]viewjoin.Node, partitions int) {
+		req := queryRequest{Document: "xmark", Query: testQuery, Views: views, Limit: pageSize, Parallel: parallel}
+		for page := 0; page < pages; page++ {
+			var resp queryResponse
+			if st := post(t, ts, "/query", req, &resp); st != http.StatusOK {
+				t.Fatalf("parallel %d page %d: status %d", parallel, page, st)
+			}
+			rows = append(rows, resp.Matches...)
+			partitions = max(partitions, resp.Stats.Partitions)
+			if req.Cursor = resp.Cursor; req.Cursor == "" {
+				t.Fatalf("parallel %d page %d: no cursor with %d rows to go", parallel, page, len(full.Matches)-len(rows))
+			}
+		}
+		return rows, partitions
+	}
+	seq, _ := walk(1)
+	if fmt.Sprint(seq) != fmt.Sprint(full.Matches[:pageSize*pages]) {
+		t.Fatalf("%d pages reassemble %d rows that are not the full result's first %d", pages, len(seq), pageSize*pages)
+	}
+	par, partitions := walk(3)
+	if fmt.Sprint(par) != fmt.Sprint(seq) {
+		t.Fatal("the parallel walk's pages differ from the sequential walk's")
+	}
+	if partitions < 2 {
+		t.Errorf("no page of the parallel walk ran partitioned (at most %d partition)", partitions)
 	}
 }
 

@@ -67,6 +67,7 @@ func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) 
 	if err != nil {
 		return nil, err
 	}
+	p.resume = resumePrefix(q.p.Nodes, onlyEntry(lists))
 	p.describe = func() *obs.Plan { return rawStreamPlan(q.p, eng, lists) }
 	return p.Run()
 }

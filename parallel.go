@@ -6,6 +6,7 @@ import (
 
 	"viewjoin/internal/engine"
 	"viewjoin/internal/match"
+	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
 )
 
@@ -99,43 +100,48 @@ func (p *PreparedQuery) computePartitions(k int) []engine.Restriction {
 	return jobs
 }
 
+// resumePrefix walks the query's unary spine from the root while the node
+// has exactly one child, laid out next in pre-order, and only reports that
+// the plan's list for it holds a single candidate; it returns those
+// candidates' start labels. Every match binds these levels to them, so a
+// match after a cursor row that agrees with the prefix binds the level b
+// below it at or after the row's b-th label, and every deeper node inside
+// that binding: a cursor run starts there (runJob). An empty prefix — the
+// root list has several entries — leaves the root, which is always sound.
+func resumePrefix(nodes []tpq.Node, only func(qi int) (start int32, ok bool)) []int32 {
+	var prefix []int32
+	for b := 0; len(nodes[b].Children) == 1 && nodes[b].Children[0] == b+1; b++ {
+		start, ok := only(b)
+		if !ok {
+			break
+		}
+		prefix = append(prefix, start)
+	}
+	return prefix
+}
+
+// onlyEntry is resumePrefix's question asked of list files.
+func onlyEntry(lists []*store.ListFile) func(int) (int32, bool) {
+	return func(qi int) (int32, bool) {
+		if lists[qi].Entries() != 1 {
+			return 0, false
+		}
+		return lists[qi].LabelAt(0).Start, true
+	}
+}
+
 // spineOrdered reports whether match order across ascending partition
 // chunks follows job index. Matches compare lexicographically by binding
 // start, walking the unary spine before reaching the anchor; when every
-// spine node above the anchor binds at most one candidate — e.g. the §VI
-// queries, all rooted at the single //site element — two matches from
-// different jobs first differ at the anchor itself, whose chunks ascend
-// with job index. A root anchor is ordered trivially. With several
-// candidates at a spine level the cross-job comparison can invert (a
-// later chunk's match may bind an earlier-starting spine ancestor), so
-// the shared quota cutoff is not sound.
+// spine node above the anchor binds a single candidate — e.g. the §VI
+// queries, all rooted at the single //site element — the resume prefix
+// reaches the anchor, and two matches from different jobs first differ at
+// the anchor itself, whose chunks ascend with job index. A root anchor is
+// ordered trivially. With several candidates at a spine level the cross-job
+// comparison can invert (a later chunk's match may bind an earlier-starting
+// spine ancestor), so the shared quota cutoff is not sound.
 func (p *PreparedQuery) spineOrdered() bool {
-	p.partMu.Lock()
-	cached := p.spineOrd
-	p.partMu.Unlock()
-	if cached != 0 {
-		return cached > 0
-	}
-	ordered := func() bool {
-		b := anchorNode(p.q.p.Nodes)
-		if b <= 0 {
-			return b == 0
-		}
-		for qi := 0; qi < b; qi++ {
-			if len(p.plan.AnchorSpans(qi)) > 1 {
-				return false
-			}
-		}
-		return true
-	}()
-	p.partMu.Lock()
-	if ordered {
-		p.spineOrd = 1
-	} else {
-		p.spineOrd = -1
-	}
-	p.partMu.Unlock()
-	return ordered
+	return len(p.resume) == anchorNode(p.q.p.Nodes)
 }
 
 // quotaState coordinates a shared first-k quota across partition jobs.

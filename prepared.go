@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -72,13 +73,17 @@ type PreparedQuery struct {
 
 	ioPool sync.Pool // *jobIO
 
-	// Partition-planning cache: the job list for a given parallelism and
-	// the spine-order property depend only on the immutable plan, so they
-	// are computed once and shared across runs — a serving plan pays the
-	// anchor-span merge on its first parallel request, not on every one.
+	// resume is the plan's resume prefix (resumePrefix), fixed at Prepare
+	// from the lists' entry counts: a cursor run seeks below it, and when it
+	// reaches the partition anchor cross-job order follows job index.
+	resume []int32
+
+	// Partition-planning cache: the job list for a given parallelism depends
+	// only on the immutable plan, so it is computed once and shared across
+	// runs — a serving plan pays the anchor-span merge on its first parallel
+	// request, not on every one.
 	partMu    sync.Mutex
 	partPlans map[int][]engine.Restriction
-	spineOrd  int8 // 0 unknown, 1 ordered, -1 not
 }
 
 // enginePlan is what the executor needs from an engine's prepared plan: to
@@ -134,9 +139,11 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 		if err != nil {
 			return nil, err
 		}
-		if p.plan, err = listPlan(eng, v, stores, tr); err != nil {
+		var lists engine.Lists
+		if p.plan, lists, err = listPlan(eng, v, stores, tr); err != nil {
 			return nil, err
 		}
+		p.resume = resumePrefix(q.p.Nodes, onlyEntry(lists))
 		p.describe = func() *obs.Plan { return tracePlan(q.p, patterns, stores, eng, v) }
 	case EngineInterJoin:
 		if tr != nil {
@@ -165,6 +172,13 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 			return nil, err
 		}
 		p.plan = ij
+		p.resume = resumePrefix(q.p.Nodes, func(qi int) (int32, bool) { // a stream repeats a candidate once per tuple
+			spans := ij.AnchorSpans(qi)
+			if len(spans) == 0 || slices.ContainsFunc(spans, func(s engine.Span) bool { return s != spans[0] }) {
+				return 0, false
+			}
+			return spans[0].Lo, true
+		})
 		p.describe = func() *obs.Plan { return interJoinPlan(q.p, patterns, stores, viewPos) }
 	default:
 		return nil, fmt.Errorf("viewjoin: unknown engine %v", eng)
@@ -173,19 +187,24 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 }
 
 // listPlan prepares one of the three engines that read the views' element
-// lists through the view-segmented query.
-func listPlan(eng Engine, v *vsq.VSQ, stores []*store.ViewStore, tr obs.Tracer) (enginePlan, error) {
+// lists through the view-segmented query, and returns the lists it bound.
+func listPlan(eng Engine, v *vsq.VSQ, stores []*store.ViewStore, tr obs.Tracer) (enginePlan, engine.Lists, error) {
 	if eng == EngineViewJoin {
-		return vjengine.Prepare(v, stores, tr)
+		vj, err := vjengine.Prepare(v, stores, tr)
+		if err != nil {
+			return nil, nil, err
+		}
+		return vj, vj.Lists, nil
 	}
 	lists, err := bindLists(v, stores, tr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if eng == EngineTwigStack {
-		return twigstack.Prepare(v.Query, lists), nil
+		return twigstack.Prepare(v.Query, lists), lists, nil
 	}
-	return pathstack.Prepare(v.Query, lists)
+	ps, err := pathstack.Prepare(v.Query, lists)
+	return ps, lists, err
 }
 
 // Query returns the prepared query.
@@ -230,9 +249,10 @@ type RunOptions struct {
 	// After, when non-nil, resumes strictly after a previous match: one
 	// start label per query node (Node.Start of the previous page's last
 	// row, in binding order), compared lexicographically — i.e. document
-	// order. Unlike an offset, a cursor lets the streaming engines seek:
-	// whole enumeration windows ending before the cursor are skipped
-	// without being re-enumerated.
+	// order. Unlike an offset, a cursor is a position the run seeks to: it
+	// executes as a partition that starts at the cursor, so every list is
+	// opened there by binary search and page k costs what page 1 costs.
+	// A cursor of any other length is an error.
 	After []int32
 	// Parallelism requests a range-partitioned run across up to that many
 	// partitions, as EvalOptions.Parallelism: 1 is sequential, negative

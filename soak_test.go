@@ -56,7 +56,7 @@ func checkPagedEquivalence(t *testing.T, label string, p *PreparedQuery, seq *Re
 	}
 	pages := [][2]int{{3, 0}, {5, n / 2}, {4, tail}}
 	for _, pg := range pages {
-		checkPages(t, label, p, seq, pg[0], pg[1], soakKs())
+		checkPages(t, label, p, seq, pg[0], pg[1], nil, soakKs())
 	}
 }
 

@@ -168,7 +168,7 @@ func FuzzUpdateDifferential(f *testing.F) {
 							label, k, len(pres.Matches), len(res.Matches))
 					}
 				}
-				checkPages(t, label, p, res, pageLim, pageOff, []int{1, 2, 4})
+				checkPages(t, label, p, res, pageLim, pageOff, nil, []int{1, 2, 4})
 			}
 		}
 	})
