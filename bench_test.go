@@ -427,3 +427,68 @@ func BenchmarkDeepPage(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkApply: one Document.Apply at the benchmark's document size
+// (XMark 4, 450k nodes). The three splices are staged, not committed, so
+// each runs against the same snapshot with a half-full piece table; the
+// fourth is the Apply that finds the table full and writes it out flat
+// first — the pass the other three no longer make.
+func BenchmarkApply(b *testing.B) {
+	doc := viewjoin.GenerateXMark(4)
+	frag, err := viewjoin.ParseDocumentString(`<item><location/><name/><description><text><keyword/></text></description></item>`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := viewjoin.EvaluateDirect(doc, viewjoin.MustParseQuery("//item")).Matches
+	apply := func(d *viewjoin.Document, u viewjoin.Update) {
+		if _, err := d.Apply(u); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Inserts from the back leave the recorded start labels in front valid.
+	for k := 15; k >= 1; k-- {
+		apply(doc, viewjoin.Update{Op: viewjoin.InsertBefore, TargetStart: items[k*len(items)/16][0].Start, Fragment: frag})
+	}
+	mid := items[len(items)/32][0].Start
+	for _, c := range []struct {
+		name string
+		u    viewjoin.Update
+	}{
+		{"insert-front", viewjoin.Update{Op: viewjoin.InsertBefore, TargetStart: items[0][0].Start, Fragment: frag}},
+		{"append-child", viewjoin.Update{Op: viewjoin.AppendChild, TargetStart: mid, Fragment: frag}},
+		{"delete", viewjoin.Update{Op: viewjoin.DeleteSubtree, TargetStart: mid}},
+	} {
+		b.Run(fmt.Sprintf("%s/pieces=%d", c.name, doc.NumPieces()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := doc.Stage(c.u); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
+	// Appends on the root grow a table by one piece each. A throwaway
+	// document shows at which size the next Apply writes it out.
+	onRoot := viewjoin.Update{Op: viewjoin.AppendChild, TargetStart: 1, Fragment: frag}
+	probe, err := viewjoin.ParseDocumentString("<site/>")
+	if err != nil {
+		b.Fatal(err)
+	}
+	full := 0
+	for probe.NumPieces() >= full {
+		full = probe.NumPieces()
+		apply(probe, onRoot)
+	}
+	b.Run(fmt.Sprintf("write-out/pieces=%d", full), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for doc.NumPieces() != full {
+				apply(doc, onRoot)
+			}
+			b.StartTimer()
+			apply(doc, onRoot)
+		}
+	})
+}

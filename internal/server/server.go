@@ -388,6 +388,14 @@ func (s *Server) admit() (release func(), status int, stage string, err error) {
 	}, 0, "", nil
 }
 
+// admissionOutcome names a refusal by admit in the access log.
+func admissionOutcome(status int) string {
+	if status == http.StatusServiceUnavailable {
+		return "drain"
+	}
+	return "shed"
+}
+
 // resolved is what a request names, looked up: the document entry, the
 // parsed query, the engine, and the named views both as canonical pattern
 // strings (sorted, the plan-cache key) and as the registered views — or,
@@ -545,11 +553,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 
 	release, status, stage, err := s.admit()
 	if err != nil {
-		outcome := "shed"
-		if status == http.StatusServiceUnavailable {
-			outcome = "drain"
-		}
-		s.reject(w, &req, started, "", &failure{status: status, stage: stage, outcome: outcome, err: err})
+		s.reject(w, &req, started, "", &failure{status: status, stage: stage, outcome: admissionOutcome(status), err: err})
 		return
 	}
 	defer release()
@@ -782,11 +786,14 @@ type accessLine struct {
 	Partitions int      `json:"partitions,omitempty"`
 	DurationUS int64    `json:"duration_us"`
 	Error      string   `json:"error,omitempty"`
-	// /update lines only: the operation and the transaction's two layers.
+	// /update lines only: the operation, the transaction's two layers, and
+	// the piece count of the snapshot it published (the successor of a full
+	// table pays the write-out in apply_us and starts again at 2 or 3).
 	Op                string `json:"op,omitempty"`
 	ApplyUS           int64  `json:"apply_us,omitempty"`
 	MaintainUS        int64  `json:"maintain_us,omitempty"`
 	RecomputedEntries int    `json:"recomputed_entries,omitempty"`
+	DocPieces         int    `json:"doc_pieces,omitempty"`
 }
 
 func (s *Server) logAccess(req *queryRequest, status int, stage string, matches int, cache string,
@@ -1099,8 +1106,10 @@ type documentInfo struct {
 	Nodes  int    `json:"nodes"`
 	// Epoch is the document's current update epoch (0 until the first
 	// /update); cursors are only valid at the epoch they were issued at.
-	Epoch uint64     `json:"epoch"`
-	Views []viewInfo `json:"views"`
+	Epoch uint64 `json:"epoch"`
+	// DocPieces is the size of the current snapshot's piece table; 1 = flat.
+	DocPieces int        `json:"doc_pieces"`
+	Views     []viewInfo `json:"views"`
 }
 
 type viewInfo struct {
@@ -1117,7 +1126,7 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		t := s.tenants[tn]
 		for _, n := range sortedKeys(t.docs) {
 			e := t.docs[n]
-			di := documentInfo{Tenant: tn, Name: n, Nodes: e.doc.NumNodes(), Epoch: e.doc.Epoch()}
+			di := documentInfo{Tenant: tn, Name: n, Nodes: e.doc.NumNodes(), Epoch: e.doc.Epoch(), DocPieces: e.doc.NumPieces()}
 			for _, vn := range e.order {
 				ve := e.views[vn]
 				di.Views = append(di.Views, viewInfo{

@@ -57,6 +57,8 @@ type updateResponse struct {
 	// clients can tell which epoch they are paginating against.
 	Epoch uint64 `json:"epoch"`
 	Nodes int    `json:"nodes"` // node count of the updated document
+	// DocPieces is the size of the published snapshot's piece table.
+	DocPieces int `json:"doc_pieces"`
 	// Views reports how each registered view was maintained, in
 	// registration order.
 	Views []maintainJSON `json:"views"`
@@ -98,7 +100,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req updateRequest
 	line := accessLine{Outcome: "error"}
 	fail := func(status int, stage string, err error) {
-		s.failures.Add(1)
+		if line.Outcome == "error" {
+			s.failures.Add(1)
+		}
 		writeError(w, status, stage, err, false)
 		line.Document, line.Op, line.Status, line.Stage, line.Error = req.Document, req.Op, status, stage, err.Error()
 		s.logLine(line, time.Since(started))
@@ -110,7 +114,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 	release, status, stage, err := s.admit()
 	if err != nil {
-		writeError(w, status, stage, err, false)
+		line.Outcome = admissionOutcome(status) // admit counted it; it is no failure
+		fail(status, stage, err)
 		return
 	}
 	defer release()
@@ -214,6 +219,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	s.recomputed.Add(int64(line.RecomputedEntries))
 
 	line.Document, line.Op, line.Status, line.Outcome = req.Document, req.Op, http.StatusOK, "ok"
+	line.DocPieces = e.doc.NumPieces()
 	total := time.Since(started)
 	s.logLine(line, total)
 	w.Header().Set("Content-Type", "application/json")
@@ -223,6 +229,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		Op:                op.String(),
 		Epoch:             au.Epoch(),
 		Nodes:             e.doc.NumNodes(),
+		DocPieces:         line.DocPieces,
 		Views:             reports,
 		PlansInvalidated:  invalidated,
 		ApplyUS:           line.ApplyUS,

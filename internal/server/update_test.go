@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"viewjoin"
 )
@@ -288,8 +289,8 @@ func TestDocumentsEpoch(t *testing.T) {
 		}
 		return out
 	}
-	if got := docs(); len(got) != 1 || got[0].Epoch != 0 {
-		t.Fatalf("before update: %+v, want one document at epoch 0", got)
+	if got := docs(); len(got) != 1 || got[0].Epoch != 0 || got[0].DocPieces != 1 {
+		t.Fatalf("before update: %+v, want one flat document at epoch 0", got)
 	}
 	if st := post(t, ts, "/update", updateRequest{
 		Document: "xmark", Op: "insert-before", Target: anyTarget(t, ts),
@@ -297,8 +298,8 @@ func TestDocumentsEpoch(t *testing.T) {
 	}, nil); st != http.StatusOK {
 		t.Fatalf("/update: status %d", st)
 	}
-	if got := docs(); len(got) != 1 || got[0].Epoch != 1 {
-		t.Fatalf("after update: %+v, want epoch 1", got)
+	if got := docs(); len(got) != 1 || got[0].Epoch != 1 || got[0].DocPieces != 3 {
+		t.Fatalf("after update: %+v, want epoch 1 and a table of 3 pieces", got)
 	}
 }
 
@@ -480,6 +481,11 @@ func TestUpdateStageTimings(t *testing.T) {
 		line.ApplyUS != ur.ApplyUS || line.MaintainUS != ur.MaintainUS || line.RecomputedEntries != sum {
 		t.Errorf("access line %+v disagrees with the response", line)
 	}
+	// One insert into a flat document: the array before the pivot, the
+	// fragment, the array from the pivot on.
+	if ur.DocPieces != 3 || line.DocPieces != 3 {
+		t.Errorf("doc_pieces = %d in the response, %d in the access line, want 3", ur.DocPieces, line.DocPieces)
+	}
 }
 
 // TestUpdateAtomicToQueries races queries against a stream of updates.
@@ -525,4 +531,69 @@ func TestUpdateAtomicToQueries(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestUpdateRefusedIsLogged fills the workers and reads back the access
+// line of an /update that admission control sheds, then of one it refuses
+// while draining: like /query, the refusal is logged with its outcome and
+// is counted as shed, not as a failure.
+func TestUpdateRefusedIsLogged(t *testing.T) {
+	var log bytes.Buffer
+	s, _ := updateTestServer(t, Config{Workers: 1, QueueDepth: 0, AccessLog: &log})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	up := updateRequest{Document: "xmark", Op: "delete-subtree", Target: anyTarget(t, ts)}
+
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	s.testEvalGate = gate
+	s.testEvalStarted = func() { started <- struct{}{} }
+	inflight := make(chan int, 1)
+	go func() {
+		inflight <- post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}, nil)
+	}()
+	<-started // the only worker slot is now held
+
+	refused := func(wantStatus int, wantOutcome string) {
+		t.Helper()
+		log.Reset()
+		var er errorResponse
+		if st := post(t, ts, "/update", up, &er); st != wantStatus || er.Stage != "admission" {
+			t.Fatalf("/update: status %d stage %q, want %d at admission", st, er.Stage, wantStatus)
+		}
+		var line accessLine
+		if err := json.Unmarshal(bytes.TrimSpace(log.Bytes()), &line); err != nil {
+			t.Fatalf("access log %q: %v", log.String(), err)
+		}
+		if line.Schema != AccessSchema || line.Outcome != wantOutcome || line.Op != up.Op || line.Status != wantStatus ||
+			line.Document != "xmark" || line.Error == "" {
+			t.Errorf("access line %+v, want outcome %s for op %s", line, wantOutcome, up.Op)
+		}
+		if !bytes.Contains(log.Bytes(), []byte(`"duration_us":`)) {
+			t.Errorf("access line %q has no duration_us", log.String())
+		}
+	}
+	refused(http.StatusTooManyRequests, "shed")
+
+	drained := make(chan struct{})
+	go func() {
+		s.Drain()
+		close(drained)
+	}()
+	for !getMetrics(t, ts).Requests.Draining { // Drain flips the flag before it blocks
+		time.Sleep(time.Millisecond)
+	}
+	refused(http.StatusServiceUnavailable, "drain")
+
+	gate <- struct{}{}
+	if st := <-inflight; st != http.StatusOK {
+		t.Fatalf("in-flight query: status %d", st)
+	}
+	<-drained
+	if m := getMetrics(t, ts).Requests; m.Shed != 1 || m.Failures != 0 {
+		t.Errorf("shed = %d, failures = %d, want 1 and 0", m.Shed, m.Failures)
+	}
+	if d := getMetrics(t, ts).Updates; d.Total != 0 {
+		t.Errorf("a refused update was applied: %+v", d)
+	}
 }

@@ -208,7 +208,7 @@ func scanDown(nodes []xmltree.Node, qOf []int, r Region) func() xmltree.NodeID {
 	id := r.Hi
 	return func() xmltree.NodeID {
 		for id--; id >= r.Lo; id-- {
-			if qOf[nodes[id].Type] >= 0 {
+			if qOf[nodes[id-r.Lo].Type] >= 0 {
 				return id
 			}
 		}
@@ -251,8 +251,17 @@ func mergeDown(d *xmltree.Document, typeOf []xmltree.TypeID) func() xmltree.Node
 // root) then filters each list against its parent's, seeded by the context.
 func SolutionLists(d *xmltree.Document, v *tpq.Pattern, r Region) [][]xmltree.NodeID {
 	nq := v.Size()
-	nodes := d.Nodes()
 	typeOf, qOf := typeIndex(d, v)
+	// nodes holds the region only, so node id is nodes[id-r.Lo]: a region of
+	// an updated document is read out of its piece table, not the table
+	// written out. Every id looked up below lies in the region.
+	whole := r.Lo == 0 && int(r.Hi) == d.NumNodes()
+	var nodes []xmltree.Node
+	if whole {
+		nodes = d.Nodes()
+	} else {
+		nodes = d.Range(r.Lo, r.Hi)
+	}
 
 	// Downward pass. Descendants follow their ancestors in document order,
 	// so a reverse sweep sees every subtree before its root. nearest[c] is
@@ -267,18 +276,18 @@ func SolutionLists(d *xmltree.Document, v *tpq.Pattern, r Region) [][]xmltree.No
 	}
 	awaiting := make([][]xmltree.NodeID, nq)
 	next := scanDown(nodes, qOf, r)
-	if r.Lo == 0 && int(r.Hi) == len(nodes) {
+	if whole {
 		next = mergeDown(d, typeOf)
 	}
 	for id := next(); id != xmltree.NoNode; id = next() {
-		n := &nodes[id]
+		n := &nodes[id-r.Lo]
 		q := qOf[n.Type]
 		// A "/a" root matches the document root only. A rejected candidate
 		// still runs the loop below: it must take itself off awaiting[].
 		ok := q > 0 || v.Nodes[0].Axis == tpq.Descendant || id == d.Root()
 		for _, c := range v.Nodes[q].Children {
 			if v.Nodes[c].Axis == tpq.Descendant {
-				ok = ok && nearest[c] != xmltree.NoNode && nodes[nearest[c]].Start < n.End
+				ok = ok && nearest[c] != xmltree.NoNode && nodes[nearest[c]-r.Lo].Start < n.End
 			} else if w := awaiting[c]; len(w) > 0 && w[len(w)-1] == id {
 				awaiting[c] = w[:len(w)-1]
 			} else {
@@ -291,7 +300,7 @@ func SolutionLists(d *xmltree.Document, v *tpq.Pattern, r Region) [][]xmltree.No
 		down[q] = append(down[q], id)
 		nearest[q] = id
 		if q > 0 && v.Nodes[q].Axis == tpq.Child && n.Parent >= r.Lo &&
-			nodes[n.Parent].Type == typeOf[v.Nodes[q].Parent] {
+			nodes[n.Parent-r.Lo].Type == typeOf[v.Nodes[q].Parent] {
 			if w := awaiting[q]; len(w) == 0 || w[len(w)-1] != n.Parent {
 				awaiting[q] = append(w, n.Parent)
 			}
@@ -324,16 +333,16 @@ func SolutionLists(d *xmltree.Document, v *tpq.Pattern, r Region) [][]xmltree.No
 			pi, open := 0, int32(-1)
 			for _, id := range sol[q] {
 				for ; pi < len(sol[p]) && sol[p][pi] < id; pi++ {
-					open = max(open, nodes[sol[p][pi]].End)
+					open = max(open, nodes[sol[p][pi]-r.Lo].End)
 				}
-				if open > nodes[id].Start {
+				if open > nodes[id-r.Lo].Start {
 					keep = append(keep, id)
 				}
 			}
 		default:
 			for _, id := range sol[q] {
-				par := nodes[id].Parent
-				if par >= r.Lo && member[par-r.Lo] && nodes[par].Type == typeOf[p] ||
+				par := nodes[id-r.Lo].Parent
+				if par >= r.Lo && member[par-r.Lo] && nodes[par-r.Lo].Type == typeOf[p] ||
 					par < r.Lo && r.Parent != nil && r.Parent[p] {
 					keep = append(keep, id)
 				}

@@ -5,12 +5,17 @@
 // the splice arithmetic exact: a fragment of m nodes occupies 2m
 // consecutive tag positions, so every surviving node's label is either
 // unchanged (position < Pivot) or shifted by the constant Delta
-// (position >= Pivot). The descriptor is what lets the store overlay and
-// the maintenance layer repair materialized views by splicing label lists
-// instead of re-materializing (ROADMAP item 1).
+// (position >= Pivot). The successor applies that rule lazily, as a piece
+// table over the predecessor's arrays (pieces.go); the descriptor is what
+// lets the maintenance layer repair materialized views by splicing label
+// lists instead of re-materializing.
 package xmltree
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // UpdateOp enumerates the supported subtree mutations.
 type UpdateOp int
@@ -105,14 +110,14 @@ func (d *Document) Apply(u Update) (*Applied, error) {
 }
 
 func (d *Document) checkTarget(t NodeID) error {
-	if t < 0 || int(t) >= len(d.nodes) {
-		return fmt.Errorf("xmltree: update target %d out of range [0,%d)", t, len(d.nodes))
+	if t < 0 || int(t) >= d.NumNodes() {
+		return fmt.Errorf("xmltree: update target %d out of range [0,%d)", t, d.NumNodes())
 	}
 	return nil
 }
 
 func checkFragment(f *Document) error {
-	if f == nil || len(f.nodes) == 0 {
+	if f == nil || f.NumNodes() == 0 {
 		return fmt.Errorf("xmltree: update fragment is empty")
 	}
 	if err := f.Validate(); err != nil {
@@ -121,20 +126,19 @@ func checkFragment(f *Document) error {
 	return nil
 }
 
-// mergeNames copies d's name table and returns it together with a
-// fragment-type -> merged-type translation. Existing TypeIDs are stable:
-// the merged table is a copy with fragment-only names appended, so every
-// surviving node keeps its TypeID across the update.
+// mergeNames returns d's name table extended by f's new names, together
+// with a fragment-type -> merged-type translation. Existing TypeIDs are
+// stable: fragment-only names are appended. The tables are immutable, so
+// the predecessor's are shared unless the fragment brings a new tag.
 func (d *Document) mergeNames(f *Document) (names []string, nameIDs map[string]TypeID, fragType []TypeID) {
-	names = append([]string(nil), d.names...)
-	nameIDs = make(map[string]TypeID, len(d.names)+len(f.names))
-	for name, id := range d.nameIDs {
-		nameIDs[name] = id
-	}
+	names, nameIDs = d.names, d.nameIDs
 	fragType = make([]TypeID, len(f.names))
 	for ft, name := range f.names {
 		id, ok := nameIDs[name]
 		if !ok {
+			if len(names) == len(d.names) {
+				names, nameIDs = names[:len(names):len(names)], maps.Clone(nameIDs)
+			}
 			id = TypeID(len(names))
 			names = append(names, name)
 			nameIDs[name] = id
@@ -155,79 +159,46 @@ func (d *Document) applyInsert(u Update) (*Applied, error) {
 		return nil, fmt.Errorf("xmltree: cannot insert a sibling of the root")
 	}
 	f := u.Fragment
-	m := len(f.nodes)
-	delta := int32(2 * m)
+	m := f.NumNodes()
 
 	// Splice coordinates. Insert-before: the fragment takes over the
 	// target's start position, pushing the target (and everything at or
 	// after it) right by 2m. Append-child: the fragment lands where the
 	// target's end tag was, pushing the end tag (and everything after)
 	// right by 2m.
-	var pivot int32     // first shifted old position
-	var fragBase NodeID // insertion point in node-id (document) order
-	var parentOfRoot NodeID
-	var baseLevel int32
-	t := d.nodes[u.Target]
-	switch u.Op {
-	case OpInsertBefore:
-		pivot = t.Start
-		fragBase = u.Target
-		parentOfRoot = t.Parent
-		baseLevel = t.Level
-	case OpAppendChild:
-		pivot = t.End
-		fragBase = d.nextAfterSubtree(u.Target)
-		parentOfRoot = u.Target
-		baseLevel = t.Level + 1
+	t := d.Node(u.Target)
+	pivot, parentOfRoot, baseLevel := t.Start, t.Parent, t.Level
+	if u.Op == OpAppendChild {
+		pivot, parentOfRoot, baseLevel = t.End, u.Target, t.Level+1
 	}
 
+	// The fragment becomes a source of its own: types and levels are final
+	// here, positions and ids stay the fragment's and are translated by the
+	// piece, and the root hangs under the raw record of its parent.
 	names, nameIDs, fragType := d.mergeNames(f)
-	nodes := make([]Node, 0, len(d.nodes)+m)
 	fragTypes := make(map[string]bool, len(f.names))
-	for _, fn := range f.nodes {
-		fragTypes[f.names[fn.Type]] = true
+	nodes := slices.Clone(f.Nodes())
+	for i := range nodes {
+		fragTypes[f.names[nodes[i].Type]] = true
+		nodes[i].Type = fragType[nodes[i].Type]
+		nodes[i].Level += baseLevel
 	}
-
-	// Old nodes before the insertion point keep their ids and starts; only
-	// ends spanning the pivot (the append target and the ancestors of the
-	// splice point) shift.
-	for _, n := range d.nodes[:fragBase] {
-		if n.End >= pivot {
-			n.End += delta
-		}
-		nodes = append(nodes, n)
-	}
-	// Fragment nodes: positions 1..2m translate to pivot..pivot+2m-1.
-	for _, fn := range f.nodes {
-		nn := Node{
-			Type:  fragType[fn.Type],
-			Start: fn.Start - 1 + pivot,
-			End:   fn.End - 1 + pivot,
-			Level: fn.Level + baseLevel,
-		}
-		if fn.Parent == NoNode {
-			nn.Parent = parentOfRoot
-		} else {
-			nn.Parent = fn.Parent + fragBase
-		}
-		nodes = append(nodes, nn)
-	}
-	// Old nodes at or after the insertion point shift wholesale.
-	for _, n := range d.nodes[fragBase:] {
-		n.Start += delta
-		n.End += delta
-		if n.Parent >= fragBase {
-			n.Parent += NodeID(m)
-		}
-		nodes = append(nodes, n)
+	ps := d.table()
+	up := &ps[byID(ps, parentOfRoot)]
+	left, right := split(ps, pivot)
+	fragBase := right[0].first // the nodes that start before the pivot
+	frag := piece{
+		src:   &source{nodes: nodes, up: up.src, upID: up.lo + parentOfRoot - up.first},
+		posLo: 1, posHi: int32(2*m + 1), hi: NodeID(m),
+		dpos: pivot - 1, first: fragBase,
 	}
 
 	return &Applied{
 		Old:       d,
-		New:       &Document{names: names, nameIDs: nameIDs, nodes: nodes},
+		New:       &Document{names: names, nameIDs: nameIDs, pieces: join(left, []piece{frag}, right, int32(2*m), NodeID(m))},
 		Op:        u.Op,
 		Pivot:     pivot,
-		Delta:     delta,
+		Delta:     int32(2 * m),
 		DeadEnd:   -1,
 		FragBase:  fragBase,
 		FragCount: m,
@@ -242,56 +213,33 @@ func (d *Document) applyDelete(u Update) (*Applied, error) {
 	if u.Target == d.Root() {
 		return nil, fmt.Errorf("xmltree: cannot delete the document root")
 	}
-	t := d.nodes[u.Target]
-	dead := d.SubtreeSize(u.Target)
-	after := u.Target + NodeID(dead)
+	t := d.Node(u.Target)
 	delta := -(t.End - t.Start + 1)
+	dead := NodeID(-delta / 2)
 
-	nodes := make([]Node, 0, len(d.nodes)-dead)
 	fragTypes := make(map[string]bool)
-	for _, n := range d.nodes[u.Target:after] {
+	for _, n := range d.Range(u.Target, u.Target+dead) {
 		fragTypes[d.names[n.Type]] = true
 	}
 
-	// Survivors before the subtree keep ids and starts; ancestors of the
-	// target (the only earlier nodes whose regions span it) lose the dead
-	// range from their extent.
-	for _, n := range d.nodes[:u.Target] {
-		if n.End > t.End {
-			n.End += delta
-		}
-		nodes = append(nodes, n)
-	}
-	// Survivors after the subtree shift left wholesale. Their parents are
-	// never inside the dead range: a dead node's region ends at t.End,
-	// before any surviving start on this side.
-	for _, n := range d.nodes[after:] {
-		n.Start += delta
-		n.End += delta
-		if n.Parent >= after {
-			n.Parent -= NodeID(dead)
-		}
-		nodes = append(nodes, n)
-	}
-
-	// The name table is kept as-is even if the deleted type no longer
-	// occurs, so surviving TypeIDs stay stable across the update.
-	names := append([]string(nil), d.names...)
-	nameIDs := make(map[string]TypeID, len(d.nameIDs))
-	for name, id := range d.nameIDs {
-		nameIDs[name] = id
-	}
+	// The pieces between the target's two tags go; the later ones move left.
+	// Survivors keep their raw records: an ancestor's end and a following
+	// sibling's parent are translated on read. The name table is shared
+	// as-is even if the deleted type no longer occurs, so surviving TypeIDs
+	// stay stable across the update.
+	left, rest := split(d.table(), t.Start)
+	_, right := split(rest, t.End+1)
 
 	return &Applied{
 		Old:       d,
-		New:       &Document{names: names, nameIDs: nameIDs, nodes: nodes},
+		New:       &Document{names: d.names, nameIDs: d.nameIDs, pieces: join(left, nil, right, delta, -dead)},
 		Op:        u.Op,
 		Pivot:     t.Start,
 		Delta:     delta,
 		DeadStart: t.Start,
 		DeadEnd:   t.End,
 		DeadID:    u.Target,
-		DeadCount: dead,
+		DeadCount: int(dead),
 		FragTypes: fragTypes,
 	}, nil
 }

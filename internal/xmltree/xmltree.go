@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // TypeID identifies an element type (tag name) within a Document.
@@ -60,11 +61,17 @@ func (n Node) Follows(m Node) bool {
 }
 
 // Document is an immutable XML data tree. Nodes are stored in document
-// order; node 0 is the root.
+// order; node 0 is the root. A document built by a Builder holds them in
+// one flat array; one derived by Apply holds a piece table (pieces.go) and
+// writes the flat array out the first time a bulk reader asks for it.
 type Document struct {
 	names   []string
 	nameIDs map[string]TypeID
-	nodes   []Node
+	nodes   []Node  // built flat; nil in a derived document
+	pieces  []piece // derived; nil in a document built flat
+
+	flatOnce sync.Once
+	flat     atomic.Pointer[[]Node] // a derived document's write-out
 
 	// Lazily built index, guarded for concurrent readers: a Document is
 	// immutable after construction and safe for parallel query evaluation.
@@ -73,7 +80,17 @@ type Document struct {
 }
 
 // NumNodes returns the number of element nodes in the document.
-func (d *Document) NumNodes() int { return len(d.nodes) }
+func (d *Document) NumNodes() int {
+	if d.pieces == nil {
+		return len(d.nodes)
+	}
+	p := &d.pieces[len(d.pieces)-1]
+	return int(p.first + p.hi - p.lo)
+}
+
+// NumPieces returns the size of the document's piece table; 1 for a flat
+// document.
+func (d *Document) NumPieces() int { return max(1, len(d.pieces)) }
 
 // NumTypes returns the number of distinct element types in the document.
 func (d *Document) NumTypes() int { return len(d.names) }
@@ -82,11 +99,34 @@ func (d *Document) NumTypes() int { return len(d.names) }
 func (d *Document) Root() NodeID { return 0 }
 
 // Node returns the node with the given id. It panics if id is out of range.
-func (d *Document) Node(id NodeID) Node { return d.nodes[id] }
+func (d *Document) Node(id NodeID) Node {
+	if d.pieces == nil {
+		return d.nodes[id]
+	}
+	return d.pieceNode(id)
+}
 
-// Nodes returns the backing node slice in document order. Callers must not
-// modify it.
-func (d *Document) Nodes() []Node { return d.nodes }
+func (d *Document) pieceNode(id NodeID) Node {
+	if flat := d.flatNodes(); flat != nil {
+		return flat[id]
+	}
+	i := byID(d.pieces, id)
+	p := &d.pieces[i]
+	return translate(d.pieces, i, p.src.nodes[p.lo+id-p.first])
+}
+
+// Nodes returns the node slice in document order. Callers must not modify
+// it. On a derived document the first call writes the piece table out.
+func (d *Document) Nodes() []Node {
+	if d.pieces == nil {
+		return d.nodes
+	}
+	d.flatOnce.Do(func() {
+		f := d.Range(0, NodeID(d.NumNodes()))
+		d.flat.Store(&f)
+	})
+	return *d.flat.Load()
+}
 
 // TypeName returns the tag name for a type id.
 func (d *Document) TypeName(t TypeID) string {
@@ -116,16 +156,17 @@ func (d *Document) NodesOfType(t TypeID) []NodeID {
 }
 
 func (d *Document) buildTypeIndex() {
+	nodes := d.Nodes()
 	counts := make([]int, len(d.names))
-	for i := range d.nodes {
-		counts[d.nodes[i].Type]++
+	for i := range nodes {
+		counts[nodes[i].Type]++
 	}
 	d.byType = make([][]NodeID, len(d.names))
 	for t := range d.byType {
 		d.byType[t] = make([]NodeID, 0, counts[t])
 	}
-	for i := range d.nodes {
-		t := d.nodes[i].Type
+	for i := range nodes {
+		t := nodes[i].Type
 		d.byType[t] = append(d.byType[t], NodeID(i))
 	}
 }
@@ -133,10 +174,10 @@ func (d *Document) buildTypeIndex() {
 // Children returns the ids of the direct children of id, in document order.
 func (d *Document) Children(id NodeID) []NodeID {
 	var out []NodeID
-	n := d.nodes[id]
+	n := d.Node(id)
 	// Children are contiguous in document order between id and the first
 	// node starting after n.End; walk them by skipping over subtrees.
-	for c := id + 1; int(c) < len(d.nodes) && d.nodes[c].Start < n.End; {
+	for c := id + 1; int(c) < d.NumNodes() && d.Node(c).Start < n.End; {
 		out = append(out, c)
 		c = d.nextAfterSubtree(c)
 	}
@@ -146,12 +187,10 @@ func (d *Document) Children(id NodeID) []NodeID {
 // nextAfterSubtree returns the first node in document order that is not in
 // the subtree rooted at id.
 func (d *Document) nextAfterSubtree(id NodeID) NodeID {
-	end := d.nodes[id].End
-	// Nodes are sorted by Start; find first node with Start > end.
-	lo := int(id) + 1
-	hi := len(d.nodes)
-	i := lo + sort.Search(hi-lo, func(k int) bool { return d.nodes[lo+k].Start > end })
-	return NodeID(i)
+	end := d.Node(id).End
+	// Nodes are sorted by Start; find the first one with Start > end.
+	run, dpos, first := d.runAt(end)
+	return first + NodeID(sort.Search(len(run), func(k int) bool { return run[k].Start+dpos > end }))
 }
 
 // SubtreeSize returns the number of nodes in the subtree rooted at id
@@ -164,30 +203,32 @@ func (d *Document) SubtreeSize(id NodeID) int {
 // a binary search over the start-ordered nodes. It serves update targeting
 // and result re-materialization; no evaluation engine resolves node ids.
 func (d *Document) FindByStart(start int32) NodeID {
-	i := sort.Search(len(d.nodes), func(k int) bool { return d.nodes[k].Start >= start })
-	if i == len(d.nodes) || d.nodes[i].Start != start {
+	run, dpos, first := d.runAt(start)
+	i := sort.Search(len(run), func(k int) bool { return run[k].Start+dpos >= start })
+	if i == len(run) || run[i].Start+dpos != start {
 		return NoNode
 	}
-	return NodeID(i)
+	return first + NodeID(i)
 }
 
 // Validate checks the structural invariants of the document: nodes sorted by
 // start, regions properly nested, levels consistent with parents. It is used
 // by tests and by generators as a self-check.
 func (d *Document) Validate() error {
-	if len(d.nodes) == 0 {
+	nodes := d.Nodes()
+	if len(nodes) == 0 {
 		return fmt.Errorf("xmltree: empty document")
 	}
-	root := d.nodes[0]
+	root := nodes[0]
 	if root.Parent != NoNode {
 		return fmt.Errorf("xmltree: root has parent %d", root.Parent)
 	}
 	if root.Level != 0 {
 		return fmt.Errorf("xmltree: root level = %d, want 0", root.Level)
 	}
-	for i := 1; i < len(d.nodes); i++ {
-		n := d.nodes[i]
-		prev := d.nodes[i-1]
+	for i := 1; i < len(nodes); i++ {
+		n := nodes[i]
+		prev := nodes[i-1]
 		if n.Start <= prev.Start {
 			return fmt.Errorf("xmltree: node %d start %d <= previous start %d", i, n.Start, prev.Start)
 		}
@@ -197,7 +238,7 @@ func (d *Document) Validate() error {
 		if n.Parent < 0 || n.Parent >= NodeID(i) {
 			return fmt.Errorf("xmltree: node %d has invalid parent %d", i, n.Parent)
 		}
-		p := d.nodes[n.Parent]
+		p := nodes[n.Parent]
 		if !p.IsAncestorOf(n) {
 			return fmt.Errorf("xmltree: node %d not contained in parent %d", i, n.Parent)
 		}

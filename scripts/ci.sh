@@ -42,8 +42,10 @@
 #   5. fuzz smoke: 10s each of FuzzParse (internal/tpq),
 #      FuzzReadViewStore and FuzzCursorOps (internal/store),
 #      FuzzEvaluateDifferential (root), FuzzUpdateDifferential (root),
-#      FuzzEnumerateWindow (internal/engine/enum), seeded from the
-#      committed corpora, and FuzzQueryResponseEncoding (internal/server)
+#      FuzzEnumerateWindow (internal/engine/enum), FuzzApplyPieces
+#      (internal/xmltree: the piece table against the reference splice),
+#      seeded from the committed corpora, and FuzzQueryResponseEncoding
+#      (internal/server)
 #   5b. vjload smoke: a 1s in-process open-loop run at low QPS; the load
 #      path must produce a well-formed viewjoin/load/v1 manifest
 #   5c. vjload multi-tenant smoke: a 1s run spread over three tenant
@@ -143,6 +145,8 @@ echo "== fuzz smoke: FuzzUpdateDifferential ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzUpdateDifferential$' -fuzztime "$fuzztime" .
 echo "== fuzz smoke: FuzzEnumerateWindow ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzEnumerateWindow$' -fuzztime "$fuzztime" ./internal/engine/enum
+echo "== fuzz smoke: FuzzApplyPieces ($fuzztime)"
+go test -run '^$' -fuzz '^FuzzApplyPieces$' -fuzztime "$fuzztime" ./internal/xmltree
 echo "== fuzz smoke: FuzzQueryResponseEncoding ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzQueryResponseEncoding$' -fuzztime "$fuzztime" ./internal/server
 

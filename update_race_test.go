@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"viewjoin/internal/testutil"
+	"viewjoin/internal/xmltree"
 )
 
 // TestConcurrentReadersDuringUpdates races every read entry point against
@@ -190,4 +191,101 @@ func TestConcurrentPinnedReaderNeverMoves(t *testing.T) {
 				len(res.Matches), len(res0.Matches))
 		}
 	}
+}
+
+// TestConcurrentSnapshotReadsDuringWriteOut races the three ways a derived
+// snapshot is read. Snapshot k is a piece table; readers walk it node by
+// node (Node, FindByStart) while the writer splices k+1…k+100 off it and a
+// third goroutine materializes views over whatever is current — the bulk
+// reads (Nodes, NodesOfType) that write a table out, snapshot k's among
+// them. The walkers must see k's labels throughout, and the maintained
+// views must end byte-identical to fresh materializations.
+func TestConcurrentSnapshotReadsDuringWriteOut(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	doc := newDocument(testutil.RandomDoc(rng, 150, nil))
+	views, err := ParseViews("//a//c; //b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := doc.MaterializeViews(views, SchemeLEp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(label string, n int) {
+		for i := 0; i < n; i++ {
+			au, err := doc.Apply(randomPublicUpdate(rng, doc))
+			if err != nil {
+				t.Errorf("%s %d: apply: %v", label, i, err)
+				return
+			}
+			for _, v := range mv {
+				if _, err := v.Maintain(au); err != nil {
+					t.Errorf("%s %d: maintain %s: %v", label, i, v.Pattern(), err)
+					return
+				}
+			}
+		}
+	}
+	write("warm-up", 12)
+	snap := doc.tree()
+	if snap.NumPieces() < 2 {
+		t.Fatalf("snapshot k has %d pieces, want a piece table", snap.NumPieces())
+	}
+	want := make([]xmltree.Node, snap.NumNodes())
+	for id := range want {
+		want[id] = snap.Node(xmltree.NodeID(id))
+	}
+
+	stop := make(chan struct{})
+	var walks, mats atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for id, w := range want {
+					if got := snap.Node(xmltree.NodeID(id)); got != w {
+						t.Errorf("snapshot k moved: node %d = %+v, was %+v", id, got, w)
+						return
+					}
+					if got := snap.FindByStart(w.Start); got != xmltree.NodeID(id) {
+						t.Errorf("snapshot k moved: FindByStart(%d) = %d, was %d", w.Start, got, id)
+						return
+					}
+				}
+				walks.Add(1)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			if _, err := doc.MaterializeView(views[i%len(views)], SchemeLEp, nil); err != nil {
+				t.Errorf("materialize over the current snapshot: %v", err)
+				return
+			}
+			mats.Add(1)
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	// At least k+1…k+100, and on until both kinds of reader have overlapped
+	// the writer a healthy number of times.
+	write("update", 100)
+	for n := 0; n < 200 && !t.Failed() && (walks.Load() < 20 || mats.Load() < 20); n++ {
+		write("update", 10)
+	}
+	close(stop)
+	wg.Wait()
+	requireStoreEquality(t, "after the updates", mv, doc, views, SchemeLEp)
 }

@@ -121,6 +121,11 @@ func GenerateNasa(datasets int) *Document {
 // NumNodes returns the number of element nodes in the current snapshot.
 func (d *Document) NumNodes() int { return d.tree().NumNodes() }
 
+// NumPieces returns the size of the current snapshot's piece table: 1 for
+// a document never updated, growing by up to two per Apply until the table
+// is written out flat again (DESIGN.md, "Document snapshots").
+func (d *Document) NumPieces() int { return d.tree().NumPieces() }
+
 // WriteXML serializes the current snapshot's element structure as XML.
 func (d *Document) WriteXML(w io.Writer) error { return xmltree.Write(w, d.tree()) }
 
