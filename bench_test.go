@@ -492,3 +492,98 @@ func BenchmarkApply(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkMaintain: one view's Maintain at XMark 4 over update-mixed's
+// five LEp views (Q13's and Q14's). Fifteen item inserts, maintained
+// through every view, fill the lists' piece tables about half way; each
+// view then derives its successor under one more insert, staged and never
+// committed, so every iteration splices the same half-full table. The
+// write-out sub-benchmark times the Maintain that finds a table full and
+// writes the view out flat first — the O(view) pass the others no longer
+// make.
+func BenchmarkMaintain(b *testing.B) {
+	doc := viewjoin.GenerateXMark(4)
+	frag, err := viewjoin.ParseDocumentString(`<item><location/><quantity/><name/><description><text><keyword/></text></description></item>`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var mviews []*viewjoin.MaterializedView
+	for _, q := range workload.XMarkTwig() {
+		if q.Name != "Q13" && q.Name != "Q14" {
+			continue
+		}
+		for _, v := range q.Views {
+			mv, err := doc.MaterializeView(viewjoin.MustParseQuery(v.String()), viewjoin.SchemeLEp, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mviews = append(mviews, mv)
+		}
+	}
+	update := func(u viewjoin.Update) {
+		au, err := doc.Apply(u)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mv := range mviews {
+			if _, err := mv.Maintain(au); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	items := viewjoin.EvaluateDirect(doc, viewjoin.MustParseQuery("//item")).Matches
+	// Inserts from the back leave the recorded start labels in front valid.
+	for k := 15; k >= 1; k-- {
+		update(viewjoin.Update{Op: viewjoin.InsertBefore, TargetStart: items[k*len(items)/16][0].Start, Fragment: frag})
+	}
+	u := viewjoin.Update{Op: viewjoin.InsertBefore, TargetStart: items[len(items)/32][0].Start, Fragment: frag}
+	for _, mv := range mviews {
+		b.Run(fmt.Sprintf("%s/pieces=%d", mv.Pattern(), mv.NumPieces()), func(b *testing.B) {
+			b.ReportAllocs()
+			var st *viewjoin.StagedUpdate
+			for i := 0; i < b.N; i++ {
+				// A staged update holds every successor derived through it.
+				if i%256 == 0 {
+					b.StopTimer()
+					if st, err = doc.Stage(u); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, err := st.Maintain(mv); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
+	// Appends on the root grow every table; the first Maintain whose
+	// report shows fewer pieces than the one before paid the write-out.
+	onRoot := viewjoin.Update{Op: viewjoin.AppendChild, TargetStart: 1, Fragment: frag}
+	mv := mviews[len(mviews)-1]
+	full := 0
+	for mv.NumPieces() >= full {
+		full = mv.NumPieces()
+		update(onRoot)
+	}
+	b.Run(fmt.Sprintf("write-out/%s/pieces=%d", mv.Pattern(), full), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for mv.NumPieces() != full {
+				update(onRoot)
+			}
+			st, err := doc.Stage(onRoot)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := st.Maintain(mv); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			update(onRoot)
+			b.StartTimer()
+		}
+	})
+}

@@ -138,6 +138,33 @@ func TestNestedSameTypeRoots(t *testing.T) {
 	}
 }
 
+// TestJumpGuardsUnderNesting holds each pointer guard to a document on
+// which the jump it refuses loses matches; with the guard forced to pass,
+// the case fails over LE and LEp.
+//
+//   - safe-jump probe (advancePointers): the first <a>'s following pointer,
+//     scoped to the outer <c>, lands on the last <a> and skips the one
+//     under the inner <c>, whose <b> child makes the match.
+//   - reposition guard (repositionMembers): the outer <a> is accepted and
+//     still open when the <a> cursor moves on past the second <a>; the
+//     child pointer it lands on would move the <c> cursor past the first
+//     <c>, which matches under the outer <a> through the first <b>.
+func TestJumpGuardsUnderNesting(t *testing.T) {
+	for _, c := range []struct{ name, doc, query, views string }{
+		{"safe-jump probe", `<root><c><a/><c><a><b/></a></c><a/></c></root>`, "//c//a/b", "//c//a; //b"},
+		{"reposition guard", `<root><a><b><a><c/></a></b><b><a><c/></a></b></a></root>`, "//a//b//c", "//a//c; //b"},
+	} {
+		d := mustDoc(t, c.doc)
+		q := tpq.MustParse(c.query)
+		want := oracle.Eval(d, q)
+		for _, kind := range allKinds {
+			if got, _, _ := evalWith(t, d, q, tpq.MustParseAll(c.views), kind, engine.Options{}); !got.SameAs(want) {
+				t.Errorf("%s %v: got %d matches, want %d", c.name, kind, len(got), len(want))
+			}
+		}
+	}
+}
+
 func TestSkippingReducesWork(t *testing.T) {
 	// Many a-subtrees without f; only the last contains one. With LE views,
 	// following/child pointers let ViewJoin skip the barren subtrees, so it

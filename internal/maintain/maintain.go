@@ -46,8 +46,8 @@ type Report struct {
 
 // View derives the successor of a view's store after the document update
 // described by au. The old store is not modified — readers holding it keep
-// a consistent pre-update snapshot; the returned store is a fresh flat
-// store reflecting au.New.
+// a consistent pre-update snapshot; the returned store reflects au.New and
+// shares every record the update did not reach with the old one.
 func View(old *store.ViewStore, au *xmltree.Applied) (*store.ViewStore, Report, error) {
 	// The fast-path condition: no inserted or deleted node's tag occurs
 	// among the view's labels.
@@ -71,6 +71,9 @@ func View(old *store.ViewStore, au *xmltree.Applied) (*store.ViewStore, Report, 
 	recomputed := 0
 	for q, l := range old.Lists {
 		cuts[q] = store.Cut{A: l.SeekStart(m.first), B: l.SeekStart(m.last + 1)}
+		for _, e := range chain[q] {
+			cuts[q].Chain = append(cuts[q].Chain, e.pos)
+		}
 		for _, id := range sol[q] {
 			n := m.Doc.Node(id)
 			cuts[q].Region = append(cuts[q].Region, store.Label{Start: n.Start, End: n.End, Level: n.Level})

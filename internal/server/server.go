@@ -787,13 +787,15 @@ type accessLine struct {
 	DurationUS int64    `json:"duration_us"`
 	Error      string   `json:"error,omitempty"`
 	// /update lines only: the operation, the transaction's two layers, and
-	// the piece count of the snapshot it published (the successor of a full
-	// table pays the write-out in apply_us and starts again at 2 or 3).
+	// the piece counts of the snapshot it published and of its views'
+	// largest list (the successor of a full table pays the write-out, in
+	// apply_us or maintain_us, and starts again at a few pieces).
 	Op                string `json:"op,omitempty"`
 	ApplyUS           int64  `json:"apply_us,omitempty"`
 	MaintainUS        int64  `json:"maintain_us,omitempty"`
 	RecomputedEntries int    `json:"recomputed_entries,omitempty"`
 	DocPieces         int    `json:"doc_pieces,omitempty"`
+	ViewPieces        int    `json:"view_pieces,omitempty"`
 }
 
 func (s *Server) logAccess(req *queryRequest, status int, stage string, matches int, cache string,
@@ -1118,6 +1120,8 @@ type viewInfo struct {
 	Entries   int    `json:"entries"`
 	SizeBytes int64  `json:"size_bytes"`
 	Tier      string `json:"tier"` // memory, file
+	// Pieces is the piece count of the view's largest list; 1 = flat.
+	Pieces int `json:"pieces"`
 }
 
 func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
@@ -1135,6 +1139,7 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 					Entries:   ve.mv.NumEntries(),
 					SizeBytes: ve.mv.SizeBytes(),
 					Tier:      ve.tier(),
+					Pieces:    ve.mv.NumPieces(),
 				})
 			}
 			out = append(out, di)

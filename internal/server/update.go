@@ -45,6 +45,8 @@ type maintainJSON struct {
 	FastPath          bool   `json:"fast_path"`
 	RecomputedEntries int    `json:"recomputed_entries"`
 	TotalPages        int    `json:"total_pages"`
+	// Pieces is the piece count of the view's largest list; 1 = flat.
+	Pieces int `json:"pieces"`
 }
 
 // updateResponse is the body of a successful POST /update.
@@ -186,9 +188,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			fastPaths++
 		}
 		line.RecomputedEntries += rep.RecomputedEntries
+		line.ViewPieces = max(line.ViewPieces, rep.Pieces)
 		reports = append(reports, maintainJSON{
 			View: vn, FastPath: rep.FastPath,
-			RecomputedEntries: rep.RecomputedEntries, TotalPages: rep.TotalPages,
+			RecomputedEntries: rep.RecomputedEntries, TotalPages: rep.TotalPages, Pieces: rep.Pieces,
 		})
 	}
 	line.MaintainUS = time.Since(t0).Microseconds()

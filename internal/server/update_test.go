@@ -289,8 +289,8 @@ func TestDocumentsEpoch(t *testing.T) {
 		}
 		return out
 	}
-	if got := docs(); len(got) != 1 || got[0].Epoch != 0 || got[0].DocPieces != 1 {
-		t.Fatalf("before update: %+v, want one flat document at epoch 0", got)
+	if got := docs(); len(got) != 1 || got[0].Epoch != 0 || got[0].DocPieces != 1 || got[0].Views[0].Pieces != 1 {
+		t.Fatalf("before update: %+v, want one flat document with flat views at epoch 0", got)
 	}
 	if st := post(t, ts, "/update", updateRequest{
 		Document: "xmark", Op: "insert-before", Target: anyTarget(t, ts),
@@ -485,6 +485,18 @@ func TestUpdateStageTimings(t *testing.T) {
 	// fragment, the array from the pivot on.
 	if ur.DocPieces != 3 || line.DocPieces != 3 {
 		t.Errorf("doc_pieces = %d in the response, %d in the access line, want 3", ur.DocPieces, line.DocPieces)
+	}
+	// Both views took records of the fragment into lists they share with
+	// the flat records around them.
+	most := 0
+	for _, v := range ur.Views {
+		if v.Pieces < 2 {
+			t.Errorf("view %s reports %d pieces after an insert into its lists, want more than 1", v.View, v.Pieces)
+		}
+		most = max(most, v.Pieces)
+	}
+	if line.ViewPieces != most {
+		t.Errorf("view_pieces = %d in the access line, want the views' largest, %d", line.ViewPieces, most)
 	}
 }
 

@@ -11,12 +11,12 @@ import (
 // ListCursor is a forward cursor over a ListFile with random access via
 // stored pointers. Every record it lands on is charged as one element
 // scanned, and page accesses are charged through the IO buffer pool on the
-// real page boundaries of each flat segment — the labels segment and every
+// page boundaries of the list's flat image — the labels segment and every
 // materialized pointer segment, like the paper's cost model charges a scan
-// over a linked-element file. The region label is decoded on landing;
-// pointers are read where an engine asks for one. ListCursor is a plain
-// value: copying it yields an independent cursor at the same position (the
-// engines' probe idiom).
+// over a linked-element file, whether the list is built or a piece table.
+// The region label is decoded on landing; pointers are read where an
+// engine asks for one. ListCursor is a plain value: copying it yields an
+// independent cursor at the same position (the engines' probe idiom).
 //
 // An exhausted cursor reads Start() == End() == math.MaxInt32, so merge
 // loops compare labels without asking Valid first.
@@ -34,27 +34,43 @@ type ListCursor struct {
 	// The label of record idx; Start == End == math.MaxInt32 is the
 	// exhausted state, in which idx stays on the record landed on last.
 	label Label
-	// The pages last charged to the pool, as windows of record offsets: one
-	// for the labels segment, one for the pointer segments, which share a
-	// geometry and so change page together.
-	labels, ptrs pageWindow
+	// The records readable without a lookup: one window for the labels, one
+	// for the pointer classes, which share a geometry and so change page
+	// together.
+	labels labelWindow
+	ptrs   ptrWindow
 }
 
-// pageWindow is the run of records [lo, lo+n) stored on one page, whose
-// first record sits at byte offset base of its segment. A record inside
-// the window is addressed without dividing by the page geometry, and its
-// page is already charged.
-type pageWindow struct {
-	lo, n int32
-	base  int
+// A window is the run of records [lo, lo+n) that lie on one page of the
+// list's image, in one piece, and back to back in that piece's source — a
+// whole page of a built list. A record inside it is addressed without
+// dividing by the page geometry or searching the pieces, and its page is
+// already charged; page is the page charged last (-1 before the first).
+type labelWindow struct {
+	lo, n, page int32
+	delta       int32  // the piece's label delta
+	data        []byte // the labels of records lo onward
 }
 
-// slide moves the window to the page of record i, with perPage records to
-// a page of pageSize bytes, and returns the page number.
-func (w *pageWindow) slide(i int32, perPage, pageSize int) int32 {
-	pg := i / int32(perPage)
-	*w = pageWindow{lo: pg * int32(perPage), n: int32(perPage), base: int(pg) * pageSize}
-	return pg
+type ptrWindow struct {
+	lo, n, page int32
+	stale       bool // pointers read from src need translating
+	base        int  // record i sits at byte base+i*ptrBytes of src's segments
+	src         *source
+}
+
+// window returns the window of recSize-byte records around list offset i:
+// the page, the window's bounds, its piece and the byte offset of record lo
+// in the piece's source.
+func (l *ListFile) window(i int32, recSize int) (pg, lo, n int32, p *piece, off int) {
+	per := perPage(l.pageSize, recSize)
+	pg = i / per
+	lo, hi := pg*per, pg*per+per
+	p = &l.pieces[l.pieceAt(i)]
+	lo, hi = max(lo, p.at), min(hi, p.end())
+	back, fwd, off := p.src.span(p.lo+i-p.at, recSize)
+	lo, hi = max(lo, i-back), min(hi, i+fwd)
+	return pg, lo, hi - lo, p, off - int(i-lo)*recSize
 }
 
 // Open returns a cursor positioned at the first record (exhausted for an
@@ -97,13 +113,18 @@ func (c *ListCursor) Descendant() Pointer { return c.pointer(segDescendant) }
 // slot of the view node.
 func (c *ListCursor) Child(slot int) Pointer { return c.pointer(segChild0 + slot) }
 
+// pointer is small enough, with its three callers, for the compiler to
+// inline: a jump site pays no call, and a built list one flag test.
 func (c *ListCursor) pointer(class int) Pointer {
-	seg := &c.f.ptrs[class]
-	if !seg.present() {
+	seg := c.ptrs.src.ptrs[class]
+	if seg == nil {
 		return NilPointer
 	}
-	off := c.ptrs.base + int(c.idx-c.ptrs.lo)*ptrBytes
-	return Pointer(binary.LittleEndian.Uint32(seg.data[off:]))
+	v := int32(binary.LittleEndian.Uint32(seg[c.ptrs.base+int(c.idx)*ptrBytes:]))
+	if c.ptrs.stale {
+		v = c.f.trans[class].translate(c.ptrs.src.since[class], v)
+	}
+	return Pointer(v)
 }
 
 // Next advances to the next record in list order; the cursor becomes
@@ -138,7 +159,8 @@ func (c *ListCursor) Reset(l *ListFile, io *counters.IO, tr obs.Tracer, node int
 // start-range slice of every list without copying any pages.
 func (c *ListCursor) ResetRange(l *ListFile, io *counters.IO, tr obs.Tracer, node, lo, hi int) {
 	lo, hi = max(lo, 0), min(hi, l.entries)
-	*c = ListCursor{f: l, io: io, tr: tr, node: int32(node), idx: int32(lo), lo: int32(lo), hi: int32(hi)}
+	*c = ListCursor{f: l, io: io, tr: tr, node: int32(node), idx: int32(lo), lo: int32(lo), hi: int32(hi),
+		labels: labelWindow{page: -1}, ptrs: ptrWindow{page: -1}}
 	if lo >= hi {
 		c.exhaust()
 		return
@@ -169,26 +191,47 @@ func (c *ListCursor) exhaust() { c.label.Start, c.label.End = math.MaxInt32, mat
 // descendant, child slots ascending) — the record's fields are striped
 // across the segments, so a scan pays each segment's pages, which is what
 // makes a linked-element file cost more pages to scan than an element file
-// of the same list, as in §V. A page is charged when the cursor leaves the
-// window of the page charged last, so a run of records on one page touches
-// the pool once.
+// of the same list, as in §V. A page is charged when the cursor lands on a
+// page other than the one charged last, so a run of records on one page
+// touches the pool once; a piece boundary inside a page moves the window
+// and charges nothing.
 func (c *ListCursor) load(i int32) {
-	f := c.f
 	if uint32(i-c.labels.lo) >= uint32(c.labels.n) {
-		c.io.Touch(f.labels.token, c.labels.slide(i, f.labels.perPage, f.pageSize))
+		c.slideLabels(i)
 	}
 	c.io.C.ElementsScanned++
 	if c.tr != nil {
 		c.tr.Event(obs.EvScan, int(c.node), 1)
 	}
-	c.label = getLabel(f.labels.data[c.labels.base+int(i-c.labels.lo)*labelBytes:])
+	lab, d := getLabel(c.labels.data[int(i-c.labels.lo)*labelBytes:]), c.labels.delta
+	c.label = Label{Start: lab.Start + d, End: lab.End + d, Level: lab.Level}
 	if uint32(i-c.ptrs.lo) >= uint32(c.ptrs.n) {
-		pg := c.ptrs.slide(i, f.pageSize/ptrBytes, f.pageSize)
-		for s := range f.ptrs {
-			if f.ptrs[s].present() {
-				c.io.Touch(f.ptrs[s].token, pg)
-			}
-		}
+		c.slidePtrs(i)
 	}
 	c.idx = i
+}
+
+func (c *ListCursor) slideLabels(i int32) {
+	f := c.f
+	pg, lo, n, p, off := f.window(i, labelBytes)
+	if pg != c.labels.page {
+		c.io.Touch(f.token, pg)
+		c.labels.page = pg
+	}
+	c.labels.lo, c.labels.n, c.labels.delta = lo, n, p.delta
+	c.labels.data = p.src.labels[off : off+int(n)*labelBytes]
+}
+
+func (c *ListCursor) slidePtrs(i int32) {
+	f := c.f
+	pg, lo, n, p, off := f.window(i, ptrBytes)
+	if pg != c.ptrs.page {
+		for class := 0; class < numPtrSegs; class++ {
+			if f.mask&(1<<class) != 0 {
+				c.io.Touch(f.token+1+uintptr(class), pg)
+			}
+		}
+		c.ptrs.page = pg
+	}
+	c.ptrs.lo, c.ptrs.n, c.ptrs.base, c.ptrs.src, c.ptrs.stale = lo, n, off-int(lo)*ptrBytes, p.src, f.stale(p.src)
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -33,14 +32,16 @@ func current(c *ListCursor) record {
 }
 
 // refCursor is the reference the list cursor is compared against: the
-// record path without page windows. Every landing finds its pages and
-// bytes by dividing by the page geometry (segment.page, segment.rec),
-// decodes every pointer class, and remembers per segment the page charged
-// last. It charges the pool and the counters it is given in the order the
-// cost model fixes: labels page, scanned element, then each present
-// pointer segment's page, following, descendant, child slots ascending.
+// record path over the list's flat image, without page windows or pieces.
+// Every landing finds its pages and bytes by dividing by the page
+// geometry, decodes every pointer class, and remembers per segment the
+// page charged last. It charges the pool and the counters it is given in
+// the order the cost model fixes: labels page, scanned element, then each
+// present pointer segment's page, following, descendant, child slots
+// ascending.
 type refCursor struct {
 	l        *ListFile
+	img      *source
 	io       *counters.IO
 	lo, hi   int32
 	idx      int32
@@ -49,9 +50,10 @@ type refCursor struct {
 	valid    bool
 }
 
-func (r *refCursor) resetRange(l *ListFile, io *counters.IO, lo, hi int) {
+// resetRange opens records [lo, hi) of l, whose flat image is img.
+func (r *refCursor) resetRange(l *ListFile, img *source, io *counters.IO, lo, hi int) {
 	lo, hi = max(lo, 0), min(hi, l.entries)
-	*r = refCursor{l: l, io: io, lo: int32(lo), hi: int32(hi), idx: int32(lo)}
+	*r = refCursor{l: l, img: img, io: io, lo: int32(lo), hi: int32(hi), idx: int32(lo)}
 	for i := range r.lastPage {
 		r.lastPage[i] = -1
 	}
@@ -85,12 +87,12 @@ func (r *refCursor) seek(p Pointer) {
 
 func (r *refCursor) load(i int32) {
 	l := r.l
-	if pg := l.labels.page(i); r.lastPage[0] != pg {
-		r.io.Touch(l.labels.token, pg)
+	if pg := i / int32(l.pageSize/labelBytes); r.lastPage[0] != pg {
+		r.io.Touch(l.token, pg)
 		r.lastPage[0] = pg
 	}
 	r.io.C.ElementsScanned++
-	lab := getLabel(l.labels.rec(i))
+	lab := r.img.label(i)
 	r.rec = record{Start: lab.Start, End: lab.End, Level: lab.Level,
 		Following: r.pointer(segFollowing, i), Descendant: r.pointer(segDescendant, i)}
 	for slot := range r.rec.Children {
@@ -100,15 +102,14 @@ func (r *refCursor) load(i int32) {
 }
 
 func (r *refCursor) pointer(class int, i int32) Pointer {
-	seg := &r.l.ptrs[class]
-	if !seg.present() {
+	if r.l.mask&(1<<class) == 0 {
 		return NilPointer
 	}
-	if pg := seg.page(i); r.lastPage[1+class] != pg {
-		r.io.Touch(seg.token, pg)
+	if pg := i / int32(r.l.pageSize/ptrBytes); r.lastPage[1+class] != pg {
+		r.io.Touch(r.l.token+1+uintptr(class), pg)
 		r.lastPage[1+class] = pg
 	}
-	return Pointer(binary.LittleEndian.Uint32(seg.rec(i)))
+	return Pointer(r.img.raw(class, i))
 }
 
 var (
@@ -173,7 +174,7 @@ func runCursorOps(t *testing.T, kind Kind, pageSize, pool int, ops []byte) {
 	var ref refCursor
 	l := s.Lists[0]
 	cur.Reset(l, gotIO, nil, 0)
-	ref.resetRange(l, wantIO, 0, l.entries)
+	ref.resetRange(l, l.image(), wantIO, 0, l.entries)
 
 	step := 0
 	same := func(what string, c *ListCursor, r *refCursor) {
@@ -246,7 +247,7 @@ func runCursorOps(t *testing.T, kind Kind, pageSize, pool int, ops []byte) {
 			l = s.Lists[arg()%len(s.Lists)]
 			lo, hi := arg()*(l.entries+8)/256-4, arg()*(l.entries+8)/256-4
 			cur.ResetRange(l, gotIO, nil, 0, lo, hi)
-			ref.resetRange(l, wantIO, lo, hi)
+			ref.resetRange(l, l.image(), wantIO, lo, hi)
 			same("ResetRange", &cur, &ref)
 		default:
 			// The engines' probe idiom: seek a copy, then keep or drop it.

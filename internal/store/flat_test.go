@@ -38,10 +38,10 @@ func TestCursorSeekPageBoundaries(t *testing.T) {
 	for _, kind := range []Kind{Element, Linked, LinkedPartial} {
 		s := MustBuild(m, kind, pageSize)
 		l := s.Lists[1]
-		if l.labels.pages() < 3 {
-			t.Fatalf("%v: fixture too small: %d label pages", kind, l.labels.pages())
+		perPage := l.pageSize / labelBytes
+		if l.entries < 3*perPage {
+			t.Fatalf("%v: fixture too small: %d records", kind, l.entries)
 		}
-		perPage := l.labels.perPage
 		var c counters.Counters
 		io := counters.NewIO(&c, 0)
 		cur := l.Open(io)
@@ -111,7 +111,7 @@ func TestCursorResetAndCopyAllKinds(t *testing.T) {
 			}
 			// Copy at the page boundary records: advancing the copy must not
 			// move the original.
-			if n == s.Lists[1].labels.perPage {
+			if n == s.Lists[1].pageSize/labelBytes {
 				cl := *cur
 				cl.Next()
 				if int(cl.Position()) == int(cur.Position()) {

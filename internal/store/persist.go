@@ -64,20 +64,17 @@ func (s *ViewStore) WriteTo(w io.Writer) (int64, error) {
 		write(int16(n.Parent))
 	}
 
-	var segments []*segment
 	if s.Kind == Tuple {
 		write(uint32(s.Tuples.arity))
 		write(uint32(s.Tuples.entries))
-		segments = s.Tuples.segs()
 	} else {
 		write(uint32(len(s.Lists)))
 		for _, l := range s.Lists {
 			write(uint8(l.childCount))
 			write(boolByte(l.scoped))
 			write(uint32(l.entries))
-			write(uint32(l.pointers))
-			write(l.segMask())
-			segments = append(segments, l.segs()...)
+			write(uint32(l.pointers()))
+			write(l.mask)
 		}
 	}
 	// Pad the header to a page boundary so every segment is page-aligned in
@@ -85,9 +82,11 @@ func (s *ViewStore) WriteTo(w io.Writer) (int64, error) {
 	if pad := (s.PageSize - int(cw.n)%s.PageSize) % s.PageSize; pad > 0 && cw.err == nil {
 		_, cw.err = cw.Write(make([]byte, pad))
 	}
-	for _, seg := range segments {
-		if cw.err == nil {
-			_, cw.err = cw.Write(seg.data)
+	for _, src := range s.Sources() {
+		for _, seg := range src.segments() {
+			if cw.err == nil {
+				_, cw.err = cw.Write(seg)
+			}
 		}
 	}
 	if cw.err == nil {
@@ -256,72 +255,70 @@ func readListBody(rd *sliceReader, s *ViewStore) (*ViewStore, error) {
 
 	s.Lists = make([]*ListFile, numLists)
 	for i, h := range hdrs {
-		l := &ListFile{
+		src := source{n: h.entries, pageSize: s.PageSize}
+		src.labels = rd.bytes(int(segBytes(h.entries, labelBytes, s.PageSize)), fmt.Sprintf("list %d labels", i))
+		for class := 0; class < numPtrSegs; class++ {
+			if h.segMask&(1<<class) != 0 {
+				src.ptrs[class] = rd.bytes(int(segBytes(h.entries, ptrBytes, s.PageSize)),
+					fmt.Sprintf("list %d pointer segment %d", i, class))
+			}
+		}
+		if rd.err != nil {
+			return nil, rd.err
+		}
+		s.Lists[i] = newFlat(ListFile{
 			kind:       s.Kind,
 			pageSize:   s.PageSize,
 			childCount: h.childCount,
 			scoped:     h.scoped,
 			entries:    h.entries,
-			pointers:   h.pointers,
-		}
-		l.labels = adopt(rd.bytes(int(segBytes(h.entries, labelBytes, s.PageSize)),
-			fmt.Sprintf("list %d labels", i)), labelBytes, s.PageSize)
-		for class := 0; class < numPtrSegs; class++ {
-			if h.segMask&(1<<class) == 0 {
-				continue
-			}
-			l.ptrs[class] = adopt(rd.bytes(int(segBytes(h.entries, ptrBytes, s.PageSize)),
-				fmt.Sprintf("list %d pointer segment %d", i, class)), ptrBytes, s.PageSize)
-		}
-		if rd.err != nil {
-			return nil, rd.err
-		}
-		s.Lists[i] = l
+			mask:       h.segMask,
+			token:      tokenSeq.Add(1+numPtrSegs) - numPtrSegs,
+		}, src)
 	}
 	if err := rd.end(); err != nil {
 		return nil, err
 	}
-	if err := s.validatePointers(); err != nil {
-		return nil, err
+	for q, l := range s.Lists {
+		if err := s.validatePointers(q); err != nil {
+			return nil, err
+		}
+		if n := l.pointers(); n != hdrs[q].pointers {
+			return nil, fmt.Errorf("store: list %d holds %d pointers, header says %d", q, n, hdrs[q].pointers)
+		}
 	}
 	return s, nil
 }
 
-// validatePointers checks every materialized pointer segment: each stored
-// offset must be nil or address a record inside its target list, and the
-// total non-nil count must match each list's header. The scan touches only
+// validatePointers checks every materialized pointer segment of loaded list
+// q and counts its non-null pointers per class: each stored offset must be
+// nil or address a record inside its target list. The scan touches only
 // the pointer segments — the labels stay undecoded, preserving the
 // zero-copy load — and runs in one pass per segment.
-func (s *ViewStore) validatePointers() error {
-	for q, l := range s.Lists {
-		children := s.View.Nodes[q].Children
-		target := func(class int) int {
-			if class >= segChild0 {
-				return s.Lists[children[class-segChild0]].entries
-			}
-			return l.entries
+func (s *ViewStore) validatePointers(q int) error {
+	l := s.Lists[q]
+	if len(l.pieces) == 0 {
+		return nil
+	}
+	src := l.pieces[0].src
+	for class, seg := range src.ptrs {
+		if seg == nil {
+			continue
 		}
-		nonNil := 0
-		for class := 0; class < numPtrSegs; class++ {
-			seg := &l.ptrs[class]
-			if !seg.present() {
+		limit := int32(l.entries)
+		if class >= segChild0 {
+			limit = int32(s.Lists[s.View.Nodes[q].Children[class-segChild0]].entries)
+		}
+		for i := int32(0); i < int32(l.entries); i++ {
+			v := int32(binary.LittleEndian.Uint32(seg[src.off(i, ptrBytes):]))
+			if v == -1 {
 				continue
 			}
-			limit := int32(target(class))
-			for i := int32(0); i < int32(l.entries); i++ {
-				v := int32(binary.LittleEndian.Uint32(seg.rec(i)))
-				if v == -1 {
-					continue
-				}
-				if v < 0 || v >= limit {
-					return fmt.Errorf("store: list %d record %d: pointer %d out of bounds [0,%d)",
-						q, i, v, limit)
-				}
-				nonNil++
+			if v < 0 || v >= limit {
+				return fmt.Errorf("store: list %d record %d: pointer %d out of bounds [0,%d)",
+					q, i, v, limit)
 			}
-		}
-		if nonNil != l.pointers {
-			return fmt.Errorf("store: list %d holds %d pointers, header says %d", q, nonNil, l.pointers)
+			l.counts[class]++
 		}
 	}
 	return nil

@@ -4,25 +4,30 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // This file derives a view store's successor under a document update. A
-// store is never mutated: the writer builds a fresh flat store — new
-// segments, new buffer-pool tokens — and readers of the old one keep the
-// old one, so snapshot isolation is plain immutability. What makes the
-// derivation cheap is that it is region-local: the maintenance layer names,
-// per list, the records the update can have changed (a Cut), everything
-// outside is carried over in one sequential pass with its labels remapped
-// and its pointer values shifted, and only the handful of records whose
-// pointers the region can reach are set again through the Splicer.
+// store is never mutated: readers of the old one keep the old one, so
+// snapshot isolation is plain immutability. What makes the derivation
+// cheap is that it is region-local: the maintenance layer names, per list,
+// the records the update can have changed (a Cut), and only those, the
+// records whose end label the update moves, and the handful whose pointers
+// the region can reach are written again. Everything else is shared with
+// the predecessor: a derived list is a piece table over immutable record
+// runs (pieces.go) whose label deltas and pointer translations carry the
+// update's shift lazily.
 
 // Cut is one list's share of a region-local update: old records [A, B) lie
 // in the region and are dropped, and Region holds the region's records
 // after the update, in document order. A == B with no Region leaves the
-// list's membership alone.
+// list's membership alone. Chain holds the old offsets, all below A, of
+// the list's records whose region contains the pivot — the ancestors of
+// the splice point — whose end label moves while their start stays.
 type Cut struct {
 	A, B   int
 	Region []Label
+	Chain  []int
 }
 
 // shift is how far the records behind the cut move.
@@ -31,65 +36,130 @@ func (c Cut) shift() int32 { return int32(len(c.Region) - (c.B - c.A)) }
 // Splicer builds the successor of a store. NewSplicer lays out every list
 // as old[0:A) ++ Region ++ old[B:); the caller then sets the pointers of
 // the records it recomputed, reading the new labels through List, and
-// Finish seals the result.
+// Finish seals the result. The caller owes a SetPointers to every record
+// of the region and to every record outside the cuts with a pointer into
+// one: a carried pointer is translated, never nulled.
 type Splicer struct {
 	next *ViewStore
+	// fresh holds, per list, the labels of the records this splice writes —
+	// the region's, the chain's and every one passed to SetPointers — in the
+	// order written, and rows their pointers.
+	fresh []*source
+	rows  [][][numPtrSegs]int32
 }
 
-// NewSplicer carries old over into a fresh store: label positions >= pivot
-// move by delta, the records of each list's cut are replaced, and every
-// pointer outside a cut keeps its target — its value moves by the target
-// list's shift when the target lies behind that list's cut. Pointers of
-// region records start out null, as do carried pointers whose target was
-// cut away; the caller owes both a SetPointers. cuts has one entry per
-// list; a tuple store (no lists) takes nil and only has its labels moved.
+// NewSplicer derives the successor of old: label positions >= pivot move
+// by delta, the records of each list's cut are replaced, and every pointer
+// outside a cut keeps its target — its value moves by the target list's
+// shift when the target lies behind that list's cut. A store with a list
+// that has reached maxPieces is written out flat first. cuts has one entry
+// per list; a tuple store (no lists) takes nil and only has its labels
+// moved, in a fresh copy.
 func NewSplicer(old *ViewStore, pivot, delta int32, cuts []Cut) *Splicer {
 	next := &ViewStore{Kind: old.Kind, View: old.View, PageSize: old.PageSize}
 	sp := &Splicer{next: next}
 	if t := old.Tuples; t != nil {
 		nt := &TupleFile{arity: t.arity, entries: t.entries}
 		nt.seg = newSegment(t.entries, t.seg.recSize, t.seg.pageSize)
-		carry(&nt.seg, 0, &t.seg, 0, t.entries)
+		copy(nt.seg.data, t.seg.data)
 		shiftLabels(&nt.seg, 0, t.entries, pivot, delta)
 		next.Tuples = nt
 		return sp
 	}
+	if old.full() {
+		w := *old
+		w.Lists = make([]*ListFile, len(old.Lists))
+		for q, l := range old.Lists {
+			w.Lists[q] = l.writeOut()
+		}
+		old = &w
+	}
 	next.Lists = make([]*ListFile, len(old.Lists))
+	sp.fresh, sp.rows = make([]*source, len(old.Lists)), make([][][numPtrSegs]int32, len(old.Lists))
 	for q, l := range old.Lists {
 		c := cuts[q]
-		nl := &ListFile{
-			kind: l.kind, pageSize: l.pageSize, childCount: l.childCount, scoped: l.scoped,
-			entries: l.entries + int(c.shift()),
+		A, B, shift := int32(c.A), int32(c.B), c.shift()
+		left, rest := cutAt(l.pieces, A)
+		mid, right := cutAt(rest, B)
+		nl := *l
+		nl.entries += int(shift)
+		for _, p := range mid {
+			count(&nl.counts, p.src, p.lo, p.hi, -1)
 		}
-		tail, rest := c.A+len(c.Region), l.entries-c.B // where old[B:) lands
-		nl.labels = newSegment(nl.entries, labelBytes, l.pageSize)
-		carry(&nl.labels, 0, &l.labels, 0, c.A)
-		shiftLabels(&nl.labels, 0, c.A, pivot, delta)
-		for it, i := nl.labels.iter(c.A), 0; i < len(c.Region); i++ {
-			putLabel(it.next(), c.Region[i])
-		}
-		carry(&nl.labels, tail, &l.labels, c.B, rest)
-		shiftLabels(&nl.labels, tail, rest, pivot, delta)
-		for class := range l.ptrs {
-			src := &l.ptrs[class]
-			if !src.present() || nl.entries == 0 {
-				continue
+		// Room for the records SetPointers isolates, each up to two more
+		// pieces, as the maintenance layer sets a handful.
+		room := len(c.Region) + len(c.Chain) + 8
+		fresh := &source{labels: make([]byte, 0, room*labelBytes)}
+		sp.rows[q] = make([][numPtrSegs]int32, 0, room)
+		ps := make([]piece, 0, len(left)+len(right)+1+2*room)
+		ps = append(ps, left...)
+		if len(c.Region) > 0 {
+			for _, lab := range c.Region {
+				fresh.add(lab)
+				sp.rows[q] = append(sp.rows[q], nullRow)
 			}
-			target := c
-			if class >= segChild0 {
-				target = cuts[old.View.Nodes[q].Children[class-segChild0]]
-			}
-			dst := newSegment(nl.entries, ptrBytes, l.pageSize)
-			carry(&dst, 0, src, 0, c.A)
-			fillNil(&dst, c.A, len(c.Region))
-			carry(&dst, tail, src, c.B, rest)
-			shiftPointers(&dst, 0, c.A, target)
-			shiftPointers(&dst, tail, rest, target)
-			nl.ptrs[class] = dst
+			ps = append(ps, piece{src: fresh, hi: int32(fresh.n), at: A})
 		}
-		next.Lists[q] = nl
+		for _, p := range right {
+			p.at, p.delta = p.at+shift, p.delta+delta
+			ps = append(ps, p)
+		}
+		nl.pieces = ps
+		if shift != 0 {
+			nl.cuts = l.cuts.then(B, shift)
+		}
+		next.Lists[q], sp.fresh[q] = &nl, fresh
+	}
+	for q, nl := range next.Lists {
+		nl.trans[segFollowing], nl.trans[segDescendant] = nl.cuts, nl.cuts
+		for ci, child := range old.View.Nodes[q].Children {
+			nl.trans[segChild0+ci] = next.Lists[child].cuts
+		}
+		for class, c := range nl.trans {
+			sp.fresh[q].since[class] = int32(len(c))
+		}
+	}
+	for q, c := range cuts {
+		for _, j := range c.Chain {
+			r := sp.own(q, int32(j))
+			lab := sp.fresh[q].label(r)
+			lab.End += delta
+			putLabel(sp.fresh[q].labels[sp.fresh[q].off(r, labelBytes):], lab)
+		}
 	}
 	return sp
+}
+
+// own makes record i of list q one of the splice's fresh records and
+// returns its index in the list's fresh source. A carried record is copied
+// as the successor reads it — its label, its pointers translated — and its
+// pointers leave the list's counts until Finish counts the fresh records.
+func (sp *Splicer) own(q int, i int32) int32 {
+	l, fresh := sp.next.Lists[q], sp.fresh[q]
+	k := l.pieceAt(i)
+	p := l.pieces[k]
+	if p.src == fresh {
+		return p.lo + i - p.at
+	}
+	r := fresh.add(l.LabelAt(int(i)))
+	raw := p.lo + i - p.at
+	row := nullRow
+	for class := range row {
+		row[class] = l.pointer(p.src, raw, class)
+	}
+	sp.rows[q] = append(sp.rows[q], row)
+	count(&l.counts, p.src, raw, raw+1, -1)
+	before, after := p, p
+	before.hi, after.lo, after.at = raw, raw+1, i+1
+	var split [3]piece
+	n := 0
+	for _, x := range [3]piece{before, {src: fresh, lo: r, hi: r + 1, at: i}, after} {
+		if x.lo < x.hi {
+			split[n], n = x, n+1
+		}
+	}
+	l.pieces = slices.Replace(l.pieces, k, k+1, split[:n]...)
+	return r
 }
 
 // List returns list q of the successor. Its labels are final, so LabelAt
@@ -100,12 +170,33 @@ func (sp *Splicer) List(q int) *ListFile { return sp.next.Lists[q] }
 // SetPointers stores the pointers of record i of list q, as the views
 // layer computes them; the list reduces them per its scheme, as in Build.
 func (sp *Splicer) SetPointers(q, i int, following, descendant int32, children []int32) {
-	sp.next.Lists[q].setPointers(i, following, descendant, children)
+	l := sp.next.Lists[q]
+	if l.kind == Element {
+		return
+	}
+	sp.rows[q][sp.own(q, int32(i))] = l.pointerRow(int32(i), following, descendant, children)
 }
 
-// Finish seals the successor's lists and returns it.
+// Finish seals the successor's lists and returns it. Each list's fresh
+// records get their pointers and are counted into the list's pointer
+// counts: the old count minus the dropped and rewritten records' non-null
+// pointers plus the fresh ones, with no pass over the carried records.
+// Pieces that are one run of one source, with one delta, become one.
 func (sp *Splicer) Finish() *ViewStore {
-	for _, l := range sp.next.Lists {
+	for q, l := range sp.next.Lists {
+		if fresh := sp.fresh[q]; fresh.n > 0 {
+			fresh.fill(sp.rows[q])
+			count(&l.counts, fresh, 0, int32(fresh.n), 1)
+			out := l.pieces[:0]
+			for _, p := range l.pieces {
+				if m := len(out); m > 0 && out[m-1].src == p.src && out[m-1].hi == p.lo && out[m-1].delta == p.delta {
+					out[m-1].hi = p.hi
+					continue
+				}
+				out = append(out, p)
+			}
+			l.pieces = out
+		}
 		l.seal()
 	}
 	return sp.next
@@ -134,16 +225,6 @@ func (it *recIter) next() []byte {
 	return rec
 }
 
-// carry copies n records of src, from record from on, to dst at record at,
-// in runs that are contiguous on both sides' pages.
-func carry(dst *segment, at int, src *segment, from, n int) {
-	for n > 0 {
-		run := min(n, src.perPage-from%src.perPage, dst.perPage-at%dst.perPage)
-		copy(dst.data[dst.offset(at):], src.data[src.offset(from):][:run*src.recSize])
-		at, from, n = at+run, from+run, n-run
-	}
-}
-
 // shiftLabels moves, in place, the start and end positions >= pivot of
 // records [at, at+n) by delta. A record may hold several labels (tuples).
 func shiftLabels(s *segment, at, n int, pivot, delta int32) {
@@ -159,31 +240,6 @@ func shiftLabels(s *segment, at, n int, pivot, delta int32) {
 				binary.LittleEndian.PutUint32(rec[o:], uint32(start+delta))
 			}
 		}
-	}
-}
-
-// shiftPointers re-addresses, in place, the pointers of records
-// [at, at+n) past the target list's cut.
-func shiftPointers(s *segment, at, n int, target Cut) {
-	a, b, shift := int32(target.A), int32(target.B), target.shift()
-	if a == b && shift == 0 {
-		return // the target list did not move
-	}
-	for it := s.iter(at); n > 0; n-- {
-		rec := it.next()
-		switch v := int32(binary.LittleEndian.Uint32(rec)); {
-		case v >= b:
-			binary.LittleEndian.PutUint32(rec, uint32(v+shift))
-		case v >= a:
-			binary.LittleEndian.PutUint32(rec, ^uint32(0))
-		}
-	}
-}
-
-// fillNil sets records [at, at+n) of a pointer segment to the null pointer.
-func fillNil(s *segment, at, n int) {
-	for it := s.iter(at); n > 0; n-- {
-		binary.LittleEndian.PutUint32(it.next(), ^uint32(0))
 	}
 }
 

@@ -85,21 +85,27 @@ func TestSplicerLabelShift(t *testing.T) {
 		// Aliased tokens would make the simulated pool serve one epoch's
 		// pages for another's.
 		tokens := map[uintptr]bool{}
-		for _, seg := range allSegs(old) {
-			tokens[seg.token] = true
+		for _, tok := range poolTokens(old) {
+			tokens[tok] = true
 		}
-		for _, seg := range allSegs(next) {
-			if tokens[seg.token] {
-				t.Fatalf("%v: successor segment reuses buffer-pool token %d", kind, seg.token)
+		for _, tok := range poolTokens(next) {
+			if tokens[tok] {
+				t.Fatalf("%v: successor segment reuses buffer-pool token %d", kind, tok)
 			}
 		}
 	}
 }
 
-func allSegs(s *ViewStore) []*segment {
-	var out []*segment
-	for _, src := range s.Sources() {
-		out = append(out, src.segs()...)
+// poolTokens returns every buffer-pool identity a cursor over s can charge.
+func poolTokens(s *ViewStore) []uintptr {
+	if s.Tuples != nil {
+		return []uintptr{s.Tuples.seg.token}
+	}
+	var out []uintptr
+	for _, l := range s.Lists {
+		for i := uintptr(0); i <= numPtrSegs; i++ {
+			out = append(out, l.token+i)
+		}
 	}
 	return out
 }
@@ -202,7 +208,7 @@ func TestCheckEquivalentDetects(t *testing.T) {
 		t.Fatal("tuple entry mismatch undetected")
 	}
 	same := buildOver(t, d, "//a//b", Linked, 64)
-	same.Lists[1].labels.data[5] ^= 1
+	same.Lists[1].pieces[0].src.labels[5] ^= 1
 	if err := CheckEquivalent(a, same); err == nil {
 		t.Fatal("flipped label byte undetected")
 	}

@@ -17,17 +17,19 @@
 // materialized pointer class), with records never spanning page
 // boundaries. The segments are the persistence format — SaveView writes
 // them verbatim and LoadView slices them out of one buffer, so the disk
-// bytes are the runtime representation (zero-copy, mmap-ready).
+// bytes are the runtime representation (zero-copy, mmap-ready). A list
+// derived from another by a document update holds the same image as a
+// piece table over its predecessors' records (pieces.go).
 //
 // All reads go through cursors (*ListCursor, *TupleCursor) that account
-// elements scanned and real page boundaries of the flat segments into
+// elements scanned and the page boundaries of the flat image into
 // counters.Counters. The uniform face of both file types, for size
 // accounting and persistence, is the Source interface.
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"viewjoin/internal/tpq"
@@ -117,9 +119,10 @@ type Source interface {
 	// PayloadBytes returns the record bytes excluding page padding.
 	PayloadBytes() int64
 
-	// segs returns the file's present segments in persistence order; it is
-	// unexported so only this package's paged files can be Sources.
-	segs() []*segment
+	// segments returns the bytes of the file's present segments in
+	// persistence order; it is unexported so only this package's paged
+	// files can be Sources.
+	segments() [][]byte
 }
 
 // segment is one page-aligned flat buffer of fixed-width records. Records
@@ -286,7 +289,18 @@ func (s *ViewStore) NumPages() int {
 func (s *ViewStore) NumPointers() int {
 	n := 0
 	for _, l := range s.Lists {
-		n += l.pointers
+		n += l.pointers()
+	}
+	return n
+}
+
+// NumPieces returns the piece count of the store's largest list table: 1
+// for a flat store, growing with every update the store is maintained
+// through until it is written out flat again.
+func (s *ViewStore) NumPieces() int {
+	n := 1
+	for _, l := range s.Lists {
+		n = max(n, len(l.pieces))
 	}
 	return n
 }
@@ -300,20 +314,30 @@ func (s *ViewStore) TotalEntries() int {
 	return n
 }
 
-// ListFile is one flat paged list of records for a single view node: a
-// labels segment (12-byte records) plus one 4-byte-record pointer segment
-// per materialized pointer class. A pointer class whose pointers are all
-// null occupies no segment at all — the E scheme stores only labels, and
-// LEp's reduction shrinks the file by whole segments.
+// ListFile is one list of records for a single view node, in document
+// order. Its image — what SaveView writes and what a cursor charges pages
+// of — is flat: a labels segment (12-byte records) plus one 4-byte-record
+// pointer segment per materialized pointer class, records never spanning a
+// page. A pointer class whose pointers are all null occupies no segment at
+// all — the E scheme stores only labels, and LEp's reduction shrinks the
+// file by whole segments. A built or loaded list holds its image as one
+// piece over one paged source; a list derived by a Splicer holds it as a
+// piece table (pieces.go).
 type ListFile struct {
 	kind       Kind
 	pageSize   int
 	childCount int  // child pointer classes of the view node
 	scoped     bool // following pointers are scoped to a parent view node
 	entries    int
-	pointers   int // non-null pointers across all segments
-	labels     segment
-	ptrs       [numPtrSegs]segment // absent classes have nil data
+	counts     [numPtrSegs]int // non-null pointers per class
+	mask       uint16          // bit i set when pointer class i has a segment
+	token      uintptr         // pool identity of the labels; class i is token+1+i
+	pieces     []piece
+	// cuts holds the cuts the list took since its store was last flat;
+	// trans holds, per pointer class, the cuts of the list its pointers
+	// address. Both are empty for a flat list.
+	cuts  cutLog
+	trans [numPtrSegs]cutLog
 }
 
 // Kind returns the scheme the list belongs to.
@@ -330,11 +354,9 @@ func (l *ListFile) Scoped() bool { return l.scoped }
 
 // NumPages returns the page count across the list's segments.
 func (l *ListFile) NumPages() int {
-	n := l.labels.pages()
-	for i := range l.ptrs {
-		n += l.ptrs[i].pages()
-	}
-	return n
+	labels := segBytes(l.entries, labelBytes, l.pageSize)
+	ptrs := segBytes(l.entries, ptrBytes, l.pageSize) * int64(bits.OnesCount16(l.mask))
+	return int((labels + ptrs) / int64(l.pageSize))
 }
 
 // SizeBytes returns the page-granular on-disk size.
@@ -342,11 +364,14 @@ func (l *ListFile) SizeBytes() int64 { return int64(l.NumPages()) * int64(l.page
 
 // PayloadBytes returns the record bytes excluding page padding.
 func (l *ListFile) PayloadBytes() int64 {
-	n := int64(l.entries) * labelBytes
-	for i := range l.ptrs {
-		if l.ptrs[i].present() {
-			n += int64(l.entries) * ptrBytes
-		}
+	return int64(l.entries) * (labelBytes + ptrBytes*int64(bits.OnesCount16(l.mask)))
+}
+
+// pointers returns the number of non-null pointers across all classes.
+func (l *ListFile) pointers() int {
+	n := 0
+	for _, c := range l.counts {
+		n += c
 	}
 	return n
 }
@@ -354,58 +379,64 @@ func (l *ListFile) PayloadBytes() int64 {
 // PageOf returns the labels-segment page of the record addressed by p —
 // the list's notion of "which page a record lives on" for jump-distance
 // accounting. p must not be nil.
-func (l *ListFile) PageOf(p Pointer) int32 { return l.labels.page(int32(p)) }
+func (l *ListFile) PageOf(p Pointer) int32 { return int32(p) / int32(l.pageSize/labelBytes) }
 
 // LabelAt decodes the region label of record i without charging the cost
 // model: it is a planning accessor (partition weighing, doc-root probes),
 // not an evaluation read. i must be in [0, Entries()).
 func (l *ListFile) LabelAt(i int) Label {
-	return getLabel(l.labels.rec(int32(i)))
+	p := &l.pieces[l.pieceAt(int32(i))]
+	lab := p.src.label(p.lo + int32(i) - p.at)
+	lab.Start, lab.End = lab.Start+p.delta, lab.End+p.delta
+	return lab
 }
 
 // SeekStart returns the offset of the first record whose start label is
 // >= s, or Entries() when no such record exists. Lists are laid out in
-// document order, so the labels segment is start-sorted and the lookup is
-// a binary search over raw label records; like LabelAt it is a planning
+// document order, so the lookup is a binary search over the pieces' last
+// records and then one within the piece; like LabelAt it is a planning
 // accessor and charges nothing.
 func (l *ListFile) SeekStart(s int32) int {
-	lo, hi := 0, l.entries
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int32(binary.LittleEndian.Uint32(l.labels.rec(int32(mid)))) < s {
-			lo = mid + 1
+	ps := l.pieces
+	k, hi := 0, len(ps)
+	for k < hi {
+		mid := int(uint(k+hi) >> 1)
+		if ps[mid].start(ps[mid].hi-1) < s {
+			k = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	if k == len(ps) {
+		return l.entries
+	}
+	p := &ps[k]
+	lo, up := p.lo, p.hi
+	for lo < up {
+		mid := int32(uint32(lo+up) >> 1)
+		if p.start(mid) < s {
+			lo = mid + 1
+		} else {
+			up = mid
+		}
+	}
+	return int(p.at + lo - p.lo)
 }
 
-// segs returns the present segments in persistence order: labels first,
-// then pointer classes ascending.
-func (l *ListFile) segs() []*segment {
-	out := make([]*segment, 0, 1+numPtrSegs)
-	if l.labels.present() {
-		out = append(out, &l.labels)
+// segments returns the image's present segments in persistence order:
+// labels first, then pointer classes ascending.
+func (l *ListFile) segments() [][]byte {
+	if l.entries == 0 {
+		return nil
 	}
-	for i := range l.ptrs {
-		if l.ptrs[i].present() {
-			out = append(out, &l.ptrs[i])
+	src := l.image()
+	out := append(make([][]byte, 0, 1+numPtrSegs), src.labels)
+	for class, seg := range src.ptrs {
+		if l.mask&(1<<class) != 0 {
+			out = append(out, seg)
 		}
 	}
 	return out
-}
-
-// segMask returns the presence bitmap of the pointer segments (bit i set
-// when pointer class i is materialized).
-func (l *ListFile) segMask() uint16 {
-	var m uint16
-	for i := range l.ptrs {
-		if l.ptrs[i].present() {
-			m |= 1 << i
-		}
-	}
-	return m
 }
 
 // buildListFiles serializes every list of m in one pass: the views layer's
@@ -425,22 +456,35 @@ func buildListFiles(m *views.Materialized, kind Kind, pageSize int) ([]*ListFile
 			return nil, fmt.Errorf("store: view node %d has %d children; record format supports %d",
 				q, childCount, MaxChildren)
 		}
-		lf := &ListFile{
+		lf := ListFile{
 			kind:       kind,
 			pageSize:   pageSize,
 			childCount: childCount,
 			scoped:     m.View.Nodes[q].Parent != -1,
 			entries:    len(list),
 		}
-		lf.labels = newSegment(len(list), labelBytes, pageSize)
-		for i := range list {
-			putLabel(lf.labels.rec(int32(i)), Label{Start: list[i].Start, End: list[i].End, Level: list[i].Level})
+		src := source{n: len(list), pageSize: pageSize, labels: make([]byte, segBytes(len(list), labelBytes, pageSize))}
+		src.runs(0, int32(len(list)), labelBytes, func(r, k int32, off int) {
+			for _, e := range list[r : r+k] {
+				putLabel(src.labels[off:], Label{Start: e.Start, End: e.End, Level: e.Level})
+				off += labelBytes
+			}
+		})
+		if kind != Element {
+			src.runs(0, int32(len(list)), ptrBytes, func(r, k int32, off int) {
+				for i := r; i < r+k; i++ {
+					e := &list[i]
+					row := lf.pointerRow(i, e.Following, e.Descendant, e.Children)
+					for class, v := range row[:segChild0+childCount] {
+						src.setPointer(class, off, v)
+					}
+					off += ptrBytes
+				}
+			})
 		}
-		for i := range list {
-			lf.setPointers(i, list[i].Following, list[i].Descendant, list[i].Children)
-		}
-		lf.seal()
-		files[q] = lf
+		count(&lf.counts, &src, 0, int32(src.n), 1)
+		files[q] = newFlat(lf, src)
+		files[q].seal()
 	}
 	return files, nil
 }
@@ -455,56 +499,33 @@ func reduce(kind Kind, pos, i int32) int32 {
 	return pos
 }
 
-// setPointers stores the pointers of record i: the positions the views
-// layer computes (views.NoPointer for none, one child position per pattern
-// child), reduced per the list's scheme. The element scheme stores none,
-// and a pointer class gets its segment with its first non-null pointer.
-// Build and the Splicer both write pointers through here.
-func (l *ListFile) setPointers(i int, following, descendant int32, children []int32) {
-	if l.kind == Element {
-		return
+// pointerRow returns record i's pointers as the list stores them, one per
+// class: the positions the views layer computes (views.NoPointer for none,
+// one child position per pattern child), reduced per the list's scheme.
+// The element scheme stores none. Build and the Splicer both take pointers
+// through here.
+func (l *ListFile) pointerRow(i int32, following, descendant int32, children []int32) [numPtrSegs]int32 {
+	row := nullRow
+	if l.kind != Element {
+		row[segFollowing] = reduce(l.kind, following, i)
+		row[segDescendant] = reduce(l.kind, descendant, i)
+		copy(row[segChild0:], children)
 	}
-	// Every pointer segment of a list has the same geometry, so record i
-	// sits at one offset in all of them.
-	perPage := l.pageSize / ptrBytes
-	off := (i/perPage)*l.pageSize + (i%perPage)*ptrBytes
-	l.setPointer(segFollowing, off, reduce(l.kind, following, int32(i)))
-	l.setPointer(segDescendant, off, reduce(l.kind, descendant, int32(i)))
-	for ci, c := range children {
-		l.setPointer(segChild0+ci, off, c)
-	}
+	return row
 }
 
-func (l *ListFile) setPointer(class, off int, v int32) {
-	seg := &l.ptrs[class]
-	if !seg.present() {
-		if v == views.NoPointer {
-			return
-		}
-		*seg = newSegment(l.entries, ptrBytes, l.pageSize)
-		fillNil(seg, 0, l.entries)
-	}
-	binary.LittleEndian.PutUint32(seg.data[off:], uint32(v))
-}
+// nullRow is a record's pointers when none is set.
+var nullRow = [numPtrSegs]int32{-1, -1, -1, -1, -1, -1, -1, -1}
 
-// seal finishes a list whose pointers are all set: the header counts the
-// non-null ones, and a pointer class left without any owns no segment.
+// seal finishes a list whose pointers are all counted: a pointer class
+// without a non-null pointer has no segment in the image, and the list
+// gets buffer-pool identities of its own.
 func (l *ListFile) seal() {
-	l.pointers = 0
-	for class := range l.ptrs {
-		seg := &l.ptrs[class]
-		if !seg.present() {
-			continue
+	l.mask = 0
+	for class, n := range l.counts {
+		if n > 0 {
+			l.mask |= 1 << class
 		}
-		n := 0
-		for it, i := seg.iter(0), 0; i < l.entries; i++ {
-			if int32(binary.LittleEndian.Uint32(it.next())) != views.NoPointer {
-				n++
-			}
-		}
-		if n == 0 {
-			*seg = segment{}
-		}
-		l.pointers += n
 	}
+	l.token = tokenSeq.Add(1+numPtrSegs) - numPtrSegs
 }

@@ -37,12 +37,12 @@ func (f *TupleFile) SizeBytes() int64 { return int64(f.seg.pages()) * int64(f.se
 // PayloadBytes returns the record bytes excluding page padding.
 func (f *TupleFile) PayloadBytes() int64 { return int64(f.entries) * int64(f.arity) * labelBytes }
 
-// segs returns the file's single segment.
-func (f *TupleFile) segs() []*segment {
+// segments returns the file's single segment.
+func (f *TupleFile) segments() [][]byte {
 	if !f.seg.present() {
 		return nil
 	}
-	return []*segment{&f.seg}
+	return [][]byte{f.seg.data}
 }
 
 func buildTupleFile(m *views.Materialized, pageSize int) (*TupleFile, error) {

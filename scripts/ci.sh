@@ -40,7 +40,8 @@
 #   4. govulncheck, when the tool is installed (skipped, not failed, when
 #      absent — hermetic runners don't fetch tools)
 #   5. fuzz smoke: 10s each of FuzzParse (internal/tpq),
-#      FuzzReadViewStore and FuzzCursorOps (internal/store),
+#      FuzzReadViewStore, FuzzCursorOps and FuzzPieceList (internal/store:
+#      the list piece table against the reference splice),
 #      FuzzEvaluateDifferential (root), FuzzUpdateDifferential (root),
 #      FuzzEnumerateWindow (internal/engine/enum), FuzzApplyPieces
 #      (internal/xmltree: the piece table against the reference splice),
@@ -139,6 +140,8 @@ echo "== fuzz smoke: FuzzReadViewStore ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzReadViewStore$' -fuzztime "$fuzztime" ./internal/store
 echo "== fuzz smoke: FuzzCursorOps ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzCursorOps$' -fuzztime "$fuzztime" ./internal/store
+echo "== fuzz smoke: FuzzPieceList ($fuzztime)"
+go test -run '^$' -fuzz '^FuzzPieceList$' -fuzztime "$fuzztime" ./internal/store
 echo "== fuzz smoke: FuzzEvaluateDifferential ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzEvaluateDifferential$' -fuzztime "$fuzztime" .
 echo "== fuzz smoke: FuzzUpdateDifferential ($fuzztime)"

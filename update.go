@@ -111,6 +111,9 @@ type MaintainReport struct {
 	RecomputedEntries int
 	// TotalPages is the maintained store's page count.
 	TotalPages int
+	// Pieces is the piece count of the maintained store's largest list: 1
+	// is flat. It drops back after the update that writes the lists out.
+	Pieces int
 }
 
 // derive computes the view's successor store under u without publishing
@@ -134,7 +137,7 @@ func (v *MaterializedView) derive(u *AppliedUpdate) (*viewState, MaintainReport,
 		return nil, MaintainReport{}, err
 	}
 	return &viewState{tree: u.au.New, epoch: u.epoch, store: next},
-		MaintainReport{FastPath: rep.FastPath, RecomputedEntries: rep.RecomputedEntries, TotalPages: next.NumPages()}, nil
+		MaintainReport{FastPath: rep.FastPath, RecomputedEntries: rep.RecomputedEntries, TotalPages: next.NumPages(), Pieces: next.NumPieces()}, nil
 }
 
 // Maintain repairs the view in place of re-materializing it, making it

@@ -345,6 +345,12 @@ func (v *MaterializedView) SizeBytes() int64 { return v.st().store.SizeBytes() }
 // NumPointers returns the number of materialized pointers (0 for T/E).
 func (v *MaterializedView) NumPointers() int { return v.st().store.NumPointers() }
 
+// NumPieces returns the piece count of the view's largest list: 1 for a
+// view materialized or loaded flat, growing with every Maintain until the
+// lists are written out flat again (DESIGN.md, "Region-local
+// maintenance").
+func (v *MaterializedView) NumPieces() int { return v.st().store.NumPieces() }
+
 // NumEntries returns the number of records (list entries, or tuples for
 // the tuple scheme).
 func (v *MaterializedView) NumEntries() int { return v.st().store.TotalEntries() }
