@@ -50,8 +50,8 @@ type goldenRow struct {
 //	VJ+LE, TS+E/disk      EvalOptions.DiskBased (Table V)
 //	VJ+LEp/paged          RunOptions.Limit no query reaches (1<<30): a bounded
 //	                      run flushes finished sub-regions early, as every
-//	                      /query page does — the one shape in this file
-//	                      whose page touches hit the pool
+//	                      /query page does: more enumeration, the same
+//	                      records, pointers and pages as the whole run
 //	TS, PS/raw            EvaluateWithoutViews, once per named query
 func goldenRows(t *testing.T) []goldenRow {
 	t.Helper()

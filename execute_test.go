@@ -43,7 +43,7 @@ func executorCells(t *testing.T) []executorCell {
 
 // prepareCatalogue materializes a catalogue query's views over doc in the
 // scheme and prepares the query on the engine.
-func prepareCatalogue(t *testing.T, doc *viewjoin.Document, wq workload.Query, eng viewjoin.Engine, scheme viewjoin.StorageScheme) *viewjoin.PreparedQuery {
+func prepareCatalogue(t testing.TB, doc *viewjoin.Document, wq workload.Query, eng viewjoin.Engine, scheme viewjoin.StorageScheme) *viewjoin.PreparedQuery {
 	t.Helper()
 	vs := make([]*viewjoin.Query, len(wq.Views))
 	for i, p := range wq.Views {

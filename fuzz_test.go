@@ -40,8 +40,9 @@ func FuzzEvaluateDifferential(f *testing.F) {
 		// generator so existing corpus entries keep their doc/query/views.
 		k := 2 + rng.Intn(3)
 		// Page bounds for the LIMIT/OFFSET arm, drawn after k for
-		// the same corpus-stability reason.
-		pageLim := 1 + rng.Intn(4)
+		// the same corpus-stability reason. Limits past the collector's
+		// partial-flush floor arm its first flush from the quota.
+		pageLim := 1 + rng.Intn(8)
 		pageOff := rng.Intn(3)
 		// Cursors for the resume arm, drawn last for the same reason: a row
 		// of the oracle result, and that row with one label moved by one —

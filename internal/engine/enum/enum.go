@@ -139,10 +139,19 @@ type pendingCand struct {
 // spool accounting: one region label (12 bytes) plus the query-node tag.
 const LabelBytes = 16
 
-// partialTrigger is the window entry count that arms the first partial
-// flush of a window; later attempts re-arm at 1.5x the entries surviving
-// the previous attempt, so filter work stays amortized against growth.
-const partialTrigger = 64
+// partialTrigger and partialFloor bound the step a bounded run arms its
+// next partial-flush attempt with: the rows it still owes, clamped to
+// [partialFloor, partialTrigger] entries, on top of 1.5x the entries that
+// survived the previous attempt, so filter work stays amortized against
+// growth while a page owing 20 rows does not collect 64 entries first. A
+// run owing partialTrigger rows or more (vjserve's full fetch, the golden
+// file's paged rows) steps by the constant. partialFloor keeps a page owing
+// a row or two from attempting a flush every entry or two; it was chosen
+// from one sweep (EXPERIMENTS.md, "Claimed gains").
+const (
+	partialTrigger = 64
+	partialFloor   = 4
+)
 
 // NewCollector returns a Collector for query q, accounting into io and
 // tracing into tr (nil disables tracing). When diskBased is set, windows
@@ -295,7 +304,7 @@ func (c *Collector) SetStream(first int, after []int32) {
 	c.first, c.after = first, after
 	c.nextPartial = math.MaxInt
 	if first > 0 && len(c.spine) > 0 {
-		c.nextPartial = partialTrigger
+		c.nextPartial = c.trigger()
 	}
 	c.out = engine.NewRows(c.q, first)
 }
@@ -380,7 +389,12 @@ func (c *Collector) advance(frontier int32) {
 		return
 	}
 	c.partialFlush(frontier)
-	c.nextPartial = c.entries + c.entries/2 + partialTrigger
+	c.nextPartial = c.entries + c.entries/2 + c.trigger()
+}
+
+// trigger is the step of the next partial-flush attempt (partialTrigger).
+func (c *Collector) trigger() int {
+	return min(partialTrigger, max(c.first-c.emitted, partialFloor))
 }
 
 // partialFlush emits the finished prefix of the open window: every match

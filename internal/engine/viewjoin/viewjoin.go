@@ -124,6 +124,13 @@ type evaluator struct {
 	extOpen []bool
 	extJump []store.Pointer
 
+	// extLo is the window start the extension last ran for, -1 before the
+	// first. While it is the current window's (a partial flush ran), every
+	// extension cursor stands on the record it landed on last, past each
+	// record it added; a captured pointer at or behind that record would
+	// only read it again, so the next extension of the window keeps it.
+	extLo int32
+
 	// winEnd is where the current window of query-root regions ends, -1
 	// before the first one opens.
 	winEnd int32
@@ -265,7 +272,7 @@ func (e *evaluator) reset(io *counters.IO, opts engine.Options) {
 	e.col.Reset(io, opts.Tracer, opts.DiskBased, opts.PageSize)
 	e.col.SetInterrupt(&e.ic)
 	e.col.SetStream(opts.First, opts.After)
-	e.winEnd = -1
+	e.winEnd, e.extLo = -1, -1
 	for _, qi := range e.p.primeNodes {
 		engine.ResetCursor(&e.cur[qi], e.p.Lists[qi], io, opts.Tracer, qi, opts.Restrict)
 	}
@@ -690,24 +697,29 @@ func (r regionLog) coversRange(s, hi int32) bool {
 // extending the window with the query nodes removed from Q'. Each removed
 // node's list is entered through the child pointer captured from its view
 // parent's first in-window candidate (skipping everything before the
-// window) and scanned sequentially to the window's end.
+// window) and scanned sequentially to the window's end. A bounded run
+// extends one window once per partial flush (hi is the flush's bound);
+// from the second time on, each cursor resumes from the record it landed
+// on and follows a captured pointer only when it leads past that record.
 func (e *evaluator) extendWindow(lo, hi int32) {
+	landed := lo == e.extLo
+	e.extLo = lo
 	for _, x := range e.p.removedNodes {
 		cx := &e.ext[x]
 		if !e.extOpen[x] {
 			engine.ResetCursor(cx, e.p.Lists[x], e.io, e.tr, x, e.restrict)
 			e.extOpen[x] = true
 		}
-		if !e.extJump[x].IsNil() {
+		if ptr := e.extJump[x]; !ptr.IsNil() && (!landed || ptr > cx.Position()) {
 			from := cx.Position()
 			probe := *cx
-			probe.Seek(e.extJump[x])
+			probe.Seek(ptr)
 			if probe.Valid() && (!cx.Valid() || probe.Start() >= cx.Start()) {
 				*cx = probe
 				e.c.JumpsTaken++
 				if e.tr != nil {
 					l := e.p.Lists[x]
-					e.tr.Event(obs.EvJumpTaken, x, int64(l.PageOf(e.extJump[x])-l.PageOf(from)))
+					e.tr.Event(obs.EvJumpTaken, x, int64(l.PageOf(ptr)-l.PageOf(from)))
 				}
 			}
 		}
