@@ -15,18 +15,14 @@
 // A class may scope itself to specific registered views with
 // 'query @ view1, view2' (comma-separated); without '@' the server uses
 // every view registered for the document, which fails preparation when a
-// registered view is not a subpattern of the query. A '% tenant' suffix
-// pins the class to one tenant registry ('query @ views % t1'); without
-// it, multi-tenant runs (-tenants > 1) draw the tenant per request from
-// the seeded RNG. A trailing '# N' caps the class at N matches
-// ('query @ views % t1 # 20'), exercising the server's first-k pushdown;
-// limited classes also report time-to-first-match quantiles in the
-// manifest.
+// registered view is not a subpattern of the query. A trailing '# N' caps
+// the class at N matches ('query @ views # 20'), exercising the server's
+// first-k pushdown; limited classes also report time-to-first-match
+// quantiles in the manifest.
 //
 // Without -target, vjload builds an in-process server from -xmark/-views
 // and drives its HTTP handler directly — no sockets, same serving stack —
-// which is what scripts/ci.sh uses for its smoke run. -tenants N
-// replicates the document and views across tenants t0..tN-1.
+// which is what scripts/ci.sh uses for its smoke run.
 //
 // The -json manifest (schema viewjoin/load/v1) reports offered and
 // achieved QPS, outcome counts, and latency quantiles (p50/p95/p99/p999)
@@ -70,8 +66,6 @@ type loadConfig struct {
 	TimeoutMS   int64    `json:"timeoutMS"`
 	MaxInflight int      `json:"maxInflight"`
 	Seed        int64    `json:"seed"`
-	// Tenants records how many tenant registries the load spread over.
-	Tenants int `json:"tenants,omitempty"`
 }
 
 // histSummary is one latency distribution in the manifest: counts plus the
@@ -171,7 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		schemeStr = fs.String("scheme", "LEp", "in-process: storage scheme")
 		workers   = fs.Int("workers", 4, "in-process: server worker bound")
 		queue     = fs.Int("queue", 16, "in-process: server queue depth")
-		tenants   = fs.Int("tenants", 1, "tenant registries to spread the load over (in-process: the document is replicated as t0..tN-1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -211,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		cfgTarget = "inprocess"
-		handler, err := inprocessHandler(*xmark, *viewsStr, *schemeStr, *docName, *workers, *queue, *tenants)
+		handler, err := inprocessHandler(*xmark, *viewsStr, *schemeStr, *docName, *workers, *queue)
 		if err != nil {
 			fmt.Fprintf(stderr, "vjload: %v\n", err)
 			return 1
@@ -227,46 +220,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The tenant set: the default registry for single-tenant runs, t0..tN-1
-	// for multi-tenant ones. A '%'-pinned class overrides the draw.
-	tenantNames := []string{""}
-	if *tenants > 1 {
-		tenantNames = make([]string, *tenants)
-		for i := range tenantNames {
-			tenantNames[i] = fmt.Sprintf("t%d", i)
-		}
-	}
-
-	// Pre-marshal one request body per (query class, tenant); the arrival
-	// loop only picks indices. Single-variant classes never consume an RNG
-	// draw for the tenant, so existing single-tenant seeds offer an
-	// identical request sequence.
-	bodies := make([][][]byte, len(mix))
+	// Pre-marshal one request body per query class; the arrival loop only
+	// picks indices.
+	bodies := make([][]byte, len(mix))
 	for i, c := range mix {
-		names := tenantNames
-		if c.tenant != "" {
-			names = []string{c.tenant}
+		body := map[string]any{
+			"document": *docName, "query": c.query, "engine": *engine, "timeout_ms": *timeoutMS,
 		}
-		for _, tn := range names {
-			body := map[string]any{
-				"document": *docName, "query": c.query, "engine": *engine, "timeout_ms": *timeoutMS,
-			}
-			if tn != "" {
-				body["tenant"] = tn
-			}
-			if len(c.views) > 0 {
-				body["views"] = c.views
-			}
-			if c.limit > 0 {
-				body["limit"] = c.limit
-			}
-			b, err := json.Marshal(body)
-			if err != nil {
-				fmt.Fprintf(stderr, "vjload: %v\n", err)
-				return 1
-			}
-			bodies[i] = append(bodies[i], b)
+		if len(c.views) > 0 {
+			body["views"] = c.views
 		}
+		if c.limit > 0 {
+			body["limit"] = c.limit
+		}
+		b, err := json.Marshal(body)
+		if err != nil {
+			fmt.Fprintf(stderr, "vjload: %v\n", err)
+			return 1
+		}
+		bodies[i] = b
 	}
 
 	m := generate(dispatch, bodies, *qps, *duration, *inflight, *seed)
@@ -281,9 +253,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Target: cfgTarget, QPS: *qps, DurationSec: duration.Seconds(),
 		Engine: *engine, Mix: specs, TimeoutMS: *timeoutMS,
 		MaxInflight: *inflight, Seed: *seed,
-	}
-	if *tenants > 1 {
-		m.Config.Tenants = *tenants
 	}
 	m.ByQuery = renameClasses(m.ByQuery, specs)
 	m.ByQueryFirstMatch = renameClasses(m.ByQueryFirstMatch, specs)
@@ -310,13 +279,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // generate runs the open-loop arrival process: a single goroutine draws
-// exponential inter-arrival gaps, query classes, and (for classes with
-// more than one tenant variant) tenants from the seeded RNG
+// exponential inter-arrival gaps and query classes from the seeded RNG
 // (deterministic offered load), dispatching each request on its own
 // goroutine. Requests outstanding beyond the inflight cap are dropped at
 // the client and counted — under overload an open-loop generator must
 // keep offering load, not queue unboundedly.
-func generate(dispatch func([]byte) (int, int64), bodies [][][]byte, qps float64, d time.Duration,
+func generate(dispatch func([]byte) (int, int64), bodies [][]byte, qps float64, d time.Duration,
 	maxInflight int, seed int64) manifest {
 	rng := rand.New(rand.NewSource(seed))
 	results := make(chan outcome, 1024)
@@ -368,10 +336,7 @@ func generate(dispatch func([]byte) (int, int64), bodies [][][]byte, qps float64
 			time.Sleep(wait)
 		}
 		class := rng.Intn(len(bodies))
-		body := bodies[class][0]
-		if len(bodies[class]) > 1 {
-			body = bodies[class][rng.Intn(len(bodies[class]))]
-		}
+		body := bodies[class]
 		m.Sent++
 		select {
 		case slots <- struct{}{}:
@@ -427,15 +392,13 @@ func renameClasses(by map[string]histSummary, specs []string) map[string]histSum
 
 // mixClass is one entry of the workload mix: a query, the views the
 // request names (none: server default of all registered views), an
-// optional tenant pin (empty: drawn per request in multi-tenant runs),
-// an optional match limit (0: full enumeration), and the normalized spec
-// text used as the manifest key.
+// optional match limit (0: full enumeration), and the normalized spec text
+// used as the manifest key.
 type mixClass struct {
-	query  string
-	views  []string
-	tenant string
-	limit  int
-	spec   string
+	query string
+	views []string
+	limit int
+	spec  string
 }
 
 func parseMix(s string) []mixClass {
@@ -445,17 +408,13 @@ func parseMix(s string) []mixClass {
 		if part == "" {
 			continue
 		}
-		// 'query @ views % tenant # N' — the suffixes come off outside-in
-		// (limit, then tenant) so the view list never sees either.
+		// 'query @ views # N' — the limit comes off first so the view list
+		// never sees it.
 		var c mixClass
 		if rest, lim, ok := strings.Cut(part, "#"); ok {
 			if n, err := strconv.Atoi(strings.TrimSpace(lim)); err == nil && n > 0 {
 				c.limit = n
 			}
-			part = strings.TrimSpace(rest)
-		}
-		if rest, tn, ok := strings.Cut(part, "%"); ok {
-			c.tenant = strings.TrimSpace(tn)
 			part = strings.TrimSpace(rest)
 		}
 		c.query, c.spec = part, part
@@ -468,9 +427,6 @@ func parseMix(s string) []mixClass {
 			}
 			c.spec = c.query + " @ " + strings.Join(c.views, ", ")
 		}
-		if c.tenant != "" {
-			c.spec += " % " + c.tenant
-		}
 		if c.limit > 0 {
 			c.spec += fmt.Sprintf(" # %d", c.limit)
 		}
@@ -480,10 +436,8 @@ func parseMix(s string) []mixClass {
 }
 
 // inprocessHandler builds a full vjserve serving stack (document, views,
-// plan cache, admission control) and returns its HTTP handler. With
-// tenants > 1 the document and views are replicated across tenant
-// registries t0..tN-1.
-func inprocessHandler(xmark float64, viewsStr, schemeStr, docName string, workers, queue, tenants int) (http.Handler, error) {
+// plan cache, admission control) and returns its HTTP handler.
+func inprocessHandler(xmark float64, viewsStr, schemeStr, docName string, workers, queue int) (http.Handler, error) {
 	doc := viewjoin.GenerateXMark(xmark)
 	views, err := viewjoin.ParseViews(viewsStr)
 	if err != nil {
@@ -498,21 +452,12 @@ func inprocessHandler(xmark float64, viewsStr, schemeStr, docName string, worker
 		return nil, err
 	}
 	srv := server.New(server.Config{Workers: workers, QueueDepth: queue})
-	tenantNames := []string{""}
-	if tenants > 1 {
-		tenantNames = make([]string, tenants)
-		for i := range tenantNames {
-			tenantNames[i] = fmt.Sprintf("t%d", i)
-		}
+	if err := srv.AddDocument(docName, doc); err != nil {
+		return nil, err
 	}
-	for _, tn := range tenantNames {
-		if err := srv.AddTenantDocument(tn, docName, doc); err != nil {
+	for _, mv := range mviews {
+		if err := srv.AddView(docName, mv); err != nil {
 			return nil, err
-		}
-		for _, mv := range mviews {
-			if err := srv.AddTenantView(tn, docName, mv); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return srv.Handler(), nil

@@ -125,36 +125,34 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
-func TestParseMixTenantAndLimit(t *testing.T) {
-	got := parseMix("//a//b @ //a, //b % t1 # 20; //c % t0; //d # 5")
+func TestParseMixLimit(t *testing.T) {
+	got := parseMix("//a//b @ //a, //b # 20; //c; //d # 5")
 	if len(got) != 3 {
 		t.Fatalf("parseMix: %+v", got)
 	}
-	if got[0].query != "//a//b" || got[0].tenant != "t1" || got[0].limit != 20 ||
-		len(got[0].views) != 2 || got[0].spec != "//a//b @ //a, //b % t1 # 20" {
+	if got[0].query != "//a//b" || got[0].limit != 20 ||
+		len(got[0].views) != 2 || got[0].spec != "//a//b @ //a, //b # 20" {
 		t.Errorf("class 0: %+v", got[0])
 	}
-	if got[1].query != "//c" || got[1].tenant != "t0" || got[1].limit != 0 || got[1].spec != "//c % t0" {
+	if got[1].query != "//c" || got[1].limit != 0 || got[1].spec != "//c" {
 		t.Errorf("class 1: %+v", got[1])
 	}
-	if got[2].query != "//d" || got[2].tenant != "" || got[2].limit != 5 {
+	if got[2].query != "//d" || got[2].limit != 5 || got[2].spec != "//d # 5" {
 		t.Errorf("class 2: %+v", got[2])
 	}
 }
 
-// TestLoadMultiTenantCapped drives the in-process server across three
-// tenant registries: the multi-tenant smoke. Every completed request must
-// come back clean; a pinned '%' class must stay valid. (The name predates
-// the removal of the resident-bytes cap the run used to set.)
-func TestLoadMultiTenantCapped(t *testing.T) {
+// TestLoadLimitedClass drives the in-process server with a full class
+// beside a '# 20' limited one: every request must come back clean, under
+// the limited class's spec.
+func TestLoadLimitedClass(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "load.json")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-xmark", "0.02",
 		"-qps", "200",
 		"-duration", "500ms",
-		"-tenants", "3",
-		"-mix", "//site//item//name @ //site//item//name; //description//keyword @ //description//keyword % t1",
+		"-mix", "//site//item//name @ //site//item//name; //description//keyword @ //description//keyword # 20",
 		"-json", out,
 	}, &stdout, &stderr)
 	if code != 0 {
@@ -168,10 +166,10 @@ func TestLoadMultiTenantCapped(t *testing.T) {
 		t.Fatalf("no requests completed: %+v", m)
 	}
 	if m.Errors != 0 {
-		t.Errorf("%d errors; all tenants should serve cleanly", m.Errors)
+		t.Errorf("%d errors; both classes should serve cleanly", m.Errors)
 	}
-	if m.Config.Tenants != 3 {
-		t.Errorf("config tenancy not recorded: %+v", m.Config)
+	if h := m.ByQuery["//description//keyword @ //description//keyword # 20"]; h.N == 0 {
+		t.Errorf("limited class completed no request: %+v", m.ByQuery)
 	}
 }
 

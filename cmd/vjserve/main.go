@@ -11,13 +11,13 @@
 // -views materializes its views in memory (the only kind /update
 // maintains); -load maps each saved view file read-only and serves it from
 // the mapping, so the files' pages are shared through the page cache with
-// every other process serving them. -tenant registers the document under
-// a named tenant registry; requests address it with a "tenant" body field.
+// every other process serving them. Request bodies are decoded strictly: a
+// field not listed below is a 400.
 //
 // Endpoints:
 //
-//	POST /query          {"tenant","document","query","engine","views","timeout_ms","limit","cursor","parallel"}
-//	POST /update         {"tenant","document","op","target","fragment"}; maintains every view, bumps the epoch
+//	POST /query          {"document","query","engine","views","timeout_ms","limit","cursor","parallel"}
+//	POST /update         {"document","op","target","fragment"}; maintains every view, bumps the epoch
 //	POST /debug/trace    same body as /query; returns the viewjoin/trace/v1 report inline
 //	GET  /debug/slowlog  flight recorder: N slowest + N most recent requests with full traces
 //	GET  /debug/plans    per-plan aggregates of every cached plan (viewjoin/plans/v1)
@@ -83,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		jsonLog   = fs.Bool("json", false, "write one viewjoin/access/v1 JSON line per request to stdout")
 		slowSize  = fs.Int("slowlog-size", 8, "slow-query flight recorder depth (N slowest + N most recent, with full traces); 0 disables")
 		slowMS    = fs.Int64("slowlog-ms", 100, "wall-time threshold for the slow set, in milliseconds (0: every request eligible)")
-		tenantStr = fs.String("tenant", "", "tenant registry the document is registered under (requests address it via the 'tenant' field)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitOther
@@ -107,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		cfg.AccessLog = stdout
 	}
 	srv := server.New(cfg)
-	if err := srv.AddTenantDocument(*tenantStr, *docName, doc); err != nil {
+	if err := srv.AddDocument(*docName, doc); err != nil {
 		return fail(stderr, "setup", err, exitOther)
 	}
 
@@ -123,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		}
 		sort.Strings(paths)
 		for _, p := range paths {
-			if err := srv.AddTenantViewFile(*tenantStr, *docName, p); err != nil {
+			if err := srv.AddViewFile(*docName, p); err != nil {
 				return fail(stderr, "load", err, exitOther)
 			}
 			nviews++
@@ -142,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			return fail(stderr, "materialize", err, exitOther)
 		}
 		for _, mv := range mviews {
-			if err := srv.AddTenantView(*tenantStr, *docName, mv); err != nil {
+			if err := srv.AddView(*docName, mv); err != nil {
 				return fail(stderr, "setup", err, exitOther)
 			}
 			nviews++

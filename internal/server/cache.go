@@ -8,14 +8,11 @@ import (
 	"viewjoin/internal/obs"
 )
 
-// planKey identifies one cached plan: a tenant, a document, the canonical
-// query text, the engine, and the canonical (sorted, ";"-joined) view-name
-// set. Query and view names are canonical pattern renderings, so two
-// requests that differ only in whitespace or view order share a plan; the
-// tenant component keeps plans private to their registry even when two
-// tenants register identically named documents.
+// planKey identifies one cached plan: a document, the canonical query
+// text, the engine, and the canonical (sorted, ";"-joined) view-name set.
+// Query and view names are canonical pattern renderings, so two requests
+// that differ only in whitespace or view order share a plan.
 type planKey struct {
-	tenant string
 	doc    string
 	query  string
 	engine viewjoin.Engine
@@ -28,9 +25,9 @@ type planKey struct {
 // ";", and only requests that resolved are ever indexed. A request naming
 // no views has no rawKey: what it means changes with AddView.
 type rawKey struct {
-	tenant, doc, query, engine string
-	nviews                     int
-	views                      string
+	doc, query, engine string
+	nviews             int
+	views              string
 }
 
 // maxSpellings and maxSpellingBytes bound what the raw index holds per plan,
@@ -150,18 +147,18 @@ func (c *planCache) put(k planKey, rk rawKey, canon []string, p *viewjoin.Prepar
 	return e
 }
 
-// invalidateDoc removes every cached plan of (tenant, doc), whatever view
-// set it binds, returning how many entries were dropped. The update path
+// invalidateDoc removes every cached plan of doc, whatever view set it
+// binds, returning how many entries were dropped. The update path
 // calls it after maintaining a document's views: every plan over the old
 // epoch still answers consistently at that epoch, but future requests must
 // bind the maintained stores.
-func (c *planCache) invalidateDoc(tenant, doc string) int {
+func (c *planCache) invalidateDoc(doc string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
-		if k := el.Value.(*planEntry).key; k.tenant == tenant && k.doc == doc {
+		if el.Value.(*planEntry).key.doc == doc {
 			c.drop(el)
 			n++
 		}

@@ -13,22 +13,22 @@ import (
 
 // TestTruncatedViewFileIsContained: a view file truncated in place under
 // the live server — the one thing a validated mapping cannot survive —
-// costs the tenant that serves it a 500 at stage "load", on the sequential
+// costs the document it serves a 500 at stage "load", on the sequential
 // and on the partitioned path, for cached plans and for fresh prepares.
-// The tenant next to it, serving files of its own, answers the same bytes
+// The document next to it, serving files of its own, answers the same bytes
 // as before, and the process stays up. (Only a real mapping can fault,
 // hence the build tag.)
 func TestTruncatedViewFileIsContained(t *testing.T) {
 	d := viewjoin.GenerateXMark(0.2)
 	s := New(Config{MaxParallel: 2})
 	files := map[string][]string{}
-	for _, tn := range []string{"damaged", "healthy"} {
-		if err := s.AddTenantDocument(tn, "xmark", d); err != nil {
+	for _, dn := range []string{"damaged", "healthy"} {
+		if err := s.AddDocument(dn, d); err != nil {
 			t.Fatal(err)
 		}
-		files[tn] = saveTestViews(t, d, testViews, viewjoin.SchemeLEp)
-		for _, p := range files[tn] {
-			if err := s.AddTenantViewFile(tn, "xmark", p); err != nil {
+		files[dn] = saveTestViews(t, d, testViews, viewjoin.SchemeLEp)
+		for _, p := range files[dn] {
+			if err := s.AddViewFile(dn, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -37,15 +37,15 @@ func TestTruncatedViewFileIsContained(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	request := func(tn, engine string, parallel int) queryRequest {
-		return queryRequest{Tenant: tn, Document: "xmark", Query: testQuery, Engine: engine, Limit: 1 << 20, Parallel: parallel}
+	request := func(dn, engine string, parallel int) queryRequest {
+		return queryRequest{Document: dn, Query: testQuery, Engine: engine, Limit: 1 << 20, Parallel: parallel}
 	}
 	before := map[int]wirePage{}
 	for _, k := range []int{1, 2} {
-		for _, tn := range []string{"damaged", "healthy"} {
+		for _, dn := range []string{"damaged", "healthy"} {
 			var pg wirePage
-			if code := post(t, ts, "/query", request(tn, "VJ", k), &pg); code != http.StatusOK || pg.MatchCount == 0 {
-				t.Fatalf("tenant %s parallel %d before the damage: status %d, %d matches", tn, k, code, pg.MatchCount)
+			if code := post(t, ts, "/query", request(dn, "VJ", k), &pg); code != http.StatusOK || pg.MatchCount == 0 {
+				t.Fatalf("document %s parallel %d before the damage: status %d, %d matches", dn, k, code, pg.MatchCount)
 			}
 			before[k] = pg
 		}
@@ -66,12 +66,12 @@ func TestTruncatedViewFileIsContained(t *testing.T) {
 		for _, engine := range []string{"VJ", "TS"} { // a cached plan, a fresh Prepare
 			var er errorResponse
 			if code := post(t, ts, "/query", request("damaged", engine, k), &er); code != http.StatusInternalServerError || er.Stage != "load" {
-				t.Errorf("damaged tenant, %s parallel %d: status %d stage %q (%s), want 500 at load", engine, k, code, er.Stage, er.Error)
+				t.Errorf("damaged document, %s parallel %d: status %d stage %q (%s), want 500 at load", engine, k, code, er.Stage, er.Error)
 			}
 		}
 		var pg wirePage
 		if code := post(t, ts, "/query", request("healthy", "VJ", k), &pg); code != http.StatusOK || !pg.equal(before[k]) {
-			t.Errorf("healthy tenant, parallel %d: status %d, or bytes changed (%d vs %d matches)", k, code, pg.MatchCount, before[k].MatchCount)
+			t.Errorf("healthy document, parallel %d: status %d, or bytes changed (%d vs %d matches)", k, code, pg.MatchCount, before[k].MatchCount)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/healthz")

@@ -8,27 +8,20 @@ import (
 	"viewjoin"
 )
 
-// This file is the server's registry: per-tenant documents and their
-// views. A view is registered either from memory (AddView / AddTenantView)
-// or from a saved container file (AddViewFile / AddTenantViewFile). A file
-// is validated against its document and mapped read-only once, at
-// registration, and served from that mapping until Server.Close: the
-// kernel's page cache — shared by every tenant and every process mapping
-// the same file — is the only tier there is. Mappings unwind only after
-// Drain, when no reader can remain; munmap under a live reader is a fault.
-// Files are never updated in place (vjmaterialize replaces them by
-// rename), and only in-memory views are maintained by /update.
+// This file is the server's registry: named documents and their views. A
+// view is registered either from memory (AddView) or from a saved
+// container file (AddViewFile). A file is validated against its document
+// and mapped read-only once, at registration, and served from that mapping
+// until Server.Close: the kernel's page cache — shared by every document
+// and every process mapping the same file — is the only tier there is.
+// Mappings unwind only after Drain, when no reader can remain; munmap under
+// a live reader is a fault. Files are never updated in place
+// (vjmaterialize replaces them by rename), and only in-memory views are
+// maintained by /update. A deployment that wants isolation names its
+// documents apart ("acme/doc").
 
-// tenant is one isolated registry of documents and views. The zero-named
-// tenant ("") is the default registry that the non-tenant API surface
-// (AddDocument/AddView, requests without a tenant field) addresses.
-type tenant struct {
-	name string
-	docs map[string]*docEntry
-}
-
-// viewEntry is one registered view of one tenant's document, immutable
-// after registration (an /update publishes through the view handle).
+// viewEntry is one registered view of one document, immutable after
+// registration (an /update publishes through the view handle).
 type viewEntry struct {
 	mv   *viewjoin.MaterializedView
 	path string // container file; "" for in-memory views
@@ -42,41 +35,37 @@ func (ve *viewEntry) tier() string {
 	return "memory"
 }
 
-// AddTenantDocument registers a document under a tenant's registry,
-// creating the tenant on first use. Not safe to call once serving has
-// started.
-func (s *Server) AddTenantDocument(tenantName, name string, d *viewjoin.Document) error {
+// AddDocument registers a document under a name. Not safe to call once
+// serving has started.
+func (s *Server) AddDocument(name string, d *viewjoin.Document) error {
 	if name == "" {
 		return errors.New("server: empty document name")
 	}
-	t := s.tenants[tenantName]
-	if t == nil {
-		t = &tenant{name: tenantName, docs: make(map[string]*docEntry)}
-		s.tenants[tenantName] = t
+	if _, ok := s.docs[name]; ok {
+		return fmt.Errorf("server: document %q already registered", name)
 	}
-	if _, ok := t.docs[name]; ok {
-		return fmt.Errorf("server: document %q already registered%s", name, forTenant(tenantName))
-	}
-	t.docs[name] = &docEntry{doc: d, views: make(map[string]*viewEntry)}
+	s.docs[name] = &docEntry{doc: d, views: make(map[string]*viewEntry)}
 	return nil
 }
 
-// AddTenantView registers an in-memory materialized view under a tenant's
-// document. Not safe to call once serving has started.
-func (s *Server) AddTenantView(tenantName, docName string, mv *viewjoin.MaterializedView) error {
-	e, err := s.tenantDoc(tenantName, docName)
+// AddView registers an in-memory materialized view under a document. The
+// view is addressable in requests by the canonical rendering of its
+// pattern (e.g. "//site//item//name"). Not safe to call once serving has
+// started.
+func (s *Server) AddView(docName string, mv *viewjoin.MaterializedView) error {
+	e, err := s.registered(docName)
 	if err != nil {
 		return err
 	}
-	return e.addView(mv, "", docName, tenantName)
+	return e.addView(mv, "", docName)
 }
 
-// AddTenantViewFile registers a saved view container file under a
-// tenant's document: the file is validated against the document and
-// mapped (viewjoin's LoadViewMmap), and stays mapped until Close. Not safe
-// to call once serving has started.
-func (s *Server) AddTenantViewFile(tenantName, docName, path string) error {
-	e, err := s.tenantDoc(tenantName, docName)
+// AddViewFile registers a saved view container file under a document: the
+// file is validated against the document and mapped (viewjoin's
+// LoadViewMmap), and stays mapped until Close. Not safe to call once
+// serving has started.
+func (s *Server) AddViewFile(docName, path string) error {
+	e, err := s.registered(docName)
 	if err != nil {
 		return err
 	}
@@ -84,55 +73,41 @@ func (s *Server) AddTenantViewFile(tenantName, docName, path string) error {
 	if err != nil {
 		return fmt.Errorf("server: view file %s: %w", path, err)
 	}
-	if err := e.addView(mv, path, docName, tenantName); err != nil {
+	if err := e.addView(mv, path, docName); err != nil {
 		mv.Release()
 		return err
 	}
 	return nil
 }
 
-// addView enters a view under its canonical pattern; the names are for the
+// addView enters a view under its canonical pattern; docName is for the
 // duplicate error.
-func (e *docEntry) addView(mv *viewjoin.MaterializedView, path, docName, tenantName string) error {
+func (e *docEntry) addView(mv *viewjoin.MaterializedView, path, docName string) error {
 	name := mv.Pattern().String()
 	if _, ok := e.views[name]; ok {
-		return fmt.Errorf("server: view %s already registered for document %q%s", name, docName, forTenant(tenantName))
+		return fmt.Errorf("server: view %s already registered for document %q", name, docName)
 	}
 	e.views[name] = &viewEntry{mv: mv, path: path}
 	e.order = append(e.order, name)
 	return nil
 }
 
-// tenantDoc resolves a registration target.
-func (s *Server) tenantDoc(tenantName, docName string) (*docEntry, error) {
-	t := s.tenants[tenantName]
-	if t == nil {
-		return nil, fmt.Errorf("server: unknown tenant %q", tenantName)
-	}
-	e, ok := t.docs[docName]
+// registered resolves a registration target.
+func (s *Server) registered(docName string) (*docEntry, error) {
+	e, ok := s.docs[docName]
 	if !ok {
-		return nil, fmt.Errorf("server: unknown document %q%s", docName, forTenant(tenantName))
+		return nil, fmt.Errorf("server: unknown document %q", docName)
 	}
 	return e, nil
 }
 
-func forTenant(name string) string {
-	if name == "" {
-		return ""
-	}
-	return fmt.Sprintf(" (tenant %q)", name)
-}
-
-// eachView visits every registered view: tenants and documents in sorted
-// order, registration order within a document.
-func (s *Server) eachView(f func(tenant, doc, view string, ve *viewEntry)) {
-	for _, tn := range sortedKeys(s.tenants) {
-		t := s.tenants[tn]
-		for _, dn := range sortedKeys(t.docs) {
-			e := t.docs[dn]
-			for _, vn := range e.order {
-				f(tn, dn, vn, e.views[vn])
-			}
+// eachView visits every registered view: documents in sorted order,
+// registration order within a document.
+func (s *Server) eachView(f func(doc, view string, ve *viewEntry)) {
+	for _, dn := range sortedKeys(s.docs) {
+		e := s.docs[dn]
+		for _, vn := range e.order {
+			f(dn, vn, e.views[vn])
 		}
 	}
 }
@@ -143,7 +118,7 @@ func (s *Server) eachView(f func(tenant, doc, view string, ve *viewEntry)) {
 func (s *Server) Close() error {
 	s.Drain()
 	var first error
-	s.eachView(func(_, _, _ string, ve *viewEntry) {
+	s.eachView(func(_, _ string, ve *viewEntry) {
 		if err := ve.mv.Release(); err != nil && first == nil {
 			first = err
 		}
@@ -157,12 +132,11 @@ type viewMetrics struct {
 	FileViews   int   `json:"file_views"`
 	FileBytes   int64 `json:"file_bytes"`
 	MemoryViews int   `json:"memory_views"`
-	Tenants     int   `json:"tenants"`
 }
 
 func (s *Server) viewSnapshot() viewMetrics {
-	m := viewMetrics{Tenants: len(s.tenants)}
-	s.eachView(func(_, _, _ string, ve *viewEntry) {
+	var m viewMetrics
+	s.eachView(func(_, _ string, ve *viewEntry) {
 		if ve.path == "" {
 			m.MemoryViews++
 			return
@@ -175,7 +149,6 @@ func (s *Server) viewSnapshot() viewMetrics {
 
 // viewRow is one registered view in GET /debug/plans.
 type viewRow struct {
-	Tenant    string `json:"tenant,omitempty"`
 	Document  string `json:"document"`
 	View      string `json:"view"`
 	Tier      string `json:"tier"` // memory, file
@@ -184,8 +157,8 @@ type viewRow struct {
 
 func (s *Server) viewRows() []viewRow {
 	var rows []viewRow
-	s.eachView(func(tn, dn, vn string, ve *viewEntry) {
-		rows = append(rows, viewRow{Tenant: tn, Document: dn, View: vn, Tier: ve.tier(), SizeBytes: ve.mv.SizeBytes()})
+	s.eachView(func(dn, vn string, ve *viewEntry) {
+		rows = append(rows, viewRow{Document: dn, View: vn, Tier: ve.tier(), SizeBytes: ve.mv.SizeBytes()})
 	})
 	return rows
 }

@@ -37,7 +37,7 @@ func saveTestViews(t testing.TB, d *viewjoin.Document, viewsStr string, scheme v
 }
 
 // newFileBackedServer builds a server whose views are all registered from
-// files for the default tenant's "xmark" document.
+// files for the "xmark" document.
 func newFileBackedServer(t testing.TB, cfg Config, paths []string) *Server {
 	t.Helper()
 	s := New(cfg)
@@ -75,17 +75,18 @@ func (a wirePage) equal(b wirePage) bool {
 
 // TestFileBackedByteIdentical is the acceptance criterion of serving views
 // from their mappings: a server whose views were registered from files —
-// three tenants sharing the same files — must answer byte-identically to
+// three documents sharing the same files — must answer byte-identically to
 // a server holding the same views in memory, for every engine and scheme
 // the catalogue pairs allow, whether the result is fetched whole or paged
 // through cursors. Where a view's pages live is a cost decision, never a
 // result decision.
 func TestFileBackedByteIdentical(t *testing.T) {
 	d := viewjoin.GenerateXMark(0.05)
-	tenants := []string{"t0", "t1", "t2"}
 	// One path and one twig query of the catalogue (Q6, Q14) with their
-	// covering views; one document name per scheme, since a document holds
-	// each view pattern once.
+	// covering views; three document names per scheme, since a document
+	// holds each view pattern once.
+	const copies = 3
+	docName := func(scheme viewjoin.StorageScheme, i int) string { return fmt.Sprintf("d%d/%v", i, scheme) }
 	const viewSet = "//site/regions; //item; //site//item//name; //description//keyword"
 	queries := []struct {
 		query string
@@ -110,17 +111,18 @@ func TestFileBackedByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		paths := saveTestViews(t, d, viewSet, scheme)
-		for _, tn := range tenants {
+		for c := range copies {
+			dn := docName(scheme, c)
 			for _, s := range []*Server{mem, file} {
-				if err := s.AddTenantDocument(tn, scheme.String(), d); err != nil {
+				if err := s.AddDocument(dn, d); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := range mviews {
-				if err := mem.AddTenantView(tn, scheme.String(), mviews[i]); err != nil {
+				if err := mem.AddView(dn, mviews[i]); err != nil {
 					t.Fatal(err)
 				}
-				if err := file.AddTenantViewFile(tn, scheme.String(), paths[i]); err != nil {
+				if err := file.AddViewFile(dn, paths[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -159,9 +161,9 @@ func TestFileBackedByteIdentical(t *testing.T) {
 			}
 			want := len(viewjoin.EvaluateDirect(d, viewjoin.MustParseQuery(q.query)).Matches)
 			for _, eng := range engines {
-				for _, tn := range tenants {
-					label := fmt.Sprintf("%s+%v %s tenant %s", eng, scheme, q.query, tn)
-					req := queryRequest{Tenant: tn, Document: scheme.String(), Query: q.query, Views: q.views, Engine: eng, Limit: 1 << 20}
+				for c := range copies {
+					label := fmt.Sprintf("%s %s document %s", eng, q.query, docName(scheme, c))
+					req := queryRequest{Document: docName(scheme, c), Query: q.query, Views: q.views, Engine: eng, Limit: 1 << 20}
 					full := both(label, req)
 					if full.MatchCount != want {
 						t.Fatalf("%s: %d matches, want %d", label, full.MatchCount, want)
@@ -184,8 +186,8 @@ func TestFileBackedByteIdentical(t *testing.T) {
 	}
 
 	vm := getMetrics(t, tsFile).Views
-	nviews := len(tenants) * len(schemes) * 4
-	if vm.FileViews != nviews || vm.MemoryViews != 0 || vm.FileBytes == 0 || vm.Tenants != len(tenants) {
+	nviews := copies * len(schemes) * 4
+	if vm.FileViews != nviews || vm.MemoryViews != 0 || vm.FileBytes == 0 {
 		t.Errorf("file-backed server's view gauges: %+v, want %d file views", vm, nviews)
 	}
 	if vm = getMetrics(t, tsMem).Views; vm.MemoryViews != nviews || vm.FileViews != 0 || vm.FileBytes != 0 {
@@ -193,26 +195,23 @@ func TestFileBackedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTenantIsolation: two tenants registering the same document name get
-// fully separate registries — separate documents, separate views,
-// separate plan-cache entries — and an unregistered tenant is a 404.
-func TestTenantIsolation(t *testing.T) {
+// TestDocumentIsolation: two documents each see only their own views — a
+// view registered for one is a 404 when asked of the other — and an
+// unregistered document is a 404.
+func TestDocumentIsolation(t *testing.T) {
 	s := New(Config{})
 	dA := viewjoin.GenerateXMark(0.05)
 	dB := viewjoin.GenerateNasa(60)
-	if err := s.AddTenantDocument("a", "doc", dA); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddTenantDocument("b", "doc", dB); err != nil {
-		t.Fatal(err)
-	}
 	for _, reg := range []struct {
-		tn    string
+		name  string
 		d     *viewjoin.Document
 		views string
-	}{{"a", dA, testViews}, {"b", dB, "//field//para"}} {
+	}{{"acme/doc", dA, testViews}, {"globex/doc", dB, "//field//para"}} {
+		if err := s.AddDocument(reg.name, reg.d); err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range saveTestViews(t, reg.d, reg.views, viewjoin.SchemeLEp) {
-			if err := s.AddTenantViewFile(reg.tn, "doc", p); err != nil {
+			if err := s.AddViewFile(reg.name, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -226,26 +225,26 @@ func TestTenantIsolation(t *testing.T) {
 
 	var resp queryResponse
 	if code := post(t, ts, "/query",
-		queryRequest{Tenant: "a", Document: "doc", Query: "//site//item//name", Views: []string{"//site//item//name"}},
+		queryRequest{Document: "acme/doc", Query: "//site//item//name", Views: []string{"//site//item//name"}},
 		&resp); code != http.StatusOK || resp.MatchCount != wantA {
-		t.Fatalf("tenant a: status %d, %d matches (want %d)", code, resp.MatchCount, wantA)
+		t.Fatalf("acme/doc: status %d, %d matches (want %d)", code, resp.MatchCount, wantA)
 	}
 	if code := post(t, ts, "/query",
-		queryRequest{Tenant: "b", Document: "doc", Query: "//field//para", Views: []string{"//field//para"}},
+		queryRequest{Document: "globex/doc", Query: "//field//para", Views: []string{"//field//para"}},
 		&resp); code != http.StatusOK || resp.MatchCount != wantB {
-		t.Fatalf("tenant b: status %d, %d matches (want %d)", code, resp.MatchCount, wantB)
+		t.Fatalf("globex/doc: status %d, %d matches (want %d)", code, resp.MatchCount, wantB)
 	}
-	// Tenant b has no //site//item//name view; the cross-tenant ask must
-	// fail at resolve rather than leak a's registry.
+	// globex/doc has no //site//item//name view; asking for acme/doc's view
+	// there must fail at resolve rather than reach the other document.
 	var e errorResponse
 	if code := post(t, ts, "/query",
-		queryRequest{Tenant: "b", Document: "doc", Query: "//site//item//name", Views: []string{"//site//item//name"}},
-		&e); code != http.StatusNotFound {
-		t.Fatalf("cross-tenant view: status %d, want 404", code)
+		queryRequest{Document: "globex/doc", Query: "//site//item//name", Views: []string{"//site//item//name"}},
+		&e); code != http.StatusNotFound || e.Stage != "resolve" {
+		t.Fatalf("view of another document: status %d stage %q, want 404 at resolve", code, e.Stage)
 	}
 	if code := post(t, ts, "/query",
-		queryRequest{Tenant: "nobody", Document: "doc", Query: "//field//para"}, &e); code != http.StatusNotFound {
-		t.Fatalf("unknown tenant: status %d, want 404", code)
+		queryRequest{Document: "doc", Query: "//field//para"}, &e); code != http.StatusNotFound || e.Stage != "resolve" {
+		t.Fatalf("unknown document: status %d stage %q, want 404 at resolve", code, e.Stage)
 	}
 }
 
@@ -259,7 +258,7 @@ func TestFileMappedOnceAtRegistration(t *testing.T) {
 	s := newFileBackedServer(t, Config{Workers: 4, QueueDepth: 8}, paths)
 	defer s.Close()
 	registered := map[string]*viewjoin.MaterializedView{}
-	for name, ve := range s.tenants[""].docs["xmark"].views {
+	for name, ve := range s.docs["xmark"].views {
 		if ve.mv == nil || ve.path == "" {
 			t.Fatalf("view %s not mapped at registration: %+v", name, ve)
 		}
@@ -281,7 +280,7 @@ func TestFileMappedOnceAtRegistration(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	for name, ve := range s.tenants[""].docs["xmark"].views {
+	for name, ve := range s.docs["xmark"].views {
 		if ve.mv != registered[name] {
 			t.Errorf("view %s was reloaded after registration", name)
 		}

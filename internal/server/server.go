@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -116,9 +117,9 @@ type docEntry struct {
 // worker evaluates off the same immutable segments — no per-request copy
 // or decode of view data.
 type Server struct {
-	cfg     Config
-	tenants map[string]*tenant // tenant name -> registry; "" is the default tenant
-	cache   *planCache
+	cfg   Config
+	docs  map[string]*docEntry // document name -> entry
+	cache *planCache
 
 	sem    chan struct{} // worker slots
 	queued atomic.Int64  // admitted requests waiting for a slot
@@ -167,7 +168,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		tenants: make(map[string]*tenant),
+		docs:    make(map[string]*docEntry),
 		cache:   newPlanCache(cfg.CacheSize),
 		sem:     make(chan struct{}, cfg.Workers),
 		latency: make(map[string]*obs.Histogram),
@@ -177,27 +178,6 @@ func New(cfg Config) *Server {
 		s.slowlog = newSlowlog(cfg.SlowlogSize, cfg.SlowlogThreshold)
 	}
 	return s
-}
-
-// AddDocument registers a document with the default tenant. Not safe to
-// call once serving has started.
-func (s *Server) AddDocument(name string, d *viewjoin.Document) error {
-	return s.AddTenantDocument("", name, d)
-}
-
-// AddView registers an in-memory materialized view under a default-tenant
-// document. The view is addressable in requests by the canonical
-// rendering of its pattern (e.g. "//site//item//name"). Not safe to call
-// once serving has started.
-func (s *Server) AddView(docName string, mv *viewjoin.MaterializedView) error {
-	return s.AddTenantView("", docName, mv)
-}
-
-// AddViewFile registers a saved view container file under a
-// default-tenant document, served from its mapping (see
-// AddTenantViewFile). Not safe to call once serving has started.
-func (s *Server) AddViewFile(docName, path string) error {
-	return s.AddTenantViewFile("", docName, path)
 }
 
 // Handler returns the HTTP handler serving the full API surface.
@@ -224,11 +204,9 @@ func (s *Server) Drain() {
 	s.wg.Wait()
 }
 
-// queryRequest is the body of POST /query and POST /debug/trace.
+// queryRequest is the body of POST /query and POST /debug/trace. It is
+// decoded strictly: a field it does not name is a 400, not ignored.
 type queryRequest struct {
-	// Tenant selects the registry the document is looked up in; empty is
-	// the default tenant (the only one a single-tenant deployment has).
-	Tenant    string   `json:"tenant,omitempty"`
 	Document  string   `json:"document"`
 	Query     string   `json:"query"`
 	Engine    string   `json:"engine"`               // VJ (default), TS, PS, IJ
@@ -447,20 +425,15 @@ func planFailure(stage string, err error) *failure {
 	return f
 }
 
-// resolve looks up the document in the request's tenant registry, parses
-// the query, and resolves the view names (all registered views when none
+// resolve looks up the document, parses the query, and resolves the view names (all registered views when none
 // are named) and the engine. A request that names its views and is spelled
 // as one that resolved before skips all of that.
 func (s *Server) resolve(req *queryRequest) (resolved, *failure) {
-	var e *docEntry
-	if t := s.tenants[req.Tenant]; t != nil {
-		e = t.docs[req.Document]
-	}
+	e := s.docs[req.Document]
 	if e == nil {
-		return resolved{}, failed(http.StatusNotFound, "resolve",
-			fmt.Errorf("unknown document %q%s", req.Document, forTenant(req.Tenant)))
+		return resolved{}, failed(http.StatusNotFound, "resolve", fmt.Errorf("unknown document %q", req.Document))
 	}
-	raw := rawKey{tenant: req.Tenant, doc: req.Document, query: req.Query, engine: req.Engine,
+	raw := rawKey{doc: req.Document, query: req.Query, engine: req.Engine,
 		nviews: len(req.Views), views: strings.Join(req.Views, ";")}
 	if ent := s.cache.spelled(raw); ent != nil {
 		return resolved{doc: e, query: ent.plan.Query(), engine: ent.plan.Engine(), canon: ent.canon, ent: ent}, nil
@@ -510,7 +483,7 @@ func (s *Server) plan(req *queryRequest, rv *resolved) (*planEntry, bool, error)
 	if rv.ent != nil {
 		return rv.ent, true, nil
 	}
-	key := planKey{tenant: req.Tenant, doc: req.Document, query: rv.query.String(), engine: rv.engine, views: strings.Join(rv.canon, ";")}
+	key := planKey{doc: req.Document, query: rv.query.String(), engine: rv.engine, views: strings.Join(rv.canon, ";")}
 	if ent := s.cache.get(key, rv.raw); ent != nil {
 		return ent, true, nil
 	}
@@ -546,7 +519,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 	s.requests.Add(1)
 	started := time.Now()
 	var req queryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		s.reject(w, nil, started, "", failed(http.StatusBadRequest, "request", err))
 		return
 	}
@@ -567,7 +540,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		// Clamped so the product cannot wrap negative (an instant expiry).
+		timeout = time.Duration(min(req.TimeoutMS, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 	}
 	ctx, cancel := contextWithTimeout(r, timeout)
 	defer cancel()
@@ -849,7 +823,7 @@ type metricsResponse struct {
 	LatencyUS  map[string]histJSON `json:"latency_us"`
 	Partitions histJSON            `json:"partitions"` // partitions per successful run
 	Plans      []planMetrics       `json:"plans"`      // one row per resident cache entry, MRU first
-	Documents  int                 `json:"documents"`  // across all tenants
+	Documents  int                 `json:"documents"`
 }
 
 type planCacheMetrics struct {
@@ -915,7 +889,6 @@ func histOf(h *obs.Histogram) histJSON {
 // planMetrics is one row of the per-plan table: the plan identity plus
 // the aggregate of every run it has served since entering the cache.
 type planMetrics struct {
-	Tenant          string   `json:"tenant,omitempty"`
 	Document        string   `json:"document"`
 	Query           string   `json:"query"`
 	Engine          string   `json:"engine"`
@@ -934,22 +907,26 @@ func (s *Server) planRows() []planMetrics {
 	ents := s.cache.entries()
 	rows := make([]planMetrics, 0, len(ents))
 	for _, ent := range ents {
-		snap := ent.agg.Snapshot()
-		rows = append(rows, planMetrics{
-			Tenant:          ent.key.tenant,
-			Document:        ent.key.doc,
-			Query:           ent.key.query,
-			Engine:          ent.key.engine.String(),
-			Views:           ent.key.views,
-			Runs:            snap.Runs,
-			Errors:          snap.Errors,
-			LatencyUS:       histOf(&snap.LatencyUS),
-			PageHitRatio:    snap.PageHitRatio(),
-			JumpRefusedRate: snap.JumpRefusedRate(),
-			FootprintBytes:  ent.footprint,
-		})
+		rows = append(rows, planRow(ent, ent.agg.Snapshot()))
 	}
 	return rows
+}
+
+// planRow is one entry's row of the per-plan table, from a snapshot of its
+// aggregate.
+func planRow(ent *planEntry, snap obs.AggregateSnapshot) planMetrics {
+	return planMetrics{
+		Document:        ent.key.doc,
+		Query:           ent.key.query,
+		Engine:          ent.key.engine.String(),
+		Views:           ent.key.views,
+		Runs:            snap.Runs,
+		Errors:          snap.Errors,
+		LatencyUS:       histOf(&snap.LatencyUS),
+		PageHitRatio:    snap.PageHitRatio(),
+		JumpRefusedRate: snap.JumpRefusedRate(),
+		FootprintBytes:  ent.footprint,
+	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -987,7 +964,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Views:     s.viewSnapshot(),
 		LatencyUS: make(map[string]histJSON),
 		Plans:     s.planRows(),
-		Documents: s.numDocuments(),
+		Documents: len(s.docs),
 	}
 	s.histMu.Lock()
 	for name, h := range s.latency {
@@ -997,15 +974,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.histMu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// numDocuments counts registered documents across all tenants.
-func (s *Server) numDocuments() int {
-	n := 0
-	for _, t := range s.tenants {
-		n += len(t.docs)
-	}
-	return n
 }
 
 // plansResponse is the body of GET /debug/plans: the per-plan table with
@@ -1047,19 +1015,7 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 	for _, ent := range ents {
 		snap := ent.agg.Snapshot()
 		resp.Plans = append(resp.Plans, planDetail{
-			planMetrics: planMetrics{
-				Tenant:          ent.key.tenant,
-				Document:        ent.key.doc,
-				Query:           ent.key.query,
-				Engine:          ent.key.engine.String(),
-				Views:           ent.key.views,
-				Runs:            snap.Runs,
-				Errors:          snap.Errors,
-				LatencyUS:       histOf(&snap.LatencyUS),
-				PageHitRatio:    snap.PageHitRatio(),
-				JumpRefusedRate: snap.JumpRefusedRate(),
-				FootprintBytes:  ent.footprint,
-			},
+			planMetrics: planRow(ent, snap),
 			Counters: planCountersJSON{
 				ElementsScanned: snap.Counters.ElementsScanned,
 				Comparisons:     snap.Counters.Comparisons,
@@ -1103,9 +1059,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // documentInfo is one entry of GET /documents.
 type documentInfo struct {
-	Tenant string `json:"tenant,omitempty"`
-	Name   string `json:"name"`
-	Nodes  int    `json:"nodes"`
+	Name  string `json:"name"`
+	Nodes int    `json:"nodes"`
 	// Epoch is the document's current update epoch (0 until the first
 	// /update); cursors are only valid at the epoch they were issued at.
 	Epoch uint64 `json:"epoch"`
@@ -1126,27 +1081,33 @@ type viewInfo struct {
 
 func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	out := []documentInfo{}
-	for _, tn := range sortedKeys(s.tenants) {
-		t := s.tenants[tn]
-		for _, n := range sortedKeys(t.docs) {
-			e := t.docs[n]
-			di := documentInfo{Tenant: tn, Name: n, Nodes: e.doc.NumNodes(), Epoch: e.doc.Epoch(), DocPieces: e.doc.NumPieces()}
-			for _, vn := range e.order {
-				ve := e.views[vn]
-				di.Views = append(di.Views, viewInfo{
-					Pattern:   vn,
-					Scheme:    ve.mv.Scheme().String(),
-					Entries:   ve.mv.NumEntries(),
-					SizeBytes: ve.mv.SizeBytes(),
-					Tier:      ve.tier(),
-					Pieces:    ve.mv.NumPieces(),
-				})
-			}
-			out = append(out, di)
+	for _, n := range sortedKeys(s.docs) {
+		e := s.docs[n]
+		di := documentInfo{Name: n, Nodes: e.doc.NumNodes(), Epoch: e.doc.Epoch(), DocPieces: e.doc.NumPieces()}
+		for _, vn := range e.order {
+			ve := e.views[vn]
+			di.Views = append(di.Views, viewInfo{
+				Pattern:   vn,
+				Scheme:    ve.mv.Scheme().String(),
+				Entries:   ve.mv.NumEntries(),
+				SizeBytes: ve.mv.SizeBytes(),
+				Tier:      ve.tier(),
+				Pieces:    ve.mv.NumPieces(),
+			})
 		}
+		out = append(out, di)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
+}
+
+// decodeStrict decodes a JSON request body of at most 1 MiB into v,
+// refusing fields v does not name: a stale or misspelled field fails the
+// request instead of being silently dropped.
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(io.LimitReader(body, 1<<20))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // contextWithTimeout derives the per-request evaluation context: the

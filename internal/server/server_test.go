@@ -509,6 +509,50 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestStrictRequestBodies: every POST endpoint decodes its body strictly.
+// A field the request does not name — a stale client's "tenant", a
+// misspelled "limit" — is a 400 at stage "request", counted in failures,
+// instead of being dropped and answered as some other request.
+func TestStrictRequestBodies(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	query := `{"document":"xmark","query":"` + testQuery + `","limit":20}`
+	cases := []struct {
+		name, path, body string
+		status           int
+	}{
+		{"tenant", "/query", `{"tenant":"acme","document":"xmark","query":"` + testQuery + `"}`, http.StatusBadRequest},
+		{"misspelled limit", "/query", `{"document":"xmark","query":"` + testQuery + `","limt":20}`, http.StatusBadRequest},
+		{"well-formed", "/query", query, http.StatusOK},
+		{"tenant", "/debug/trace", `{"tenant":"acme","document":"xmark","query":"` + testQuery + `"}`, http.StatusBadRequest},
+		{"misspelled limit", "/debug/trace", `{"document":"xmark","query":"` + testQuery + `","limt":20}`, http.StatusBadRequest},
+		{"well-formed", "/debug/trace", query, http.StatusOK},
+		{"tenant", "/update", `{"tenant":"ghost","document":"xmark","op":"delete-subtree","target":1}`, http.StatusBadRequest},
+		{"misspelled target", "/update", `{"document":"xmark","op":"append-child","traget":1,"fragment":"<ext/>"}`, http.StatusBadRequest},
+		{"well-formed", "/update", `{"document":"xmark","op":"append-child","target":1,"fragment":"<ext/>"}`, http.StatusOK},
+	}
+	bad := 0
+	for _, c := range cases {
+		t.Run(c.path+" "+c.name, func(t *testing.T) {
+			var er errorResponse
+			if st := post(t, ts, c.path, json.RawMessage(c.body), &er); st != c.status {
+				t.Fatalf("status %d, want %d (body %+v)", st, c.status, er)
+			}
+			if c.status == http.StatusBadRequest {
+				bad++
+				if er.Stage != "request" || !strings.Contains(er.Error, "unknown field") {
+					t.Errorf("stage %q error %q, want an unknown field at stage request", er.Stage, er.Error)
+				}
+			}
+		})
+	}
+	if m := getMetrics(t, ts); m.Requests.Failures != int64(bad) {
+		t.Errorf("failures = %d, want the %d refused bodies", m.Requests.Failures, bad)
+	}
+}
+
 // TestCacheEviction fills a capacity-2 cache with three plans and checks
 // LRU order: the least recently used entry is the one evicted.
 func TestCacheEviction(t *testing.T) {
@@ -814,6 +858,28 @@ func TestHugeLimitAnswersInFull(t *testing.T) {
 	if got.Cursor != "" || fmt.Sprint(got.Matches) != fmt.Sprint(want.Matches) {
 		t.Fatalf("limit MaxInt64: %d rows, cursor %q; want the full result's %d rows and no cursor",
 			len(got.Matches), got.Cursor, len(want.Matches))
+	}
+}
+
+// TestHugeTimeoutAnswersInFull: the longest deadline a request can ask
+// for is no deadline worth enforcing, not an instant one — timeout_ms is
+// clamped before it is scaled to a duration, so MaxInt64 cannot wrap
+// negative into a 504.
+func TestHugeTimeoutAnswersInFull(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req := map[string]any{"document": "xmark", "query": testQuery, "limit": 1 << 20}
+	var want, got queryResponse
+	if st := post(t, ts, "/query", req, &want); st != http.StatusOK || len(want.Matches) == 0 {
+		t.Fatalf("reference page: status %d, %d rows", st, len(want.Matches))
+	}
+	req["timeout_ms"] = int64(math.MaxInt64)
+	if st := post(t, ts, "/query", req, &got); st != http.StatusOK {
+		t.Fatalf("timeout_ms MaxInt64: status %d", st)
+	}
+	if fmt.Sprint(got.Matches) != fmt.Sprint(want.Matches) {
+		t.Fatalf("timeout_ms MaxInt64: %d rows, want the full result's %d", len(got.Matches), len(want.Matches))
 	}
 }
 

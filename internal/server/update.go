@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -21,11 +20,9 @@ import (
 // derivation — they run against immutable snapshots, and a plan prepared
 // before the update keeps answering consistently at its own epoch.
 
-// updateRequest is the body of POST /update.
+// updateRequest is the body of POST /update, decoded strictly like a
+// query's.
 type updateRequest struct {
-	// Tenant selects the registry the document is looked up in; empty is
-	// the default tenant.
-	Tenant   string `json:"tenant,omitempty"`
 	Document string `json:"document"`
 	// Op is the update operation: insert-before, append-child, or
 	// delete-subtree (the UpdateOp spellings).
@@ -109,7 +106,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		line.Document, line.Op, line.Status, line.Stage, line.Error = req.Document, req.Op, status, stage, err.Error()
 		s.logLine(line, time.Since(started))
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		fail(http.StatusBadRequest, "request", err)
 		return
 	}
@@ -122,12 +119,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	var e *docEntry
-	if t := s.tenants[req.Tenant]; t != nil {
-		e = t.docs[req.Document]
-	}
+	e := s.docs[req.Document]
 	if e == nil {
-		fail(http.StatusNotFound, "resolve", fmt.Errorf("unknown document %q%s", req.Document, forTenant(req.Tenant)))
+		fail(http.StatusNotFound, "resolve", fmt.Errorf("unknown document %q", req.Document))
 		return
 	}
 	op, err := parseUpdateOp(req.Op)
@@ -204,7 +198,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	au, err := staged.Commit()
 	invalidated := 0
 	if err == nil {
-		invalidated = s.cache.invalidateDoc(req.Tenant, req.Document)
+		invalidated = s.cache.invalidateDoc(req.Document)
 	}
 	e.pub.Unlock()
 	if err != nil {

@@ -248,7 +248,6 @@ func TestUpdateRequestErrors(t *testing.T) {
 		want int
 	}{
 		{"unknown document", updateRequest{Document: "nope", Op: "delete-subtree", Target: 1}, http.StatusNotFound},
-		{"unknown tenant", updateRequest{Tenant: "ghost", Document: "xmark", Op: "delete-subtree", Target: 1}, http.StatusNotFound},
 		{"bad op", updateRequest{Document: "xmark", Op: "truncate", Target: 1}, http.StatusBadRequest},
 		{"missing fragment", updateRequest{Document: "xmark", Op: "insert-before", Target: 1}, http.StatusBadRequest},
 		{"bad fragment", updateRequest{Document: "xmark", Op: "append-child", Target: 1, Fragment: "<a><b></a>"}, http.StatusBadRequest},

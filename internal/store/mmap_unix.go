@@ -8,8 +8,8 @@ import (
 )
 
 // mmapFile maps size bytes of f read-only and shared: the mapping is a
-// window onto the page cache, so N processes (or N tenants in one
-// process) serving the same container file share one set of physical
+// window onto the page cache, so N processes (or N documents in
+// one process) serving the same container file share one set of physical
 // pages. The descriptor may be closed after mapping; the mapping
 // persists until munmap.
 func mmapFile(f *os.File, size int) ([]byte, error) {

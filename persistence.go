@@ -100,7 +100,7 @@ func (d *Document) LoadViewBytes(data []byte) (*MaterializedView, error) {
 // platform holds files best: on unix the file is mapped read-only and the
 // page-padded segments are sliced straight out of the mapping, so the
 // view costs address space and page-cache pages — shared with every other
-// process and tenant mapping the same file — not heap; elsewhere the file
+// process and document mapping the same file — not heap; elsewhere the file
 // is read into the heap. Validation is identical to LoadViewBytes (header
 // checks, pointer bounds, fingerprint), so a file that is truncated or
 // corrupt when it is loaded surfaces as ErrViewTruncated or a validation

@@ -45,13 +45,13 @@
 #      FuzzEvaluateDifferential (root), FuzzUpdateDifferential (root),
 #      FuzzEnumerateWindow (internal/engine/enum), FuzzApplyPieces
 #      (internal/xmltree: the piece table against the reference splice),
-#      seeded from the committed corpora, and FuzzQueryResponseEncoding
-#      (internal/server)
-#   5b. vjload smoke: a 1s in-process open-loop run at low QPS; the load
-#      path must produce a well-formed viewjoin/load/v1 manifest
-#   5c. vjload multi-tenant smoke: a 1s run spread over three tenant
-#      registries, one class pinned to a tenant; every request must be
-#      served without errors
+#      seeded from the committed corpora, and FuzzQueryResponseEncoding and
+#      FuzzQueryRequest (internal/server: arbitrary bodies to /query and
+#      /debug/trace never panic, 500 or 503)
+#   5b. vjload smoke: a 1s in-process open-loop run at low QPS over two
+#      view-scoped classes and one '# 20' limited class; the load path must
+#      produce a well-formed viewjoin/load/v1 manifest and serve every
+#      request without errors
 #
 # Environment:
 #   VJCI_FUZZTIME        per-target fuzz budget (default 10s)
@@ -152,33 +152,24 @@ echo "== fuzz smoke: FuzzApplyPieces ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzApplyPieces$' -fuzztime "$fuzztime" ./internal/xmltree
 echo "== fuzz smoke: FuzzQueryResponseEncoding ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzQueryResponseEncoding$' -fuzztime "$fuzztime" ./internal/server
+echo "== fuzz smoke: FuzzQueryRequest ($fuzztime)"
+go test -run '^$' -fuzz '^FuzzQueryRequest$' -fuzztime "$fuzztime" ./internal/server
 
 echo "== vjload smoke: 1s in-process open-loop run"
 loadtmp="$(mktemp -t vjci-load-XXXXXX.json)"
-go run ./cmd/vjload -xmark 0.02 -qps 50 -duration 1s -seed 1 -json "$loadtmp"
+go run ./cmd/vjload -xmark 0.02 -qps 50 -duration 1s -seed 1 \
+	-mix '//site//item//name @ //site//item//name; //description//keyword @ //description//keyword; //site//item//name @ //site//item//name # 20' \
+	-json "$loadtmp"
 if ! grep -q '"schema": "viewjoin/load/v1"' "$loadtmp"; then
 	echo "vjload smoke: manifest missing viewjoin/load/v1 schema" >&2
 	rm -f "$loadtmp"
 	exit 1
 fi
+if ! grep -q '"errors": 0' "$loadtmp"; then
+	echo "vjload smoke: run reported request errors" >&2
+	rm -f "$loadtmp"
+	exit 1
+fi
 rm -f "$loadtmp"
-
-echo "== vjload multi-tenant smoke: 1s run over three tenants"
-tenantstmp="$(mktemp -t vjci-tenants-XXXXXX.json)"
-go run ./cmd/vjload -xmark 0.02 -qps 50 -duration 1s -seed 1 \
-	-tenants 3 \
-	-mix '//site//item//name @ //site//item//name; //description//keyword @ //description//keyword % t1' \
-	-json "$tenantstmp"
-if ! grep -q '"schema": "viewjoin/load/v1"' "$tenantstmp"; then
-	echo "vjload multi-tenant smoke: manifest missing viewjoin/load/v1 schema" >&2
-	rm -f "$tenantstmp"
-	exit 1
-fi
-if ! grep -q '"errors": 0' "$tenantstmp"; then
-	echo "vjload multi-tenant smoke: run reported request errors" >&2
-	rm -f "$tenantstmp"
-	exit 1
-fi
-rm -f "$tenantstmp"
 
 echo "== ci: OK"
