@@ -17,12 +17,13 @@ func ExampleEvaluate() {
 	mv, _ := doc.MaterializeViews(views, viewjoin.SchemeLEp)
 	res, _ := viewjoin.Evaluate(doc, query, mv, viewjoin.EngineViewJoin, nil)
 
+	tags := query.Labels() // column i binds query node i
 	for _, m := range res.Matches {
 		for i, n := range m {
 			if i > 0 {
 				fmt.Print(" ")
 			}
-			fmt.Printf("%s@%d", n.Tag, n.Start)
+			fmt.Printf("%s@%d", tags[i], n.Start)
 		}
 		fmt.Println()
 	}

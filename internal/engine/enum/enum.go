@@ -110,10 +110,9 @@ type Collector struct {
 	// the filter's verdict on candidate j of node qi; lo[qc][j] is the offset in cands[qc] of the
 	// first candidate starting after candidate j of qc's parent; stack is
 	// the merge's chain of open parent candidates; at[qi] is the candidate
-	// index node qi is bound to and row the tuple it spells out — tags
-	// written once, one cell rewritten per binding change. recheck says
-	// whether this enumeration's rows must pass the flushedBound and after
-	// tests at all.
+	// index node qi is bound to and row the tuple it spells out, one cell
+	// rewritten per binding change. recheck says whether this enumeration's
+	// rows must pass the flushedBound and after tests at all.
 	ok      [][]bool
 	lo      [][]int32
 	stack   []openCand
@@ -166,9 +165,6 @@ func NewCollector(q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool
 		lo:    make([][]int32, n),
 		at:    make([]int32, n),
 		row:   make([]match.Cell, n),
-	}
-	for qi := range q.Nodes {
-		c.row[qi].Tag = q.Nodes[qi].Label
 	}
 	// The spine is the maximal single-child chain from the root: node 1..a
 	// where a is the first node with zero or several children. When it is
@@ -672,8 +668,7 @@ func (c *Collector) walk() {
 // bind makes candidate j of query node qi the node's current binding.
 func (c *Collector) bind(qi, j int, l Label) {
 	c.at[qi] = int32(j)
-	cell := &c.row[qi]
-	cell.Start, cell.End, cell.Level = l.Start, l.End, l.Level
+	c.row[qi] = l
 }
 
 // descend binds query nodes qi.. in turn to every consistent combination
@@ -711,12 +706,12 @@ func (c *Collector) emitRow() bool {
 		if c.flushedBound > c.windowStart && c.rowBefore(c.flushedBound) {
 			return true // already emitted by an earlier partial flush
 		}
-		if c.after != nil && !engine.RowAfterCursor(c.row, c.after) {
+		if c.after != nil && !engine.AfterCursor(c.row, c.after) {
 			return true // at or before the resumption cursor: skip
 		}
 	}
 	c.io.MarkFirstMatch()
-	c.out.AppendRow(c.row)
+	c.out.Append(c.row)
 	c.emitted++
 	if c.first > 0 && c.emitted >= c.first {
 		c.stop()

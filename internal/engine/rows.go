@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"viewjoin/internal/match"
-	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
 )
 
@@ -15,18 +14,18 @@ import (
 // result's unfilled last chunk can waste.
 const (
 	firstChunkRows = 16
-	maxChunkCells  = 2048 // 64 KiB of cells
+	maxChunkCells  = 64 << 10 / 12 // 64 KiB of 12-byte cells
 )
 
 // Rows accumulates the result rows of one run. Every row is written once —
-// copied from the enumeration stage's template row, or spelled out from the
-// region labels a stack engine holds and the query's tags — into chunks
-// allocated fresh for the run and never copied or reused; a row never spans
-// two chunks. The header slice the caller finally owns is built once, at
-// its exact size, on hand-over (Take, Sorted). Only the Rows value itself
-// may live in pooled scratch.
+// copied from the enumeration stage's template row, or from the region
+// labels a stack engine holds — into chunks allocated fresh for the run and
+// never copied or reused; a row never spans two chunks. A chunk holds no
+// pointer, so the collector allocates it unscanned. The header slice the
+// caller finally owns is built once, at its exact size, on hand-over (Take,
+// Sorted). Only the Rows value itself may live in pooled scratch.
 type Rows struct {
-	nodes  []tpq.Node     // one per column: the tag source
+	w      int            // cells per row: the query's size
 	chunks [][]match.Cell // in write order; all but the last are full
 	free   []match.Cell   // unwritten tail of the last chunk
 	n      int            // rows kept
@@ -39,13 +38,13 @@ func NewRows(q *tpq.Pattern, first int) Rows {
 	if first <= 0 {
 		first = firstChunkRows
 	}
-	return Rows{nodes: q.Nodes, next: first}
+	return Rows{w: q.Size(), next: first}
 }
 
 // slot returns the next unwritten row, opening a chunk when the current one
 // is full.
 func (r *Rows) slot() []match.Cell {
-	w := len(r.nodes)
+	w := r.w
 	if len(r.free) < w {
 		n := min(r.next, max(1, maxChunkCells/w))
 		r.free = make([]match.Cell, n*w)
@@ -60,17 +59,9 @@ func (r *Rows) commit(row []match.Cell) {
 	r.n++
 }
 
-// Append writes one row — labels[i] binds query node i — and keeps it.
-func (r *Rows) Append(labels []store.Label) {
-	row := r.slot()
-	for k, l := range labels {
-		row[k] = match.Cell{Tag: r.nodes[k].Label, Start: l.Start, End: l.End, Level: l.Level}
-	}
-	r.commit(row)
-}
-
-// AppendRow keeps a copy of row (the enumeration's template).
-func (r *Rows) AppendRow(row []match.Cell) {
+// Append keeps a copy of row: row[i] binds query node i (a stack engine's
+// labels, or the enumeration's template).
+func (r *Rows) Append(row []match.Cell) {
 	dst := r.slot()
 	copy(dst, row)
 	r.commit(dst)
@@ -86,7 +77,7 @@ func (r *Rows) Take() [][]match.Cell {
 		return nil
 	}
 	rows := make([][]match.Cell, 0, r.n)
-	w := len(r.nodes)
+	w := r.w
 	for _, chunk := range r.chunks {
 		for ; len(chunk) >= w && len(rows) < r.n; chunk = chunk[w:] {
 			rows = append(rows, chunk[:w:w])
@@ -115,29 +106,20 @@ func (r *Rows) Shrink(first int) {
 	keep := r.Sorted(first)
 	r.next = first
 	for _, row := range keep {
-		r.AppendRow(row)
+		r.Append(row)
 	}
 }
 
-// AfterCursor reports whether the start tuple of labels is strictly
-// greater than the resumption cursor after (Options.After), one start per
-// query node compared lexicographically — i.e. whether the row falls after
-// the page the cursor closed.
-func AfterCursor(labels []store.Label, after []int32) bool {
-	for k := range after {
-		if s := labels[k].Start; s != after[k] {
-			return s > after[k]
-		}
-	}
-	return false // exactly the cursor row: already delivered
-}
-
-// RowAfterCursor is AfterCursor for a row already spelled out in cells.
-func RowAfterCursor(row []match.Cell, after []int32) bool {
+// AfterCursor reports whether the start tuple of row — a stack engine's
+// labels, or the enumeration's template — is strictly greater than the
+// resumption cursor after (Options.After), one start per query node compared
+// lexicographically, i.e. whether the row falls after the page the cursor
+// closed.
+func AfterCursor(row []match.Cell, after []int32) bool {
 	for k := range after {
 		if s := row[k].Start; s != after[k] {
 			return s > after[k]
 		}
 	}
-	return false
+	return false // exactly the cursor row: already delivered
 }

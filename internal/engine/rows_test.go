@@ -18,20 +18,11 @@ func labelsAt(start int32, width int) []store.Label {
 	return ls
 }
 
-// cellsAt is labelsAt as the row an enumeration template would hold.
-func cellsAt(start int32, width int) []match.Cell {
-	row := make([]match.Cell, width)
-	for k, l := range labelsAt(start, width) {
-		row[k] = match.Cell{Tag: "t", Start: l.Start, End: l.End, Level: l.Level}
-	}
-	return row
-}
-
 // chunkRows lists how many rows each chunk r has opened can hold.
 func chunkRows(r *Rows) []int {
 	var sizes []int
 	for _, chunk := range r.chunks {
-		sizes = append(sizes, len(chunk)/len(r.nodes))
+		sizes = append(sizes, len(chunk)/r.w)
 	}
 	return sizes
 }
@@ -49,7 +40,7 @@ func equalInts(a, b []int) bool {
 }
 
 func TestRowsChunkGeometry(t *testing.T) {
-	q := tpq.MustParse("//a//b[//c]//d") // width 4: 512 rows fill a capped chunk
+	q := tpq.MustParse("//a//b[//c]//d") // width 4: 1365 rows fill a capped chunk
 	const n = 3000
 	r := NewRows(q, 0)
 	for i := 0; i < n; i++ {
@@ -58,7 +49,7 @@ func TestRowsChunkGeometry(t *testing.T) {
 	if r.Len() != n {
 		t.Fatalf("Len = %d, want %d", r.Len(), n)
 	}
-	if got, want := chunkRows(&r), []int{16, 32, 64, 128, 256, 512, 512, 512, 512, 512}; !equalInts(got, want) {
+	if got, want := chunkRows(&r), []int{16, 32, 64, 128, 256, 512, 1024, 1365}; !equalInts(got, want) {
 		t.Fatalf("chunks hold %v rows, want %v", got, want)
 	}
 	chunks := r.chunks
@@ -79,7 +70,7 @@ func TestRowsChunkGeometry(t *testing.T) {
 		}
 		at++
 		for k, c := range row {
-			want := match.Cell{Tag: q.Nodes[k].Label, Start: int32(10*i+1) + int32(k), End: int32(10*i+1) + int32(k) + 100, Level: int32(k)}
+			want := match.Cell{Start: int32(10*i+1) + int32(k), End: int32(10*i+1) + int32(k) + 100, Level: int32(k)}
 			if c != want {
 				t.Fatalf("row %d cell %d = %+v, want %+v", i, k, c, want)
 			}
@@ -109,18 +100,18 @@ func TestRowsQuotaSizesFirstChunk(t *testing.T) {
 
 // TestRowsStageIsOverwritten keeps its name from when Rows had a Stage — a
 // slot the next write overwrote. What is left to pin is the other half:
-// AppendRow copies the enumeration's template, so rewriting the template for
+// Append copies the enumeration's template, so rewriting the template for
 // the next match leaves every kept row alone.
 func TestRowsStageIsOverwritten(t *testing.T) {
 	q := tpq.MustParse("//a//b")
 	r := NewRows(q, 0)
-	template := cellsAt(7, 2)
-	r.AppendRow(template)
+	template := labelsAt(7, 2)
+	r.Append(template)
 	template[0].Start = 9
-	r.AppendRow(template)
+	r.Append(template)
 	rows := r.Take()
 	if len(rows) != 2 || rows[0][0].Start != 7 || rows[1][0].Start != 9 {
-		t.Fatal("a row kept with AppendRow must survive the template's next binding")
+		t.Fatal("a row kept with Append must survive the template's next binding")
 	}
 	if &rows[0][0] == &template[0] || &rows[1][0] == &template[0] {
 		t.Fatal("Take must hand over copies, not the template")

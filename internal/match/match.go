@@ -16,13 +16,20 @@ import (
 	"viewjoin/internal/xmltree"
 )
 
-// Cell is one binding of a result row: the element's tag and region label.
+// Cell is a region label: one binding of a result row, and the label type
+// the views and their stores hold (views.Label), so an engine writes a
+// binding by copying the label it read. Column k of every row binds query
+// node k, so a binding's tag is that node's label and is not repeated per
+// cell: a Cell is 12 bytes with no pointer, and a chunk of them is memory
+// the garbage collector never scans.
 type Cell struct {
-	Tag   string
 	Start int32
 	End   int32
 	Level int32
 }
+
+// Contains reports whether m is strictly inside c.
+func (c Cell) Contains(m Cell) bool { return c.Start < m.Start && m.End < c.End }
 
 // RowLess orders result rows lexicographically by start label, i.e. by
 // document order of the bound nodes, query node by query node — the same

@@ -2,9 +2,18 @@ package match
 
 import (
 	"testing"
+	"unsafe"
 
 	"viewjoin/internal/xmltree"
 )
+
+// TestCellIsTwelveBytes pins the result cell to its three labels: a field
+// added to Cell is a field added to every binding of every result.
+func TestCellIsTwelveBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Cell{}); n != 12 {
+		t.Fatalf("a Cell is %d bytes, want 12", n)
+	}
+}
 
 func m(ids ...xmltree.NodeID) Match { return Match(ids) }
 

@@ -64,6 +64,7 @@ type planEntry struct {
 	key       planKey
 	canon     []string // the view names of key.views, as responses list them
 	plan      *viewjoin.PreparedQuery
+	cells     [][]byte // cellPrefixes of the plan's query
 	agg       *obs.Aggregate
 	footprint int64
 	spellings []rawKey // its keys in planCache.raw
@@ -137,7 +138,8 @@ func (c *planCache) put(k planKey, rk rawKey, canon []string, p *viewjoin.Prepar
 		c.ll.MoveToFront(el)
 		return el.Value.(*planEntry)
 	}
-	e := &planEntry{key: k, canon: canon, plan: p, agg: &obs.Aggregate{}, footprint: p.FootprintBytes()}
+	e := &planEntry{key: k, canon: canon, plan: p, cells: cellPrefixes(p.Query().Labels()),
+		agg: &obs.Aggregate{}, footprint: p.FootprintBytes()}
 	c.items[k] = c.ll.PushFront(e)
 	c.link(rk, e)
 	c.footprint += e.footprint

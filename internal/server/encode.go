@@ -18,9 +18,11 @@ import (
 type queryResponse struct {
 	responseHead
 	// Matches is the page of result rows, straight from Result.Matches;
-	// absent when empty. Each cell is {"tag","start","end","level"}.
+	// absent when empty. Each cell is {"tag","start","end","level"}: its
+	// tag is its column's, from cells.
 	Matches [][]viewjoin.Node `json:"matches,omitempty"`
 	responseTail
+	cells [][]byte // the plan's cellPrefixes
 }
 
 type responseHead struct {
@@ -65,7 +67,7 @@ func (r *queryResponse) write(w http.ResponseWriter) {
 	bp := bodyPool.Get().(*[]byte)
 	b := append((*bp)[:0], head[:len(head)-1]...)
 	if len(r.Matches) > 0 {
-		b = appendMatches(append(b, `,"matches":`...), r.Matches)
+		b = appendMatches(append(b, `,"matches":`...), r.cells, r.Matches)
 	}
 	b = append(append(append(b, ','), tail[1:]...), '\n')
 	w.Header().Set("Content-Type", "application/json")
@@ -74,15 +76,21 @@ func (r *queryResponse) write(w http.ResponseWriter) {
 	bodyPool.Put(bp)
 }
 
-// appendMatches appends the rows of one query's result as
-// [[{"tag":…,"start":…,"end":…,"level":…},…],…]. Every row of a result
-// carries the query's tag in column k, so each tag is JSON-escaped once.
-func appendMatches(b []byte, rows [][]viewjoin.Node) []byte {
-	open := make([][]byte, len(rows[0]))
-	for k, c := range rows[0] {
-		tag, _ := json.Marshal(c.Tag) // a string always marshals
+// cellPrefixes renders, once per plan, what opens each column's cells:
+// {"tag":<the query node's label, JSON-escaped>,"start":
+func cellPrefixes(labels []string) [][]byte {
+	open := make([][]byte, len(labels))
+	for k, l := range labels {
+		tag, _ := json.Marshal(l) // a string always marshals
 		open[k] = append(append([]byte(`{"tag":`), tag...), `,"start":`...)
 	}
+	return open
+}
+
+// appendMatches appends the rows of one query's result as
+// [[{"tag":…,"start":…,"end":…,"level":…},…],…], opening cell k of every
+// row with open[k].
+func appendMatches(b []byte, open [][]byte, rows [][]viewjoin.Node) []byte {
 	b = append(b, '[')
 	for i, row := range rows {
 		if i > 0 {

@@ -37,7 +37,9 @@ type refCell struct {
 	Level int32  `json:"level"`
 }
 
-func refEncode(t testing.TB, r *queryResponse) []byte {
+// refEncode renders r as encoding/json does, cell k of every row tagged
+// tags[k].
+func refEncode(t testing.TB, r *queryResponse, tags []string) []byte {
 	t.Helper()
 	ref := refResponse{
 		Schema: r.Schema, Document: r.Document, Query: r.Query, Engine: r.Engine, Views: r.Views,
@@ -47,7 +49,7 @@ func refEncode(t testing.TB, r *queryResponse) []byte {
 	for _, row := range r.Matches {
 		cells := make([]refCell, len(row))
 		for k, c := range row {
-			cells[k] = refCell{Tag: c.Tag, Start: c.Start, End: c.End, Level: c.Level}
+			cells[k] = refCell{Tag: tags[k], Start: c.Start, End: c.End, Level: c.Level}
 		}
 		ref.Matches = append(ref.Matches, cells)
 	}
@@ -82,18 +84,18 @@ func writeBody(t testing.TB, r *queryResponse) []byte {
 	return w.Body.Bytes()
 }
 
-// rowsOf builds a result the way the engines do: every row carries the
-// query's tags, column by column.
-func rowsOf(tags []string, n int) [][]viewjoin.Node {
-	rows := make([][]viewjoin.Node, n)
-	for i := range rows {
+// setRows gives r n rows of a query whose nodes are tagged tags, with the
+// cell prefixes a plan over it carries.
+func setRows(r *queryResponse, tags []string, n int) {
+	r.Matches = make([][]viewjoin.Node, n)
+	for i := range r.Matches {
 		row := make([]viewjoin.Node, len(tags))
-		for k, tag := range tags {
-			row[k] = viewjoin.Node{Tag: tag, Start: int32(i*7 + k), End: int32(1<<31 - 1 - i), Level: int32(k - 1)}
+		for k := range tags {
+			row[k] = viewjoin.Node{Start: int32(i*7 + k), End: int32(1<<31 - 1 - i), Level: int32(k - 1)}
 		}
-		rows[i] = row
+		r.Matches[i] = row
 	}
-	return rows
+	r.cells = cellPrefixes(tags)
 }
 
 func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
@@ -103,31 +105,32 @@ func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
 			Views: []string{"//a", "//b&c"}, Cache: "hit"},
 		responseTail: responseTail{Stats: statsJSON{ElementsScanned: 12, Comparisons: 34, Partitions: 1}, DurationUS: 56},
 	}
-	cases := map[string]func(r *queryResponse){
-		"empty result": func(r *queryResponse) {},
-		"count only":   func(r *queryResponse) { r.MatchCount = 99 },
-		"nil views":    func(r *queryResponse) { r.Views = nil },
-		"one cell":     func(r *queryResponse) { r.Matches = rowsOf([]string{"a"}, 1); r.MatchCount = 1 },
-		"escaped tags": func(r *queryResponse) { r.Matches = rowsOf(escapes, 3); r.MatchCount = 3 },
-		"page with cursor": func(r *queryResponse) {
-			r.Matches = rowsOf([]string{"a", "b"}, 20)
-			r.MatchCount = 20
-			r.Cursor = "AAAA-_"
-		},
-		"last page": func(r *queryResponse) { r.Matches = rowsOf([]string{"a", "b"}, 7); r.MatchCount = 7 },
-		"negative numbers": func(r *queryResponse) {
-			r.Matches = [][]viewjoin.Node{{{Tag: "a", Start: -1, End: -1 << 31, Level: -3}}}
-		},
-		"trace": func(r *queryResponse) { r.Trace = &obs.Report{}; r.Matches = rowsOf([]string{"a"}, 2) },
-		"thousands of rows": func(r *queryResponse) {
-			r.Matches = rowsOf([]string{"site", "item", "name"}, 5000)
-			r.MatchCount = 5000
-		},
+	ab := []string{"a", "b"}
+	cases := map[string]struct {
+		tags   []string
+		rows   int
+		mutate func(r *queryResponse)
+	}{
+		"empty result":     {nil, 0, func(r *queryResponse) {}},
+		"count only":       {nil, 0, func(r *queryResponse) { r.MatchCount = 99 }},
+		"nil views":        {nil, 0, func(r *queryResponse) { r.Views = nil }},
+		"one cell":         {[]string{"a"}, 1, func(r *queryResponse) { r.MatchCount = 1 }},
+		"escaped tags":     {escapes, 3, func(r *queryResponse) { r.MatchCount = 3 }},
+		"page with cursor": {ab, 20, func(r *queryResponse) { r.MatchCount = 20; r.Cursor = "AAAA-_" }},
+		"last page":        {ab, 7, func(r *queryResponse) { r.MatchCount = 7 }},
+		"negative numbers": {[]string{"a"}, 1, func(r *queryResponse) {
+			r.Matches[0][0] = viewjoin.Node{Start: -1, End: -1 << 31, Level: -3}
+		}},
+		"trace":             {[]string{"a"}, 2, func(r *queryResponse) { r.Trace = &obs.Report{} }},
+		"thousands of rows": {[]string{"site", "item", "name"}, 5000, func(r *queryResponse) { r.MatchCount = 5000 }},
 	}
-	for name, mutate := range cases {
+	for name, c := range cases {
 		r := base
-		mutate(&r)
-		if got, want := writeBody(t, &r), refEncode(t, &r); !bytes.Equal(got, want) {
+		if c.rows > 0 {
+			setRows(&r, c.tags, c.rows)
+		}
+		c.mutate(&r)
+		if got, want := writeBody(t, &r), refEncode(t, &r, c.tags); !bytes.Equal(got, want) {
 			t.Errorf("%s:\n got %s\nwant %s", name, clip(got), clip(want))
 		}
 	}
@@ -143,8 +146,10 @@ func clip(b []byte) []byte {
 // TestQueryBodiesRoundTrip drives the real handler — full result, a limit
 // shorter than the result (cursor present), the short last page (cursor
 // absent), an empty page — and checks each body is exactly what
-// encoding/json renders for its decoded content.
+// encoding/json renders for its decoded content, every cell tagged with its
+// query node's label.
 func TestQueryBodiesRoundTrip(t *testing.T) {
+	tags := viewjoin.MustParseQuery(testQuery).Labels()
 	s := newTestServer(t, Config{})
 	h := s.Handler()
 	do := func(body string) []byte {
@@ -162,7 +167,7 @@ func TestQueryBodiesRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(body, &r); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if want := refEncode(t, &r); !bytes.Equal(body, want) {
+		if want := refEncode(t, &r, tags); !bytes.Equal(body, want) {
 			t.Errorf("%s:\n got %s\nwant %s", name, clip(body), clip(want))
 		}
 		return r
@@ -210,11 +215,12 @@ func FuzzQueryResponseEncoding(f *testing.F) {
 			responseTail: responseTail{Cursor: cursor, Stats: statsJSON{Comparisons: int64(start) * int64(end), Partitions: n},
 				DurationUS: int64(level)},
 		}
-		r.Matches = rowsOf([]string{tagA, tagB, tagA + tagB}, n)
+		tags := []string{tagA, tagB, tagA + tagB}
+		setRows(&r, tags, n)
 		for i, row := range r.Matches {
-			row[i%3] = viewjoin.Node{Tag: row[i%3].Tag, Start: start + int32(i), End: end - int32(i), Level: level}
+			row[i%3] = viewjoin.Node{Start: start + int32(i), End: end - int32(i), Level: level}
 		}
-		if got, want := writeBody(t, &r), refEncode(t, &r); !bytes.Equal(got, want) {
+		if got, want := writeBody(t, &r), refEncode(t, &r, tags); !bytes.Equal(got, want) {
 			t.Fatalf("\n got %s\nwant %s", clip(got), clip(want))
 		}
 	})

@@ -659,7 +659,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		// rows go to the wire as they are. A completely filled page may
 		// have more matches after it; hand back the resumption cursor. A
 		// short page is the last one.
-		resp.Matches = res.Matches
+		resp.Matches, resp.cells = res.Matches, ent.cells
 		if n := len(res.Matches); n == req.Limit {
 			resp.Cursor = encodeCursor(plan.Epoch(), res.Matches[n-1])
 		}

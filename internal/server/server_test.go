@@ -660,12 +660,18 @@ func TestDocumentsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMatchRows verifies the limit parameter returns bounded match rows.
+// TestMatchRows verifies the limit parameter returns bounded match rows,
+// cell k of each tagged with query node k's label.
 func TestMatchRows(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	var r queryResponse
+	var r struct {
+		MatchCount int `json:"match_count"`
+		Matches    [][]struct {
+			Tag string `json:"tag"`
+		} `json:"matches"`
+	}
 	if st := post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ", Limit: 3}, &r); st != http.StatusOK {
 		t.Fatalf("status %d", st)
 	}
@@ -675,9 +681,15 @@ func TestMatchRows(t *testing.T) {
 	if len(r.Matches) != 3 {
 		t.Fatalf("returned %d rows, want 3", len(r.Matches))
 	}
+	labels := viewjoin.MustParseQuery(testQuery).Labels()
 	for _, row := range r.Matches {
-		if len(row) == 0 || row[0].Tag == "" {
+		if len(row) != len(labels) {
 			t.Fatalf("malformed row %+v", row)
+		}
+		for k, c := range row {
+			if c.Tag != labels[k] {
+				t.Fatalf("cell %d tagged %q, want %q", k, c.Tag, labels[k])
+			}
 		}
 	}
 }

@@ -137,7 +137,7 @@ func TestUpdateEndToEnd(t *testing.T) {
 		for i, row := range qr.Matches {
 			for j, n := range row {
 				o := want.Matches[i][j]
-				if n.Start != o.Start || n.End != o.End || n.Level != o.Level || n.Tag != o.Tag {
+				if n != o {
 					t.Fatalf("%s: row %d node %d: served %+v, oracle %+v", eng, i, j, n, o)
 				}
 			}

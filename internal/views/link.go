@@ -1,17 +1,14 @@
 package views
 
 import (
+	"viewjoin/internal/match"
 	"viewjoin/internal/tpq"
 	"viewjoin/internal/xmltree"
 )
 
-// Label is a region label triple.
-type Label struct {
-	Start, End, Level int32
-}
-
-// Contains reports whether m is strictly inside l.
-func (l Label) Contains(m Label) bool { return l.Start < m.Start && m.End < l.End }
+// Label is a region label triple: the result cell type, so a label read
+// from a list is a binding as it stands.
+type Label = match.Cell
 
 // Labels is a materialized list as the single-record pointer definitions
 // read it: region labels in document order, searchable by start.

@@ -51,7 +51,7 @@ func TestMaterializeResultErrors(t *testing.T) {
 	res := EvaluateDirect(d, q)
 
 	// Row arity mismatch.
-	bad := &Result{Matches: [][]Node{{{Tag: "a", Start: 1}}}}
+	bad := &Result{Matches: [][]Node{{{Start: 1}}}}
 	if _, err := d.MaterializeResult(q, bad, SchemeLE, nil); err == nil {
 		t.Errorf("arity mismatch: expected error")
 	}

@@ -45,9 +45,12 @@
 #      FuzzEvaluateDifferential (root), FuzzUpdateDifferential (root),
 #      FuzzEnumerateWindow (internal/engine/enum), FuzzApplyPieces
 #      (internal/xmltree: the piece table against the reference splice),
-#      seeded from the committed corpora, and FuzzQueryResponseEncoding and
+#      seeded from the committed corpora, and FuzzQueryResponseEncoding,
 #      FuzzQueryRequest (internal/server: arbitrary bodies to /query and
-#      /debug/trace never panic, 500 or 503)
+#      /debug/trace never panic, 500 or 503) and FuzzUpdateRequest
+#      (arbitrary bodies to /update never panic or 5xx, move the epoch by
+#      one exactly when they answer 200, and leave the views counting what
+#      the document holds)
 #   5b. vjload smoke: a 1s in-process open-loop run at low QPS over two
 #      view-scoped classes and one '# 20' limited class; the load path must
 #      produce a well-formed viewjoin/load/v1 manifest and serve every
@@ -154,6 +157,8 @@ echo "== fuzz smoke: FuzzQueryResponseEncoding ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzQueryResponseEncoding$' -fuzztime "$fuzztime" ./internal/server
 echo "== fuzz smoke: FuzzQueryRequest ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzQueryRequest$' -fuzztime "$fuzztime" ./internal/server
+echo "== fuzz smoke: FuzzUpdateRequest ($fuzztime)"
+go test -run '^$' -fuzz '^FuzzUpdateRequest$' -fuzztime "$fuzztime" ./internal/server
 
 echo "== vjload smoke: 1s in-process open-loop run"
 loadtmp="$(mktemp -t vjci-load-XXXXXX.json)"

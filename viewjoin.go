@@ -129,9 +129,12 @@ func (d *Document) NumPieces() int { return d.tree().NumPieces() }
 // WriteXML serializes the current snapshot's element structure as XML.
 func (d *Document) WriteXML(w io.Writer) error { return xmltree.Write(w, d.tree()) }
 
-// Node describes one element node in a result: its tag and region label
-// (Tag string; Start, End, Level int32). It is the cell type the engines
-// write result rows in, so a Result is handed over without conversion.
+// Node describes one element node in a result by its region label (Start,
+// End, Level int32). It is the cell type the engines write result rows in,
+// so a Result is handed over without conversion. A node's tag is its query
+// node's label: column i of every row is tagged Query.Labels()[i]. A Node
+// holds no pointer, so a result's cells cost the garbage collector nothing
+// to scan.
 type Node = match.Cell
 
 // Query is a parsed tree pattern query.
@@ -491,13 +494,14 @@ type Stats struct {
 // Result is the answer to a query: all tree pattern instances, one node
 // binding per query node (every query node is an output node, §II).
 type Result struct {
-	// Matches holds one row per embedding; row[i] binds query node i (in
-	// Query.Labels order). The rows are windows over chunks of cells the
-	// run allocated for this Result alone — nothing pooled, nothing shared
-	// with another Result — and neighbouring rows share a chunk: each row
-	// is capacity-capped, so appending to one reallocates it instead of
-	// overwriting the next, and mutating a row's cells changes that row
-	// only. Holding any row keeps its whole chunk (at most 64 KiB) alive.
+	// Matches holds one row per embedding; row[i] binds query node i, so
+	// its tag is Query.Labels()[i]. The rows are windows over chunks of
+	// pointer-free cells the run allocated for this Result alone — nothing
+	// pooled, nothing shared with another Result — and neighbouring rows
+	// share a chunk: each row is capacity-capped, so appending to one
+	// reallocates it instead of overwriting the next, and mutating a row's
+	// cells changes that row only. Holding any row keeps its whole chunk (at
+	// most 64 KiB) alive.
 	Matches [][]Node
 	Stats   Stats
 	// Trace is the full observability report of the run: plan, per-phase
@@ -655,7 +659,7 @@ func EvaluateDirect(d *Document, q *Query) *Result {
 		row := make([]Node, len(m))
 		for j, id := range m {
 			n := t.Node(id)
-			row[j] = Node{Tag: t.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
+			row[j] = Node{Start: n.Start, End: n.End, Level: n.Level}
 		}
 		res.Matches[i] = row
 	}

@@ -364,19 +364,12 @@ func sameMatches(a, b *Result) bool {
 	if len(a.Matches) != len(b.Matches) {
 		return false
 	}
-	key := func(row []Node) string {
-		parts := make([]string, len(row))
-		for i, n := range row {
-			parts[i] = fmt.Sprintf("%s:%d", n.Tag, n.Start)
-		}
-		return strings.Join(parts, "|")
-	}
 	seen := make(map[string]int)
 	for _, r := range a.Matches {
-		seen[key(r)]++
+		seen[fmt.Sprint(r)]++
 	}
 	for _, r := range b.Matches {
-		seen[key(r)]--
+		seen[fmt.Sprint(r)]--
 	}
 	for _, v := range seen {
 		if v != 0 {
