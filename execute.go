@@ -159,7 +159,7 @@ func (p *PreparedQuery) interruptFor(ctx context.Context) (func() error, error) 
 	if ctx == nil {
 		return nil, nil
 	}
-	interrupt := contextInterrupt(ctx, p.eng, p.q.String())
+	interrupt := contextInterrupt(ctx, p.eng, p.q)
 	return interrupt, interrupt()
 }
 

@@ -519,7 +519,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 	s.requests.Add(1)
 	started := time.Now()
 	var req queryRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := decodeQueryRequest(r.Body, &req); err != nil {
 		s.reject(w, nil, started, "", failed(http.StatusBadRequest, "request", err))
 		return
 	}
@@ -619,7 +619,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		responseHead: responseHead{
 			Schema:     ResponseSchema,
 			Document:   req.Document,
-			Query:      q.String(),
+			Query:      ent.key.query, // rendered once, when the plan was cached
 			Engine:     eng.String(),
 			Views:      canon,
 			Cache:      cacheState,
@@ -640,7 +640,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		s.slowlog.observe(slowlogEntry{
 			Time:         time.Now().UTC().Format(time.RFC3339Nano),
 			Document:     req.Document,
-			Query:        q.String(),
+			Query:        ent.key.query,
 			Engine:       eng.String(),
 			Views:        canon,
 			Status:       http.StatusOK,
@@ -1099,15 +1099,6 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
-}
-
-// decodeStrict decodes a JSON request body of at most 1 MiB into v,
-// refusing fields v does not name: a stale or misspelled field fails the
-// request instead of being silently dropped.
-func decodeStrict(body io.Reader, v any) error {
-	dec := json.NewDecoder(io.LimitReader(body, 1<<20))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }
 
 // contextWithTimeout derives the per-request evaluation context: the

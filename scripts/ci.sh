@@ -20,7 +20,8 @@
 #      so API drift against the benchmark fails here
 #   2c. Go benchmark smoke: every Benchmark* function once (-benchtime=1x),
 #      so a benchmark that no longer builds or runs fails here, not in the
-#      middle of somebody's measurement
+#      middle of somebody's measurement (BenchmarkServePage among them: a
+#      cached-plan 20-row cursor page through the vjserve handler)
 #   3. coverage floors, one shell function (coverage_floor) called per
 #      package set. store: the storage layer is the persistence trust
 #      boundary; its statement coverage must stay >= 85%
@@ -47,7 +48,9 @@
 #      (internal/xmltree: the piece table against the reference splice),
 #      seeded from the committed corpora, and FuzzQueryResponseEncoding,
 #      FuzzQueryRequest (internal/server: arbitrary bodies to /query and
-#      /debug/trace never panic, 500 or 503) and FuzzUpdateRequest
+#      /debug/trace never panic, 500 or 503), FuzzQueryRequestDecode (the
+#      /query body decoder against encoding/json: equal requests or equal
+#      errors for any bytes) and FuzzUpdateRequest
 #      (arbitrary bodies to /update never panic or 5xx, move the epoch by
 #      one exactly when they answer 200, and leave the views counting what
 #      the document holds)
@@ -157,6 +160,8 @@ echo "== fuzz smoke: FuzzQueryResponseEncoding ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzQueryResponseEncoding$' -fuzztime "$fuzztime" ./internal/server
 echo "== fuzz smoke: FuzzQueryRequest ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzQueryRequest$' -fuzztime "$fuzztime" ./internal/server
+echo "== fuzz smoke: FuzzQueryRequestDecode ($fuzztime)"
+go test -run '^$' -fuzz '^FuzzQueryRequestDecode$' -fuzztime "$fuzztime" ./internal/server
 echo "== fuzz smoke: FuzzUpdateRequest ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzUpdateRequest$' -fuzztime "$fuzztime" ./internal/server
 

@@ -557,8 +557,9 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 // directly: on a single-CPU machine the context's timer goroutine can be
 // starved by the evaluation loop, leaving ctx.Err() nil long past expiry,
 // whereas a direct clock read trips at the next poll regardless of
-// scheduling.
-func contextInterrupt(ctx context.Context, eng Engine, q string) func() error {
+// scheduling. The query is rendered for the error only: a run that is not
+// interrupted never pays for its text.
+func contextInterrupt(ctx context.Context, eng Engine, q *Query) func() error {
 	dl, hasDL := ctx.Deadline()
 	return func() error {
 		cerr := ctx.Err()
@@ -566,7 +567,7 @@ func contextInterrupt(ctx context.Context, eng Engine, q string) func() error {
 			cerr = context.DeadlineExceeded
 		}
 		if cerr != nil {
-			return &CanceledError{Engine: eng, Query: q, Cause: cerr}
+			return &CanceledError{Engine: eng, Query: q.String(), Cause: cerr}
 		}
 		return nil
 	}
