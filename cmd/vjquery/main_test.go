@@ -113,7 +113,7 @@ func TestRunJSONReport(t *testing.T) {
 	if rep["schema"] != "viewjoin/trace/v1" {
 		t.Errorf("schema = %v", rep["schema"])
 	}
-	for _, key := range []string{"plan", "phases", "nodes", "events", "counters", "pageHits", "pageMisses"} {
+	for _, key := range []string{"plan", "phases", "nodes", "events", "counters"} {
 		if _, ok := rep[key]; !ok {
 			t.Errorf("JSON report missing %q", key)
 		}
@@ -131,7 +131,7 @@ func TestRunExplainOnly(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
 	}
-	for _, want := range []string{"via VJ", "segment", "buffer pool:", "phase"} {
+	for _, want := range []string{"via VJ", "segment", "counters:", "phase"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

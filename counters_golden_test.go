@@ -29,7 +29,6 @@ type goldenRow struct {
 	Comparisons  int64  `json:"comparisons"`
 	Derefs       int64  `json:"derefs"`
 	PagesRead    int64  `json:"pagesRead"`
-	PageHits     int64  `json:"pageHits"`
 	PagesWritten int64  `json:"pagesWritten"`
 	JumpsTaken   int64  `json:"jumpsTaken"`
 	JumpsRefused int64  `json:"jumpsRefused"`
@@ -169,7 +168,7 @@ func goldenRowOf(key string, res *viewjoin.Result) goldenRow {
 	return goldenRow{
 		Key:     key,
 		Scanned: s.ElementsScanned, Comparisons: s.Comparisons, Derefs: s.PointerDerefs,
-		PagesRead: s.PagesRead, PageHits: s.PageHits, PagesWritten: s.PagesWritten,
+		PagesRead: s.PagesRead, PagesWritten: s.PagesWritten,
 		JumpsTaken: s.JumpsTaken, JumpsRefused: s.JumpsRefused,
 		Matches: len(res.Matches),
 	}

@@ -193,17 +193,6 @@ func catchViewFault(restore bool, err *error) {
 	}
 }
 
-// pageHook adapts buffer-pool lookups into tracer page events.
-func pageHook(tr obs.Tracer) func(file uintptr, page int32, miss bool) {
-	return func(_ uintptr, _ int32, miss bool) {
-		if miss {
-			tr.Event(obs.EvPageMiss, -1, 1)
-		} else {
-			tr.Event(obs.EvPageHit, -1, 1)
-		}
-	}
-}
-
 // jobOut is one job's outcome — a partition's, or a sequential run's single
 // whole-document job — written only by its worker.
 type jobOut struct {
@@ -216,10 +205,10 @@ type jobOut struct {
 	err     error
 }
 
-// jobIO is one job's cost accounting: its counters and the simulated buffer
-// pool charging them, and the restriction of a job that resumes after a
-// cursor. The plan recycles them through ioPool, so a run resets a pool
-// instead of allocating one.
+// jobIO is one job's cost accounting: its counters and the IO charging
+// them, and the restriction of a job that resumes after a cursor. The plan
+// recycles them through ioPool, so a run resets them instead of allocating
+// them.
 type jobIO struct {
 	io     counters.IO
 	c      counters.Counters
@@ -227,10 +216,9 @@ type jobIO struct {
 }
 
 // runJob executes the plan once over restriction r (nil: the whole
-// document) with its own counters and its own buffer pool (pools simulate
-// per-cursor-set caching and cannot be shared across goroutines). tr must
-// be nil for jobs that run concurrently (Tracer implementations are not
-// concurrency-safe). A plan over mapped views runs with faults turned into
+// document) with its own counters, so concurrent jobs share no accounting
+// state. tr must be nil for jobs that run concurrently (Tracer
+// implementations are not concurrency-safe). A plan over mapped views runs with faults turned into
 // out.err: fault handling is per goroutine, and this is where every job's
 // goroutine is.
 //
@@ -269,10 +257,7 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 	}
 	acct.c = counters.Counters{}
 	io := &acct.io
-	io.Reset(&acct.c, 0)
-	if tr != nil {
-		io.Page = pageHook(tr)
-	}
+	io.Reset(&acct.c)
 	out.rows, out.peak, out.err = p.plan.Run(io, engine.Options{
 		Tracer:    tr,
 		DiskBased: p.opts.DiskBased,
@@ -288,7 +273,6 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 	out.dur = time.Since(t0)
 	out.first = io.FirstMatchTime()
 	out.c = acct.c
-	io.Page = nil // the hook holds the run's tracer
 	p.ioPool.Put(acct)
 	return out
 }
@@ -342,7 +326,6 @@ func (p *PreparedQuery) assemble(outs []jobOut, r *request) (*Result, error) {
 			PointerDerefs:   c.PointerDerefs,
 			PagesRead:       c.PagesRead,
 			PagesWritten:    c.PagesWritten,
-			PageHits:        c.PageHits,
 			JumpsTaken:      c.JumpsTaken,
 			JumpsRefused:    c.JumpsRefused,
 			PeakMemoryBytes: peak,

@@ -27,7 +27,7 @@ type Config struct {
 	// Repeats is the number of timed runs averaged per measurement; the
 	// paper used five (default 5).
 	Repeats int
-	// IOCostPerPage is the simulated cost of one buffer-pool page miss,
+	// IOCostPerPage is the simulated cost of one page read,
 	// folded into reported total times the way the paper reports
 	// I/O + CPU (default 3µs, which puts I/O under ~20%% of total for the
 	// memory-based runs, matching the paper's observation).

@@ -13,8 +13,8 @@ import (
 // (microseconds) that yields p50/p95/p99/p999 via Histogram.Quantile.
 //
 // This is the per-plan feedback record the serving layer keys off every
-// plan-cache entry: observed page hit/miss ratio, jump-refused rate and
-// latency quantiles are exactly the inputs a feedback-driven planner needs
+// plan-cache entry: observed counters, jump-refused rate and latency
+// quantiles are exactly the inputs a feedback-driven planner needs
 // to re-rank view and engine choice (ROADMAP item 3). Unlike Recorder,
 // an Aggregate is safe for concurrent use: many requests running the same
 // cached plan fold their outcomes into one Aggregate.
@@ -65,16 +65,6 @@ type AggregateSnapshot struct {
 	Runs, Errors int64
 	Counters     counters.Counters
 	LatencyUS    Histogram
-}
-
-// PageHitRatio is the fraction of buffer-pool touches served without a
-// read across all folded runs, or 0 when no page was touched.
-func (s *AggregateSnapshot) PageHitRatio() float64 {
-	total := s.Counters.PageHits + s.Counters.PagesRead
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Counters.PageHits) / float64(total)
 }
 
 // JumpRefusedRate is the fraction of pointer-jump opportunities the

@@ -115,8 +115,8 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 
 func TestAggregateFold(t *testing.T) {
 	var a Aggregate
-	a.AddRun(counters.Counters{PagesRead: 2, PageHits: 6, JumpsTaken: 3, JumpsRefused: 1, Matches: 10}, 100*time.Microsecond)
-	a.AddRun(counters.Counters{PagesRead: 2, PageHits: 2, JumpsTaken: 1, JumpsRefused: 3, Matches: 10}, 300*time.Microsecond)
+	a.AddRun(counters.Counters{PagesRead: 2, JumpsTaken: 3, JumpsRefused: 1, Matches: 10}, 100*time.Microsecond)
+	a.AddRun(counters.Counters{PagesRead: 2, JumpsTaken: 1, JumpsRefused: 3, Matches: 10}, 300*time.Microsecond)
 	a.AddError()
 
 	s := a.Snapshot()
@@ -126,9 +126,6 @@ func TestAggregateFold(t *testing.T) {
 	if s.Counters.Matches != 20 || s.Counters.PagesRead != 4 {
 		t.Errorf("counters not summed: %+v", s.Counters)
 	}
-	if got := s.PageHitRatio(); got != 8.0/12.0 {
-		t.Errorf("page hit ratio = %v, want 8/12", got)
-	}
 	if got := s.JumpRefusedRate(); got != 4.0/8.0 {
 		t.Errorf("jump refused rate = %v, want 1/2", got)
 	}
@@ -136,10 +133,10 @@ func TestAggregateFold(t *testing.T) {
 		t.Errorf("latency histogram: %+v", s.LatencyUS)
 	}
 
-	// Ratios of an empty aggregate are defined (0), not NaN.
+	// The ratio of an empty aggregate is defined (0), not NaN.
 	var empty AggregateSnapshot
-	if empty.PageHitRatio() != 0 || empty.JumpRefusedRate() != 0 {
-		t.Error("empty snapshot ratios must be 0")
+	if empty.JumpRefusedRate() != 0 {
+		t.Error("empty snapshot ratio must be 0")
 	}
 }
 
@@ -154,7 +151,7 @@ func TestAggregateConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
-				a.AddRun(counters.Counters{Matches: 1, PageHits: 1}, time.Duration(i)*time.Microsecond)
+				a.AddRun(counters.Counters{Matches: 1, PagesRead: 1}, time.Duration(i)*time.Microsecond)
 				if i%50 == 0 {
 					_ = a.Snapshot()
 				}

@@ -4,14 +4,13 @@
 // nothing on the hot path.
 //
 // The paper's evaluation (§VI) argues about *where* time goes — cursor
-// advances, pointer jumps, page misses — not just totals. This package
-// makes those claims observable: every engine, the store cursors, and the
-// simulated buffer pool report their micro-operations to a Tracer, and the
-// Recorder implementation aggregates them into a Metrics snapshot that
-// extends counters.Counters with per-phase durations and distribution
-// summaries (jump skip-length histogram, per-node scans). Renderers turn a
-// Recorder into a human EXPLAIN-style report or a stable JSON document
-// (see report.go).
+// advances, pointer jumps, page reads — not just totals. This package
+// makes those claims observable: every engine and the store cursors report
+// their micro-operations to a Tracer, and the Recorder implementation
+// aggregates them into a Metrics snapshot that extends counters.Counters
+// with per-phase durations and distribution summaries (jump skip-length
+// histogram, per-node scans). Renderers turn a Recorder into a human
+// EXPLAIN-style report or a stable JSON document (see report.go).
 //
 // Tracing is strictly opt-in. All call sites guard with `tr != nil`, so an
 // untraced evaluation performs no interface calls and no allocations for
@@ -95,10 +94,6 @@ const (
 	// EvStackPop: an open region was popped (ended before the next
 	// candidate, or the window was reset).
 	EvStackPop
-	// EvPageHit: a page touch served from the simulated buffer pool.
-	EvPageHit
-	// EvPageMiss: a page touch charged as a read (pool miss).
-	EvPageMiss
 	// EvPartition: one partition of a range-partitioned parallel run
 	// completed; the event magnitude is the partition's wall time in
 	// nanoseconds (each event counts as one partition, and the duration
@@ -123,10 +118,6 @@ func (e Event) String() string {
 		return "stackPush"
 	case EvStackPop:
 		return "stackPop"
-	case EvPageHit:
-		return "pageHit"
-	case EvPageMiss:
-		return "pageMiss"
 	case EvPartition:
 		return "partition"
 	default:
@@ -137,7 +128,7 @@ func (e Event) String() string {
 // Events lists every event kind.
 func Events() []Event {
 	return []Event{EvScan, EvCursorAdvance, EvJumpTaken, EvJumpRefused,
-		EvStackPush, EvStackPop, EvPageHit, EvPageMiss, EvPartition}
+		EvStackPush, EvStackPop, EvPartition}
 }
 
 // Tracer receives phases and events from an evaluation. A nil Tracer

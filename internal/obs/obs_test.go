@@ -50,8 +50,6 @@ func TestEventAccumulation(t *testing.T) {
 	r.Event(EvJumpRefused, 2, 1)
 	r.Event(EvStackPush, 0, 4)
 	r.Event(EvStackPop, 0, 4)
-	r.Event(EvPageMiss, -1, 1)
-	r.Event(EvPageHit, -1, 2)
 
 	if got := r.EventCount(EvScan); got != 4 {
 		t.Errorf("scan count = %d, want 4", got)
@@ -116,7 +114,6 @@ func TestReportJSONStable(t *testing.T) {
 	})
 	r.Event(EvScan, 0, 10)
 	r.Event(EvJumpTaken, 1, 3)
-	r.Event(EvPageMiss, -1, 2)
 
 	c := counters.Counters{ElementsScanned: 10, Matches: 5, PagesRead: 2}
 	rep := r.Report(c, 123*time.Microsecond)
@@ -138,13 +135,13 @@ func TestReportJSONStable(t *testing.T) {
 	if decoded["schema"] != ReportSchema {
 		t.Errorf("schema = %v", decoded["schema"])
 	}
-	for _, key := range []string{"plan", "phases", "events", "nodes", "counters", "pageMisses", "durationNanos"} {
+	for _, key := range []string{"plan", "phases", "events", "nodes", "counters", "durationNanos"} {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("missing key %q in report JSON", key)
 		}
 	}
-	if rep.PageMisses != 2 {
-		t.Errorf("pageMisses = %d, want 2", rep.PageMisses)
+	if rep.Counters.PagesRead != 2 {
+		t.Errorf("counters.pagesRead = %d, want 2", rep.Counters.PagesRead)
 	}
 	if rep.Counters.Matches != 5 {
 		t.Errorf("counters.matches = %d, want 5", rep.Counters.Matches)
@@ -172,7 +169,7 @@ func TestReportExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"//a//b", "segment", "evaluate", "scanned=4", "buffer pool", "q0", "q1"} {
+	for _, want := range []string{"//a//b", "segment", "evaluate", "scanned=4", "pagesR=0", "q0", "q1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

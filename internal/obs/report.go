@@ -46,10 +46,6 @@ type Report struct {
 
 	// Counters mirrors the run's deterministic counters.
 	Counters CountersReport `json:"counters"`
-	// PageHits / PageMisses split buffer-pool touches (misses equal
-	// counters.pagesRead when every read goes through the pool).
-	PageHits   int64 `json:"pageHits"`
-	PageMisses int64 `json:"pageMisses"`
 }
 
 // PhaseReport is one phase's measured self time.
@@ -105,8 +101,6 @@ func (r *Recorder) Report(c counters.Counters, total time.Duration) *Report {
 			PagesWritten:    c.PagesWritten,
 			Matches:         c.Matches,
 		},
-		PageHits:   m.EventCounts[EvPageHit],
-		PageMisses: m.EventCounts[EvPageMiss],
 	}
 	for _, p := range Phases() {
 		rep.Phases = append(rep.Phases, PhaseReport{Phase: p.String(), Nanos: int64(m.PhaseDurations[p])})
@@ -193,7 +187,6 @@ func (rep *Report) WriteExplain(w io.Writer) error {
 	c := rep.Counters
 	fmt.Fprintf(&b, "counters: scanned=%d cmp=%d deref=%d pagesR=%d pagesW=%d matches=%d\n",
 		c.ElementsScanned, c.Comparisons, c.PointerDerefs, c.PagesRead, c.PagesWritten, c.Matches)
-	fmt.Fprintf(&b, "buffer pool: %d hits, %d misses\n", rep.PageHits, rep.PageMisses)
 	if len(rep.Nodes) > 0 {
 		fmt.Fprintf(&b, "%-4s %-14s %10s %10s %8s %8s %8s %8s\n",
 			"node", "label", "scanned", "advances", "jumps", "refused", "pushes", "pops")

@@ -41,8 +41,8 @@ const maxSpellings, maxSpellingBytes = 8, 4 << 10
 // in-flight requests; eviction merely drops the cache's reference.
 //
 // Every entry carries an obs.Aggregate that accumulates the outcomes of
-// all runs of that plan — run count, latency quantiles, page hit/miss
-// ratio, jump-refused rate — and a footprint estimate for cache memory
+// all runs of that plan — run count, summed counters, latency quantiles,
+// jump-refused rate — and a footprint estimate for cache memory
 // accounting. The aggregate lives and dies with the entry: evicting a
 // plan discards its history, which is the right scope for feedback (a
 // re-prepared plan starts observing fresh).

@@ -115,7 +115,6 @@ func (t *responseTail) appendTail(b []byte) []byte {
 	b = strconv.AppendInt(append(b, `,"pointer_derefs":`...), s.PointerDerefs, 10)
 	b = strconv.AppendInt(append(b, `,"pages_read":`...), s.PagesRead, 10)
 	b = strconv.AppendInt(append(b, `,"pages_written":`...), s.PagesWritten, 10)
-	b = strconv.AppendInt(append(b, `,"page_hits":`...), s.PageHits, 10)
 	b = strconv.AppendInt(append(b, `,"jumps_taken":`...), s.JumpsTaken, 10)
 	b = strconv.AppendInt(append(b, `,"jumps_refused":`...), s.JumpsRefused, 10)
 	b = strconv.AppendInt(append(b, `,"peak_memory_bytes":`...), s.PeakMemoryBytes, 10)

@@ -232,7 +232,6 @@ type statsJSON struct {
 	PointerDerefs   int64 `json:"pointer_derefs"`
 	PagesRead       int64 `json:"pages_read"`
 	PagesWritten    int64 `json:"pages_written"`
-	PageHits        int64 `json:"page_hits"`
 	JumpsTaken      int64 `json:"jumps_taken"`
 	JumpsRefused    int64 `json:"jumps_refused"`
 	PeakMemoryBytes int64 `json:"peak_memory_bytes"`
@@ -249,7 +248,6 @@ func statsOf(st viewjoin.Stats) statsJSON {
 		PointerDerefs:   st.PointerDerefs,
 		PagesRead:       st.PagesRead,
 		PagesWritten:    st.PagesWritten,
-		PageHits:        st.PageHits,
 		JumpsTaken:      st.JumpsTaken,
 		JumpsRefused:    st.JumpsRefused,
 		PeakMemoryBytes: st.PeakMemoryBytes,
@@ -303,7 +301,6 @@ func countersOf(st viewjoin.Stats) counters.Counters {
 		PointerDerefs:   st.PointerDerefs,
 		PagesRead:       st.PagesRead,
 		PagesWritten:    st.PagesWritten,
-		PageHits:        st.PageHits,
 		JumpsTaken:      st.JumpsTaken,
 		JumpsRefused:    st.JumpsRefused,
 	}
@@ -896,7 +893,6 @@ type planMetrics struct {
 	Runs            int64    `json:"runs"`
 	Errors          int64    `json:"errors"`
 	LatencyUS       histJSON `json:"latency_us"`
-	PageHitRatio    float64  `json:"page_hit_ratio"`
 	JumpRefusedRate float64  `json:"jump_refused_rate"`
 	FootprintBytes  int64    `json:"footprint_bytes"`
 }
@@ -923,7 +919,6 @@ func planRow(ent *planEntry, snap obs.AggregateSnapshot) planMetrics {
 		Runs:            snap.Runs,
 		Errors:          snap.Errors,
 		LatencyUS:       histOf(&snap.LatencyUS),
-		PageHitRatio:    snap.PageHitRatio(),
 		JumpRefusedRate: snap.JumpRefusedRate(),
 		FootprintBytes:  ent.footprint,
 	}
@@ -999,7 +994,6 @@ type planCountersJSON struct {
 	PointerDerefs   int64 `json:"pointer_derefs"`
 	PagesRead       int64 `json:"pages_read"`
 	PagesWritten    int64 `json:"pages_written"`
-	PageHits        int64 `json:"page_hits"`
 	JumpsTaken      int64 `json:"jumps_taken"`
 	JumpsRefused    int64 `json:"jumps_refused"`
 	Matches         int64 `json:"matches"`
@@ -1022,7 +1016,6 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 				PointerDerefs:   snap.Counters.PointerDerefs,
 				PagesRead:       snap.Counters.PagesRead,
 				PagesWritten:    snap.Counters.PagesWritten,
-				PageHits:        snap.Counters.PageHits,
 				JumpsTaken:      snap.Counters.JumpsTaken,
 				JumpsRefused:    snap.Counters.JumpsRefused,
 				Matches:         snap.Counters.Matches,

@@ -10,8 +10,8 @@ import (
 
 // ListCursor is a forward cursor over a ListFile with random access via
 // stored pointers. Every record it lands on is charged as one element
-// scanned, and page accesses are charged through the IO buffer pool on the
-// page boundaries of the list's flat image — the labels segment and every
+// scanned, and page accesses are charged as reads to the IO on the page
+// boundaries of the list's flat image — the labels segment and every
 // materialized pointer segment, like the paper's cost model charges a scan
 // over a linked-element file, whether the list is built or a piece table.
 // The region label is decoded on landing; pointers are read where an

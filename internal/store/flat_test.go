@@ -142,9 +142,8 @@ func TestCursorResetAndCopyAllKinds(t *testing.T) {
 }
 
 // TestScanTouchesEveryPageOnce pins the real-page-boundary property of the
-// flat layout: a sequential scan with pool-less accounting reads exactly
-// the file's pages — each labels page and each present pointer-segment
-// page once. This is the §V scan cost: an LE file costs more pages than
+// flat layout: a sequential scan reads exactly the file's pages — each
+// labels page and each present pointer-segment page once. This is the §V scan cost: an LE file costs more pages than
 // the E file of the same list because its pointer segments are real pages.
 func TestScanTouchesEveryPageOnce(t *testing.T) {
 	d := wideDoc(t, 25)
@@ -154,7 +153,7 @@ func TestScanTouchesEveryPageOnce(t *testing.T) {
 		s := MustBuild(m, kind, 64)
 		for q, l := range s.Lists {
 			var c counters.Counters
-			io := counters.NewIO(&c, -1)
+			io := counters.NewIO(&c, 0)
 			for cur := l.Open(io); cur.Valid(); cur.Next() {
 			}
 			if c.PagesRead != int64(l.NumPages()) {
@@ -174,7 +173,7 @@ func TestScanTouchesEveryPageOnce(t *testing.T) {
 	// Tuple file: same property over the single segment.
 	s := MustBuild(m, Tuple, 64)
 	var c counters.Counters
-	io := counters.NewIO(&c, -1)
+	io := counters.NewIO(&c, 0)
 	for cur := s.Tuples.Open(io); cur.Valid(); cur.Next() {
 	}
 	if c.PagesRead != int64(s.Tuples.NumPages()) {

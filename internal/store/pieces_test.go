@@ -207,17 +207,16 @@ func (r *pieceRun) check(what string) {
 }
 
 // checkCursors walks every list of the piece table with a cursor beside
-// the reference cursor over its flat image (same buffer-pool identities):
+// the reference cursor over its flat image (same page identities):
 // the whole list, seeking a probe to every pointer of every class on the
 // way, then windows around every piece boundary.
 func (r *pieceRun) checkCursors(what string) {
 	t, s := r.t, r.got
-	pool := diffPools[r.rng.Intn(len(diffPools))]
 	var gotC, wantC counters.Counters
 	var got, want []touch
-	gotIO, wantIO := counters.NewIO(&gotC, pool), counters.NewIO(&wantC, pool)
-	gotIO.Page = func(file uintptr, page int32, miss bool) { got = append(got, touch{file, page, miss}) }
-	wantIO.Page = func(file uintptr, page int32, miss bool) { want = append(want, touch{file, page, miss}) }
+	gotIO, wantIO := &counters.IO{C: &gotC}, &counters.IO{C: &wantC}
+	gotIO.Page = func(file uintptr, page int32) { got = append(got, touch{file, page}) }
+	wantIO.Page = func(file uintptr, page int32) { want = append(want, touch{file, page}) }
 	same := func(where string, c *ListCursor, ref *refCursor) {
 		if c.Valid() != ref.valid || c.Position() != Pointer(ref.idx) || (ref.valid && current(c) != ref.rec) {
 			t.Fatalf("%s %s: valid=%v at %d %+v, reference valid=%v at %d %+v",
@@ -278,10 +277,10 @@ func (r *pieceRun) checkCursors(what string) {
 	}
 }
 
+// touch is one page charge as the IO's Page hook sees it.
 type touch struct {
 	file uintptr
 	page int32
-	miss bool
 }
 
 // runPieces runs steps splices of a random history and checks the piece

@@ -58,8 +58,7 @@ func setFrom(sp *Splicer, m *views.Materialized, q, i int) {
 // TestSplicerLabelShift checks the pure label shift against a from-scratch
 // build over the updated document, for every scheme: after an update that
 // touches no view-type node the successor must be byte-identical to the
-// rebuild, a fresh store (no buffer-pool token shared with the
-// predecessor), and the predecessor must be untouched.
+// rebuild, a fresh store (no page identity shared with the predecessor), and the predecessor must be untouched.
 func TestSplicerLabelShift(t *testing.T) {
 	d := wideDoc(t, 40) // 80 b-entries: several pages per segment at 64B
 	au, err := d.Apply(xmltree.Update{
@@ -82,22 +81,21 @@ func TestSplicerLabelShift(t *testing.T) {
 		if got := storeBytes(t, old); !bytes.Equal(got, oldBytes) {
 			t.Fatalf("%v: the splice mutated its predecessor", kind)
 		}
-		// Aliased tokens would make the simulated pool serve one epoch's
-		// pages for another's.
+		// Aliased tokens would charge one epoch's pages as another's.
 		tokens := map[uintptr]bool{}
-		for _, tok := range poolTokens(old) {
+		for _, tok := range pageTokens(old) {
 			tokens[tok] = true
 		}
-		for _, tok := range poolTokens(next) {
+		for _, tok := range pageTokens(next) {
 			if tokens[tok] {
-				t.Fatalf("%v: successor segment reuses buffer-pool token %d", kind, tok)
+				t.Fatalf("%v: successor segment reuses page token %d", kind, tok)
 			}
 		}
 	}
 }
 
-// poolTokens returns every buffer-pool identity a cursor over s can charge.
-func poolTokens(s *ViewStore) []uintptr {
+// pageTokens returns every file identity a cursor over s can charge.
+func pageTokens(s *ViewStore) []uintptr {
 	if s.Tuples != nil {
 		return []uintptr{s.Tuples.seg.token}
 	}

@@ -136,7 +136,7 @@ type segment struct {
 	pageSize int
 	recSize  int
 	perPage  int
-	token    uintptr // buffer-pool identity
+	token    uintptr // the file identity page touches are charged under
 }
 
 // newSegment allocates a zeroed segment for the given record count.
@@ -519,7 +519,7 @@ var nullRow = [numPtrSegs]int32{-1, -1, -1, -1, -1, -1, -1, -1}
 
 // seal finishes a list whose pointers are all counted: a pointer class
 // without a non-null pointer has no segment in the image, and the list
-// gets buffer-pool identities of its own.
+// gets page identities of its own.
 func (l *ListFile) seal() {
 	l.mask = 0
 	for class, n := range l.counts {

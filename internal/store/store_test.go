@@ -196,7 +196,7 @@ func TestIOAccounting(t *testing.T) {
 	s := MustBuild(m, Linked, 64) // several pages
 
 	var c counters.Counters
-	io := counters.NewIO(&c, 2)
+	io := counters.NewIO(&c, 0)
 	cur := s.Lists[1].Open(io)
 	for cur.Valid() {
 		cur.Next()
@@ -207,30 +207,13 @@ func TestIOAccounting(t *testing.T) {
 	if c.PagesRead == 0 {
 		t.Errorf("PagesRead = 0, want > 0")
 	}
+
+	// A second scan pays for its pages again: there is no cache.
 	firstScan := c.PagesRead
-
-	// A re-scan with a large pool should hit the pool for everything.
-	c2 := counters.Counters{}
-	io2 := counters.NewIO(&c2, 1024)
-	for i := 0; i < 2; i++ {
-		cur := s.Lists[1].Open(io2)
-		for cur.Valid() {
-			cur.Next()
-		}
+	for cur := s.Lists[1].Open(io); cur.Valid(); cur.Next() {
 	}
-	if c2.PagesRead != firstScan {
-		t.Errorf("second scan with big pool re-read pages: %d vs %d", c2.PagesRead, firstScan)
-	}
-
-	// A pool-less IO counts every page touch.
-	c3 := counters.Counters{}
-	io3 := counters.NewIO(&c3, -1)
-	cur = s.Lists[1].Open(io3)
-	for cur.Valid() {
-		cur.Next()
-	}
-	if c3.PagesRead < firstScan {
-		t.Errorf("pool-less scan read %d pages, want >= %d", c3.PagesRead, firstScan)
+	if c.PagesRead != 2*firstScan {
+		t.Errorf("two scans read %d pages, want %d", c.PagesRead, 2*firstScan)
 	}
 }
 

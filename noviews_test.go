@@ -21,7 +21,7 @@ func TestEvaluateWithoutViewsBasic(t *testing.T) {
 		}
 		// The no-view run is an executor run like any other: full Stats,
 		// and the page options honoured.
-		if st := res.Stats; st.Partitions != 1 || st.PageHits+st.PagesRead == 0 {
+		if st := res.Stats; st.Partitions != 1 || st.PagesRead == 0 {
 			t.Errorf("%s: Stats %+v, want Partitions 1 and some page traffic", qs, st)
 		}
 		page, err := EvaluateWithoutViews(d, q, EngineTwigStack, &EvalOptions{Limit: 3})

@@ -163,11 +163,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 		if tr != nil {
 			tr.EndPhase(obs.PhaseSegment)
 		}
-		io := counters.NewIO(&p.prepC, 0)
-		if tr != nil {
-			io.Page = pageHook(tr)
-		}
-		ij, err := interjoin.Prepare(q.p, stores, viewPos, io, tr)
+		ij, err := interjoin.Prepare(q.p, stores, viewPos, &counters.IO{C: &p.prepC}, tr)
 		if err != nil {
 			return nil, err
 		}

@@ -314,8 +314,8 @@ func TestRunAllocationsDoNotGrowWithMatches(t *testing.T) {
 		// The window-collector engines hold their enumeration scratch on
 		// the pooled plan state: once a run has grown it, a run allocates
 		// its result and a fixed remainder that does not know how large the
-		// window was (the Result; the job's counters and buffer pool are
-		// recycled through the plan).
+		// window was (the Result; the job's counters and IO are recycled
+		// through the plan).
 		if c.eng == EngineViewJoin || c.eng == EngineTwigStack {
 			width := MustParseQuery(c.query).NumNodes()
 			few, many := fewAllocs-resultAllocs(fewMatches, width), manyAllocs-resultAllocs(manyMatches, width)

@@ -413,9 +413,9 @@ func (e Engine) String() string {
 // EvalOptions tunes evaluation.
 type EvalOptions struct {
 	// Tracer, when non-nil, receives phase spans and engine-internal events
-	// (cursor advances, pointer jumps, stack and buffer-pool activity).
-	// Passing an *obs.Recorder additionally fills Result.Trace with the full
-	// report. nil disables tracing at zero cost.
+	// (cursor advances, pointer jumps, stack activity). Passing an
+	// *obs.Recorder additionally fills Result.Trace with the full report.
+	// nil disables tracing at zero cost.
 	Tracer obs.Tracer
 	// Context, when non-nil, bounds the evaluation: cancellation or deadline
 	// expiry aborts the engine main loops and the window enumeration at the
@@ -462,8 +462,11 @@ type Stats struct {
 	// PagesRead / PagesWritten count simulated page I/O.
 	PagesRead    int64
 	PagesWritten int64
-	// PageHits counts page touches served from the simulated buffer pool
-	// without a read; the pool hit ratio is PageHits/(PageHits+PagesRead).
+	// PageHits is always 0: there is no buffer pool, every page touch is a
+	// read.
+	//
+	// Pinned: benchmark/ reads the field, which must not change outside a
+	// [benchmark] PR.
 	PageHits int64
 	// JumpsTaken / JumpsRefused count materialized pointer jumps followed
 	// and refused (safe-jump probe, open-region cover, stale pointers) —
@@ -505,8 +508,8 @@ type Result struct {
 	Matches [][]Node
 	Stats   Stats
 	// Trace is the full observability report of the run: plan, per-phase
-	// durations, per-node costs, jump and buffer-pool distributions. It is
-	// populated only when EvalOptions.Tracer is an *obs.Recorder.
+	// durations, per-node costs and jump distributions. It is populated only
+	// when EvalOptions.Tracer is an *obs.Recorder.
 	Trace *obs.Report
 }
 
