@@ -37,7 +37,7 @@ func main() {
 		scale    = flag.Float64("xmark-scale", 0, "XMark scale factor (default 1.0 = 100MB analog)")
 		datasets = flag.Int("nasa-datasets", 0, "Nasa dataset count (default 4000 = 23MB analog)")
 		repeats  = flag.Int("repeats", 0, "timed runs per measurement (default 5)")
-		ioCost   = flag.Duration("io-cost", 0, "simulated cost per page miss (default 3µs)")
+		ioCost   = flag.Duration("io-cost", 0, "simulated cost per page read (default 3µs)")
 		pprofSrv = flag.String("pprof", "", "serve net/http/pprof on this address while running (e.g. localhost:6060)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")

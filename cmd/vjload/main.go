@@ -443,7 +443,7 @@ func inprocessHandler(xmark float64, viewsStr, schemeStr, docName string, worker
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := server.ParseScheme(schemeStr)
+	scheme, err := viewjoin.ParseScheme(schemeStr)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"viewjoin"
 )
@@ -41,7 +40,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	scheme, err := parseScheme(*schemeStr)
+	scheme, err := viewjoin.ParseScheme(*schemeStr)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -83,20 +82,6 @@ func loadDocument(xmarkScale float64, nasaDatasets int, path string) (*viewjoin.
 	default:
 		return nil, fmt.Errorf("provide an XML file argument, -xmark, or -nasa")
 	}
-}
-
-func parseScheme(s string) (viewjoin.StorageScheme, error) {
-	switch strings.ToUpper(s) {
-	case "E":
-		return viewjoin.SchemeElement, nil
-	case "LE":
-		return viewjoin.SchemeLE, nil
-	case "LEP":
-		return viewjoin.SchemeLEp, nil
-	case "T":
-		return viewjoin.SchemeTuple, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (want E, LE, LEp, T)", s)
 }
 
 func fail(format string, args ...any) {

@@ -135,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if parseErr != nil {
 		return fail(stderr, "parse", parseErr, exitParse)
 	}
-	engine, err := parseEngine(*engineStr)
+	engine, err := viewjoin.ParseEngine(*engineStr)
 	if err != nil {
 		return fail(stderr, "parse", err, exitParse)
 	}
@@ -206,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, "validate", err, exitOther)
 	}
 
-	scheme, err := parseScheme(*schemeStr)
+	scheme, err := viewjoin.ParseScheme(*schemeStr)
 	if err != nil {
 		return fail(stderr, "parse", err, exitParse)
 	}
@@ -304,34 +304,6 @@ func loadDocument(xmarkScale float64, nasaDatasets int, path string) (*viewjoin.
 	default:
 		return nil, fmt.Errorf("provide an XML file argument, -xmark, or -nasa")
 	}
-}
-
-func parseScheme(s string) (viewjoin.StorageScheme, error) {
-	switch strings.ToUpper(s) {
-	case "E":
-		return viewjoin.SchemeElement, nil
-	case "LE":
-		return viewjoin.SchemeLE, nil
-	case "LEP":
-		return viewjoin.SchemeLEp, nil
-	case "T":
-		return viewjoin.SchemeTuple, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (want E, LE, LEp, T)", s)
-}
-
-func parseEngine(s string) (viewjoin.Engine, error) {
-	switch strings.ToUpper(s) {
-	case "VJ":
-		return viewjoin.EngineViewJoin, nil
-	case "TS":
-		return viewjoin.EngineTwigStack, nil
-	case "PS":
-		return viewjoin.EnginePathStack, nil
-	case "IJ":
-		return viewjoin.EngineInterJoin, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want VJ, TS, PS, IJ)", s)
 }
 
 // fail reports one failure as a single JSON line on stderr and returns the

@@ -7,44 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"viewjoin"
 )
-
-func TestParseScheme(t *testing.T) {
-	cases := map[string]viewjoin.StorageScheme{
-		"E": viewjoin.SchemeElement, "e": viewjoin.SchemeElement,
-		"LE": viewjoin.SchemeLE, "le": viewjoin.SchemeLE,
-		"LEp": viewjoin.SchemeLEp, "LEP": viewjoin.SchemeLEp,
-		"T": viewjoin.SchemeTuple, "t": viewjoin.SchemeTuple,
-	}
-	for in, want := range cases {
-		got, err := parseScheme(in)
-		if err != nil || got != want {
-			t.Errorf("parseScheme(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := parseScheme("zz"); err == nil {
-		t.Errorf("unknown scheme: expected error")
-	}
-}
-
-func TestParseEngine(t *testing.T) {
-	cases := map[string]viewjoin.Engine{
-		"VJ": viewjoin.EngineViewJoin, "vj": viewjoin.EngineViewJoin,
-		"TS": viewjoin.EngineTwigStack, "PS": viewjoin.EnginePathStack,
-		"IJ": viewjoin.EngineInterJoin,
-	}
-	for in, want := range cases {
-		got, err := parseEngine(in)
-		if err != nil || got != want {
-			t.Errorf("parseEngine(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := parseEngine("zz"); err == nil {
-		t.Errorf("unknown engine: expected error")
-	}
-}
 
 func TestLoadDocument(t *testing.T) {
 	if d, err := loadDocument(0.01, 0, ""); err != nil || d.NumNodes() == 0 {

@@ -132,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		if err != nil {
 			return fail(stderr, "parse", err, exitParse)
 		}
-		scheme, err := server.ParseScheme(*schemeStr)
+		scheme, err := viewjoin.ParseScheme(*schemeStr)
 		if err != nil {
 			return fail(stderr, "parse", err, exitParse)
 		}

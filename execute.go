@@ -263,7 +263,7 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 		DiskBased: p.opts.DiskBased,
 		Interrupt: interrupt,
 		Restrict:  r,
-		// The shared quota doubles as the per-job bound: any match in the
+		// The page's quota is every job's own bound: any match in the
 		// global first offset+limit is in its own partition's first
 		// offset+limit, so each job may stop (or cap its accumulation)
 		// there.

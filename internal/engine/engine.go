@@ -16,8 +16,8 @@ import (
 // met (first-k, LIMIT/OFFSET) the enumeration stage records it on the run's
 // Interrupter, unwinding the engine loops exactly like a cancellation —
 // except the engines treat it as success with the output produced so far
-// rather than as a failed run. Interrupt hooks may also return it to stop a
-// run without failing it (the parallel cutoff does).
+// rather than as a failed run. Only the collector's quota raises it: an
+// interrupt hook's error, ErrStop included, fails the run.
 var ErrStop = errors.New("engine: stopped at output quota")
 
 // Options controls an evaluation run.
@@ -30,9 +30,6 @@ type Options struct {
 	// intermediate solutions are spooled to scratch pages and re-read,
 	// trading I/O for a resident set of O(|Q|·depth).
 	DiskBased bool
-	// PageSize is the scratch page size for the disk-based approach; 0
-	// means store.DefaultPageSize.
-	PageSize int
 	// Interrupt, when non-nil, is polled cooperatively from the engine main
 	// loops and the window enumeration stage; a non-nil return aborts the
 	// run with that error. The public API binds it to a context's deadline

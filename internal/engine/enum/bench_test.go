@@ -36,9 +36,9 @@ func BenchmarkEnumerate(b *testing.B) {
 			qis, labels := candidates(doc(b, shape.src), q)
 			var cnt counters.Counters
 			io := counters.NewIO(&cnt, 0)
-			c := NewCollector(q, io, nil, false, 0)
+			c := NewCollector(q, io, nil, false)
 			feedAll := func() int {
-				c.Reset(io, nil, false, 0)
+				c.Reset(io, nil, false)
 				for i, qi := range qis {
 					c.Add(qi, labels[i])
 				}

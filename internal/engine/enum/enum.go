@@ -51,7 +51,6 @@ type Collector struct {
 	peakEntries int
 
 	diskBased bool
-	pageSize  int
 	spoolIn   int64 // bytes spooled in the current window
 
 	// pending buffers non-root candidates offered ahead of their window
@@ -154,9 +153,8 @@ const (
 
 // NewCollector returns a Collector for query q, accounting into io and
 // tracing into tr (nil disables tracing). When diskBased is set, windows
-// are spooled through scratch pages of the given pageSize (0 means
-// store.DefaultPageSize).
-func NewCollector(q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool, pageSize int) *Collector {
+// are spooled through scratch pages of store.DefaultPageSize bytes.
+func NewCollector(q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool) *Collector {
 	n := q.Size()
 	c := &Collector{
 		q:     q,
@@ -176,7 +174,7 @@ func NewCollector(q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool
 		c.spine = append(c.spine, qi)
 	}
 	c.full = make([][]Label, n)
-	c.Reset(io, tr, diskBased, pageSize)
+	c.Reset(io, tr, diskBased)
 	return c
 }
 
@@ -185,11 +183,8 @@ func NewCollector(q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool
 // state is cleared, and every scratch slice keeps its capacity. Rows a
 // previous Result returned are not touched: their chunks belong to that
 // caller, and this run writes fresh ones. PreFlush is preserved.
-func (c *Collector) Reset(io *counters.IO, tr obs.Tracer, diskBased bool, pageSize int) {
-	if pageSize == 0 {
-		pageSize = store.DefaultPageSize
-	}
-	c.io, c.tr, c.diskBased, c.pageSize = io, tr, diskBased, pageSize
+func (c *Collector) Reset(io *counters.IO, tr obs.Tracer, diskBased bool) {
+	c.io, c.tr, c.diskBased = io, tr, diskBased
 	c.ic = nil
 	c.out = engine.NewRows(c.q, 0)
 	c.first, c.after = 0, nil
@@ -340,7 +335,7 @@ func (c *Collector) Flush() {
 		c.peakEntries = c.entries
 	}
 	if c.diskBased && c.spoolIn > 0 {
-		pages := (c.spoolIn + int64(c.pageSize) - 1) / int64(c.pageSize)
+		pages := (c.spoolIn + store.DefaultPageSize - 1) / store.DefaultPageSize
 		c.io.Write(pages)         // spool the window out ...
 		c.io.C.PagesRead += pages // ... and read it back for enumeration
 		c.spoolIn = 0
@@ -426,7 +421,7 @@ func (c *Collector) partialFlush(frontier int32) {
 		c.peakEntries = c.entries
 	}
 	if c.diskBased && c.spoolIn > 0 {
-		pages := (c.spoolIn + int64(c.pageSize) - 1) / int64(c.pageSize)
+		pages := (c.spoolIn + store.DefaultPageSize - 1) / store.DefaultPageSize
 		c.io.Write(pages)
 		c.io.C.PagesRead += pages
 		c.spoolIn = 0

@@ -43,7 +43,7 @@ func run(t *testing.T, src, query string, diskBased bool) ([][]match.Cell, count
 	d := doc(t, src)
 	q := tpq.MustParse(query)
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, diskBased, 64)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, diskBased)
 	feed(d, q, c)
 	return c.Result(), cnt
 }
@@ -83,7 +83,7 @@ func TestPendingBuffer(t *testing.T) {
 	d := doc(t, `<r><a><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 64)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 
 	nodes := d.Nodes()
 	var as, bs []Label
@@ -111,7 +111,7 @@ func TestPendingDropsUncoverable(t *testing.T) {
 	d := doc(t, `<r><b/><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 64)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	nodes := d.Nodes()
 	// First b precedes every a: buffered then dropped at window open.
 	for i := range nodes {
@@ -150,7 +150,7 @@ func TestPeakEntries(t *testing.T) {
 	d := doc(t, `<r><a><b/><b/><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	feed(d, q, c)
 	c.Result()
 	// Largest window: first a + its three b's = 4 entries.
@@ -166,7 +166,7 @@ func TestPreFlushHook(t *testing.T) {
 	d := doc(t, `<r><a><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	var regions [][2]int32
 	c.PreFlush = func(lo, hi int32) { regions = append(regions, [2]int32{lo, hi}) }
 	feed(d, q, c)
@@ -185,7 +185,7 @@ func TestDuplicateAddsCollapsed(t *testing.T) {
 	d := doc(t, `<r><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	feed(d, q, c)
 	feed(d, q, c) // offer everything twice
 	got := c.Result()
@@ -233,7 +233,7 @@ const unreached = 1 << 30
 func boundedCollector(t *testing.T, q *tpq.Pattern, first int, after []int32) (*Collector, *engine.Interrupter) {
 	t.Helper()
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
 	c.SetStream(first, after)
@@ -268,7 +268,7 @@ func TestStreamingPartialFlushOrder(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var fcnt counters.Counters
-	fullC := NewCollector(q, counters.NewIO(&fcnt, 0), nil, false, 0)
+	fullC := NewCollector(q, counters.NewIO(&fcnt, 0), nil, false)
 	feed(d, q, fullC)
 	want := fullC.Result()
 	if len(want) != 50 {
@@ -367,7 +367,7 @@ func TestAfterCursorSkipsWholeWindow(t *testing.T) {
 		}
 	}
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	c.SetStream(0, []int32{a2, 0})
 	feed(d, q, c)
 	got := c.Result()
@@ -399,7 +399,7 @@ func TestAfterCursorResumesMidWindow(t *testing.T) {
 		{[]int32{aStart, bStarts[1]}, 0},
 	} {
 		var cnt counters.Counters
-		c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+		c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 		c.SetStream(0, tc.after)
 		feed(d, q, c)
 		if got := c.Result(); len(got) != tc.want {
@@ -413,7 +413,7 @@ func TestResetReusesCollector(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	c.SetStream(3, nil)
 	feed(d, q, c)
 	if got := c.Result(); len(got) != 3 {
@@ -422,7 +422,7 @@ func TestResetReusesCollector(t *testing.T) {
 	// Reset must clear the stream bound, the emitted count, and the window
 	// state: the second run is a plain full accumulation.
 	var cnt2 counters.Counters
-	c.Reset(counters.NewIO(&cnt2, 0), nil, false, 0)
+	c.Reset(counters.NewIO(&cnt2, 0), nil, false)
 	if c.Emitted() != 0 {
 		t.Fatalf("Emitted() = %d after Reset, want 0", c.Emitted())
 	}
@@ -437,7 +437,7 @@ func TestAdvanceNoopPaths(t *testing.T) {
 	// Unbounded run (no quota): Advance must do nothing.
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	feed(d, q, c)
 	c.Advance(1 << 30)
 	if got := c.Result(); len(got) != 1 {
@@ -446,7 +446,7 @@ func TestAdvanceNoopPaths(t *testing.T) {
 	// Single-node query: the spine is empty, so partial flushing is off
 	// even under a quota.
 	q1 := tpq.MustParse("//a")
-	c1 := NewCollector(q1, counters.NewIO(&cnt, 0), nil, false, 0)
+	c1 := NewCollector(q1, counters.NewIO(&cnt, 0), nil, false)
 	c1.SetStream(1, nil)
 	feed(d, q1, c1)
 	c1.Advance(1 << 30)
@@ -509,7 +509,7 @@ func TestPartialFlushDiskSpool(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, true, 16)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, true)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
 	c.SetStream(unreached, nil)
@@ -580,7 +580,7 @@ func TestUnsortedAddsNormalized(t *testing.T) {
 		}
 	}
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	c.Add(0, as[0])
 	c.Add(1, bs[1]) // out of order
 	c.Add(1, bs[0])
@@ -609,7 +609,7 @@ func TestSearchStartsAbove(t *testing.T) {
 func TestFlushWithoutWindowIsNoop(t *testing.T) {
 	q := tpq.MustParse("//a")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	c.Flush()
 	if got := c.Result(); len(got) != 0 {
 		t.Fatalf("expected no matches")

@@ -72,7 +72,7 @@ func enumerateOnce(t *testing.T, s linearShape, n int) (units, comparisons int64
 	d := b.MustDocument()
 	q := tpq.MustParse(s.query)
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	feed(d, q, c)
 	c.normalize()
 	for rep := 0; rep < 10; rep++ {

@@ -109,7 +109,7 @@ type replayOpts struct {
 // the rows it delivered.
 func replay(rng *rand.Rand, q *tpq.Pattern, stream []cand, held [][]Label, o replayOpts) [][]match.Cell {
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
 	c.SetStream(o.first, o.after)
@@ -267,7 +267,7 @@ func TestFilterIsExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d, q := randomWindowCase(rng)
 		var cnt counters.Counters
-		c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false, 0)
+		c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
 		feed(d, q, c)
 		if !c.open {
 			continue

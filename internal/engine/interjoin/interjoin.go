@@ -170,9 +170,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	}
 	acc := streams[p.order[0]]
 	for _, oi := range p.order[1:] {
-		// ErrStop (quota stop requested by the interrupt hook) falls through
-		// to verification: the joined prefix yields the bounded answer.
-		if err := sc.ic.Err(); err != nil && err != engine.ErrStop {
+		if err := sc.ic.Err(); err != nil {
 			p.pool.Put(sc)
 			return nil, 0, err
 		}
@@ -184,12 +182,8 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	// implied by the view matches (intra-view).
 	out := engine.NewRows(q, opts.First)
 	for i := range acc.tuples {
-		if err := sc.ic.Check(); err != nil {
-			if err == engine.ErrStop {
-				break
-			}
-			p.pool.Put(sc)
-			return nil, 0, err
+		if sc.ic.Check() != nil {
+			break // reported below
 		}
 		t := &acc.tuples[i]
 		ok := true
@@ -220,7 +214,8 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 			out.Shrink(opts.First)
 		}
 	}
-	if err := sc.ic.Err(); err != nil && err != engine.ErrStop {
+	// Also catches an error the joins left when no tuple remains to verify.
+	if err := sc.ic.Err(); err != nil {
 		p.pool.Put(sc)
 		return nil, 0, err
 	}

@@ -95,9 +95,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 		sc.stacks[i] = sc.stacks[i][:0]
 	}
 	out := p.eval(sc, io.C, tr)
-	// ErrStop is a quota-driven stop requested by the interrupt hook (the
-	// parallel cutoff), not a failure: the bounded output is the answer.
-	if err := sc.ic.Err(); err != nil && err != engine.ErrStop {
+	if err := sc.ic.Err(); err != nil {
 		p.pool.Put(sc)
 		return nil, 0, err
 	}
@@ -137,9 +135,7 @@ func (p *Prepared) eval(sc *scratch, c *counters.Counters, tr obs.Tracer) engine
 
 	for {
 		if sc.ic.Check() != nil {
-			// On ErrStop the output so far is the (bounded) answer; on a
-			// real error Run discards it, so returning it is always safe.
-			return out
+			return out // Run discards it
 		}
 		// qmin: the valid cursor with the smallest start label.
 		qmin := -1

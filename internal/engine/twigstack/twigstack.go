@@ -71,13 +71,13 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 		e = &evaluator{
 			p:    p,
 			cur:  make([]store.ListCursor, n),
-			col:  enum.NewCollector(p.q, nil, nil, false, 0),
+			col:  enum.NewCollector(p.q, nil, nil, false),
 			open: make([][]enum.Label, n),
 		}
 	}
 	e.c, e.tr = io.C, opts.Tracer
 	e.ic = engine.NewInterrupter(opts.Interrupt)
-	e.col.Reset(io, opts.Tracer, opts.DiskBased, opts.PageSize)
+	e.col.Reset(io, opts.Tracer, opts.DiskBased)
 	e.col.SetInterrupt(&e.ic)
 	e.col.SetStream(opts.First, opts.After)
 	for qi, l := range p.Lists {

@@ -117,7 +117,7 @@ func TestDiskBasedApproach(t *testing.T) {
 	want := oracle.Eval(d, q)
 	gotM, _, cM := evalWith(t, d, q, testutil.SingletonViews(q), store.Element, engine.Options{})
 	gotD, _, cD := evalWith(t, d, q, testutil.SingletonViews(q), store.Element,
-		engine.Options{DiskBased: true, PageSize: 64})
+		engine.Options{DiskBased: true})
 	if !gotM.SameAs(want) || !gotD.SameAs(want) {
 		t.Fatalf("disk/memory approaches disagree with oracle")
 	}
@@ -156,7 +156,7 @@ func TestAgainstOracleProperty(t *testing.T) {
 		vs := testutil.RandomViewPartition(rng, q)
 		want := oracle.Eval(d, q)
 		kind := []store.Kind{store.Element, store.Linked, store.LinkedPartial}[rng.Intn(3)]
-		opts := engine.Options{DiskBased: rng.Intn(2) == 0, PageSize: 128}
+		opts := engine.Options{DiskBased: rng.Intn(2) == 0}
 		got, _, _ := evalWith(t, d, q, vs, kind, opts)
 		if !got.SameAs(want) {
 			t.Logf("seed=%d q=%s views=%v kind=%v: got %d, want %d", seed, q, vs, kind, len(got), len(want))

@@ -233,7 +233,7 @@ func newEvaluator(p *Prepared) *evaluator {
 	e := &evaluator{
 		p:       p,
 		cur:     make([]store.ListCursor, n),
-		col:     enum.NewCollector(p.v.Query, nil, nil, false, 0),
+		col:     enum.NewCollector(p.v.Query, nil, nil, false),
 		open:    make([]regionLog, n),
 		ext:     make([]store.ListCursor, n),
 		extOpen: make([]bool, n),
@@ -269,7 +269,7 @@ func (e *evaluator) reset(io *counters.IO, opts engine.Options) {
 	e.io, e.c, e.tr = io, io.C, opts.Tracer
 	e.restrict = opts.Restrict
 	e.ic = engine.NewInterrupter(opts.Interrupt)
-	e.col.Reset(io, opts.Tracer, opts.DiskBased, opts.PageSize)
+	e.col.Reset(io, opts.Tracer, opts.DiskBased)
 	e.col.SetInterrupt(&e.ic)
 	e.col.SetStream(opts.First, opts.After)
 	e.winEnd, e.extLo = -1, -1

@@ -210,7 +210,7 @@ func TestDiskBasedApproach(t *testing.T) {
 	want := oracle.Eval(d, q)
 	gotM, _, cM := evalWith(t, d, q, testutil.SingletonViews(q), store.Linked, engine.Options{})
 	gotD, _, cD := evalWith(t, d, q, testutil.SingletonViews(q), store.Linked,
-		engine.Options{DiskBased: true, PageSize: 64})
+		engine.Options{DiskBased: true})
 	if !gotM.SameAs(want) || !gotD.SameAs(want) {
 		t.Fatalf("disk/memory approaches disagree with oracle")
 	}
@@ -277,7 +277,7 @@ func TestAgainstOracleProperty(t *testing.T) {
 			vs = testutil.RandomViewPartition(rng, q)
 		}
 		kind := allKinds[rng.Intn(3)]
-		opts := engine.Options{DiskBased: rng.Intn(2) == 0, PageSize: 128}
+		opts := engine.Options{DiskBased: rng.Intn(2) == 0}
 		want := oracle.Eval(d, q)
 		got, _, _ := evalWith(t, d, q, vs, kind, opts)
 		if !got.SameAs(want) {

@@ -441,7 +441,7 @@ func (s *Server) resolve(req *queryRequest) (resolved, *failure) {
 	}
 	eng := viewjoin.EngineViewJoin
 	if req.Engine != "" {
-		eng, err = ParseEngine(req.Engine)
+		eng, err = viewjoin.ParseEngine(req.Engine)
 		if err != nil {
 			return resolved{}, failed(http.StatusBadRequest, "parse", err)
 		}
@@ -1099,35 +1099,4 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 // bounded by the request's deadline.
 func contextWithTimeout(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(r.Context(), timeout)
-}
-
-// ParseEngine resolves the request spelling of an engine (as in the
-// paper's experiments: VJ, TS, PS, IJ).
-func ParseEngine(s string) (viewjoin.Engine, error) {
-	switch strings.ToUpper(s) {
-	case "VJ":
-		return viewjoin.EngineViewJoin, nil
-	case "TS":
-		return viewjoin.EngineTwigStack, nil
-	case "PS":
-		return viewjoin.EnginePathStack, nil
-	case "IJ":
-		return viewjoin.EngineInterJoin, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want VJ, TS, PS, IJ)", s)
-}
-
-// ParseScheme resolves the request spelling of a storage scheme.
-func ParseScheme(s string) (viewjoin.StorageScheme, error) {
-	switch strings.ToUpper(s) {
-	case "E":
-		return viewjoin.SchemeElement, nil
-	case "LE":
-		return viewjoin.SchemeLE, nil
-	case "LEP":
-		return viewjoin.SchemeLEp, nil
-	case "T":
-		return viewjoin.SchemeTuple, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (want E, LE, LEp, T)", s)
 }

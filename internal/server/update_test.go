@@ -113,7 +113,7 @@ func TestUpdateEndToEnd(t *testing.T) {
 	}
 	// PS and IJ are excluded: the test query is a twig, not a path.
 	for _, eng := range []string{"VJ", "TS"} {
-		e, err := ParseEngine(eng)
+		e, err := viewjoin.ParseEngine(eng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,30 +76,15 @@ func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) 
 // raw element stream of its type (the element scheme over single-element
 // views).
 func rawStreamPlan(q *tpq.Pattern, eng Engine, lists []*store.ListFile) *obs.Plan {
-	p := &obs.Plan{
-		Query:  q.String(),
-		Engine: eng.String(),
-		Scheme: store.Element.String(),
-		Nodes:  make([]obs.PlanNode, q.Size()),
-	}
+	p := basePlan(q, eng, nil, nil)
+	p.Scheme = store.Element.String()
 	seen := make(map[string]bool)
 	for qi := range q.Nodes {
 		if l := q.Nodes[qi].Label; !seen[l] {
 			seen[l] = true
 			p.Views = append(p.Views, "//"+l)
 		}
-	}
-	for qi := range p.Nodes {
-		p.Nodes[qi] = obs.PlanNode{
-			Index:       qi,
-			Label:       q.Nodes[qi].Label,
-			Axis:        q.Nodes[qi].Axis.String(),
-			Parent:      q.Nodes[qi].Parent,
-			View:        -1,
-			ViewNode:    -1,
-			Segment:     -1,
-			ListEntries: lists[qi].Entries(),
-		}
+		p.Nodes[qi].ListEntries = lists[qi].Entries()
 	}
 	return p
 }

@@ -1,9 +1,6 @@
 package viewjoin
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"viewjoin/internal/engine"
 	"viewjoin/internal/match"
 	"viewjoin/internal/store"
@@ -130,106 +127,16 @@ func onlyEntry(lists []*store.ListFile) func(int) (int32, bool) {
 	}
 }
 
-// spineOrdered reports whether match order across ascending partition
-// chunks follows job index. Matches compare lexicographically by binding
-// start, walking the unary spine before reaching the anchor; when every
-// spine node above the anchor binds a single candidate — e.g. the §VI
-// queries, all rooted at the single //site element — the resume prefix
-// reaches the anchor, and two matches from different jobs first differ at
-// the anchor itself, whose chunks ascend with job index. A root anchor is
-// ordered trivially. With several candidates at a spine level the cross-job
-// comparison can invert (a later chunk's match may bind an earlier-starting
-// spine ancestor), so the shared quota cutoff is not sound.
-func (p *PreparedQuery) spineOrdered() bool {
-	return len(p.resume) == anchorNode(p.q.p.Nodes)
-}
-
-// quotaState coordinates a shared first-k quota across partition jobs.
-// Jobs are planned over ascending document chunks; when the cross-job
-// order follows job index (spineOrdered), once the maximal completed
-// prefix of jobs has produced quota matches, no later job can contribute
-// to the page: the cutoff index tells not-yet-started jobs to skip
-// entirely and in-flight later jobs to stop at their next interrupt poll
-// (engine.ErrStop — their partial output sorts after the quota and is
-// sliced away). When spine bindings above the chunk break the cross-job
-// ordering, only the per-job quota applies (sound for any anchor: a match
-// in the global first quota is in its own job's first quota).
-type quotaState struct {
-	quota  int
-	cutoff atomic.Int64 // first job index that cannot contribute
-	mu     sync.Mutex
-	done   []bool
-	counts []int
-}
-
-func newQuotaState(quota, jobs int) *quotaState {
-	qs := &quotaState{quota: quota, done: make([]bool, jobs), counts: make([]int, jobs)}
-	qs.cutoff.Store(int64(jobs))
-	return qs
-}
-
-// complete records job i's match count and advances the cutoff when the
-// completed prefix alone satisfies the quota.
-func (qs *quotaState) complete(i, count int) {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	qs.done[i] = true
-	qs.counts[i] = count
-	sum := 0
-	for j := 0; j < len(qs.done) && qs.done[j]; j++ {
-		sum += qs.counts[j]
-		if sum >= qs.quota {
-			if int64(j+1) < qs.cutoff.Load() {
-				qs.cutoff.Store(int64(j + 1))
-			}
-			return
-		}
-	}
-}
-
 // runPartitions executes the partition jobs, one goroutine each (the
 // planner never returns more jobs than the parallelism asked for), and
-// returns their outcomes once all have finished.
-//
-// Under a limit (lim.first() > 0) every job runs with the shared quota as
-// its own first-k bound, and when cross-job order follows job index
-// (spineOrdered) a quotaState additionally stops scanning partitions that
-// can no longer contribute to the page (see quotaState).
+// returns their outcomes once all have finished. The jobs share nothing —
+// under a limit each stops at the page's quota on its own (runJob) — so
+// what one scans never depends on when another finishes.
 func (p *PreparedQuery) runPartitions(jobs []engine.Restriction, interrupt func() error, lim limits) []jobOut {
-	var qs *quotaState
-	if lim.first() > 0 && p.spineOrdered() {
-		qs = newQuotaState(lim.first(), len(jobs))
-	}
 	outs := make([]jobOut, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			jobInterrupt := interrupt
-			if qs != nil {
-				if int64(i) >= qs.cutoff.Load() {
-					outs[i].skipped = true
-					qs.complete(i, 0)
-					return
-				}
-				jobInterrupt = func() error {
-					if int64(i) >= qs.cutoff.Load() {
-						return engine.ErrStop
-					}
-					if interrupt != nil {
-						return interrupt()
-					}
-					return nil
-				}
-			}
-			outs[i] = p.runJob(&jobs[i], jobInterrupt, lim, nil)
-			if qs != nil {
-				qs.complete(i, len(outs[i].rows))
-			}
-		}(i)
-	}
-	wg.Wait()
+	parallelFor(len(jobs), len(jobs), func(i int) {
+		outs[i] = p.runJob(&jobs[i], interrupt, lim, nil)
+	})
 	return outs
 }
 

@@ -2,10 +2,13 @@ package viewjoin
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"viewjoin/internal/engine"
 	"viewjoin/internal/tpq"
+	"viewjoin/internal/workload"
 )
 
 func TestAnchorNode(t *testing.T) {
@@ -190,4 +193,124 @@ func TestParallelChunkBoundaryInsideJumpTarget(t *testing.T) {
 			t.Errorf("IJ k=%d: planned %d partitions, expected a real split", k, parts)
 		}
 	}
+}
+
+// TestPartitionedPagesAreDeterministic runs the first page of every XMark
+// catalogue query, and the page after its cursor, partitioned two and four
+// ways, under every engine (IJ over tuple-scheme views of the path
+// queries), ten times each. Partition jobs share no state, so every repeat
+// must report the same Stats (timings aside), one partition per planned
+// job the cursor does not start past, and the rows of the sequential page.
+func TestPartitionedPagesAreDeterministic(t *testing.T) {
+	const limit, repeats = 20, 10
+	d := GenerateXMark(0.25)
+	combos := []struct {
+		engine   Engine
+		scheme   StorageScheme
+		pathOnly bool
+	}{
+		{EngineViewJoin, SchemeLEp, false},
+		{EngineTwigStack, SchemeLEp, false},
+		{EnginePathStack, SchemeLEp, true},
+		{EngineInterJoin, SchemeTuple, true},
+	}
+	ctx := context.Background()
+	split := 0 // plans some page of which ran in several partitions
+	for _, wq := range workload.All() {
+		if wq.Name[0] != 'Q' {
+			continue
+		}
+		q := MustParseQuery(wq.Pattern.String())
+		vs := make([]*Query, len(wq.Views))
+		for i, v := range wq.Views {
+			vs[i] = MustParseQuery(v.String())
+		}
+		for _, c := range combos {
+			if c.pathOnly && !q.IsPath() {
+				continue
+			}
+			mv, err := d.MaterializeViews(vs, c.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := Prepare(d, q, mv, c.engine, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := p.RunWith(ctx, &RunOptions{Limit: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages := [][]int32{nil}
+			if n := len(first.Matches); n > 0 {
+				var cursor []int32
+				for _, cell := range first.Matches[n-1] {
+					cursor = append(cursor, cell.Start)
+				}
+				pages = append(pages, cursor)
+			}
+			for _, after := range pages {
+				seq, err := p.RunWith(ctx, &RunOptions{Limit: limit, After: after})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{2, 4} {
+					name := fmt.Sprintf("%s/%s/k=%d", wq.Name, c.engine, k)
+					if after != nil {
+						name += "/next"
+					}
+					want := startedJobs(p, p.planPartitions(k), after)
+					if want > 1 {
+						split++
+					}
+					var ref Stats
+					for r := 0; r < repeats; r++ {
+						res, err := p.RunWith(ctx, &RunOptions{Limit: limit, After: after, Parallelism: k})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !identicalMatches(res, seq) {
+							t.Fatalf("%s: %d rows differ from the sequential page's %d", name, len(res.Matches), len(seq.Matches))
+						}
+						st := res.Stats
+						st.Duration, st.FirstMatchNanos = 0, 0
+						if st.Partitions != want {
+							t.Fatalf("%s run %d: %d partitions, want %d", name, r, st.Partitions, want)
+						}
+						if r == 0 {
+							ref = st
+						} else if st != ref {
+							t.Fatalf("%s run %d: stats %+v, run 0 had %+v", name, r, st, ref)
+						}
+					}
+				}
+			}
+		}
+	}
+	if split == 0 {
+		t.Fatal("no page ran in several partitions")
+	}
+}
+
+// startedJobs counts the partition jobs a run with cursor after executes:
+// all planned ones (one whole-document job when none are), less the chunks
+// that end before the cursor (runJob).
+func startedJobs(p *PreparedQuery, jobs []engine.Restriction, after []int32) int {
+	if len(jobs) == 0 {
+		return 1
+	}
+	if after == nil {
+		return len(jobs)
+	}
+	b := 0
+	for b < len(p.resume) && after[b] == p.resume[b] {
+		b++
+	}
+	n := 0
+	for _, j := range jobs {
+		if max(j.Body.Lo, after[b]) < j.Body.Hi {
+			n++
+		}
+	}
+	return n
 }

@@ -74,8 +74,7 @@ type PreparedQuery struct {
 	ioPool sync.Pool // *jobIO
 
 	// resume is the plan's resume prefix (resumePrefix), fixed at Prepare
-	// from the lists' entry counts: a cursor run seeks below it, and when it
-	// reaches the partition anchor cross-job order follows job index.
+	// from the lists' entry counts: a cursor run seeks below it.
 	resume []int32
 
 	// Partition-planning cache: the job list for a given parallelism depends

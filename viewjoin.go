@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,6 +214,17 @@ const (
 
 // String names the scheme as in the paper.
 func (s StorageScheme) String() string { return s.kind().String() }
+
+// ParseScheme resolves a scheme's name, as String spells it, in any case.
+func ParseScheme(s string) (StorageScheme, error) {
+	u := strings.ToUpper(s)
+	for sc := SchemeTuple; sc <= SchemeLEp; sc++ {
+		if u == strings.ToUpper(sc.String()) {
+			return sc, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scheme %q (want E, LE, LEp, T)", s)
+}
 
 func (s StorageScheme) kind() store.Kind {
 	switch s {
@@ -410,6 +422,17 @@ func (e Engine) String() string {
 	}
 }
 
+// ParseEngine resolves an engine's name, as String spells it, in any case.
+func ParseEngine(s string) (Engine, error) {
+	u := strings.ToUpper(s)
+	for e := EngineViewJoin; e <= EngineInterJoin; e++ {
+		if u == e.String() {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown engine %q (want VJ, TS, PS, IJ)", s)
+}
+
 // EvalOptions tunes evaluation.
 type EvalOptions struct {
 	// Tracer, when non-nil, receives phase spans and engine-internal events
@@ -490,7 +513,7 @@ type Stats struct {
 	FirstMatchNanos int64
 	// Partitions is the number of document partitions evaluated: 1 for a
 	// sequential run, the executed partition-job count for a parallel one
-	// (jobs skipped by a first-k quota cutoff are not counted).
+	// (chunks that end before a cursor are skipped and not counted).
 	Partitions int
 }
 
@@ -576,51 +599,13 @@ func contextInterrupt(ctx context.Context, eng Engine, q *Query) func() error {
 	}
 }
 
-// tracePlan translates a view-segmented query into the plain-data plan the
-// observability layer renders.
-func tracePlan(q *tpq.Pattern, patterns []*tpq.Pattern, stores []*store.ViewStore, eng Engine, v *vsq.VSQ) *obs.Plan {
-	p := &obs.Plan{
-		Query:       q.String(),
-		Engine:      eng.String(),
-		NumSegments: len(v.Segments),
-		Nodes:       make([]obs.PlanNode, q.Size()),
-	}
-	if len(stores) > 0 {
-		p.Scheme = stores[0].Kind.String()
-	}
-	for _, vp := range patterns {
-		p.Views = append(p.Views, vp.String())
-	}
-	for qi := range p.Nodes {
-		n := obs.PlanNode{
-			Index:       qi,
-			Label:       q.Nodes[qi].Label,
-			Axis:        q.Nodes[qi].Axis.String(),
-			Parent:      q.Nodes[qi].Parent,
-			View:        v.Owner[qi],
-			ViewNode:    v.ViewNode[qi],
-			Segment:     -1,
-			ListEntries: -1,
-		}
-		if v.InQPrime[qi] {
-			n.Segment = v.SegOf[qi]
-			n.SegmentRoot = v.Segments[n.Segment].Root == qi
-			n.InterView = v.PrimeParent[qi] >= 0 && v.InterView[qi]
-		}
-		if vi, ni := v.Owner[qi], v.ViewNode[qi]; vi >= 0 && ni >= 0 &&
-			stores[vi].Kind != store.Tuple && ni < len(stores[vi].Lists) {
-			n.ListEntries = stores[vi].Lists[ni].Entries()
-		}
-		p.Nodes[qi] = n
-	}
-	return p
-}
-
-// interJoinPlan builds the plan for the segment-free InterJoin engine.
-func interJoinPlan(q *tpq.Pattern, patterns []*tpq.Pattern, stores []*store.ViewStore, viewPos [][]int) *obs.Plan {
+// basePlan describes q evaluated by eng over the given views, with every
+// node unbound (View, ViewNode, Segment and ListEntries -1): each engine's
+// describer fills in what its plan binds.
+func basePlan(q *tpq.Pattern, eng Engine, patterns []*tpq.Pattern, stores []*store.ViewStore) *obs.Plan {
 	p := &obs.Plan{
 		Query:  q.String(),
-		Engine: EngineInterJoin.String(),
+		Engine: eng.String(),
 		Nodes:  make([]obs.PlanNode, q.Size()),
 	}
 	if len(stores) > 0 {
@@ -641,6 +626,33 @@ func interJoinPlan(q *tpq.Pattern, patterns []*tpq.Pattern, stores []*store.View
 			ListEntries: -1,
 		}
 	}
+	return p
+}
+
+// tracePlan translates a view-segmented query into the plain-data plan the
+// observability layer renders.
+func tracePlan(q *tpq.Pattern, patterns []*tpq.Pattern, stores []*store.ViewStore, eng Engine, v *vsq.VSQ) *obs.Plan {
+	p := basePlan(q, eng, patterns, stores)
+	p.NumSegments = len(v.Segments)
+	for qi := range p.Nodes {
+		n := &p.Nodes[qi]
+		n.View, n.ViewNode = v.Owner[qi], v.ViewNode[qi]
+		if v.InQPrime[qi] {
+			n.Segment = v.SegOf[qi]
+			n.SegmentRoot = v.Segments[n.Segment].Root == qi
+			n.InterView = v.PrimeParent[qi] >= 0 && v.InterView[qi]
+		}
+		if vi, ni := n.View, n.ViewNode; vi >= 0 && ni >= 0 &&
+			stores[vi].Kind != store.Tuple && ni < len(stores[vi].Lists) {
+			n.ListEntries = stores[vi].Lists[ni].Entries()
+		}
+	}
+	return p
+}
+
+// interJoinPlan builds the plan for the segment-free InterJoin engine.
+func interJoinPlan(q *tpq.Pattern, patterns []*tpq.Pattern, stores []*store.ViewStore, viewPos [][]int) *obs.Plan {
+	p := basePlan(q, EngineInterJoin, patterns, stores)
 	for vi, positions := range viewPos {
 		for j, qi := range positions {
 			p.Nodes[qi].View = vi

@@ -432,3 +432,38 @@ func TestEngineAndSchemeStrings(t *testing.T) {
 		t.Errorf("unknown engine must still render")
 	}
 }
+
+func TestParseScheme(t *testing.T) {
+	cases := map[string]StorageScheme{
+		"E": SchemeElement, "e": SchemeElement,
+		"LE": SchemeLE, "le": SchemeLE,
+		"LEp": SchemeLEp, "LEP": SchemeLEp,
+		"T": SchemeTuple, "t": SchemeTuple,
+	}
+	for in, want := range cases {
+		got, err := ParseScheme(in)
+		if err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseScheme("zz"); err == nil || err.Error() != `unknown scheme "zz" (want E, LE, LEp, T)` {
+		t.Errorf("unknown scheme: error %v", err)
+	}
+}
+
+func TestParseEngine(t *testing.T) {
+	cases := map[string]Engine{
+		"VJ": EngineViewJoin, "vj": EngineViewJoin,
+		"TS": EngineTwigStack, "PS": EnginePathStack,
+		"IJ": EngineInterJoin,
+	}
+	for in, want := range cases {
+		got, err := ParseEngine(in)
+		if err != nil || got != want {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseEngine("zz"); err == nil || err.Error() != `unknown engine "zz" (want VJ, TS, PS, IJ)` {
+		t.Errorf("unknown engine: error %v", err)
+	}
+}
