@@ -111,27 +111,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Parallelism: *parallel,
 		Limit:       effLimit,
 		Offset:      *offset,
-	}
-	if rec != nil {
-		opts.Tracer = rec
+		Tracer:      rec,
 	}
 
 	doc, err := loadDocument(*xmark, *nasa, fs.Arg(0))
 	if err != nil {
 		return fail(stderr, "load", err, exitOther)
 	}
-	if rec != nil {
-		rec.BeginPhase(obs.PhaseParse)
-	}
+	rec.BeginPhase(obs.PhaseParse)
 	parse := viewjoin.ParseQuery
 	if *general {
 		parse = viewjoin.ParseQueryGeneral
 		*raw = true
 	}
 	query, parseErr := parse(*queryStr)
-	if rec != nil {
-		rec.EndPhase(obs.PhaseParse)
-	}
+	rec.EndPhase(obs.PhaseParse)
 	if parseErr != nil {
 		return fail(stderr, "parse", parseErr, exitParse)
 	}
@@ -192,13 +186,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		*viewsStr = strings.Join(parts, "; ")
 	}
-	if rec != nil {
-		rec.BeginPhase(obs.PhaseParse)
-	}
+	rec.BeginPhase(obs.PhaseParse)
 	views, parseErr := viewjoin.ParseViews(*viewsStr)
-	if rec != nil {
-		rec.EndPhase(obs.PhaseParse)
-	}
+	rec.EndPhase(obs.PhaseParse)
 	if parseErr != nil {
 		return fail(stderr, "parse", parseErr, exitParse)
 	}

@@ -66,8 +66,8 @@ func (l limits) slice(ms [][]Node) [][]Node {
 type request struct {
 	ctx context.Context // nil runs uninterruptible
 	lim limits
-	k   int        // partitions asked for; <= 1 is sequential
-	tr  obs.Tracer // observes this execution only
+	k   int           // partitions asked for; <= 1 is sequential
+	tr  *obs.Recorder // observes this execution only
 	// start is where Duration and FirstMatchNanos count from; includePrep
 	// folds the preparation-time counters into the Stats. A one-shot
 	// Evaluate sets both so its Stats keep covering the whole call.
@@ -90,7 +90,7 @@ func (p *PreparedQuery) resolve(ctx context.Context, ro *RunOptions) request {
 		if ro.Parallelism != 0 {
 			r.k = ro.Parallelism
 		}
-		if ro.Tracer != nil {
+		if ro.Tracer != nil { // nil inherits the prepare-time recorder
 			r.tr = ro.Tracer
 		}
 	}
@@ -103,8 +103,8 @@ func (p *PreparedQuery) resolve(ctx context.Context, ro *RunOptions) request {
 // execute runs the plan once for r: every job's rows accumulate in its
 // outcome and assemble merges them into the Result.
 //
-// Partitions run untraced (Tracer implementations are not concurrency-
-// safe); the executor instead emits one EvPartition event per executed job
+// Partitions run untraced (a Recorder is not safe for concurrent use);
+// the executor instead emits one EvPartition event per executed job
 // carrying its wall time, so traced runs still expose the partition-span
 // distribution.
 func (p *PreparedQuery) execute(r request) (res *Result, err error) {
@@ -119,27 +119,23 @@ func (p *PreparedQuery) execute(r request) (res *Result, err error) {
 		return nil, fmt.Errorf("viewjoin: cursor holds %d start labels, %s has %d nodes", len(r.lim.after), p.q, n)
 	}
 	jobs := p.planPartitions(r.k)
-	if r.tr != nil {
+	if r.tr != nil { // guarded: describing the plan allocates, an untraced run skips it
 		r.tr.Plan(p.tracePlan())
-		r.tr.BeginPhase(obs.PhaseEvaluate)
 	}
+	r.tr.BeginPhase(obs.PhaseEvaluate)
 	var one [1]jobOut
 	outs := one[:]
 	if len(jobs) == 0 {
 		one[0] = p.runJob(nil, interrupt, r.lim, r.tr)
 	} else {
 		outs = p.runPartitions(jobs, interrupt, r.lim)
-		if r.tr != nil {
-			for i := range outs {
-				if !outs[i].skipped {
-					r.tr.Event(obs.EvPartition, -1, int64(outs[i].dur))
-				}
+		for i := range outs {
+			if !outs[i].skipped {
+				r.tr.Event(obs.EvPartition, -1, int64(outs[i].dur))
 			}
 		}
 	}
-	if r.tr != nil {
-		r.tr.EndPhase(obs.PhaseEvaluate)
-	}
+	r.tr.EndPhase(obs.PhaseEvaluate)
 	return p.assemble(outs, &r)
 }
 
@@ -217,8 +213,8 @@ type jobIO struct {
 
 // runJob executes the plan once over restriction r (nil: the whole
 // document) with its own counters, so concurrent jobs share no accounting
-// state. tr must be nil for jobs that run concurrently (Tracer
-// implementations are not concurrency-safe). A plan over mapped views runs with faults turned into
+// state. tr must be nil for jobs that run concurrently (a Recorder is not
+// safe for concurrent use). A plan over mapped views runs with faults turned into
 // out.err: fault handling is per goroutine, and this is where every job's
 // goroutine is.
 //
@@ -230,7 +226,7 @@ type jobIO struct {
 // partition's window (SeekStart, charging nothing). A chunk that ends before
 // the cursor holds no such match and is skipped. The engines' row filter
 // (Options.After) still decides inside the region.
-func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, tr obs.Tracer) (out jobOut) {
+func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, tr *obs.Recorder) (out jobOut) {
 	if p.mapped {
 		defer catchViewFault(debug.SetPanicOnFault(true), &out.err)
 	}
@@ -311,13 +307,9 @@ func (p *PreparedQuery) assemble(outs []jobOut, r *request) (*Result, error) {
 	if !firstMatch.IsZero() {
 		firstNanos = firstMatch.Sub(r.start).Nanoseconds()
 	}
-	if r.tr != nil {
-		r.tr.BeginPhase(obs.PhaseOutput)
-	}
+	r.tr.BeginPhase(obs.PhaseOutput)
 	rows := r.lim.slice(mergeJobRows(outs))
-	if r.tr != nil {
-		r.tr.EndPhase(obs.PhaseOutput)
-	}
+	r.tr.EndPhase(obs.PhaseOutput)
 	res := &Result{
 		Matches: rows,
 		Stats: Stats{
@@ -334,8 +326,8 @@ func (p *PreparedQuery) assemble(outs []jobOut, r *request) (*Result, error) {
 			Partitions:      executed,
 		},
 	}
-	if rec, ok := r.tr.(*obs.Recorder); ok {
-		res.Trace = rec.Report(c, time.Since(r.start))
+	if r.tr != nil { // an untraced run has no report: Trace stays nil
+		res.Trace = r.tr.Report(c, time.Since(r.start))
 		res.Trace.FirstMatchNanos = firstNanos
 	}
 	return res, nil

@@ -25,7 +25,7 @@ type Options struct {
 	// Tracer receives phase spans and engine-internal events (cursor
 	// advances, jumps taken/refused, stack operations). nil disables
 	// tracing at zero hot-path cost.
-	Tracer obs.Tracer
+	Tracer *obs.Recorder
 	// DiskBased selects the disk-based output approach (§IV "Variations"):
 	// intermediate solutions are spooled to scratch pages and re-read,
 	// trading I/O for a resident set of O(|Q|·depth).

@@ -39,7 +39,7 @@ type Label = store.Label
 type Collector struct {
 	q   *tpq.Pattern
 	io  *counters.IO
-	tr  obs.Tracer // nil when tracing is off
+	tr  *obs.Recorder // nil when tracing is off
 	out engine.Rows
 
 	cands       [][]Label // per query node, current window, doc order
@@ -154,7 +154,7 @@ const (
 // NewCollector returns a Collector for query q, accounting into io and
 // tracing into tr (nil disables tracing). When diskBased is set, windows
 // are spooled through scratch pages of store.DefaultPageSize bytes.
-func NewCollector(q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool) *Collector {
+func NewCollector(q *tpq.Pattern, io *counters.IO, tr *obs.Recorder, diskBased bool) *Collector {
 	n := q.Size()
 	c := &Collector{
 		q:     q,
@@ -183,7 +183,7 @@ func NewCollector(q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool
 // state is cleared, and every scratch slice keeps its capacity. Rows a
 // previous Result returned are not touched: their chunks belong to that
 // caller, and this run writes fresh ones. PreFlush is preserved.
-func (c *Collector) Reset(io *counters.IO, tr obs.Tracer, diskBased bool) {
+func (c *Collector) Reset(io *counters.IO, tr *obs.Recorder, diskBased bool) {
 	c.io, c.tr, c.diskBased = io, tr, diskBased
 	c.ic = nil
 	c.out = engine.NewRows(c.q, 0)
@@ -340,13 +340,9 @@ func (c *Collector) Flush() {
 		c.io.C.PagesRead += pages // ... and read it back for enumeration
 		c.spoolIn = 0
 	}
-	if c.tr != nil {
-		c.tr.BeginPhase(obs.PhaseEnumerate)
-		c.enumerate()
-		c.tr.EndPhase(obs.PhaseEnumerate)
-	} else {
-		c.enumerate()
-	}
+	c.tr.BeginPhase(obs.PhaseEnumerate)
+	c.enumerate()
+	c.tr.EndPhase(obs.PhaseEnumerate)
 	c.discardWindow()
 }
 
@@ -431,13 +427,9 @@ func (c *Collector) partialFlush(frontier int32) {
 		c.full[qi] = c.cands[qi]
 		c.cands[qi] = c.cands[qi][:searchStartsAbove(c.cands[qi], bound-1)]
 	}
-	if c.tr != nil {
-		c.tr.BeginPhase(obs.PhaseEnumerate)
-		c.enumerate()
-		c.tr.EndPhase(obs.PhaseEnumerate)
-	} else {
-		c.enumerate()
-	}
+	c.tr.BeginPhase(obs.PhaseEnumerate)
+	c.enumerate()
+	c.tr.EndPhase(obs.PhaseEnumerate)
 	c.entries = len(c.cands[0])
 	for qi := 1; qi < n; qi++ {
 		list := c.full[qi]

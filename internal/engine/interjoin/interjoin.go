@@ -84,7 +84,7 @@ type scratch struct {
 // its nodes (in view node order). Views must be path views and q a path
 // query. The scans charge io — prepare-time cost, paid once per plan.
 func Prepare(q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
-	io *counters.IO, tr obs.Tracer) (*Prepared, error) {
+	io *counters.IO, tr *obs.Recorder) (*Prepared, error) {
 	if !q.IsPath() {
 		return nil, fmt.Errorf("interjoin: %s is not a path query", q)
 	}

@@ -65,7 +65,7 @@ func (r *Restriction) Admits(qi int, start, end int32) bool {
 // ResetCursor rebinds c over l for query node qi under the optional
 // restriction: nil opens the whole list, otherwise the list is narrowed
 // to the records whose start labels the node's span admits.
-func ResetCursor(c *store.ListCursor, l *store.ListFile, io *counters.IO, tr obs.Tracer, qi int, r *Restriction) {
+func ResetCursor(c *store.ListCursor, l *store.ListFile, io *counters.IO, tr *obs.Recorder, qi int, r *Restriction) {
 	if r == nil {
 		c.Reset(l, io, tr, qi)
 		return

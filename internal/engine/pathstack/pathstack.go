@@ -127,7 +127,7 @@ func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.
 }
 
 // eval is the PathStack main loop over one run's scratch.
-func (p *Prepared) eval(sc *scratch, c *counters.Counters, tr obs.Tracer) engine.Rows {
+func (p *Prepared) eval(sc *scratch, c *counters.Counters, tr *obs.Recorder) engine.Rows {
 	q := p.q
 	n := q.Size()
 	cur, stacks, buf := sc.cur, sc.stacks, sc.buf
@@ -161,7 +161,7 @@ func (p *Prepared) eval(sc *scratch, c *counters.Counters, tr obs.Tracer) engine
 				popped++
 				c.Comparisons++
 			}
-			if popped > 0 && tr != nil {
+			if popped > 0 {
 				tr.Event(obs.EvStackPop, i, int64(popped))
 			}
 		}
@@ -176,15 +176,13 @@ func (p *Prepared) eval(sc *scratch, c *counters.Counters, tr obs.Tracer) engine
 			stacks[qmin] = append(stacks[qmin], frame{l, len(stacks[qmin-1]) - 1})
 			pushed = true
 		}
-		if pushed && tr != nil {
+		if pushed {
 			tr.Event(obs.EvStackPush, qmin, 1)
 		}
 		if pushed && qmin == n-1 {
 			expand(q, stacks, n-1, len(stacks[n-1])-1, buf, c, sc, &out)
 			stacks[n-1] = stacks[n-1][:len(stacks[n-1])-1]
-			if tr != nil {
-				tr.Event(obs.EvStackPop, n-1, 1)
-			}
+			tr.Event(obs.EvStackPop, n-1, 1)
 			// Bounded accumulation under a first-k quota: once the buffer
 			// grows well past the quota, keep only the first smallest
 			// rows. The slack (4x + 64) amortizes the sorts to O(log) per

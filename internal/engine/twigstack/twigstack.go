@@ -43,7 +43,7 @@ type evaluator struct {
 	p    *Prepared
 	cur  []store.ListCursor // exhausted streams read as +inf sentinels
 	c    *counters.Counters
-	tr   obs.Tracer
+	tr   *obs.Recorder
 	col  *enum.Collector
 	open [][]enum.Label // per query node: stack of accepted open regions
 	ic   engine.Interrupter
@@ -149,7 +149,7 @@ func (e *evaluator) accept(qi int, l enum.Label) bool {
 		e.c.Comparisons++
 	}
 	e.open[p] = s
-	if popped > 0 && e.tr != nil {
+	if popped > 0 {
 		e.tr.Event(obs.EvStackPop, p, int64(popped))
 	}
 	if len(s) == 0 {
@@ -169,12 +169,10 @@ func (e *evaluator) push(qi int, l enum.Label) {
 		popped++
 	}
 	e.open[qi] = append(s, l)
-	if e.tr != nil {
-		if popped > 0 {
-			e.tr.Event(obs.EvStackPop, qi, int64(popped))
-		}
-		e.tr.Event(obs.EvStackPush, qi, 1)
+	if popped > 0 {
+		e.tr.Event(obs.EvStackPop, qi, int64(popped))
 	}
+	e.tr.Event(obs.EvStackPush, qi, 1)
 }
 
 // getNext is the classic TwigStack cursor routine: it returns the query

@@ -96,7 +96,7 @@ type evaluator struct {
 	p  *Prepared
 	io *counters.IO
 	c  *counters.Counters // io.C
-	tr obs.Tracer         // nil when tracing is off
+	tr *obs.Recorder      // nil when tracing is off
 
 	// cur[qi] is qi's list cursor, reset in place per run. A node removed
 	// from Q' holds an exhausted one: no merge step picks it, and as a view
@@ -148,14 +148,10 @@ type evaluator struct {
 // Prepare compiles the view-segmented query against the element-family
 // stores of its views: lists are bound and the inverse view maps computed
 // once, ready for any number of Run calls.
-func Prepare(v *vsq.VSQ, stores []*store.ViewStore, tr obs.Tracer) (*Prepared, error) {
-	if tr != nil {
-		tr.BeginPhase(obs.PhaseBind)
-	}
+func Prepare(v *vsq.VSQ, stores []*store.ViewStore, tr *obs.Recorder) (*Prepared, error) {
+	tr.BeginPhase(obs.PhaseBind)
 	lists, err := engine.BindLists(v, stores)
-	if tr != nil {
-		tr.EndPhase(obs.PhaseBind)
-	}
+	tr.EndPhase(obs.PhaseBind)
 	if err != nil {
 		return nil, fmt.Errorf("viewjoin: %w", err)
 	}
@@ -373,7 +369,7 @@ func (e *evaluator) admit(qi int, cur *store.ListCursor) {
 			e.winEnd = l.End
 			for i := range e.extJump {
 				e.extJump[i] = store.NilPointer
-				if e.tr != nil && len(e.open[i]) > 0 {
+				if len(e.open[i]) > 0 {
 					e.tr.Event(obs.EvStackPop, i, int64(len(e.open[i])))
 				}
 				e.open[i] = e.open[i][:0]
@@ -381,9 +377,7 @@ func (e *evaluator) admit(qi int, cur *store.ListCursor) {
 		}
 	}
 	e.open[qi].add(l)
-	if e.tr != nil {
-		e.tr.Event(obs.EvStackPush, qi, 1)
-	}
+	e.tr.Event(obs.EvStackPush, qi, 1)
 	e.col.Add(qi, l)
 	e.captureExtJumps(qi, cur)
 }
@@ -529,10 +523,7 @@ func (e *evaluator) jumpViaViewParent(m int) bool {
 		return false
 	}
 	if e.open[vp].coversRange(mStart, vpStart) {
-		e.c.JumpsRefused++
-		if e.tr != nil {
-			e.tr.Event(obs.EvJumpRefused, m, 1)
-		}
+		e.jumpRefused(m)
 		return false
 	}
 	ptr := e.cur[vp].Child(e.p.viewChildSlot[m])
@@ -543,19 +534,33 @@ func (e *evaluator) jumpViaViewParent(m int) bool {
 	probe := e.cur[m]
 	probe.Seek(ptr)
 	if probe.Start() <= mStart {
-		e.c.JumpsRefused++
-		if e.tr != nil {
-			e.tr.Event(obs.EvJumpRefused, m, 1)
-		}
+		e.jumpRefused(m)
 		return false // stale/backward pointer: fall back to sequential
 	}
 	e.cur[m] = probe
-	e.c.JumpsTaken++
-	if e.tr != nil {
-		l := e.p.Lists[m]
-		e.tr.Event(obs.EvJumpTaken, m, int64(l.PageOf(ptr)-l.PageOf(from)))
-	}
+	e.jumpTaken(m, from, ptr)
 	return true
+}
+
+// jumpTaken counts a followed jump of qi's cursor from record from to to.
+func (e *evaluator) jumpTaken(qi int, from, to store.Pointer) {
+	e.c.JumpsTaken++
+	if e.tr != nil { // guarded: the page distance costs two divisions an untraced run skips
+		e.traceJump(qi, from, to)
+	}
+}
+
+// traceJump is jumpTaken's traced half, out of line so jumpTaken inlines.
+func (e *evaluator) traceJump(qi int, from, to store.Pointer) {
+	l := e.p.Lists[qi]
+	e.tr.Event(obs.EvJumpTaken, qi, int64(l.PageOf(to)-l.PageOf(from)))
+}
+
+// jumpRefused counts a jump of qi's cursor that a guard or a stale pointer
+// refused.
+func (e *evaluator) jumpRefused(qi int) {
+	e.c.JumpsRefused++
+	e.tr.Event(obs.EvJumpRefused, qi, 1)
 }
 
 const maxInt32 = int32(1<<31 - 1)
@@ -581,16 +586,9 @@ func (e *evaluator) advancePointers(p int, target int32) {
 			if safe {
 				*cur = probe
 				jumped = true
-				e.c.JumpsTaken++
-				if e.tr != nil {
-					l := e.p.Lists[p]
-					e.tr.Event(obs.EvJumpTaken, p, int64(l.PageOf(following)-l.PageOf(from)))
-				}
+				e.jumpTaken(p, from, following)
 			} else {
-				e.c.JumpsRefused++
-				if e.tr != nil {
-					e.tr.Event(obs.EvJumpRefused, p, 1)
-				}
+				e.jumpRefused(p)
 			}
 		}
 		if !jumped {
@@ -638,16 +636,9 @@ func (e *evaluator) repositionMembers(p int) {
 			// rewind and re-add entries. (An exhausted probe is past it.)
 			if probe.Start() > cm.Start() {
 				*cm = probe
-				e.c.JumpsTaken++
-				if e.tr != nil {
-					l := e.p.Lists[m]
-					e.tr.Event(obs.EvJumpTaken, m, int64(l.PageOf(ptr)-l.PageOf(from)))
-				}
+				e.jumpTaken(m, from, ptr)
 			} else {
-				e.c.JumpsRefused++
-				if e.tr != nil {
-					e.tr.Event(obs.EvJumpRefused, m, 1)
-				}
+				e.jumpRefused(m)
 			}
 		} else {
 			for cm.Start() < pStart && !e.open[p].coversRange(cm.Start(), pStart) {
@@ -716,11 +707,7 @@ func (e *evaluator) extendWindow(lo, hi int32) {
 			probe.Seek(ptr)
 			if probe.Valid() && (!cx.Valid() || probe.Start() >= cx.Start()) {
 				*cx = probe
-				e.c.JumpsTaken++
-				if e.tr != nil {
-					l := e.p.Lists[x]
-					e.tr.Event(obs.EvJumpTaken, x, int64(l.PageOf(ptr)-l.PageOf(from)))
-				}
+				e.jumpTaken(x, from, ptr)
 			}
 		}
 		for cx.Start() < lo { // lo, hi <= +inf, where an exhausted cursor starts

@@ -1,28 +1,27 @@
 // Package obs is the observability layer of the reproduction: span-style
 // phase timing, engine-internal event streams, and per-query-node cost
-// breakdowns, collected behind a Tracer interface whose nil default costs
-// nothing on the hot path.
+// breakdowns, collected by a Recorder whose nil value costs nothing on the
+// hot path.
 //
 // The paper's evaluation (§VI) argues about *where* time goes — cursor
 // advances, pointer jumps, page reads — not just totals. This package
 // makes those claims observable: every engine and the store cursors report
-// their micro-operations to a Tracer, and the Recorder implementation
-// aggregates them into a Metrics snapshot that extends counters.Counters
-// with per-phase durations and distribution summaries (jump skip-length
-// histogram, per-node scans). Renderers turn a Recorder into a human
-// EXPLAIN-style report or a stable JSON document (see report.go).
+// their micro-operations to a Recorder, which aggregates per-phase
+// durations, event totals and distribution summaries (jump skip-length
+// histogram, per-node scans). Renderers turn a Recorder and the run's
+// counters into a human EXPLAIN-style report or a stable JSON document
+// (see report.go).
 //
-// Tracing is strictly opt-in. All call sites guard with `tr != nil`, so an
-// untraced evaluation performs no interface calls and no allocations for
-// observability (the no-op benchmark in the root package pins this).
+// Tracing is strictly opt-in. A nil *Recorder is an untraced run: its
+// hooks return at once and inline, so call sites need no guard, and an
+// untraced evaluation makes no calls and no allocations for observability
+// (the no-op benchmark in the root package pins this).
 package obs
 
 import (
 	"math"
 	"math/bits"
 	"time"
-
-	"viewjoin/internal/counters"
 )
 
 // Phase identifies one span of an evaluation run. Phases nest: beginning a
@@ -129,28 +128,6 @@ func (e Event) String() string {
 func Events() []Event {
 	return []Event{EvScan, EvCursorAdvance, EvJumpTaken, EvJumpRefused,
 		EvStackPush, EvStackPop, EvPartition}
-}
-
-// Tracer receives phases and events from an evaluation. A nil Tracer
-// disables tracing; every producer guards its calls with a nil check, so
-// the disabled path costs one predictable branch.
-//
-// Implementations need not be safe for concurrent use: one evaluation is
-// single-threaded, and each evaluation should get its own Tracer.
-type Tracer interface {
-	// BeginPhase opens a phase span. Phases nest; time is attributed
-	// exclusively (an inner phase pauses its parent).
-	BeginPhase(p Phase)
-	// EndPhase closes the innermost span opened for p.
-	EndPhase(p Phase)
-	// Event records one micro-operation. node is the query-node index the
-	// event is attributed to, or -1 when unattributed (e.g. page events).
-	// n is the event magnitude: a count for most events, the skipped page
-	// distance for EvJumpTaken (which always counts as one jump).
-	Event(e Event, node int, n int64)
-	// Plan receives the evaluation plan (view-segmented query, bindings)
-	// once it is built. May be called zero or one time per evaluation.
-	Plan(p *Plan)
 }
 
 // NodeMetrics is the per-query-node cost breakdown.
@@ -284,35 +261,28 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.Sum) / float64(h.N)
 }
 
-// Metrics is the aggregated snapshot a Recorder accumulates: the shared
-// deterministic counters extended with per-phase wall time, event totals,
-// per-node breakdowns and distribution summaries.
-type Metrics struct {
-	// Counters is the shared cost accounting of the run (filled in by the
-	// caller at snapshot time; the Recorder itself only sees events).
-	Counters counters.Counters
-	// PhaseDurations holds exclusive (self) time per phase.
-	PhaseDurations [numPhases]time.Duration
-	// EventCounts holds total occurrences per event kind.
-	EventCounts [numEvents]int64
-	// Nodes holds the per-query-node breakdown, indexed by query node.
-	Nodes []NodeMetrics
-	// JumpSkipPages summarizes the page distance skipped by taken jumps.
-	JumpSkipPages Histogram
-	// PartitionNanos summarizes the wall time of the partitions of a
-	// range-partitioned parallel run (empty for sequential runs).
-	PartitionNanos Histogram
-	// Duration is the total wall-clock time across all phases plus any
-	// untraced remainder the caller reports.
-	Duration time.Duration
-}
-
-// Recorder is the standard Tracer: it accumulates Metrics and retains the
-// Plan for rendering. The zero value is ready to use.
+// Recorder accumulates the phases and events of one evaluation and retains
+// its Plan for rendering. A nil *Recorder is an untraced run: BeginPhase,
+// EndPhase, Event and Plan are no-ops on a nil receiver, and each is small
+// enough to inline, so an untraced call site costs one predictable branch
+// and no call. The zero value is ready to use.
+//
+// A Recorder is not safe for concurrent use: one evaluation is
+// single-threaded, and each evaluation should get its own Recorder.
 type Recorder struct {
-	m     Metrics
-	plan  *Plan
-	stack []phaseFrame
+	// phases holds exclusive (self) time per phase.
+	phases [numPhases]time.Duration
+	// events holds total occurrences per event kind.
+	events [numEvents]int64
+	// nodes holds the per-query-node breakdown, indexed by query node.
+	nodes []NodeMetrics
+	// jumpSkipPages summarizes the page distance skipped by taken jumps.
+	jumpSkipPages Histogram
+	// partitionNanos summarizes the wall time of the partitions of a
+	// range-partitioned parallel run (empty for sequential runs).
+	partitionNanos Histogram
+	plan           *Plan
+	stack          []phaseFrame
 }
 
 type phaseFrame struct {
@@ -323,21 +293,33 @@ type phaseFrame struct {
 // NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// BeginPhase implements Tracer: it pauses the currently open phase (if
-// any) and starts attributing time to p.
+// BeginPhase pauses the currently open phase (if any) and starts
+// attributing time to p. Phases nest; time is attributed exclusively.
 func (r *Recorder) BeginPhase(p Phase) {
+	if r != nil {
+		r.beginPhase(p)
+	}
+}
+
+func (r *Recorder) beginPhase(p Phase) {
 	now := time.Now()
 	if n := len(r.stack); n > 0 {
 		top := &r.stack[n-1]
-		r.m.PhaseDurations[top.phase] += now.Sub(top.start)
+		r.phases[top.phase] += now.Sub(top.start)
 		top.start = now
 	}
 	r.stack = append(r.stack, phaseFrame{phase: p, start: now})
 }
 
-// EndPhase implements Tracer: it closes the innermost span for p and
-// resumes the enclosing phase. Mismatched ends close the top span.
+// EndPhase closes the innermost open span and resumes the enclosing
+// phase. Mismatched ends close the top span.
 func (r *Recorder) EndPhase(p Phase) {
+	if r != nil {
+		r.endPhase()
+	}
+}
+
+func (r *Recorder) endPhase() {
 	n := len(r.stack)
 	if n == 0 {
 		return
@@ -345,39 +327,48 @@ func (r *Recorder) EndPhase(p Phase) {
 	now := time.Now()
 	top := r.stack[n-1]
 	if int(top.phase) < int(numPhases) {
-		r.m.PhaseDurations[top.phase] += now.Sub(top.start)
+		r.phases[top.phase] += now.Sub(top.start)
 	}
 	r.stack = r.stack[:n-1]
 	if n > 1 {
 		r.stack[n-2].start = now
 	}
-	_ = p
 }
 
-// Event implements Tracer.
+// Event records one micro-operation. node is the query-node index the
+// event is attributed to, or -1 when unattributed. n is the event
+// magnitude: a count for most events, the skipped page distance for
+// EvJumpTaken and the wall time for EvPartition (each of which counts as
+// one occurrence).
 func (r *Recorder) Event(e Event, node int, n int64) {
+	if r != nil {
+		r.event(e, node, n)
+	}
+}
+
+func (r *Recorder) event(e Event, node int, n int64) {
 	if e >= numEvents {
 		return
 	}
 	count := n
 	if e == EvJumpTaken {
 		count = 1
-		r.m.JumpSkipPages.Add(n)
+		r.jumpSkipPages.Add(n)
 	}
 	if e == EvPartition {
 		count = 1
-		r.m.PartitionNanos.Add(n)
+		r.partitionNanos.Add(n)
 	}
-	r.m.EventCounts[e] += count
+	r.events[e] += count
 	if node < 0 {
 		return
 	}
-	if node >= len(r.m.Nodes) {
+	if node >= len(r.nodes) {
 		grown := make([]NodeMetrics, node+1)
-		copy(grown, r.m.Nodes)
-		r.m.Nodes = grown
+		copy(grown, r.nodes)
+		r.nodes = grown
 	}
-	nm := &r.m.Nodes[node]
+	nm := &r.nodes[node]
 	switch e {
 	case EvScan:
 		nm.Scanned += n
@@ -394,31 +385,10 @@ func (r *Recorder) Event(e Event, node int, n int64) {
 	}
 }
 
-// Plan implements Tracer: it retains the plan for rendering.
-func (r *Recorder) Plan(p *Plan) { r.plan = p }
-
-// PhaseDuration returns the exclusive time recorded for p so far.
-func (r *Recorder) PhaseDuration(p Phase) time.Duration {
-	if p >= numPhases {
-		return 0
+// Plan retains the evaluation plan (view-segmented query, bindings) for
+// rendering. It is called at most once per evaluation.
+func (r *Recorder) Plan(p *Plan) {
+	if r != nil {
+		r.plan = p
 	}
-	return r.m.PhaseDurations[p]
-}
-
-// EventCount returns the total recorded for e so far.
-func (r *Recorder) EventCount(e Event) int64 {
-	if e >= numEvents {
-		return 0
-	}
-	return r.m.EventCounts[e]
-}
-
-// Metrics snapshots the accumulated metrics, stamping in the run's shared
-// counters and total duration (which the Recorder does not observe itself).
-func (r *Recorder) Metrics(c counters.Counters, total time.Duration) Metrics {
-	m := r.m
-	m.Nodes = append([]NodeMetrics(nil), r.m.Nodes...)
-	m.Counters = c
-	m.Duration = total
-	return m
 }

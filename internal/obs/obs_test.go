@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +21,8 @@ func TestPhaseNesting(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	r.EndPhase(PhaseEvaluate)
 
-	ev, en := r.PhaseDuration(PhaseEvaluate), r.PhaseDuration(PhaseEnumerate)
+	rep := r.Report(counters.Counters{}, 0)
+	ev, en := time.Duration(rep.Phases[PhaseEvaluate].Nanos), time.Duration(rep.Phases[PhaseEnumerate].Nanos)
 	if ev <= 0 || en <= 0 {
 		t.Fatalf("phase durations not recorded: evaluate=%v enumerate=%v", ev, en)
 	}
@@ -51,24 +53,24 @@ func TestEventAccumulation(t *testing.T) {
 	r.Event(EvStackPush, 0, 4)
 	r.Event(EvStackPop, 0, 4)
 
-	if got := r.EventCount(EvScan); got != 4 {
+	rep := r.Report(counters.Counters{}, 0)
+	if got := rep.Events[EvScan].Count; got != 4 {
 		t.Errorf("scan count = %d, want 4", got)
 	}
-	if got := r.EventCount(EvJumpTaken); got != 1 {
+	if got := rep.Events[EvJumpTaken].Count; got != 1 {
 		t.Errorf("jumpTaken count = %d, want 1 (magnitude is distance, not count)", got)
 	}
-	m := r.Metrics(counters.Counters{}, 0)
-	if len(m.Nodes) != 3 {
-		t.Fatalf("nodes = %d, want 3", len(m.Nodes))
+	if len(rep.Nodes) != 3 {
+		t.Fatalf("nodes = %d, want 3", len(rep.Nodes))
 	}
-	if m.Nodes[2].Scanned != 3 || m.Nodes[2].JumpsTaken != 1 || m.Nodes[2].JumpsRefused != 1 {
-		t.Errorf("node 2 metrics wrong: %+v", m.Nodes[2])
+	if n := rep.Nodes[2]; n.Scanned != 3 || n.JumpsTaken != 1 || n.JumpsRefused != 1 {
+		t.Errorf("node 2 metrics wrong: %+v", n)
 	}
-	if m.Nodes[0].Pushes != 4 || m.Nodes[0].Pops != 4 {
-		t.Errorf("node 0 metrics wrong: %+v", m.Nodes[0])
+	if n := rep.Nodes[0]; n.Pushes != 4 || n.Pops != 4 {
+		t.Errorf("node 0 metrics wrong: %+v", n)
 	}
-	if m.JumpSkipPages.N != 1 || m.JumpSkipPages.Sum != 7 || m.JumpSkipPages.Max != 7 {
-		t.Errorf("histogram wrong: %+v", m.JumpSkipPages)
+	if want := []HistBucket{{Upper: 7, Count: 1}}; !slices.Equal(rep.JumpSkipPages, want) {
+		t.Errorf("jump skip histogram = %+v, want %+v", rep.JumpSkipPages, want)
 	}
 }
 

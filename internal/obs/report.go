@@ -86,9 +86,8 @@ type CountersReport struct {
 }
 
 // Report builds the renderable snapshot, stamping in the run's counters
-// and total duration.
+// and total duration (which the Recorder does not observe itself).
 func (r *Recorder) Report(c counters.Counters, total time.Duration) *Report {
-	m := r.Metrics(c, total)
 	rep := &Report{
 		Schema:        ReportSchema,
 		Plan:          r.plan,
@@ -101,33 +100,34 @@ func (r *Recorder) Report(c counters.Counters, total time.Duration) *Report {
 			PagesWritten:    c.PagesWritten,
 			Matches:         c.Matches,
 		},
+		JumpSkipPages:  histBuckets(&r.jumpSkipPages),
+		PartitionNanos: histBuckets(&r.partitionNanos),
 	}
 	for _, p := range Phases() {
-		rep.Phases = append(rep.Phases, PhaseReport{Phase: p.String(), Nanos: int64(m.PhaseDurations[p])})
+		rep.Phases = append(rep.Phases, PhaseReport{Phase: p.String(), Nanos: int64(r.phases[p])})
 	}
 	for _, e := range Events() {
-		rep.Events = append(rep.Events, EventReport{Event: e.String(), Count: m.EventCounts[e]})
+		rep.Events = append(rep.Events, EventReport{Event: e.String(), Count: r.events[e]})
 	}
-	for i, nm := range m.Nodes {
+	for i, nm := range r.nodes {
 		nr := NodeReport{Node: i, NodeMetrics: nm}
 		if r.plan != nil && i < len(r.plan.Nodes) {
 			nr.Label = r.plan.Nodes[i].Label
 		}
 		rep.Nodes = append(rep.Nodes, nr)
 	}
-	h := &m.JumpSkipPages
-	for i := 0; i < HistogramBuckets; i++ {
-		if h.Count[i] != 0 {
-			rep.JumpSkipPages = append(rep.JumpSkipPages, HistBucket{Upper: BucketUpper(i), Count: h.Count[i]})
-		}
-	}
-	ph := &m.PartitionNanos
-	for i := 0; i < HistogramBuckets; i++ {
-		if ph.Count[i] != 0 {
-			rep.PartitionNanos = append(rep.PartitionNanos, HistBucket{Upper: BucketUpper(i), Count: ph.Count[i]})
-		}
-	}
 	return rep
+}
+
+// histBuckets lists h's non-empty buckets, nil when h is empty.
+func histBuckets(h *Histogram) []HistBucket {
+	var out []HistBucket
+	for i, n := range h.Count {
+		if n != 0 {
+			out = append(out, HistBucket{Upper: BucketUpper(i), Count: n})
+		}
+	}
+	return out
 }
 
 // WriteJSON writes the report as one indented JSON document.
@@ -196,25 +196,24 @@ func (rep *Report) WriteExplain(w io.Writer) error {
 		}
 	}
 	if len(rep.JumpSkipPages) > 0 {
-		fmt.Fprintf(&b, "jump skip distance (pages): ")
-		var parts []string
-		for _, hb := range rep.JumpSkipPages {
-			parts = append(parts, fmt.Sprintf("<=%d:%d", hb.Upper, hb.Count))
-		}
-		fmt.Fprintln(&b, strings.Join(parts, " "))
+		fmt.Fprintf(&b, "jump skip distance (pages): %s\n", explainHist(rep.JumpSkipPages))
 	}
 	if len(rep.PartitionNanos) > 0 {
 		var n int64
 		for _, hb := range rep.PartitionNanos {
 			n += hb.Count
 		}
-		fmt.Fprintf(&b, "partitions: %d (wall time histogram ns: ", n)
-		var parts []string
-		for _, hb := range rep.PartitionNanos {
-			parts = append(parts, fmt.Sprintf("<=%d:%d", hb.Upper, hb.Count))
-		}
-		fmt.Fprintf(&b, "%s)\n", strings.Join(parts, " "))
+		fmt.Fprintf(&b, "partitions: %d (wall time histogram ns: %s)\n", n, explainHist(rep.PartitionNanos))
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// explainHist renders histogram buckets as space-separated <=upper:count.
+func explainHist(hbs []HistBucket) string {
+	parts := make([]string, len(hbs))
+	for i, hb := range hbs {
+		parts[i] = fmt.Sprintf("<=%d:%d", hb.Upper, hb.Count)
+	}
+	return strings.Join(parts, " ")
 }

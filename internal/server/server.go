@@ -575,7 +575,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 	// execution is observed. The threshold is applied after the run (a
 	// query is only known to be slow once it finished), so the recorder
 	// must always be on to have the trace when it matters.
-	var tr obs.Tracer
+	var tr *obs.Recorder
 	if traced || s.slowlog != nil {
 		tr = obs.NewRecorder()
 	}

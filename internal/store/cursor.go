@@ -23,8 +23,8 @@ import (
 type ListCursor struct {
 	f    *ListFile
 	io   *counters.IO
-	tr   obs.Tracer // nil when tracing is off
-	node int32      // query node for event attribution (-1 untraced)
+	tr   *obs.Recorder // nil when tracing is off
+	node int32         // query node for event attribution (-1 untraced)
 	idx  int32
 	// lo/hi bound the visible record offsets to [lo, hi): Reset opens the
 	// whole list (lo=0, hi=entries); ResetRange narrows the window for
@@ -133,9 +133,7 @@ func (c *ListCursor) Next() {
 	if !c.Valid() {
 		return
 	}
-	if c.tr != nil {
-		c.tr.Event(obs.EvCursorAdvance, int(c.node), 1)
-	}
+	c.tr.Event(obs.EvCursorAdvance, int(c.node), 1)
 	if c.idx+1 >= c.hi {
 		c.exhaust()
 		return
@@ -147,7 +145,7 @@ func (c *ListCursor) Next() {
 // accounting and tracer without allocating: the prepared-plan evaluators
 // keep cursor storage across runs and Reset it per run. A nil tracer
 // disables event emission exactly like Open.
-func (c *ListCursor) Reset(l *ListFile, io *counters.IO, tr obs.Tracer, node int) {
+func (c *ListCursor) Reset(l *ListFile, io *counters.IO, tr *obs.Recorder, node int) {
 	c.ResetRange(l, io, tr, node, 0, l.entries)
 }
 
@@ -157,7 +155,7 @@ func (c *ListCursor) Reset(l *ListFile, io *counters.IO, tr obs.Tracer, node int
 // Bounds are clipped to the list; an empty window yields an exhausted
 // cursor. This is how partitioned evaluation gives each worker a
 // start-range slice of every list without copying any pages.
-func (c *ListCursor) ResetRange(l *ListFile, io *counters.IO, tr obs.Tracer, node, lo, hi int) {
+func (c *ListCursor) ResetRange(l *ListFile, io *counters.IO, tr *obs.Recorder, node, lo, hi int) {
 	lo, hi = max(lo, 0), min(hi, l.entries)
 	*c = ListCursor{f: l, io: io, tr: tr, node: int32(node), idx: int32(lo), lo: int32(lo), hi: int32(hi),
 		labels: labelWindow{page: -1}, ptrs: ptrWindow{page: -1}}
@@ -193,16 +191,14 @@ func (c *ListCursor) exhaust() { c.label.Start, c.label.End = math.MaxInt32, mat
 // makes a linked-element file cost more pages to scan than an element file
 // of the same list, as in §V. A page is charged when the cursor lands on a
 // page other than the one charged last, so a run of records on one page
-// touches the pool once; a piece boundary inside a page moves the window
+// is charged one read; a piece boundary inside a page moves the window
 // and charges nothing.
 func (c *ListCursor) load(i int32) {
 	if uint32(i-c.labels.lo) >= uint32(c.labels.n) {
 		c.slideLabels(i)
 	}
 	c.io.C.ElementsScanned++
-	if c.tr != nil {
-		c.tr.Event(obs.EvScan, int(c.node), 1)
-	}
+	c.tr.Event(obs.EvScan, int(c.node), 1)
 	lab, d := getLabel(c.labels.data[int(i-c.labels.lo)*labelBytes:]), c.labels.delta
 	c.label = Label{Start: lab.Start + d, End: lab.End + d, Level: lab.Level}
 	if uint32(i-c.ptrs.lo) >= uint32(c.ptrs.n) {

@@ -94,7 +94,7 @@ func putLabel(rec []byte, l Label) {
 type TupleCursor struct {
 	f         *TupleFile
 	io        *counters.IO
-	tr        obs.Tracer
+	tr        *obs.Recorder
 	node      int32
 	idx       int
 	item      TupleItem
@@ -110,7 +110,7 @@ func (f *TupleFile) Open(io *counters.IO) *TupleCursor {
 // OpenTraced is Open with an optional tracer: every tuple decode emits one
 // EvScan per label, attributed to the given query node (tuples bind
 // several query nodes; callers pass a representative one).
-func (f *TupleFile) OpenTraced(io *counters.IO, tr obs.Tracer, node int) *TupleCursor {
+func (f *TupleFile) OpenTraced(io *counters.IO, tr *obs.Recorder, node int) *TupleCursor {
 	c := &TupleCursor{f: f, io: io, tr: tr, node: int32(node), lastTouch: -1}
 	c.item.Labels = make([]Label, f.arity)
 	if f.entries == 0 {
@@ -134,9 +134,7 @@ func (c *TupleCursor) Next() {
 	if !c.valid {
 		return
 	}
-	if c.tr != nil {
-		c.tr.Event(obs.EvCursorAdvance, int(c.node), 1)
-	}
+	c.tr.Event(obs.EvCursorAdvance, int(c.node), 1)
 	if c.idx+1 >= c.f.entries {
 		c.valid = false
 		return
@@ -150,9 +148,7 @@ func (c *TupleCursor) load(i int) {
 		c.lastTouch = page
 	}
 	c.io.C.ElementsScanned += int64(c.f.arity)
-	if c.tr != nil {
-		c.tr.Event(obs.EvScan, int(c.node), int64(c.f.arity))
-	}
+	c.tr.Event(obs.EvScan, int(c.node), int64(c.f.arity))
 	rec := c.f.seg.rec(int32(i))
 	for j := 0; j < c.f.arity; j++ {
 		c.item.Labels[j] = getLabel(rec[j*labelBytes:])

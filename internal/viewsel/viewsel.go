@@ -19,7 +19,6 @@ package viewsel
 
 import (
 	"fmt"
-	"sort"
 
 	"viewjoin/internal/tpq"
 )
@@ -234,12 +233,6 @@ func SelectBySize(cands []Candidate, q *tpq.Pattern) (*Result, error) {
 	}
 	res.Covered = len(covered) == q.Size()
 	return res, nil
-}
-
-// SortCandidates orders candidates deterministically (by view string) for
-// stable experiment output.
-func SortCandidates(cands []Candidate) {
-	sort.Slice(cands, func(i, j int) bool { return cands[i].View.String() < cands[j].View.String() })
 }
 
 // SelectOptimal finds the covering subset with the minimum total cost by

@@ -176,17 +176,6 @@ func TestZeroCostViewsSelectedFirst(t *testing.T) {
 	}
 }
 
-func TestSortCandidates(t *testing.T) {
-	cands := []Candidate{
-		{View: tpq.MustParse("//b")},
-		{View: tpq.MustParse("//a")},
-	}
-	SortCandidates(cands)
-	if cands[0].View.String() != "//a" {
-		t.Errorf("not sorted")
-	}
-}
-
 // TestGreedyVersusOptimal: on the Table II pool the greedy heuristic finds
 // the optimal covering set; on random pools it stays within a small factor.
 func TestGreedyVersusOptimal(t *testing.T) {

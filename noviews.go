@@ -41,14 +41,9 @@ func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) 
 		opts = &EvalOptions{}
 	}
 	snap := d.snap()
-	tr := opts.Tracer
-	if tr != nil {
-		tr.BeginPhase(obs.PhaseBind)
-	}
+	opts.Tracer.BeginPhase(obs.PhaseBind)
 	lists, err := rawStreams(snap.tree, q)
-	if tr != nil {
-		tr.EndPhase(obs.PhaseBind)
-	}
+	opts.Tracer.EndPhase(obs.PhaseBind)
 	if err != nil {
 		return nil, err
 	}

@@ -36,11 +36,11 @@ import (
 // match (see Result.Matches).
 //
 // A PreparedQuery is immutable after Prepare and safe for concurrent Run
-// calls provided the captured EvalOptions.Tracer is nil (tracers are not
-// required to be concurrency-safe); documents and materialized views are
-// already immutable after construction. RunTraced attaches a tracer to a
-// single execution instead, so concurrent traced runs of one shared plan
-// are safe as long as each call brings its own tracer.
+// calls provided the captured EvalOptions.Tracer is nil (a Recorder is not
+// safe for concurrent use); documents and materialized views are already
+// immutable after construction. RunTraced attaches a recorder to a single
+// execution instead, so concurrent traced runs of one shared plan are safe
+// as long as each call brings its own recorder.
 type PreparedQuery struct {
 	// epoch is the document epoch of the snapshot the plan was compiled
 	// against. Runs read only the views' stores bound at that epoch, so a
@@ -145,23 +145,17 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 		p.resume = resumePrefix(q.p.Nodes, onlyEntry(lists))
 		p.describe = func() *obs.Plan { return tracePlan(q.p, patterns, stores, eng, v) }
 	case EngineInterJoin:
-		if tr != nil {
-			tr.BeginPhase(obs.PhaseSegment)
-		}
+		tr.BeginPhase(obs.PhaseSegment)
 		viewPos := make([][]int, len(patterns))
 		for i, pat := range patterns {
 			m, err := tpq.QueryNodeOfView(pat, q.p)
 			if err != nil {
-				if tr != nil {
-					tr.EndPhase(obs.PhaseSegment)
-				}
+				tr.EndPhase(obs.PhaseSegment)
 				return nil, err
 			}
 			viewPos[i] = m
 		}
-		if tr != nil {
-			tr.EndPhase(obs.PhaseSegment)
-		}
+		tr.EndPhase(obs.PhaseSegment)
 		ij, err := interjoin.Prepare(q.p, stores, viewPos, &counters.IO{C: &p.prepC}, tr)
 		if err != nil {
 			return nil, err
@@ -183,7 +177,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 
 // listPlan prepares one of the three engines that read the views' element
 // lists through the view-segmented query, and returns the lists it bound.
-func listPlan(eng Engine, v *vsq.VSQ, stores []*store.ViewStore, tr obs.Tracer) (enginePlan, engine.Lists, error) {
+func listPlan(eng Engine, v *vsq.VSQ, stores []*store.ViewStore, tr *obs.Recorder) (enginePlan, engine.Lists, error) {
 	if eng == EngineViewJoin {
 		vj, err := vjengine.Prepare(v, stores, tr)
 		if err != nil {
@@ -258,7 +252,7 @@ type RunOptions struct {
 	// Tracer observes this single execution. Because it travels with the
 	// call rather than the plan, concurrent runs of one shared plan may
 	// each bring their own. nil inherits the prepare-time Tracer.
-	Tracer obs.Tracer
+	Tracer *obs.Recorder
 }
 
 // Run executes the prepared plan once under the options captured at
@@ -278,9 +272,9 @@ func (p *PreparedQuery) Run() (*Result, error) {
 // in place of the prepare-time Parallelism (k <= 1 is sequential). It is
 // RunWith with both always overriding instead of inheriting.
 //
-// Pinned: the signature is part of what benchmark/ calls and must not
-// change outside a [benchmark] PR.
-func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr obs.Tracer) (*Result, error) {
+// Pinned: benchmark/ calls it as RunTraced(ctx, 1, obs.NewRecorder()), and
+// that call shape must keep compiling outside a [benchmark] PR.
+func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr *obs.Recorder) (*Result, error) {
 	r := p.resolve(ctx, nil)
 	r.k, r.tr = k, tr
 	return p.execute(r)
@@ -294,7 +288,7 @@ func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr obs.Tracer) (*R
 // uninterruptible. This is the serving entry point: one immutable
 // PreparedQuery, many concurrent requests, each with its own deadline,
 // page, parallelism and tracer. Safe for concurrent use provided no two
-// concurrent runs share a Tracer.
+// concurrent runs share a Recorder.
 func (p *PreparedQuery) RunWith(ctx context.Context, ro *RunOptions) (*Result, error) {
 	return p.execute(p.resolve(ctx, ro))
 }
@@ -335,20 +329,16 @@ func parallelFor(n, workers int, work func(i int)) {
 }
 
 // buildVSQ wraps vsq.Build in the segment phase span.
-func buildVSQ(q *Query, patterns []*tpq.Pattern, tr obs.Tracer) (*vsq.VSQ, error) {
-	if tr != nil {
-		tr.BeginPhase(obs.PhaseSegment)
-		defer tr.EndPhase(obs.PhaseSegment)
-	}
+func buildVSQ(q *Query, patterns []*tpq.Pattern, tr *obs.Recorder) (*vsq.VSQ, error) {
+	tr.BeginPhase(obs.PhaseSegment)
+	defer tr.EndPhase(obs.PhaseSegment)
 	return vsq.Build(q.p, patterns)
 }
 
 // bindLists wraps engine.BindLists in the bind phase span (for the engines
 // that bind here rather than inside their Prepare).
-func bindLists(v *vsq.VSQ, stores []*store.ViewStore, tr obs.Tracer) ([]*store.ListFile, error) {
-	if tr != nil {
-		tr.BeginPhase(obs.PhaseBind)
-		defer tr.EndPhase(obs.PhaseBind)
-	}
+func bindLists(v *vsq.VSQ, stores []*store.ViewStore, tr *obs.Recorder) ([]*store.ListFile, error) {
+	tr.BeginPhase(obs.PhaseBind)
+	defer tr.EndPhase(obs.PhaseBind)
 	return engine.BindLists(v, stores)
 }

@@ -14,6 +14,10 @@
 #      many-core builder and fail on a small runner. After the build,
 #      GOOS=windows go build: the one check that the heap fallback behind
 #      store.OpenMmap (mmap_other.go) still compiles where it is used
+#   2a. tracing inlines: go build -gcflags=-m ./internal/obs must report
+#      that (*Recorder).Event, BeginPhase and EndPhase can inline. Call
+#      sites do not guard a nil recorder, so an untraced run costs one
+#      branch per hook only while these stay inlinable
 #   2b. benchmark module: go vet and go test inside benchmark/ (a nested
 #      module root `go test ./...` does not reach), then a one-round
 #      --quick run of every BENCHMARK.json workload with its verify step,
@@ -85,6 +89,14 @@ echo "== tier-1: build"
 go build ./...
 echo "== tier-1: build (GOOS=windows, the non-mmap file loader)"
 GOOS=windows go build ./...
+echo "== tracing hooks inline"
+inl="$(go build -gcflags=-m ./internal/obs 2>&1)"
+for m in Event BeginPhase EndPhase; do
+	if ! echo "$inl" | grep -q "can inline (\*Recorder).$m\$"; then
+		echo "(*obs.Recorder).$m no longer inlines: the untraced path would pay a call per hook" >&2
+		exit 1
+	fi
+done
 echo "== tier-1: vet"
 go vet ./...
 echo "== tier-1: test"

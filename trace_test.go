@@ -2,7 +2,9 @@ package viewjoin
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -122,6 +124,63 @@ func TestEvaluateTraceAllEngines(t *testing.T) {
 		if res.Trace == nil || res.Trace.Plan == nil {
 			t.Errorf("%v+%v: no trace", tc.eng, tc.scheme)
 		}
+	}
+}
+
+// TestNilRecorderRunsUntraced passes a nil *obs.Recorder through every
+// entry point that takes a tracer: each run must behave exactly like one
+// with no tracer — same rows, same deterministic Stats, no Trace.
+func TestNilRecorderRunsUntraced(t *testing.T) {
+	d, q, mv := traceFixture(t, SchemeLEp)
+	var nilRec *obs.Recorder
+	prepared := func() *PreparedQuery {
+		p, err := Prepare(d, q, mv, EngineViewJoin, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name     string
+		run, ref func() (*Result, error)
+	}{
+		{"Evaluate",
+			func() (*Result, error) { return Evaluate(d, q, mv, EngineViewJoin, &EvalOptions{Tracer: nilRec}) },
+			func() (*Result, error) { return Evaluate(d, q, mv, EngineViewJoin, nil) }},
+		{"EvaluateWithoutViews",
+			func() (*Result, error) {
+				return EvaluateWithoutViews(d, q, EngineTwigStack, &EvalOptions{Tracer: nilRec})
+			},
+			func() (*Result, error) { return EvaluateWithoutViews(d, q, EngineTwigStack, nil) }},
+		{"RunWith",
+			func() (*Result, error) { return prepared().RunWith(context.Background(), &RunOptions{Tracer: nilRec}) },
+			func() (*Result, error) { return prepared().RunWith(context.Background(), &RunOptions{}) }},
+		{"RunTraced",
+			func() (*Result, error) { return prepared().RunTraced(context.Background(), 1, nilRec) },
+			func() (*Result, error) { return prepared().RunTraced(context.Background(), 1, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.ref()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Trace != nil {
+				t.Errorf("nil recorder filled Result.Trace")
+			}
+			if !reflect.DeepEqual(got.Matches, want.Matches) {
+				t.Errorf("rows differ: %v, want %v", got.Matches, want.Matches)
+			}
+			gs, ws := got.Stats, want.Stats
+			gs.Duration, gs.FirstMatchNanos = 0, 0
+			ws.Duration, ws.FirstMatchNanos = 0, 0
+			if gs != ws {
+				t.Errorf("stats differ: %+v, want %+v", gs, ws)
+			}
+		})
 	}
 }
 

@@ -436,10 +436,9 @@ func ParseEngine(s string) (Engine, error) {
 // EvalOptions tunes evaluation.
 type EvalOptions struct {
 	// Tracer, when non-nil, receives phase spans and engine-internal events
-	// (cursor advances, pointer jumps, stack activity). Passing an
-	// *obs.Recorder additionally fills Result.Trace with the full report.
-	// nil disables tracing at zero cost.
-	Tracer obs.Tracer
+	// (cursor advances, pointer jumps, stack activity) and fills
+	// Result.Trace with the full report. nil disables tracing at zero cost.
+	Tracer *obs.Recorder
 	// Context, when non-nil, bounds the evaluation: cancellation or deadline
 	// expiry aborts the engine main loops and the window enumeration at the
 	// next cooperative checkpoint (every few hundred cursor steps), and the
@@ -531,8 +530,8 @@ type Result struct {
 	Matches [][]Node
 	Stats   Stats
 	// Trace is the full observability report of the run: plan, per-phase
-	// durations, per-node costs and jump distributions. It is populated only
-	// when EvalOptions.Tracer is an *obs.Recorder.
+	// durations, per-node costs and jump distributions. It is nil unless
+	// the run had a recorder (EvalOptions.Tracer or RunOptions.Tracer).
 	Trace *obs.Report
 }
 
