@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"viewjoin/internal/counters"
@@ -202,14 +203,17 @@ type jobOut struct {
 }
 
 // jobIO is one job's cost accounting: its counters and the IO charging
-// them, and the restriction of a job that resumes after a cursor. The plan
-// recycles them through ioPool, so a run resets them instead of allocating
-// them.
+// them, and the restriction of a job that resumes after a cursor. Every
+// plan's jobs recycle them through jobIOs, so a run resets them instead of
+// allocating them.
 type jobIO struct {
 	io     counters.IO
 	c      counters.Counters
 	resume engine.Restriction
 }
+
+// jobIOs is the executor's pool of jobIO, shared by every plan.
+var jobIOs sync.Pool // *jobIO
 
 // runJob executes the plan once over restriction r (nil: the whole
 // document) with its own counters, so concurrent jobs share no accounting
@@ -231,7 +235,7 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 		defer catchViewFault(debug.SetPanicOnFault(true), &out.err)
 	}
 	t0 := time.Now()
-	acct, _ := p.ioPool.Get().(*jobIO)
+	acct, _ := jobIOs.Get().(*jobIO)
 	if acct == nil {
 		acct = new(jobIO)
 	}
@@ -246,7 +250,7 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 			acct.resume.Body.Lo = max(r.Body.Lo, lim.after[b])
 		}
 		if r = &acct.resume; r.Body.Empty() {
-			p.ioPool.Put(acct)
+			jobIOs.Put(acct)
 			out.skipped = true
 			return out
 		}
@@ -269,7 +273,7 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 	out.dur = time.Since(t0)
 	out.first = io.FirstMatchTime()
 	out.c = acct.c
-	p.ioPool.Put(acct)
+	jobIOs.Put(acct)
 	return out
 }
 

@@ -115,6 +115,16 @@ func (ic *Interrupter) Stop() {
 	}
 }
 
+// Fit returns s resized in place to n elements: a pooled evaluator
+// re-bound to another plan keeps every element's capacity, including the
+// ones a smaller plan leaves beyond its length, and grows only past cap.
+func Fit[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
 // BindLists maps each query node to the list file that holds its
 // candidates: the list of its covering view's node, found through the
 // view-segmented query's ownership maps. The stores must be the element-

@@ -38,7 +38,7 @@ func BenchmarkEnumerate(b *testing.B) {
 			io := counters.NewIO(&cnt, 0)
 			c := NewCollector(q, io, nil, false)
 			feedAll := func() int {
-				c.Reset(io, nil, false)
+				c.Reset(q, io, nil, false)
 				for i, qi := range qis {
 					c.Add(qi, labels[i])
 				}

@@ -104,8 +104,8 @@ type Collector struct {
 	// only then.
 	disorder bool
 
-	// Enumeration scratch, allocated by NewCollector and grown in place, so
-	// neither a window nor a run on a warm plan allocates any. ok[qi][j] is
+	// Enumeration scratch, sized by Reset and grown in place, so neither a
+	// window nor a run on a warm collector allocates any. ok[qi][j] is
 	// the filter's verdict on candidate j of node qi; lo[qc][j] is the offset in cands[qc] of the
 	// first candidate starting after candidate j of qc's parent; stack is
 	// the merge's chain of open parent candidates; at[qi] is the candidate
@@ -155,35 +155,37 @@ const (
 // tracing into tr (nil disables tracing). When diskBased is set, windows
 // are spooled through scratch pages of store.DefaultPageSize bytes.
 func NewCollector(q *tpq.Pattern, io *counters.IO, tr *obs.Recorder, diskBased bool) *Collector {
+	c := new(Collector)
+	c.Reset(q, io, tr, diskBased)
+	return c
+}
+
+// Reset readies the collector for a fresh run of query q over the same or
+// another plan: the query, accounting, tracer and output options are
+// rebound, collected state is cleared, and every scratch slice is resized
+// in place, keeping its capacity, so a pooled collector moves between
+// plans without regrowing. Rows a previous Result returned are not
+// touched: their chunks belong to that caller, and this run writes fresh
+// ones. PreFlush is preserved.
+func (c *Collector) Reset(q *tpq.Pattern, io *counters.IO, tr *obs.Recorder, diskBased bool) {
 	n := q.Size()
-	c := &Collector{
-		q:     q,
-		cands: make([][]Label, n),
-		ok:    make([][]bool, n),
-		lo:    make([][]int32, n),
-		at:    make([]int32, n),
-		row:   make([]match.Cell, n),
-	}
+	c.q = q
+	c.cands = engine.Fit(c.cands, n)
+	c.ok = engine.Fit(c.ok, n)
+	c.lo = engine.Fit(c.lo, n)
+	c.at = engine.Fit(c.at, n)
+	c.row = engine.Fit(c.row, n)
+	c.full = engine.Fit(c.full, n)
 	// The spine is the maximal single-child chain from the root: node 1..a
 	// where a is the first node with zero or several children. When it is
 	// empty (multi-child or leaf root), partial flushing is disabled — the
 	// root's branches cross-product over the whole window, so no tuple is
 	// final before the window closes.
+	c.spine = c.spine[:0]
 	for qi := 0; len(q.Nodes[qi].Children) == 1; {
 		qi = q.Nodes[qi].Children[0]
 		c.spine = append(c.spine, qi)
 	}
-	c.full = make([][]Label, n)
-	c.Reset(io, tr, diskBased)
-	return c
-}
-
-// Reset readies the collector for a fresh run over the same document and
-// query: the accounting, tracer and output options are rebound, collected
-// state is cleared, and every scratch slice keeps its capacity. Rows a
-// previous Result returned are not touched: their chunks belong to that
-// caller, and this run writes fresh ones. PreFlush is preserved.
-func (c *Collector) Reset(io *counters.IO, tr *obs.Recorder, diskBased bool) {
 	c.io, c.tr, c.diskBased = io, tr, diskBased
 	c.ic = nil
 	c.out = engine.NewRows(c.q, 0)

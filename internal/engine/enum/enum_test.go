@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -422,13 +423,32 @@ func TestResetReusesCollector(t *testing.T) {
 	// Reset must clear the stream bound, the emitted count, and the window
 	// state: the second run is a plain full accumulation.
 	var cnt2 counters.Counters
-	c.Reset(counters.NewIO(&cnt2, 0), nil, false)
+	c.Reset(q, counters.NewIO(&cnt2, 0), nil, false)
 	if c.Emitted() != 0 {
 		t.Fatalf("Emitted() = %d after Reset, want 0", c.Emitted())
 	}
 	feed(d, q, c)
 	if got := c.Result(); len(got) != 10 {
 		t.Fatalf("after Reset: %d matches, want 10 (quota must not persist)", len(got))
+	}
+	// Reset may bind another query, as a pooled evaluator's collector is
+	// moved between plans: one whose root branches (no spine, so no
+	// partial flush under a quota) must answer as a fresh collector.
+	q2 := tpq.MustParse("//site[//b]//a")
+	qis, labels := candidates(d, q2)
+	bounded := func(c *Collector, cnt *counters.Counters) [][]match.Cell {
+		var ic engine.Interrupter
+		c.Reset(q2, counters.NewIO(cnt, 0), nil, false)
+		c.SetInterrupt(&ic)
+		c.SetStream(4, nil)
+		feedStream(c, &ic, qis, labels)
+		return c.Result()
+	}
+	var cnt3, cnt4 counters.Counters
+	got, want := bounded(c, &cnt3), bounded(new(Collector), &cnt4)
+	if !slices.EqualFunc(got, want, slices.Equal) || cnt3 != cnt4 || c.PeakEntries() != len(labels) {
+		t.Fatalf("rebound to %s: %v with %+v and a %d-entry peak, a fresh collector %v with %+v and %d",
+			q2, got, cnt3, c.PeakEntries(), want, cnt4, len(labels))
 	}
 }
 

@@ -61,16 +61,19 @@ func (a *labelArena) row() []store.Label {
 
 // Prepared is the compile-once part of an InterJoin evaluation: the view
 // streams, materialized once by scanning the tuple files, plus the join
-// order and a pool of reusable sort/merge scratch. The streams are
-// read-only during joins (binary joins write fresh intermediate streams),
-// so a Prepared is safe for concurrent Run calls; repeated runs amortize
-// the tuple scans that dominate InterJoin's per-call setup.
+// order. The streams are read-only during joins (binary joins write fresh
+// intermediate streams), so a Prepared is safe for concurrent Run calls;
+// repeated runs amortize the tuple scans that dominate InterJoin's
+// per-call setup.
 type Prepared struct {
 	q       *tpq.Pattern
 	order   []int
 	streams []*stream
-	pool    sync.Pool // *scratch
 }
+
+// scratches recycles the binary joins' sort and merge buffers across every
+// plan, so scratch is kept per concurrent run rather than per plan.
+var scratches sync.Pool // *scratch
 
 // scratch holds the per-run sort and merge buffers of the binary joins,
 // reset in place between runs.
@@ -158,7 +161,7 @@ func (p *Prepared) Footprint() int64 {
 // Prepare time. The peak-bytes result is always 0: InterJoin does not track
 // its intermediate state.
 func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, int64, error) {
-	sc, _ := p.pool.Get().(*scratch)
+	sc, _ := scratches.Get().(*scratch)
 	if sc == nil {
 		sc = &scratch{}
 	}
@@ -171,7 +174,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	acc := streams[p.order[0]]
 	for _, oi := range p.order[1:] {
 		if err := sc.ic.Err(); err != nil {
-			p.pool.Put(sc)
+			scratches.Put(sc)
 			return nil, 0, err
 		}
 		acc = binaryJoin(q, acc, streams[oi], io, sc)
@@ -216,10 +219,10 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	}
 	// Also catches an error the joins left when no tuple remains to verify.
 	if err := sc.ic.Err(); err != nil {
-		p.pool.Put(sc)
+		scratches.Put(sc)
 		return nil, 0, err
 	}
-	p.pool.Put(sc)
+	scratches.Put(sc)
 	// Join construction orders tuples by the accumulated stream's first
 	// position only; canonicalize to full lexicographic document order so
 	// sequential and partitioned runs are byte-comparable.

@@ -32,17 +32,20 @@ type frame struct {
 }
 
 // Prepared is the compile-once part of a PathStack evaluation: the bound
-// per-query-node lists plus a pool of reusable run scratch (cursors,
-// linked stacks, the expansion buffer). Immutable after construction and
-// safe for concurrent Run calls.
+// per-query-node lists. Immutable after construction and safe for
+// concurrent Run calls.
 type Prepared struct {
 	engine.Lists // per query node; also answers the partition planner
 	q            *tpq.Pattern
-	pool         sync.Pool // *scratch
 }
 
-// scratch is the per-run state of one PathStack execution, reset in place
-// between runs.
+// scratches recycles run scratch (cursors, linked stacks, the expansion
+// buffer) across every plan: each Run sizes one for its query, so scratch
+// is kept per concurrent run rather than per plan.
+var scratches sync.Pool // *scratch
+
+// scratch is the per-run state of one PathStack execution, resized and
+// reset in place between runs.
 type scratch struct {
 	cur    []store.ListCursor
 	stacks [][]frame
@@ -59,8 +62,8 @@ type scratch struct {
 
 // Footprint estimates the plan-resident bytes beyond the shared document
 // and view stores: PathStack binds references to existing list files, so
-// a cached plan carries only those bindings. Pooled run scratch is
-// excluded.
+// a cached plan carries only those bindings. Run scratch belongs to the
+// package's pool, not to the plan.
 func (p *Prepared) Footprint() int64 { return int64(len(p.Lists)) * 8 }
 
 // Prepare binds the path query q over the given lists for repeated runs.
@@ -73,18 +76,17 @@ func Prepare(q *tpq.Pattern, lists []*store.ListFile) (*Prepared, error) {
 }
 
 // Run executes the prepared plan once, drawing scratch from the pool and
-// resetting it in place. The peak-bytes result is always 0: PathStack does
-// not track its intermediate state.
+// resizing and resetting it in place. The peak-bytes result is always 0:
+// PathStack does not track its intermediate state.
 func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, int64, error) {
-	sc, _ := p.pool.Get().(*scratch)
-	n := p.q.Size()
+	sc, _ := scratches.Get().(*scratch)
 	if sc == nil {
-		sc = &scratch{
-			cur:    make([]store.ListCursor, n),
-			stacks: make([][]frame, n),
-			buf:    make([]store.Label, n),
-		}
+		sc = new(scratch)
 	}
+	n := p.q.Size()
+	sc.cur = engine.Fit(sc.cur, n)
+	sc.stacks = engine.Fit(sc.stacks, n)
+	sc.buf = engine.Fit(sc.buf, n)
 	tr := opts.Tracer
 	sc.ic = engine.NewInterrupter(opts.Interrupt)
 	sc.first, sc.after = opts.First, opts.After
@@ -96,10 +98,10 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	}
 	out := p.eval(sc, io.C, tr)
 	if err := sc.ic.Err(); err != nil {
-		p.pool.Put(sc)
+		scratches.Put(sc)
 		return nil, 0, err
 	}
-	p.pool.Put(sc) // sc must not be touched past this point
+	scratches.Put(sc) // sc must not be touched past this point
 	// The linked stacks emit leaf-major (ancestor combinations enumerated
 	// newest-first); canonicalize to the lexicographic document order the
 	// other engines produce so sequential and partitioned runs are

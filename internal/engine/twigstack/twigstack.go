@@ -30,14 +30,17 @@ import (
 const inf = int32(math.MaxInt32)
 
 // Prepared is the compile-once part of a TwigStack evaluation: the bound
-// per-query-node lists plus a pool of reusable evaluator scratch (cursors,
-// open-region stacks, collector buffers). Immutable after construction and
-// safe for concurrent Run calls.
+// per-query-node lists. Immutable after construction and safe for
+// concurrent Run calls.
 type Prepared struct {
 	engine.Lists // per query node; also answers the partition planner
 	q            *tpq.Pattern
-	pool         sync.Pool // *evaluator
 }
+
+// evaluators recycles evaluator scratch (cursors, open-region stacks,
+// collector buffers) across every plan: each Run binds one to its plan, so
+// scratch is kept per concurrent run rather than per plan.
+var evaluators sync.Pool // *evaluator
 
 type evaluator struct {
 	p    *Prepared
@@ -56,28 +59,26 @@ func Prepare(q *tpq.Pattern, lists []*store.ListFile) *Prepared {
 
 // Footprint estimates the plan-resident bytes beyond the shared document
 // and view stores: TwigStack binds references to existing list files, so
-// a cached plan carries only those bindings. Pooled evaluator scratch is
-// per-run, recycled state and is excluded.
+// a cached plan carries only those bindings. Evaluator scratch belongs to
+// the package's pool, not to the plan.
 func (p *Prepared) Footprint() int64 { return int64(len(p.Lists)) * 8 }
 
 // Run executes the prepared plan once, drawing evaluator scratch from the
-// pool and resetting it in place, and returns the rows and the peak bytes
-// of window state held (|F_max|). The only error condition is a trip of
-// opts.Interrupt (cooperative cancellation).
+// pool, binding it to p and resetting it in place, and returns the rows
+// and the peak bytes of window state held (|F_max|). The only error
+// condition is a trip of opts.Interrupt (cooperative cancellation).
 func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, int64, error) {
-	e, _ := p.pool.Get().(*evaluator)
+	e, _ := evaluators.Get().(*evaluator)
 	if e == nil {
-		n := p.q.Size()
-		e = &evaluator{
-			p:    p,
-			cur:  make([]store.ListCursor, n),
-			col:  enum.NewCollector(p.q, nil, nil, false),
-			open: make([][]enum.Label, n),
-		}
+		e = &evaluator{col: new(enum.Collector)}
 	}
+	n := p.q.Size()
+	e.p = p
+	e.cur = engine.Fit(e.cur, n)
+	e.open = engine.Fit(e.open, n)
 	e.c, e.tr = io.C, opts.Tracer
 	e.ic = engine.NewInterrupter(opts.Interrupt)
-	e.col.Reset(io, opts.Tracer, opts.DiskBased)
+	e.col.Reset(p.q, io, opts.Tracer, opts.DiskBased)
 	e.col.SetInterrupt(&e.ic)
 	e.col.SetStream(opts.First, opts.After)
 	for qi, l := range p.Lists {
@@ -88,13 +89,13 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	}
 	e.run()
 	if err := e.ic.Err(); err != nil && err != engine.ErrStop {
-		p.pool.Put(e)
+		evaluators.Put(e)
 		return nil, 0, err
 	}
 	// ErrStop is the collector's output quota tripping, not a failure: the
 	// bounded output collected so far is the answer.
 	out, peak := e.col.Result(), e.col.MemoryBytes()
-	p.pool.Put(e)
+	evaluators.Put(e)
 	return out, peak, nil
 }
 

@@ -52,12 +52,12 @@ import (
 )
 
 // Prepared is the compile-once part of a ViewJoin evaluation: the bound
-// lists, the inverse view maps, and a pool of reusable evaluator scratch
-// state. A Prepared is immutable after construction and safe for
-// concurrent Run calls; each Run takes an evaluator from the pool (or
-// allocates a fresh one) and returns it afterwards, so repeated runs pay
-// for cursor movement and enumeration only — the costs the paper's §V
-// model charges — not for setup.
+// lists and the inverse view maps. A Prepared is immutable after
+// construction and safe for concurrent Run calls; each Run takes an
+// evaluator from the package's pool (or allocates a fresh one), binds it
+// to the plan and returns it afterwards, so repeated runs pay for cursor
+// movement and enumeration only — the costs the paper's §V model charges
+// — not for setup.
 type Prepared struct {
 	engine.Lists // per query node; also answers the partition planner
 	v            *vsq.VSQ
@@ -75,9 +75,13 @@ type Prepared struct {
 
 	primeNodes   []int // cached v.PrimeNodes()
 	removedNodes []int // cached v.RemovedNodes()
-
-	pool sync.Pool // *evaluator
 }
+
+// evaluators recycles evaluator scratch across every plan: an evaluator
+// serves one plan for one run (bind), so scratch is kept per concurrent
+// run rather than per plan, and a collection releases it as it does any
+// sync.Pool's.
+var evaluators sync.Pool // *evaluator
 
 // segStep is one segment as getNext visits it.
 type segStep struct {
@@ -103,6 +107,9 @@ type evaluator struct {
 	// parent it has no child pointer to jump through.
 	cur []store.ListCursor
 	col *enum.Collector
+	// extend is extendWindow as a method value, made once per evaluator and
+	// installed as the collector's PreFlush by plans with removed nodes.
+	extend func(lo, hi int32)
 	// steps lists the segments children first, each child subtree in its
 	// parent's child order and the root segment last: the order in which a
 	// recursion over segments finishes them, which getNext walks as a loop.
@@ -175,8 +182,8 @@ func Prepare(v *vsq.VSQ, stores []*store.ViewStore, tr *obs.Recorder) (*Prepared
 
 // Footprint estimates the plan-resident bytes beyond the shared document
 // and view stores: the per-query-node segmentation tables built at
-// Prepare time plus the list bindings. Pooled evaluator scratch is per-run,
-// recycled state and is excluded.
+// Prepare time plus the list bindings. Evaluator scratch belongs to the
+// package's pool, not to the plan.
 func (p *Prepared) Footprint() int64 {
 	f := int64(len(p.viewParentQ))*8 + int64(len(p.viewChildSlot))*8 + int64(len(p.isSegRoot))
 	f += int64(len(p.primeNodes)+len(p.removedNodes)) * 8
@@ -187,26 +194,29 @@ func (p *Prepared) Footprint() int64 {
 }
 
 // Run executes the prepared plan once: evaluator scratch state (cursors,
-// region logs, collector buffers, extension state) comes from the pool and
-// is reset in place, so a warm Run allocates only for the output. Beside
-// the rows it returns the peak bytes of window state held (|F_max|).
+// region logs, collector buffers, extension state) comes from the pool, is
+// bound to p and reset in place, so a warm Run allocates only for the
+// output. Beside the rows it returns the peak bytes of window state held
+// (|F_max|).
 func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, int64, error) {
-	e, _ := p.pool.Get().(*evaluator)
+	e, _ := evaluators.Get().(*evaluator)
 	if e == nil {
-		e = newEvaluator(p)
+		e = newEvaluator()
 	}
+	e.bind(p)
 	e.reset(io, opts)
 	e.run()
 	if err := e.ic.Err(); err != nil && err != engine.ErrStop {
 		// Interrupted: abandon the partial output. The evaluator still goes
-		// back to the pool — reset clears every piece of scratch on reuse.
-		p.pool.Put(e)
+		// back to the pool — bind and reset clear every piece of scratch on
+		// reuse.
+		evaluators.Put(e)
 		return nil, 0, err
 	}
 	// ErrStop is the collector's output quota tripping, not a failure: the
 	// bounded output collected so far is the answer.
 	out, peak := e.col.Result(), e.col.MemoryBytes()
-	p.pool.Put(e)
+	evaluators.Put(e)
 	return out, peak, nil
 }
 
@@ -222,24 +232,32 @@ func Eval(v *vsq.VSQ, stores []*store.ViewStore, io *counters.IO,
 	return p.Run(io, opts)
 }
 
-// newEvaluator allocates the per-run scratch for one pooled evaluator; all
-// of it is reset in place by reset on every reuse.
-func newEvaluator(p *Prepared) *evaluator {
-	n := p.v.Query.Size()
-	e := &evaluator{
-		p:       p,
-		cur:     make([]store.ListCursor, n),
-		col:     enum.NewCollector(p.v.Query, nil, nil, false),
-		open:    make([]regionLog, n),
-		ext:     make([]store.ListCursor, n),
-		extOpen: make([]bool, n),
-		extJump: make([]store.Pointer, n),
-	}
-	if len(p.removedNodes) > 0 {
-		e.col.PreFlush = e.extendWindow
-	}
-	e.addSteps(p.v.RootSegment(), -1)
+// newEvaluator allocates one pooled evaluator; bind sizes its scratch for
+// a plan on every use.
+func newEvaluator() *evaluator {
+	e := &evaluator{col: new(enum.Collector)}
+	e.extend = e.extendWindow
 	return e
+}
+
+// bind re-binds the evaluator to plan p: every per-query-node slice is
+// resized in place, keeping capacity, the collector's window extension is
+// switched on for a Q' with removed nodes, and the segment steps are
+// rebuilt for p's Q'.
+func (e *evaluator) bind(p *Prepared) {
+	n := p.v.Query.Size()
+	e.p = p
+	e.cur = engine.Fit(e.cur, n)
+	e.open = engine.Fit(e.open, n)
+	e.ext = engine.Fit(e.ext, n)
+	e.extOpen = engine.Fit(e.extOpen, n)
+	e.extJump = engine.Fit(e.extJump, n)
+	e.col.PreFlush = nil
+	if len(p.removedNodes) > 0 {
+		e.col.PreFlush = e.extend
+	}
+	e.steps = e.steps[:0]
+	e.addSteps(p.v.RootSegment(), -1)
 }
 
 // addSteps appends segment b's subtree to e.steps, children first; parent
@@ -265,7 +283,7 @@ func (e *evaluator) reset(io *counters.IO, opts engine.Options) {
 	e.io, e.c, e.tr = io, io.C, opts.Tracer
 	e.restrict = opts.Restrict
 	e.ic = engine.NewInterrupter(opts.Interrupt)
-	e.col.Reset(io, opts.Tracer, opts.DiskBased)
+	e.col.Reset(e.p.v.Query, io, opts.Tracer, opts.DiskBased)
 	e.col.SetInterrupt(&e.ic)
 	e.col.SetStream(opts.First, opts.After)
 	e.winEnd, e.extLo = -1, -1

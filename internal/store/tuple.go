@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"viewjoin/internal/counters"
 	"viewjoin/internal/obs"
@@ -65,6 +66,23 @@ func buildTupleFile(m *views.Materialized, pageSize int) (*TupleFile, error) {
 		}
 	}
 	return f, nil
+}
+
+// DistinctStarts returns, per view node, the number of distinct elements
+// the tuples bind it to: the length of the node's solution list, which the
+// tuple scheme does not store. Nothing is charged: this is a statistic, not
+// a query read.
+func (f *TupleFile) DistinctStarts() []int {
+	out := make([]int, f.arity)
+	starts := make([]int32, f.entries)
+	for j := range out {
+		for i := range starts {
+			starts[i] = getLabel(f.seg.rec(int32(i))[j*labelBytes:]).Start
+		}
+		slices.Sort(starts)
+		out[j] = len(slices.Compact(starts))
+	}
+	return out
 }
 
 // TupleItem is one decoded tuple: Labels[i] is the region label bound to

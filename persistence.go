@@ -88,10 +88,9 @@ func (v *MaterializedView) SaveViewFile(path string) (int64, error) {
 // data, adopted without decoding or copying records, so the caller must
 // not mutate data afterwards. Loaded views evaluate exactly like freshly
 // materialized ones and can be served concurrently (the segments are
-// immutable and every reader carries its own cursor state); only
-// MaterializeResult-style raw access to the in-memory materialization is
-// unavailable (ListSizes and the selection API still work, computed from
-// the stored lists), and they cannot be maintained (see Maintain).
+// immutable and every reader carries its own cursor state), answer
+// ListSizes and the selection API from the store as every view does, and
+// cannot be maintained (see Maintain).
 func (d *Document) LoadViewBytes(data []byte) (*MaterializedView, error) {
 	return d.loadViewImage(data, nil)
 }
@@ -140,7 +139,7 @@ func (d *Document) loadViewImage(data []byte, file *store.Mapping) (*Materialize
 	if err != nil {
 		return nil, loadErr(err)
 	}
-	mv := newView(d, snap, st.View, nil, st)
+	mv := newView(d, snap, st.View, st)
 	mv.loaded, mv.file = true, file
 	return mv, nil
 }

@@ -29,11 +29,13 @@ import (
 // the per-execution costs the paper's §V cost model charges: cursor
 // movement over the view lists, structural joins, and enumeration.
 //
-// Run draws evaluator scratch state (cursors, region logs, window buffers,
-// join scratch) from an internal sync.Pool and resets it in place instead
-// of reallocating, so a warm Run allocates only for its output: row chunks
-// that double up to 64 KiB and one header slice, never one allocation per
-// match (see Result.Matches).
+// The plan holds only immutable data. Run draws evaluator scratch state
+// (cursors, region logs, window buffers, join scratch) from its engine's
+// package-level sync.Pool, binds it to the plan and resets it in place
+// instead of reallocating, so a warm Run allocates only for its output:
+// row chunks that double up to 64 KiB and one header slice, never one
+// allocation per match (see Result.Matches). Scratch is kept per
+// concurrent run, not per plan, and a collection releases it.
 //
 // A PreparedQuery is immutable after Prepare and safe for concurrent Run
 // calls provided the captured EvalOptions.Tracer is nil (a Recorder is not
@@ -70,8 +72,6 @@ type PreparedQuery struct {
 	// keep historical counter totals, while Run reports per-execution
 	// costs only — that amortization is the point of preparing.
 	prepC counters.Counters
-
-	ioPool sync.Pool // *jobIO
 
 	// resume is the plan's resume prefix (resumePrefix), fixed at Prepare
 	// from the lists' entry counts: a cursor run seeks below it.

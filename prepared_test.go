@@ -281,7 +281,7 @@ func TestRunAllocationsDoNotGrowWithMatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A collection that starts inside a run empties the plan's
+			// A collection that starts inside a run empties the engines'
 			// sync.Pools, and the run's next Get or Put rebuilds each one's
 			// per-P array: allocations of the collector's timing, not of
 			// the run. Collect first, let AllocsPerRun's warm-up run do the
@@ -311,11 +311,11 @@ func TestRunAllocationsDoNotGrowWithMatches(t *testing.T) {
 			t.Errorf("%s: %d -> %d matches grew allocations %.0f -> %.0f: more than one per hundred rows",
 				c.name, fewMatches, manyMatches, fewAllocs, manyAllocs)
 		}
-		// The window-collector engines hold their enumeration scratch on
-		// the pooled plan state: once a run has grown it, a run allocates
-		// its result and a fixed remainder that does not know how large the
+		// The window-collector engines hold their enumeration scratch in
+		// the engine's pool: once a run has grown it, a run allocates its
+		// result and a fixed remainder that does not know how large the
 		// window was (the Result; the job's counters and IO are recycled
-		// through the plan).
+		// through the executor's pool).
 		if c.eng == EngineViewJoin || c.eng == EngineTwigStack {
 			width := MustParseQuery(c.query).NumNodes()
 			few, many := fewAllocs-resultAllocs(fewMatches, width), manyAllocs-resultAllocs(manyMatches, width)
@@ -323,6 +323,45 @@ func TestRunAllocationsDoNotGrowWithMatches(t *testing.T) {
 				t.Errorf("%s: beside its result a warm run allocated %.0f times at %d matches and %.0f at %d, want %d at both: enumeration scratch is being allocated per run",
 					c.name, few, fewMatches, many, manyMatches, warmRunFixedAllocs)
 			}
+		}
+	}
+	// Scratch belongs to the engine, not the plan: when warm plan A runs
+	// again after plan B, of another shape, drew the same pooled evaluator
+	// on this goroutine, A still allocates only its result — re-binding the
+	// evaluator neither regrows its scratch nor allocates a closure.
+	for _, eng := range []Engine{EngineViewJoin, EngineTwigStack} {
+		prepare := func(query, views string) *PreparedQuery {
+			q, mv := materializeCase(t, small, preparedCase{eng: eng, scheme: SchemeLEp, query: query, views: views})
+			p, err := Prepare(small, q, mv, eng, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		a := prepare("//site//item[//description//keyword]/name", "//site//item//name; //description//keyword")
+		b := prepare("//site/open_auctions/open_auction/bidder/increase", "//site//increase; //open_auctions//open_auction//bidder")
+		run := func(p *PreparedQuery) int {
+			res, err := p.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(res.Matches)
+		}
+		matches, allocs := 0, uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ { // smallest of five, as above
+			runtime.GC()
+			run(a)
+			run(b)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			matches = run(a)
+			runtime.ReadMemStats(&m1)
+			allocs = min(allocs, m1.Mallocs-m0.Mallocs)
+		}
+		want := resultAllocs(matches, a.Query().NumNodes()) + warmRunFixedAllocs
+		if float64(allocs) != want {
+			t.Errorf("%v: plan A after plan B allocated %d times for %d matches, want %.0f: its result and %d more",
+				eng, allocs, matches, want, warmRunFixedAllocs)
 		}
 	}
 }

@@ -34,5 +34,5 @@ func (d *Document) MaterializeResult(q *Query, res *Result, scheme StorageScheme
 	if err != nil {
 		return nil, err
 	}
-	return newView(d, snap, q.p, mat, st), nil
+	return newView(d, snap, q.p, st), nil
 }

@@ -18,6 +18,9 @@
 #      that (*Recorder).Event, BeginPhase and EndPhase can inline. Call
 #      sites do not guard a nil recorder, so an untraced run costs one
 #      branch per hook only while these stay inlinable
+#   2a'. scratch is per run, not per plan: no non-test Go file of the root
+#      package or under internal/engine/ may declare a sync.Pool struct
+#      field (TestNoStructHoldsAPool); package-level pools are the rule
 #   2b. benchmark module: go vet and go test inside benchmark/ (a nested
 #      module root `go test ./...` does not reach), then a one-round
 #      --quick run of every BENCHMARK.json workload with its verify step,
@@ -97,6 +100,8 @@ for m in Event BeginPhase EndPhase; do
 		exit 1
 	fi
 done
+echo "== scratch pools are package-level, not per plan"
+go test -count=1 -run '^TestNoStructHoldsAPool$' .
 echo "== tier-1: vet"
 go vet ./...
 echo "== tier-1: test"

@@ -31,6 +31,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -256,24 +258,26 @@ type MaterializedView struct {
 	state  atomic.Pointer[viewState]
 }
 
-// viewState is one immutable published state of a view: the store, the
-// document snapshot it reflects, and (for freshly materialized views) the
-// in-memory materialization.
+// viewState is one immutable published state of a view: the store and the
+// document snapshot it reflects. A view is only its store: fresh, loaded
+// and maintained views answer every question from it alike. sizes caches
+// ListSizes, computed on first use (a tuple store must be scanned for it).
 type viewState struct {
 	tree  *xmltree.Document
 	epoch uint64
-	mat   *views.Materialized // nil for loaded and for maintained views
 	store *store.ViewStore
+
+	sizesOnce sync.Once
+	sizes     []int
 }
 
 // st returns the view's current immutable state.
 func (v *MaterializedView) st() *viewState { return v.state.Load() }
 
 // newView publishes a view's initial state over one document snapshot.
-func newView(doc *Document, snap *docSnap, pattern *tpq.Pattern, mat *views.Materialized,
-	st *store.ViewStore) *MaterializedView {
+func newView(doc *Document, snap *docSnap, pattern *tpq.Pattern, st *store.ViewStore) *MaterializedView {
 	v := &MaterializedView{doc: doc, pattern: pattern}
-	v.state.Store(&viewState{tree: snap.tree, epoch: snap.epoch, mat: mat, store: st})
+	v.state.Store(&viewState{tree: snap.tree, epoch: snap.epoch, store: st})
 	return v
 }
 
@@ -304,7 +308,7 @@ func (d *Document) materializeViewAt(snap *docSnap, view *Query, scheme StorageS
 	if err != nil {
 		return nil, err
 	}
-	return newView(d, snap, view.p, mat, st), nil
+	return newView(d, snap, view.p, st), nil
 }
 
 // MaterializeViews materializes a whole view set in one scheme. The views
@@ -370,23 +374,33 @@ func (v *MaterializedView) NumPieces() int { return v.st().store.NumPieces() }
 // the tuple scheme).
 func (v *MaterializedView) NumEntries() int { return v.st().store.TotalEntries() }
 
-// ListSizes returns |L_q| per view node — the inputs of the §V cost model.
-// For element-family views it is available even after LoadView or Maintain;
-// for loaded tuple views (which store whole matches, not per-node lists) it
-// is nil.
+// ListSizes returns |L_q| per view node — the inputs of the §V cost model
+// — read from the view's store, so fresh, loaded and maintained views
+// answer alike. An element-family view counts its list entries; a tuple
+// view, which stores whole matches, counts the distinct elements each
+// column binds, scanned once per published state. It is nil only when a
+// mapped tuple view's file faults under the scan.
 func (v *MaterializedView) ListSizes() []int {
 	s := v.st()
-	if s.mat != nil {
-		return s.mat.ListSizes()
+	s.sizesOnce.Do(func() { s.sizes = s.listSizes(v.file != nil) })
+	return slices.Clone(s.sizes)
+}
+
+// listSizes computes ListSizes; mapped says the store's pages are a file
+// mapping, read under the fault guard every plan over one uses.
+func (s *viewState) listSizes(mapped bool) (sizes []int) {
+	if s.store.Tuples == nil {
+		sizes = make([]int, len(s.store.Lists))
+		for i, l := range s.store.Lists {
+			sizes[i] = l.Entries()
+		}
+		return sizes
 	}
-	if len(s.store.Lists) == 0 {
-		return nil
+	if mapped {
+		var err error // a fault leaves sizes nil
+		defer catchViewFault(debug.SetPanicOnFault(true), &err)
 	}
-	out := make([]int, len(s.store.Lists))
-	for i, l := range s.store.Lists {
-		out[i] = l.Entries()
-	}
-	return out
+	return s.store.Tuples.DistinctStarts()
 }
 
 // Engine selects an evaluation algorithm.
