@@ -7,12 +7,14 @@ import (
 
 // FuzzParse checks that the XML element parser never panics and that every
 // accepted document satisfies the region-label invariants and round-trips
-// through Write.
+// through Write, type names included, writing what the reference
+// serializer writes. Only a document whose indentation alone would pass
+// 4 MB stops after the invariants.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"<a/>", "<a><b/></a>", "<a><b>hi<c/></b>t</a>",
 		`<a x="1"><!--c--><b/></a>`, "<a><a><a/></a></a>",
-		"<a><b></a></b>", "<a>", "", "a<b/>", "<a/><b/>",
+		"<a><b></a></b>", "<a>", "", "a<b/>", "<a/><b/>", nested(300),
 	} {
 		f.Add(seed)
 	}
@@ -24,9 +26,15 @@ func FuzzParse(f *testing.F) {
 		if verr := d.Validate(); verr != nil {
 			t.Fatalf("ParseString(%q) accepted invalid tree: %v", s, verr)
 		}
-		var sb strings.Builder
+		if tooLongToWrite(d) {
+			return
+		}
+		var sb, ref strings.Builder
 		if err := Write(&sb, d); err != nil {
 			t.Fatalf("Write failed on accepted document: %v", err)
+		}
+		if err := WriteReference(&ref, d); err != nil || ref.String() != sb.String() {
+			t.Fatalf("Write differs from the reference serializer (%v):\n%s\nwant:\n%s", err, sb.String(), ref.String())
 		}
 		d2, err := ParseString(sb.String())
 		if err != nil {
@@ -39,6 +47,9 @@ func FuzzParse(f *testing.F) {
 			a, b := d.Node(NodeID(i)), d2.Node(NodeID(i))
 			if a.Start != b.Start || a.End != b.End || a.Level != b.Level {
 				t.Fatalf("round trip changed labels of node %d", i)
+			}
+			if d.TypeName(a.Type) != d2.TypeName(b.Type) {
+				t.Fatalf("round trip changed the type of node %d: %q, was %q", i, d2.TypeName(b.Type), d.TypeName(a.Type))
 			}
 		}
 	})

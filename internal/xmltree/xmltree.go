@@ -280,11 +280,27 @@ func (b *Builder) typeID(name string) TypeID {
 
 // Begin opens a new element with the given tag name.
 func (b *Builder) Begin(name string) {
+	if b.err == nil {
+		b.open(b.typeID(name))
+	}
+}
+
+// beginBytes is Begin for a name held in a reused buffer: the map lookup
+// does not copy it, so a name is copied once per type, not per element.
+func (b *Builder) beginBytes(name []byte) {
 	if b.err != nil {
 		return
 	}
+	id, ok := b.nameIDs[string(name)]
+	if !ok {
+		id = b.typeID(string(name))
+	}
+	b.open(id)
+}
+
+func (b *Builder) open(t TypeID) {
 	if len(b.stack) == 0 && len(b.nodes) > 0 {
-		b.err = fmt.Errorf("xmltree: second root element %q", name)
+		b.err = fmt.Errorf("xmltree: second root element %q", b.names[t])
 		return
 	}
 	parent := NoNode
@@ -296,7 +312,7 @@ func (b *Builder) Begin(name string) {
 	b.pos++
 	id := NodeID(len(b.nodes))
 	b.nodes = append(b.nodes, Node{
-		Type:   b.typeID(name),
+		Type:   t,
 		Start:  b.pos,
 		End:    -1,
 		Level:  level,

@@ -21,6 +21,9 @@
 #   2a'. scratch is per run, not per plan: no non-test Go file of the root
 #      package or under internal/engine/ may declare a sync.Pool struct
 #      field (TestNoStructHoldsAPool); package-level pools are the rule
+#   2a''. one XML parser: no non-test package may import encoding/xml
+#      (go list); internal/xmltree's scanner is the only reader of XML
+#      text, and encoding/xml stays in its tests as the parity oracle
 #   2b. benchmark module: go vet and go test inside benchmark/ (a nested
 #      module root `go test ./...` does not reach), then a one-round
 #      --quick run of every BENCHMARK.json workload with its verify step,
@@ -53,6 +56,8 @@
 #      FuzzEvaluateDifferential (root), FuzzUpdateDifferential (root),
 #      FuzzEnumerateWindow (internal/engine/enum), FuzzApplyPieces
 #      (internal/xmltree: the piece table against the reference splice),
+#      FuzzParseMatchesEncodingXML and FuzzParse (internal/xmltree: the
+#      XML scanner against encoding/xml, and the Write/Parse round trip),
 #      seeded from the committed corpora, and FuzzQueryResponseEncoding,
 #      FuzzQueryRequest (internal/server: arbitrary bodies to /query and
 #      /debug/trace never panic, 500 or 503), FuzzQueryRequestDecode (the
@@ -102,6 +107,13 @@ for m in Event BeginPhase EndPhase; do
 done
 echo "== scratch pools are package-level, not per plan"
 go test -count=1 -run '^TestNoStructHoldsAPool$' .
+echo "== one XML parser: no non-test package imports encoding/xml"
+xmlusers="$(go list -f '{{.ImportPath}} {{.Imports}}' ./... | grep -E '[[ ]encoding/xml[] ]' || true)"
+if [ -n "$xmlusers" ]; then
+	echo "these packages import encoding/xml; XML is read by xmltree.Parse only:" >&2
+	echo "$xmlusers" >&2
+	exit 1
+fi
 echo "== tier-1: vet"
 go vet ./...
 echo "== tier-1: test"
@@ -173,6 +185,10 @@ echo "== fuzz smoke: FuzzEnumerateWindow ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzEnumerateWindow$' -fuzztime "$fuzztime" ./internal/engine/enum
 echo "== fuzz smoke: FuzzApplyPieces ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzApplyPieces$' -fuzztime "$fuzztime" ./internal/xmltree
+echo "== fuzz smoke: FuzzParseMatchesEncodingXML ($fuzztime)"
+go test -run '^$' -fuzz '^FuzzParseMatchesEncodingXML$' -fuzztime "$fuzztime" ./internal/xmltree
+echo "== fuzz smoke: FuzzParse, internal/xmltree ($fuzztime)"
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$fuzztime" ./internal/xmltree
 echo "== fuzz smoke: FuzzQueryResponseEncoding ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzQueryResponseEncoding$' -fuzztime "$fuzztime" ./internal/server
 echo "== fuzz smoke: FuzzQueryRequest ($fuzztime)"

@@ -89,7 +89,11 @@ func (d *Document) Epoch() uint64 { return d.snap().epoch }
 
 // ParseDocument parses an XML document from r. Only element structure is
 // retained; text, attributes and comments are ignored (tree pattern
-// queries match structure only).
+// queries match structure only), and an element's type is the local part of
+// its name. It accepts and rejects exactly what encoding/xml does in Strict
+// mode with no CharsetReader (UTF-8 input only), streams r through a window
+// of at most 64 KiB, and returns errors that start with "xmltree: parse:"
+// and name the line (xmltree.Parse).
 func ParseDocument(r io.Reader) (*Document, error) {
 	d, err := xmltree.Parse(r)
 	if err != nil {
