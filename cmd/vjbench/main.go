@@ -14,14 +14,11 @@
 //
 //	vjbench -cpuprofile cpu.pprof    # CPU profile of the run
 //	vjbench -memprofile mem.pprof    # heap profile at exit
-//	vjbench -pprof localhost:6060    # serve net/http/pprof while running
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -36,9 +33,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiments and exit")
 		scale    = flag.Float64("xmark-scale", 0, "XMark scale factor (default 1.0 = 100MB analog)")
 		datasets = flag.Int("nasa-datasets", 0, "Nasa dataset count (default 4000 = 23MB analog)")
-		repeats  = flag.Int("repeats", 0, "timed runs per measurement (default 5)")
-		ioCost   = flag.Duration("io-cost", 0, "simulated cost per page read (default 3µs)")
-		pprofSrv = flag.String("pprof", "", "serve net/http/pprof on this address while running (e.g. localhost:6060)")
+		repeats  = flag.Int("repeats", 0, "timed samples per cell, after one warm-up (default 21)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -51,14 +46,6 @@ func main() {
 		return
 	}
 
-	if *pprofSrv != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofSrv, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "vjbench: pprof server: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "vjbench: pprof at http://%s/debug/pprof/\n", *pprofSrv)
-	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -73,11 +60,10 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		XMarkScale:    *scale,
-		NasaDatasets:  *datasets,
-		Repeats:       *repeats,
-		IOCostPerPage: *ioCost,
-		Out:           os.Stdout,
+		XMarkScale:   *scale,
+		NasaDatasets: *datasets,
+		Repeats:      *repeats,
+		Out:          os.Stdout,
 	}
 
 	// fail finishes profiles before exiting so a crashed run still leaves

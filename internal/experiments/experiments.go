@@ -4,16 +4,22 @@
 // paper reports: absolute numbers differ from the 2010 testbed, but the
 // shapes — who wins, by roughly what factor, where the crossovers fall —
 // are the reproduction targets (see EXPERIMENTS.md).
+//
+// Every time printed here comes from one sampler (measure): a sample is one
+// Evaluate call's Stats.Duration, preparation included, which is the
+// paper's total processing time, and a cell reports the median and
+// quartiles of its samples beside the run's exact counters.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
 	"viewjoin"
-	"viewjoin/internal/workload"
+	"viewjoin/internal/tpq"
 )
 
 // Config parameterizes an experiment run.
@@ -24,14 +30,9 @@ type Config struct {
 	// NasaDatasets sizes the Nasa-analog document (default 4000, the 23MB
 	// Nasa analog, ~110k elements).
 	NasaDatasets int
-	// Repeats is the number of timed runs averaged per measurement; the
-	// paper used five (default 5).
+	// Repeats is the number of timed samples per cell, taken after one
+	// warm-up run (default 21: odd, so the median is a real sample).
 	Repeats int
-	// IOCostPerPage is the simulated cost of one page read,
-	// folded into reported total times the way the paper reports
-	// I/O + CPU (default 3µs, which puts I/O under ~20%% of total for the
-	// memory-based runs, matching the paper's observation).
-	IOCostPerPage time.Duration
 	// Out receives the experiment's table; defaults to io.Discard.
 	Out io.Writer
 }
@@ -44,10 +45,7 @@ func (c Config) withDefaults() Config {
 		c.NasaDatasets = 4000
 	}
 	if c.Repeats <= 0 {
-		c.Repeats = 5
-	}
-	if c.IOCostPerPage <= 0 {
-		c.IOCostPerPage = 3 * time.Microsecond
+		c.Repeats = 21
 	}
 	if c.Out == nil {
 		c.Out = io.Discard
@@ -60,24 +58,43 @@ type Experiment struct {
 	Name  string
 	Title string
 	Run   func(cfg Config) error
+	// grids is the declaration Run executes, for the grid experiments.
+	grids []grid
+}
+
+// gridExperiment is an experiment that runs its grids in order.
+func gridExperiment(name, title string, grids ...grid) Experiment {
+	return Experiment{Name: name, Title: title, grids: grids, Run: func(cfg Config) error {
+		cfg = cfg.withDefaults()
+		for i, g := range grids {
+			if i > 0 {
+				fmt.Fprintln(cfg.Out)
+			}
+			if _, err := g.run(cfg); err != nil {
+				return err
+			}
+		}
+		return nil
+	}}
 }
 
 // All returns the experiments in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"motivation", "§I/§VI-A obs.2 — IJ vs PathStack, tuple vs element schemes", Motivation},
-		{"fig5a", "Fig 5(a) — path queries on XMark, 7 scheme/algorithm combos", Fig5a},
-		{"fig5b", "Fig 5(b) — path queries on Nasa, 7 combos", Fig5b},
-		{"fig5c", "Fig 5(c) — twig queries on XMark, 6 combos", Fig5c},
-		{"fig5d", "Fig 5(d) — twig queries on Nasa, 6 combos", Fig5d},
-		{"fig6a", "Fig 6(a) — interleaving conditions, path query Np with PV1-PV4", Fig6a},
-		{"fig6b", "Fig 6(b) — interleaving conditions, twig query Nt with TV1-TV4", Fig6b},
-		{"table2", "Table II / Example 5.1 — cost-based view selection", Table2},
-		{"table4", "Table IV — size and #pointers of views across schemes", Table4},
-		{"fig7", "Fig 7 — scalability of ViewJoin on growing XMark documents", Fig7},
-		{"table5", "Table V — memory-based vs disk-based output approaches", Table5},
-		{"ablation", "Reproduction ablations — LEp threshold, page size", Ablation},
-		{"noviews", "Views vs raw element streams — the [22] comparison the paper builds on", NoViews},
+		gridExperiment("motivation", "§I/§VI-A obs.2 — IJ vs PathStack, tuple vs element schemes", motivation),
+		gridExperiment("fig5a", "Fig 5(a) — path queries on XMark, 7 scheme/algorithm combos", fig5a),
+		gridExperiment("fig5b", "Fig 5(b) — path queries on Nasa, 7 combos", fig5b),
+		gridExperiment("fig5c", "Fig 5(c) — twig queries on XMark, 6 combos", fig5c),
+		gridExperiment("fig5d", "Fig 5(d) — twig queries on Nasa, 6 combos", fig5d),
+		gridExperiment("fig6a", "Fig 6(a) — interleaving conditions, path query Np with PV1-PV4", fig6a),
+		gridExperiment("fig6b", "Fig 6(b) — interleaving conditions, twig query Nt with TV1-TV4", fig6b),
+		{Name: "table2", Title: "Table II / Example 5.1 — cost-based view selection", Run: Table2},
+		{Name: "table4", Title: "Table IV — size and #pointers of views across schemes", Run: Table4},
+		{Name: "fig7", Title: "Fig 7 — scalability of ViewJoin on growing XMark documents", Run: Fig7},
+		gridExperiment("table5", "Table V — memory-based vs disk-based output approaches", table5),
+		{Name: "ablation", Title: "Reproduction ablations — LEp threshold, page size", Run: Ablation},
+		gridExperiment("noviews", "Views vs raw element streams — the [22] comparison the paper builds on",
+			noViewsPaths, noViewsTwigs),
 	}
 }
 
@@ -96,141 +113,75 @@ func ByName(name string) (Experiment, error) {
 		name, strings.Join(names, ", "))
 }
 
-// combo is an (engine, scheme) pair as labelled in the paper.
-type combo struct {
-	engine viewjoin.Engine
-	scheme viewjoin.StorageScheme
+// sample is one evaluation's measurement: its timings, sorted, and the
+// counters and match count of its warm-up run.
+type sample struct {
+	times   []time.Duration
+	stats   viewjoin.Stats
+	matches int
 }
 
-func (c combo) String() string {
-	return fmt.Sprintf("%s+%s", c.engine, c.scheme)
-}
-
-// sevenCombos is the paper's full matrix for path queries (Table I):
-// IJ+T, TS+E/LE/LEp, VJ+E/LE/LEp. TS stands in for PathStack on paths.
-func sevenCombos() []combo {
-	return append([]combo{{viewjoin.EngineInterJoin, viewjoin.SchemeTuple}}, sixCombos()...)
-}
-
-// sixCombos is the twig-query matrix (no InterJoin).
-func sixCombos() []combo {
-	return []combo{
-		{viewjoin.EngineTwigStack, viewjoin.SchemeElement},
-		{viewjoin.EngineTwigStack, viewjoin.SchemeLE},
-		{viewjoin.EngineTwigStack, viewjoin.SchemeLEp},
-		{viewjoin.EngineViewJoin, viewjoin.SchemeElement},
-		{viewjoin.EngineViewJoin, viewjoin.SchemeLE},
-		{viewjoin.EngineViewJoin, viewjoin.SchemeLEp},
-	}
-}
-
-// measurement is one (query, combo) cell.
-type measurement struct {
-	Time    time.Duration // CPU (wall) + simulated I/O
-	IOTime  time.Duration // simulated I/O component
-	Stats   viewjoin.Stats
-	Matches int
-}
-
-// run evaluates one combo, averaging wall time over cfg.Repeats runs after
-// one warm-up.
-func run(cfg Config, d *viewjoin.Document, q *viewjoin.Query, mviews []*viewjoin.MaterializedView,
-	c combo, diskBased bool) (measurement, error) {
-	opts := &viewjoin.EvalOptions{DiskBased: diskBased}
-	var m measurement
-	var total time.Duration
-	// One untimed warm-up run stabilizes cache and allocator state, then
-	// the timed runs are averaged (the paper averaged five runs).
-	if _, err := viewjoin.Evaluate(d, q, mviews, c.engine, opts); err != nil {
-		return m, fmt.Errorf("%s: %w", c, err)
-	}
-	for i := 0; i < cfg.Repeats; i++ {
-		res, err := viewjoin.Evaluate(d, q, mviews, c.engine, opts)
+// measure is the sampler behind every time the package prints. It runs
+// each evaluation once to warm up, then takes repeats samples of each,
+// round-robin, so that a slow spell of the machine lands on all of them
+// alike. A sample is the run's Stats.Duration.
+func measure(repeats int, runs ...func() (*viewjoin.Result, error)) ([]sample, error) {
+	out := make([]sample, len(runs))
+	for i, run := range runs {
+		res, err := run()
 		if err != nil {
-			return m, fmt.Errorf("%s: %w", c, err)
+			return nil, err
 		}
-		total += res.Stats.Duration
-		m.Stats = res.Stats
-		m.Matches = len(res.Matches)
+		out[i] = sample{stats: res.Stats, matches: len(res.Matches)}
 	}
-	m.Time = total / time.Duration(cfg.Repeats)
-	m.IOTime = time.Duration(m.Stats.PagesRead+m.Stats.PagesWritten) * cfg.IOCostPerPage
-	m.Time += m.IOTime
-	return m, nil
+	for r := 0; r < repeats; r++ {
+		for i, run := range runs {
+			res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			out[i].times = append(out[i].times, res.Stats.Duration)
+		}
+	}
+	for i := range out {
+		slices.Sort(out[i].times)
+	}
+	return out, nil
 }
 
-// materialized caches per-scheme materializations of a query's view set.
-type materialized map[viewjoin.StorageScheme][]*viewjoin.MaterializedView
+// quartile returns the k-th quartile of the samples (k = 2 is the median),
+// always one of the samples themselves.
+func (s sample) quartile(k int) time.Duration {
+	return s.times[(len(s.times)-1)*k/4]
+}
 
-func materializeAll(d *viewjoin.Document, query workload.Query, schemes []viewjoin.StorageScheme) (materialized, error) {
-	vs := make([]*viewjoin.Query, len(query.Views))
-	for i, p := range query.Views {
+// String prints the samples as median [Q1, Q3].
+func (s sample) String() string {
+	return fmt.Sprintf("%s [%s, %s]", fmtDur(s.quartile(2)), fmtDur(s.quartile(1)), fmtDur(s.quartile(3)))
+}
+
+// materialize builds a catalogue entry's view set once per scheme.
+func materialize(d *viewjoin.Document, views []*tpq.Pattern, schemes ...viewjoin.StorageScheme) (map[viewjoin.StorageScheme][]*viewjoin.MaterializedView, error) {
+	vs := make([]*viewjoin.Query, len(views))
+	for i, p := range views {
 		q, err := viewjoin.ParseQuery(p.String())
 		if err != nil {
 			return nil, err
 		}
 		vs[i] = q
 	}
-	out := make(materialized, len(schemes))
+	out := make(map[viewjoin.StorageScheme][]*viewjoin.MaterializedView, len(schemes))
 	for _, s := range schemes {
+		if out[s] != nil {
+			continue
+		}
 		mv, err := d.MaterializeViews(vs, s)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", query.Name, err)
+			return nil, fmt.Errorf("%s: %w", s, err)
 		}
 		out[s] = mv
 	}
 	return out, nil
-}
-
-func schemesFor(combos []combo) []viewjoin.StorageScheme {
-	seen := make(map[viewjoin.StorageScheme]bool)
-	var out []viewjoin.StorageScheme
-	for _, c := range combos {
-		if !seen[c.scheme] {
-			seen[c.scheme] = true
-			out = append(out, c.scheme)
-		}
-	}
-	return out
-}
-
-// comboTable runs a set of queries against a set of combos and prints the
-// per-query total processing time (the paper's Fig 5/6 bar charts as
-// rows), plus a cross-check that every combo finds the same matches.
-func comboTable(cfg Config, d *viewjoin.Document, queries []workload.Query, combos []combo) error {
-	w := cfg.Out
-	fmt.Fprintf(w, "%-6s", "query")
-	for _, c := range combos {
-		fmt.Fprintf(w, " %12s", c.String())
-	}
-	fmt.Fprintf(w, " %10s\n", "matches")
-	for _, query := range queries {
-		mats, err := materializeAll(d, query, schemesFor(combos))
-		if err != nil {
-			return err
-		}
-		q, err := viewjoin.ParseQuery(query.Pattern.String())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-6s", query.Name)
-		matches := -1
-		for _, c := range combos {
-			m, err := run(cfg, d, q, mats[c.scheme], c, false)
-			if err != nil {
-				return fmt.Errorf("%s %s: %w", query.Name, c, err)
-			}
-			if matches == -1 {
-				matches = m.Matches
-			} else if matches != m.Matches {
-				return fmt.Errorf("%s: %s returned %d matches, others %d — engines disagree",
-					query.Name, c, m.Matches, matches)
-			}
-			fmt.Fprintf(w, " %12s", fmtDur(m.Time))
-		}
-		fmt.Fprintf(w, " %10d\n", matches)
-	}
-	return nil
 }
 
 func fmtDur(d time.Duration) string {

@@ -6,7 +6,7 @@ import (
 )
 
 // TestRunAllExperiments executes every experiment end to end; opt-in via
-// VIEWJOIN_RUN_ALL=1 (the full sweep takes a few minutes at default scale).
+// VIEWJOIN_RUN_ALL=1 (the full sweep takes about 15 s at default scale).
 func TestRunAllExperiments(t *testing.T) {
 	if os.Getenv("VIEWJOIN_RUN_ALL") == "" {
 		t.Skip("set VIEWJOIN_RUN_ALL=1 to run the full experiment sweep")

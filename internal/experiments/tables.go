@@ -59,19 +59,20 @@ func Table2(cfg Config) error {
 	printSel("cost-based selection (λ=1)", costBased)
 	printSel("size-based selection      ", bySize)
 
-	mCost, err := run(cfg, d, q, costBased, combo{viewjoin.EngineViewJoin, viewjoin.SchemeLE}, false)
+	evaluate := func(set []*viewjoin.MaterializedView) func() (*viewjoin.Result, error) {
+		return func() (*viewjoin.Result, error) {
+			return viewjoin.Evaluate(d, q, set, viewjoin.EngineViewJoin, nil)
+		}
+	}
+	ss, err := measure(cfg.Repeats, evaluate(costBased), evaluate(bySize))
 	if err != nil {
 		return err
 	}
-	mSize, err := run(cfg, d, q, bySize, combo{viewjoin.EngineViewJoin, viewjoin.SchemeLE}, false)
-	if err != nil {
-		return err
+	if ss[0].matches != ss[1].matches {
+		return fmt.Errorf("table2: selections disagree: %d vs %d matches", ss[0].matches, ss[1].matches)
 	}
-	if mCost.Matches != mSize.Matches {
-		return fmt.Errorf("table2: selections disagree: %d vs %d matches", mCost.Matches, mSize.Matches)
-	}
-	fmt.Fprintf(w, "VJ+LE with cost-based set: %s; with size-based set: %s (gain %.2fx; paper: 1.93x)\n",
-		fmtDur(mCost.Time), fmtDur(mSize.Time), float64(mSize.Time)/float64(mCost.Time))
+	fmt.Fprintf(w, "VJ+LE, median [Q1, Q3] of %d samples, with cost-based set: %s; with size-based set: %s (gain %.2fx; paper: 1.93x)\n",
+		cfg.Repeats, ss[0], ss[1], float64(ss[1].quartile(2))/float64(ss[0].quartile(2)))
 	return nil
 }
 
@@ -112,64 +113,6 @@ func Table4(cfg Config) error {
 			fmtMB(sizes[viewjoin.SchemeElement]), fmtMB(sizes[viewjoin.SchemeTuple]),
 			fmtMB(sizes[viewjoin.SchemeLE]), fmtMB(sizes[viewjoin.SchemeLEp]),
 			ptrs[viewjoin.SchemeLE], ptrs[viewjoin.SchemeLEp])
-	}
-	return nil
-}
-
-// Table5 reproduces Table V: total processing time of the memory-based and
-// disk-based output approaches (TS-M, TS-D, VJ-M, VJ-D) over the twig
-// queries, TS over E views and VJ over LE views as in the paper. Expected
-// shape: disk-based slower than memory-based for both engines, the gap
-// mostly added I/O; VJ-D still beats TS-D (paper: up to 4.9x).
-func Table5(cfg Config) error {
-	cfg = cfg.withDefaults()
-	w := cfg.Out
-	fmt.Fprintln(cfg.Out, "Table V: memory-based vs disk-based output (pages written in parentheses)")
-	fmt.Fprintf(w, "%-6s %14s %14s %14s %14s\n", "query", "TS-M", "TS-D", "VJ-M", "VJ-D")
-
-	xm := viewjoin.GenerateXMark(cfg.XMarkScale)
-	ns := viewjoin.GenerateNasa(cfg.NasaDatasets)
-	type job struct {
-		doc     *viewjoin.Document
-		queries []workload.Query
-	}
-	for _, j := range []job{{xm, workload.XMarkTwig()}, {ns, workload.NasaTwig()}} {
-		for _, query := range j.queries {
-			mats, err := materializeAll(j.doc, query, []viewjoin.StorageScheme{
-				viewjoin.SchemeElement, viewjoin.SchemeLE,
-			})
-			if err != nil {
-				return err
-			}
-			q, err := viewjoin.ParseQuery(query.Pattern.String())
-			if err != nil {
-				return err
-			}
-			cells := make([]string, 0, 4)
-			matches := -1
-			for _, variant := range []struct {
-				label string
-				c     combo
-				disk  bool
-			}{
-				{"TS-M", combo{viewjoin.EngineTwigStack, viewjoin.SchemeElement}, false},
-				{"TS-D", combo{viewjoin.EngineTwigStack, viewjoin.SchemeElement}, true},
-				{"VJ-M", combo{viewjoin.EngineViewJoin, viewjoin.SchemeLE}, false},
-				{"VJ-D", combo{viewjoin.EngineViewJoin, viewjoin.SchemeLE}, true},
-			} {
-				m, err := run(cfg, j.doc, q, mats[variant.c.scheme], variant.c, variant.disk)
-				if err != nil {
-					return fmt.Errorf("%s: %w", query.Name, err)
-				}
-				if matches == -1 {
-					matches = m.Matches
-				} else if m.Matches != matches {
-					return fmt.Errorf("%s: variants disagree on matches", query.Name)
-				}
-				cells = append(cells, fmt.Sprintf("%s(%d)", fmtDur(m.Time), m.Stats.PagesWritten))
-			}
-			fmt.Fprintf(w, "%-6s %14s %14s %14s %14s\n", query.Name, cells[0], cells[1], cells[2], cells[3])
-		}
 	}
 	return nil
 }

@@ -32,6 +32,9 @@
 #      so a benchmark that no longer builds or runs fails here, not in the
 #      middle of somebody's measurement (BenchmarkServePage among them: a
 #      cached-plan 20-row cursor page through the vjserve handler)
+#   2d. vjbench smoke: every experiment of cmd/vjbench once, at a small
+#      scale and one sample a cell, so flag or wiring drift in the
+#      command that prints the paper's tables fails here
 #   3. coverage floors, one shell function (coverage_floor) called per
 #      package set. store: the storage layer is the persistence trust
 #      boundary; its statement coverage must stay >= 85%
@@ -137,6 +140,9 @@ done
 
 echo "== go benchmark smoke: every Benchmark* once"
 go test -run '^$' -bench . -benchtime=1x ./... >/dev/null
+
+echo "== vjbench smoke: every experiment once, small scale"
+go run ./cmd/vjbench -exp all -xmark-scale 0.05 -nasa-datasets 200 -repeats 1 >/dev/null
 
 # coverage_floor PATTERN FLOOR LABEL: the aggregate statement coverage of
 # the packages matching PATTERN must be at least FLOOR percent.
