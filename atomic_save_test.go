@@ -141,7 +141,7 @@ func TestSaveViewFileOverMappedView(t *testing.T) {
 	if !identicalMatches(res, want) {
 		t.Fatal("prepared plan over the mapped views differs from direct after the files were replaced")
 	}
-	if res, err = Evaluate(d, q, mapped, EngineTwigStack, nil); err != nil || !identicalMatches(res, want) {
+	if res, err = Evaluate(nil, d, q, mapped, EngineTwigStack, nil); err != nil || !identicalMatches(res, want) {
 		t.Fatalf("fresh evaluation over the mapped views after the files were replaced: %v", err)
 	}
 	// The path now names the other view.

@@ -125,8 +125,8 @@ func TestRunContextMidRun(t *testing.T) {
 	}
 }
 
-// TestEvaluateContextOption verifies the one-shot path: EvalOptions.Context
-// bounds Evaluate exactly as the RunWith context bounds a prepared run.
+// TestEvaluateContextOption verifies the one-shot path: Evaluate's ctx
+// argument bounds it exactly as the RunWith context bounds a prepared run.
 func TestEvaluateContextOption(t *testing.T) {
 	d := GenerateXMark(0.05)
 	canceled, cancel := context.WithCancel(context.Background())
@@ -134,13 +134,13 @@ func TestEvaluateContextOption(t *testing.T) {
 	for _, c := range preparedCases() {
 		t.Run(c.name, func(t *testing.T) {
 			q, mv := materializeCase(t, d, c)
-			res, err := Evaluate(d, q, mv, c.eng, &EvalOptions{Context: canceled})
+			res, err := Evaluate(canceled, d, q, mv, c.eng, nil)
 			if res != nil {
 				t.Fatalf("aborted Evaluate returned a result with %d matches", len(res.Matches))
 			}
 			checkCanceled(t, err, c.eng, q, context.Canceled)
-			// Same options value with a live context must evaluate normally.
-			res, err = Evaluate(d, q, mv, c.eng, &EvalOptions{Context: context.Background()})
+			// The same call with a live context must evaluate normally.
+			res, err = Evaluate(context.Background(), d, q, mv, c.eng, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,8 +152,8 @@ func TestEvaluateContextOption(t *testing.T) {
 	}
 }
 
-// TestEvaluateWithoutViewsContext covers the raw-stream path, which shares
-// no plumbing with PreparedQuery.run.
+// TestEvaluateWithoutViewsContext covers the raw-stream path, whose ctx
+// argument must abort both before the run and in the middle of it.
 func TestEvaluateWithoutViewsContext(t *testing.T) {
 	d := GenerateXMark(0.05)
 	canceled, cancel := context.WithCancel(context.Background())
@@ -161,13 +161,13 @@ func TestEvaluateWithoutViewsContext(t *testing.T) {
 	q := MustParseQuery("//site//open_auction//bidder//increase")
 	for _, eng := range []Engine{EngineTwigStack, EnginePathStack} {
 		t.Run(eng.String(), func(t *testing.T) {
-			res, err := EvaluateWithoutViews(d, q, eng, &EvalOptions{Context: canceled})
+			res, err := EvaluateWithoutViews(canceled, d, q, eng, nil)
 			if res != nil {
 				t.Fatalf("aborted run returned a result with %d matches", len(res.Matches))
 			}
 			checkCanceled(t, err, eng, q, context.Canceled)
 			ctx := &countdownCtx{fuel: 2}
-			res, err = EvaluateWithoutViews(d, q, eng, &EvalOptions{Context: ctx})
+			res, err = EvaluateWithoutViews(ctx, d, q, eng, nil)
 			if res != nil {
 				t.Fatalf("mid-run abort returned a result with %d matches", len(res.Matches))
 			}

@@ -69,8 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		xmark     = fs.Float64("xmark", 0, "evaluate over a generated XMark document of this scale instead of a file")
 		nasa      = fs.Int("nasa", 0, "evaluate over a generated Nasa document with this many datasets instead of a file")
 		maxPrint  = fs.Int("n", 10, "fetch and print at most this many matches — pushed into the engine as a first-k bound (0 = full run, no match output)")
-		limit     = fs.Int("limit", 0, "fetch at most this many matches in document order (overrides -n as the engine bound; 0 = -n governs)")
-		offset    = fs.Int("offset", 0, "skip this many matches before the first returned one (applied before -limit, as SQL OFFSET)")
+		offset    = fs.Int("offset", 0, "skip this many matches before the first returned one (applied before -n, as SQL OFFSET)")
 		loadGlob  = fs.String("load", "", "load saved views matching this glob (from vjmaterialize) instead of materializing")
 		raw       = fs.Bool("raw", false, "evaluate over raw element streams without views (TS/PS only)")
 		general   = fs.Bool("general", false, "allow repeated element types in the query (implies -raw)")
@@ -97,19 +96,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *explain || *jsonOut {
 		rec = obs.NewRecorder()
 	}
-	// -n doubles as the fetch limit: there is no distinction between "print
-	// at most n" and "fetch at most n" anymore — both push the bound into
-	// the engine, which then stops (or caps its accumulation) at
-	// offset+limit matches. -n 0 keeps the historical count-only full run;
-	// an explicit -limit wins over -n.
-	effLimit := *limit
-	if effLimit <= 0 && *maxPrint > 0 {
-		effLimit = *maxPrint
-	}
-	opts := &viewjoin.EvalOptions{
+	// -n is the fetch limit: both "print at most n" and "fetch at most n"
+	// push the bound into the engine, which then stops (or caps its
+	// accumulation) at offset+n matches. -n 0 is a count-only full run.
+	opts := &viewjoin.RunOptions{
 		DiskBased:   *diskBased,
 		Parallelism: *parallel,
-		Limit:       effLimit,
+		Limit:       *maxPrint,
 		Offset:      *offset,
 		Tracer:      rec,
 	}
@@ -138,12 +131,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if engine == viewjoin.EngineViewJoin {
 			engine = viewjoin.EngineTwigStack // raw streams: holistic default
 		}
-		res, err := viewjoin.EvaluateWithoutViews(doc, query, engine, opts)
+		res, err := viewjoin.EvaluateWithoutViews(nil, doc, query, engine, opts)
 		if err != nil {
 			return fail(stderr, "evaluate", err, exitEvaluate)
 		}
 		fmt.Fprintf(human, "document: %d nodes; raw element streams (no views)\n", doc.NumNodes())
-		printResult(human, query, engine, res, *maxPrint, effLimit, *offset)
+		printResult(human, query, engine, res, *maxPrint, *offset)
 		return report(stdout, human, res, *explain, *jsonOut, stderr)
 	}
 
@@ -170,12 +163,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			mviews = append(mviews, mv)
 			totalBytes += mv.SizeBytes()
 		}
-		res, err := viewjoin.Evaluate(doc, query, mviews, engine, opts)
+		res, err := viewjoin.Evaluate(nil, doc, query, mviews, engine, opts)
 		if err != nil {
 			return fail(stderr, "evaluate", err, exitEvaluate)
 		}
 		fmt.Fprintf(human, "document: %d nodes; %d loaded views (%d bytes)\n", doc.NumNodes(), len(mviews), totalBytes)
-		printResult(human, query, engine, res, *maxPrint, effLimit, *offset)
+		printResult(human, query, engine, res, *maxPrint, *offset)
 		return report(stdout, human, res, *explain, *jsonOut, stderr)
 	}
 
@@ -212,14 +205,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		totalPointers += mv.NumPointers()
 	}
 
-	res, err := viewjoin.Evaluate(doc, query, mviews, engine, opts)
+	res, err := viewjoin.Evaluate(nil, doc, query, mviews, engine, opts)
 	if err != nil {
 		return fail(stderr, "evaluate", err, exitEvaluate)
 	}
 
 	fmt.Fprintf(human, "document: %d nodes; views: %d (%s scheme, %d bytes, %d pointers)\n",
 		doc.NumNodes(), len(views), scheme, totalBytes, totalPointers)
-	printResult(human, query, engine, res, *maxPrint, effLimit, *offset)
+	printResult(human, query, engine, res, *maxPrint, *offset)
 	return report(stdout, human, res, *explain, *jsonOut, stderr)
 }
 
@@ -244,10 +237,10 @@ func report(stdout, human io.Writer, res *viewjoin.Result, explain, jsonOut bool
 
 // printResult reports the match count, evaluation statistics, and up to
 // maxPrint matches. maxPrint <= 0 suppresses all match output, header
-// included (stats still print). limit/offset annotate the header when the
-// run was paged, since the reported count is then the page's, not the
+// included (stats still print). Otherwise maxPrint was the run's limit, and
+// the header says so, since the reported count is then the page's, not the
 // full result's.
-func printResult(w io.Writer, query *viewjoin.Query, engine viewjoin.Engine, res *viewjoin.Result, maxPrint, limit, offset int) {
+func printResult(w io.Writer, query *viewjoin.Query, engine viewjoin.Engine, res *viewjoin.Result, maxPrint, offset int) {
 	fmt.Fprintf(w, "stats: scanned=%d comparisons=%d derefs=%d pagesRead=%d pagesWritten=%d partitions=%d ttfm=%v\n",
 		res.Stats.ElementsScanned, res.Stats.Comparisons, res.Stats.PointerDerefs,
 		res.Stats.PagesRead, res.Stats.PagesWritten, res.Stats.Partitions,
@@ -255,13 +248,9 @@ func printResult(w io.Writer, query *viewjoin.Query, engine viewjoin.Engine, res
 	if maxPrint <= 0 {
 		return
 	}
-	page := ""
-	if limit > 0 && offset > 0 {
-		page = fmt.Sprintf(" (limit %d, offset %d)", limit, offset)
-	} else if limit > 0 {
-		page = fmt.Sprintf(" (limit %d)", limit)
-	} else if offset > 0 {
-		page = fmt.Sprintf(" (offset %d)", offset)
+	page := fmt.Sprintf(" (limit %d)", maxPrint)
+	if offset > 0 {
+		page = fmt.Sprintf(" (limit %d, offset %d)", maxPrint, offset)
 	}
 	fmt.Fprintf(w, "query %s via %s: %d matches in %v%s\n", query, engine, len(res.Matches), res.Stats.Duration, page)
 	labels := query.Labels()

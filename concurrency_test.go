@@ -29,7 +29,7 @@ func TestConcurrentEvaluation(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			eng := []Engine{EngineViewJoin, EngineTwigStack}[i%2]
-			res, err := Evaluate(d, q, mv, eng, &EvalOptions{DiskBased: i%4 == 0})
+			res, err := Evaluate(nil, d, q, mv, eng, &RunOptions{DiskBased: i%4 == 0})
 			if err != nil {
 				errs <- err
 				return

@@ -46,7 +46,7 @@ type goldenRow struct {
 //
 //	IJ+T/whole+prepare    the one-shot Evaluate, preparation scans folded
 //	                      in — the figure the paper's IJ bars correspond to
-//	VJ+LE, TS+E/disk      EvalOptions.DiskBased (Table V)
+//	VJ+LE, TS+E/disk      RunOptions.DiskBased (Table V)
 //	VJ+LEp/paged          RunOptions.Limit no query reaches (1<<30): a bounded
 //	                      run flushes finished sub-regions early, as every
 //	                      /query page does: more enumeration, the same
@@ -126,15 +126,15 @@ func goldenRows(t *testing.T) []goldenRow {
 			add(key+"/parallel=3", res, err)
 		}
 
-		evaluate := func(key string, e viewjoin.Engine, s viewjoin.StorageScheme, opts *viewjoin.EvalOptions) {
-			res, err := viewjoin.Evaluate(doc, q, views(s), e, opts)
+		evaluate := func(key string, e viewjoin.Engine, s viewjoin.StorageScheme, opts *viewjoin.RunOptions) {
+			res, err := viewjoin.Evaluate(nil, doc, q, views(s), e, opts)
 			add(wq.name+"/"+key, res, err)
 		}
 		if q.IsPath() {
 			evaluate("IJ+T/whole+prepare", viewjoin.EngineInterJoin, viewjoin.SchemeTuple, nil)
 		}
-		evaluate("VJ+LE/disk", viewjoin.EngineViewJoin, viewjoin.SchemeLE, &viewjoin.EvalOptions{DiskBased: true})
-		evaluate("TS+E/disk", viewjoin.EngineTwigStack, viewjoin.SchemeElement, &viewjoin.EvalOptions{DiskBased: true})
+		evaluate("VJ+LE/disk", viewjoin.EngineViewJoin, viewjoin.SchemeLE, &viewjoin.RunOptions{DiskBased: true})
+		evaluate("TS+E/disk", viewjoin.EngineTwigStack, viewjoin.SchemeElement, &viewjoin.RunOptions{DiskBased: true})
 		p, err := viewjoin.Prepare(doc, q, views(viewjoin.SchemeLEp), viewjoin.EngineViewJoin, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", wq.name, err)
@@ -142,10 +142,10 @@ func goldenRows(t *testing.T) []goldenRow {
 		res, err := p.RunWith(context.Background(), &viewjoin.RunOptions{Limit: 1 << 30})
 		add(wq.name+"/VJ+LEp/paged", res, err)
 		if wq.named {
-			res, err := viewjoin.EvaluateWithoutViews(doc, q, viewjoin.EngineTwigStack, nil)
+			res, err := viewjoin.EvaluateWithoutViews(nil, doc, q, viewjoin.EngineTwigStack, nil)
 			add(wq.name+"/TS/raw", res, err)
 			if q.IsPath() {
-				res, err = viewjoin.EvaluateWithoutViews(doc, q, viewjoin.EnginePathStack, nil)
+				res, err = viewjoin.EvaluateWithoutViews(nil, doc, q, viewjoin.EnginePathStack, nil)
 				add(wq.name+"/PS/raw", res, err)
 			}
 		}

@@ -75,7 +75,7 @@ func TestGrandCrossCheck(t *testing.T) {
 						if eng == EnginePathStack && disk {
 							continue // PathStack has no disk-based variant
 						}
-						res, err := Evaluate(d, q, mv, eng, &EvalOptions{DiskBased: disk})
+						res, err := Evaluate(nil, d, q, mv, eng, &RunOptions{DiskBased: disk})
 						if err != nil {
 							t.Logf("%v+%v disk=%v: %v", eng, scheme, disk, err)
 							return false
@@ -93,7 +93,7 @@ func TestGrandCrossCheck(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			res, err := Evaluate(d, q, tv, EngineInterJoin, nil)
+			res, err := Evaluate(nil, d, q, tv, EngineInterJoin, nil)
 			if err != nil {
 				t.Logf("IJ: %v", err)
 				return false
@@ -145,12 +145,12 @@ func TestPersistenceRoundTripCrossCheck(t *testing.T) {
 	for _, c := range preparedCases() {
 		t.Run(c.name, func(t *testing.T) {
 			q, mv := materializeCase(t, d, c)
-			want, err := Evaluate(d, q, mv, c.eng, nil)
+			want, err := Evaluate(nil, d, q, mv, c.eng, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			loaded := roundTripViews(t, d, mv)
-			got, err := Evaluate(d, q, loaded, c.eng, nil)
+			got, err := Evaluate(nil, d, q, loaded, c.eng, nil)
 			if err != nil {
 				t.Fatalf("Evaluate over reloaded views: %v", err)
 			}
@@ -268,7 +268,7 @@ func TestBenchmarkWorkloadCrossCheck(t *testing.T) {
 					engines = append(engines, EnginePathStack)
 				}
 				for _, eng := range engines {
-					res, err := Evaluate(job.doc, q, mv, eng, nil)
+					res, err := Evaluate(nil, job.doc, q, mv, eng, nil)
 					if err != nil {
 						t.Fatalf("%s %v+%v: %v", name, eng, scheme, err)
 					}
@@ -298,7 +298,7 @@ func TestBenchmarkWorkloadCrossCheck(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				res, err := Evaluate(job.doc, q, tv, EngineInterJoin, nil)
+				res, err := Evaluate(nil, job.doc, q, tv, EngineInterJoin, nil)
 				if err != nil {
 					t.Fatalf("%s IJ: %v", name, err)
 				}

@@ -15,7 +15,7 @@ func ExampleEvaluate() {
 	views, _ := viewjoin.ParseViews("//book//chapter; //author; //section")
 
 	mv, _ := doc.MaterializeViews(views, viewjoin.SchemeLEp)
-	res, _ := viewjoin.Evaluate(doc, query, mv, viewjoin.EngineViewJoin, nil)
+	res, _ := viewjoin.Evaluate(nil, doc, query, mv, viewjoin.EngineViewJoin, nil)
 
 	tags := query.Labels() // column i binds query node i
 	for _, m := range res.Matches {

@@ -65,7 +65,7 @@ func compare(d *viewjoin.Document, q *viewjoin.Query, views []*viewjoin.Query, w
 			}
 			cache[c.scheme] = mv
 		}
-		res, err := viewjoin.Evaluate(d, q, mv, c.engine, nil)
+		res, err := viewjoin.Evaluate(nil, d, q, mv, c.engine, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,9 +1,10 @@
 // Diskbased: the paper's §IV memory-based vs disk-based output approaches.
 // The memory-based approach keeps each intermediate solution window (the
-// DAG F) in memory — fast, but peak memory grows with the largest window.
-// The disk-based approach spools windows through scratch pages and reads
-// them back, keeping the resident set at O(|Q|·depth) at the price of
-// extra I/O (the paper's Table V).
+// DAG F) in memory until it is enumerated. The disk-based approach is
+// modelled in the cost counters: every window flush is charged as spooled
+// through scratch pages and read back, the extra I/O of the paper's Table
+// V. The window itself still stays in memory, so both runs report the same
+// peak.
 //
 // Run with: go run ./examples/diskbased
 package main
@@ -30,11 +31,11 @@ func main() {
 	}
 
 	for _, eng := range []viewjoin.Engine{viewjoin.EngineTwigStack, viewjoin.EngineViewJoin} {
-		mem, err := viewjoin.Evaluate(d, q, mviews, eng, &viewjoin.EvalOptions{DiskBased: false})
+		mem, err := viewjoin.Evaluate(nil, d, q, mviews, eng, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		disk, err := viewjoin.Evaluate(d, q, mviews, eng, &viewjoin.EvalOptions{DiskBased: true})
+		disk, err := viewjoin.Evaluate(nil, d, q, mviews, eng, &viewjoin.RunOptions{DiskBased: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,9 +45,9 @@ func main() {
 		fmt.Printf("%s, %d matches\n", eng, len(mem.Matches))
 		fmt.Printf("  memory-based: %8v  peakMem=%-8d pagesRead=%-5d pagesWritten=%d\n",
 			mem.Stats.Duration.Round(10e3), mem.Stats.PeakMemoryBytes, mem.Stats.PagesRead, mem.Stats.PagesWritten)
-		fmt.Printf("  disk-based:   %8v  peakMem=%-8s pagesRead=%-5d pagesWritten=%d\n\n",
-			disk.Stats.Duration.Round(10e3), "O(|Q|·depth)", disk.Stats.PagesRead, disk.Stats.PagesWritten)
+		fmt.Printf("  disk-based:   %8v  peakMem=%-8d pagesRead=%-5d pagesWritten=%d\n\n",
+			disk.Stats.Duration.Round(10e3), disk.Stats.PeakMemoryBytes, disk.Stats.PagesRead, disk.Stats.PagesWritten)
 	}
-	fmt.Println("the disk-based runs trade extra page I/O for bounded memory,")
-	fmt.Println("mirroring the paper's Table V.")
+	fmt.Println("the disk-based runs are charged the page I/O of spooling each window,")
+	fmt.Println("mirroring the paper's Table V; the windows themselves stay in memory.")
 }

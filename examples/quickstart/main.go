@@ -69,7 +69,7 @@ func main() {
 	}
 
 	// 5. Evaluate with ViewJoin.
-	res, err := viewjoin.Evaluate(d, q, mviews, viewjoin.EngineViewJoin, nil)
+	res, err := viewjoin.Evaluate(nil, d, q, mviews, viewjoin.EngineViewJoin, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := viewjoin.Evaluate(d, sub, mv, viewjoin.EngineViewJoin, nil)
+	res, err := viewjoin.Evaluate(nil, d, sub, mv, viewjoin.EngineViewJoin, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func main() {
 	}
 	cover := append([]*viewjoin.MaterializedView{resultView}, extraMV...)
 
-	res2, err := viewjoin.Evaluate(d, big, cover, viewjoin.EngineViewJoin, nil)
+	res2, err := viewjoin.Evaluate(nil, d, big, cover, viewjoin.EngineViewJoin, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

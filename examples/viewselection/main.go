@@ -55,7 +55,7 @@ func main() {
 		for _, v := range sel {
 			fmt.Printf("  %s\n", v.Pattern())
 		}
-		res, err := viewjoin.Evaluate(d, q, sel, viewjoin.EngineViewJoin, nil)
+		res, err := viewjoin.Evaluate(nil, d, q, sel, viewjoin.EngineViewJoin, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

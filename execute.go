@@ -20,14 +20,6 @@ import (
 // partitions (none: one whole-document job, run inline), run every job
 // through runJob, and assemble the Result and its Stats once.
 
-// limits is the pagination state of one execution: the public
-// Limit/Offset/After knobs normalized for the engine layer.
-type limits struct {
-	limit  int
-	offset int
-	after  []int32
-}
-
 // first is the engine-level output quota: the run may stop after
 // offset+limit matches (counted after the cursor filter), because the
 // requested page is fully determined by that prefix. 0 (no limit) leaves
@@ -36,12 +28,12 @@ type limits struct {
 // or exceeds what int32 labels can number — is no quota either: the
 // sort-before-output engines size their shrink threshold from it, and slice
 // cuts the page regardless.
-func (l limits) first() int {
-	if l.limit <= 0 {
+func (o *RunOptions) first() int {
+	if o.Limit <= 0 {
 		return 0
 	}
-	quota := l.offset + l.limit
-	if quota < l.limit || quota > math.MaxInt32 {
+	quota := o.Offset + o.Limit
+	if quota < o.Limit || quota > math.MaxInt32 {
 		return 0
 	}
 	return quota
@@ -49,26 +41,25 @@ func (l limits) first() int {
 
 // slice reduces an engine's (already bounded, cursor-filtered) document-
 // order output to the requested page.
-func (l limits) slice(ms [][]Node) [][]Node {
-	if l.offset > 0 {
-		if l.offset >= len(ms) {
+func (o *RunOptions) slice(ms [][]Node) [][]Node {
+	if o.Offset > 0 {
+		if o.Offset >= len(ms) {
 			ms = ms[:0]
 		} else {
-			ms = ms[l.offset:]
+			ms = ms[o.Offset:]
 		}
 	}
-	if l.limit > 0 && len(ms) > l.limit {
-		ms = ms[:l.limit]
+	if o.Limit > 0 && len(ms) > o.Limit {
+		ms = ms[:o.Limit]
 	}
 	return ms
 }
 
-// request is one execution's options, resolved.
+// request is one execution: its options, its context (nil runs
+// uninterruptible), and where its Stats count from.
 type request struct {
-	ctx context.Context // nil runs uninterruptible
-	lim limits
-	k   int           // partitions asked for; <= 1 is sequential
-	tr  *obs.Recorder // observes this execution only
+	RunOptions
+	ctx context.Context
 	// start is where Duration and FirstMatchNanos count from; includePrep
 	// folds the preparation-time counters into the Stats. A one-shot
 	// Evaluate sets both so its Stats keep covering the whole call.
@@ -76,27 +67,15 @@ type request struct {
 	includePrep bool
 }
 
-// resolve applies RunOptions' rule: the one place per-call options meet the
-// prepare-time ones.
-func (p *PreparedQuery) resolve(ctx context.Context, ro *RunOptions) request {
-	r := request{
-		ctx:   ctx,
-		lim:   limits{limit: p.opts.Limit, offset: p.opts.Offset},
-		k:     p.opts.Parallelism,
-		tr:    p.opts.Tracer,
-		start: time.Now(),
-	}
+// resolve turns a call's arguments into a request; its one rule is that a
+// negative Parallelism means GOMAXPROCS.
+func resolve(ctx context.Context, ro *RunOptions) request {
+	r := request{ctx: ctx, start: time.Now()}
 	if ro != nil {
-		r.lim = limits{limit: ro.Limit, offset: ro.Offset, after: ro.After}
-		if ro.Parallelism != 0 {
-			r.k = ro.Parallelism
-		}
-		if ro.Tracer != nil { // nil inherits the prepare-time recorder
-			r.tr = ro.Tracer
-		}
+		r.RunOptions = *ro
 	}
-	if r.k < 0 {
-		r.k = runtime.GOMAXPROCS(0)
+	if r.Parallelism < 0 {
+		r.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return r
 }
@@ -116,27 +95,27 @@ func (p *PreparedQuery) execute(r request) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if n := len(p.q.p.Nodes); r.lim.after != nil && len(r.lim.after) != n {
-		return nil, fmt.Errorf("viewjoin: cursor holds %d start labels, %s has %d nodes", len(r.lim.after), p.q, n)
+	if n := len(p.q.p.Nodes); r.After != nil && len(r.After) != n {
+		return nil, fmt.Errorf("viewjoin: cursor holds %d start labels, %s has %d nodes", len(r.After), p.q, n)
 	}
-	jobs := p.planPartitions(r.k)
-	if r.tr != nil { // guarded: describing the plan allocates, an untraced run skips it
-		r.tr.Plan(p.tracePlan())
+	jobs := p.planPartitions(r.Parallelism)
+	if r.Tracer != nil { // guarded: describing the plan allocates, an untraced run skips it
+		r.Tracer.Plan(p.tracePlan())
 	}
-	r.tr.BeginPhase(obs.PhaseEvaluate)
+	r.Tracer.BeginPhase(obs.PhaseEvaluate)
 	var one [1]jobOut
 	outs := one[:]
 	if len(jobs) == 0 {
-		one[0] = p.runJob(nil, interrupt, r.lim, r.tr)
+		one[0] = p.runJob(nil, interrupt, &r.RunOptions)
 	} else {
-		outs = p.runPartitions(jobs, interrupt, r.lim)
+		outs = p.runPartitions(jobs, interrupt, r.RunOptions)
 		for i := range outs {
 			if !outs[i].skipped {
-				r.tr.Event(obs.EvPartition, -1, int64(outs[i].dur))
+				r.Tracer.Event(obs.EvPartition, -1, int64(outs[i].dur))
 			}
 		}
 	}
-	r.tr.EndPhase(obs.PhaseEvaluate)
+	r.Tracer.EndPhase(obs.PhaseEvaluate)
 	return p.assemble(outs, &r)
 }
 
@@ -216,13 +195,13 @@ type jobIO struct {
 var jobIOs sync.Pool // *jobIO
 
 // runJob executes the plan once over restriction r (nil: the whole
-// document) with its own counters, so concurrent jobs share no accounting
-// state. tr must be nil for jobs that run concurrently (a Recorder is not
-// safe for concurrent use). A plan over mapped views runs with faults turned into
-// out.err: fault handling is per goroutine, and this is where every job's
-// goroutine is.
+// document) shaped by o, with its own counters, so concurrent jobs share no
+// accounting state. o.Tracer must be nil for jobs that run concurrently (a
+// Recorder is not safe for concurrent use). A plan over mapped views runs
+// with faults turned into out.err: fault handling is per goroutine, and
+// this is where every job's goroutine is.
 //
-// A cursor (lim.after) makes the job a partition that starts at the cursor.
+// A cursor (o.After) makes the job a partition that starts at the cursor.
 // Let b be how far row a agrees with the plan's resume prefix: no match
 // after a binds level b, or anything below it, before a[b] (resumePrefix),
 // so the job's body — the whole document's, or its chunk's — is cut to start
@@ -230,7 +209,7 @@ var jobIOs sync.Pool // *jobIO
 // partition's window (SeekStart, charging nothing). A chunk that ends before
 // the cursor holds no such match and is skipped. The engines' row filter
 // (Options.After) still decides inside the region.
-func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, tr *obs.Recorder) (out jobOut) {
+func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, o *RunOptions) (out jobOut) {
 	if p.mapped {
 		defer catchViewFault(debug.SetPanicOnFault(true), &out.err)
 	}
@@ -239,15 +218,15 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 	if acct == nil {
 		acct = new(jobIO)
 	}
-	if lim.after != nil {
+	if o.After != nil {
 		b := 0
-		for b < len(p.resume) && lim.after[b] == p.resume[b] {
+		for b < len(p.resume) && o.After[b] == p.resume[b] {
 			b++
 		}
-		acct.resume = engine.Restriction{Spine: b, Body: engine.Span{Lo: lim.after[b], Hi: math.MaxInt32}}
+		acct.resume = engine.Restriction{Spine: b, Body: engine.Span{Lo: o.After[b], Hi: math.MaxInt32}}
 		if r != nil { // a planned chunk: its per-run copy, cut at the cursor
 			acct.resume = *r
-			acct.resume.Body.Lo = max(r.Body.Lo, lim.after[b])
+			acct.resume.Body.Lo = max(r.Body.Lo, o.After[b])
 		}
 		if r = &acct.resume; r.Body.Empty() {
 			jobIOs.Put(acct)
@@ -259,16 +238,16 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, li
 	io := &acct.io
 	io.Reset(&acct.c)
 	out.rows, out.peak, out.err = p.plan.Run(io, engine.Options{
-		Tracer:    tr,
-		DiskBased: p.opts.DiskBased,
+		Tracer:    o.Tracer,
+		DiskBased: o.DiskBased,
 		Interrupt: interrupt,
 		Restrict:  r,
 		// The page's quota is every job's own bound: any match in the
 		// global first offset+limit is in its own partition's first
 		// offset+limit, so each job may stop (or cap its accumulation)
 		// there.
-		First: lim.first(),
-		After: lim.after,
+		First: o.first(),
+		After: o.After,
 	})
 	out.dur = time.Since(t0)
 	out.first = io.FirstMatchTime()
@@ -311,9 +290,9 @@ func (p *PreparedQuery) assemble(outs []jobOut, r *request) (*Result, error) {
 	if !firstMatch.IsZero() {
 		firstNanos = firstMatch.Sub(r.start).Nanoseconds()
 	}
-	r.tr.BeginPhase(obs.PhaseOutput)
-	rows := r.lim.slice(mergeJobRows(outs))
-	r.tr.EndPhase(obs.PhaseOutput)
+	r.Tracer.BeginPhase(obs.PhaseOutput)
+	rows := r.slice(mergeJobRows(outs))
+	r.Tracer.EndPhase(obs.PhaseOutput)
 	res := &Result{
 		Matches: rows,
 		Stats: Stats{
@@ -330,8 +309,8 @@ func (p *PreparedQuery) assemble(outs []jobOut, r *request) (*Result, error) {
 			Partitions:      executed,
 		},
 	}
-	if r.tr != nil { // an untraced run has no report: Trace stays nil
-		res.Trace = r.tr.Report(c, time.Since(r.start))
+	if r.Tracer != nil { // an untraced run has no report: Trace stays nil
+		res.Trace = r.Tracer.Report(c, time.Since(r.start))
 		res.Trace.FirstMatchNanos = firstNanos
 	}
 	return res, nil

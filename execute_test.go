@@ -171,58 +171,3 @@ func TestExecutorTracesStreamedPartitions(t *testing.T) {
 		}
 	}
 }
-
-// TestRunAppliesPrepareTimeParallelism pins that the options captured at
-// Prepare reach every entry point: a plan prepared with Parallelism 3 runs
-// partitioned from plain Run(), with the rows and the summed counters of
-// the sequential plan.
-func TestRunAppliesPrepareTimeParallelism(t *testing.T) {
-	doc := viewjoin.GenerateXMark(0.05)
-	q := viewjoin.MustParseQuery("//site//item[//description//keyword]/name")
-	vs, err := viewjoin.ParseViews("//site//item//name; //description//keyword")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mv, err := doc.MaterializeViews(vs, viewjoin.SchemeLEp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(opts *viewjoin.EvalOptions) *viewjoin.Result {
-		t.Helper()
-		p, err := viewjoin.Prepare(doc, q, mv, viewjoin.EngineViewJoin, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq, par := run(nil), run(&viewjoin.EvalOptions{Parallelism: 3})
-	if seq.Stats.Partitions != 1 {
-		t.Errorf("sequential plan ran %d partitions, want 1", seq.Stats.Partitions)
-	}
-	if par.Stats.Partitions <= 1 {
-		t.Errorf("plan prepared with Parallelism 3 ran %d partitions from Run(), want > 1", par.Stats.Partitions)
-	}
-	if !sameRows(par.Matches, seq.Matches) {
-		t.Errorf("partitioned Run() returned %d rows, sequential %d — diverged", len(par.Matches), len(seq.Matches))
-	}
-	// A partitioned run's summed counters are not the whole-document run's;
-	// they are those of the same three-way run asked for per call on the
-	// sequential plan.
-	p, err := viewjoin.Prepare(doc, q, mv, viewjoin.EngineViewJoin, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := p.RunWith(context.Background(), &viewjoin.RunOptions{Parallelism: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := par.Stats, explicit.Stats
-	a.Duration, a.FirstMatchNanos, b.Duration, b.FirstMatchNanos = 0, 0, 0, 0
-	if a != b {
-		t.Errorf("prepare-time Parallelism 3:\n got  %+v\n want %+v (RunOptions.Parallelism 3)", a, b)
-	}
-}

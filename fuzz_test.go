@@ -72,7 +72,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 					engines = append(engines, EnginePathStack)
 				}
 				for _, eng := range engines {
-					res, err := Evaluate(doc, q, mv, eng, nil)
+					res, err := Evaluate(nil, doc, q, mv, eng, nil)
 					if err != nil {
 						t.Fatalf("partition %d %v+%v: %v", pi, eng, scheme, err)
 					}
@@ -106,7 +106,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 				if err != nil {
 					t.Fatalf("partition %d tuple: materialize: %v", pi, err)
 				}
-				res, err := Evaluate(doc, q, tv, EngineInterJoin, nil)
+				res, err := Evaluate(nil, doc, q, tv, EngineInterJoin, nil)
 				if err != nil {
 					t.Fatalf("partition %d IJ: %v", pi, err)
 				}
@@ -131,7 +131,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 		}
 
 		// The no-view baseline must agree too (general-query entry point).
-		res, err := EvaluateWithoutViews(doc, q, EngineTwigStack, nil)
+		res, err := EvaluateWithoutViews(nil, doc, q, EngineTwigStack, nil)
 		if err != nil {
 			t.Fatalf("EvaluateWithoutViews TS: %v", err)
 		}

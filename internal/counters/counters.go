@@ -14,27 +14,28 @@ import (
 	"time"
 )
 
-// Counters accumulates the cost measures of one query evaluation.
+// Counters accumulates the cost measures of one query evaluation. Its JSON
+// form is the counter record of vjserve's /debug/plans.
 type Counters struct {
 	// ElementsScanned counts entries decoded from materialized lists or
 	// tuple files.
-	ElementsScanned int64
+	ElementsScanned int64 `json:"elements_scanned"`
 	// Comparisons counts structural comparisons between region labels.
-	Comparisons int64
+	Comparisons int64 `json:"comparisons"`
 	// PointerDerefs counts materialized pointers followed (LE/LEp only).
-	PointerDerefs int64
+	PointerDerefs int64 `json:"pointer_derefs"`
 	// PagesRead counts simulated page reads, one per page touch.
-	PagesRead int64
+	PagesRead int64 `json:"pages_read"`
 	// PagesWritten counts pages written (disk-based output approach).
-	PagesWritten int64
+	PagesWritten int64 `json:"pages_written"`
 	// JumpsTaken / JumpsRefused count materialized pointer jumps followed
 	// and refused (safe-jump probe, open-region cover, stale pointers).
 	// Unlike the tracer's per-node events these are recorded on every run,
 	// so serving-side aggregation sees them without tracing overhead.
-	JumpsTaken   int64
-	JumpsRefused int64
+	JumpsTaken   int64 `json:"jumps_taken"`
+	JumpsRefused int64 `json:"jumps_refused"`
 	// Matches counts output tree pattern instances.
-	Matches int64
+	Matches int64 `json:"matches"`
 }
 
 // Add accumulates o into c.

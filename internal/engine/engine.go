@@ -26,9 +26,10 @@ type Options struct {
 	// advances, jumps taken/refused, stack operations). nil disables
 	// tracing at zero hot-path cost.
 	Tracer *obs.Recorder
-	// DiskBased selects the disk-based output approach (§IV "Variations"):
-	// intermediate solutions are spooled to scratch pages and re-read,
-	// trading I/O for a resident set of O(|Q|·depth).
+	// DiskBased selects the disk-based output approach (§IV "Variations")
+	// as a cost-model setting: every window flush is charged the scratch
+	// pages spooling its entries would write and read back, while the
+	// window stays in memory (see enum.Collector).
 	DiskBased bool
 	// Interrupt, when non-nil, is polled cooperatively from the engine main
 	// loops and the window enumeration stage; a non-nil return aborts the

@@ -31,11 +31,13 @@ type Label = store.Label
 // flushes completed windows into result rows, each one copy of the template
 // row the enumeration keeps (engine.Rows).
 //
-// In the memory-based approach (§IV "Variations") the window lives in
-// memory until flushed; PeakEntries tracks the largest window, the F_max of
-// the paper's space analysis. In the disk-based approach the window is
-// spooled to scratch pages when collected and read back at flush time,
-// charging page writes and reads; resident memory then stays O(|Q|·depth).
+// The window lives in memory until flushed; PeakEntries tracks the largest
+// window, the F_max of the paper's space analysis. The disk-based approach
+// (§IV "Variations") is a cost-model setting: every flush charges the
+// entries collected since the previous one as spooled to scratch pages and
+// read back, ceil(LabelBytes·entries / store.DefaultPageSize) pages written
+// and as many read, while the window itself stays in memory as in the
+// memory-based approach.
 type Collector struct {
 	q   *tpq.Pattern
 	io  *counters.IO
@@ -152,8 +154,8 @@ const (
 )
 
 // NewCollector returns a Collector for query q, accounting into io and
-// tracing into tr (nil disables tracing). When diskBased is set, windows
-// are spooled through scratch pages of store.DefaultPageSize bytes.
+// tracing into tr (nil disables tracing). When diskBased is set, every
+// flush charges the disk-based approach's spool pages (see Collector).
 func NewCollector(q *tpq.Pattern, io *counters.IO, tr *obs.Recorder, diskBased bool) *Collector {
 	c := new(Collector)
 	c.Reset(q, io, tr, diskBased)
@@ -509,9 +511,8 @@ func (c *Collector) Result() [][]match.Cell {
 }
 
 // PeakEntries returns the size (in entries) of the largest window held in
-// memory — the |F_max| of the paper's space analysis. For the disk-based
-// approach the resident set is O(|Q|·depth) instead; callers report
-// accordingly.
+// memory — the |F_max| of the paper's space analysis — in either approach:
+// the disk-based one charges pages but keeps its windows in memory too.
 func (c *Collector) PeakEntries() int { return c.peakEntries }
 
 // MemoryBytes converts PeakEntries to bytes using the scratch record size.

@@ -106,7 +106,7 @@ func ablationPageSize(cfg Config) error {
 			mviews = append(mviews, mv)
 			bytes += mv.SizeBytes()
 		}
-		res, err := viewjoin.Evaluate(d, q, mviews, viewjoin.EngineTwigStack, nil)
+		res, err := viewjoin.Evaluate(nil, d, q, mviews, viewjoin.EngineTwigStack, nil)
 		if err != nil {
 			return err
 		}

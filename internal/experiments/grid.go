@@ -70,9 +70,9 @@ func (c cell) evaluate(d *viewjoin.Document, q *viewjoin.Query, mats map[viewjoi
 		var res *viewjoin.Result
 		var err error
 		if c.raw {
-			res, err = viewjoin.EvaluateWithoutViews(d, q, c.engine, nil)
+			res, err = viewjoin.EvaluateWithoutViews(nil, d, q, c.engine, nil)
 		} else {
-			res, err = viewjoin.Evaluate(d, q, mats[c.scheme], c.engine, &viewjoin.EvalOptions{DiskBased: c.disk})
+			res, err = viewjoin.Evaluate(nil, d, q, mats[c.scheme], c.engine, &viewjoin.RunOptions{DiskBased: c.disk})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c, err)

@@ -61,7 +61,7 @@ func Table2(cfg Config) error {
 
 	evaluate := func(set []*viewjoin.MaterializedView) func() (*viewjoin.Result, error) {
 		return func() (*viewjoin.Result, error) {
-			return viewjoin.Evaluate(d, q, set, viewjoin.EngineViewJoin, nil)
+			return viewjoin.Evaluate(nil, d, q, set, viewjoin.EngineViewJoin, nil)
 		}
 	}
 	ss, err := measure(cfg.Repeats, evaluate(costBased), evaluate(bySize))

@@ -1,14 +1,24 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
 
 func getPlans(t testing.TB, ts *httptest.Server) plansResponse {
+	t.Helper()
+	var p plansResponse
+	getPlansInto(t, ts, &p)
+	return p
+}
+
+// getPlansInto decodes the /debug/plans body into v.
+func getPlansInto(t testing.TB, ts *httptest.Server, v any) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/debug/plans")
 	if err != nil {
@@ -18,11 +28,31 @@ func getPlans(t testing.TB, ts *httptest.Server) plansResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/plans status %d", resp.StatusCode)
 	}
-	var p plansResponse
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
 	}
-	return p
+}
+
+// objectKeys returns the keys of the JSON object obj in wire order.
+func objectKeys(t testing.TB, obj json.RawMessage) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(obj))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", obj)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }
 
 func findPlan(rows []planMetrics, engine string) *planMetrics {
@@ -146,5 +176,19 @@ func TestPlanAggregates(t *testing.T) {
 	}
 	if want := int64(vjRuns * matchCount); vjd.Counters.Matches != want {
 		t.Errorf("VJ summed matches %d, want %d", vjd.Counters.Matches, want)
+	}
+	// The counter record's wire keys, read from the raw body: decoding into
+	// the Go struct would let a renamed key pass as a zero field.
+	var raw struct {
+		Plans []struct {
+			Counters json.RawMessage `json:"counters"`
+		} `json:"plans"`
+	}
+	getPlansInto(t, ts, &raw)
+	const wantKeys = "elements_scanned, comparisons, pointer_derefs, pages_read, pages_written, jumps_taken, jumps_refused, matches"
+	for i, pl := range raw.Plans {
+		if got := strings.Join(objectKeys(t, pl.Counters), ", "); got != wantKeys {
+			t.Errorf("plan %d counters keys:\n got  %s\n want %s", i, got, wantKeys)
+		}
 	}
 }

@@ -983,20 +983,9 @@ type plansResponse struct {
 
 type planDetail struct {
 	planMetrics
-	Counters planCountersJSON `json:"counters"`
-}
-
-// planCountersJSON is the summed deterministic counter record of every
-// run a plan served — the observed analogue of the §V cost-model terms.
-type planCountersJSON struct {
-	ElementsScanned int64 `json:"elements_scanned"`
-	Comparisons     int64 `json:"comparisons"`
-	PointerDerefs   int64 `json:"pointer_derefs"`
-	PagesRead       int64 `json:"pages_read"`
-	PagesWritten    int64 `json:"pages_written"`
-	JumpsTaken      int64 `json:"jumps_taken"`
-	JumpsRefused    int64 `json:"jumps_refused"`
-	Matches         int64 `json:"matches"`
+	// Counters is the summed deterministic counter record of every run the
+	// plan served — the observed analogue of the §V cost-model terms.
+	Counters counters.Counters `json:"counters"`
 }
 
 func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
@@ -1010,16 +999,7 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		snap := ent.agg.Snapshot()
 		resp.Plans = append(resp.Plans, planDetail{
 			planMetrics: planRow(ent, snap),
-			Counters: planCountersJSON{
-				ElementsScanned: snap.Counters.ElementsScanned,
-				Comparisons:     snap.Counters.Comparisons,
-				PointerDerefs:   snap.Counters.PointerDerefs,
-				PagesRead:       snap.Counters.PagesRead,
-				PagesWritten:    snap.Counters.PagesWritten,
-				JumpsTaken:      snap.Counters.JumpsTaken,
-				JumpsRefused:    snap.Counters.JumpsRefused,
-				Matches:         snap.Counters.Matches,
-			},
+			Counters:    snap.Counters,
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -29,7 +29,7 @@ func noopWorkload(t testing.TB) (*Document, *Query, []*MaterializedView) {
 	return d, q, mv
 }
 
-// TestNoopTracerAllocations asserts that leaving EvalOptions.Tracer nil
+// TestNoopTracerAllocations asserts that leaving RunOptions.Tracer nil
 // keeps Evaluate at its pre-observability allocation count: the tracing
 // hooks must cost nothing when disabled.
 func TestNoopTracerAllocations(t *testing.T) {
@@ -38,7 +38,7 @@ func TestNoopTracerAllocations(t *testing.T) {
 	}
 	d, q, mv := noopWorkload(t)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Evaluate(d, q, mv, EngineViewJoin, nil); err != nil {
+		if _, err := Evaluate(nil, d, q, mv, EngineViewJoin, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -56,7 +56,7 @@ func BenchmarkEvaluateUntraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Evaluate(d, q, mv, EngineViewJoin, nil); err != nil {
+		if _, err := Evaluate(nil, d, q, mv, EngineViewJoin, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func BenchmarkEvaluateTraced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := obs.NewRecorder()
-		if _, err := Evaluate(d, q, mv, EngineViewJoin, &EvalOptions{Tracer: rec}); err != nil {
+		if _, err := Evaluate(nil, d, q, mv, EngineViewJoin, &RunOptions{Tracer: rec}); err != nil {
 			b.Fatal(err)
 		}
 	}

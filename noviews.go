@@ -1,7 +1,9 @@
 package viewjoin
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"viewjoin/internal/engine/pathstack"
 	"viewjoin/internal/engine/twigstack"
@@ -36,21 +38,19 @@ func ParseQueryGeneral(s string) (*Query, error) {
 // Supported engines: EngineTwigStack (any query) and EnginePathStack (path
 // queries). The view-based engines require materialized views by
 // definition.
-func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) (*Result, error) {
-	if opts == nil {
-		opts = &EvalOptions{}
-	}
+func EvaluateWithoutViews(ctx context.Context, d *Document, q *Query, eng Engine, ro *RunOptions) (*Result, error) {
 	snap := d.snap()
-	opts.Tracer.BeginPhase(obs.PhaseBind)
+	r := resolve(ctx, ro)
+	r.Tracer.BeginPhase(obs.PhaseBind)
 	lists, err := rawStreams(snap.tree, q)
-	opts.Tracer.EndPhase(obs.PhaseBind)
+	r.Tracer.EndPhase(obs.PhaseBind)
 	if err != nil {
 		return nil, err
 	}
-	// A plan over the raw streams is a prepared query like any other; its
-	// one run takes every option in opts, and Stats.Duration covers the
-	// evaluation alone, as Evaluate's does not cover materializing views.
-	p := &PreparedQuery{epoch: snap.epoch, q: q, eng: eng, opts: *opts}
+	// A plan over the raw streams is a prepared query like any other, run
+	// once through the same executor; Stats.Duration covers the evaluation
+	// alone, as Evaluate's does not cover materializing views.
+	p := &PreparedQuery{epoch: snap.epoch, q: q, eng: eng}
 	switch eng {
 	case EngineTwigStack:
 		p.plan = twigstack.Prepare(q.p, lists)
@@ -64,7 +64,8 @@ func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) 
 	}
 	p.resume = resumePrefix(q.p.Nodes, onlyEntry(lists))
 	p.describe = func() *obs.Plan { return rawStreamPlan(q.p, eng, lists) }
-	return p.Run()
+	r.start = time.Now()
+	return p.execute(r)
 }
 
 // rawStreamPlan describes the no-view setting: every query node reads the

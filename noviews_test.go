@@ -12,7 +12,7 @@ func TestEvaluateWithoutViewsBasic(t *testing.T) {
 	for _, qs := range []string{"//a//b//c", "//a[//f]//b//e", "//r//a//e"} {
 		q := MustParseQuery(qs)
 		want := EvaluateDirect(d, q)
-		res, err := EvaluateWithoutViews(d, q, EngineTwigStack, nil)
+		res, err := EvaluateWithoutViews(nil, d, q, EngineTwigStack, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
@@ -24,7 +24,7 @@ func TestEvaluateWithoutViewsBasic(t *testing.T) {
 		if st := res.Stats; st.Partitions != 1 || st.PagesRead == 0 {
 			t.Errorf("%s: Stats %+v, want Partitions 1 and some page traffic", qs, st)
 		}
-		page, err := EvaluateWithoutViews(d, q, EngineTwigStack, &EvalOptions{Limit: 3})
+		page, err := EvaluateWithoutViews(nil, d, q, EngineTwigStack, &RunOptions{Limit: 3})
 		if err != nil {
 			t.Fatalf("%s limit 3: %v", qs, err)
 		}
@@ -32,7 +32,7 @@ func TestEvaluateWithoutViewsBasic(t *testing.T) {
 			t.Errorf("%s limit 3: got %d rows, want the first %d of EvaluateDirect", qs, len(page.Matches), len(first))
 		}
 		if q.IsPath() {
-			res, err = EvaluateWithoutViews(d, q, EnginePathStack, nil)
+			res, err = EvaluateWithoutViews(nil, d, q, EnginePathStack, nil)
 			if err != nil {
 				t.Fatalf("%s PS: %v", qs, err)
 			}
@@ -43,10 +43,10 @@ func TestEvaluateWithoutViewsBasic(t *testing.T) {
 	}
 	// View-based engines are rejected.
 	q := MustParseQuery("//a//b")
-	if _, err := EvaluateWithoutViews(d, q, EngineViewJoin, nil); err == nil {
+	if _, err := EvaluateWithoutViews(nil, d, q, EngineViewJoin, nil); err == nil {
 		t.Errorf("VJ without views: expected error")
 	}
-	if _, err := EvaluateWithoutViews(d, q, EngineInterJoin, nil); err == nil {
+	if _, err := EvaluateWithoutViews(nil, d, q, EngineInterJoin, nil); err == nil {
 		t.Errorf("IJ without views: expected error")
 	}
 }
@@ -66,7 +66,7 @@ func TestGeneralQueries(t *testing.T) {
 			t.Fatalf("%s: %v", qs, err)
 		}
 		want := EvaluateDirect(d, q)
-		res, err := EvaluateWithoutViews(d, q, EngineTwigStack, nil)
+		res, err := EvaluateWithoutViews(nil, d, q, EngineTwigStack, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
@@ -112,7 +112,7 @@ func TestGeneralQueriesProperty(t *testing.T) {
 			return false
 		}
 		want := EvaluateDirect(d, q)
-		res, err := EvaluateWithoutViews(d, q, EngineTwigStack, &EvalOptions{DiskBased: rng.Intn(2) == 0})
+		res, err := EvaluateWithoutViews(nil, d, q, EngineTwigStack, &RunOptions{DiskBased: rng.Intn(2) == 0})
 		if err != nil {
 			t.Logf("%s: %v", q, err)
 			return false
@@ -142,11 +142,11 @@ func TestViewsBeatRawStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withViews, err := Evaluate(d, q, mv, EngineTwigStack, nil)
+	withViews, err := Evaluate(nil, d, q, mv, EngineTwigStack, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := EvaluateWithoutViews(d, q, EngineTwigStack, nil)
+	raw, err := EvaluateWithoutViews(nil, d, q, EngineTwigStack, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,7 +210,7 @@ func TestPaperClaims(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := viewjoin.Evaluate(doc, viewjoin.MustParseQuery(wq.Pattern.String()), mv, viewjoin.EngineViewJoin, nil)
+				res, err := viewjoin.Evaluate(nil, doc, viewjoin.MustParseQuery(wq.Pattern.String()), mv, viewjoin.EngineViewJoin, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -132,10 +132,11 @@ func onlyEntry(lists []*store.ListFile) func(int) (int32, bool) {
 // returns their outcomes once all have finished. The jobs share nothing —
 // under a limit each stops at the page's quota on its own (runJob) — so
 // what one scans never depends on when another finishes.
-func (p *PreparedQuery) runPartitions(jobs []engine.Restriction, interrupt func() error, lim limits) []jobOut {
+func (p *PreparedQuery) runPartitions(jobs []engine.Restriction, interrupt func() error, o RunOptions) []jobOut {
+	o.Tracer = nil // a Recorder is not safe for concurrent use
 	outs := make([]jobOut, len(jobs))
 	parallelFor(len(jobs), len(jobs), func(i int) {
-		outs[i] = p.runJob(&jobs[i], interrupt, lim, nil)
+		outs[i] = p.runJob(&jobs[i], interrupt, &o)
 	})
 	return outs
 }

@@ -65,7 +65,7 @@ func TestOpenViewAndLoadViewMmap(t *testing.T) {
 	}
 
 	for name, mvs := range map[string][]*MaterializedView{"bytes": fromBytes, "mmap": mapped} {
-		res, err := Evaluate(d, q, mvs, EngineViewJoin, nil)
+		res, err := Evaluate(nil, d, q, mvs, EngineViewJoin, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

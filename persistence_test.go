@@ -43,7 +43,7 @@ func TestSaveLoadViewRoundTrip(t *testing.T) {
 		if scheme == SchemeTuple {
 			eng = EngineInterJoin
 		}
-		res, err := Evaluate(d, q, loaded, eng, nil)
+		res, err := Evaluate(nil, d, q, loaded, eng, nil)
 		if err != nil {
 			t.Fatalf("%v: evaluate over loaded views: %v", scheme, err)
 		}

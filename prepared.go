@@ -37,12 +37,11 @@ import (
 // allocation per match (see Result.Matches). Scratch is kept per
 // concurrent run, not per plan, and a collection releases it.
 //
-// A PreparedQuery is immutable after Prepare and safe for concurrent Run
-// calls provided the captured EvalOptions.Tracer is nil (a Recorder is not
-// safe for concurrent use); documents and materialized views are already
-// immutable after construction. RunTraced attaches a recorder to a single
-// execution instead, so concurrent traced runs of one shared plan are safe
-// as long as each call brings its own recorder.
+// A PreparedQuery is immutable after Prepare and safe for concurrent runs:
+// it holds no per-run state, and every option that shapes a run — page,
+// parallelism, tracer, output approach — travels with the call in
+// RunOptions. Documents and materialized views are already immutable after
+// construction.
 type PreparedQuery struct {
 	// epoch is the document epoch of the snapshot the plan was compiled
 	// against. Runs read only the views' stores bound at that epoch, so a
@@ -51,7 +50,6 @@ type PreparedQuery struct {
 	epoch uint64
 	q     *Query
 	eng   Engine
-	opts  EvalOptions
 
 	// plan is the engine's compiled form of the query; the executor knows
 	// the four engines only through it.
@@ -101,16 +99,14 @@ type enginePlan interface {
 
 // Prepare compiles q over the materialized views for the chosen engine.
 // The views must form a valid minimal covering set of q, exactly as for
-// Evaluate; opts (nil for defaults) is captured and applied to every Run.
+// Evaluate. tr (nil for none) observes preparation only — the segment and
+// bind phases — and is not kept: a run brings its own in RunOptions.
 //
 // Prepare captures the document's current snapshot and requires every view
 // to reflect exactly that snapshot: a view left behind by an Apply the
 // caller did not Maintain it through fails with *EpochMismatchError
 // (retryable after maintaining or re-materializing the view).
-func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts *EvalOptions) (_ *PreparedQuery, err error) {
-	if opts == nil {
-		opts = &EvalOptions{}
-	}
+func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, tr *obs.Recorder) (_ *PreparedQuery, err error) {
 	snap := d.snap()
 	patterns := make([]*tpq.Pattern, len(mviews))
 	stores := make([]*store.ViewStore, len(mviews))
@@ -130,8 +126,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 	if mapped { // binding lists and InterJoin's stream scans read view pages
 		defer catchViewFault(debug.SetPanicOnFault(true), &err)
 	}
-	p := &PreparedQuery{epoch: snap.epoch, q: q, eng: eng, opts: *opts, nviews: len(mviews), mapped: mapped}
-	tr := opts.Tracer
+	p := &PreparedQuery{epoch: snap.epoch, q: q, eng: eng, nviews: len(mviews), mapped: mapped}
 	switch eng {
 	case EngineViewJoin, EngineTwigStack, EnginePathStack:
 		v, err := buildVSQ(q, patterns, tr)
@@ -218,22 +213,24 @@ func (p *PreparedQuery) FootprintBytes() int64 {
 	return p.plan.Footprint() + int64(p.nviews)*16 + 256
 }
 
-// RunOptions selects what one execution of a prepared plan returns. It is
-// resolved against the options captured at Prepare time by one rule, stated
-// here once: a nil *RunOptions takes everything — Limit, Offset,
-// Parallelism, Tracer — from Prepare; a non-nil one takes Limit, Offset and
-// After exactly as given (zero means unbounded, no skip, no cursor), while a
-// zero Parallelism and a nil Tracer inherit the prepare-time values. The
-// context is always the call's own.
+// RunOptions shapes one execution of a prepared plan, and is the only
+// record that does: a plan captures none of it, so one plan serves
+// concurrent runs with different options. A nil *RunOptions is the zero
+// value — every match, sequential, untraced, memory-based. The context is
+// the call's own argument.
 type RunOptions struct {
-	// Limit bounds the page to Limit matches; 0 means unbounded. The bound
-	// is pushed into the engines (see EvalOptions.Limit), so peak result
-	// memory is O(Limit + open enumeration windows) rather than O(total
-	// matches), and the streaming engines stop scanning as soon as the page
-	// is determined.
+	// Limit, when > 0, bounds the result to the first Limit matches in
+	// document order. The bound is pushed into the engines: the streaming
+	// engines (ViewJoin, TwigStack) stop scanning once Offset+Limit matches
+	// have been enumerated, and the sort-before-output engines (PathStack,
+	// InterJoin) cap their accumulation at Offset+Limit entries, so peak
+	// result memory is O(Limit) instead of O(total matches). 0 returns
+	// everything.
 	Limit int
 	// Offset skips the first Offset matches in document order (after the
-	// After cursor filter, when both are set).
+	// After cursor filter, when both are set), as SQL OFFSET. Prefer After
+	// for deep paging: an offset still enumerates the skipped prefix, a
+	// cursor seeks past it.
 	Offset int
 	// After, when non-nil, resumes strictly after a previous match: one
 	// start label per query node (Node.Start of the previous page's last
@@ -243,54 +240,55 @@ type RunOptions struct {
 	// opened there by binary search and page k costs what page 1 costs.
 	// A cursor of any other length is an error.
 	After []int32
-	// Parallelism requests a range-partitioned run across up to that many
-	// partitions, as EvalOptions.Parallelism: 1 is sequential, negative
-	// means GOMAXPROCS, 0 inherits the prepare-time setting. The Result is
-	// byte-identical to the sequential one (see Stats for how partitions
-	// fold into it); a plan that admits no cut runs as one job.
+	// Parallelism requests a range-partitioned run: the document is split
+	// into up to Parallelism chunks at top-level subtree boundaries and
+	// evaluated by a bounded worker group. 0 and 1 are sequential; negative
+	// means GOMAXPROCS. The Result is byte-identical to the sequential one
+	// (see Stats for how partitions fold into it); a plan that admits no
+	// cut runs as one job.
 	Parallelism int
-	// Tracer observes this single execution. Because it travels with the
-	// call rather than the plan, concurrent runs of one shared plan may
-	// each bring their own. nil inherits the prepare-time Tracer.
+	// Tracer, when non-nil, observes this execution — phase spans and
+	// engine-internal events (cursor advances, pointer jumps, stack
+	// activity) — and fills Result.Trace. A Recorder is not safe for
+	// concurrent use, so concurrent runs each bring their own. nil runs
+	// untraced at zero cost.
 	Tracer *obs.Recorder
+	// DiskBased selects the disk-based output approach (§IV): every window
+	// flush is charged as spooled through scratch pages, ceil(16·entries /
+	// 4096) pages written and as many read back. It is a cost-model
+	// setting only: the window stays in memory, and PeakMemoryBytes is the
+	// same as a memory-based run's.
+	DiskBased bool
 }
 
-// Run executes the prepared plan once under the options captured at
-// Prepare time — Context, Limit/Offset, Parallelism, Tracer — and returns a
-// fresh Result. Stats cover this execution only: preparation costs (for
-// InterJoin, the view stream scans) were paid at Prepare time and are not
-// re-charged; see Evaluate for the historical one-shot accounting.
+// Run executes the prepared plan once with no options — every match,
+// sequential, untraced — and returns a fresh Result. Stats cover this
+// execution only: preparation costs (for InterJoin, the view stream scans)
+// were paid at Prepare time and are not re-charged; see Evaluate for the
+// historical one-shot accounting.
 //
 // Pinned: the signature is part of what benchmark/ calls and must not
 // change outside a [benchmark] PR.
-func (p *PreparedQuery) Run() (*Result, error) {
-	return p.execute(p.resolve(p.opts.Context, nil))
-}
+func (p *PreparedQuery) Run() (*Result, error) { return p.RunWith(nil, nil) }
 
-// RunTraced executes the prepared plan once with tr observing this single
-// execution in place of any prepare-time Tracer (nil runs untraced) and k
-// in place of the prepare-time Parallelism (k <= 1 is sequential). It is
-// RunWith with both always overriding instead of inheriting.
+// RunTraced executes the prepared plan once with tr observing it (nil runs
+// untraced) over up to k partitions, as RunOptions.Parallelism.
 //
 // Pinned: benchmark/ calls it as RunTraced(ctx, 1, obs.NewRecorder()), and
 // that call shape must keep compiling outside a [benchmark] PR.
 func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr *obs.Recorder) (*Result, error) {
-	r := p.resolve(ctx, nil)
-	r.k, r.tr = k, tr
-	return p.execute(r)
+	return p.RunWith(ctx, &RunOptions{Parallelism: k, Tracer: tr})
 }
 
 // RunWith executes the prepared plan once bounded by ctx and shaped by ro
-// (see RunOptions for how ro combines with the prepare-time options).
-// Cancellation or deadline expiry aborts the engine at its next cooperative
-// checkpoint and returns a *CanceledError — no partial results, and the
-// pooled evaluator scratch is recycled normally; a nil ctx runs
-// uninterruptible. This is the serving entry point: one immutable
+// (nil for none). Cancellation or deadline expiry aborts the engine at its
+// next cooperative checkpoint and returns a *CanceledError — no partial
+// results, and the pooled evaluator scratch is recycled normally; a nil
+// ctx runs uninterruptible. This is the serving entry point: one immutable
 // PreparedQuery, many concurrent requests, each with its own deadline,
-// page, parallelism and tracer. Safe for concurrent use provided no two
-// concurrent runs share a Recorder.
+// page, parallelism and tracer.
 func (p *PreparedQuery) RunWith(ctx context.Context, ro *RunOptions) (*Result, error) {
-	return p.execute(p.resolve(ctx, ro))
+	return p.execute(resolve(ctx, ro))
 }
 
 // parallelFor runs work(0..n-1) across at most workers goroutines (<= 0

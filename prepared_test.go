@@ -87,7 +87,7 @@ func TestPreparedReuseSequential(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			q, mv := materializeCase(t, d, c)
 			want := EvaluateDirect(d, q)
-			one, err := Evaluate(d, q, mv, c.eng, nil)
+			one, err := Evaluate(nil, d, q, mv, c.eng, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestPreparedReuseConcurrent(t *testing.T) {
 	for _, c := range preparedCases() {
 		t.Run(c.name, func(t *testing.T) {
 			q, mv := materializeCase(t, d, c)
-			one, err := Evaluate(d, q, mv, c.eng, nil)
+			one, err := Evaluate(nil, d, q, mv, c.eng, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestPreparedRunAllocations(t *testing.T) {
 		}
 	})
 	evalAllocs := testing.AllocsPerRun(5, func() {
-		if _, err := Evaluate(d, q, mv, EngineViewJoin, nil); err != nil {
+		if _, err := Evaluate(nil, d, q, mv, EngineViewJoin, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

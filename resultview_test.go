@@ -35,7 +35,7 @@ func TestMaterializeResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(d, bigger, []*MaterializedView{resultView, dsView}, EngineViewJoin, nil)
+	res, err := Evaluate(nil, d, bigger, []*MaterializedView{resultView, dsView}, EngineViewJoin, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

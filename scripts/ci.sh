@@ -35,6 +35,10 @@
 #   2d. vjbench smoke: every experiment of cmd/vjbench once, at a small
 #      scale and one sample a cell, so flag or wiring drift in the
 #      command that prints the paper's tables fails here
+#   2e. examples: every examples/* program runs once (go run, output
+#      discarded). go build only compiles them; they are the public API's
+#      worked calls, so an option or signature change must keep them
+#      running, not just building
 #   3. coverage floors, one shell function (coverage_floor) called per
 #      package set. store: the storage layer is the persistence trust
 #      boundary; its statement coverage must stay >= 85%
@@ -143,6 +147,11 @@ go test -run '^$' -bench . -benchtime=1x ./... >/dev/null
 
 echo "== vjbench smoke: every experiment once, small scale"
 go run ./cmd/vjbench -exp all -xmark-scale 0.05 -nasa-datasets 200 -repeats 1 >/dev/null
+
+echo "== examples: every examples/* program once"
+for ex in examples/*/; do
+	go run "./${ex%/}" >/dev/null
+done
 
 # coverage_floor PATTERN FLOOR LABEL: the aggregate statement coverage of
 # the packages matching PATTERN must be at least FLOOR percent.

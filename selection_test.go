@@ -145,7 +145,7 @@ func TestSelectViewsTable(t *testing.T) {
 					t.Fatalf("label %q covered %d times in %v", l, seen[l], viewNames(sel))
 				}
 			}
-			res, err := Evaluate(d, q, sel, EngineViewJoin, nil)
+			res, err := Evaluate(nil, d, q, sel, EngineViewJoin, nil)
 			if err != nil {
 				t.Fatalf("Evaluate with selection %v: %v", viewNames(sel), err)
 			}

@@ -31,7 +31,7 @@ func traceFixture(t testing.TB, scheme StorageScheme) (*Document, *Query, []*Mat
 func TestEvaluateTraceReport(t *testing.T) {
 	d, q, mv := traceFixture(t, SchemeLEp)
 	rec := obs.NewRecorder()
-	res, err := Evaluate(d, q, mv, EngineViewJoin, &EvalOptions{Tracer: rec})
+	res, err := Evaluate(nil, d, q, mv, EngineViewJoin, &RunOptions{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestEvaluateTraceReport(t *testing.T) {
 func TestEvaluateTraceAllEngines(t *testing.T) {
 	want := func() int {
 		d, q, mv := traceFixture(t, SchemeLEp)
-		res, err := Evaluate(d, q, mv, EngineViewJoin, nil)
+		res, err := Evaluate(nil, d, q, mv, EngineViewJoin, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestEvaluateTraceAllEngines(t *testing.T) {
 	} {
 		d, q, mv := traceFixture(t, tc.scheme)
 		rec := obs.NewRecorder()
-		res, err := Evaluate(d, q, mv, tc.eng, &EvalOptions{Tracer: rec})
+		res, err := Evaluate(nil, d, q, mv, tc.eng, &RunOptions{Tracer: rec})
 		if err != nil {
 			t.Fatalf("%v+%v: %v", tc.eng, tc.scheme, err)
 		}
@@ -145,13 +145,13 @@ func TestNilRecorderRunsUntraced(t *testing.T) {
 		run, ref func() (*Result, error)
 	}{
 		{"Evaluate",
-			func() (*Result, error) { return Evaluate(d, q, mv, EngineViewJoin, &EvalOptions{Tracer: nilRec}) },
-			func() (*Result, error) { return Evaluate(d, q, mv, EngineViewJoin, nil) }},
+			func() (*Result, error) { return Evaluate(nil, d, q, mv, EngineViewJoin, &RunOptions{Tracer: nilRec}) },
+			func() (*Result, error) { return Evaluate(nil, d, q, mv, EngineViewJoin, nil) }},
 		{"EvaluateWithoutViews",
 			func() (*Result, error) {
-				return EvaluateWithoutViews(d, q, EngineTwigStack, &EvalOptions{Tracer: nilRec})
+				return EvaluateWithoutViews(nil, d, q, EngineTwigStack, &RunOptions{Tracer: nilRec})
 			},
-			func() (*Result, error) { return EvaluateWithoutViews(d, q, EngineTwigStack, nil) }},
+			func() (*Result, error) { return EvaluateWithoutViews(nil, d, q, EngineTwigStack, nil) }},
 		{"RunWith",
 			func() (*Result, error) { return prepared().RunWith(context.Background(), &RunOptions{Tracer: nilRec}) },
 			func() (*Result, error) { return prepared().RunWith(context.Background(), &RunOptions{}) }},
@@ -195,7 +195,7 @@ func TestEvaluateTracePathEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder()
-	res, err := Evaluate(d, q, mv, EnginePathStack, &EvalOptions{Tracer: rec})
+	res, err := Evaluate(nil, d, q, mv, EnginePathStack, &RunOptions{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestEvaluateTracePathEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec = obs.NewRecorder()
-	res, err = Evaluate(d, q, tv, EngineInterJoin, &EvalOptions{Tracer: rec})
+	res, err = Evaluate(nil, d, q, tv, EngineInterJoin, &RunOptions{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestEvaluateWithoutViewsTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder()
-	res, err := EvaluateWithoutViews(d, q, EngineTwigStack, &EvalOptions{Tracer: rec})
+	res, err := EvaluateWithoutViews(nil, d, q, EngineTwigStack, &RunOptions{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestTraceJumpEventsOnLinkedScheme(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder()
-	res, err := Evaluate(d, q, mv, EngineViewJoin, &EvalOptions{Tracer: rec})
+	res, err := Evaluate(nil, d, q, mv, EngineViewJoin, &RunOptions{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestTraceJumpEventsOnLinkedScheme(t *testing.T) {
 func TestTraceRendersJSONAndExplain(t *testing.T) {
 	d, q, mv := traceFixture(t, SchemeLEp)
 	rec := obs.NewRecorder()
-	res, err := Evaluate(d, q, mv, EngineViewJoin, &EvalOptions{Tracer: rec})
+	res, err := Evaluate(nil, d, q, mv, EngineViewJoin, &RunOptions{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

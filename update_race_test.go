@@ -121,7 +121,7 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 		t.Fatal("readers completed no runs while the writer was active")
 	}
 	// Quiesced, everything agrees with the oracle.
-	res, err := Evaluate(doc, q, mv, EngineViewJoin, nil)
+	res, err := Evaluate(nil, doc, q, mv, EngineViewJoin, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -407,7 +407,7 @@ func TestStagedUpdate(t *testing.T) {
 	if doc.Epoch() != 0 || mv[0].Epoch() != 0 || mv[1].Epoch() != 0 {
 		t.Fatalf("an uncommitted update is visible: epochs %d/%d/%d", doc.Epoch(), mv[0].Epoch(), mv[1].Epoch())
 	}
-	res, err := Evaluate(doc, q, mv, EngineViewJoin, nil)
+	res, err := Evaluate(nil, doc, q, mv, EngineViewJoin, nil)
 	if err != nil || !sameMatches(res, before) {
 		t.Fatalf("evaluation changed under an uncommitted update: %v", err)
 	}

@@ -68,7 +68,7 @@ func TestTruncatedMappingIsAnError(t *testing.T) {
 			t.Fatalf("parallelism %d over the intact files: err %v, or rows differ from direct", k, err)
 		}
 	}
-	if _, err := Evaluate(d, q, damaged, EngineTwigStack, nil); !errors.As(err, &vf) {
+	if _, err := Evaluate(nil, d, q, damaged, EngineTwigStack, nil); !errors.As(err, &vf) {
 		t.Errorf("fresh evaluation over the truncated file: error %v, want *ViewFaultError", err)
 	}
 	// InterJoin scans its views at Prepare: the fault surfaces there.

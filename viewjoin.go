@@ -21,7 +21,7 @@
 //	query, _ := viewjoin.ParseQuery("//a[//f]//b//e")
 //	views, _ := viewjoin.ParseViews("//a//e; //b; //f")
 //	mv, _ := doc.MaterializeViews(views, viewjoin.SchemeLEp)
-//	res, _ := viewjoin.Evaluate(doc, query, mv, viewjoin.EngineViewJoin, nil)
+//	res, _ := viewjoin.Evaluate(nil, doc, query, mv, viewjoin.EngineViewJoin, nil)
 //	for _, m := range res.Matches {
 //	    ... // one binding per query node
 //	}
@@ -451,46 +451,6 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("unknown engine %q (want VJ, TS, PS, IJ)", s)
 }
 
-// EvalOptions tunes evaluation.
-type EvalOptions struct {
-	// Tracer, when non-nil, receives phase spans and engine-internal events
-	// (cursor advances, pointer jumps, stack activity) and fills
-	// Result.Trace with the full report. nil disables tracing at zero cost.
-	Tracer *obs.Recorder
-	// Context, when non-nil, bounds the evaluation: cancellation or deadline
-	// expiry aborts the engine main loops and the window enumeration at the
-	// next cooperative checkpoint (every few hundred cursor steps), and the
-	// call returns a *CanceledError wrapping the context's error. No partial
-	// results are returned. nil keeps evaluation uninterruptible at zero
-	// hot-path cost. For a PreparedQuery shared across requests, prefer
-	// PreparedQuery.RunWith over capturing a per-request context here.
-	Context context.Context
-	// DiskBased selects the disk-based output approach (§IV): intermediate
-	// solutions are spooled through scratch pages, trading I/O for memory.
-	DiskBased bool
-	// Parallelism requests range-partitioned parallel evaluation: the
-	// document is split into up to Parallelism chunks at top-level subtree
-	// boundaries and evaluated by a bounded worker group, with outputs
-	// merged in document order — identical to the sequential result. 0 and
-	// 1 evaluate sequentially; negative means GOMAXPROCS. See Stats for
-	// how partitions fold into it.
-	Parallelism int
-	// Limit, when > 0, bounds the result to the first Limit matches in
-	// document order. The bound is pushed into the engines: the streaming
-	// engines (ViewJoin, TwigStack) stop scanning once Offset+Limit matches
-	// have been enumerated, and the sort-before-output engines (PathStack,
-	// InterJoin) cap their accumulation at Offset+Limit entries, so peak
-	// result memory is O(Limit) instead of O(total matches). 0 returns
-	// everything.
-	Limit int
-	// Offset skips the first Offset matches (applied before Limit, as in
-	// SQL LIMIT/OFFSET). Prefer cursor-based pagination
-	// (PreparedQuery.RunWith with RunOptions.After) for deep paging:
-	// an offset still enumerates the skipped prefix, a cursor seeks past
-	// it.
-	Offset int
-}
-
 // Stats reports the deterministic cost of an evaluation.
 type Stats struct {
 	// ElementsScanned counts records decoded from view lists.
@@ -549,7 +509,7 @@ type Result struct {
 	Stats   Stats
 	// Trace is the full observability report of the run: plan, per-phase
 	// durations, per-node costs and jump distributions. It is nil unless
-	// the run had a recorder (EvalOptions.Tracer or RunOptions.Tracer).
+	// the run had a recorder (RunOptions.Tracer).
 	Trace *obs.Report
 }
 
@@ -558,18 +518,17 @@ type Result struct {
 // with pairwise disjoint element types, together covering every query
 // node); InterJoin additionally requires path views of q in the tuple
 // scheme, while the other engines require element-family schemes.
-// Evaluate is one-shot Prepare + Run: Stats.Duration covers the whole call
-// (preparation included) and the counters fold in any preparation-time
-// costs, so a repeated query is better served by preparing once and calling
-// PreparedQuery.Run.
-func Evaluate(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts *EvalOptions) (*Result, error) {
-	start := time.Now()
-	p, err := Prepare(d, q, mviews, eng, opts)
+// Evaluate is one-shot Prepare + RunWith(ctx, ro): Stats.Duration covers
+// the whole call (preparation included) and the counters fold in any
+// preparation-time costs, so a repeated query is better served by
+// preparing once and running the plan. ro.Tracer observes preparation too.
+func Evaluate(ctx context.Context, d *Document, q *Query, mviews []*MaterializedView, eng Engine, ro *RunOptions) (*Result, error) {
+	r := resolve(ctx, ro)
+	p, err := Prepare(d, q, mviews, eng, r.Tracer)
 	if err != nil {
 		return nil, err
 	}
-	r := p.resolve(p.opts.Context, nil)
-	r.start, r.includePrep = start, true
+	r.includePrep = true
 	return p.execute(r)
 }
 

@@ -90,7 +90,7 @@ func TestEvaluateAllEnginesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eng := range []Engine{EngineViewJoin, EngineTwigStack} {
-			res, err := Evaluate(d, q, mv, eng, nil)
+			res, err := Evaluate(nil, d, q, mv, eng, nil)
 			if err != nil {
 				t.Fatalf("%v+%v: %v", eng, scheme, err)
 			}
@@ -111,7 +111,7 @@ func TestEvaluatePathEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(d, q, mv, EnginePathStack, nil)
+	res, err := Evaluate(nil, d, q, mv, EnginePathStack, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestEvaluatePathEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = Evaluate(d, q, tv, EngineInterJoin, nil)
+	res, err = Evaluate(nil, d, q, tv, EngineInterJoin, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,28 +139,28 @@ func TestEvaluateErrors(t *testing.T) {
 	mv, _ := d.MaterializeViews(vs, SchemeElement)
 
 	// Tuple engine on element views.
-	if _, err := Evaluate(d, q, mv, EngineInterJoin, nil); err == nil {
+	if _, err := Evaluate(nil, d, q, mv, EngineInterJoin, nil); err == nil {
 		t.Errorf("InterJoin over element views: expected error")
 	}
 	// Element engine on tuple views.
 	tv, _ := d.MaterializeViews(vs, SchemeTuple)
-	if _, err := Evaluate(d, q, tv, EngineViewJoin, nil); err == nil {
+	if _, err := Evaluate(nil, d, q, tv, EngineViewJoin, nil); err == nil {
 		t.Errorf("ViewJoin over tuple views: expected error")
 	}
 	// Views from a different document.
 	d2 := sampleDoc(t)
 	mv2, _ := d2.MaterializeViews(vs, SchemeElement)
-	if _, err := Evaluate(d, q, mv2, EngineViewJoin, nil); err == nil {
+	if _, err := Evaluate(nil, d, q, mv2, EngineViewJoin, nil); err == nil {
 		t.Errorf("cross-document views: expected error")
 	}
 	// Non-covering view set.
 	half, _ := ParseViews("//a")
 	mh, _ := d.MaterializeViews(half, SchemeElement)
-	if _, err := Evaluate(d, q, mh, EngineViewJoin, nil); err == nil {
+	if _, err := Evaluate(nil, d, q, mh, EngineViewJoin, nil); err == nil {
 		t.Errorf("non-covering views: expected error")
 	}
 	// Unknown engine.
-	if _, err := Evaluate(d, q, mv, Engine(99), nil); err == nil {
+	if _, err := Evaluate(nil, d, q, mv, Engine(99), nil); err == nil {
 		t.Errorf("unknown engine: expected error")
 	}
 }
@@ -173,7 +173,7 @@ func TestStatsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(d, q, mv, EngineViewJoin, nil)
+	res, err := Evaluate(nil, d, q, mv, EngineViewJoin, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestStatsPopulated(t *testing.T) {
 	if res.Stats.Duration <= 0 {
 		t.Errorf("duration not measured")
 	}
-	resD, err := Evaluate(d, q, mv, EngineViewJoin, &EvalOptions{DiskBased: true})
+	resD, err := Evaluate(nil, d, q, mv, EngineViewJoin, &RunOptions{DiskBased: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestSelectViewsFacade(t *testing.T) {
 	}
 
 	// Evaluate with the selected set end to end.
-	res, err := Evaluate(d, q, sel, EngineViewJoin, nil)
+	res, err := Evaluate(nil, d, q, sel, EngineViewJoin, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestFacadeProperty(t *testing.T) {
 		}
 		want := EvaluateDirect(d, q)
 		for _, eng := range []Engine{EngineViewJoin, EngineTwigStack} {
-			res, err := Evaluate(d, q, mv, eng, nil)
+			res, err := Evaluate(nil, d, q, mv, eng, nil)
 			if err != nil {
 				t.Logf("%v: %v", eng, err)
 				return false
