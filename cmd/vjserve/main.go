@@ -21,7 +21,7 @@
 //	POST /debug/trace    same body as /query; returns the viewjoin/trace/v1 report inline
 //	GET  /debug/slowlog  flight recorder: N slowest + N most recent requests with full traces
 //	GET  /debug/plans    per-plan aggregates of every cached plan (viewjoin/plans/v1)
-//	GET  /metrics        plan-cache and request counters, latency quantiles, per-plan table
+//	GET  /metrics        plan-cache, request and update counters, latency quantiles
 //	GET  /healthz        liveness ("ok" or "draining")
 //	GET  /documents      registered documents and views
 //

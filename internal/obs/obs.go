@@ -186,20 +186,6 @@ func BucketUpper(i int) int64 {
 	return 1<<uint(i) - 1
 }
 
-// Merge folds o into h: bucket-wise counts, N, Sum, and the running Max.
-// Histograms over the same unit merge exactly (the buckets are fixed), so
-// per-worker or per-partition histograms can be combined without loss.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range h.Count {
-		h.Count[i] += o.Count[i]
-	}
-	h.N += o.N
-	h.Sum += o.Sum
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-}
-
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1) of the observed values
 // from the log-scaled buckets: the bucket holding the ceil(q·N)-th smallest
 // observation is located and the value interpolated linearly by rank within
@@ -250,15 +236,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		cum += c
 	}
 	return h.Max
-}
-
-// Mean returns the average observed value, or 0 for an empty histogram.
-// Unlike Quantile it is exact: Sum and N are tracked directly.
-func (h *Histogram) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.N)
 }
 
 // Recorder accumulates the phases and events of one evaluation and retains

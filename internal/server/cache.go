@@ -106,7 +106,6 @@ func (c *planCache) drop(el *list.Element) {
 		delete(c.raw, rk)
 	}
 	c.footprint -= e.footprint
-	c.evictions++
 }
 
 // get returns the cached entry for k, promoting it to most recently used
@@ -145,6 +144,7 @@ func (c *planCache) put(k planKey, rk rawKey, canon []string, p *viewjoin.Prepar
 	c.footprint += e.footprint
 	for c.ll.Len() > c.cap {
 		c.drop(c.ll.Back())
+		c.evictions++
 	}
 	return e
 }

@@ -540,7 +540,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		// Clamped so the product cannot wrap negative (an instant expiry).
 		timeout = time.Duration(min(req.TimeoutMS, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 	}
-	ctx, cancel := contextWithTimeout(r, timeout)
+	// The HTTP request's context, so a client disconnect cancels the run
+	// too, bounded by the request's deadline.
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
 	// The gate sits between deadline creation and evaluation: a test that
@@ -603,7 +605,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 	// covers every request shape: no limit and no cursor is the full run.
 	res, err := plan.RunWith(ctx, &viewjoin.RunOptions{Limit: req.Limit, After: after, Parallelism: k, Tracer: tr})
 	if err != nil {
-		s.fail(w, &req, canon, ent, cacheState, started, err)
+		s.fail(w, &req, ent, cacheState, started, err)
 		return
 	}
 
@@ -672,9 +674,10 @@ const statusClientClosedRequest = 499
 // fail ends a request whose run failed (planFailure has the statuses). The
 // failure is folded into the plan's aggregate and, when the flight
 // recorder is on, retained there — an aborted run has no trace, but the
-// request identity and wall time are exactly what a slow-query post-mortem
-// needs.
-func (s *Server) fail(w http.ResponseWriter, req *queryRequest, canon []string, ent *planEntry,
+// plan identity and wall time are exactly what a slow-query post-mortem
+// needs. The entry names the plan as a successful run's entry does, so it
+// joins the plan's /debug/plans row.
+func (s *Server) fail(w http.ResponseWriter, req *queryRequest, ent *planEntry,
 	cacheState string, started time.Time, err error) {
 	f := planFailure("evaluate", err)
 	ent.agg.AddError()
@@ -682,9 +685,9 @@ func (s *Server) fail(w http.ResponseWriter, req *queryRequest, canon []string, 
 		s.slowlog.observe(slowlogEntry{
 			Time:     time.Now().UTC().Format(time.RFC3339Nano),
 			Document: req.Document,
-			Query:    req.Query,
-			Engine:   req.Engine,
-			Views:    canon,
+			Query:    ent.key.query,
+			Engine:   ent.key.engine.String(),
+			Views:    ent.canon,
 			Status:   f.status,
 			Outcome:  f.outcome,
 			Cache:    cacheState,
@@ -819,7 +822,6 @@ type metricsResponse struct {
 	Views      viewMetrics         `json:"views"`   // registered views, from files and from memory
 	LatencyUS  map[string]histJSON `json:"latency_us"`
 	Partitions histJSON            `json:"partitions"` // partitions per successful run
-	Plans      []planMetrics       `json:"plans"`      // one row per resident cache entry, MRU first
 	Documents  int                 `json:"documents"`
 }
 
@@ -897,17 +899,6 @@ type planMetrics struct {
 	FootprintBytes  int64    `json:"footprint_bytes"`
 }
 
-// planRows renders the cache's resident entries as per-plan metric rows,
-// most recently used first.
-func (s *Server) planRows() []planMetrics {
-	ents := s.cache.entries()
-	rows := make([]planMetrics, 0, len(ents))
-	for _, ent := range ents {
-		rows = append(rows, planRow(ent, ent.agg.Snapshot()))
-	}
-	return rows
-}
-
 // planRow is one entry's row of the per-plan table, from a snapshot of its
 // aggregate.
 func planRow(ent *planEntry, snap obs.AggregateSnapshot) planMetrics {
@@ -958,7 +949,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		},
 		Views:     s.viewSnapshot(),
 		LatencyUS: make(map[string]histJSON),
-		Plans:     s.planRows(),
 		Documents: len(s.docs),
 	}
 	s.histMu.Lock()
@@ -971,10 +961,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// plansResponse is the body of GET /debug/plans: the per-plan table with
-// the full summed counter record per plan, beyond the compact ratios the
-// /metrics table carries, plus every registered view with where its pages
-// live.
+// plansResponse is the body of GET /debug/plans: the per-plan table, one
+// row per resident cache entry (most recently used first) with its summed
+// counter record, plus every registered view with where its pages live.
 type plansResponse struct {
 	Schema string       `json:"schema"`
 	Plans  []planDetail `json:"plans"`
@@ -1072,11 +1061,4 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
-}
-
-// contextWithTimeout derives the per-request evaluation context: the
-// HTTP request's context (so client disconnects cancel the run too)
-// bounded by the request's deadline.
-func contextWithTimeout(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), timeout)
 }

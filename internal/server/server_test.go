@@ -593,36 +593,85 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
+// TestInvalidationIsNoEviction pins what plan_cache.evictions counts: an
+// /update that drops a document's plans from a cache with room to spare
+// counts them as plan invalidations, not as evictions, so evictions keep
+// measuring capacity pressure alone.
+func TestInvalidationIsNoEviction(t *testing.T) {
+	s, _ := updateTestServer(t, Config{CacheSize: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, eng := range []string{"VJ", "TS"} {
+		if st := post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery, Engine: eng}, nil); st != http.StatusOK {
+			t.Fatalf("%s: status %d", eng, st)
+		}
+	}
+	if st := post(t, ts, "/update", updateRequest{Document: "xmark", Op: "insert-before", Target: anyTarget(t, ts),
+		Fragment: "<item><name>x</name></item>"}, nil); st != http.StatusOK {
+		t.Fatalf("/update: status %d", st)
+	}
+	m := getMetrics(t, ts)
+	if m.Updates.PlanInvalidations != 2 || m.PlanCache.Evictions != 0 {
+		t.Errorf("plan_invalidations = %d, evictions = %d; want 2, 0", m.Updates.PlanInvalidations, m.PlanCache.Evictions)
+	}
+}
+
 // TestConcurrentQueries hammers the full stack — admission, cache, pooled
-// scratch — from many goroutines; with -race this is the server-level
-// isolation proof. Every response must carry the same match count.
+// scratch — from many goroutines over a mix of request shapes: full runs
+// binding every registered view (views omitted) on two engines, a
+// view-scoped run, and a 20-row page with its cursor follow-up. With -race
+// this is the server-level isolation proof. Every concurrent response must
+// equal the same request's solo response: match count, rows and cursor.
 func TestConcurrentQueries(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueueDepth: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	var warm queryResponse
-	if st := post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}, &warm); st != http.StatusOK {
-		t.Fatalf("warmup: status %d", st)
+	reqs := []queryRequest{
+		{Document: "xmark", Query: testQuery, Engine: "VJ"},
+		{Document: "xmark", Query: testQuery, Engine: "TS"},
+		{Document: "xmark", Query: "//site//item//name", Views: []string{"//site//item//name"}},
+		{Document: "xmark", Query: testQuery, Limit: 20},
 	}
+	solo := make([]queryResponse, 0, len(reqs)+1)
+	ask := func(r queryRequest) queryResponse {
+		t.Helper()
+		var resp queryResponse
+		if st := post(t, ts, "/query", r, &resp); st != http.StatusOK || resp.MatchCount == 0 {
+			t.Fatalf("solo %+v: status %d, %d matches", r, st, resp.MatchCount)
+		}
+		return resp
+	}
+	for _, r := range reqs {
+		solo = append(solo, ask(r))
+	}
+	page := solo[len(solo)-1]
+	if page.Cursor == "" {
+		t.Fatalf("the 20-row page returned no cursor (%d matches)", page.MatchCount)
+	}
+	next := reqs[len(reqs)-1]
+	next.Cursor = page.Cursor
+	reqs = append(reqs, next)
+	solo = append(solo, ask(next))
 
-	const goroutines = 12
+	goroutines := 3 * len(reqs)
 	var wg sync.WaitGroup
-	errs := make(chan error, goroutines*2)
+	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			eng := []string{"VJ", "TS"}[g%2]
-			for i := 0; i < 3; i++ {
+			i := g % len(reqs)
+			want := solo[i]
+			for run := 0; run < 3; run++ {
 				var r queryResponse
-				st := post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery, Engine: eng}, &r)
-				if st != http.StatusOK {
-					errs <- fmt.Errorf("goroutine %d run %d: status %d", g, i, st)
+				if st := post(t, ts, "/query", reqs[i], &r); st != http.StatusOK {
+					errs <- fmt.Errorf("goroutine %d run %d (request %d): status %d", g, run, i, st)
 					return
 				}
-				if r.MatchCount != warm.MatchCount {
-					errs <- fmt.Errorf("goroutine %d run %d (%s): %d matches, want %d", g, i, eng, r.MatchCount, warm.MatchCount)
+				if r.MatchCount != want.MatchCount || r.Cursor != want.Cursor || fmt.Sprint(r.Matches) != fmt.Sprint(want.Matches) {
+					errs <- fmt.Errorf("goroutine %d run %d (request %d): %d matches, cursor %q; want the solo answer, %d matches, cursor %q",
+						g, run, i, r.MatchCount, r.Cursor, want.MatchCount, want.Cursor)
 					return
 				}
 			}

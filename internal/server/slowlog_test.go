@@ -211,6 +211,39 @@ func TestSlowlogEndpoint(t *testing.T) {
 	}
 }
 
+// TestSlowlogFailureNamesPlan pins a failed run's slowlog entry to its
+// plan: a request spelled loosely and naming no engine, held past its
+// deadline, is recorded under the canonical query and the engine it
+// resolved to, as a successful run of the same plan is.
+func TestSlowlogFailureNamesPlan(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, SlowlogSize: 4})
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	s.testEvalGate = gate
+	s.testEvalStarted = func() { started <- struct{}{} }
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	done := make(chan int, 1)
+	go func() {
+		done <- post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery + "  ", TimeoutMS: 5}, nil)
+	}()
+	<-started
+	time.Sleep(20 * time.Millisecond)
+	gate <- struct{}{}
+	if st := <-done; st != http.StatusGatewayTimeout {
+		t.Fatalf("held request: status %d, want 504", st)
+	}
+	log := getSlowlog(t, ts)
+	if len(log.Recent) != 1 {
+		t.Fatalf("recent holds %d entries, want the failed request", len(log.Recent))
+	}
+	if e := log.Recent[0]; e.Query != testQuery || e.Engine != "VJ" || e.Outcome != "timeout" || e.Status != http.StatusGatewayTimeout {
+		t.Errorf("failed entry: query %q engine %q outcome %q status %d; want %q VJ timeout 504",
+			e.Query, e.Engine, e.Outcome, e.Status, testQuery)
+	}
+}
+
 // TestSlowlogDisabled pins the default: no SlowlogSize means no recorder,
 // a 404 on the endpoint, and no trace overhead on /query.
 func TestSlowlogDisabled(t *testing.T) {
