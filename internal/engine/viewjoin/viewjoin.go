@@ -689,8 +689,18 @@ func (r *regionLog) add(l enum.Label) {
 // coversRange reports whether some recorded region overlaps (s, ...) while
 // starting before hi, i.e. covers a position in [s, hi): if so, entries at
 // s may still pair with an accepted ancestor and must not be skipped.
+// The checks in process and align almost always ask at the log's tail:
+// when no entry starts at or after hi, the answer is the last running
+// maximum, without a search.
 func (r regionLog) coversRange(s, hi int32) bool {
-	lo, up := 0, len(r)
+	n := len(r)
+	if n == 0 {
+		return false
+	}
+	if r[n-1].start < hi {
+		return r[n-1].maxEnd > s
+	}
+	lo, up := 0, n
 	for lo < up {
 		mid := int(uint(lo+up) >> 1)
 		if r[mid].start < hi {

@@ -290,3 +290,32 @@ func TestAgainstOracleProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRegionLogCoversRange holds coversRange, tail shortcut and search, to
+// its definition over random logs with ascending starts: some region added
+// with a start before hi ends after s.
+func TestRegionLogCoversRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		var log regionLog
+		var regions []store.Label
+		start := int32(rng.Intn(4))
+		for n := rng.Intn(12); len(regions) < n; {
+			l := store.Label{Start: start, End: start + 1 + int32(rng.Intn(30))}
+			log.add(l)
+			regions = append(regions, l)
+			start += 1 + int32(rng.Intn(5))
+		}
+		for probe := 0; probe < 50; probe++ {
+			s := int32(rng.Intn(int(start) + 10))
+			hi := s + int32(rng.Intn(int(start)+10))
+			want := false
+			for _, l := range regions {
+				want = want || (l.Start < hi && l.End > s)
+			}
+			if got := log.coversRange(s, hi); got != want {
+				t.Fatalf("regions %v: coversRange(%d, %d) = %v, want %v", regions, s, hi, got, want)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -54,8 +55,11 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // write renders the response — byte for byte what json.Encoder produced for
 // the same fields — into a pooled buffer and hands it to w in one Write
-// (response writers that buffer grow once, not per fragment). Only the
-// trace, present on /debug/trace alone, goes through encoding/json.
+// (response writers that buffer grow once, not per fragment). The buffer
+// is sized for the whole body before the first byte goes in, so a full
+// result that finds no pooled buffer large enough allocates it once
+// instead of re-copying through append's doublings. Only the trace,
+// present on /debug/trace alone, goes through encoding/json.
 func (r *queryResponse) write(w http.ResponseWriter) {
 	var trace []byte
 	if r.Trace != nil {
@@ -66,7 +70,8 @@ func (r *queryResponse) write(w http.ResponseWriter) {
 		}
 	}
 	bp := bodyPool.Get().(*[]byte)
-	b := r.appendHead((*bp)[:0])
+	b := slices.Grow((*bp)[:0], r.sizeHint()+len(trace))
+	b = r.appendHead(b)
 	if len(r.Matches) > 0 {
 		b = appendMatches(append(b, `,"matches":`...), r.cells, r.Matches)
 	}
@@ -79,6 +84,21 @@ func (r *queryResponse) write(w http.ResponseWriter) {
 	w.Write(b) // a failed write means the client is gone; nothing to report to
 	*bp = b
 	bodyPool.Put(bp)
+}
+
+// envelopeSize is room for the body's keys, the statistics and the
+// punctuation around the strings, escapes aside.
+const envelopeSize = 512
+
+// sizeHint is what the body takes but the trace: room for the rows at
+// their widest (matchesSize) and for the strings as written when none
+// needs escaping.
+func (r *queryResponse) sizeHint() int {
+	n := envelopeSize + len(r.Schema) + len(r.Document) + len(r.Query) + len(r.Engine) + len(r.Cache) + len(r.Cursor)
+	for _, v := range r.Views {
+		n += len(v) + 3
+	}
+	return n + matchesSize(r.cells, len(r.Matches))
 }
 
 // appendHead appends the object's opening and responseHead's fields.
@@ -133,10 +153,38 @@ func cellPrefixes(labels []string) [][]byte {
 	return open
 }
 
+// Each cell is its column's prefix, then these keys between its numbers,
+// each number at most maxInt32Len bytes.
+const (
+	endKey      = `,"end":`
+	levelKey    = `,"level":`
+	maxInt32Len = len("-2147483648")
+)
+
+// matchesSize bounds the bytes appendMatches writes for rows rows of at
+// most len(open) cells: brackets and commas, and each cell at its widest.
+func matchesSize(open [][]byte, rows int) int {
+	row := 3 // [ ] and the comma before the next row
+	for _, o := range open {
+		row += len(o) + len(endKey) + len(levelKey) + 3*maxInt32Len + 2 // } and ,
+	}
+	return 2 + rows*row
+}
+
+// copiedColumns is how many leading columns appendMatches remembers the
+// last written cell of; cells of columns past it are always formatted.
+const copiedColumns = 16
+
 // appendMatches appends the rows of one query's result as
 // [[{"tag":…,"start":…,"end":…,"level":…},…],…], opening cell k of every
-// row with open[k].
+// row with open[k]. A cell equal to the one above it (the same node bound
+// by consecutive rows, as twig ancestors are) is written as a copy of
+// that cell's bytes rather than formatted again. b grows once, to
+// matchesSize.
 func appendMatches(b []byte, open [][]byte, rows [][]viewjoin.Node) []byte {
+	b = slices.Grow(b, matchesSize(open, len(rows)))
+	var last [copiedColumns]struct{ at, end int } // column k's latest cell in b
+	var prev []viewjoin.Node
 	b = append(b, '[')
 	for i, row := range rows {
 		if i > 0 {
@@ -147,14 +195,88 @@ func appendMatches(b []byte, open [][]byte, rows [][]viewjoin.Node) []byte {
 			if k > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendInt(append(b, open[k]...), int64(c.Start), 10)
-			b = strconv.AppendInt(append(b, `,"end":`...), int64(c.End), 10)
-			b = strconv.AppendInt(append(b, `,"level":`...), int64(c.Level), 10)
-			b = append(b, '}')
+			if k >= copiedColumns {
+				b = appendCell(b, open[k], c)
+				continue
+			}
+			if k < len(prev) && prev[k] == c {
+				b = append(b, b[last[k].at:last[k].end]...)
+				continue
+			}
+			at := len(b)
+			b = appendCell(b, open[k], c)
+			last[k].at, last[k].end = at, len(b)
 		}
 		b = append(b, ']')
+		prev = row
 	}
 	return append(b, ']')
+}
+
+// appendCell appends {"tag":…,"start":…,"end":…,"level":…}, open being
+// its column's prefix up to the start's value.
+func appendCell(b, open []byte, c viewjoin.Node) []byte {
+	b = appendInt32(append(b, open...), c.Start)
+	b = appendInt32(append(b, endKey...), c.End)
+	b = appendInt32(append(b, levelKey...), c.Level)
+	return append(b, '}')
+}
+
+// digitPairs holds "00" through "99": the two digits of n at 2n.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendInt32 appends v in decimal as strconv.AppendInt does. A
+// non-negative v's digits are written in place, two per division, from
+// the last pair back; a negative one (never a document position) goes
+// through strconv.
+func appendInt32(b []byte, v int32) []byte {
+	if v < 0 {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	u := uint32(v)
+	n := decimalLen(u)
+	b = slices.Grow(b, n)
+	i := len(b) + n
+	b = b[:i]
+	for u >= 100 {
+		q := u / 100
+		d := (u - q*100) * 2
+		i -= 2
+		b[i], b[i+1] = digitPairs[d], digitPairs[d+1]
+		u = q
+	}
+	if u >= 10 {
+		b[i-2], b[i-1] = digitPairs[u*2], digitPairs[u*2+1]
+	} else {
+		b[i-1] = byte('0' + u)
+	}
+	return b
+}
+
+// decimalLen is the number of decimal digits of u.
+func decimalLen(u uint32) int {
+	n := 1
+	for ; u >= 10000; u /= 10000 {
+		n += 4
+	}
+	switch {
+	case u >= 1000:
+		return n + 3
+	case u >= 100:
+		return n + 2
+	case u >= 10:
+		return n + 1
+	}
+	return n
 }
 
 const hexDigits = "0123456789abcdef"

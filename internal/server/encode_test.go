@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"viewjoin"
 	"viewjoin/internal/obs"
+	"viewjoin/internal/workload"
 )
 
 // refResponse is the /query body as it was declared when encoding/json
@@ -98,7 +100,67 @@ func setRows(r *queryResponse, tags []string, n int) {
 	r.cells = cellPrefixes(tags)
 }
 
+// catalogueResult is an XMark catalogue query's full ViewJoin result over
+// its LEp views, with its column tags and cell prefixes.
+type catalogueResult struct {
+	tags []string
+	open [][]byte
+	rows [][]viewjoin.Node
+}
+
+// xmarkResults runs every XMark catalogue query (or the named ones) over
+// doc.
+func xmarkResults(t testing.TB, doc *viewjoin.Document, names ...string) []catalogueResult {
+	t.Helper()
+	var out []catalogueResult
+	for _, wq := range append(workload.XMarkPath(), workload.XMarkTwig()...) {
+		if len(names) > 0 && !slices.Contains(names, wq.Name) {
+			continue
+		}
+		views := make([]*viewjoin.Query, len(wq.Views))
+		for i, v := range wq.Views {
+			views[i] = viewjoin.MustParseQuery(v.String())
+		}
+		mv, err := doc.MaterializeViews(views, viewjoin.SchemeLEp)
+		if err != nil {
+			t.Fatalf("%s: %v", wq.Name, err)
+		}
+		q := viewjoin.MustParseQuery(wq.Pattern.String())
+		p, err := viewjoin.Prepare(doc, q, mv, viewjoin.EngineViewJoin, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", wq.Name, err)
+		}
+		res, err := p.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", wq.Name, err)
+		}
+		out = append(out, catalogueResult{q.Labels(), cellPrefixes(q.Labels()), res.Matches})
+	}
+	return out
+}
+
+// repeatedCells counts the cells equal to the cell above them.
+func repeatedCells(rows [][]viewjoin.Node) int {
+	n := 0
+	for i := 1; i < len(rows); i++ {
+		for k, c := range rows[i] {
+			if k < len(rows[i-1]) && rows[i-1][k] == c {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
+	q14 := xmarkResults(t, viewjoin.GenerateXMark(0.05), "Q14")[0]
+	if len(q14.rows) < 10 || repeatedCells(q14.rows) == 0 {
+		t.Fatalf("Q14: %d rows, %d cells equal to the one above: no repeated prefix to copy", len(q14.rows), repeatedCells(q14.rows))
+	}
+	wide := make([]string, copiedColumns+4)
+	for k := range wide {
+		wide[k] = "c" + itoa(k)
+	}
 	escapes := []string{`quo"te`, `back\slash`, "<lt&amp>", "héllo-世界", "line\u2028sep\u2029", "ctl\x01\n\t", "bad\xffutf8", ""}
 	base := queryResponse{
 		responseHead: responseHead{Schema: ResponseSchema, Document: "d<o>c", Query: `//a[//"b"]`, Engine: "VJ",
@@ -123,6 +185,28 @@ func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
 		}},
 		"trace":             {[]string{"a"}, 2, func(r *queryResponse) { r.Trace = &obs.Report{} }},
 		"thousands of rows": {[]string{"site", "item", "name"}, 5000, func(r *queryResponse) { r.MatchCount = 5000 }},
+		"repeated prefixes, XMark Q14": {q14.tags, 0, func(r *queryResponse) {
+			r.Matches, r.cells, r.MatchCount = q14.rows, q14.open, len(q14.rows)
+		}},
+		"cells equal to the one above but in end or level": {ab, 6, func(r *queryResponse) {
+			r.MatchCount = 6
+			for i := 1; i < len(r.Matches); i++ {
+				r.Matches[i][0] = r.Matches[i-1][0]
+				r.Matches[i][0].End += int32(i % 2)
+				r.Matches[i][1] = r.Matches[i-1][1]
+				r.Matches[i][1].Level += int32(i % 3)
+			}
+		}},
+		"rows wider than the copied columns": {wide, 9, func(r *queryResponse) {
+			r.MatchCount = 9
+			for i := 1; i < len(r.Matches); i++ {
+				for k := range wide {
+					if (i+k)%3 != 0 {
+						r.Matches[i][k] = r.Matches[i-1][k]
+					}
+				}
+			}
+		}},
 	}
 	for name, c := range cases {
 		r := base
@@ -200,12 +284,15 @@ func TestQueryBodiesRoundTrip(t *testing.T) {
 func itoa(n int) string { b, _ := json.Marshal(n); return string(b) }
 
 // FuzzQueryResponseEncoding: whatever the strings and numbers, the
-// hand-rolled body equals encoding/json's.
+// hand-rolled body equals encoding/json's. Bit (3i+k)%64 of repeat makes
+// row i's cell k a copy of the cell above it.
 func FuzzQueryResponseEncoding(f *testing.F) {
-	f.Add("a", "b", "doc", "//a//b", "cur", 3, int32(1), int32(2), int32(3))
-	f.Add(`q"`, `b\`, "<d>", "//a[&]", "", 0, int32(-1), int32(0), int32(1<<31-1))
-	f.Add("é\u2028", "\xff\x00", "\u2029", "\t\n", "-_", 40, int32(-1<<31), int32(7), int32(-7))
-	f.Fuzz(func(t *testing.T, tagA, tagB, doc, query, cursor string, n int, start, end, level int32) {
+	f.Add("a", "b", "doc", "//a//b", "cur", 3, int32(1), int32(2), int32(3), uint64(0))
+	f.Add(`q"`, `b\`, "<d>", "//a[&]", "", 0, int32(-1), int32(0), int32(1<<31-1), uint64(0))
+	f.Add("é\u2028", "\xff\x00", "\u2029", "\t\n", "-_", 40, int32(-1<<31), int32(7), int32(-7), uint64(0))
+	f.Add("a", "b", "doc", "//a//b", "", 50, int32(9), int32(99), int32(-1), uint64(0x9249249249249249))
+	f.Add("x\"", "<y>", "doc", "//x//y", "c", 70, int32(1<<31-1), int32(-5), int32(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, tagA, tagB, doc, query, cursor string, n int, start, end, level int32, repeat uint64) {
 		if n < 0 || n > 200 {
 			n = 200
 		}
@@ -220,8 +307,63 @@ func FuzzQueryResponseEncoding(f *testing.F) {
 		for i, row := range r.Matches {
 			row[i%3] = viewjoin.Node{Start: start + int32(i), End: end - int32(i), Level: level}
 		}
+		for i := 1; i < n; i++ {
+			for k := range tags {
+				if repeat>>((3*i+k)%64)&1 != 0 {
+					r.Matches[i][k] = r.Matches[i-1][k]
+				}
+			}
+		}
 		if got, want := writeBody(t, &r), refEncode(t, &r, tags); !bytes.Equal(got, want) {
 			t.Fatalf("\n got %s\nwant %s", clip(got), clip(want))
 		}
+		if got, bound := len(appendMatches(nil, r.cells, r.Matches)), matchesSize(r.cells, n); got > bound {
+			t.Fatalf("rows take %d bytes, matchesSize says at most %d", got, bound)
+		}
 	})
+}
+
+// TestAppendMatchesSizesOnce: a full result grows an empty buffer once (the
+// rows slice aside, nothing else), and one already large enough not at all.
+func TestAppendMatchesSizesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var r queryResponse
+	setRows(&r, []string{"site", "item", "name"}, 5000)
+	if n := testing.AllocsPerRun(20, func() { appendMatches(nil, r.cells, r.Matches) }); n > 2 {
+		t.Errorf("appendMatches into a nil buffer: %.1f allocations, want at most 2", n)
+	}
+	buf := make([]byte, 0, matchesSize(r.cells, len(r.Matches)))
+	if n := testing.AllocsPerRun(20, func() { appendMatches(buf, r.cells, r.Matches) }); n != 0 {
+		t.Errorf("appendMatches into a buffer of matchesSize: %.1f allocations, want 0", n)
+	}
+	widest := viewjoin.Node{Start: -1 << 31, End: -1 << 31, Level: -1 << 31}
+	for _, row := range r.Matches {
+		for k := range row {
+			row[k] = widest
+		}
+	}
+	if got, bound := len(appendMatches(nil, r.cells, r.Matches)), matchesSize(r.cells, len(r.Matches)); got > bound {
+		t.Errorf("rows of the widest cells take %d bytes, matchesSize says at most %d", got, bound)
+	}
+}
+
+// BenchmarkAppendMatches encodes the rows of every XMark catalogue query's
+// full result (ViewJoin over LEp, scale 0.25) per iteration, into one
+// reused buffer: the encoder alone, in ns per result row.
+func BenchmarkAppendMatches(b *testing.B) {
+	results := xmarkResults(b, viewjoin.GenerateXMark(0.25))
+	rows := 0
+	for _, c := range results {
+		rows += len(c.rows)
+	}
+	var buf []byte
+	b.ResetTimer()
+	for b.Loop() {
+		for _, c := range results {
+			buf = appendMatches(buf[:0], c.open, c.rows)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/match")
 }
