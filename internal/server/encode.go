@@ -49,6 +49,37 @@ type responseTail struct {
 	Trace      *obs.Report `json:"trace,omitempty"`
 }
 
+// statsJSON is the run's counters as a response reports them.
+type statsJSON struct {
+	ElementsScanned int64 `json:"elements_scanned"`
+	Comparisons     int64 `json:"comparisons"`
+	PointerDerefs   int64 `json:"pointer_derefs"`
+	PagesRead       int64 `json:"pages_read"`
+	PagesWritten    int64 `json:"pages_written"`
+	JumpsTaken      int64 `json:"jumps_taken"`
+	JumpsRefused    int64 `json:"jumps_refused"`
+	PeakMemoryBytes int64 `json:"peak_memory_bytes"`
+	// FirstMatchUS is the run's time-to-first-match in microseconds; 0
+	// when the run produced no match.
+	FirstMatchUS int64 `json:"first_match_us"`
+	Partitions   int   `json:"partitions"`
+}
+
+func statsOf(st viewjoin.Stats) statsJSON {
+	return statsJSON{
+		ElementsScanned: st.ElementsScanned,
+		Comparisons:     st.Comparisons,
+		PointerDerefs:   st.PointerDerefs,
+		PagesRead:       st.PagesRead,
+		PagesWritten:    st.PagesWritten,
+		JumpsTaken:      st.JumpsTaken,
+		JumpsRefused:    st.JumpsRefused,
+		PeakMemoryBytes: st.PeakMemoryBytes,
+		FirstMatchUS:    st.FirstMatchNanos / 1000,
+		Partitions:      st.Partitions,
+	}
+}
+
 // bodyPool recycles request and response buffers across requests, so a
 // steady stream of large results appends into already-grown storage.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}

@@ -55,7 +55,7 @@ func objectKeys(t testing.TB, obj json.RawMessage) []string {
 	return keys
 }
 
-func findPlan(rows []planDetail, engine string) *planDetail {
+func findPlan(rows []planRow, engine string) *planRow {
 	for i := range rows {
 		if rows[i].Engine == engine {
 			return &rows[i]
