@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -62,7 +63,8 @@ func main() {
 }
 
 // run is main without the process exit, for testing: ready (when non-nil)
-// receives the bound address once the listener is open.
+// receives the bound address once the listener is open, so -addr
+// 127.0.0.1:0 names the port the kernel chose.
 func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	fs := flag.NewFlagSet("vjserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -150,19 +152,21 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return fail(stderr, "setup", fmt.Errorf("provide -views or -load"), exitOther)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail(stderr, "listen", err, exitOther)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	fmt.Fprintf(stderr, "vjserve: serving %q (%d nodes, %d views) on %s\n",
+		*docName, doc.NumNodes(), nviews, ln.Addr())
+	if ready != nil {
+		ready <- ln.Addr().String()
+	}
 	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(stderr, "vjserve: serving %q (%d nodes, %d views) on %s\n",
-			*docName, doc.NumNodes(), nviews, *addr)
-		if ready != nil {
-			ready <- *addr
-		}
-		errc <- hs.ListenAndServe()
-	}()
+	go func() { errc <- hs.Serve(ln) }()
 
 	select {
 	case err := <-errc:
