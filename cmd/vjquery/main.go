@@ -98,13 +98,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// -n is the fetch limit: both "print at most n" and "fetch at most n"
 	// push the bound into the engine, which then stops (or caps its
-	// accumulation) at offset+n matches. -n 0 is a count-only full run.
+	// accumulation) at offset+n matches; printResult skips the first
+	// offset of them. -n 0 is a count-only full run.
 	opts := &viewjoin.RunOptions{
 		DiskBased:   *diskBased,
 		Parallelism: *parallel,
-		Limit:       *maxPrint,
-		Offset:      *offset,
 		Tracer:      rec,
+	}
+	if *maxPrint > 0 {
+		opts.Limit = *maxPrint + max(*offset, 0)
 	}
 
 	doc, err := loadDocument(*xmark, *nasa, fs.Arg(0))
@@ -236,10 +238,10 @@ func report(stdout, human io.Writer, res *viewjoin.Result, explain, jsonOut bool
 }
 
 // printResult reports the match count, evaluation statistics, and up to
-// maxPrint matches. maxPrint <= 0 suppresses all match output, header
-// included (stats still print). Otherwise maxPrint was the run's limit, and
-// the header says so, since the reported count is then the page's, not the
-// full result's.
+// maxPrint matches after the first offset. maxPrint <= 0 suppresses all
+// match output, header included (stats still print). Otherwise
+// offset+maxPrint was the run's limit, and the header says so, since the
+// reported count is then the page's, not the full result's.
 func printResult(w io.Writer, query *viewjoin.Query, engine viewjoin.Engine, res *viewjoin.Result, maxPrint, offset int) {
 	fmt.Fprintf(w, "stats: scanned=%d comparisons=%d derefs=%d pagesRead=%d pagesWritten=%d partitions=%d ttfm=%v\n",
 		res.Stats.ElementsScanned, res.Stats.Comparisons, res.Stats.PointerDerefs,
@@ -252,11 +254,14 @@ func printResult(w io.Writer, query *viewjoin.Query, engine viewjoin.Engine, res
 	if offset > 0 {
 		page = fmt.Sprintf(" (limit %d, offset %d)", maxPrint, offset)
 	}
-	fmt.Fprintf(w, "query %s via %s: %d matches in %v%s\n", query, engine, len(res.Matches), res.Stats.Duration, page)
+	// The run fetched offset+maxPrint rows; the page is what follows the
+	// offset.
+	rows := res.Matches[min(max(offset, 0), len(res.Matches)):]
+	fmt.Fprintf(w, "query %s via %s: %d matches in %v%s\n", query, engine, len(rows), res.Stats.Duration, page)
 	labels := query.Labels()
-	for i, m := range res.Matches {
+	for i, m := range rows {
 		if i >= maxPrint {
-			fmt.Fprintf(w, "... and %d more\n", len(res.Matches)-i)
+			fmt.Fprintf(w, "... and %d more\n", len(rows)-i)
 			break
 		}
 		var parts []string

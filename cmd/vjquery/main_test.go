@@ -162,3 +162,32 @@ func TestRunNZeroSuppressesMatchOutput(t *testing.T) {
 		t.Errorf("-n 0 must keep the stats line:\n%s", out)
 	}
 }
+
+// TestRunOffsetPrintsThePage: -n 2 -offset 3 prints rows 3 and 4 of the
+// -n 5 run, under a header counting the page's two.
+func TestRunOffsetPrintsThePage(t *testing.T) {
+	rows := func(out string) []string {
+		var r []string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.Contains(l, "@") {
+				r = append(r, l)
+			}
+		}
+		return r
+	}
+	code, out, errOut := runCLI(t, "-q", "//site//item//name", "-xmark", "0.02", "-n", "5")
+	if code != 0 {
+		t.Fatalf("-n 5: exit %d, stderr: %s", code, errOut)
+	}
+	first := rows(out)
+	if len(first) != 5 {
+		t.Fatalf("-n 5 printed %d rows:\n%s", len(first), out)
+	}
+	code, out, errOut = runCLI(t, "-q", "//site//item//name", "-xmark", "0.02", "-n", "2", "-offset", "3")
+	if code != 0 {
+		t.Fatalf("-n 2 -offset 3: exit %d, stderr: %s", code, errOut)
+	}
+	if page := rows(out); strings.Join(page, "\n") != strings.Join(first[3:], "\n") || !strings.Contains(out, ": 2 matches in") {
+		t.Errorf("-n 2 -offset 3 printed\n%s\nwant rows 3 and 4 of -n 5:\n%s", out, strings.Join(first[3:], "\n"))
+	}
+}

@@ -20,35 +20,22 @@ import (
 // partitions (none: one whole-document job, run inline), run every job
 // through runJob, and assemble the Result and its Stats once.
 
-// first is the engine-level output quota: the run may stop after
-// offset+limit matches (counted after the cursor filter), because the
-// requested page is fully determined by that prefix. 0 (no limit) leaves
-// the run unbounded — an offset alone must still enumerate everything
-// after the skipped prefix. A quota no page can reach — the sum overflows,
-// or exceeds what int32 labels can number — is no quota either: the
-// sort-before-output engines size their shrink threshold from it, and slice
-// cuts the page regardless.
+// first is the engine-level output quota: the run may stop after limit
+// matches (counted after the cursor filter), because the requested page is
+// fully determined by that prefix. 0 (no limit) leaves the run unbounded.
+// A limit past what int32 labels can number is no quota either: the
+// sort-before-output engines size their shrink threshold from it, and
+// slice cuts the page regardless.
 func (o *RunOptions) first() int {
-	if o.Limit <= 0 {
+	if o.Limit <= 0 || o.Limit > math.MaxInt32 {
 		return 0
 	}
-	quota := o.Offset + o.Limit
-	if quota < o.Limit || quota > math.MaxInt32 {
-		return 0
-	}
-	return quota
+	return o.Limit
 }
 
 // slice reduces an engine's (already bounded, cursor-filtered) document-
 // order output to the requested page.
 func (o *RunOptions) slice(ms [][]Node) [][]Node {
-	if o.Offset > 0 {
-		if o.Offset >= len(ms) {
-			ms = ms[:0]
-		} else {
-			ms = ms[o.Offset:]
-		}
-	}
 	if o.Limit > 0 && len(ms) > o.Limit {
 		ms = ms[:o.Limit]
 	}
@@ -243,9 +230,8 @@ func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, o 
 		Interrupt: interrupt,
 		Restrict:  r,
 		// The page's quota is every job's own bound: any match in the
-		// global first offset+limit is in its own partition's first
-		// offset+limit, so each job may stop (or cap its accumulation)
-		// there.
+		// global first limit is in its own partition's first limit, so
+		// each job may stop (or cap its accumulation) there.
 		First: o.first(),
 		After: o.After,
 	})

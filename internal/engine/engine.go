@@ -13,7 +13,7 @@ import (
 )
 
 // ErrStop is the graceful early-termination signal: when an output quota is
-// met (first-k, LIMIT/OFFSET) the enumeration stage records it on the run's
+// met (first-k, LIMIT) the enumeration stage records it on the run's
 // Interrupter, unwinding the engine loops exactly like a cancellation —
 // except the engines treat it as success with the output produced so far
 // rather than as a failed run. Only the collector's quota raises it: an
@@ -43,10 +43,10 @@ type Options struct {
 	// node 0, Body for the rest). Partitioned evaluation runs one
 	// restricted job per document chunk; nil keeps the whole document.
 	Restrict *Restriction
-	// First, when > 0, bounds the number of matches produced (quota =
-	// offset + limit, counted after the After filter): once reached, the
-	// enumeration stage stops the run via ErrStop and the engine returns
-	// the bounded output as a successful result.
+	// First, when > 0, bounds the number of matches produced (the limit,
+	// counted after the After filter): once reached, the enumeration stage
+	// stops the run via ErrStop and the engine returns the bounded output
+	// as a successful result.
 	First int
 	// After, when non-nil, restricts output to matches strictly greater
 	// than this start-label tuple (one start per query node, compared

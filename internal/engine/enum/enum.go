@@ -641,7 +641,7 @@ func popClosed(st []openCand, ok []bool, ad bool, pos int32) []openCand {
 // Order invariant: windows close in ascending root-start order, the root
 // loop walks cands[0] ascending, and descend extends the tuple in pattern
 // pre-order over start-sorted lists — so rows are produced exactly in
-// match.RowLess (document) order, which is what makes LIMIT/OFFSET and the
+// match.RowLess (document) order, which is what makes LIMIT and the
 // cursor filter exact without any buffering.
 func (c *Collector) walk() {
 	for j, cand := range c.cands[0] {

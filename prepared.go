@@ -221,23 +221,20 @@ func (p *PreparedQuery) FootprintBytes() int64 {
 type RunOptions struct {
 	// Limit, when > 0, bounds the result to the first Limit matches in
 	// document order. The bound is pushed into the engines: the streaming
-	// engines (ViewJoin, TwigStack) stop scanning once Offset+Limit matches
-	// have been enumerated, and the sort-before-output engines (PathStack,
-	// InterJoin) cap their accumulation at Offset+Limit entries, so peak
-	// result memory is O(Limit) instead of O(total matches). 0 returns
-	// everything.
+	// engines (ViewJoin, TwigStack) stop scanning once Limit matches have
+	// been enumerated, and the sort-before-output engines (PathStack,
+	// InterJoin) cap their accumulation at Limit entries, so peak result
+	// memory is O(Limit) instead of O(total matches). 0 returns
+	// everything. To skip a prefix, as SQL OFFSET does, run with the
+	// prefix added to the limit and drop it from the rows; After pages
+	// without enumerating the prefix at all.
 	Limit int
-	// Offset skips the first Offset matches in document order (after the
-	// After cursor filter, when both are set), as SQL OFFSET. Prefer After
-	// for deep paging: an offset still enumerates the skipped prefix, a
-	// cursor seeks past it.
-	Offset int
 	// After, when non-nil, resumes strictly after a previous match: one
 	// start label per query node (Node.Start of the previous page's last
 	// row, in binding order), compared lexicographically — i.e. document
-	// order. Unlike an offset, a cursor is a position the run seeks to: it
-	// executes as a partition that starts at the cursor, so every list is
-	// opened there by binary search and page k costs what page 1 costs.
+	// order. A cursor is a position the run seeks to: it executes as a
+	// partition that starts at the cursor, so every list is opened there
+	// by binary search and page k costs what page 1 costs.
 	// A cursor of any other length is an error.
 	After []int32
 	// Parallelism requests a range-partitioned run: the document is split
