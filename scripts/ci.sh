@@ -47,7 +47,7 @@
 #      coverage must stay >= 80%
 #   3c. server coverage floor: the serving layer owns admission, outcome
 #      accounting and the flight recorder; its statement coverage must
-#      stay >= 80%
+#      stay >= 90%, so no failure branch of the request edge goes untested
 #   3d. enum coverage floor: the shared enumeration stage owns the
 #      partial-flush ordering proofs; internal/engine/enum statement
 #      coverage must stay >= 85%
@@ -169,7 +169,7 @@ coverage_floor() {
 }
 coverage_floor ./internal/store 85 store
 coverage_floor ./internal/engine/... 80 engine
-coverage_floor ./internal/server 80 server
+coverage_floor ./internal/server 90 server
 coverage_floor ./internal/engine/enum 85 enum
 coverage_floor ./internal/maintain 85 maintain
 
