@@ -117,12 +117,12 @@ func TestPlanAggregates(t *testing.T) {
 		t.Errorf("plan cache footprint %d, want > 0", m.PlanCache.FootprintBytes)
 	}
 	// The engine-level latency histograms now report quantiles.
-	if h, ok := m.LatencyUS["VJ"]; !ok || h.N != vjRuns || h.P50US <= 0 {
+	if h, ok := m.LatencyUS["VJ"]; !ok || h.N != vjRuns || h.P50 <= 0 {
 		t.Errorf("engine latency histogram: %+v", m.LatencyUS["VJ"])
 	}
 	// Partition accounting: all four successful runs were sequential.
-	if m.Partitions.N != vjRuns+1 || m.Partitions.MaxUS != 1 {
-		t.Errorf("partitions histogram N=%d Max=%d, want N=%d Max=1", m.Partitions.N, m.Partitions.MaxUS, vjRuns+1)
+	if m.Partitions.N != vjRuns+1 || m.Partitions.Max != 1 {
+		t.Errorf("partitions histogram N=%d Max=%d, want N=%d Max=1", m.Partitions.N, m.Partitions.Max, vjRuns+1)
 	}
 	if m.Requests.Timeouts != 1 || m.Requests.Canceled != 0 {
 		t.Errorf("timeouts=%d canceled=%d, want 1, 0", m.Requests.Timeouts, m.Requests.Canceled)
@@ -148,7 +148,7 @@ func TestPlanAggregates(t *testing.T) {
 	if vj.LatencyUS.N != vjRuns {
 		t.Errorf("VJ latency N %d, want %d", vj.LatencyUS.N, vjRuns)
 	}
-	if vj.LatencyUS.P50US <= 0 || vj.LatencyUS.P99US < vj.LatencyUS.P50US {
+	if vj.LatencyUS.P50 <= 0 || vj.LatencyUS.P99 < vj.LatencyUS.P50 {
 		t.Errorf("VJ latency quantiles implausible: %+v", vj.LatencyUS)
 	}
 	if vj.FootprintBytes <= 0 {
