@@ -43,41 +43,11 @@ type responseTail struct {
 	// next request's cursor field. Absent on the last page. The value is
 	// opaque (the document position of the last emitted match), so
 	// resumption seeks rather than re-enumerates.
-	Cursor     string      `json:"cursor,omitempty"`
-	Stats      statsJSON   `json:"stats"`
-	DurationUS int64       `json:"duration_us"`
-	Trace      *obs.Report `json:"trace,omitempty"`
-}
-
-// statsJSON is the run's counters as a response reports them.
-type statsJSON struct {
-	ElementsScanned int64 `json:"elements_scanned"`
-	Comparisons     int64 `json:"comparisons"`
-	PointerDerefs   int64 `json:"pointer_derefs"`
-	PagesRead       int64 `json:"pages_read"`
-	PagesWritten    int64 `json:"pages_written"`
-	JumpsTaken      int64 `json:"jumps_taken"`
-	JumpsRefused    int64 `json:"jumps_refused"`
-	PeakMemoryBytes int64 `json:"peak_memory_bytes"`
-	// FirstMatchUS is the run's time-to-first-match in microseconds; 0
-	// when the run produced no match.
-	FirstMatchUS int64 `json:"first_match_us"`
-	Partitions   int   `json:"partitions"`
-}
-
-func statsOf(st viewjoin.Stats) statsJSON {
-	return statsJSON{
-		ElementsScanned: st.ElementsScanned,
-		Comparisons:     st.Comparisons,
-		PointerDerefs:   st.PointerDerefs,
-		PagesRead:       st.PagesRead,
-		PagesWritten:    st.PagesWritten,
-		JumpsTaken:      st.JumpsTaken,
-		JumpsRefused:    st.JumpsRefused,
-		PeakMemoryBytes: st.PeakMemoryBytes,
-		FirstMatchUS:    st.FirstMatchNanos / 1000,
-		Partitions:      st.Partitions,
-	}
+	Cursor string `json:"cursor,omitempty"`
+	// Stats is the run's: appendTail writes its counters as the "stats"
+	// object and its Duration as "duration_us".
+	Stats viewjoin.Stats `json:"-"`
+	Trace *obs.Report    `json:"trace,omitempty"`
 }
 
 // bodyPool recycles request and response buffers across requests, so a
@@ -155,7 +125,8 @@ func (h *responseHead) appendHead(b []byte) []byte {
 	return strconv.AppendInt(append(b, `,"match_count":`...), int64(h.MatchCount), 10)
 }
 
-// appendTail appends responseTail's fields but the trace, each after a comma.
+// appendTail appends responseTail's fields but the trace, each after a
+// comma: the stats object and duration_us straight from the run's Stats.
 func (t *responseTail) appendTail(b []byte) []byte {
 	if t.Cursor != "" {
 		b = appendString(append(b, `,"cursor":`...), t.Cursor)
@@ -169,9 +140,9 @@ func (t *responseTail) appendTail(b []byte) []byte {
 	b = strconv.AppendInt(append(b, `,"jumps_taken":`...), s.JumpsTaken, 10)
 	b = strconv.AppendInt(append(b, `,"jumps_refused":`...), s.JumpsRefused, 10)
 	b = strconv.AppendInt(append(b, `,"peak_memory_bytes":`...), s.PeakMemoryBytes, 10)
-	b = strconv.AppendInt(append(b, `,"first_match_us":`...), s.FirstMatchUS, 10)
+	b = strconv.AppendInt(append(b, `,"first_match_us":`...), s.FirstMatchNanos/1000, 10)
 	b = strconv.AppendInt(append(b, `,"partitions":`...), int64(s.Partitions), 10)
-	return strconv.AppendInt(append(b, `},"duration_us":`...), t.DurationUS, 10)
+	return strconv.AppendInt(append(b, `},"duration_us":`...), s.Duration.Microseconds(), 10)
 }
 
 // cellPrefixes renders, once per plan, what opens each column's cells:

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"testing"
+	"time"
 
 	"viewjoin"
 	"viewjoin/internal/obs"
@@ -27,9 +28,30 @@ type refResponse struct {
 	MatchCount int         `json:"match_count"`
 	Matches    [][]refCell `json:"matches,omitempty"`
 	Cursor     string      `json:"cursor,omitempty"`
-	Stats      statsJSON   `json:"stats"`
+	Stats      refStats    `json:"stats"`
 	DurationUS int64       `json:"duration_us"`
 	Trace      *obs.Report `json:"trace,omitempty"`
+}
+
+// refStats is the response's stats object as it was declared.
+type refStats struct {
+	ElementsScanned int64 `json:"elements_scanned"`
+	Comparisons     int64 `json:"comparisons"`
+	PointerDerefs   int64 `json:"pointer_derefs"`
+	PagesRead       int64 `json:"pages_read"`
+	PagesWritten    int64 `json:"pages_written"`
+	JumpsTaken      int64 `json:"jumps_taken"`
+	JumpsRefused    int64 `json:"jumps_refused"`
+	PeakMemoryBytes int64 `json:"peak_memory_bytes"`
+	FirstMatchUS    int64 `json:"first_match_us"`
+	Partitions      int   `json:"partitions"`
+}
+
+// wireResponse is a /query body as a client decodes it, the stats object
+// included.
+type wireResponse struct {
+	queryResponse
+	Stats refStats `json:"stats"`
 }
 
 type refCell struct {
@@ -45,8 +67,15 @@ func refEncode(t testing.TB, r *queryResponse, tags []string) []byte {
 	t.Helper()
 	ref := refResponse{
 		Schema: r.Schema, Document: r.Document, Query: r.Query, Engine: r.Engine, Views: r.Views,
-		Cache: r.Cache, MatchCount: r.MatchCount, Cursor: r.Cursor, Stats: r.Stats,
-		DurationUS: r.DurationUS, Trace: r.Trace,
+		Cache: r.Cache, MatchCount: r.MatchCount, Cursor: r.Cursor, Trace: r.Trace,
+		Stats: refStats{
+			ElementsScanned: r.Stats.ElementsScanned, Comparisons: r.Stats.Comparisons,
+			PointerDerefs: r.Stats.PointerDerefs, PagesRead: r.Stats.PagesRead,
+			PagesWritten: r.Stats.PagesWritten, JumpsTaken: r.Stats.JumpsTaken,
+			JumpsRefused: r.Stats.JumpsRefused, PeakMemoryBytes: r.Stats.PeakMemoryBytes,
+			FirstMatchUS: r.Stats.FirstMatchNanos / 1000, Partitions: r.Stats.Partitions,
+		},
+		DurationUS: r.Stats.Duration.Microseconds(),
 	}
 	for _, row := range r.Matches {
 		cells := make([]refCell, len(row))
@@ -165,7 +194,8 @@ func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
 	base := queryResponse{
 		responseHead: responseHead{Schema: ResponseSchema, Document: "d<o>c", Query: `//a[//"b"]`, Engine: "VJ",
 			Views: []string{"//a", "//b&c"}, Cache: "hit"},
-		responseTail: responseTail{Stats: statsJSON{ElementsScanned: 12, Comparisons: 34, Partitions: 1}, DurationUS: 56},
+		responseTail: responseTail{Stats: viewjoin.Stats{ElementsScanned: 12, Comparisons: 34, PeakMemoryBytes: 78,
+			FirstMatchNanos: 9_999, Partitions: 1, Duration: 56 * time.Microsecond}},
 	}
 	ab := []string{"a", "b"}
 	cases := map[string]struct {
@@ -247,12 +277,27 @@ func TestQueryBodiesRoundTrip(t *testing.T) {
 	}
 	check := func(name string, body []byte) queryResponse {
 		t.Helper()
+		var ref refResponse
+		if err := json.Unmarshal(body, &ref); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, row := range ref.Matches {
+			for k, c := range row {
+				if c.Tag != tags[k] {
+					t.Fatalf("%s: column %d tagged %q, want %q", name, k, c.Tag, tags[k])
+				}
+			}
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s:\n got %s\nwant %s", name, clip(body), clip(want.Bytes()))
+		}
 		var r queryResponse
 		if err := json.Unmarshal(body, &r); err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if want := refEncode(t, &r, tags); !bytes.Equal(body, want) {
-			t.Errorf("%s:\n got %s\nwant %s", name, clip(body), clip(want))
 		}
 		return r
 	}
@@ -299,8 +344,8 @@ func FuzzQueryResponseEncoding(f *testing.F) {
 		r := queryResponse{
 			responseHead: responseHead{Schema: ResponseSchema, Document: doc, Query: query, Engine: tagB,
 				Views: []string{tagA, query}, Cache: cursor, MatchCount: n},
-			responseTail: responseTail{Cursor: cursor, Stats: statsJSON{Comparisons: int64(start) * int64(end), Partitions: n},
-				DurationUS: int64(level)},
+			responseTail: responseTail{Cursor: cursor, Stats: viewjoin.Stats{Comparisons: int64(start) * int64(end),
+				FirstMatchNanos: int64(end), Partitions: n, Duration: time.Duration(level) * time.Microsecond}},
 		}
 		tags := []string{tagA, tagB, tagA + tagB}
 		setRows(&r, tags, n)
