@@ -4,52 +4,30 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"viewjoin/internal/obs"
 )
 
 // SlowlogSchema identifies the GET /debug/slowlog response body.
-const SlowlogSchema = "viewjoin/slowlog/v1"
-
-// slowlogEntry is one retained request: the request identity, its outcome,
-// and — when the run completed under a recorder — the full viewjoin/trace/v1
-// report, so a slow query can be diagnosed after the fact without
-// re-running it under /debug/trace.
-type slowlogEntry struct {
-	Time       string   `json:"time"`
-	Document   string   `json:"document"`
-	Query      string   `json:"query"`
-	Engine     string   `json:"engine"`
-	Views      []string `json:"views,omitempty"`
-	Status     int      `json:"status"`
-	Outcome    string   `json:"outcome"`
-	Cache      string   `json:"cache,omitempty"`
-	Matches    int      `json:"matches"`
-	Partitions int      `json:"partitions,omitempty"`
-	WallUS     int64    `json:"wall_us"` // request wall time (admission to response)
-	RunUS      int64    `json:"run_us"`  // engine run time, 0 when the run aborted
-	// FirstMatchUS is the run's time-to-first-match; 0 when the run
-	// produced no match or aborted.
-	FirstMatchUS int64       `json:"first_match_us,omitempty"`
-	Error        string      `json:"error,omitempty"`
-	Trace        *obs.Report `json:"trace,omitempty"`
-}
+const SlowlogSchema = "viewjoin/slowlog/v2"
 
 // slowlog is the flight recorder: a fixed-size ring of the most recent
-// requests plus the current top-N slowest by wall time. Every observed
-// request enters the recent ring; only requests at or above the threshold
-// compete for the slow set. Entries are immutable once observed, so
-// serving a snapshot is a shallow copy under the lock.
+// requests plus the current top-N slowest by wall time. Its entries are
+// copies of the requests' access lines, each carrying its run's full
+// viewjoin/trace/v1 report when the run completed under a recorder, so a
+// slow query can be diagnosed after the fact without re-running it under
+// /debug/trace. Every observed request enters the recent ring; only
+// requests at or above the threshold compete for the slow set. Entries
+// are immutable once observed, so serving a snapshot is a shallow copy
+// under the lock.
 type slowlog struct {
 	mu        sync.Mutex
 	size      int
 	threshold time.Duration
 
-	recent   []slowlogEntry // ring buffer, next points at the oldest slot
+	recent   []accessLine // ring buffer, next points at the oldest slot
 	next     int
 	observed int64
 
-	slowest []slowlogEntry // sorted by WallUS descending, len <= size
+	slowest []accessLine // sorted by DurationUS descending, len <= size
 }
 
 func newSlowlog(size int, threshold time.Duration) *slowlog {
@@ -59,7 +37,7 @@ func newSlowlog(size int, threshold time.Duration) *slowlog {
 // observe records one finished request. The wall time decides slow-set
 // admission: it is what the client experienced, so queueing and gating
 // delays count, not just engine time.
-func (l *slowlog) observe(e slowlogEntry) {
+func (l *slowlog) observe(e accessLine) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.observed++
@@ -71,16 +49,16 @@ func (l *slowlog) observe(e slowlogEntry) {
 		l.next = (l.next + 1) % l.size
 	}
 
-	if time.Duration(e.WallUS)*time.Microsecond < l.threshold {
+	if time.Duration(e.DurationUS)*time.Microsecond < l.threshold {
 		return
 	}
-	if len(l.slowest) == l.size && e.WallUS <= l.slowest[len(l.slowest)-1].WallUS {
+	if len(l.slowest) == l.size && e.DurationUS <= l.slowest[len(l.slowest)-1].DurationUS {
 		return
 	}
-	// Insert in descending WallUS order; the slice is tiny (flag-bounded),
-	// so a binary search plus copy beats maintaining a heap.
-	i := sort.Search(len(l.slowest), func(i int) bool { return l.slowest[i].WallUS < e.WallUS })
-	l.slowest = append(l.slowest, slowlogEntry{})
+	// Insert in descending DurationUS order; the slice is tiny
+	// (flag-bounded), so a binary search plus copy beats maintaining a heap.
+	i := sort.Search(len(l.slowest), func(i int) bool { return l.slowest[i].DurationUS < e.DurationUS })
+	l.slowest = append(l.slowest, accessLine{})
 	copy(l.slowest[i+1:], l.slowest[i:])
 	l.slowest[i] = e
 	if len(l.slowest) > l.size {
@@ -90,12 +68,12 @@ func (l *slowlog) observe(e slowlogEntry) {
 
 // slowlogSnapshot is the GET /debug/slowlog response body.
 type slowlogSnapshot struct {
-	Schema      string         `json:"schema"`
-	Size        int            `json:"size"`
-	ThresholdMS int64          `json:"threshold_ms"`
-	Observed    int64          `json:"observed"`
-	Slowest     []slowlogEntry `json:"slowest"` // wall time descending
-	Recent      []slowlogEntry `json:"recent"`  // newest first
+	Schema      string       `json:"schema"`
+	Size        int          `json:"size"`
+	ThresholdMS int64        `json:"threshold_ms"`
+	Observed    int64        `json:"observed"`
+	Slowest     []accessLine `json:"slowest"` // wall time descending
+	Recent      []accessLine `json:"recent"`  // newest first
 }
 
 // snapshot copies the recorder state: slowest by wall time descending,
@@ -108,8 +86,8 @@ func (l *slowlog) snapshot() slowlogSnapshot {
 		Size:        l.size,
 		ThresholdMS: l.threshold.Milliseconds(),
 		Observed:    l.observed,
-		Slowest:     append([]slowlogEntry(nil), l.slowest...),
-		Recent:      make([]slowlogEntry, 0, len(l.recent)),
+		Slowest:     append([]accessLine(nil), l.slowest...),
+		Recent:      make([]accessLine, 0, len(l.recent)),
 	}
 	// The ring's newest entry sits just before next; walk backwards.
 	for i := 0; i < len(l.recent); i++ {

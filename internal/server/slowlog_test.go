@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-func slowEntry(query string, wallUS int64) slowlogEntry {
-	return slowlogEntry{Query: query, WallUS: wallUS, Outcome: "ok"}
+func slowEntry(query string, wallUS int64) accessLine {
+	return accessLine{Query: query, DurationUS: wallUS, Outcome: "ok"}
 }
 
 // TestSlowlogRecentEviction pins the ring's retention and order: with size
@@ -52,7 +52,7 @@ func TestSlowlogSlowestRanking(t *testing.T) {
 	s := l.snapshot()
 	var got []int64
 	for _, e := range s.Slowest {
-		got = append(got, e.WallUS)
+		got = append(got, e.DurationUS)
 	}
 	want := []int64{50, 40, 30}
 	if len(got) != len(want) {
@@ -118,8 +118,8 @@ func TestSlowlogConcurrent(t *testing.T) {
 	}
 	// The slowest set must hold the true top-8 wall times.
 	for i, e := range s.Slowest {
-		if want := int64(workers*each - 1 - i); e.WallUS != want {
-			t.Errorf("slowest[%d] = %d, want %d", i, e.WallUS, want)
+		if want := int64(workers*each - 1 - i); e.DurationUS != want {
+			t.Errorf("slowest[%d] = %d, want %d", i, e.DurationUS, want)
 		}
 	}
 }
@@ -197,8 +197,8 @@ func TestSlowlogEndpoint(t *testing.T) {
 	if e.Query != testQuery || e.Outcome != "ok" || e.Status != http.StatusOK {
 		t.Errorf("slow entry identity: %+v", e)
 	}
-	if e.WallUS < 10_000 {
-		t.Errorf("slow entry wall %dµs, want >= threshold 10ms", e.WallUS)
+	if e.DurationUS < 10_000 {
+		t.Errorf("slow entry wall %dµs, want >= threshold 10ms", e.DurationUS)
 	}
 	if e.Trace == nil {
 		t.Fatal("slow entry carries no trace")
