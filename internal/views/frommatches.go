@@ -18,8 +18,11 @@ import (
 // contain the pattern.
 //
 // The matches must be complete (every embedding of p in d) for the
-// resulting view to be a correct materialization; passing a subset
-// produces a view of that subset.
+// resulting view to be a correct materialization. A subset is not a view
+// of that subset under every scheme: the tuple scheme keeps exactly the
+// given rows, but the list schemes keep only each node's solution nodes,
+// and a join over them recombines those into every embedding they admit,
+// rows not in the subset included.
 func FromMatches(d *xmltree.Document, p *tpq.Pattern, ms match.Set) (*Materialized, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("views: %w", err)
@@ -29,32 +32,7 @@ func FromMatches(d *xmltree.Document, p *tpq.Pattern, ms match.Set) (*Materializ
 			return nil, fmt.Errorf("views: match %d binds %d nodes for a %d-node pattern", i, len(mm), p.Size())
 		}
 	}
-	sol := ms.SolutionNodes(p.Size())
-	m := &Materialized{View: p, Doc: d, Lists: make([][]Entry, p.Size())}
-	for q := range sol {
-		list := make([]Entry, len(sol[q]))
-		for i, id := range sol[q] {
-			n := d.Node(id)
-			list[i] = Entry{
-				Node:       id,
-				Start:      n.Start,
-				End:        n.End,
-				Level:      n.Level,
-				Following:  NoPointer,
-				Descendant: NoPointer,
-			}
-			if nc := len(p.Nodes[q].Children); nc > 0 {
-				list[i].Children = make([]int32, nc)
-				for c := range list[i].Children {
-					list[i].Children[c] = NoPointer
-				}
-			}
-		}
-		m.Lists[q] = list
-	}
-	m.fillDescendantPointers()
-	m.fillFollowingPointers()
-	m.fillChildPointers()
+	m := fromSolutions(d, p, ms.SolutionNodes(p.Size()))
 
 	// Cache the tuple content in composite-start order, saving the
 	// re-enumeration that Matches() would otherwise perform.

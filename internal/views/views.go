@@ -64,7 +64,13 @@ func Materialize(d *xmltree.Document, v *tpq.Pattern) (*Materialized, error) {
 	if err := v.Validate(); err != nil {
 		return nil, fmt.Errorf("views: %w", err)
 	}
-	sol := SolutionLists(d, v, Region{Hi: xmltree.NodeID(d.NumNodes())})
+	return fromSolutions(d, v, SolutionLists(d, v, Region{Hi: xmltree.NodeID(d.NumNodes())})), nil
+}
+
+// fromSolutions builds the view of v from its solution lists (node ids per
+// view node, in document order): one entry per solution node, its
+// pointers filled from the lists themselves.
+func fromSolutions(d *xmltree.Document, v *tpq.Pattern, sol [][]xmltree.NodeID) *Materialized {
 	m := &Materialized{View: v, Doc: d, Lists: make([][]Entry, v.Size())}
 	for q := range sol {
 		list := make([]Entry, len(sol[q]))
@@ -90,7 +96,7 @@ func Materialize(d *xmltree.Document, v *tpq.Pattern) (*Materialized, error) {
 	m.fillDescendantPointers()
 	m.fillFollowingPointers()
 	m.fillChildPointers()
-	return m, nil
+	return m
 }
 
 // MustMaterialize is Materialize but panics on error.

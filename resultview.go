@@ -15,7 +15,12 @@ import (
 // later query that q is a subpattern of.
 //
 // The result must come from evaluating q over this document (the complete
-// match set); passing a partial result materializes only that subset.
+// match set). A partial result is a view of that subset under SchemeTuple
+// only, which keeps the given rows. The list schemes keep each query
+// node's solution nodes, and a join over them answers every embedding
+// those nodes admit: over <r><a><b/><a><b/></a></a></r>, an LE view of
+// two of //a//b's three rows that bind both a's and both b's answers all
+// three.
 func (d *Document) MaterializeResult(q *Query, res *Result, scheme StorageScheme, opts *MaterializeOptions) (*MaterializedView, error) {
 	snap := d.snap()
 	ms, err := match.FromRows(snap.tree, res.Matches, q.p.Size())

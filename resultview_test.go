@@ -65,3 +65,45 @@ func TestMaterializeResultErrors(t *testing.T) {
 		t.Errorf("valid call failed: %v", err)
 	}
 }
+
+// TestMaterializeResultOfASubset pins what a partial result materializes.
+// Over <r><a><b/><a><b/></a></a></r>, //a//b has three rows; a view made
+// of the two rows (outer a, first b) and (inner a, second b) answers those
+// two rows under the tuple scheme, which keeps rows, but all three under
+// LE, which keeps only the solution nodes (both a's and both b's), and the
+// join recombines them into the missing (outer a, second b).
+func TestMaterializeResultOfASubset(t *testing.T) {
+	d, err := ParseDocumentString(`<r><a><b/><a><b/></a></a></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustParseQuery("//a//b")
+	full := EvaluateDirect(d, q)
+	if len(full.Matches) != 3 {
+		t.Fatalf("//a//b: %d rows, want 3", len(full.Matches))
+	}
+	subset := &Result{Matches: [][]Node{full.Matches[0], full.Matches[2]}}
+	if subset.Matches[0][0] == subset.Matches[1][0] || subset.Matches[0][1] == subset.Matches[1][1] {
+		t.Fatalf("subset %v does not bind both a's and both b's", subset.Matches)
+	}
+	for _, c := range []struct {
+		scheme StorageScheme
+		engine Engine
+		want   *Result
+	}{
+		{SchemeTuple, EngineInterJoin, subset},
+		{SchemeLE, EngineViewJoin, full},
+	} {
+		v, err := d.MaterializeResult(q, subset, c.scheme, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Evaluate(nil, d, q, []*MaterializedView{v}, c.engine, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", c.scheme, err)
+		}
+		if !sameMatches(res, c.want) {
+			t.Errorf("%v view of a 2-row subset answers %d rows %v, want %d", c.scheme, len(res.Matches), res.Matches, len(c.want.Matches))
+		}
+	}
+}
