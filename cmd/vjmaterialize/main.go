@@ -13,78 +13,76 @@
 // replaced by rename, never rewritten in place, so re-running over the
 // same -out directory is safe beside a vjserve that has the old files
 // mapped: it keeps serving the old views until it is restarted.
+//
+// Exit status: 0 on success, 1 on any failure, reported on stderr as one
+// JSON line: {"stage":"load"|"parse"|"materialize"|"save", "error":"..."}.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"viewjoin"
+	"viewjoin/internal/cli"
 )
 
+// exitFailure is the exit status of every failure, reported on stderr as
+// one JSON line naming its stage.
+const exitFailure = 1
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process exit, for testing: it parses args,
+// materializes and saves the views, writes to the given streams and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vjmaterialize", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		viewsStr  = flag.String("views", "", "semicolon-separated view patterns to materialize")
-		schemeStr = flag.String("scheme", "LEp", "storage scheme: E, LE, LEp, T")
-		outDir    = flag.String("out", "views", "output directory for .vjview files")
-		xmark     = flag.Float64("xmark", 0, "materialize over a generated XMark document of this scale")
-		nasa      = flag.Int("nasa", 0, "materialize over a generated Nasa document with this many datasets")
+		viewsStr  = fs.String("views", "", "semicolon-separated view patterns to materialize")
+		schemeStr = fs.String("scheme", "LEp", "storage scheme: E, LE, LEp, T")
+		outDir    = fs.String("out", "views", "output directory for .vjview files")
+		xmark     = fs.Float64("xmark", 0, "materialize over a generated XMark document of this scale")
+		nasa      = fs.Int("nasa", 0, "materialize over a generated Nasa document with this many datasets")
 	)
-	flag.Parse()
-	if *viewsStr == "" {
-		fail("missing -views")
+	if err := fs.Parse(args); err != nil {
+		return exitFailure
 	}
-	doc, err := loadDocument(*xmark, *nasa, flag.Arg(0))
+	if *viewsStr == "" {
+		return cli.Fail(stderr, "usage", fmt.Errorf("missing -views"), exitFailure)
+	}
+	doc, err := cli.LoadDocument(*xmark, *nasa, fs.Arg(0))
 	if err != nil {
-		fail("%v", err)
+		return cli.Fail(stderr, "load", err, exitFailure)
 	}
 	scheme, err := viewjoin.ParseScheme(*schemeStr)
 	if err != nil {
-		fail("%v", err)
+		return cli.Fail(stderr, "parse", err, exitFailure)
 	}
 	views, err := viewjoin.ParseViews(*viewsStr)
 	if err != nil {
-		fail("%v", err)
+		return cli.Fail(stderr, "parse", err, exitFailure)
+	}
+	mviews, err := doc.MaterializeViews(views, scheme)
+	if err != nil {
+		return cli.Fail(stderr, "materialize", err, exitFailure)
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fail("%v", err)
+		return cli.Fail(stderr, "save", err, exitFailure)
 	}
-	for i, v := range views {
-		mv, err := doc.MaterializeView(v, scheme, nil)
-		if err != nil {
-			fail("materialize %s: %v", v, err)
-		}
+	for i, mv := range mviews {
 		path := filepath.Join(*outDir, fmt.Sprintf("%02d.vjview", i))
 		n, err := mv.SaveViewFile(path)
 		if err != nil {
-			fail("save %s: %v", path, err)
+			return cli.Fail(stderr, "save", fmt.Errorf("%s: %w", path, err), exitFailure)
 		}
-		fmt.Printf("%-30s %8d entries %8d pointers %10d bytes -> %s\n",
-			v, mv.NumEntries(), mv.NumPointers(), n, path)
+		fmt.Fprintf(stdout, "%-30s %8d entries %8d pointers %10d bytes -> %s\n",
+			views[i], mv.NumEntries(), mv.NumPointers(), n, path)
 	}
-}
-
-func loadDocument(xmarkScale float64, nasaDatasets int, path string) (*viewjoin.Document, error) {
-	switch {
-	case xmarkScale > 0:
-		return viewjoin.GenerateXMark(xmarkScale), nil
-	case nasaDatasets > 0:
-		return viewjoin.GenerateNasa(nasaDatasets), nil
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return viewjoin.ParseDocument(f)
-	default:
-		return nil, fmt.Errorf("provide an XML file argument, -xmark, or -nasa")
-	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "vjmaterialize: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

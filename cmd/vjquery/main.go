@@ -29,17 +29,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
 	"viewjoin"
+	"viewjoin/internal/cli"
 	"viewjoin/internal/obs"
 )
 
@@ -81,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitOther
 	}
 	if *queryStr == "" {
-		return fail(stderr, "usage", fmt.Errorf("missing -q query"), exitOther)
+		return cli.Fail(stderr, "usage", fmt.Errorf("missing -q query"), exitOther)
 	}
 
 	// Human-readable output moves to stderr when stdout carries the JSON
@@ -109,9 +107,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Limit = *maxPrint + max(*offset, 0)
 	}
 
-	doc, err := loadDocument(*xmark, *nasa, fs.Arg(0))
+	doc, err := cli.LoadDocument(*xmark, *nasa, fs.Arg(0))
 	if err != nil {
-		return fail(stderr, "load", err, exitOther)
+		return cli.Fail(stderr, "load", err, exitOther)
 	}
 	rec.BeginPhase(obs.PhaseParse)
 	parse := viewjoin.ParseQuery
@@ -122,11 +120,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	query, parseErr := parse(*queryStr)
 	rec.EndPhase(obs.PhaseParse)
 	if parseErr != nil {
-		return fail(stderr, "parse", parseErr, exitParse)
+		return cli.Fail(stderr, "parse", parseErr, exitParse)
 	}
 	engine, err := viewjoin.ParseEngine(*engineStr)
 	if err != nil {
-		return fail(stderr, "parse", err, exitParse)
+		return cli.Fail(stderr, "parse", err, exitParse)
 	}
 
 	if *raw {
@@ -135,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		res, err := viewjoin.EvaluateWithoutViews(nil, doc, query, engine, opts)
 		if err != nil {
-			return fail(stderr, "evaluate", err, exitEvaluate)
+			return cli.Fail(stderr, "evaluate", err, exitEvaluate)
 		}
 		fmt.Fprintf(human, "document: %d nodes; raw element streams (no views)\n", doc.NumNodes())
 		printResult(human, query, engine, res, *maxPrint, *offset)
@@ -143,31 +141,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *loadGlob != "" {
-		paths, err := filepath.Glob(*loadGlob)
+		paths, err := cli.ViewFiles(*loadGlob)
 		if err != nil {
-			return fail(stderr, "load", err, exitOther)
+			return cli.Fail(stderr, "load", err, exitOther)
 		}
-		if len(paths) == 0 {
-			return fail(stderr, "load", fmt.Errorf("no view files match %q", *loadGlob), exitOther)
-		}
-		sort.Strings(paths)
 		var mviews []*viewjoin.MaterializedView
 		var totalBytes int64
 		for _, p := range paths {
 			data, err := os.ReadFile(p)
 			if err != nil {
-				return fail(stderr, "load", err, exitOther)
+				return cli.Fail(stderr, "load", err, exitOther)
 			}
 			mv, err := doc.LoadViewBytes(data)
 			if err != nil {
-				return fail(stderr, "load", fmt.Errorf("load %s: %w", p, err), exitOther)
+				return cli.Fail(stderr, "load", fmt.Errorf("load %s: %w", p, err), exitOther)
 			}
 			mviews = append(mviews, mv)
 			totalBytes += mv.SizeBytes()
 		}
 		res, err := viewjoin.Evaluate(nil, doc, query, mviews, engine, opts)
 		if err != nil {
-			return fail(stderr, "evaluate", err, exitEvaluate)
+			return cli.Fail(stderr, "evaluate", err, exitEvaluate)
 		}
 		fmt.Fprintf(human, "document: %d nodes; %d loaded views (%d bytes)\n", doc.NumNodes(), len(mviews), totalBytes)
 		printResult(human, query, engine, res, *maxPrint, *offset)
@@ -185,20 +179,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	views, parseErr := viewjoin.ParseViews(*viewsStr)
 	rec.EndPhase(obs.PhaseParse)
 	if parseErr != nil {
-		return fail(stderr, "parse", parseErr, exitParse)
+		return cli.Fail(stderr, "parse", parseErr, exitParse)
 	}
 	if err := viewjoin.ValidateViewSet(query, views); err != nil {
-		return fail(stderr, "validate", err, exitOther)
+		return cli.Fail(stderr, "validate", err, exitOther)
 	}
 
 	scheme, err := viewjoin.ParseScheme(*schemeStr)
 	if err != nil {
-		return fail(stderr, "parse", err, exitParse)
+		return cli.Fail(stderr, "parse", err, exitParse)
 	}
 
 	mviews, err := doc.MaterializeViews(views, scheme)
 	if err != nil {
-		return fail(stderr, "materialize", err, exitOther)
+		return cli.Fail(stderr, "materialize", err, exitOther)
 	}
 	var totalBytes int64
 	var totalPointers int
@@ -209,7 +203,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	res, err := viewjoin.Evaluate(nil, doc, query, mviews, engine, opts)
 	if err != nil {
-		return fail(stderr, "evaluate", err, exitEvaluate)
+		return cli.Fail(stderr, "evaluate", err, exitEvaluate)
 	}
 
 	fmt.Fprintf(human, "document: %d nodes; views: %d (%s scheme, %d bytes, %d pointers)\n",
@@ -226,12 +220,12 @@ func report(stdout, human io.Writer, res *viewjoin.Result, explain, jsonOut bool
 	}
 	if explain {
 		if err := res.Trace.WriteExplain(human); err != nil {
-			return fail(stderr, "report", err, exitOther)
+			return cli.Fail(stderr, "report", err, exitOther)
 		}
 	}
 	if jsonOut {
 		if err := res.Trace.WriteJSON(stdout); err != nil {
-			return fail(stderr, "report", err, exitOther)
+			return cli.Fail(stderr, "report", err, exitOther)
 		}
 	}
 	return 0
@@ -270,33 +264,4 @@ func printResult(w io.Writer, query *viewjoin.Query, engine viewjoin.Engine, res
 		}
 		fmt.Fprintln(w, " ", strings.Join(parts, " "))
 	}
-}
-
-func loadDocument(xmarkScale float64, nasaDatasets int, path string) (*viewjoin.Document, error) {
-	switch {
-	case xmarkScale > 0:
-		return viewjoin.GenerateXMark(xmarkScale), nil
-	case nasaDatasets > 0:
-		return viewjoin.GenerateNasa(nasaDatasets), nil
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return viewjoin.ParseDocument(f)
-	default:
-		return nil, fmt.Errorf("provide an XML file argument, -xmark, or -nasa")
-	}
-}
-
-// fail reports one failure as a single JSON line on stderr and returns the
-// exit status, so scripts can match on both the code and the stage.
-func fail(stderr io.Writer, stage string, err error, code int) int {
-	line, _ := json.Marshal(struct {
-		Stage string `json:"stage"`
-		Error string `json:"error"`
-	}{Stage: stage, Error: err.Error()})
-	fmt.Fprintf(stderr, "%s\n", line)
-	return code
 }

@@ -9,30 +9,6 @@ import (
 	"testing"
 )
 
-func TestLoadDocument(t *testing.T) {
-	if d, err := loadDocument(0.01, 0, ""); err != nil || d.NumNodes() == 0 {
-		t.Errorf("xmark: %v", err)
-	}
-	if d, err := loadDocument(0, 10, ""); err != nil || d.NumNodes() == 0 {
-		t.Errorf("nasa: %v", err)
-	}
-	if _, err := loadDocument(0, 0, ""); err == nil {
-		t.Errorf("no source: expected error")
-	}
-	if _, err := loadDocument(0, 0, "/nonexistent.xml"); err == nil {
-		t.Errorf("missing file: expected error")
-	}
-
-	path := filepath.Join(t.TempDir(), "doc.xml")
-	if err := os.WriteFile(path, []byte("<a><b/></a>"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := loadDocument(0, 0, path)
-	if err != nil || d.NumNodes() != 2 {
-		t.Errorf("file: %v, %d nodes", err, d.NumNodes())
-	}
-}
-
 func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer

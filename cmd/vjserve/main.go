@@ -36,7 +36,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -44,12 +43,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"syscall"
 	"time"
 
 	"viewjoin"
+	"viewjoin/internal/cli"
 	"viewjoin/internal/server"
 )
 
@@ -90,9 +88,9 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return exitOther
 	}
 
-	doc, err := loadDocument(*xmark, *nasa, *docPath)
+	doc, err := cli.LoadDocument(*xmark, *nasa, *docPath)
 	if err != nil {
-		return fail(stderr, "load", err, exitOther)
+		return cli.Fail(stderr, "load", err, exitOther)
 	}
 
 	cfg := server.Config{
@@ -109,52 +107,48 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	srv := server.New(cfg)
 	if err := srv.AddDocument(*docName, doc); err != nil {
-		return fail(stderr, "setup", err, exitOther)
+		return cli.Fail(stderr, "setup", err, exitOther)
 	}
 
 	var nviews int
 	switch {
 	case *loadGlob != "":
-		paths, err := filepath.Glob(*loadGlob)
+		paths, err := cli.ViewFiles(*loadGlob)
 		if err != nil {
-			return fail(stderr, "load", err, exitOther)
+			return cli.Fail(stderr, "load", err, exitOther)
 		}
-		if len(paths) == 0 {
-			return fail(stderr, "load", fmt.Errorf("no view files match %q", *loadGlob), exitOther)
-		}
-		sort.Strings(paths)
 		for _, p := range paths {
 			if err := srv.AddViewFile(*docName, p); err != nil {
-				return fail(stderr, "load", err, exitOther)
+				return cli.Fail(stderr, "load", err, exitOther)
 			}
 			nviews++
 		}
 	case *viewsStr != "":
 		views, err := viewjoin.ParseViews(*viewsStr)
 		if err != nil {
-			return fail(stderr, "parse", err, exitParse)
+			return cli.Fail(stderr, "parse", err, exitParse)
 		}
 		scheme, err := viewjoin.ParseScheme(*schemeStr)
 		if err != nil {
-			return fail(stderr, "parse", err, exitParse)
+			return cli.Fail(stderr, "parse", err, exitParse)
 		}
 		mviews, err := doc.MaterializeViews(views, scheme)
 		if err != nil {
-			return fail(stderr, "materialize", err, exitOther)
+			return cli.Fail(stderr, "materialize", err, exitOther)
 		}
 		for _, mv := range mviews {
 			if err := srv.AddView(*docName, mv); err != nil {
-				return fail(stderr, "setup", err, exitOther)
+				return cli.Fail(stderr, "setup", err, exitOther)
 			}
 			nviews++
 		}
 	default:
-		return fail(stderr, "setup", fmt.Errorf("provide -views or -load"), exitOther)
+		return cli.Fail(stderr, "setup", fmt.Errorf("provide -views or -load"), exitOther)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		return fail(stderr, "listen", err, exitOther)
+		return cli.Fail(stderr, "listen", err, exitOther)
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -170,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 
 	select {
 	case err := <-errc:
-		return fail(stderr, "listen", err, exitOther)
+		return cli.Fail(stderr, "listen", err, exitOther)
 	case <-ctx.Done():
 	}
 
@@ -179,41 +173,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	// no reader left), then close.
 	fmt.Fprintln(stderr, "vjserve: draining")
 	if err := srv.Close(); err != nil {
-		return fail(stderr, "shutdown", err, exitOther)
+		return cli.Fail(stderr, "shutdown", err, exitOther)
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil {
-		return fail(stderr, "shutdown", err, exitOther)
+		return cli.Fail(stderr, "shutdown", err, exitOther)
 	}
 	return 0
-}
-
-func loadDocument(xmarkScale float64, nasaDatasets int, path string) (*viewjoin.Document, error) {
-	switch {
-	case xmarkScale > 0:
-		return viewjoin.GenerateXMark(xmarkScale), nil
-	case nasaDatasets > 0:
-		return viewjoin.GenerateNasa(nasaDatasets), nil
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return viewjoin.ParseDocument(f)
-	default:
-		return nil, fmt.Errorf("provide -doc, -xmark, or -nasa")
-	}
-}
-
-// fail reports one failure as a single JSON line on stderr and returns the
-// exit status.
-func fail(stderr io.Writer, stage string, err error, code int) int {
-	line, _ := json.Marshal(struct {
-		Stage string `json:"stage"`
-		Error string `json:"error"`
-	}{Stage: stage, Error: err.Error()})
-	fmt.Fprintf(stderr, "%s\n", line)
-	return code
 }
