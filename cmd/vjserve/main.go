@@ -19,7 +19,7 @@
 //	POST /query          {"document","query","engine","views","timeout_ms","limit","cursor","parallel"}
 //	POST /update         {"document","op","target","fragment"}; maintains every view, bumps the epoch
 //	POST /debug/trace    same body as /query; returns the viewjoin/trace/v1 report inline
-//	GET  /debug/slowlog  flight recorder: N slowest + N most recent requests with full traces
+//	GET  /debug/slowlog  flight recorder: access lines of the N slowest + N most recent runs
 //	GET  /debug/plans    per-plan aggregates of every cached plan (viewjoin/plans/v1)
 //	GET  /metrics        plan-cache, request and update counters, latency quantiles
 //	GET  /healthz        liveness ("ok" or "draining")
@@ -75,14 +75,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		viewsStr  = fs.String("views", "", "semicolon-separated views to materialize at startup")
 		schemeStr = fs.String("scheme", "LEp", "storage scheme for -views: E, LE, LEp, T")
 		loadGlob  = fs.String("load", "", "load saved views matching this glob (from vjmaterialize) instead of materializing")
-		cacheSize = fs.Int("cache", 128, "plan cache capacity (prepared plans)")
-		workers   = fs.Int("workers", 4, "concurrent query evaluations")
-		queue     = fs.Int("queue", 16, "admitted requests that may wait for a worker before 429 shedding (negative: unbounded)")
-		maxPar    = fs.Int("max-parallel", 1, "cap on the per-request 'parallel' partition knob (1 = parallel evaluation disabled)")
-		timeout   = fs.Duration("timeout", 10*time.Second, "default per-request deadline")
 		jsonLog   = fs.Bool("json", false, "write one viewjoin/access/v1 JSON line per request to stdout")
-		slowSize  = fs.Int("slowlog-size", 8, "slow-query flight recorder depth (N slowest + N most recent, with full traces); 0 disables")
-		slowMS    = fs.Int64("slowlog-ms", 100, "wall-time threshold for the slow set, in milliseconds (0: every request eligible)")
+		config    = serveFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitOther
@@ -93,15 +87,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return cli.Fail(stderr, "load", err, exitOther)
 	}
 
-	cfg := server.Config{
-		CacheSize:        *cacheSize,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		DefaultTimeout:   *timeout,
-		MaxParallel:      *maxPar,
-		SlowlogSize:      *slowSize,
-		SlowlogThreshold: time.Duration(*slowMS) * time.Millisecond,
-	}
+	cfg := config()
 	if *jsonLog {
 		cfg.AccessLog = stdout
 	}
@@ -181,4 +167,31 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return cli.Fail(stderr, "shutdown", err, exitOther)
 	}
 	return 0
+}
+
+// serveFlags defines the serving flags on fs, each defaulting to
+// server.DeployedConfig's value, and returns the func that reads the
+// parsed flags back as a server.Config.
+func serveFlags(fs *flag.FlagSet) func() server.Config {
+	d := server.DeployedConfig()
+	var (
+		cacheSize = fs.Int("cache", d.CacheSize, "plan cache capacity (prepared plans)")
+		workers   = fs.Int("workers", d.Workers, "concurrent query evaluations")
+		queue     = fs.Int("queue", d.QueueDepth, "admitted requests that may wait for a worker before 429 shedding (negative: unbounded)")
+		maxPar    = fs.Int("max-parallel", d.MaxParallel, "cap on the per-request 'parallel' partition knob (1 = parallel evaluation disabled)")
+		timeout   = fs.Duration("timeout", d.DefaultTimeout, "default per-request deadline")
+		slowSize  = fs.Int("slowlog-size", d.SlowlogSize, "slow-query flight recorder depth: access lines, stage clocks included, of the N slowest + N most recent runs; 0 disables")
+		slowMS    = fs.Int64("slowlog-ms", d.SlowlogThreshold.Milliseconds(), "wall-time threshold for the slow set, in milliseconds (0: every request eligible)")
+	)
+	return func() server.Config {
+		return server.Config{
+			CacheSize:        *cacheSize,
+			Workers:          *workers,
+			QueueDepth:       *queue,
+			DefaultTimeout:   *timeout,
+			MaxParallel:      *maxPar,
+			SlowlogSize:      *slowSize,
+			SlowlogThreshold: time.Duration(*slowMS) * time.Millisecond,
+		}
+	}
 }

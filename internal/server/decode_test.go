@@ -214,13 +214,14 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 
-// pageRequest serves page 1 of the test query's 20-row pages, and returns
-// a function that serves page 2 through Handler() from the cached plan and
-// returns its status: what each request of a client walking the cursor
-// costs, its body spelled as such a client spells it.
-func pageRequest(t testing.TB) func() int {
+// pageRequest serves page 1 of the test query's 20-row pages on a server
+// configured by cfg, and returns a function that serves page 2 through
+// Handler() from the cached plan and returns its status: what each request
+// of a client walking the cursor costs, its body spelled as such a client
+// spells it.
+func pageRequest(t testing.TB, cfg Config) func() int {
 	t.Helper()
-	h := newTestServer(t, Config{}).Handler()
+	h := newTestServer(t, cfg).Handler()
 	first := `{"document":"xmark","query":"` + testQuery + `","views":["//site//item//name","//description//keyword"],"limit":20`
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(first+"}")))
@@ -252,33 +253,50 @@ func pageRequest(t testing.TB) func() int {
 // allocate, handler and run together.
 const maxPageRequestAllocs = 24
 
+// pageConfigs are the configurations a page request is measured at: the
+// zero Config the benchmark harness serves with, and the one vjserve
+// runs with by default (its slowlog on).
+var pageConfigs = []struct {
+	name string
+	cfg  Config
+}{{"zero", Config{}}, {"deployed", DeployedConfig()}}
+
 // TestPageRequestAllocations pins the allocations of one cached-plan page
-// request, so reflection or a per-request rendering cannot creep back
-// into the request edge unnoticed.
+// request at each of pageConfigs, so reflection, a per-request rendering
+// or a per-request recorder cannot creep back into the request edge
+// unnoticed.
 func TestPageRequestAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	serve := pageRequest(t)
-	allocs := testing.AllocsPerRun(200, func() {
-		if code := serve(); code != http.StatusOK {
-			t.Fatalf("status %d", code)
-		}
-	})
-	if allocs > maxPageRequestAllocs {
-		t.Errorf("a page request allocates %.1f objects, ceiling %d", allocs, maxPageRequestAllocs)
+	for _, pc := range pageConfigs {
+		t.Run(pc.name, func(t *testing.T) {
+			serve := pageRequest(t, pc.cfg)
+			allocs := testing.AllocsPerRun(200, func() {
+				if code := serve(); code != http.StatusOK {
+					t.Fatalf("status %d", code)
+				}
+			})
+			if allocs > maxPageRequestAllocs {
+				t.Errorf("a page request allocates %.1f objects, ceiling %d", allocs, maxPageRequestAllocs)
+			}
+			t.Logf("%.1f allocations per page request", allocs)
+		})
 	}
-	t.Logf("%.1f allocations per page request", allocs)
 }
 
 // BenchmarkServePage serves one cached-plan 20-row cursor page through
-// Handler() per iteration.
+// Handler() per iteration, at each of pageConfigs.
 func BenchmarkServePage(b *testing.B) {
-	serve := pageRequest(b)
-	b.ReportAllocs()
-	for b.Loop() {
-		if code := serve(); code != http.StatusOK {
-			b.Fatalf("status %d", code)
-		}
+	for _, pc := range pageConfigs {
+		b.Run(pc.name, func(b *testing.B) {
+			serve := pageRequest(b, pc.cfg)
+			b.ReportAllocs()
+			for b.Loop() {
+				if code := serve(); code != http.StatusOK {
+					b.Fatalf("status %d", code)
+				}
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"viewjoin"
-	"viewjoin/internal/obs"
 )
 
 // This file is the request edge that POST /query, /debug/trace and
@@ -19,7 +18,9 @@ import (
 // handing the next its typed result or stopping with a *failure. Whatever
 // stage it stopped at, one finish ends it: the outcome counted, the access
 // line written, a copy of it kept by the slowlog for a request that
-// reached its run, the body sent.
+// reached its run, the body sent. The line's clocks are read at the stage
+// boundaries, one time.Now each: wait_us when a worker slot is taken,
+// plan_us when the plan stage returns, duration_us in finish.
 
 // exchange is one request on its way through the edge: the access record
 // its stages fill in as they learn it, and what finish needs besides.
@@ -27,7 +28,6 @@ type exchange struct {
 	started time.Time
 	line    accessLine
 	ran     bool            // the run stage started: the slowlog keeps a copy of line
-	trace   *obs.Report     // the run's report, for that copy; nil unless it ran traced
 	query   queryResponse   // the body of a successful /query or /debug/trace
 	update  *updateResponse // the body of a successful /update
 }
@@ -57,6 +57,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		if release, f = s.admit(); f == nil {
 			// Held until the body is sent.
 			defer release()
+			x.line.WaitUS = time.Since(x.started).Microseconds()
 			if ureq != nil {
 				f = s.update(ureq, &x)
 			} else {
@@ -123,11 +124,9 @@ func (s *Server) admit() (release func(), f *failure) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		if s.cfg.QueueDepth < 0 {
-			s.sem <- struct{}{}
-			break
-		}
-		if q := s.queued.Add(1); q > int64(s.cfg.QueueDepth) {
+		// A waiter is counted whatever the queue's bound; a negative
+		// QueueDepth sheds none.
+		if q := s.queued.Add(1); s.cfg.QueueDepth >= 0 && q > int64(s.cfg.QueueDepth) {
 			s.queued.Add(-1)
 			s.wg.Done()
 			return nil, &failure{status: http.StatusTooManyRequests, stage: "admission", outcome: "shed",
@@ -145,10 +144,10 @@ func (s *Server) admit() (release func(), f *failure) {
 }
 
 // finish ends a request, f nil for a success: the outcome counted, the
-// access line completed and written, a copy of it with the run's trace
-// kept by the slowlog when the request reached its run — an aborted run
-// has no trace, but the plan identity and wall time are what a slow-query
-// post-mortem needs — and the body sent.
+// access line completed and written, a copy of it kept by the slowlog when
+// the request reached its run — its plan identity and stage clocks are
+// what a slow-query post-mortem needs, and a trace of it is one re-post to
+// /debug/trace away — and the body sent.
 func (s *Server) finish(w http.ResponseWriter, x *exchange, f *failure) {
 	l := &x.line
 	l.Status, l.Outcome = http.StatusOK, "ok"
@@ -166,13 +165,14 @@ func (s *Server) finish(w http.ResponseWriter, x *exchange, f *failure) {
 			s.failures.Add(1)
 		}
 	}
-	l.DurationUS = time.Since(x.started).Microseconds()
+	now := time.Now()
+	l.DurationUS = now.Sub(x.started).Microseconds()
 	keep := s.slowlog != nil && x.ran
 	if s.cfg.AccessLog != nil || keep {
 		if f != nil {
 			l.Error = f.err.Error()
 		}
-		l.Schema, l.Time = AccessSchema, time.Now().UTC().Format(time.RFC3339Nano)
+		l.Schema, l.Time = AccessSchema, now.UTC()
 	}
 	if s.cfg.AccessLog != nil {
 		if buf, err := json.Marshal(*l); err == nil {
@@ -182,9 +182,7 @@ func (s *Server) finish(w http.ResponseWriter, x *exchange, f *failure) {
 		}
 	}
 	if keep {
-		e := *l
-		e.Trace = x.trace
-		s.slowlog.observe(e)
+		s.slowlog.observe(*l)
 	}
 	switch {
 	case f != nil:
@@ -221,25 +219,30 @@ func writeError(w http.ResponseWriter, status int, stage string, err error, time
 // classifies how the request ended (ok, timeout, canceled, shed, drain,
 // stale, error) and Partitions records how many range partitions the run
 // executed, so a log scan can separate deadline expiries from client
-// disconnects and see which requests actually went parallel.
+// disconnects and see which requests actually went parallel. Time, when
+// the line was written, is encoded as an RFC 3339 UTC string.
 type accessLine struct {
-	Schema     string   `json:"schema"`
-	Time       string   `json:"time"`
-	Document   string   `json:"document"`
-	Query      string   `json:"query"`
-	Engine     string   `json:"engine"`
-	Views      []string `json:"views,omitempty"`
-	Status     int      `json:"status"`
-	Stage      string   `json:"stage,omitempty"`
-	Cache      string   `json:"cache,omitempty"`
-	Outcome    string   `json:"outcome"`
-	Matches    int      `json:"matches"`
-	Partitions int      `json:"partitions,omitempty"`
-	DurationUS int64    `json:"duration_us"`
-	// The run's own clocks, from its Stats: engine time and
-	// time-to-first-match; absent when no run completed (or no match).
-	RunUS        int64  `json:"run_us,omitempty"`
-	FirstMatchUS int64  `json:"first_match_us,omitempty"`
+	Schema     string    `json:"schema"`
+	Time       time.Time `json:"time"`
+	Document   string    `json:"document"`
+	Query      string    `json:"query"`
+	Engine     string    `json:"engine"`
+	Views      []string  `json:"views,omitempty"`
+	Status     int       `json:"status"`
+	Stage      string    `json:"stage,omitempty"`
+	Cache      string    `json:"cache,omitempty"`
+	Outcome    string    `json:"outcome"`
+	Matches    int       `json:"matches"`
+	Partitions int       `json:"partitions,omitempty"`
+	DurationUS int64     `json:"duration_us"`
+	// Where duration_us went, on every line and 0 for a stage not
+	// reached: arrival to a worker slot (decode and the admission wait),
+	// then resolve and plan (Prepare on a cache miss), then the run's own
+	// clocks from its Stats, engine time and time-to-first-match.
+	WaitUS       int64  `json:"wait_us"`
+	PlanUS       int64  `json:"plan_us"`
+	RunUS        int64  `json:"run_us"`
+	FirstMatchUS int64  `json:"first_match_us"`
 	Error        string `json:"error,omitempty"`
 	// /update lines only: the operation, the transaction's two layers, and
 	// the piece counts of the snapshot it published and of its views'
@@ -251,7 +254,4 @@ type accessLine struct {
 	RecomputedEntries int    `json:"recomputed_entries,omitempty"`
 	DocPieces         int    `json:"doc_pieces,omitempty"`
 	ViewPieces        int    `json:"view_pieces,omitempty"`
-	// Trace is the run's viewjoin/trace/v1 report, set only on the copy
-	// the slowlog keeps: never written to the access log.
-	Trace *obs.Report `json:"trace,omitempty"`
 }

@@ -67,16 +67,6 @@ func (s *Server) query(ctx context.Context, req *queryRequest, traced bool, x *e
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	// The gate sits between deadline creation and evaluation: a test that
-	// holds it past the deadline gets a deterministic expiry at the
-	// engine's upfront interrupt check.
-	if s.testEvalGate != nil {
-		if s.testEvalStarted != nil {
-			s.testEvalStarted()
-		}
-		<-s.testEvalGate
-	}
-
 	// A cursor makes this a resumed run: the resumption point is pushed
 	// into the engine instead of trimming a fully materialized result.
 	var after []int32
@@ -89,6 +79,9 @@ func (s *Server) query(ctx context.Context, req *queryRequest, traced bool, x *e
 	}
 
 	ent, hit, f := s.plan(req, &rv)
+	// The slot was taken WaitUS after arrival; everything since is the
+	// resolve and plan stages.
+	x.line.PlanUS = time.Since(x.started).Microseconds() - x.line.WaitUS
 	if f != nil {
 		return f
 	}
@@ -108,24 +101,31 @@ func (s *Server) query(ctx context.Context, req *queryRequest, traced bool, x *e
 				cursorEpoch, ent.plan.Epoch())}
 	}
 
-	// With the flight recorder enabled, every request runs under its own
-	// obs.Recorder — the cached plan stays shared and untraced, only this
-	// execution is observed. The threshold is applied after the run (a
-	// query is only known to be slow once it finished), so the recorder
-	// must always be on to have the trace when it matters.
+	// Only /debug/trace runs under a recorder: the cached plan stays
+	// shared and untraced, only this execution is observed.
 	var tr *obs.Recorder
-	if traced || s.slowlog != nil {
+	if traced {
 		tr = obs.NewRecorder()
 	}
 	// The per-request parallelism ask, clamped to the server cap; 1 is the
 	// sequential path, which a partitioned run degrades to anyway when the
 	// plan yields no cuts, so the clamp only bounds worst-case goroutines.
 	k := max(1, min(req.Parallel, s.cfg.MaxParallel))
+
+	// The gate sits between deadline creation and evaluation: a test that
+	// holds it past the deadline gets a deterministic expiry at the
+	// engine's upfront interrupt check.
+	if s.testEvalGate != nil {
+		if s.testEvalStarted != nil {
+			s.testEvalStarted()
+		}
+		<-s.testEvalGate
+	}
 	res, f := s.run(ctx, ent, &viewjoin.RunOptions{Limit: req.Limit, After: after, Parallelism: k, Tracer: tr}, x)
 	if f != nil {
 		return f
 	}
-	x.encode(req, ent, res, traced)
+	x.encode(req, ent, res)
 	return nil
 }
 
@@ -235,15 +235,15 @@ func (s *Server) run(ctx context.Context, ent *planEntry, opts *viewjoin.RunOpti
 	cs := countersOf(res.Stats)
 	cs.Matches = int64(len(res.Matches))
 	ent.agg.AddRun(cs, res.Stats.Duration)
-	x.trace = res.Trace
 	x.line.Matches, x.line.Partitions = len(res.Matches), res.Stats.Partitions
 	x.line.RunUS, x.line.FirstMatchUS = res.Stats.Duration.Microseconds(), res.Stats.FirstMatchNanos/1000
 	return res, nil
 }
 
 // encode is the encode stage: the response body of a successful run,
-// written by finish.
-func (x *exchange) encode(req *queryRequest, ent *planEntry, res *viewjoin.Result, traced bool) {
+// written by finish. It embeds the run's report, which only a
+// /debug/trace run has.
+func (x *exchange) encode(req *queryRequest, ent *planEntry, res *viewjoin.Result) {
 	x.query = queryResponse{
 		responseHead: responseHead{
 			Schema:     ResponseSchema,
@@ -254,13 +254,7 @@ func (x *exchange) encode(req *queryRequest, ent *planEntry, res *viewjoin.Resul
 			Cache:      x.line.Cache,
 			MatchCount: len(res.Matches),
 		},
-		responseTail: responseTail{Stats: res.Stats},
-	}
-	if traced {
-		// Only the explicit /debug/trace surface embeds the report; the
-		// recorder a slowlog-enabled /query runs under feeds the flight
-		// recorder, not the response body.
-		x.query.Trace = res.Trace
+		responseTail: responseTail{Stats: res.Stats, Trace: res.Trace},
 	}
 	if req.Limit > 0 {
 		// The paged run already bounded the result to the page, so its

@@ -26,9 +26,9 @@ import (
 	"viewjoin/internal/obs"
 )
 
-// Schema identifiers of the JSON documents the server emits. Query
-// responses and access-log lines embed trace reports in the existing
-// viewjoin/trace/v1 schema.
+// Schema identifiers of the JSON documents the server emits. A
+// /debug/trace response embeds its run's report in the viewjoin/trace/v1
+// schema.
 const (
 	ResponseSchema = "viewjoin/serve/v1"
 	MetricsSchema  = "viewjoin/metrics/v1"
@@ -61,15 +61,21 @@ type Config struct {
 	// viewjoin/access/v1) per query request.
 	AccessLog io.Writer
 	// SlowlogSize enables the slow-query flight recorder: the server
-	// retains full traces of the N slowest and the N most recent requests,
-	// served at GET /debug/slowlog. 0 (the default) disables the recorder
-	// — and with it the per-request tracing it requires, keeping the
-	// serving hot path allocation-free.
+	// retains the access lines, stage clocks included, of the N slowest and
+	// the N most recent requests that reached their run, served at GET
+	// /debug/slowlog. 0 (the default) disables it.
 	SlowlogSize int
 	// SlowlogThreshold admits a request to the slow set only when its wall
 	// time (admission to response) meets it; the recent ring receives every
 	// request regardless. 0 makes every request eligible.
 	SlowlogThreshold time.Duration
+}
+
+// DeployedConfig is the configuration vjserve runs with when no serving
+// flag is given: the zero value's defaults plus a 16-deep admission queue
+// and an 8-entry slowlog admitting requests of 100ms and more.
+func DeployedConfig() Config {
+	return Config{QueueDepth: 16, SlowlogSize: 8, SlowlogThreshold: 100 * time.Millisecond}.withDefaults()
 }
 
 func (c Config) withDefaults() Config {

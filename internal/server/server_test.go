@@ -361,6 +361,50 @@ func TestQueryQueueing(t *testing.T) {
 	}
 }
 
+// TestQueuedCountsEveryWaiter: a request waiting for the busy worker
+// shows on /metrics as queued whether the queue is bounded or not, and
+// leaves the count when it gets the worker.
+func TestQueuedCountsEveryWaiter(t *testing.T) {
+	for _, depth := range []int{-1, 4} {
+		t.Run(fmt.Sprint(depth), func(t *testing.T) {
+			s := newTestServer(t, Config{Workers: 1, QueueDepth: depth})
+			gate := make(chan struct{})
+			started := make(chan struct{}, 2)
+			s.testEvalGate = gate
+			s.testEvalStarted = func() { started <- struct{}{} }
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			req := queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}
+			results := make(chan int, 2)
+			serve := func() { results <- post(t, ts, "/query", req, nil) }
+			go serve()
+			<-started // the worker is held
+			go serve()
+			// The waiter is counted before it blocks; give it 2s to get
+			// there, and release the worker whatever /metrics reads, so a
+			// failure does not leave the test server waiting on the gate.
+			for i := 0; s.queued.Load() == 0 && i < 2000; i++ {
+				time.Sleep(time.Millisecond)
+			}
+			if q := getMetrics(t, ts).Requests.Queued; q != 1 {
+				t.Errorf("queued = %d with one request waiting for the worker, want 1", q)
+			}
+			gate <- struct{}{}
+			<-started
+			gate <- struct{}{}
+			for range 2 {
+				if st := <-results; st != http.StatusOK {
+					t.Fatalf("status %d", st)
+				}
+			}
+			if q := getMetrics(t, ts).Requests.Queued; q != 0 {
+				t.Errorf("queued = %d after both requests finished, want 0", q)
+			}
+		})
+	}
+}
+
 // TestGracefulDrain pins the SIGTERM path: draining rejects new queries
 // with 503 and flips /healthz, while the in-flight request completes
 // normally and Drain returns only after it has.
@@ -982,6 +1026,24 @@ func TestFirstMatchStat(t *testing.T) {
 	if line.RunUS <= 0 || line.FirstMatchUS != resp.Stats.FirstMatchUS {
 		t.Errorf("access line run_us %d, first_match_us %d; want > 0 and the response's %d",
 			line.RunUS, line.FirstMatchUS, resp.Stats.FirstMatchUS)
+	}
+}
+
+// TestAccessLineTime: an access line's time is an RFC 3339 UTC stamp.
+func TestAccessLineTime(t *testing.T) {
+	var log bytes.Buffer
+	s := newTestServer(t, Config{AccessLog: &log})
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query",
+		strings.NewReader(`{"document":"xmark","query":"`+testQuery+`","limit":1}`)))
+	var line struct {
+		Time string `json:"time"`
+	}
+	if err := json.Unmarshal(log.Bytes(), &line); err != nil {
+		t.Fatalf("access line %q: %v", log.String(), err)
+	}
+	if _, err := time.Parse(time.RFC3339Nano, line.Time); err != nil || !strings.HasSuffix(line.Time, "Z") {
+		t.Errorf("access line time %q: %v; want an RFC 3339 stamp in UTC", line.Time, err)
 	}
 }
 

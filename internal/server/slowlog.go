@@ -7,17 +7,16 @@ import (
 )
 
 // SlowlogSchema identifies the GET /debug/slowlog response body.
-const SlowlogSchema = "viewjoin/slowlog/v2"
+const SlowlogSchema = "viewjoin/slowlog/v3"
 
 // slowlog is the flight recorder: a fixed-size ring of the most recent
 // requests plus the current top-N slowest by wall time. Its entries are
-// copies of the requests' access lines, each carrying its run's full
-// viewjoin/trace/v1 report when the run completed under a recorder, so a
-// slow query can be diagnosed after the fact without re-running it under
-// /debug/trace. Every observed request enters the recent ring; only
-// requests at or above the threshold compete for the slow set. Entries
-// are immutable once observed, so serving a snapshot is a shallow copy
-// under the lock.
+// copies of the requests' access lines: their stage clocks say where a
+// slow request's wall time went, and re-posting its body to /debug/trace
+// takes its trace on demand. Every observed request enters the recent
+// ring; only requests at or above the threshold compete for the slow set.
+// Entries are immutable once observed, so serving a snapshot is a shallow
+// copy under the lock.
 type slowlog struct {
 	mu        sync.Mutex
 	size      int
