@@ -230,7 +230,7 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSlowlog serves the flight recorder's snapshot (schema
-// viewjoin/slowlog/v2), or 404 when the recorder is disabled.
+// viewjoin/slowlog/v3), or 404 when the recorder is disabled.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	if s.slowlog == nil {
 		writeError(w, http.StatusNotFound, "slowlog", errors.New("slow-query log disabled (start with -slowlog-size > 0)"), false)

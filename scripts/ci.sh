@@ -9,6 +9,8 @@
 #   1b. docs budget: DESIGN.md + EXPERIMENTS.md together stay <= 110 KB
 #      (one current table per claim; history is in git log)
 #   2. tier-1 verify: go build, go vet, go test, go test -race (ROADMAP.md),
+#      go test including the API listing (TestAPIListing: the root
+#      package's exported declarations against testdata/api.txt),
 #      then both test runs again under GOMAXPROCS=1 and =2, so a test that
 #      depends on how many goroutines really run at once cannot pass on a
 #      many-core builder and fail on a small runner. After the build,
@@ -31,7 +33,8 @@
 #   2c. Go benchmark smoke: every Benchmark* function once (-benchtime=1x),
 #      so a benchmark that no longer builds or runs fails here, not in the
 #      middle of somebody's measurement (BenchmarkServePage among them: a
-#      cached-plan 20-row cursor page through the vjserve handler)
+#      cached-plan 20-row cursor page through the vjserve handler, at
+#      Config{} and at vjserve's defaults, server.DeployedConfig())
 #   2d. vjbench smoke: every experiment of cmd/vjbench once, at a small
 #      scale and one sample a cell, so flag or wiring drift in the
 #      command that prints the paper's tables fails here
