@@ -18,8 +18,8 @@
 // mode for -general queries with repeated element types.
 //
 // -explain prints a human EXPLAIN-style report (the view-segmented query
-// with list bindings, per-phase self times, per-node costs); -json writes
-// the same trace as one stable JSON document (schema viewjoin/trace/v1) to
+// with list bindings, per-phase self times, the run's counters); -json writes
+// the same trace as one stable JSON document (schema viewjoin/trace/v2) to
 // stdout, moving all human-readable output to stderr. With both flags the
 // JSON document owns stdout and the EXPLAIN text goes to stderr.
 //
@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		raw       = fs.Bool("raw", false, "evaluate over raw element streams without views (TS/PS only)")
 		general   = fs.Bool("general", false, "allow repeated element types in the query (implies -raw)")
 		parallel  = fs.Int("parallel", 0, "evaluate with up to this many range partitions (0 or 1 = sequential, -1 = GOMAXPROCS)")
-		explain   = fs.Bool("explain", false, "print an EXPLAIN-style report: plan, per-phase and per-node costs")
+		explain   = fs.Bool("explain", false, "print an EXPLAIN-style report: plan, per-phase self times and the run's counters")
 		jsonOut   = fs.Bool("json", false, "write the evaluation trace as one JSON document to stdout")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -49,10 +49,10 @@ func TestRunJSONReport(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("stdout is not one JSON document: %v\n%s", err, out)
 	}
-	if rep["schema"] != "viewjoin/trace/v1" {
+	if rep["schema"] != "viewjoin/trace/v2" {
 		t.Errorf("schema = %v", rep["schema"])
 	}
-	for _, key := range []string{"plan", "phases", "nodes", "events", "counters"} {
+	for _, key := range []string{"plan", "phases", "counters"} {
 		if _, ok := rep[key]; !ok {
 			t.Errorf("JSON report missing %q", key)
 		}

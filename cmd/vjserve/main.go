@@ -18,7 +18,7 @@
 //
 //	POST /query          {"document","query","engine","views","timeout_ms","limit","cursor","parallel"}
 //	POST /update         {"document","op","target","fragment"}; maintains every view, bumps the epoch
-//	POST /debug/trace    same body as /query; returns the viewjoin/trace/v1 report inline
+//	POST /debug/trace    same body as /query; returns the viewjoin/trace/v2 report inline
 //	GET  /debug/slowlog  flight recorder: access lines of the N slowest + N most recent runs
 //	GET  /debug/plans    per-plan aggregates of every cached plan (viewjoin/plans/v1)
 //	GET  /metrics        plan-cache, request and update counters, latency quantiles

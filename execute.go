@@ -71,8 +71,8 @@ func resolve(ctx context.Context, ro *RunOptions) request {
 // outcome and assemble merges them into the Result.
 //
 // Partitions run untraced (a Recorder is not safe for concurrent use);
-// the executor instead emits one EvPartition event per executed job
-// carrying its wall time, so traced runs still expose the partition-span
+// the executor instead records each executed job's wall time
+// (Recorder.Partition), so traced runs still expose the partition-span
 // distribution.
 func (p *PreparedQuery) execute(r request) (res *Result, err error) {
 	if p.mapped { // partition planning reads the lists too
@@ -98,7 +98,7 @@ func (p *PreparedQuery) execute(r request) (res *Result, err error) {
 		outs = p.runPartitions(jobs, interrupt, r.RunOptions)
 		for i := range outs {
 			if !outs[i].skipped {
-				r.Tracer.Event(obs.EvPartition, -1, int64(outs[i].dur))
+				r.Tracer.Partition(outs[i].dur)
 			}
 		}
 	}

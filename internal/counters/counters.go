@@ -30,8 +30,8 @@ type Counters struct {
 	PagesWritten int64 `json:"pages_written"`
 	// JumpsTaken / JumpsRefused count materialized pointer jumps followed
 	// and refused (safe-jump probe, open-region cover, stale pointers).
-	// Unlike the tracer's per-node events these are recorded on every run,
-	// so serving-side aggregation sees them without tracing overhead.
+	// Like every counter here they are recorded on every run, so
+	// serving-side aggregation sees them without tracing overhead.
 	JumpsTaken   int64 `json:"jumps_taken"`
 	JumpsRefused int64 `json:"jumps_refused"`
 	// Matches counts output tree pattern instances.

@@ -22,9 +22,9 @@ var ErrStop = errors.New("engine: stopped at output quota")
 
 // Options controls an evaluation run.
 type Options struct {
-	// Tracer receives phase spans and engine-internal events (cursor
-	// advances, jumps taken/refused, stack operations). nil disables
-	// tracing at zero hot-path cost.
+	// Tracer receives the enumeration stage's phase span (the collector's
+	// PhaseEnumerate); the engines emit nothing else into it, since a run's
+	// costs are its counters. nil disables tracing at zero hot-path cost.
 	Tracer *obs.Recorder
 	// DiskBased selects the disk-based output approach (§IV "Variations")
 	// as a cost-model setting: every window flush is charged the scratch

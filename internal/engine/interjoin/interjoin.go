@@ -20,7 +20,6 @@ import (
 	"viewjoin/internal/counters"
 	"viewjoin/internal/engine"
 	"viewjoin/internal/match"
-	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
 )
@@ -87,7 +86,7 @@ type scratch struct {
 // its nodes (in view node order). Views must be path views and q a path
 // query. The scans charge io — prepare-time cost, paid once per plan.
 func Prepare(q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
-	io *counters.IO, tr *obs.Recorder) (*Prepared, error) {
+	io *counters.IO) (*Prepared, error) {
 	if !q.IsPath() {
 		return nil, fmt.Errorf("interjoin: %s is not a path query", q)
 	}
@@ -122,9 +121,8 @@ func Prepare(q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
 	})
 
 	// Materialize tuples of each view stream by scanning its tuple file.
-	// Scans are attributed to the first query position the view covers.
 	for vi, s := range stores {
-		cur := s.Tuples.OpenTraced(io, tr, viewPos[vi][0])
+		cur := s.Tuples.Open(io)
 		st := streams[vi]
 		st.arena.width = n
 		st.tuples = make([]partial, 0, s.Tuples.Entries())
@@ -314,7 +312,7 @@ func (p *Prepared) WeightIn(lo, hi int32) int64 {
 // io, so counters match the historical single-call behaviour).
 func Eval(q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
 	io *counters.IO, opts engine.Options) ([][]match.Cell, error) {
-	p, err := Prepare(q, stores, viewPos, io, opts.Tracer)
+	p, err := Prepare(q, stores, viewPos, io)
 	if err != nil {
 		return nil, err
 	}

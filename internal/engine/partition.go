@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"viewjoin/internal/counters"
-	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 )
 
@@ -65,13 +64,13 @@ func (r *Restriction) Admits(qi int, start, end int32) bool {
 // ResetCursor rebinds c over l for query node qi under the optional
 // restriction: nil opens the whole list, otherwise the list is narrowed
 // to the records whose start labels the node's span admits.
-func ResetCursor(c *store.ListCursor, l *store.ListFile, io *counters.IO, tr *obs.Recorder, qi int, r *Restriction) {
+func ResetCursor(c *store.ListCursor, l *store.ListFile, io *counters.IO, qi int, r *Restriction) {
 	if r == nil {
-		c.Reset(l, io, tr, qi)
+		c.Reset(l, io)
 		return
 	}
 	sp := r.SpanFor(qi)
-	c.ResetRange(l, io, tr, qi, l.SeekStart(sp.Lo), l.SeekStart(sp.Hi))
+	c.ResetRange(l, io, l.SeekStart(sp.Lo), l.SeekStart(sp.Hi))
 }
 
 // CountInSpan returns how many of l's records have start labels in sp —

@@ -193,7 +193,7 @@ func TestResetCursorAndCountInSpan(t *testing.T) {
 	var cur store.ListCursor
 
 	// nil restriction opens the whole list.
-	ResetCursor(&cur, l, io, nil, 0, nil)
+	ResetCursor(&cur, l, io, 0, nil)
 	count := 0
 	for cur.Valid() {
 		count++
@@ -207,7 +207,7 @@ func TestResetCursorAndCountInSpan(t *testing.T) {
 	// exactly those, and CountInSpan agrees.
 	sp := Span{starts[1], starts[3]}
 	r := &Restriction{Spine: 0, Body: sp}
-	ResetCursor(&cur, l, io, nil, 0, r)
+	ResetCursor(&cur, l, io, 0, r)
 	var seen []int32
 	for cur.Valid() {
 		seen = append(seen, cur.Start())
@@ -221,7 +221,7 @@ func TestResetCursorAndCountInSpan(t *testing.T) {
 	}
 
 	// A span past either end of the list clamps to an empty window.
-	ResetCursor(&cur, l, io, nil, 0, &Restriction{Body: Span{starts[n-1] + 1000, starts[n-1] + 2000}})
+	ResetCursor(&cur, l, io, 0, &Restriction{Body: Span{starts[n-1] + 1000, starts[n-1] + 2000}})
 	if cur.Valid() {
 		t.Error("out-of-range restriction: cursor should be invalid")
 	}

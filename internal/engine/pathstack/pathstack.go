@@ -18,7 +18,6 @@ import (
 	"viewjoin/internal/counters"
 	"viewjoin/internal/engine"
 	"viewjoin/internal/match"
-	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
 )
@@ -87,16 +86,15 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	sc.cur = engine.Fit(sc.cur, n)
 	sc.stacks = engine.Fit(sc.stacks, n)
 	sc.buf = engine.Fit(sc.buf, n)
-	tr := opts.Tracer
 	sc.ic = engine.NewInterrupter(opts.Interrupt)
 	sc.first, sc.after = opts.First, opts.After
 	for i, l := range p.Lists {
-		engine.ResetCursor(&sc.cur[i], l, io, tr, i, opts.Restrict)
+		engine.ResetCursor(&sc.cur[i], l, io, i, opts.Restrict)
 	}
 	for i := range sc.stacks {
 		sc.stacks[i] = sc.stacks[i][:0]
 	}
-	out := p.eval(sc, io.C, tr)
+	out := p.eval(sc, io.C)
 	if err := sc.ic.Err(); err != nil {
 		scratches.Put(sc)
 		return nil, 0, err
@@ -129,7 +127,7 @@ func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.
 }
 
 // eval is the PathStack main loop over one run's scratch.
-func (p *Prepared) eval(sc *scratch, c *counters.Counters, tr *obs.Recorder) engine.Rows {
+func (p *Prepared) eval(sc *scratch, c *counters.Counters) engine.Rows {
 	q := p.q
 	n := q.Size()
 	cur, stacks, buf := sc.cur, sc.stacks, sc.buf
@@ -157,14 +155,9 @@ func (p *Prepared) eval(sc *scratch, c *counters.Counters, tr *obs.Recorder) eng
 
 		// Pop every stack entry that ended before this element starts.
 		for i := 0; i < n; i++ {
-			popped := 0
 			for len(stacks[i]) > 0 && stacks[i][len(stacks[i])-1].l.End < l.Start {
 				stacks[i] = stacks[i][:len(stacks[i])-1]
-				popped++
 				c.Comparisons++
-			}
-			if popped > 0 {
-				tr.Event(obs.EvStackPop, i, int64(popped))
 			}
 		}
 
@@ -178,13 +171,9 @@ func (p *Prepared) eval(sc *scratch, c *counters.Counters, tr *obs.Recorder) eng
 			stacks[qmin] = append(stacks[qmin], frame{l, len(stacks[qmin-1]) - 1})
 			pushed = true
 		}
-		if pushed {
-			tr.Event(obs.EvStackPush, qmin, 1)
-		}
 		if pushed && qmin == n-1 {
 			expand(q, stacks, n-1, len(stacks[n-1])-1, buf, c, sc, &out)
 			stacks[n-1] = stacks[n-1][:len(stacks[n-1])-1]
-			tr.Event(obs.EvStackPop, n-1, 1)
 			// Bounded accumulation under a first-k quota: once the buffer
 			// grows well past the quota, keep only the first smallest
 			// rows. The slack (4x + 64) amortizes the sorts to O(log) per

@@ -22,7 +22,6 @@ import (
 	"viewjoin/internal/engine"
 	"viewjoin/internal/engine/enum"
 	"viewjoin/internal/match"
-	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
 )
@@ -46,7 +45,6 @@ type evaluator struct {
 	p    *Prepared
 	cur  []store.ListCursor // exhausted streams read as +inf sentinels
 	c    *counters.Counters
-	tr   *obs.Recorder
 	col  *enum.Collector
 	open [][]enum.Label // per query node: stack of accepted open regions
 	ic   engine.Interrupter
@@ -76,13 +74,13 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	e.p = p
 	e.cur = engine.Fit(e.cur, n)
 	e.open = engine.Fit(e.open, n)
-	e.c, e.tr = io.C, opts.Tracer
+	e.c = io.C
 	e.ic = engine.NewInterrupter(opts.Interrupt)
 	e.col.Reset(p.q, io, opts.Tracer, opts.DiskBased)
 	e.col.SetInterrupt(&e.ic)
 	e.col.SetStream(opts.First, opts.After)
 	for qi, l := range p.Lists {
-		engine.ResetCursor(&e.cur[qi], l, io, opts.Tracer, qi, opts.Restrict)
+		engine.ResetCursor(&e.cur[qi], l, io, qi, opts.Restrict)
 	}
 	for qi := range e.open {
 		e.open[qi] = e.open[qi][:0]
@@ -143,16 +141,11 @@ func (e *evaluator) accept(qi int, l enum.Label) bool {
 	}
 	p := e.p.q.Nodes[qi].Parent
 	s := e.open[p]
-	popped := 0
 	for len(s) > 0 && s[len(s)-1].End < l.Start {
 		s = s[:len(s)-1]
-		popped++
 		e.c.Comparisons++
 	}
 	e.open[p] = s
-	if popped > 0 {
-		e.tr.Event(obs.EvStackPop, p, int64(popped))
-	}
 	if len(s) == 0 {
 		return false
 	}
@@ -164,16 +157,10 @@ func (e *evaluator) accept(qi int, l enum.Label) bool {
 // popping regions that ended before it.
 func (e *evaluator) push(qi int, l enum.Label) {
 	s := e.open[qi]
-	popped := 0
 	for len(s) > 0 && s[len(s)-1].End < l.Start {
 		s = s[:len(s)-1]
-		popped++
 	}
 	e.open[qi] = append(s, l)
-	if popped > 0 {
-		e.tr.Event(obs.EvStackPop, qi, int64(popped))
-	}
-	e.tr.Event(obs.EvStackPush, qi, 1)
 }
 
 // getNext is the classic TwigStack cursor routine: it returns the query

@@ -100,7 +100,6 @@ type evaluator struct {
 	p  *Prepared
 	io *counters.IO
 	c  *counters.Counters // io.C
-	tr *obs.Recorder      // nil when tracing is off
 
 	// cur[qi] is qi's list cursor, reset in place per run. A node removed
 	// from Q' holds an exhausted one: no merge step picks it, and as a view
@@ -280,7 +279,7 @@ func (e *evaluator) addSteps(b *vsq.Segment, parent int) {
 // reset rebinds the per-run accounting and options and clears every piece
 // of scratch state, keeping capacity.
 func (e *evaluator) reset(io *counters.IO, opts engine.Options) {
-	e.io, e.c, e.tr = io, io.C, opts.Tracer
+	e.io, e.c = io, io.C
 	e.restrict = opts.Restrict
 	e.ic = engine.NewInterrupter(opts.Interrupt)
 	e.col.Reset(e.p.v.Query, io, opts.Tracer, opts.DiskBased)
@@ -288,10 +287,10 @@ func (e *evaluator) reset(io *counters.IO, opts engine.Options) {
 	e.col.SetStream(opts.First, opts.After)
 	e.winEnd, e.extLo = -1, -1
 	for _, qi := range e.p.primeNodes {
-		engine.ResetCursor(&e.cur[qi], e.p.Lists[qi], io, opts.Tracer, qi, opts.Restrict)
+		engine.ResetCursor(&e.cur[qi], e.p.Lists[qi], io, qi, opts.Restrict)
 	}
 	for _, x := range e.p.removedNodes {
-		e.cur[x].ResetRange(e.p.Lists[x], io, nil, x, 0, 0)
+		e.cur[x].ResetRange(e.p.Lists[x], io, 0, 0)
 	}
 	for i := range e.open {
 		e.open[i] = e.open[i][:0]
@@ -387,15 +386,11 @@ func (e *evaluator) admit(qi int, cur *store.ListCursor) {
 			e.winEnd = l.End
 			for i := range e.extJump {
 				e.extJump[i] = store.NilPointer
-				if len(e.open[i]) > 0 {
-					e.tr.Event(obs.EvStackPop, i, int64(len(e.open[i])))
-				}
 				e.open[i] = e.open[i][:0]
 			}
 		}
 	}
 	e.open[qi].add(l)
-	e.tr.Event(obs.EvStackPush, qi, 1)
 	e.col.Add(qi, l)
 	e.captureExtJumps(qi, cur)
 }
@@ -541,44 +536,22 @@ func (e *evaluator) jumpViaViewParent(m int) bool {
 		return false
 	}
 	if e.open[vp].coversRange(mStart, vpStart) {
-		e.jumpRefused(m)
+		e.c.JumpsRefused++
 		return false
 	}
 	ptr := e.cur[vp].Child(e.p.viewChildSlot[m])
 	if ptr.IsNil() {
 		return false
 	}
-	from := e.cur[m].Position()
 	probe := e.cur[m]
 	probe.Seek(ptr)
 	if probe.Start() <= mStart {
-		e.jumpRefused(m)
+		e.c.JumpsRefused++
 		return false // stale/backward pointer: fall back to sequential
 	}
 	e.cur[m] = probe
-	e.jumpTaken(m, from, ptr)
-	return true
-}
-
-// jumpTaken counts a followed jump of qi's cursor from record from to to.
-func (e *evaluator) jumpTaken(qi int, from, to store.Pointer) {
 	e.c.JumpsTaken++
-	if e.tr != nil { // guarded: the page distance costs two divisions an untraced run skips
-		e.traceJump(qi, from, to)
-	}
-}
-
-// traceJump is jumpTaken's traced half, out of line so jumpTaken inlines.
-func (e *evaluator) traceJump(qi int, from, to store.Pointer) {
-	l := e.p.Lists[qi]
-	e.tr.Event(obs.EvJumpTaken, qi, int64(l.PageOf(to)-l.PageOf(from)))
-}
-
-// jumpRefused counts a jump of qi's cursor that a guard or a stale pointer
-// refused.
-func (e *evaluator) jumpRefused(qi int) {
-	e.c.JumpsRefused++
-	e.tr.Event(obs.EvJumpRefused, qi, 1)
+	return true
 }
 
 const maxInt32 = int32(1<<31 - 1)
@@ -596,7 +569,6 @@ func (e *evaluator) advancePointers(p int, target int32) {
 		e.c.Comparisons++
 		jumped := false
 		if following := cur.Following(); !following.IsNil() {
-			from := cur.Position()
 			probe := *cur // stack copy: probing must not disturb the cursor
 			probe.Seek(following)
 			safe := !e.p.Lists[p].Scoped() || target == maxInt32 ||
@@ -604,9 +576,9 @@ func (e *evaluator) advancePointers(p int, target int32) {
 			if safe {
 				*cur = probe
 				jumped = true
-				e.jumpTaken(p, from, following)
+				e.c.JumpsTaken++
 			} else {
-				e.jumpRefused(p)
+				e.c.JumpsRefused++
 			}
 		}
 		if !jumped {
@@ -647,16 +619,15 @@ func (e *evaluator) repositionMembers(p int) {
 			continue
 		}
 		if ptr := e.cur[p].Child(e.p.viewChildSlot[m]); !ptr.IsNil() {
-			from := cm.Position()
 			probe := *cm
 			probe.Seek(ptr)
 			// Forward jumps only; a stale pointer behind the cursor would
 			// rewind and re-add entries. (An exhausted probe is past it.)
 			if probe.Start() > cm.Start() {
 				*cm = probe
-				e.jumpTaken(m, from, ptr)
+				e.c.JumpsTaken++
 			} else {
-				e.jumpRefused(m)
+				e.c.JumpsRefused++
 			}
 		} else {
 			for cm.Start() < pStart && !e.open[p].coversRange(cm.Start(), pStart) {
@@ -726,16 +697,15 @@ func (e *evaluator) extendWindow(lo, hi int32) {
 	for _, x := range e.p.removedNodes {
 		cx := &e.ext[x]
 		if !e.extOpen[x] {
-			engine.ResetCursor(cx, e.p.Lists[x], e.io, e.tr, x, e.restrict)
+			engine.ResetCursor(cx, e.p.Lists[x], e.io, x, e.restrict)
 			e.extOpen[x] = true
 		}
 		if ptr := e.extJump[x]; !ptr.IsNil() && (!landed || ptr > cx.Position()) {
-			from := cx.Position()
 			probe := *cx
 			probe.Seek(ptr)
 			if probe.Valid() && (!cx.Valid() || probe.Start() >= cx.Start()) {
 				*cx = probe
-				e.jumpTaken(x, from, ptr)
+				e.c.JumpsTaken++
 			}
 		}
 		for cx.Start() < lo { // lo, hi <= +inf, where an exhausted cursor starts

@@ -1,16 +1,17 @@
 // Package obs is the observability layer of the reproduction: span-style
-// phase timing, engine-internal event streams, and per-query-node cost
-// breakdowns, collected by a Recorder whose nil value costs nothing on the
-// hot path.
+// phase timing and partition times, collected by a Recorder whose nil value
+// costs nothing on the hot path, plus the per-plan Aggregate the serving
+// layer folds finished runs into.
 //
-// The paper's evaluation (§VI) argues about *where* time goes — cursor
-// advances, pointer jumps, page reads — not just totals. This package
-// makes those claims observable: every engine and the store cursors report
-// their micro-operations to a Recorder, which aggregates per-phase
-// durations, event totals and distribution summaries (jump skip-length
-// histogram, per-node scans). Renderers turn a Recorder and the run's
-// counters into a human EXPLAIN-style report or a stable JSON document
-// (see report.go).
+// The paper's evaluation (§VI) argues about where time goes as well as
+// totals. The cost terms themselves — entries scanned, pointers followed,
+// jumps taken and refused, pages read — are the run's counters
+// (internal/counters), which every run keeps at the cost of an increment.
+// A Recorder adds only what counters cannot say: the self time of each
+// phase (segment, bind, evaluate, enumerate, output), the wall time of each
+// partition, and the plan. Renderers pair them with the counters in a human
+// EXPLAIN-style report or a stable JSON document (see report.go); neither
+// the store cursors nor the join engines hold a Recorder.
 //
 // Tracing is strictly opt-in. A nil *Recorder is an untraced run: its
 // hooks return at once and inline, so call sites need no guard, and an
@@ -72,81 +73,9 @@ func Phases() []Phase {
 	return []Phase{PhaseParse, PhaseSegment, PhaseBind, PhaseEvaluate, PhaseEnumerate, PhaseOutput}
 }
 
-// Event identifies one engine-internal micro-operation.
-type Event uint8
-
-const (
-	// EvScan: one record decoded from a list or tuple file (node-attributed
-	// twin of counters.ElementsScanned).
-	EvScan Event = iota
-	// EvCursorAdvance: one sequential cursor advance (Next).
-	EvCursorAdvance
-	// EvJumpTaken: a materialized pointer jump was followed; the event
-	// magnitude is the skipped distance in pages (≥ 0).
-	EvJumpTaken
-	// EvJumpRefused: a jump was available but a guard (safe-jump probe,
-	// open-region cover) or a stale pointer refused it.
-	EvJumpRefused
-	// EvStackPush: a candidate was accepted onto an open-region stack (or
-	// admitted to the window DAG).
-	EvStackPush
-	// EvStackPop: an open region was popped (ended before the next
-	// candidate, or the window was reset).
-	EvStackPop
-	// EvPartition: one partition of a range-partitioned parallel run
-	// completed; the event magnitude is the partition's wall time in
-	// nanoseconds (each event counts as one partition, and the duration
-	// feeds the partition-span histogram).
-	EvPartition
-
-	numEvents
-)
-
-// String names the event.
-func (e Event) String() string {
-	switch e {
-	case EvScan:
-		return "scan"
-	case EvCursorAdvance:
-		return "cursorAdvance"
-	case EvJumpTaken:
-		return "jumpTaken"
-	case EvJumpRefused:
-		return "jumpRefused"
-	case EvStackPush:
-		return "stackPush"
-	case EvStackPop:
-		return "stackPop"
-	case EvPartition:
-		return "partition"
-	default:
-		return "unknown"
-	}
-}
-
-// Events lists every event kind.
-func Events() []Event {
-	return []Event{EvScan, EvCursorAdvance, EvJumpTaken, EvJumpRefused,
-		EvStackPush, EvStackPop, EvPartition}
-}
-
-// NodeMetrics is the per-query-node cost breakdown.
-type NodeMetrics struct {
-	// Scanned counts records decoded for this node's list.
-	Scanned int64 `json:"scanned"`
-	// Advances counts sequential cursor advances.
-	Advances int64 `json:"advances"`
-	// JumpsTaken / JumpsRefused count pointer jumps followed and refused.
-	JumpsTaken   int64 `json:"jumpsTaken"`
-	JumpsRefused int64 `json:"jumpsRefused"`
-	// Pushes / Pops count open-region stack operations.
-	Pushes int64 `json:"pushes"`
-	Pops   int64 `json:"pops"`
-}
-
 // HistogramBuckets is the number of power-of-two buckets in a Histogram:
 // bucket 0 holds value 0, bucket i (i ≥ 1) holds values in [2^(i-1), 2^i).
-// 32 buckets cover every int32-addressable distance.
+// Values of 2^31 and above share the last bucket.
 const HistogramBuckets = 32
 
 // Histogram is a power-of-two distribution summary of non-negative values.
@@ -238,23 +167,20 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.Max
 }
 
-// Recorder accumulates the phases and events of one evaluation and retains
-// its Plan for rendering. A nil *Recorder is an untraced run: BeginPhase,
-// EndPhase, Event and Plan are no-ops on a nil receiver, and each is small
-// enough to inline, so an untraced call site costs one predictable branch
-// and no call. The zero value is ready to use.
+// Recorder accumulates the phases of one evaluation, the wall times of its
+// partitions, and its Plan for rendering. Everything else a traced run
+// reports — elements scanned, pointers followed, jumps, pages — comes from
+// the run's counters, which every run keeps whether traced or not: no hook
+// sits below the executor. A nil *Recorder is an untraced run: BeginPhase,
+// EndPhase, Partition and Plan are no-ops on a nil receiver, and each is
+// small enough to inline, so an untraced call site costs one predictable
+// branch and no call. The zero value is ready to use.
 //
 // A Recorder is not safe for concurrent use: one evaluation is
 // single-threaded, and each evaluation should get its own Recorder.
 type Recorder struct {
 	// phases holds exclusive (self) time per phase.
 	phases [numPhases]time.Duration
-	// events holds total occurrences per event kind.
-	events [numEvents]int64
-	// nodes holds the per-query-node breakdown, indexed by query node.
-	nodes []NodeMetrics
-	// jumpSkipPages summarizes the page distance skipped by taken jumps.
-	jumpSkipPages Histogram
 	// partitionNanos summarizes the wall time of the partitions of a
 	// range-partitioned parallel run (empty for sequential runs).
 	partitionNanos Histogram
@@ -312,53 +238,11 @@ func (r *Recorder) endPhase() {
 	}
 }
 
-// Event records one micro-operation. node is the query-node index the
-// event is attributed to, or -1 when unattributed. n is the event
-// magnitude: a count for most events, the skipped page distance for
-// EvJumpTaken and the wall time for EvPartition (each of which counts as
-// one occurrence).
-func (r *Recorder) Event(e Event, node int, n int64) {
+// Partition records one completed partition of a range-partitioned
+// parallel run and its wall time d.
+func (r *Recorder) Partition(d time.Duration) {
 	if r != nil {
-		r.event(e, node, n)
-	}
-}
-
-func (r *Recorder) event(e Event, node int, n int64) {
-	if e >= numEvents {
-		return
-	}
-	count := n
-	if e == EvJumpTaken {
-		count = 1
-		r.jumpSkipPages.Add(n)
-	}
-	if e == EvPartition {
-		count = 1
-		r.partitionNanos.Add(n)
-	}
-	r.events[e] += count
-	if node < 0 {
-		return
-	}
-	if node >= len(r.nodes) {
-		grown := make([]NodeMetrics, node+1)
-		copy(grown, r.nodes)
-		r.nodes = grown
-	}
-	nm := &r.nodes[node]
-	switch e {
-	case EvScan:
-		nm.Scanned += n
-	case EvCursorAdvance:
-		nm.Advances += n
-	case EvJumpTaken:
-		nm.JumpsTaken++
-	case EvJumpRefused:
-		nm.JumpsRefused += n
-	case EvStackPush:
-		nm.Pushes += n
-	case EvStackPop:
-		nm.Pops += n
+		r.partitionNanos.Add(int64(d))
 	}
 }
 

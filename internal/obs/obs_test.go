@@ -43,35 +43,18 @@ func TestEndPhaseUnderflow(t *testing.T) {
 	r.EndPhase(PhaseParse)
 }
 
-func TestEventAccumulation(t *testing.T) {
+func TestPartitionAccumulation(t *testing.T) {
 	r := NewRecorder()
-	r.Event(EvScan, 2, 3)
-	r.Event(EvScan, 0, 1)
-	r.Event(EvCursorAdvance, 2, 1)
-	r.Event(EvJumpTaken, 2, 7) // magnitude = skip pages, counts as 1 jump
-	r.Event(EvJumpRefused, 2, 1)
-	r.Event(EvStackPush, 0, 4)
-	r.Event(EvStackPop, 0, 4)
+	r.Partition(3 * time.Nanosecond)
+	r.Partition(5 * time.Nanosecond)
+	r.Partition(6 * time.Nanosecond)
 
 	rep := r.Report(counters.Counters{}, 0)
-	if got := rep.Events[EvScan].Count; got != 4 {
-		t.Errorf("scan count = %d, want 4", got)
+	if want := []HistBucket{{Upper: 3, Count: 1}, {Upper: 7, Count: 2}}; !slices.Equal(rep.PartitionNanos, want) {
+		t.Errorf("partition histogram = %+v, want %+v", rep.PartitionNanos, want)
 	}
-	if got := rep.Events[EvJumpTaken].Count; got != 1 {
-		t.Errorf("jumpTaken count = %d, want 1 (magnitude is distance, not count)", got)
-	}
-	if len(rep.Nodes) != 3 {
-		t.Fatalf("nodes = %d, want 3", len(rep.Nodes))
-	}
-	if n := rep.Nodes[2]; n.Scanned != 3 || n.JumpsTaken != 1 || n.JumpsRefused != 1 {
-		t.Errorf("node 2 metrics wrong: %+v", n)
-	}
-	if n := rep.Nodes[0]; n.Pushes != 4 || n.Pops != 4 {
-		t.Errorf("node 0 metrics wrong: %+v", n)
-	}
-	if want := []HistBucket{{Upper: 7, Count: 1}}; !slices.Equal(rep.JumpSkipPages, want) {
-		t.Errorf("jump skip histogram = %+v, want %+v", rep.JumpSkipPages, want)
-	}
+	var nilRec *Recorder
+	nilRec.Partition(time.Second) // a nil Recorder ignores partitions
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -114,10 +97,7 @@ func TestReportJSONStable(t *testing.T) {
 			{Index: 1, Label: "b", Axis: "//", Parent: 0, View: 1, ViewNode: 0, Segment: 1, SegmentRoot: true, InterView: true, ListEntries: 20},
 		},
 	})
-	r.Event(EvScan, 0, 10)
-	r.Event(EvJumpTaken, 1, 3)
-
-	c := counters.Counters{ElementsScanned: 10, Matches: 5, PagesRead: 2}
+	c := counters.Counters{ElementsScanned: 10, Matches: 5, PagesRead: 2, JumpsTaken: 3, JumpsRefused: 1}
 	rep := r.Report(c, 123*time.Microsecond)
 
 	var buf1, buf2 bytes.Buffer
@@ -137,9 +117,14 @@ func TestReportJSONStable(t *testing.T) {
 	if decoded["schema"] != ReportSchema {
 		t.Errorf("schema = %v", decoded["schema"])
 	}
-	for _, key := range []string{"plan", "phases", "events", "nodes", "counters", "durationNanos"} {
+	for _, key := range []string{"plan", "phases", "counters", "durationNanos"} {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("missing key %q in report JSON", key)
+		}
+	}
+	for _, key := range []string{"events", "nodes", "jumpSkipPages"} {
+		if _, ok := decoded[key]; ok {
+			t.Errorf("report JSON carries removed key %q", key)
 		}
 	}
 	if rep.Counters.PagesRead != 2 {
@@ -147,6 +132,9 @@ func TestReportJSONStable(t *testing.T) {
 	}
 	if rep.Counters.Matches != 5 {
 		t.Errorf("counters.matches = %d, want 5", rep.Counters.Matches)
+	}
+	if rep.Counters.JumpsTaken != 3 || rep.Counters.JumpsRefused != 1 {
+		t.Errorf("counters jumps = %d/%d, want 3/1", rep.Counters.JumpsTaken, rep.Counters.JumpsRefused)
 	}
 }
 
@@ -162,35 +150,28 @@ func TestReportExplain(t *testing.T) {
 		},
 	})
 	r.BeginPhase(PhaseEvaluate)
-	r.Event(EvScan, 0, 4)
 	r.EndPhase(PhaseEvaluate)
-	rep := r.Report(counters.Counters{ElementsScanned: 4}, time.Millisecond)
+	r.Partition(time.Microsecond)
+	rep := r.Report(counters.Counters{ElementsScanned: 4, JumpsTaken: 2}, time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := rep.WriteExplain(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"//a//b", "segment", "evaluate", "scanned=4", "pagesR=0", "q0", "q1"} {
+	for _, want := range []string{"//a//b", "segment", "evaluate", "scanned=4", "jumps=2 refused=0", "pagesR=0", "q0", "q1", "partitions: 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
 	}
 }
 
-func TestPhaseAndEventNames(t *testing.T) {
+func TestPhaseNames(t *testing.T) {
 	seen := map[string]bool{}
 	for _, p := range Phases() {
 		name := p.String()
 		if name == "unknown" || seen[name] {
 			t.Errorf("bad phase name %q", name)
-		}
-		seen[name] = true
-	}
-	for _, e := range Events() {
-		name := e.String()
-		if name == "unknown" || seen[name] {
-			t.Errorf("bad event name %q", name)
 		}
 		seen[name] = true
 	}

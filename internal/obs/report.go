@@ -13,12 +13,12 @@ import (
 // ReportSchema versions the JSON encoding of Report. Consumers should
 // reject documents whose schema they do not understand; additive changes
 // keep the suffix, breaking changes bump it.
-const ReportSchema = "viewjoin/trace/v1"
+const ReportSchema = "viewjoin/trace/v2"
 
 // Report is the machine-readable rendering of one traced evaluation: the
-// plan, per-phase durations, event totals, per-node breakdowns, the jump
-// skip-length distribution, and the shared counters. Field order (and thus
-// JSON key order) is stable by construction.
+// plan, per-phase durations, the partition-time distribution, and the
+// run's counters. Field order (and thus JSON key order) is stable by
+// construction.
 type Report struct {
 	Schema string `json:"schema"`
 	Plan   *Plan  `json:"plan,omitempty"`
@@ -33,13 +33,6 @@ type Report struct {
 	// Phases lists exclusive per-phase durations in execution order;
 	// phases that never ran are included with zero duration.
 	Phases []PhaseReport `json:"phases"`
-	// Events lists total occurrences per event kind.
-	Events []EventReport `json:"events"`
-	// Nodes is the per-query-node breakdown (index = query node).
-	Nodes []NodeReport `json:"nodes"`
-	// JumpSkipPages is the distribution of page distances skipped by
-	// taken pointer jumps; empty when no jump was taken.
-	JumpSkipPages []HistBucket `json:"jumpSkipPages"`
 	// PartitionNanos is the distribution of per-partition wall times of a
 	// range-partitioned parallel run; empty for sequential runs.
 	PartitionNanos []HistBucket `json:"partitionNanos,omitempty"`
@@ -54,20 +47,6 @@ type PhaseReport struct {
 	Nanos int64  `json:"nanos"`
 }
 
-// EventReport is one event kind's total.
-type EventReport struct {
-	Event string `json:"event"`
-	Count int64  `json:"count"`
-}
-
-// NodeReport is one query node's cost breakdown, labelled from the plan
-// when available.
-type NodeReport struct {
-	Node  int    `json:"node"`
-	Label string `json:"label,omitempty"`
-	NodeMetrics
-}
-
 // HistBucket is one histogram bucket: Count observations ≤ Upper (and
 // greater than the previous bucket's Upper).
 type HistBucket struct {
@@ -80,6 +59,8 @@ type CountersReport struct {
 	ElementsScanned int64 `json:"elementsScanned"`
 	Comparisons     int64 `json:"comparisons"`
 	PointerDerefs   int64 `json:"pointerDerefs"`
+	JumpsTaken      int64 `json:"jumpsTaken"`
+	JumpsRefused    int64 `json:"jumpsRefused"`
 	PagesRead       int64 `json:"pagesRead"`
 	PagesWritten    int64 `json:"pagesWritten"`
 	Matches         int64 `json:"matches"`
@@ -96,25 +77,16 @@ func (r *Recorder) Report(c counters.Counters, total time.Duration) *Report {
 			ElementsScanned: c.ElementsScanned,
 			Comparisons:     c.Comparisons,
 			PointerDerefs:   c.PointerDerefs,
+			JumpsTaken:      c.JumpsTaken,
+			JumpsRefused:    c.JumpsRefused,
 			PagesRead:       c.PagesRead,
 			PagesWritten:    c.PagesWritten,
 			Matches:         c.Matches,
 		},
-		JumpSkipPages:  histBuckets(&r.jumpSkipPages),
 		PartitionNanos: histBuckets(&r.partitionNanos),
 	}
 	for _, p := range Phases() {
 		rep.Phases = append(rep.Phases, PhaseReport{Phase: p.String(), Nanos: int64(r.phases[p])})
-	}
-	for _, e := range Events() {
-		rep.Events = append(rep.Events, EventReport{Event: e.String(), Count: r.events[e]})
-	}
-	for i, nm := range r.nodes {
-		nr := NodeReport{Node: i, NodeMetrics: nm}
-		if r.plan != nil && i < len(r.plan.Nodes) {
-			nr.Label = r.plan.Nodes[i].Label
-		}
-		rep.Nodes = append(rep.Nodes, nr)
 	}
 	return rep
 }
@@ -138,8 +110,8 @@ func (rep *Report) WriteJSON(w io.Writer) error {
 }
 
 // WriteExplain renders the report as a human EXPLAIN-style text: the
-// view-segmented query with list bindings, then per-phase and per-node
-// costs.
+// view-segmented query with list bindings, then per-phase self times, the
+// run's counters and the partition times.
 func (rep *Report) WriteExplain(w io.Writer) error {
 	var b strings.Builder
 	if p := rep.Plan; p != nil {
@@ -185,19 +157,8 @@ func (rep *Report) WriteExplain(w io.Writer) error {
 		fmt.Fprintf(&b, "%-10s %12v\n", p.Phase, time.Duration(p.Nanos))
 	}
 	c := rep.Counters
-	fmt.Fprintf(&b, "counters: scanned=%d cmp=%d deref=%d pagesR=%d pagesW=%d matches=%d\n",
-		c.ElementsScanned, c.Comparisons, c.PointerDerefs, c.PagesRead, c.PagesWritten, c.Matches)
-	if len(rep.Nodes) > 0 {
-		fmt.Fprintf(&b, "%-4s %-14s %10s %10s %8s %8s %8s %8s\n",
-			"node", "label", "scanned", "advances", "jumps", "refused", "pushes", "pops")
-		for _, n := range rep.Nodes {
-			fmt.Fprintf(&b, "q%-3d %-14s %10d %10d %8d %8d %8d %8d\n",
-				n.Node, n.Label, n.Scanned, n.Advances, n.JumpsTaken, n.JumpsRefused, n.Pushes, n.Pops)
-		}
-	}
-	if len(rep.JumpSkipPages) > 0 {
-		fmt.Fprintf(&b, "jump skip distance (pages): %s\n", explainHist(rep.JumpSkipPages))
-	}
+	fmt.Fprintf(&b, "counters: scanned=%d cmp=%d deref=%d jumps=%d refused=%d pagesR=%d pagesW=%d matches=%d\n",
+		c.ElementsScanned, c.Comparisons, c.PointerDerefs, c.JumpsTaken, c.JumpsRefused, c.PagesRead, c.PagesWritten, c.Matches)
 	if len(rep.PartitionNanos) > 0 {
 		var n int64
 		for _, hb := range rep.PartitionNanos {

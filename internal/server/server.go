@@ -27,7 +27,7 @@ import (
 )
 
 // Schema identifiers of the JSON documents the server emits. A
-// /debug/trace response embeds its run's report in the viewjoin/trace/v1
+// /debug/trace response embeds its run's report in the viewjoin/trace/v2
 // schema.
 const (
 	ResponseSchema = "viewjoin/serve/v1"

@@ -479,7 +479,7 @@ func TestGracefulDrain(t *testing.T) {
 
 // TestDebugTrace pins the tracing endpoint: it runs the same cached plan
 // /query does (miss, then hit) under a per-request recorder, and the
-// response embeds a full viewjoin/trace/v1 report each time.
+// response embeds a full viewjoin/trace/v2 report each time.
 func TestDebugTrace(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -496,8 +496,8 @@ func TestDebugTrace(t *testing.T) {
 		if r.Trace == nil {
 			t.Fatalf("trace request %d: no embedded report", i)
 		}
-		if r.Trace.Schema != "viewjoin/trace/v1" {
-			t.Errorf("trace schema %q, want viewjoin/trace/v1", r.Trace.Schema)
+		if r.Trace.Schema != "viewjoin/trace/v2" {
+			t.Errorf("trace schema %q, want viewjoin/trace/v2", r.Trace.Schema)
 		}
 		if len(r.Trace.Phases) == 0 {
 			t.Error("trace report has no phases")

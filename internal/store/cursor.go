@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"viewjoin/internal/counters"
-	"viewjoin/internal/obs"
 )
 
 // ListCursor is a forward cursor over a ListFile with random access via
@@ -21,11 +20,9 @@ import (
 // An exhausted cursor reads Start() == End() == math.MaxInt32, so merge
 // loops compare labels without asking Valid first.
 type ListCursor struct {
-	f    *ListFile
-	io   *counters.IO
-	tr   *obs.Recorder // nil when tracing is off
-	node int32         // query node for event attribution (-1 untraced)
-	idx  int32
+	f   *ListFile
+	io  *counters.IO
+	idx int32
 	// lo/hi bound the visible record offsets to [lo, hi): Reset opens the
 	// whole list (lo=0, hi=entries); ResetRange narrows the window for
 	// partitioned evaluation. Next stops at hi; Seek treats hi as the end
@@ -77,7 +74,7 @@ func (l *ListFile) window(i int32, recSize int) (pg, lo, n int32, p *piece, off 
 // empty list).
 func (l *ListFile) Open(io *counters.IO) *ListCursor {
 	c := &ListCursor{}
-	c.Reset(l, io, nil, -1)
+	c.Reset(l, io)
 	return c
 }
 
@@ -133,7 +130,6 @@ func (c *ListCursor) Next() {
 	if !c.Valid() {
 		return
 	}
-	c.tr.Event(obs.EvCursorAdvance, int(c.node), 1)
 	if c.idx+1 >= c.hi {
 		c.exhaust()
 		return
@@ -142,11 +138,11 @@ func (c *ListCursor) Next() {
 }
 
 // Reset repositions c at the first record of l in place, rebinding the IO
-// accounting and tracer without allocating: the prepared-plan evaluators
-// keep cursor storage across runs and Reset it per run. A nil tracer
-// disables event emission exactly like Open.
-func (c *ListCursor) Reset(l *ListFile, io *counters.IO, tr *obs.Recorder, node int) {
-	c.ResetRange(l, io, tr, node, 0, l.entries)
+// accounting without allocating: the prepared-plan evaluators keep cursor
+// storage across runs and Reset it per run. The cursor's costs are the
+// IO's counters; it has no other observer.
+func (c *ListCursor) Reset(l *ListFile, io *counters.IO) {
+	c.ResetRange(l, io, 0, l.entries)
 }
 
 // ResetRange is Reset restricted to the record offsets [lo, hi): the
@@ -155,9 +151,9 @@ func (c *ListCursor) Reset(l *ListFile, io *counters.IO, tr *obs.Recorder, node 
 // Bounds are clipped to the list; an empty window yields an exhausted
 // cursor. This is how partitioned evaluation gives each worker a
 // start-range slice of every list without copying any pages.
-func (c *ListCursor) ResetRange(l *ListFile, io *counters.IO, tr *obs.Recorder, node, lo, hi int) {
+func (c *ListCursor) ResetRange(l *ListFile, io *counters.IO, lo, hi int) {
 	lo, hi = max(lo, 0), min(hi, l.entries)
-	*c = ListCursor{f: l, io: io, tr: tr, node: int32(node), idx: int32(lo), lo: int32(lo), hi: int32(hi),
+	*c = ListCursor{f: l, io: io, idx: int32(lo), lo: int32(lo), hi: int32(hi),
 		labels: labelWindow{page: -1}, ptrs: ptrWindow{page: -1}}
 	if lo >= hi {
 		c.exhaust()
@@ -198,7 +194,6 @@ func (c *ListCursor) load(i int32) {
 		c.slideLabels(i)
 	}
 	c.io.C.ElementsScanned++
-	c.tr.Event(obs.EvScan, int(c.node), 1)
 	lab, d := getLabel(c.labels.data[int(i-c.labels.lo)*labelBytes:]), c.labels.delta
 	c.label = Label{Start: lab.Start + d, End: lab.End + d, Level: lab.Level}
 	if uint32(i-c.ptrs.lo) >= uint32(c.ptrs.n) {

@@ -166,7 +166,7 @@ func runCursorOps(t *testing.T, kind Kind, pageSize int, ops []byte) {
 	var cur ListCursor
 	var ref refCursor
 	l := s.Lists[0]
-	cur.Reset(l, gotIO, nil, 0)
+	cur.Reset(l, gotIO)
 	ref.resetRange(l, l.image(), wantIO, 0, l.entries)
 
 	step := 0
@@ -239,7 +239,7 @@ func runCursorOps(t *testing.T, kind Kind, pageSize int, ops []byte) {
 		case 6:
 			l = s.Lists[arg()%len(s.Lists)]
 			lo, hi := arg()*(l.entries+8)/256-4, arg()*(l.entries+8)/256-4
-			cur.ResetRange(l, gotIO, nil, 0, lo, hi)
+			cur.ResetRange(l, gotIO, lo, hi)
 			ref.resetRange(l, l.image(), wantIO, lo, hi)
 			same("ResetRange", &cur, &ref)
 		default:

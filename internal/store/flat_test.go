@@ -62,9 +62,6 @@ func TestCursorSeekPageBoundaries(t *testing.T) {
 			if cur.Label() != (Label{Start: want.Start, End: want.End, Level: want.Level}) {
 				t.Errorf("%v: seek %s: wrong record", kind, tc.name)
 			}
-			if got := l.PageOf(cur.Position()); got != int32(tc.at/perPage) {
-				t.Errorf("%v: PageOf(%d) = %d, want %d", kind, tc.at, got, tc.at/perPage)
-			}
 		}
 		// One past the end and nil both invalidate; a Next on an invalid
 		// cursor stays invalid.
@@ -102,7 +99,7 @@ func TestCursorResetAndCopyAllKinds(t *testing.T) {
 			cur.Next()
 		}
 		// Reset onto a different list replays it exactly like a fresh open.
-		cur.Reset(s.Lists[1], io, nil, 1)
+		cur.Reset(s.Lists[1], io)
 		fresh := s.Lists[1].Open(io)
 		n := 0
 		for fresh.Valid() {
@@ -130,11 +127,11 @@ func TestCursorResetAndCopyAllKinds(t *testing.T) {
 		}
 		// Reset onto an empty list is immediately invalid, and Reset back
 		// onto a populated one recovers.
-		cur.Reset(es.Lists[0], io, nil, 0)
+		cur.Reset(es.Lists[0], io)
 		if cur.Valid() {
 			t.Errorf("%v: Reset onto empty list must be invalid", kind)
 		}
-		cur.Reset(s.Lists[0], io, nil, 0)
+		cur.Reset(s.Lists[0], io)
 		if !cur.Valid() || int(cur.Position()) != 0 {
 			t.Errorf("%v: Reset after empty list did not recover", kind)
 		}

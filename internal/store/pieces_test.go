@@ -155,7 +155,7 @@ func (r *pieceRun) step() {
 }
 
 // check holds every read of the piece table to the reference: sizes and
-// headers, every LabelAt, SeekStart and PageOf, the written image byte for
+// headers, every LabelAt and SeekStart, the written image byte for
 // byte, and the cursor touch for touch.
 func (r *pieceRun) check(what string) {
 	t, got, want := r.t, r.got, r.want
@@ -188,9 +188,8 @@ func (r *pieceRun) check(what string) {
 				what, q, l.entries, l.mask, l.counts, w.entries, w.mask, w.counts)
 		}
 		for i := 0; i < l.entries; i++ {
-			if l.LabelAt(i) != w.LabelAt(i) || l.PageOf(Pointer(i)) != w.PageOf(Pointer(i)) {
-				t.Fatalf("%s list %d record %d: label %v page %d, reference %v page %d",
-					what, q, i, l.LabelAt(i), l.PageOf(Pointer(i)), w.LabelAt(i), w.PageOf(Pointer(i)))
+			if l.LabelAt(i) != w.LabelAt(i) {
+				t.Fatalf("%s list %d record %d: label %v, reference %v", what, q, i, l.LabelAt(i), w.LabelAt(i))
 			}
 			s := w.LabelAt(i).Start
 			for _, probe := range []int32{s - 1, s, s + 1} {
@@ -235,7 +234,7 @@ func (r *pieceRun) checkCursors(what string) {
 		l := s.Lists[q]
 		var cur, probe ListCursor
 		var ref, refProbe refCursor
-		cur.ResetRange(l, gotIO, nil, 0, lo, hi)
+		cur.ResetRange(l, gotIO, lo, hi)
 		ref.resetRange(l, imgs[q], wantIO, lo, hi)
 		same(where, &cur, &ref)
 		for ref.valid {
@@ -255,7 +254,7 @@ func (r *pieceRun) checkCursors(what string) {
 					if class >= segChild0 {
 						target = pieceView.Nodes[q].Children[class-segChild0]
 					}
-					probe.Reset(s.Lists[target], gotIO, nil, 0)
+					probe.Reset(s.Lists[target], gotIO)
 					refProbe.resetRange(s.Lists[target], imgs[target], wantIO, 0, s.Lists[target].entries)
 					probe.Seek(ptr)
 					refProbe.seek(ptr)

@@ -72,7 +72,7 @@ func TestResetRangeWindows(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cur.ResetRange(l, io, nil, 0, tc.lo, tc.hi)
+			cur.ResetRange(l, io, tc.lo, tc.hi)
 			var got []int32
 			for cur.Valid() {
 				got = append(got, cur.Start())
@@ -99,7 +99,7 @@ func TestSeekClampsToWindow(t *testing.T) {
 	var c counters.Counters
 	io := counters.NewIO(&c, 0)
 	var cur ListCursor
-	cur.ResetRange(l, io, nil, 0, 1, n-1)
+	cur.ResetRange(l, io, 1, n-1)
 
 	// A pointer below the window clamps to the window's first record.
 	cur.Seek(Pointer(0))
@@ -116,7 +116,7 @@ func TestSeekClampsToWindow(t *testing.T) {
 	if cur.Valid() {
 		t.Fatal("Seek at window end: cursor should be invalid")
 	}
-	cur.ResetRange(l, io, nil, 0, 1, n-1)
+	cur.ResetRange(l, io, 1, n-1)
 	cur.Seek(NilPointer)
 	if cur.Valid() {
 		t.Fatal("Seek(nil): cursor should be invalid")

@@ -376,11 +376,6 @@ func (l *ListFile) pointers() int {
 	return n
 }
 
-// PageOf returns the labels-segment page of the record addressed by p —
-// the list's notion of "which page a record lives on" for jump-distance
-// accounting. p must not be nil.
-func (l *ListFile) PageOf(p Pointer) int32 { return int32(p) / int32(l.pageSize/labelBytes) }
-
 // LabelAt decodes the region label of record i without charging the cost
 // model: it is a planning accessor (partition weighing, doc-root probes),
 // not an evaluation read. i must be in [0, Entries()).

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"viewjoin/internal/counters"
-	"viewjoin/internal/obs"
 	"viewjoin/internal/views"
 )
 
@@ -112,8 +111,6 @@ func putLabel(rec []byte, l Label) {
 type TupleCursor struct {
 	f         *TupleFile
 	io        *counters.IO
-	tr        *obs.Recorder
-	node      int32
 	idx       int
 	item      TupleItem
 	valid     bool
@@ -122,14 +119,7 @@ type TupleCursor struct {
 
 // Open returns a cursor positioned at the first tuple.
 func (f *TupleFile) Open(io *counters.IO) *TupleCursor {
-	return f.OpenTraced(io, nil, -1)
-}
-
-// OpenTraced is Open with an optional tracer: every tuple decode emits one
-// EvScan per label, attributed to the given query node (tuples bind
-// several query nodes; callers pass a representative one).
-func (f *TupleFile) OpenTraced(io *counters.IO, tr *obs.Recorder, node int) *TupleCursor {
-	c := &TupleCursor{f: f, io: io, tr: tr, node: int32(node), lastTouch: -1}
+	c := &TupleCursor{f: f, io: io, lastTouch: -1}
 	c.item.Labels = make([]Label, f.arity)
 	if f.entries == 0 {
 		return c
@@ -152,7 +142,6 @@ func (c *TupleCursor) Next() {
 	if !c.valid {
 		return
 	}
-	c.tr.Event(obs.EvCursorAdvance, int(c.node), 1)
 	if c.idx+1 >= c.f.entries {
 		c.valid = false
 		return
@@ -166,7 +155,6 @@ func (c *TupleCursor) load(i int) {
 		c.lastTouch = page
 	}
 	c.io.C.ElementsScanned += int64(c.f.arity)
-	c.tr.Event(obs.EvScan, int(c.node), int64(c.f.arity))
 	rec := c.f.seg.rec(int32(i))
 	for j := 0; j < c.f.arity; j++ {
 		c.item.Labels[j] = getLabel(rec[j*labelBytes:])

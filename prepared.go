@@ -151,7 +151,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, tr *
 			viewPos[i] = m
 		}
 		tr.EndPhase(obs.PhaseSegment)
-		ij, err := interjoin.Prepare(q.p, stores, viewPos, &counters.IO{C: &p.prepC}, tr)
+		ij, err := interjoin.Prepare(q.p, stores, viewPos, &counters.IO{C: &p.prepC})
 		if err != nil {
 			return nil, err
 		}
@@ -244,11 +244,11 @@ type RunOptions struct {
 	// (see Stats for how partitions fold into it); a plan that admits no
 	// cut runs as one job.
 	Parallelism int
-	// Tracer, when non-nil, observes this execution — phase spans and
-	// engine-internal events (cursor advances, pointer jumps, stack
-	// activity) — and fills Result.Trace. A Recorder is not safe for
-	// concurrent use, so concurrent runs each bring their own. nil runs
-	// untraced at zero cost.
+	// Tracer, when non-nil, observes this execution — the plan, phase
+	// spans and partition wall times — and fills Result.Trace, whose
+	// counters are the run's Stats. A Recorder is not safe for concurrent
+	// use, so concurrent runs each bring their own. nil runs untraced at
+	// zero cost.
 	Tracer *obs.Recorder
 	// DiskBased selects the disk-based output approach (§IV): every window
 	// flush is charged as spooled through scratch pages, ceil(16·entries /

@@ -59,20 +59,7 @@ func TestEvaluateTraceReport(t *testing.T) {
 			t.Errorf("node %d list entries unknown", qi)
 		}
 	}
-	// The trace counters must equal the public stats.
-	if rep.Counters.ElementsScanned != res.Stats.ElementsScanned ||
-		rep.Counters.PagesRead != res.Stats.PagesRead ||
-		rep.Counters.Matches != int64(len(res.Matches)) {
-		t.Errorf("trace counters disagree with stats: %+v vs %+v", rep.Counters, res.Stats)
-	}
-	// Per-node scans must sum to the global counter.
-	var scanned int64
-	for _, n := range rep.Nodes {
-		scanned += n.Scanned
-	}
-	if scanned != res.Stats.ElementsScanned {
-		t.Errorf("per-node scans %d != total %d", scanned, res.Stats.ElementsScanned)
-	}
+	checkTraceCounters(t, res)
 	if res.Stats.PagesRead == 0 {
 		t.Errorf("no page read recorded")
 	}
@@ -91,39 +78,78 @@ func TestEvaluateTraceReport(t *testing.T) {
 	}
 }
 
+// checkTraceCounters holds a traced run's report to its Stats: the report
+// carries no cost figure of its own, so every counter must be the run's,
+// field by field.
+func checkTraceCounters(t *testing.T, res *Result) {
+	t.Helper()
+	st := res.Stats
+	want := obs.CountersReport{
+		ElementsScanned: st.ElementsScanned,
+		Comparisons:     st.Comparisons,
+		PointerDerefs:   st.PointerDerefs,
+		JumpsTaken:      st.JumpsTaken,
+		JumpsRefused:    st.JumpsRefused,
+		PagesRead:       st.PagesRead,
+		PagesWritten:    st.PagesWritten,
+		Matches:         int64(len(res.Matches)),
+	}
+	if res.Trace.Counters != want {
+		t.Errorf("trace counters %+v, want the run's %+v", res.Trace.Counters, want)
+	}
+}
+
+// TestEvaluateTraceAllEngines runs one interleaving path query through
+// every engine on its scheme, traced and untraced: a Recorder must change
+// neither the rows nor the deterministic Stats, and the report's counters
+// must be the run's.
 func TestEvaluateTraceAllEngines(t *testing.T) {
-	want := func() int {
-		d, q, mv := traceFixture(t, SchemeLEp)
-		res, err := Evaluate(nil, d, q, mv, EngineViewJoin, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = d
-		_ = mv
-		return len(res.Matches)
-	}()
+	d := GenerateXMark(0.02)
+	q := MustParseQuery("//item//description//keyword")
+	vs, err := ParseViews("//item//keyword; //description")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		eng    Engine
 		scheme StorageScheme
 	}{
 		{EngineViewJoin, SchemeLEp},
-		{EngineViewJoin, SchemeLE},
-		{EngineViewJoin, SchemeElement},
 		{EngineTwigStack, SchemeElement},
+		{EnginePathStack, SchemeElement},
+		{EngineInterJoin, SchemeTuple},
 	} {
-		d, q, mv := traceFixture(t, tc.scheme)
-		rec := obs.NewRecorder()
-		res, err := Evaluate(nil, d, q, mv, tc.eng, &RunOptions{Tracer: rec})
-		if err != nil {
-			t.Fatalf("%v+%v: %v", tc.eng, tc.scheme, err)
-		}
-		if len(res.Matches) != want {
-			t.Errorf("%v+%v traced: %d matches, want %d (tracing changed results!)",
-				tc.eng, tc.scheme, len(res.Matches), want)
-		}
-		if res.Trace == nil || res.Trace.Plan == nil {
-			t.Errorf("%v+%v: no trace", tc.eng, tc.scheme)
-		}
+		t.Run(tc.eng.String()+"+"+tc.scheme.String(), func(t *testing.T) {
+			mv, err := d.MaterializeViews(vs, tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := Evaluate(nil, d, q, mv, tc.eng, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Evaluate(nil, d, q, mv, tc.eng, &RunOptions{Tracer: obs.NewRecorder()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Matches) == 0 || !reflect.DeepEqual(res.Matches, plain.Matches) {
+				t.Errorf("traced rows (%d) differ from untraced (%d)", len(res.Matches), len(plain.Matches))
+			}
+			gs, ws := res.Stats, plain.Stats
+			gs.Duration, gs.FirstMatchNanos = 0, 0
+			ws.Duration, ws.FirstMatchNanos = 0, 0
+			if gs != ws {
+				t.Errorf("traced stats %+v, untraced %+v", gs, ws)
+			}
+			rep := res.Trace
+			if rep == nil || rep.Plan == nil {
+				t.Fatal("no trace")
+			}
+			if rep.Plan.Engine != tc.eng.String() || rep.Plan.Scheme != tc.scheme.String() {
+				t.Errorf("plan is %s+%s", rep.Plan.Engine, rep.Plan.Scheme)
+			}
+			checkTraceCounters(t, res)
+		})
 	}
 }
 
@@ -184,42 +210,6 @@ func TestNilRecorderRunsUntraced(t *testing.T) {
 	}
 }
 
-func TestEvaluateTracePathEngines(t *testing.T) {
-	d := sampleDoc(t)
-	q := MustParseQuery("//a//b//c")
-	vs, _ := ParseViews("//a//c; //b")
-	want := EvaluateDirect(d, q)
-
-	mv, err := d.MaterializeViews(vs, SchemeElement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder()
-	res, err := Evaluate(nil, d, q, mv, EnginePathStack, &RunOptions{Tracer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != len(want.Matches) || res.Trace == nil || res.Trace.Plan.Engine != "PS" {
-		t.Errorf("PathStack traced run wrong: %d matches, trace %v", len(res.Matches), res.Trace)
-	}
-
-	tv, err := d.MaterializeViews(vs, SchemeTuple)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec = obs.NewRecorder()
-	res, err = Evaluate(nil, d, q, tv, EngineInterJoin, &RunOptions{Tracer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != len(want.Matches) || res.Trace == nil || res.Trace.Plan.Engine != "IJ" {
-		t.Errorf("InterJoin traced run wrong: %d matches", len(res.Matches))
-	}
-	if res.Trace.Plan.Scheme != "T" {
-		t.Errorf("InterJoin plan scheme = %q, want T", res.Trace.Plan.Scheme)
-	}
-}
-
 func TestEvaluateWithoutViewsTrace(t *testing.T) {
 	d := sampleDoc(t)
 	q, err := ParseQueryGeneral("//a//b//e")
@@ -241,7 +231,7 @@ func TestEvaluateWithoutViewsTrace(t *testing.T) {
 
 func TestTraceJumpEventsOnLinkedScheme(t *testing.T) {
 	// On a larger document with LEp views, ViewJoin must actually take or
-	// refuse pointer jumps, and those must show up in the trace.
+	// refuse pointer jumps, and the trace must report the run's counts.
 	d := GenerateXMark(0.02)
 	q := MustParseQuery("//site//item[//description//keyword]/name")
 	vs, err := ParseViews("//site//item//name; //description//keyword")
@@ -252,32 +242,15 @@ func TestTraceJumpEventsOnLinkedScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder()
-	res, err := Evaluate(nil, d, q, mv, EngineViewJoin, &RunOptions{Tracer: rec})
+	res, err := Evaluate(nil, d, q, mv, EngineViewJoin, &RunOptions{Tracer: obs.NewRecorder()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := res.Trace
-	ev := make(map[string]int64)
-	for _, e := range rep.Events {
-		ev[e.Event] = e.Count
+	if res.Stats.JumpsTaken+res.Stats.JumpsRefused == 0 {
+		t.Errorf("no jump activity on LEp: %+v", res.Stats)
 	}
-	if ev["scan"] == 0 || ev["cursorAdvance"] == 0 {
-		t.Errorf("no scan/advance events: %v", ev)
-	}
-	if ev["jumpTaken"]+ev["jumpRefused"] == 0 {
-		t.Errorf("no jump activity traced on LEp: %v", ev)
-	}
-	if ev["jumpTaken"] > 0 && len(rep.JumpSkipPages) == 0 {
-		t.Errorf("jumps taken but skip histogram empty")
-	}
-	if ev["jumpTaken"] != res.Stats.PointerDerefs {
-		// Jumps taken and pointer derefs are distinct measures (a deref is
-		// counted when a pointer is read, a jump when it is followed), but
-		// both must be non-zero together on this workload.
-		if (ev["jumpTaken"] == 0) != (res.Stats.PointerDerefs == 0) {
-			t.Errorf("jumpTaken=%d derefs=%d", ev["jumpTaken"], res.Stats.PointerDerefs)
-		}
+	if c := res.Trace.Counters; c.JumpsTaken != res.Stats.JumpsTaken || c.JumpsRefused != res.Stats.JumpsRefused {
+		t.Errorf("trace jumps %d/%d, run %d/%d", c.JumpsTaken, c.JumpsRefused, res.Stats.JumpsTaken, res.Stats.JumpsRefused)
 	}
 }
 
@@ -304,7 +277,7 @@ func TestTraceRendersJSONAndExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := txt.String()
-	for _, want := range []string{"query //a[//f]//b//e via VJ", "segment", "counters:", "node"} {
+	for _, want := range []string{"query //a[//f]//b//e via VJ", "segment", "counters:", "jumps="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

@@ -507,8 +507,8 @@ type Result struct {
 	// most 64 KiB) alive.
 	Matches [][]Node
 	Stats   Stats
-	// Trace is the full observability report of the run: plan, per-phase
-	// durations, per-node costs and jump distributions. It is nil unless
+	// Trace is the observability report of the run: plan, per-phase
+	// durations, partition times and the run's counters. It is nil unless
 	// the run had a recorder (RunOptions.Tracer).
 	Trace *obs.Report
 }
