@@ -76,7 +76,7 @@ type slowlogSnapshot struct {
 }
 
 // snapshot copies the recorder state: slowest by wall time descending,
-// recent newest-first.
+// recent newest-first. Both lists encode as [] when empty, never null.
 func (l *slowlog) snapshot() slowlogSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -85,7 +85,7 @@ func (l *slowlog) snapshot() slowlogSnapshot {
 		Size:        l.size,
 		ThresholdMS: l.threshold.Milliseconds(),
 		Observed:    l.observed,
-		Slowest:     append([]accessLine(nil), l.slowest...),
+		Slowest:     append(make([]accessLine, 0, len(l.slowest)), l.slowest...),
 		Recent:      make([]accessLine, 0, len(l.recent)),
 	}
 	// The ring's newest entry sits just before next; walk backwards.

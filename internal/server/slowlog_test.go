@@ -258,6 +258,29 @@ func TestSlowlogFailureNamesPlan(t *testing.T) {
 	}
 }
 
+// TestSlowlogEmptyLists pins a fresh server's /debug/slowlog body: both
+// lists are empty arrays, not null, so a client iterating either of them
+// needs no special case before the first slow request.
+func TestSlowlogEmptyLists(t *testing.T) {
+	s := newTestServer(t, Config{SlowlogSize: 4, SlowlogThreshold: time.Hour})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/debug/slowlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"slowest":[]`, `"recent":[]`} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("fresh /debug/slowlog body lacks %s: %s", want, body)
+		}
+	}
+}
+
 // TestSlowlogDisabled pins the default: no SlowlogSize means no recorder,
 // and a 404 on the endpoint.
 func TestSlowlogDisabled(t *testing.T) {
