@@ -17,9 +17,14 @@
 #      GOOS=windows go build: the one check that the heap fallback behind
 #      store.OpenMmap (mmap_other.go) still compiles where it is used
 #   2a. tracing inlines: go build -gcflags=-m ./internal/obs must report
-#      that (*Recorder).Event, BeginPhase and EndPhase can inline. Call
+#      that (*Recorder).Partition, BeginPhase and EndPhase can inline. Call
 #      sites do not guard a nil recorder, so an untraced run costs one
 #      branch per hook only while these stay inlinable
+#   2a*. no tracer below the executor: go list -deps ./internal/store must
+#      not list viewjoin/internal/obs, and pathstack, twigstack and
+#      interjoin must not import it (go list .Imports). The engines reach
+#      obs only through internal/engine's Options.Tracer, which carries the
+#      collector's enumerate span; a run's costs are its counters
 #   2a'. scratch is per run, not per plan: no non-test Go file of the root
 #      package or under internal/engine/ may declare a sync.Pool struct
 #      field (TestNoStructHoldsAPool); package-level pools are the rule
@@ -109,12 +114,23 @@ echo "== tier-1: build (GOOS=windows, the non-mmap file loader)"
 GOOS=windows go build ./...
 echo "== tracing hooks inline"
 inl="$(go build -gcflags=-m ./internal/obs 2>&1)"
-for m in Event BeginPhase EndPhase; do
+for m in Partition BeginPhase EndPhase; do
 	if ! echo "$inl" | grep -q "can inline (\*Recorder).$m\$"; then
 		echo "(*obs.Recorder).$m no longer inlines: the untraced path would pay a call per hook" >&2
 		exit 1
 	fi
 done
+echo "== no tracer below the executor: store and the join engines do not use obs"
+if go list -deps ./internal/store | grep -qx 'viewjoin/internal/obs'; then
+	echo "internal/store depends on internal/obs: cursors count costs in counters, not in a tracer" >&2
+	exit 1
+fi
+obsusers="$(go list -f '{{.ImportPath}} {{.Imports}}' ./internal/engine/pathstack ./internal/engine/twigstack ./internal/engine/interjoin | grep -E '[[ ]viewjoin/internal/obs[] ]' || true)"
+if [ -n "$obsusers" ]; then
+	echo "these engines import internal/obs; their costs are counters, not trace events:" >&2
+	echo "$obsusers" >&2
+	exit 1
+fi
 echo "== scratch pools are package-level, not per plan"
 go test -count=1 -run '^TestNoStructHoldsAPool$' .
 echo "== one XML parser: no non-test package imports encoding/xml"
