@@ -10,8 +10,8 @@
 // A Recorder adds only what counters cannot say: the self time of each
 // phase (segment, bind, evaluate, enumerate, output), the wall time of each
 // partition, and the plan. Renderers pair them with the counters in a human
-// EXPLAIN-style report or a stable JSON document (see report.go); neither
-// the store cursors nor the join engines hold a Recorder.
+// EXPLAIN-style report or a stable JSON document (see report.go); the
+// store cursors and the join loops never see a Recorder.
 //
 // Tracing is strictly opt-in. A nil *Recorder is an untraced run: its
 // hooks return at once and inline, so call sites need no guard, and an
@@ -170,11 +170,13 @@ func (h *Histogram) Quantile(q float64) int64 {
 // Recorder accumulates the phases of one evaluation, the wall times of its
 // partitions, and its Plan for rendering. Everything else a traced run
 // reports — elements scanned, pointers followed, jumps, pages — comes from
-// the run's counters, which every run keeps whether traced or not: no hook
-// sits below the executor. A nil *Recorder is an untraced run: BeginPhase,
-// EndPhase, Partition and Plan are no-ops on a nil receiver, and each is
-// small enough to inline, so an untraced call site costs one predictable
-// branch and no call. The zero value is ready to use.
+// the run's counters, which every run keeps whether traced or not. The
+// store cursors and the join loops never see a Recorder; below the
+// executor only preparation and the enumeration stage open spans. A nil
+// *Recorder is an untraced run: BeginPhase, EndPhase, Partition and Plan
+// are no-ops on a nil receiver, and each is small enough to inline, so an
+// untraced call site costs one predictable branch and no call. The zero
+// value is ready to use.
 //
 // A Recorder is not safe for concurrent use: one evaluation is
 // single-threaded, and each evaluation should get its own Recorder.
