@@ -153,6 +153,48 @@ func TestEvaluateTraceAllEngines(t *testing.T) {
 	}
 }
 
+// TestEvaluateTracePathEngines traces PathStack on the element scheme and
+// InterJoin on the tuple scheme over the sample document: each must return
+// the direct evaluation's rows, name its engine and scheme in the plan, and
+// report the run's counters.
+func TestEvaluateTracePathEngines(t *testing.T) {
+	d := sampleDoc(t)
+	q := MustParseQuery("//a//b//c")
+	vs, _ := ParseViews("//a//c; //b")
+	want := EvaluateDirect(d, q)
+
+	mv, err := d.MaterializeViews(vs, SchemeElement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	res, err := Evaluate(nil, d, q, mv, EnginePathStack, &RunOptions{Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Matches) != len(want.Matches) || res.Trace == nil || res.Trace.Plan.Engine != "PS" {
+		t.Fatalf("PathStack traced run wrong: %d matches, trace %v", len(res.Matches), res.Trace)
+	}
+	checkTraceCounters(t, res)
+
+	tv, err := d.MaterializeViews(vs, SchemeTuple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = obs.NewRecorder()
+	res, err = Evaluate(nil, d, q, tv, EngineInterJoin, &RunOptions{Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Matches) != len(want.Matches) || res.Trace == nil || res.Trace.Plan.Engine != "IJ" {
+		t.Fatalf("InterJoin traced run wrong: %d matches", len(res.Matches))
+	}
+	if res.Trace.Plan.Scheme != "T" {
+		t.Errorf("InterJoin plan scheme = %q, want T", res.Trace.Plan.Scheme)
+	}
+	checkTraceCounters(t, res)
+}
+
 // TestNilRecorderRunsUntraced passes a nil *obs.Recorder through every
 // entry point that takes a tracer: each run must behave exactly like one
 // with no tracer — same rows, same deterministic Stats, no Trace.
