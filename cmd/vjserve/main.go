@@ -19,11 +19,17 @@
 //	POST /query          {"document","query","engine","views","timeout_ms","limit","cursor","parallel"}
 //	POST /update         {"document","op","target","fragment"}; maintains every view, bumps the epoch
 //	POST /debug/trace    same body as /query; returns the viewjoin/trace/v2 report inline
-//	GET  /debug/slowlog  flight recorder: access lines of the N slowest + N most recent runs
+//	GET  /debug/slowlog  flight recorder: access lines of the 8 slowest + 8 most recent runs (viewjoin/slowlog/v4)
 //	GET  /debug/plans    per-plan aggregates of every cached plan (viewjoin/plans/v1)
 //	GET  /metrics        plan-cache, request and update counters, latency quantiles
 //	GET  /healthz        liveness ("ok" or "draining")
 //	GET  /documents      registered documents and views
+//
+// The serving flags (-cache, -workers, -queue, -max-parallel, -timeout)
+// default to server.DeployedConfig, the zero server.Config with its
+// defaults filled in: a server started without them runs the
+// configuration benchmark/'s serving workloads measure. The slow-query
+// recorder behind /debug/slowlog is always on and has no flag.
 //
 // On SIGINT/SIGTERM the server stops accepting queries (503), drains
 // in-flight requests, and exits 0. -json writes one viewjoin/access/v1
@@ -180,18 +186,14 @@ func serveFlags(fs *flag.FlagSet) func() server.Config {
 		queue     = fs.Int("queue", d.QueueDepth, "admitted requests that may wait for a worker before 429 shedding (negative: unbounded)")
 		maxPar    = fs.Int("max-parallel", d.MaxParallel, "cap on the per-request 'parallel' partition knob (1 = parallel evaluation disabled)")
 		timeout   = fs.Duration("timeout", d.DefaultTimeout, "default per-request deadline")
-		slowSize  = fs.Int("slowlog-size", d.SlowlogSize, "slow-query flight recorder depth: access lines, stage clocks included, of the N slowest + N most recent runs; 0 disables")
-		slowMS    = fs.Int64("slowlog-ms", d.SlowlogThreshold.Milliseconds(), "wall-time threshold for the slow set, in milliseconds (0: every request eligible)")
 	)
 	return func() server.Config {
 		return server.Config{
-			CacheSize:        *cacheSize,
-			Workers:          *workers,
-			QueueDepth:       *queue,
-			DefaultTimeout:   *timeout,
-			MaxParallel:      *maxPar,
-			SlowlogSize:      *slowSize,
-			SlowlogThreshold: time.Duration(*slowMS) * time.Millisecond,
+			CacheSize:      *cacheSize,
+			Workers:        *workers,
+			QueueDepth:     *queue,
+			DefaultTimeout: *timeout,
+			MaxParallel:    *maxPar,
 		}
 	}
 }

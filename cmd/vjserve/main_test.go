@@ -21,7 +21,7 @@ const (
 // TestRunServesAndDrains runs the command as deployed — every flag at its
 // default but the address and the document — on a port the kernel picks:
 // ready names the bound address, a /query answers 200 and shows in
-// /debug/slowlog's recent ring (-slowlog-size 8), and SIGINT, through the
+// /debug/slowlog's recent ring (size 8), and SIGINT, through the
 // handler run installs, drains the server and exits 0.
 func TestRunServesAndDrains(t *testing.T) {
 	ready := make(chan string)

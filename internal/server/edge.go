@@ -167,8 +167,7 @@ func (s *Server) finish(w http.ResponseWriter, x *exchange, f *failure) {
 	}
 	now := time.Now()
 	l.DurationUS = now.Sub(x.started).Microseconds()
-	keep := s.slowlog != nil && x.ran
-	if s.cfg.AccessLog != nil || keep {
+	if s.cfg.AccessLog != nil || x.ran {
 		if f != nil {
 			l.Error = f.err.Error()
 		}
@@ -181,7 +180,7 @@ func (s *Server) finish(w http.ResponseWriter, x *exchange, f *failure) {
 			s.logMu.Unlock()
 		}
 	}
-	if keep {
+	if x.ran {
 		s.slowlog.observe(*l)
 	}
 	switch {

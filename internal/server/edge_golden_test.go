@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +38,27 @@ func unclocked(b []byte) string {
 	return string(durationPattern.ReplaceAll(b, []byte(`"$1":0`)))
 }
 
+// slowestByText reorders a /debug/slowlog body's slow set by its entries'
+// text with the clocks taken out: the set ranks by wall time, which varies
+// from run to run.
+func slowestByText(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var snap slowlogSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatalf("/debug/slowlog body %s: %v", body, err)
+	}
+	text := func(e accessLine) string {
+		b, _ := json.Marshal(e)
+		return unclocked(b)
+	}
+	sort.SliceStable(snap.Slowest, func(i, j int) bool { return text(snap.Slowest[i]) < text(snap.Slowest[j]) })
+	b, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestServeEdgeGolden drives a fixed script through Handler() — every way
 // a /query, /debug/trace or /update request ends — and compares, step by
 // step, each answer's status and body and the access lines the step wrote,
@@ -44,7 +67,7 @@ func unclocked(b []byte) string {
 // the file.
 func TestServeEdgeGolden(t *testing.T) {
 	var log bytes.Buffer
-	s := newTestServer(t, Config{Workers: 1, AccessLog: &log, SlowlogSize: 16, SlowlogThreshold: time.Hour})
+	s := newTestServer(t, Config{Workers: 1, AccessLog: &log})
 	// A second document serving a view from a file, which /update refuses.
 	filed := viewjoin.GenerateXMark(0.01)
 	if err := s.AddDocument("filed", filed); err != nil {
@@ -102,7 +125,11 @@ func TestServeEdgeGolden(t *testing.T) {
 	get := func(path string) {
 		fmt.Fprintf(&out, "== GET %s\n", path)
 		w := send(context.Background(), http.MethodGet, path, "")
-		fmt.Fprintf(&out, "-> %d %s\n", w.Code, unclocked(w.Body.Bytes()))
+		body := w.Body.Bytes()
+		if path == "/debug/slowlog" {
+			body = slowestByText(t, body)
+		}
+		fmt.Fprintf(&out, "-> %d %s\n", w.Code, unclocked(body))
 	}
 	// held serves body while the worker is held at the evaluation gate:
 	// during runs with the gate shut, then release lets the request go on.
@@ -148,8 +175,12 @@ func TestServeEdgeGolden(t *testing.T) {
 		held(ctx, "/query", `{"document":"xmark",`+q+`}`, cancel)
 	})
 	step("query: 429 shed", func() {
+		// The queue's waiters stand in the gauge admission reads: real
+		// ones would each run and log once the worker is free.
 		held(context.Background(), "/query", `{"document":"xmark",`+q+`}`, func() {
+			s.queued.Add(int64(s.cfg.QueueDepth))
 			post("/query", `{"document":"xmark",`+q+`}`)
+			s.queued.Add(-int64(s.cfg.QueueDepth))
 		})
 	})
 	step("trace: 200", func() { post("/debug/trace", page+`}`) })

@@ -36,17 +36,18 @@ const (
 	PlansSchema    = "viewjoin/plans/v1"
 )
 
-// Config tunes a Server. The zero value is usable: every field has a
-// serving-appropriate default. Nothing here decides how views are held:
-// in-memory views live on the heap, view files are mapped (registry.go).
+// Config tunes a Server. The zero value is what vjserve deploys: every
+// field has a serving default, set in one place (withDefaults). Nothing
+// here decides how views are held: in-memory views live on the heap, view
+// files are mapped (registry.go).
 type Config struct {
 	// CacheSize bounds the plan cache (prepared plans, LRU). Default 128.
 	CacheSize int
 	// Workers bounds concurrent query evaluations. Default 4.
 	Workers int
 	// QueueDepth bounds how many admitted requests may wait for a worker
-	// slot before new arrivals are shed with 429. 0 means shed whenever all
-	// workers are busy; negative means an unbounded queue.
+	// slot before new arrivals are shed with 429. Default 16; negative
+	// means an unbounded queue.
 	QueueDepth int
 	// DefaultTimeout bounds requests that do not carry their own
 	// timeout_ms. Default 10s.
@@ -60,23 +61,11 @@ type Config struct {
 	// AccessLog, when non-nil, receives one JSON line (schema
 	// viewjoin/access/v1) per query request.
 	AccessLog io.Writer
-	// SlowlogSize enables the slow-query flight recorder: the server
-	// retains the access lines, stage clocks included, of the N slowest and
-	// the N most recent requests that reached their run, served at GET
-	// /debug/slowlog. 0 (the default) disables it.
-	SlowlogSize int
-	// SlowlogThreshold admits a request to the slow set only when its wall
-	// time (admission to response) meets it; the recent ring receives every
-	// request regardless. 0 makes every request eligible.
-	SlowlogThreshold time.Duration
 }
 
 // DeployedConfig is the configuration vjserve runs with when no serving
-// flag is given: the zero value's defaults plus a 16-deep admission queue
-// and an 8-entry slowlog admitting requests of 100ms and more.
-func DeployedConfig() Config {
-	return Config{QueueDepth: 16, SlowlogSize: 8, SlowlogThreshold: 100 * time.Millisecond}.withDefaults()
-}
+// flag is given: the zero Config with its defaults filled in.
+func DeployedConfig() Config { return Config{}.withDefaults() }
 
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
@@ -84,6 +73,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
+	}
+	if c.QueueDepth == 0 {
+		c.QueueDepth = 16
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Second
@@ -145,7 +137,7 @@ type Server struct {
 	recomputed        atomic.Int64 // summed list records recomputed by maintenance
 
 	start   time.Time // serving start, for uptime reporting
-	slowlog *slowlog  // nil when Config.SlowlogSize is 0
+	slowlog *slowlog  // the flight recorder behind /debug/slowlog
 
 	histMu     sync.Mutex
 	latency    map[string]*obs.Histogram // engine name -> run latency (µs)
@@ -166,18 +158,15 @@ type Server struct {
 // New builds a Server with the given configuration.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
+	return &Server{
 		cfg:     cfg,
 		docs:    make(map[string]*docEntry),
 		cache:   newPlanCache(cfg.CacheSize),
 		sem:     make(chan struct{}, cfg.Workers),
 		latency: make(map[string]*obs.Histogram),
 		start:   time.Now(),
+		slowlog: newSlowlog(slowlogSize),
 	}
-	if cfg.SlowlogSize > 0 {
-		s.slowlog = newSlowlog(cfg.SlowlogSize, cfg.SlowlogThreshold)
-	}
-	return s
 }
 
 // Handler returns the HTTP handler serving the full API surface. The three

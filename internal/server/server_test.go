@@ -273,25 +273,32 @@ func TestQueryDeadlineExpiry(t *testing.T) {
 	}
 }
 
-// TestQueryShedding saturates the single worker and pins the 429 path:
-// with QueueDepth 0, a second request must be shed immediately with the
-// structured admission error and counted on /metrics.
+// TestQueryShedding saturates the single worker and its queue and pins
+// the 429 path: with QueueDepth 1 and one request already waiting, the
+// next is shed immediately with the structured admission error and
+// counted on /metrics.
 func TestQueryShedding(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 0})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	gate := make(chan struct{})
-	started := make(chan struct{}, 1)
+	started := make(chan struct{}, 2)
 	s.testEvalGate = gate
 	s.testEvalStarted = func() { started <- struct{}{} }
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	req := queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}
-	firstDone := make(chan int, 1)
-	go func() {
-		var r queryResponse
-		firstDone <- post(t, ts, "/query", req, &r)
-	}()
+	results := make(chan int, 2)
+	serve := func() { results <- post(t, ts, "/query", req, nil) }
+	go serve()
 	<-started // the worker slot is now held
+	go serve()
+	for i := 0; s.queued.Load() == 0 && i < 2000; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if s.queued.Load() != 1 {
+		close(gate) // let both requests through before failing
+		t.Fatal("second request never queued")
+	}
 
 	var er errorResponse
 	if st := post(t, ts, "/query", req, &er); st != http.StatusTooManyRequests {
@@ -301,16 +308,18 @@ func TestQueryShedding(t *testing.T) {
 		t.Errorf("shed stage %q, want admission", er.Stage)
 	}
 
-	gate <- struct{}{}
-	if st := <-firstDone; st != http.StatusOK {
-		t.Fatalf("first request: status %d", st)
+	close(gate)
+	for range 2 {
+		if st := <-results; st != http.StatusOK {
+			t.Fatalf("held or queued request: status %d", st)
+		}
 	}
 	m := getMetrics(t, ts)
 	if m.Requests.Shed != 1 {
 		t.Errorf("shed = %d, want 1", m.Requests.Shed)
 	}
-	if m.Requests.Total != 2 {
-		t.Errorf("total = %d, want 2", m.Requests.Total)
+	if m.Requests.Total != 3 {
+		t.Errorf("total = %d, want 3", m.Requests.Total)
 	}
 }
 
@@ -402,6 +411,50 @@ func TestQueuedCountsEveryWaiter(t *testing.T) {
 				t.Errorf("queued = %d after both requests finished, want 0", q)
 			}
 		})
+	}
+}
+
+// TestDefaultQueueDepth: the zero QueueDepth is a 16-deep queue. With the
+// one worker held, 16 requests wait for it and show on /metrics as
+// queued, the 17th is shed with 429, and every waiter is served once the
+// worker is free.
+func TestDefaultQueueDepth(t *testing.T) {
+	const depth = 16
+	s := newTestServer(t, Config{Workers: 1})
+	gate := make(chan struct{})
+	started := make(chan struct{}, depth+1)
+	s.testEvalGate = gate
+	s.testEvalStarted = func() { started <- struct{}{} }
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}
+	results := make(chan int, depth+1)
+	serve := func() { results <- post(t, ts, "/query", req, nil) }
+	go serve()
+	<-started // the worker is held
+	for range depth {
+		go serve()
+	}
+	for i := 0; s.queued.Load() < depth && i < 5000; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if q := getMetrics(t, ts).Requests.Queued; q != depth {
+		close(gate) // let every request through before failing
+		t.Fatalf("queued = %d with %d requests waiting for the worker, want %d", q, depth, depth)
+	}
+	var er errorResponse
+	if st := post(t, ts, "/query", req, &er); st != http.StatusTooManyRequests || er.Stage != "admission" {
+		t.Errorf("waiter %d: status %d stage %q, want 429 at admission", depth+1, st, er.Stage)
+	}
+	close(gate)
+	for range depth + 1 {
+		if st := <-results; st != http.StatusOK {
+			t.Errorf("held or queued request: status %d, want 200", st)
+		}
+	}
+	if m := getMetrics(t, ts).Requests; m.Shed != 1 || m.Queued != 0 {
+		t.Errorf("shed = %d, queued = %d after the run; want 1 and 0", m.Shed, m.Queued)
 	}
 }
 

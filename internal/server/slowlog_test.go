@@ -20,7 +20,7 @@ func slowEntry(query string, wallUS int64) accessLine {
 // 3 and five observations, the snapshot's recent list holds exactly the
 // last three, newest first.
 func TestSlowlogRecentEviction(t *testing.T) {
-	l := newSlowlog(3, 0)
+	l := newSlowlog(3)
 	for i := 1; i <= 5; i++ {
 		l.observe(slowEntry(fmt.Sprintf("q%d", i), int64(i)))
 	}
@@ -47,7 +47,7 @@ func TestSlowlogRecentEviction(t *testing.T) {
 // wall time descending, admitting a new entry only when it outranks the
 // current minimum.
 func TestSlowlogSlowestRanking(t *testing.T) {
-	l := newSlowlog(3, 0)
+	l := newSlowlog(3)
 	for _, us := range []int64{10, 50, 20, 40, 30, 5} {
 		l.observe(slowEntry("q", us))
 	}
@@ -67,35 +67,11 @@ func TestSlowlogSlowestRanking(t *testing.T) {
 	}
 }
 
-// TestSlowlogThreshold verifies the admission split: every request enters
-// the recent ring, but only those at or above the threshold compete for
-// the slow set.
-func TestSlowlogThreshold(t *testing.T) {
-	l := newSlowlog(4, 10*time.Millisecond)
-	l.observe(slowEntry("fast", 500))      // 0.5ms: below threshold
-	l.observe(slowEntry("slow", 20_000))   // 20ms: above
-	l.observe(slowEntry("border", 10_000)) // exactly 10ms: admitted
-	l.observe(slowEntry("fast2", 9_999))   // just below
-	s := l.snapshot()
-	if len(s.Recent) != 4 {
-		t.Errorf("recent holds %d entries, want all 4", len(s.Recent))
-	}
-	if len(s.Slowest) != 2 {
-		t.Fatalf("slowest holds %d entries, want 2 (threshold-filtered): %+v", len(s.Slowest), s.Slowest)
-	}
-	if s.Slowest[0].Query != "slow" || s.Slowest[1].Query != "border" {
-		t.Errorf("slowest order: %q, %q; want slow, border", s.Slowest[0].Query, s.Slowest[1].Query)
-	}
-	if s.ThresholdMS != 10 {
-		t.Errorf("threshold_ms %d, want 10", s.ThresholdMS)
-	}
-}
-
 // TestSlowlogConcurrent hammers observe and snapshot from many goroutines;
 // the -race run is the real assertion, the totals check catches lost
 // updates.
 func TestSlowlogConcurrent(t *testing.T) {
-	l := newSlowlog(8, 0)
+	l := newSlowlog(8)
 	const workers, each = 8, 100
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -143,13 +119,12 @@ func getSlowlog(t testing.TB, ts *httptest.Server) slowlogSnapshot {
 	return s
 }
 
-// TestSlowlogEndpoint drives a deliberately slow query through a
-// slowlog-enabled server and reads its access line back from
-// /debug/slowlog, stage clocks and no trace: the request is held at the
-// evaluation gate past the threshold, so its wall time admits it to the
-// slow set while a second, unheld request stays out of it.
+// TestSlowlogEndpoint drives a deliberately slow query through the server
+// and reads its access line back from /debug/slowlog, stage clocks and no
+// trace: the request is held at the evaluation gate, so its wall time
+// ranks it first in the slow set, ahead of a second, unheld request.
 func TestSlowlogEndpoint(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, SlowlogSize: 4, SlowlogThreshold: 10 * time.Millisecond})
+	s := newTestServer(t, Config{Workers: 1})
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
 	s.testEvalGate = gate
@@ -167,17 +142,17 @@ func TestSlowlogEndpoint(t *testing.T) {
 		done <- r
 	}()
 	<-started
-	time.Sleep(25 * time.Millisecond) // hold past the 10ms threshold
+	time.Sleep(25 * time.Millisecond) // hold it well past an unheld run
 	gate <- struct{}{}
 	slowResp := <-done
 
 	// A /query runs untraced: only /debug/trace embeds a report.
 	if slowResp.Trace != nil {
-		t.Error("slowlog-enabled /query response embeds a trace; only /debug/trace may")
+		t.Error("a /query response embeds a trace; only /debug/trace may")
 	}
 
-	// A second, unheld request: lands in recent but (being fast) not in
-	// the slow set.
+	// A second, unheld request: it enters both lists, ranked below the
+	// held one.
 	s.testEvalGate = nil
 	var fast queryResponse
 	if st := post(t, ts, "/query", req, &fast); st != http.StatusOK {
@@ -191,15 +166,15 @@ func TestSlowlogEndpoint(t *testing.T) {
 	if log.Observed != 2 || len(log.Recent) != 2 {
 		t.Fatalf("observed %d, recent %d; want 2, 2", log.Observed, len(log.Recent))
 	}
-	if len(log.Slowest) != 1 {
-		t.Fatalf("slowest holds %d entries, want exactly the held request: %+v", len(log.Slowest), log.Slowest)
+	if log.Size != slowlogSize || len(log.Slowest) != 2 {
+		t.Fatalf("size %d, slowest holds %d entries; want %d and both requests: %+v", log.Size, len(log.Slowest), slowlogSize, log.Slowest)
 	}
 	e := log.Slowest[0]
 	if e.Query != testQuery || e.Outcome != "ok" || e.Status != http.StatusOK {
 		t.Errorf("slow entry identity: %+v", e)
 	}
-	if e.DurationUS < 10_000 {
-		t.Errorf("slow entry wall %dµs, want >= threshold 10ms", e.DurationUS)
+	if e.DurationUS < 25_000 || log.Slowest[1].DurationUS > e.DurationUS {
+		t.Errorf("slow set walls %dµs, %dµs; want the held request first, at >= 25ms", e.DurationUS, log.Slowest[1].DurationUS)
 	}
 	// The first request prepared its plan; its clocks are disjoint stages
 	// of its wall time, the gate's hold in none of them.
@@ -230,7 +205,7 @@ func TestSlowlogEndpoint(t *testing.T) {
 // deadline, is recorded under the canonical query and the engine it
 // resolved to, as a successful run of the same plan is.
 func TestSlowlogFailureNamesPlan(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, SlowlogSize: 4})
+	s := newTestServer(t, Config{Workers: 1})
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
 	s.testEvalGate = gate
@@ -262,7 +237,7 @@ func TestSlowlogFailureNamesPlan(t *testing.T) {
 // lists are empty arrays, not null, so a client iterating either of them
 // needs no special case before the first slow request.
 func TestSlowlogEmptyLists(t *testing.T) {
-	s := newTestServer(t, Config{SlowlogSize: 4, SlowlogThreshold: time.Hour})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/debug/slowlog")
@@ -278,21 +253,5 @@ func TestSlowlogEmptyLists(t *testing.T) {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("fresh /debug/slowlog body lacks %s: %s", want, body)
 		}
-	}
-}
-
-// TestSlowlogDisabled pins the default: no SlowlogSize means no recorder,
-// and a 404 on the endpoint.
-func TestSlowlogDisabled(t *testing.T) {
-	s := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/debug/slowlog")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/debug/slowlog status %d with recorder disabled, want 404", resp.StatusCode)
 	}
 }

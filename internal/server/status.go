@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"time"
 
@@ -230,12 +229,8 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSlowlog serves the flight recorder's snapshot (schema
-// viewjoin/slowlog/v3), or 404 when the recorder is disabled.
+// viewjoin/slowlog/v4).
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	if s.slowlog == nil {
-		writeError(w, http.StatusNotFound, "slowlog", errors.New("slow-query log disabled (start with -slowlog-size > 0)"), false)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.slowlog.snapshot())
 }

@@ -505,7 +505,7 @@ func TestUpdateStageTimings(t *testing.T) {
 // published under one lock no Prepare can see a view one epoch away from
 // the document, so no request may fail — there is no retry to hide it.
 func TestUpdateAtomicToQueries(t *testing.T) {
-	s, _ := updateTestServer(t, Config{Workers: 4, QueueDepth: 16})
+	s, _ := updateTestServer(t, Config{Workers: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -544,26 +544,35 @@ func TestUpdateAtomicToQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestUpdateRefusedIsLogged fills the workers and reads back the access
-// line of an /update that admission control sheds, then of one it refuses
-// while draining: like /query, the refusal is logged with its outcome and
-// is counted as shed, not as a failure.
+// TestUpdateRefusedIsLogged fills the worker and its queue and reads back
+// the access line of an /update that admission control sheds, then of one
+// it refuses while draining: like /query, the refusal is logged with its
+// outcome and is counted as shed, not as a failure.
 func TestUpdateRefusedIsLogged(t *testing.T) {
 	var log bytes.Buffer
-	s, _ := updateTestServer(t, Config{Workers: 1, QueueDepth: 0, AccessLog: &log})
+	s, _ := updateTestServer(t, Config{Workers: 1, QueueDepth: 1, AccessLog: &log})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	up := updateRequest{Document: "xmark", Op: "delete-subtree", Target: anyTarget(t, ts)}
 
 	gate := make(chan struct{})
-	started := make(chan struct{}, 1)
+	started := make(chan struct{}, 2)
 	s.testEvalGate = gate
 	s.testEvalStarted = func() { started <- struct{}{} }
-	inflight := make(chan int, 1)
-	go func() {
+	inflight := make(chan int, 2)
+	query := func() {
 		inflight <- post(t, ts, "/query", queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}, nil)
-	}()
+	}
+	go query()
 	<-started // the only worker slot is now held
+	go query()
+	for i := 0; s.queued.Load() == 0 && i < 2000; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if s.queued.Load() != 1 {
+		close(gate) // let both queries through before failing
+		t.Fatal("second query never queued")
+	}
 
 	refused := func(wantStatus int, wantOutcome string) {
 		t.Helper()
@@ -596,9 +605,11 @@ func TestUpdateRefusedIsLogged(t *testing.T) {
 	}
 	refused(http.StatusServiceUnavailable, "drain")
 
-	gate <- struct{}{}
-	if st := <-inflight; st != http.StatusOK {
-		t.Fatalf("in-flight query: status %d", st)
+	close(gate)
+	for range 2 {
+		if st := <-inflight; st != http.StatusOK {
+			t.Fatalf("held or queued query: status %d", st)
+		}
 	}
 	<-drained
 	if m := getMetrics(t, ts).Requests; m.Shed != 1 || m.Failures != 0 {

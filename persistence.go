@@ -151,6 +151,8 @@ func (d *Document) loadViewImage(data []byte, file *store.Mapping) (*Materialize
 func (v *MaterializedView) Release() error { return v.file.Close() }
 
 // FootprintBytes is SizeBytes under the name benchmark/ reads it by.
+//
+// Deprecated: use SizeBytes.
 func (v *MaterializedView) FootprintBytes() int64 { return v.SizeBytes() }
 
 // loadErr wraps a low-level read error for the loaders, folding the two EOF

@@ -266,6 +266,8 @@ type RunOptions struct {
 //
 // Pinned: the signature is part of what benchmark/ calls and must not
 // change outside a [benchmark] PR.
+//
+// Deprecated: use RunWith(nil, nil), which Run calls.
 func (p *PreparedQuery) Run() (*Result, error) { return p.RunWith(nil, nil) }
 
 // RunTraced executes the prepared plan once with tr observing it (nil runs
@@ -273,6 +275,8 @@ func (p *PreparedQuery) Run() (*Result, error) { return p.RunWith(nil, nil) }
 //
 // Pinned: benchmark/ calls it as RunTraced(ctx, 1, obs.NewRecorder()), and
 // that call shape must keep compiling outside a [benchmark] PR.
+//
+// Deprecated: use RunWith(ctx, &RunOptions{Parallelism: k, Tracer: tr}).
 func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr *obs.Recorder) (*Result, error) {
 	return p.RunWith(ctx, &RunOptions{Parallelism: k, Tracer: tr})
 }

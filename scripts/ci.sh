@@ -39,7 +39,7 @@
 #      so a benchmark that no longer builds or runs fails here, not in the
 #      middle of somebody's measurement (BenchmarkServePage among them: a
 #      cached-plan 20-row cursor page through the vjserve handler, at
-#      Config{} and at vjserve's defaults, server.DeployedConfig())
+#      Config{}, which is the configuration vjserve deploys)
 #   2d. vjbench smoke: every experiment of cmd/vjbench once, at a small
 #      scale and one sample a cell, so flag or wiring drift in the
 #      command that prints the paper's tables fails here

@@ -89,6 +89,9 @@ func (e *EpochMismatchError) Error() string {
 // views, prepared queries and in-flight evaluations keep reading it until
 // they are maintained or re-prepared. Apply calls are serialized
 // internally; readers never block.
+//
+// Deprecated: use Stage, then StagedUpdate.Maintain for each view and
+// StagedUpdate.Commit, which publishes the snapshot and its views at once.
 func (d *Document) Apply(u Update) (*AppliedUpdate, error) {
 	d.w.Lock()
 	defer d.w.Unlock()

@@ -467,6 +467,8 @@ type Stats struct {
 	//
 	// Pinned: benchmark/ reads the field, which must not change outside a
 	// [benchmark] PR.
+	//
+	// Deprecated: always 0; count page touches with PagesRead.
 	PageHits int64
 	// JumpsTaken / JumpsRefused count materialized pointer jumps followed
 	// and refused (safe-jump probe, open-region cover, stale pointers) —
