@@ -16,7 +16,7 @@
 //
 // Endpoints:
 //
-//	POST /query          {"document","query","engine","views","timeout_ms","limit","cursor","parallel"}
+//	POST /query          {"document","query","engine","views","timeout_ms","limit","cursor"}
 //	POST /update         {"document","op","target","fragment"}; maintains every view, bumps the epoch
 //	POST /debug/trace    same body as /query; returns the viewjoin/trace/v2 report inline
 //	GET  /debug/slowlog  flight recorder: access lines of the 8 slowest + 8 most recent runs (viewjoin/slowlog/v4)
@@ -25,11 +25,12 @@
 //	GET  /healthz        liveness ("ok" or "draining")
 //	GET  /documents      registered documents and views
 //
-// The serving flags (-cache, -workers, -queue, -max-parallel, -timeout)
-// default to server.DeployedConfig, the zero server.Config with its
-// defaults filled in: a server started without them runs the
-// configuration benchmark/'s serving workloads measure. The slow-query
-// recorder behind /debug/slowlog is always on and has no flag.
+// The serving flags (-cache, -workers, -queue, -timeout) default to
+// server.DeployedConfig, the zero server.Config with its defaults filled
+// in: a server started without them runs the configuration benchmark/'s
+// serving workloads measure. Each request runs on one worker; the
+// slow-query recorder behind /debug/slowlog is always on. Neither has a
+// flag.
 //
 // On SIGINT/SIGTERM the server stops accepting queries (503), drains
 // in-flight requests, and exits 0. -json writes one viewjoin/access/v1
@@ -184,7 +185,6 @@ func serveFlags(fs *flag.FlagSet) func() server.Config {
 		cacheSize = fs.Int("cache", d.CacheSize, "plan cache capacity (prepared plans)")
 		workers   = fs.Int("workers", d.Workers, "concurrent query evaluations")
 		queue     = fs.Int("queue", d.QueueDepth, "admitted requests that may wait for a worker before 429 shedding (negative: unbounded)")
-		maxPar    = fs.Int("max-parallel", d.MaxParallel, "cap on the per-request 'parallel' partition knob (1 = parallel evaluation disabled)")
 		timeout   = fs.Duration("timeout", d.DefaultTimeout, "default per-request deadline")
 	)
 	return func() server.Config {
@@ -193,7 +193,6 @@ func serveFlags(fs *flag.FlagSet) func() server.Config {
 			Workers:        *workers,
 			QueueDepth:     *queue,
 			DefaultTimeout: *timeout,
-			MaxParallel:    *maxPar,
 		}
 	}
 }

@@ -101,3 +101,15 @@ func TestRunListenError(t *testing.T) {
 		t.Errorf("exit %d, stderr %q; want %d at stage listen, before serving", code, out, exitOther)
 	}
 }
+
+// TestRemovedFlagsAreUnknown: the per-request partition cap and the slowlog
+// settings are no flags any more; naming one fails before anything loads.
+func TestRemovedFlagsAreUnknown(t *testing.T) {
+	for _, name := range []string{"-max-parallel", "-slowlog-size", "-slowlog-ms"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{name, "2", "-xmark", "0.01"}, &stdout, &stderr, nil)
+		if out := stderr.String(); code != exitOther || !strings.Contains(out, "flag provided but not defined: "+name) {
+			t.Errorf("%s 2: exit %d, stderr %q; want %d and the unknown-flag error", name, code, out, exitOther)
+		}
+	}
+}

@@ -146,11 +146,6 @@ func (s *scanner) object(req *queryRequest) bool {
 		case "cursor":
 			bit = 1 << 6
 			req.Cursor, ok = s.strValue()
-		case "parallel":
-			bit = 1 << 7
-			var v int64
-			v, ok = s.int(strconv.IntSize)
-			req.Parallel = int(v)
 		}
 		if !ok || bit == 0 || seen&bit != 0 {
 			return false

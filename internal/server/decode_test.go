@@ -71,7 +71,7 @@ func TestQueryRequestDecodingEdges(t *testing.T) {
 var canonicalBodies = []string{
 	`{"document":"xmark","query":"` + testQuery + `","limit":20}`,
 	`{"document":"xmark","query":"` + testQuery + `","views":["//site//item//name","//description//keyword"],"limit":20,"cursor":"AAAAAAAAAAABAAAAAgAAAAMAAAA"}`,
-	`{"document":"xmark","query":"` + testQuery + `","engine":"TS","views":[],"timeout_ms":250,"limit":0,"parallel":-2}`,
+	`{"document":"xmark","query":"` + testQuery + `","engine":"TS","views":[],"timeout_ms":250,"limit":0}`,
 	` { "document" : "xmark" ,` + "\n\t" + `"query":"//a" } ` + "\r\n",
 	`{}`,
 }

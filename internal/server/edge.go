@@ -216,10 +216,9 @@ func writeError(w http.ResponseWriter, status int, stage string, err error, time
 // /debug/plans do (canonical query, resolved engine, sorted views); a
 // request that fails before that is named as its body spelled it. Outcome
 // classifies how the request ended (ok, timeout, canceled, shed, drain,
-// stale, error) and Partitions records how many range partitions the run
-// executed, so a log scan can separate deadline expiries from client
-// disconnects and see which requests actually went parallel. Time, when
-// the line was written, is encoded as an RFC 3339 UTC string.
+// stale, error), so a log scan can separate deadline expiries from client
+// disconnects. Time, when the line was written, is encoded as an RFC 3339
+// UTC string.
 type accessLine struct {
 	Schema     string    `json:"schema"`
 	Time       time.Time `json:"time"`
@@ -232,7 +231,6 @@ type accessLine struct {
 	Cache      string    `json:"cache,omitempty"`
 	Outcome    string    `json:"outcome"`
 	Matches    int       `json:"matches"`
-	Partitions int       `json:"partitions,omitempty"`
 	DurationUS int64     `json:"duration_us"`
 	// Where duration_us went, on every line and 0 for a stage not
 	// reached: arrival to a worker slot (decode and the admission wait),

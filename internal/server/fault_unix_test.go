@@ -13,14 +13,13 @@ import (
 
 // TestTruncatedViewFileIsContained: a view file truncated in place under
 // the live server — the one thing a validated mapping cannot survive —
-// costs the document it serves a 500 at stage "load", on the sequential
-// and on the partitioned path, for cached plans and for fresh prepares.
-// The document next to it, serving files of its own, answers the same bytes
-// as before, and the process stays up. (Only a real mapping can fault,
-// hence the build tag.)
+// costs the document it serves a 500 at stage "load", for cached plans and
+// for fresh prepares. The document next to it, serving files of its own,
+// answers the same bytes as before, and the process stays up. (Only a real
+// mapping can fault, hence the build tag.)
 func TestTruncatedViewFileIsContained(t *testing.T) {
 	d := viewjoin.GenerateXMark(0.2)
-	s := New(Config{MaxParallel: 2})
+	s := New(Config{})
 	files := map[string][]string{}
 	for _, dn := range []string{"damaged", "healthy"} {
 		if err := s.AddDocument(dn, d); err != nil {
@@ -37,21 +36,16 @@ func TestTruncatedViewFileIsContained(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	request := func(dn, engine string, parallel int) queryRequest {
-		return queryRequest{Document: dn, Query: testQuery, Engine: engine, Limit: 1 << 20, Parallel: parallel}
+	request := func(dn, engine string) queryRequest {
+		return queryRequest{Document: dn, Query: testQuery, Engine: engine, Limit: 1 << 20}
 	}
-	before := map[int]wirePage{}
-	for _, k := range []int{1, 2} {
-		for _, dn := range []string{"damaged", "healthy"} {
-			var pg wirePage
-			if code := post(t, ts, "/query", request(dn, "VJ", k), &pg); code != http.StatusOK || pg.MatchCount == 0 {
-				t.Fatalf("document %s parallel %d before the damage: status %d, %d matches", dn, k, code, pg.MatchCount)
-			}
-			before[k] = pg
+	var before wirePage
+	for _, dn := range []string{"damaged", "healthy"} {
+		var pg wirePage
+		if code := post(t, ts, "/query", request(dn, "VJ"), &pg); code != http.StatusOK || pg.MatchCount == 0 {
+			t.Fatalf("document %s before the damage: status %d, %d matches", dn, code, pg.MatchCount)
 		}
-	}
-	if before[2].Stats.Partitions != 2 {
-		t.Fatalf("parallel 2 ran %d partitions; the test needs worker goroutines to fault", before[2].Stats.Partitions)
+		before = pg
 	}
 
 	victim := files["damaged"][0]
@@ -62,17 +56,15 @@ func TestTruncatedViewFileIsContained(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, k := range []int{1, 2} {
-		for _, engine := range []string{"VJ", "TS"} { // a cached plan, a fresh Prepare
-			var er errorResponse
-			if code := post(t, ts, "/query", request("damaged", engine, k), &er); code != http.StatusInternalServerError || er.Stage != "load" {
-				t.Errorf("damaged document, %s parallel %d: status %d stage %q (%s), want 500 at load", engine, k, code, er.Stage, er.Error)
-			}
+	for _, engine := range []string{"VJ", "TS"} { // a cached plan, a fresh Prepare
+		var er errorResponse
+		if code := post(t, ts, "/query", request("damaged", engine), &er); code != http.StatusInternalServerError || er.Stage != "load" {
+			t.Errorf("damaged document, %s: status %d stage %q (%s), want 500 at load", engine, code, er.Stage, er.Error)
 		}
-		var pg wirePage
-		if code := post(t, ts, "/query", request("healthy", "VJ", k), &pg); code != http.StatusOK || !pg.equal(before[k]) {
-			t.Errorf("healthy document, parallel %d: status %d, or bytes changed (%d vs %d matches)", k, code, pg.MatchCount, before[k].MatchCount)
-		}
+	}
+	var pg wirePage
+	if code := post(t, ts, "/query", request("healthy", "VJ"), &pg); code != http.StatusOK || !pg.equal(before) {
+		t.Errorf("healthy document: status %d, or bytes changed (%d vs %d matches)", code, pg.MatchCount, before.MatchCount)
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -82,7 +74,7 @@ func TestTruncatedViewFileIsContained(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz after the faults: status %d", resp.StatusCode)
 	}
-	if m := getMetrics(t, ts); m.Requests.Failures != 4 {
-		t.Errorf("failures = %d, want the 4 faulted requests", m.Requests.Failures)
+	if m := getMetrics(t, ts); m.Requests.Failures != 2 {
+		t.Errorf("failures = %d, want the 2 faulted requests", m.Requests.Failures)
 	}
 }

@@ -36,8 +36,7 @@ type queryRequest struct {
 	// previous limited response. The run starts at the cursor position
 	// (RunOptions.After: every list is opened there by binary search), so
 	// a page costs what it returns however deep it is.
-	Cursor   string `json:"cursor,omitempty"`
-	Parallel int    `json:"parallel,omitempty"` // range partitions; clamped to the server's MaxParallel; <=1: sequential
+	Cursor string `json:"cursor,omitempty"`
 }
 
 // decodeQuery is the decode stage. The access line names the request as
@@ -107,11 +106,6 @@ func (s *Server) query(ctx context.Context, req *queryRequest, traced bool, x *e
 	if traced {
 		tr = obs.NewRecorder()
 	}
-	// The per-request parallelism ask, clamped to the server cap; 1 is the
-	// sequential path, which a partitioned run degrades to anyway when the
-	// plan yields no cuts, so the clamp only bounds worst-case goroutines.
-	k := max(1, min(req.Parallel, s.cfg.MaxParallel))
-
 	// The gate sits between deadline creation and evaluation: a test that
 	// holds it past the deadline gets a deterministic expiry at the
 	// engine's upfront interrupt check.
@@ -121,7 +115,7 @@ func (s *Server) query(ctx context.Context, req *queryRequest, traced bool, x *e
 		}
 		<-s.testEvalGate
 	}
-	res, f := s.run(ctx, ent, &viewjoin.RunOptions{Limit: req.Limit, After: after, Parallelism: k, Tracer: tr}, x)
+	res, f := s.run(ctx, ent, &viewjoin.RunOptions{Limit: req.Limit, After: after, Tracer: tr}, x)
 	if f != nil {
 		return f
 	}
@@ -235,7 +229,7 @@ func (s *Server) run(ctx context.Context, ent *planEntry, opts *viewjoin.RunOpti
 	cs := countersOf(res.Stats)
 	cs.Matches = int64(len(res.Matches))
 	ent.agg.AddRun(cs, res.Stats.Duration)
-	x.line.Matches, x.line.Partitions = len(res.Matches), res.Stats.Partitions
+	x.line.Matches = len(res.Matches)
 	x.line.RunUS, x.line.FirstMatchUS = res.Stats.Duration.Microseconds(), res.Stats.FirstMatchNanos/1000
 	return res, nil
 }

@@ -14,7 +14,7 @@ import (
 // 0.02 document with the test views.
 func fuzzServer(t testing.TB) (*Server, *viewjoin.Document) {
 	t.Helper()
-	s := New(Config{MaxParallel: 2})
+	s := New(Config{})
 	d := viewjoin.GenerateXMark(0.02)
 	if err := s.AddDocument("xmark", d); err != nil {
 		t.Fatal(err)

@@ -52,12 +52,6 @@ type Config struct {
 	// DefaultTimeout bounds requests that do not carry their own
 	// timeout_ms. Default 10s.
 	DefaultTimeout time.Duration
-	// MaxParallel caps the per-request "parallel" knob: a request may ask
-	// for up to this many range partitions (RunOptions.Parallelism);
-	// higher asks are clamped silently. The default 1 disables parallel
-	// evaluation — each request then costs exactly one worker's CPU, which
-	// is what the Workers bound assumes.
-	MaxParallel int
 	// AccessLog, when non-nil, receives one JSON line (schema
 	// viewjoin/access/v1) per query request.
 	AccessLog io.Writer
@@ -79,9 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Second
-	}
-	if c.MaxParallel <= 0 {
-		c.MaxParallel = 1
 	}
 	return c
 }
@@ -139,9 +130,8 @@ type Server struct {
 	start   time.Time // serving start, for uptime reporting
 	slowlog *slowlog  // the flight recorder behind /debug/slowlog
 
-	histMu     sync.Mutex
-	latency    map[string]*obs.Histogram // engine name -> run latency (µs)
-	partitions obs.Histogram             // partitions per successful run
+	histMu  sync.Mutex
+	latency map[string]*obs.Histogram // engine name -> run latency (µs)
 
 	logMu sync.Mutex
 

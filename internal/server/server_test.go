@@ -276,7 +276,8 @@ func TestQueryDeadlineExpiry(t *testing.T) {
 // TestQueryShedding saturates the single worker and its queue and pins
 // the 429 path: with QueueDepth 1 and one request already waiting, the
 // next is shed immediately with the structured admission error and
-// counted on /metrics.
+// counted on /metrics. The waiter reaches evaluation only once the held
+// request has finished, and then completes.
 func TestQueryShedding(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	gate := make(chan struct{})
@@ -308,7 +309,13 @@ func TestQueryShedding(t *testing.T) {
 		t.Errorf("shed stage %q, want admission", er.Stage)
 	}
 
-	close(gate)
+	if len(started) != 0 {
+		close(gate)
+		t.Fatal("the queued request began evaluating while the worker was held")
+	}
+	gate <- struct{}{} // the held request finishes; the waiter takes its slot
+	<-started
+	gate <- struct{}{}
 	for range 2 {
 		if st := <-results; st != http.StatusOK {
 			t.Fatalf("held or queued request: status %d", st)
@@ -320,53 +327,6 @@ func TestQueryShedding(t *testing.T) {
 	}
 	if m.Requests.Total != 3 {
 		t.Errorf("total = %d, want 3", m.Requests.Total)
-	}
-}
-
-// TestQueryQueueing verifies the queue between the workers and the
-// shedding threshold: with QueueDepth 1, one request may wait for the
-// busy worker and completes; only the one after it is shed.
-func TestQueryQueueing(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	gate := make(chan struct{})
-	started := make(chan struct{}, 2)
-	s.testEvalGate = gate
-	s.testEvalStarted = func() { started <- struct{}{} }
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	req := queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}
-	results := make(chan int, 2)
-	go func() {
-		var r queryResponse
-		results <- post(t, ts, "/query", req, &r)
-	}()
-	<-started // worker busy
-	go func() {
-		var r queryResponse
-		results <- post(t, ts, "/query", req, &r)
-	}()
-	// Wait until the second request is queued (deterministically visible
-	// through the queued gauge).
-	for i := 0; s.queued.Load() == 0; i++ {
-		if i > 5000 {
-			t.Fatal("second request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	var er errorResponse
-	if st := post(t, ts, "/query", req, &er); st != http.StatusTooManyRequests {
-		t.Fatalf("third request: status %d, want 429", st)
-	}
-
-	gate <- struct{}{} // finish first; second leaves the queue and evaluates
-	<-started
-	gate <- struct{}{}
-	for i := 0; i < 2; i++ {
-		if st := <-results; st != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, st)
-		}
 	}
 }
 
@@ -840,48 +800,6 @@ func TestMatchRows(t *testing.T) {
 	}
 }
 
-// TestParallelKnob pins the per-request parallelism contract: a request's
-// "parallel" field routes the run through range partitioning (reported via
-// stats.partitions) only up to the server's MaxParallel cap, the result is
-// identical to the sequential answer, and the default cap of 1 disables
-// the mechanism entirely.
-func TestParallelKnob(t *testing.T) {
-	s := newTestServer(t, Config{MaxParallel: 4})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	var seq, par wireResponse
-	req := queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}
-	if st := post(t, ts, "/query", req, &seq); st != http.StatusOK {
-		t.Fatalf("sequential: status %d", st)
-	}
-	req.Parallel = 8 // asks past the cap: clamped to 4, not rejected
-	if st := post(t, ts, "/query", req, &par); st != http.StatusOK {
-		t.Fatalf("parallel: status %d", st)
-	}
-	if par.MatchCount != seq.MatchCount {
-		t.Fatalf("parallel found %d matches, sequential %d", par.MatchCount, seq.MatchCount)
-	}
-	if seq.Stats.Partitions != 1 {
-		t.Errorf("sequential run reported %d partitions, want 1", seq.Stats.Partitions)
-	}
-	if par.Stats.Partitions < 2 || par.Stats.Partitions > 4 {
-		t.Errorf("parallel run reported %d partitions, want 2..4", par.Stats.Partitions)
-	}
-
-	// Default configuration: the knob is a no-op.
-	s2 := newTestServer(t, Config{})
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	var capped wireResponse
-	if st := post(t, ts2, "/query", queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ", Parallel: 8}, &capped); st != http.StatusOK {
-		t.Fatalf("capped: status %d", st)
-	}
-	if capped.Stats.Partitions != 1 {
-		t.Errorf("capped run reported %d partitions, want 1", capped.Stats.Partitions)
-	}
-}
-
 // TestPaginationCursorRoundTrip pages through the whole result with
 // limit+cursor and checks the concatenated pages reassemble the full
 // unlimited run exactly: same rows, same order, no gaps or duplicates,
@@ -951,10 +869,9 @@ func TestPaginationCursorRoundTrip(t *testing.T) {
 
 // TestDeepCursorWalk follows the cursor through 200 pages, each run resumed
 // by seeking to its page: the pages reassemble the first rows of the full
-// result, and a "parallel": 3 walk — every page a partitioned run cut at the
-// cursor — returns the sequential walk's pages.
+// result.
 func TestDeepCursorWalk(t *testing.T) {
-	s := newTestServer(t, Config{MaxParallel: 3})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	const pageSize, pages = 1, 200
@@ -966,31 +883,20 @@ func TestDeepCursorWalk(t *testing.T) {
 	if len(full.Matches) < pageSize*pages {
 		t.Fatalf("%d rows cannot fill %d pages of %d", len(full.Matches), pages, pageSize)
 	}
-	walk := func(parallel int) (rows [][]viewjoin.Node, partitions int) {
-		req := queryRequest{Document: "xmark", Query: testQuery, Views: views, Limit: pageSize, Parallel: parallel}
-		for page := 0; page < pages; page++ {
-			var resp wireResponse
-			if st := post(t, ts, "/query", req, &resp); st != http.StatusOK {
-				t.Fatalf("parallel %d page %d: status %d", parallel, page, st)
-			}
-			rows = append(rows, resp.Matches...)
-			partitions = max(partitions, resp.Stats.Partitions)
-			if req.Cursor = resp.Cursor; req.Cursor == "" {
-				t.Fatalf("parallel %d page %d: no cursor with %d rows to go", parallel, page, len(full.Matches)-len(rows))
-			}
+	var rows [][]viewjoin.Node
+	req := queryRequest{Document: "xmark", Query: testQuery, Views: views, Limit: pageSize}
+	for page := 0; page < pages; page++ {
+		var resp queryResponse
+		if st := post(t, ts, "/query", req, &resp); st != http.StatusOK {
+			t.Fatalf("page %d: status %d", page, st)
 		}
-		return rows, partitions
+		rows = append(rows, resp.Matches...)
+		if req.Cursor = resp.Cursor; req.Cursor == "" {
+			t.Fatalf("page %d: no cursor with %d rows to go", page, len(full.Matches)-len(rows))
+		}
 	}
-	seq, _ := walk(1)
-	if fmt.Sprint(seq) != fmt.Sprint(full.Matches[:pageSize*pages]) {
-		t.Fatalf("%d pages reassemble %d rows that are not the full result's first %d", pages, len(seq), pageSize*pages)
-	}
-	par, partitions := walk(3)
-	if fmt.Sprint(par) != fmt.Sprint(seq) {
-		t.Fatal("the parallel walk's pages differ from the sequential walk's")
-	}
-	if partitions < 2 {
-		t.Errorf("no page of the parallel walk ran partitioned (at most %d partition)", partitions)
+	if fmt.Sprint(rows) != fmt.Sprint(full.Matches[:pageSize*pages]) {
+		t.Fatalf("%d pages reassemble %d rows that are not the full result's first %d", pages, len(rows), pageSize*pages)
 	}
 }
 
@@ -1118,6 +1024,30 @@ func TestUndecodableBodiesAreLogged(t *testing.T) {
 		if w.Code != http.StatusBadRequest || line.Status != http.StatusBadRequest || line.Stage != "request" ||
 			line.Document != "xmark" || !strings.Contains(line.Error, "unknown field") {
 			t.Errorf("%s: status %d, access line %+v; want a 400 at stage request naming document xmark", path, w.Code, line)
+		}
+	}
+}
+
+// TestParallelFieldIsRefused: a request runs on one worker, so "parallel"
+// is no request field. A body that names it is a 400 at stage "request"
+// with encoding/json's unknown-field error, and writes its access line.
+func TestParallelFieldIsRefused(t *testing.T) {
+	var log bytes.Buffer
+	s := newTestServer(t, Config{AccessLog: &log})
+	h := s.Handler()
+	body := `{"document":"xmark","query":"` + testQuery + `","limit":20,"parallel":2}`
+	for _, path := range []string{"/query", "/debug/trace"} {
+		log.Reset()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		var er errorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusBadRequest ||
+			er.Stage != "request" || er.Error != `json: unknown field "parallel"` {
+			t.Errorf("%s: status %d, body %q; want a 400 at stage request for the unknown field", path, w.Code, w.Body.String())
+		}
+		var line accessLine
+		if err := json.Unmarshal(log.Bytes(), &line); err != nil || line.Status != http.StatusBadRequest || line.Stage != "request" {
+			t.Errorf("%s: access log %q (%v); want one 400 line at stage request", path, log.String(), err)
 		}
 	}
 }

@@ -14,10 +14,9 @@ import (
 // /debug/slowlog, /healthz and /documents, and the histograms the run
 // stage feeds them.
 
-// observe records one successful run in the server's histograms: its
-// duration in the engine's latency histogram (microseconds; power-of-two
-// buckets shared with the trace reports) and how many range partitions it
-// executed (1 for sequential).
+// observe records one successful run's duration in its engine's latency
+// histogram (microseconds; power-of-two buckets shared with the trace
+// reports).
 func (s *Server) observe(eng viewjoin.Engine, st viewjoin.Stats) {
 	s.histMu.Lock()
 	h := s.latency[eng.String()]
@@ -26,7 +25,6 @@ func (s *Server) observe(eng viewjoin.Engine, st viewjoin.Stats) {
 		s.latency[eng.String()] = h
 	}
 	h.Add(st.Duration.Microseconds())
-	s.partitions.Add(int64(st.Partitions))
 	s.histMu.Unlock()
 }
 
@@ -47,15 +45,14 @@ func countersOf(st viewjoin.Stats) counters.Counters {
 
 // metricsResponse is the body of GET /metrics.
 type metricsResponse struct {
-	Schema     string              `json:"schema"`
-	UptimeMS   int64               `json:"uptime_ms"`
-	PlanCache  planCacheMetrics    `json:"plan_cache"`
-	Requests   requestMetrics      `json:"requests"`
-	Updates    updateMetrics       `json:"updates"` // write path (/update + maintenance)
-	Views      viewMetrics         `json:"views"`   // registered views, from files and from memory
-	LatencyUS  map[string]histJSON `json:"latency_us"`
-	Partitions countJSON           `json:"partitions"` // partitions per successful run
-	Documents  int                 `json:"documents"`
+	Schema    string              `json:"schema"`
+	UptimeMS  int64               `json:"uptime_ms"`
+	PlanCache planCacheMetrics    `json:"plan_cache"`
+	Requests  requestMetrics      `json:"requests"`
+	Updates   updateMetrics       `json:"updates"` // write path (/update + maintenance)
+	Views     viewMetrics         `json:"views"`   // registered views, from files and from memory
+	LatencyUS map[string]histJSON `json:"latency_us"`
+	Documents int                 `json:"documents"`
 }
 
 type planCacheMetrics struct {
@@ -106,18 +103,6 @@ type histJSON struct {
 	P95  int64 `json:"p95_us"`
 	P99  int64 `json:"p99_us"`
 	P999 int64 `json:"p999_us"`
-}
-
-// countJSON is histJSON's summary of a histogram of counts, not times:
-// the same fields under unit-free keys.
-type countJSON struct {
-	N    int64 `json:"n"`
-	Sum  int64 `json:"sum"`
-	Max  int64 `json:"max"`
-	P50  int64 `json:"p50"`
-	P95  int64 `json:"p95"`
-	P99  int64 `json:"p99"`
-	P999 int64 `json:"p999"`
 }
 
 func histOf(h *obs.Histogram) histJSON {
@@ -187,7 +172,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for name, h := range s.latency {
 		resp.LatencyUS[name] = histOf(h)
 	}
-	resp.Partitions = countJSON(histOf(&s.partitions))
 	s.histMu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)

@@ -51,31 +51,10 @@ func anchorNode(nodes []tpq.Node) int {
 // pins the spine above it and bounds everything else inside it. A single
 // blob (e.g. a query anchored at the document root) admits no cut and
 // yields no parallelism.
-//
-// Plans are cached per parallelism degree: the job list is immutable once
-// built (restrictions are read-only to the engines), so repeated parallel
-// runs of a cached serving plan skip the anchor-span merge entirely.
 func (p *PreparedQuery) planPartitions(k int) []engine.Restriction {
 	if k <= 1 {
 		return nil
 	}
-	p.partMu.Lock()
-	jobs, ok := p.partPlans[k]
-	p.partMu.Unlock()
-	if ok {
-		return jobs
-	}
-	jobs = p.computePartitions(k)
-	p.partMu.Lock()
-	if p.partPlans == nil {
-		p.partPlans = make(map[int][]engine.Restriction)
-	}
-	p.partPlans[k] = jobs
-	p.partMu.Unlock()
-	return jobs
-}
-
-func (p *PreparedQuery) computePartitions(k int) []engine.Restriction {
 	b := anchorNode(p.q.p.Nodes)
 	if b < 0 {
 		return nil

@@ -74,13 +74,6 @@ type PreparedQuery struct {
 	// resume is the plan's resume prefix (resumePrefix), fixed at Prepare
 	// from the lists' entry counts: a cursor run seeks below it.
 	resume []int32
-
-	// Partition-planning cache: the job list for a given parallelism depends
-	// only on the immutable plan, so it is computed once and shared across
-	// runs — a serving plan pays the anchor-span merge on its first parallel
-	// request, not on every one.
-	partMu    sync.Mutex
-	partPlans map[int][]engine.Restriction
 }
 
 // enginePlan is what the executor needs from an engine's prepared plan: to

@@ -31,6 +31,10 @@
 #   2a''. one XML parser: no non-test package may import encoding/xml
 #      (go list); internal/xmltree's scanner is the only reader of XML
 #      text, and encoding/xml stays in its tests as the parity oracle
+#   2a'''. one request, one worker: no non-test Go file of internal/server
+#      may name RunOptions.Parallelism outside a comment. Config.Workers
+#      bounds evaluations on the assumption that each request costs one
+#      worker's CPU; a partitioned serving run would break it
 #   2b. benchmark module: go vet and go test inside benchmark/ (a nested
 #      module root `go test ./...` does not reach), then a one-round
 #      --quick run of every BENCHMARK.json workload with its verify step,
@@ -138,6 +142,13 @@ xmlusers="$(go list -f '{{.ImportPath}} {{.Imports}}' ./... | grep -E '[[ ]encod
 if [ -n "$xmlusers" ]; then
 	echo "these packages import encoding/xml; XML is read by xmltree.Parse only:" >&2
 	echo "$xmlusers" >&2
+	exit 1
+fi
+echo "== one request, one worker: internal/server sets no Parallelism"
+parusers="$(grep -nE '^[^/]*([^[:alnum:]_]|^)Parallelism([^[:alnum:]_]|$)' $(ls internal/server/*.go | grep -v '_test\.go$') || true)"
+if [ -n "$parusers" ]; then
+	echo "internal/server runs a request partitioned; each request gets one worker (Config.Workers):" >&2
+	echo "$parusers" >&2
 	exit 1
 fi
 echo "== tier-1: vet"
