@@ -568,10 +568,12 @@ func TestQueryErrors(t *testing.T) {
 
 // TestStrictRequestBodies: every POST endpoint decodes its body strictly.
 // A field the request does not name — a stale client's "tenant", a
-// misspelled "limit" — is a 400 at stage "request", counted in failures,
-// instead of being dropped and answered as some other request.
+// misspelled "limit", a "parallel" ask (a request runs on one worker) — is
+// a 400 at stage "request", counted in failures and written to the access
+// log, instead of being dropped and answered as some other request.
 func TestStrictRequestBodies(t *testing.T) {
-	s := newTestServer(t, Config{})
+	var log bytes.Buffer
+	s := newTestServer(t, Config{AccessLog: &log})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -582,9 +584,11 @@ func TestStrictRequestBodies(t *testing.T) {
 	}{
 		{"tenant", "/query", `{"tenant":"acme","document":"xmark","query":"` + testQuery + `"}`, http.StatusBadRequest},
 		{"misspelled limit", "/query", `{"document":"xmark","query":"` + testQuery + `","limt":20}`, http.StatusBadRequest},
+		{"parallel", "/query", `{"document":"xmark","query":"` + testQuery + `","limit":20,"parallel":2}`, http.StatusBadRequest},
 		{"well-formed", "/query", query, http.StatusOK},
 		{"tenant", "/debug/trace", `{"tenant":"acme","document":"xmark","query":"` + testQuery + `"}`, http.StatusBadRequest},
 		{"misspelled limit", "/debug/trace", `{"document":"xmark","query":"` + testQuery + `","limt":20}`, http.StatusBadRequest},
+		{"parallel", "/debug/trace", `{"document":"xmark","query":"` + testQuery + `","limit":20,"parallel":2}`, http.StatusBadRequest},
 		{"well-formed", "/debug/trace", query, http.StatusOK},
 		{"tenant", "/update", `{"tenant":"ghost","document":"xmark","op":"delete-subtree","target":1}`, http.StatusBadRequest},
 		{"misspelled target", "/update", `{"document":"xmark","op":"append-child","traget":1,"fragment":"<ext/>"}`, http.StatusBadRequest},
@@ -593,14 +597,19 @@ func TestStrictRequestBodies(t *testing.T) {
 	bad := 0
 	for _, c := range cases {
 		t.Run(c.path+" "+c.name, func(t *testing.T) {
+			log.Reset()
 			var er errorResponse
 			if st := post(t, ts, c.path, json.RawMessage(c.body), &er); st != c.status {
 				t.Fatalf("status %d, want %d (body %+v)", st, c.status, er)
 			}
 			if c.status == http.StatusBadRequest {
 				bad++
-				if er.Stage != "request" || !strings.Contains(er.Error, "unknown field") {
+				if er.Stage != "request" || !strings.Contains(er.Error, "json: unknown field") {
 					t.Errorf("stage %q error %q, want an unknown field at stage request", er.Stage, er.Error)
+				}
+				var line accessLine
+				if err := json.Unmarshal(log.Bytes(), &line); err != nil || line.Status != c.status || line.Stage != "request" {
+					t.Errorf("access log %q (%v), want one 400 line at stage request", log.String(), err)
 				}
 			}
 		})
@@ -1024,30 +1033,6 @@ func TestUndecodableBodiesAreLogged(t *testing.T) {
 		if w.Code != http.StatusBadRequest || line.Status != http.StatusBadRequest || line.Stage != "request" ||
 			line.Document != "xmark" || !strings.Contains(line.Error, "unknown field") {
 			t.Errorf("%s: status %d, access line %+v; want a 400 at stage request naming document xmark", path, w.Code, line)
-		}
-	}
-}
-
-// TestParallelFieldIsRefused: a request runs on one worker, so "parallel"
-// is no request field. A body that names it is a 400 at stage "request"
-// with encoding/json's unknown-field error, and writes its access line.
-func TestParallelFieldIsRefused(t *testing.T) {
-	var log bytes.Buffer
-	s := newTestServer(t, Config{AccessLog: &log})
-	h := s.Handler()
-	body := `{"document":"xmark","query":"` + testQuery + `","limit":20,"parallel":2}`
-	for _, path := range []string{"/query", "/debug/trace"} {
-		log.Reset()
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		var er errorResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusBadRequest ||
-			er.Stage != "request" || er.Error != `json: unknown field "parallel"` {
-			t.Errorf("%s: status %d, body %q; want a 400 at stage request for the unknown field", path, w.Code, w.Body.String())
-		}
-		var line accessLine
-		if err := json.Unmarshal(log.Bytes(), &line); err != nil || line.Status != http.StatusBadRequest || line.Stage != "request" {
-			t.Errorf("%s: access log %q (%v); want one 400 line at stage request", path, log.String(), err)
 		}
 	}
 }
