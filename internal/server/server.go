@@ -43,7 +43,9 @@ const (
 type Config struct {
 	// CacheSize bounds the plan cache (prepared plans, LRU). Default 128.
 	CacheSize int
-	// Workers bounds concurrent query evaluations. Default 4.
+	// Workers bounds concurrent query evaluations. Each request runs on
+	// one worker (no partitioned runs), so this also bounds the cores
+	// evaluation uses. Default 4.
 	Workers int
 	// QueueDepth bounds how many admitted requests may wait for a worker
 	// slot before new arrivals are shed with 429. Default 16; negative
