@@ -15,7 +15,7 @@ import (
 	"viewjoin/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/counters_golden.json from this build's counters")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/counters_golden.json and testdata/view_store_golden.txt from this build")
 
 const countersGoldenPath = "testdata/counters_golden.json"
 
