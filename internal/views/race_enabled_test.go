@@ -1,0 +1,7 @@
+//go:build race
+
+package views
+
+// raceEnabled reports whether the race detector is active; its runtime
+// instrumentation changes allocation counts, so alloc-pinning tests skip.
+const raceEnabled = true
