@@ -127,6 +127,7 @@ func (h *responseHead) appendHead(b []byte) []byte {
 
 // appendTail appends responseTail's fields but the trace, each after a
 // comma: the stats object and duration_us straight from the run's Stats.
+// Stats.Partitions is left out: a server run is one job, so it is always 1.
 func (t *responseTail) appendTail(b []byte) []byte {
 	if t.Cursor != "" {
 		b = appendString(append(b, `,"cursor":`...), t.Cursor)
@@ -141,7 +142,6 @@ func (t *responseTail) appendTail(b []byte) []byte {
 	b = strconv.AppendInt(append(b, `,"jumps_refused":`...), s.JumpsRefused, 10)
 	b = strconv.AppendInt(append(b, `,"peak_memory_bytes":`...), s.PeakMemoryBytes, 10)
 	b = strconv.AppendInt(append(b, `,"first_match_us":`...), s.FirstMatchNanos/1000, 10)
-	b = strconv.AppendInt(append(b, `,"partitions":`...), int64(s.Partitions), 10)
 	return strconv.AppendInt(append(b, `},"duration_us":`...), s.Duration.Microseconds(), 10)
 }
 

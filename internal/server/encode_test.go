@@ -44,7 +44,6 @@ type refStats struct {
 	JumpsRefused    int64 `json:"jumps_refused"`
 	PeakMemoryBytes int64 `json:"peak_memory_bytes"`
 	FirstMatchUS    int64 `json:"first_match_us"`
-	Partitions      int   `json:"partitions"`
 }
 
 // wireResponse is a /query body as a client decodes it, the stats object
@@ -73,7 +72,7 @@ func refEncode(t testing.TB, r *queryResponse, tags []string) []byte {
 			PointerDerefs: r.Stats.PointerDerefs, PagesRead: r.Stats.PagesRead,
 			PagesWritten: r.Stats.PagesWritten, JumpsTaken: r.Stats.JumpsTaken,
 			JumpsRefused: r.Stats.JumpsRefused, PeakMemoryBytes: r.Stats.PeakMemoryBytes,
-			FirstMatchUS: r.Stats.FirstMatchNanos / 1000, Partitions: r.Stats.Partitions,
+			FirstMatchUS: r.Stats.FirstMatchNanos / 1000,
 		},
 		DurationUS: r.Stats.Duration.Microseconds(),
 	}

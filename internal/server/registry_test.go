@@ -64,7 +64,6 @@ type wirePage struct {
 		Comparisons     int64 `json:"comparisons"`
 		PointerDerefs   int64 `json:"pointer_derefs"`
 		PagesRead       int64 `json:"pages_read"`
-		Partitions      int   `json:"partitions"`
 	} `json:"stats"`
 }
 
