@@ -71,6 +71,12 @@
 #      documents and view files and report failures; their aggregate
 #      statement coverage must stay >= 50% (53.6% measured, vjbench and
 #      vjgen untested at 0%)
+#   3g. views coverage floor: materialization computes every solution list
+#      and DAG pointer a view store holds; internal/views statement coverage
+#      must stay >= 90%
+#   3h. xmltree coverage floor: the XML scanner, the Builder and the piece
+#      table are every document's way in; internal/xmltree statement
+#      coverage must stay >= 85%
 #   4. govulncheck, when the tool is installed (skipped, not failed, when
 #      absent — hermetic runners don't fetch tools)
 #   5. fuzz smoke: 10s each of FuzzParse (internal/tpq),
@@ -207,6 +213,8 @@ coverage_floor ./internal/server 90 server
 coverage_floor ./internal/engine/enum 85 enum
 coverage_floor ./internal/maintain 85 maintain
 coverage_floor ./cmd/... 50 commands
+coverage_floor ./internal/views 90 views
+coverage_floor ./internal/xmltree 85 xmltree
 
 if command -v govulncheck >/dev/null 2>&1; then
 	echo "== govulncheck"
