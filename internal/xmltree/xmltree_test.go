@@ -188,6 +188,31 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBuilderChunks builds a document over several of the Builder's
+// chunks, ending elements opened in earlier chunks, and checks its labels
+// and that it is handed over in an array of exactly its length.
+func TestBuilderChunks(t *testing.T) {
+	b := NewBuilder()
+	b.Element("r", func() {
+		for range 1000 {
+			b.Element("a", func() {
+				b.Element("b", func() { b.Leaf("c") })
+			})
+		}
+	})
+	d := b.MustDocument()
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	n := d.NumNodes()
+	if n != 3001 || cap(d.nodes) != n {
+		t.Fatalf("%d nodes in an array of capacity %d, want 3001 in 3001", n, cap(d.nodes))
+	}
+	if root, last := d.Node(0), d.Node(NodeID(n-1)); root.End != int32(2*n) || last.Level != 3 || last.Start != root.End-4 {
+		t.Fatalf("root %+v, last node %+v", root, last)
+	}
+}
+
 // RandomTree builds a random document with the given rng; exported via the
 // test file for reuse by property tests in other packages' tests through
 // copy, and used here to property-check label invariants.
