@@ -1,7 +1,8 @@
 package viewjoin_test
 
 // Benchmarks of what no experiment of cmd/vjbench times: view selection,
-// cursor pages, document updates and view maintenance. The paper's tables
+// view materialization, cursor pages, document updates and view
+// maintenance. The paper's tables
 // and figures (§VI) are printed by cmd/vjbench, whose cells report the
 // median and quartiles of their samples beside the golden counters.
 //
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"viewjoin"
+	"viewjoin/internal/tpq"
 	"viewjoin/internal/workload"
 )
 
@@ -108,6 +110,52 @@ func BenchmarkSelectViews(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMaterializeView times the view half of a set-up as the library
+// runs it: Document.MaterializeView in LEp — solution lists, pointers and
+// the store build — over every distinct view pattern of the Nasa
+// catalogue (N1, N2, N5–N8 and Table III's PV1–PV4) at Nasa 4000, in ns
+// per list entry.
+func BenchmarkMaterializeView(b *testing.B) {
+	doc := viewjoin.GenerateNasa(4000)
+	var sets [][]*tpq.Pattern
+	all := workload.All()
+	for _, n := range []string{"N1", "N2", "N5", "N6", "N7", "N8"} {
+		sets = append(sets, all[n].Views)
+	}
+	for _, c := range workload.TableIII()[:4] {
+		sets = append(sets, c.Views)
+	}
+	seen := make(map[string]bool)
+	var vs []*viewjoin.Query
+	for _, set := range sets {
+		for _, p := range set {
+			if !seen[p.String()] {
+				seen[p.String()] = true
+				vs = append(vs, viewjoin.MustParseQuery(p.String()))
+			}
+		}
+	}
+	entries := 0
+	sweep := func() {
+		entries = 0
+		for _, v := range vs {
+			mv, err := doc.MaterializeView(v, viewjoin.SchemeLEp, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			entries += mv.NumEntries()
+		}
+	}
+	sweep() // the document's type index is built once, whatever b.N is
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		sweep()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
+	b.ReportMetric(float64(entries), "entries")
 }
 
 // BenchmarkDeepPage: one cursor page (a single row, so that Q4's 400 rows

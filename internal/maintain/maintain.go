@@ -74,10 +74,7 @@ func View(old *store.ViewStore, au *xmltree.Applied) (*store.ViewStore, Report, 
 		for _, e := range chain[q] {
 			cuts[q].Chain = append(cuts[q].Chain, e.pos)
 		}
-		for _, id := range sol[q] {
-			n := m.Doc.Node(id)
-			cuts[q].Region = append(cuts[q].Region, store.Label{Start: n.Start, End: n.End, Level: n.Level})
-		}
+		cuts[q].Region = sol[q]
 		recomputed += len(sol[q])
 	}
 	sp := store.NewSplicer(old, au.Pivot, au.Delta, cuts)

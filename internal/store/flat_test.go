@@ -58,8 +58,7 @@ func TestCursorSeekPageBoundaries(t *testing.T) {
 			if !cur.Valid() || int(cur.Position()) != tc.at {
 				t.Fatalf("%v: seek %s (%d): valid=%v ordinal=%d", kind, tc.name, tc.at, cur.Valid(), int(cur.Position()))
 			}
-			want := m.Lists[1][tc.at]
-			if cur.Label() != (Label{Start: want.Start, End: want.End, Level: want.Level}) {
+			if cur.Label() != m.Lists[1].Labels[tc.at] {
 				t.Errorf("%v: seek %s: wrong record", kind, tc.name)
 			}
 		}

@@ -90,26 +90,6 @@ func (s *source) raw(class int, r int32) int32 {
 	return int32(binary.LittleEndian.Uint32(s.ptrs[class][s.off(r, ptrBytes):]))
 }
 
-// setPointer stores v as the pointer of class of the record at byte offset
-// at of a paged source's pointer segments. A class gets its segment, every
-// record null, with its first non-null pointer.
-func (s *source) setPointer(class, at int, v int32) {
-	seg := s.ptrs[class]
-	if seg == nil {
-		if v == -1 {
-			return
-		}
-		seg = make([]byte, segBytes(s.n, ptrBytes, s.pageSize))
-		s.runs(0, int32(s.n), ptrBytes, func(_, k int32, off int) {
-			for b := off; b < off+int(k)*ptrBytes; b++ {
-				seg[b] = 0xFF
-			}
-		})
-		s.ptrs[class] = seg
-	}
-	binary.LittleEndian.PutUint32(seg[at:], uint32(v))
-}
-
 // fill gives a fresh source of labels only its records' pointers, rows[r]
 // record r's, with a segment for every class one of them holds.
 func (s *source) fill(rows [][numPtrSegs]int32) {

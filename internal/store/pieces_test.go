@@ -31,19 +31,25 @@ type pieceRun struct {
 }
 
 func newPieceRun(t testing.TB, rng *rand.Rand, kind Kind, pageSize, maxLen int) *pieceRun {
-	m := &views.Materialized{View: pieceView, Lists: make([][]views.Entry, pieceView.Size())}
+	m := &views.Materialized{View: pieceView, Lists: make([]views.List, pieceView.Size())}
 	for q := range m.Lists {
-		m.Lists[q] = make([]views.Entry, rng.Intn(maxLen+1))
+		m.Lists[q].Labels = make([]Label, rng.Intn(maxLen+1))
 	}
-	for q, list := range m.Lists {
+	for q := range m.Lists {
+		l := &m.Lists[q]
+		n := len(l.Labels)
+		l.Following, l.Descendant = make([]int32, n), make([]int32, n)
+		l.Children = make([][]int32, len(pieceView.Nodes[q].Children))
+		for c := range l.Children {
+			l.Children[c] = make([]int32, n)
+		}
 		start := int32(0)
-		for i := range list {
+		for i := range l.Labels {
 			start += 1 + int32(rng.Intn(6))
-			e := &list[i]
-			e.Start, e.End, e.Level = start, start+int32(rng.Intn(40)), int32(rng.Intn(8))
-			e.Following, e.Descendant = randomPointer(rng, len(list)), randomPointer(rng, len(list))
-			for _, c := range pieceView.Nodes[q].Children {
-				e.Children = append(e.Children, randomPointer(rng, len(m.Lists[c])))
+			l.Labels[i] = Label{Start: start, End: start + int32(rng.Intn(40)), Level: int32(rng.Intn(8))}
+			l.Following[i], l.Descendant[i] = randomPointer(rng, n), randomPointer(rng, n)
+			for ci, c := range pieceView.Nodes[q].Children {
+				l.Children[ci][i] = randomPointer(rng, len(m.Lists[c].Labels))
 			}
 		}
 	}

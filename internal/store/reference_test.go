@@ -65,6 +65,26 @@ func (sp *refSplicer) SetPointers(q, i int, following, descendant int32, childre
 	}
 }
 
+// setPointer stores v as the pointer of class of the record at byte offset
+// at of a paged source's pointer segments. A class gets its segment, every
+// record null, with its first non-null pointer.
+func (s *source) setPointer(class, at int, v int32) {
+	seg := s.ptrs[class]
+	if seg == nil {
+		if v == -1 {
+			return
+		}
+		seg = make([]byte, segBytes(s.n, ptrBytes, s.pageSize))
+		s.runs(0, int32(s.n), ptrBytes, func(_, k int32, off int) {
+			for b := off; b < off+int(k)*ptrBytes; b++ {
+				seg[b] = 0xFF
+			}
+		})
+		s.ptrs[class] = seg
+	}
+	binary.LittleEndian.PutUint32(seg[at:], uint32(v))
+}
+
 // Finish recounts every pointer class of every list; a class left without
 // a non-null pointer gives up its segment.
 func (sp *refSplicer) Finish() *ViewStore {

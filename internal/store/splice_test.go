@@ -51,8 +51,12 @@ func emptyCuts(s *ViewStore, pivot int32) []Cut {
 // setFrom sets record i of list q to the pointers the views layer computed
 // for it in m.
 func setFrom(sp *Splicer, m *views.Materialized, q, i int) {
-	e := m.Lists[q][i]
-	sp.SetPointers(q, i, e.Following, e.Descendant, e.Children)
+	l := &m.Lists[q]
+	children := make([]int32, len(l.Children))
+	for c := range children {
+		children[c] = l.Children[c][i]
+	}
+	sp.SetPointers(q, i, l.Following[i], l.Descendant[i], children)
 }
 
 // TestSplicerLabelShift checks the pure label shift against a from-scratch
@@ -128,9 +132,9 @@ func TestSplicerCut(t *testing.T) {
 		old := MustBuild(views.MustMaterialize(d, v), kind, 64)
 		cuts := emptyCuts(old, au.Pivot)
 		for q := range cuts {
-			for _, e := range m2.Lists[q] {
+			for _, e := range m2.Lists[q].Labels {
 				if e.Start >= au.Pivot && e.Start < au.Pivot+au.Delta {
-					cuts[q].Region = append(cuts[q].Region, Label{Start: e.Start, End: e.End, Level: e.Level})
+					cuts[q].Region = append(cuts[q].Region, e)
 				}
 			}
 		}
@@ -165,13 +169,11 @@ func TestSplicerPointerClasses(t *testing.T) {
 			cuts := make([]Cut, len(old.Lists))
 			for q, l := range old.Lists {
 				cuts[q].B = l.Entries()
-				for _, e := range m2.Lists[q] {
-					cuts[q].Region = append(cuts[q].Region, Label{Start: e.Start, End: e.End, Level: e.Level})
-				}
+				cuts[q].Region = append(cuts[q].Region, m2.Lists[q].Labels...)
 			}
 			sp := NewSplicer(old, 0, 0, cuts)
 			for q := range cuts {
-				for i := range m2.Lists[q] {
+				for i := range m2.Lists[q].Labels {
 					setFrom(sp, m2, q, i)
 				}
 			}

@@ -28,6 +28,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -434,10 +435,11 @@ func (l *ListFile) segments() [][]byte {
 	return out
 }
 
-// buildListFiles serializes every list of m in one pass: the views layer's
-// pointer positions are already record offsets, so records are emitted
-// directly with the scheme's pointer policy applied inline — no
-// intermediate reduced copy, no location resolution.
+// buildListFiles serializes every list of m column by column: the views
+// layer's labels and pointer positions, already record offsets, are
+// encoded straight into the page segments with the scheme's pointer
+// policy applied inline — no intermediate reduced copy, no location
+// resolution. A pointer class without a non-null pointer gets no segment.
 func buildListFiles(m *views.Materialized, kind Kind, pageSize int) ([]*ListFile, error) {
 	if labelBytes > pageSize {
 		return nil, fmt.Errorf("store: record size %d exceeds page size %d", labelBytes, pageSize)
@@ -445,7 +447,8 @@ func buildListFiles(m *views.Materialized, kind Kind, pageSize int) ([]*ListFile
 	nq := m.View.Size()
 	files := make([]*ListFile, nq)
 	for q := 0; q < nq; q++ {
-		list := m.Lists[q]
+		list := &m.Lists[q]
+		n := len(list.Labels)
 		childCount := len(m.View.Nodes[q].Children)
 		if childCount > MaxChildren {
 			return nil, fmt.Errorf("store: view node %d has %d children; record format supports %d",
@@ -456,32 +459,57 @@ func buildListFiles(m *views.Materialized, kind Kind, pageSize int) ([]*ListFile
 			pageSize:   pageSize,
 			childCount: childCount,
 			scoped:     m.View.Nodes[q].Parent != -1,
-			entries:    len(list),
+			entries:    n,
 		}
-		src := source{n: len(list), pageSize: pageSize, labels: make([]byte, segBytes(len(list), labelBytes, pageSize))}
-		src.runs(0, int32(len(list)), labelBytes, func(r, k int32, off int) {
-			for _, e := range list[r : r+k] {
-				putLabel(src.labels[off:], Label{Start: e.Start, End: e.End, Level: e.Level})
+		src := source{n: n, pageSize: pageSize, labels: make([]byte, segBytes(n, labelBytes, pageSize))}
+		src.runs(0, int32(n), labelBytes, func(r, k int32, off int) {
+			for _, l := range list.Labels[r : r+k] {
+				putLabel(src.labels[off:], l)
 				off += labelBytes
 			}
 		})
 		if kind != Element {
-			src.runs(0, int32(len(list)), ptrBytes, func(r, k int32, off int) {
-				for i := r; i < r+k; i++ {
-					e := &list[i]
-					row := lf.pointerRow(i, e.Following, e.Descendant, e.Children)
-					for class, v := range row[:segChild0+childCount] {
-						src.setPointer(class, off, v)
-					}
-					off += ptrBytes
-				}
-			})
+			cols := [numPtrSegs][]int32{segFollowing: list.Following, segDescendant: list.Descendant}
+			copy(cols[segChild0:], list.Children)
+			for class, col := range cols[:segChild0+childCount] {
+				lf.counts[class] = src.encode(class, col, kind)
+			}
 		}
-		count(&lf.counts, &src, 0, int32(src.n), 1)
 		files[q] = newFlat(lf, src)
 		files[q].seal()
 	}
 	return files, nil
+}
+
+// encode gives a paged source of labels only the pointer segment of class
+// from col, one position per record, reduced per the list's scheme, and
+// returns how many are non-null; a class with none gets no segment.
+func (s *source) encode(class int, col []int32, kind Kind) int {
+	n := 0
+	for i, v := range col {
+		if class < segChild0 {
+			v = reduce(kind, v, int32(i))
+		}
+		if v != views.NoPointer {
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	seg := make([]byte, segBytes(s.n, ptrBytes, s.pageSize))
+	s.runs(0, int32(s.n), ptrBytes, func(r, k int32, off int) {
+		for i := r; i < r+k; i++ {
+			v := col[i]
+			if class < segChild0 {
+				v = reduce(kind, v, i)
+			}
+			binary.LittleEndian.PutUint32(seg[off:], uint32(v))
+			off += ptrBytes
+		}
+	})
+	s.ptrs[class] = seg
+	return n
 }
 
 // reduce applies the LEp heuristic (§III-C) to a following/descendant

@@ -58,7 +58,7 @@ func TestBuildAndScanAllKinds(t *testing.T) {
 		}
 		for q, l := range s.Lists {
 			items := readAll(t, l)
-			want := m.Lists[q]
+			want := m.Lists[q].Labels
 			if len(items) != len(want) {
 				t.Fatalf("%v list %d: %d items, want %d", kind, q, len(items), len(want))
 			}
@@ -99,28 +99,28 @@ func TestPointerSeek(t *testing.T) {
 	for q, l := range s.Lists {
 		cur := l.Open(io)
 		for i := 0; cur.Valid(); i, _ = i+1, 0 {
-			src := m.Lists[q][i]
-			if src.Following != views.NoPointer {
+			src := &m.Lists[q]
+			if f := src.Following[i]; f != views.NoPointer {
 				probe := l.Open(io)
 				probe.Seek(cur.Following())
 				if !probe.Valid() {
 					t.Fatalf("list %d entry %d: following seek invalid", q, i)
 				}
-				if probe.Start() != m.Lists[q][src.Following].Start {
+				if probe.Start() != src.Labels[f].Start {
 					t.Errorf("list %d entry %d: following landed on start %d, want %d",
-						q, i, probe.Start(), m.Lists[q][src.Following].Start)
+						q, i, probe.Start(), src.Labels[f].Start)
 				}
 			} else if !cur.Following().IsNil() {
 				t.Errorf("list %d entry %d: unexpected following pointer", q, i)
 			}
 			for ci := range m.View.Nodes[q].Children {
 				cidx := m.View.Nodes[q].Children[ci]
-				if src.Children[ci] == views.NoPointer {
+				if src.Children[ci][i] == views.NoPointer {
 					continue
 				}
 				probe := s.Lists[cidx].Open(io)
 				probe.Seek(cur.Child(ci))
-				want := m.Lists[cidx][src.Children[ci]].Start
+				want := m.Lists[cidx].Labels[src.Children[ci][i]].Start
 				if !probe.Valid() || probe.Start() != want {
 					t.Errorf("list %d entry %d child %d: seek mismatch", q, i, ci)
 				}
@@ -250,19 +250,19 @@ func TestRoundTripProperty(t *testing.T) {
 			io := counters.NewIO(&c, 0)
 			for q, l := range s.Lists {
 				cur := l.Open(io)
-				for i := range mm.Lists[q] {
+				e := &mm.Lists[q]
+				for i := range e.Labels {
 					if !cur.Valid() {
 						t.Logf("%v list %d: cursor ended early at %d", kind, q, i)
 						return false
 					}
-					e := &mm.Lists[q][i]
 					it := current(cur)
-					if it.Start != e.Start || it.End != e.End || it.Level != e.Level {
+					if (Label{Start: it.Start, End: it.End, Level: it.Level}) != e.Labels[i] {
 						t.Logf("%v list %d entry %d: label mismatch", kind, q, i)
 						return false
 					}
-					if (e.Following == views.NoPointer) != it.Following.IsNil() ||
-						(e.Descendant == views.NoPointer) != it.Descendant.IsNil() {
+					if (e.Following[i] == views.NoPointer) != it.Following.IsNil() ||
+						(e.Descendant[i] == views.NoPointer) != it.Descendant.IsNil() {
 						t.Logf("%v list %d entry %d: pointer presence mismatch", kind, q, i)
 						return false
 					}

@@ -32,7 +32,15 @@ func FromMatches(d *xmltree.Document, p *tpq.Pattern, ms match.Set) (*Materializ
 			return nil, fmt.Errorf("views: match %d binds %d nodes for a %d-node pattern", i, len(mm), p.Size())
 		}
 	}
-	m := fromSolutions(d, p, ms.SolutionNodes(p.Size()))
+	sol := make([][]Label, p.Size())
+	for q, ids := range ms.SolutionNodes(p.Size()) {
+		sol[q] = make([]Label, len(ids))
+		for i, id := range ids {
+			n := d.Node(id)
+			sol[q][i] = Label{Start: n.Start, End: n.End, Level: n.Level}
+		}
+	}
+	m := fromSolutions(d, p, sol)
 
 	// Cache the tuple content in composite-start order, saving the
 	// re-enumeration that Matches() would otherwise perform.

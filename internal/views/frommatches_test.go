@@ -2,6 +2,7 @@ package views
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,20 +34,15 @@ func TestFromMatchesEqualsMaterialize(t *testing.T) {
 			return false
 		}
 		for q := range want.Lists {
-			if len(got.Lists[q]) != len(want.Lists[q]) {
-				t.Logf("list %d: %d vs %d entries", q, len(got.Lists[q]), len(want.Lists[q]))
+			a, b := &got.Lists[q], &want.Lists[q]
+			if !slices.Equal(a.Labels, b.Labels) || !slices.Equal(a.Following, b.Following) ||
+				!slices.Equal(a.Descendant, b.Descendant) || len(a.Children) != len(b.Children) {
+				t.Logf("list %d differs: %+v vs %+v", q, *a, *b)
 				return false
 			}
-			for i := range want.Lists[q] {
-				a, b := got.Lists[q][i], want.Lists[q][i]
-				if a.Node != b.Node || a.Following != b.Following || a.Descendant != b.Descendant {
-					t.Logf("list %d entry %d differs: %+v vs %+v", q, i, a, b)
+			for c := range b.Children {
+				if !slices.Equal(a.Children[c], b.Children[c]) {
 					return false
-				}
-				for c := range b.Children {
-					if a.Children[c] != b.Children[c] {
-						return false
-					}
 				}
 			}
 		}

@@ -10,14 +10,12 @@ import (
 	"viewjoin/internal/xmltree"
 )
 
-// entryList reads a materialized list through the Labels interface.
-type entryList []Entry
+// labelList reads a materialized list through the Labels interface.
+type labelList []Label
 
-func (l entryList) Entries() int { return len(l) }
-func (l entryList) LabelAt(i int) Label {
-	return Label{Start: l[i].Start, End: l[i].End, Level: l[i].Level}
-}
-func (l entryList) SeekStart(s int32) int {
+func (l labelList) Entries() int        { return len(l) }
+func (l labelList) LabelAt(i int) Label { return l[i] }
+func (l labelList) SeekStart(s int32) int {
 	return sort.Search(len(l), func(i int) bool { return l[i].Start >= s })
 }
 
@@ -34,14 +32,19 @@ func TestLinkerAgreesWithFill(t *testing.T) {
 		m := MustMaterialize(d, v)
 		k := NewLinker(d, v)
 		for q := range m.Lists {
-			k.Lists[q] = entryList(m.Lists[q])
+			k.Lists[q] = labelList(m.Lists[q].Labels)
 		}
-		for q, list := range m.Lists {
-			for i, e := range list {
+		for q := range m.Lists {
+			l := &m.Lists[q]
+			for i := range l.Labels {
 				f, desc, ch := k.Pointers(q, i)
-				if f != e.Following || desc != e.Descendant || !slices.Equal(ch, e.Children) {
+				want := make([]int32, len(l.Children))
+				for c := range want {
+					want[c] = l.Children[c][i]
+				}
+				if f != l.Following[i] || desc != l.Descendant[i] || !slices.Equal(ch, want) {
 					t.Fatalf("seed %d view %s list %d record %d: linker (%d, %d, %v), materialized (%d, %d, %v)",
-						seed, v, q, i, f, desc, ch, e.Following, e.Descendant, e.Children)
+						seed, v, q, i, f, desc, ch, l.Following[i], l.Descendant[i], want)
 				}
 			}
 		}
@@ -64,7 +67,7 @@ func TestSolutionListsRegion(t *testing.T) {
 				Above: make([]bool, v.Size()), Parent: make([]bool, v.Size())}
 			for c := d.Node(root).Parent; c != xmltree.NoNode; c = d.Node(c).Parent {
 				for q := range whole {
-					if slices.Contains(whole[q], c) {
+					if slices.Contains(whole[q], label(d, c)) {
 						r.Above[q] = true
 						r.Parent[q] = r.Parent[q] || c == d.Node(root).Parent
 					}
@@ -72,10 +75,10 @@ func TestSolutionListsRegion(t *testing.T) {
 			}
 			got := SolutionLists(d, v, r)
 			for q := range whole {
-				var want []xmltree.NodeID
-				for _, id := range whole[q] {
-					if id >= r.Lo && id < r.Hi {
-						want = append(want, id)
+				var want []Label
+				for _, l := range whole[q] {
+					if id := d.FindByStart(l.Start); id >= r.Lo && id < r.Hi {
+						want = append(want, l)
 					}
 				}
 				if !slices.Equal(got[q], want) {

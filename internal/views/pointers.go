@@ -2,6 +2,7 @@ package views
 
 import (
 	"fmt"
+	"slices"
 
 	"viewjoin/internal/tpq"
 )
@@ -11,10 +12,11 @@ import (
 // regions are properly nested, so the smallest-start descendant of entry i
 // is entry i+1 when contained, and absent otherwise.
 func (m *Materialized) fillDescendantPointers() {
-	for _, list := range m.Lists {
-		for i := range list {
-			if i+1 < len(list) && list[i+1].Start < list[i].End {
-				list[i].Descendant = int32(i + 1)
+	for q := range m.Lists {
+		l := &m.Lists[q]
+		for i := 1; i < len(l.Labels); i++ {
+			if l.Labels[i].Start < l.Labels[i-1].End {
+				l.Descendant[i-1] = int32(i)
 			}
 		}
 	}
@@ -26,11 +28,12 @@ func (m *Materialized) fillDescendantPointers() {
 // ancestor within the view (§III-A pointer 3).
 func (m *Materialized) fillFollowingPointers() {
 	var stack []int32
-	for q, list := range m.Lists {
+	for q := range m.Lists {
+		l := &m.Lists[q]
 		p := m.View.Nodes[q].Parent
 		if p == -1 {
 			// No parent query node: the whole list is one group.
-			stack = follow(list, nil, stack)
+			stack = follow(l, nil, stack)
 			continue
 		}
 		// Group entries by their lowest α-type ancestor (α = parent view
@@ -38,15 +41,15 @@ func (m *Materialized) fillFollowingPointers() {
 		// positions are dense, -1 or a position in α's list, so a counting
 		// sort lays the groups out in one array, each in document order:
 		// group a is order[begin[a+1]:begin[a+2]].
-		anc := m.lowestAncestorIn(p, q)
-		begin := make([]int32, len(m.Lists[p])+2)
+		anc := lowestAncestorIn(m.Lists[p].Labels, l.Labels)
+		begin := make([]int32, len(m.Lists[p].Labels)+2)
 		for _, a := range anc {
 			begin[a+2]++
 		}
 		for g := 2; g < len(begin); g++ {
 			begin[g] += begin[g-1]
 		}
-		order := make([]int32, len(list))
+		order := make([]int32, len(anc))
 		for i, a := range anc {
 			order[begin[a+1]] = int32(i)
 			begin[a+1]++
@@ -54,20 +57,20 @@ func (m *Materialized) fillFollowingPointers() {
 		// Each group's begin has moved to its end, the next group's begin.
 		lo := int32(0)
 		for _, hi := range begin[:len(begin)-1] {
-			stack = follow(list, order[lo:hi], stack)
+			stack = follow(l, order[lo:hi], stack)
 			lo = hi
 		}
 	}
 }
 
 // follow sets the Following pointers of one group: the entries at
-// positions g of list, or the whole list when g is nil, in document order.
-// An entry's pointer is the first later entry that starts after it ends.
-// The entries still waiting for theirs are nested, innermost on top of the
-// stack, so each arrival settles a run off the top. stack is scratch,
-// returned for reuse.
-func follow(list []Entry, g []int32, stack []int32) []int32 {
-	n := len(list)
+// positions g of list l, or the whole list when g is nil, in document
+// order. An entry's pointer is the first later entry that starts after it
+// ends. The entries still waiting for theirs are nested, innermost on top
+// of the stack, so each arrival settles a run off the top. stack is
+// scratch, returned for reuse.
+func follow(l *List, g []int32, stack []int32) []int32 {
+	n := len(l.Labels)
 	if g != nil {
 		n = len(g)
 	}
@@ -77,8 +80,8 @@ func follow(list []Entry, g []int32, stack []int32) []int32 {
 		if g != nil {
 			k = g[x]
 		}
-		for len(stack) > 0 && list[stack[len(stack)-1]].End < list[k].Start {
-			list[stack[len(stack)-1]].Following = k
+		for len(stack) > 0 && l.Labels[stack[len(stack)-1]].End < l.Labels[k].Start {
+			l.Following[stack[len(stack)-1]] = k
 			stack = stack[:len(stack)-1]
 		}
 		stack = append(stack, k)
@@ -86,24 +89,23 @@ func follow(list []Entry, g []int32, stack []int32) []int32 {
 	return stack
 }
 
-// lowestAncestorIn returns, for each entry of list q, the position in list
-// p of its lowest containing entry (or -1). Both lists are in document
+// lowestAncestorIn returns, for each label of list q, the position in list
+// p of its lowest containing label (or -1). Both lists are in document
 // order; a stack-based merge runs in linear time.
-func (m *Materialized) lowestAncestorIn(p, q int) []int32 {
-	plist, qlist := m.Lists[p], m.Lists[q]
-	out := make([]int32, len(qlist))
+func lowestAncestorIn(p, q []Label) []int32 {
+	out := make([]int32, len(q))
 	var stack []int32
 	pi := 0
-	for i := range qlist {
-		s := qlist[i].Start
-		for pi < len(plist) && plist[pi].Start < s {
-			for len(stack) > 0 && plist[stack[len(stack)-1]].End < plist[pi].Start {
+	for i := range q {
+		s := q[i].Start
+		for pi < len(p) && p[pi].Start < s {
+			for len(stack) > 0 && p[stack[len(stack)-1]].End < p[pi].Start {
 				stack = stack[:len(stack)-1]
 			}
 			stack = append(stack, int32(pi))
 			pi++
 		}
-		for len(stack) > 0 && plist[stack[len(stack)-1]].End < s {
+		for len(stack) > 0 && p[stack[len(stack)-1]].End < s {
 			stack = stack[:len(stack)-1]
 		}
 		if len(stack) > 0 {
@@ -120,9 +122,10 @@ func (m *Materialized) lowestAncestorIn(p, q int) []int32 {
 // child for pc-edges, the first descendant for ad-edges (§III-A pointer 1).
 // Both lists are in document order, so each edge is one merge.
 func (m *Materialized) fillChildPointers() {
-	for q, list := range m.Lists {
+	for q := range m.Lists {
+		list := m.Lists[q].Labels
 		for ci, c := range m.View.Nodes[q].Children {
-			clist := m.Lists[c]
+			clist, col := m.Lists[c].Labels, m.Lists[q].Children[ci]
 			switch m.View.Nodes[c].Axis {
 			case tpq.Descendant:
 				// The first child-list entry starting after an entry only
@@ -133,16 +136,16 @@ func (m *Materialized) fillChildPointers() {
 						j++
 					}
 					if j < len(clist) && clist[j].Start < list[i].End {
-						list[i].Children[ci] = int32(j)
+						col[i] = int32(j)
 					}
 				}
 			case tpq.Child:
 				// A node's parent is its nearest ancestor, so when the
 				// parent is in this list it is the child's lowest ancestor
 				// here, one level up. The first child found keeps the slot.
-				for j, a := range m.lowestAncestorIn(q, c) {
-					if a >= 0 && list[a].Level == clist[j].Level-1 && list[a].Children[ci] == NoPointer {
-						list[a].Children[ci] = int32(j)
+				for j, a := range lowestAncestorIn(list, clist) {
+					if a >= 0 && list[a].Level == clist[j].Level-1 && col[a] == NoPointer {
+						col[a] = int32(j)
 					}
 				}
 			}
@@ -201,36 +204,35 @@ func (m *Materialized) applyPolicy(policy PointerPolicy, k int32) *Materialized 
 	if policy == FullPointers {
 		return m
 	}
-	out := &Materialized{View: m.View, Doc: m.Doc, Lists: make([][]Entry, len(m.Lists))}
-	for q, list := range m.Lists {
-		nl := make([]Entry, len(list))
-		copy(nl, list)
-		nc := len(m.View.Nodes[q].Children)
-		kids := make([]int32, nc*len(list))
-		for i := range nl {
-			if nc > 0 {
-				nl[i].Children = kids[i*nc : (i+1)*nc : (i+1)*nc]
-				copy(nl[i].Children, list[i].Children)
-			}
+	out := &Materialized{View: m.View, Doc: m.Doc, Lists: make([]List, len(m.Lists))}
+	for q := range m.Lists {
+		l, nl := &m.Lists[q], &out.Lists[q]
+		nl.Labels = l.Labels // labels are never written after the build
+		nl.Following = slices.Clone(l.Following)
+		nl.Descendant = slices.Clone(l.Descendant)
+		nl.Children = make([][]int32, len(l.Children))
+		for c := range l.Children {
+			nl.Children[c] = slices.Clone(l.Children[c])
+		}
+		for i := range nl.Labels {
 			switch policy {
 			case NoPointers:
-				nl[i].Following = NoPointer
-				nl[i].Descendant = NoPointer
-				for c := range nl[i].Children {
-					nl[i].Children[c] = NoPointer
+				nl.Following[i] = NoPointer
+				nl.Descendant[i] = NoPointer
+				for _, col := range nl.Children {
+					col[i] = NoPointer
 				}
 			case PartialPointers:
 				// Keep following/descendant only when the pointed node is
 				// more than k entries away (§III-C with k = 1).
-				if nl[i].Following != NoPointer && nl[i].Following <= int32(i)+k {
-					nl[i].Following = NoPointer
+				if nl.Following[i] != NoPointer && nl.Following[i] <= int32(i)+k {
+					nl.Following[i] = NoPointer
 				}
-				if nl[i].Descendant != NoPointer && nl[i].Descendant <= int32(i)+k {
-					nl[i].Descendant = NoPointer
+				if nl.Descendant[i] != NoPointer && nl.Descendant[i] <= int32(i)+k {
+					nl.Descendant[i] = NoPointer
 				}
 			}
 		}
-		out.Lists[q] = nl
 	}
 	return out
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package views
+package views_test
 
 const raceEnabled = false

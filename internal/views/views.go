@@ -20,39 +20,38 @@ import (
 	"viewjoin/internal/xmltree"
 )
 
-// NoPointer marks an absent (null) pointer in materialized entries.
+// NoPointer marks an absent (null) pointer in materialized lists.
 const NoPointer int32 = -1
 
-// Entry is one solution node in a materialized view list, together with the
-// DAG pointers of the linked-element scheme. Pointer values are positions
-// (indices) within the target list; the storage layer maps positions to
-// (page, offset) pairs.
-type Entry struct {
-	Node  xmltree.NodeID // the data node (its id doubles as a record id)
-	Start int32
-	End   int32
-	Level int32
+// List is one view node's materialized list, in document order, as
+// columns: the solution nodes' region labels and the DAG pointers of the
+// linked-element scheme. Pointer values are positions (indices) within
+// the target list, NoPointer for none; the storage layer maps positions
+// to (page, offset) pairs.
+type List struct {
+	Labels []Label
 
-	// Following is the position in this same list of the first following
-	// q-type node sharing the same lowest parent-type ancestor (§III-A
-	// pointer 3), or NoPointer.
-	Following int32
-	// Descendant is the position in this same list of the first q-type
-	// descendant (§III-A pointer 2), or NoPointer.
-	Descendant int32
-	// Children holds one pointer per child of this view node in the view
-	// pattern, in tpq child order: the position in the child's list of the
-	// first matching child/descendant (§III-A pointer 1), or NoPointer.
-	Children []int32
+	// Following[i] is the position in this same list of the first
+	// following q-type node sharing entry i's lowest parent-type ancestor
+	// (§III-A pointer 3).
+	Following []int32
+	// Descendant[i] is the position in this same list of entry i's first
+	// q-type descendant (§III-A pointer 2).
+	Descendant []int32
+	// Children holds one column per child of this view node in the view
+	// pattern, in tpq child order: Children[c][i] is the position in the
+	// child's list of entry i's first matching child/descendant (§III-A
+	// pointer 1).
+	Children [][]int32
 }
 
-// Materialized is a fully materialized view: one list of entries per view
-// node, in document order, plus the matches for the tuple scheme (computed
+// Materialized is a fully materialized view: one list per view node, in
+// document order, plus the matches for the tuple scheme (computed
 // lazily).
 type Materialized struct {
 	View  *tpq.Pattern
 	Doc   *xmltree.Document
-	Lists [][]Entry // indexed by view node, then by list position
+	Lists []List // indexed by view node
 
 	matches match.Set // lazily computed tuple-scheme content
 	hasM    bool
@@ -67,34 +66,26 @@ func Materialize(d *xmltree.Document, v *tpq.Pattern) (*Materialized, error) {
 	return fromSolutions(d, v, SolutionLists(d, v, Region{Hi: xmltree.NodeID(d.NumNodes())})), nil
 }
 
-// fromSolutions builds the view of v from its solution lists (node ids per
-// view node, in document order): one entry per solution node, its
-// pointers filled from the lists themselves. A list's child pointers are
-// one array, each entry's Children a window of it.
-func fromSolutions(d *xmltree.Document, v *tpq.Pattern, sol [][]xmltree.NodeID) *Materialized {
-	m := &Materialized{View: v, Doc: d, Lists: make([][]Entry, v.Size())}
-	for q := range sol {
-		list := make([]Entry, len(sol[q]))
-		nc := len(v.Nodes[q].Children)
-		kids := make([]int32, nc*len(list))
-		for k := range kids {
-			kids[k] = NoPointer
+// fromSolutions builds the view of v from its solution lists (labels per
+// view node, in document order), its pointers filled from the lists
+// themselves. A list's pointer columns are one array.
+func fromSolutions(d *xmltree.Document, v *tpq.Pattern, sol [][]Label) *Materialized {
+	m := &Materialized{View: v, Doc: d, Lists: make([]List, v.Size())}
+	for q, labels := range sol {
+		n, nc := len(labels), len(v.Nodes[q].Children)
+		cols := make([]int32, (2+nc)*n)
+		for k := range cols {
+			cols[k] = NoPointer
 		}
-		for i, id := range sol[q] {
-			n := d.Node(id)
-			list[i] = Entry{
-				Node:       id,
-				Start:      n.Start,
-				End:        n.End,
-				Level:      n.Level,
-				Following:  NoPointer,
-				Descendant: NoPointer,
-			}
-			if nc > 0 {
-				list[i].Children = kids[i*nc : (i+1)*nc : (i+1)*nc]
+		l := &m.Lists[q]
+		l.Labels = labels
+		l.Following, l.Descendant = cols[:n:n], cols[n:2*n:2*n]
+		if nc > 0 {
+			l.Children = make([][]int32, nc)
+			for c := range l.Children {
+				l.Children[c] = cols[(2+c)*n : (3+c)*n : (3+c)*n]
 			}
 		}
-		m.Lists[q] = list
 	}
 	m.fillDescendantPointers()
 	m.fillFollowingPointers()
@@ -116,7 +107,7 @@ func MustMaterialize(d *xmltree.Document, v *tpq.Pattern) *Materialized {
 func (m *Materialized) ListSizes() []int {
 	out := make([]int, len(m.Lists))
 	for i := range m.Lists {
-		out[i] = len(m.Lists[i])
+		out[i] = len(m.Lists[i].Labels)
 	}
 	return out
 }
@@ -125,7 +116,7 @@ func (m *Materialized) ListSizes() []int {
 func (m *Materialized) TotalEntries() int {
 	n := 0
 	for i := range m.Lists {
-		n += len(m.Lists[i])
+		n += len(m.Lists[i].Labels)
 	}
 	return n
 }
@@ -134,16 +125,11 @@ func (m *Materialized) TotalEntries() int {
 // quantity reported in the paper's Table IV.
 func (m *Materialized) NumPointers() int {
 	n := 0
-	for _, list := range m.Lists {
-		for i := range list {
-			if list[i].Following != NoPointer {
-				n++
-			}
-			if list[i].Descendant != NoPointer {
-				n++
-			}
-			for _, c := range list[i].Children {
-				if c != NoPointer {
+	for i := range m.Lists {
+		l := &m.Lists[i]
+		for _, col := range append([][]int32{l.Following, l.Descendant}, l.Children...) {
+			for _, p := range col {
+				if p != NoPointer {
 					n++
 				}
 			}
@@ -166,10 +152,19 @@ func (m *Materialized) Matches() match.Set {
 
 // enumerateMatches enumerates embeddings restricted to the solution lists
 // (every node of a solution list participates in at least one match, so the
-// lists are exactly the candidate space).
+// lists are exactly the candidate space). The lists hold labels; a match
+// names nodes, found once per entry by start.
 func (m *Materialized) enumerateMatches() match.Set {
+	ids := make([][]xmltree.NodeID, len(m.Lists))
+	for q := range m.Lists {
+		ids[q] = make([]xmltree.NodeID, len(m.Lists[q].Labels))
+		for i, l := range m.Lists[q].Labels {
+			ids[q][i] = m.Doc.FindByStart(l.Start)
+		}
+	}
 	var out match.Set
 	cur := make(match.Match, m.View.Size())
+	at := make([]int, m.View.Size()) // the list position cur binds
 	var rec func(qi int)
 	rec = func(qi int) {
 		if qi == m.View.Size() {
@@ -177,19 +172,19 @@ func (m *Materialized) enumerateMatches() match.Set {
 			return
 		}
 		qn := m.View.Nodes[qi]
-		parent := m.Doc.Node(cur[qn.Parent])
-		list := m.Lists[qi]
+		parent := m.Lists[qn.Parent].Labels[at[qn.Parent]]
+		list := m.Lists[qi].Labels
 		lo := sort.Search(len(list), func(k int) bool { return list[k].Start > parent.Start })
 		for i := lo; i < len(list) && list[i].Start < parent.End; i++ {
 			if qn.Axis == tpq.Child && list[i].Level != parent.Level+1 {
 				continue
 			}
-			cur[qi] = list[i].Node
+			cur[qi], at[qi] = ids[qi][i], i
 			rec(qi + 1)
 		}
 	}
-	for _, e := range m.Lists[0] {
-		cur[0] = e.Node
+	for i, id := range ids[0] {
+		cur[0], at[0] = id, i
 		rec(1)
 	}
 	// Pattern node order is pre-order, and list entries are visited in
@@ -211,158 +206,119 @@ type Region struct {
 	Above, Parent []bool
 }
 
-// scanDown yields the region's nodes of a view type, last first, by walking
-// the node array — the right cost for a region: no index to build.
-func scanDown(nodes []xmltree.Node, qOf []int, r Region) func() xmltree.NodeID {
-	id := r.Hi
-	return func() xmltree.NodeID {
-		for id--; id >= r.Lo; id-- {
-			if qOf[nodes[id-r.Lo].Type] >= 0 {
-				return id
-			}
-		}
-		return xmltree.NoNode
-	}
-}
-
-// mergeDown yields the same for the whole document by merging the type
-// index's lists from their ends: it visits only the candidates, and the
-// index is built once per document however many views are materialized.
-func mergeDown(d *xmltree.Document, typeOf []xmltree.TypeID) func() xmltree.NodeID {
-	lists := make([][]xmltree.NodeID, len(typeOf))
-	for q, t := range typeOf {
-		lists[q] = d.NodesOfType(t)
-	}
-	return func() xmltree.NodeID {
-		last := -1
-		for q, l := range lists {
-			if len(l) > 0 && (last < 0 || l[len(l)-1] > lists[last][len(lists[last])-1]) {
-				last = q
-			}
-		}
-		if last < 0 {
-			return xmltree.NoNode
-		}
-		l := lists[last]
-		lists[last] = l[:len(l)-1]
-		return l[len(l)-1]
-	}
-}
-
-// SolutionLists computes, for each view node q, the region's data nodes of
-// q's type that participate in at least one match of v, in document order.
-// It is the one membership routine of the system: Materialize runs it over
-// the whole document, incremental maintenance over the subtree a document
-// update can have changed. A downward qualification pass (does the node's
-// subtree match q's subtree — decided inside the region, since a subtree
-// never leaves it) runs over the region's nodes in reverse document order;
-// an upward pass (is there a qualifying chain of ancestors up to the view
-// root) then filters each list against its parent's, seeded by the context.
-func SolutionLists(d *xmltree.Document, v *tpq.Pattern, r Region) [][]xmltree.NodeID {
+// SolutionLists computes, for each view node q, the labels of the
+// region's data nodes of q's type that participate in at least one match
+// of v, in document order. It is the one membership routine of the
+// system: Materialize runs it over the whole document, incremental
+// maintenance over the subtree a document update can have changed. Each
+// candidate node is read once, for its label; everything after works on
+// the label lists. A downward qualification pass (does the node's subtree
+// match q's subtree — decided inside the region, since a subtree never
+// leaves it) filters the lists children first; an upward pass (is there a
+// qualifying chain of ancestors up to the view root) then filters each
+// list against its parent's, seeded by the context. Regions nest, so
+// every test is a merge of two lists in document order.
+func SolutionLists(d *xmltree.Document, v *tpq.Pattern, r Region) [][]Label {
 	nq := v.Size()
 	typeOf, qOf := typeIndex(d, v)
-	// nodes holds the region only, so node id is nodes[id-r.Lo]: a region of
-	// an updated document is read out of its piece table, not the table
-	// written out. Every id looked up below lies in the region.
-	whole := r.Lo == 0 && int(r.Hi) == d.NumNodes()
-	var nodes []xmltree.Node
-	if whole {
-		nodes = d.Nodes()
+	sol := make([][]Label, nq)
+	if r.Lo == 0 && int(r.Hi) == d.NumNodes() {
+		// The type index is built once per document however many views
+		// are materialized; its ids ascend, so the reads do too.
+		nodes := d.Nodes()
+		for q, t := range typeOf {
+			ids := d.NodesOfType(t)
+			l := make([]Label, len(ids))
+			for i, id := range ids {
+				n := &nodes[id]
+				l[i] = Label{Start: n.Start, End: n.End, Level: n.Level}
+			}
+			sol[q] = l
+		}
 	} else {
-		nodes = d.Range(r.Lo, r.Hi)
+		// A region is read out of the document's piece table, not the
+		// table written out: one walk, no index to build.
+		for _, n := range d.Range(r.Lo, r.Hi) {
+			if q := qOf[n.Type]; q >= 0 {
+				sol[q] = append(sol[q], Label{Start: n.Start, End: n.End, Level: n.Level})
+			}
+		}
+	}
+	if v.Nodes[0].Axis == tpq.Child { // "/a" matches the document root only
+		root := d.Node(d.Root()).Start
+		sol[0] = slices.DeleteFunc(sol[0], func(x Label) bool { return x.Start != root })
 	}
 
-	// Downward pass. Descendants follow their ancestors in document order,
-	// so a reverse sweep sees every subtree before its root. nearest[c] is
-	// the most recently qualified c-node: the one with the smallest id, so
-	// the only candidate for "first c-descendant" of the node at hand.
-	// awaiting[c] stacks the parents of qualified pc-children c that the
-	// sweep has not reached yet; they are nested, deepest on top.
-	down := make([][]xmltree.NodeID, nq)
-	nearest := make([]xmltree.NodeID, nq)
-	for q := range nearest {
-		nearest[q] = xmltree.NoNode
-	}
-	awaiting := make([][]xmltree.NodeID, nq)
-	next := scanDown(nodes, qOf, r)
-	if whole {
-		next = mergeDown(d, typeOf)
-	}
-	for id := next(); id != xmltree.NoNode; id = next() {
-		n := &nodes[id-r.Lo]
-		q := qOf[n.Type]
-		// A "/a" root matches the document root only. A rejected candidate
-		// still runs the loop below: it must take itself off awaiting[].
-		ok := q > 0 || v.Nodes[0].Axis == tpq.Descendant || id == d.Root()
+	// Downward pass, children before parents (pre-order reversed): a node
+	// stays when its subtree holds a kept node of every pattern child, a
+	// direct child on a pc-edge.
+	for q := nq - 1; q >= 0; q-- {
 		for _, c := range v.Nodes[q].Children {
+			l, cl := sol[q], sol[c]
+			keep := l[:0]
 			if v.Nodes[c].Axis == tpq.Descendant {
-				ok = ok && nearest[c] != xmltree.NoNode && nodes[nearest[c]-r.Lo].Start < n.End
-			} else if w := awaiting[c]; len(w) > 0 && w[len(w)-1] == id {
-				awaiting[c] = w[:len(w)-1]
+				// The first c-node starting after x lies inside x when any
+				// does.
+				j := 0
+				for _, x := range l {
+					for j < len(cl) && cl[j].Start <= x.Start {
+						j++
+					}
+					if j < len(cl) && cl[j].Start < x.End {
+						keep = append(keep, x)
+					}
+				}
 			} else {
-				ok = false
+				has := make([]bool, len(l))
+				for j, a := range lowestAncestorIn(l, cl) {
+					if a >= 0 && l[a].Level == cl[j].Level-1 {
+						has[a] = true
+					}
+				}
+				for i, x := range l {
+					if has[i] {
+						keep = append(keep, x)
+					}
+				}
 			}
-		}
-		if !ok {
-			continue
-		}
-		down[q] = append(down[q], id)
-		nearest[q] = id
-		if q > 0 && v.Nodes[q].Axis == tpq.Child && n.Parent >= r.Lo &&
-			nodes[n.Parent-r.Lo].Type == typeOf[v.Nodes[q].Parent] {
-			if w := awaiting[q]; len(w) == 0 || w[len(w)-1] != n.Parent {
-				awaiting[q] = append(w, n.Parent)
-			}
-		}
-	}
-	for _, l := range down {
-		for i, j := 0, len(l)-1; i < j; i, j = i+1, j-1 {
-			l[i], l[j] = l[j], l[i]
+			sol[q] = keep
 		}
 	}
 
 	// Upward pass, view nodes in pre-order so a parent's list is final
-	// before its children filter against it. member marks the region nodes
-	// kept so far; a node's type names the only list it can be in. Only
-	// pc-edges look a parent up in it.
-	var member []bool
-	if slices.ContainsFunc(v.Nodes[1:], func(n tpq.Node) bool { return n.Axis == tpq.Child }) {
-		member = make([]bool, r.Hi-r.Lo)
-	}
-	sol := down
-	for q := range sol {
+	// before its children filter against it.
+	for q := 1; q < nq; q++ {
 		p := v.Nodes[q].Parent
-		keep := sol[q][:0]
+		l, pl := sol[q], sol[p]
+		keep := l[:0]
 		switch {
-		case p < 0 || (v.Nodes[q].Axis == tpq.Descendant && r.Above != nil && r.Above[p]):
-			keep = sol[q]
+		case v.Nodes[q].Axis == tpq.Descendant && r.Above != nil && r.Above[p]:
+			continue
 		case v.Nodes[q].Axis == tpq.Descendant:
-			// Regions nest, so a p-node that starts before n contains it
-			// exactly when it ends after n starts.
+			// A p-node that starts before x contains it exactly when it
+			// ends after x starts.
 			pi, open := 0, int32(-1)
-			for _, id := range sol[q] {
-				for ; pi < len(sol[p]) && sol[p][pi] < id; pi++ {
-					open = max(open, nodes[sol[p][pi]-r.Lo].End)
+			for _, x := range l {
+				for ; pi < len(pl) && pl[pi].Start < x.Start; pi++ {
+					open = max(open, pl[pi].End)
 				}
-				if open > nodes[id-r.Lo].Start {
-					keep = append(keep, id)
+				if open > x.Start {
+					keep = append(keep, x)
 				}
 			}
 		default:
-			for _, id := range sol[q] {
-				par := nodes[id-r.Lo].Parent
-				if par >= r.Lo && member[par-r.Lo] && nodes[par-r.Lo].Type == typeOf[p] ||
-					par < r.Lo && r.Parent != nil && r.Parent[p] {
-					keep = append(keep, id)
+			// x's parent is its nearest ancestor, so it is in p's list
+			// exactly when x's lowest ancestor there is one level up. The
+			// region root's parent lies outside, and the context tells.
+			for j, a := range lowestAncestorIn(pl, l) {
+				x := l[j]
+				if a >= 0 && pl[a].Level == x.Level-1 ||
+					r.Parent != nil && r.Parent[p] && x.Start == d.Node(r.Lo).Start {
+					keep = append(keep, x)
 				}
 			}
 		}
 		sol[q] = keep
-		if member != nil {
-			for _, id := range keep {
-				member[id-r.Lo] = true
-			}
-		}
 	}
 	return sol
 }

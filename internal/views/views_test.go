@@ -40,28 +40,28 @@ func TestMaterializeFig1V1(t *testing.T) {
 	d := fig1Doc(t)
 	m := MustMaterialize(d, tpq.MustParse("//a//e"))
 
-	la, le := m.Lists[0], m.Lists[1]
-	if len(la) != 3 {
-		t.Fatalf("|L_a| = %d, want 3", len(la))
+	la, le := &m.Lists[0], &m.Lists[1]
+	if len(la.Labels) != 3 {
+		t.Fatalf("|L_a| = %d, want 3", len(la.Labels))
 	}
-	if len(le) != 6 {
-		t.Fatalf("|L_e| = %d, want 6", len(le))
+	if len(le.Labels) != 6 {
+		t.Fatalf("|L_e| = %d, want 6", len(le.Labels))
 	}
 
 	// Following pointers in L_e per Example 3.1: e1->e2, e2->e3, e3->null,
 	// e4->e6 (not e5: different lowest a-ancestor), e5->null, e6->null.
 	wantFollowing := []int32{1, 2, NoPointer, 5, NoPointer, NoPointer}
 	for i, w := range wantFollowing {
-		if le[i].Following != w {
-			t.Errorf("L_e[%d].Following = %d, want %d", i, le[i].Following, w)
+		if le.Following[i] != w {
+			t.Errorf("L_e[%d].Following = %d, want %d", i, le.Following[i], w)
 		}
 	}
 
 	// Descendant pointers in L_a: a1->null (a2 not nested), a2->a3, a3->null.
 	wantDesc := []int32{NoPointer, 2, NoPointer}
 	for i, w := range wantDesc {
-		if la[i].Descendant != w {
-			t.Errorf("L_a[%d].Descendant = %d, want %d", i, la[i].Descendant, w)
+		if la.Descendant[i] != w {
+			t.Errorf("L_a[%d].Descendant = %d, want %d", i, la.Descendant[i], w)
 		}
 	}
 
@@ -69,15 +69,15 @@ func TestMaterializeFig1V1(t *testing.T) {
 	// a1->a2, a2->null (a3 nested inside), a3->null.
 	wantAFollow := []int32{1, NoPointer, NoPointer}
 	for i, w := range wantAFollow {
-		if la[i].Following != w {
-			t.Errorf("L_a[%d].Following = %d, want %d", i, la[i].Following, w)
+		if la.Following[i] != w {
+			t.Errorf("L_a[%d].Following = %d, want %d", i, la.Following[i], w)
 		}
 	}
 
 	// Child (ad) pointers a -> first e descendant: a1->e1, a2->e4, a3->e5.
 	wantChild := []int32{0, 3, 4}
 	for i, w := range wantChild {
-		if got := la[i].Children[0]; got != w {
+		if got := la.Children[0][i]; got != w {
 			t.Errorf("L_a[%d].Children[0] = %d, want %d", i, got, w)
 		}
 	}
@@ -96,10 +96,10 @@ func TestMaterializePCEdges(t *testing.T) {
 	// //a/e: direct children only. a1 has e1,e2,e3 as children; a2 has e4 and
 	// e6 (e5 is under a3); a3 has e5.
 	m := MustMaterialize(d, tpq.MustParse("//a/e"))
-	if got := len(m.Lists[0]); got != 3 {
+	if got := len(m.Lists[0].Labels); got != 3 {
 		t.Fatalf("|L_a| = %d, want 3", got)
 	}
-	if got := len(m.Lists[1]); got != 6 {
+	if got := len(m.Lists[1].Labels); got != 6 {
 		t.Fatalf("|L_e| = %d, want 6", got)
 	}
 	if got := len(m.Matches()); got != 6 {
@@ -107,18 +107,17 @@ func TestMaterializePCEdges(t *testing.T) {
 	}
 	// Child pointer must reach the first *child*, not the first descendant:
 	// a2's first e child is e4 (position 3).
-	la := m.Lists[0]
-	if la[1].Children[0] != 3 {
-		t.Errorf("a2 child pointer = %d, want 3 (e4)", la[1].Children[0])
+	if got := m.Lists[0].Children[0][1]; got != 3 {
+		t.Errorf("a2 child pointer = %d, want 3 (e4)", got)
 	}
 }
 
 func TestMaterializeEmptyView(t *testing.T) {
 	d := fig1Doc(t)
 	m := MustMaterialize(d, tpq.MustParse("//e//f"))
-	for q, l := range m.Lists {
-		if len(l) != 0 {
-			t.Errorf("list %d not empty: %d entries", q, len(l))
+	for q := range m.Lists {
+		if n := len(m.Lists[q].Labels); n != 0 {
+			t.Errorf("list %d not empty: %d entries", q, n)
 		}
 	}
 	if len(m.Matches()) != 0 {
@@ -135,10 +134,10 @@ func TestSolutionListsPruneNonSolutions(t *testing.T) {
 	d := fig1Doc(t)
 	// //a//f: only a2 has an f descendant.
 	m := MustMaterialize(d, tpq.MustParse("//a//f"))
-	if got := len(m.Lists[0]); got != 1 {
+	if got := len(m.Lists[0].Labels); got != 1 {
 		t.Fatalf("|L_a| = %d, want 1 (only a2 has f below)", got)
 	}
-	if got := len(m.Lists[1]); got != 1 {
+	if got := len(m.Lists[1].Labels); got != 1 {
 		t.Fatalf("|L_f| = %d, want 1", got)
 	}
 	// Upward pruning: //f//e has no matches; also check a three-level view
@@ -163,24 +162,22 @@ func TestApplyPolicy(t *testing.T) {
 	}
 	// LEp keeps all child pointers.
 	for q := range lep.Lists {
-		for i := range lep.Lists[q] {
-			for c := range lep.Lists[q][i].Children {
-				if lep.Lists[q][i].Children[c] != le.Lists[q][i].Children[c] {
-					t.Errorf("LEp changed child pointer at list %d entry %d", q, i)
-				}
+		for c := range lep.Lists[q].Children {
+			if !slices.Equal(lep.Lists[q].Children[c], le.Lists[q].Children[c]) {
+				t.Errorf("LEp changed child pointers of list %d, class %d", q, c)
 			}
 		}
 	}
 	// LEp drops adjacent following pointers (e1->e2) and keeps far ones
 	// (e4->e6, two entries away).
-	if lep.Lists[1][0].Following != NoPointer {
+	if lep.Lists[1].Following[0] != NoPointer {
 		t.Errorf("LEp kept adjacent following pointer e1->e2")
 	}
-	if lep.Lists[1][3].Following != 5 {
-		t.Errorf("LEp dropped far following pointer e4->e6: %d", lep.Lists[1][3].Following)
+	if lep.Lists[1].Following[3] != 5 {
+		t.Errorf("LEp dropped far following pointer e4->e6: %d", lep.Lists[1].Following[3])
 	}
 	// Original untouched.
-	if le.Lists[1][0].Following != 1 {
+	if le.Lists[1].Following[0] != 1 {
 		t.Errorf("ApplyPolicy mutated the source view")
 	}
 	// FullPointers is the identity.
@@ -209,17 +206,14 @@ func TestSolutionListsMatchOracle(t *testing.T) {
 		}
 		wantSol := oracle.SolutionNodes(d, v)
 		for q := range m.Lists {
-			got := make([]xmltree.NodeID, len(m.Lists[q]))
-			for i := range m.Lists[q] {
-				got[i] = m.Lists[q][i].Node
-			}
+			got := m.Lists[q].Labels
 			if len(got) != len(wantSol[q]) {
 				t.Logf("view %s node %d: |sol| = %d, want %d", v, q, len(got), len(wantSol[q]))
 				return false
 			}
 			for i := range got {
-				if got[i] != wantSol[q][i] {
-					t.Logf("view %s node %d entry %d: %d != %d", v, q, i, got[i], wantSol[q][i])
+				if got[i] != label(d, wantSol[q][i]) {
+					t.Logf("view %s node %d entry %d: %v != node %d", v, q, i, got[i], wantSol[q][i])
 					return false
 				}
 			}
@@ -245,7 +239,7 @@ func TestChildAxisRootWithNestedSameLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := MustMaterialize(d, tpq.MustParse("/a/b"))
-	if got := m.ListSizes(); got[0] != 1 || got[1] != 1 || m.Lists[0][0].Node != d.Root() {
+	if got := m.ListSizes(); got[0] != 1 || got[1] != 1 || m.Lists[0].Labels[0] != label(d, d.Root()) {
 		t.Fatalf("/a/b over nested a: list sizes %v, want [1 1] with the document root in L_a", got)
 	}
 	// Randomized, against the oracle: patterns anchored at "/root" over
@@ -258,12 +252,8 @@ func TestChildAxisRootWithNestedSameLabel(t *testing.T) {
 		v.Nodes[0].Label, v.Nodes[0].Axis = testutil.RootLabel, tpq.Child
 		want := oracle.SolutionNodes(d, v)
 		for q, l := range MustMaterialize(d, v).Lists {
-			got := make([]xmltree.NodeID, len(l))
-			for i := range l {
-				got[i] = l[i].Node
-			}
-			if !slices.Equal(got, want[q]) {
-				t.Fatalf("seed %d view %s list %d: got %v, oracle %v", seed, v, q, got, want[q])
+			if !slices.Equal(l.Labels, labels(d, want[q])) {
+				t.Fatalf("seed %d view %s list %d: got %v, oracle %v", seed, v, q, l.Labels, want[q])
 			}
 		}
 	}
@@ -289,27 +279,25 @@ func TestPointersMatchDefinition(t *testing.T) {
 
 // verifyPointers recomputes each pointer per definition and compares.
 func verifyPointers(t *testing.T, m *Materialized) bool {
-	d := m.Doc
-	for q, list := range m.Lists {
+	for q := range m.Lists {
+		list := &m.Lists[q]
 		p := m.View.Nodes[q].Parent
-		for i := range list {
-			ni := d.Node(list[i].Node)
+		for i, ni := range list.Labels {
 			// Descendant: first same-type descendant.
 			wantDesc := NoPointer
-			for j := range list {
-				if d.Node(list[j].Node).Start > ni.Start && d.Node(list[j].Node).End < ni.End {
+			for j, nj := range list.Labels {
+				if ni.Contains(nj) {
 					wantDesc = int32(j)
 					break
 				}
 			}
-			if list[i].Descendant != wantDesc {
-				t.Logf("view %s list %d entry %d: descendant = %d, want %d", m.View, q, i, list[i].Descendant, wantDesc)
+			if list.Descendant[i] != wantDesc {
+				t.Logf("view %s list %d entry %d: descendant = %d, want %d", m.View, q, i, list.Descendant[i], wantDesc)
 				return false
 			}
 			// Following: first following with same lowest parent-type ancestor.
 			wantF := NoPointer
-			for j := range list {
-				nj := d.Node(list[j].Node)
+			for j, nj := range list.Labels {
 				if nj.Start <= ni.End {
 					continue
 				}
@@ -319,16 +307,15 @@ func verifyPointers(t *testing.T, m *Materialized) bool {
 				wantF = int32(j)
 				break
 			}
-			if list[i].Following != wantF {
-				t.Logf("view %s list %d entry %d: following = %d, want %d", m.View, q, i, list[i].Following, wantF)
+			if list.Following[i] != wantF {
+				t.Logf("view %s list %d entry %d: following = %d, want %d", m.View, q, i, list.Following[i], wantF)
 				return false
 			}
 			// Child pointers.
 			for ci, c := range m.View.Nodes[q].Children {
 				want := NoPointer
-				for j := range m.Lists[c] {
-					nj := d.Node(m.Lists[c][j].Node)
-					if !(nj.Start > ni.Start && nj.End < ni.End) {
+				for j, nj := range m.Lists[c].Labels {
+					if !ni.Contains(nj) {
 						continue
 					}
 					if m.View.Nodes[c].Axis == tpq.Child && nj.Level != ni.Level+1 {
@@ -337,8 +324,8 @@ func verifyPointers(t *testing.T, m *Materialized) bool {
 					want = int32(j)
 					break
 				}
-				if list[i].Children[ci] != want {
-					t.Logf("view %s list %d entry %d child %d: = %d, want %d", m.View, q, i, ci, list[i].Children[ci], want)
+				if got := list.Children[ci][i]; got != want {
+					t.Logf("view %s list %d entry %d child %d: = %d, want %d", m.View, q, i, ci, got, want)
 					return false
 				}
 			}
@@ -349,15 +336,29 @@ func verifyPointers(t *testing.T, m *Materialized) bool {
 
 // lowestAnc finds the position in list p of the lowest entry containing n,
 // or -1, by brute force.
-func lowestAnc(m *Materialized, p int, n xmltree.Node) int32 {
+func lowestAnc(m *Materialized, p int, n Label) int32 {
 	best := int32(-1)
 	bestStart := int32(-1)
-	for j := range m.Lists[p] {
-		nj := m.Doc.Node(m.Lists[p][j].Node)
-		if nj.Start < n.Start && n.End < nj.End && nj.Start > bestStart {
+	for j, nj := range m.Lists[p].Labels {
+		if nj.Contains(n) && nj.Start > bestStart {
 			best = int32(j)
 			bestStart = nj.Start
 		}
 	}
 	return best
+}
+
+// label returns node id's region label.
+func label(d *xmltree.Document, id xmltree.NodeID) Label {
+	n := d.Node(id)
+	return Label{Start: n.Start, End: n.End, Level: n.Level}
+}
+
+// labels returns the region labels of nodes ids.
+func labels(d *xmltree.Document, ids []xmltree.NodeID) []Label {
+	out := make([]Label, len(ids))
+	for i, id := range ids {
+		out[i] = label(d, id)
+	}
+	return out
 }

@@ -20,14 +20,15 @@ import (
 // default mode (Strict, no CharsetReader), and an element's type is the
 // local part of its name (<x:a> is an a; the end tag must repeat the start
 // tag's name, prefix included). It streams: the input is read through a
-// fixed window of at most 64 KiB and never held whole, and a tag name is
-// copied only the first time the document uses it. Every error starts with
+// fixed window — 64 KiB, or for an input that tells its length that
+// length up to blockSize — and never held whole, and a tag name is copied
+// only the first time the document uses it. Every error starts with
 // "xmltree: parse:" and names the line it was found on; a read error from r
 // is wrapped.
 func Parse(r io.Reader) (*Document, error) {
 	size := 64 << 10
-	if l, ok := r.(interface{ Len() int }); ok && l.Len() < size {
-		size = l.Len() + 1 // a short input, an /update fragment: one read
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = min(l.Len()+1, blockSize) // an /update fragment: one read
 	}
 	s := &scanner{r: r, buf: make([]byte, size), b: NewBuilder()}
 	if err := s.run(); err != nil {
@@ -35,6 +36,10 @@ func Parse(r io.Reader) (*Document, error) {
 	}
 	return s.b.Document()
 }
+
+// blockSize bounds the window of an input that tells its length: a long
+// one is read a quarter MiB at a time.
+const blockSize = 256 << 10
 
 // ParseString parses an XML document from a string.
 func ParseString(s string) (*Document, error) {
@@ -105,8 +110,10 @@ func (s *scanner) stopped(msg string) error {
 	return s.syntax(msg)
 }
 
-func (s *scanner) syntax(msg string) error {
-	return fmt.Errorf("xmltree: parse: line %d: %s", s.line(), msg)
+func (s *scanner) syntax(msg string) error { return syntaxAt(s.line(), msg) }
+
+func syntaxAt(line int, msg string) error {
+	return fmt.Errorf("xmltree: parse: line %d: %s", line, msg)
 }
 
 // line is the 1-based line of the last byte consumed.
@@ -115,9 +122,12 @@ func (s *scanner) line() int {
 }
 
 // run scans the whole input: character data and markup until the end,
-// which must leave no element open.
+// which must leave no element open. inPlace takes what it can within the
+// window; whatever it stops at goes through the byte scanners below, one
+// token, and the window is tried again.
 func (s *scanner) run() error {
 	for {
+		s.inPlace()
 		c, ok := s.getc()
 		if !ok {
 			if s.rerr != io.EOF || len(s.ends) > 0 {
@@ -137,6 +147,90 @@ func (s *scanner) run() error {
 		}
 	}
 }
+
+// inPlace scans the window from s.pos for as long as the tokens are the
+// common ones and lie whole in it: plain character data, a start tag or
+// an empty-element tag with an ASCII name, no colon and no attributes,
+// and an end tag that repeats the open name and closes at once. It stops
+// at the start of anything else, which the byte scanners take from there
+// as they would have: they re-read the token, so what is accepted, what
+// is rejected and every error's text and line stay theirs.
+func (s *scanner) inPlace() {
+	buf, i := s.buf[:s.end], s.pos
+	for i < len(buf) {
+		if buf[i] != '<' {
+			// Plain bytes end a text run with no state: chars takes over
+			// at the first byte that is not plain, or after a refill.
+			k := bytes.IndexByte(buf[i:], '<')
+			if k < 0 {
+				k = len(buf) - i
+			}
+			j := i
+			for j < i+k && plain[buf[j]] {
+				j++
+			}
+			if j < i+k || k == len(buf)-i {
+				s.pos = j
+				return
+			}
+			i = j
+		}
+		if i+1 == len(buf) {
+			break
+		}
+		if buf[i+1] == '/' {
+			n := len(s.ends)
+			if n == 0 {
+				break
+			}
+			top := s.open[s.openStart(n-1):]
+			j := i + 2 + len(top)
+			if j >= len(buf) || buf[j] != '>' || string(buf[i+2:j]) != string(top) {
+				break
+			}
+			s.closeTop()
+			i = j + 1
+			continue
+		}
+		if !asciiFirst[buf[i+1]] {
+			break
+		}
+		j := i + 2
+		for j < len(buf) && asciiName[buf[j]] {
+			j++
+		}
+		if j+1 >= len(buf) {
+			break
+		}
+		name := buf[i+1 : j]
+		switch {
+		case buf[j] == '>':
+			s.b.beginBytes(name)
+			s.open = append(s.open, name...)
+			s.ends = append(s.ends, len(s.open))
+			i = j + 1
+		case buf[j] == '/' && buf[j+1] == '>':
+			s.b.beginBytes(name)
+			s.b.End()
+			i = j + 2
+		default:
+			s.pos = i
+			return
+		}
+	}
+	s.pos = i
+}
+
+// asciiFirst and asciiName mark the bytes inPlace takes in a name: an
+// ASCII letter or '_' first, then those, digits, '.' and '-'. A colon or
+// a multi-byte character leaves the name to qname.
+var asciiFirst, asciiName = func() (f, n [256]bool) {
+	for c := range f {
+		f[c] = 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_'
+		n[c] = f[c] || '0' <= c && c <= '9' || c == '.' || c == '-'
+	}
+	return f, n
+}()
 
 // markup scans what follows a '<'.
 func (s *scanner) markup() error {
@@ -490,6 +584,11 @@ func (s *scanner) multibyte(lead byte) error {
 			p[n] = c
 		}
 		r, size = utf8.DecodeRune(p[:n])
+		if r == utf8.RuneError && size == 1 {
+			// The error is at the lead byte, as in a window that holds the
+			// sequence: a line break read past it is not counted.
+			return syntaxAt(s.line()-bytes.Count(p[1:n], []byte{'\n'}), "invalid UTF-8")
+		}
 	}
 	if r == utf8.RuneError && size == 1 {
 		return s.syntax("invalid UTF-8")

@@ -174,8 +174,10 @@ func TestParseParityCases(t *testing.T) {
 
 // FuzzParseMatchesEncodingXML holds Parse to encoding/xml: where the
 // reference accepts an input Parse builds the same tree, where it rejects
-// one Parse fails too. Each input is also parsed one byte per Read, so
-// every token crosses a window refill somewhere.
+// one Parse fails too, with the same error text however the input is
+// read. Each input is also parsed one byte per Read, so every token
+// crosses a window refill somewhere and the in-place scan gives way to
+// the byte scanners there.
 func FuzzParseMatchesEncodingXML(f *testing.F) {
 	for _, c := range parityCases {
 		f.Add(c.in)
@@ -183,6 +185,7 @@ func FuzzParseMatchesEncodingXML(f *testing.F) {
 	f.Add(nested(300))
 	f.Fuzz(func(t *testing.T, s string) {
 		want, werr := ParseReference(strings.NewReader(s))
+		var errs []string
 		for _, r := range []io.Reader{strings.NewReader(s), iotest.OneByteReader(strings.NewReader(s))} {
 			got, err := Parse(r)
 			switch {
@@ -190,7 +193,9 @@ func FuzzParseMatchesEncodingXML(f *testing.F) {
 				t.Fatalf("Parse(%q) accepted; the reference: %v", s, werr)
 			case werr == nil && err != nil:
 				t.Fatalf("Parse(%q): %v; the reference accepts it", s, err)
-			case werr == nil:
+			case werr != nil:
+				errs = append(errs, err.Error())
+			default:
 				if err := SameTree(got, want); err != nil {
 					t.Fatalf("Parse(%q): %v", s, err)
 				}
@@ -209,5 +214,59 @@ func FuzzParseMatchesEncodingXML(f *testing.F) {
 				}
 			}
 		}
+		if len(errs) == 2 && errs[0] != errs[1] {
+			t.Fatalf("Parse(%q) read whole: %s; one byte per Read: %s", s, errs[0], errs[1])
+		}
 	})
+}
+
+// TestParseAcrossBlocks puts the token the in-place scan would take at
+// every offset around the end of a long input's first window: a text run
+// (plain, with a reference, and with "]]>"), a start, an empty-element
+// and an end tag, and a name split by the boundary. Read whole, and
+// through 64 KiB windows whose edges lie 1000 bytes further on, where the
+// token is whole, Parse must agree with the reference, and a rejected
+// input must fail with the same text both ways.
+func TestParseAcrossBlocks(t *testing.T) {
+	tails := []string{
+		"plain text run\n</r>",
+		"a &amp; b</r>",
+		"a ]]> b</r>",
+		"<long_element_name>x</long_element_name></r>",
+		"<long_element_name/></r>",
+		"<long_element_name></long_element_name ></r>",
+		"<long_element_name></long_element_nam></r>",
+		"<x:long>text</x:long></r>",
+		"<long b='1'/>\n\n</r>",
+		"<a>\xff</a></r>",
+	}
+	for _, tail := range tails {
+		// Labels count tags, not bytes: the padding moves none.
+		want, werr := ParseReference(strings.NewReader("<r>" + tail))
+		for back := 1; back <= 24; back++ {
+			// The head is "<r>" padded with lines so that the tail starts
+			// back bytes before the window ends.
+			pad := blockSize - back - len("<r>")
+			head := "<r>" + strings.Repeat(strings.Repeat(" ", 63)+"\n", pad/64) + strings.Repeat(" ", pad%64)
+			in := head + tail
+			var errs []string
+			shifted := io.MultiReader(strings.NewReader(in[:1000]), strings.NewReader(in[1000:]))
+			for _, r := range []io.Reader{strings.NewReader(in), shifted} {
+				got, err := Parse(r)
+				switch {
+				case (werr == nil) != (err == nil):
+					t.Fatalf("tail %q at %d: Parse: %v; the reference: %v", tail, back, err, werr)
+				case err != nil:
+					errs = append(errs, err.Error())
+				default:
+					if err := SameTree(got, want); err != nil {
+						t.Fatalf("tail %q at %d: %v", tail, back, err)
+					}
+				}
+			}
+			if len(errs) == 2 && errs[0] != errs[1] {
+				t.Fatalf("tail %q at %d: read whole: %s; shifted windows: %s", tail, back, errs[0], errs[1])
+			}
+		}
+	}
 }

@@ -263,7 +263,8 @@ type Builder struct {
 	names   []string
 	nameIDs map[string]TypeID
 	recent  [64]TypeID // by nameSlot: the last type whose name hashed there
-	chunks  [][]Node   // every chunk but the last is full
+	chunks  [][]Node   // the full chunks
+	cur     []Node     // the chunk being filled
 	n       int        // nodes so far
 	stack   []openNode // the open elements, innermost last
 	pos     int32
@@ -271,10 +272,10 @@ type Builder struct {
 }
 
 // openNode is an element whose end tag the Builder has not seen: its id
-// and where its node lies, b.chunks[chunk][off].
+// and its node in a chunk, which never moves.
 type openNode struct {
-	id         NodeID
-	chunk, off int32
+	id   NodeID
+	node *Node
 }
 
 // minChunk and maxChunk bound a Builder's chunk size in nodes.
@@ -338,29 +339,28 @@ func (b *Builder) beginBytes(name []byte) {
 }
 
 func (b *Builder) open(t TypeID) {
-	if len(b.stack) == 0 && b.n > 0 {
+	parent := NoNode
+	if k := len(b.stack); k > 0 {
+		parent = b.stack[k-1].id
+	} else if b.n > 0 {
 		b.err = fmt.Errorf("xmltree: second root element %q", b.names[t])
 		return
 	}
-	parent := NoNode
-	if len(b.stack) > 0 {
-		parent = b.stack[len(b.stack)-1].id
-	}
-	last := len(b.chunks) - 1
-	if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
-		b.chunks = append(b.chunks, make([]Node, 0, min(max(b.n, minChunk), maxChunk)))
-		last++
+	if len(b.cur) == cap(b.cur) {
+		if b.cur != nil {
+			b.chunks = append(b.chunks, b.cur)
+		}
+		b.cur = make([]Node, 0, min(max(b.n, minChunk), maxChunk))
 	}
 	b.pos++
-	c := append(b.chunks[last], Node{
+	b.cur = append(b.cur, Node{
 		Type:   t,
 		Start:  b.pos,
 		End:    -1,
 		Level:  int32(len(b.stack)),
 		Parent: parent,
 	})
-	b.chunks[last] = c
-	b.stack = append(b.stack, openNode{NodeID(b.n), int32(last), int32(len(c) - 1)})
+	b.stack = append(b.stack, openNode{NodeID(b.n), &b.cur[len(b.cur)-1]})
 	b.n++
 }
 
@@ -369,14 +369,14 @@ func (b *Builder) End() {
 	if b.err != nil {
 		return
 	}
-	if len(b.stack) == 0 {
+	k := len(b.stack) - 1
+	if k < 0 {
 		b.err = fmt.Errorf("xmltree: End without matching Begin")
 		return
 	}
-	top := b.stack[len(b.stack)-1]
-	b.stack = b.stack[:len(b.stack)-1]
 	b.pos++
-	b.chunks[top.chunk][top.off].End = b.pos
+	b.stack[k].node.End = b.pos
+	b.stack = b.stack[:k]
 }
 
 // Element opens an element, runs body (which may add children), and closes
@@ -407,6 +407,7 @@ func (b *Builder) Document() (*Document, error) {
 	for _, c := range b.chunks {
 		nodes = append(nodes, c...)
 	}
+	nodes = append(nodes, b.cur...)
 	return &Document{names: b.names, nameIDs: b.nameIDs, nodes: nodes}, nil
 }
 

@@ -86,8 +86,11 @@
 #      FuzzEnumerateWindow (internal/engine/enum), FuzzApplyPieces
 #      (internal/xmltree: the piece table against the reference splice),
 #      FuzzParseMatchesEncodingXML and FuzzParse (internal/xmltree: the
-#      XML scanner against encoding/xml, and the Write/Parse round trip),
-#      seeded from the committed corpora, and FuzzQueryResponseEncoding,
+#      XML scanner against encoding/xml, error texts included, and the
+#      Write/Parse round trip), FuzzMaterialize (internal/views: every
+#      solution list against the oracle, every pointer against its
+#      §III-A definition), seeded from the committed corpora, and
+#      FuzzQueryResponseEncoding,
 #      FuzzQueryRequest (internal/server: arbitrary bodies to /query and
 #      /debug/trace never panic, 500 or 503), FuzzQueryRequestDecode (the
 #      /query body decoder against encoding/json: equal requests or equal
@@ -243,6 +246,8 @@ echo "== fuzz smoke: FuzzParseMatchesEncodingXML ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzParseMatchesEncodingXML$' -fuzztime "$fuzztime" ./internal/xmltree
 echo "== fuzz smoke: FuzzParse, internal/xmltree ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$fuzztime" ./internal/xmltree
+echo "== fuzz smoke: FuzzMaterialize ($fuzztime)"
+go test -run '^$' -fuzz '^FuzzMaterialize$' -fuzztime "$fuzztime" ./internal/views
 echo "== fuzz smoke: FuzzQueryResponseEncoding ($fuzztime)"
 go test -run '^$' -fuzz '^FuzzQueryResponseEncoding$' -fuzztime "$fuzztime" ./internal/server
 echo "== fuzz smoke: FuzzQueryRequest ($fuzztime)"
