@@ -31,12 +31,15 @@ type Label = store.Label
 // flushes completed windows into result rows, each one copy of the template
 // row the enumeration keeps (engine.Rows).
 //
-// The window lives in memory until flushed; PeakEntries tracks the largest
-// window, the F_max of the paper's space analysis. The disk-based approach
-// (§IV "Variations") is a cost-model setting: every flush charges the
-// entries collected since the previous one as spooled to scratch pages and
-// read back, ceil(LabelBytes·entries / store.DefaultPageSize) pages written
-// and as many read, while the window itself stays in memory as in the
+// The window lives in memory until flushed; PeakEntries tracks the most
+// entries held, the F_max of the paper's space analysis. An unbounded
+// memory-based run holds closed windows and enumerates them together once
+// they reach batchEntries entries (see batching), so it holds at most that
+// many plus one window. The disk-based approach (§IV "Variations") is a
+// cost-model setting: every flush charges the entries collected since the
+// previous one as spooled to scratch pages and read back,
+// ceil(LabelBytes·entries / store.DefaultPageSize) pages written and as
+// many read, while the window itself stays in memory as in the
 // memory-based approach.
 type Collector struct {
 	q   *tpq.Pattern
@@ -49,7 +52,7 @@ type Collector struct {
 	windowEnd   int32
 	open        bool
 
-	entries     int // entries in the current window
+	entries     int // entries held: the current window and any held ones
 	peakEntries int
 
 	diskBased bool
@@ -139,6 +142,12 @@ type pendingCand struct {
 // spool accounting: one region label (12 bytes) plus the query-node tag.
 const LabelBytes = 16
 
+// batchEntries is the entry count at which a batching run (see
+// Collector.batching) enumerates the windows it holds: enough for the
+// per-window cost of a filter and walk to vanish against the entries they
+// cover, few enough that the held lists stay in cache.
+const batchEntries = 1024
+
 // partialTrigger and partialFloor bound the step a bounded run arms its
 // next partial-flush attempt with: the rows it still owes, clamped to
 // [partialFloor, partialTrigger] entries, on top of 1.5x the entries that
@@ -210,6 +219,12 @@ func (c *Collector) Reset(q *tpq.Pattern, io *counters.IO, tr *obs.Recorder, dis
 // (qi == 0) drive window management: a root candidate beyond the current
 // window flushes it and opens a new one. Non-root candidates outside any
 // open window cannot participate in a match and are dropped.
+//
+// Root candidates must be offered in document order, and a non-root
+// candidate before any root candidate that starts after it: so every
+// candidate of a window starts inside the window's region, which is what
+// lets a batching run hold windows end to end (both engines add in the
+// document order of forward-only cursors, or ahead of it).
 func (c *Collector) Add(qi int, l Label) {
 	if qi == 0 {
 		if !c.open {
@@ -268,8 +283,10 @@ func (c *Collector) append(qi int, l Label) {
 	if len(s) == cap(s) {
 		// Double. A pooled collector that a collection has dropped regrows
 		// every list from nothing, and append's quarter steps would copy a
-		// document-spanning window five times over on the way.
-		s = slices.Grow(s, max(len(s), 64))
+		// document-spanning window five times over on the way. The first
+		// step is a quarter batch: a batching run's lists hold about
+		// batchEntries between them, reached in a step or two.
+		s = slices.Grow(s, max(len(s), batchEntries/4))
 	}
 	c.cands[qi] = append(s, l)
 	c.entries++
@@ -325,9 +342,12 @@ func (c *Collector) stop() {
 	}
 }
 
-// Flush enumerates the current window and resets it. It is a no-op when no
-// window is open or the run has been interrupted (the abandoned window's
-// matches would be discarded with the rest of the output anyway).
+// Flush closes the current window and enumerates it — with the windows
+// held before it, in a batching run, or not yet if they all hold fewer than
+// batchEntries entries (Result enumerates what is still held). It is a
+// no-op when no window is open or the run has been interrupted (the
+// abandoned window's matches would be discarded with the rest of the
+// output anyway).
 func (c *Collector) Flush() {
 	if !c.open || c.interrupted() {
 		return
@@ -335,8 +355,12 @@ func (c *Collector) Flush() {
 	if c.PreFlush != nil {
 		c.PreFlush(c.windowStart, c.windowEnd)
 	}
+	c.open = false
 	if c.entries > c.peakEntries {
 		c.peakEntries = c.entries
+	}
+	if c.batching() && c.entries < batchEntries {
+		return
 	}
 	if c.diskBased && c.spoolIn > 0 {
 		pages := (c.spoolIn + store.DefaultPageSize - 1) / store.DefaultPageSize
@@ -344,6 +368,25 @@ func (c *Collector) Flush() {
 		c.io.C.PagesRead += pages // ... and read it back for enumeration
 		c.spoolIn = 0
 	}
+	c.emitHeld()
+}
+
+// batching reports whether the run holds closed windows — after their
+// PreFlush — and enumerates them with the windows that follow once they
+// hold batchEntries entries, or at Result: an unbounded memory-based run
+// does. Windows are disjoint and close in ascending root order, so the held
+// lists are the windows' lists end to end, and one filter and walk over
+// them emits every window's rows in order and charges every counter as one
+// pass per window would: a merge charges each edge its parent list, the
+// walk each candidate it visits, and no walk under one window's parent
+// reaches the next window's candidates. A bounded, cursor or disk-based run
+// flushes every window as it closes.
+func (c *Collector) batching() bool {
+	return c.first <= 0 && c.after == nil && !c.diskBased
+}
+
+// emitHeld enumerates every candidate held and discards them.
+func (c *Collector) emitHeld() {
 	c.tr.BeginPhase(obs.PhaseEnumerate)
 	c.enumerate()
 	c.tr.EndPhase(obs.PhaseEnumerate)
@@ -489,8 +532,7 @@ func (c *Collector) partialBound(frontier int32) int32 {
 	return b
 }
 
-// discardWindow clears the current window's candidates without enumerating
-// them.
+// discardWindow clears every candidate held without enumerating them.
 func (c *Collector) discardWindow() {
 	for qi := range c.cands {
 		c.cands[qi] = c.cands[qi][:0]
@@ -501,18 +543,24 @@ func (c *Collector) discardWindow() {
 	c.disorder = false
 }
 
-// Result flushes any open window and hands over the collected rows. The
-// Matches counter is the number of matches kept, which for a bounded run is
-// the bounded count, not the query's full cardinality.
+// Result flushes any open window, enumerates the windows still held, and
+// hands over the collected rows. The Matches counter is the number of
+// matches kept, which for a bounded run is the bounded count, not the
+// query's full cardinality.
 func (c *Collector) Result() [][]match.Cell {
 	c.Flush()
+	if c.entries > 0 && !c.interrupted() {
+		c.emitHeld() // windows a batching run still holds
+	}
 	c.io.C.Matches = int64(c.emitted)
 	return c.out.Take()
 }
 
-// PeakEntries returns the size (in entries) of the largest window held in
-// memory — the |F_max| of the paper's space analysis — in either approach:
-// the disk-based one charges pages but keeps its windows in memory too.
+// PeakEntries returns the most entries held in memory at once — the
+// |F_max| of the paper's space analysis, which is the largest window in a
+// run that flushes every window, and at most batchEntries plus one window
+// in a batching run — in either approach: the disk-based one charges pages
+// but keeps its windows in memory too.
 func (c *Collector) PeakEntries() int { return c.peakEntries }
 
 // MemoryBytes converts PeakEntries to bytes using the scratch record size.
@@ -537,10 +585,10 @@ func (c *Collector) normalize() {
 	}
 }
 
-// enumerate emits every embedding of q within the current window, in time
-// linear in the window plus the candidates the walk visits: a bottom-up
-// filter of one structural merge per query edge, then a top-down walk that
-// copies one row per match out of the template.
+// enumerate emits every embedding of q within the windows held, in time
+// linear in them plus the candidates the walk visits: a bottom-up filter of
+// one structural merge per query edge, then a top-down walk that copies one
+// row per match out of the template.
 func (c *Collector) enumerate() {
 	c.normalize()
 	c.recheck = c.flushedBound > c.windowStart || c.after != nil
@@ -667,17 +715,28 @@ func (c *Collector) bind(qi, j int, l Label) {
 // cancellation or quota met.
 func (c *Collector) descend(qi int) bool {
 	if qi == len(c.row) {
-		return c.emitRow()
+		return c.emitRow() // a one-node pattern: the root's binding is the row
 	}
 	p, pc := c.q.Nodes[qi].Parent, c.q.Nodes[qi].Axis == tpq.Child
 	end, level := c.row[p].End, c.row[p].Level+1
 	list, ok := c.cands[qi], c.ok[qi]
 	first := int(c.lo[qi][c.at[p]])
 	k, more := first, true
-	for ; more && k < len(list) && list[k].Start < end; k++ {
-		if ok[k] && (!pc || list[k].Level == level) {
-			c.bind(qi, k, list[k])
-			more = c.descend(qi + 1)
+	if qi+1 < len(c.row) {
+		for ; more && k < len(list) && list[k].Start < end; k++ {
+			if ok[k] && (!pc || list[k].Level == level) {
+				c.bind(qi, k, list[k])
+				more = c.descend(qi + 1)
+			}
+		}
+	} else {
+		// The last node in pre-order: every candidate it binds completes a
+		// row, and nothing below reads its index.
+		for ; more && k < len(list) && list[k].Start < end; k++ {
+			if ok[k] && (!pc || list[k].Level == level) {
+				c.row[qi] = list[k]
+				more = c.emitRow()
+			}
 		}
 	}
 	c.io.C.Comparisons += int64(k - first) // one per candidate visited

@@ -147,19 +147,47 @@ func TestDiskBasedSpoolAccounting(t *testing.T) {
 	}
 }
 
+// TestPeakEntries pins what each kind of run holds. A run that flushes
+// every window as it closes — disk-based, or bounded — holds its largest
+// window; an unbounded memory-based run holds closed windows until they
+// reach batchEntries, so at most that many plus one window.
 func TestPeakEntries(t *testing.T) {
-	d := doc(t, `<r><a><b/><b/><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
-	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
-	feed(d, q, c)
-	c.Result()
-	// Largest window: first a + its three b's = 4 entries.
-	if c.PeakEntries() != 4 {
-		t.Fatalf("PeakEntries = %d, want 4", c.PeakEntries())
+	peak := func(src string, diskBased bool, first int) int {
+		t.Helper()
+		var cnt counters.Counters
+		c := NewCollector(q, counters.NewIO(&cnt, 0), nil, diskBased)
+		if first > 0 {
+			c.SetStream(first, nil)
+		}
+		feed(doc(t, src), q, c)
+		c.Result()
+		if c.MemoryBytes() != int64(c.PeakEntries())*LabelBytes {
+			t.Fatalf("MemoryBytes = %d for %d entries", c.MemoryBytes(), c.PeakEntries())
+		}
+		return c.PeakEntries()
 	}
-	if c.MemoryBytes() != int64(4*LabelBytes) {
-		t.Fatalf("MemoryBytes = %d", c.MemoryBytes())
+
+	// Windows of 4 and 6 entries, 2 500 in all.
+	var many strings.Builder
+	many.WriteString("<r>")
+	for i := 0; i < 250; i++ {
+		many.WriteString("<a><b/><b/><b/></a><a><b/><b/><b/><b/><b/></a>")
+	}
+	many.WriteString("</r>")
+	if got := peak(many.String(), false, 0); got < batchEntries || got >= batchEntries+6 {
+		t.Errorf("unbounded run: PeakEntries = %d, want in [%d, %d)", got, batchEntries, batchEntries+6)
+	}
+	if got := peak(many.String(), true, 0); got != 6 {
+		t.Errorf("disk-based run: PeakEntries = %d, want its largest window, 6", got)
+	}
+	// Largest window: first a + its three b's = 4 entries.
+	small := `<r><a><b/><b/><b/></a><a><b/></a></r>`
+	if got := peak(small, false, unreached); got != 4 {
+		t.Errorf("bounded run: PeakEntries = %d, want its largest window, 4", got)
+	}
+	if got := peak(small, false, 0); got != 6 {
+		t.Errorf("unbounded run: PeakEntries = %d, want both windows held, 6", got)
 	}
 }
 

@@ -240,6 +240,119 @@ func TestWindowDifferential(t *testing.T) {
 	}
 }
 
+// manyWindowsDoc draws a document whose root holds the given number of
+// small random a-rooted subtrees: one window each for an //a-rooted
+// pattern, or several nested roots in one.
+func manyWindowsDoc(rng *rand.Rand, windows int) string {
+	var b strings.Builder
+	var subtree func(depth int)
+	subtree = func(depth int) {
+		for k := rng.Intn(4); k > 0 && depth > 0; k-- {
+			tag := diffLabels[rng.Intn(len(diffLabels))]
+			b.WriteString("<" + tag + ">")
+			subtree(depth - 1)
+			b.WriteString("</" + tag + ">")
+		}
+	}
+	b.WriteString("<r>")
+	for i := 0; i < windows; i++ {
+		b.WriteString("<a>")
+		subtree(3)
+		b.WriteString("</a>")
+	}
+	b.WriteString("</r>")
+	return b.String()
+}
+
+// TestBatchedWindowsMatchSoloFlushes crosses the batch boundary, which the
+// differential's documents are too small to reach: an unbounded run over
+// hundreds of windows holding several times batchEntries candidates, with
+// a withheld node the PreFlush hook supplies per window, must deliver the
+// oracle's rows in order and count the comparisons that flushing each
+// window alone, in a collector of its own, counts in all.
+func TestBatchedWindowsMatchSoloFlushes(t *testing.T) {
+	for i, query := range []string{"//a[//b]//c", "//a/b//c", "//a//a//b", "//a[/c]//b[//a]"} {
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		d := doc(t, manyWindowsDoc(rng, 600))
+		q, err := tpq.ParseGeneral(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qis, labels := candidates(d, q)
+		if len(labels) < 3*batchEntries {
+			t.Fatalf("%s: %d candidates, want more than %d", q, len(labels), 3*batchEntries)
+		}
+		withheld := q.Size() - 1 // supplied by PreFlush, as ViewJoin's removed nodes are
+		var stream []cand
+		var held []Label
+		for k, qi := range qis {
+			if qi == withheld {
+				held = append(held, labels[k])
+			} else {
+				stream = append(stream, cand{qi, labels[k]})
+			}
+		}
+		collect := func(stream []cand) ([][]match.Cell, counters.Counters, int) {
+			var cnt counters.Counters
+			c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+			next := 0
+			c.PreFlush = func(lo, hi int32) {
+				for next < len(held) && held[next].Start < lo {
+					next++
+				}
+				for ; next < len(held) && held[next].Start < hi; next++ {
+					c.Add(withheld, held[next])
+				}
+			}
+			for _, cd := range stream {
+				c.Add(cd.qi, cd.l)
+			}
+			return c.Result(), cnt, c.PeakEntries()
+		}
+
+		got, cnt, peak := collect(stream)
+		if peak < batchEntries {
+			t.Fatalf("%s: PeakEntries = %d: the run never reached a batch of %d", q, peak, batchEntries)
+		}
+		want := oracle.Eval(d, q)
+		ms := testutil.RowsToSet(t, d, got)
+		if len(ms) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", q, len(ms), len(want))
+		}
+		for r := range want {
+			if !match.Equal(ms[r], want[r]) {
+				t.Fatalf("%s: row %d is %v, want %v", q, r, ms[r], want[r])
+			}
+		}
+
+		// Each window alone: the stream from the root candidate that opens
+		// it up to the one that opens the next.
+		var solo counters.Counters
+		windows, from, end := 0, 0, int32(-1)
+		for k := 0; k <= len(stream); k++ {
+			if k < len(stream) && (stream[k].qi != 0 || stream[k].l.Start <= end) {
+				continue
+			}
+			rows, c, _ := collect(stream[from:k])
+			solo.Comparisons += c.Comparisons
+			solo.Matches += c.Matches
+			if len(rows) != int(c.Matches) {
+				t.Fatalf("%s: window %d: %d rows, Matches %d", q, windows, len(rows), c.Matches)
+			}
+			if k < len(stream) {
+				windows, from, end = windows+1, k, stream[k].l.End
+			}
+		}
+		if windows < 300 {
+			t.Fatalf("%s: %d windows, want hundreds", q, windows)
+		}
+		if cnt.Comparisons != solo.Comparisons || cnt.Matches != solo.Matches {
+			t.Errorf("%s over %d windows: comparisons %d, matches %d; flushed one window at a time: %d, %d",
+				q, windows, cnt.Comparisons, cnt.Matches, solo.Comparisons, solo.Matches)
+		}
+	}
+}
+
 // qualifies states what the filter must compute: x, a candidate of query
 // node qi, has a match of the pattern's subtree at qi below it.
 func qualifies(d *xmltree.Document, q *tpq.Pattern, qi int, x xmltree.Node) bool {

@@ -70,12 +70,26 @@ type Prepared struct {
 	// removedChildren[qi] lists the removed query nodes whose view parent
 	// is qi (extension targets).
 	removedChildren [][]int
-	// isSegRoot[qi] reports whether qi is the root of its segment.
-	isSegRoot []bool
+	// role[qi] is the per-record work the join loop does for qi.
+	role []nodeRole
 
 	primeNodes   []int // cached v.PrimeNodes()
 	removedNodes []int // cached v.RemovedNodes()
 }
+
+// nodeRole is a set of the per-record duties of one query node in the join
+// loop, fixed by Q' and its views at Prepare time.
+type nodeRole uint8
+
+const (
+	// segRoot: the node roots its segment; its admission is checked against
+	// its prime parent's regions and bulk-adds the segment's other members.
+	segRoot nodeRole = 1 << iota
+	// logsRegions: some coversRange reads the node's region log, because it
+	// is the prime parent of a segment root or the view parent of a prime
+	// node. Nobody reads any other node's log, so no other node keeps one.
+	logsRegions
+)
 
 // evaluators recycles evaluator scratch across every plan: an evaluator
 // serves one plan for one run (bind), so scratch is kept per concurrent
@@ -117,9 +131,10 @@ type evaluator struct {
 	// open[qi] logs the accepted regions of qi in the current window, in
 	// ascending start order (each node's admissions follow its own cursor),
 	// with a prefix maximum of the end labels for O(log n) containment
-	// checks. This plays the role of the paper's "has a p-type ancestor in
-	// F" test (Function 3 line 12): unlike a pop-on-push stack it tolerates
-	// the out-of-document-order admissions that bulk segment adds produce.
+	// checks; only a node whose role has logsRegions keeps one. This plays
+	// the role of the paper's "has a p-type ancestor in F" test (Function 3
+	// line 12): unlike a pop-on-push stack it tolerates the
+	// out-of-document-order admissions that bulk segment adds produce.
 	open []regionLog
 
 	// Window-extension state: ext[x] is removed node x's cursor, opened by
@@ -168,13 +183,21 @@ func Prepare(v *vsq.VSQ, stores []*store.ViewStore, tr *obs.Recorder) (*Prepared
 		viewParentQ:     make([]int, n),
 		viewChildSlot:   make([]int, n),
 		removedChildren: make([][]int, n),
-		isSegRoot:       make([]bool, n),
+		role:            make([]nodeRole, n),
 		primeNodes:      v.PrimeNodes(),
 		removedNodes:    v.RemovedNodes(),
 	}
 	p.buildViewMaps()
 	for _, qi := range p.primeNodes {
-		p.isSegRoot[qi] = v.Segments[v.SegOf[qi]].Root == qi
+		if v.Segments[v.SegOf[qi]].Root == qi {
+			p.role[qi] |= segRoot
+			if pp := v.PrimeParent[qi]; pp != -1 {
+				p.role[pp] |= logsRegions
+			}
+		}
+		if vp := p.viewParentQ[qi]; vp != -1 {
+			p.role[vp] |= logsRegions
+		}
 	}
 	return p, nil
 }
@@ -184,7 +207,7 @@ func Prepare(v *vsq.VSQ, stores []*store.ViewStore, tr *obs.Recorder) (*Prepared
 // Prepare time plus the list bindings. Evaluator scratch belongs to the
 // package's pool, not to the plan.
 func (p *Prepared) Footprint() int64 {
-	f := int64(len(p.viewParentQ))*8 + int64(len(p.viewChildSlot))*8 + int64(len(p.isSegRoot))
+	f := int64(len(p.viewParentQ))*8 + int64(len(p.viewChildSlot))*8 + int64(len(p.role))
 	f += int64(len(p.primeNodes)+len(p.removedNodes)) * 8
 	for _, rc := range p.removedChildren {
 		f += 24 + int64(len(rc))*8
@@ -363,15 +386,20 @@ func (e *evaluator) run() {
 func (e *evaluator) process(qi int) {
 	cur := &e.cur[qi]
 	l := cur.Label()
-	accepted := true
-	if qi != 0 && e.p.isSegRoot[qi] {
+	root := e.p.role[qi]&segRoot != 0
+	if qi != 0 && root {
 		e.c.Comparisons++
-		accepted = e.open[e.p.v.PrimeParent[qi]].coversRange(l.Start, l.Start+1)
+		if !e.open[e.p.v.PrimeParent[qi]].coversRange(l.Start, l.Start+1) {
+			cur.Next()
+			return
+		}
 	}
-	if accepted {
-		e.admit(qi, cur)
-		if e.p.isSegRoot[qi] {
-			e.bulkAddMembers(qi, l)
+	e.admit(qi, cur)
+	if root {
+		// A segment lists its root first; a single-node segment has no
+		// members to add.
+		if ms := e.p.v.Segments[e.p.v.SegOf[qi]].Nodes[1:]; len(ms) > 0 {
+			e.bulkAddMembers(ms, l)
 		}
 	}
 	cur.Next()
@@ -390,9 +418,13 @@ func (e *evaluator) admit(qi int, cur *store.ListCursor) {
 			}
 		}
 	}
-	e.open[qi].add(l)
+	if e.p.role[qi]&logsRegions != 0 {
+		e.open[qi].add(l)
+	}
 	e.col.Add(qi, l)
-	e.captureExtJumps(qi, cur)
+	if len(e.p.removedChildren[qi]) > 0 {
+		e.captureExtJumps(qi, cur)
+	}
 }
 
 // captureExtJumps records, per window, the minimal child pointer from qi's
@@ -404,7 +436,7 @@ func (e *evaluator) admit(qi int, cur *store.ListCursor) {
 // the minimum is computable without dereferencing. cur is qi's cursor, on
 // the candidate.
 func (e *evaluator) captureExtJumps(qi int, cur *store.ListCursor) {
-	if len(e.p.removedChildren[qi]) == 0 || cur.Start() > e.winEnd {
+	if cur.Start() > e.winEnd {
 		return
 	}
 	for _, x := range e.p.removedChildren[qi] {
@@ -419,15 +451,12 @@ func (e *evaluator) captureExtJumps(qi int, cur *store.ListCursor) {
 }
 
 // bulkAddMembers is the paper's addNodes: when a segment root is accepted,
-// the current cursor entries of the segment's members that fall inside the
-// root's region are solution candidates by the precomputed view joins; add
-// them all without structural comparisons and advance their cursors.
-func (e *evaluator) bulkAddMembers(rootQ int, rootL enum.Label) {
-	seg := e.p.v.Segments[e.p.v.SegOf[rootQ]]
-	for _, m := range seg.Nodes {
-		if m == rootQ {
-			continue
-		}
+// the current cursor entries of the segment's other members that fall
+// inside the root's region are solution candidates by the precomputed view
+// joins; add them all without structural comparisons and advance their
+// cursors.
+func (e *evaluator) bulkAddMembers(members []int, rootL enum.Label) {
+	for _, m := range members {
 		// An exhausted member starts at +inf, outside every region.
 		cur := &e.cur[m]
 		if s := cur.Start(); s > rootL.Start && s < rootL.End {
@@ -714,7 +743,9 @@ func (e *evaluator) extendWindow(lo, hi int32) {
 		}
 		for ; cx.Start() < hi; cx.Next() {
 			e.col.Add(x, cx.Label())
-			e.captureExtJumps(x, cx)
+			if len(e.p.removedChildren[x]) > 0 {
+				e.captureExtJumps(x, cx)
+			}
 		}
 	}
 }
