@@ -281,17 +281,63 @@ func (c *Collector) append(qi int, l Label) {
 		}
 	}
 	if len(s) == cap(s) {
-		// Double. A pooled collector that a collection has dropped regrows
-		// every list from nothing, and append's quarter steps would copy a
-		// document-spanning window five times over on the way. The first
-		// step is a quarter batch: a batching run's lists hold about
-		// batchEntries between them, reached in a step or two.
-		s = slices.Grow(s, max(len(s), batchEntries/4))
+		s = grow(s)
 	}
 	c.cands[qi] = append(s, l)
 	c.entries++
 	if c.diskBased {
 		c.spoolIn += LabelBytes
+	}
+}
+
+// grow doubles a full candidate list. A pooled collector that a collection
+// has dropped regrows every list from nothing, and append's quarter steps
+// would copy a document-spanning window five times over on the way. The
+// first step is a quarter batch: a batching run's lists hold about
+// batchEntries between them, reached in a step or two.
+func grow(s []Label) []Label { return slices.Grow(s, max(len(s), batchEntries/4)) }
+
+// AddRun offers the records of cur that start before hi as candidates for
+// query node qi, and leaves cur where the loop
+//
+//	for ; cur.Start() < hi; cur.Next() { c.Add(qi, cur.Label()) }
+//
+// would, with the same candidates held. The records are one list's, in
+// document order, so only the first can repeat or precede the candidate
+// list's tail: the duplicate and disorder checks run once, at that seam,
+// and the records inside the open window are copied a page window at a
+// time (store.ListCursor.AppendBefore). Records past the window, and root
+// candidates, which manage windows, go to Add.
+func (c *Collector) AddRun(qi int, cur *store.ListCursor, hi int32) {
+	in := hi // the records before in lie inside the open window
+	if !c.open || qi == 0 {
+		in = math.MinInt32
+	} else if int64(c.windowEnd) < int64(hi)-1 {
+		in = c.windowEnd + 1
+	}
+	s := c.cands[qi]
+	if n := len(s); n > 0 && cur.Start() < in {
+		switch last := s[n-1].Start; {
+		case cur.Start() == last:
+			cur.Next()
+		case cur.Start() < last:
+			c.disorder = true
+		}
+	}
+	n := len(s)
+	for cur.Start() < in {
+		if len(s) == cap(s) {
+			s = grow(s)
+		}
+		s = cur.AppendBefore(s, in)
+	}
+	c.cands[qi] = s
+	c.entries += len(s) - n
+	if c.diskBased {
+		c.spoolIn += int64(len(s)-n) * LabelBytes
+	}
+	for ; cur.Start() < hi; cur.Next() {
+		c.Add(qi, cur.Label())
 	}
 }
 
@@ -729,6 +775,28 @@ func (c *Collector) descend(qi int) bool {
 				more = c.descend(qi + 1)
 			}
 		}
+	} else if c.first <= 0 && !c.recheck {
+		// The last node in pre-order, in a run that neither stops at a quota
+		// nor filters its rows: every candidate it binds is a row to keep,
+		// written here without an emitRow call each. The checker is polled
+		// per row, as emitRow polls it.
+		ic, emitted := c.ic, c.emitted
+		for ; k < len(list) && list[k].Start < end; k++ {
+			if ok[k] && (!pc || list[k].Level == level) {
+				if ic != nil && ic.Check() != nil {
+					more = false
+					k++ // visited, as the emitRow loop counts it
+					break
+				}
+				if emitted == 0 {
+					c.io.MarkFirstMatch()
+				}
+				c.row[qi] = list[k]
+				c.out.Append(c.row)
+				emitted++
+			}
+		}
+		c.emitted = emitted
 	} else {
 		// The last node in pre-order: every candidate it binds completes a
 		// row, and nothing below reads its index.

@@ -86,14 +86,15 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 		e.open[qi] = e.open[qi][:0]
 	}
 	e.run()
-	if err := e.ic.Err(); err != nil && err != engine.ErrStop {
-		evaluators.Put(e)
-		return nil, 0, err
+	// Result enumerates the windows still held, so an interrupt can trip
+	// inside it too: the error is read after it.
+	out, peak, err := e.col.Result(), e.col.MemoryBytes(), e.ic.Err()
+	evaluators.Put(e)
+	if err != nil && err != engine.ErrStop {
+		return nil, 0, err // interrupted: the partial output is abandoned
 	}
 	// ErrStop is the collector's output quota tripping, not a failure: the
 	// bounded output collected so far is the answer.
-	out, peak := e.col.Result(), e.col.MemoryBytes()
-	evaluators.Put(e)
 	return out, peak, nil
 }
 

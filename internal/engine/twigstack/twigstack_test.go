@@ -1,7 +1,9 @@
 package twigstack
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -166,5 +168,43 @@ func TestAgainstOracleProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRunInterruptedInsideFanOut interrupts a run while its enumeration
+// writes one parent binding's 5 000 last-node rows (a few polls before a
+// full run's last): Run must return the hook's error and no rows.
+func TestRunInterruptedInsideFanOut(t *testing.T) {
+	d := mustDoc(t, "<r><a>"+strings.Repeat("<b/>", 5000)+"</a></r>")
+	q := tpq.MustParse("//a//b")
+	v, err := vsq.Build(q, testutil.SingletonViews(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := make([]*store.ViewStore, len(v.Views))
+	for i, vp := range v.Views {
+		stores[i] = store.MustBuild(views.MustMaterialize(d, vp), store.Element, 0)
+	}
+	lists, err := engine.BindLists(v, stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Prepare(q, lists)
+	polls := 0
+	var c counters.Counters
+	if rows, _, err := p.Run(counters.NewIO(&c, 0), engine.Options{Interrupt: func() error { polls++; return nil }}); err != nil || len(rows) != 5000 {
+		t.Fatalf("uninterrupted run: %d rows, %v", len(rows), err)
+	}
+	full, boom := polls, errors.New("deadline")
+	polls = 0
+	trip := func() error {
+		if polls++; polls == full-3 {
+			return boom
+		}
+		return nil
+	}
+	rows, _, err := p.Run(counters.NewIO(&c, 0), engine.Options{Interrupt: trip})
+	if !errors.Is(err, boom) || rows != nil {
+		t.Fatalf("interrupted run returned %d rows and %v, want no rows and the hook's error", len(rows), err)
 	}
 }

@@ -62,20 +62,38 @@ type Prepared struct {
 	engine.Lists // per query node; also answers the partition planner
 	v            *vsq.VSQ
 
-	// viewParentQ[qi] is the query node of qi's parent within its view, or
-	// -1 when qi is a view root; viewChildSlot[qi] is qi's child-pointer
-	// slot in that parent's records.
-	viewParentQ   []int
-	viewChildSlot []int
-	// removedChildren[qi] lists the removed query nodes whose view parent
-	// is qi (extension targets).
-	removedChildren [][]int
-	// role[qi] is the per-record work the join loop does for qi.
-	role []nodeRole
+	// node[qi] is what the join loop reads of qi; adj holds the query nodes
+	// its spans list.
+	node []nodePlan
+	adj  []int
 
 	primeNodes   []int // cached v.PrimeNodes()
 	removedNodes []int // cached v.RemovedNodes()
 }
+
+// nodePlan is what the join loop reads of one query node, kept flat in the
+// plan so that a per-record step reaches it with one index rather than
+// through the segment tables of Q'.
+type nodePlan struct {
+	role nodeRole
+	// primeParent is the node's parent in Q' (vsq.VSQ.PrimeParent), -1 for
+	// the query root and for nodes removed from Q'.
+	primeParent int32
+	// viewParent is the query node of the node's parent within its view, -1
+	// when the node is a view root; viewSlot is the node's child-pointer slot
+	// in that parent's records.
+	viewParent, viewSlot int32
+	// members are the other nodes of the segment the node roots (empty
+	// unless it roots a segment of several nodes); removed are the removed
+	// query nodes whose view parent it is (extension targets).
+	members, removed span
+}
+
+// span is the range [lo, hi) of Prepared.adj.
+type span struct{ lo, hi int32 }
+
+// nodes returns the query nodes s lists.
+func (p *Prepared) nodes(s span) []int { return p.adj[s.lo:s.hi] }
 
 // nodeRole is a set of the per-record duties of one query node in the join
 // loop, fixed by Q' and its views at Prepare time.
@@ -89,6 +107,9 @@ const (
 	// is the prime parent of a segment root or the view parent of a prime
 	// node. Nobody reads any other node's log, so no other node keeps one.
 	logsRegions
+	// extParent: the node is the view parent of a removed node, so each of
+	// its in-window candidates captures a child pointer for the extension.
+	extParent
 )
 
 // evaluators recycles evaluator scratch across every plan: an evaluator
@@ -178,25 +199,45 @@ func Prepare(v *vsq.VSQ, stores []*store.ViewStore, tr *obs.Recorder) (*Prepared
 	}
 	n := v.Query.Size()
 	p := &Prepared{
-		v:               v,
-		Lists:           lists,
-		viewParentQ:     make([]int, n),
-		viewChildSlot:   make([]int, n),
-		removedChildren: make([][]int, n),
-		role:            make([]nodeRole, n),
-		primeNodes:      v.PrimeNodes(),
-		removedNodes:    v.RemovedNodes(),
+		v:     v,
+		Lists: lists,
+		node:  make([]nodePlan, n),
+		// A node is a member of one segment or removed with one view
+		// parent, or neither: the spans list n nodes at most.
+		adj:          make([]int, 0, n),
+		primeNodes:   v.PrimeNodes(),
+		removedNodes: v.RemovedNodes(),
 	}
 	p.buildViewMaps()
-	for _, qi := range p.primeNodes {
-		if v.Segments[v.SegOf[qi]].Root == qi {
-			p.role[qi] |= segRoot
-			if pp := v.PrimeParent[qi]; pp != -1 {
-				p.role[pp] |= logsRegions
+	for qi := range p.node {
+		np := &p.node[qi]
+		np.primeParent = -1
+		np.removed.lo = int32(len(p.adj))
+		for _, x := range p.removedNodes {
+			if int(p.node[x].viewParent) == qi {
+				p.adj = append(p.adj, x)
 			}
 		}
-		if vp := p.viewParentQ[qi]; vp != -1 {
-			p.role[vp] |= logsRegions
+		if np.removed.hi = int32(len(p.adj)); np.removed.hi > np.removed.lo {
+			np.role |= extParent
+		}
+	}
+	for _, qi := range p.primeNodes {
+		np := &p.node[qi]
+		pp := v.PrimeParent[qi]
+		np.primeParent = int32(pp)
+		if seg := v.Segments[v.SegOf[qi]]; seg.Root == qi {
+			np.role |= segRoot
+			// A segment lists its root first.
+			np.members.lo = int32(len(p.adj))
+			p.adj = append(p.adj, seg.Nodes[1:]...)
+			np.members.hi = int32(len(p.adj))
+			if pp != -1 {
+				p.node[pp].role |= logsRegions
+			}
+		}
+		if vp := np.viewParent; vp != -1 {
+			p.node[vp].role |= logsRegions
 		}
 	}
 	return p, nil
@@ -207,13 +248,14 @@ func Prepare(v *vsq.VSQ, stores []*store.ViewStore, tr *obs.Recorder) (*Prepared
 // Prepare time plus the list bindings. Evaluator scratch belongs to the
 // package's pool, not to the plan.
 func (p *Prepared) Footprint() int64 {
-	f := int64(len(p.viewParentQ))*8 + int64(len(p.viewChildSlot))*8 + int64(len(p.role))
+	f := int64(len(p.node))*nodePlanBytes + int64(cap(p.adj))*8
 	f += int64(len(p.primeNodes)+len(p.removedNodes)) * 8
-	for _, rc := range p.removedChildren {
-		f += 24 + int64(len(rc))*8
-	}
 	return f + int64(len(p.Lists))*8
 }
+
+// nodePlanBytes is the size of a nodePlan: the role and three int32s, then
+// two spans.
+const nodePlanBytes = 16 + 16
 
 // Run executes the prepared plan once: evaluator scratch state (cursors,
 // region logs, collector buffers, extension state) comes from the pool, is
@@ -228,17 +270,18 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	e.bind(p)
 	e.reset(io, opts)
 	e.run()
-	if err := e.ic.Err(); err != nil && err != engine.ErrStop {
-		// Interrupted: abandon the partial output. The evaluator still goes
-		// back to the pool — bind and reset clear every piece of scratch on
-		// reuse.
-		evaluators.Put(e)
+	// Result enumerates the windows still held, so an interrupt can trip
+	// inside it too: the error is read after it.
+	out, peak, err := e.col.Result(), e.col.MemoryBytes(), e.ic.Err()
+	evaluators.Put(e)
+	if err != nil && err != engine.ErrStop {
+		// Interrupted: abandon the partial output. The evaluator went back
+		// to the pool all the same — bind and reset clear every piece of
+		// scratch on reuse.
 		return nil, 0, err
 	}
 	// ErrStop is the collector's output quota tripping, not a failure: the
 	// bounded output collected so far is the answer.
-	out, peak := e.col.Result(), e.col.MemoryBytes()
-	evaluators.Put(e)
 	return out, peak, nil
 }
 
@@ -323,7 +366,7 @@ func (e *evaluator) reset(io *counters.IO, opts engine.Options) {
 }
 
 // buildViewMaps precomputes, for every query node, its view parent's query
-// node and its child-pointer slot, plus the removed-children extension map.
+// node and its child-pointer slot.
 func (p *Prepared) buildViewMaps() {
 	// viewNodeToQuery[vi][ni] inverts v.ViewNode.
 	inv := make([][]int, len(p.v.Views))
@@ -337,22 +380,17 @@ func (p *Prepared) buildViewMaps() {
 		vi, ni := p.v.Owner[qi], p.v.ViewNode[qi]
 		view := p.v.Views[vi]
 		pn := view.Nodes[ni].Parent
+		np := &p.node[qi]
 		if pn == -1 {
-			p.viewParentQ[qi] = -1
-			p.viewChildSlot[qi] = -1
+			np.viewParent, np.viewSlot = -1, -1
 			continue
 		}
-		p.viewParentQ[qi] = inv[vi][pn]
+		np.viewParent = int32(inv[vi][pn])
 		for ci, c := range view.Nodes[pn].Children {
 			if c == ni {
-				p.viewChildSlot[qi] = ci
+				np.viewSlot = int32(ci)
 				break
 			}
-		}
-	}
-	for _, x := range p.removedNodes {
-		if vp := p.viewParentQ[x]; vp != -1 {
-			p.removedChildren[vp] = append(p.removedChildren[vp], x)
 		}
 	}
 }
@@ -386,21 +424,17 @@ func (e *evaluator) run() {
 func (e *evaluator) process(qi int) {
 	cur := &e.cur[qi]
 	l := cur.Label()
-	root := e.p.role[qi]&segRoot != 0
-	if qi != 0 && root {
+	np := &e.p.node[qi]
+	if np.primeParent >= 0 && np.role&segRoot != 0 {
 		e.c.Comparisons++
-		if !e.open[e.p.v.PrimeParent[qi]].coversRange(l.Start, l.Start+1) {
+		if !e.open[np.primeParent].coversRange(l.Start, l.Start+1) {
 			cur.Next()
 			return
 		}
 	}
 	e.admit(qi, cur)
-	if root {
-		// A segment lists its root first; a single-node segment has no
-		// members to add.
-		if ms := e.p.v.Segments[e.p.v.SegOf[qi]].Nodes[1:]; len(ms) > 0 {
-			e.bulkAddMembers(ms, l)
-		}
+	if np.members.hi > np.members.lo {
+		e.bulkAddMembers(e.p.nodes(np.members), l)
 	}
 	cur.Next()
 }
@@ -418,11 +452,12 @@ func (e *evaluator) admit(qi int, cur *store.ListCursor) {
 			}
 		}
 	}
-	if e.p.role[qi]&logsRegions != 0 {
+	role := e.p.node[qi].role
+	if role&logsRegions != 0 {
 		e.open[qi].add(l)
 	}
 	e.col.Add(qi, l)
-	if len(e.p.removedChildren[qi]) > 0 {
+	if role&extParent != 0 {
 		e.captureExtJumps(qi, cur)
 	}
 }
@@ -439,8 +474,8 @@ func (e *evaluator) captureExtJumps(qi int, cur *store.ListCursor) {
 	if cur.Start() > e.winEnd {
 		return
 	}
-	for _, x := range e.p.removedChildren[qi] {
-		ptr := cur.Child(e.p.viewChildSlot[x])
+	for _, x := range e.p.nodes(e.p.node[qi].removed) {
+		ptr := cur.Child(int(e.p.node[x].viewSlot))
 		if ptr.IsNil() {
 			continue // E scheme: no pointers; extension scans sequentially
 		}
@@ -555,7 +590,7 @@ func (e *evaluator) align(rs, p int) {
 // taken only when it moves forward and no open accepted region of the view
 // parent still covers the skipped range.
 func (e *evaluator) jumpViaViewParent(m int) bool {
-	vp := e.p.viewParentQ[m]
+	vp := int(e.p.node[m].viewParent)
 	if vp == -1 || !e.cur[vp].Valid() {
 		return false
 	}
@@ -568,7 +603,7 @@ func (e *evaluator) jumpViaViewParent(m int) bool {
 		e.c.JumpsRefused++
 		return false
 	}
-	ptr := e.cur[vp].Child(e.p.viewChildSlot[m])
+	ptr := e.cur[vp].Child(int(e.p.node[m].viewSlot))
 	if ptr.IsNil() {
 		return false
 	}
@@ -636,7 +671,7 @@ func (e *evaluator) repositionMembers(p int) {
 	}
 	pStart := e.cur[p].Start()
 	for _, m := range e.p.primeNodes {
-		if e.p.viewParentQ[m] != p {
+		if int(e.p.node[m].viewParent) != p {
 			continue
 		}
 		// An exhausted member starts at +inf: nothing left to reposition.
@@ -647,7 +682,7 @@ func (e *evaluator) repositionMembers(p int) {
 		if e.open[p].coversRange(cm.Start(), pStart) {
 			continue
 		}
-		if ptr := e.cur[p].Child(e.p.viewChildSlot[m]); !ptr.IsNil() {
+		if ptr := e.cur[p].Child(int(e.p.node[m].viewSlot)); !ptr.IsNil() {
 			probe := *cm
 			probe.Seek(ptr)
 			// Forward jumps only; a stale pointer behind the cursor would
@@ -716,7 +751,9 @@ func (r regionLog) coversRange(s, hi int32) bool {
 // extending the window with the query nodes removed from Q'. Each removed
 // node's list is entered through the child pointer captured from its view
 // parent's first in-window candidate (skipping everything before the
-// window) and scanned sequentially to the window's end. A bounded run
+// window) and its records inside the window are taken: as one run copy
+// (Collector.AddRun), or record by record for a node whose own candidates
+// capture pointers toward removed children of its own. A bounded run
 // extends one window once per partial flush (hi is the flush's bound);
 // from the second time on, each cursor resumes from the record it landed
 // on and follows a captured pointer only when it leads past that record.
@@ -741,11 +778,13 @@ func (e *evaluator) extendWindow(lo, hi int32) {
 			e.c.Comparisons++
 			cx.Next()
 		}
+		if e.p.node[x].role&extParent == 0 {
+			e.col.AddRun(x, cx, hi)
+			continue
+		}
 		for ; cx.Start() < hi; cx.Next() {
 			e.col.Add(x, cx.Label())
-			if len(e.p.removedChildren[x]) > 0 {
-				e.captureExtJumps(x, cx)
-			}
+			e.captureExtJumps(x, cx)
 		}
 	}
 }

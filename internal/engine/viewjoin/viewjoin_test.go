@@ -1,7 +1,9 @@
 package viewjoin
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -256,6 +258,46 @@ func TestErrors(t *testing.T) {
 	ts := store.MustBuild(views.MustMaterialize(d, q), store.Tuple, 0)
 	if _, _, err := Eval(v, []*store.ViewStore{ts}, counters.NewIO(&c, 0), engine.Options{}); err == nil {
 		t.Errorf("tuple store: expected error")
+	}
+}
+
+// TestRunInterruptedInsideFanOut interrupts a run while its enumeration
+// writes the rows of one parent binding with 5 000 last-node rows: a hook
+// that counts a full run's polls fails a few polls before its end, where
+// the join loop is done and the fan-out is being written. Run must return
+// the hook's error and no rows.
+func TestRunInterruptedInsideFanOut(t *testing.T) {
+	d := mustDoc(t, "<r><a>"+strings.Repeat("<b/>", 5000)+"</a></r>")
+	q := tpq.MustParse("//a//b")
+	vs := []*tpq.Pattern{q}
+	v, err := vsq.Build(q, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Prepare(v, []*store.ViewStore{store.MustBuild(views.MustMaterialize(d, q), store.Linked, 0)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := 0
+	count := func() error { polls++; return nil }
+	var c counters.Counters
+	if rows, _, err := p.Run(counters.NewIO(&c, 0), engine.Options{Interrupt: count}); err != nil || len(rows) != 5000 {
+		t.Fatalf("uninterrupted run: %d rows, %v", len(rows), err)
+	}
+	full, boom := polls, errors.New("deadline")
+	if full < 10 {
+		t.Fatalf("a full run polled %d times; the fan-out alone takes 19 polls", full)
+	}
+	polls = 0
+	trip := func() error {
+		if polls++; polls == full-3 {
+			return boom
+		}
+		return nil
+	}
+	rows, _, err := p.Run(counters.NewIO(&c, 0), engine.Options{Interrupt: trip})
+	if !errors.Is(err, boom) || rows != nil {
+		t.Fatalf("interrupted run returned %d rows and %v, want no rows and the hook's error", len(rows), err)
 	}
 }
 

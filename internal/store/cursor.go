@@ -137,6 +137,45 @@ func (c *ListCursor) Next() {
 	c.load(c.idx + 1)
 }
 
+// AppendBefore appends to dst the labels of the records from the current
+// one on that start before hi, and leaves the cursor on the first record it
+// did not append. It never grows dst: it stops once dst is full, so a caller
+// that owns the growth rule grows dst and calls again while Start() < hi.
+// The records of one page window are decoded in a tight loop, and the
+// counters, page touches and final position are those of the loop
+//
+//	for ; c.Start() < hi && len(dst) < cap(dst); c.Next() { dst = append(dst, c.Label()) }
+func (c *ListCursor) AppendBefore(dst []Label, hi int32) []Label {
+	for len(dst) < cap(dst) && c.label.Start < hi {
+		dst = append(dst, c.label)
+		// Land on the records that follow inside both windows — each one
+		// charged as scanned, no page charged — until one starts at hi or
+		// dst is full; Next then crosses the window edge, or stops at the
+		// cursor's upper bound.
+		first := c.idx + 1
+		end := min(c.hi, c.labels.lo+c.labels.n, c.ptrs.lo+c.ptrs.n, first+int32(cap(dst)-len(dst)))
+		data, d := c.labels.data[int(first-c.labels.lo)*labelBytes:int(end-c.labels.lo)*labelBytes], c.labels.delta
+		i := first
+		for ; len(data) > 0; i++ {
+			lab := getLabel(data)
+			data = data[labelBytes:]
+			l := Label{Start: lab.Start + d, End: lab.End + d, Level: lab.Level}
+			if l.Start >= hi {
+				c.io.C.ElementsScanned += int64(i - first + 1)
+				c.idx, c.label = i, l
+				return dst
+			}
+			dst = append(dst, l)
+		}
+		c.io.C.ElementsScanned += int64(i - first)
+		if i > first {
+			c.idx, c.label = i-1, dst[len(dst)-1]
+		}
+		c.Next()
+	}
+	return dst
+}
+
 // Reset repositions c at the first record of l in place, rebinding the IO
 // accounting without allocating: the prepared-plan evaluators keep cursor
 // storage across runs and Reset it per run. The cursor's costs are the

@@ -118,11 +118,12 @@ var (
 )
 
 // cursorFixture lays one view out in every scheme and page size under
-// test. The document nests and repeats the view's element types, so the
-// lists hold scoped and unscoped following pointers, descendant pointers,
-// two child slots on the root list and, in LEp, classes that are present
-// in one list and absent in another.
-var cursorFixture = sync.OnceValue(func() map[[2]int]*ViewStore {
+// test, each as built and as a piece table (spliced). The document nests
+// and repeats the view's element types, so the lists hold scoped and
+// unscoped following pointers, descendant pointers, two child slots on the
+// root list and, in LEp, classes that are present in one list and absent in
+// another.
+var cursorFixture = sync.OnceValue(func() map[[2]int][]*ListFile {
 	rng := rand.New(rand.NewSource(7))
 	b := xmltree.NewBuilder()
 	var grow func(depth int)
@@ -142,21 +143,45 @@ var cursorFixture = sync.OnceValue(func() map[[2]int]*ViewStore {
 		}
 	})
 	m := views.MustMaterialize(b.MustDocument(), tpq.MustParse("//a[//c]//b"))
-	stores := map[[2]int]*ViewStore{}
+	lists := map[[2]int][]*ListFile{}
 	for _, kind := range diffKinds {
 		for _, pageSize := range diffPageSizes {
-			stores[[2]int{int(kind), pageSize}] = MustBuild(m, kind, pageSize)
+			s := MustBuild(m, kind, pageSize)
+			lists[[2]int{int(kind), pageSize}] = append(slices.Clone(s.Lists), spliced(s, rng).Lists...)
 		}
 	}
-	return stores
+	return lists
 })
+
+// spliced returns s after three inserts of elements of no view type at
+// random pivots: every list becomes a piece table whose seams fall at the
+// pivots and around the ancestors whose end labels moved, and whose
+// pointers are translated on read.
+func spliced(s *ViewStore, rng *rand.Rand) *ViewStore {
+	for k := 0; k < 3; k++ {
+		top := s.Lists[0].LabelAt(s.Lists[0].entries - 1).Start
+		p := 1 + int32(rng.Intn(int(top)))
+		cuts := make([]Cut, len(s.Lists))
+		for q, l := range s.Lists {
+			a := l.SeekStart(p)
+			cuts[q] = Cut{A: a, B: a}
+			for j := 0; j < a; j++ {
+				if l.LabelAt(j).End >= p {
+					cuts[q].Chain = append(cuts[q].Chain, j)
+				}
+			}
+		}
+		s = NewSplicer(s, p, 2, cuts).Finish()
+	}
+	return s
+}
 
 // runCursorOps drives a ListCursor and a refCursor with the op string and
 // fails on the first step at which anything observable differs: validity,
 // label, every pointer class, ordinal, the exhausted sentinel, every page
 // touch (segment and page, in order) and the counters.
 func runCursorOps(t *testing.T, kind Kind, pageSize int, ops []byte) {
-	s := cursorFixture()[[2]int{int(kind), pageSize}]
+	lists := cursorFixture()[[2]int{int(kind), pageSize}]
 	var gotC, wantC counters.Counters
 	var got, want []touch
 	gotIO, wantIO := &counters.IO{C: &gotC}, &counters.IO{C: &wantC}
@@ -165,7 +190,7 @@ func runCursorOps(t *testing.T, kind Kind, pageSize int, ops []byte) {
 
 	var cur ListCursor
 	var ref refCursor
-	l := s.Lists[0]
+	l := lists[0]
 	cur.Reset(l, gotIO)
 	ref.resetRange(l, l.image(), wantIO, 0, l.entries)
 
@@ -224,9 +249,50 @@ func runCursorOps(t *testing.T, kind Kind, pageSize int, ops []byte) {
 			return Pointer(l.entries + arg())
 		}
 	}
+	// startAt is the start label of record i of the list, +inf past its end.
+	startAt := func(i int) int32 {
+		if i >= l.entries {
+			return math.MaxInt32
+		}
+		return l.LabelAt(max(i, 0)).Start
+	}
+	// bound picks where a run read stops: the start label of a record of
+	// the list, of the record at a label or pointer page edge ahead of the
+	// cursor, at a piece seam, at the list's end or at the cursor's upper
+	// bound — or one either side of it.
+	bound := func() int32 {
+		v := arg()
+		var b int32
+		switch v % 5 {
+		case 0:
+			b = startAt(arg() * l.entries / 256)
+		case 1:
+			per := int(perPage(l.pageSize, labelBytes))
+			if arg()%2 == 1 {
+				per = int(perPage(l.pageSize, ptrBytes))
+			}
+			b = startAt((int(ref.idx)/per + 1 + arg()%3) * per)
+		case 2:
+			b = startAt(arg() * l.entries / 256)
+			if len(l.pieces) > 1 {
+				b = startAt(int(l.pieces[1+arg()%(len(l.pieces)-1)].at))
+			}
+		case 3:
+			b = startAt(l.entries - 1 + arg()%2)
+		default:
+			b = startAt(int(ref.hi))
+		}
+		switch v / 5 % 3 {
+		case 1:
+			b = max(b-1, 0)
+		case 2:
+			b = min(b, math.MaxInt32-1) + 1
+		}
+		return b
+	}
 	for len(ops) > 0 {
 		step++
-		switch op := arg() % 10; op {
+		switch op := arg() % 11; op {
 		case 0, 1, 2, 3:
 			cur.Next()
 			ref.next()
@@ -237,11 +303,47 @@ func runCursorOps(t *testing.T, kind Kind, pageSize int, ops []byte) {
 			ref.seek(p)
 			same("Seek", &cur, &ref)
 		case 6:
-			l = s.Lists[arg()%len(s.Lists)]
+			l = lists[arg()%len(lists)]
 			lo, hi := arg()*(l.entries+8)/256-4, arg()*(l.entries+8)/256-4
 			cur.ResetRange(l, gotIO, lo, hi)
 			ref.resetRange(l, l.image(), wantIO, lo, hi)
 			same("ResetRange", &cur, &ref)
+		case 10:
+			// A run read into a buffer of room records, grown by room
+			// whenever a call fills it, as a collector grows its lists. A
+			// call on a full buffer must neither append nor move.
+			hi, room := bound(), 1+arg()%8
+			if arg()%4 == 0 {
+				room = 1 << 10
+			}
+			if arg()%8 == 0 {
+				if n := len(cur.AppendBefore(nil, hi)); n != 0 {
+					t.Fatalf("step %d: AppendBefore on a full buffer appended %d labels", step, n)
+				}
+				same("AppendBefore full", &cur, &ref)
+			}
+			run := make([]Label, 0, room)
+			for {
+				n := len(run)
+				run = cur.AppendBefore(run, hi)
+				for _, lab := range run[n:] {
+					if want := (Label{Start: ref.rec.Start, End: ref.rec.End, Level: ref.rec.Level}); !ref.valid || ref.rec.Start >= hi || lab != want {
+						t.Fatalf("step %d: AppendBefore(%d) appended %+v, reference valid=%v at %+v", step, hi, lab, ref.valid, want)
+					}
+					ref.next()
+				}
+				same("AppendBefore", &cur, &ref)
+				if cur.Start() >= hi {
+					break
+				}
+				if len(run) < cap(run) {
+					t.Fatalf("step %d: AppendBefore(%d) stopped at %d with room left", step, hi, cur.Start())
+				}
+				run = slices.Grow(run, room)
+			}
+			if ref.valid && ref.rec.Start < hi {
+				t.Fatalf("step %d: AppendBefore(%d) stopped before the reference's record at %d", step, hi, ref.rec.Start)
+			}
 		default:
 			// The engines' probe idiom: seek a copy, then keep or drop it.
 			p := target()
@@ -271,18 +373,22 @@ func TestCursorMatchesReferenceDecode(t *testing.T) {
 			}
 		}
 	}
-	// A whole-list scan per list, which the random strings rarely finish.
+	// A whole-list scan per list, which the random strings rarely finish,
+	// then the whole list as one run read, a record and a kilo-record of
+	// room at a time.
 	for _, kind := range diffKinds {
-		for q := range cursorFixture()[[2]int{int(kind), 64}].Lists {
+		for q := range cursorFixture()[[2]int{int(kind), 64}] {
 			ops := append([]byte{6, byte(q), 0, 255}, make([]byte, 400)...)
 			runCursorOps(t, kind, 64, ops)
+			runCursorOps(t, kind, 64, []byte{6, byte(q), 0, 255, 10, 3, 1, 0, 1, 1})
+			runCursorOps(t, kind, 64, []byte{6, byte(q), 0, 255, 10, 3, 1, 7, 0, 0})
 		}
 	}
 }
 
-// FuzzCursorOps is the same comparison over fuzzer-chosen op strings.
-// The third argument is unused; it stays so the committed corpus still
-// loads.
+// FuzzCursorOps is the same comparison over fuzzer-chosen op strings: Next,
+// Seek, ResetRange, a probe, and a run read (AppendBefore). The third
+// argument is unused; it stays so the committed corpus still loads.
 func FuzzCursorOps(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(1), []byte{0, 0, 0, 0, 0, 0, 4, 10, 200, 0, 0})
 	f.Add(uint8(1), uint8(0), uint8(2), []byte{6, 1, 20, 200, 0, 0, 7, 170, 0, 9, 190, 0, 4, 220, 0})

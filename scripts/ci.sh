@@ -80,8 +80,10 @@
 #   4. govulncheck, when the tool is installed (skipped, not failed, when
 #      absent — hermetic runners don't fetch tools)
 #   5. fuzz smoke: 10s each of FuzzParse (internal/tpq),
-#      FuzzReadViewStore, FuzzCursorOps and FuzzPieceList (internal/store:
-#      the list piece table against the reference splice),
+#      FuzzReadViewStore, FuzzCursorOps (internal/store: Next, Seek,
+#      ResetRange, probes and the run read, AppendBefore, over built lists
+#      and piece tables against the reference decode) and FuzzPieceList
+#      (the list piece table against the reference splice),
 #      FuzzEvaluateDifferential (root), FuzzUpdateDifferential (root),
 #      FuzzEnumerateWindow (internal/engine/enum), FuzzApplyPieces
 #      (internal/xmltree: the piece table against the reference splice),
