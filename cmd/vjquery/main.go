@@ -8,7 +8,6 @@
 //	vjquery -q '//site//item' -xmark 0.5            # run against a generated doc
 //	vjquery -q '//a//b' -load 'views/*.vjview' doc.xml  # reuse saved views
 //	vjquery -q '//a//b//a' -general -raw doc.xml    # general query, no views
-//	vjquery -q '//a//b' -views '//a; //b' -parallel 4 doc.xml # partitioned run
 //	vjquery -q '//a//b' -views '//a; //b' -explain doc.xml   # EXPLAIN report
 //	vjquery -q '//a//b' -views '//a; //b' -json doc.xml      # trace as JSON
 //
@@ -71,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		loadGlob  = fs.String("load", "", "load saved views matching this glob (from vjmaterialize) instead of materializing")
 		raw       = fs.Bool("raw", false, "evaluate over raw element streams without views (TS/PS only)")
 		general   = fs.Bool("general", false, "allow repeated element types in the query (implies -raw)")
-		parallel  = fs.Int("parallel", 0, "evaluate with up to this many range partitions (0 or 1 = sequential, -1 = GOMAXPROCS)")
 		explain   = fs.Bool("explain", false, "print an EXPLAIN-style report: plan, per-phase self times and the run's counters")
 		jsonOut   = fs.Bool("json", false, "write the evaluation trace as one JSON document to stdout")
 	)
@@ -99,9 +97,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// accumulation) at offset+n matches; printResult skips the first
 	// offset of them. -n 0 is a count-only full run.
 	opts := &viewjoin.RunOptions{
-		DiskBased:   *diskBased,
-		Parallelism: *parallel,
-		Tracer:      rec,
+		DiskBased: *diskBased,
+		Tracer:    rec,
 	}
 	if *maxPrint > 0 {
 		opts.Limit = *maxPrint + max(*offset, 0)
@@ -237,9 +234,9 @@ func report(stdout, human io.Writer, res *viewjoin.Result, explain, jsonOut bool
 // offset+maxPrint was the run's limit, and the header says so, since the
 // reported count is then the page's, not the full result's.
 func printResult(w io.Writer, query *viewjoin.Query, engine viewjoin.Engine, res *viewjoin.Result, maxPrint, offset int) {
-	fmt.Fprintf(w, "stats: scanned=%d comparisons=%d derefs=%d pagesRead=%d pagesWritten=%d partitions=%d ttfm=%v\n",
+	fmt.Fprintf(w, "stats: scanned=%d comparisons=%d derefs=%d pagesRead=%d pagesWritten=%d ttfm=%v\n",
 		res.Stats.ElementsScanned, res.Stats.Comparisons, res.Stats.PointerDerefs,
-		res.Stats.PagesRead, res.Stats.PagesWritten, res.Stats.Partitions,
+		res.Stats.PagesRead, res.Stats.PagesWritten,
 		time.Duration(res.Stats.FirstMatchNanos))
 	if maxPrint <= 0 {
 		return

@@ -167,3 +167,12 @@ func TestRunOffsetPrintsThePage(t *testing.T) {
 		t.Errorf("-n 2 -offset 3 printed\n%s\nwant rows 3 and 4 of -n 5:\n%s", out, strings.Join(first[3:], "\n"))
 	}
 }
+
+// TestParallelFlagIsUnknown: a run is one job, so there is no -parallel;
+// naming it fails before anything loads.
+func TestParallelFlagIsUnknown(t *testing.T) {
+	code, out, errOut := runCLI(t, "-q", "//a//b", "-parallel", "2", writeDoc(t))
+	if code != exitOther || out != "" || !strings.Contains(errOut, "flag provided but not defined: -parallel") {
+		t.Errorf("-parallel 2: exit %d, stdout %q, stderr %q; want %d and the unknown-flag error", code, out, errOut, exitOther)
+	}
+}

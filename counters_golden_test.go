@@ -38,7 +38,7 @@ type goldenRow struct {
 // goldenRows evaluates every catalogue query of internal/workload — the 22
 // named queries and the eight Table III interleaving cases — at XMark 0.25
 // / Nasa 1000. The grid is every engine/scheme pair of the paper's Fig 5,
-// whole-document and as a three-way partitioned run; its IJ+T rows are
+// whole-document; its IJ+T rows are
 // Run's per-execution costs, the tuple streams having been scanned once at
 // Prepare. After the grid, each query gets the single-dimension variants,
 // all whole-document (TestGoldenDimensionsAreLive holds each of them to
@@ -122,8 +122,6 @@ func goldenRows(t *testing.T) []goldenRow {
 			}
 			res, err := p.Run()
 			add(key+"/whole", res, err)
-			res, err = p.RunWith(context.Background(), &viewjoin.RunOptions{Parallelism: 3})
-			add(key+"/parallel=3", res, err)
 		}
 
 		evaluate := func(key string, e viewjoin.Engine, s viewjoin.StorageScheme, opts *viewjoin.RunOptions) {

@@ -25,8 +25,7 @@ type scratchArm struct {
 // shapes through every engine's package-level scratch pool: ViewJoin plans
 // with and without query nodes removed from Q', of different sizes and
 // spines, over LEp and E; TwigStack; PathStack and InterJoin on the path
-// queries; each as a whole-document run, a three-way partitioned run and a
-// cursor page. A pooled evaluator is re-bound to whichever plan draws it,
+// queries; each as a whole-document run and a cursor page. A pooled evaluator is re-bound to whichever plan draws it,
 // so every interleaved run, in a seeded order on one goroutine and on
 // GOMAXPROCS goroutines at once, must return the rows and counters of a
 // solo run on an evaluator no other plan has touched.
@@ -74,8 +73,7 @@ func TestEngineScratchAcrossPlans(t *testing.T) {
 			name := fmt.Sprintf("%s/%v+%v", wq.Name, c.eng, c.scheme)
 			whole := scratchArm{name: name + "/whole", p: p}
 			whole.want = soloRun(t, whole)
-			arms = append(arms, whole,
-				scratchArm{name: name + "/parallel=3", p: p, ro: &RunOptions{Parallelism: 3}})
+			arms = append(arms, whole)
 			if n := len(whole.want.Matches); n > 0 {
 				var cursor []int32
 				for _, cell := range whole.want.Matches[n/3] {

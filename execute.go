@@ -12,13 +12,15 @@ import (
 	"viewjoin/internal/counters"
 	"viewjoin/internal/engine"
 	"viewjoin/internal/obs"
+	"viewjoin/internal/store"
+	"viewjoin/internal/tpq"
 )
 
 // This file is the executor: the one path every public entry point — Run,
 // RunTraced, RunWith, Evaluate, EvaluateWithoutViews — takes through a
-// prepared plan. A run is four steps: resolve the options, plan the
-// partitions (none: one whole-document job, run inline), run every job
-// through runJob, and assemble the Result and its Stats once.
+// prepared plan. A run is one job: resolve the options, run the engine
+// once over the document (or the part of it after a cursor), and assemble
+// the Result and its Stats.
 
 // first is the engine-level output quota: the run may stop after limit
 // matches (counted after the cursor filter), because the requested page is
@@ -54,28 +56,28 @@ type request struct {
 	includePrep bool
 }
 
-// resolve turns a call's arguments into a request; its one rule is that a
-// negative Parallelism means GOMAXPROCS.
+// resolve turns a call's arguments into a request.
 func resolve(ctx context.Context, ro *RunOptions) request {
 	r := request{ctx: ctx, start: time.Now()}
 	if ro != nil {
 		r.RunOptions = *ro
 	}
-	if r.Parallelism < 0 {
-		r.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	return r
 }
 
-// execute runs the plan once for r: every job's rows accumulate in its
-// outcome and assemble merges them into the Result.
+// execute runs the plan once for r, as one job on the calling goroutine,
+// and builds its Result. A plan over mapped views runs with faults turned
+// into err: fault handling is per goroutine, and this guard covers every
+// read of the run, the tracer's plan description included.
 //
-// Partitions run untraced (a Recorder is not safe for concurrent use);
-// the executor instead records each executed job's wall time
-// (Recorder.Partition), so traced runs still expose the partition-span
-// distribution.
+// A cursor (r.After) makes the run a restricted one that starts at the
+// cursor. Let b be how far row r.After agrees with the plan's resume
+// prefix: no match after it binds level b, or anything below it, before
+// r.After[b] (resumePrefix), so the run's body is cut to start there and
+// the engines seek every list to it (SeekStart, charging nothing). The
+// engines' row filter (Options.After) still decides inside the body.
 func (p *PreparedQuery) execute(r request) (res *Result, err error) {
-	if p.mapped { // partition planning reads the lists too
+	if p.mapped {
 		defer catchViewFault(debug.SetPanicOnFault(true), &err)
 	}
 	interrupt, err := p.interruptFor(r.ctx)
@@ -85,25 +87,106 @@ func (p *PreparedQuery) execute(r request) (res *Result, err error) {
 	if n := len(p.q.p.Nodes); r.After != nil && len(r.After) != n {
 		return nil, fmt.Errorf("viewjoin: cursor holds %d start labels, %s has %d nodes", len(r.After), p.q, n)
 	}
-	jobs := p.planPartitions(r.Parallelism)
 	if r.Tracer != nil { // guarded: describing the plan allocates, an untraced run skips it
 		r.Tracer.Plan(p.tracePlan())
 	}
-	r.Tracer.BeginPhase(obs.PhaseEvaluate)
-	var one [1]jobOut
-	outs := one[:]
-	if len(jobs) == 0 {
-		one[0] = p.runJob(nil, interrupt, &r.RunOptions)
-	} else {
-		outs = p.runPartitions(jobs, interrupt, r.RunOptions)
-		for i := range outs {
-			if !outs[i].skipped {
-				r.Tracer.Partition(outs[i].dur)
-			}
+	acct, _ := jobIOs.Get().(*jobIO)
+	if acct == nil {
+		acct = new(jobIO)
+	}
+	defer jobIOs.Put(acct)
+	var restrict *engine.Restriction
+	if r.After != nil {
+		b := 0
+		for b < len(p.resume) && r.After[b] == p.resume[b] {
+			b++
 		}
+		acct.resume = engine.Restriction{Spine: b, Body: engine.Span{Lo: r.After[b], Hi: math.MaxInt32}}
+		restrict = &acct.resume
+	}
+	acct.c = counters.Counters{}
+	io := &acct.io
+	io.Reset(&acct.c)
+	var rows [][]Node
+	var peak int64
+	r.Tracer.BeginPhase(obs.PhaseEvaluate)
+	if restrict == nil || !restrict.Body.Empty() { // a cursor at the last label leaves nothing to run
+		rows, peak, err = p.plan.Run(io, engine.Options{
+			Tracer:    r.Tracer,
+			DiskBased: r.DiskBased,
+			Interrupt: interrupt,
+			Restrict:  restrict,
+			First:     r.first(),
+			After:     r.After,
+		})
 	}
 	r.Tracer.EndPhase(obs.PhaseEvaluate)
-	return p.assemble(outs, &r)
+	if err != nil {
+		return nil, err
+	}
+	c := acct.c
+	if r.includePrep {
+		c.Add(p.prepC)
+	}
+	var firstNanos int64
+	if t := io.FirstMatchTime(); !t.IsZero() {
+		firstNanos = t.Sub(r.start).Nanoseconds()
+	}
+	// Assembly is all the output phase still does: the rows, label-native
+	// and in document order, were written during enumeration.
+	r.Tracer.BeginPhase(obs.PhaseOutput)
+	rows = r.slice(rows)
+	r.Tracer.EndPhase(obs.PhaseOutput)
+	res = &Result{
+		Matches: rows,
+		Stats: Stats{
+			ElementsScanned: c.ElementsScanned,
+			Comparisons:     c.Comparisons,
+			PointerDerefs:   c.PointerDerefs,
+			PagesRead:       c.PagesRead,
+			PagesWritten:    c.PagesWritten,
+			JumpsTaken:      c.JumpsTaken,
+			JumpsRefused:    c.JumpsRefused,
+			PeakMemoryBytes: peak,
+			Duration:        time.Since(r.start),
+			FirstMatchNanos: firstNanos,
+		},
+	}
+	if r.Tracer != nil { // an untraced run has no report: Trace stays nil
+		res.Trace = r.Tracer.Report(c, time.Since(r.start))
+		res.Trace.FirstMatchNanos = firstNanos
+	}
+	return res, nil
+}
+
+// resumePrefix walks the query's unary spine from the root while the node
+// has exactly one child, laid out next in pre-order, and only reports that
+// the plan's list for it holds a single candidate; it returns those
+// candidates' start labels. Every match binds these levels to them, so a
+// match after a cursor row that agrees with the prefix binds the level b
+// below it at or after the row's b-th label, and every deeper node inside
+// that binding: a cursor run starts there (execute). An empty prefix — the
+// root list has several entries — leaves the root, which is always sound.
+func resumePrefix(nodes []tpq.Node, only func(qi int) (start int32, ok bool)) []int32 {
+	var prefix []int32
+	for b := 0; len(nodes[b].Children) == 1 && nodes[b].Children[0] == b+1; b++ {
+		start, ok := only(b)
+		if !ok {
+			break
+		}
+		prefix = append(prefix, start)
+	}
+	return prefix
+}
+
+// onlyEntry is resumePrefix's question asked of list files.
+func onlyEntry(lists []*store.ListFile) func(int) (int32, bool) {
+	return func(qi int) (int32, bool) {
+		if lists[qi].Entries() != 1 {
+			return 0, false
+		}
+		return lists[qi].LabelAt(0).Start, true
+	}
 }
 
 // tracePlan returns the obs.Plan for tracer delivery, built on first use
@@ -156,21 +239,9 @@ func catchViewFault(restore bool, err *error) {
 	}
 }
 
-// jobOut is one job's outcome — a partition's, or a sequential run's single
-// whole-document job — written only by its worker.
-type jobOut struct {
-	rows    [][]Node
-	c       counters.Counters
-	peak    int64
-	dur     time.Duration
-	first   time.Time
-	skipped bool
-	err     error
-}
-
-// jobIO is one job's cost accounting: its counters and the IO charging
-// them, and the restriction of a job that resumes after a cursor. Every
-// plan's jobs recycle them through jobIOs, so a run resets them instead of
+// jobIO is one run's cost accounting: its counters and the IO charging
+// them, and the restriction of a run that resumes after a cursor. Every
+// plan's runs recycle them through jobIOs, so a run resets them instead of
 // allocating them.
 type jobIO struct {
 	io     counters.IO
@@ -180,124 +251,3 @@ type jobIO struct {
 
 // jobIOs is the executor's pool of jobIO, shared by every plan.
 var jobIOs sync.Pool // *jobIO
-
-// runJob executes the plan once over restriction r (nil: the whole
-// document) shaped by o, with its own counters, so concurrent jobs share no
-// accounting state. o.Tracer must be nil for jobs that run concurrently (a
-// Recorder is not safe for concurrent use). A plan over mapped views runs
-// with faults turned into out.err: fault handling is per goroutine, and
-// this is where every job's goroutine is.
-//
-// A cursor (o.After) makes the job a partition that starts at the cursor.
-// Let b be how far row a agrees with the plan's resume prefix: no match
-// after a binds level b, or anything below it, before a[b] (resumePrefix),
-// so the job's body — the whole document's, or its chunk's — is cut to start
-// there and the engines seek every list to it exactly as they bind a
-// partition's window (SeekStart, charging nothing). A chunk that ends before
-// the cursor holds no such match and is skipped. The engines' row filter
-// (Options.After) still decides inside the region.
-func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, o *RunOptions) (out jobOut) {
-	if p.mapped {
-		defer catchViewFault(debug.SetPanicOnFault(true), &out.err)
-	}
-	t0 := time.Now()
-	acct, _ := jobIOs.Get().(*jobIO)
-	if acct == nil {
-		acct = new(jobIO)
-	}
-	if o.After != nil {
-		b := 0
-		for b < len(p.resume) && o.After[b] == p.resume[b] {
-			b++
-		}
-		acct.resume = engine.Restriction{Spine: b, Body: engine.Span{Lo: o.After[b], Hi: math.MaxInt32}}
-		if r != nil { // a planned chunk: its per-run copy, cut at the cursor
-			acct.resume = *r
-			acct.resume.Body.Lo = max(r.Body.Lo, o.After[b])
-		}
-		if r = &acct.resume; r.Body.Empty() {
-			jobIOs.Put(acct)
-			out.skipped = true
-			return out
-		}
-	}
-	acct.c = counters.Counters{}
-	io := &acct.io
-	io.Reset(&acct.c)
-	out.rows, out.peak, out.err = p.plan.Run(io, engine.Options{
-		Tracer:    o.Tracer,
-		DiskBased: o.DiskBased,
-		Interrupt: interrupt,
-		Restrict:  r,
-		// The page's quota is every job's own bound: any match in the
-		// global first limit is in its own partition's first limit, so
-		// each job may stop (or cap its accumulation) there.
-		First: o.first(),
-		After: o.After,
-	})
-	out.dur = time.Since(t0)
-	out.first = io.FirstMatchTime()
-	out.c = acct.c
-	jobIOs.Put(acct)
-	return out
-}
-
-// assemble builds the public Result of a run from its jobs' outcomes (one
-// for a sequential run): counters summed, PeakMemoryBytes the largest
-// single job's peak, first match the earliest, and Matches the jobs' rows —
-// already label-native and in document order — merged and cut to the page.
-// That assembly is all the output phase still does: the rows themselves
-// were written during enumeration.
-func (p *PreparedQuery) assemble(outs []jobOut, r *request) (*Result, error) {
-	var (
-		c          counters.Counters
-		peak       int64
-		executed   int
-		firstNanos int64
-		firstMatch time.Time
-	)
-	if r.includePrep {
-		c.Add(p.prepC)
-	}
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, outs[i].err
-		}
-		if outs[i].skipped {
-			continue
-		}
-		executed++
-		c.Add(outs[i].c)
-		peak = max(peak, outs[i].peak)
-		if t := outs[i].first; !t.IsZero() && (firstMatch.IsZero() || t.Before(firstMatch)) {
-			firstMatch = t
-		}
-	}
-	if !firstMatch.IsZero() {
-		firstNanos = firstMatch.Sub(r.start).Nanoseconds()
-	}
-	r.Tracer.BeginPhase(obs.PhaseOutput)
-	rows := r.slice(mergeJobRows(outs))
-	r.Tracer.EndPhase(obs.PhaseOutput)
-	res := &Result{
-		Matches: rows,
-		Stats: Stats{
-			ElementsScanned: c.ElementsScanned,
-			Comparisons:     c.Comparisons,
-			PointerDerefs:   c.PointerDerefs,
-			PagesRead:       c.PagesRead,
-			PagesWritten:    c.PagesWritten,
-			JumpsTaken:      c.JumpsTaken,
-			JumpsRefused:    c.JumpsRefused,
-			PeakMemoryBytes: peak,
-			Duration:        time.Since(r.start),
-			FirstMatchNanos: firstNanos,
-			Partitions:      executed,
-		},
-	}
-	if r.Tracer != nil { // an untraced run has no report: Trace stays nil
-		res.Trace = r.Tracer.Report(c, time.Since(r.start))
-		res.Trace.FirstMatchNanos = firstNanos
-	}
-	return res, nil
-}

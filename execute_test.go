@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"viewjoin"
-	"viewjoin/internal/obs"
 	"viewjoin/internal/workload"
 )
 
@@ -67,8 +66,7 @@ type executorCell struct {
 }
 
 // TestExecutorEquivalence is the one equivalence table of the executor:
-// every engine × {sequential, Parallelism 3} × {full, limit, limit+offset,
-// after-cursor} returns exactly the oracle's rows (or the slice of them the
+// every engine × {full, limit, limit+offset, after-cursor} returns exactly the oracle's rows (or the slice of them the
 // options select); the full runs additionally reproduce the golden file's
 // deterministic counters, since they are the very runs it pins.
 func TestExecutorEquivalence(t *testing.T) {
@@ -99,29 +97,22 @@ func TestExecutorEquivalence(t *testing.T) {
 			{"limit+offset", viewjoin.RunOptions{Limit: 12}, 5, c.oracle[5:12]},
 			{"after", viewjoin.RunOptions{Limit: 7, After: cursor}, 0, c.oracle[n/2+1 : n/2+8]},
 		}
-		for _, par := range []struct {
-			name string
-			k    int
-		}{{"whole", 1}, {"parallel=3", 3}} {
-			for _, sh := range shapes {
-				name := fmt.Sprintf("%s/%s/%s", c.key, par.name, sh.name)
-				ro := sh.ro
-				ro.Parallelism = par.k
-				res, err := c.plan.RunWith(context.Background(), &ro)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+		for _, sh := range shapes {
+			name := fmt.Sprintf("%s/%s", c.key, sh.name)
+			res, err := c.plan.RunWith(context.Background(), &sh.ro)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if rows := res.Matches[min(sh.skip, len(res.Matches)):]; !sameRows(rows, sh.want) {
+				t.Errorf("%s: %d rows, want %d — diverged from the oracle", name, len(rows), len(sh.want))
+			}
+			if sh.name == "full" {
+				want, pinned := golden[c.key+"/whole"]
+				if !pinned {
+					t.Fatalf("%s: no row %s/whole in %s", name, c.key, countersGoldenPath)
 				}
-				if rows := res.Matches[min(sh.skip, len(res.Matches)):]; !sameRows(rows, sh.want) {
-					t.Errorf("%s: %d rows, want %d — diverged from the oracle", name, len(rows), len(sh.want))
-				}
-				if sh.name == "full" {
-					want, pinned := golden[c.key+"/"+par.name]
-					if !pinned {
-						t.Fatalf("%s: no row %s/%s in %s", name, c.key, par.name, countersGoldenPath)
-					}
-					if have := goldenRowOf(want.Key, res); have != want {
-						t.Errorf("%s:\n got  %+v\n want %+v", name, have, want)
-					}
+				if have := goldenRowOf(want.Key, res); have != want {
+					t.Errorf("%s:\n got  %+v\n want %+v", name, have, want)
 				}
 			}
 		}
@@ -143,34 +134,4 @@ func sameRows(got, want [][]viewjoin.Node) bool {
 		}
 	}
 	return true
-}
-
-// TestExecutorTracesStreamedPartitions pins that partition jobs, which run
-// untraced, are still observed: a traced bounded partitioned run reports
-// one partition event per executed job.
-func TestExecutorTracesStreamedPartitions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("evaluates catalogue queries at benchmark scale")
-	}
-	for _, c := range executorCells(t)[:2] { // the engines that stop at the quota
-		res, err := c.plan.RunWith(context.Background(), &viewjoin.RunOptions{
-			Limit: 10, Parallelism: 3, Tracer: obs.NewRecorder(),
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", c.key, err)
-		}
-		if len(res.Matches) != 10 {
-			t.Errorf("%s: %d rows, want 10", c.key, len(res.Matches))
-		}
-		if res.Trace == nil {
-			t.Fatalf("%s: a Recorder run returned no trace report", c.key)
-		}
-		var events int64
-		for _, b := range res.Trace.PartitionNanos {
-			events += b.Count
-		}
-		if res.Stats.Partitions < 1 || events != int64(res.Stats.Partitions) {
-			t.Errorf("%s: %d partition events for %d executed partitions", c.key, events, res.Stats.Partitions)
-		}
-	}
 }

@@ -36,12 +36,13 @@ func FuzzEvaluateDifferential(f *testing.F) {
 			testutil.SingletonViews(pat),
 			testutil.WholeQueryView(pat),
 		}
-		// Partition target for the parallel path, drawn after every other
+		// One draw that nothing reads: it keeps every committed corpus
+		// input decoding to the page bounds and cursors it was found with.
+		rng.Intn(3)
+		// Page bounds for the LIMIT/OFFSET arm, drawn after every other
 		// generator so existing corpus entries keep their doc/query/views.
-		k := 2 + rng.Intn(3)
-		// Page bounds for the LIMIT/OFFSET arm, drawn after k for
-		// the same corpus-stability reason. Limits past the collector's
-		// partial-flush floor arm its first flush from the quota.
+		// Limits past the collector's partial-flush floor arm its first
+		// flush from the quota.
 		pageLim := 1 + rng.Intn(8)
 		pageOff := rng.Intn(3)
 		// Cursors for the resume arm, drawn last for the same reason: a row
@@ -80,25 +81,24 @@ func FuzzEvaluateDifferential(f *testing.F) {
 						t.Fatalf("partition %d %v+%v: %d matches, oracle %d (q=%s)",
 							pi, eng, scheme, len(res.Matches), len(want.Matches), q)
 					}
-					// The range-partitioned run must be byte-identical to
-					// the sequential result, not just set-equal.
+					// A prepared plan's run must be byte-identical to the
+					// one-shot result, not just set-equal.
 					p, err := Prepare(doc, q, mv, eng, nil)
 					if err != nil {
 						t.Fatalf("partition %d %v+%v: prepare: %v", pi, eng, scheme, err)
 					}
-					pres, err := p.RunWith(context.Background(), &RunOptions{Parallelism: k})
+					pres, err := p.Run()
 					if err != nil {
-						t.Fatalf("partition %d %v+%v k=%d: %v", pi, eng, scheme, k, err)
+						t.Fatalf("partition %d %v+%v: run: %v", pi, eng, scheme, err)
 					}
 					if !identicalMatches(pres, res) {
-						t.Fatalf("partition %d %v+%v k=%d: parallel diverged from sequential (%d vs %d matches, q=%s)",
-							pi, eng, scheme, k, len(pres.Matches), len(res.Matches), q)
+						t.Fatalf("partition %d %v+%v: prepared run diverged from Evaluate (%d vs %d matches, q=%s)",
+							pi, eng, scheme, len(pres.Matches), len(res.Matches), q)
 					}
 					// Bounded entry points must reproduce the oracle page
-					// [offset:offset+limit] exactly, sequentially and
-					// partitioned.
+					// [offset:offset+limit] exactly.
 					checkPages(t, fmt.Sprintf("partition %d %v+%v", pi, eng, scheme),
-						p, res, pageLim, pageOff, cursors, []int{1, k})
+						p, res, pageLim, pageOff, cursors)
 				}
 			}
 			if q.IsPath() {
@@ -118,15 +118,15 @@ func FuzzEvaluateDifferential(f *testing.F) {
 				if err != nil {
 					t.Fatalf("partition %d IJ: prepare: %v", pi, err)
 				}
-				pres, err := p.RunWith(context.Background(), &RunOptions{Parallelism: k})
+				pres, err := p.Run()
 				if err != nil {
-					t.Fatalf("partition %d IJ k=%d: %v", pi, k, err)
+					t.Fatalf("partition %d IJ: run: %v", pi, err)
 				}
 				if !identicalMatches(pres, res) {
-					t.Fatalf("partition %d IJ k=%d: parallel diverged from sequential (%d vs %d matches, q=%s)",
-						pi, k, len(pres.Matches), len(res.Matches), q)
+					t.Fatalf("partition %d IJ: prepared run diverged from Evaluate (%d vs %d matches, q=%s)",
+						pi, len(pres.Matches), len(res.Matches), q)
 				}
-				checkPages(t, fmt.Sprintf("partition %d IJ", pi), p, res, pageLim, pageOff, cursors, []int{1, k})
+				checkPages(t, fmt.Sprintf("partition %d IJ", pi), p, res, pageLim, pageOff, cursors)
 			}
 		}
 
@@ -142,12 +142,11 @@ func FuzzEvaluateDifferential(f *testing.F) {
 	})
 }
 
-// checkPages asserts that a bounded run — sequential and range-partitioned
-// — reproduces exactly the document-order slice [off:off+lim] of the full
+// checkPages asserts that a bounded run reproduces exactly the document-order slice [off:off+lim] of the full
 // sequential result res (itself already oracle-checked by the caller), and
 // that a run resumed after each cursor returns exactly the first lim rows of
 // res that order after it.
-func checkPages(t *testing.T, label string, p *PreparedQuery, res *Result, lim, off int, cursors [][]int32, ks []int) {
+func checkPages(t *testing.T, label string, p *PreparedQuery, res *Result, lim, off int, cursors [][]int32) {
 	t.Helper()
 	want := res.Matches
 	if off >= len(want) {
@@ -158,33 +157,30 @@ func checkPages(t *testing.T, label string, p *PreparedQuery, res *Result, lim, 
 			want = want[:lim]
 		}
 	}
-	for _, par := range ks {
-		// An offset page is the limit-off+lim page with its first off rows
-		// dropped.
-		ro := RunOptions{Limit: off + lim, Parallelism: par}
-		pg, err := p.RunWith(context.Background(), &ro)
+	// An offset page is the limit-off+lim page with its first off rows
+	// dropped.
+	pg, err := p.RunWith(context.Background(), &RunOptions{Limit: off + lim})
+	if err != nil {
+		t.Fatalf("%s: paged run: %v", label, err)
+	}
+	if got := pg.Matches[min(off, len(pg.Matches)):]; !samePage(got, want) {
+		t.Fatalf("%s: page [%d:+%d] diverged from oracle slice (%d vs %d rows)",
+			label, off, lim, len(pg.Matches), len(want))
+	}
+	for _, cur := range cursors {
+		var rest [][]Node
+		for _, row := range res.Matches {
+			if len(rest) < lim && rowAfter(row, cur) {
+				rest = append(rest, row)
+			}
+		}
+		pg, err := p.RunWith(context.Background(), &RunOptions{Limit: lim, After: cur})
 		if err != nil {
-			t.Fatalf("%s par=%d: paged run: %v", label, par, err)
+			t.Fatalf("%s after %v: %v", label, cur, err)
 		}
-		if got := pg.Matches[min(off, len(pg.Matches)):]; !samePage(got, want) {
-			t.Fatalf("%s par=%d: page [%d:+%d] diverged from oracle slice (%d vs %d rows)",
-				label, par, off, lim, len(pg.Matches), len(want))
-		}
-		for _, cur := range cursors {
-			var rest [][]Node
-			for _, row := range res.Matches {
-				if len(rest) < lim && rowAfter(row, cur) {
-					rest = append(rest, row)
-				}
-			}
-			pg, err := p.RunWith(context.Background(), &RunOptions{Limit: lim, After: cur, Parallelism: par})
-			if err != nil {
-				t.Fatalf("%s par=%d after %v: %v", label, par, cur, err)
-			}
-			if !samePage(pg.Matches, rest) {
-				t.Fatalf("%s par=%d: %d rows after cursor %v, the oracle has %d (q=%s)",
-					label, par, len(pg.Matches), cur, len(rest), p.q)
-			}
+		if !samePage(pg.Matches, rest) {
+			t.Fatalf("%s: %d rows after cursor %v, the oracle has %d (q=%s)",
+				label, len(pg.Matches), cur, len(rest), p.q)
 		}
 	}
 }

@@ -37,11 +37,10 @@ type Options struct {
 	// or cancellation. nil keeps the historical uninterruptible behaviour
 	// at zero hot-path cost.
 	Interrupt func() error
-	// Restrict, when non-nil, narrows the run to a start-range slice of
-	// the document: every list cursor is bound to the records whose start
-	// labels fall in the restriction's span for its query node (Root for
-	// node 0, Body for the rest). Partitioned evaluation runs one
-	// restricted job per document chunk; nil keeps the whole document.
+	// Restrict, when non-nil, narrows the run to the part of the document
+	// after a cursor: every list cursor is bound to the records whose start
+	// labels fall in the restriction's span for its query node (SpanFor).
+	// nil keeps the whole document.
 	Restrict *Restriction
 	// First, when > 0, bounds the number of matches produced (the limit,
 	// counted after the After filter): once reached, the enumeration stage

@@ -14,6 +14,7 @@ package interjoin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -222,8 +223,8 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	}
 	scratches.Put(sc)
 	// Join construction orders tuples by the accumulated stream's first
-	// position only; canonicalize to full lexicographic document order so
-	// sequential and partitioned runs are byte-comparable.
+	// position only; canonicalize to full lexicographic document order, the
+	// order every engine returns.
 	rows := out.Sorted(opts.First)
 	io.C.Matches = int64(len(rows))
 	if len(rows) > 0 {
@@ -236,13 +237,13 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 
 // restrictStreams returns per-run copies of the prepared streams holding
 // only the tuples every covered position of which the restriction admits:
-// spine positions keep ancestors overlapping the partition body, every
-// other position must start inside it. The label rows are shared with the
-// prepared streams — they are read-only during joins. A path match binds
-// its anchor inside the body and confines deeper positions to the anchor
-// binding's subtree while spine bindings contain it, so the filtered
-// streams retain exactly the tuples that can contribute to this
-// partition's matches.
+// spine positions keep ancestors overlapping the body after the cursor,
+// every other position must start inside it. The label rows are shared
+// with the prepared streams — they are read-only during joins. A path
+// match binds the level below the spine inside the body and confines
+// deeper positions to that binding's subtree while spine bindings contain
+// it, so the filtered streams retain exactly the tuples that can
+// contribute to the cursor run's matches.
 func restrictStreams(streams []*stream, r *engine.Restriction) []*stream {
 	out := make([]*stream, len(streams))
 	for i, s := range streams {
@@ -265,46 +266,28 @@ func restrictStreams(streams []*stream, r *engine.Restriction) []*stream {
 	return out
 }
 
-// AnchorSpans returns the document regions of every candidate binding of
-// query position pos (the tuples of the one stream covering pos), in
-// stream order. Partition planners cut the document between the merged
-// spans so that no candidate's subtree crosses a partition boundary.
-func (p *Prepared) AnchorSpans(pos int) []engine.Span {
+// OnlyStart reports whether query position pos has a single candidate
+// binding — every tuple of the one stream covering pos binds it to the same
+// node, since a stream repeats a candidate once per tuple — and returns its
+// start label. A position with no tuples, or several distinct bindings, has
+// no single start.
+func (p *Prepared) OnlyStart(pos int) (int32, bool) {
 	for _, s := range p.streams {
-		covered := false
-		for _, sp := range s.positions {
-			if sp == pos {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if !slices.Contains(s.positions, pos) {
 			continue
 		}
-		out := make([]engine.Span, len(s.tuples))
-		for i := range s.tuples {
-			l := &s.tuples[i].labels[pos]
-			out[i] = engine.Span{Lo: l.Start, Hi: l.End}
+		if len(s.tuples) == 0 {
+			return 0, false
 		}
-		return out
+		first := s.tuples[0].labels[pos]
+		for i := range s.tuples {
+			if s.tuples[i].labels[pos] != first {
+				return 0, false
+			}
+		}
+		return first.Start, true
 	}
-	return nil
-}
-
-// WeightIn estimates the work of a partition restricted to [lo, hi): the
-// tuples each stream contributes, weighted by arity. Streams are ordered
-// by their first covered position's start, so the count is a binary
-// search per stream.
-func (p *Prepared) WeightIn(lo, hi int32) int64 {
-	var w int64
-	for _, s := range p.streams {
-		first := s.positions[0]
-		at := func(i int) int32 { return s.tuples[i].labels[first].Start }
-		a := sort.Search(len(s.tuples), func(i int) bool { return at(i) >= lo })
-		b := sort.Search(len(s.tuples), func(i int) bool { return at(i) >= hi })
-		w += int64(b-a) * int64(len(s.positions))
-	}
-	return w
+	return 0, false
 }
 
 // Eval evaluates the path query q over the tuple stores of the covering

@@ -34,7 +34,7 @@ type frame struct {
 // per-query-node lists. Immutable after construction and safe for
 // concurrent Run calls.
 type Prepared struct {
-	engine.Lists // per query node; also answers the partition planner
+	engine.Lists // per query node
 	q            *tpq.Pattern
 }
 
@@ -102,8 +102,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	scratches.Put(sc) // sc must not be touched past this point
 	// The linked stacks emit leaf-major (ancestor combinations enumerated
 	// newest-first); canonicalize to the lexicographic document order the
-	// other engines produce so sequential and partitioned runs are
-	// byte-comparable.
+	// other engines produce.
 	rows := out.Sorted(opts.First)
 	io.C.Matches = int64(len(rows))
 	if len(rows) > 0 {

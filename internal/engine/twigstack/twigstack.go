@@ -32,7 +32,7 @@ const inf = int32(math.MaxInt32)
 // per-query-node lists. Immutable after construction and safe for
 // concurrent Run calls.
 type Prepared struct {
-	engine.Lists // per query node; also answers the partition planner
+	engine.Lists // per query node
 	q            *tpq.Pattern
 }
 

@@ -59,7 +59,7 @@ import (
 // movement and enumeration only — the costs the paper's §V model charges
 // — not for setup.
 type Prepared struct {
-	engine.Lists // per query node; also answers the partition planner
+	engine.Lists // per query node
 	v            *vsq.VSQ
 
 	// node[qi] is what the join loop reads of qi; adj holds the query nodes
@@ -181,7 +181,7 @@ type evaluator struct {
 	// main loop and shared with the collector's enumeration stage.
 	ic engine.Interrupter
 
-	// restrict is the run's partition restriction (nil = whole document);
+	// restrict is the cursor run's restriction (nil = whole document);
 	// kept so the lazily-opened extension cursors bind to the same list
 	// slice as the prime cursors.
 	restrict *engine.Restriction

@@ -1,5 +1,5 @@
 // Package obs is the observability layer of the reproduction: span-style
-// phase timing and partition times, collected by a Recorder whose nil value
+// phase timing, collected by a Recorder whose nil value
 // costs nothing on the hot path, plus the per-plan Aggregate the serving
 // layer folds finished runs into.
 //
@@ -8,8 +8,7 @@
 // jumps taken and refused, pages read — are the run's counters
 // (internal/counters), which every run keeps at the cost of an increment.
 // A Recorder adds only what counters cannot say: the self time of each
-// phase (segment, bind, evaluate, enumerate, output), the wall time of each
-// partition, and the plan. Renderers pair them with the counters in a human
+// phase (segment, bind, evaluate, enumerate, output) and the plan. Renderers pair them with the counters in a human
 // EXPLAIN-style report or a stable JSON document (see report.go); the
 // store cursors and the join loops never see a Recorder.
 //
@@ -167,14 +166,14 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.Max
 }
 
-// Recorder accumulates the phases of one evaluation, the wall times of its
-// partitions, and its Plan for rendering. Everything else a traced run
+// Recorder accumulates the phases of one evaluation and its Plan for
+// rendering. Everything else a traced run
 // reports — elements scanned, pointers followed, jumps, pages — comes from
 // the run's counters, which every run keeps whether traced or not. The
 // store cursors and the join loops never see a Recorder; below the
 // executor only preparation and the enumeration stage open spans. A nil
-// *Recorder is an untraced run: BeginPhase, EndPhase, Partition and Plan
-// are no-ops on a nil receiver, and each is small enough to inline, so an
+// *Recorder is an untraced run: BeginPhase, EndPhase and Plan are
+// no-ops on a nil receiver, and each is small enough to inline, so an
 // untraced call site costs one predictable branch and no call. The zero
 // value is ready to use.
 //
@@ -183,11 +182,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 type Recorder struct {
 	// phases holds exclusive (self) time per phase.
 	phases [numPhases]time.Duration
-	// partitionNanos summarizes the wall time of the partitions of a
-	// range-partitioned parallel run (empty for sequential runs).
-	partitionNanos Histogram
-	plan           *Plan
-	stack          []phaseFrame
+	plan   *Plan
+	stack  []phaseFrame
 }
 
 type phaseFrame struct {
@@ -237,14 +233,6 @@ func (r *Recorder) endPhase() {
 	r.stack = r.stack[:n-1]
 	if n > 1 {
 		r.stack[n-2].start = now
-	}
-}
-
-// Partition records one completed partition of a range-partitioned
-// parallel run and its wall time d.
-func (r *Recorder) Partition(d time.Duration) {
-	if r != nil {
-		r.partitionNanos.Add(int64(d))
 	}
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -41,20 +40,6 @@ func TestEndPhaseUnderflow(t *testing.T) {
 	r.BeginPhase(PhaseParse)
 	r.EndPhase(PhaseParse)
 	r.EndPhase(PhaseParse)
-}
-
-func TestPartitionAccumulation(t *testing.T) {
-	r := NewRecorder()
-	r.Partition(3 * time.Nanosecond)
-	r.Partition(5 * time.Nanosecond)
-	r.Partition(6 * time.Nanosecond)
-
-	rep := r.Report(counters.Counters{}, 0)
-	if want := []HistBucket{{Upper: 3, Count: 1}, {Upper: 7, Count: 2}}; !slices.Equal(rep.PartitionNanos, want) {
-		t.Errorf("partition histogram = %+v, want %+v", rep.PartitionNanos, want)
-	}
-	var nilRec *Recorder
-	nilRec.Partition(time.Second) // a nil Recorder ignores partitions
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -151,7 +136,6 @@ func TestReportExplain(t *testing.T) {
 	})
 	r.BeginPhase(PhaseEvaluate)
 	r.EndPhase(PhaseEvaluate)
-	r.Partition(time.Microsecond)
 	rep := r.Report(counters.Counters{ElementsScanned: 4, JumpsTaken: 2}, time.Millisecond)
 
 	var buf bytes.Buffer
@@ -159,7 +143,7 @@ func TestReportExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"//a//b", "segment", "evaluate", "scanned=4", "jumps=2 refused=0", "pagesR=0", "q0", "q1", "partitions: 1"} {
+	for _, want := range []string{"//a//b", "segment", "evaluate", "scanned=4", "jumps=2 refused=0", "pagesR=0", "q0", "q1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

@@ -16,8 +16,7 @@ import (
 const ReportSchema = "viewjoin/trace/v2"
 
 // Report is the machine-readable rendering of one traced evaluation: the
-// plan, per-phase durations, the partition-time distribution, and the
-// run's counters. Field order (and thus JSON key order) is stable by
+// plan, per-phase durations and the run's counters. Field order (and thus JSON key order) is stable by
 // construction.
 type Report struct {
 	Schema string `json:"schema"`
@@ -33,9 +32,6 @@ type Report struct {
 	// Phases lists exclusive per-phase durations in execution order;
 	// phases that never ran are included with zero duration.
 	Phases []PhaseReport `json:"phases"`
-	// PartitionNanos is the distribution of per-partition wall times of a
-	// range-partitioned parallel run; empty for sequential runs.
-	PartitionNanos []HistBucket `json:"partitionNanos,omitempty"`
 
 	// Counters mirrors the run's deterministic counters.
 	Counters CountersReport `json:"counters"`
@@ -45,13 +41,6 @@ type Report struct {
 type PhaseReport struct {
 	Phase string `json:"phase"`
 	Nanos int64  `json:"nanos"`
-}
-
-// HistBucket is one histogram bucket: Count observations ≤ Upper (and
-// greater than the previous bucket's Upper).
-type HistBucket struct {
-	Upper int64 `json:"upper"`
-	Count int64 `json:"count"`
 }
 
 // CountersReport is the stable JSON encoding of counters.Counters.
@@ -83,23 +72,11 @@ func (r *Recorder) Report(c counters.Counters, total time.Duration) *Report {
 			PagesWritten:    c.PagesWritten,
 			Matches:         c.Matches,
 		},
-		PartitionNanos: histBuckets(&r.partitionNanos),
 	}
 	for _, p := range Phases() {
 		rep.Phases = append(rep.Phases, PhaseReport{Phase: p.String(), Nanos: int64(r.phases[p])})
 	}
 	return rep
-}
-
-// histBuckets lists h's non-empty buckets, nil when h is empty.
-func histBuckets(h *Histogram) []HistBucket {
-	var out []HistBucket
-	for i, n := range h.Count {
-		if n != 0 {
-			out = append(out, HistBucket{Upper: BucketUpper(i), Count: n})
-		}
-	}
-	return out
 }
 
 // WriteJSON writes the report as one indented JSON document.
@@ -111,7 +88,7 @@ func (rep *Report) WriteJSON(w io.Writer) error {
 
 // WriteExplain renders the report as a human EXPLAIN-style text: the
 // view-segmented query with list bindings, then per-phase self times, the
-// run's counters and the partition times.
+// run's counters.
 func (rep *Report) WriteExplain(w io.Writer) error {
 	var b strings.Builder
 	if p := rep.Plan; p != nil {
@@ -159,22 +136,6 @@ func (rep *Report) WriteExplain(w io.Writer) error {
 	c := rep.Counters
 	fmt.Fprintf(&b, "counters: scanned=%d cmp=%d deref=%d jumps=%d refused=%d pagesR=%d pagesW=%d matches=%d\n",
 		c.ElementsScanned, c.Comparisons, c.PointerDerefs, c.JumpsTaken, c.JumpsRefused, c.PagesRead, c.PagesWritten, c.Matches)
-	if len(rep.PartitionNanos) > 0 {
-		var n int64
-		for _, hb := range rep.PartitionNanos {
-			n += hb.Count
-		}
-		fmt.Fprintf(&b, "partitions: %d (wall time histogram ns: %s)\n", n, explainHist(rep.PartitionNanos))
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// explainHist renders histogram buckets as space-separated <=upper:count.
-func explainHist(hbs []HistBucket) string {
-	parts := make([]string, len(hbs))
-	for i, hb := range hbs {
-		parts[i] = fmt.Sprintf("<=%d:%d", hb.Upper, hb.Count)
-	}
-	return strings.Join(parts, " ")
 }

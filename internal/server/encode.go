@@ -127,7 +127,6 @@ func (h *responseHead) appendHead(b []byte) []byte {
 
 // appendTail appends responseTail's fields but the trace, each after a
 // comma: the stats object and duration_us straight from the run's Stats.
-// Stats.Partitions is left out: a server run is one job, so it is always 1.
 func (t *responseTail) appendTail(b []byte) []byte {
 	if t.Cursor != "" {
 		b = appendString(append(b, `,"cursor":`...), t.Cursor)

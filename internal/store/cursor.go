@@ -24,8 +24,8 @@ type ListCursor struct {
 	io  *counters.IO
 	idx int32
 	// lo/hi bound the visible record offsets to [lo, hi): Reset opens the
-	// whole list (lo=0, hi=entries); ResetRange narrows the window for
-	// partitioned evaluation. Next stops at hi; Seek treats hi as the end
+	// whole list (lo=0, hi=entries); ResetRange narrows the window for a
+	// run resumed after a cursor. Next stops at hi; Seek treats hi as the end
 	// of the list and clamps targets below lo up to lo.
 	lo, hi int32
 	// The label of record idx; Start == End == math.MaxInt32 is the
@@ -188,8 +188,8 @@ func (c *ListCursor) Reset(l *ListFile, io *counters.IO) {
 // cursor starts at lo, Next exhausts at hi, and Seek clamps targets below
 // lo up to lo while treating targets at or beyond hi as past-the-end.
 // Bounds are clipped to the list; an empty window yields an exhausted
-// cursor. This is how partitioned evaluation gives each worker a
-// start-range slice of every list without copying any pages.
+// cursor. This is how a run resumed after a cursor opens every list at
+// its start-range slice without copying any pages.
 func (c *ListCursor) ResetRange(l *ListFile, io *counters.IO, lo, hi int) {
 	lo, hi = max(lo, 0), min(hi, l.entries)
 	*c = ListCursor{f: l, io: io, idx: int32(lo), lo: int32(lo), hi: int32(hi),

@@ -378,7 +378,7 @@ func (l *ListFile) pointers() int {
 }
 
 // LabelAt decodes the region label of record i without charging the cost
-// model: it is a planning accessor (partition weighing, doc-root probes),
+// model: it is a planning accessor (resume prefixes, doc-root probes),
 // not an evaluation read. i must be in [0, Entries()).
 func (l *ListFile) LabelAt(i int) Label {
 	p := &l.pieces[l.pieceAt(int32(i))]

@@ -32,7 +32,7 @@ func TestPaperClaims(t *testing.T) {
 
 	// Every claim is a relation between one entry's rows; at resolves a row
 	// of the entry under test by the rest of its key, whole by its combo,
-	// unpartitioned — the configuration the paper ran.
+	// whole-document — the configuration the paper ran.
 	type lookup func(rest string) goldenRow
 	vjSchemes := []string{"VJ+E", "VJ+LE", "VJ+LEp"}
 	claims := []struct {
@@ -125,7 +125,7 @@ func TestPaperClaims(t *testing.T) {
 		}
 	}
 
-	// Every engine, scheme, partitioning and variant finds the same matches,
+	// Every engine, scheme and variant finds the same matches,
 	// and views never cost more than the raw streams they replace (that no
 	// run re-touches a page is TestNoRunRetouchesAPage).
 	for key, r := range rows {

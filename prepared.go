@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -39,7 +38,7 @@ import (
 //
 // A PreparedQuery is immutable after Prepare and safe for concurrent runs:
 // it holds no per-run state, and every option that shapes a run — page,
-// parallelism, tracer, output approach — travels with the call in
+// tracer, output approach — travels with the call in
 // RunOptions. Documents and materialized views are already immutable after
 // construction.
 type PreparedQuery struct {
@@ -77,17 +76,13 @@ type PreparedQuery struct {
 }
 
 // enginePlan is what the executor needs from an engine's prepared plan: to
-// run it once over the whole document or one partition of it (rows in
-// document order, the peak bytes of intermediate state held, 0 when the
-// engine does not track it), its resident size for cache accounting, and
-// the partition planner's two inputs — the document regions of a query
-// node's candidates, to place cuts that no match can straddle, and an
-// estimated weight of a start range, to balance chunks.
+// run it once over the whole document or the part of it after a cursor
+// (rows in document order, the peak bytes of intermediate state held, 0
+// when the engine does not track it), and its resident size for cache
+// accounting.
 type enginePlan interface {
 	Run(io *counters.IO, opts engine.Options) (rows [][]Node, peakBytes int64, err error)
 	Footprint() int64
-	AnchorSpans(qi int) []engine.Span
-	WeightIn(lo, hi int32) int64
 }
 
 // Prepare compiles q over the materialized views for the chosen engine.
@@ -149,13 +144,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, tr *
 			return nil, err
 		}
 		p.plan = ij
-		p.resume = resumePrefix(q.p.Nodes, func(qi int) (int32, bool) { // a stream repeats a candidate once per tuple
-			spans := ij.AnchorSpans(qi)
-			if len(spans) == 0 || slices.ContainsFunc(spans, func(s engine.Span) bool { return s != spans[0] }) {
-				return 0, false
-			}
-			return spans[0].Lo, true
-		})
+		p.resume = resumePrefix(q.p.Nodes, ij.OnlyStart)
 		p.describe = func() *obs.Plan { return interJoinPlan(q.p, patterns, stores, viewPos) }
 	default:
 		return nil, fmt.Errorf("viewjoin: unknown engine %v", eng)
@@ -209,7 +198,7 @@ func (p *PreparedQuery) FootprintBytes() int64 {
 // RunOptions shapes one execution of a prepared plan, and is the only
 // record that does: a plan captures none of it, so one plan serves
 // concurrent runs with different options. A nil *RunOptions is the zero
-// value — every match, sequential, untraced, memory-based. The context is
+// value — every match, untraced, memory-based. The context is
 // the call's own argument.
 type RunOptions struct {
 	// Limit, when > 0, bounds the result to the first Limit matches in
@@ -226,22 +215,14 @@ type RunOptions struct {
 	// start label per query node (Node.Start of the previous page's last
 	// row, in binding order), compared lexicographically — i.e. document
 	// order. A cursor is a position the run seeks to: it executes as a
-	// partition that starts at the cursor, so every list is opened there
-	// by binary search and page k costs what page 1 costs.
+	// restricted run that starts at the cursor, so every list is opened
+	// there by binary search and page k costs what page 1 costs.
 	// A cursor of any other length is an error.
 	After []int32
-	// Parallelism requests a range-partitioned run: the document is split
-	// into up to Parallelism chunks at top-level subtree boundaries and
-	// evaluated by a bounded worker group. 0 and 1 are sequential; negative
-	// means GOMAXPROCS. The Result is byte-identical to the sequential one
-	// (see Stats for how partitions fold into it); a plan that admits no
-	// cut runs as one job.
-	Parallelism int
-	// Tracer, when non-nil, observes this execution — the plan, phase
-	// spans and partition wall times — and fills Result.Trace, whose
-	// counters are the run's Stats. A Recorder is not safe for concurrent
-	// use, so concurrent runs each bring their own. nil runs untraced at
-	// zero cost.
+	// Tracer, when non-nil, observes this execution — the plan and phase
+	// spans — and fills Result.Trace, whose counters are the run's Stats.
+	// A Recorder is not safe for concurrent use, so concurrent runs each
+	// bring their own. nil runs untraced at zero cost.
 	Tracer *obs.Recorder
 	// DiskBased selects the disk-based output approach (§IV): every window
 	// flush is charged as spooled through scratch pages, ceil(16·entries /
@@ -252,7 +233,7 @@ type RunOptions struct {
 }
 
 // Run executes the prepared plan once with no options — every match,
-// sequential, untraced — and returns a fresh Result. Stats cover this
+// untraced — and returns a fresh Result. Stats cover this
 // execution only: preparation costs (for InterJoin, the view stream scans)
 // were paid at Prepare time and are not re-charged; see Evaluate for the
 // historical one-shot accounting.
@@ -264,14 +245,14 @@ type RunOptions struct {
 func (p *PreparedQuery) Run() (*Result, error) { return p.RunWith(nil, nil) }
 
 // RunTraced executes the prepared plan once with tr observing it (nil runs
-// untraced) over up to k partitions, as RunOptions.Parallelism.
+// untraced). k is ignored: every run is one sequential job.
 //
 // Pinned: benchmark/ calls it as RunTraced(ctx, 1, obs.NewRecorder()), and
 // that call shape must keep compiling outside a [benchmark] PR.
 //
-// Deprecated: use RunWith(ctx, &RunOptions{Parallelism: k, Tracer: tr}).
+// Deprecated: use RunWith(ctx, &RunOptions{Tracer: tr}).
 func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr *obs.Recorder) (*Result, error) {
-	return p.RunWith(ctx, &RunOptions{Parallelism: k, Tracer: tr})
+	return p.RunWith(ctx, &RunOptions{Tracer: tr})
 }
 
 // RunWith executes the prepared plan once bounded by ctx and shaped by ro
@@ -280,22 +261,16 @@ func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr *obs.Recorder) 
 // results, and the pooled evaluator scratch is recycled normally; a nil
 // ctx runs uninterruptible. This is the serving entry point: one immutable
 // PreparedQuery, many concurrent requests, each with its own deadline,
-// page, parallelism and tracer.
+// page and tracer.
 func (p *PreparedQuery) RunWith(ctx context.Context, ro *RunOptions) (*Result, error) {
 	return p.execute(resolve(ctx, ro))
 }
 
-// parallelFor runs work(0..n-1) across at most workers goroutines (<= 0
-// means GOMAXPROCS), inline when one suffices. Workers pull indices from a
-// shared counter, so output determinism is the caller's: write only to
-// slot i.
-func parallelFor(n, workers int, work func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+// parallelFor runs work(0..n-1) across at most GOMAXPROCS goroutines,
+// inline when one suffices. Workers pull indices from a shared counter, so
+// output determinism is the caller's: write only to slot i.
+func parallelFor(n int, work func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			work(i)

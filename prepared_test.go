@@ -432,7 +432,7 @@ func TestResultCellsAreNotScanned(t *testing.T) {
 // neighbouring rows share a chunk of cells, yet appending to a row or
 // mutating it never changes another row (rows are capacity-capped), and a
 // second Run of the same plan writes fresh chunks instead of recycling the
-// first Result's — on every engine, sequentially, paged and partitioned.
+// first Result's — on every engine, whole and paged.
 func TestResultRowsDoNotAlias(t *testing.T) {
 	d := GenerateXMark(0.05)
 	for _, c := range preparedCases() {
@@ -453,7 +453,6 @@ func TestResultRowsDoNotAlias(t *testing.T) {
 				}
 				return res, err
 			}},
-			{"partitioned", func() (*Result, error) { return p.RunWith(nil, &RunOptions{Parallelism: 4}) }},
 		} {
 			res, err := mode.run()
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"viewjoin"
@@ -73,13 +74,14 @@ func TestResumeScansOnlyThePage(t *testing.T) {
 	}
 }
 
-// walkRows pages p row by row: each run resumes after the row before it.
-func walkRows(t *testing.T, name string, p *viewjoin.PreparedQuery, k int) [][]viewjoin.Node {
+// walkPages pages p through cursors, limit rows a page: each run resumes
+// after the last row of the page before it, until a page comes back empty.
+func walkPages(t *testing.T, name string, p *viewjoin.PreparedQuery, limit int) [][]viewjoin.Node {
 	t.Helper()
 	var rows [][]viewjoin.Node
 	var after []int32
 	for {
-		res, err := p.RunWith(context.Background(), &viewjoin.RunOptions{Limit: 1, After: after, Parallelism: k})
+		res, err := p.RunWith(context.Background(), &viewjoin.RunOptions{Limit: limit, After: after})
 		if err != nil {
 			t.Fatalf("%s after %v: %v", name, after, err)
 		}
@@ -87,7 +89,7 @@ func walkRows(t *testing.T, name string, p *viewjoin.PreparedQuery, k int) [][]v
 			return rows
 		}
 		rows = append(rows, res.Matches...)
-		after = cursorOf(res.Matches[0])
+		after = cursorOf(res.Matches[len(res.Matches)-1])
 	}
 }
 
@@ -96,8 +98,7 @@ func walkRows(t *testing.T, name string, p *viewjoin.PreparedQuery, k int) [][]v
 // run resumes at the root's label (level 0), with one root over nested b's
 // at b's. A match under the outer element of a nesting orders before one
 // under the inner element yet binds later records, so a cut taken one level
-// too deep loses it. Every engine, sequential and partitioned, must return
-// the oracle's rows one by one.
+// too deep loses it. Every engine must return the oracle's rows one by one.
 func TestResumeUnderSameTagNesting(t *testing.T) {
 	for _, c := range []struct{ xml, query, views string }{
 		{`<a><a><b><b><c/></b><c/></b></a><b><c/><c/></b><a><b><c/></b></a></a>`, "//a//b//c", "//a//c; //b"},
@@ -135,10 +136,85 @@ func TestResumeUnderSameTagNesting(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", c.query, e.name, err)
 			}
-			for _, k := range []int{1, 3} {
-				name := fmt.Sprintf("%s %s parallel=%d", c.query, e.name, k)
-				if got := walkRows(t, name, p, k); !sameRows(got, want) {
-					t.Errorf("%s: walked %d rows, the oracle has %d", name, len(got), len(want))
+			name := c.query + " " + e.name
+			if got := walkPages(t, name, p, 1); !sameRows(got, want) {
+				t.Errorf("%s: walked %d rows, the oracle has %d", name, len(got), len(want))
+			}
+		}
+	}
+}
+
+// buildJumpDoc builds <r> with n <a> subtrees, each an <x> and three <b>
+// elements (the first over a <c>), so the LEp descendant and following
+// pointers of the a and b lists address records on both sides of a
+// cursor's label wherever the cursor falls.
+func buildJumpDoc(t *testing.T, n int) *viewjoin.Document {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < n; i++ {
+		sb.WriteString("<a><x/><b><c/></b><b/><b/></a>")
+	}
+	sb.WriteString("</r>")
+	d, err := viewjoin.ParseDocumentString(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestResumeInsideJumpTarget pages buildJumpDoc by cursor, 1, 2 and 3 rows
+// a page, under VJ, TS and PS over E, LE and LEp (PS on the path queries
+// only) and IJ over tuple views of the path queries, each over one
+// single-node view per query label. A cursor run opens every list at the
+// cursor, so an LEp pointer followed inside it may name a record before
+// that bound; the pages, chained, must still concatenate to the whole
+// run's rows.
+func TestResumeInsideJumpTarget(t *testing.T) {
+	doc := buildJumpDoc(t, 8)
+	for _, qs := range []string{"//a//b", "//r//a//b", "//r//a//b//c", "//a[//x]//b"} {
+		q := viewjoin.MustParseQuery(qs)
+		var singles []string
+		for _, l := range q.Labels() {
+			singles = append(singles, "//"+l)
+		}
+		vs, err := viewjoin.ParseViews(strings.Join(singles, "; "))
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := []viewjoin.Engine{viewjoin.EngineViewJoin, viewjoin.EngineTwigStack}
+		if q.IsPath() {
+			engines = append(engines, viewjoin.EnginePathStack)
+		}
+		var combos []benchCombo
+		for _, e := range engines {
+			for _, s := range []viewjoin.StorageScheme{viewjoin.SchemeElement, viewjoin.SchemeLE, viewjoin.SchemeLEp} {
+				combos = append(combos, benchCombo{fmt.Sprintf("%v+%v", e, s), e, s})
+			}
+		}
+		if q.IsPath() {
+			combos = append(combos, benchCombo{"IJ+T", viewjoin.EngineInterJoin, viewjoin.SchemeTuple})
+		}
+		for _, e := range combos {
+			mv, err := doc.MaterializeViews(vs, e.scheme)
+			if err != nil {
+				t.Fatalf("%s %s: %v", qs, e.name, err)
+			}
+			p, err := viewjoin.Prepare(doc, q, mv, e.engine, nil)
+			if err != nil {
+				t.Fatalf("%s %s: %v", qs, e.name, err)
+			}
+			whole, err := p.Run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", qs, e.name, err)
+			}
+			if len(whole.Matches) < 8 {
+				t.Fatalf("%s %s: %d rows, too few to page", qs, e.name, len(whole.Matches))
+			}
+			for _, limit := range []int{1, 2, 3} {
+				name := fmt.Sprintf("%s %s limit=%d", qs, e.name, limit)
+				if got := walkPages(t, name, p, limit); !sameRows(got, whole.Matches) {
+					t.Errorf("%s: walked %d rows, the whole run has %d", name, len(got), len(whole.Matches))
 				}
 			}
 		}

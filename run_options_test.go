@@ -16,7 +16,7 @@ import (
 // plan per engine and catalogue query (VJ+LEp and TS+E on every XMark
 // query, PS+E and IJ+T on the path queries), prepared once, runs under
 // every RunOptions shape — none, DiskBased, a 7-row page and the page after
-// it, three partitions, a tracer of its own — first sequentially, then
+// it, a tracer of its own — first sequentially, then
 // interleaved from GOMAXPROCS goroutines. Every run must return the rows and
 // Stats (timings aside) of a solo run of a freshly prepared plan under the
 // same options. A disk-based run of a windowed engine (VJ, TS) writes
@@ -43,7 +43,6 @@ func TestOnePlanManyRunOptions(t *testing.T) {
 		{"disk", func([]int32) *RunOptions { return &RunOptions{DiskBased: true} }},
 		{"page", func([]int32) *RunOptions { return &RunOptions{Limit: 7} }},
 		{"next-page", func(c []int32) *RunOptions { return &RunOptions{Limit: 7, After: c} }},
-		{"parallel=3", func([]int32) *RunOptions { return &RunOptions{Parallelism: 3} }},
 		{"traced", func([]int32) *RunOptions { return &RunOptions{Tracer: obs.NewRecorder()} }},
 	}
 	type arm struct {

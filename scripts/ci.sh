@@ -17,7 +17,7 @@
 #      GOOS=windows go build: the one check that the heap fallback behind
 #      store.OpenMmap (mmap_other.go) still compiles where it is used
 #   2a. tracing inlines: go build -gcflags=-m ./internal/obs must report
-#      that (*Recorder).Partition, BeginPhase and EndPhase can inline. Call
+#      that (*Recorder).BeginPhase and EndPhase can inline. Call
 #      sites do not guard a nil recorder, so an untraced run costs one
 #      branch per hook only while these stay inlinable
 #   2a*. no tracer below the executor: go list -deps ./internal/store must
@@ -31,10 +31,11 @@
 #   2a''. one XML parser: no non-test package may import encoding/xml
 #      (go list); internal/xmltree's scanner is the only reader of XML
 #      text, and encoding/xml stays in its tests as the parity oracle
-#   2a'''. one request, one worker: no non-test Go file of internal/server
-#      may name RunOptions.Parallelism outside a comment. Config.Workers
-#      bounds evaluations on the assumption that each request costs one
-#      worker's CPU; a partitioned serving run would break it
+#   2a'''. one run, one job: no non-test Go file of the root package or
+#      under cmd/ may name Parallelism outside a comment. A run is one
+#      sequential pass (§IV), and Config.Workers bounds evaluations on the
+#      assumption that each request costs one worker's CPU; a partitioned
+#      run knob coming back would break both
 #   2b. benchmark module: go vet and go test inside benchmark/ (a nested
 #      module root `go test ./...` does not reach), then a one-round
 #      --quick run of every BENCHMARK.json workload with its verify step,
@@ -55,8 +56,8 @@
 #      package set. store: the storage layer is the persistence trust
 #      boundary; its statement coverage must stay >= 85%
 #   3b. engine coverage floor: the evaluation engines (internal/engine/...)
-#      carry the partition-correctness burden; their aggregate statement
-#      coverage must stay >= 80%
+#      carry the join and cursor-resume correctness burden; their aggregate
+#      statement coverage must stay >= 80%
 #   3c. server coverage floor: the serving layer owns admission, outcome
 #      accounting and the flight recorder; its statement coverage must
 #      stay >= 90%, so no failure branch of the request edge goes untested
@@ -129,7 +130,7 @@ echo "== tier-1: build (GOOS=windows, the non-mmap file loader)"
 GOOS=windows go build ./...
 echo "== tracing hooks inline"
 inl="$(go build -gcflags=-m ./internal/obs 2>&1)"
-for m in Partition BeginPhase EndPhase; do
+for m in BeginPhase EndPhase; do
 	if ! echo "$inl" | grep -q "can inline (\*Recorder).$m\$"; then
 		echo "(*obs.Recorder).$m no longer inlines: the untraced path would pay a call per hook" >&2
 		exit 1
@@ -155,10 +156,10 @@ if [ -n "$xmlusers" ]; then
 	echo "$xmlusers" >&2
 	exit 1
 fi
-echo "== one request, one worker: internal/server sets no Parallelism"
-parusers="$(grep -nE '^[^/]*([^[:alnum:]_]|^)Parallelism([^[:alnum:]_]|$)' $(ls internal/server/*.go | grep -v '_test\.go$') || true)"
+echo "== one run, one job: the root package and cmd/ name no Parallelism"
+parusers="$(grep -nE '^[^/]*([^[:alnum:]_]|^)Parallelism([^[:alnum:]_]|$)' $( (ls *.go; find cmd -name '*.go') | grep -v '_test\.go$') || true)"
 if [ -n "$parusers" ]; then
-	echo "internal/server runs a request partitioned; each request gets one worker (Config.Workers):" >&2
+	echo "these lines name Parallelism: a run is one job, and no run option or flag splits it:" >&2
 	echo "$parusers" >&2
 	exit 1
 fi

@@ -1,10 +1,8 @@
 package viewjoin
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"viewjoin/internal/testutil"
@@ -12,51 +10,15 @@ import (
 	"viewjoin/internal/workload"
 )
 
-// soakKs is the parallelism grid every metamorphic check runs under: the
-// sequential degenerate case, small Ks that stress chunk boundaries, and
-// the machine's own width.
-func soakKs() []int {
-	ks := []int{1, 2, 3}
-	if n := runtime.NumCPU(); n > 3 {
-		ks = append(ks, n)
-	}
-	return ks
-}
-
-// checkParallelEquivalence asserts the partitioned path reproduces the
-// sequential result byte for byte — same matches, same order, same node
-// fields — for every K in the soak grid.
-func checkParallelEquivalence(t *testing.T, label string, p *PreparedQuery, seq *Result) {
-	t.Helper()
-	for _, k := range soakKs() {
-		par, err := p.RunWith(context.Background(), &RunOptions{Parallelism: k})
-		if err != nil {
-			t.Fatalf("%s: Parallelism %d: %v", label, k, err)
-		}
-		if !identicalMatches(par, seq) {
-			t.Fatalf("%s: Parallelism %d diverges from Run: %d vs %d matches",
-				label, k, len(par.Matches), len(seq.Matches))
-		}
-		if par.Stats.Partitions < 1 {
-			t.Fatalf("%s: Parallelism %d reported %d partitions", label, k, par.Stats.Partitions)
-		}
-	}
-}
-
-// checkPagedEquivalence asserts bounded runs (sequential and partitioned)
-// reproduce document-order slices of the sequential result under every K in
-// the soak grid: a leading page, an interior page, and a page straddling the
-// end of the result.
+// checkPagedEquivalence asserts bounded runs reproduce document-order
+// slices of the unbounded result: a leading page, an interior page, and a
+// page straddling the end of the result.
 func checkPagedEquivalence(t *testing.T, label string, p *PreparedQuery, seq *Result) {
 	t.Helper()
 	n := len(seq.Matches)
-	tail := n - 2
-	if tail < 0 {
-		tail = 0
-	}
-	pages := [][2]int{{3, 0}, {5, n / 2}, {4, tail}}
+	pages := [][2]int{{3, 0}, {5, n / 2}, {4, max(n-2, 0)}}
 	for _, pg := range pages {
-		checkPages(t, label, p, seq, pg[0], pg[1], nil, soakKs())
+		checkPages(t, label, p, seq, pg[0], pg[1], nil)
 	}
 }
 
@@ -79,9 +41,8 @@ func soakCases() []soakCase {
 
 // TestParallelWorkloadEquivalence is the workload half of the metamorphic
 // soak: every §VI benchmark query on xmark and nasa, on all four engines,
-// must produce byte-identical results from partitioned and sequential runs
-// for K ∈ {1, 2, 3, NumCPU} — and the sequential result must agree with
-// the brute-force oracle, anchoring both sides of the equivalence.
+// must agree with the brute-force oracle, and its leading, interior and
+// trailing pages must be byte-identical slices of the unbounded run.
 func TestParallelWorkloadEquivalence(t *testing.T) {
 	type job struct {
 		doc     *Document
@@ -120,7 +81,6 @@ func TestParallelWorkloadEquivalence(t *testing.T) {
 					t.Fatalf("%s: sequential run disagrees with oracle: %d vs %d matches",
 						label, len(seq.Matches), len(want.Matches))
 				}
-				checkParallelEquivalence(t, label, p, seq)
 				checkPagedEquivalence(t, label, p, seq)
 			}
 		}
@@ -129,10 +89,9 @@ func TestParallelWorkloadEquivalence(t *testing.T) {
 
 // TestParallelGeneratedSoak is the generated half of the soak: seeded
 // random documents with stated shape bounds, random TPQs, and random
-// covering view partitions, checked against the oracle sequentially and
-// against the sequential result under every K. Small documents make every
-// partition-plan shape reachable — single top-level subtree, doc-root
-// matches, empty chunks, K larger than the subtree count.
+// covering view partitions, checked against the oracle and paged against
+// the unbounded result. Small documents reach the degenerate shapes — a
+// single top-level subtree, matches at the document root, empty results.
 func TestParallelGeneratedSoak(t *testing.T) {
 	iterations := 60
 	if testing.Short() {
@@ -179,7 +138,6 @@ func TestParallelGeneratedSoak(t *testing.T) {
 					t.Fatalf("%s: sequential run disagrees with oracle: %d vs %d matches",
 						label, len(seq.Matches), len(want.Matches))
 				}
-				checkParallelEquivalence(t, label, p, seq)
 				checkPagedEquivalence(t, label, p, seq)
 			}
 		}

@@ -2,7 +2,6 @@ package viewjoin
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -83,8 +82,7 @@ func requireStoreEquality(t *testing.T, label string, maintained []*Materialized
 //   - the maintained stores to be byte-identical to views freshly
 //     materialized from the updated document (the §IV splice invariant),
 //   - every applicable engine to agree exactly with the brute-force
-//     oracle over the updated document, sequentially, range-partitioned
-//     (K ∈ {2, 4}), and through bounded pages.
+//     oracle over the updated document, whole and through bounded pages.
 //
 // Any divergence is a bug in the region-local maintenance or an engine's
 // handling of a maintained store. The corpus under
@@ -158,17 +156,7 @@ func FuzzUpdateDifferential(f *testing.F) {
 				if !sameMatches(res, want) {
 					t.Fatalf("%s: %d matches, oracle %d", label, len(res.Matches), len(want.Matches))
 				}
-				for _, k := range []int{2, 4} {
-					pres, err := p.RunWith(context.Background(), &RunOptions{Parallelism: k})
-					if err != nil {
-						t.Fatalf("%s k=%d: %v", label, k, err)
-					}
-					if !identicalMatches(pres, res) {
-						t.Fatalf("%s k=%d: parallel diverged from sequential (%d vs %d matches)",
-							label, k, len(pres.Matches), len(res.Matches))
-					}
-				}
-				checkPages(t, label, p, res, pageLim, pageOff, nil, []int{1, 2, 4})
+				checkPages(t, label, p, res, pageLim, pageOff, nil)
 			}
 		}
 	})

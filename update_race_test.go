@@ -14,14 +14,14 @@ import (
 
 // TestConcurrentReadersDuringUpdates races every read entry point against
 // the write path under the race detector: reader goroutines continuously
-// Prepare and run (sequential, range-partitioned, bounded) while a writer
+// Prepare and run (whole, twice, and bounded) while a writer
 // applies a long update sequence with incremental maintenance, every
 // successor a fresh store published under the readers. The invariants:
 //
 //   - readers never fail except with the retryable *EpochMismatchError
 //     (a Prepare landing between an Apply and its Maintains),
 //   - every run of one prepared plan is byte-identical to that plan's
-//     sequential result — a plan is pinned to its snapshot, whatever the
+//     first result — a plan is pinned to its snapshot, whatever the
 //     writer does concurrently.
 func TestConcurrentReadersDuringUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -67,14 +67,14 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 					t.Errorf("reader run: %v", err)
 					return
 				}
-				par, err := p.RunWith(context.Background(), &RunOptions{Parallelism: 3})
+				again, err := p.Run()
 				if err != nil {
-					t.Errorf("reader parallel: %v", err)
+					t.Errorf("reader rerun: %v", err)
 					return
 				}
-				if !identicalMatches(par, seq) {
-					t.Errorf("parallel run diverged from sequential on one snapshot: %d vs %d",
-						len(par.Matches), len(seq.Matches))
+				if !identicalMatches(again, seq) {
+					t.Errorf("second run diverged from the first on one snapshot: %d vs %d",
+						len(again.Matches), len(seq.Matches))
 					return
 				}
 				// A limit nothing reaches: the run flushes partial windows, as

@@ -47,8 +47,8 @@ func randomDocUpdate(rng *rand.Rand, d *Document, labels []string) Update {
 //   - every maintained store must serialize byte-identically to a view
 //     freshly materialized from the updated document,
 //   - every engine's sequential run must agree with the brute-force oracle
-//     over the updated document, and the parallel and paged entry points
-//     must reproduce it byte for byte.
+//     over the updated document, and the paged entry points must
+//     reproduce it byte for byte.
 func TestUpdateMetamorphicSoak(t *testing.T) {
 	type job struct {
 		doc     *Document
@@ -127,7 +127,6 @@ func TestUpdateMetamorphicSoak(t *testing.T) {
 				t.Fatalf("%s: maintained run disagrees with oracle: %d vs %d matches",
 					label, len(seq.Matches), len(want.Matches))
 			}
-			checkParallelEquivalence(t, label, p, seq)
 			checkPagedEquivalence(t, label, p, seq)
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	"viewjoin/internal/obs"
 )
 
 // mapViews saves the view set to files and loads each with LoadViewMmap.
@@ -28,9 +30,9 @@ func mapViews(t *testing.T, d *Document, viewsStr string, scheme StorageScheme) 
 // TestTruncatedMappingIsAnError: a container truncated under its live
 // mapping — the one way a validated mapped view can still fault — fails
 // the runs and the Prepares that touch the lost pages with a
-// *ViewFaultError, on the calling goroutine and on partition workers
-// alike, and leaves plans over other views untouched. (Only a real
-// mapping can fault, hence the build tag.)
+// *ViewFaultError, untraced and traced alike (a traced run also describes
+// the plan from the views), and leaves plans over other views untouched.
+// (Only a real mapping can fault, hence the build tag.)
 func TestTruncatedMappingIsAnError(t *testing.T) {
 	const viewSet = "//field//para; //footnote"
 	d := GenerateNasa(400)
@@ -58,14 +60,23 @@ func TestTruncatedMappingIsAnError(t *testing.T) {
 	}
 
 	var vf *ViewFaultError
-	for _, k := range []int{1, 2} {
-		_, err := plans["damaged"].RunWith(context.Background(), &RunOptions{Parallelism: k})
-		if !errors.As(err, &vf) || vf.Addr == 0 {
-			t.Fatalf("parallelism %d over the truncated file: error %v, want *ViewFaultError", k, err)
+	for _, traced := range []bool{false, true} {
+		ro := func() *RunOptions {
+			if traced {
+				return &RunOptions{Tracer: obs.NewRecorder()}
+			}
+			return nil
 		}
-		res, err := plans["healthy"].RunWith(context.Background(), &RunOptions{Parallelism: k})
+		_, err := plans["damaged"].RunWith(context.Background(), ro())
+		if !errors.As(err, &vf) || vf.Addr == 0 {
+			t.Fatalf("traced=%v over the truncated file: error %v, want *ViewFaultError", traced, err)
+		}
+		res, err := plans["healthy"].RunWith(context.Background(), ro())
 		if err != nil || !identicalMatches(res, want) {
-			t.Fatalf("parallelism %d over the intact files: err %v, or rows differ from direct", k, err)
+			t.Fatalf("traced=%v over the intact files: err %v, or rows differ from direct", traced, err)
+		}
+		if traced && (res.Trace == nil || res.Trace.Plan == nil) {
+			t.Fatalf("traced run over the intact files reported no plan")
 		}
 	}
 	if _, err := Evaluate(nil, d, q, damaged, EngineTwigStack, nil); !errors.As(err, &vf) {

@@ -324,7 +324,7 @@ func (d *Document) MaterializeViews(views []*Query, scheme StorageScheme) ([]*Ma
 	snap := d.snap()
 	out := make([]*MaterializedView, len(views))
 	errs := make([]error, len(views))
-	parallelFor(len(views), 0, func(i int) {
+	parallelFor(len(views), func(i int) {
 		mv, err := d.materializeViewAt(snap, views[i], scheme, nil)
 		if err != nil {
 			errs[i] = fmt.Errorf("view %s: %w", views[i], err)
@@ -477,8 +477,7 @@ type Stats struct {
 	JumpsTaken   int64
 	JumpsRefused int64
 	// PeakMemoryBytes estimates the largest in-memory intermediate state
-	// (the paper's |F_max|); 0 for engines that do not track it. For
-	// partitioned runs this is the largest single partition's peak.
+	// (the paper's |F_max|); 0 for engines that do not track it.
 	PeakMemoryBytes int64
 	// Duration is the wall-clock evaluation time.
 	Duration time.Duration
@@ -487,13 +486,8 @@ type Stats struct {
 	// when the run produced no match. For the streaming engines (ViewJoin,
 	// TwigStack) it stays flat as the total match count grows; the
 	// sort-before-output engines (PathStack, InterJoin) cannot deliver
-	// before their final sort, so their TTFM tracks the full run. For
-	// partitioned runs it is the earliest first match across partitions.
+	// before their final sort, so their TTFM tracks the full run.
 	FirstMatchNanos int64
-	// Partitions is the number of document partitions evaluated: 1 for a
-	// sequential run, the executed partition-job count for a parallel one
-	// (chunks that end before a cursor are skipped and not counted).
-	Partitions int
 }
 
 // Result is the answer to a query: all tree pattern instances, one node
@@ -510,7 +504,7 @@ type Result struct {
 	Matches [][]Node
 	Stats   Stats
 	// Trace is the observability report of the run: plan, per-phase
-	// durations, partition times and the run's counters. It is nil unless
+	// durations and the run's counters. It is nil unless
 	// the run had a recorder (RunOptions.Tracer).
 	Trace *obs.Report
 }
