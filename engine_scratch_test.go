@@ -100,8 +100,8 @@ func TestEngineScratchAcrossPlans(t *testing.T) {
 		if !identicalMatches(res, a.want) {
 			return fmt.Errorf("%s (%s): %d rows differ from the solo run's %d", a.name, order, len(res.Matches), len(a.want.Matches))
 		}
-		if got, want := comparableStats(res.Stats), comparableStats(a.want.Stats); got != want {
-			return fmt.Errorf("%s (%s): stats %+v, solo run %+v", a.name, order, got, want)
+		if !sameCounters(res.Stats, a.want.Stats) {
+			return fmt.Errorf("%s (%s): stats %+v, solo run %+v", a.name, order, res.Stats, a.want.Stats)
 		}
 		return nil
 	}
@@ -148,10 +148,4 @@ func soloRun(t *testing.T, a scratchArm) *Result {
 		t.Fatalf("%s: %v", a.name, err)
 	}
 	return res
-}
-
-// comparableStats drops the wall-clock fields, which no two runs share.
-func comparableStats(s Stats) Stats {
-	s.Duration, s.FirstMatchNanos = 0, 0
-	return s
 }

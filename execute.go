@@ -140,13 +140,7 @@ func (p *PreparedQuery) execute(r request) (res *Result, err error) {
 	res = &Result{
 		Matches: rows,
 		Stats: Stats{
-			ElementsScanned: c.ElementsScanned,
-			Comparisons:     c.Comparisons,
-			PointerDerefs:   c.PointerDerefs,
-			PagesRead:       c.PagesRead,
-			PagesWritten:    c.PagesWritten,
-			JumpsTaken:      c.JumpsTaken,
-			JumpsRefused:    c.JumpsRefused,
+			Counters:        c,
 			PeakMemoryBytes: peak,
 			Duration:        time.Since(r.start),
 			FirstMatchNanos: firstNanos,

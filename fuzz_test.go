@@ -81,6 +81,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 						t.Fatalf("partition %d %v+%v: %d matches, oracle %d (q=%s)",
 							pi, eng, scheme, len(res.Matches), len(want.Matches), q)
 					}
+					countsRows(t, fmt.Sprintf("partition %d %v+%v", pi, eng, scheme), res)
 					// A prepared plan's run must be byte-identical to the
 					// one-shot result, not just set-equal.
 					p, err := Prepare(doc, q, mv, eng, nil)
@@ -95,6 +96,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 						t.Fatalf("partition %d %v+%v: prepared run diverged from Evaluate (%d vs %d matches, q=%s)",
 							pi, eng, scheme, len(pres.Matches), len(res.Matches), q)
 					}
+					countsRows(t, fmt.Sprintf("partition %d %v+%v: prepared", pi, eng, scheme), pres)
 					// Bounded entry points must reproduce the oracle page
 					// [offset:offset+limit] exactly.
 					checkPages(t, fmt.Sprintf("partition %d %v+%v", pi, eng, scheme),
@@ -114,6 +116,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 					t.Fatalf("partition %d IJ: %d matches, oracle %d (q=%s)",
 						pi, len(res.Matches), len(want.Matches), q)
 				}
+				countsRows(t, fmt.Sprintf("partition %d IJ", pi), res)
 				p, err := Prepare(doc, q, tv, EngineInterJoin, nil)
 				if err != nil {
 					t.Fatalf("partition %d IJ: prepare: %v", pi, err)
@@ -126,6 +129,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 					t.Fatalf("partition %d IJ: prepared run diverged from Evaluate (%d vs %d matches, q=%s)",
 						pi, len(pres.Matches), len(res.Matches), q)
 				}
+				countsRows(t, fmt.Sprintf("partition %d IJ: prepared", pi), pres)
 				checkPages(t, fmt.Sprintf("partition %d IJ", pi), p, res, pageLim, pageOff, cursors)
 			}
 		}
@@ -139,6 +143,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 			t.Fatalf("EvaluateWithoutViews TS: %d matches, oracle %d (q=%s)",
 				len(res.Matches), len(want.Matches), q)
 		}
+		countsRows(t, "EvaluateWithoutViews TS", res)
 	})
 }
 
@@ -167,6 +172,7 @@ func checkPages(t *testing.T, label string, p *PreparedQuery, res *Result, lim, 
 		t.Fatalf("%s: page [%d:+%d] diverged from oracle slice (%d vs %d rows)",
 			label, off, lim, len(pg.Matches), len(want))
 	}
+	countsRows(t, label+": paged", pg)
 	for _, cur := range cursors {
 		var rest [][]Node
 		for _, row := range res.Matches {
@@ -182,6 +188,17 @@ func checkPages(t *testing.T, label string, p *PreparedQuery, res *Result, lim, 
 			t.Fatalf("%s: %d rows after cursor %v, the oracle has %d (q=%s)",
 				label, len(pg.Matches), cur, len(rest), p.q)
 		}
+		countsRows(t, fmt.Sprintf("%s after %v", label, cur), pg)
+	}
+}
+
+// countsRows fails unless the run's Matches counter is the number of rows
+// it returned: the engines count the rows they keep, and vjserve's per-plan
+// aggregate reads the counter, not the rows.
+func countsRows(t *testing.T, label string, res *Result) {
+	t.Helper()
+	if res.Stats.Matches != int64(len(res.Matches)) {
+		t.Fatalf("%s: Stats.Matches %d, %d rows returned", label, res.Stats.Matches, len(res.Matches))
 	}
 }
 

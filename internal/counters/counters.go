@@ -9,10 +9,7 @@
 // hardware.
 package counters
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Counters accumulates the cost measures of one query evaluation. Its JSON
 // form is the counter record of vjserve's /debug/plans.
@@ -48,13 +45,6 @@ func (c *Counters) Add(o Counters) {
 	c.JumpsTaken += o.JumpsTaken
 	c.JumpsRefused += o.JumpsRefused
 	c.Matches += o.Matches
-}
-
-// String renders the counters compactly.
-func (c *Counters) String() string {
-	return fmt.Sprintf("scanned=%d cmp=%d deref=%d pagesR=%d pagesW=%d jumps=%d/%d matches=%d",
-		c.ElementsScanned, c.Comparisons, c.PointerDerefs, c.PagesRead, c.PagesWritten,
-		c.JumpsTaken, c.JumpsRefused, c.Matches)
 }
 
 // IO charges a run's page I/O to its counters. Every page touch is a read:

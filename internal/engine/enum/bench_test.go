@@ -41,7 +41,7 @@ func BenchmarkEnumerate(b *testing.B) {
 			qis, labels := candidates(doc(b, shape.src), q)
 			var cnt counters.Counters
 			io := counters.NewIO(&cnt, 0)
-			c := NewCollector(q, io, nil, false)
+			c := newCollector(q, io, false)
 			feedAll := func() int {
 				c.Reset(q, io, nil, false)
 				for i, qi := range qis {

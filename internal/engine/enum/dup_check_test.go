@@ -31,7 +31,7 @@ func TestPartialFlushDupCheck(t *testing.T) {
 	want := oracle.Eval(d, q)
 
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	c.SetStream(unreached, nil)
 
 	// Gather all candidates in document order.

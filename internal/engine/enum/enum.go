@@ -162,15 +162,6 @@ const (
 	partialFloor   = 4
 )
 
-// NewCollector returns a Collector for query q, accounting into io and
-// tracing into tr (nil disables tracing). When diskBased is set, every
-// flush charges the disk-based approach's spool pages (see Collector).
-func NewCollector(q *tpq.Pattern, io *counters.IO, tr *obs.Recorder, diskBased bool) *Collector {
-	c := new(Collector)
-	c.Reset(q, io, tr, diskBased)
-	return c
-}
-
 // Reset readies the collector for a fresh run of query q over the same or
 // another plan: the query, accounting, tracer and output options are
 // rebound, collected state is cleared, and every scratch slice is resized

@@ -39,12 +39,20 @@ func feed(d *xmltree.Document, q *tpq.Pattern, c *Collector) {
 	}
 }
 
+// newCollector is a fresh, untraced Collector for q, reset as an engine
+// resets its pooled one.
+func newCollector(q *tpq.Pattern, io *counters.IO, diskBased bool) *Collector {
+	c := new(Collector)
+	c.Reset(q, io, nil, diskBased)
+	return c
+}
+
 func run(t *testing.T, src, query string, diskBased bool) ([][]match.Cell, counters.Counters) {
 	t.Helper()
 	d := doc(t, src)
 	q := tpq.MustParse(query)
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, diskBased)
+	c := newCollector(q, counters.NewIO(&cnt, 0), diskBased)
 	feed(d, q, c)
 	return c.Result(), cnt
 }
@@ -84,7 +92,7 @@ func TestPendingBuffer(t *testing.T) {
 	d := doc(t, `<r><a><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 
 	nodes := d.Nodes()
 	var as, bs []Label
@@ -112,7 +120,7 @@ func TestPendingDropsUncoverable(t *testing.T) {
 	d := doc(t, `<r><b/><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	nodes := d.Nodes()
 	// First b precedes every a: buffered then dropped at window open.
 	for i := range nodes {
@@ -156,7 +164,7 @@ func TestPeakEntries(t *testing.T) {
 	peak := func(src string, diskBased bool, first int) int {
 		t.Helper()
 		var cnt counters.Counters
-		c := NewCollector(q, counters.NewIO(&cnt, 0), nil, diskBased)
+		c := newCollector(q, counters.NewIO(&cnt, 0), diskBased)
 		if first > 0 {
 			c.SetStream(first, nil)
 		}
@@ -195,7 +203,7 @@ func TestPreFlushHook(t *testing.T) {
 	d := doc(t, `<r><a><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	var regions [][2]int32
 	c.PreFlush = func(lo, hi int32) { regions = append(regions, [2]int32{lo, hi}) }
 	feed(d, q, c)
@@ -214,7 +222,7 @@ func TestDuplicateAddsCollapsed(t *testing.T) {
 	d := doc(t, `<r><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	feed(d, q, c)
 	feed(d, q, c) // offer everything twice
 	got := c.Result()
@@ -262,7 +270,7 @@ const unreached = 1 << 30
 func boundedCollector(t *testing.T, q *tpq.Pattern, first int, after []int32) (*Collector, *engine.Interrupter) {
 	t.Helper()
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
 	c.SetStream(first, after)
@@ -297,7 +305,7 @@ func TestStreamingPartialFlushOrder(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var fcnt counters.Counters
-	fullC := NewCollector(q, counters.NewIO(&fcnt, 0), nil, false)
+	fullC := newCollector(q, counters.NewIO(&fcnt, 0), false)
 	feed(d, q, fullC)
 	want := fullC.Result()
 	if len(want) != 50 {
@@ -396,7 +404,7 @@ func TestAfterCursorSkipsWholeWindow(t *testing.T) {
 		}
 	}
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	c.SetStream(0, []int32{a2, 0})
 	feed(d, q, c)
 	got := c.Result()
@@ -428,7 +436,7 @@ func TestAfterCursorResumesMidWindow(t *testing.T) {
 		{[]int32{aStart, bStarts[1]}, 0},
 	} {
 		var cnt counters.Counters
-		c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+		c := newCollector(q, counters.NewIO(&cnt, 0), false)
 		c.SetStream(0, tc.after)
 		feed(d, q, c)
 		if got := c.Result(); len(got) != tc.want {
@@ -442,7 +450,7 @@ func TestResetReusesCollector(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	c.SetStream(3, nil)
 	feed(d, q, c)
 	if got := c.Result(); len(got) != 3 {
@@ -485,7 +493,7 @@ func TestAdvanceNoopPaths(t *testing.T) {
 	// Unbounded run (no quota): Advance must do nothing.
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	feed(d, q, c)
 	c.Advance(1 << 30)
 	if got := c.Result(); len(got) != 1 {
@@ -494,7 +502,7 @@ func TestAdvanceNoopPaths(t *testing.T) {
 	// Single-node query: the spine is empty, so partial flushing is off
 	// even under a quota.
 	q1 := tpq.MustParse("//a")
-	c1 := NewCollector(q1, counters.NewIO(&cnt, 0), nil, false)
+	c1 := newCollector(q1, counters.NewIO(&cnt, 0), false)
 	c1.SetStream(1, nil)
 	feed(d, q1, c1)
 	c1.Advance(1 << 30)
@@ -557,7 +565,7 @@ func TestPartialFlushDiskSpool(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, true)
+	c := newCollector(q, counters.NewIO(&cnt, 0), true)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
 	c.SetStream(unreached, nil)
@@ -628,7 +636,7 @@ func TestUnsortedAddsNormalized(t *testing.T) {
 		}
 	}
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	c.Add(0, as[0])
 	c.Add(1, bs[1]) // out of order
 	c.Add(1, bs[0])
@@ -657,7 +665,7 @@ func TestSearchStartsAbove(t *testing.T) {
 func TestFlushWithoutWindowIsNoop(t *testing.T) {
 	q := tpq.MustParse("//a")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	c.Flush()
 	if got := c.Result(); len(got) != 0 {
 		t.Fatalf("expected no matches")

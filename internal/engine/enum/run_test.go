@@ -69,7 +69,7 @@ func TestAddRunMatchesAdd(t *testing.T) {
 		}
 		var cntA, cntB counters.Counters
 		ioA, ioB := counters.NewIO(&cntA, 0), counters.NewIO(&cntB, 0)
-		a, b := NewCollector(q, ioA, nil, diskBased), NewCollector(q, ioB, nil, diskBased)
+		a, b := newCollector(q, ioA, diskBased), newCollector(q, ioB, diskBased)
 		a.SetStream(first, nil)
 		b.SetStream(first, nil)
 		roots := s.Lists[0]
@@ -167,7 +167,7 @@ func TestInterruptStopsInsideFanOut(t *testing.T) {
 	src := "<r><a>" + strings.Repeat("<b/>", fanOut) + "</a></r>"
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	boom := errors.New("deadline")
 	polls := 0
 	ic := engine.NewInterrupter(func() error {

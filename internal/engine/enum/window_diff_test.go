@@ -109,7 +109,7 @@ type replayOpts struct {
 // the rows it delivered.
 func replay(rng *rand.Rand, q *tpq.Pattern, stream []cand, held [][]Label, o replayOpts) [][]match.Cell {
 	var cnt counters.Counters
-	c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
 	c.SetStream(o.first, o.after)
@@ -294,7 +294,7 @@ func TestBatchedWindowsMatchSoloFlushes(t *testing.T) {
 		}
 		collect := func(stream []cand) ([][]match.Cell, counters.Counters, int) {
 			var cnt counters.Counters
-			c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+			c := newCollector(q, counters.NewIO(&cnt, 0), false)
 			next := 0
 			c.PreFlush = func(lo, hi int32) {
 				for next < len(held) && held[next].Start < lo {
@@ -380,7 +380,7 @@ func TestFilterIsExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d, q := randomWindowCase(rng)
 		var cnt counters.Counters
-		c := NewCollector(q, counters.NewIO(&cnt, 0), nil, false)
+		c := newCollector(q, counters.NewIO(&cnt, 0), false)
 		feed(d, q, c)
 		if !c.open {
 			continue

@@ -290,19 +290,6 @@ func (p *Prepared) OnlyStart(pos int) (int32, bool) {
 	return 0, false
 }
 
-// Eval evaluates the path query q over the tuple stores of the covering
-// path views (one-shot Prepare + Run; the scans and joins charge the same
-// io, so counters match the historical single-call behaviour).
-func Eval(q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
-	io *counters.IO, opts engine.Options) ([][]match.Cell, error) {
-	p, err := Prepare(q, stores, viewPos, io)
-	if err != nil {
-		return nil, err
-	}
-	rows, _, err := p.Run(io, opts)
-	return rows, err
-}
-
 // binaryJoin joins the accumulated stream a (covering the topmost
 // positions) with view stream b.
 //

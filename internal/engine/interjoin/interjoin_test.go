@@ -28,10 +28,16 @@ func evalWith(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Patte
 		}
 		viewPos[i] = m
 	}
+	// Prepare's view scans and the run's joins charge the same counters.
 	var c counters.Counters
-	got, err := Eval(q, stores, viewPos, counters.NewIO(&c, 0), engine.Options{})
+	io := counters.NewIO(&c, 0)
+	p, err := Prepare(q, stores, viewPos, io)
 	if err != nil {
-		t.Fatalf("Eval: %v", err)
+		t.Fatalf("Prepare: %v", err)
+	}
+	got, _, err := p.Run(io, engine.Options{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	return testutil.RowsToSet(t, d, got), c
 }
@@ -102,16 +108,16 @@ func TestErrors(t *testing.T) {
 	d := mustDoc(t, `<r><a/></r>`)
 	var c counters.Counters
 	io := counters.NewIO(&c, 0)
-	if _, err := Eval(tpq.MustParse("//a[//b]//c"), nil, nil, io, engine.Options{}); err == nil {
+	if _, err := Prepare(tpq.MustParse("//a[//b]//c"), nil, nil, io); err == nil {
 		t.Errorf("twig query: expected error")
 	}
-	if _, err := Eval(tpq.MustParse("//a"), nil, nil, io, engine.Options{}); err == nil {
+	if _, err := Prepare(tpq.MustParse("//a"), nil, nil, io); err == nil {
 		t.Errorf("no views: expected error")
 	}
 	// Element-scheme store where a tuple store is required.
 	q := tpq.MustParse("//a")
 	es := store.MustBuild(views.MustMaterialize(d, q), store.Element, 0)
-	if _, err := Eval(q, []*store.ViewStore{es}, [][]int{{0}}, io, engine.Options{}); err == nil {
+	if _, err := Prepare(q, []*store.ViewStore{es}, [][]int{{0}}, io); err == nil {
 		t.Errorf("element store: expected error")
 	}
 }

@@ -34,8 +34,8 @@ type frame struct {
 // per-query-node lists. Immutable after construction and safe for
 // concurrent Run calls.
 type Prepared struct {
-	engine.Lists // per query node
-	q            *tpq.Pattern
+	lists []*store.ListFile // per query node
+	q     *tpq.Pattern
 }
 
 // scratches recycles run scratch (cursors, linked stacks, the expansion
@@ -63,7 +63,7 @@ type scratch struct {
 // and view stores: PathStack binds references to existing list files, so
 // a cached plan carries only those bindings. Run scratch belongs to the
 // package's pool, not to the plan.
-func (p *Prepared) Footprint() int64 { return int64(len(p.Lists)) * 8 }
+func (p *Prepared) Footprint() int64 { return int64(len(p.lists)) * 8 }
 
 // Prepare binds the path query q over the given lists for repeated runs.
 // It returns an error if q is not a path query.
@@ -71,7 +71,7 @@ func Prepare(q *tpq.Pattern, lists []*store.ListFile) (*Prepared, error) {
 	if !q.IsPath() {
 		return nil, fmt.Errorf("pathstack: %s is not a path query", q)
 	}
-	return &Prepared{q: q, Lists: lists}, nil
+	return &Prepared{q: q, lists: lists}, nil
 }
 
 // Run executes the prepared plan once, drawing scratch from the pool and
@@ -88,7 +88,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	sc.buf = engine.Fit(sc.buf, n)
 	sc.ic = engine.NewInterrupter(opts.Interrupt)
 	sc.first, sc.after = opts.First, opts.After
-	for i, l := range p.Lists {
+	for i, l := range p.lists {
 		engine.ResetCursor(&sc.cur[i], l, io, i, opts.Restrict)
 	}
 	for i := range sc.stacks {
@@ -111,18 +111,6 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 		io.MarkFirstMatch()
 	}
 	return rows, 0, nil
-}
-
-// Eval evaluates the path query q over the per-query-node lists using
-// PathStack and returns all tree pattern instances (one-shot Prepare +
-// Run). It returns an error if q is not a path query.
-func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) ([][]match.Cell, error) {
-	p, err := Prepare(q, lists)
-	if err != nil {
-		return nil, err
-	}
-	rows, _, err := p.Run(io, opts)
-	return rows, err
 }
 
 // eval is the PathStack main loop over one run's scratch.

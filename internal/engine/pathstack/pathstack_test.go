@@ -32,10 +32,14 @@ func evalWith(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Patte
 	if err != nil {
 		t.Fatalf("BindLists: %v", err)
 	}
-	var c counters.Counters
-	got, err := Eval(q, lists, counters.NewIO(&c, 0), engine.Options{})
+	p, err := Prepare(q, lists)
 	if err != nil {
-		t.Fatalf("Eval: %v", err)
+		t.Fatalf("Prepare: %v", err)
+	}
+	var c counters.Counters
+	got, _, err := p.Run(counters.NewIO(&c, 0), engine.Options{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	return testutil.RowsToSet(t, d, got), c
 }
@@ -84,8 +88,7 @@ func TestRootAxis(t *testing.T) {
 
 func TestRejectsTwigQueries(t *testing.T) {
 	q := tpq.MustParse("//a[//b]//c")
-	var c counters.Counters
-	if _, err := Eval(q, make([]*store.ListFile, q.Size()), counters.NewIO(&c, 0), engine.Options{}); err == nil {
+	if _, err := Prepare(q, make([]*store.ListFile, q.Size())); err == nil {
 		t.Fatalf("expected error for twig query")
 	}
 }

@@ -67,8 +67,3 @@ func ResetCursor(c *store.ListCursor, l *store.ListFile, io *counters.IO, qi int
 	sp := r.SpanFor(qi)
 	c.ResetRange(l, io, l.SeekStart(sp.Lo), l.SeekStart(sp.Hi))
 }
-
-// Lists is the per-query-node list binding of a list-file engine's plan
-// (ViewJoin, TwigStack, PathStack): node qi's candidates are the records
-// of its list.
-type Lists []*store.ListFile

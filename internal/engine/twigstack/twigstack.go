@@ -32,8 +32,8 @@ const inf = int32(math.MaxInt32)
 // per-query-node lists. Immutable after construction and safe for
 // concurrent Run calls.
 type Prepared struct {
-	engine.Lists // per query node
-	q            *tpq.Pattern
+	lists []*store.ListFile // per query node
+	q     *tpq.Pattern
 }
 
 // evaluators recycles evaluator scratch (cursors, open-region stacks,
@@ -52,14 +52,14 @@ type evaluator struct {
 
 // Prepare binds q's evaluation over the given lists for repeated runs.
 func Prepare(q *tpq.Pattern, lists []*store.ListFile) *Prepared {
-	return &Prepared{q: q, Lists: lists}
+	return &Prepared{q: q, lists: lists}
 }
 
 // Footprint estimates the plan-resident bytes beyond the shared document
 // and view stores: TwigStack binds references to existing list files, so
 // a cached plan carries only those bindings. Evaluator scratch belongs to
 // the package's pool, not to the plan.
-func (p *Prepared) Footprint() int64 { return int64(len(p.Lists)) * 8 }
+func (p *Prepared) Footprint() int64 { return int64(len(p.lists)) * 8 }
 
 // Run executes the prepared plan once, drawing evaluator scratch from the
 // pool, binding it to p and resetting it in place, and returns the rows
@@ -79,7 +79,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	e.col.Reset(p.q, io, opts.Tracer, opts.DiskBased)
 	e.col.SetInterrupt(&e.ic)
 	e.col.SetStream(opts.First, opts.After)
-	for qi, l := range p.Lists {
+	for qi, l := range p.lists {
 		engine.ResetCursor(&e.cur[qi], l, io, qi, opts.Restrict)
 	}
 	for qi := range e.open {
@@ -96,12 +96,6 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	// ErrStop is the collector's output quota tripping, not a failure: the
 	// bounded output collected so far is the answer.
 	return out, peak, nil
-}
-
-// Eval evaluates q over the per-query-node lists using TwigStack and
-// returns all tree pattern instances (one-shot Prepare + Run).
-func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) ([][]match.Cell, int64, error) {
-	return Prepare(q, lists).Run(io, opts)
 }
 
 func (e *evaluator) run() {

@@ -37,9 +37,9 @@ func evalWith(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Patte
 	}
 	var c counters.Counters
 	io := counters.NewIO(&c, 0)
-	got, st, err := Eval(q, lists, io, opts)
+	got, st, err := Prepare(q, lists).Run(io, opts)
 	if err != nil {
-		t.Fatalf("Eval(%s): %v", q, err)
+		t.Fatalf("Run(%s): %v", q, err)
 	}
 	return testutil.RowsToSet(t, d, got), st, c
 }

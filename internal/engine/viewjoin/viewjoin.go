@@ -59,8 +59,8 @@ import (
 // movement and enumeration only — the costs the paper's §V model charges
 // — not for setup.
 type Prepared struct {
-	engine.Lists // per query node
-	v            *vsq.VSQ
+	Lists []*store.ListFile // per query node
+	v     *vsq.VSQ
 
 	// node[qi] is what the join loop reads of qi; adj holds the query nodes
 	// its spans list.
@@ -283,18 +283,6 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) ([][]match.Cell, in
 	// ErrStop is the collector's output quota tripping, not a failure: the
 	// bounded output collected so far is the answer.
 	return out, peak, nil
-}
-
-// Eval evaluates the view-segmented query's underlying query over the
-// element-family stores of its views and returns all tree pattern
-// instances of the original query (one-shot Prepare + Run).
-func Eval(v *vsq.VSQ, stores []*store.ViewStore, io *counters.IO,
-	opts engine.Options) ([][]match.Cell, int64, error) {
-	p, err := Prepare(v, stores, opts.Tracer)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p.Run(io, opts)
 }
 
 // newEvaluator allocates one pooled evaluator; bind sizes its scratch for

@@ -30,9 +30,13 @@ func evalWith(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Patte
 	for i, vp := range vs {
 		stores[i] = store.MustBuild(views.MustMaterialize(d, vp), kind, 256)
 	}
-	got, _, err := Eval(v, stores, counters.NewIO(&c, 0), opts)
+	p, err := Prepare(v, stores, opts.Tracer)
 	if err != nil {
-		t.Fatalf("Eval: %v", err)
+		t.Fatalf("Prepare: %v", err)
+	}
+	got, _, err := p.Run(counters.NewIO(&c, 0), opts)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	return testutil.RowsToSet(t, d, got), len(v.Segments), c
 }
@@ -253,10 +257,9 @@ func TestErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c counters.Counters
 	// Tuple store where an element-family store is required.
 	ts := store.MustBuild(views.MustMaterialize(d, q), store.Tuple, 0)
-	if _, _, err := Eval(v, []*store.ViewStore{ts}, counters.NewIO(&c, 0), engine.Options{}); err == nil {
+	if _, err := Prepare(v, []*store.ViewStore{ts}, nil); err == nil {
 		t.Errorf("tuple store: expected error")
 	}
 }

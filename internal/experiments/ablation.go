@@ -56,9 +56,12 @@ func ablationThreshold(cfg Config) error {
 			ptrs += st.NumPointers()
 			bytes += st.SizeBytes()
 		}
-		var c counters.Counters
-		_, _, err := vjengine.Eval(v, stores, counters.NewIO(&c, 0), engine.Options{})
+		p, err := vjengine.Prepare(v, stores, nil)
 		if err != nil {
+			return err
+		}
+		var c counters.Counters
+		if _, _, err := p.Run(counters.NewIO(&c, 0), engine.Options{}); err != nil {
 			return err
 		}
 		label := fmt.Sprint(k)

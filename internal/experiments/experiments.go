@@ -114,11 +114,10 @@ func ByName(name string) (Experiment, error) {
 }
 
 // sample is one evaluation's measurement: its timings, sorted, and the
-// counters and match count of its warm-up run.
+// Stats (counters, match count included) of its warm-up run.
 type sample struct {
-	times   []time.Duration
-	stats   viewjoin.Stats
-	matches int
+	times []time.Duration
+	stats viewjoin.Stats
 }
 
 // measure is the sampler behind every time the package prints. It runs
@@ -132,7 +131,7 @@ func measure(repeats int, runs ...func() (*viewjoin.Result, error)) ([]sample, e
 		if err != nil {
 			return nil, err
 		}
-		out[i] = sample{stats: res.Stats, matches: len(res.Matches)}
+		out[i] = sample{stats: res.Stats}
 	}
 	for r := 0; r < repeats; r++ {
 		for i, run := range runs {

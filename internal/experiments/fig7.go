@@ -44,7 +44,7 @@ func Fig7(cfg Config) error {
 			m := ss[0]
 			fmt.Fprintf(w, "%-6s %-6s %10d %12s %27s %12d %10d\n",
 				name, fmt.Sprintf("%dx", mult), d.NumNodes(),
-				fmtMB(m.stats.PeakMemoryBytes), m, m.stats.PagesRead, m.matches)
+				fmtMB(m.stats.PeakMemoryBytes), m, m.stats.PagesRead, m.stats.Matches)
 		}
 	}
 	return nil

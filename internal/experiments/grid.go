@@ -208,9 +208,9 @@ func (g grid) run(cfg Config) ([][]sample, error) {
 		best := map[viewjoin.Engine]time.Duration{}
 		for i, c := range g.cells {
 			s := ss[i]
-			if s.matches != ss[0].matches {
+			if s.stats.Matches != ss[0].stats.Matches {
 				return nil, fmt.Errorf("%s: %s returned %d matches, %s %d — engines disagree",
-					r.query.Name, c, s.matches, g.cells[0], ss[0].matches)
+					r.query.Name, c, s.stats.Matches, g.cells[0], ss[0].stats.Matches)
 			}
 			t := s.String()
 			if c.disk {
@@ -224,7 +224,7 @@ func (g grid) run(cfg Config) ([][]sample, error) {
 		if g.ratio {
 			fmt.Fprintf(w, " %5.2fx", float64(best[viewjoin.EngineViewJoin])/float64(best[viewjoin.EngineTwigStack]))
 		}
-		fmt.Fprintf(w, " %8d\n", ss[0].matches)
+		fmt.Fprintf(w, " %8d\n", ss[0].stats.Matches)
 		out = append(out, ss)
 	}
 	return out, nil

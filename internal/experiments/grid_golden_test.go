@@ -59,7 +59,7 @@ func TestGridMatchesGolden(t *testing.T) {
 						Scanned: s.stats.ElementsScanned, Comparisons: s.stats.Comparisons,
 						Derefs: s.stats.PointerDerefs, PagesRead: s.stats.PagesRead,
 						PagesWritten: s.stats.PagesWritten, JumpsTaken: s.stats.JumpsTaken,
-						JumpsRefused: s.stats.JumpsRefused, Matches: s.matches}
+						JumpsRefused: s.stats.JumpsRefused, Matches: int(s.stats.Matches)}
 					if got != want {
 						t.Errorf("%s:\n got  %+v\n want %+v", e.Name, got, want)
 					}

@@ -68,8 +68,8 @@ func Table2(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	if ss[0].matches != ss[1].matches {
-		return fmt.Errorf("table2: selections disagree: %d vs %d matches", ss[0].matches, ss[1].matches)
+	if ss[0].stats.Matches != ss[1].stats.Matches {
+		return fmt.Errorf("table2: selections disagree: %d vs %d matches", ss[0].stats.Matches, ss[1].stats.Matches)
 	}
 	fmt.Fprintf(w, "VJ+LE, median [Q1, Q3] of %d samples, with cost-based set: %s; with size-based set: %s (gain %.2fx; paper: 1.93x)\n",
 		cfg.Repeats, ss[0], ss[1], float64(ss[1].quartile(2))/float64(ss[0].quartile(2)))

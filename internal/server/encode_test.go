@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"viewjoin"
+	"viewjoin/internal/counters"
 	"viewjoin/internal/obs"
 	"viewjoin/internal/workload"
 )
@@ -193,7 +194,7 @@ func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
 	base := queryResponse{
 		responseHead: responseHead{Schema: ResponseSchema, Document: "d<o>c", Query: `//a[//"b"]`, Engine: "VJ",
 			Views: []string{"//a", "//b&c"}, Cache: "hit"},
-		responseTail: responseTail{Stats: viewjoin.Stats{ElementsScanned: 12, Comparisons: 34, PeakMemoryBytes: 78,
+		responseTail: responseTail{Stats: viewjoin.Stats{Counters: counters.Counters{ElementsScanned: 12, Comparisons: 34}, PeakMemoryBytes: 78,
 			FirstMatchNanos: 9_999, Duration: 56 * time.Microsecond}},
 	}
 	ab := []string{"a", "b"}
@@ -343,7 +344,7 @@ func FuzzQueryResponseEncoding(f *testing.F) {
 		r := queryResponse{
 			responseHead: responseHead{Schema: ResponseSchema, Document: doc, Query: query, Engine: tagB,
 				Views: []string{tagA, query}, Cache: cursor, MatchCount: n},
-			responseTail: responseTail{Cursor: cursor, Stats: viewjoin.Stats{Comparisons: int64(start) * int64(end),
+			responseTail: responseTail{Cursor: cursor, Stats: viewjoin.Stats{Counters: counters.Counters{Comparisons: int64(start) * int64(end)},
 				FirstMatchNanos: int64(end), Duration: time.Duration(level) * time.Microsecond}},
 		}
 		tags := []string{tagA, tagB, tagA + tagB}

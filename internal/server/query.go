@@ -226,9 +226,7 @@ func (s *Server) run(ctx context.Context, ent *planEntry, opts *viewjoin.RunOpti
 		return nil, planFailure("evaluate", err)
 	}
 	s.observe(ent.key.engine, res.Stats)
-	cs := countersOf(res.Stats)
-	cs.Matches = int64(len(res.Matches))
-	ent.agg.AddRun(cs, res.Stats.Duration)
+	ent.agg.AddRun(res.Stats.Counters, res.Stats.Duration)
 	x.line.Matches = len(res.Matches)
 	x.line.RunUS, x.line.FirstMatchUS = res.Stats.Duration.Microseconds(), res.Stats.FirstMatchNanos/1000
 	return res, nil

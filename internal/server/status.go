@@ -28,21 +28,6 @@ func (s *Server) observe(eng viewjoin.Engine, st viewjoin.Stats) {
 	s.histMu.Unlock()
 }
 
-// countersOf lifts the public per-run Stats back into the internal counter
-// record an obs.Aggregate folds, so per-plan aggregation works off the
-// deterministic counters every untraced run already produces.
-func countersOf(st viewjoin.Stats) counters.Counters {
-	return counters.Counters{
-		ElementsScanned: st.ElementsScanned,
-		Comparisons:     st.Comparisons,
-		PointerDerefs:   st.PointerDerefs,
-		PagesRead:       st.PagesRead,
-		PagesWritten:    st.PagesWritten,
-		JumpsTaken:      st.JumpsTaken,
-		JumpsRefused:    st.JumpsRefused,
-	}
-}
-
 // metricsResponse is the body of GET /metrics.
 type metricsResponse struct {
 	Schema    string              `json:"schema"`

@@ -121,7 +121,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, tr *
 		if err != nil {
 			return nil, err
 		}
-		var lists engine.Lists
+		var lists []*store.ListFile
 		if p.plan, lists, err = listPlan(eng, v, stores, tr); err != nil {
 			return nil, err
 		}
@@ -154,7 +154,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, tr *
 
 // listPlan prepares one of the three engines that read the views' element
 // lists through the view-segmented query, and returns the lists it bound.
-func listPlan(eng Engine, v *vsq.VSQ, stores []*store.ViewStore, tr *obs.Recorder) (enginePlan, engine.Lists, error) {
+func listPlan(eng Engine, v *vsq.VSQ, stores []*store.ViewStore, tr *obs.Recorder) (enginePlan, []*store.ListFile, error) {
 	if eng == EngineViewJoin {
 		vj, err := vjengine.Prepare(v, stores, tr)
 		if err != nil {

@@ -115,8 +115,8 @@ func TestOnePlanManyRunOptions(t *testing.T) {
 		if !identicalMatches(res, a.want) {
 			return fmt.Errorf("%s (%s): %d rows differ from the fresh plan's %d", a.name, where, len(res.Matches), len(a.want.Matches))
 		}
-		if got, want := comparableStats(res.Stats), comparableStats(a.want.Stats); got != want {
-			return fmt.Errorf("%s (%s): stats %+v, fresh plan %+v", a.name, where, got, want)
+		if !sameCounters(res.Stats, a.want.Stats) {
+			return fmt.Errorf("%s (%s): stats %+v, fresh plan %+v", a.name, where, res.Stats, a.want.Stats)
 		}
 		if traced := ro != nil && ro.Tracer != nil; (res.Trace != nil) != traced {
 			return fmt.Errorf("%s (%s): Trace present %v, want %v", a.name, where, res.Trace != nil, traced)

@@ -36,6 +36,12 @@
 #      sequential pass (§IV), and Config.Workers bounds evaluations on the
 #      assumption that each request costs one worker's CPU; a partitioned
 #      run knob coming back would break both
+#   2a''''. one counters record: no non-test Go file outside
+#      internal/counters and internal/obs/report.go may hold a composite
+#      literal keyed ElementsScanned:, the mark of a field-by-field copy of
+#      the run's counters. The engines fill counters.Counters, Stats embeds
+#      it and the server aggregates it whole; only the trace's camelCase
+#      CountersReport re-spells the fields, for its wire
 #   2b. benchmark module: go vet and go test inside benchmark/ (a nested
 #      module root `go test ./...` does not reach), then a one-round
 #      --quick run of every BENCHMARK.json workload with its verify step,
@@ -161,6 +167,13 @@ parusers="$(grep -nE '^[^/]*([^[:alnum:]_]|^)Parallelism([^[:alnum:]_]|$)' $( (l
 if [ -n "$parusers" ]; then
 	echo "these lines name Parallelism: a run is one job, and no run option or flag splits it:" >&2
 	echo "$parusers" >&2
+	exit 1
+fi
+echo "== one counters record: no field-by-field copy of the counters"
+copies="$(grep -nE '^[^/]*([^[:alnum:]_]|^)ElementsScanned[[:space:]]*:([^=]|$)' $(find . -name '*.go' ! -name '*_test.go' ! -path './internal/counters/*' ! -path './internal/obs/report.go') || true)"
+if [ -n "$copies" ]; then
+	echo "these lines copy the counters field by field; pass counters.Counters (or Stats.Counters) whole:" >&2
+	echo "$copies" >&2
 	exit 1
 fi
 echo "== tier-1: vet"

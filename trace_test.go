@@ -135,11 +135,8 @@ func TestEvaluateTraceAllEngines(t *testing.T) {
 			if len(res.Matches) == 0 || !reflect.DeepEqual(res.Matches, plain.Matches) {
 				t.Errorf("traced rows (%d) differ from untraced (%d)", len(res.Matches), len(plain.Matches))
 			}
-			gs, ws := res.Stats, plain.Stats
-			gs.Duration, gs.FirstMatchNanos = 0, 0
-			ws.Duration, ws.FirstMatchNanos = 0, 0
-			if gs != ws {
-				t.Errorf("traced stats %+v, untraced %+v", gs, ws)
+			if !sameCounters(res.Stats, plain.Stats) {
+				t.Errorf("traced stats %+v, untraced %+v", res.Stats, plain.Stats)
 			}
 			rep := res.Trace
 			if rep == nil || rep.Plan == nil {
@@ -242,11 +239,8 @@ func TestNilRecorderRunsUntraced(t *testing.T) {
 			if !reflect.DeepEqual(got.Matches, want.Matches) {
 				t.Errorf("rows differ: %v, want %v", got.Matches, want.Matches)
 			}
-			gs, ws := got.Stats, want.Stats
-			gs.Duration, gs.FirstMatchNanos = 0, 0
-			ws.Duration, ws.FirstMatchNanos = 0, 0
-			if gs != ws {
-				t.Errorf("stats differ: %+v, want %+v", gs, ws)
+			if !sameCounters(got.Stats, want.Stats) {
+				t.Errorf("stats differ: %+v, want %+v", got.Stats, want.Stats)
 			}
 		})
 	}

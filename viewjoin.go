@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"viewjoin/internal/counters"
 	"viewjoin/internal/dataset/nasa"
 	"viewjoin/internal/dataset/xmark"
 	"viewjoin/internal/match"
@@ -453,15 +454,15 @@ func ParseEngine(s string) (Engine, error) {
 
 // Stats reports the deterministic cost of an evaluation.
 type Stats struct {
-	// ElementsScanned counts records decoded from view lists.
-	ElementsScanned int64
-	// Comparisons counts structural comparisons.
-	Comparisons int64
-	// PointerDerefs counts materialized pointers followed.
-	PointerDerefs int64
-	// PagesRead / PagesWritten count simulated page I/O.
-	PagesRead    int64
-	PagesWritten int64
+	// Counters is the run's cost record, the one the engines fill and
+	// vjserve aggregates; its fields read as Stats' own:
+	// ElementsScanned (records decoded from view lists), Comparisons
+	// (structural comparisons), PointerDerefs (materialized pointers
+	// followed), PagesRead / PagesWritten (simulated page I/O),
+	// JumpsTaken / JumpsRefused (pointer jumps followed and refused; zero
+	// for engines without them) and Matches (the rows the run kept, so
+	// len(Result.Matches)).
+	counters.Counters
 	// PageHits is always 0: there is no buffer pool, every page touch is a
 	// read.
 	//
@@ -470,12 +471,6 @@ type Stats struct {
 	//
 	// Deprecated: always 0; count page touches with PagesRead.
 	PageHits int64
-	// JumpsTaken / JumpsRefused count materialized pointer jumps followed
-	// and refused (safe-jump probe, open-region cover, stale pointers) —
-	// zero for engines without pointer jumps. Recorded on every run, so
-	// serving-side aggregation observes them without a tracer.
-	JumpsTaken   int64
-	JumpsRefused int64
 	// PeakMemoryBytes estimates the largest in-memory intermediate state
 	// (the paper's |F_max|); 0 for engines that do not track it.
 	PeakMemoryBytes int64
